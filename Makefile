@@ -4,13 +4,17 @@
 # generator once shipped a vet failure that broke `go test`), then run
 # the full test suite — including the differential harness in
 # internal/difftest and the -race concurrency tests in internal/tx that
-# guard the page-granular copy-on-write snapshot machinery.
+# guard the page-granular copy-on-write snapshot machinery — and then
+# vet and test bench/, a module of its own (BENCHMARK.json runs it) that
+# the root module's ./... does not reach: it imports internal packages,
+# so it is what catches a change breaking an identifier the benchmark
+# uses.
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json lint fuzz server-smoke repl-smoke
+.PHONY: check build vet test race bench-check bench bench-json lint fuzz server-smoke repl-smoke
 
-check: build vet race
+check: build vet race bench-check
 
 build:
 	$(GO) build ./...
@@ -23,6 +27,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The paper's evaluation benchmarks (Figure 9, insert scaling, the
 # page-COW transaction cost, the versioned-snapshot read path, ...).
@@ -117,9 +124,11 @@ repl-smoke:
 	test $$ok1 -eq 1 && test $$ok2 -eq 1
 
 # Native fuzz smoke over the text-input surfaces (the XPath compiler and
-# the XUpdate parser) plus the evaluation-side differential fuzzer
+# the XUpdate parser), the evaluation-side differential fuzzer
 # (compiled sequence-at-a-time pipeline vs node-at-a-time interpreter vs
-# the naive dense oracle). Go allows one -fuzz target per invocation;
+# the naive dense oracle) and the checkpoint chunk decoder (bytes from
+# disk or from a primary: no panic, bounded allocation, accepted input
+# re-encodes to itself). Go allows one -fuzz target per invocation;
 # -fuzzminimizetime=1x keeps short runs fuzzing instead of minimizing.
 # Raise FUZZTIME for a real session.
 FUZZTIME ?= 10s
@@ -127,3 +136,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzXPathParse -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xpath
 	$(GO) test -run xxx -fuzz FuzzXPathEval -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xpath
 	$(GO) test -run xxx -fuzz FuzzXUpdateParse -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xupdate
+	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/core

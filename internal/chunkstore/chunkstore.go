@@ -10,8 +10,12 @@
 //
 // The interface is deliberately small and batched (HasMany) so remote
 // backends — an object store, an LRU cache over one — can slot in
-// behind the same contract. The in-tree backends are Dir (a fanned-out
-// local directory, the durability default) and Mem (tests).
+// behind the same contract. Writes batch too, but optionally: a store
+// that can overlap the writes of a checkpoint's missing chunks also
+// implements BatchPutter, and a store that does not — or that wraps
+// another store's Put — is simply fed one Put per chunk. The in-tree
+// backends are Dir (a fanned-out local directory, the durability
+// default; PutMany keeps 8 chunk files in flight) and Mem (tests).
 package chunkstore
 
 import (
@@ -22,7 +26,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // HashSize is the size of a chunk name in bytes (SHA-256).
@@ -81,6 +88,21 @@ type Store interface {
 	Sync() error
 }
 
+// BatchPutter is the write-side twin of HasMany: a Store that can take
+// a whole checkpoint's missing chunks at once and overlap their writes.
+// It is optional — core.Store.SaveChunked uses it when the store offers
+// it and otherwise calls Put per chunk — so a Store that wraps Put (to
+// time, throttle or count it) keeps seeing every chunk go through Put.
+type BatchPutter interface {
+	// PutMany stores datas[i] under hs[i]; every hs[i] must equal
+	// Sum(datas[i]). It is meant for chunks HasMany just reported
+	// missing, but storing one the store already holds is harmless. On
+	// error (the first one met) any subset of the batch may have been
+	// stored: chunks are content-addressed, so the stored ones are whole
+	// and valid, and GC sweeps those no image comes to reference.
+	PutMany(hs []Hash, datas [][]byte) error
+}
+
 // --- Dir: local-directory backend ----------------------------------------
 
 // Dir is the local filesystem backend: chunk h lives at
@@ -88,16 +110,34 @@ type Store interface {
 // are written tmp+fsync+rename so a crash never leaves a torn chunk
 // under a final name; Sync fsyncs the directories touched since the
 // last Sync so renames themselves are durable before a manifest
-// referencing them is published.
+// referencing them is published. A crash can leave the tmp file itself
+// behind; the first write through a Dir removes every tmp file that is
+// not this process's own.
 //
-// Dir is safe for concurrent use.
+// Dir is safe for concurrent use, also by several Dirs over one root in
+// one process.
 type Dir struct {
-	root string
+	root  string
+	sweep sync.Once // stale tmp files are removed before the first write
 
 	mu    sync.Mutex
 	dirty map[string]struct{} // subdirs with un-fsynced renames
-	seq   uint64              // tmp-name uniquifier
 }
+
+// putWriters is the number of chunk files PutMany keeps in flight. Each
+// chunk is a create+write+fsync+rename of ~20 KB, which is latency
+// bound, not bandwidth bound: on the ext4 this was tuned on, 1488 such
+// files took 1.93 s from 1 writer, 1.12 s from 2, 0.95 s from 4, 0.69 s
+// from 8 and 0.89 s from 16.
+const putWriters = 8
+
+// tmpTag marks the tmp files of this process, which may be in flight —
+// through this Dir or another over the same root — and so must survive
+// the stale-tmp sweep; tmpSeq keeps their names apart.
+var (
+	tmpTag = fmt.Sprintf(".tmp%d-%x.", os.Getpid(), time.Now().UnixNano())
+	tmpSeq atomic.Uint64
+)
 
 // NewDir opens (creating if needed on first Put) a directory-backed
 // store rooted at root.
@@ -117,20 +157,96 @@ func (d *Dir) PathOf(h Hash) string {
 
 func (d *Dir) Put(h Hash, data []byte) error {
 	if Sum(data) != h {
-		return fmt.Errorf("chunkstore: put of %s with non-matching content", h)
+		return errMismatch(h)
 	}
 	path := d.PathOf(h)
 	if _, err := os.Stat(path); err == nil {
 		return nil // content-addressed: an existing chunk is this chunk
 	}
+	d.sweep.Do(d.removeStaleTmps)
 	sub := filepath.Dir(path)
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		return err
 	}
+	if err := writeChunk(path, data); err != nil {
+		return err
+	}
 	d.mu.Lock()
-	d.seq++
-	tmp := fmt.Sprintf("%s.tmp%d", path, d.seq)
+	d.dirty[sub] = struct{}{}
 	d.mu.Unlock()
+	return nil
+}
+
+func errMismatch(h Hash) error {
+	return fmt.Errorf("chunkstore: put of %s with non-matching content", h)
+}
+
+// PutMany implements BatchPutter with putWriters concurrent writers.
+// Like Put it checks each chunk's content against its name; unlike Put
+// it trusts the caller that the chunks are missing (no Stat per chunk)
+// and creates each fan-out directory once per batch.
+func (d *Dir) PutMany(hs []Hash, datas [][]byte) error {
+	if len(hs) != len(datas) {
+		return fmt.Errorf("chunkstore: PutMany of %d names and %d chunks", len(hs), len(datas))
+	}
+	if len(hs) == 0 {
+		return nil
+	}
+	d.sweep.Do(d.removeStaleTmps)
+	paths := make([]string, len(hs))
+	subs := make(map[string]struct{})
+	for i, h := range hs {
+		paths[i] = d.PathOf(h)
+		sub := filepath.Dir(paths[i])
+		if _, ok := subs[sub]; !ok {
+			if err := os.MkdirAll(sub, 0o755); err != nil {
+				return err
+			}
+			subs[sub] = struct{}{}
+		}
+	}
+	var (
+		next  atomic.Int64 // index of the next chunk to write
+		first atomic.Pointer[error]
+		wg    sync.WaitGroup
+	)
+	for w := 0; w < min(putWriters, len(hs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for first.Load() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(hs) {
+					return
+				}
+				err := errMismatch(hs[i])
+				if Sum(datas[i]) == hs[i] {
+					err = writeChunk(paths[i], datas[i])
+				}
+				if err != nil {
+					first.CompareAndSwap(nil, &err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Also after a failure: some renames may have landed.
+	d.mu.Lock()
+	for sub := range subs {
+		d.dirty[sub] = struct{}{}
+	}
+	d.mu.Unlock()
+	if err := first.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// writeChunk publishes data at path, whose directory exists, via
+// tmp+fsync+rename.
+func writeChunk(path string, data []byte) error {
+	tmp := fmt.Sprintf("%s%s%d", path, tmpTag, tmpSeq.Add(1))
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
@@ -153,10 +269,29 @@ func (d *Dir) Put(h Hash, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	d.mu.Lock()
-	d.dirty[sub] = struct{}{}
-	d.mu.Unlock()
 	return nil
+}
+
+// removeStaleTmps deletes the "<hash>.chunk.tmp…" files that writers
+// killed mid-Put left behind; nothing else ever would (ForEach and GC
+// see only whole chunks). Files carrying this process's tmpTag may be
+// in flight and are kept. Best effort: a leftover is only wasted space,
+// so errors are ignored.
+func (d *Dir) removeStaleTmps() {
+	subs, _ := os.ReadDir(d.root)
+	for _, sub := range subs {
+		if !sub.IsDir() {
+			continue
+		}
+		dir := filepath.Join(d.root, sub.Name())
+		files, _ := os.ReadDir(dir)
+		for _, f := range files {
+			name := f.Name()
+			if strings.Contains(name, ".chunk.tmp") && !strings.Contains(name, ".chunk"+tmpTag) {
+				os.Remove(filepath.Join(dir, name))
+			}
+		}
+	}
 }
 
 func (d *Dir) Get(h Hash) ([]byte, error) {
@@ -297,7 +432,7 @@ func NewMem() *Mem { return &Mem{chunks: make(map[Hash][]byte)} }
 
 func (m *Mem) Put(h Hash, data []byte) error {
 	if Sum(data) != h {
-		return fmt.Errorf("chunkstore: put of %s with non-matching content", h)
+		return errMismatch(h)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

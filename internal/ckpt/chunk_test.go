@@ -181,3 +181,56 @@ func TestLegacyImageMigration(t *testing.T) {
 		t.Fatalf("post-migration recovery differs:\nwant %s\ngot  %s", want, got)
 	}
 }
+
+// TestStaleChunkTmpRemovedOnReopen: a writer killed inside a chunk Put
+// leaves "<hash>.chunk.tmpN" behind, which neither GC (it deletes by
+// hash) nor retire (image and manifest tmps only) ever touched. The
+// first checkpoint after a reopen removes it — and nothing else.
+func TestStaleChunkTmpRemovedOnReopen(t *testing.T) {
+	e := newEnv(t, 1<<20)
+	e.commitBook(t, "s1", "before")
+	if _, err := e.ck.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cs := DefaultChunkStore(e.dir, "d")
+	var held []chunkstore.Hash
+	if err := cs.ForEach(func(h chunkstore.Hash) error { held = append(held, h); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	leftover := cs.PathOf(held[0]) + ".tmp3"
+	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen: a fresh checkpointer (and with it a fresh chunk store)
+	// over the same directory, then a checkpoint with something to write.
+	e.ck.Close()
+	e.ck = New(e.dir, "d", e.log, e.m.PinCheckpoint)
+	e.commitBook(t, "s1", "after")
+	want := e.baseXML(t)
+	if _, err := e.ck.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("stale chunk tmp survived the reopen's first checkpoint (%v)", err)
+	}
+	imgs, err := Images(e.dir, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range imgs {
+		hs, err := ImageChunks(filepath.Join(e.dir, img.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			if _, err := cs.Get(h); err != nil {
+				t.Fatalf("image %s lost chunk %s to the tmp sweep: %v", img.File, h, err)
+			}
+		}
+	}
+	store, _ := e.recover(t)
+	if got := viewXML(t, store); got != want {
+		t.Fatalf("recovery after the sweep:\nwant %s\ngot  %s", want, got)
+	}
+}

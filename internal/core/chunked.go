@@ -16,6 +16,13 @@ import (
 // chunkstore.Store; a checkpoint image shrinks to a ChunkManifest — the
 // list of those names in column order plus the store's scalars.
 //
+// The encoding treats the columns as what the paper says they are —
+// narrow, locally dense integer columns: varints, and deltas where
+// neighbours are close (level, node, pos, parent, free ids), so a tuple
+// of a freshly shredded document costs under 9 bytes of structure next
+// to its text (TestChunkBytesPerTuple). There is one codec and no
+// version switch: see the layout table below.
+//
 // The payoff is the COW layer's own bookkeeping reused as a dirty map:
 // every write path funnels through the dirty* hooks, which invalidate
 // the touched chunk's cached content hash. At save time an untouched
@@ -51,12 +58,14 @@ func (c *chunkHash) get() (chunkstore.Hash, bool) {
 func (c *chunkHash) set(h chunkstore.Hash) { c.p.Store(&h) }
 func (c *chunkHash) invalidate()           { c.p.Store(nil) }
 
-// Chunk encoding kind tags (first byte of every chunk).
+// Chunk encoding kind tags (first byte of every chunk). Tags 1–4 were
+// the fixed-width encodings this codec replaced; nothing was ever
+// deployed with them, so they are rejected, not migrated.
 const (
-	chunkKindPage = 1 // pos/size/level/kind/name/text/node columns of one page
-	chunkKindNode = 2 // node/pos, parent and attribute columns of one chunk
-	chunkKindFree = 3 // a run of the recycled-NodeID stack
-	chunkKindDict = 4 // a group of dictionary strings (names or prop values)
+	chunkKindPage = 5 // pos/size/level/kind/name/text/node columns of one page
+	chunkKindNode = 6 // node/pos, parent and attribute columns of one chunk
+	chunkKindFree = 7 // a run of the recycled-NodeID stack
+	chunkKindDict = 8 // a group of dictionary strings (names or prop values)
 )
 
 // dictGroupSize is the number of dictionary strings per dict chunk.
@@ -114,16 +123,63 @@ type ChunkSaveStats struct {
 }
 
 // --- deterministic chunk encoding ----------------------------------------
+//
+// Chunks are column-wise, and every integer is a canonical LEB128
+// uvarint of at most 32 bits (shortest form only, so a byte string the
+// decoder accepts is the one the encoder would have produced — a
+// chunk's name covers its meaning, not just its bytes). "uv" below is
+// such a uvarint; "zz-delta" is the zigzag of the wrapping difference
+// to the previous value of the same column (first value against 0), as
+// a uv. The arithmetic wraps at 32 bits, so every int32 round-trips
+// whatever its neighbours are (level is 16 bits wide: its deltas never
+// wrap, and a decoded level outside int16 is refused).
+//
+//	page  tag 5 | uv n | size: n × uv(uint32) | level: n × zz-delta |
+//	      kind: n raw bytes | name: n × uv(name+1) (NoName → 0) |
+//	      node: n × zz-delta | text lengths: n × uv | text bytes
+//	node  tag 6 | uv n | pos: n × zz-delta | parent: n × zz-delta of
+//	      (index in chunk − parent) | attribute counts: n × uv |
+//	      attribute refs: Σcounts × (uv name, uv val)
+//	free  tag 7 | uv count | ids: count × zz-delta
+//	dict  tag 8 | uv count | lengths: count × uv | string bytes
+//
+// The text (and dictionary) bytes are one block closing the chunk; the
+// decoder converts it to one string and slices it per tuple, so a page
+// costs one text allocation, not one per text node.
 
 type chunkEnc struct{ b []byte }
 
-func (e *chunkEnc) u8(v uint8)       { e.b = append(e.b, v) }
-func (e *chunkEnc) u16(v uint16)     { e.b = append(e.b, byte(v), byte(v>>8)) }
-func (e *chunkEnc) u32(v uint32)     { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *chunkEnc) i16(v int16)      { e.u16(uint16(v)) }
-func (e *chunkEnc) i32(v int32)      { e.u32(uint32(v)) }
-func (e *chunkEnc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *chunkEnc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *chunkEnc) uv(v uint32) { e.b = binary.AppendUvarint(e.b, uint64(v)) }
+
+// zz appends the zigzag of d: small magnitudes of either sign stay short.
+func (e *chunkEnc) zz(d int32) { e.uv(uint32(d<<1) ^ uint32(d>>31)) }
+
+// deltas appends col zz-delta coded.
+func (e *chunkEnc) deltas(col []int32) {
+	prev := int32(0)
+	for _, v := range col {
+		e.zz(v - prev)
+		prev = v
+	}
+}
+
+// strs appends a lengths column followed by the concatenated bytes.
+func (e *chunkEnc) strs(col []string) {
+	for _, s := range col {
+		e.uv(uint32(len(s)))
+	}
+	for _, s := range col {
+		e.b = append(e.b, s...)
+	}
+}
+
+func strsLen(col []string) int {
+	n := 0
+	for _, s := range col {
+		n += len(s)
+	}
+	return n
+}
 
 // chunkDec decodes with a sticky error; every getter returns the zero
 // value once the input is exhausted or malformed.
@@ -139,68 +195,108 @@ func (d *chunkDec) fail(format string, args ...any) {
 	}
 }
 
-func (d *chunkDec) take(n int) []byte {
-	if d.err != nil || d.off+n > len(d.b) || n < 0 {
-		d.fail("core: chunk truncated at offset %d", d.off)
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *chunkDec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
+// begin checks the kind tag and reads the entry count, which may not
+// exceed limit nor what the chunk's length allows at minBytes per entry
+// — so whatever the decoder allocates next is bounded by the input.
+func (d *chunkDec) begin(kind byte, what string, limit int32, minBytes int) int {
+	if len(d.b) == 0 {
+		d.fail("core: empty chunk")
 		return 0
 	}
-	return b[0]
-}
-
-func (d *chunkDec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
+	if tag := d.b[0]; tag != kind {
+		if tag < chunkKindPage || tag > chunkKindDict {
+			d.fail("core: unsupported chunk format (kind tag %d); no migration from older builds", tag)
+		} else {
+			d.fail("core: chunk kind %d, want %s (%d)", tag, what, kind)
+		}
 		return 0
 	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (d *chunkDec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+	d.off = 1
+	n := d.uv()
+	switch {
+	case d.err != nil:
+	case uint64(n) > uint64(limit):
+		d.fail("core: %s chunk count %d exceeds limit %d", what, n, limit)
+	case uint64(n)*uint64(minBytes) > uint64(len(d.b)):
+		d.fail("core: %s chunk of %d bytes cannot hold %d entries", what, len(d.b), n)
+	default:
+		return int(n)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
-func (d *chunkDec) i16() int16 { return int16(d.u16()) }
-func (d *chunkDec) i32() int32 { return int32(d.u32()) }
-
-func (d *chunkDec) uvarint() uint64 {
+// uv reads one canonical uvarint of at most 32 bits.
+func (d *chunkDec) uv() uint32 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("core: chunk has a malformed uvarint at offset %d", d.off)
-		return 0
+	var x uint32
+	for shift := uint(0); shift < 35; shift += 7 {
+		if d.off >= len(d.b) {
+			d.fail("core: chunk truncated at offset %d", d.off)
+			return 0
+		}
+		c := d.b[d.off]
+		d.off++
+		if c < 0x80 {
+			if (c == 0 && shift > 0) || (shift == 28 && c > 0x0f) {
+				break
+			}
+			return x | uint32(c)<<shift
+		}
+		x |= uint32(c&0x7f) << shift
 	}
-	d.off += n
-	return v
+	d.fail("core: chunk has a malformed varint before offset %d", d.off)
+	return 0
 }
 
-func (d *chunkDec) count(limit int) int {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(limit) {
-		d.fail("core: chunk count %d exceeds limit %d", v, limit)
-		return 0
-	}
-	return int(v)
+func (d *chunkDec) zz() int32 {
+	u := d.uv()
+	return int32(u>>1) ^ -int32(u&1)
 }
 
-func (d *chunkDec) str() string {
-	n := d.count(len(d.b)) // a string cannot be longer than the chunk
-	return string(d.take(n))
+func (d *chunkDec) deltas(col []int32) {
+	prev := int32(0)
+	for i := range col {
+		prev += d.zz()
+		col[i] = prev
+	}
+}
+
+func (d *chunkDec) raw(col []byte) {
+	if d.err != nil {
+		return
+	}
+	if len(d.b)-d.off < len(col) {
+		d.fail("core: chunk truncated at offset %d", d.off)
+		return
+	}
+	d.off += copy(col, d.b[d.off:])
+}
+
+// strs reads a lengths column and slices the rest of the chunk — which
+// the lengths must cover exactly — into col, sharing one allocation.
+func (d *chunkDec) strs(col []string) {
+	lens := make([]uint32, len(col))
+	total := uint64(0)
+	for i := range lens {
+		lens[i] = d.uv()
+		total += uint64(lens[i])
+	}
+	if d.err != nil {
+		return
+	}
+	if rest := uint64(len(d.b) - d.off); total != rest {
+		d.fail("core: chunk string lengths total %d, %d bytes follow", total, rest)
+		return
+	}
+	block := string(d.b[d.off:])
+	d.off = len(d.b)
+	at := 0
+	for i, n := range lens {
+		col[i] = block[at : at+int(n)]
+		at += int(n)
+	}
 }
 
 // done fails on trailing garbage: a chunk's name covers every byte.
@@ -215,53 +311,53 @@ func (d *chunkDec) done() error {
 }
 
 func encodePageChunk(p *page) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 16*len(p.size))}
-	e.u8(chunkKindPage)
-	e.uvarint(uint64(len(p.size)))
+	e := &chunkEnc{b: make([]byte, 0, 8*len(p.size)+strsLen(p.text)+8)}
+	e.b = append(e.b, chunkKindPage)
+	e.uv(uint32(len(p.size)))
 	for _, v := range p.size {
-		e.i32(v)
+		e.uv(uint32(v))
 	}
+	prev := int32(0)
 	for _, v := range p.level {
-		e.i16(v)
+		e.zz(int32(v) - prev)
+		prev = int32(v)
 	}
 	e.b = append(e.b, p.kind...)
 	for _, v := range p.name {
-		e.i32(v)
+		e.uv(uint32(v + 1))
 	}
-	for _, s := range p.text {
-		e.str(s)
-	}
-	for _, v := range p.node {
-		e.i32(v)
-	}
+	e.deltas(p.node)
+	e.strs(p.text)
 	return e.b
 }
 
 func decodePageChunk(data []byte, pageSize int32) (*page, error) {
 	d := &chunkDec{b: data}
-	if k := d.u8(); d.err == nil && k != chunkKindPage {
-		return nil, fmt.Errorf("core: chunk kind %d, want page (%d)", k, chunkKindPage)
-	}
-	if n := d.count(int(pageSize)); d.err == nil && int32(n) != pageSize {
+	// size, level, kind, name, node and text length: ≥ 6 bytes a tuple.
+	if n := d.begin(chunkKindPage, "page", pageSize, 6); d.err != nil {
+		return nil, d.err
+	} else if int32(n) != pageSize {
 		return nil, fmt.Errorf("core: page chunk holds %d tuples, store page size is %d", n, pageSize)
 	}
 	p := newPage(int(pageSize))
 	for i := range p.size {
-		p.size[i] = d.i32()
+		p.size[i] = int32(d.uv())
 	}
+	prev := int32(0)
 	for i := range p.level {
-		p.level[i] = d.i16()
+		prev += d.zz()
+		if prev != int32(int16(prev)) {
+			d.fail("core: page chunk level %d overflows 16 bits", prev)
+			break
+		}
+		p.level[i] = int16(prev)
 	}
-	copy(p.kind, d.take(int(pageSize)))
+	d.raw(p.kind)
 	for i := range p.name {
-		p.name[i] = d.i32()
+		p.name[i] = int32(d.uv()) - 1
 	}
-	for i := range p.text {
-		p.text[i] = d.str()
-	}
-	for i := range p.node {
-		p.node[i] = d.i32()
-	}
+	d.deltas(p.node)
+	d.strs(p.text)
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -269,20 +365,27 @@ func decodePageChunk(data []byte, pageSize int32) (*page, error) {
 }
 
 func encodeNodeChunk(c *nodeChunk) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 9*len(c.pos))}
-	e.u8(chunkKindNode)
-	e.uvarint(uint64(len(c.pos)))
-	for _, v := range c.pos {
-		e.i32(v)
-	}
-	for _, v := range c.parent {
-		e.i32(v)
+	e := &chunkEnc{b: make([]byte, 0, 4*len(c.pos)+8)}
+	e.b = append(e.b, chunkKindNode)
+	e.uv(uint32(len(c.pos)))
+	e.deltas(c.pos)
+	// A node's parent is almost always a recently allocated id, so the
+	// distance back to it is small where the id itself is not; as a
+	// delta column the chunk's base id cancels out of all but the first
+	// entry, so the in-chunk index can stand in for the id.
+	prev := int32(0)
+	for i, v := range c.parent {
+		back := int32(i) - v
+		e.zz(back - prev)
+		prev = back
 	}
 	for _, refs := range c.attrs {
-		e.uvarint(uint64(len(refs)))
+		e.uv(uint32(len(refs)))
+	}
+	for _, refs := range c.attrs {
 		for _, r := range refs {
-			e.i32(r.name)
-			e.i32(r.val)
+			e.uv(uint32(r.name))
+			e.uv(uint32(r.val))
 		}
 	}
 	return e.b
@@ -290,32 +393,44 @@ func encodeNodeChunk(c *nodeChunk) []byte {
 
 func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
 	d := &chunkDec{b: data}
-	if k := d.u8(); d.err == nil && k != chunkKindNode {
-		return nil, fmt.Errorf("core: chunk kind %d, want node (%d)", k, chunkKindNode)
-	}
-	if n := d.count(int(pageSize)); d.err == nil && int32(n) != pageSize {
+	// pos, parent and attribute count: ≥ 3 bytes an id.
+	if n := d.begin(chunkKindNode, "node", pageSize, 3); d.err != nil {
+		return nil, d.err
+	} else if int32(n) != pageSize {
 		return nil, fmt.Errorf("core: node chunk holds %d ids, store page size is %d", n, pageSize)
 	}
 	c := newNodeChunk(int(pageSize))
-	for i := range c.pos {
-		c.pos[i] = d.i32()
-	}
+	d.deltas(c.pos)
+	prev := int32(0)
 	for i := range c.parent {
-		c.parent[i] = d.i32()
+		prev += d.zz()
+		c.parent[i] = int32(i) - prev
 	}
-	for i := range c.attrs {
-		n := d.count(len(d.b) / 8) // each attr ref costs 8 bytes
-		if d.err != nil {
-			break
+	counts := make([]uint32, pageSize)
+	total := uint64(0)
+	for i := range counts {
+		counts[i] = d.uv()
+		total += uint64(counts[i])
+	}
+	// Each attribute ref costs ≥ 2 bytes of what is left.
+	if d.err == nil && total > uint64(len(d.b)-d.off)/2 {
+		d.fail("core: node chunk claims %d attribute refs in %d bytes", total, len(d.b)-d.off)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	refs := make([]attrRef, total)
+	for i := range refs {
+		refs[i] = attrRef{name: int32(d.uv()), val: int32(d.uv())}
+	}
+	at := 0
+	for i, n := range counts {
+		if n > 0 {
+			// Capped, so an append to one node's refs can never grow into
+			// its neighbour's.
+			c.attrs[i] = refs[at : at+int(n) : at+int(n)]
+			at += int(n)
 		}
-		if n == 0 {
-			continue
-		}
-		refs := make([]attrRef, n)
-		for j := range refs {
-			refs[j] = attrRef{name: d.i32(), val: d.i32()}
-		}
-		c.attrs[i] = refs
 	}
 	if err := d.done(); err != nil {
 		return nil, err
@@ -329,25 +444,21 @@ func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
 // re-encoded every save because popFree shrinks freeLen without a
 // dirty-hook call.
 func encodeFreeChunk(c *freeChunk, count int32) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 4*count+8)}
-	e.u8(chunkKindFree)
-	e.uvarint(uint64(count))
-	for _, v := range c.ids[:count] {
-		e.i32(v)
-	}
+	e := &chunkEnc{b: make([]byte, 0, 2*count+8)}
+	e.b = append(e.b, chunkKindFree)
+	e.uv(uint32(count))
+	e.deltas(c.ids[:count])
 	return e.b
 }
 
 func decodeFreeChunk(data []byte, pageSize int32) ([]int32, error) {
 	d := &chunkDec{b: data}
-	if k := d.u8(); d.err == nil && k != chunkKindFree {
-		return nil, fmt.Errorf("core: chunk kind %d, want free (%d)", k, chunkKindFree)
+	n := d.begin(chunkKindFree, "free", pageSize, 1)
+	if d.err != nil {
+		return nil, d.err
 	}
-	n := d.count(int(pageSize))
 	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = d.i32()
-	}
+	d.deltas(ids)
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -355,25 +466,21 @@ func decodeFreeChunk(data []byte, pageSize int32) ([]int32, error) {
 }
 
 func encodeDictChunk(vals []string) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 16*len(vals))}
-	e.u8(chunkKindDict)
-	e.uvarint(uint64(len(vals)))
-	for _, s := range vals {
-		e.str(s)
-	}
+	e := &chunkEnc{b: make([]byte, 0, 2*len(vals)+strsLen(vals)+8)}
+	e.b = append(e.b, chunkKindDict)
+	e.uv(uint32(len(vals)))
+	e.strs(vals)
 	return e.b
 }
 
 func decodeDictChunk(data []byte) ([]string, error) {
 	d := &chunkDec{b: data}
-	if k := d.u8(); d.err == nil && k != chunkKindDict {
-		return nil, fmt.Errorf("core: chunk kind %d, want dict (%d)", k, chunkKindDict)
+	n := d.begin(chunkKindDict, "dict", dictGroupSize, 1)
+	if d.err != nil {
+		return nil, d.err
 	}
-	n := d.count(len(d.b)) // each entry costs ≥ 1 byte
 	vals := make([]string, n)
-	for i := range vals {
-		vals[i] = d.str()
-	}
+	d.strs(vals)
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -468,8 +575,10 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 // returns the manifest describing it. Only chunks cs does not already
 // hold are serialized in full and written — after small churn that is
 // the dirtied chunks plus the dictionary tails, never the whole
-// document. cs is synced before returning, so a caller may durably
-// publish the manifest immediately.
+// document. They go out as one chunkstore.BatchPutter batch when cs is
+// one (the local Dir overlaps the file writes), else one Put each, so a
+// store that wraps Put sees every chunk. cs is synced before returning,
+// so a caller may durably publish the manifest immediately.
 //
 // Like Save, SaveChunked requires the store to be free of concurrent
 // writes; a pinned checkpoint snapshot satisfies that by construction.
@@ -491,15 +600,27 @@ func (s *Store) SaveChunked(cs chunkstore.Store) (*ChunkManifest, ChunkSaveStats
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: probing chunk store: %w", err)
 	}
+	var missing []chunkstore.Hash
+	var datas [][]byte
 	for j, h := range order {
-		if have[j] {
-			continue
+		if !have[j] {
+			missing = append(missing, h)
+			datas = append(datas, refs[firstRef[h]].bytes())
 		}
-		data := refs[firstRef[h]].bytes()
-		if err := cs.Put(h, data); err != nil {
-			return nil, stats, fmt.Errorf("core: writing chunk %s: %w", h, err)
+	}
+	if bp, ok := cs.(chunkstore.BatchPutter); ok {
+		if err := bp.PutMany(missing, datas); err != nil {
+			return nil, stats, fmt.Errorf("core: writing %d chunks: %w", len(missing), err)
 		}
-		stats.ChunksWritten++
+	} else {
+		for i, h := range missing {
+			if err := cs.Put(h, datas[i]); err != nil {
+				return nil, stats, fmt.Errorf("core: writing chunk %s: %w", h, err)
+			}
+		}
+	}
+	stats.ChunksWritten = len(missing)
+	for _, data := range datas {
 		stats.BytesWritten += int64(len(data))
 	}
 	stats.ChunksReused = stats.ChunksTotal - stats.ChunksWritten

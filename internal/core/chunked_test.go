@@ -331,3 +331,64 @@ func TestChunkedDeterministic(t *testing.T) {
 		t.Fatal("identical stores produced different manifests")
 	}
 }
+
+// putCounter wraps only Put, the way bench/'s timedStore and ckpt's
+// throttling hook do: embedding the interface hides any PutMany of the
+// store underneath.
+type putCounter struct {
+	chunkstore.Store
+	puts int
+}
+
+func (c *putCounter) Put(h chunkstore.Hash, data []byte) error {
+	c.puts++
+	return c.Store.Put(h, data)
+}
+
+// batchCounter offers PutMany next to Put.
+type batchCounter struct {
+	putCounter
+	batches, batched int
+}
+
+func (c *batchCounter) PutMany(hs []chunkstore.Hash, datas [][]byte) error {
+	c.batches++
+	c.batched += len(hs)
+	return c.Store.(chunkstore.BatchPutter).PutMany(hs, datas)
+}
+
+// TestChunkedSaveWritePaths: a store that only wraps Put sees exactly
+// one Put per missing chunk, a store offering PutMany gets the missing
+// chunks as one batch and no Put — and both leave the same image.
+func TestChunkedSaveWritePaths(t *testing.T) {
+	s := mustBuild(t, itemsDoc(400), Options{PageSize: 16, FillFactor: 0.75})
+	plain := &putCounter{Store: chunkstore.NewDir(filepath.Join(t.TempDir(), "plain"))}
+	batch := &batchCounter{putCounter: putCounter{Store: chunkstore.NewDir(filepath.Join(t.TempDir(), "batch"))}}
+
+	m1, st1 := mustSaveChunked(t, s, plain)
+	m2, st2 := mustSaveChunked(t, s, batch)
+	if plain.puts != st1.ChunksWritten || st1.ChunksWritten == 0 {
+		t.Fatalf("Put-wrapping store saw %d Puts for %d missing chunks", plain.puts, st1.ChunksWritten)
+	}
+	if batch.puts != 0 || batch.batches != 1 || batch.batched != st2.ChunksWritten {
+		t.Fatalf("batch store saw %d Puts and %d batches of %d chunks in total for %d missing chunks",
+			batch.puts, batch.batches, batch.batched, st2.ChunksWritten)
+	}
+	if st1 != st2 {
+		t.Fatalf("write paths disagree on what was saved: %+v vs %+v", st1, st2)
+	}
+	if !bytes.Equal(saveBytes(t, mustLoadChunked(t, m1, plain)), saveBytes(t, mustLoadChunked(t, m2, batch))) {
+		t.Fatal("write paths left different images")
+	}
+
+	// Churn, then save again: only the dirtied chunks travel, on either path.
+	if err := s.Rename(s.NthChild(s.Root(), 17), "renamed"); err != nil {
+		t.Fatal(err)
+	}
+	plain.puts, batch.batches, batch.batched = 0, 0, 0
+	_, st1 = mustSaveChunked(t, s, plain)
+	_, st2 = mustSaveChunked(t, s, batch)
+	if plain.puts != st1.ChunksWritten || batch.batched != st2.ChunksWritten || st1 != st2 || st1.ChunksWritten > 3 {
+		t.Fatalf("incremental save: %d Puts / %d batched, stats %+v vs %+v", plain.puts, batch.batched, st1, st2)
+	}
+}

@@ -64,23 +64,32 @@
 // copy-on-write machinery the read path uses — then serializes the
 // snapshot in content-addressed form outside any lock: every column
 // chunk becomes a SHA-256-named file in the document's chunk store,
-// and the LSN-stamped image is a small manifest of chunk names. Chunks
-// the store already holds — everything unchanged since the previous
-// checkpoint, which the copy-on-write layer knows without hashing —
-// are re-referenced, not rewritten, so checkpoint I/O is O(churn), not
-// O(document), and frequent automatic checkpoints stay cheap on large
-// documents. Superseded chunks are garbage-collected by mark-and-sweep
+// and the LSN-stamped image is a small manifest of chunk names. A
+// chunk stores its columns as varints and deltas — about 9 bytes of
+// structure per tuple next to the text itself, so an image is roughly
+// the size of the XML it holds — in one format with no version switch:
+// chunks of an older build are refused ("unsupported chunk format"),
+// not migrated. Chunks the store already holds — everything unchanged
+// since the previous checkpoint, which the copy-on-write layer knows
+// without hashing — are re-referenced, not rewritten, so checkpoint
+// I/O is O(churn), not O(document), and frequent automatic checkpoints
+// stay cheap on large documents. Superseded chunks are garbage-collected by mark-and-sweep
 // over the retained images; Options.ChunkStore plugs in a different
-// chunk backend per document; pre-existing monolithic images are
-// migrated to the chunked format on open. Completion is published
+// chunk backend per document (one that also offers PutMany — as the
+// default local directory does, writing 8 chunk files at a time — gets
+// a checkpoint's missing chunks as one batch, any other gets one Put
+// per chunk); pre-existing monolithic images are migrated to the
+// chunked format on open. Completion is published
 // atomically (chunks synced first, then tmp+rename+fsync of the image,
 // then of a manifest), and only WAL segments wholly below the pinned
 // LSN are deleted — a commit racing the checkpoint lives in a segment
 // the prune keeps, so it can never be lost, by construction.
 // Options.CheckpointEvery runs this automatically in a per-document
 // background goroutine once the WAL tail *beyond the last checkpoint*
-// exceeds the policy (bytes and/or records; Stats.WALBytes and
-// Stats.WALRecords expose that tail, Stats.Checkpoints the
+// exceeds the policy — checked again when the goroutine picks the
+// nudge up, so a burst of commits yields one checkpoint, not one per
+// nudge — (bytes and/or records; Stats.WALBytes and Stats.WALRecords
+// expose that tail, Stats.Checkpoints the
 // completions, and Stats.CkptBytesWritten / CkptChunksWritten /
 // CkptChunksReused / CkptDedupeRatio the incremental win);
 // Database.Close drains it. Recovery loads the manifest's image and
@@ -189,7 +198,9 @@ import (
 // existence probes so incremental checkpoints and bootstrap transfers
 // move only missing chunks. The default backend is a local fanned-out
 // directory (<doc>.chunks/ next to the WAL); implement this interface
-// to put chunks somewhere else (an object store, a cache hierarchy).
+// to put chunks somewhere else (an object store, a cache hierarchy),
+// and additionally PutMany(hs []ChunkHash, datas [][]byte) error to be
+// handed a checkpoint's missing chunks as one batch.
 type ChunkStore = chunkstore.Store
 
 // ChunkHash is a chunk's content address (SHA-256).

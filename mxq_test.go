@@ -496,11 +496,21 @@ func TestAutoCheckpointMeasuresBeyondLastCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	settled := doc.Stats().Checkpoints
-	time.Sleep(150 * time.Millisecond)
+	// Quiesce on the loop itself instead of sleeping: autoC buffers one
+	// nudge, so the third send below returns only once the loop has
+	// finished with the first — and with any nudge the burst above left
+	// queued behind the checkpoint that absorbed it. Each of those is
+	// dequeued against a covered tail and must run nothing.
+	for i := 0; i < 3; i++ {
+		select {
+		case doc.autoC <- struct{}{}:
+		case <-time.After(10 * time.Second):
+			t.Fatal("auto-checkpoint loop stopped taking nudges")
+		}
+	}
 	st := doc.Stats()
-	if st.Checkpoints != settled {
-		t.Fatalf("checkpoints kept firing on covered records: %d -> %d", settled, st.Checkpoints)
+	if st.Checkpoints != 1 {
+		t.Fatalf("nudges over a covered tail ran checkpoints: %d, want 1", st.Checkpoints)
 	}
 	if st.WALRecords >= 4 {
 		t.Fatalf("beyond-checkpoint tail = %d records, policy would re-trigger", st.WALRecords)
