@@ -776,10 +776,7 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 	if err := loadDict(m.Names, func(v string) { s.qn.Intern(v) }); err != nil {
 		return nil, err
 	}
-	if err := loadDict(m.Props, func(v string) {
-		s.prop.ids[v] = int32(len(s.prop.vals))
-		s.prop.vals = append(s.prop.vals, v)
-	}); err != nil {
+	if err := loadDict(m.Props, func(v string) { s.prop.add(v) }); err != nil {
 		return nil, err
 	}
 	if err := s.CheckInvariants(); err != nil {

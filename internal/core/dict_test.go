@@ -1,7 +1,10 @@
 package core
 
 import (
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mxq/internal/serialize"
@@ -161,4 +164,43 @@ func snapshotXML(t *testing.T, v xenc.DocView) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// TestPropDictReadsDuringPut is the -race stress test of the dictionary's
+// lock-free id→string side: one goroutine adds attribute values — as a
+// write transaction's image does — while readers resolve every id handed
+// out so far, as queries on the snapshots sharing the dictionary do.
+func TestPropDictReadsDuringPut(t *testing.T) {
+	const vals, readers = 20000, 4
+	d := newPropDict()
+	var handedOut atomic.Int32 // ids below it exist
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				hi := handedOut.Load()
+				for id := int32(0); id < hi; id++ {
+					if got, want := d.get(id), "v"+strconv.Itoa(int(id)); got != want {
+						t.Errorf("get(%d) = %q, want %q", id, got, want)
+						return
+					}
+				}
+				if hi == vals {
+					if d.count() != vals || len(d.values()) != vals {
+						t.Errorf("count %d, values %d, want %d", d.count(), len(d.values()), vals)
+					}
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < vals; i++ {
+		if id := d.put("v" + strconv.Itoa(i)); id != int32(i) {
+			t.Fatalf("put #%d = %d", i, id)
+		}
+		handedOut.Store(int32(i + 1))
+	}
+	wg.Wait()
 }

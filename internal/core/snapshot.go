@@ -204,9 +204,8 @@ func Load(r io.Reader) (*Store, error) {
 		}
 		s.setAttrs(id, refs)
 	}
-	for i, v := range snap.PropVals {
-		s.prop.vals = append(s.prop.vals, v)
-		s.prop.ids[v] = int32(i)
+	for _, v := range snap.PropVals {
+		s.prop.add(v)
 	}
 	for _, n := range snap.Names {
 		s.qn.Intern(n)

@@ -251,13 +251,20 @@ type Store struct {
 // propDict is the attribute-value dictionary. It is append-only and safe
 // for concurrent use: the base store and all its snapshots share one
 // dictionary (ids handed to an aborted snapshot simply go unreferenced).
+// Like xenc.QNamePool it reads id→string without locking (get runs once
+// per attribute value read): writers replace the published slice under
+// the mutex, which also guards the string→id map.
 type propDict struct {
 	mu   sync.RWMutex
-	vals []string
+	vals atomic.Pointer[[]string]
 	ids  map[string]int32
 }
 
-func newPropDict() *propDict { return &propDict{ids: make(map[string]int32)} }
+func newPropDict() *propDict {
+	d := &propDict{ids: make(map[string]int32)}
+	d.vals.Store(new([]string))
+	return d
+}
 
 func (d *propDict) put(s string) int32 {
 	d.mu.Lock()
@@ -265,30 +272,29 @@ func (d *propDict) put(s string) int32 {
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
-	id := int32(len(d.vals))
-	d.vals = append(d.vals, s)
+	return d.add(s)
+}
+
+// add appends s under the next id without looking it up first. put calls
+// it under the mutex; the image loaders call it on a store nobody else
+// can see yet, to restore a dictionary id for id.
+func (d *propDict) add(s string) int32 {
+	vals := *d.vals.Load()
+	id := int32(len(vals))
+	vals = append(vals, s)
+	d.vals.Store(&vals)
 	d.ids[s] = id
 	return id
 }
 
-func (d *propDict) get(id int32) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.vals[id]
-}
+func (d *propDict) get(id int32) string { return (*d.vals.Load())[id] }
 
 // count returns the number of dictionary entries.
-func (d *propDict) count() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.vals)
-}
+func (d *propDict) count() int { return len(*d.vals.Load()) }
 
 // values returns a point-in-time copy of the dictionary contents.
 func (d *propDict) values() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]string(nil), d.vals...)
+	return append([]string(nil), *d.vals.Load()...)
 }
 
 // Build shreds a tree into a fresh paged store. Each page receives at
@@ -653,6 +659,21 @@ func (s *Store) AttrValue(p xenc.Pre, name int32) (string, bool) {
 
 // Names exposes the document's interned names.
 func (s *Store) Names() *xenc.QNamePool { return s.qn }
+
+// Cols implements xenc.ColumnView. A run is one logical page: the page
+// chunk behind p, whichever physical page the pageOffset table maps it
+// to. The slices are the chunk's own columns, shared with every snapshot
+// that shares the chunk; a later write to this store may update them in
+// place or swap the chunk for a private copy.
+func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
+	pg := s.pages[s.logToPhys[p>>s.pageBits]]
+	return xenc.Columns{Size: pg.size, Level: pg.level, Kind: pg.kind, Name: pg.name}, int(p & s.pageMask)
+}
+
+var (
+	_ xenc.ColumnView = (*Store)(nil)
+	_ xenc.ParentView = (*Store)(nil)
+)
 
 // Root returns the view rank of the root element.
 func (s *Store) Root() xenc.Pre { return xenc.SkipFree(s, 0) }

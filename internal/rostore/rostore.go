@@ -134,4 +134,12 @@ func (s *Store) Names() *xenc.QNamePool { return s.qn }
 // Root returns the pre rank of the root element.
 func (s *Store) Root() xenc.Pre { return 0 }
 
-var _ xenc.DocView = (*Store)(nil)
+// Cols implements xenc.ColumnView: the dense schema is a single run, so
+// the window is the whole arrays and p is its own index. That keeps the
+// Figure 9 ro-vs-up comparison like for like — both sides run the column
+// kernels, and the difference left is free space and page crossings.
+func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
+	return xenc.Columns{Size: s.size, Level: s.level, Kind: s.kind, Name: s.name}, int(p)
+}
+
+var _ xenc.ColumnView = (*Store)(nil)

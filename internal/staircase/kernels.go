@@ -1,0 +1,359 @@
+package staircase
+
+// Column kernels: the operators of staircase.go over xenc.ColumnView.
+//
+// A per-tuple operator body makes four or five DocView calls per tuple,
+// and each call redoes the rank-to-page translation. A kernel asks the
+// view for the column slices of one run at a time (xenc.Columns: one
+// logical page of the paged store, the whole document of the read-only
+// store) and loops over them directly: a region ends at the first used
+// tuple whose level is not below the context's, free runs and sibling
+// subtrees are hopped by the size column, a name test is one integer
+// compare, and the next run is fetched only when a rank crosses a run
+// boundary. Results are the per-tuple operators' results, rank for rank
+// (TestKernelsMatchReference).
+//
+// Every exported operator picks its kernel by one type assertion at
+// entry; nothing else in the package, and nothing outside it, chooses.
+
+import "mxq/internal/xenc"
+
+// cursor is a position in a ColumnView: the columns of the run loaded
+// last and the view ranks [base, end) they cover. It lives for one
+// operator call, during which the view does not change.
+type cursor struct {
+	v         xenc.ColumnView
+	pv        xenc.ParentView // nil when the view has no parent table
+	n         xenc.Pre        // v.Len()
+	base, end xenc.Pre
+	xenc.Columns
+}
+
+func newCursor(v xenc.ColumnView) *cursor {
+	k := &cursor{v: v, n: v.Len()}
+	k.pv, _ = v.(xenc.ParentView)
+	return k
+}
+
+// at returns the index of view rank p (0 <= p < n) in the loaded
+// columns, loading p's run first if p lies outside the current one.
+func (k *cursor) at(p xenc.Pre) int {
+	if p < k.base || p >= k.end {
+		k.load(p)
+	}
+	return int(p - k.base)
+}
+
+func (k *cursor) load(p xenc.Pre) {
+	cols, i := k.v.Cols(p)
+	k.Columns = cols
+	k.base = p - xenc.Pre(i)
+	k.end = k.base + xenc.Pre(len(cols.Level))
+}
+
+// levelAt returns the level column value at p.
+func (k *cursor) levelAt(p xenc.Pre) xenc.Level { return k.Level[k.at(p)] }
+
+// matches reports whether the used tuple at index i of the loaded run
+// satisfies the test.
+func (k *cursor) matches(t Test, i int) bool {
+	return !t.kindSet || (t.name == xenc.NoName || k.Name[i] == t.name) && k.Kind[i] == uint8(t.kind)
+}
+
+// sweep is the bulk scan under the descendant, following and preceding
+// axes. It appends the matching used tuples of [from, to) to out and
+// stops early at the first used tuple whose level is at or below floor —
+// the end of the region of a context node at that level; floor
+// xenc.LevelUnused never stops early. to is at most n. It returns the
+// rank it stopped at.
+func (k *cursor) sweep(from, to xenc.Pre, floor xenc.Level, t Test, out []xenc.Pre) ([]xenc.Pre, xenc.Pre) {
+	// The name column decides first: under a name test nearly every tuple
+	// fails it, and the kind column then only tells an element from a
+	// processing instruction whose target interned alike.
+	anyKind, kind := !t.kindSet, uint8(t.kind)
+	anyName := anyKind || t.name == xenc.NoName
+	for p := from; p < to; p = k.end {
+		i := k.at(p)
+		lim := len(k.Level)
+		if rest := int(to - k.base); rest < lim {
+			lim = rest
+		}
+		// Equal lengths, so one bound check covers the four columns.
+		lv, sz, kd, nm := k.Level[:lim], k.Size[:lim], k.Kind[:lim], k.Name[:lim]
+		for ; i < len(lv); i++ {
+			if l := lv[i]; l <= floor {
+				if l != xenc.LevelUnused {
+					return out, k.base + xenc.Pre(i)
+				}
+				i += int(sz[i]) // hop the free run; it ends inside this run
+			} else if (anyName || nm[i] == t.name) && (anyKind || kd[i] == kind) {
+				out = append(out, k.base+xenc.Pre(i))
+			}
+		}
+	}
+	return out, to
+}
+
+// each is sweep to the end of the view with early exit: it hands every
+// match to fn until fn returns false. It steps tuple by tuple — a fused
+// position stops it after a few matches, so there is no bulk to win.
+func (k *cursor) each(from xenc.Pre, floor xenc.Level, t Test, fn func(xenc.Pre) bool) {
+	for p := from; p < k.n; p++ {
+		i := k.at(p)
+		if l := k.Level[i]; l <= floor {
+			if l != xenc.LevelUnused {
+				return
+			}
+			p += k.Size[i]
+		} else if k.matches(t, i) && !fn(p) {
+			return
+		}
+	}
+}
+
+// hop enumerates the siblings at level lvl from p on: it tests the used
+// tuple at p, hops over its subtree (pre += size+1, re-hopping where
+// free space made the hop land short, inside the subtree) and goes on
+// until a used tuple above lvl in the tree, rank to, or fn returning
+// false. It returns the rank it stopped at.
+func (k *cursor) hop(p, to xenc.Pre, lvl xenc.Level, t Test, fn func(xenc.Pre) bool) xenc.Pre {
+	for p < to {
+		i := k.at(p)
+		l := k.Level[i]
+		if l != xenc.LevelUnused {
+			if l < lvl {
+				break
+			}
+			if l == lvl && k.matches(t, i) && !fn(p) {
+				break
+			}
+		}
+		p += k.Size[i] + 1
+	}
+	return p
+}
+
+// parent returns the parent of the used tuple at c: from the view's
+// parent table if it has one, else by the backward level scan.
+func (k *cursor) parent(c xenc.Pre) xenc.Pre {
+	if k.pv != nil {
+		return k.pv.ParentPre(c)
+	}
+	lvl := k.levelAt(c)
+	if lvl == 0 {
+		return xenc.NoPre
+	}
+	for p := c - 1; p >= 0; p-- {
+		if l := k.levelAt(p); l != xenc.LevelUnused && l < lvl {
+			return p
+		}
+	}
+	return xenc.NoPre
+}
+
+// after returns the first used tuple behind c's region, or n. The hop
+// c+size+1 lands there, or short of it by the free space inside the
+// region; from a landing inside the region, hopping on over whatever
+// subtree or free run lies there finishes the job.
+func (k *cursor) after(c xenc.Pre) xenc.Pre {
+	i := k.at(c)
+	lvl := k.Level[i]
+	p := c + k.Size[i] + 1
+	for p < k.n {
+		i = k.at(p)
+		if l := k.Level[i]; l != xenc.LevelUnused && l <= lvl {
+			break
+		}
+		p += k.Size[i] + 1
+	}
+	return p
+}
+
+// merger collects the ranks an operator emits context node by context
+// node. They nearly always arrive ascending; it notices when they do not
+// (cousin contexts) and only then sorts and dedupes.
+type merger struct {
+	out      []xenc.Pre
+	last     xenc.Pre
+	unsorted bool
+}
+
+func newMerger() *merger { return &merger{last: -1} }
+
+// add appends p; it returns true so that it can serve as a hop callback.
+func (m *merger) add(p xenc.Pre) bool {
+	if p <= m.last {
+		m.unsorted = true
+	}
+	m.last = p
+	m.out = append(m.out, p)
+	return true
+}
+
+func (m *merger) result() []xenc.Pre {
+	if m.unsorted {
+		sortPres(m.out)
+		m.out = dedupe(m.out)
+	}
+	return m.out
+}
+
+// --- the operators ----------------------------------------------------------
+
+func (k *cursor) scan(c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
+	i := k.at(c)
+	lvl := k.Level[i]
+	switch ax {
+	case AxisSelf:
+		if k.matches(t, i) {
+			fn(c)
+		}
+	case AxisChild:
+		k.hop(c+1, k.n, lvl+1, t, fn)
+	case AxisDescendant, AxisDescendantOrSelf:
+		if ax == AxisDescendantOrSelf && k.matches(t, i) && !fn(c) {
+			return
+		}
+		k.each(c+1, lvl, t, fn)
+	case AxisFollowingSibling:
+		if lvl > 0 {
+			k.hop(c+k.Size[i]+1, k.n, lvl, t, fn)
+		}
+	case AxisFollowing:
+		k.each(k.after(c), xenc.LevelUnused, t, fn)
+	}
+}
+
+func (k *cursor) self(ctx []xenc.Pre, t Test) []xenc.Pre {
+	var out []xenc.Pre
+	for _, c := range ctx {
+		if k.matches(t, k.at(c)) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func (k *cursor) descendant(ctx []xenc.Pre, t Test, self bool) []xenc.Pre {
+	var out []xenc.Pre
+	high := xenc.Pre(-1) // last rank of the regions swept so far
+	for _, c := range ctx {
+		if c <= high {
+			continue // pruned: c lies inside a region swept before
+		}
+		i := k.at(c)
+		lvl := k.Level[i]
+		if self && k.matches(t, i) {
+			out = append(out, c)
+		}
+		var stop xenc.Pre
+		out, stop = k.sweep(c+1, k.n, lvl, t, out)
+		high = stop - 1
+	}
+	return out
+}
+
+func (k *cursor) child(ctx []xenc.Pre, t Test) []xenc.Pre {
+	m := newMerger()
+	for _, c := range ctx {
+		k.hop(c+1, k.n, k.levelAt(c)+1, t, m.add)
+	}
+	return m.result()
+}
+
+func (k *cursor) parents(ctx []xenc.Pre, t Test) []xenc.Pre {
+	m := newMerger()
+	lastPar := xenc.NoPre
+	for _, c := range ctx {
+		p := k.parent(c)
+		if p == lastPar {
+			continue // sibling run: same parent as the previous context node
+		}
+		lastPar = p
+		if p != xenc.NoPre && k.matches(t, k.at(p)) {
+			m.add(p)
+		}
+	}
+	return m.result()
+}
+
+func (k *cursor) ancestor(ctx []xenc.Pre, t Test) []xenc.Pre {
+	seen := make(map[xenc.Pre]bool)
+	var out []xenc.Pre
+	for _, c := range ctx {
+		for p := k.parent(c); p != xenc.NoPre && !seen[p]; p = k.parent(p) {
+			seen[p] = true
+			if k.matches(t, k.at(p)) {
+				out = append(out, p)
+			}
+		}
+	}
+	sortPres(out)
+	return out
+}
+
+func (k *cursor) followingSibling(ctx []xenc.Pre, t Test) []xenc.Pre {
+	m := newMerger()
+	runHigh := xenc.Pre(-1) // last rank examined by the previous sibling scan
+	runLvl := xenc.Level(-2)
+	for _, c := range ctx {
+		i := k.at(c)
+		lvl := k.Level[i]
+		if lvl == 0 {
+			continue // the root has no siblings
+		}
+		if c <= runHigh && lvl == runLvl {
+			continue // pruned: c is a sibling inside the run scanned before
+		}
+		stop := k.hop(c+k.Size[i]+1, k.n, lvl, t, m.add)
+		runHigh, runLvl = stop-1, lvl
+	}
+	return m.result()
+}
+
+func (k *cursor) precedingSibling(ctx []xenc.Pre, t Test) []xenc.Pre {
+	m := newMerger()
+	for _, c := range ctx {
+		if par := k.parent(c); par != xenc.NoPre {
+			k.hop(par+1, c, k.levelAt(c), t, m.add)
+		}
+	}
+	return m.result()
+}
+
+func (k *cursor) following(ctx []xenc.Pre, t Test) []xenc.Pre {
+	if len(ctx) == 0 {
+		return nil
+	}
+	// Regions nest or follow one another, so the region that ends first
+	// is also the one with the earliest tuple behind it.
+	start := k.n
+	for _, c := range ctx {
+		if a := k.after(c); a < start {
+			start = a
+		}
+	}
+	out, _ := k.sweep(start, k.n, xenc.LevelUnused, t, nil)
+	return out
+}
+
+func (k *cursor) preceding(ctx []xenc.Pre, t Test) []xenc.Pre {
+	if len(ctx) == 0 {
+		return nil
+	}
+	c := ctx[len(ctx)-1]
+	var anc []xenc.Pre // descending
+	for p := k.parent(c); p != xenc.NoPre; p = k.parent(p) {
+		anc = append(anc, p)
+	}
+	// Sweep the stretches between consecutive ancestors, which leaves
+	// the ancestors themselves out.
+	var out []xenc.Pre
+	from := xenc.Pre(0)
+	for j := len(anc) - 1; j >= 0; j-- {
+		out, _ = k.sweep(from, anc[j], xenc.LevelUnused, t, out)
+		from = anc[j] + 1
+	}
+	out, _ = k.sweep(from, c, xenc.LevelUnused, t, out)
+	return out
+}

@@ -1,0 +1,328 @@
+package staircase_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"mxq/internal/core"
+	"mxq/internal/rostore"
+	"mxq/internal/shred"
+	"mxq/internal/staircase"
+	"mxq/internal/tx"
+	"mxq/internal/xenc"
+	"mxq/internal/xmark"
+)
+
+// perTuple hides everything but the DocView method set of a view, so the
+// operators run their per-tuple bodies over it: no Cols, no ParentPre.
+type perTuple struct{ xenc.DocView }
+
+var kernelAxes = []struct {
+	name string
+	ax   staircase.Axis
+	scan bool // Scan supports it
+}{
+	{"self", staircase.AxisSelf, true},
+	{"child", staircase.AxisChild, true},
+	{"descendant", staircase.AxisDescendant, true},
+	{"descendant-or-self", staircase.AxisDescendantOrSelf, true},
+	{"parent", staircase.AxisParent, false},
+	{"ancestor", staircase.AxisAncestor, false},
+	{"ancestor-or-self", staircase.AxisAncestorOrSelf, false},
+	{"following", staircase.AxisFollowing, true},
+	{"following-sibling", staircase.AxisFollowingSibling, true},
+	{"preceding", staircase.AxisPreceding, false},
+	{"preceding-sibling", staircase.AxisPrecedingSibling, false},
+}
+
+func xmarkTree(tb testing.TB, sf float64) *shred.Tree {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := xmark.NewGenerator(sf, 42).WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	tree, err := shred.Parse(&buf, shred.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree
+}
+
+func liveRanks(v xenc.DocView) []xenc.Pre {
+	var live []xenc.Pre
+	for p := xenc.SkipFree(v, 0); p < v.Len(); p = xenc.SkipFree(v, p+1) {
+		live = append(live, p)
+	}
+	return live
+}
+
+// kernelTests are the node-test shapes: node(), text(), *, a name the
+// document has, and a name it does not have.
+func kernelTests(tb testing.TB, v xenc.DocView) map[string]staircase.Test {
+	tb.Helper()
+	name, ok := v.Names().Lookup("keyword")
+	if !ok {
+		tb.Fatal("fixture has no keyword element")
+	}
+	return map[string]staircase.Test{
+		"node()":  staircase.AnyNode(),
+		"text()":  staircase.KindTest(xenc.KindText),
+		"*":       staircase.Element(xenc.NoName),
+		"keyword": staircase.Element(name),
+		"absent":  staircase.Element(-2),
+	}
+}
+
+// mutation is the surface core.Store and tx.Tx share.
+type mutation interface {
+	xenc.DocView
+	AppendChild(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
+	InsertBefore(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
+	Delete(xenc.Pre) error
+}
+
+// churn applies n random inserts and deletes. Fragments run from one
+// node to more than a page, so some inserts fit a page's free space and
+// others overflow it and splice fresh pages into the logical order.
+func churn(tb testing.TB, s mutation, rng *rand.Rand, n, pageSize int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		// A random used tuple, never the root.
+		target := xenc.SkipFree(s, 1+xenc.Pre(rng.Intn(int(s.Len())-1)))
+		if target == s.Len() {
+			continue
+		}
+		if rng.Intn(3) == 0 {
+			if s.Size(target) > xenc.Size(4*pageSize) {
+				continue
+			}
+			if err := s.Delete(target); err != nil {
+				tb.Fatal(err)
+			}
+			continue
+		}
+		b := shred.NewBuilder().Start("keyword")
+		for j := rng.Intn(2 * pageSize); j > 0; j-- {
+			b.Elem("emph", "x")
+		}
+		frag := b.End().Tree()
+		var err error
+		if s.Kind(target) == xenc.KindElem && rng.Intn(2) == 0 {
+			_, err = s.AppendChild(target, frag)
+		} else {
+			_, err = s.InsertBefore(target, frag)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// checkKernels compares every operator's kernel result on v with its
+// per-tuple result on the same view behind perTuple, over the five node
+// tests and random ascending context sequences; pinned context nodes are
+// added to every sequence's candidates.
+func checkKernels(t *testing.T, label string, v xenc.DocView, rng *rand.Rand, pinned ...xenc.Pre) {
+	t.Helper()
+	if _, ok := v.(xenc.ColumnView); !ok {
+		t.Fatalf("%s: %T is not a ColumnView", label, v)
+	}
+	ref := perTuple{v}
+	if _, ok := xenc.DocView(ref).(xenc.ColumnView); ok {
+		t.Fatal("perTuple leaks Cols")
+	}
+	live := liveRanks(v)
+	var ctxs [][]xenc.Pre
+	for _, size := range []int{1, 3, 40} {
+		set := map[xenc.Pre]bool{}
+		for _, p := range pinned {
+			set[p] = true
+		}
+		for len(set) < size+len(pinned) {
+			set[live[rng.Intn(len(live))]] = true
+		}
+		ctx := make([]xenc.Pre, 0, len(set))
+		for p := range set {
+			ctx = append(ctx, p)
+		}
+		sort.Slice(ctx, func(i, j int) bool { return ctx[i] < ctx[j] })
+		ctxs = append(ctxs, ctx)
+	}
+	ctxs = append(ctxs, []xenc.Pre{v.Root()})
+	for tname, test := range kernelTests(t, v) {
+		for _, a := range kernelAxes {
+			for _, ctx := range ctxs {
+				got := staircase.EvalAxis(v, ctx, a.ax, test)
+				want := staircase.EvalAxis(ref, ctx, a.ax, test)
+				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s::%s over %d context nodes: kernel %d ranks, per-tuple %d; first difference at %d",
+						label, a.name, tname, len(ctx), len(got), len(want), firstDiff(got, want))
+				}
+				if !a.scan {
+					continue
+				}
+				// Scan from the first context node: whole axis, then the
+				// early exits a fused position takes.
+				for _, k := range []int{0, 1, 3} {
+					collect := func(view xenc.DocView) []xenc.Pre {
+						var out []xenc.Pre
+						staircase.Scan(view, ctx[0], a.ax, test, func(p xenc.Pre) bool {
+							out = append(out, p)
+							return len(out) != k
+						})
+						return out
+					}
+					if g, w := collect(v), collect(ref); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s: Scan %s::%s from %d stopping at %d: kernel %v, per-tuple %v", label, a.name, tname, ctx[0], k, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []xenc.Pre) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) < len(b) {
+		return len(a)
+	}
+	return len(b)
+}
+
+// TestKernelsMatchReference is the differential the column kernels stand
+// on: on every kind of view that offers columns, in every state of the
+// paged store a scan has to cope with, each operator's kernel returns
+// exactly what its per-tuple body returns.
+func TestKernelsMatchReference(t *testing.T) {
+	const pageSize = 64
+	tree := xmarkTree(t, 0.01)
+	rng := rand.New(rand.NewSource(14))
+
+	ro, err := rostore.Build(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKernels(t, "rostore", ro, rng)
+
+	s, err := core.Build(tree, core.Options{PageSize: pageSize, FillFactor: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKernels(t, "core/fresh", s, rng)
+
+	// Churn, then empty a few whole pages: the first regions element has
+	// thousands of descendants.
+	churn(t, s, rng, 200, pageSize)
+	name, _ := s.Names().Lookup("africa")
+	big := staircase.Descendant(s, []xenc.Pre{s.Root()}, staircase.Element(name))
+	if len(big) != 1 || s.Size(big[0]) < 3*pageSize {
+		t.Fatalf("africa: %v", big)
+	}
+	if err := s.Delete(big[0]); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, s, rng, 100, pageSize)
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The states the kernels must cope with are all present.
+	var holeMidPage, freePage, spliced bool
+	lastSlot := xenc.NoPre
+	for pg := xenc.Pre(0); pg < s.Len(); pg += pageSize {
+		if s.PhysPage(pg) != pg/pageSize {
+			spliced = true
+		}
+		used := 0
+		for o := xenc.Pre(0); o < pageSize; o++ {
+			if s.Level(pg+o) != xenc.LevelUnused {
+				used++
+				if o == pageSize-1 {
+					lastSlot = pg + o
+				}
+			} else if used > 0 && o+1 < pageSize && s.Level(pg+o+1) != xenc.LevelUnused {
+				holeMidPage = true
+			}
+		}
+		if used == 0 {
+			freePage = true
+		}
+	}
+	if !holeMidPage || !freePage || !spliced || lastSlot == xenc.NoPre {
+		t.Fatalf("fixture lacks a state: hole mid-page %v, fully free page %v, spliced pages %v, node in a page's last slot %v",
+			holeMidPage, freePage, spliced, lastSlot != xenc.NoPre)
+	}
+	checkKernels(t, "core/churned", s, rng, lastSlot)
+
+	// A transaction image mid-transaction: private pages beside shared
+	// ones, the columns changing between (not during) operator calls.
+	m := tx.NewManager(s, nil)
+	txn := m.Begin()
+	defer txn.Abort()
+	for round := 0; round < 3; round++ {
+		churn(t, txn, rng, 20, pageSize)
+		checkKernels(t, fmt.Sprintf("tx/round%d", round), txn, rng)
+	}
+}
+
+// levelCounter is a view without columns but with the store's parent
+// table: it forwards ParentPre and counts the Level reads the per-tuple
+// bodies make.
+type levelCounter struct {
+	xenc.DocView
+	parents xenc.ParentView
+	levels  int
+}
+
+func (l *levelCounter) Level(p xenc.Pre) xenc.Level   { l.levels++; return l.DocView.Level(p) }
+func (l *levelCounter) ParentPre(p xenc.Pre) xenc.Pre { return l.parents.ParentPre(p) }
+
+// TestParentLookupDoesNotScanSiblings pins that parent and ancestor steps
+// cost O(depth) on a view with a parent table. The backward level scan
+// they fall back on reads over the subtrees of all preceding siblings —
+// 10,000 tuples here — to find one parent.
+func TestParentLookupDoesNotScanSiblings(t *testing.T) {
+	const siblings, depth = 5000, 3
+	b := shred.NewBuilder().Start("root")
+	for i := 0; i < siblings; i++ {
+		b.Start("c").Elem("d", "x").End()
+	}
+	s, err := core.Build(b.End().Tree(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, _ := s.Names().Lookup("d")
+	ds := staircase.Descendant(s, []xenc.Pre{s.Root()}, staircase.Element(name))
+	if len(ds) != siblings {
+		t.Fatalf("%d d elements", len(ds))
+	}
+	last := ds[len(ds)-1:] // the d under the last of 5000 c siblings
+	for _, tc := range []struct {
+		axis staircase.Axis
+		want int
+	}{
+		{staircase.AxisParent, 1},
+		{staircase.AxisAncestor, depth - 1},
+		{staircase.AxisAncestorOrSelf, depth},
+	} {
+		v := &levelCounter{DocView: s, parents: s}
+		got := staircase.EvalAxis(v, last, tc.axis, staircase.Element(xenc.NoName))
+		if len(got) != tc.want {
+			t.Fatalf("axis %d: %d results, want %d", tc.axis, len(got), tc.want)
+		}
+		if want := staircase.EvalAxis(perTuple{s}, last, tc.axis, staircase.Element(xenc.NoName)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("axis %d: %v through the parent table, %v by the backward scan", tc.axis, got, want)
+		}
+		if v.levels > 2*depth {
+			t.Errorf("axis %d from the last of %d siblings: %d Level reads, want O(depth %d)", tc.axis, siblings, v.levels, depth)
+		}
+	}
+}

@@ -1,9 +1,21 @@
 // Package staircase evaluates XPath axis steps over the pre/size/level
 // encoding, following the staircase join of Grust, van Keulen and Teubner
-// (VLDB 2003) as used by MonetDB/XQuery. The algorithms operate on the
-// xenc.DocView interface only, so — like the original staircase join
+// (VLDB 2003) as used by MonetDB/XQuery. The algorithms are defined on
+// the xenc.DocView interface only, so — like the original staircase join
 // behind the memory-mapped pre/size/level view — they run unmodified on
 // the read-only and on the paged updatable schema.
+//
+// Every operator has two bodies with the same results. The per-tuple
+// body in this file reads the view through its DocView accessors; it is
+// the definition, the reference the kernels are tested against, and what
+// runs on a view that offers nothing more (the naive oracle, a wrapper
+// that counts accessor calls). The column kernel in kernels.go runs when
+// the view is an xenc.ColumnView — the paged store, a transaction image,
+// the read-only store — and loops over the raw column slices a run at a
+// time, as the paper's join scans the memory-mapped columns. The choice
+// is one type assertion at operator entry; there is no switch to set.
+// Parent lookups, in either body, go through xenc.ParentView where the
+// view has a parent table and scan the level column backwards otherwise.
 //
 // The two tree-awareness tricks of the paper are implemented:
 //
@@ -95,6 +107,10 @@ func EvalAxis(v xenc.DocView, ctx []xenc.Pre, ax Axis, t Test) []xenc.Pre {
 // descendant-or-self, following-sibling, following; reverse axes
 // enumerate against document order and are not scannable this way.
 func Scan(v xenc.DocView, c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		newCursor(cv).scan(c, ax, t, fn)
+		return
+	}
 	n := v.Len()
 	switch ax {
 	case AxisSelf:
@@ -112,18 +128,21 @@ func Scan(v xenc.DocView, c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
 		if ax == AxisDescendantOrSelf && t.Matches(v, c) && !fn(c) {
 			return
 		}
-		remaining := v.Size(c)
 		lvl := v.Level(c)
-		p := c
-		for remaining > 0 {
-			p = xenc.SkipFree(v, p+1)
-			if v.Level(p) <= lvl {
+		for p, remaining := c+1, v.Size(c); remaining > 0 && p < n; {
+			l := v.Level(p)
+			if l == xenc.LevelUnused {
+				p += v.Size(p) + 1
+				continue
+			}
+			if l <= lvl {
 				break
 			}
 			if t.Matches(v, p) && !fn(p) {
 				return
 			}
 			remaining--
+			p++
 		}
 	case AxisFollowingSibling:
 		lvl := v.Level(c)
@@ -184,6 +203,9 @@ func (t Test) Matches(v xenc.DocView, p xenc.Pre) bool {
 
 // Self filters the context sequence by the test.
 func Self(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).self(ctx, t)
+	}
 	var out []xenc.Pre
 	for _, c := range ctx {
 		if t.Matches(v, c) {
@@ -198,58 +220,50 @@ func Self(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // pruned (the staircase "pruning"), so the scan touches every result
 // region exactly once.
 func Descendant(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	return descendant(v, ctx, t, false)
+}
+
+// DescendantOrSelf is Descendant plus the matching context nodes.
+func DescendantOrSelf(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	return descendant(v, ctx, t, true)
+}
+
+func descendant(v xenc.DocView, ctx []xenc.Pre, t Test, self bool) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).descendant(ctx, t, self)
+	}
 	var out []xenc.Pre
+	n := v.Len()
 	high := xenc.Pre(-1) // last pre already covered by a scanned region
 	for _, c := range ctx {
 		if c <= high {
 			continue // pruned: c lies inside a region scanned before
 		}
-		remaining := v.Size(c)
+		if self && t.Matches(v, c) {
+			out = append(out, c)
+		}
 		lvl := v.Level(c)
-		p := c
-		for remaining > 0 {
-			p = xenc.SkipFree(v, p+1)
-			if v.Level(p) <= lvl {
+		last := c
+		// One Level read per tuple: it tells a free run (hopped by its
+		// length) from a descendant from the end of the region.
+		for p, remaining := c+1, v.Size(c); remaining > 0 && p < n; {
+			l := v.Level(p)
+			if l == xenc.LevelUnused {
+				p += v.Size(p) + 1
+				continue
+			}
+			if l <= lvl {
 				break // corrupt size would spin; defend
 			}
 			if t.Matches(v, p) {
 				out = append(out, p)
 			}
+			last = p
 			remaining--
+			p++
 		}
-		if p > high {
-			high = p
-		}
-	}
-	return out
-}
-
-// DescendantOrSelf is Descendant plus the matching context nodes.
-func DescendantOrSelf(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
-	var out []xenc.Pre
-	high := xenc.Pre(-1)
-	for _, c := range ctx {
-		if c <= high {
-			continue
-		}
-		if t.Matches(v, c) {
-			out = append(out, c)
-		}
-		remaining := v.Size(c)
-		lvl := v.Level(c)
-		p := c
-		for remaining > 0 {
-			p = xenc.SkipFree(v, p+1)
-			if v.Level(p) <= lvl {
-				break
-			}
-			if t.Matches(v, p) {
-				out = append(out, p)
-			}
-			remaining--
-		}
-		if p > high {
-			high = p
+		if last > high {
+			high = last
 		}
 	}
 	return out
@@ -262,6 +276,9 @@ func DescendantOrSelf(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // region; the level test detects that and the hop continues from there,
 // so each extra hole costs at most one extra hop.
 func Child(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).child(ctx, t)
+	}
 	var out []xenc.Pre
 	sorted := true
 	last := xenc.Pre(-1)
@@ -291,6 +308,9 @@ func Child(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // collapsed during the walk; the merge sort only fires when parents of
 // later context nodes actually land out of order (cousin sequences).
 func Parent(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).parents(ctx, t)
+	}
 	var out []xenc.Pre
 	lastPar := xenc.NoPre
 	sorted := true
@@ -318,6 +338,9 @@ func Parent(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 
 // Ancestor returns the distinct ancestors of the context sequence.
 func Ancestor(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).ancestor(ctx, t)
+	}
 	seen := make(map[xenc.Pre]bool)
 	var out []xenc.Pre
 	for _, c := range ctx {
@@ -349,6 +372,9 @@ func AncestorOrSelf(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // sibling of the first — its results are a suffix of what was already
 // emitted — so it is skipped without touching a tuple.
 func FollowingSibling(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).followingSibling(ctx, t)
+	}
 	var out []xenc.Pre
 	n := v.Len()
 	sorted := true
@@ -385,6 +411,9 @@ func FollowingSibling(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 
 // PrecedingSibling returns the matching preceding siblings.
 func PrecedingSibling(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).precedingSibling(ctx, t)
+	}
 	var out []xenc.Pre
 	sorted := true
 	last := xenc.Pre(-1)
@@ -417,6 +446,9 @@ func PrecedingSibling(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // observation: following(ctx) == following(c*) where c* is the context
 // node whose region ends first, so one scan suffices.
 func Following(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).following(ctx, t)
+	}
 	if len(ctx) == 0 {
 		return nil
 	}
@@ -443,6 +475,9 @@ func Following(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // ancestors. Dual staircase observation: preceding(ctx) ==
 // preceding(max ctx).
 func Preceding(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	if cv, ok := v.(xenc.ColumnView); ok {
+		return newCursor(cv).preceding(ctx, t)
+	}
 	if len(ctx) == 0 {
 		return nil
 	}
@@ -460,9 +495,15 @@ func Preceding(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 	return out
 }
 
-// parentOf finds the parent by the backward level scan: the nearest
-// preceding used tuple with a smaller level is the parent in pre-order.
+// parentOf finds the parent of the used tuple at c. A view with a parent
+// table (xenc.ParentView) answers directly. Otherwise it is the backward
+// level scan — the nearest preceding used tuple with a smaller level is
+// the parent in pre-order — which reads back over the subtrees of all of
+// c's preceding siblings.
 func parentOf(v xenc.DocView, c xenc.Pre) xenc.Pre {
+	if pv, ok := v.(xenc.ParentView); ok {
+		return pv.ParentPre(c)
+	}
 	lvl := v.Level(c)
 	if lvl == 0 {
 		return xenc.NoPre

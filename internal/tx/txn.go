@@ -72,7 +72,19 @@ func (t *Tx) Names() *xenc.QNamePool { return t.clone.Names() }
 // Root returns the root element of the transaction image.
 func (t *Tx) Root() xenc.Pre { return t.clone.Root() }
 
-var _ xenc.DocView = (*Tx)(nil)
+// Cols exposes the columns of the transaction image (xenc.ColumnView), so
+// XUpdate select paths scan them like any query. The slices go stale with
+// the transaction's next mutation.
+func (t *Tx) Cols(p xenc.Pre) (xenc.Columns, int) { return t.clone.Cols(p) }
+
+// ParentPre resolves p's parent through the image's parent table
+// (xenc.ParentView).
+func (t *Tx) ParentPre(p xenc.Pre) xenc.Pre { return t.clone.ParentPre(p) }
+
+var (
+	_ xenc.ColumnView = (*Tx)(nil)
+	_ xenc.ParentView = (*Tx)(nil)
+)
 
 // --- mutations ---------------------------------------------------------------
 

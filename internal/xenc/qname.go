@@ -1,6 +1,9 @@
 package xenc
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // QNamePool interns qualified names (the paper's qn table, Figure 5).
 // Elements and attributes reference names by dense integer id, which is
@@ -13,16 +16,25 @@ import "sync"
 // unreferenced, which is harmless (ids are only meaningful through the
 // column data that references them).
 //
+// The two directions are synchronized differently. id→string (Name, once
+// per serialized element and attribute) reads without locking: the table
+// is append-only, so Intern publishes each longer slice through an atomic
+// pointer and a reader sees a prefix that never changes under it.
+// string→id (Intern, Lookup) goes through the mutex and the map; the
+// query engine resolves a name test once per step, not per tuple.
+//
 // The zero value is not ready for use; call NewQNamePool.
 type QNamePool struct {
-	mu    sync.RWMutex
-	names []string
+	mu    sync.RWMutex             // guards ids, and serializes writers of names
+	names atomic.Pointer[[]string] // id -> name; replaced, never shrunk
 	ids   map[string]int32
 }
 
 // NewQNamePool returns an empty pool.
 func NewQNamePool() *QNamePool {
-	return &QNamePool{ids: make(map[string]int32)}
+	q := &QNamePool{ids: make(map[string]int32)}
+	q.names.Store(new([]string))
+	return q
 }
 
 // Intern returns the id for name, adding it to the pool if new.
@@ -32,8 +44,12 @@ func (q *QNamePool) Intern(name string) int32 {
 	if id, ok := q.ids[name]; ok {
 		return id
 	}
-	id := int32(len(q.names))
-	q.names = append(q.names, name)
+	names := *q.names.Load()
+	id := int32(len(names))
+	// An append within capacity writes one slot past every published
+	// length, which no reader indexes until the longer header is stored.
+	names = append(names, name)
+	q.names.Store(&names)
 	q.ids[name] = id
 	return id
 }
@@ -52,22 +68,14 @@ func (q *QNamePool) Name(id int32) string {
 	if id == NoName {
 		return ""
 	}
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return q.names[id]
+	return (*q.names.Load())[id]
 }
 
 // Len returns the number of interned names.
-func (q *QNamePool) Len() int {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return len(q.names)
-}
+func (q *QNamePool) Len() int { return len(*q.names.Load()) }
 
 // NamesList returns a point-in-time copy of all interned names in id
 // order (used by checkpointing).
 func (q *QNamePool) NamesList() []string {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return append([]string(nil), q.names...)
+	return append([]string(nil), *q.names.Load()...)
 }

@@ -3,6 +3,12 @@
 // (Grust's pre/post plane in its pre/size/level form, cf. Figure 2 of the
 // paper), node kinds, interned qualified names, and the DocView interface
 // that every document store (read-only, paged-updatable, naive) implements.
+// Two optional interfaces sit beside it, discovered by type assertion:
+// ColumnView hands bulk operators the raw size/level/kind/name column
+// slices one contiguous run at a time, and ParentView answers parent
+// lookups from a store's parent table. A view without them is read
+// through the per-tuple DocView accessors, which remain the definition
+// of every operator.
 //
 // Encoding invariants:
 //
@@ -133,6 +139,49 @@ type DocView interface {
 	// Root returns the pre rank of the root element (the first used
 	// tuple).
 	Root() Pre
+}
+
+// Columns is a window onto the size, level, kind and name columns of one
+// run: a maximal stretch of consecutive view ranks whose tuples are also
+// consecutive in memory (one logical page of the paged store, the whole
+// document in the read-only store). The four slices have equal length
+// and share their indexing. They alias the store's own memory: they are
+// read-only, and they must not be retained across a mutation of the
+// view, which may rewrite them in place or replace the page behind a
+// rank by a private copy.
+type Columns struct {
+	Size  []Size
+	Level []Level
+	Kind  []uint8 // Kind values
+	Name  []int32
+}
+
+// ColumnView is implemented by views that can expose their columns
+// directly. The staircase operators pick it up by type assertion and
+// loop over the slices instead of making several accessor calls per
+// tuple, each of which would redo the rank-to-page translation.
+//
+// The interface is optional on purpose. A view that wraps another one to
+// observe it (an accessor-counting view in a test or benchmark) embeds
+// DocView alone, so it lacks Cols, keeps every column read on the
+// accessors it overrides, and runs the per-tuple operator bodies; so
+// does a view with no columns to hand out (the naive oracle).
+type ColumnView interface {
+	DocView
+	// Cols returns the columns of the run that holds view rank p and
+	// p's index in them, for 0 <= p < Len(). Index 0 is view rank p
+	// minus the returned index; a run never extends past Len().
+	Cols(p Pre) (Columns, int)
+}
+
+// ParentView is implemented by views that keep a parent table and can
+// answer a parent lookup without scanning the level column backwards
+// over every preceding sibling's subtree. It is optional: the read-only
+// schema has no such table.
+type ParentView interface {
+	// ParentPre returns the view rank of the parent of the used tuple at
+	// p, or NoPre if p is the root.
+	ParentPre(p Pre) Pre
 }
 
 // PostOf computes the post rank of a used tuple under the classic

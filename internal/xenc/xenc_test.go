@@ -1,6 +1,11 @@
 package xenc
 
-import "testing"
+import (
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
 
 // fakeView is a minimal DocView over explicit size/level columns, used to
 // unit-test the free-run helpers without a concrete store.
@@ -120,4 +125,42 @@ func TestQNamePool(t *testing.T) {
 	if got := q.NamesList(); len(got) != 2 || got[0] != "item" || got[1] != "person" {
 		t.Fatalf("NamesList = %v", got)
 	}
+}
+
+// TestQNamePoolNameReadsDuringIntern is the -race stress test of the
+// lock-free id→string side: one goroutine interns new names while
+// readers resolve every id handed out so far.
+func TestQNamePoolNameReadsDuringIntern(t *testing.T) {
+	const names, readers = 20000, 4
+	q := NewQNamePool()
+	var handedOut atomic.Int32 // ids below it exist
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				hi := handedOut.Load()
+				for id := int32(0); id < hi; id++ {
+					if got, want := q.Name(id), "n"+strconv.Itoa(int(id)); got != want {
+						t.Errorf("Name(%d) = %q, want %q", id, got, want)
+						return
+					}
+				}
+				if hi == names {
+					if q.Len() != names || len(q.NamesList()) != names {
+						t.Errorf("Len %d, NamesList %d, want %d", q.Len(), len(q.NamesList()), names)
+					}
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < names; i++ {
+		if id := q.Intern("n" + strconv.Itoa(i)); id != int32(i) {
+			t.Fatalf("Intern #%d = %d", i, id)
+		}
+		handedOut.Store(int32(i + 1))
+	}
+	wg.Wait()
 }

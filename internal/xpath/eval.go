@@ -320,10 +320,10 @@ func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
 		if n.Attr != NoAttr || n.Pre == DocNodePre || v.Kind(n.Pre) != xenc.KindElem {
 			return nil
 		}
-		attrs := v.Attrs(n.Pre)
+		test := resolveAttrTest(v, st)
 		var out NodeSet
-		for i, a := range attrs {
-			if st.tk == testNode || (st.tk == testName && (st.name == "" || v.Names().Name(a.Name) == st.name)) {
+		for i, a := range v.Attrs(n.Pre) {
+			if test.matches(a.Name) {
 				out = append(out, Node{Pre: n.Pre, Attr: int32(i)})
 			}
 		}
@@ -338,16 +338,11 @@ func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
 				return NodeSet{n}
 			}
 			return nil
-		case AxisParent, AxisAncestor, AxisAncestorOrSelf:
-			elem := ElemNode(n.Pre)
-			out := axisCandidates(v, elem, &step{axis: AxisAncestorOrSelf, tk: st.tk, name: st.name})
-			if st.axis == AxisParent {
-				// Only the owning element.
-				out = nil
-				if matchTreeTest(v, n.Pre, st) {
-					out = NodeSet{elem}
-				}
-			}
+		case AxisParent:
+			// Only the owning element.
+			return axisCandidates(v, ElemNode(n.Pre), &step{axis: AxisSelf, tk: st.tk, name: st.name})
+		case AxisAncestor, AxisAncestorOrSelf:
+			out := axisCandidates(v, ElemNode(n.Pre), &step{axis: AxisAncestorOrSelf, tk: st.tk, name: st.name})
 			if st.axis == AxisAncestorOrSelf && st.tk == testNode {
 				out = append(out, n)
 			}
@@ -357,34 +352,20 @@ func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
 		}
 	}
 
-	// Axes from the document node.
+	// Axes from the document node, for steps that are per-node for other
+	// reasons (the plan handles it at sequence level otherwise): the
+	// staircase evaluates them from the root element.
 	if n.Pre == DocNodePre {
-		switch st.axis {
-		case AxisSelf:
-			if st.tk == testNode {
-				return NodeSet{n}
-			}
-			return nil
-		case AxisChild:
-			root := v.Root()
-			if matchTreeTest(v, root, st) {
-				return NodeSet{ElemNode(root)}
-			}
-			return nil
-		case AxisDescendant, AxisDescendantOrSelf:
-			var out NodeSet
-			if st.axis == AxisDescendantOrSelf && st.tk == testNode {
-				out = append(out, n)
-			}
-			for p := xenc.SkipFree(v, 0); p < v.Len(); p = xenc.SkipFree(v, p+1) {
-				if matchTreeTest(v, p, st) {
-					out = append(out, ElemNode(p))
-				}
-			}
-			return out
-		default:
-			return nil
+		var out NodeSet
+		if st.selectsDocNode() {
+			out = append(out, n)
 		}
+		if ax, ok := fromDocNode(st.axis); ok {
+			for _, p := range staircase.EvalAxis(v, []xenc.Pre{v.Root()}, seqAxis(ax), treeTest(v, st)) {
+				out = append(out, ElemNode(p))
+			}
+		}
+		return out
 	}
 
 	// Regular tree axes via staircase join (the same dispatcher the
@@ -409,6 +390,54 @@ func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
 	return out
 }
 
+// fromDocNode maps a tree axis taken from the virtual document node to
+// the axis that, taken from the root element, selects the same tree
+// nodes. The root element is the document node's only child, so the
+// document node's children are the root's self and its descendants the
+// root's descendant-or-self. ok is false for the axes that hold no tree
+// node from the document node: it has no parent, no siblings, nothing
+// before or after it, and self holds only itself.
+func fromDocNode(ax Axis) (rootAxis Axis, ok bool) {
+	switch ax {
+	case AxisChild:
+		return AxisSelf, true
+	case AxisDescendant, AxisDescendantOrSelf:
+		return AxisDescendantOrSelf, true
+	}
+	return 0, false
+}
+
+// selectsDocNode reports whether the step, taken from the document node,
+// selects the document node itself.
+func (st *step) selectsDocNode() bool {
+	return st.tk == testNode && (st.axis == AxisSelf || st.axis == AxisDescendantOrSelf)
+}
+
+// attrTest is the node test of an attribute step resolved against one
+// document: every attribute (node(), @*), or the one whose name has id.
+type attrTest struct {
+	all bool
+	id  int32 // -2 when nothing matches: a kind test, or a name the document lacks
+}
+
+// resolveAttrTest looks the step's name up once, so that matching an
+// attribute is an integer compare.
+func resolveAttrTest(v xenc.DocView, st *step) attrTest {
+	switch {
+	case st.tk == testNode, st.tk == testName && st.name == "":
+		return attrTest{all: true}
+	case st.tk == testName:
+		if id, ok := v.Names().Lookup(st.name); ok {
+			return attrTest{id: id}
+		}
+	}
+	return attrTest{id: -2}
+}
+
+func (a attrTest) matches(name int32) bool { return a.all || name == a.id }
+
+// treeTest resolves the step's node test against the document's name
+// pool. Callers do it once per step per evaluation, never per tuple.
 func treeTest(v xenc.DocView, st *step) staircase.Test {
 	switch st.tk {
 	case testNode:
@@ -434,10 +463,6 @@ func treeTest(v xenc.DocView, st *step) staircase.Test {
 		}
 		return staircase.Element(-2) // name not in this document
 	}
-}
-
-func matchTreeTest(v xenc.DocView, p xenc.Pre, st *step) bool {
-	return treeTest(v, st).Matches(v, p)
 }
 
 // --- function library -------------------------------------------------------

@@ -115,6 +115,11 @@ func FuzzXPathEval(f *testing.F) {
 		// fallback reruns the step per-node ($x is a number).
 		`//watch[$x]`, `//person[$x]/@id`, `//person[$who]/name`,
 		`//bidder[$x]/increase/text()`, `//person[watches/watch[$x]]`,
+		// Steps from the document node, which the plan evaluates through
+		// the staircase from the root element.
+		`/`, `/*`, `/node()`, `/descendant-or-self::node()`, `//kw[1]`,
+		`/descendant::kw[2]`, `/descendant-or-self::node()[2]`, `/*[last()]`,
+		`/self::node()`, `/self::node()[1]/site`, `(/ | //item)/descendant::kw[1]`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -8,9 +8,12 @@ package xpath
 // paper's context pruning — a context node whose region was already
 // scanned is skipped, so no tuple is inspected twice — and returns
 // results already in document order, eliminating the per-step
-// sort/dedupe of the node-at-a-time path. The virtual document node and
-// attribute nodes (rare mid-path) are split off and routed through the
-// per-node evaluator, then merged back in document order.
+// sort/dedupe of the node-at-a-time path. The virtual document node —
+// the first context of every absolute path — is a plan operand too: its
+// step runs through the staircase from the root element (fromDocNode),
+// and the result flows on as pre ranks. Only attribute-node contexts
+// (rare mid-path) are split off and routed through the per-node
+// evaluator, then merged back in document order.
 
 import (
 	"errors"
@@ -146,30 +149,30 @@ func (ps *planStep) apply(c *context, sc seqCtx) (seqCtx, error) {
 // errNumericPred when a dyn predicate must be renumbered per context.
 func (ps *planStep) applySeq(c *context, sc seqCtx) (seqCtx, error) {
 	pres := sc.pres
-	var special NodeSet
+	var attrs NodeSet
+	doc := false
 	if !sc.pure {
-		pres, special = splitContext(sc.nodes)
+		pres, attrs, doc = splitContext(sc.nodes)
 	}
-	var out seqCtx
-	if len(pres) > 0 {
-		var err error
-		if ps.st.axis == AxisAttribute {
+	out := seqCtx{pure: true}
+	var err error
+	switch {
+	case ps.st.axis == AxisAttribute:
+		if len(pres) > 0 { // the document node has no attributes
 			var ns NodeSet
 			ns, err = ps.attrSeq(c, pres)
 			out = seqCtx{nodes: ns}
-		} else {
-			out, err = ps.treeSeq(c, pres)
 		}
-		if err != nil {
-			return seqCtx{}, err
-		}
-	} else {
-		out = seqCtx{pure: true}
+	case len(pres) > 0 || doc:
+		out, err = ps.treeSeq(c, pres, doc)
 	}
-	if len(special) > 0 {
-		// The document node and attribute nodes go through the per-node
-		// evaluator (each is a singleton scan; no overlap to prune).
-		sp, err := applyStep(c, special, &ps.st)
+	if err != nil {
+		return seqCtx{}, err
+	}
+	if len(attrs) > 0 {
+		// Attribute nodes go through the per-node evaluator (each is a
+		// singleton scan; no overlap to prune).
+		sp, err := applyStep(c, attrs, &ps.st)
 		if err != nil {
 			return seqCtx{}, err
 		}
@@ -178,21 +181,34 @@ func (ps *planStep) applySeq(c *context, sc seqCtx) (seqCtx, error) {
 	return out, nil
 }
 
-// treeSeq runs a tree axis over an ascending pre sequence. The result
-// stays in the pure pre representation unless the virtual document node
-// joins it (parent/ancestor axes under a node() test).
-func (ps *planStep) treeSeq(c *context, pres []xenc.Pre) (seqCtx, error) {
+// treeSeq runs a tree axis over an ascending pre sequence, plus the
+// document node when doc is set. The result stays in the pure pre
+// representation unless the virtual document node joins it (parent and
+// ancestor axes under a node() test; self and descendant-or-self from
+// the document node itself).
+func (ps *planStep) treeSeq(c *context, pres []xenc.Pre, doc bool) (seqCtx, error) {
 	v := c.view
 	test := treeTest(v, &ps.st)
 	var cands []xenc.Pre
-	if ps.kind == opFusedPos {
-		cands = fusedPosScan(v, pres, ps.st.axis, test, ps.pos)
-	} else {
-		cands = staircase.EvalAxis(v, pres, seqAxis(ps.st.axis), test)
+	if len(pres) > 0 {
+		cands = ps.axisSeq(v, pres, ps.st.axis, test, ps.pos)
+	}
+	withDoc := false
+	if doc {
+		// The step from the document node: itself where the step selects
+		// it — the first candidate in document order, so a fused position
+		// counts it first — and the tree nodes the root element yields.
+		k := ps.pos
+		if ps.st.selectsDocNode() {
+			withDoc = ps.kind != opFusedPos || k == 1
+			k--
+		}
+		if ax, ok := fromDocNode(ps.st.axis); ok && (ps.kind != opFusedPos || k >= 1) {
+			cands = mergePres(ps.axisSeq(v, []xenc.Pre{v.Root()}, ax, test, k), cands)
+		}
 	}
 	// The document node is an ancestor of every tree node.
-	withDoc := false
-	if ps.st.tk == testNode {
+	if ps.st.tk == testNode && len(pres) > 0 {
 		switch ps.st.axis {
 		case AxisParent:
 			withDoc = hasRootContext(v, pres)
@@ -216,6 +232,15 @@ func (ps *planStep) treeSeq(c *context, pres []xenc.Pre) (seqCtx, error) {
 	}
 	out, err := ps.filterSeqPreds(c, out)
 	return seqCtx{nodes: out}, err
+}
+
+// axisSeq evaluates one axis over an ascending pre sequence the way the
+// step's kind says: the whole axis, or each context node's k-th match.
+func (ps *planStep) axisSeq(v xenc.DocView, pres []xenc.Pre, ax Axis, t staircase.Test, k int) []xenc.Pre {
+	if ps.kind == opFusedPos {
+		return fusedPosScan(v, pres, ax, t, k)
+	}
+	return staircase.EvalAxis(v, pres, seqAxis(ax), t)
 }
 
 // filterPres is filterSeqPreds over the pure pre representation: one
@@ -251,6 +276,7 @@ func filterPres(c *context, pres []xenc.Pre, pred expr, dyn bool) ([]xenc.Pre, e
 // document order — no sort, no dedupe.
 func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 	v := c.view
+	test := resolveAttrTest(v, &ps.st)
 	var out NodeSet
 	for _, p := range pres {
 		if v.Kind(p) != xenc.KindElem {
@@ -259,7 +285,7 @@ func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 		attrs := v.Attrs(p)
 		count := 0
 		for i := range attrs {
-			if !ps.attrMatches(v, attrs[i].Name) {
+			if !test.matches(attrs[i].Name) {
 				continue
 			}
 			count++
@@ -274,17 +300,6 @@ func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 		}
 	}
 	return ps.filterSeqPreds(c, out)
-}
-
-// attrMatches mirrors the attribute node test of the per-node path.
-func (ps *planStep) attrMatches(v xenc.DocView, name int32) bool {
-	switch ps.st.tk {
-	case testNode:
-		return true
-	case testName:
-		return ps.st.name == "" || v.Names().Name(name) == ps.st.name
-	}
-	return false
 }
 
 // filterSeqPreds applies the sequence-safe predicates, filtering in
@@ -343,15 +358,7 @@ func fusedPosScan(v xenc.DocView, ctx []xenc.Pre, ax Axis, t staircase.Test, k i
 		})
 	}
 	if !sorted {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		w := 1
-		for i := 1; i < len(out); i++ {
-			if out[i] != out[i-1] {
-				out[w] = out[i]
-				w++
-			}
-		}
-		out = out[:w]
+		out = sortDedupePres(out)
 	}
 	return out
 }
@@ -386,10 +393,11 @@ func seqAxis(a Axis) staircase.Axis {
 }
 
 // splitContext separates tree nodes (which flow through the staircase
-// operators) from the document node and attribute nodes (which keep the
-// per-node path). The all-tree case — every context after the first
-// step of almost every query — allocates exactly once.
-func splitContext(ctx NodeSet) ([]xenc.Pre, NodeSet) {
+// operators as pre ranks) from attribute nodes (which keep the per-node
+// path), and reports whether the document node is among the context.
+// The all-tree case — every context after the first step of almost
+// every query — allocates exactly once.
+func splitContext(ctx NodeSet) (pres []xenc.Pre, attrs NodeSet, doc bool) {
 	allTree := true
 	for _, n := range ctx {
 		if n.Attr != NoAttr || n.Pre == DocNodePre {
@@ -398,22 +406,54 @@ func splitContext(ctx NodeSet) ([]xenc.Pre, NodeSet) {
 		}
 	}
 	if allTree {
-		pres := make([]xenc.Pre, len(ctx))
+		pres = make([]xenc.Pre, len(ctx))
 		for i, n := range ctx {
 			pres[i] = n.Pre
 		}
-		return pres, nil
+		return pres, nil, false
 	}
-	var pres []xenc.Pre
-	var special NodeSet
 	for _, n := range ctx {
-		if n.Attr == NoAttr && n.Pre != DocNodePre {
+		switch {
+		case n.Attr != NoAttr:
+			attrs = append(attrs, n)
+		case n.Pre == DocNodePre:
+			doc = true
+		default:
 			pres = append(pres, n.Pre)
-		} else {
-			special = append(special, n)
 		}
 	}
-	return pres, special
+	return pres, attrs, doc
+}
+
+// mergePres merges two ascending duplicate-free pre sequences into one.
+// The document node's results and the tree contexts' mostly do not
+// interleave (the root element against its descendants' children).
+func mergePres(a, b []xenc.Pre) []xenc.Pre {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := append(a, b...)
+	if a[len(a)-1] >= b[0] {
+		out = sortDedupePres(out)
+	}
+	return out
+}
+
+// sortDedupePres restores the operator contract — ascending, duplicate
+// free — on a pre sequence, in place.
+func sortDedupePres(s []xenc.Pre) []xenc.Pre {
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	w := 0
+	for i, p := range s {
+		if i == 0 || p != s[w-1] {
+			s[w] = p
+			w++
+		}
+	}
+	return s[:w]
 }
 
 // hasRootContext reports whether any context node is at level 0 (whose

@@ -114,6 +114,52 @@ var planQueries = []string{
 	`//watches[$x]`,
 	`//bidder[$x]/increase/text()`,
 	`//person[watches/watch[$x]]/@id`,
+	// Steps from the document node: the plan runs them through the
+	// staircase from the root element, fused positions included.
+	`/`,
+	`/*`,
+	`/node()`,
+	`/site`,
+	`/people`,
+	`/text()`,
+	`/descendant-or-self::node()`,
+	`/descendant-or-self::*`,
+	`/descendant::node()`,
+	`//kw[1]`,
+	`//node()[1]`,
+	`/descendant::kw[2]`,
+	`/descendant::kw[9]`,
+	`/descendant-or-self::node()[1]`,
+	`/descendant-or-self::node()[2]`,
+	`/descendant-or-self::site[1]`,
+	`/descendant-or-self::node()[2][self::site]/people/person[3]/name/text()`,
+	`/descendant::person[2][income]/@id`,
+	`/*[1]`,
+	`/*[2]`,
+	`/*[last()]`,
+	`/self::node()`,
+	`/self::node()[1]`,
+	`/self::node()[2]`,
+	`/self::*`,
+	`/self::node()/site/people/person[1]/@id`,
+	`/..`,
+	`/ancestor-or-self::node()`,
+	`/following::node()`,
+	`/@id`,
+	`/descendant-or-self::node()/descendant::kw[2]`,
+	`/descendant-or-self::node()/self::node()[1]`,
+	`/descendant-or-self::node()/ancestor-or-self::node()`,
+	`(/ | //person)/descendant::kw[1]`,
+	`(/ | //item)/descendant-or-self::node()[2]`,
+	`(/ | //person/@id)/self::node()`,
+	`//@id/..`,
+	`//@id/parent::person`,
+	`//@id/ancestor::*`,
+	`//@id/ancestor-or-self::node()`,
+	`//person/@*`,
+	`//person/@nope`,
+	`//person/attribute::text()`,
+	`count(/descendant::node())`,
 }
 
 // buildPlanStores shreds planDoc into the read-only store and a paged

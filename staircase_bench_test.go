@@ -76,3 +76,80 @@ func BenchmarkStaircaseSkipping(b *testing.B) {
 		})
 	}
 }
+
+// perTupleView hides a store's columns and parent table behind the bare
+// DocView method set, so the staircase operators run their per-tuple
+// bodies over it.
+type perTupleView struct{ xenc.DocView }
+
+// BenchmarkStaircaseKernels puts each column kernel beside the per-tuple
+// body it stands in for, on the paged store (XMark SF 0.1, pages 80%
+// full): "cols" is the store as queries see it, "ref" the same store
+// with its columns hidden. The custom metric divides by the work the
+// operator cannot avoid — ns/slot over the slots a sweep covers, ns/hop
+// over the siblings a hop loop visits — so it carries across scale
+// factors.
+func BenchmarkStaircaseKernels(b *testing.B) {
+	s := getFixture(b, 0.1).up
+	lookup := func(name string) int32 {
+		id, ok := s.Names().Lookup(name)
+		if !ok {
+			b.Fatalf("fixture has no %s element", name)
+		}
+		return id
+	}
+	root := []xenc.Pre{s.Root()}
+	persons := staircase.Descendant(s, root, staircase.Element(lookup("person")))
+	items := staircase.Descendant(s, root, staircase.Element(lookup("item")))
+	people := staircase.Parent(s, persons[:1], staircase.AnyNode())
+	parents := append(append([]xenc.Pre{}, items...), persons...) // regions precede people
+	children := len(staircase.Child(s, parents, staircase.AnyNode()))
+	k := len(persons) / 2
+	person, name, keyword := staircase.Element(lookup("person")), staircase.Element(lookup("name")), staircase.Element(lookup("keyword"))
+
+	cases := []struct {
+		name, unit string
+		work       int // slots or hops per call
+		want       int // result count
+		run        func(v xenc.DocView) int
+	}{
+		{"descendant-root", "ns/slot", int(s.Len()), -1, func(v xenc.DocView) int {
+			return len(staircase.Descendant(v, root, keyword))
+		}},
+		{"child-person-item", "ns/hop", children, len(parents), func(v xenc.DocView) int {
+			return len(staircase.Child(v, parents, name))
+		}},
+		{"fused-person-k", "ns/hop", k, 1, func(v xenc.DocView) int {
+			n, hit := 0, 0
+			staircase.Scan(v, people[0], staircase.AxisChild, person, func(xenc.Pre) bool {
+				n++
+				if n == k {
+					hit++
+				}
+				return n < k
+			})
+			return hit
+		}},
+		{"following-sibling", "ns/hop", len(persons) - 1, len(persons) - 1, func(v xenc.DocView) int {
+			return len(staircase.FollowingSibling(v, persons[:1], person))
+		}},
+		{"parent-last-sibling", "ns/hop", 1, 1, func(v xenc.DocView) int {
+			return len(staircase.Parent(v, persons[len(persons)-1:], staircase.Element(xenc.NoName)))
+		}},
+	}
+	for _, tc := range cases {
+		for _, side := range []struct {
+			name string
+			v    xenc.DocView
+		}{{"cols", s}, {"ref", perTupleView{s}}} {
+			b.Run(tc.name+"/"+side.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if got := tc.run(side.v); got != tc.want && tc.want >= 0 {
+						b.Fatalf("%d results, want %d", got, tc.want)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tc.work), tc.unit)
+			})
+		}
+	}
+}
