@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench-check bench bench-json lint fuzz server-smoke repl-smoke
+.PHONY: check build vet test race bench-check bench bench-json lint loc loc-check fuzz server-smoke repl-smoke
 
 check: build vet race bench-check
 
@@ -57,6 +57,19 @@ lint:
 	else \
 		echo "staticcheck not installed; skipped (CI runs it)"; \
 	fi
+
+# Line-count ratchet: `make loc` prints the non-test Go lines of the
+# root module (bench/ is its own module); `make loc-check` fails when
+# they exceed LOC_CEILING. A change that needs more lines raises the
+# ceiling in its own diff, where a reviewer sees it.
+LOC_CEILING = 20663
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+loc-check:
+	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
+		echo "non-test Go lines: $$n > LOC_CEILING $(LOC_CEILING)"; exit 1; \
+	else echo "non-test Go lines: $$n (ceiling $(LOC_CEILING))"; fi
 
 # server-smoke: end-to-end daemon check. Starts mxqd, drives it with
 # mxqload (SMOKE_SESSIONS concurrent sessions, SMOKE_DURATION, XMark SF
@@ -126,9 +139,11 @@ repl-smoke:
 # Native fuzz smoke over the text-input surfaces (the XPath compiler and
 # the XUpdate parser), the evaluation-side differential fuzzer
 # (compiled sequence-at-a-time pipeline vs node-at-a-time interpreter vs
-# the naive dense oracle) and the checkpoint chunk decoder (bytes from
+# the naive dense oracle), the checkpoint chunk decoder (bytes from
 # disk or from a primary: no panic, bounded allocation, accepted input
-# re-encodes to itself). Go allows one -fuzz target per invocation;
+# re-encodes to itself) and the wire frame and payload decoder (bytes
+# from any peer: no panic, no allocation above the frame limit, accepted
+# frames round-trip). Go allows one -fuzz target per invocation;
 # -fuzzminimizetime=1x keeps short runs fuzzing instead of minimizing.
 # Raise FUZZTIME for a real session.
 FUZZTIME ?= 10s
@@ -137,3 +152,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzXPathEval -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xpath
 	$(GO) test -run xxx -fuzz FuzzXUpdateParse -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xupdate
 	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/core
+	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/wire

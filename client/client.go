@@ -22,12 +22,9 @@
 //
 // # Versions
 //
-// Dial performs the protocol handshake (Hello): it offers the highest
-// version this package speaks and downgrades transparently when the
-// server predates the handshake (such servers answer Hello with
-// CodeBadRequest — exactly that response means "protocol 1"). Features
-// that need a newer protocol than the session negotiated fail with
-// ErrVersion rather than sending frames the server would misread.
+// There is one protocol version. Dial performs the handshake (Hello),
+// offering that version and the client's feature bits; a server that
+// answers anything but that version fails the dial with ErrVersion.
 //
 // # Read-your-writes and replica routing
 //
@@ -70,8 +67,9 @@ var (
 	ErrStale = errors.New("mxqd: replica stale beyond the read's LSN")
 	// ErrReadOnly: a write was sent to a read-only (follower) server.
 	ErrReadOnly = errors.New("mxqd: server is read-only")
-	// ErrVersion: the operation needs a protocol version the session did
-	// not negotiate, or the server rejected our version outright.
+	// ErrVersion: the server rejected our protocol version or answered
+	// with another, or the operation needs a feature the session did not
+	// negotiate.
 	ErrVersion = errors.New("mxqd: protocol version not supported")
 	// ErrClosed: the client was closed, or poisoned by a context
 	// cancellation mid-round-trip.
@@ -124,7 +122,7 @@ type Item struct {
 type UpdateResult struct {
 	Ops      int    // commands executed
 	Affected int    // nodes the commands were applied to
-	LSN      uint64 // the commit's WAL LSN (0 on protocol 1 or volatile documents)
+	LSN      uint64 // the commit's WAL LSN (0 on volatile documents)
 }
 
 // DocStatus is a document's replication standing on one server.
@@ -133,7 +131,7 @@ type DocStatus struct {
 	AppliedLSN uint64 // read-your-writes watermark
 	LastLSN    uint64 // local WAL tail
 
-	// Checkpoint I/O counters, zero below protocol 3.
+	// Cumulative checkpoint I/O counters.
 	CkptBytesWritten  uint64 // chunk bytes checkpoints have written
 	CkptChunksWritten uint64 // chunks written (missing from the store)
 	CkptChunksReused  uint64 // chunks already present and reused
@@ -167,7 +165,7 @@ func WithRYWTimeout(d time.Duration) Option { return func(o *options) { o.rywTim
 // session-stateful requests stay on the primary connection). Queries
 // carry the client's last commit LSN, so reads never travel back in
 // time across the caller's own writes. Dial fails if the replica is
-// unreachable or does not speak protocol 2.
+// unreachable.
 func WithReadReplica(addr string) Option { return func(o *options) { o.replicaAddr = addr } }
 
 // Client is one mxqd session (plus, optionally, a replica session it
@@ -180,8 +178,6 @@ type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	nextID uint64
-	proto  uint64
-	feats  uint64
 	closed bool
 	pins   map[string]bool // docs with an open BeginRead window (primary only)
 }
@@ -203,12 +199,6 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 		if err != nil {
 			c.Close()
 			return nil, err
-		}
-		if rc.proto < wire.V2 {
-			c.Close()
-			rc.Close()
-			return nil, &Error{Op: "dial", Err: ErrVersion,
-				Msg: fmt.Sprintf("replica %s speaks protocol %d; read routing needs 2", o.replicaAddr, rc.proto)}
 		}
 		rc.lastLSN = c.lastLSN // one write-visibility horizon across both sessions
 		c.replica = rc
@@ -238,43 +228,24 @@ func dialOne(ctx context.Context, addr string, o options) (*Client, error) {
 	return c, nil
 }
 
-// hello negotiates the protocol version. A server that predates the
-// handshake answers CodeBadRequest ("unknown opcode"); exactly that
-// response means protocol 1 and the client downgrades silently.
+// hello performs the handshake; the server must answer with
+// wire.Version.
 func (c *Client) hello(ctx context.Context) error {
 	var p wire.PayloadBuilder
-	p.Uvarint(wire.MaxVersion).Uvarint(wire.FeatReplication | wire.FeatRYW)
+	p.Uvarint(wire.Version).Uvarint(wire.FeatReplication | wire.FeatRYW)
 	r, err := c.roundTrip(ctx, "hello", "", wire.OpHello, p.Bytes())
 	if err != nil {
-		var e *Error
-		if errors.As(err, &e) && e.Status == wire.CodeBadRequest {
-			c.proto, c.feats = wire.V1, 0
-			return nil
-		}
 		return err
 	}
 	version, err := r.Uvarint()
 	if err != nil {
 		return &Error{Op: "hello", Err: err}
 	}
-	feats, err := r.Uvarint()
-	if err != nil {
-		return &Error{Op: "hello", Err: err}
-	}
-	if version < wire.MinVersion || version > wire.MaxVersion {
+	if version != wire.Version {
 		return &Error{Op: "hello", Err: ErrVersion,
-			Msg: fmt.Sprintf("server negotiated unknown version %d", version)}
+			Msg: fmt.Sprintf("server negotiated version %d, want %d", version, wire.Version)}
 	}
-	c.proto, c.feats = version, feats
 	return nil
-}
-
-// Proto reports the negotiated protocol version (1 against servers
-// that predate the handshake).
-func (c *Client) Proto() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proto
 }
 
 // Close closes the session (and the replica session, if routing); the
@@ -384,7 +355,7 @@ func (c *Client) ListDocs(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.Uvarint()
+	n, err := r.Count(1) // a name is at least its length byte
 	if err != nil {
 		return nil, err
 	}
@@ -423,13 +394,8 @@ func (c *Client) Query(ctx context.Context, doc, query string, vars map[string]s
 // QueryAt is Query with an explicit read-your-writes floor: the server
 // parks the query until the document has applied minLSN (bounded by
 // WithRYWTimeout), failing with ErrStale rather than reading earlier.
-// It requires protocol 2; minLSN 0 reads whatever is current.
+// minLSN 0 reads whatever is current.
 func (c *Client) QueryAt(ctx context.Context, doc, query string, vars map[string]string, minLSN uint64) ([]Item, error) {
-	if minLSN > 0 {
-		if err := c.requireV2("query", doc); err != nil {
-			return nil, err
-		}
-	}
 	return c.queryOn(ctx, doc, query, vars, minLSN)
 }
 
@@ -456,7 +422,7 @@ func (c *Client) queryOn(ctx context.Context, doc, query string, vars map[string
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.Uvarint()
+	n, err := r.Count(3) // an item is at least a kind byte and two length bytes
 	if err != nil {
 		return nil, err
 	}
@@ -479,10 +445,9 @@ func (c *Client) queryOn(ctx context.Context, doc, query string, vars map[string
 	return items, nil
 }
 
-// Update applies an XUpdate modification list in one transaction. On
-// protocol 2 the result carries the commit's WAL LSN, which the client
-// also remembers as its read-your-writes floor for replica-routed
-// queries.
+// Update applies an XUpdate modification list in one transaction. The
+// result carries the commit's WAL LSN, which the client also remembers
+// as its read-your-writes floor for replica-routed queries.
 func (c *Client) Update(ctx context.Context, doc, mods string) (UpdateResult, error) {
 	var p wire.PayloadBuilder
 	p.String(doc).String(mods)
@@ -498,19 +463,17 @@ func (c *Client) Update(ctx context.Context, doc, mods string) (UpdateResult, er
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	res := UpdateResult{Ops: int(ops), Affected: int(affected)}
-	if r.Remaining() > 0 {
-		if lsn, err := r.Uvarint(); err == nil {
-			res.LSN = lsn
-			for {
-				prev := c.lastLSN.Load()
-				if lsn <= prev || c.lastLSN.CompareAndSwap(prev, lsn) {
-					break
-				}
-			}
+	lsn, err := r.Uvarint()
+	if err != nil {
+		return UpdateResult{}, err
+	}
+	for {
+		prev := c.lastLSN.Load()
+		if lsn <= prev || c.lastLSN.CompareAndSwap(prev, lsn) {
+			break
 		}
 	}
-	return res, nil
+	return UpdateResult{Ops: int(ops), Affected: int(affected), LSN: lsn}, nil
 }
 
 // Explain returns the compiled evaluation plan for a query.
@@ -566,11 +529,8 @@ func (c *Client) pinned(doc string) bool {
 }
 
 // DocStatus reports the document's replication standing on the server
-// this client (not its replica) is connected to. Requires protocol 2.
+// this client (not its replica) is connected to.
 func (c *Client) DocStatus(ctx context.Context, doc string) (DocStatus, error) {
-	if err := c.requireV2("docstatus", doc); err != nil {
-		return DocStatus{}, err
-	}
 	var p wire.PayloadBuilder
 	p.String(doc)
 	r, err := c.roundTrip(ctx, "docstatus", doc, wire.OpDocStatus, p.Bytes())
@@ -593,18 +553,14 @@ func (c *Client) DocStatus(ctx context.Context, doc string) (DocStatus, error) {
 	if role == wire.RoleFollower {
 		st.Role = "follower"
 	}
-	// Protocol 3 appended the checkpoint I/O counters; older servers
-	// simply end the payload here (the additivity rule).
-	if r.Remaining() > 0 {
-		if st.CkptBytesWritten, err = r.Uvarint(); err != nil {
-			return DocStatus{}, err
-		}
-		if st.CkptChunksWritten, err = r.Uvarint(); err != nil {
-			return DocStatus{}, err
-		}
-		if st.CkptChunksReused, err = r.Uvarint(); err != nil {
-			return DocStatus{}, err
-		}
+	if st.CkptBytesWritten, err = r.Uvarint(); err != nil {
+		return DocStatus{}, err
+	}
+	if st.CkptChunksWritten, err = r.Uvarint(); err != nil {
+		return DocStatus{}, err
+	}
+	if st.CkptChunksReused, err = r.Uvarint(); err != nil {
+		return DocStatus{}, err
 	}
 	return st, nil
 }
@@ -621,13 +577,3 @@ func (c *Client) ReplicaStatus(ctx context.Context, doc string) (DocStatus, erro
 // LastLSN reports the highest commit LSN this client has observed from
 // its own updates — the floor replica-routed reads are held to.
 func (c *Client) LastLSN() uint64 { return c.lastLSN.Load() }
-
-func (c *Client) requireV2(op, doc string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.proto >= wire.V2 {
-		return nil
-	}
-	return &Error{Op: op, Doc: doc, Err: ErrVersion,
-		Msg: fmt.Sprintf("requires protocol 2; session negotiated %d", c.proto)}
-}

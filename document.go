@@ -469,12 +469,6 @@ func (d *Document) autoCheckpointLoop() {
 	}
 }
 
-// View runs fn under the global read lock with direct access to the
-// document view (advanced use: the view must not escape fn).
-func (d *Document) View(fn func(v xenc.DocView) error) error {
-	return d.mgr.View(fn)
-}
-
 // CompactDictionaries rebuilds the document's shared qualified-name
 // pool and attribute-value dictionary, dropping entries that only
 // aborted transactions ever referenced (aborts discard column data but

@@ -127,54 +127,6 @@ func TestPagedVsNaiveDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripAfterChurn saves and reloads the paged store
-// after heavy updates; the reloaded store must serialize identically and
-// answer node-id lookups identically.
-func TestSnapshotRoundTripAfterChurn(t *testing.T) {
-	tree, err := shred.Parse(strings.NewReader(`<r><x>1</x><y>2</y><z>3</z></r>`), shred.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.Build(tree, core.Options{PageSize: 8, FillFactor: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 150; i++ {
-		elems := liveElems(s)
-		target := elems[rng.Intn(len(elems))]
-		if rng.Intn(3) == 0 && target != s.Root() {
-			if err := s.Delete(target); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		if _, err := s.AppendChild(target, randomOpFragment(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := serializeView(t, s)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serializeView(t, loaded); got != want {
-		t.Fatalf("snapshot round trip changed the document:\nwant %s\ngot  %s", want, got)
-	}
-	// Node ids must resolve to the same elements.
-	for _, p := range liveElems(s) {
-		id := s.NodeOf(p)
-		lp := loaded.PreOf(id)
-		if lp == xenc.NoPre || loaded.Name(lp) != s.Name(p) {
-			t.Fatalf("node id %d resolves differently after reload", id)
-		}
-	}
-}
-
 // TestCompactPreservesQueries runs XMark queries before and after
 // compaction of a churned store.
 func TestCompactPreservesQueries(t *testing.T) {

@@ -8,6 +8,10 @@
 //     array access, one CPU-level operation, not a B-tree descent;
 //   - differential (delta) lists: updates are collected out of place and
 //     propagated to the base column at commit.
+//
+// It backs the paper's comparison baselines (Figure 9) — the read-only
+// rostore and the naive oracle — which only benchmarks and tests import,
+// and is deliberately not part of the served store.
 package bat
 
 import (

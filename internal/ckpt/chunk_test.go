@@ -1,14 +1,14 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mxq/internal/chunkstore"
-	"mxq/internal/tx"
 	"mxq/internal/wal"
 )
 
@@ -137,48 +137,59 @@ func TestTornChunkDegradesWholeImage(t *testing.T) {
 	}
 }
 
-// TestLegacyImageMigration: a pre-chunk monolithic image recovers, is
-// flagged for migration, and one checkpoint re-publishes the document
-// content-addressed and retires the legacy file.
-func TestLegacyImageMigration(t *testing.T) {
-	e := newEnv(t, wal.DefaultSegmentBytes)
-	// Publish a legacy unversioned image by hand — byte-for-byte what an
-	// old version wrote: LSN header + monolithic gob.
-	err := writeFileAtomic(e.dir, "d.ckpt", func(w io.Writer) error {
-		if err := tx.WriteSnapshotHeader(w, 0); err != nil {
-			return err
-		}
-		return e.s.Save(w)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !NeedsMigration(e.dir, "d") {
-		t.Fatal("legacy image not flagged for migration")
-	}
-
-	e.commitBook(t, "s1", "post-legacy")
-	want := e.baseXML(t)
-	store, lsn := e.recover(t)
-	if lsn != 1 {
-		t.Fatalf("recovered lsn = %d, want 1", lsn)
-	}
-	if got := viewXML(t, store); got != want {
-		t.Fatalf("legacy recovery differs:\nwant %s\ngot  %s", want, got)
-	}
-
+// TestUnsupportedImageFormat: an image file that does not open with the
+// image magic is refused and treated like any other unreadable
+// candidate — recovery degrades to the previous retained image, or
+// reports ErrNoCheckpoint when it was the only one. A bare <name>.ckpt
+// is not an image at all: never a candidate, never retired.
+func TestUnsupportedImageFormat(t *testing.T) {
+	e := newEnv(t, 192)
+	e.commitBook(t, "s1", "first")
 	if _, err := e.ck.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if NeedsMigration(e.dir, "d") {
-		t.Fatal("still flagged for migration after a checkpoint")
+	bare := filepath.Join(e.dir, "d.ckpt")
+	if err := os.WriteFile(bare, []byte("OLDIMAGE and then some"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(e.dir, "d.ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("legacy image not retired: %v", err)
+	e.commitBook(t, "s2", "second")
+	if _, err := e.ck.Run(); err != nil {
+		t.Fatal(err)
 	}
-	store2, _ := e.recover(t)
-	if got := viewXML(t, store2); got != want {
-		t.Fatalf("post-migration recovery differs:\nwant %s\ngot  %s", want, got)
+	e.commitBook(t, "s1", "tail")
+	want := e.baseXML(t)
+	if _, err := os.Stat(bare); err != nil {
+		t.Fatalf("retire touched the bare d.ckpt: %v", err)
+	}
+
+	imgs, err := Images(e.dir, "d")
+	if err != nil || len(imgs) != 2 {
+		t.Fatalf("images = %v, %v; want current + previous", imgs, err)
+	}
+	clobber := func(img Image) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(e.dir, img.File), []byte("NOTMAGIC{\"lsn\":1}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clobber(imgs[0])
+	if _, err := ImageChunks(filepath.Join(e.dir, imgs[0].File)); err == nil || !strings.Contains(err.Error(), "unsupported image format") {
+		t.Fatalf("ImageChunks on a magic-less file = %v", err)
+	}
+	store, _ := e.recover(t)
+	if got := viewXML(t, store); got != want {
+		t.Fatalf("recovery did not degrade to the previous image:\nwant %s\ngot  %s", want, got)
+	}
+
+	clobber(imgs[1])
+	log, err := wal.Open(filepath.Join(e.dir, "d.wal"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	_, _, err = Recover(e.dir, "d", log, nil)
+	if !errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "unsupported image format") {
+		t.Fatalf("recovery with only magic-less images = %v, want ErrNoCheckpoint naming the format", err)
 	}
 }
 

@@ -18,9 +18,8 @@
 // document size, and frequent auto-checkpoints are cheap. Completion is
 // recorded in a manifest written via tmp+rename+fsync; only then are
 // WAL segments wholly below the checkpoint's LSN deleted
-// (wal.Log.Prune), which closes the legacy lost-commit window by
-// construction: a record the checkpoint does not cover lives in a
-// segment Prune keeps.
+// (wal.Log.Prune), so a commit racing a checkpoint cannot be lost: a
+// record the checkpoint does not cover lives in a segment Prune keeps.
 //
 // # Artifacts
 //
@@ -28,7 +27,6 @@
 //
 //	<name>-<LSN as 16 hex digits>.ckpt   checkpoint images: magic +
 //	                                     JSON {lsn, store manifest}
-//	                                     (or a legacy monolithic gob)
 //	<name>.chunks/ab/<sha256>.chunk      content-addressed column chunks
 //	<name>.manifest                      JSON {file, lsn} naming the
 //	                                     current checkpoint
@@ -48,19 +46,19 @@
 // # Recovery
 //
 // Recover tries candidates in order of preference — the manifest's
-// target first, then every other image on disk by descending LSN, then
-// a legacy unversioned image — and accepts the first one that loads and
-// whose WAL replay is gap-free (contiguous LSNs from the image's pin).
+// target first, then every other image on disk by descending LSN — and
+// accepts the first one that loads and whose WAL replay is gap-free
+// (contiguous LSNs from the image's pin).
 // Image manifests are self-contained (each names every chunk of the
 // full document), so a candidate either materializes completely or is
 // skipped whole — recovery never mixes two checkpoints. A leftover
-// *.tmp, a manifest naming a missing file, a torn image, a torn or
-// missing chunk file, or an empty segment tail all degrade to the next
-// candidate instead of failing.
+// *.tmp, a manifest naming a missing file, a torn image, a file that
+// does not open with the image magic, a torn or missing chunk file, or
+// an empty segment tail all degrade to the next candidate instead of
+// failing.
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -106,17 +104,35 @@ type manifest struct {
 	LSN  uint64 `json:"lsn"`
 }
 
-// imageMagicV2 opens a content-addressed checkpoint image. A legacy
-// image starts with its little-endian pin LSN instead; this magic
-// decodes to an LSN upwards of 10^16, which no real WAL reaches, so the
-// two formats cannot be confused.
-var imageMagicV2 = [8]byte{'M', 'X', 'Q', 'C', 'K', 'V', '2', 0}
+// imageMagic opens every checkpoint image; a file without it is refused
+// with "unsupported image format".
+var imageMagic = [8]byte{'M', 'X', 'Q', 'C', 'K', 'V', '2', 0}
 
-// imageV2 is the JSON body of a content-addressed image: the pin LSN
-// plus the store's chunk manifest.
-type imageV2 struct {
+// image is the JSON body of a checkpoint image: the pin LSN plus the
+// store's chunk manifest.
+type image struct {
 	LSN   uint64              `json:"lsn"`
 	Store *core.ChunkManifest `json:"store"`
+}
+
+// readImage parses the image file at path — the one parser recovery,
+// chunk GC and the replication bootstrap share.
+func readImage(path string) (image, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return image{}, err
+	}
+	if !bytes.HasPrefix(data, imageMagic[:]) {
+		return image{}, fmt.Errorf("ckpt: %s: unsupported image format", filepath.Base(path))
+	}
+	var img image
+	if err := json.Unmarshal(data[len(imageMagic):], &img); err != nil {
+		return image{}, fmt.Errorf("ckpt: corrupt image %s: %w", filepath.Base(path), err)
+	}
+	if img.Store == nil {
+		return image{}, fmt.Errorf("ckpt: corrupt image %s: no store manifest", filepath.Base(path))
+	}
+	return img, nil
 }
 
 // ChunkDir returns the document's default chunk-store directory.
@@ -233,10 +249,10 @@ func ckptFile(name string, lsn uint64) string {
 }
 
 // parseCkptLSN extracts the LSN from an image file name produced by
-// ckptFile, reporting ok=false for anything else (legacy or foreign
-// files). Matching is exact — lowercase hex, fixed width, the "-"
-// boundary in place — so a document whose name is a dash-prefix of
-// another ("a" vs "a-b") never claims the other's images.
+// ckptFile, reporting ok=false for anything else. Matching is exact —
+// lowercase hex, fixed width, the "-" boundary in place — so a document
+// whose name is a dash-prefix of another ("a" vs "a-b") never claims the
+// other's images.
 func parseCkptLSN(name, file string) (uint64, bool) {
 	base := strings.TrimSuffix(file, ".ckpt")
 	if base == file || !strings.HasPrefix(base, name+"-") {
@@ -263,16 +279,16 @@ func isLowerHex(s string) bool {
 }
 
 // ownsTmp reports whether a "*.tmp" file (bare name) is an in-progress
-// or stale artifact of this document — exactly an image, manifest or
-// legacy-image path plus the ".tmp" suffix. A bare prefix match would
-// claim (and let retire delete) another document's in-flight tmp when
-// one name prefixes the other.
+// or stale artifact of this document — exactly an image or manifest
+// path plus the ".tmp" suffix. A bare prefix match would claim (and let
+// retire delete) another document's in-flight tmp when one name
+// prefixes the other.
 func ownsTmp(name, file string) bool {
 	base := strings.TrimSuffix(file, ".tmp")
 	if base == file {
 		return false
 	}
-	if base == name+manifestSuffix || base == name+".ckpt" {
+	if base == name+manifestSuffix {
 		return true
 	}
 	_, ok := parseCkptLSN(name, base)
@@ -280,10 +296,10 @@ func ownsTmp(name, file string) bool {
 }
 
 // DocumentOfArtifact reports which document a durability artifact file
-// (bare name) belongs to: a manifest, an LSN-stamped image, or a legacy
-// unversioned image. ok=false for everything else (tmp files, WAL
-// segments, foreign files). Database discovery shares this parser so it
-// can never disagree with Recover's candidate scan.
+// (bare name) belongs to: a manifest or an LSN-stamped image. ok=false
+// for everything else (tmp files, WAL segments, foreign files).
+// Database discovery shares this parser so it can never disagree with
+// Recover's candidate scan.
 func DocumentOfArtifact(file string) (string, bool) {
 	if strings.HasSuffix(file, ".tmp") {
 		return "", false
@@ -292,17 +308,14 @@ func DocumentOfArtifact(file string) (string, bool) {
 		return base, base != ""
 	}
 	base := strings.TrimSuffix(file, ".ckpt")
-	if base == file || base == "" {
-		return "", false
+	if i := len(base) - 17; base != file && i > 0 && base[i] == '-' && isLowerHex(base[i+1:]) {
+		return base[:i], true
 	}
-	if i := len(base) - 17; i > 0 && base[i] == '-' && isLowerHex(base[i+1:]) {
-		return base[:i], true // LSN-stamped image
-	}
-	return base, true // legacy unversioned image
+	return "", false
 }
 
 // RemoveArtifacts deletes every checkpoint artifact of the document —
-// images, manifest, legacy image, stale tmp files — with exact-boundary
+// images, manifest, stale tmp files — with exact-boundary
 // matching, leaving other documents' files alone.
 func RemoveArtifacts(dir, name string) {
 	entries, err := os.ReadDir(dir)
@@ -312,7 +325,7 @@ func RemoveArtifacts(dir, name string) {
 	for _, e := range entries {
 		n := e.Name()
 		_, isImage := parseCkptLSN(name, n)
-		if isImage || n == name+manifestSuffix || n == name+".ckpt" || ownsTmp(name, n) {
+		if isImage || n == name+manifestSuffix || ownsTmp(name, n) {
 			os.Remove(filepath.Join(dir, n))
 		}
 	}
@@ -358,10 +371,10 @@ func (c *Checkpointer) Run() (uint64, error) {
 	}
 	file := ckptFile(c.name, lsn)
 	err = writeFileAtomic(c.dir, file, func(w io.Writer) error {
-		if _, werr := w.Write(imageMagicV2[:]); werr != nil {
+		if _, werr := w.Write(imageMagic[:]); werr != nil {
 			return werr
 		}
-		return json.NewEncoder(w).Encode(imageV2{LSN: lsn, Store: man})
+		return json.NewEncoder(w).Encode(image{LSN: lsn, Store: man})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: writing image: %w", err)
@@ -408,8 +421,7 @@ func (c *Checkpointer) Run() (uint64, error) {
 // else is swept. If any retained image cannot be read, the sweep is
 // skipped entirely: an unreadable reference list means an unknowable
 // mark set, and leaking chunks until the image retires is strictly
-// safer than deleting one it might name. Legacy gob images reference no
-// chunks. Caller holds c.mu.
+// safer than deleting one it might name. Caller holds c.mu.
 func (c *Checkpointer) gc() {
 	imgs, err := Images(c.dir, c.name)
 	if err != nil {
@@ -445,8 +457,7 @@ type Image struct {
 	LSN  uint64
 }
 
-// Images lists the document's LSN-stamped checkpoint images, newest
-// first (the legacy unversioned <name>.ckpt, if any, is not included).
+// Images lists the document's checkpoint images, newest first.
 func Images(dir, name string) ([]Image, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -463,55 +474,13 @@ func Images(dir, name string) ([]Image, error) {
 }
 
 // ImageChunks returns the chunk hashes a checkpoint image references,
-// in manifest order — nil (and no error) for a legacy monolithic image,
-// which references none.
+// in manifest order.
 func ImageChunks(path string) ([]chunkstore.Hash, error) {
-	data, err := os.ReadFile(path)
+	img, err := readImage(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(imageMagicV2) || !bytes.Equal(data[:len(imageMagicV2)], imageMagicV2[:]) {
-		return nil, nil // legacy image
-	}
-	var img imageV2
-	if err := json.Unmarshal(data[len(imageMagicV2):], &img); err != nil {
-		return nil, fmt.Errorf("ckpt: corrupt image %s: %w", filepath.Base(path), err)
-	}
-	if img.Store == nil {
-		return nil, fmt.Errorf("ckpt: corrupt image %s: no store manifest", filepath.Base(path))
-	}
 	return img.Store.ChunkHashes()
-}
-
-// NeedsMigration reports whether the document's current recovery root
-// is a legacy monolithic image: its next checkpoint (which the open
-// path forces) re-publishes the document in the content-addressed
-// format, after which the legacy image retires normally.
-func NeedsMigration(dir, name string) bool {
-	legacyAt := func(path string) bool {
-		f, err := os.Open(path)
-		if err != nil {
-			return false
-		}
-		defer f.Close()
-		var hdr [8]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return false
-		}
-		return hdr != imageMagicV2
-	}
-	if m, err := readManifest(dir, name); err == nil {
-		if _, err := os.Stat(filepath.Join(dir, m.File)); err == nil {
-			return legacyAt(filepath.Join(dir, m.File))
-		}
-	}
-	if imgs, err := Images(dir, name); err == nil && len(imgs) > 0 {
-		return legacyAt(filepath.Join(dir, imgs[0].File))
-	}
-	if _, err := os.Stat(filepath.Join(dir, name+".ckpt")); err == nil {
-		return true
-	}
-	return false
 }
 
 // Close marks the checkpointer closed, first waiting out an in-flight
@@ -540,12 +509,6 @@ func (c *Checkpointer) retire(current uint64) uint64 {
 	for _, e := range entries {
 		n := e.Name()
 		if ownsTmp(c.name, n) {
-			os.Remove(filepath.Join(c.dir, n))
-			continue
-		}
-		if n == c.name+".ckpt" {
-			// A legacy unversioned image: superseded by the manifest'd
-			// image we just published.
 			os.Remove(filepath.Join(c.dir, n))
 			continue
 		}
@@ -605,50 +568,28 @@ func writeFileAtomic(dir, file string, write func(io.Writer) error) error {
 
 // Recover rebuilds the document's store from the best available
 // checkpoint plus the WAL. Candidates are tried in order — the
-// manifest's target first, then every image on disk by descending LSN,
-// then a legacy unversioned <name>.ckpt — and the first one that loads
-// cleanly and replays without an LSN gap wins. A content-addressed
-// image materializes from cs (nil means the document's default chunk
-// directory); because each image names every chunk of the full
+// manifest's target first, then every image on disk by descending LSN —
+// and the first one that loads cleanly and replays without an LSN gap
+// wins. An image materializes from cs (nil means the document's default
+// chunk directory); because each image names every chunk of the full
 // document, a torn chunk or image fails that candidate whole and
 // recovery degrades to the next-older image — never a mix of two. It
 // returns the store and the LSN of the last replayed record (the
-// durable horizon).
+// durable horizon); when no candidate recovers, an error wrapping
+// ErrNoCheckpoint and the first candidate's failure.
 func Recover(dir, name string, log *wal.Log, cs chunkstore.Store) (*core.Store, uint64, error) {
 	if cs == nil {
 		cs = DefaultChunkStore(dir, name)
 	}
 	var candidates []string
-	seen := map[string]bool{}
-	add := func(file string) {
-		if file != "" && !seen[file] {
-			seen[file] = true
-			candidates = append(candidates, file)
-		}
-	}
 	if m, err := readManifest(dir, name); err == nil {
-		add(m.File)
+		candidates = append(candidates, m.File)
 	}
-	if entries, err := os.ReadDir(dir); err == nil {
-		var stamped []struct {
-			file string
-			lsn  uint64
+	imgs, _ := Images(dir, name)
+	for _, img := range imgs {
+		if len(candidates) == 0 || img.File != candidates[0] {
+			candidates = append(candidates, img.File)
 		}
-		for _, e := range entries {
-			if lsn, ok := parseCkptLSN(name, e.Name()); ok {
-				stamped = append(stamped, struct {
-					file string
-					lsn  uint64
-				}{e.Name(), lsn})
-			}
-		}
-		sort.Slice(stamped, func(i, j int) bool { return stamped[i].lsn > stamped[j].lsn })
-		for _, s := range stamped {
-			add(s.file)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, name+".ckpt")); err == nil {
-		add(name + ".ckpt") // legacy unversioned image
 	}
 
 	var firstErr error
@@ -661,13 +602,13 @@ func Recover(dir, name string, log *wal.Log, cs chunkstore.Store) (*core.Store, 
 			return store, lsn, nil
 		}
 		if firstErr == nil {
-			firstErr = fmt.Errorf("ckpt: recovering from %s: %w", file, err)
+			firstErr = fmt.Errorf("recovering from %s: %w", file, err)
 		}
 	}
 	if firstErr == nil {
-		firstErr = fmt.Errorf("%w for %q in %s", ErrNoCheckpoint, name, dir)
+		return nil, 0, fmt.Errorf("%w for %q in %s", ErrNoCheckpoint, name, dir)
 	}
-	return nil, 0, firstErr
+	return nil, 0, fmt.Errorf("%w for %q in %s: %w", ErrNoCheckpoint, name, dir, firstErr)
 }
 
 // readManifest loads and validates the manifest.
@@ -686,42 +627,18 @@ func readManifest(dir, name string) (manifest, error) {
 	return m, nil
 }
 
-// tryRecover loads one image — content-addressed or legacy monolithic,
-// dispatched on the leading magic — and rolls it forward, insisting on
+// tryRecover loads one image and rolls it forward, insisting on
 // gap-free LSNs so a missing segment can never surface as silent loss.
 func tryRecover(path string, log *wal.Log, cs chunkstore.Store) (*core.Store, uint64, error) {
-	f, err := os.Open(path)
+	img, err := readImage(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var store *core.Store
-	var lsn uint64
-	if peek, perr := br.Peek(len(imageMagicV2)); perr == nil && bytes.Equal(peek, imageMagicV2[:]) {
-		br.Discard(len(imageMagicV2))
-		var img imageV2
-		if err := json.NewDecoder(br).Decode(&img); err != nil {
-			return nil, 0, fmt.Errorf("ckpt: corrupt image: %w", err)
-		}
-		if img.Store == nil {
-			return nil, 0, errors.New("ckpt: corrupt image: no store manifest")
-		}
-		store, err = core.LoadChunked(img.Store, cs)
-		if err != nil {
-			return nil, 0, err
-		}
-		lsn = img.LSN
-	} else {
-		lsn, err = tx.ReadSnapshotHeader(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		store, err = core.Load(br)
-		if err != nil {
-			return nil, 0, err
-		}
+	store, err := core.LoadChunked(img.Store, cs)
+	if err != nil {
+		return nil, 0, err
 	}
+	lsn := img.LSN
 	last := lsn
 	if log != nil {
 		err = log.Replay(lsn, func(rec *wal.Record) error {

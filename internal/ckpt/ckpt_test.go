@@ -510,8 +510,11 @@ func TestArtifactOwnershipBoundaries(t *testing.T) {
 	if !ownsTmp("a-b", "a-b-00000000000000ff.ckpt.tmp") {
 		t.Fatal("owner did not claim its own image tmp")
 	}
-	if !ownsTmp("a", "a.manifest.tmp") || !ownsTmp("a", "a.ckpt.tmp") {
-		t.Fatal("owner did not claim its manifest/legacy tmp")
+	if !ownsTmp("a", "a.manifest.tmp") {
+		t.Fatal("owner did not claim its manifest tmp")
+	}
+	if ownsTmp("a", "a.ckpt.tmp") {
+		t.Fatal("a bare a.ckpt.tmp claimed: only LSN-stamped images are artifacts")
 	}
 	// Uppercase hex is never produced; reject it.
 	if _, ok := parseCkptLSN("d", "d-00000000000000AB.ckpt"); ok {
@@ -521,7 +524,6 @@ func TestArtifactOwnershipBoundaries(t *testing.T) {
 	cases := map[string]string{
 		"d.manifest":                "d",
 		"d-00000000000000ab.ckpt":   "d",
-		"d.ckpt":                    "d",
 		"a-b-00000000000000ff.ckpt": "a-b",
 	}
 	for file, want := range cases {
@@ -529,7 +531,7 @@ func TestArtifactOwnershipBoundaries(t *testing.T) {
 			t.Fatalf("DocumentOfArtifact(%q) = %q/%v, want %q", file, got, ok, want)
 		}
 	}
-	for _, file := range []string{"d.manifest.tmp", "d-00000000000000ab.ckpt.tmp", "d.wal.00000001", "other.txt"} {
+	for _, file := range []string{"d.manifest.tmp", "d-00000000000000ab.ckpt.tmp", "d.wal.00000001", "d.ckpt", "d.wal", "other.txt"} {
 		if name, ok := DocumentOfArtifact(file); ok {
 			t.Fatalf("DocumentOfArtifact(%q) claimed %q", file, name)
 		}
@@ -537,7 +539,8 @@ func TestArtifactOwnershipBoundaries(t *testing.T) {
 }
 
 // TestRemoveArtifactsSparesSiblings: removing "a"'s artifacts must not
-// touch "a-b"'s, even mid-checkpoint (its .tmp files included).
+// touch "a-b"'s, even mid-checkpoint (its .tmp files included), nor a
+// bare a.ckpt, which is not an artifact.
 func TestRemoveArtifactsSparesSiblings(t *testing.T) {
 	dir := t.TempDir()
 	for _, f := range []string{
@@ -557,7 +560,7 @@ func TestRemoveArtifactsSparesSiblings(t *testing.T) {
 	for _, e := range entries {
 		left = append(left, e.Name())
 	}
-	want := []string{"a-b-0000000000000001.ckpt", "a-b-0000000000000002.ckpt.tmp", "a-b.manifest"}
+	want := []string{"a-b-0000000000000001.ckpt", "a-b-0000000000000002.ckpt.tmp", "a-b.manifest", "a.ckpt"}
 	if fmt.Sprint(left) != fmt.Sprint(want) {
 		t.Fatalf("left %v, want %v", left, want)
 	}

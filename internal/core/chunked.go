@@ -10,11 +10,11 @@ import (
 )
 
 // This file is the content-addressed face of the store: the chunked
-// column layout (store.go) serialized chunk-by-chunk instead of as one
-// monolithic gob blob. Each page chunk, node chunk and free-list chunk
-// has a deterministic binary encoding whose SHA-256 names it in a
-// chunkstore.Store; a checkpoint image shrinks to a ChunkManifest — the
-// list of those names in column order plus the store's scalars.
+// column layout (store.go) serialized chunk by chunk. Each page chunk,
+// node chunk and free-list chunk has a deterministic binary encoding
+// whose SHA-256 names it in a chunkstore.Store; a checkpoint image is a
+// ChunkManifest — the list of those names in column order plus the
+// store's scalars.
 //
 // The encoding treats the columns as what the paper says they are —
 // narrow, locally dense integer columns: varints, and deltas where
@@ -654,9 +654,8 @@ func (s *Store) BuildManifest() (*ChunkManifest, func(chunkstore.Hash) ([]byte, 
 }
 
 // LoadChunked materializes a store from a manifest, fetching every
-// referenced chunk from cs. It is Load for the content-addressed
-// format: same validation posture (structural checks here, a full
-// CheckInvariants pass at the end), and chunk content is verified
+// referenced chunk from cs. Validation is structural checks here and a
+// full CheckInvariants pass at the end, and chunk content is verified
 // against its name by the chunk store itself, so a torn chunk file
 // surfaces as a load error — recovery then degrades to an older image.
 //

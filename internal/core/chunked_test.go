@@ -9,16 +9,25 @@ import (
 	"testing"
 
 	"mxq/internal/chunkstore"
+	"mxq/internal/xenc"
 )
 
-// saveBytes flattens a store through the legacy gob path — the
-// canonical state comparison for chunked round trips.
-func saveBytes(t *testing.T, s *Store) []byte {
-	t.Helper()
+// stateBytes dumps a store's physical state — the page maps, every
+// column of every page in physical order, the NodeID-keyed tables, the
+// free list and both dictionaries — without going through the chunk
+// codec: the canonical state comparison for chunked round trips.
+func stateBytes(s *Store) []byte {
 	var b bytes.Buffer
-	if err := s.Save(&b); err != nil {
-		t.Fatal(err)
+	fmt.Fprintln(&b, s.pageBits, s.logToPhys, s.physToLog, s.liveNodes, s.nodeLen)
+	for _, pg := range s.pages {
+		fmt.Fprintln(&b, pg.size, pg.level, pg.kind, pg.name, pg.node)
+		fmt.Fprintf(&b, "%q\n", pg.text)
 	}
+	for id := xenc.NodeID(0); id < s.nodeLen; id++ {
+		fmt.Fprintln(&b, s.posOf(id), s.parentOf(id), s.attrRefs(id))
+	}
+	s.forEachFree(func(id int32) { fmt.Fprintln(&b, id) })
+	fmt.Fprintf(&b, "%q %q\n", s.prop.values(), s.qn.NamesList())
 	return b.Bytes()
 }
 
@@ -63,7 +72,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 	if err := s.SetAttr(s.NthChild(s.Root(), 0), "extra", "late-dict-entry"); err != nil {
 		t.Fatal(err)
 	}
-	want := saveBytes(t, s)
+	want := stateBytes(s)
 
 	cs := chunkstore.NewMem()
 	m, stats := mustSaveChunked(t, s, cs)
@@ -85,8 +94,8 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 
 	got := mustLoadChunked(t, &back, cs)
-	if !bytes.Equal(saveBytes(t, got), want) {
-		t.Fatal("chunked round trip diverged from the gob image")
+	if !bytes.Equal(stateBytes(got), want) {
+		t.Fatal("chunked round trip diverged from the saved store")
 	}
 
 	// A loaded store arrives with hashes cached: re-saving it moves no
@@ -123,7 +132,7 @@ func TestChunkedIncrementalWritesOnlyChurn(t *testing.T) {
 			inc.BytesWritten, full.BytesWritten)
 	}
 	got := mustLoadChunked(t, m2, cs)
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, s)) {
+	if !bytes.Equal(stateBytes(got), stateBytes(s)) {
 		t.Fatal("incremental manifest did not reproduce the store")
 	}
 }
@@ -159,7 +168,7 @@ func TestChunkedFreeTailNotCached(t *testing.T) {
 
 	m, _ := mustSaveChunked(t, s, cs)
 	got := mustLoadChunked(t, m, cs)
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, s)) {
+	if !bytes.Equal(stateBytes(got), stateBytes(s)) {
 		t.Fatal("free-list state diverged after pops (stale tail-chunk hash served)")
 	}
 	gotIDs, _, _ := got.FreeListStats()
@@ -193,7 +202,7 @@ func TestChunkedSnapshotIsolation(t *testing.T) {
 	if got.LiveNodes() != liveBefore {
 		t.Fatalf("snapshot image has %d live nodes, pinned at %d", got.LiveNodes(), liveBefore)
 	}
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, snap)) {
+	if !bytes.Equal(stateBytes(got), stateBytes(snap)) {
 		t.Fatal("snapshot image saw base writes")
 	}
 
@@ -207,7 +216,7 @@ func TestChunkedSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveBytes(t, got2), saveBytes(t, base)) {
+	if !bytes.Equal(stateBytes(got2), stateBytes(base)) {
 		t.Fatal("base image diverged")
 	}
 }
@@ -249,7 +258,7 @@ func TestChunkedBuildManifestResolver(t *testing.T) {
 		t.Fatal("resolver invented an alien chunk")
 	}
 	got := mustLoadChunked(t, m, dst)
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, s)) {
+	if !bytes.Equal(stateBytes(got), stateBytes(s)) {
 		t.Fatal("resolver-fed store diverged")
 	}
 }
@@ -266,7 +275,23 @@ func TestChunkedLoadRejectsCorruption(t *testing.T) {
 		return err
 	}
 	cases := map[string]func(c ChunkManifest) ChunkManifest{
-		"bad page bits": func(c ChunkManifest) ChunkManifest { c.PageBits = 40; return c },
+		"bad page bits":  func(c ChunkManifest) ChunkManifest { c.PageBits = 40; return c },
+		"zero page bits": func(c ChunkManifest) ChunkManifest { c.PageBits = 0; return c },
+		"truncated logToPhys": func(c ChunkManifest) ChunkManifest {
+			c.LogToPhys = nil
+			return c
+		},
+		"out-of-range logToPhys": func(c ChunkManifest) ChunkManifest {
+			c.LogToPhys = append([]int32(nil), c.LogToPhys...)
+			c.LogToPhys[0] = 99
+			return c
+		},
+		"broken bijection": func(c ChunkManifest) ChunkManifest {
+			c.PhysToLog = append([]int32(nil), c.PhysToLog...)
+			c.PhysToLog[0]++
+			return c
+		},
+		"wrong live count": func(c ChunkManifest) ChunkManifest { c.LiveNodes++; return c },
 		"missing chunk": func(c ChunkManifest) ChunkManifest {
 			c.Pages = append([]string(nil), c.Pages...)
 			c.Pages[0] = chunkstore.Sum([]byte("gone")).String()
@@ -377,7 +402,7 @@ func TestChunkedSaveWritePaths(t *testing.T) {
 	if st1 != st2 {
 		t.Fatalf("write paths disagree on what was saved: %+v vs %+v", st1, st2)
 	}
-	if !bytes.Equal(saveBytes(t, mustLoadChunked(t, m1, plain)), saveBytes(t, mustLoadChunked(t, m2, batch))) {
+	if !bytes.Equal(stateBytes(mustLoadChunked(t, m1, plain)), stateBytes(mustLoadChunked(t, m2, batch))) {
 		t.Fatal("write paths left different images")
 	}
 

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -10,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
 	"mxq/internal/core"
 	"mxq/internal/naive"
@@ -29,7 +29,8 @@ import (
 // directory (optionally with its WAL cut at a random byte offset, the
 // same injection the crash mode uses), and left behind while the
 // primary commits and prunes — forcing both resume paths: gap-free WAL
-// replay and snapshot re-bootstrap.
+// replay and re-bootstrap from a pinned image (manifest, then only the
+// chunks the follower's chunk store is missing).
 type ReplConfig struct {
 	Seed     int64
 	Rounds   int // disconnect / crash / reconnect cycles
@@ -203,11 +204,27 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 	}
 
 	// Coverage tripwires: the lapping shape must have taken the snapshot
-	// re-bootstrap path, and a never-pruned primary must never push a
-	// follower off the gap-free WAL-replay path.
-	boots := sink.bootstrapCount()
+	// re-bootstrap path and — every round ending in a follower
+	// crash-restart that keeps its chunk store — at least one re-bootstrap
+	// must have fetched fewer chunks than a cold bootstrap of the same
+	// image would, which is every chunk it names (transfer is O(churn),
+	// not O(document); the count is held against the image's own size, not
+	// the first bootstrap's, because random subtree deletes and inserts
+	// resize the document between bootstraps); and a never-pruned primary
+	// must never push a follower off the gap-free WAL-replay path.
+	fetches := sink.bootstrapFetches()
+	boots := len(fetches)
 	if cfg.ForceLap && boots < 2 {
 		t.Fatalf("seed %d: snapshot re-bootstrap path not exercised (%d bootstraps)", cfg.Seed, boots)
+	}
+	if cfg.ForceLap {
+		reused := false
+		for _, f := range fetches[1:] {
+			reused = reused || f.fetched < f.named
+		}
+		if !reused {
+			t.Fatalf("seed %d: no re-bootstrap reused a local chunk: {fetched named} per bootstrap %v", cfg.Seed, fetches)
+		}
 	}
 	if cfg.CheckpointEvery == 0 && !cfg.ForceLap && boots != 1 {
 		t.Fatalf("seed %d: pruning disabled but follower bootstrapped %d times (want exactly the initial one)",
@@ -237,7 +254,7 @@ func oracleCheckRepl(t *testing.T, cfg ReplConfig, tree *shred.Tree, batches map
 }
 
 // serveRepl runs a minimal subscription listener: Hello is answered
-// with protocol 2 + replication, SubscribeWAL hands the connection to
+// with replication, SubscribeWAL hands the connection to
 // repl.Serve. shutdown closes the listener and waits out every
 // connection (the follower must be stopped first — its death is what
 // unblocks Serve).
@@ -279,7 +296,7 @@ func replConn(conn net.Conn, src repl.Source) {
 		switch fr.Op {
 		case wire.OpHello:
 			var p wire.PayloadBuilder
-			p.Uvarint(wire.MaxVersion).Uvarint(wire.FeatReplication)
+			p.Uvarint(wire.Version).Uvarint(wire.FeatReplication)
 			if wire.WriteFrame(conn, wire.Frame{ID: fr.ID, Op: wire.StatusOK, Payload: p.Bytes()}) != nil {
 				return
 			}
@@ -337,9 +354,10 @@ func waitApplied(t *testing.T, cfg ReplConfig, sink *replSink, lsn uint64) {
 	}
 }
 
-// replSink is the follower-side state: a store, manager, local WAL and
-// local checkpointer in its own durability directory — the same pieces
-// the root package's document sink wires together, minus the catalog.
+// replSink is the follower-side state: a store, manager, local WAL,
+// local checkpointer and chunk directory in its own durability
+// directory — the same pieces the root package's document sink wires
+// together, minus the catalog.
 // The mutex covers the handoff between the follower's goroutine (via
 // the Sink interface) and the test goroutine (crash/verify while the
 // follower is stopped).
@@ -349,14 +367,19 @@ type replSink struct {
 	wopts     wal.Options
 	ckptEvery int
 
-	store      *core.Store
-	log        *wal.Log
-	mgr        *tx.Manager
-	ck         *ckpt.Checkpointer
-	applies    int
-	bootstraps int
-	firstErr   error
+	store    *core.Store
+	log      *wal.Log
+	mgr      *tx.Manager
+	ck       *ckpt.Checkpointer
+	applies  int
+	puts     int         // chunks fetched since the last completed bootstrap, over all its attempts
+	fetches  []bootFetch // one per completed bootstrap
+	firstErr error
 }
+
+// bootFetch is one bootstrap's transfer: how many chunks the follower
+// fetched from the primary, of how many distinct chunks the image names.
+type bootFetch struct{ fetched, named int }
 
 func newReplSink(dir string, wopts wal.Options, ckptEvery int) *replSink {
 	return &replSink{dir: dir, wopts: wopts, ckptEvery: ckptEvery}
@@ -399,21 +422,37 @@ func (s *replSink) view() *core.Store {
 // AppliedLSN implements repl.Sink.
 func (s *replSink) AppliedLSN() (uint64, bool) { return s.applied() }
 
-// Bootstrap implements repl.Sink: wholesale replacement from a
-// checkpoint image, exactly like the root package's document sink —
-// wipe local artifacts, position a fresh WAL at the image's LSN, write
-// an initial local checkpoint so a crash right after recovers locally.
-func (s *replSink) Bootstrap(r io.Reader, lsn uint64) error {
-	hdrLSN, err := tx.ReadSnapshotHeader(r)
+// countingStore counts the chunks the follower stores during a
+// bootstrap — each one a chunk it fetched from the primary.
+type countingStore struct {
+	chunkstore.Store
+	sink *replSink
+}
+
+func (c countingStore) Put(h chunkstore.Hash, data []byte) error {
+	c.sink.mu.Lock()
+	c.sink.puts++
+	c.sink.mu.Unlock()
+	return c.Store.Put(h, data)
+}
+
+// ChunkStore implements repl.Sink: the chunk directory the local
+// checkpointer writes, so a re-bootstrap diffs against everything this
+// follower ever checkpointed and still retains.
+func (s *replSink) ChunkStore() (chunkstore.Store, error) {
+	return countingStore{ckpt.DefaultChunkStore(s.dir, "f"), s}, nil
+}
+
+// BootstrapManifest implements repl.Sink: wholesale replacement from a
+// checkpoint image's manifest, exactly like the root package's
+// document sink — materialize from the local chunk store, wipe local
+// artifacts (chunks stay), position a fresh WAL at the image's LSN,
+// write an initial local checkpoint so a crash right after recovers
+// locally.
+func (s *replSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
+	store, err := core.LoadChunked(m, ckpt.DefaultChunkStore(s.dir, "f"))
 	if err != nil {
-		return s.fail(err)
-	}
-	if hdrLSN != lsn {
-		return s.fail(fmt.Errorf("difftest: bootstrap image header says LSN %d, subscription says %d", hdrLSN, lsn))
-	}
-	store, err := core.Load(r)
-	if err != nil {
-		return s.fail(fmt.Errorf("difftest: loading bootstrap image: %w", err))
+		return s.fail(fmt.Errorf("difftest: materializing bootstrap manifest: %w", err))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -437,14 +476,20 @@ func (s *replSink) Bootstrap(r io.Reader, lsn uint64) error {
 	if _, err := s.ck.Run(); err != nil {
 		return s.fail(fmt.Errorf("difftest: bootstrap checkpoint: %w", err))
 	}
-	s.bootstraps++
+	hs, _ := m.ChunkHashes() // LoadChunked above already parsed them
+	named := make(map[chunkstore.Hash]bool, len(hs))
+	for _, h := range hs {
+		named[h] = true
+	}
+	s.fetches = append(s.fetches, bootFetch{fetched: s.puts, named: len(named)})
+	s.puts = 0
 	return nil
 }
 
-func (s *replSink) bootstrapCount() int {
+func (s *replSink) bootstrapFetches() []bootFetch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bootstraps
+	return append([]bootFetch(nil), s.fetches...)
 }
 
 // Apply implements repl.Sink: replay the batch through the recovery
@@ -524,8 +569,10 @@ func ReplConfigs(iters int) []ReplConfig {
 	var cfgs []ReplConfig
 	shapes := []ReplConfig{
 		// Tiny segments, aggressive pruning: disconnected followers get
-		// lapped and re-bootstrap from snapshots.
-		{Rounds: 4, Batches: 6, Offline: 4, BatchOps: 4, DocSize: 80,
+		// lapped and re-bootstrap from snapshots. The document is large
+		// next to the churn between bootstraps, so a re-bootstrap has
+		// unchanged chunks to find in the follower's store.
+		{Rounds: 4, Batches: 6, Offline: 4, BatchOps: 4, DocSize: 1200,
 			PageSize: 16, Fill: 0.75, SegmentBytes: 512, CheckpointEvery: 2, FollowerCkpt: 3, ForceLap: true},
 		// One big segment, no mid-run pruning: reconnects always resume by
 		// gap-free WAL replay.

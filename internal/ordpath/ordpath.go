@@ -10,6 +10,9 @@
 // skipping is impossible, and label length degenerates under repeated
 // inserts into the same gap. The Ordpath benchmarks measure exactly
 // those three effects.
+//
+// It is one of the paper's comparison baselines (Section 4.2): imported
+// only by the benchmarks in bench_test.go, and deliberately not served.
 package ordpath
 
 import (

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -23,43 +22,34 @@ type Sink interface {
 	// effects are durably applied locally. ok=false means the follower
 	// holds no state at all — not even the document's initial image,
 	// which the WAL does not contain — so the subscription must open
-	// with a snapshot bootstrap, never with record replay.
+	// with a bootstrap, never with record replay.
 	AppliedLSN() (lsn uint64, ok bool)
-	// Bootstrap replaces the follower's entire state from a checkpoint
-	// image stream (snapshot header + store pages) pinned at lsn. After
-	// it returns, AppliedLSN must report lsn.
-	Bootstrap(r io.Reader, lsn uint64) error
+	// ChunkStore returns the local store bootstrap chunks land in — the
+	// same one the document's checkpoints use, so checkpointed chunks
+	// count as "already have" when the follower diffs the primary's
+	// manifest against it and requests only what is missing. A
+	// re-bootstrap after a crash-restart then transfers O(churn), not
+	// the whole document.
+	ChunkStore() (chunkstore.Store, error)
+	// BootstrapManifest replaces the follower's entire state from the
+	// manifest of an image pinned at lsn, whose chunks are all present in
+	// ChunkStore() by the time it is called. After it returns, AppliedLSN
+	// must report lsn.
+	BootstrapManifest(m *core.ChunkManifest, lsn uint64) error
 	// Apply applies a record batch in order and makes it durable,
 	// returning the LSN to ack (normally the batch's last). An error
 	// ends the subscription — a follower that cannot apply must not ack.
 	Apply(recs []*wal.Record) (uint64, error)
 }
 
-// ChunkSink is a Sink that can bootstrap by content: the follower
-// advertises wire.FeatChunkedSnap, diffs the primary's manifest against
-// its local chunk store, and receives only the chunks it is missing. A
-// re-bootstrap after a crash-restart then transfers O(churn), not the
-// whole document.
-type ChunkSink interface {
-	Sink
-	// ChunkStore returns the local store received chunks land in — the
-	// same one the document's checkpoints use, so checkpointed chunks
-	// count as "already have" during the diff.
-	ChunkStore() (chunkstore.Store, error)
-	// BootstrapManifest replaces the follower's entire state from the
-	// manifest, whose chunks are all present in ChunkStore() by the time
-	// it is called. After it returns, AppliedLSN must report lsn.
-	BootstrapManifest(m *core.ChunkManifest, lsn uint64) error
-}
-
 // Follower maintains one document's subscription to a primary:
-// connect, negotiate protocol 2, subscribe past the sink's applied
-// LSN, bootstrap from a snapshot when told to, apply record batches
-// and ack them — reconnecting with backoff until stopped. The
+// connect, negotiate replication, subscribe past the sink's applied
+// LSN, bootstrap from a pinned image when told to, apply record
+// batches and ack them — reconnecting with backoff until stopped. The
 // subscription is self-healing: every reconnect renegotiates from the
 // sink's current applied LSN, so a crash on either side (or a prune
-// that outran the fence while disconnected) degrades to a snapshot
-// bootstrap, never to divergence.
+// that outran the fence while disconnected) degrades to a bootstrap,
+// never to divergence.
 type Follower struct {
 	Addr string
 	Doc  string
@@ -148,25 +138,15 @@ func (f *Follower) runOnce(stop <-chan struct{}) (progressed bool, err error) {
 		if !haveState || start != after {
 			return false, fmt.Errorf("repl: primary streams from %d, asked for %d", start, after)
 		}
-	case wire.ModeSnapshot, wire.ModeSnapshotChunked:
+	case wire.ModeSnapshotChunked:
 		if haveState && start < after {
 			// The primary is behind what this follower already applied:
 			// it lost history (or we subscribed to the wrong primary).
 			// Rewinding silently would un-happen acknowledged commits.
 			return false, fmt.Errorf("repl: primary offers snapshot at %d but %d is already applied locally", start, after)
 		}
-		if mode == wire.ModeSnapshotChunked {
-			if err := f.chunkedBootstrap(conn, start); err != nil {
-				return false, fmt.Errorf("repl: chunked bootstrap: %w", err)
-			}
-		} else {
-			sr := &snapshotReader{conn: conn, max: f.MaxFrame}
-			if err := f.Sink.Bootstrap(sr, start); err != nil {
-				return false, fmt.Errorf("repl: bootstrap: %w", err)
-			}
-			if err := sr.drain(); err != nil {
-				return false, err
-			}
+		if err := f.bootstrap(conn, start); err != nil {
+			return false, fmt.Errorf("repl: bootstrap: %w", err)
 		}
 		if got, ok := f.Sink.AppliedLSN(); !ok || got != start {
 			return true, fmt.Errorf("repl: bootstrap left applied at %d, image was %d", got, start)
@@ -212,17 +192,11 @@ func (f *Follower) dial() (net.Conn, error) {
 	return net.DialTimeout("tcp", f.Addr, 5*time.Second)
 }
 
-// hello negotiates protocol 2 + replication (and, when the sink can
-// bootstrap by content, the chunked-bootstrap feature). A primary that
-// answers with anything but OK (an old server saying BadRequest, or a
-// version rejection) cannot serve this subscription.
+// hello negotiates replication. A primary that answers with anything
+// but OK cannot serve this subscription.
 func (f *Follower) hello(conn net.Conn) error {
-	feats := wire.FeatReplication
-	if _, ok := f.Sink.(ChunkSink); ok {
-		feats |= wire.FeatChunkedSnap
-	}
 	var p wire.PayloadBuilder
-	p.Uvarint(wire.MaxVersion).Uvarint(feats)
+	p.Uvarint(wire.Version).Uvarint(wire.FeatReplication)
 	if err := wire.WriteFrame(conn, wire.Frame{ID: 1, Op: wire.OpHello, Payload: p.Bytes()}); err != nil {
 		return err
 	}
@@ -231,18 +205,18 @@ func (f *Follower) hello(conn net.Conn) error {
 		return err
 	}
 	if fr.Op != wire.StatusOK {
-		return fmt.Errorf("repl: primary rejected Hello (status %d): it does not speak protocol %d", fr.Op, wire.V2)
+		return fmt.Errorf("repl: primary rejected Hello for protocol %d (status %d)", wire.Version, fr.Op)
 	}
 	r := wire.NewPayloadReader(fr.Payload)
 	version, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
-	feats, err = r.Uvarint()
+	feats, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
-	if version < wire.V2 || feats&wire.FeatReplication == 0 {
+	if version != wire.Version || feats&wire.FeatReplication == 0 {
 		return fmt.Errorf("repl: primary negotiated v%d feats %b: replication unavailable", version, feats)
 	}
 	return nil
@@ -271,17 +245,11 @@ func (f *Follower) subscribe(conn net.Conn, after uint64) (mode byte, start uint
 	return mode, start, nil
 }
 
-// chunkedBootstrap runs the follower side of ModeSnapshotChunked: read
-// the manifest, diff it against the local chunk store, request exactly
-// the missing chunks, verify and store each as it arrives, then hand
-// the complete manifest to the sink.
-func (f *Follower) chunkedBootstrap(conn net.Conn, start uint64) error {
-	sink, ok := f.Sink.(ChunkSink)
-	if !ok {
-		// The primary only answers chunked to sessions that asked for it
-		// (hello sets the bit exactly when the sink is a ChunkSink).
-		return errors.New("repl: primary sent chunked mode to a sink that cannot take it")
-	}
+// bootstrap runs the follower side of ModeSnapshotChunked: read the
+// manifest, diff it against the local chunk store, request exactly the
+// missing chunks, verify and store each as it arrives, then hand the
+// complete manifest to the sink.
+func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 	fr, err := wire.ReadFrame(conn, f.MaxFrame)
 	if err != nil {
 		return err
@@ -306,7 +274,7 @@ func (f *Follower) chunkedBootstrap(conn net.Conn, start uint64) error {
 			uniq = append(uniq, h)
 		}
 	}
-	cs, err := sink.ChunkStore()
+	cs, err := f.Sink.ChunkStore()
 	if err != nil {
 		return err
 	}
@@ -384,67 +352,11 @@ func (f *Follower) chunkedBootstrap(conn net.Conn, start uint64) error {
 	if err := cs.Sync(); err != nil {
 		return err
 	}
-	return sink.BootstrapManifest(&man, start)
+	return f.Sink.BootstrapManifest(&man, start)
 }
 
 func (f *Follower) ack(conn net.Conn, lsn uint64) error {
 	var p wire.PayloadBuilder
 	p.Uvarint(lsn)
 	return wire.WriteFrame(conn, wire.Frame{Op: wire.OpFollowerAck, Payload: p.Bytes()})
-}
-
-// snapshotReader reassembles Snapshot frames into the byte stream
-// Bootstrap consumes.
-type snapshotReader struct {
-	conn net.Conn
-	max  uint32
-	buf  []byte
-	done bool
-	err  error
-}
-
-func (s *snapshotReader) Read(p []byte) (int, error) {
-	for len(s.buf) == 0 {
-		if s.err != nil {
-			return 0, s.err
-		}
-		if s.done {
-			return 0, io.EOF
-		}
-		fr, err := wire.ReadFrame(s.conn, s.max)
-		if err != nil {
-			s.err = err
-			return 0, err
-		}
-		if fr.Op != wire.OpSnapshot {
-			s.err = fmt.Errorf("repl: op %d inside snapshot stream", fr.Op)
-			return 0, s.err
-		}
-		r := wire.NewPayloadReader(fr.Payload)
-		last, err := r.Byte()
-		if err != nil {
-			s.err = err
-			return 0, err
-		}
-		s.done = last == 1
-		s.buf = r.Rest()
-	}
-	n := copy(p, s.buf)
-	s.buf = s.buf[n:]
-	return n, nil
-}
-
-// drain consumes the rest of the snapshot stream if Bootstrap stopped
-// early, so the record stream behind it stays aligned.
-func (s *snapshotReader) drain() error {
-	var scratch [4096]byte
-	for {
-		_, err := s.Read(scratch[:])
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
 }

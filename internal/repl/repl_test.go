@@ -3,7 +3,6 @@ package repl
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net"
 	"path/filepath"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mxq/internal/chunkstore"
 	"mxq/internal/core"
 	"mxq/internal/serialize"
 	"mxq/internal/shred"
@@ -37,7 +37,7 @@ func buildStore(t testing.TB) *core.Store {
 }
 
 // primary is a document plus a mini replication listener speaking just
-// enough of the v2 protocol (Hello + SubscribeWAL) to exercise Serve.
+// enough of the protocol (Hello + SubscribeWAL) to exercise Serve.
 type primary struct {
 	t     *testing.T
 	log   *wal.Log
@@ -91,7 +91,7 @@ func (p *primary) serveConn(conn net.Conn) {
 		switch fr.Op {
 		case wire.OpHello:
 			var b wire.PayloadBuilder
-			b.Uvarint(wire.MaxVersion).Uvarint(wire.FeatReplication | wire.FeatRYW)
+			b.Uvarint(wire.Version).Uvarint(wire.FeatReplication | wire.FeatRYW)
 			wire.WriteFrame(conn, wire.Frame{ID: fr.ID, Op: wire.StatusOK, Payload: b.Bytes()})
 		case wire.OpSubscribeWAL:
 			r := wire.NewPayloadReader(fr.Payload)
@@ -148,11 +148,13 @@ func managerXML(t testing.TB, m *tx.Manager) string {
 	return b.String()
 }
 
-// testSink applies a subscription onto a real manager + local WAL —
-// the same wiring the root package's follower documents use.
+// testSink applies a subscription onto a real manager + local WAL and
+// chunk store — the same wiring the root package's follower documents
+// use.
 type testSink struct {
 	t   *testing.T
 	dir string
+	cs  *chunkstore.Mem
 
 	mu        sync.Mutex
 	log       *wal.Log
@@ -161,7 +163,7 @@ type testSink struct {
 }
 
 func newTestSink(t *testing.T) *testSink {
-	return &testSink{t: t, dir: t.TempDir()}
+	return &testSink{t: t, dir: t.TempDir(), cs: chunkstore.NewMem()}
 }
 
 func (s *testSink) manager() *tx.Manager {
@@ -185,15 +187,10 @@ func (s *testSink) applied() uint64 {
 	return lsn
 }
 
-func (s *testSink) Bootstrap(r io.Reader, lsn uint64) error {
-	hdrLSN, err := tx.ReadSnapshotHeader(r)
-	if err != nil {
-		return err
-	}
-	if hdrLSN != lsn {
-		return fmt.Errorf("image header %d, subscription says %d", hdrLSN, lsn)
-	}
-	store, err := core.Load(r)
+func (s *testSink) ChunkStore() (chunkstore.Store, error) { return s.cs, nil }
+
+func (s *testSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
+	store, err := core.LoadChunked(m, s.cs)
 	if err != nil {
 		return err
 	}
@@ -263,7 +260,7 @@ func startFollower(t *testing.T, f *Follower) (stop func()) {
 }
 
 // TestFollowerBootstrapAndStream: an empty follower bootstraps from a
-// snapshot image, then applies live commits as they arrive; its acks
+// pinned image, then applies live commits as they arrive; its acks
 // drive the tracker barrier, and the stores converge byte-for-byte.
 func TestFollowerBootstrapAndStream(t *testing.T) {
 	p := newPrimary(t, wal.DefaultSegmentBytes)
@@ -296,7 +293,7 @@ func TestFollowerBootstrapAndStream(t *testing.T) {
 }
 
 // TestFollowerResumesInWALMode: a follower that already holds a prefix
-// reconnects and resumes by WAL replay alone — no second snapshot.
+// reconnects and resumes by WAL replay alone — no second bootstrap.
 func TestFollowerResumesInWALMode(t *testing.T) {
 	p := newPrimary(t, wal.DefaultSegmentBytes)
 	p.commit("B")
@@ -323,7 +320,7 @@ func TestFollowerResumesInWALMode(t *testing.T) {
 
 // TestPrunedFollowerRebootstraps: while the follower is disconnected
 // its fence is gone; if the primary prunes past its position, the
-// reconnect self-heals through a fresh snapshot bootstrap.
+// reconnect self-heals through a fresh bootstrap.
 func TestPrunedFollowerRebootstraps(t *testing.T) {
 	p := newPrimary(t, 256) // tiny segments so pruning actually seals some
 	p.commit("B")
@@ -354,6 +351,36 @@ func TestPrunedFollowerRebootstraps(t *testing.T) {
 	}
 	if got, want := managerXML(t, sink.manager()), p.xml(); got != want {
 		t.Fatalf("stores diverged after re-bootstrap:\n%s\n%s", got, want)
+	}
+}
+
+// TestChunkNeedOverflowingCountRejected: a ChunkNeed frame whose count
+// times the hash size wraps to the (empty) remainder must end the
+// subscription with an error, not size an allocation.
+func TestChunkNeedOverflowingCountRejected(t *testing.T) {
+	p := newPrimary(t, wal.DefaultSegmentBytes)
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	errc := make(chan error, 1)
+	go func() {
+		defer srv.Close()
+		errc <- Serve(srv, 2, wire.SubscribeNone, Source{
+			Name: "d", Log: p.log, Pin: p.mgr.PinCheckpoint, Track: p.track,
+		}, 0, nil)
+	}()
+	for _, want := range []byte{wire.StatusOK, wire.OpSnapManifest} {
+		fr, err := wire.ReadFrame(cli, 0)
+		if err != nil || fr.Op != want {
+			t.Fatalf("frame op %d, %v; want op %d", fr.Op, err, want)
+		}
+	}
+	var b wire.PayloadBuilder
+	b.Uvarint(1 << 59) // × 32-byte hashes = 2^64, which wraps to 0
+	if err := wire.WriteFrame(cli, wire.Frame{Op: wire.OpChunkNeed, Payload: b.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "reading chunk wants") {
+		t.Fatalf("Serve returned %v, want a ChunkNeed count error", err)
 	}
 }
 

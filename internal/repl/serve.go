@@ -4,19 +4,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 
 	"mxq/internal/chunkstore"
 	"mxq/internal/core"
-	"mxq/internal/tx"
 	"mxq/internal/wal"
 	"mxq/internal/wire"
 )
 
 // Batch and chunk shaping for the stream. One WALRecords frame carries
 // up to maxBatchRecords records or ~maxBatchBytes of encoded ops,
-// whichever fills first; snapshot images are cut into snapChunk pieces.
+// whichever fills first; a ChunkData frame carries about snapChunk
+// bytes of chunks.
 const (
 	maxBatchRecords = 256
 	maxBatchBytes   = 256 << 10
@@ -31,20 +30,14 @@ type Source struct {
 	Log   *wal.Log
 	Pin   func() (*core.Store, uint64)
 	Track *Tracker
-
-	// Chunked opts a bootstrap into ModeSnapshotChunked (manifest + only
-	// the chunks the follower is missing). The caller sets it only for
-	// sessions that negotiated wire.FeatChunkedSnap on protocol >= 3 —
-	// the additivity rule: a mode the peer did not negotiate never
-	// appears on its wire.
-	Chunked bool
 }
 
 // Serve runs the primary side of one replication subscription on conn,
 // which the caller has already read the SubscribeWAL request (reqID,
-// afterLSN) from. It sends the mode response, bootstraps with a pinned
-// checkpoint image if the WAL no longer reaches back to after, then
-// streams record batches until the connection dies; acks are consumed
+// afterLSN) from. It sends the mode response, bootstraps from a pinned
+// checkpoint image (its manifest, then the chunks the follower is
+// missing) if the WAL no longer reaches back to after, then streams
+// record batches until the connection dies; acks are consumed
 // concurrently and update the tracker. Serve returns when the
 // subscription ends (any conn error); the caller closes conn.
 //
@@ -54,7 +47,7 @@ type Source struct {
 // a prune already in flight when Register lands — surfaces as
 // wal.ErrPruned mid-setup, ends the subscription, and heals on the
 // follower's reconnect (by then the registration is visible, or the
-// snapshot path takes over).
+// bootstrap path takes over).
 func Serve(conn net.Conn, reqID uint64, after uint64, src Source, maxFrame uint32, logf func(string, ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -72,10 +65,7 @@ func Serve(conn net.Conn, reqID uint64, after uint64, src Source, maxFrame uint3
 	mode := wire.ModeWAL
 	var img *core.Store
 	if after == wire.SubscribeNone || !src.Log.CanStream(after) {
-		mode = wire.ModeSnapshot
-		if src.Chunked {
-			mode = wire.ModeSnapshotChunked
-		}
+		mode = wire.ModeSnapshotChunked
 		img, start = src.Pin()
 		defer img.Release()
 		// The follower will restart from the image's LSN; move its fence
@@ -88,7 +78,7 @@ func Serve(conn net.Conn, reqID uint64, after uint64, src Source, maxFrame uint3
 		return err
 	}
 
-	// The chunked negotiation — send the manifest, read back the list of
+	// The bootstrap negotiation — send the manifest, read back the list of
 	// chunks the follower is missing — must happen while this goroutine
 	// is still conn's only reader (the ack receiver below takes over the
 	// read side for good).
@@ -131,13 +121,7 @@ func Serve(conn net.Conn, reqID uint64, after uint64, src Source, maxFrame uint3
 		}
 	}()
 
-	switch mode {
-	case wire.ModeSnapshot:
-		if err := streamSnapshot(conn, img, start); err != nil {
-			return fmt.Errorf("repl %s: streaming snapshot: %w", src.Name, err)
-		}
-		logf("repl %s: follower bootstrapped with snapshot at LSN %d", src.Name, start)
-	case wire.ModeSnapshotChunked:
+	if mode == wire.ModeSnapshotChunked {
 		if err := streamChunks(conn, need, resolve); err != nil {
 			return fmt.Errorf("repl %s: streaming chunks: %w", src.Name, err)
 		}
@@ -157,7 +141,9 @@ func readChunkNeed(conn net.Conn, maxFrame uint32) ([]chunkstore.Hash, error) {
 		return nil, fmt.Errorf("repl: op %d where ChunkNeed expected", fr.Op)
 	}
 	r := wire.NewPayloadReader(fr.Payload)
-	n, err := r.Uvarint()
+	// Count bounds n by the bytes present, so the product cannot wrap and
+	// n cannot size an allocation the frame does not back.
+	n, err := r.Count(chunkstore.HashSize)
 	if err != nil {
 		return nil, err
 	}
@@ -206,54 +192,6 @@ func streamChunks(conn net.Conn, need []chunkstore.Hash, resolve func(chunkstore
 		}
 	}
 	return flush(true)
-}
-
-// streamSnapshot sends the checkpoint image (header + store pages) as
-// Snapshot frames of at most snapChunk bytes; the final frame carries
-// the last flag.
-func streamSnapshot(conn net.Conn, img *core.Store, lsn uint64) error {
-	sw := &snapshotWriter{conn: conn}
-	if err := tx.WriteSnapshotHeader(sw, lsn); err != nil {
-		return err
-	}
-	if err := img.Save(sw); err != nil {
-		return err
-	}
-	return sw.finish()
-}
-
-// snapshotWriter cuts a byte stream into Snapshot frames.
-type snapshotWriter struct {
-	conn io.Writer
-	buf  []byte
-}
-
-func (s *snapshotWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(s.buf)+len(p) >= snapChunk {
-		take := snapChunk - len(s.buf)
-		s.buf = append(s.buf, p[:take]...)
-		p = p[take:]
-		if err := s.flush(false); err != nil {
-			return 0, err
-		}
-	}
-	s.buf = append(s.buf, p...)
-	return n, nil
-}
-
-func (s *snapshotWriter) finish() error { return s.flush(true) }
-
-func (s *snapshotWriter) flush(last bool) error {
-	var p wire.PayloadBuilder
-	if last {
-		p.Byte(1)
-	} else {
-		p.Byte(0)
-	}
-	p.Raw(s.buf)
-	s.buf = s.buf[:0]
-	return wire.WriteFrame(s.conn, wire.Frame{Op: wire.OpSnapshot, Payload: p.Bytes()})
 }
 
 // streamRecords ships durable WAL records past `after` in batches,

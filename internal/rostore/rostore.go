@@ -4,6 +4,10 @@
 // It has no free space, no pageOffset indirection and no node/pos table —
 // which is exactly why it cannot be updated, and why it serves as the
 // 'ro' side of the Figure 9 experiment.
+//
+// It is one of the paper's comparison baselines: imported only by the
+// benchmarks (bench_test.go, cmd/xmarkbench) and by tests that want a
+// second DocView, and deliberately not served.
 package rostore
 
 import (

@@ -1,7 +1,7 @@
 // Package server is the mxqd network daemon: a TCP server exposing a
 // Database over a length-prefixed binary frame protocol, with
 // per-session state (prepared-statement cache, pinned read versions,
-// negotiated protocol version), a refcounted lazily-opened document
+// negotiated feature bits), a refcounted lazily-opened document
 // catalog, admission control (a weighted semaphore over executing
 // requests with a bounded wait queue — overflow is answered with a fast
 // ErrOverloaded frame instead of unbounded memory), and graceful drain
@@ -10,8 +10,8 @@
 //
 // The frame codec, opcode space and version-negotiation contract live
 // in the leaf package internal/wire (shared with the replication
-// subsystem and the Go client); this package re-exports the wire names
-// under their historical identifiers so existing imports keep working.
+// subsystem and the Go client); this package aliases the names its
+// sessions use.
 //
 // # Wire protocol
 //
@@ -30,14 +30,17 @@
 // which is what the versioned read path was built for. The one
 // exception is a session that issues OpSubscribeWAL: the connection
 // leaves request/response mode for good and becomes a replication
-// stream (snapshot and record frames outbound, acks inbound).
+// stream (bootstrap and record frames outbound, chunk requests and acks
+// inbound).
 //
 // # Versions
 //
-// A session starts at protocol 1; OpHello upgrades it (see the wire
-// package for the negotiation rules). Version-gated opcodes on a
-// protocol-1 session are answered with CodeVersion, not CodeBadRequest,
-// so a client can tell "old server" from "forgot the handshake".
+// There is one protocol version (wire.Version). OpHello negotiates the
+// session's feature bits (see the wire package for the rules); an
+// opcode behind a feature bit the session did not negotiate — on a
+// session that never said Hello, every such opcode — is answered with
+// CodeVersion, not CodeBadRequest, so a client can tell "unknown
+// opcode" from "forgot the handshake".
 //
 // # Session lifetime
 //
@@ -69,9 +72,6 @@ const (
 
 	OpHello        = wire.OpHello
 	OpSubscribeWAL = wire.OpSubscribeWAL
-	OpWALRecords   = wire.OpWALRecords
-	OpSnapshot     = wire.OpSnapshot
-	OpFollowerAck  = wire.OpFollowerAck
 	OpDocStatus    = wire.OpDocStatus
 )
 
@@ -121,19 +121,3 @@ func ReadFrame(r io.Reader, max uint32) (Frame, error) { return wire.ReadFrame(r
 // WriteFrame writes one frame in a single Write, keeping frames intact
 // under concurrent connection teardown.
 func WriteFrame(w io.Writer, f Frame) error { return wire.WriteFrame(w, f) }
-
-// Result item kind codes on the wire.
-const (
-	KindElement = wire.KindElement
-	KindText    = wire.KindText
-	KindComment = wire.KindComment
-	KindPI      = wire.KindPI
-	KindAttr    = wire.KindAttr
-	KindDoc     = wire.KindDoc
-	KindNumber  = wire.KindNumber
-	KindString  = wire.KindString
-	KindBoolean = wire.KindBoolean
-)
-
-// KindName maps a wire kind code back to mxq's item kind string.
-func KindName(c byte) string { return wire.KindName(c) }

@@ -48,26 +48,22 @@ func startFollower(t *testing.T, primaryAddr string, docs ...string) (addr strin
 	return l.Addr().String(), fdb
 }
 
-// TestHelloNegotiation covers the handshake in both directions: an
-// up-to-date client lands on the highest mutual version; a client
-// announcing a version below the server's minimum is rejected typed; a
-// v2 opcode on a session that never said Hello gets CodeVersion, not
-// CodeBadRequest.
+// TestHelloNegotiation covers the handshake: a client speaking the
+// protocol version dials; a Hello announcing a lower maximum is
+// rejected typed; an opcode behind a feature bit on a session that never
+// said Hello gets CodeVersion, not CodeBadRequest, and the session
+// survives.
 func TestHelloNegotiation(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
-	c := dial(t, addr)
-	if got := c.Proto(); got != wire.MaxVersion {
-		t.Fatalf("negotiated protocol = %d, want %d", got, wire.MaxVersion)
-	}
+	dial(t, addr)
 
-	// Raw connection announcing version 0: typed rejection.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	var p wire.PayloadBuilder
-	p.Uvarint(0).Uvarint(0)
+	p.Uvarint(wire.Version - 1).Uvarint(wire.FeatReplication)
 	if err := wire.WriteFrame(conn, wire.Frame{ID: 1, Op: wire.OpHello, Payload: p.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
@@ -76,74 +72,22 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.Op != wire.CodeVersion {
-		t.Fatalf("hello(v0) status = %d, want CodeVersion", f.Op)
+		t.Fatalf("hello(v%d) status = %d, want CodeVersion", wire.Version-1, f.Op)
 	}
 
-	// V2 opcode without a handshake: CodeVersion (so a client can tell
-	// "old server" from "forgot the handshake"), and the session
-	// survives.
 	var q wire.PayloadBuilder
-	q.String("lib")
-	if err := wire.WriteFrame(conn, wire.Frame{ID: 2, Op: wire.OpDocStatus, Payload: q.Bytes()}); err != nil {
+	q.String("lib").Uvarint(0)
+	if err := wire.WriteFrame(conn, wire.Frame{ID: 2, Op: wire.OpSubscribeWAL, Payload: q.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err = wire.ReadFrame(conn, 0); err != nil || f.Op != wire.CodeVersion {
-		t.Fatalf("docstatus without hello = op %d, %v; want CodeVersion", f.Op, err)
+		t.Fatalf("subscribe without hello = op %d, %v; want CodeVersion", f.Op, err)
 	}
 	if err := wire.WriteFrame(conn, wire.Frame{ID: 3, Op: wire.OpPing}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err = wire.ReadFrame(conn, 0); err != nil || f.Op != wire.StatusOK {
 		t.Fatalf("ping after version rejection = op %d, %v", f.Op, err)
-	}
-}
-
-// TestHelloDowngrade: against a server that predates the handshake
-// (answers Hello with CodeBadRequest), Dial downgrades to protocol 1
-// and v2-only client features fail typed with ErrVersion.
-func TestHelloDowngrade(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			f, err := wire.ReadFrame(conn, 0)
-			if err != nil {
-				return
-			}
-			switch f.Op {
-			case wire.OpPing:
-				wire.WriteFrame(conn, wire.Frame{ID: f.ID, Op: wire.StatusOK})
-			default: // an old server: unknown opcode
-				var p wire.PayloadBuilder
-				p.String("unknown opcode")
-				wire.WriteFrame(conn, wire.Frame{ID: f.ID, Op: wire.CodeBadRequest, Payload: p.Bytes()})
-			}
-		}
-	}()
-	c, err := client.Dial(bg, l.Addr().String())
-	if err != nil {
-		t.Fatalf("dial against v1 server: %v", err)
-	}
-	defer c.Close()
-	if got := c.Proto(); got != wire.V1 {
-		t.Fatalf("negotiated protocol = %d, want 1", got)
-	}
-	if err := c.Ping(bg); err != nil {
-		t.Fatalf("ping on downgraded session: %v", err)
-	}
-	if _, err := c.DocStatus(bg, "lib"); !errors.Is(err, client.ErrVersion) {
-		t.Fatalf("DocStatus on protocol 1 = %v, want ErrVersion", err)
-	}
-	if _, err := c.QueryAt(bg, "lib", "//x", nil, 7); !errors.Is(err, client.ErrVersion) {
-		t.Fatalf("QueryAt on protocol 1 = %v, want ErrVersion", err)
 	}
 }
 
@@ -284,7 +228,7 @@ func TestClientContextCancel(t *testing.T) {
 					return
 				}
 				var p wire.PayloadBuilder
-				p.Uvarint(wire.V2).Uvarint(0)
+				p.Uvarint(wire.Version).Uvarint(0)
 				wire.WriteFrame(conn, wire.Frame{ID: f.ID, Op: wire.StatusOK, Payload: p.Bytes()})
 				// Swallow everything after; never respond.
 				for {

@@ -42,10 +42,9 @@ type Config struct {
 // features reports the feature bits this server offers in Hello.
 // Replication is always offered (any durable document can be
 // subscribed); read-your-writes likewise (the applied watermark exists
-// on primaries and followers alike); chunked bootstrap rides on the
-// same checkpoint pin replication already holds.
+// on primaries and followers alike).
 func (s *Server) features() uint64 {
-	return wire.FeatReplication | wire.FeatRYW | wire.FeatChunkedSnap
+	return wire.FeatReplication | wire.FeatRYW
 }
 
 // Server is the mxqd daemon core: an accept loop spawning one session

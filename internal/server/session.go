@@ -38,7 +38,6 @@ type session struct {
 	conn     net.Conn
 	prepared map[prepKey]*mxq.Prepared
 	reads    map[string]*pinnedRead // doc name -> pinned snapshot
-	proto    uint64                 // negotiated protocol version; V1 until Hello
 	feats    uint64                 // negotiated feature bits; 0 until Hello
 }
 
@@ -48,7 +47,6 @@ func newSession(srv *Server, conn net.Conn) *session {
 		conn:     conn,
 		prepared: make(map[prepKey]*mxq.Prepared),
 		reads:    make(map[string]*pinnedRead),
-		proto:    wire.V1,
 	}
 }
 
@@ -119,9 +117,8 @@ func (s *session) handle(f Frame) bool {
 	return s.respondErr(f.ID, CodeBadRequest, fmt.Sprintf("unknown opcode %d", f.Op))
 }
 
-// handleHello negotiates the session's protocol version and feature
-// set. Hello may be sent at any point (idempotently renegotiating), but
-// clients send it first.
+// handleHello negotiates the session's feature set. Hello may be sent
+// at any point (idempotently renegotiating), but clients send it first.
 func (s *session) handleHello(f Frame) bool {
 	r := NewPayloadReader(f.Payload)
 	clientMax, err := r.Uvarint()
@@ -135,32 +132,19 @@ func (s *session) handleHello(f Frame) bool {
 	version, feats, ok := wire.Negotiate(clientMax, s.srv.features(), clientFeats)
 	if !ok {
 		return s.respondErr(f.ID, CodeVersion,
-			fmt.Sprintf("client speaks up to protocol %d; this server speaks %d..%d",
-				clientMax, wire.MinVersion, wire.MaxVersion))
+			fmt.Sprintf("client speaks up to protocol %d; this server speaks %d", clientMax, wire.Version))
 	}
-	s.proto = version
 	s.feats = feats
 	var p PayloadBuilder
 	p.Uvarint(version).Uvarint(feats)
 	return s.respond(f.ID, StatusOK, p.Bytes())
 }
 
-// requireV2 gates a version-2 opcode: on a session that has not
-// negotiated V2 it answers CodeVersion (a typed rejection — never
-// CodeBadRequest, so a client can tell "old server" from "forgot the
-// handshake") and reports false.
-func (s *session) requireV2(f Frame) bool {
-	if s.proto >= wire.V2 {
-		return true
-	}
-	s.respondErr(f.ID, CodeVersion, fmt.Sprintf("opcode %d requires protocol 2; session negotiated %d", f.Op, s.proto))
-	return false
-}
-
 // handleSubscribeWAL turns the connection into a replication stream:
-// the mode response, then snapshot and record frames outbound with acks
-// inbound, until the follower disconnects. The connection never returns
-// to request/response mode — the session ends when the stream does.
+// the mode response, then bootstrap and record frames outbound with
+// chunk requests and acks inbound, until the follower disconnects. The
+// connection never returns to request/response mode — the session ends
+// when the stream does.
 //
 // The subscription deliberately bypasses the admission semaphore: it is
 // a long-lived stream, not a request, and parking a semaphore unit for
@@ -168,9 +152,9 @@ func (s *session) requireV2(f Frame) bool {
 // admission. The WAL reader it drives does bounded work per batch and
 // blocks idle between commits.
 func (s *session) handleSubscribeWAL(f Frame) bool {
-	if !s.requireV2(f) {
-		return true
-	}
+	// CodeVersion, never CodeBadRequest: a session that never said Hello
+	// lands here too, and its client can tell "forgot the handshake" from
+	// "unknown opcode".
 	if s.feats&wire.FeatReplication == 0 {
 		s.respondErr(f.ID, CodeVersion, "session did not negotiate the replication feature")
 		return true
@@ -200,9 +184,6 @@ func (s *session) handleSubscribeWAL(f Frame) bool {
 		s.respondErr(f.ID, CodeQuery, err.Error())
 		return true
 	}
-	// Chunked bootstrap only for sessions that negotiated it (v3 +
-	// feature bit) — the additivity rule for new stream opcodes.
-	src.Chunked = s.proto >= wire.V3 && s.feats&wire.FeatChunkedSnap != 0
 	logf := s.srv.cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -217,9 +198,6 @@ func (s *session) handleSubscribeWAL(f Frame) bool {
 // server's role, the applied (read-your-writes) watermark and the WAL
 // tail. A client uses it to measure follower lag and to pick replicas.
 func (s *session) handleDocStatus(f Frame) bool {
-	if !s.requireV2(f) {
-		return true
-	}
 	r := NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
@@ -236,12 +214,10 @@ func (s *session) handleDocStatus(f Frame) bool {
 	}
 	var p PayloadBuilder
 	p.Byte(role).Uvarint(doc.AppliedLSN()).Uvarint(doc.LastLSN())
-	if s.proto >= wire.V3 {
-		// Appended fields (v3 growth rule): the document's cumulative
-		// checkpoint I/O — how much the incremental format is saving.
-		st := doc.Stats()
-		p.Uvarint(st.CkptBytesWritten).Uvarint(st.CkptChunksWritten).Uvarint(st.CkptChunksReused)
-	}
+	// The document's cumulative checkpoint I/O — how much the incremental
+	// format is saving.
+	st := doc.Stats()
+	p.Uvarint(st.CkptBytesWritten).Uvarint(st.CkptChunksWritten).Uvarint(st.CkptChunksReused)
 	return s.respond(f.ID, StatusOK, p.Bytes())
 }
 
@@ -311,12 +287,11 @@ func (s *session) handleQuery(f Frame) bool {
 			vars[k] = v
 		}
 	}
-	// V2 read-your-writes trailer: a minimum LSN the document must have
+	// Read-your-writes trailer: a minimum LSN the document must have
 	// applied before the query runs, and how long to park waiting for
-	// it. Absent (a V1 client, or a V2 client that omitted it) means
-	// "read whatever is current".
+	// it. Absent means "read whatever is current".
 	var minLSN, timeoutMillis uint64
-	if s.proto >= wire.V2 && r.Remaining() > 0 {
+	if r.Remaining() > 0 {
 		if minLSN, err = r.Uvarint(); err != nil {
 			return s.respondErr(f.ID, CodeBadRequest, err.Error())
 		}
@@ -399,12 +374,9 @@ func (s *session) handleUpdate(f Frame) bool {
 			return s.respondErr(f.ID, CodeQuery, err.Error())
 		}
 		var p PayloadBuilder
-		p.Uvarint(uint64(res.Ops)).Uvarint(uint64(res.Affected))
-		if s.proto >= wire.V2 {
-			// Appended field (v2 growth rule): the commit's WAL LSN, the
-			// token a read-your-writes follower read passes as minLSN.
-			p.Uvarint(lsn)
-		}
+		// The trailing field is the commit's WAL LSN, the token a
+		// read-your-writes follower read passes as minLSN.
+		p.Uvarint(uint64(res.Ops)).Uvarint(uint64(res.Affected)).Uvarint(lsn)
 		return s.respond(f.ID, StatusOK, p.Bytes())
 	})
 }

@@ -1,9 +1,7 @@
 package tx
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"mxq/internal/core"
@@ -50,28 +48,10 @@ func TestStoreErrorsPropagateWithoutPoisoning(t *testing.T) {
 	}
 }
 
-func TestRecoverErrors(t *testing.T) {
-	// Truncated header.
-	if _, err := Recover(strings.NewReader("abc"), nil); err == nil {
-		t.Fatal("short header accepted")
-	}
-	// Valid header, corrupt snapshot.
-	var buf bytes.Buffer
-	WriteSnapshotHeader(&buf, 3)
-	buf.WriteString("not a gob snapshot")
-	if _, err := Recover(bytes.NewReader(buf.Bytes()), nil); err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-}
-
 func TestRecoverWithoutLog(t *testing.T) {
 	s := buildStore(t, doc, 16)
 	m := NewManager(s, nil)
-	var ck bytes.Buffer
-	if _, err := m.Checkpoint(&ck); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Recover(bytes.NewReader(ck.Bytes()), nil)
+	got, err := checkpoint(t, m).restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,6 @@ package tx
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -190,9 +188,10 @@ func (m *Manager) SetValidator(v Validator) { m.validator = v }
 // SetLockAncestors toggles the root-locking ablation mode.
 func (m *Manager) SetLockAncestors(on bool) { m.lockAncestors = on }
 
-// View runs a read-only transaction under the global read lock (the
-// paper's original read path; AcquireRead is the lock-free successor —
-// View remains for callers that need to see the base store itself).
+// View calls fn with the base store itself under the global read lock,
+// which excludes commits for the duration: the hook for statistics and
+// invariant checks over base-private state. Queries read a leased
+// snapshot instead (AcquireRead).
 func (m *Manager) View(fn func(v xenc.DocView) error) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -354,34 +353,14 @@ func (m *Manager) CompactDictionaries() (namesDropped, propsDropped int) {
 	return m.store.CompactDictionaries()
 }
 
-// Checkpoint writes an LSN-stamped snapshot of the current base store
-// under the full write lock (the stop-the-world legacy path; the online
-// path pins a snapshot with PinCheckpoint and streams it outside the
-// lock — see internal/ckpt). It returns the LSN the image covers: a
-// subsequent Recover needs only WAL records after that LSN, and the
-// caller must discard WAL records only up to that LSN (wal.Log.Prune) —
-// never the whole log, or a commit racing the checkpoint would be lost.
-func (m *Manager) Checkpoint(w io.Writer) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	lsn := uint64(0)
-	if m.log != nil {
-		lsn = m.log.LastLSN()
-	}
-	if err := WriteSnapshotHeader(w, lsn); err != nil {
-		return 0, err
-	}
-	return lsn, m.store.Save(w)
-}
-
 // PinCheckpoint captures a copy-on-write snapshot of the base store
 // together with the LSN of the last record it covers, atomically with
 // respect to commits (commits append to the WAL and apply to the base
 // inside the write-lock critical section, so under the shared read lock
 // the pair cannot tear). The snapshot costs O(pages) refcount bumps; the
-// caller streams core.Store.Save from it outside any lock — commits
-// proceed at full speed during the O(document) write — and must Release
-// it when done.
+// caller streams core.Store.SaveChunked from it outside any lock —
+// commits proceed at full speed during the write — and must Release it
+// when done.
 func (m *Manager) PinCheckpoint() (*core.Store, uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -391,62 +370,6 @@ func (m *Manager) PinCheckpoint() (*core.Store, uint64) {
 		lsn = m.log.LastLSN()
 	}
 	return snap, lsn
-}
-
-// Recover rebuilds a store from a checkpoint and a WAL, replaying every
-// committed record the checkpoint predates ("during recovery an
-// up-to-date version of the database can be restored").
-func Recover(snapshot io.Reader, log *wal.Log) (*core.Store, error) {
-	lsn, err := ReadSnapshotHeader(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	store, err := core.Load(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	if log == nil {
-		return store, nil
-	}
-	// The checkpoint covers every record up to lsn. Make sure the log
-	// never hands out those LSNs again (a truncated log reopens with its
-	// counter at 0), or commits after this recovery would be skipped by
-	// the replay of the next one.
-	log.EnsureLSN(lsn)
-	err = log.Replay(lsn, func(rec *wal.Record) error {
-		if err := ApplyOps(store, rec.Ops); err != nil {
-			return fmt.Errorf("tx: replaying LSN %d: %w", rec.LSN, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return store, nil
-}
-
-// WriteSnapshotHeader prefixes a checkpoint image with the LSN it
-// covers (8 bytes, little endian). internal/ckpt shares the format.
-func WriteSnapshotHeader(w io.Writer, lsn uint64) error {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(lsn >> (8 * i))
-	}
-	_, err := w.Write(b[:])
-	return err
-}
-
-// ReadSnapshotHeader reads the LSN written by WriteSnapshotHeader.
-func ReadSnapshotHeader(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("tx: reading checkpoint header: %w", err)
-	}
-	var lsn uint64
-	for i := 0; i < 8; i++ {
-		lsn |= uint64(b[i]) << (8 * i)
-	}
-	return lsn, nil
 }
 
 // --- page locks -------------------------------------------------------------

@@ -1,7 +1,6 @@
 package tx
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"mxq/internal/chunkstore"
 	"mxq/internal/core"
 	"mxq/internal/serialize"
 	"mxq/internal/shred"
@@ -301,6 +301,39 @@ func TestValidatorBlocksCommit(t *testing.T) {
 	})
 }
 
+// image is a checkpoint held in memory: the manifest and chunks a
+// pinned snapshot saved, and the LSN the pin covers.
+type image struct {
+	man *core.ChunkManifest
+	cs  *chunkstore.Mem
+	lsn uint64
+}
+
+// checkpoint pins m and saves the snapshot into a fresh chunk store.
+func checkpoint(t *testing.T, m *Manager) image {
+	t.Helper()
+	snap, lsn := m.PinCheckpoint()
+	defer snap.Release()
+	cs := chunkstore.NewMem()
+	man, _, err := snap.SaveChunked(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image{man, cs, lsn}
+}
+
+// restore loads the image and replays every later record of log (nil:
+// none) — what ckpt.Recover does over files.
+func (im image) restore(log *wal.Log) (*core.Store, error) {
+	store, err := core.LoadChunked(im.man, im.cs)
+	if err != nil || log == nil {
+		return store, err
+	}
+	log.EnsureLSN(im.lsn)
+	err = log.Replay(im.lsn, func(rec *wal.Record) error { return ApplyOps(store, rec.Ops) })
+	return store, err
+}
+
 func TestWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "doc.wal")
@@ -313,10 +346,7 @@ func TestWALRecovery(t *testing.T) {
 
 	// Checkpoint the initial state, then run committed transactions with
 	// the WAL attached.
-	var checkpoint bytes.Buffer
-	if _, err := m.Checkpoint(&checkpoint); err != nil {
-		t.Fatal(err)
-	}
+	ck := checkpoint(t, m)
 	m = NewManager(s, log)
 	for i := 0; i < 5; i++ {
 		tx := m.Begin()
@@ -340,7 +370,7 @@ func TestWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	recovered, err := Recover(bytes.NewReader(checkpoint.Bytes()), log2)
+	recovered, err := ck.restore(log2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,12 +417,8 @@ func TestRecoveryAfterCheckpointTruncate(t *testing.T) {
 
 	// Session 1: commit, checkpoint, prune the now-redundant WAL records.
 	commitBook(m, "before-ckpt")
-	var checkpoint bytes.Buffer
-	lsn, err := m.Checkpoint(&checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Prune(lsn); err != nil {
+	ck := checkpoint(t, m)
+	if err := log.Prune(ck.lsn); err != nil {
 		t.Fatal(err)
 	}
 	log.Close()
@@ -402,7 +428,7 @@ func TestRecoveryAfterCheckpointTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Recover(bytes.NewReader(checkpoint.Bytes()), log2)
+	s2, err := ck.restore(log2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +441,7 @@ func TestRecoveryAfterCheckpointTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log3.Close()
-	s3, err := Recover(bytes.NewReader(checkpoint.Bytes()), log3)
+	s3, err := ck.restore(log3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,10 +459,7 @@ func TestRecoveryWithTornTail(t *testing.T) {
 	}
 	s := buildStore(t, doc, 16)
 	m := NewManager(s, nil)
-	var checkpoint bytes.Buffer
-	if _, err := m.Checkpoint(&checkpoint); err != nil {
-		t.Fatal(err)
-	}
+	ck := checkpoint(t, m)
 	m = NewManager(s, log)
 	for i := 0; i < 3; i++ {
 		tx := m.Begin()
@@ -471,7 +494,7 @@ func TestRecoveryWithTornTail(t *testing.T) {
 	if log2.LastLSN() != 3 {
 		t.Fatalf("LastLSN = %d, want 3 (torn tail dropped)", log2.LastLSN())
 	}
-	recovered, err := Recover(bytes.NewReader(checkpoint.Bytes()), log2)
+	recovered, err := ck.restore(log2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,12 +520,9 @@ func TestCheckpointTruncatesRecoveryWork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var checkpoint bytes.Buffer
-	if _, err := m.Checkpoint(&checkpoint); err != nil {
-		t.Fatal(err)
-	}
+	ck := checkpoint(t, m)
 	// Recovery from this checkpoint replays nothing (LSNs all covered).
-	recovered, err := Recover(bytes.NewReader(checkpoint.Bytes()), log)
+	recovered, err := ck.restore(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,19 +618,15 @@ func TestCommitRacingCheckpointSurvivesPrune(t *testing.T) {
 	}
 
 	commitBook("covered")
-	var checkpoint bytes.Buffer
-	lsn, err := m.Checkpoint(&checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := checkpoint(t, m)
 	// The racing commit: lands after the image was captured, before the
 	// caller gets around to discarding the covered WAL records.
 	commitBook("racing")
-	if err := log.Prune(lsn); err != nil {
+	if err := log.Prune(ck.lsn); err != nil {
 		t.Fatal(err)
 	}
 
-	recovered, err := Recover(bytes.NewReader(checkpoint.Bytes()), log)
+	recovered, err := ck.restore(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,16 +679,7 @@ func TestPinCheckpointCapturesConsistentPair(t *testing.T) {
 
 	// Pin and stream several checkpoints while the committer runs.
 	for i := 0; i < 5; i++ {
-		img, lsn := m.PinCheckpoint()
-		var buf bytes.Buffer
-		if err := WriteSnapshotHeader(&buf, lsn); err != nil {
-			t.Fatal(err)
-		}
-		if err := img.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		img.Release()
-		recovered, err := Recover(bytes.NewReader(buf.Bytes()), log)
+		recovered, err := checkpoint(t, m).restore(log)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,8 +178,7 @@ type Options struct {
 // at path.00000001, path.00000002, ...). It scans all segments in order
 // to find the last valid LSN, truncating a torn tail and discarding any
 // segments beyond a cut (a crash — or crash injection — that severed the
-// log mid-stream). A legacy single-file log at path itself is migrated
-// to the first segment.
+// log mid-stream).
 func Open(path string, opts Options) (*Log, error) {
 	l := &Log{
 		dir:      filepath.Dir(path),
@@ -190,9 +189,6 @@ func Open(path string, opts Options) (*Log, error) {
 	}
 	if l.segBytes <= 0 {
 		l.segBytes = DefaultSegmentBytes
-	}
-	if err := l.migrateLegacy(path); err != nil {
-		return nil, err
 	}
 	if err := l.loadSegments(); err != nil {
 		return nil, err
@@ -221,23 +217,6 @@ func Open(path string, opts Options) (*Log, error) {
 	}
 	l.durable.Store(l.lsn) // whatever survived on disk is as durable as it gets
 	return l, nil
-}
-
-// migrateLegacy renames a pre-segmentation single-file log at path to
-// the first segment, so old durability directories keep recovering.
-func (l *Log) migrateLegacy(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil || fi.IsDir() {
-		return nil
-	}
-	dst := l.segPath(1)
-	if _, err := os.Stat(dst); err == nil {
-		return fmt.Errorf("wal: both legacy log %s and segment %s exist", path, dst)
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return fmt.Errorf("wal: migrating legacy log: %w", err)
-	}
-	return nil
 }
 
 func (l *Log) segPath(seq uint64) string {
@@ -765,10 +744,9 @@ func SegmentPaths(path string) ([]string, error) {
 	return out, nil
 }
 
-// RemoveSegments deletes every segment file of the log rooted at path,
-// plus a legacy single-file log at path itself (Drop uses it; matching
-// is exact, so another document whose name shares a prefix is never
-// touched).
+// RemoveSegments deletes every segment file of the log rooted at path
+// (Drop uses it; matching is exact, so another document whose name
+// shares a prefix is never touched).
 func RemoveSegments(path string) {
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	entries, err := os.ReadDir(dir)
@@ -780,7 +758,6 @@ func RemoveSegments(path string) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	os.Remove(path)
 }
 
 // Segments describes the live segments in order (observability, tests).

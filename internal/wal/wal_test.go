@@ -518,34 +518,29 @@ func TestEmptyTailSegmentIsHarmless(t *testing.T) {
 	}
 }
 
-// TestLegacySingleFileMigrated: a pre-segmentation log (one file at the
-// base path) is renamed to segment 1 on open and replays as before.
-func TestLegacySingleFileMigrated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "old.wal")
-
-	// Fabricate a legacy log by writing a segment and renaming it down.
+// TestBareFileAtBasePathIsForeign: only <path>.NNNNNNNN files are
+// segments. A file at the base path itself is not read by Open and not
+// deleted by RemoveSegments.
+func TestBareFileAtBasePathIsForeign(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "doc.wal")
+	if err := os.WriteFile(path, []byte("not a segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l, err := Open(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if l.LastLSN() != 0 {
+		t.Fatalf("LastLSN = %d: the bare file was read as a log", l.LastLSN())
+	}
 	l.Append([]Op{{Kind: OpRename, Target: 7, Name: "x"}})
 	l.Close()
-	seg := segFiles(t, path)[0]
-	if err := os.Rename(seg, path); err != nil {
-		t.Fatal(err)
+	RemoveSegments(path)
+	if segs := segFiles(t, path); len(segs) != 0 {
+		t.Fatalf("segments survive RemoveSegments: %v", segs)
 	}
-
-	l2, err := Open(path, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.LastLSN() != 1 {
-		t.Fatalf("LastLSN after migration = %d", l2.LastLSN())
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("legacy file still present: %v", err)
+	if data, err := os.ReadFile(path); err != nil || string(data) != "not a segment" {
+		t.Fatalf("bare file touched: %q, %v", data, err)
 	}
 }
 

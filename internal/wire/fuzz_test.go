@@ -1,0 +1,104 @@
+package wire
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+)
+
+// seedFrames is one plausible frame per opcode, plus the ChunkNeed whose
+// count times the 32-byte hash size wraps to its empty remainder.
+func seedFrames() []Frame {
+	pb := func() *PayloadBuilder { return new(PayloadBuilder) }
+	hash := bytes.Repeat([]byte{0xab}, 32)
+	return []Frame{
+		{ID: 1, Op: OpPing},
+		{ID: 2, Op: OpListDocs},
+		{ID: 3, Op: OpLoad, Payload: pb().String("lib").String("<lib/>").Bytes()},
+		{ID: 4, Op: OpQuery, Payload: pb().String("lib").String("//book").Uvarint(1).String("k").String("v").Uvarint(7).Uvarint(5000).Bytes()},
+		{ID: 5, Op: OpUpdate, Payload: pb().String("lib").String("<xupdate:modifications/>").Bytes()},
+		{ID: 6, Op: OpExplain, Payload: pb().String("lib").String("//book[1]").Bytes()},
+		{ID: 7, Op: OpBeginRead, Payload: pb().String("lib").Bytes()},
+		{ID: 8, Op: OpEndRead, Payload: pb().String("lib").Bytes()},
+		{ID: 9, Op: OpHello, Payload: pb().Uvarint(Version).Uvarint(FeatReplication | FeatRYW).Bytes()},
+		{ID: 10, Op: OpSubscribeWAL, Payload: pb().String("lib").Uvarint(SubscribeNone).Bytes()},
+		{Op: OpWALRecords, Payload: []byte("opaque record batch")},
+		{Op: OpFollowerAck, Payload: pb().Uvarint(42).Bytes()},
+		{ID: 14, Op: OpDocStatus, Payload: pb().String("lib").Bytes()},
+		{Op: OpSnapManifest, Payload: []byte(`{"pageBits":4}`)},
+		{Op: OpChunkNeed, Payload: pb().Uvarint(1).Raw(hash).Bytes()},
+		{Op: OpChunkNeed, Payload: pb().Uvarint(1 << 59).Bytes()},
+		{Op: OpChunkData, Payload: pb().Byte(1).Uvarint(1).Raw(hash).Uvarint(3).Raw([]byte("abc")).Bytes()},
+		{ID: 4, Op: StatusOK, Payload: pb().Uvarint(1).Byte(KindElement).String("v").String("<a>v</a>").Bytes()},
+		{ID: 4, Op: CodeQuery, Payload: pb().String("syntax error").Bytes()},
+	}
+}
+
+// FuzzFrameDecode: arbitrary bytes through ReadFrame under a frame
+// limit, then every PayloadReader method in an order the input picks.
+// Nothing panics, ReadFrame allocates no more than the limit, a reader
+// never hands out more than the payload holds or accepts a count the
+// payload cannot back, and an accepted frame written back is the bytes
+// it was read from.
+func FuzzFrameDecode(f *testing.F) {
+	for i, fr := range seedFrames() {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), uint16(1<<12), []byte{byte(i), 1, 0, 2, 4, 3})
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint16(64), []byte{0})
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16, order []byte) {
+		max := uint32(limit) + 9 // 0 would mean the 64 MiB default
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr, err := ReadFrame(bytes.NewReader(data), max)
+		runtime.ReadMemStats(&after)
+		// The body is the one allocation; the allowance covers the reader
+		// and the fuzz worker's own background allocation.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(max)+1<<16; got > bound {
+			t.Fatalf("ReadFrame under limit %d allocated %d bytes", max, got)
+		}
+		if err != nil {
+			return
+		}
+		if uint32(len(fr.Payload))+9 > max {
+			t.Fatalf("accepted a %d-byte payload under limit %d", len(fr.Payload), max)
+		}
+		var back bytes.Buffer
+		if err := WriteFrame(&back, fr); err != nil {
+			t.Fatal(err)
+		}
+		if n := back.Len(); n > len(data) || !bytes.Equal(back.Bytes(), data[:n]) {
+			t.Fatalf("frame does not round-trip:\n in  %x\n out %x", data, back.Bytes())
+		}
+
+		r := NewPayloadReader(fr.Payload)
+		for _, sel := range order {
+			left := r.Remaining()
+			switch sel % 5 {
+			case 0:
+				r.Uvarint()
+			case 1:
+				if s, err := r.String(); err == nil && len(s) > left {
+					t.Fatalf("String returned %d bytes of %d remaining", len(s), left)
+				}
+			case 2:
+				r.Byte()
+			case 3:
+				if rest := r.Rest(); len(rest) != left || r.Remaining() != 0 {
+					t.Fatalf("Rest returned %d bytes of %d, %d left behind", len(rest), left, r.Remaining())
+				}
+			case 4:
+				min := 1 + int(sel/5)
+				if n, err := r.Count(min); err == nil && n > uint64(r.Remaining()/min) {
+					t.Fatalf("Count(%d) accepted %d with %d bytes behind it", min, n, r.Remaining())
+				}
+			}
+			if now := r.Remaining(); now < 0 || now > left {
+				t.Fatalf("Remaining went %d -> %d", left, now)
+			}
+		}
+	})
+}

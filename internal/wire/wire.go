@@ -17,26 +17,21 @@
 //
 // # Version negotiation
 //
-// Protocol 1 is the original frame protocol and needs no handshake: a
-// client that never sends Hello is a protocol-1 session and every
-// protocol-1 opcode keeps working forever. A client that wants more
-// sends OpHello first, carrying the highest protocol version it speaks
-// plus its feature bits; the server answers with the negotiated version
-// — min(client max, server max) — and the feature intersection. The
-// rules that keep this additive:
+// There is one protocol version, Version. A client opens with OpHello,
+// carrying the highest version it speaks plus its feature bits; the
+// server answers with Version and the feature intersection, or with
+// CodeVersion (a typed rejection, never CodeBadRequest) if the client's
+// maximum is below Version. Optional behaviour is gated by feature
+// bits, not by the version number: an opcode behind a feature bit is
+// answered with CodeVersion on a session that did not negotiate the
+// bit — which includes every session that never said Hello. The rules
+// that keep the protocol additive:
 //
-//   - New opcodes and new payload fields may only appear on sessions
-//     that negotiated a version that includes them. A version-gated
-//     opcode on a lower-version session is answered with CodeVersion (a
-//     typed rejection), never with CodeBadRequest.
-//   - Response payloads may grow only by appending fields, and only on
-//     sessions whose negotiated version knows to read them.
-//   - A server that predates Hello answers it with CodeBadRequest
-//     (unknown opcode); clients treat exactly that as "protocol 1" and
-//     downgrade, erroring only when a version-gated feature is used.
-//   - A client whose maximum version is below the server's minimum gets
-//     CodeVersion back, with the server's supported range in the
-//     message.
+//   - Requests may grow only by trailing fields and responses only by
+//     appended fields; a reader ignores what it does not know.
+//   - A new opcode is reachable only behind a feature bit negotiated in
+//     Hello.
+//   - Retired opcode, mode and feature-bit numbers stay unused.
 package wire
 
 import (
@@ -46,60 +41,39 @@ import (
 	"io"
 )
 
-// Protocol versions.
-const (
-	// V1 is the original mxqd protocol: Ping..EndRead, no handshake.
-	V1 = 1
-	// V2 adds the Hello handshake, the replication opcodes
-	// (SubscribeWAL / WALRecords / FollowerAck), DocStatus, the commit
-	// LSN in Update responses and the read-your-writes fields (minimum
-	// LSN + park timeout) in Query requests.
-	V2 = 2
-	// V3 adds the chunked-bootstrap opcodes (SnapManifest / ChunkNeed /
-	// ChunkData with ModeSnapshotChunked, gated by FeatChunkedSnap) and
-	// appends checkpoint I/O counters to DocStatus responses.
-	V3 = 3
-	// MinVersion..MaxVersion is the range this build speaks.
-	MinVersion = V1
-	MaxVersion = V3
-)
+// Version is the protocol version this build speaks, the only one.
+const Version = 3
 
 // Feature bits exchanged in Hello (a bitmask; unknown bits are ignored,
-// the negotiated set is the intersection).
+// the negotiated set is the intersection). Bit 2 is retired.
 const (
 	// FeatReplication: the peer serves (server) or wants (client) the
-	// WAL-shipping opcodes SubscribeWAL/WALRecords/Snapshot/FollowerAck.
+	// WAL-shipping opcodes SubscribeWAL / WALRecords / FollowerAck and the
+	// bootstrap opcodes SnapManifest / ChunkNeed / ChunkData.
 	FeatReplication uint64 = 1 << 0
-	// FeatRYW: read-your-writes — Update responses carry the commit LSN
-	// and Query requests may carry a minimum LSN + park timeout.
+	// FeatRYW: read-your-writes — Query requests may carry a minimum LSN
+	// + park timeout.
 	FeatRYW uint64 = 1 << 1
-	// FeatChunkedSnap: content-addressed bootstrap — a subscription may
-	// be answered with ModeSnapshotChunked, shipping a chunk manifest and
-	// then only the chunks the follower is missing, instead of the whole
-	// image. Requires V3.
-	FeatChunkedSnap uint64 = 1 << 2
 )
 
-// Request opcodes.
+// Request opcodes. 12 is retired.
 const (
 	OpPing      byte = 1 // -> OK, empty
 	OpListDocs  byte = 2 // -> uvarint n, then n names
 	OpLoad      byte = 3 // name, xml -> OK
-	OpQuery     byte = 4 // name, query, uvarint nvars, (k, v)*, [v2: uvarint minLSN, uvarint timeoutMillis] -> result items
-	OpUpdate    byte = 5 // name, xupdate xml -> uvarint ops, uvarint affected, [v2: uvarint commitLSN]
+	OpQuery     byte = 4 // name, query, uvarint nvars, (k, v)*, [uvarint minLSN, uvarint timeoutMillis] -> result items
+	OpUpdate    byte = 5 // name, xupdate xml -> uvarint ops, uvarint affected, uvarint commitLSN
 	OpExplain   byte = 6 // name, query -> plan text
 	OpBeginRead byte = 7 // name -> uvarint pinned version
 	OpEndRead   byte = 8 // name -> OK
 
-	// V2 opcodes.
 	OpHello        byte = 9  // uvarint maxVersion, uvarint features -> uvarint version, uvarint features
 	OpSubscribeWAL byte = 10 // name, uvarint afterLSN -> byte mode, uvarint startLSN; then streaming
 	OpWALRecords   byte = 11 // primary->follower stream: one encoded record batch
-	OpSnapshot     byte = 12 // primary->follower stream: byte last, image chunk bytes
 	OpFollowerAck  byte = 13 // follower->primary stream: uvarint appliedLSN
-	OpDocStatus    byte = 14 // name -> byte role, uvarint appliedLSN, uvarint lastLSN, [v3: uvarint ckptBytes, uvarint chunksWritten, uvarint chunksReused]
+	OpDocStatus    byte = 14 // name -> byte role, uvarint appliedLSN, uvarint lastLSN, uvarint ckptBytes, uvarint chunksWritten, uvarint chunksReused
 
-	// V3 opcodes (chunked bootstrap; see ModeSnapshotChunked).
+	// Bootstrap stream (see ModeSnapshotChunked).
 	OpSnapManifest byte = 15 // primary->follower stream: manifest JSON
 	OpChunkNeed    byte = 16 // follower->primary stream: uvarint n, then n raw 32-byte hashes the follower is missing
 	OpChunkData    byte = 17 // primary->follower stream: byte last, uvarint n, then n x (raw 32-byte hash, uvarint len, bytes)
@@ -112,23 +86,20 @@ const (
 // missing.
 const SubscribeNone = ^uint64(0)
 
-// SubscribeWAL response modes.
+// SubscribeWAL response modes. 1 is retired.
 const (
 	// ModeWAL: the primary still holds every record past the follower's
 	// LSN; streaming starts directly with WALRecords frames after
 	// startLSN (= the request's afterLSN).
 	ModeWAL byte = 0
-	// ModeSnapshot: the WAL was pruned past the follower's LSN (or the
-	// follower diverged); the primary streams a full checkpoint image
-	// (Snapshot frames) pinned at startLSN, then WALRecords from there.
-	ModeSnapshot byte = 1
-	// ModeSnapshotChunked (v3, FeatChunkedSnap): bootstrap by content.
-	// The primary sends a SnapManifest frame naming every chunk of the
-	// pinned image; the follower answers with one ChunkNeed frame listing
-	// the hashes it is missing; the primary ships exactly those in
-	// ChunkData frames (last flag on the final one), then WALRecords from
-	// startLSN. A re-bootstrapping follower that already holds most
-	// chunks transfers only the churn.
+	// ModeSnapshotChunked: the WAL was pruned past the follower's LSN (or
+	// the follower has nothing); the primary bootstraps it by content from
+	// an image pinned at startLSN. It sends a SnapManifest frame naming
+	// every chunk of the image; the follower answers with one ChunkNeed
+	// frame listing the hashes it is missing; the primary ships exactly
+	// those in ChunkData frames (last flag on the final one), then
+	// WALRecords from startLSN. A re-bootstrapping follower that already
+	// holds most chunks transfers only the churn.
 	ModeSnapshotChunked byte = 2
 )
 
@@ -149,9 +120,8 @@ const (
 	CodeInternal      byte = 6
 	CodeReadNotPinned byte = 7 // OpEndRead without a matching OpBeginRead
 
-	// V2 status codes.
 	CodeStale    byte = 8  // read-your-writes park timed out below the requested LSN
-	CodeVersion  byte = 9  // protocol version rejection (unknown version, or op needs a higher negotiated version)
+	CodeVersion  byte = 9  // Hello below Version, or an op behind a feature bit the session did not negotiate
 	CodeReadOnly byte = 10 // write op on a read-only (follower) server
 )
 
@@ -255,6 +225,20 @@ func (p *PayloadReader) Uvarint() (uint64, error) {
 	return v, nil
 }
 
+// Count reads a uvarint element count and refuses one the unread bytes
+// cannot hold at min bytes an element, so a count off the wire never
+// sizes an allocation the payload could not fill.
+func (p *PayloadReader) Count(min int) (uint64, error) {
+	n, err := p.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(p.b)/min) {
+		return 0, fmt.Errorf("wire: count %d exceeds the %d bytes present", n, len(p.b))
+	}
+	return n, nil
+}
+
 // String reads a length-prefixed string.
 func (p *PayloadReader) String() (string, error) {
 	n, err := p.Uvarint()
@@ -323,16 +307,12 @@ func KindName(c byte) string {
 }
 
 // Negotiate computes the server-side Hello outcome for a client
-// announcing clientMax/clientFeats against a server speaking
-// [MinVersion, MaxVersion] with serverFeats. ok=false means the client
-// speaks no version this server does (answer CodeVersion).
+// announcing clientMax/clientFeats against a server offering
+// serverFeats. ok=false means the client does not speak Version (answer
+// CodeVersion).
 func Negotiate(clientMax, serverFeats, clientFeats uint64) (version uint64, feats uint64, ok bool) {
-	if clientMax < MinVersion {
+	if clientMax < Version {
 		return 0, 0, false
 	}
-	version = clientMax
-	if version > MaxVersion {
-		version = MaxVersion
-	}
-	return version, serverFeats & clientFeats, true
+	return Version, serverFeats & clientFeats, true
 }

@@ -66,26 +66,34 @@ func TestTruncatedPayload(t *testing.T) {
 	if _, err := NewPayloadReader(nil).Byte(); err == nil {
 		t.Fatal("empty byte accepted")
 	}
+	var c PayloadBuilder
+	c.Uvarint(2).Raw(make([]byte, 63)) // one byte short of two 32-byte elements
+	if _, err := NewPayloadReader(c.Bytes()).Count(32); err == nil {
+		t.Fatal("count beyond the bytes present accepted")
+	}
+	if n, err := NewPayloadReader(c.Bytes()).Count(31); err != nil || n != 2 {
+		t.Fatalf("count the bytes can hold = %d, %v", n, err)
+	}
 }
 
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
-		clientMax, want uint64
-		ok              bool
+		clientMax uint64
+		ok        bool
 	}{
-		{0, 0, false},          // below the server's minimum: typed rejection
-		{V1, V1, true},         // plain old protocol
-		{V2, V2, true},         // exact match
-		{99, MaxVersion, true}, // future client: server picks its own max
+		{0, false},
+		{Version - 1, false}, // below the one version: typed rejection
+		{Version, true},
+		{99, true}, // future client: the server answers with its own version
 	}
 	for _, c := range cases {
 		v, _, ok := Negotiate(c.clientMax, FeatReplication|FeatRYW, FeatReplication|FeatRYW)
-		if ok != c.ok || (ok && v != c.want) {
-			t.Errorf("Negotiate(max=%d) = %d, %v; want %d, %v", c.clientMax, v, ok, c.want, c.ok)
+		if ok != c.ok || (ok && v != Version) {
+			t.Errorf("Negotiate(max=%d) = %d, %v; want ok=%v", c.clientMax, v, ok, c.ok)
 		}
 	}
 	// Feature bits intersect; unknown bits vanish.
-	_, feats, ok := Negotiate(V2, FeatReplication, FeatReplication|FeatRYW|1<<60)
+	_, feats, ok := Negotiate(Version, FeatReplication, FeatReplication|FeatRYW|1<<60)
 	if !ok || feats != FeatReplication {
 		t.Fatalf("feature intersection = %b, %v", feats, ok)
 	}

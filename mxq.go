@@ -68,18 +68,19 @@
 // chunk stores its columns as varints and deltas — about 9 bytes of
 // structure per tuple next to the text itself, so an image is roughly
 // the size of the XML it holds — in one format with no version switch:
-// chunks of an older build are refused ("unsupported chunk format"),
-// not migrated. Chunks the store already holds — everything unchanged
-// since the previous checkpoint, which the copy-on-write layer knows
-// without hashing — are re-referenced, not rewritten, so checkpoint
-// I/O is O(churn), not O(document), and frequent automatic checkpoints
-// stay cheap on large documents. Superseded chunks are garbage-collected by mark-and-sweep
+// a chunk with another tag is refused ("unsupported chunk format"), as
+// is an image file that does not open with the image magic
+// ("unsupported image format"); neither is migrated. Chunks the store
+// already holds — everything unchanged since the previous checkpoint,
+// which the copy-on-write layer knows without hashing — are
+// re-referenced, not rewritten, so checkpoint I/O is O(churn), not
+// O(document), and frequent automatic checkpoints stay cheap on large
+// documents. Superseded chunks are garbage-collected by mark-and-sweep
 // over the retained images; Options.ChunkStore plugs in a different
 // chunk backend per document (one that also offers PutMany — as the
 // default local directory does, writing 8 chunk files at a time — gets
 // a checkpoint's missing chunks as one batch, any other gets one Put
-// per chunk); pre-existing monolithic images are migrated to the
-// chunked format on open. Completion is published
+// per chunk). Completion is published
 // atomically (chunks synced first, then tmp+rename+fsync of the image,
 // then of a manifest), and only WAL segments wholly below the pinned
 // LSN are deleted — a commit racing the checkpoint lives in a segment
@@ -147,12 +148,11 @@
 //
 // A durable document can be followed by read replicas: the primary
 // streams its per-document WAL over the wire (an empty follower first
-// bootstraps from a pinned checkpoint image — on protocol 3, by
-// diffing the image's chunk manifest against its local chunk store and
-// transferring only the chunks it is missing, so a crash-restarted
-// follower re-bootstraps with O(churn) transfer — then replays record
-// batches as they commit), and prunes no segment a live follower still
-// needs. Database.FollowDocument subscribes a local document to a
+// bootstraps from a pinned checkpoint image — by diffing the image's
+// chunk manifest against its local chunk store and transferring only
+// the chunks it is missing, so a crash-restarted follower re-bootstraps
+// with O(churn) transfer — then replays record batches as they commit),
+// and prunes no segment a live follower still needs. Database.FollowDocument subscribes a local document to a
 // primary — mxqd -follow does this for every primary document and
 // serves the result read-only. Every update response carries its
 // commit LSN; a client configured with a read replica routes queries
@@ -328,7 +328,7 @@ func Open(opts Options) (*Database, error) {
 }
 
 // checkpointedDocs lists document names with recovery artifacts in dir:
-// a manifest, an LSN-stamped image, or a legacy unversioned image.
+// a manifest or an LSN-stamped image.
 func checkpointedDocs(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -374,9 +374,6 @@ func (db *Database) recoverDoc(name string) error {
 	if err != nil {
 		return err
 	}
-	// A legacy monolithic image recovers fine but should not stay the
-	// recovery root; note it before recovery and re-publish below.
-	migrate := ckpt.NeedsMigration(db.opts.Dir, name)
 	store, _, err := ckpt.Recover(db.opts.Dir, name, log, db.chunkStoreFor(name))
 	if err != nil {
 		log.Close()
@@ -390,15 +387,6 @@ func (db *Database) recoverDoc(name string) error {
 		mgr:   tx.NewManager(store, log),
 	}
 	doc.attachDurability()
-	if migrate {
-		// Auto-migration: one checkpoint re-publishes the document in the
-		// content-addressed format; the legacy image then retires through
-		// normal retention.
-		if err := doc.Checkpoint(); err != nil {
-			doc.close(false)
-			return fmt.Errorf("migrating checkpoint image: %w", err)
-		}
-	}
 	db.docs[name] = doc
 	return nil
 }

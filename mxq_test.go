@@ -456,6 +456,45 @@ func TestDropSparesDashSiblingDocuments(t *testing.T) {
 	}
 }
 
+// TestBareFilesAreForeign: only <name>.manifest, <name>-<lsn>.ckpt and
+// <name>.wal.NNNNNNNN are a document's artifacts. A bare <name>.ckpt or
+// <name>.wal names no document on open and survives another document's
+// checkpoints.
+func TestBareFilesAreForeign(t *testing.T) {
+	dir := t.TempDir()
+	bare := []string{"x.ckpt", "x.wal", "lib.ckpt"}
+	for _, f := range bare {
+		if err := os.WriteFile(filepath.Join(dir, f), []byte("eight or more arbitrary bytes"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := checkpointedDocs(dir); len(got) != 0 {
+		t.Fatalf("bare files claimed as documents: %v", got)
+	}
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("lib", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>n</book></xupdate:append>`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := doc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range bare {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Fatalf("checkpoint retirement touched %s: %v", f, err)
+		}
+	}
+}
+
 // TestAutoCheckpointMeasuresBeyondLastCheckpoint: covered records parked
 // in the never-pruned active segment must not re-trigger checkpoints —
 // the policy measures the tail beyond the last checkpoint's LSN.

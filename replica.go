@@ -3,7 +3,6 @@ package mxq
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -89,7 +88,7 @@ func (d *Document) Followers() int {
 func (t *Tx) CommitLSN() uint64 { return t.inner.CommitLSN() }
 
 // UpdateLSN is Update returning the commit's WAL LSN alongside the
-// result — what the server embeds in v2 Update responses so the client
+// result — what the server embeds in Update responses so the client
 // can pass it back as a follower read's minimum LSN.
 func (d *Document) UpdateLSN(xupdateXML string) (xupdate.Result, uint64, error) {
 	mods, err := xupdate.ParseString(xupdateXML)
@@ -164,33 +163,9 @@ func (s *docSink) AppliedLSN() (uint64, bool) {
 	return d.mgr.AppliedLSN(), true
 }
 
-// Bootstrap replaces the document wholesale from a checkpoint image
-// pinned at lsn: the old instance (if any) is detached and its
-// artifacts wiped — its history is foreign to the image's LSN line —
-// then a fresh WAL is positioned at lsn and an initial local
-// checkpoint written, so a follower restart recovers locally and
-// resumes by WAL replay instead of re-shipping the whole document.
-// Readers holding the old instance's snapshots finish undisturbed on
-// them; new readers see the bootstrapped document once it is
-// published.
-func (s *docSink) Bootstrap(r io.Reader, lsn uint64) error {
-	hdrLSN, err := tx.ReadSnapshotHeader(r)
-	if err != nil {
-		return err
-	}
-	if hdrLSN != lsn {
-		return fmt.Errorf("mxq: bootstrap image header says LSN %d, subscription says %d", hdrLSN, lsn)
-	}
-	store, err := core.Load(r)
-	if err != nil {
-		return fmt.Errorf("mxq: loading bootstrap image: %w", err)
-	}
-	return s.install(store, lsn)
-}
-
-// ChunkStore exposes the document's chunk store to the chunked
-// bootstrap — the same store local checkpoints write, so everything a
-// previous incarnation of this follower checkpointed counts as already
+// ChunkStore exposes the document's chunk store to the bootstrap — the
+// same store local checkpoints write, so everything a previous
+// incarnation of this follower checkpointed counts as already
 // transferred when the manifest is diffed.
 func (s *docSink) ChunkStore() (chunkstore.Store, error) {
 	if cs := s.db.chunkStoreFor(s.name); cs != nil {
@@ -199,13 +174,20 @@ func (s *docSink) ChunkStore() (chunkstore.Store, error) {
 	return ckpt.DefaultChunkStore(s.db.opts.Dir, s.name), nil
 }
 
-// BootstrapManifest is the chunked counterpart of Bootstrap: every
-// chunk the manifest names is already in ChunkStore(), so the swap
-// materializes locally with no further transfer. The chunk directory
-// deliberately survives the artifact wipe below — chunks are named by
-// content, not by LSN line, so they are exactly as valid for the new
-// incarnation, and the initial local checkpoint re-references them
-// instead of rewriting the document.
+// BootstrapManifest replaces the document wholesale from the manifest
+// of a checkpoint image pinned at lsn. Every chunk the manifest names
+// is already in ChunkStore(), so the store materializes locally with no
+// further transfer. The old instance (if any) is detached and its
+// artifacts wiped — its history is foreign to the image's LSN line —
+// then a fresh WAL is positioned at lsn and an initial local checkpoint
+// written, so a follower restart recovers locally and resumes by WAL
+// replay instead of re-bootstrapping. The chunk directory deliberately
+// survives the wipe: chunks are named by content, not by LSN line, so
+// they are exactly as valid for the new incarnation, and the initial
+// local checkpoint re-references them instead of rewriting the
+// document. Readers holding the old instance's snapshots finish
+// undisturbed on them; new readers see the bootstrapped document once
+// it is published.
 func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 	cs, err := s.ChunkStore()
 	if err != nil {
@@ -215,12 +197,6 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 	if err != nil {
 		return fmt.Errorf("mxq: materializing bootstrap manifest: %w", err)
 	}
-	return s.install(store, lsn)
-}
-
-// install publishes a bootstrapped store as the document's new
-// incarnation (shared tail of Bootstrap and BootstrapManifest).
-func (s *docSink) install(store *core.Store, lsn uint64) error {
 	db := s.db
 	db.mu.Lock()
 	if db.closed {

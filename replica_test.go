@@ -19,7 +19,7 @@ import (
 )
 
 // countingConn counts the bytes the primary writes to the follower —
-// the transfer volume chunked bootstrap exists to shrink.
+// the transfer volume the bootstrap's chunk diff exists to shrink.
 type countingConn struct {
 	net.Conn
 	sent *atomic.Int64
@@ -34,9 +34,8 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // replListener is a minimal primary endpoint: Hello + SubscribeWAL
 // delegated to repl.Serve over the document's ReplSource (the real
 // daemon wires the same calls through internal/server). It negotiates
-// features exactly like the server — a follower that advertises
-// FeatChunkedSnap on protocol 3 gets chunked bootstraps — and the
-// returned counter accumulates every byte sent to followers.
+// features exactly like the server, and the returned counter
+// accumulates every byte sent to followers.
 func replListener(t *testing.T, doc *Document) (net.Listener, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -59,7 +58,6 @@ func replListener(t *testing.T, doc *Document) (net.Listener, *atomic.Int64) {
 				defer wg.Done()
 				conn := &countingConn{Conn: raw, sent: sent}
 				defer conn.Close()
-				var proto, feats uint64
 				for {
 					fr, err := wire.ReadFrame(conn, 0)
 					if err != nil {
@@ -70,8 +68,7 @@ func replListener(t *testing.T, doc *Document) (net.Listener, *atomic.Int64) {
 						r := wire.NewPayloadReader(fr.Payload)
 						cliVer, _ := r.Uvarint()
 						cliFeats, _ := r.Uvarint()
-						var ok bool
-						proto, feats, ok = wire.Negotiate(cliVer, wire.FeatReplication|wire.FeatRYW|wire.FeatChunkedSnap, cliFeats)
+						proto, feats, ok := wire.Negotiate(cliVer, wire.FeatReplication|wire.FeatRYW, cliFeats)
 						if !ok {
 							return
 						}
@@ -91,7 +88,6 @@ func replListener(t *testing.T, doc *Document) (net.Listener, *atomic.Int64) {
 						if err != nil {
 							return
 						}
-						src.Chunked = proto >= wire.V3 && feats&wire.FeatChunkedSnap != 0
 						repl.Serve(conn, fr.ID, after, src, 0, t.Logf)
 						return
 					default:
@@ -223,8 +219,8 @@ func TestFollowDocument(t *testing.T) {
 	}
 }
 
-// TestFollowerRebootstrapShipsOnlyMissingChunks is the payoff of the
-// chunked bootstrap: a follower that crash-restarts with its recovery
+// TestFollowerRebootstrapShipsOnlyMissingChunks is the payoff of
+// bootstrapping by content: a follower that crash-restarts with its recovery
 // artifacts gone but its content-addressed chunk store intact
 // re-bootstraps by diffing the primary's manifest against that store,
 // so the wire carries only the chunks the churn since then dirtied —
@@ -299,8 +295,8 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	})
 	rebootstrap := sent.Load() - base
 
-	// The re-bootstrap is a full snapshot bootstrap on the wire protocol
-	// level (manifest + chunks + stream), but almost every chunk is
+	// The re-bootstrap is a full bootstrap on the wire protocol level
+	// (manifest + chunks + stream), but almost every chunk is
 	// already local: the transfer must be a small fraction of cold.
 	if rebootstrap*5 > cold {
 		t.Fatalf("re-bootstrap shipped %d bytes, cold bootstrap %d: chunk reuse is not happening", rebootstrap, cold)
@@ -317,7 +313,7 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatal("follower diverged after chunked re-bootstrap")
+		t.Fatal("follower diverged after re-bootstrap")
 	}
 }
 
