@@ -62,7 +62,7 @@ lint:
 # root module (bench/ is its own module); `make loc-check` fails when
 # they exceed LOC_CEILING. A change that needs more lines raises the
 # ceiling in its own diff, where a reviewer sees it.
-LOC_CEILING = 20663
+LOC_CEILING = 21508
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
@@ -136,8 +136,10 @@ repl-smoke:
 	rm -rf $$tmp; \
 	test $$ok1 -eq 1 && test $$ok2 -eq 1
 
-# Native fuzz smoke over the text-input surfaces (the XPath compiler and
-# the XUpdate parser), the evaluation-side differential fuzzer
+# Native fuzz smoke over the text-input surfaces (the XPath compiler,
+# the XUpdate parser and the XML tokenizer under the shredder, the last
+# two differentially against the encoding/xml walks they replaced), the
+# evaluation-side differential fuzzer
 # (compiled sequence-at-a-time pipeline vs node-at-a-time interpreter vs
 # the naive dense oracle), the checkpoint chunk decoder (bytes from
 # disk or from a primary: no panic, bounded allocation, accepted input
@@ -151,5 +153,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzXPathParse -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xpath
 	$(GO) test -run xxx -fuzz FuzzXPathEval -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xpath
 	$(GO) test -run xxx -fuzz FuzzXUpdateParse -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xupdate
+	$(GO) test -run xxx -fuzz FuzzShredMatchesStdlib -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/shred
 	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/wire

@@ -60,7 +60,7 @@ func main() {
 		n, err := xmark.NewGenerator(sf, *seed).WriteTo(&buf)
 		check(err)
 		fmt.Printf("%.2f MB; shredding... ", float64(n)/(1<<20))
-		tree, err := shred.Parse(bytes.NewReader(buf.Bytes()), shred.Options{})
+		tree, err := shred.ParseString(buf.String(), shred.Options{})
 		check(err)
 		buf.Reset()
 		ro, err := rostore.Build(tree)

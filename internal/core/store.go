@@ -54,6 +54,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -272,7 +273,8 @@ func (d *propDict) put(s string) int32 {
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
-	return d.add(s)
+	// s may be a slice of a request the dictionary must not pin.
+	return d.add(strings.Clone(s))
 }
 
 // add appends s under the next id without looking it up first. put calls
@@ -325,8 +327,23 @@ func Build(t *shred.Tree, opts Options) (*Store, error) {
 		s.logToPhys = append(s.logToPhys, pg)
 		s.physToLog = append(s.physToLog, int32(len(s.logToPhys)-1))
 		base := pg << s.pageBits
+		// The tree's values may alias the text it was parsed from; the
+		// page keeps one copy of its texts, sliced per tuple (the shape
+		// decodePage gives a recovered page).
+		var texts strings.Builder
+		size := 0
 		for i := range chunk {
-			s.writeNode(base+int32(i), &chunk[i], s.newNodeID())
+			size += len(chunk[i].Value)
+		}
+		texts.Grow(size)
+		for i := range chunk {
+			texts.WriteString(chunk[i].Value)
+		}
+		block, at := texts.String(), 0
+		for i := range chunk {
+			end := at + len(chunk[i].Value)
+			s.writeNode(base+int32(i), &chunk[i], block[at:end], s.newNodeID())
+			at = end
 		}
 		s.markFreeRun(base+int32(len(chunk)), base+s.pageSize)
 	}
@@ -525,14 +542,15 @@ func (s *Store) newNodeID() xenc.NodeID {
 	return id
 }
 
-// writeNode materializes one shredded node at physical position pos.
-func (s *Store) writeNode(pos int32, n *shred.Node, id xenc.NodeID) {
+// writeNode materializes one shredded node at physical position pos,
+// with text — n.Value in memory the store owns — as its value.
+func (s *Store) writeNode(pos int32, n *shred.Node, text string, id xenc.NodeID) {
 	wp := s.dirtyPage(pos >> s.pageBits)
 	o := pos & s.pageMask
 	wp.size[o] = n.Size
 	wp.level[o] = n.Level
 	wp.kind[o] = uint8(n.Kind)
-	wp.text[o] = n.Value
+	wp.text[o] = text
 	wp.node[o] = id
 	s.setPos(id, pos)
 	switch n.Kind {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"mxq/internal/shred"
 	"mxq/internal/xenc"
@@ -305,7 +306,7 @@ func (s *Store) insertAt(at xenc.Pre, parent xenc.Pre, frag *shred.Tree) ([]xenc
 		return nil, err
 	}
 	baseLevel := s.Level(parent) + 1
-	if int(baseLevel)+maxFragLevel(frag) > 32000 {
+	if int(baseLevel)+maxFragLevel(frag) > xenc.MaxLevel {
 		return nil, fmt.Errorf("core: resulting tree too deep")
 	}
 	parentID := s.NodeOf(parent)
@@ -329,6 +330,15 @@ func (s *Store) insertAt(at xenc.Pre, parent xenc.Pre, frag *shred.Tree) ([]xenc
 	s.liveNodes += int(k)
 	s.addAncestorSizes(parentID, k)
 	return ids, nil
+}
+
+// writeFragNode is writeNode for a node of an inserted fragment, which
+// lands baseLevel deep and whose text the store copies: a fragment
+// parsed out of an XUpdate program aliases the program's text.
+func (s *Store) writeFragNode(pos int32, n *shred.Node, baseLevel xenc.Level, id xenc.NodeID) {
+	placed := *n
+	placed.Level += baseLevel
+	s.writeNode(pos, &placed, strings.Clone(n.Value), id)
 }
 
 func maxFragLevel(frag *shred.Tree) int {
@@ -361,9 +371,7 @@ func (s *Store) placeTuples(at xenc.Pre, frag *shred.Tree, baseLevel xenc.Level)
 		if s.pageSize-tailStart >= k {
 			ids := s.newIDs(k)
 			for i := range frag.Nodes {
-				n := frag.Nodes[i]
-				n.Level += baseLevel
-				s.writeNode(physBase+tailStart+int32(i), &n, ids[i])
+				s.writeFragNode(physBase+tailStart+int32(i), &frag.Nodes[i], baseLevel, ids[i])
 			}
 			s.markFreeRun(physBase+tailStart+k, physBase+s.pageSize)
 			return ids
@@ -413,9 +421,7 @@ func (s *Store) insertWithinPage(physBase, off int32, frag *shred.Tree, baseLeve
 	ids := s.newIDs(k)
 	// New nodes at [off, off+k).
 	for i := range frag.Nodes {
-		n := frag.Nodes[i]
-		n.Level += baseLevel
-		s.writeNode(physBase+off+int32(i), &n, ids[i])
+		s.writeFragNode(physBase+off+int32(i), &frag.Nodes[i], baseLevel, ids[i])
 	}
 	// Moved tail directly after them.
 	w := off + k
@@ -487,9 +493,7 @@ func (s *Store) insertOverflow(pg, physBase, off int32, frag *shred.Tree, baseLe
 		for i := range chunk {
 			t := chunk[i]
 			if t.isNew >= 0 {
-				n := frag.Nodes[t.isNew]
-				n.Level += baseLevel
-				s.writeNode(base+int32(i), &n, ids[t.isNew])
+				s.writeFragNode(base+int32(i), &frag.Nodes[t.isNew], baseLevel, ids[t.isNew])
 			} else {
 				wp.size[i] = t.size
 				wp.level[i] = t.level

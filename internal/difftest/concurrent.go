@@ -106,7 +106,7 @@ func RunConcurrent(t *testing.T, cfg ConcurrentConfig) {
 	if _, err := xmark.NewGenerator(cfg.SF, uint64(cfg.Seed)+1).WriteTo(&buf); err != nil {
 		t.Fatalf("seed %d: generating XMark: %v", cfg.Seed, err)
 	}
-	tree, err := shred.Parse(&buf, shred.Options{})
+	tree, err := shred.ParseString(buf.String(), shred.Options{})
 	if err != nil {
 		t.Fatalf("seed %d: shredding XMark: %v", cfg.Seed, err)
 	}

@@ -111,6 +111,27 @@ func TestClientErrors(t *testing.T) {
 	}
 }
 
+// A Load nested past xenc.MaxLevel used to wrap the shredder's depth
+// count and panic core.Build on a session goroutine, which has no
+// recover: one 280 KB frame took the daemon down. It is a query error
+// now, and the daemon answers the next request.
+func TestLoadRefusesDeepNesting(t *testing.T) {
+	addr, _ := startServer(t, server.Config{})
+	c := dial(t, addr)
+	deep := strings.Repeat("<a>", 40000) + strings.Repeat("</a>", 40000)
+	err := c.Load(bg, "deep", deep)
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Status != server.CodeQuery {
+		t.Fatalf("load of 40000 nested elements = %v, want a CodeQuery error", err)
+	}
+	if err := c.Ping(bg); err != nil {
+		t.Fatalf("ping after the refused load: %v", err)
+	}
+	if err := dial(t, addr).Load(bg, "lib", libDoc); err != nil {
+		t.Fatalf("load on a second session: %v", err)
+	}
+}
+
 func TestClientUpdate(t *testing.T) {
 	addr, _ := startServer(t, server.Config{})
 	c := dial(t, addr)

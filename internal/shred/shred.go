@@ -1,13 +1,18 @@
 // Package shred turns XML text into the neutral pre-ordered node table
 // that every store of the reproduction builds from (the "document
-// shredder" of the paper). The shredder walks the document once with a
-// streaming parser, assigning pre ranks in arrival order and computing
-// size (live descendant count) and level on the fly — exactly the
-// counting pass that defines the pre/size/level encoding of Figure 2.
+// shredder" of the paper). The shredder walks the document once,
+// assigning pre ranks in arrival order and computing size (live
+// descendant count) and level on the fly — exactly the counting pass
+// that defines the pre/size/level encoding of Figure 2.
+//
+// The pass runs on the package's own Tokenizer, a pull tokenizer over
+// the document held in memory; internal/xupdate reads XUpdate programs
+// with the same one, so a document, a fragment and a program are
+// well-formed by one rule. A Tree straight from a parse may hold
+// substrings of the parsed text; internal/core copies what it keeps.
 package shred
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -41,10 +46,8 @@ type Tree struct {
 // Roots returns the indices of the level-0 nodes.
 func (t *Tree) Roots() []int {
 	var out []int
-	for i := range t.Nodes {
-		if t.Nodes[i].Level == 0 {
-			out = append(out, i)
-		}
+	for i := 0; i < len(t.Nodes); i += int(t.Nodes[i].Size) + 1 {
+		out = append(out, i)
 	}
 	return out
 }
@@ -57,10 +60,23 @@ type Options struct {
 	PreserveWhitespace bool
 }
 
-// Parse shreds a complete XML document. The document must have a single
-// root element.
+// Parse shreds a complete XML document, which it reads into memory
+// whole. The document must have a single root element.
 func Parse(r io.Reader, opts Options) (*Tree, error) {
-	t, err := parse(r, opts, true)
+	var sb strings.Builder
+	if sized, ok := r.(interface{ Len() int }); ok {
+		sb.Grow(sized.Len())
+	}
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, fmt.Errorf("shred: %w", err)
+	}
+	return ParseString(sb.String(), opts)
+}
+
+// ParseString is Parse over a string. The tree's names and values may
+// be substrings of doc (see Tokenizer); core.Build copies what it keeps.
+func ParseString(doc string, opts Options) (*Tree, error) {
+	t, err := parse(doc, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -74,113 +90,142 @@ func Parse(r io.Reader, opts Options) (*Tree, error) {
 // ParseFragment shreds a well-formed XML fragment: a sequence of elements,
 // text, comments and processing instructions. Used for XUpdate content.
 func ParseFragment(s string, opts Options) (*Tree, error) {
-	return parse(strings.NewReader(s), opts, false)
+	return parse(s, opts, false)
+}
+
+// shredder is the counting pass over the token stream.
+type shredder struct {
+	t     *Tree
+	opts  Options
+	stack []int // indices of open elements; its length is the depth
+	// A run of adjacent character data and CDATA sections is one text
+	// node: text holds a run of one token, joined one of several.
+	text    string
+	joined  []byte
+	pending int             // tokens in the run
+	names   map[Name]string // "{uri}local" for each namespaced name seen
 }
 
 // parse shreds tokens; document mode additionally drops document-level
 // comments and PIs (fragments keep theirs — they become real children).
-func parse(r io.Reader, opts Options, document bool) (*Tree, error) {
-	dec := xml.NewDecoder(r)
-	t := &Tree{}
-	var stack []int // indices of open elements
-	var depth int16
-	flushText := func(s string) {
-		if s == "" {
-			return
-		}
-		if !opts.PreserveWhitespace && strings.TrimSpace(s) == "" {
-			return
-		}
-		// Coalesce with a directly preceding text sibling (encoding/xml
-		// may split character data around entity references).
-		if n := len(t.Nodes); n > 0 {
-			last := &t.Nodes[n-1]
-			if last.Kind == xenc.KindText && last.Level == depth && last.Size == 0 {
-				last.Value += s
-				return
-			}
-		}
-		t.Nodes = append(t.Nodes, Node{Kind: xenc.KindText, Value: s, Level: depth})
-	}
+func parse(src string, opts Options, document bool) (*Tree, error) {
+	z := NewTokenizer(src)
+	// Data-centric XML comes to about one node per '<' (a leaf element
+	// is two tags and two nodes; XMark: 1.04); the eighth on top saves
+	// the table its one regrowth there.
+	tags := strings.Count(src, "<")
+	sh := &shredder{t: &Tree{Nodes: make([]Node, 0, tags+tags/8)}, opts: opts}
 	for {
-		tok, err := dec.Token()
+		tok, err := z.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("shred: %w", err)
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			var attrs []Attr
-			if len(tk.Attr) > 0 {
-				attrs = make([]Attr, 0, len(tk.Attr))
-				for _, a := range tk.Attr {
-					attrs = append(attrs, Attr{Name: attrName(a.Name), Value: a.Value})
-				}
-			}
-			t.Nodes = append(t.Nodes, Node{
+		switch tok.Kind {
+		case TokStart:
+			sh.flushText()
+			sh.t.Nodes = append(sh.t.Nodes, Node{
 				Kind:  xenc.KindElem,
-				Name:  elemName(tk.Name),
-				Level: depth,
-				Attrs: attrs,
+				Name:  sh.flatName(tok.Name, true),
+				Level: sh.level(),
+				Attrs: sh.attrs(tok.Attrs),
 			})
-			stack = append(stack, len(t.Nodes)-1)
-			depth++
-		case xml.EndElement:
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			depth--
-			t.Nodes[top].Size = int32(len(t.Nodes) - 1 - top)
-		case xml.CharData:
-			flushText(string(tk))
-		case xml.Comment:
-			// Document-level comments are dropped so that the first tuple
-			// of any full document is always its root element (which is
-			// what Root() == pre 0 in the read-only schema relies on).
-			if document && depth == 0 && len(stack) == 0 {
+			sh.stack = append(sh.stack, len(sh.t.Nodes)-1)
+		case TokEnd:
+			sh.flushText()
+			top := sh.stack[len(sh.stack)-1]
+			sh.stack = sh.stack[:len(sh.stack)-1]
+			sh.t.Nodes[top].Size = int32(len(sh.t.Nodes) - 1 - top)
+		case TokText:
+			switch sh.pending++; sh.pending {
+			case 1:
+				sh.text = tok.Text
+			case 2:
+				sh.joined = append(append(sh.joined[:0], sh.text...), tok.Text...)
+			default:
+				sh.joined = append(sh.joined, tok.Text...)
+			}
+		case TokComment, TokPI:
+			// Document-level comments and PIs (the XML declaration is
+			// one) are dropped so that the first tuple of any full
+			// document is always its root element (which is what
+			// Root() == pre 0 in the read-only schema relies on).
+			if document && len(sh.stack) == 0 {
 				continue
 			}
-			t.Nodes = append(t.Nodes, Node{Kind: xenc.KindComment, Value: string(tk), Level: depth})
-		case xml.ProcInst:
-			// Likewise for document-level PIs, which also covers the XML
-			// declaration that encoding/xml reports as a <?xml?> ProcInst.
-			if document && depth == 0 && len(stack) == 0 {
-				continue
+			sh.flushText()
+			n := Node{Kind: xenc.KindComment, Value: tok.Text, Level: sh.level()}
+			if tok.Kind == TokPI {
+				n.Kind, n.Name = xenc.KindPI, tok.Name.Local
 			}
-			t.Nodes = append(t.Nodes, Node{
-				Kind:  xenc.KindPI,
-				Name:  tk.Target,
-				Value: string(tk.Inst),
-				Level: depth,
-			})
-		case xml.Directive:
-			// DOCTYPE and friends carry no tree content; skip.
+			sh.t.Nodes = append(sh.t.Nodes, n)
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("shred: %d unclosed elements", len(stack))
-	}
-	return t, nil
+	sh.flushText()
+	return sh.t, nil
 }
 
-// elemName flattens a resolved xml.Name. The reproduction works with
-// local names (XMark and the paper's examples are namespace-free); a
-// non-empty namespace is kept as a "{uri}local" expanded name so distinct
-// namespaces cannot collide.
-func elemName(n xml.Name) string {
-	if n.Space == "" {
-		return n.Local
+func (sh *shredder) level() int16 { return int16(len(sh.stack)) }
+
+// flushText ends the current run of character data and emits its text
+// node — unless the whole run is XML white space (S: space, tab, CR,
+// LF) and boundary white space is being stripped.
+func (sh *shredder) flushText() {
+	if sh.pending == 0 {
+		return
 	}
-	return "{" + n.Space + "}" + n.Local
+	s := sh.text
+	if sh.pending > 1 {
+		s = string(sh.joined)
+	}
+	sh.pending, sh.text = 0, ""
+	if s == "" || !sh.opts.PreserveWhitespace && isSpace(s) {
+		return
+	}
+	sh.t.Nodes = append(sh.t.Nodes, Node{Kind: xenc.KindText, Value: s, Level: sh.level()})
 }
 
-func attrName(n xml.Name) string {
-	// xmlns declarations arrive as Space=="xmlns"; keep them readable.
-	if n.Space == "" || n.Space == "xmlns" {
+func isSpace(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return false
+		}
+	}
+	return true
+}
+
+// attrs converts a start tag's attributes.
+func (sh *shredder) attrs(in []TokAttr) []Attr {
+	if len(in) == 0 {
+		return nil
+	}
+	out := make([]Attr, len(in))
+	for i, a := range in {
+		out[i] = Attr{Name: sh.flatName(a.Name, false), Value: a.Value}
+	}
+	return out
+}
+
+// flatName flattens a resolved name. The reproduction works with local
+// names (XMark and the paper's examples are namespace-free); a non-empty
+// namespace is kept as a "{uri}local" expanded name so distinct
+// namespaces cannot collide. xmlns declarations stay readable: an
+// attribute xmlns:p is named "p".
+func (sh *shredder) flatName(n Name, element bool) string {
+	if n.Space == "" || !element && n.Space == "xmlns" {
 		return n.Local
 	}
-	return "{" + n.Space + "}" + n.Local
+	flat, ok := sh.names[n]
+	if !ok {
+		if sh.names == nil {
+			sh.names = make(map[Name]string)
+		}
+		flat = "{" + n.Space + "}" + n.Local
+		sh.names[n] = flat
+	}
+	return flat
 }
 
 // Subtree extracts the subtree rooted at index i as a standalone Tree

@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -196,5 +197,79 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 		if end+1 < len(tr.Nodes) && tr.Nodes[end+1].Level > n.Level {
 			t.Fatalf("region of node %d too small", i)
 		}
+	}
+}
+
+// Nesting past xenc.MaxLevel once wrapped the int16 depth count and
+// panicked core.Build; it is a parse error, for documents and fragments.
+func TestParseRefusesDeepNesting(t *testing.T) {
+	deep := strings.Repeat("<a>", 40000) + strings.Repeat("</a>", 40000)
+	if _, err := Parse(strings.NewReader(deep), Options{}); err == nil || !strings.HasPrefix(err.Error(), "shred: ") {
+		t.Fatalf("Parse of 40000 nested elements: error %v, want a shred: error", err)
+	}
+	if _, err := ParseFragment(deep, Options{}); err == nil {
+		t.Fatal("ParseFragment of 40000 nested elements succeeded")
+	}
+	ok := strings.Repeat("<a>", xenc.MaxLevel) + "x" + strings.Repeat("</a>", xenc.MaxLevel)
+	tr, err := ParseString(ok, Options{})
+	if err != nil {
+		t.Fatalf("%d nested elements: %v", xenc.MaxLevel, err)
+	}
+	if last := tr.Nodes[len(tr.Nodes)-1]; last.Level != xenc.MaxLevel || last.Value != "x" {
+		t.Fatalf("innermost node = %+v, want the text at level %d", last, xenc.MaxLevel)
+	}
+}
+
+// Boundary white space is stripped per run of character data, and it is
+// XML's S (space, tab, CR, LF), not Unicode's White_Space.
+func TestBoundaryWhitespace(t *testing.T) {
+	for _, c := range []struct {
+		doc  string
+		text []string // the text nodes under <a>
+	}{
+		{"<a>&#160;</a>", []string{"\u00a0"}},
+		{"<a>&#8195;</a>", []string{"\u2003"}},
+		{"<a>\u2003</a>", []string{"\u2003"}},
+		{"<a>x<![CDATA[ ]]>y</a>", []string{"x y"}},
+		{"<a> <![CDATA[x]]> </a>", []string{" x "}},
+		{"<a> </a>", nil},
+		{"<a> \t\r\n<![CDATA[ ]]></a>", nil},
+		{"<a>x&#32;y</a>", []string{"x y"}},
+		{"<a> <b/> x <b/> </a>", []string{" x "}},
+	} {
+		tr, err := ParseString(c.doc, Options{})
+		if err != nil {
+			t.Fatalf("%q: %v", c.doc, err)
+		}
+		var got []string
+		for _, n := range tr.Nodes {
+			if n.Kind == xenc.KindText {
+				got = append(got, n.Value)
+			}
+		}
+		if strings.Join(got, "|") != strings.Join(c.text, "|") || len(got) != len(c.text) {
+			t.Errorf("%q: text nodes %q, want %q", c.doc, got, c.text)
+		}
+	}
+}
+
+// A run of n adjacent CDATA sections is joined in one growing buffer:
+// allocated bytes stay linear in n (they were quadratic while each
+// section was appended to the previous node's string).
+func TestAdjacentCDATAAllocatesLinearly(t *testing.T) {
+	const n = 50000
+	doc := "<a>" + strings.Repeat("<![CDATA[xy]]>", n) + "</a>"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := ParseString(doc, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Nodes) != 2 || len(tr.Nodes[1].Value) != 2*n {
+		t.Fatalf("%d nodes, want a and one text of %d bytes", len(tr.Nodes), 2*n)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(doc)); got > limit {
+		t.Fatalf("allocated %d bytes for a %d-byte document, limit %d", got, len(doc), limit)
 	}
 }

@@ -1,6 +1,7 @@
 package xenc
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -44,6 +45,8 @@ func (q *QNamePool) Intern(name string) int32 {
 	if id, ok := q.ids[name]; ok {
 		return id
 	}
+	// name may be a slice of a document or request the pool must not pin.
+	name = strings.Clone(name)
 	names := *q.names.Load()
 	id := int32(len(names))
 	// An append within capacity writes one slot past every published

@@ -48,6 +48,11 @@ type Size = int32
 const (
 	// LevelUnused is the NULL level of an unused tuple.
 	LevelUnused Level = -1
+	// MaxLevel is the deepest level a node may have. The shredder
+	// refuses a document nested past it and the store an insert that
+	// would grow past it, which keeps every depth count far from where
+	// a Level wraps.
+	MaxLevel = 32000
 	// NoNode marks a tuple with no live node (unused tuples).
 	NoNode NodeID = -1
 	// NoName marks kinds without a qualified name (text, comment).

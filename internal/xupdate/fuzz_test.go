@@ -8,8 +8,9 @@ const fuzzWrap = `<xupdate:modifications version="1.0" xmlns:xupdate="http://www
 
 // FuzzXUpdateParse feeds arbitrary byte strings to the XUpdate
 // modification-list parser: it must return a parse error or a valid
-// *Mods, never panic — whatever the XML decoder and the embedded XPath
-// select compiler are handed. The seed corpus covers every operation
+// *Mods, never panic — whatever the tokenizer and the embedded XPath
+// select compiler are handed — and decide and parse as the encoding/xml
+// walk it replaced did (parseChecked). The seed corpus covers every operation
 // the subset implements, namespace variants, fragment content, and
 // malformed shapes.
 func FuzzXUpdateParse(f *testing.F) {
@@ -53,7 +54,7 @@ func FuzzXUpdateParse(f *testing.F) {
 		if len(src) > 8192 {
 			t.Skip()
 		}
-		mods, err := ParseString(src)
+		mods, err := parseChecked(t, src)
 		if err != nil {
 			return
 		}

@@ -15,7 +15,6 @@
 package xupdate
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -81,38 +80,49 @@ type Mods struct {
 
 // Parse reads an XUpdate modification list.
 func Parse(r io.Reader) (*Mods, error) {
-	dec := xml.NewDecoder(r)
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xupdate: %w", err)
+	}
+	return ParseString(string(src))
+}
+
+// ParseString is Parse over a string. A program is XML by the rule
+// documents are — shred.Tokenizer's — and, like a document's tree, the
+// parsed commands may alias s.
+func ParseString(s string) (*Mods, error) {
+	z := shred.NewTokenizer(s)
 	mods := &Mods{}
 	seenRoot := false
 	for {
-		tok, err := dec.Token()
+		tok, err := z.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xupdate: %w", err)
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			if !isXU(tk.Name) {
-				return nil, fmt.Errorf("xupdate: unexpected element %q", tk.Name.Local)
-			}
-			if tk.Name.Local == "modifications" {
-				if seenRoot {
-					return nil, fmt.Errorf("xupdate: nested modifications")
-				}
-				seenRoot = true
-				continue
-			}
-			if !seenRoot {
-				return nil, fmt.Errorf("xupdate: %s outside modifications", tk.Name.Local)
-			}
-			op, err := parseOp(dec, tk)
-			if err != nil {
-				return nil, err
-			}
-			mods.Ops = append(mods.Ops, *op)
+		if tok.Kind != shred.TokStart {
+			continue
 		}
+		if !isXU(tok.Name) {
+			return nil, fmt.Errorf("xupdate: unexpected element %q", tok.Name.Local)
+		}
+		if tok.Name.Local == "modifications" {
+			if seenRoot {
+				return nil, fmt.Errorf("xupdate: nested modifications")
+			}
+			seenRoot = true
+			continue
+		}
+		if !seenRoot {
+			return nil, fmt.Errorf("xupdate: %s outside modifications", tok.Name.Local)
+		}
+		op, err := parseOp(z, tok)
+		if err != nil {
+			return nil, err
+		}
+		mods.Ops = append(mods.Ops, *op)
 	}
 	if !seenRoot {
 		return nil, fmt.Errorf("xupdate: missing xupdate:modifications root")
@@ -120,16 +130,16 @@ func Parse(r io.Reader) (*Mods, error) {
 	return mods, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*Mods, error) { return Parse(strings.NewReader(s)) }
-
-func isXU(n xml.Name) bool {
+func isXU(n shred.Name) bool {
 	return n.Space == NS || n.Space == "xupdate" || n.Space == ""
 }
 
-func parseOp(dec *xml.Decoder, start xml.StartElement) (*Op, error) {
+// parseOp parses the command whose start tag is the tokenizer's current
+// token.
+func parseOp(z *shred.Tokenizer, start *shred.Token) (*Op, error) {
 	op := &Op{Child: -1}
-	switch start.Name.Local {
+	command := start.Name.Local
+	switch command {
 	case "remove":
 		op.Kind = OpRemove
 	case "insert-before":
@@ -145,10 +155,10 @@ func parseOp(dec *xml.Decoder, start xml.StartElement) (*Op, error) {
 	case "variable":
 		op.Kind = OpVariable
 	default:
-		return nil, fmt.Errorf("xupdate: unknown command %q", start.Name.Local)
+		return nil, fmt.Errorf("xupdate: unknown command %q", command)
 	}
 	var selectSrc string
-	for _, a := range start.Attr {
+	for _, a := range start.Attrs {
 		switch a.Name.Local {
 		case "select":
 			selectSrc = a.Value
@@ -165,7 +175,7 @@ func parseOp(dec *xml.Decoder, start xml.StartElement) (*Op, error) {
 		}
 	}
 	if selectSrc == "" {
-		return nil, fmt.Errorf("xupdate: %s without select", start.Name.Local)
+		return nil, fmt.Errorf("xupdate: %s without select", command)
 	}
 	sel, err := xpath.Parse(selectSrc)
 	if err != nil {
@@ -175,7 +185,7 @@ func parseOp(dec *xml.Decoder, start xml.StartElement) (*Op, error) {
 
 	b := shred.NewBuilder()
 	var text strings.Builder
-	if err := parseContent(dec, start.Name, b, &text, op); err != nil {
+	if err := parseContent(z, b, &text, op); err != nil {
 		return nil, err
 	}
 	frag := b.Tree()
@@ -201,62 +211,60 @@ func parseOp(dec *xml.Decoder, start xml.StartElement) (*Op, error) {
 	return op, nil
 }
 
-// parseContent fills the builder with the command's content constructors
-// and literal XML until the command's end element.
-func parseContent(dec *xml.Decoder, until xml.Name, b *shred.Builder, text *strings.Builder, op *Op) error {
+// parseContent fills the builder with the content constructors and
+// literal XML of the command (or xupdate:element) just opened, up to its
+// end tag.
+func parseContent(z *shred.Tokenizer, b *shred.Builder, text *strings.Builder, op *Op) error {
 	depth := 0
 	for {
-		tok, err := dec.Token()
+		tok, err := z.Next()
 		if err != nil {
 			return fmt.Errorf("xupdate: %w", err)
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			if isXU(tk.Name) && tk.Name.Space != "" {
-				if err := parseConstructor(dec, tk, b, op, depth); err != nil {
+		switch tok.Kind {
+		case shred.TokStart:
+			if isXU(tok.Name) && tok.Name.Space != "" {
+				if err := parseConstructor(z, tok, b, op, depth); err != nil {
 					return err
 				}
 				continue
 			}
 			// Literal element content.
 			var attrs []shred.Attr
-			for _, a := range tk.Attr {
+			for _, a := range tok.Attrs {
 				attrs = append(attrs, shred.Attr{Name: a.Name.Local, Value: a.Value})
 			}
-			b.Start(tk.Name.Local, attrs...)
+			b.Start(tok.Name.Local, attrs...)
 			depth++
-		case xml.EndElement:
+		case shred.TokEnd:
 			if depth == 0 {
-				if tk.Name.Local != until.Local {
-					return fmt.Errorf("xupdate: unbalanced %q", tk.Name.Local)
-				}
 				return nil
 			}
 			b.End()
 			depth--
-		case xml.CharData:
-			s := string(tk)
-			if strings.TrimSpace(s) == "" {
+		case shred.TokText:
+			if strings.TrimSpace(tok.Text) == "" {
 				continue
 			}
 			if depth == 0 {
-				text.WriteString(s)
+				text.WriteString(tok.Text)
 			} else {
-				b.Text(s)
+				b.Text(tok.Text)
 			}
-		case xml.Comment:
+		case shred.TokComment:
 			if depth > 0 {
-				b.Comment(string(tk))
+				b.Comment(tok.Text)
 			}
 		}
 	}
 }
 
 // parseConstructor handles xupdate:element / attribute / text / comment /
-// processing-instruction.
-func parseConstructor(dec *xml.Decoder, start xml.StartElement, b *shred.Builder, op *Op, depth int) error {
+// processing-instruction, whose start tag is the current token.
+func parseConstructor(z *shred.Tokenizer, start *shred.Token, b *shred.Builder, op *Op, depth int) error {
+	constructor := start.Name.Local
 	name := ""
-	for _, a := range start.Attr {
+	for _, a := range start.Attrs {
 		if a.Name.Local == "name" {
 			name = a.Value
 		}
@@ -264,28 +272,28 @@ func parseConstructor(dec *xml.Decoder, start xml.StartElement, b *shred.Builder
 	inner := func() (string, error) {
 		var sb strings.Builder
 		for {
-			tok, err := dec.Token()
+			tok, err := z.Next()
 			if err != nil {
 				return "", fmt.Errorf("xupdate: %w", err)
 			}
-			switch tk := tok.(type) {
-			case xml.CharData:
-				sb.WriteString(string(tk))
-			case xml.EndElement:
+			switch tok.Kind {
+			case shred.TokText:
+				sb.WriteString(tok.Text)
+			case shred.TokEnd:
 				return sb.String(), nil
-			case xml.StartElement:
-				return "", fmt.Errorf("xupdate: %s cannot contain elements", start.Name.Local)
+			case shred.TokStart:
+				return "", fmt.Errorf("xupdate: %s cannot contain elements", constructor)
 			}
 		}
 	}
-	switch start.Name.Local {
+	switch constructor {
 	case "element":
 		if name == "" {
 			return fmt.Errorf("xupdate: element constructor without name")
 		}
 		b.Start(name)
 		var ignored strings.Builder
-		if err := parseContent(dec, start.Name, b, &ignored, op); err != nil {
+		if err := parseContent(z, b, &ignored, op); err != nil {
 			return err
 		}
 		b.End()
@@ -325,7 +333,7 @@ func parseConstructor(dec *xml.Decoder, start xml.StartElement, b *shred.Builder
 		}
 		b.PI(name, strings.TrimSpace(val))
 	default:
-		return fmt.Errorf("xupdate: unknown constructor %q", start.Name.Local)
+		return fmt.Errorf("xupdate: unknown constructor %q", constructor)
 	}
 	return nil
 }

@@ -30,7 +30,7 @@ func buildStore(t *testing.T, doc string) *core.Store {
 
 func run(t *testing.T, s *core.Store, mods string) Result {
 	t.Helper()
-	m, err := ParseString(mods)
+	m, err := parseChecked(t, mods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestParseErrors(t *testing.T) {
 		mods(`<xupdate:insert-after select="//x"><xupdate:element/></xupdate:insert-after>`),
 	}
 	for _, b := range bad {
-		if _, err := ParseString(b); err == nil {
+		if _, err := parseChecked(t, b); err == nil {
 			t.Errorf("ParseString(%q) succeeded, want error", b)
 		}
 	}
@@ -232,7 +232,7 @@ func TestParseErrors(t *testing.T) {
 func TestExecErrors(t *testing.T) {
 	s := buildStore(t, sampleDoc)
 	// Structural insert targeting an attribute is an execution error.
-	m, err := ParseString(mods(`<xupdate:insert-before select="//person/@id"><x/></xupdate:insert-before>`))
+	m, err := parseChecked(t, mods(`<xupdate:insert-before select="//person/@id"><x/></xupdate:insert-before>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestExecErrors(t *testing.T) {
 		t.Fatal("insert before attribute succeeded")
 	}
 	// Removing the document root fails.
-	m, err = ParseString(mods(`<xupdate:remove select="/site"/>`))
+	m, err = parseChecked(t, mods(`<xupdate:remove select="/site"/>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +293,10 @@ func TestVariableFromNodeSet(t *testing.T) {
 }
 
 func TestVariableParseErrors(t *testing.T) {
-	if _, err := ParseString(mods(`<xupdate:variable select="//x"/>`)); err == nil {
+	if _, err := parseChecked(t, mods(`<xupdate:variable select="//x"/>`)); err == nil {
 		t.Fatal("variable without name accepted")
 	}
-	if _, err := ParseString(mods(`<xupdate:variable name="v"/>`)); err == nil {
+	if _, err := parseChecked(t, mods(`<xupdate:variable name="v"/>`)); err == nil {
 		t.Fatal("variable without select accepted")
 	}
 }

@@ -179,7 +179,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -425,12 +424,27 @@ func (d *Document) stopAuto() {
 	}
 }
 
-// LoadXML shreds and stores a document under the given name.
+// LoadXML shreds and stores a document under the given name. The
+// document is read into memory whole.
 func (db *Database) LoadXML(name string, r io.Reader) (*Document, error) {
 	tree, err := shred.Parse(r, shred.Options{PreserveWhitespace: db.opts.PreserveWhitespace})
 	if err != nil {
 		return nil, err
 	}
+	return db.loadTree(name, tree)
+}
+
+// LoadXMLString is LoadXML over a string; the document keeps no
+// reference to it.
+func (db *Database) LoadXMLString(name, xml string) (*Document, error) {
+	tree, err := shred.ParseString(xml, shred.Options{PreserveWhitespace: db.opts.PreserveWhitespace})
+	if err != nil {
+		return nil, err
+	}
+	return db.loadTree(name, tree)
+}
+
+func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 	store, err := core.Build(tree, core.Options{
 		PageSize:   db.opts.PageSize,
 		FillFactor: db.opts.FillFactor,
@@ -463,11 +477,6 @@ func (db *Database) LoadXML(name string, r io.Reader) (*Document, error) {
 	doc.attachDurability()
 	db.docs[name] = doc
 	return doc, nil
-}
-
-// LoadXMLString is LoadXML over a string.
-func (db *Database) LoadXMLString(name, xml string) (*Document, error) {
-	return db.LoadXML(name, strings.NewReader(xml))
 }
 
 // Document returns a stored document by name.
