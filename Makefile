@@ -62,7 +62,7 @@ lint:
 # root module (bench/ is its own module); `make loc-check` fails when
 # they exceed LOC_CEILING. A change that needs more lines raises the
 # ceiling in its own diff, where a reviewer sees it.
-LOC_CEILING = 21508
+LOC_CEILING = 22058
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
@@ -143,7 +143,10 @@ repl-smoke:
 # (compiled sequence-at-a-time pipeline vs node-at-a-time interpreter vs
 # the naive dense oracle), the checkpoint chunk decoder (bytes from
 # disk or from a primary: no panic, bounded allocation, accepted input
-# re-encodes to itself) and the wire frame and payload decoder (bytes
+# re-encodes to itself), the pack index reader under the chunk store
+# (bytes from disk: no panic, allocation bounded by the file's size,
+# accepted entries inside the file, written packs round-trip) and the
+# wire frame and payload decoder (bytes
 # from any peer: no panic, no allocation above the frame limit, accepted
 # frames round-trip). Go allows one -fuzz target per invocation;
 # -fuzzminimizetime=1x keeps short runs fuzzing instead of minimizing.
@@ -155,4 +158,5 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzXUpdateParse -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xupdate
 	$(GO) test -run xxx -fuzz FuzzShredMatchesStdlib -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/shred
 	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/core
+	$(GO) test -run xxx -fuzz FuzzPackOpen -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/chunkstore
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/wire

@@ -779,7 +779,7 @@ func docSyncCount(d *Document) uint64 {
 // claim on the XMark SF 0.1 document: a full checkpoint into an empty
 // chunk store writes the whole document, while a checkpoint after ≤1%
 // clustered churn re-references every clean chunk by content hash and
-// writes only the dirtied ones. Compare the two sub-benchmarks'
+// writes only the dirtied ones. Compare full and incremental by
 // ckpt-B/op (bytes actually written; the acceptance floor is 10x) and
 // ns/op (the wall-time win of skipping clean chunks).
 func BenchmarkCheckpointIncremental(b *testing.B) {
@@ -814,13 +814,15 @@ func BenchmarkCheckpointIncremental(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	var saved *core.ChunkManifest // what the last save wrote
 	save := func(b *testing.B, cs *chunkstore.Dir) int64 {
 		img, _ := m.PinCheckpoint()
 		defer img.Release()
-		_, st, err := img.SaveChunked(cs)
+		man, st, err := img.SaveChunked(cs)
 		if err != nil {
 			b.Fatal(err)
 		}
+		saved = man
 		return st.BytesWritten
 	}
 
@@ -833,6 +835,19 @@ func BenchmarkCheckpointIncremental(b *testing.B) {
 			written += save(b, cs)
 		}
 		b.ReportMetric(float64(written)/float64(b.N), "ckpt-B/op")
+	})
+	// recover: materializing the image a full checkpoint wrote, through a
+	// store opened for the purpose — what a restart pays before WAL
+	// replay.
+	b.Run("recover", func(b *testing.B) {
+		root := filepath.Join(b.TempDir(), "chunks")
+		save(b, chunkstore.NewDir(root))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.LoadChunked(saved, chunkstore.NewDir(root)); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	b.Run("incremental", func(b *testing.B) {
 		cs := chunkstore.NewDir(filepath.Join(b.TempDir(), "chunks"))

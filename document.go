@@ -334,10 +334,15 @@ type Stats struct {
 	// CkptChunksReused counts manifest references that resolved to chunks
 	// already in the store; CkptDedupeRatio is reused/(written+reused) —
 	// near 1.0 means checkpoints cost O(churn), not O(document).
-	CkptBytesWritten  uint64  // chunk bytes actually written by checkpoints
-	CkptChunksWritten uint64  // chunks written (missing from the store)
-	CkptChunksReused  uint64  // chunks reused (already present)
-	CkptDedupeRatio   float64 // reused / (written + reused)
+	// CkptBytesCompacted is the write amplification of chunk garbage
+	// collection: surviving chunks the default local store copied out of
+	// mostly-dead pack files to reclaim their space (0 for a store that
+	// keeps no such count).
+	CkptBytesWritten   uint64  // chunk bytes actually written by checkpoints
+	CkptBytesCompacted uint64  // chunk bytes rewritten by chunk GC
+	CkptChunksWritten  uint64  // chunks written (missing from the store)
+	CkptChunksReused   uint64  // chunks reused (already present)
+	CkptDedupeRatio    float64 // reused / (written + reused)
 }
 
 // Stats returns storage statistics.
@@ -362,6 +367,7 @@ func (d *Document) Stats() Stats {
 	if d.ckpter != nil {
 		cs := d.ckpter.Stats()
 		s.CkptBytesWritten = cs.BytesWritten
+		s.CkptBytesCompacted = cs.BytesCompacted
 		s.CkptChunksWritten = cs.ChunksWritten
 		s.CkptChunksReused = cs.ChunksReused
 		if total := cs.ChunksWritten + cs.ChunksReused; total > 0 {

@@ -49,30 +49,74 @@ func testStore(t *testing.T, s Store) {
 	if !have[0] || have[1] || !have[2] {
 		t.Fatalf("HasMany = %v", have)
 	}
-	seen := map[Hash]bool{}
-	if err := s.ForEach(func(h Hash) error { seen[h] = true; return nil }); err != nil {
+	if err := s.Sweep(func(h Hash) bool { return h != hb }); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 || !seen[ha] || !seen[hb] {
-		t.Fatalf("ForEach visited %v", seen)
-	}
-	if err := s.Delete(hb); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(hb); err != nil {
-		t.Fatalf("double Delete failed: %v", err)
+	if err := s.Sweep(func(h Hash) bool { return h != hb }); err != nil {
+		t.Fatalf("second Sweep failed: %v", err)
 	}
 	if ok, _ := s.Has(hb); ok {
-		t.Fatal("deleted chunk still present")
+		t.Fatal("swept chunk still present")
 	}
-	if ok, _ := s.Has(ha); !ok {
-		t.Fatal("Delete removed the wrong chunk")
+	if _, err := s.Get(hb); !errors.Is(err, ErrMissing) {
+		t.Fatalf("Get of a swept chunk = %v, want ErrMissing", err)
+	}
+	if got, err := s.Get(ha); err != nil || string(got) != string(a) {
+		t.Fatalf("Sweep lost the kept chunk: %q, %v", got, err)
+	}
+	if err := s.Put(hb, b); err != nil {
+		t.Fatalf("re-Put of a swept chunk: %v", err)
+	}
+	if got, err := s.Get(hb); err != nil || string(got) != string(b) {
+		t.Fatalf("Get after re-Put = %q, %v", got, err)
+	}
+	if err := s.Put(ha, b); err == nil {
+		t.Fatal("Put of a held name with other content succeeded")
 	}
 }
 
 func TestMem(t *testing.T) { testStore(t, NewMem()) }
 
 func TestDir(t *testing.T) { testStore(t, NewDir(filepath.Join(t.TempDir(), "chunks"))) }
+
+// packFiles lists the files under a Dir's root, packs or not.
+func packFiles(t *testing.T, d *Dir) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(d.Root(), "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func keepAll(Hash) bool { return true }
+
+func keepSet(hs []Hash) func(Hash) bool {
+	set := make(map[Hash]bool, len(hs))
+	for _, h := range hs {
+		set[h] = true
+	}
+	return func(h Hash) bool { return set[h] }
+}
+
+func mustPutMany(t *testing.T, d *Dir, hs []Hash, datas [][]byte) {
+	t.Helper()
+	if err := d.PutMany(hs, datas); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustGetAll(t *testing.T, d *Dir, hs []Hash, datas [][]byte) {
+	t.Helper()
+	for i, h := range hs {
+		if got, err := d.Get(h); err != nil || !bytes.Equal(got, datas[i]) {
+			t.Fatalf("chunk %d (%s): %v", i, h, err)
+		}
+	}
+}
 
 func TestDirTornChunkIsMissing(t *testing.T) {
 	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
@@ -81,15 +125,19 @@ func TestDirTornChunkIsMissing(t *testing.T) {
 	if err := d.Put(h, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(d.PathOf(h), int64(len(data)/2)); err != nil {
+	path, off, n, ok := d.Locate(h)
+	if !ok || n != int64(len(data)) {
+		t.Fatalf("Locate = %s, %d, %d, %v", path, off, n, ok)
+	}
+	if err := os.Truncate(path, off+n/2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Get(h); !errors.Is(err, ErrMissing) {
 		t.Fatalf("Get of torn chunk = %v, want ErrMissing", err)
 	}
-	// The failed Get quarantined the corpse, so the store no longer
-	// claims the name and the next checkpoint re-Puts good bytes —
-	// without this, Put's skip-if-exists would pin the torn file forever.
+	// The failed Get forgot the copy, so the store no longer claims the
+	// name and the next checkpoint re-Puts good bytes — without this,
+	// Put's skip-if-held would pin the torn copy forever.
 	if ok, err := d.Has(h); err != nil || ok {
 		t.Fatalf("torn chunk still claimed after failed Get: %v, %v", ok, err)
 	}
@@ -97,31 +145,119 @@ func TestDirTornChunkIsMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, err := d.Get(h); err != nil || string(got) != string(data) {
-		t.Fatalf("re-Put after quarantine: %q, %v", got, err)
+		t.Fatalf("re-Put after the failed Get: %q, %v", got, err)
+	}
+	// A freshly opened Dir may list the torn pack first; it falls
+	// through to the good copy.
+	if got, err := NewDir(d.Root()).Get(h); err != nil || string(got) != string(data) {
+		t.Fatalf("fresh Dir over a torn and a good copy: %q, %v", got, err)
 	}
 }
 
-func TestDirForEachSkipsStrays(t *testing.T) {
+// TestDirGetVerifiesContent: a flipped bit inside a pack's data is a
+// missing chunk, for that chunk only.
+func TestDirGetVerifiesContent(t *testing.T) {
+	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
+	hs, datas := batch(0, 10)
+	mustPutMany(t, d, hs, datas)
+	path, off, _, _ := d.Locate(hs[4])
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{'X'}, off+1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, d := range []*Dir{d, NewDir(d.Root())} {
+		for i, h := range hs {
+			got, err := d.Get(h)
+			if i == 4 {
+				if !errors.Is(err, ErrMissing) {
+					t.Fatalf("Get of the flipped chunk = %v, want ErrMissing", err)
+				}
+			} else if err != nil || !bytes.Equal(got, datas[i]) {
+				t.Fatalf("chunk %d beside the flipped one: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestDirTruncatedPack: a pack cut at any offset loses the chunks at
+// and after the cut and nothing else.
+func TestDirTruncatedPack(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "chunks")
+	hs, datas := batch(0, 12)
+	mustPutMany(t, NewDir(root), hs, datas)
+	path, _, _, _ := NewDir(root).Locate(hs[0])
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d := NewDir(root)
+		for i, h := range hs {
+			got, err := d.Get(h)
+			inside := packEnd(whole, i) <= cut
+			switch {
+			case inside && (err != nil || !bytes.Equal(got, datas[i])):
+				t.Fatalf("cut %d: chunk %d lies before the cut but Get = %v", cut, i, err)
+			case !inside && !errors.Is(err, ErrMissing):
+				t.Fatalf("cut %d: chunk %d lies at or after the cut but Get = %v", cut, i, err)
+			}
+		}
+	}
+}
+
+// packEnd returns the offset one past chunk i's bytes in a whole pack.
+func packEnd(pack []byte, i int) int {
+	entries, err := readPackIndex(bytes.NewReader(pack), int64(len(pack)))
+	if err != nil {
+		panic(err)
+	}
+	return int(entries[i].off) + int(entries[i].n)
+}
+
+// TestDirIgnoresStrays: files that are not packs — tmp leftovers, alien
+// files, a directory of the loose layout — hold no chunks and survive a
+// sweep.
+func TestDirIgnoresStrays(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
 	d := NewDir(root)
 	data := []byte("x")
 	if err := d.Put(Sum(data), data); err != nil {
 		t.Fatal(err)
 	}
-	// Drop junk: a tmp leftover and an alien file.
-	sub := filepath.Dir(d.PathOf(Sum(data)))
-	if err := os.WriteFile(filepath.Join(sub, "junk.txt"), []byte("j"), 0o644); err != nil {
+	loose := Sum([]byte("loose"))
+	if err := os.MkdirAll(filepath.Join(root, "ab"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(d.PathOf(Sum(data))+".tmp99", []byte("t"), 0o644); err != nil {
+	strays := []string{
+		filepath.Join(root, "junk.txt"),
+		filepath.Join(root, "ab", loose.String()+".chunk"),
+	}
+	for _, f := range strays {
+		if err := os.WriteFile(f, []byte("loose"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d = NewDir(root)
+	if u, err := d.Usage(); err != nil || u != (Usage{Packs: 1, Chunks: 1, Copies: 1}) {
+		t.Fatalf("Usage = %+v, %v", u, err)
+	}
+	if ok, _ := d.Has(loose); ok {
+		t.Fatal("a loose .chunk file counts as a held chunk")
+	}
+	if err := d.Sweep(keepAll); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	if err := d.ForEach(func(Hash) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("ForEach visited %d chunks, want 1", n)
+	for _, f := range strays {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("sweep touched %s: %v", f, err)
+		}
 	}
 }
 
@@ -148,19 +284,10 @@ func batch(base, n int) ([]Hash, [][]byte) {
 	return hs, datas
 }
 
-// dirFiles lists the files under a Dir's fan-out directories.
-func dirFiles(t *testing.T, d *Dir) []string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(d.Root(), "*", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
-}
-
 // TestDirPutManyConcurrentBatches: overlapping batches from several
 // goroutines (run under -race) all land, each chunk whole under its
-// name, and a batch of chunks the store already holds changes nothing.
+// name, one pack per batch and no tmp file left, and a batch of chunks
+// the store already holds writes nothing.
 func TestDirPutManyConcurrentBatches(t *testing.T) {
 	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
 	const writers, per = 6, 60
@@ -180,30 +307,38 @@ func TestDirPutManyConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs, datas := batch(0, (writers+1)*per/2)
-	for i, h := range hs {
-		got, err := d.Get(h)
-		if err != nil || !bytes.Equal(got, datas[i]) {
-			t.Fatalf("chunk %d after concurrent PutMany: %v", i, err)
-		}
+	mustGetAll(t, d, hs, datas)
+	mustGetAll(t, NewDir(d.Root()), hs, datas)
+	before := packFiles(t, d)
+	if len(before) == 0 || len(before) > writers {
+		t.Fatalf("%d batches left %d files (tmp files left behind?)", writers, len(before))
 	}
-	before := dirFiles(t, d)
-	if len(before) != len(hs) {
-		t.Fatalf("store holds %d files for %d chunks (tmp files left behind?)", len(before), len(hs))
+	for _, f := range before {
+		if !strings.HasSuffix(f, packSuffix) {
+			t.Fatalf("stray file %s", f)
+		}
 	}
 	if err := d.PutMany(hs, datas); err != nil {
 		t.Fatalf("re-putting held chunks: %v", err)
 	}
-	if after := dirFiles(t, d); !slices.Equal(before, after) {
+	if after := packFiles(t, d); !slices.Equal(before, after) {
 		t.Fatalf("re-putting held chunks changed the store: %d -> %d files", len(before), len(after))
 	}
 	if err := d.PutMany(hs[:3], datas[:2]); err == nil {
 		t.Fatal("PutMany accepted 3 names for 2 chunks")
 	}
+	// Racing batches may have stored a shared chunk twice; a sweep that
+	// keeps everything still ends with every chunk readable.
+	if err := d.Sweep(keepAll); err != nil {
+		t.Fatal(err)
+	}
+	mustGetAll(t, NewDir(d.Root()), hs, datas)
 }
 
 // TestDirPutManyFirstErrorWins: a bad chunk mid-batch fails the batch
-// with that chunk's error, is not stored, and whatever else the batch
-// left behind is whole chunks under their own names (or tmp files).
+// with that chunk's error and nothing of the batch is published — no
+// pack, no tmp file — whether the bad chunk was to be written or was
+// skipped as already held.
 func TestDirPutManyFirstErrorWins(t *testing.T) {
 	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
 	hs, datas := batch(0, 200)
@@ -216,72 +351,58 @@ func TestDirPutManyFirstErrorWins(t *testing.T) {
 	if ok, _ := d.Has(hs[bad]); ok {
 		t.Fatal("the mismatching chunk was stored")
 	}
-	stored := 0
-	for _, f := range dirFiles(t, d) {
-		name, ok := chunkFileName(filepath.Base(f))
-		if !ok {
-			if !strings.Contains(f, ".chunk.tmp") {
-				t.Fatalf("stray file %s", f)
-			}
-			continue
-		}
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if Sum(data).String() != name {
-			t.Fatalf("%s holds other content than its name", f)
-		}
-		stored++
+	if files := packFiles(t, d); len(files) != 0 {
+		t.Fatalf("a failed batch left %v", files)
 	}
-	if stored >= len(hs) {
-		t.Fatalf("%d chunks stored from a failed batch of %d", stored, len(hs))
-	}
-	// The survivors are harmless: the repaired batch goes through.
+	// The repaired batch goes through, as one pack.
 	hs, datas = batch(0, 200)
-	if err := d.PutMany(hs, datas); err != nil {
-		t.Fatal(err)
+	mustPutMany(t, d, hs, datas)
+	if files := packFiles(t, d); len(files) != 1 {
+		t.Fatalf("one batch left %d files", len(files))
+	}
+	datas[bad] = []byte("not what the name says")
+	if err := d.PutMany(hs, datas); err == nil || !strings.Contains(err.Error(), hs[bad].String()) {
+		t.Fatalf("PutMany of a held name with other content = %v", err)
 	}
 }
 
 // TestDirRemovesStaleTmps: tmp files a killed writer left behind go
-// with the first write through a freshly opened Dir; real chunks, alien
-// files and tmp files of this process (possibly in flight through
-// another Dir over the same root) stay.
+// with the first write through a freshly opened Dir; packs, alien files
+// and tmp files of this process (possibly in flight through another Dir
+// over the same root) stay.
 func TestDirRemovesStaleTmps(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
 	d := NewDir(root)
 	hs, datas := batch(0, 20)
-	if err := d.PutMany(hs, datas); err != nil {
-		t.Fatal(err)
-	}
-	absent := Sum([]byte("never stored"))
-	if err := os.MkdirAll(filepath.Dir(d.PathOf(absent)), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	mustPutMany(t, d, hs, datas)
+	name := strings.Repeat("ab", HashSize) + packSuffix
 	stale := []string{
-		d.PathOf(hs[0]) + ".tmp7",                // the name a parent-commit writer used
-		d.PathOf(absent) + ".tmp4242-17e0a5c3.9", // another process's
+		filepath.Join(root, name+".tmp4242-17e0a5c3.9"), // another process's
+		filepath.Join(root, name+".tmp7"),
 	}
 	keep := []string{
-		d.PathOf(absent) + tmpTag + "99",
-		filepath.Join(filepath.Dir(d.PathOf(hs[1])), "junk.txt"),
+		filepath.Join(root, name+tmpTag+"99"),
+		filepath.Join(root, "junk.txt"),
 	}
 	for _, f := range append(append([]string(nil), stale...), keep...) {
 		if err := os.WriteFile(f, []byte("t"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The Dir that has already written never sweeps again ...
+	// The Dir that has already written never looks again ...
 	more, moreData := batch(1000, 1)
 	if err := d.Put(more[0], moreData[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale[0]); err != nil {
-		t.Fatalf("a Dir swept after its first write: %v", err)
+		t.Fatalf("a Dir removed tmp files after its first write: %v", err)
 	}
-	// ... a reopened one does, with its first write.
+	// ... a reopened one does, with its first write — not before.
 	d2 := NewDir(root)
+	mustGetAll(t, d2, hs, datas)
+	if _, err := os.Stat(stale[0]); err != nil {
+		t.Fatalf("a read removed tmp files: %v", err)
+	}
 	more, moreData = batch(2000, 1)
 	if err := d2.PutMany(more, moreData); err != nil {
 		t.Fatal(err)
@@ -293,12 +414,271 @@ func TestDirRemovesStaleTmps(t *testing.T) {
 	}
 	for _, f := range keep {
 		if _, err := os.Stat(f); err != nil {
-			t.Errorf("%s was swept: %v", f, err)
+			t.Errorf("%s was removed: %v", f, err)
 		}
 	}
-	for i, h := range hs {
-		if got, err := d2.Get(h); err != nil || !bytes.Equal(got, datas[i]) {
-			t.Fatalf("chunk %d lost to the sweep: %v", i, err)
+	mustGetAll(t, d2, hs, datas)
+}
+
+// TestDirsOverOneRootStayCoherent: what one Dir publishes another
+// finds, what one compacts away another finds again — and a Put through
+// a Dir never lists the root.
+func TestDirsOverOneRootStayCoherent(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "chunks")
+	a, b := NewDir(root), NewDir(root)
+	if ok, err := b.Has(Sum(nil)); err != nil || ok { // b has listed the empty root
+		t.Fatalf("Has on an empty root = %v, %v", ok, err)
+	}
+	hs, datas := batch(0, 40)
+	mustPutMany(t, a, hs, datas)
+	have, err := b.HasMany(hs)
+	if err != nil || slices.Contains(have, false) {
+		t.Fatalf("B.HasMany after A.PutMany = %v, %v", have, err)
+	}
+	more, moreData := batch(100, 40)
+	mustPutMany(t, a, more, moreData)
+	mustGetAll(t, b, more, moreData) // each a miss in B's index first
+	if ok, err := b.Has(Sum([]byte("absent"))); err != nil || ok {
+		t.Fatalf("Has of an absent chunk = %v, %v", ok, err)
+	}
+
+	// A drops half of each pack: both are compacted into a new one and
+	// unlinked. B's index still points into the old packs.
+	live := append(append([]Hash(nil), hs[:20]...), more[:20]...)
+	liveData := append(append([][]byte(nil), datas[:20]...), moreData[:20]...)
+	if err := a.Sweep(keepSet(live)); err != nil {
+		t.Fatal(err)
+	}
+	if files := packFiles(t, a); len(files) != 1 {
+		t.Fatalf("compaction of 2 half-dead packs left %d files", len(files))
+	}
+	mustGetAll(t, b, live, liveData)
+	if _, err := b.Get(hs[30]); !errors.Is(err, ErrMissing) {
+		t.Fatalf("B.Get of a chunk A swept = %v, want ErrMissing", err)
+	}
+	have, err = b.HasMany(append([]Hash{hs[30]}, live...))
+	if err != nil || have[0] || slices.Contains(have[1:], false) {
+		t.Fatalf("B.HasMany after A's sweep = %v, %v", have, err)
+	}
+
+	// 200 Puts of chunks B does not hold: 200 packs, and B's index
+	// learns of them without B listing the root (A's are not seen).
+	extra, extraData := batch(500, 1)
+	mustPutMany(t, a, extra, extraData)
+	puts, putData := batch(1000, 200)
+	for i, h := range puts {
+		if err := b.Put(h, putData[i]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	b.mu.Lock()
+	_, sawExtra := b.index[extra[0]]
+	b.mu.Unlock()
+	if sawExtra {
+		t.Fatal("a Put re-listed the root")
+	}
+	mustGetAll(t, a, puts, putData)
+}
+
+// TestSweepIndexFollowsCompaction: after a compaction the Dir that ran
+// it resolves every survivor to the new pack, so a following HasMany
+// reports them held and a PutMany of them writes nothing; the victims
+// are gone, and the counter reads the bytes rewritten.
+func TestSweepIndexFollowsCompaction(t *testing.T) {
+	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
+	hs, datas := batch(0, 100)
+	mustPutMany(t, d, hs, datas)
+	victim := packFiles(t, d)
+
+	// Fewer than a quarter of the bytes dead: dropped from the index,
+	// the pack stays as it is.
+	if err := d.Sweep(keepSet(hs[10:])); err != nil {
+		t.Fatal(err)
+	}
+	if files := packFiles(t, d); !slices.Equal(files, victim) || d.BytesCompacted() != 0 {
+		t.Fatalf("a tenth dead: files %v, %d bytes compacted", files, d.BytesCompacted())
+	}
+	if have, _ := d.HasMany(hs[:11]); slices.Contains(have[:10], true) || !have[10] {
+		t.Fatalf("HasMany after dropping hs[:10] = %v", have)
+	}
+
+	live, liveData := hs[50:], datas[50:]
+	if err := d.Sweep(keepSet(live)); err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for _, data := range liveData {
+		want += uint64(len(data))
+	}
+	if got := d.BytesCompacted(); got != want {
+		t.Fatalf("BytesCompacted = %d, want %d", got, want)
+	}
+	files := packFiles(t, d)
+	if len(files) != 1 || files[0] == victim[0] {
+		t.Fatalf("after compaction: %v (victim %v)", files, victim)
+	}
+	have, err := d.HasMany(live)
+	if err != nil || slices.Contains(have, false) {
+		t.Fatalf("survivors look missing after compaction: %v, %v", have, err)
+	}
+	if err := d.PutMany(live, liveData); err != nil {
+		t.Fatal(err)
+	}
+	if after := packFiles(t, d); !slices.Equal(files, after) {
+		t.Fatalf("re-putting survivors wrote %v", after)
+	}
+	mustGetAll(t, d, live, liveData)
+	for _, d := range []*Dir{d, NewDir(d.Root())} {
+		if u, err := d.Usage(); err != nil || u != (Usage{Packs: 1, Chunks: 50, Copies: 50}) {
+			t.Fatalf("Usage = %+v, %v", u, err)
+		}
+	}
+	// Nothing left alive: the pack goes, the directory is empty.
+	if err := d.Sweep(func(Hash) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if files := packFiles(t, d); len(files) != 0 {
+		t.Fatalf("a sweep keeping nothing left %v", files)
+	}
+}
+
+// TestCompactionDropsCorruptChunks: a chunk that fails verification
+// while being copied is dropped, never carried into the new pack, and
+// every other survivor is.
+func TestCompactionDropsCorruptChunks(t *testing.T) {
+	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
+	hs, datas := batch(0, 40)
+	mustPutMany(t, d, hs, datas)
+	for _, i := range []int{25, 33} {
+		path, off, _, _ := d.Locate(hs[i])
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{'X'}, off); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if err := d.Sweep(keepSet(hs[20:])); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dir{d, NewDir(d.Root())} {
+		if u, err := d.Usage(); err != nil || u != (Usage{Packs: 1, Chunks: 18, Copies: 18}) {
+			t.Fatalf("Usage = %+v, %v", u, err)
+		}
+		for i := 20; i < 40; i++ {
+			got, err := d.Get(hs[i])
+			if i == 25 || i == 33 {
+				if !errors.Is(err, ErrMissing) {
+					t.Fatalf("corrupt chunk %d after compaction: %v", i, err)
+				}
+			} else if err != nil || !bytes.Equal(got, datas[i]) {
+				t.Fatalf("survivor %d: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestSweepResolvesDuplicates: the state a crash between a compaction's
+// publish and its unlinks leaves — every survivor in two packs — reads
+// fine through a fresh Dir, and one more sweep leaves one copy of each.
+// A duplicate is only dropped once the copy the index prefers has been
+// verified: here the preferred copy of one chunk is corrupt.
+func TestSweepResolvesDuplicates(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "chunks")
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	d := NewDir(root)
+	hs, datas := batch(0, 60)
+	mustPutMany(t, d, hs, datas)
+	live, liveData := hs[30:], datas[30:]
+	d.OnCompact(func() {
+		// The new pack is published and the victim not yet unlinked.
+		if err := os.CopyFS(crashed, os.DirFS(root)); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := d.Sweep(keepSet(live)); err != nil {
+		t.Fatal(err)
+	}
+	c := NewDir(crashed)
+	if u, err := c.Usage(); err != nil || u != (Usage{Packs: 2, Chunks: 60, Copies: 90}) {
+		t.Fatalf("Usage of the crashed copy = %+v, %v", u, err)
+	}
+	mustGetAll(t, c, live, liveData)
+
+	// Corrupt the copy a fresh Dir prefers of one survivor.
+	c = NewDir(crashed)
+	path, off, _, _ := c.Locate(live[7])
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{'X'}, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := c.Sweep(keepSet(live)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Dir{c, NewDir(crashed)} {
+		mustGetAll(t, c, live, liveData)
+	}
+	// Only the corrupt copy may remain beside the 30 good ones: a pack
+	// with one dead chunk in thirty is not worth rewriting.
+	if u, err := c.Usage(); err != nil || u.Chunks != 30 || u.Copies > 31 {
+		t.Fatalf("Usage after resolving duplicates = %+v, %v", u, err)
+	}
+	mustGetAll(t, NewDir(crashed), live, liveData)
+}
+
+// TestDirDurabilityOrder pins the order of the steps a crash must not
+// find reversed, by recording every fsync: a pack is fsynced under its
+// tmp name before the rename publishes it, Sync fsyncs the root after,
+// and a compaction's victims are still on disk when the root holding
+// their replacement is fsynced.
+func TestDirDurabilityOrder(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "chunks")
+	type event struct {
+		name  string
+		packs int // published packs on disk at the time
+	}
+	var log []event
+	real := fsync
+	defer func() { fsync = real }()
+	fsync = func(f *os.File) error {
+		packs, _ := filepath.Glob(filepath.Join(root, "*"+packSuffix))
+		log = append(log, event{f.Name(), len(packs)})
+		return real(f)
+	}
+	isTmp := func(e event) bool { return strings.Contains(e.name, packSuffix+tmpTag) }
+
+	d := NewDir(root)
+	hs, datas := batch(0, 40)
+	if err := d.PutMany(hs, datas); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 1 || !isTmp(log[0]) || log[0].packs != 0 {
+		t.Fatalf("PutMany fsynced %v, want the tmp file before any pack is published", log)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 2 || log[1] != (event{root, 1}) {
+		t.Fatalf("Sync fsynced %v, want the root with the pack published", log)
+	}
+	if err := d.Sync(); err != nil || len(log) != 2 {
+		t.Fatalf("a second Sync with nothing written fsynced again: %v, %v", log, err)
+	}
+
+	log = nil
+	if err := d.Sweep(keepSet(hs[20:])); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 2 || !isTmp(log[0]) || log[0].packs != 1 || log[1] != (event{root, 2}) {
+		t.Fatalf("compaction fsynced %v, want the tmp file, then the root while the victim is still there", log)
+	}
+	if files := packFiles(t, d); len(files) != 1 {
+		t.Fatalf("after compaction: %v", files)
 	}
 }

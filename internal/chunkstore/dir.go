@@ -1,0 +1,552 @@
+package chunkstore
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+)
+
+// Dir is the local filesystem backend: a directory of immutable pack
+// files (see pack.go for the format). Every write — a PutMany batch or
+// a single Put — publishes exactly one file, root/<64 hex>.pack, via
+// tmp + fsync + rename, so a crash never leaves a torn pack under a
+// final name; Sync fsyncs the directory so the renames themselves are
+// durable before a manifest referencing the chunks is published. A crash
+// can leave the tmp file itself behind; the first write through a Dir
+// removes every tmp file that is not this process's own.
+//
+// Reads go through an in-memory index, hash → (pack, offset, length),
+// built lazily by listing the root and reading each pack's index only.
+// Get is one pread plus the content-against-name check; a copy that
+// fails it is forgotten (so a later Put writes the chunk again), the
+// read falls through to another copy when the index knows one, and is
+// otherwise ErrMissing.
+//
+// Sweep is the garbage collector. It drops the index entries of dead
+// chunks, unlinks packs left with no live chunk, and rewrites the live
+// chunks of every pack whose dead bytes reach a quarter of its data
+// into one new pack, so the directory never holds more than 4/3 of the
+// live chunk bytes (plus indexes) after a sweep. Which chunks of a pack
+// are dead is known in memory only; the next sweep — of this Dir or a
+// freshly opened one — derives it again from keep.
+//
+// Dir is safe for concurrent use, also by several Dirs over one root:
+// what one publishes another finds (a miss re-lists the root before it
+// answers "absent"; Put does not — writing a chunk twice is harmless,
+// and a checkpoint fed to a Put-wrapping store must not pay a ReadDir
+// per chunk), and what one compacts away another finds again (a pack
+// that has vanished re-lists and retries).
+type Dir struct {
+	root      string
+	sweepTmps sync.Once // stale tmp files are removed before the first write
+	compacted atomic.Uint64
+
+	mu        sync.Mutex
+	listed    bool             // the root has been listed at least once
+	dirty     bool             // a rename the root directory has not fsynced
+	packs     map[string]*pack // by file name
+	index     map[Hash]*entry  // the copy each held chunk is read from
+	onCompact func()
+}
+
+// compactAt is the dead share of a pack's data at which Sweep rewrites
+// its live chunks: a quarter. Lower rewrites the same survivors more
+// often; higher lets more dead bytes sit on disk. At a quarter the
+// directory is bounded by 4/3 of the live bytes, and a pack whose chunks
+// die at random is rewritten once per quarter of its size — about as
+// many bytes as the checkpoints that killed them wrote.
+const compactAt = 4
+
+// NewDir opens (creating if needed on first Put) a directory-backed
+// store rooted at root.
+func NewDir(root string) *Dir {
+	return &Dir{root: root, packs: make(map[string]*pack), index: make(map[Hash]*entry)}
+}
+
+// Root returns the store's root directory.
+func (d *Dir) Root() string { return d.root }
+
+func (d *Dir) Put(h Hash, data []byte) error {
+	return d.PutMany([]Hash{h}, [][]byte{data})
+}
+
+// PutMany implements BatchPutter: the chunks of the batch the index does
+// not already resolve become one pack. Every chunk's content is checked
+// against its name, written or not.
+func (d *Dir) PutMany(hs []Hash, datas [][]byte) error {
+	if len(hs) != len(datas) {
+		return errBatchShape(len(hs), len(datas))
+	}
+	d.mu.Lock()
+	if !d.listed {
+		if err := d.relist(); err != nil {
+			d.mu.Unlock()
+			return err
+		}
+	}
+	var (
+		ws      = make([]Hash, 0, len(hs)) // the chunks to store
+		wd      = make([][]byte, 0, len(hs))
+		skipped []int
+		batch   = make(map[Hash]struct{}, len(hs))
+	)
+	for i, h := range hs {
+		if _, again := batch[h]; again || d.index[h] != nil {
+			skipped = append(skipped, i)
+			continue
+		}
+		batch[h] = struct{}{}
+		ws, wd = append(ws, h), append(wd, datas[i])
+	}
+	d.mu.Unlock()
+
+	// The pack writer verifies what it stores; what is skipped as held
+	// still has to be what its name says.
+	for _, i := range skipped {
+		if Sum(datas[i]) != hs[i] {
+			return errMismatch(hs[i])
+		}
+	}
+	if len(ws) == 0 {
+		return nil
+	}
+	ns := make([]uint32, len(wd))
+	for i, data := range wd {
+		if len(data) > math.MaxUint32 {
+			return fmt.Errorf("chunkstore: chunk %s is %d bytes", ws[i], len(data))
+		}
+		ns[i] = uint32(len(data))
+	}
+	if err := os.MkdirAll(d.root, 0o755); err != nil {
+		return err
+	}
+	d.sweepTmps.Do(d.removeStaleTmps)
+	p, err := writePack(d.root, ws, ns, func(i int) ([]byte, error) { return wd[i], nil })
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.adopt(p)
+	d.dirty = true
+	d.mu.Unlock()
+	return nil
+}
+
+// removeStaleTmps deletes the "<name>.pack.tmp…" files that writers
+// killed mid-write left behind; nothing else ever would. Files carrying
+// this process's tmpTag may be in flight and are kept. Best effort: a
+// leftover is only wasted space, so errors are ignored.
+func (d *Dir) removeStaleTmps() {
+	files, _ := os.ReadDir(d.root)
+	for _, f := range files {
+		name := f.Name()
+		if strings.Contains(name, packSuffix+".tmp") && !strings.Contains(name, packSuffix+tmpTag) {
+			os.Remove(filepath.Join(d.root, name))
+		}
+	}
+}
+
+// adopt enters a pack into the index; a chunk the index already
+// resolves keeps its copy. A pack of a known name is that pack written
+// again — same index, so same layout, and whole whatever became of the
+// file before — and takes over what the index resolved to the old one.
+// Caller holds d.mu.
+func (d *Dir) adopt(p *pack) {
+	old := d.packs[p.name]
+	d.packs[p.name] = p
+	for _, e := range p.entries {
+		if cur := d.index[e.h]; cur == nil || cur.p == old {
+			d.index[e.h] = e
+		}
+	}
+}
+
+// sortedPacks returns the known packs in name order, so that which of
+// two copies of a chunk the index resolves to does not depend on map
+// iteration. Caller holds d.mu.
+func (d *Dir) sortedPacks() []*pack {
+	ps := make([]*pack, 0, len(d.packs))
+	for _, p := range d.packs {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].name < ps[j].name })
+	return ps
+}
+
+// relist brings the index up to date with the root directory: packs
+// that have vanished (another Dir swept them) are dropped, packs not
+// seen before have their index read. A file that does not parse as a
+// pack is remembered as holding nothing, which leaves it to the next
+// sweep. Caller holds d.mu.
+func (d *Dir) relist() error {
+	files, err := os.ReadDir(d.root)
+	if err != nil && !os.IsNotExist(err) {
+		return err // a missing root is an empty store
+	}
+	onDisk := make(map[string]bool, len(files))
+	for _, f := range files {
+		if strings.HasSuffix(f.Name(), packSuffix) {
+			onDisk[f.Name()] = true
+		}
+	}
+	vanished := false
+	for name := range d.packs {
+		if !onDisk[name] {
+			delete(d.packs, name)
+			vanished = true
+		}
+	}
+	if vanished {
+		clear(d.index)
+		for _, p := range d.sortedPacks() {
+			d.adopt(p)
+		}
+	}
+	for _, f := range files { // in name order
+		name := f.Name()
+		if !onDisk[name] || d.packs[name] != nil {
+			continue
+		}
+		p, err := openPack(d.root, name)
+		switch {
+		case os.IsNotExist(err):
+			continue // swept between the listing and the open
+		case err != nil && !errors.Is(err, errNotPack):
+			return err
+		case err != nil:
+			p = &pack{name: name}
+		}
+		d.adopt(p)
+	}
+	d.listed = true
+	return nil
+}
+
+// lookup resolves h, re-listing the root once before reporting a miss.
+// Caller holds d.mu.
+func (d *Dir) lookup(h Hash) (*entry, error) {
+	if e := d.index[h]; e != nil {
+		return e, nil
+	}
+	if err := d.relist(); err != nil {
+		return nil, err
+	}
+	return d.index[h], nil
+}
+
+func (d *Dir) path(p *pack) string { return filepath.Join(d.root, p.name) }
+
+// verified reads the copy e and checks it against its name. ok=false
+// with a nil error is a torn or corrupt copy.
+func (d *Dir) verified(e *entry) (data []byte, ok bool, err error) {
+	f, err := os.Open(d.path(e.p))
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	data, err = readChunk(f, e.off, e.n)
+	return data, err == nil && data != nil && Sum(data) == e.h, err
+}
+
+func (d *Dir) Get(h Hash) ([]byte, error) {
+	corrupt := false
+	for { // every turn returns or forgets one copy
+		d.mu.Lock()
+		e, err := d.lookup(h)
+		d.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		if e == nil {
+			// A torn or corrupt chunk is indistinguishable from an absent
+			// one to callers: both mean "this manifest cannot be
+			// materialized".
+			if corrupt {
+				return nil, fmt.Errorf("chunkstore: %s fails content verification: %w", h, ErrMissing)
+			}
+			return nil, fmt.Errorf("chunkstore: %s: %w", h, ErrMissing)
+		}
+		data, ok, err := d.verified(e)
+		if ok {
+			return data, nil
+		}
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		// Forget the copy. It is corrupt — and while the index resolved
+		// the name to it, no Put would ever write good bytes — or its
+		// pack is gone: another Dir compacted it away, and the chunk, if
+		// live, is in a pack this one has not listed yet.
+		corrupt = corrupt || err == nil
+		d.mu.Lock()
+		d.forget(e)
+		if err != nil {
+			err = d.relist()
+		}
+		d.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// forget drops the copy bad from its pack and, if the index resolved
+// its name to it, re-points the index at another copy or at nothing.
+// Caller holds d.mu.
+func (d *Dir) forget(bad *entry) {
+	bad.p.entries = slices.DeleteFunc(bad.p.entries, func(e *entry) bool { return e == bad })
+	if d.index[bad.h] != bad {
+		return
+	}
+	delete(d.index, bad.h)
+	for _, p := range d.sortedPacks() {
+		for _, e := range p.entries {
+			if e.h == bad.h {
+				d.index[bad.h] = e
+				return
+			}
+		}
+	}
+}
+
+func (d *Dir) Has(h Hash) (bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, err := d.lookup(h)
+	return e != nil, err
+}
+
+// HasMany re-lists the root once, so its answers are as of this call
+// also for packs another Dir has swept since — a checkpoint is about to
+// publish an image on the strength of them.
+func (d *Dir) HasMany(hs []Hash) ([]bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.relist(); err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(hs))
+	for i, h := range hs {
+		out[i] = d.index[h] != nil
+	}
+	return out, nil
+}
+
+// Locate reports where the index resolves h: the pack file and the
+// byte range of the chunk inside it (crash-injection hook).
+func (d *Dir) Locate(h Hash) (path string, off, n int64, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, err := d.lookup(h)
+	if err != nil || e == nil {
+		return "", 0, 0, false
+	}
+	return d.path(e.p), e.off, int64(e.n), true
+}
+
+// OnCompact installs fn to run inside Sweep once a compaction's new
+// pack is durable and before its victims are unlinked — the state a
+// crash in that window leaves on disk (crash-injection hook).
+func (d *Dir) OnCompact(fn func()) {
+	d.mu.Lock()
+	d.onCompact = fn
+	d.mu.Unlock()
+}
+
+// BytesCompacted returns the chunk bytes Sweep has rewritten through
+// this Dir so far: the write amplification compaction costs.
+func (d *Dir) BytesCompacted() uint64 { return d.compacted.Load() }
+
+// Usage is what a root directory holds, counted from the pack indexes
+// on disk.
+type Usage struct {
+	Packs  int // pack files
+	Chunks int // distinct chunks
+	Copies int // chunks over all packs; more than Chunks when one is held twice
+}
+
+// Usage lists the root afresh (dead chunks Sweep has only dropped from
+// this Dir's index still count until their pack is rewritten).
+func (d *Dir) Usage() (Usage, error) {
+	fresh := NewDir(d.root)
+	if err := fresh.relist(); err != nil {
+		return Usage{}, err
+	}
+	u := Usage{Packs: len(fresh.packs), Chunks: len(fresh.index)}
+	for _, p := range fresh.packs {
+		u.Copies += len(p.entries)
+	}
+	return u, nil
+}
+
+// Sweep implements Store. The order of its steps is what makes a crash
+// anywhere inside it harmless: index entries go first (memory only),
+// then packs with nothing live (no retained image names their chunks),
+// then compaction — the new pack is written, fsynced, renamed and the
+// directory fsynced before the first victim is unlinked, so a crash in
+// between leaves every live chunk in two packs, which the next sweep
+// resolves (a copy the index does not resolve to counts as dead).
+func (d *Dir) Sweep(keep func(Hash) bool) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.relist(); err != nil {
+		return err
+	}
+	var victims []*pack
+	for _, p := range d.sortedPacks() {
+		var live int64
+		kept := p.entries[:0]
+		for _, e := range p.entries {
+			cur := d.index[e.h]
+			if !keep(e.h) {
+				if cur == e {
+					delete(d.index, e.h)
+				}
+				continue
+			}
+			if cur != e {
+				// A second copy. It is dead weight — unless the copy the
+				// index prefers is the corrupt one.
+				if cur != nil {
+					if _, ok, _ := d.verified(cur); ok {
+						continue
+					}
+				}
+				d.index[e.h] = e
+			}
+			kept = append(kept, e)
+			live += int64(e.n)
+		}
+		p.entries = kept
+		switch {
+		case live == 0:
+			if err := d.unlink(p); err != nil {
+				return err
+			}
+		case (p.data-live)*compactAt >= p.data:
+			victims = append(victims, p)
+		}
+	}
+	if len(victims) == 0 {
+		return nil
+	}
+	return d.compact(victims)
+}
+
+// unlink removes a pack file and forgets the pack. Caller holds d.mu.
+func (d *Dir) unlink(p *pack) error {
+	if err := os.Remove(d.path(p)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	delete(d.packs, p.name)
+	return nil
+}
+
+// compact rewrites the live chunks of the victims into one new pack and
+// unlinks the victims. Each chunk is verified as it is copied; one that
+// fails is dropped, never copied. Caller holds d.mu.
+func (d *Dir) compact(victims []*pack) error {
+	var srcs []*entry
+	for _, p := range victims {
+		for _, e := range p.entries {
+			if d.index[e.h] == e { // not a copy Sweep found corrupt
+				srcs = append(srcs, e)
+			}
+		}
+	}
+	var (
+		open *os.File // the victim being copied from
+		from *pack
+	)
+	defer func() {
+		if open != nil {
+			open.Close()
+		}
+	}()
+	last := 0 // the source fetched last: the one a mismatch is about
+	fetch := func(i int) ([]byte, error) {
+		e := srcs[i]
+		last = i
+		if e.p != from {
+			if open != nil {
+				open.Close()
+				open, from = nil, nil
+			}
+			f, err := os.Open(d.path(e.p))
+			if err != nil {
+				return nil, err
+			}
+			open, from = f, e.p
+		}
+		return readChunk(open, e.off, e.n) // torn: nil, which the writer rejects
+	}
+	var np *pack
+	for len(srcs) > 0 && np == nil {
+		hs, ns := make([]Hash, len(srcs)), make([]uint32, len(srcs))
+		for i, e := range srcs {
+			hs[i], ns[i] = e.h, e.n
+		}
+		var err error
+		np, err = writePack(d.root, hs, ns, fetch)
+		if bad := new(mismatchError); errors.As(err, &bad) {
+			// Drop the corrupt copy and start over without it.
+			d.forget(srcs[last])
+			srcs = slices.Delete(srcs, last, last+1)
+			continue
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if np != nil {
+		if err := syncDir(d.root); err != nil {
+			return err
+		}
+		if d.onCompact != nil {
+			d.onCompact()
+		}
+		// The index must follow the chunks, or the next checkpoint
+		// finds every survivor missing and writes it again.
+		d.packs[np.name] = np
+		for _, e := range np.entries {
+			d.index[e.h] = e
+		}
+		d.compacted.Add(uint64(np.data))
+	}
+	for _, p := range victims {
+		if err := d.unlink(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Sync makes the renames of the packs written so far durable.
+func (d *Dir) Sync() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.dirty {
+		return nil
+	}
+	if err := syncDir(d.root); err != nil {
+		return err
+	}
+	d.dirty = false
+	return nil
+}
+
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return fsync(f)
+}

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,18 +13,48 @@ import (
 	"mxq/internal/wal"
 )
 
+// retained returns the chunks each image on disk names, newest image
+// first, and their union.
+func retained(t testing.TB, dir string) (perImage [][]chunkstore.Hash, live map[chunkstore.Hash]bool) {
+	t.Helper()
+	imgs, err := Images(dir, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live = make(map[chunkstore.Hash]bool)
+	for _, img := range imgs {
+		hs, err := ImageChunks(filepath.Join(dir, img.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		perImage = append(perImage, hs)
+		for _, h := range hs {
+			live[h] = true
+		}
+	}
+	return perImage, live
+}
+
 // TestChunkGCNeverOrphansRetainedImage: after several checkpoints the
 // sweep must have (a) kept every chunk any retained image references —
 // so each retained image stays materializable — and (b) actually
-// deleted everything else.
+// dropped everything else. And when a retained image cannot be read,
+// the sweep must not run at all: what it names is unknowable.
 func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 	e := newEnv(t, 160)
+	cs := DefaultChunkStore(e.dir, "d")
+	e.ck.SetChunkStore(cs)
+	ever := make(map[chunkstore.Hash]bool) // every chunk any image has named
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 3; i++ {
 			e.commitBook(t, "s1", fmt.Sprintf("r%d-%d", round, i))
 		}
 		if _, err := e.ck.Run(); err != nil {
 			t.Fatal(err)
+		}
+		_, live := retained(t, e.dir)
+		for h := range live {
+			ever[h] = true
 		}
 	}
 	want := e.baseXML(t)
@@ -35,31 +66,90 @@ func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 	if len(imgs) != 2 {
 		t.Fatalf("retention kept %d images, want 2 (current + previous)", len(imgs))
 	}
-	cs := DefaultChunkStore(e.dir, "d")
-	live := make(map[chunkstore.Hash]bool)
-	for _, img := range imgs {
-		hs, err := ImageChunks(filepath.Join(e.dir, img.File))
+	perImage, live := retained(t, e.dir)
+	swept := 0
+	for h := range ever {
+		ok, err := cs.Has(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, h := range hs {
-			if ok, err := cs.Has(h); err != nil || !ok {
-				t.Fatalf("retained image %s references swept chunk %s (%v)", img.File, h, err)
+		if live[h] && !ok {
+			t.Fatalf("a retained image references swept chunk %s", h)
+		}
+		if !live[h] {
+			swept++
+			if ok {
+				t.Fatalf("chunk %s referenced by no retained image survived GC", h)
 			}
-			live[h] = true
 		}
 	}
-	if err := cs.ForEach(func(h chunkstore.Hash) error {
-		if !live[h] {
-			return fmt.Errorf("chunk %s referenced by no retained image survived GC", h)
+	if swept == 0 {
+		t.Fatal("four rounds of churn retired no chunk — the test exercised no sweep")
+	}
+	for _, fresh := range []*chunkstore.Dir{cs, DefaultChunkStore(e.dir, "d")} {
+		for h := range live {
+			if _, err := fresh.Get(h); err != nil {
+				t.Fatalf("chunk of a retained image unreadable after GC: %v", err)
+			}
 		}
-		return nil
-	}); err != nil {
+	}
+
+	// An unreadable retained image skips the whole sweep. Clobber the
+	// current image; the next checkpoint keeps it as "previous" and
+	// retires the older one, whose own chunks would now be garbage.
+	inNewest := make(map[chunkstore.Hash]bool)
+	for _, h := range perImage[0] {
+		inNewest[h] = true
+	}
+	var onlyOldest []chunkstore.Hash
+	for _, h := range perImage[1] {
+		if !inNewest[h] {
+			onlyOldest = append(onlyOldest, h)
+		}
+	}
+	if len(onlyOldest) == 0 {
+		t.Fatal("no chunk unique to the older image")
+	}
+	newestPath := filepath.Join(e.dir, imgs[0].File)
+	good, err := os.ReadFile(newestPath)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(newestPath, good[:len(good)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.commitBook(t, "s2", "while-unreadable")
+	if _, err := e.ck.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(e.dir, imgs[1].File)); !os.IsNotExist(err) {
+		t.Fatalf("the older image was not retired (%v)", err)
+	}
+	for _, h := range onlyOldest {
+		if ok, _ := cs.Has(h); !ok {
+			t.Fatalf("chunk %s was swept while a retained image was unreadable", h)
+		}
+	}
+	// Readable again: the next checkpoint's sweep takes them.
+	if err := os.WriteFile(newestPath, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ck.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range onlyOldest {
+		if ok, _ := cs.Has(h); ok {
+			t.Fatalf("chunk %s survived the sweep after the image became readable", h)
+		}
+	}
+	want = e.baseXML(t)
 
 	// The point of keeping the previous image's chunks: losing the
 	// current image (and the manifest) must still recover to full state.
+	imgs, err = Images(e.dir, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Remove(filepath.Join(e.dir, imgs[0].File)); err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +160,19 @@ func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 	}
 }
 
-// TestTornChunkDegradesWholeImage: a torn chunk file fails its whole
-// image — recovery falls back to the previous image plus WAL roll
-// forward, never a mix of the two checkpoints, and a repeat recovery
-// (after the failed Get quarantined the corpse) lands the same place.
+// TestTornChunkDegradesWholeImage: a pack torn at a random offset loses
+// the chunks at and after the cut and nothing else; the image naming
+// them fails whole — recovery falls back to the previous image plus WAL
+// roll forward, never a mix of the two checkpoints — and a repeat
+// recovery lands the same place.
 func TestTornChunkDegradesWholeImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 6; i++ {
+		tornPackDegradesWholeImage(t, rng)
+	}
+}
+
+func tornPackDegradesWholeImage(t *testing.T, rng *rand.Rand) {
 	e := newEnv(t, 192)
 	for i := 0; i < 4; i++ {
 		e.commitBook(t, "s1", fmt.Sprintf("a%d", i))
@@ -91,49 +189,72 @@ func TestTornChunkDegradesWholeImage(t *testing.T) {
 	e.commitBook(t, "s1", "tail")
 	want := e.baseXML(t)
 
-	imgs, err := Images(e.dir, "d")
-	if err != nil || len(imgs) != 2 {
-		t.Fatalf("images = %v, %v; want 2", imgs, err)
-	}
-	newHS, err := ImageChunks(filepath.Join(e.dir, imgs[0].File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldHS, err := ImageChunks(filepath.Join(e.dir, imgs[1].File))
-	if err != nil {
-		t.Fatal(err)
+	perImage, live := retained(t, e.dir)
+	if len(perImage) != 2 {
+		t.Fatalf("%d images on disk, want 2", len(perImage))
 	}
 	shared := make(map[chunkstore.Hash]bool)
-	for _, h := range oldHS {
+	for _, h := range perImage[1] {
 		shared[h] = true
 	}
-	var victim chunkstore.Hash
-	found := false
-	for _, h := range newHS {
-		if !shared[h] {
-			victim, found = h, true
+	cs := DefaultChunkStore(e.dir, "d")
+	torn := "" // the pack the second checkpoint wrote
+	for _, h := range perImage[0] {
+		if path, _, _, ok := cs.Locate(h); ok && !shared[h] {
+			torn = path
 			break
 		}
 	}
-	if !found {
+	if torn == "" {
 		t.Fatal("no chunk unique to the newest image — churn between checkpoints produced none?")
 	}
-	cs := DefaultChunkStore(e.dir, "d")
-	fi, err := os.Stat(cs.PathOf(victim))
+	fi, err := os.Stat(torn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(cs.PathOf(victim), fi.Size()/2); err != nil {
+	cut := rng.Int63n(fi.Size())
+	type where struct {
+		path string
+		end  int64
+	}
+	at := make(map[chunkstore.Hash]where)
+	for h := range live {
+		path, off, n, ok := cs.Locate(h)
+		if !ok {
+			t.Fatalf("chunk %s of a retained image is not in the store", h)
+		}
+		if path == torn && shared[h] {
+			t.Fatalf("the second checkpoint's pack holds chunk %s of the first image", h)
+		}
+		at[h] = where{path, off + n}
+	}
+	if err := os.Truncate(torn, cut); err != nil {
 		t.Fatal(err)
+	}
+	fresh := DefaultChunkStore(e.dir, "d")
+	lost := 0
+	for h, w := range at {
+		_, err := fresh.Get(h)
+		if gone := w.path == torn && w.end > cut; gone {
+			lost++
+			if !errors.Is(err, chunkstore.ErrMissing) {
+				t.Fatalf("chunk ending at %d of a pack cut at %d: Get = %v", w.end, cut, err)
+			}
+		} else if err != nil {
+			t.Fatalf("cut at %d: chunk before the cut (or in another pack) lost: %v", cut, err)
+		}
+	}
+	if lost == 0 {
+		t.Fatalf("a cut at %d of %d lost no chunk", cut, fi.Size())
 	}
 
 	store, _ := e.recover(t)
 	if got := viewXML(t, store); got != want {
-		t.Fatalf("recovery over a torn chunk:\nwant %s\ngot  %s", want, got)
+		t.Fatalf("cut at %d: recovery over a torn pack:\nwant %s\ngot  %s", cut, want, got)
 	}
 	store2, _ := e.recover(t)
 	if got := viewXML(t, store2); got != want {
-		t.Fatalf("second recovery diverged:\nwant %s\ngot  %s", want, got)
+		t.Fatalf("cut at %d: second recovery diverged:\nwant %s\ngot  %s", cut, want, got)
 	}
 }
 
@@ -193,9 +314,9 @@ func TestUnsupportedImageFormat(t *testing.T) {
 	}
 }
 
-// TestStaleChunkTmpRemovedOnReopen: a writer killed inside a chunk Put
-// leaves "<hash>.chunk.tmpN" behind, which neither GC (it deletes by
-// hash) nor retire (image and manifest tmps only) ever touched. The
+// TestStaleChunkTmpRemovedOnReopen: a writer killed inside a chunk
+// write leaves "<name>.pack.tmp…" behind, which neither GC (it unlinks
+// packs) nor retire (image and manifest tmps only) ever touches. The
 // first checkpoint after a reopen removes it — and nothing else.
 func TestStaleChunkTmpRemovedOnReopen(t *testing.T) {
 	e := newEnv(t, 1<<20)
@@ -204,11 +325,11 @@ func TestStaleChunkTmpRemovedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := DefaultChunkStore(e.dir, "d")
-	var held []chunkstore.Hash
-	if err := cs.ForEach(func(h chunkstore.Hash) error { held = append(held, h); return nil }); err != nil {
-		t.Fatal(err)
+	packs, err := filepath.Glob(filepath.Join(cs.Root(), "*.pack"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("packs after one checkpoint: %v, %v", packs, err)
 	}
-	leftover := cs.PathOf(held[0]) + ".tmp3"
+	leftover := packs[0] + ".tmp1-2.3"
 	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@
 // O(pages) refcount sweep under the shared read lock
 // (tx.Manager.PinCheckpoint) — and then writes the snapshot in
 // content-addressed form (core.Store.SaveChunked) outside any lock:
-// every column chunk serializes to a SHA-256-named file in the
-// document's chunk store, and the LSN-stamped image shrinks to a small
+// every column chunk is named by its SHA-256, the ones the document's
+// chunk store is missing go into it as one batch (one pack file in the
+// default local store), and the LSN-stamped image shrinks to a small
 // manifest of chunk names. Chunks the store already holds — everything
 // the COW layer did not see dirtied since the previous checkpoint — are
 // re-referenced, not rewritten, so checkpoint I/O tracks churn, not
@@ -27,7 +28,9 @@
 //
 //	<name>-<LSN as 16 hex digits>.ckpt   checkpoint images: magic +
 //	                                     JSON {lsn, store manifest}
-//	<name>.chunks/ab/<sha256>.chunk      content-addressed column chunks
+//	<name>.chunks/<64 hex>.pack          content-addressed column chunks,
+//	                                     one pack file per checkpoint
+//	                                     (see internal/chunkstore)
 //	<name>.manifest                      JSON {file, lsn} naming the
 //	                                     current checkpoint
 //	<name>.wal.NNNNNNNN                  WAL segments (see internal/wal)
@@ -37,8 +40,9 @@
 // them is published. Cleanup keeps the previous checkpoint image
 // besides the current one, prunes the WAL only below the *oldest
 // retained* checkpoint, and garbage-collects chunks by mark-and-sweep:
-// a chunk referenced by ANY retained image is never deleted, so every
-// retained image stays materializable — if the current image, its
+// a chunk referenced by ANY retained image is never dropped (the store
+// rewrites the survivors of a mostly-dead pack, it never loses one), so
+// every retained image stays materializable — if the current image, its
 // manifest, or one of its chunks is lost or torn, recovery still has an
 // older image plus every chunk and WAL record needed to roll it
 // forward.
@@ -53,9 +57,9 @@
 // full document), so a candidate either materializes completely or is
 // skipped whole — recovery never mixes two checkpoints. A leftover
 // *.tmp, a manifest naming a missing file, a torn image, a file that
-// does not open with the image magic, a torn or missing chunk file, or
-// an empty segment tail all degrade to the next candidate instead of
-// failing.
+// does not open with the image magic, a torn or missing chunk or pack
+// file, or an empty segment tail all degrade to the next candidate
+// instead of failing.
 package ckpt
 
 import (
@@ -155,6 +159,10 @@ type Stats struct {
 	ChunksWritten uint64 // chunks the store was missing (bytes moved)
 	ChunksReused  uint64 // chunk references served by dedupe
 	BytesWritten  uint64 // chunk bytes actually written
+	// BytesCompacted is the chunk bytes garbage collection rewrote to
+	// reclaim the space of dead neighbours: write amplification, to be
+	// read next to BytesWritten.
+	BytesCompacted uint64
 }
 
 // Checkpointer writes online checkpoints for one document.
@@ -187,7 +195,7 @@ type Checkpointer struct {
 	chunkWrap func(chunkstore.Store) chunkstore.Store
 
 	// Cumulative Stats counters.
-	statCkpts, statChunksW, statChunksR, statBytes atomic.Uint64
+	statCkpts, statChunksW, statChunksR, statBytes, statCompacted atomic.Uint64
 
 	// pruneBarrier, when non-nil, returns the highest LSN the WAL may be
 	// pruned up to for reasons beyond checkpoint retention — the
@@ -230,10 +238,11 @@ func (c *Checkpointer) chunks() chunkstore.Store {
 // with a running checkpoint).
 func (c *Checkpointer) Stats() Stats {
 	return Stats{
-		Checkpoints:   c.statCkpts.Load(),
-		ChunksWritten: c.statChunksW.Load(),
-		ChunksReused:  c.statChunksR.Load(),
-		BytesWritten:  c.statBytes.Load(),
+		Checkpoints:    c.statCkpts.Load(),
+		ChunksWritten:  c.statChunksW.Load(),
+		ChunksReused:   c.statChunksR.Load(),
+		BytesWritten:   c.statBytes.Load(),
+		BytesCompacted: c.statCompacted.Load(),
 	}
 }
 
@@ -437,17 +446,12 @@ func (c *Checkpointer) gc() {
 			live[h] = true
 		}
 	}
-	var dead []chunkstore.Hash
-	if err := c.chunks().ForEach(func(h chunkstore.Hash) error {
-		if !live[h] {
-			dead = append(dead, h)
-		}
-		return nil
-	}); err != nil {
-		return
-	}
-	for _, h := range dead {
-		c.chunks().Delete(h)
+	cs := c.chunks()
+	cs.Sweep(func(h chunkstore.Hash) bool { return live[h] }) // a failed sweep only leaks
+	// A store that rewrites surviving chunks to reclaim space keeps a
+	// running count of them (chunkstore.Dir does).
+	if cc, ok := cs.(interface{ BytesCompacted() uint64 }); ok {
+		c.statCompacted.Store(cc.BytesCompacted())
 	}
 }
 

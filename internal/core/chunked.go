@@ -575,10 +575,11 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 // returns the manifest describing it. Only chunks cs does not already
 // hold are serialized in full and written — after small churn that is
 // the dirtied chunks plus the dictionary tails, never the whole
-// document. They go out as one chunkstore.BatchPutter batch when cs is
-// one (the local Dir overlaps the file writes), else one Put each, so a
-// store that wraps Put sees every chunk. cs is synced before returning,
-// so a caller may durably publish the manifest immediately.
+// document. They go out through chunkstore.PutAll: as one batch when cs
+// is a BatchPutter (the local Dir writes it as one pack file), else one
+// Put each, so a store that wraps Put sees every chunk. cs is synced
+// before returning, so a caller may durably publish the manifest
+// immediately.
 //
 // Like Save, SaveChunked requires the store to be free of concurrent
 // writes; a pinned checkpoint snapshot satisfies that by construction.
@@ -608,16 +609,8 @@ func (s *Store) SaveChunked(cs chunkstore.Store) (*ChunkManifest, ChunkSaveStats
 			datas = append(datas, refs[firstRef[h]].bytes())
 		}
 	}
-	if bp, ok := cs.(chunkstore.BatchPutter); ok {
-		if err := bp.PutMany(missing, datas); err != nil {
-			return nil, stats, fmt.Errorf("core: writing %d chunks: %w", len(missing), err)
-		}
-	} else {
-		for i, h := range missing {
-			if err := cs.Put(h, datas[i]); err != nil {
-				return nil, stats, fmt.Errorf("core: writing chunk %s: %w", h, err)
-			}
-		}
+	if err := chunkstore.PutAll(cs, missing, datas); err != nil {
+		return nil, stats, fmt.Errorf("core: writing %d chunks: %w", len(missing), err)
 	}
 	stats.ChunksWritten = len(missing)
 	for _, data := range datas {
@@ -656,7 +649,7 @@ func (s *Store) BuildManifest() (*ChunkManifest, func(chunkstore.Hash) ([]byte, 
 // LoadChunked materializes a store from a manifest, fetching every
 // referenced chunk from cs. Validation is structural checks here and a
 // full CheckInvariants pass at the end, and chunk content is verified
-// against its name by the chunk store itself, so a torn chunk file
+// against its name by the chunk store itself, so a torn chunk
 // surfaces as a load error — recovery then degrades to an older image.
 //
 // Loaded chunks arrive with their content hashes already cached, so the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mxq/internal/chunkstore"
@@ -35,11 +36,18 @@ type CrashConfig struct {
 	// batches (0: only the initial checkpoint).
 	CheckpointEvery int
 	// TearCkpt additionally tears a checkpoint artifact after the WAL
-	// cut — the newest image, the manifest pointer, or a chunk file only
+	// cut — the newest image, the manifest pointer, or a pack file only
 	// the newest image references, truncated at a random offset — so
 	// recovery must degrade to the previous retained checkpoint.
 	// Requires CheckpointEvery > 0 (two images must be on disk).
 	TearCkpt bool
+	// KillInCompaction ends the run inside a checkpoint's chunk GC: the
+	// process dies between the publish of a compaction's new pack and
+	// the unlinking of the packs it replaces, on the first compaction
+	// the workload causes (it must cause one). Recovery runs over the
+	// disk as it stood at that instant — every surviving chunk of the
+	// compacted packs held twice.
+	KillInCompaction bool
 }
 
 // RunCrash executes one crash-injection workload. The durability
@@ -67,6 +75,19 @@ func RunCrash(t *testing.T, cfg CrashConfig) {
 	}
 	m := tx.NewManager(paged, log)
 	ck := ckpt.New(dir, "d", log, m.PinCheckpoint)
+	killed := "" // KillInCompaction: the copy of dir taken at the kill
+	if cfg.KillInCompaction {
+		cs := ckpt.DefaultChunkStore(dir, "d")
+		cs.OnCompact(func() {
+			if killed == "" {
+				killed = t.TempDir()
+				if err := os.CopyFS(killed, os.DirFS(dir)); err != nil {
+					t.Fatalf("seed %d: copying the disk at the kill: %v", cfg.Seed, err)
+				}
+			}
+		})
+		ck.SetChunkStore(cs)
+	}
 
 	ckptLSN, err := ck.Run() // initial checkpoint: the recovery floor
 	if err != nil {
@@ -77,7 +98,7 @@ func RunCrash(t *testing.T, cfg CrashConfig) {
 	// it; the oracle replays a prefix of it after the crash.
 	batches := make(map[uint64][]op)
 	committed := 0
-	for b := 1; b <= cfg.Batches; b++ {
+	for b := 1; b <= cfg.Batches && killed == ""; b++ {
 		txn := m.Begin()
 		var pending []op
 		for i := 0; i < cfg.BatchOps; i++ {
@@ -109,6 +130,18 @@ func RunCrash(t *testing.T, cfg CrashConfig) {
 	}
 	lastLSN := log.LastLSN()
 	log.Close()
+	if cfg.KillInCompaction {
+		// The kill came inside the last checkpoint run, after its image
+		// and manifest were published and before any later commit: the
+		// copy holds the whole history, and that checkpoint is the floor.
+		if killed == "" {
+			t.Fatalf("seed %d: %d batches caused no compaction to die in", cfg.Seed, cfg.Batches)
+		}
+		dir, walPath = killed, filepath.Join(killed, "d.wal")
+		if u, err := ckpt.DefaultChunkStore(dir, "d").Usage(); err != nil || u.Copies == u.Chunks {
+			t.Fatalf("seed %d: the disk at the kill holds no chunk twice (%+v, %v)", cfg.Seed, u, err)
+		}
+	}
 
 	// Crash: sever the WAL at a random byte offset across the
 	// concatenated live segments, and — when configured — tear a
@@ -228,10 +261,10 @@ func cutWAL(t *testing.T, rng *rand.Rand, walPath string) (noop bool) {
 }
 
 // tearCkptArtifact truncates one checkpoint artifact at a random
-// offset — the newest image, the document manifest, or a chunk file
-// referenced only by the newest image (a chunk shared with an older
-// image cannot be torn by a crash: the chunk store skips writes for
-// chunks it already holds). It returns the new recovery floor: the LSN
+// offset — the newest image, the document manifest, or a pack file
+// only the newest image reads from (a chunk shared with an older image
+// cannot be torn by a crash: the chunk store skips writes for chunks it
+// already holds). It returns the new recovery floor: the LSN
 // of the previous retained image, which must stay materializable
 // whatever was torn.
 func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
@@ -271,14 +304,32 @@ func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
 				unique = append(unique, h)
 			}
 		}
-		if len(unique) == 0 {
-			// Every chunk is shared (no churn between the checkpoints):
-			// nothing a crash could have torn; tear the image instead.
+		// A crash can only have torn what the interrupted checkpoint
+		// itself wrote: a pack holding a chunk of the newest image that
+		// no older retained image reads from. (A compaction's product,
+		// which older images share, was durable before the packs it
+		// replaced were unlinked.)
+		cs := ckpt.DefaultChunkStore(dir, "d")
+		sharedPacks := make(map[string]bool)
+		for h := range shared {
+			if path, _, _, ok := cs.Locate(h); ok {
+				sharedPacks[path] = true
+			}
+		}
+		var own []string
+		for _, h := range unique {
+			if path, _, _, ok := cs.Locate(h); ok && !sharedPacks[path] && !slices.Contains(own, path) {
+				own = append(own, path)
+			}
+		}
+		if len(own) == 0 {
+			// No churn between the checkpoints, or the sweep has already
+			// folded the newest chunks into a shared pack: nothing a
+			// crash could have torn; tear the image instead.
 			tearFile(t, rng, imgPath)
 			break
 		}
-		cs := ckpt.DefaultChunkStore(dir, "d")
-		tearFile(t, rng, cs.PathOf(unique[rng.Intn(len(unique))]))
+		tearFile(t, rng, own[rng.Intn(len(own))])
 	}
 	return prev.LSN
 }
@@ -314,6 +365,9 @@ func CrashConfigs(iters int) []CrashConfig {
 		// degrade whole to the previous retained image, never mix two.
 		{Batches: 30, BatchOps: 4, DocSize: 90, PageSize: 16, Fill: 0.7, SegmentBytes: 512, CheckpointEvery: 7, TearCkpt: true},
 		{Batches: 24, BatchOps: 5, DocSize: 120, PageSize: 32, Fill: 0.8, SegmentBytes: 1024, CheckpointEvery: 5, TearCkpt: true},
+		// Killed inside chunk GC, between a compaction's publish and its
+		// unlinks, then the WAL cut: duplicates on disk, nothing lost.
+		{Batches: 60, BatchOps: 4, DocSize: 90, PageSize: 16, Fill: 0.7, SegmentBytes: 512, CheckpointEvery: 3, KillInCompaction: true},
 	}
 	for i := 0; i < iters; i++ {
 		for j, s := range shapes {
@@ -329,6 +383,9 @@ func crashName(c CrashConfig) string {
 	n := fmt.Sprintf("seed=%d/seg=%d/ckpt=%d", c.Seed, c.SegmentBytes, c.CheckpointEvery)
 	if c.TearCkpt {
 		n += "/tear"
+	}
+	if c.KillInCompaction {
+		n += "/kill"
 	}
 	return n
 }

@@ -319,6 +319,8 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 			return err
 		}
 		b := r.Rest()
+		var hs []chunkstore.Hash
+		var bodies [][]byte
 		for i := uint64(0); i < n; i++ {
 			if len(b) < chunkstore.HashSize {
 				return errors.New("repl: truncated chunk hash")
@@ -336,11 +338,14 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 				return fmt.Errorf("repl: primary shipped chunk %s that was not requested", h)
 			}
 			delete(pending, h)
-			// Put verifies content against the name, so a corrupted
-			// transfer fails here rather than landing under a false name.
-			if err := cs.Put(h, body); err != nil {
-				return err
-			}
+			hs, bodies = append(hs, h), append(bodies, body)
+		}
+		// One batch per frame (one pack file in the local store, not a
+		// file per chunk). The store verifies content against the name,
+		// so a corrupted transfer fails here rather than landing under a
+		// false name.
+		if err := chunkstore.PutAll(cs, hs, bodies); err != nil {
+			return err
 		}
 		if len(b) != 0 {
 			return fmt.Errorf("repl: %d stray bytes after chunk batch", len(b))

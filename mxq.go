@@ -63,8 +63,9 @@
 // critical section — an O(pages) refcount sweep, the same
 // copy-on-write machinery the read path uses — then serializes the
 // snapshot in content-addressed form outside any lock: every column
-// chunk becomes a SHA-256-named file in the document's chunk store,
-// and the LSN-stamped image is a small manifest of chunk names. A
+// chunk is named by its SHA-256 and stored under that name in the
+// document's chunk store, and the LSN-stamped image is a small manifest
+// of chunk names. A
 // chunk stores its columns as varints and deltas — about 9 bytes of
 // structure per tuple next to the text itself, so an image is roughly
 // the size of the XML it holds — in one format with no version switch:
@@ -78,9 +79,9 @@
 // documents. Superseded chunks are garbage-collected by mark-and-sweep
 // over the retained images; Options.ChunkStore plugs in a different
 // chunk backend per document (one that also offers PutMany — as the
-// default local directory does, writing 8 chunk files at a time — gets
-// a checkpoint's missing chunks as one batch, any other gets one Put
-// per chunk). Completion is published
+// default local directory does, writing each batch as one pack file —
+// gets a checkpoint's missing chunks as one batch, any other gets one
+// Put per chunk). Completion is published
 // atomically (chunks synced first, then tmp+rename+fsync of the image,
 // then of a manifest), and only WAL segments wholly below the pinned
 // LSN are deleted — a commit racing the checkpoint lives in a segment
@@ -92,7 +93,8 @@
 // nudge — (bytes and/or records; Stats.WALBytes and Stats.WALRecords
 // expose that tail, Stats.Checkpoints the
 // completions, and Stats.CkptBytesWritten / CkptChunksWritten /
-// CkptChunksReused / CkptDedupeRatio the incremental win);
+// CkptChunksReused / CkptDedupeRatio the incremental win, and
+// Stats.CkptBytesCompacted what chunk GC rewrote to reclaim space);
 // Database.Close drains it. Recovery loads the manifest's image and
 // replays the segments above its LSN, degrading to the previous image
 // over torn artifacts (leftover *.tmp, missing or torn image, torn or
@@ -195,20 +197,25 @@ import (
 // ChunkStore is the content-addressed blob store checkpoint images
 // reference: immutable chunks named by their SHA-256, with batched
 // existence probes so incremental checkpoints and bootstrap transfers
-// move only missing chunks. The default backend is a local fanned-out
-// directory (<doc>.chunks/ next to the WAL); implement this interface
+// move only missing chunks. The default backend is a local directory of
+// pack files (<doc>.chunks/ next to the WAL); implement this interface
 // to put chunks somewhere else (an object store, a cache hierarchy),
 // and additionally PutMany(hs []ChunkHash, datas [][]byte) error to be
-// handed a checkpoint's missing chunks as one batch.
+// handed a checkpoint's missing chunks as one batch. Garbage collection
+// is the store's: after each checkpoint Sweep is told which chunks the
+// retained images still name.
 type ChunkStore = chunkstore.Store
 
 // ChunkHash is a chunk's content address (SHA-256).
 type ChunkHash = chunkstore.Hash
 
-// NewDirChunkStore returns the local fanned-out-directory ChunkStore
-// backend rooted at root (chunks land in root/ab/<sha256>.chunk,
-// written atomically and verified on read). It is the same backend
-// documents get by default; use it with Options.ChunkStore to place a
+// NewDirChunkStore returns the local-directory ChunkStore backend
+// rooted at root: every write (a checkpoint's batch of missing chunks)
+// lands as one immutable pack file root/<64 hex>.pack, written
+// atomically; every read is verified against the chunk's name; and
+// Sweep rewrites the survivors of a pack once a quarter of it is dead,
+// so the directory stays within 4/3 of the live bytes. It is the same
+// backend documents get by default; use it with Options.ChunkStore to place a
 // document's chunks somewhere other than Options.Dir — a bigger disk,
 // a shared cache volume. Remember per-document scoping: give each
 // document its own root.
