@@ -62,7 +62,7 @@ lint:
 # root module (bench/ is its own module); `make loc-check` fails when
 # they exceed LOC_CEILING. A change that needs more lines raises the
 # ceiling in its own diff, where a reviewer sees it.
-LOC_CEILING = 22058
+LOC_CEILING = 21890
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
@@ -139,11 +139,11 @@ repl-smoke:
 # Native fuzz smoke over the text-input surfaces (the XPath compiler,
 # the XUpdate parser and the XML tokenizer under the shredder, the last
 # two differentially against the encoding/xml walks they replaced), the
-# evaluation-side differential fuzzer
-# (compiled sequence-at-a-time pipeline vs node-at-a-time interpreter vs
-# the naive dense oracle), the checkpoint chunk decoder (bytes from
-# disk or from a primary: no panic, bounded allocation, accepted input
-# re-encodes to itself), the pack index reader under the chunk store
+# evaluation-side differential fuzzer (compiled plan vs the
+# node-at-a-time oracle in oracle_test.go vs the plan over the naive
+# dense store), the checkpoint chunk decoder (bytes from disk or from a
+# primary: no panic, bounded allocation, accepted input re-encodes to
+# itself), the pack index reader under the chunk store
 # (bytes from disk: no panic, allocation bounded by the file's size,
 # accepted entries inside the file, written packs round-trip) and the
 # wire frame and payload decoder (bytes

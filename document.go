@@ -193,9 +193,11 @@ func (p *Prepared) Source() string { return p.expr.Source() }
 // step showing whether it runs as a sequence-level staircase scan
 // ("seq", with context pruning and no per-step sort), a scan with a
 // fused early-exit positional counter ("seq, early-exit pos=n"), or the
-// node-at-a-time fallback ("per-node", kept for predicate shapes whose
-// semantics need per-context numbering, like last() and positions on
-// reverse axes). Collapsed descendant shorthands are marked "fused //".
+// numbering operator ("per-node": one scan per context node, for
+// predicate shapes whose semantics need per-context numbering, like
+// last() and positions on reverse axes). Collapsed descendant shorthands
+// are marked "fused //"; a filter expression's predicates are listed
+// one per line.
 func (p *Prepared) Explain() string { return p.expr.Explain() }
 
 // QueryValue runs a query and returns its single string value.
@@ -269,20 +271,8 @@ func materializeNode(v xenc.DocView, n xpath.Node) Item {
 // transaction (parse → select → bulk structural updates → validate →
 // WAL → commit).
 func (d *Document) Update(xupdateXML string) (xupdate.Result, error) {
-	mods, err := xupdate.ParseString(xupdateXML)
-	if err != nil {
-		return xupdate.Result{}, err
-	}
-	t := d.Begin()
-	res, err := xupdate.Execute(t.inner, mods)
-	if err != nil {
-		t.Abort()
-		return res, err
-	}
-	if err := t.Commit(); err != nil {
-		return res, err
-	}
-	return res, nil
+	res, _, err := d.UpdateLSN(xupdateXML)
+	return res, err
 }
 
 // Begin starts a write transaction.

@@ -50,8 +50,8 @@ var concurrentQueries = []string{
 	`string(/site/catgraph)`,
 	// Multi-step descendant paths over large overlapping context sets
 	// (the sequence-at-a-time pipeline's pruned staircase scans) and
-	// positional predicates (fused early-exit counters and the per-node
-	// last() fallback), exercised while commits land concurrently.
+	// positional predicates (fused early-exit counters and last() under
+	// the numbering operator), exercised while commits land concurrently.
 	`/site//open_auction//increase/text()`,
 	`//description//keyword/text()`,
 	`//listitem//text()`,

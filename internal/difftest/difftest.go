@@ -39,7 +39,7 @@ import (
 // shapes target the sequence-at-a-time pipeline: multi-step descendant
 // paths whose context sets overlap (pruned staircase scans), positional
 // predicates (fused early-exit counters), boolean predicates over merged
-// sequences, and reverse-axis positions (the per-node fallback). Element
+// sequences, and reverse-axis positions (the numbering operator). Element
 // and attribute names follow what randomDoc/randFrag generate.
 var diffQueries = []*xpath.Expr{
 	xpath.MustParse(`count(//node())`),

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -348,5 +350,65 @@ func TestManySessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenFailureIsNotNoDocument: "no such document" is classified by
+// mxq.ErrNoDocument, not by the error's text. A document whose name
+// contains "no document" and whose images are all torn fails to recover,
+// and the recovery error quotes the name; the session must answer
+// CodeInternal, not CodeNoDocument.
+func TestOpenFailureIsNotNoDocument(t *testing.T) {
+	const name = "x no document y"
+	dir := t.TempDir()
+	db, err := mxq.Open(mxq.Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.LoadXMLString(name, libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two checkpoints with a commit between them: a current image and
+	// the previous one.
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.Update(wrapMods(`<xupdate:remove select="//book[1]"/>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	images, err := filepath.Glob(filepath.Join(dir, name+"-*.ckpt"))
+	if err != nil || len(images) < 2 {
+		t.Fatalf("images = %v, %v; want the current and the previous one", images, err)
+	}
+	for _, img := range images {
+		fi, err := os.Stat(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(img, fi.Size()/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db, err = mxq.Open(mxq.Options{Dir: dir, NoSync: true, LazyOpen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startServer(t, server.Config{DB: db})
+	c := dial(t, addr)
+	_, err = c.Query(bg, name, "count(//book)", nil)
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Status != server.CodeInternal {
+		t.Fatalf("query over torn images = %v, want CodeInternal", err)
+	}
+	if !strings.Contains(ce.Msg, "recovering") {
+		t.Fatalf("error message %q does not report the recovery failure", ce.Msg)
 	}
 }

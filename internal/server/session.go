@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"mxq"
@@ -458,7 +457,7 @@ func (s *session) waitForDoc(id uint64, name string, deadline time.Time) (ok, se
 			s.srv.catalog.release(name)
 			return true, true
 		}
-		if errors.Is(err, mxq.ErrDatabaseClosed) || !strings.Contains(err.Error(), "no document") {
+		if !errors.Is(err, mxq.ErrNoDocument) {
 			return false, s.respondNoDoc(id, name, err)
 		}
 		if !time.Now().Before(deadline) {
@@ -540,7 +539,7 @@ func (s *session) respondNoDoc(id uint64, name string, err error) bool {
 	if errors.Is(err, mxq.ErrDatabaseClosed) {
 		return s.respondErr(id, CodeShuttingDown, "server is shutting down")
 	}
-	if strings.Contains(err.Error(), "no document") {
+	if errors.Is(err, mxq.ErrNoDocument) {
 		return s.respondErr(id, CodeNoDocument, fmt.Sprintf("no document %q", name))
 	}
 	return s.respondErr(id, CodeInternal, err.Error())

@@ -103,7 +103,7 @@ func TestExplain(t *testing.T) {
 	out.Reset()
 	run(t, sh, "explain zoo //animal[last()]")
 	if !strings.Contains(out.String(), "per-node") {
-		t.Fatalf("explain output missing per-node fallback: %q", out.String())
+		t.Fatalf("explain output missing the per-node numbering step: %q", out.String())
 	}
 }
 

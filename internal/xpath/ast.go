@@ -3,25 +3,30 @@ package xpath
 import (
 	"fmt"
 	"strings"
+
+	"mxq/internal/staircase"
 )
 
 // Axis identifies an XPath axis.
 type Axis int
 
-// The supported axes.
+// The supported axes. The eleven tree axes are the staircase operators'
+// own values, so a tree step hands its axis to the join as a conversion;
+// attribute, which reads the side table and not the pre/size/level
+// plane, is the one value past them.
 const (
-	AxisChild Axis = iota
-	AxisDescendant
-	AxisDescendantOrSelf
-	AxisParent
-	AxisAncestor
-	AxisAncestorOrSelf
-	AxisFollowing
-	AxisFollowingSibling
-	AxisPreceding
-	AxisPrecedingSibling
-	AxisSelf
-	AxisAttribute
+	AxisSelf             = Axis(staircase.AxisSelf)
+	AxisChild            = Axis(staircase.AxisChild)
+	AxisDescendant       = Axis(staircase.AxisDescendant)
+	AxisDescendantOrSelf = Axis(staircase.AxisDescendantOrSelf)
+	AxisParent           = Axis(staircase.AxisParent)
+	AxisAncestor         = Axis(staircase.AxisAncestor)
+	AxisAncestorOrSelf   = Axis(staircase.AxisAncestorOrSelf)
+	AxisFollowing        = Axis(staircase.AxisFollowing)
+	AxisFollowingSibling = Axis(staircase.AxisFollowingSibling)
+	AxisPreceding        = Axis(staircase.AxisPreceding)
+	AxisPrecedingSibling = Axis(staircase.AxisPrecedingSibling)
+	AxisAttribute        = AxisPrecedingSibling + 1
 )
 
 var axisNames = map[string]Axis{
@@ -186,11 +191,9 @@ type filterExpr struct {
 	base  expr
 	preds []expr
 
-	// seq marks, per predicate, whether it is position-free and filters
-	// the base sequence in place; ownedBase whether the base's result
-	// may be mutated without a defensive copy. Both are attached by
-	// compilePlans (see classifyFilter in compile.go).
-	seq       []bool
+	// ownedBase marks a base whose result the predicates may filter in
+	// place without a defensive copy; compilePlans attaches it (see
+	// ownedNodeSetBase in compile.go).
 	ownedBase bool
 }
 

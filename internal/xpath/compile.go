@@ -17,9 +17,9 @@ package xpath
 //     evaluate to a number are applied over the merged result sequence
 //     with one reusable scratch context (seqPreds);
 //   - everything else (last(), position() on reverse axes, numerically
-//     typed or statically untypable predicates) keeps the node-at-a-time
-//     path (opPerNode), whose per-context numbering defines their
-//     semantics.
+//     typed predicates) runs through the numbering operator (opPerNode,
+//     planStep.applyPerNode), which numbers the predicates against each
+//     context node's own candidates.
 //
 // The lowering also rewrites the descendant shorthand: a bare
 // descendant-or-self::node() step followed by a child (or descendant)
@@ -49,7 +49,7 @@ func compilePlans(e expr) {
 		for _, p := range x.preds {
 			compilePlans(p)
 		}
-		classifyFilter(x)
+		x.ownedBase = ownedNodeSetBase(x.base)
 	case *binaryExpr:
 		compilePlans(x.l)
 		compilePlans(x.r)
@@ -151,8 +151,8 @@ func classifyStep(st step) planStep {
 // seqSafe; an *untypable* one (a bare variable, whose value only runtime
 // knows) qualifies when it is position-free, but makes the step dynamic:
 // if the value turns out to be a number after all, numeric predicates
-// select by per-context position and the runtime falls back to the
-// node-at-a-time path for that step (see errNumericPred).
+// select by per-context position and the runtime reruns that step
+// through the numbering operator (see errNumericPred).
 func classifyPreds(preds []expr) (seq, dyn bool) {
 	for _, p := range preds {
 		switch {
@@ -164,24 +164,6 @@ func classifyPreds(preds []expr) (seq, dyn bool) {
 		}
 	}
 	return true, dyn
-}
-
-// classifyFilter attaches the predicate classification to a filter
-// expression (primary[pred]...). Unlike a step — where each context node
-// numbers its own axis candidates — a filter's predicates number against
-// the whole base sequence, which is exactly the order the evaluator
-// holds it in. Every position-free predicate (typed or not) is therefore
-// filtered over the sequence in place, with a runtime number compared
-// against the sequence position (identical semantics, no fallback
-// needed); only predicates that consult position() or last() keep the
-// allocating per-node path, purely because their classification is what
-// Explain reports.
-func classifyFilter(f *filterExpr) {
-	f.seq = make([]bool, len(f.preds))
-	for i, p := range f.preds {
-		f.seq[i] = positionFree(p)
-	}
-	f.ownedBase = ownedNodeSetBase(f.base)
 }
 
 // ownedNodeSetBase reports whether evaluating e always yields a freshly

@@ -4,6 +4,11 @@
 // encoding), name and kind tests, positional and boolean predicates,
 // arithmetic, comparisons with node-set existential semantics, variables
 // ($x), and the core function library.
+//
+// Parse compiles every location path into a plan of sequence operators
+// (compile.go, plan.go), and that plan is the only evaluator: this file
+// evaluates the expressions around the paths — operators, filters,
+// functions — and resolves node tests for the plan's operators.
 package xpath
 
 import (
@@ -163,27 +168,14 @@ func (f *filterExpr) eval(c *context) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("predicate applied to a %T", base)
 	}
-	// Position-free predicates filter the base sequence in place: a
-	// filter's predicates number against the whole base sequence, which
-	// is exactly the order ns holds, so a runtime numeric value compares
-	// against the sequence position with no per-context renumbering (see
-	// classifyFilter in compile.go). A borrowed base (variable binding)
-	// is copied once before the first destructive pass.
-	owned := f.ownedBase
-	for i, pred := range f.preds {
-		if f.seq != nil && f.seq[i] && planEnabled.Load() {
-			if !owned {
-				ns = append(NodeSet{}, ns...)
-				owned = true
-			}
-			ns, err = filterNodesInPlace(c, ns, pred)
-		} else {
-			ns, err = filterNodes(c, ns, pred, false)
-			owned = true
-		}
-		if err != nil {
-			return nil, err
-		}
+	// A filter's predicates number against the whole base sequence, which
+	// is exactly the order ns holds, so they filter it in place; a
+	// borrowed base (a variable binding) is copied first.
+	if !f.ownedBase {
+		ns = append(NodeSet{}, ns...)
+	}
+	if ns, err = filterSeq(c, ns, sameNode, f.preds, false); err != nil {
+		return nil, err
 	}
 	return ns, nil
 }
@@ -206,188 +198,7 @@ func (p *pathExpr) eval(c *context) (Value, error) {
 	default:
 		ctx = NodeSet{c.node}
 	}
-	if p.plan != nil && planEnabled.Load() {
-		return p.plan.run(c, ctx)
-	}
-	var err error
-	for i := range p.steps {
-		ctx, err = applyStep(c, ctx, &p.steps[i])
-		if err != nil {
-			return nil, err
-		}
-		if len(ctx) == 0 {
-			return NodeSet{}, nil
-		}
-	}
-	return ctx, nil
-}
-
-// applyStep evaluates one location step node-at-a-time. Predicates are
-// applied per context node over the axis-ordered candidate list, which
-// is what gives position() its XPath semantics; the per-node results are
-// then merged into document order. The compiled pipeline (plan.go) only
-// routes steps here whose predicate shapes need per-context numbering
-// (position() on reverse axes, last(), untypable predicates), plus
-// document-node and attribute-node contexts.
-func applyStep(c *context, ctx NodeSet, st *step) (NodeSet, error) {
-	var out NodeSet
-	// Reversal exists only so predicates number against axis order; the
-	// candidates come back from the staircase in document order, so a
-	// predicate-free step needs neither the reversal nor the restoring
-	// sort.
-	reversed := st.axis.Reverse() && len(st.preds) > 0
-	for _, node := range ctx {
-		cands := axisCandidates(c.view, node, st)
-		if reversed {
-			for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
-				cands[i], cands[j] = cands[j], cands[i]
-			}
-		}
-		var err error
-		for _, pred := range st.preds {
-			cands, err = filterNodes(c, cands, pred, false)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, cands...)
-	}
-	if len(ctx) > 1 || reversed {
-		out = sortDedupe(out)
-	}
-	return out, nil
-}
-
-// filterNodes keeps the nodes for which the predicate holds. Numeric
-// predicate values select by position.
-func filterNodes(c *context, ns NodeSet, pred expr, _ bool) (NodeSet, error) {
-	var out NodeSet
-	sub := context{view: c.view, size: len(ns), vars: c.vars}
-	for i, n := range ns {
-		sub.node = n
-		sub.pos = i + 1
-		val, err := pred.eval(&sub)
-		if err != nil {
-			return nil, err
-		}
-		keep := false
-		if num, ok := val.(Number); ok {
-			keep = float64(num) == float64(i+1)
-		} else {
-			keep = BoolOf(val)
-		}
-		if keep {
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
-
-// filterNodesInPlace is filterNodes without the result allocation: the
-// kept nodes compact into the front of ns. Callers guarantee they own
-// ns. Numeric predicate values still select by position — identical
-// semantics, because the positions compared against are the sequence
-// positions filterNodes would have assigned.
-func filterNodesInPlace(c *context, ns NodeSet, pred expr) (NodeSet, error) {
-	sub := context{view: c.view, size: len(ns), vars: c.vars}
-	w := 0
-	for i, n := range ns {
-		sub.node = n
-		sub.pos = i + 1
-		val, err := pred.eval(&sub)
-		if err != nil {
-			return nil, err
-		}
-		keep := false
-		if num, ok := val.(Number); ok {
-			keep = float64(num) == float64(i+1)
-		} else {
-			keep = BoolOf(val)
-		}
-		if keep {
-			ns[w] = n
-			w++
-		}
-	}
-	return ns[:w], nil
-}
-
-// axisCandidates enumerates the axis from one context node, applying the
-// node test, in document order.
-func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
-	// Attribute axis.
-	if st.axis == AxisAttribute {
-		if n.Attr != NoAttr || n.Pre == DocNodePre || v.Kind(n.Pre) != xenc.KindElem {
-			return nil
-		}
-		test := resolveAttrTest(v, st)
-		var out NodeSet
-		for i, a := range v.Attrs(n.Pre) {
-			if test.matches(a.Name) {
-				out = append(out, Node{Pre: n.Pre, Attr: int32(i)})
-			}
-		}
-		return out
-	}
-
-	// Axes from an attribute node.
-	if n.Attr != NoAttr {
-		switch st.axis {
-		case AxisSelf:
-			if st.tk == testNode {
-				return NodeSet{n}
-			}
-			return nil
-		case AxisParent:
-			// Only the owning element.
-			return axisCandidates(v, ElemNode(n.Pre), &step{axis: AxisSelf, tk: st.tk, name: st.name})
-		case AxisAncestor, AxisAncestorOrSelf:
-			out := axisCandidates(v, ElemNode(n.Pre), &step{axis: AxisAncestorOrSelf, tk: st.tk, name: st.name})
-			if st.axis == AxisAncestorOrSelf && st.tk == testNode {
-				out = append(out, n)
-			}
-			return out
-		default:
-			return nil
-		}
-	}
-
-	// Axes from the document node, for steps that are per-node for other
-	// reasons (the plan handles it at sequence level otherwise): the
-	// staircase evaluates them from the root element.
-	if n.Pre == DocNodePre {
-		var out NodeSet
-		if st.selectsDocNode() {
-			out = append(out, n)
-		}
-		if ax, ok := fromDocNode(st.axis); ok {
-			for _, p := range staircase.EvalAxis(v, []xenc.Pre{v.Root()}, seqAxis(ax), treeTest(v, st)) {
-				out = append(out, ElemNode(p))
-			}
-		}
-		return out
-	}
-
-	// Regular tree axes via staircase join (the same dispatcher the
-	// sequence pipeline uses, on a singleton context).
-	test := treeTest(v, st)
-	pres := staircase.EvalAxis(v, []xenc.Pre{n.Pre}, seqAxis(st.axis), test)
-	out := make(NodeSet, 0, len(pres))
-	for _, p := range pres {
-		out = append(out, ElemNode(p))
-	}
-	// The document node is an ancestor of everything.
-	switch st.axis {
-	case AxisParent:
-		if v.Level(n.Pre) == 0 && st.tk == testNode {
-			out = append(NodeSet{DocNode()}, out...)
-		}
-	case AxisAncestor, AxisAncestorOrSelf:
-		if st.tk == testNode {
-			out = append(NodeSet{DocNode()}, out...)
-		}
-	}
-	return out
+	return p.plan.run(c, ctx)
 }
 
 // fromDocNode maps a tree axis taken from the virtual document node to
@@ -554,22 +365,24 @@ func (f *funcCall) eval(c *context) (Value, error) {
 		if len(f.args) != 2 && len(f.args) != 3 {
 			return nil, fmt.Errorf("substring() takes 2 or 3 arguments")
 		}
+		// A character at position p (from 1) is kept when
+		// round(start) <= p < round(start) + round(length), compared as
+		// numbers: NaN keeps nothing, an infinite length everything.
 		s := []rune(argS(0))
-		start := int(math.Round(argN(1))) - 1
-		end := len(s)
+		from, to := round(argN(1)), math.Inf(1)
 		if len(f.args) == 3 {
-			end = start + int(math.Round(argN(2)))
+			to = from + round(argN(2))
 		}
-		if start < 0 {
-			start = 0
+		lo, hi := 0, 0
+		for i := range s {
+			if p := float64(i + 1); p >= from && p < to {
+				if hi == 0 {
+					lo = i
+				}
+				hi = i + 1
+			}
 		}
-		if end > len(s) {
-			end = len(s)
-		}
-		if start >= end {
-			return String(""), nil
-		}
-		return String(string(s[start:end])), nil
+		return String(string(s[lo:hi])), nil
 	case "string-length":
 		if len(f.args) == 0 {
 			return Number(len([]rune(StringValue(c.view, c.node)))), nil
@@ -628,9 +441,24 @@ func (f *funcCall) eval(c *context) (Value, error) {
 		if err := arity(f, 1); err != nil {
 			return nil, err
 		}
-		return Number(math.Round(argN(0))), nil
+		return Number(round(argN(0))), nil
 	}
 	return nil, fmt.Errorf("unknown function %s()", f.name)
+}
+
+// round is XPath 1.0's round(): the integer closest to x, and of two
+// equally close the one closer to positive infinity; NaN, the infinities
+// and both zeros are returned as they are, and a result of zero keeps a
+// negative argument's sign.
+func round(x float64) float64 {
+	r := math.Floor(x)
+	if x-r >= 0.5 {
+		r++
+	}
+	if r == 0 && x < 0 {
+		return math.Copysign(0, -1)
+	}
+	return r
 }
 
 func arity(f *funcCall, n int) error {

@@ -118,6 +118,55 @@ func TestSubstringClamping(t *testing.T) {
 	}
 }
 
+// TestSpecExamples pins every worked example of XPath 1.0 §4.2 (string
+// functions) and the cases §4.4 spells out for round(): ties go towards
+// positive infinity, NaN and the infinities pass through, and a zero
+// result keeps a negative argument's sign (shown by dividing by it).
+func TestSpecExamples(t *testing.T) {
+	v := smallView(t)
+	cases := [][2]string{
+		{`substring-before("1999/04/01", "/")`, "1999"},
+		{`substring-after("1999/04/01", "/")`, "04/01"},
+		{`substring-after("1999/04/01", "19")`, "99/04/01"},
+		{`substring("12345", 2, 3)`, "234"},
+		{`substring("12345", 2)`, "2345"},
+		{`substring("12345", 1.5, 2.6)`, "234"},
+		{`substring("12345", 0, 3)`, "12"},
+		{`substring("12345", 0 div 0, 3)`, ""},
+		{`substring("12345", 1, 0 div 0)`, ""},
+		{`substring("12345", -42, 1 div 0)`, "12345"},
+		{`substring("12345", -1 div 0, 1 div 0)`, ""},
+		{`substring("12345", 2, 1 div 0)`, "2345"},
+		{`substring("12345", -0.5, 2)`, "1"},
+		{`substring("12345", 0 div 0)`, ""},
+		{`substring("12345", -1 div 0)`, "12345"},
+		{`translate("bar", "abc", "ABC")`, "BAr"},
+		{`translate("--aaa--", "abc-", "ABC")`, "AAA"},
+		{`round(2.5)`, "3"},
+		{`round(1.5)`, "2"},
+		{`round(2.4)`, "2"},
+		{`round(-2.5)`, "-2"},
+		{`round(-1.5)`, "-1"},
+		{`round(-2.6)`, "-3"},
+		{`round(-0.5)`, "0"},
+		{`1 div round(-0.5)`, "-Infinity"},
+		{`1 div round(-0.2)`, "-Infinity"},
+		{`1 div round(-0)`, "-Infinity"},
+		{`1 div round(0)`, "Infinity"},
+		{`1 div round(0.4)`, "Infinity"},
+		{`round(0.49999999999999994)`, "0"},
+		{`round(4503599627370497) = 4503599627370497`, "true"}, // 2^52+1: x + 0.5 would tie to even
+		{`round(0 div 0)`, "NaN"},
+		{`round(1 div 0)`, "Infinity"},
+		{`round(-1 div 0)`, "-Infinity"},
+	}
+	for _, c := range cases {
+		if got := evalStr(t, v, c[0]); got != c[1] {
+			t.Errorf("%s = %q, want %q", c[0], got, c[1])
+		}
+	}
+}
+
 func TestUnionRequiresNodeSets(t *testing.T) {
 	v := smallView(t)
 	if _, err := MustParse(`//a | 3`).Eval(v); err == nil {

@@ -81,14 +81,15 @@ func FuzzXPathParse(f *testing.F) {
 }
 
 // FuzzXPathEval is the evaluation-side differential fuzzer: every query
-// that parses is evaluated three ways — through the compiled
-// sequence-at-a-time pipeline on the paged store (free tuples
-// interleaved), through the node-at-a-time interpreter on the same
-// store, and through the interpreter on the naive dense oracle — and all
-// three must agree on error-ness and, modulo physical pre ranks, on the
-// result. This crosses both dimensions at once: plan vs. interpreter
-// (the compiler's predicate classification and // fusion) and paged vs.
-// dense storage (free-run skipping in the staircase operators).
+// that parses is evaluated three ways — through the compiled plan on the
+// paged store (free tuples interleaved), through the node-at-a-time
+// oracle (reference, oracle_test.go) on the same store, and through the
+// plan on the naive dense store — and all three must agree on error-ness
+// and, modulo physical pre ranks, on the result. This crosses both
+// dimensions at once: plan vs. oracle (the compiler's predicate
+// classification and // fusion, the numbering operator) and paged vs.
+// dense storage (free-run skipping in the staircase operators, the
+// column kernels vs. the per-tuple bodies the dense store runs).
 func FuzzXPathEval(f *testing.F) {
 	seeds := []string{
 		// Shapes the compiler rewrites: descendant fusion, sequence
@@ -97,7 +98,7 @@ func FuzzXPathEval(f *testing.F) {
 		`//person[income]/name/text()`, `//item[desc//kw]/@id`,
 		`//bidder[1]/increase/text()`, `//person[position() = 2]`,
 		`//watch[2]`, `//item[1]//kw`, `(//kw)[2]`, `//desc/kw[last()]`,
-		// Shapes that stay per-node: reverse-axis numbering.
+		// Shapes the numbering operator runs: reverse-axis numbering.
 		`//kw/ancestor::*[1]`, `//kw/ancestor::node()[last()]`,
 		`//bidder/preceding-sibling::*[1]`, `//f/preceding::*[2]`,
 		// Attribute axis, unions, functions, operators, variables.
@@ -112,7 +113,7 @@ func FuzzXPathEval(f *testing.F) {
 		`(//person)[income][2]/@id`, `(//name | //kw)[contains(., "o")]`,
 		`(//item)[desc//kw]`, `(//person)[$x]`, `(//person)[$who]`,
 		// Untypable step predicates: dyn sequence steps whose numeric
-		// fallback reruns the step per-node ($x is a number).
+		// fallback reruns the step per context ($x is a number).
 		`//watch[$x]`, `//person[$x]/@id`, `//person[$who]/name`,
 		`//bidder[$x]/increase/text()`, `//person[watches/watch[$x]]`,
 		// Steps from the document node, which the plan evaluates through
@@ -120,6 +121,15 @@ func FuzzXPathEval(f *testing.F) {
 		`/`, `/*`, `/node()`, `/descendant-or-self::node()`, `//kw[1]`,
 		`/descendant::kw[2]`, `/descendant-or-self::node()[2]`, `/*[last()]`,
 		`/self::node()`, `/self::node()[1]/site`, `(/ | //item)/descendant::kw[1]`,
+		// Shapes the numbering operator owns end to end: attribute contexts
+		// under a positional predicate, the document node under last(), a
+		// dyn predicate that turns numeric over mixed contexts.
+		`//@id/parent::*[1]`, `//@*/ancestor-or-self::node()[last()]`,
+		`//@id/self::node()[1]`, `//@id/ancestor::*[last()]`,
+		`/descendant-or-self::node()[last()]`, `/self::node()[last()]/*`,
+		`(/ | //@id | //item)/descendant-or-self::node()[$x]`,
+		`(/ | //@id | //item)/ancestor-or-self::node()[$x]`,
+		`$rev/name[last()]`, `$rev/preceding-sibling::*[1]`, `($rev)[$x]`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -129,7 +139,7 @@ func FuzzXPathEval(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	oracle, err := naive.Build(tr)
+	naiveStore, err := naive.Build(tr)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -137,7 +147,8 @@ func FuzzXPathEval(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	vars := map[string]Value{"who": String("p1"), "x": Number(2)}
+	// Node-set bindings hold store-specific pre ranks: one set per store.
+	pagedVars, denseVars := planVars(f, paged), planVars(f, naiveStore)
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 2048 {
@@ -147,11 +158,9 @@ func FuzzXPathEval(f *testing.F) {
 		if err != nil {
 			return
 		}
-		planned, errPlan := fuzzFingerprint(paged, expr, vars)
-		prev := SetPlanEnabled(false)
-		perNode, errPer := fuzzFingerprint(paged, expr, vars)
-		dense, errNaive := fuzzFingerprint(oracle, expr, vars)
-		SetPlanEnabled(prev)
+		planned, errPlan := fuzzFingerprint(paged, expr, pagedVars)
+		perNode, errPer := fuzzFingerprint(paged, reference(expr), pagedVars)
+		dense, errNaive := fuzzFingerprint(naiveStore, expr, denseVars)
 		if (errPlan == nil) != (errPer == nil) || (errPlan == nil) != (errNaive == nil) {
 			t.Fatalf("%q: error disagreement: plan=%v per-node=%v naive=%v",
 				src, errPlan, errPer, errNaive)
@@ -164,7 +173,7 @@ func FuzzXPathEval(f *testing.F) {
 				src, planned, perNode)
 		}
 		if planned != dense {
-			t.Fatalf("%q: paged diverged from naive oracle\npaged: %s\nnaive: %s",
+			t.Fatalf("%q: paged store diverged from the naive dense store\npaged: %s\nnaive: %s",
 				src, planned, dense)
 		}
 	})

@@ -8,19 +8,22 @@ package xpath
 // paper's context pruning — a context node whose region was already
 // scanned is skipped, so no tuple is inspected twice — and returns
 // results already in document order, eliminating the per-step
-// sort/dedupe of the node-at-a-time path. The virtual document node —
-// the first context of every absolute path — is a plan operand too: its
+// sort/dedupe a loop over context nodes needs. The virtual document node
+// — the first context of every absolute path — is a plan operand too: its
 // step runs through the staircase from the root element (fromDocNode),
-// and the result flows on as pre ranks. Only attribute-node contexts
-// (rare mid-path) are split off and routed through the per-node
-// evaluator, then merged back in document order.
+// and the result flows on as pre ranks. Steps whose predicates number
+// against each context node's own candidates (last(), positions on
+// reverse axes, a dyn predicate that turned numeric) and attribute-node
+// contexts (rare mid-path) run through the numbering operator
+// (applyPerNode), which drives the same sequence operators one context
+// node at a time and merges the results back in document order.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"mxq/internal/staircase"
 	"mxq/internal/xenc"
@@ -30,21 +33,9 @@ import (
 // time, e.g. a bare variable) predicate evaluated to a number at
 // runtime. Numeric predicates select by per-context position, which the
 // merged sequence cannot number; planStep.apply catches the sentinel and
-// reruns the step node-at-a-time. It never escapes the plan runtime.
+// reruns the step through the numbering operator. It never escapes the
+// plan runtime.
 var errNumericPred = errors.New("xpath: dynamic predicate is numeric")
-
-// planEnabled gates the compiled pipeline globally. It exists so the
-// differential fuzzer and the old-vs-new pipeline benchmarks can compare
-// the two evaluation strategies on identical expressions; production
-// code never turns it off.
-var planEnabled atomic.Bool
-
-func init() { planEnabled.Store(true) }
-
-// SetPlanEnabled toggles the sequence-at-a-time pipeline and returns
-// the previous setting (a testing/benchmarking hook; evaluation falls
-// back to the node-at-a-time interpreter when disabled).
-func SetPlanEnabled(on bool) bool { return planEnabled.Swap(on) }
 
 // stepKind is the execution strategy of one compiled step.
 type stepKind int
@@ -56,8 +47,9 @@ const (
 	// opFusedPos is opSeq with a leading positional predicate fused into
 	// the scan: each context node's scan stops at its pos-th match.
 	opFusedPos
-	// opPerNode keeps the node-at-a-time path (positional predicates on
-	// reverse axes, last(), statically untypable predicates).
+	// opPerNode numbers the predicates against each context node's own
+	// candidates (positional predicates on reverse axes, last(),
+	// numerically typed predicates): see applyPerNode.
 	opPerNode
 )
 
@@ -81,7 +73,8 @@ type pathPlan struct {
 // travel as raw pre ranks between sequence steps, so consecutive
 // staircase operators chain without wrapping each node into a NodeSet
 // and unwrapping it again; the NodeSet form appears only when the
-// document node or attribute nodes are in play, or a per-node step runs.
+// document node or attribute nodes are in play, or the numbering
+// operator runs.
 type seqCtx struct {
 	pure  bool
 	pres  []xenc.Pre // valid when pure
@@ -130,19 +123,106 @@ func (pl *pathPlan) run(c *context, ctx NodeSet) (NodeSet, error) {
 
 // apply evaluates one compiled step over the whole context sequence.
 func (ps *planStep) apply(c *context, sc seqCtx) (seqCtx, error) {
-	if ps.kind == opPerNode {
-		ns, err := applyStep(c, sc.nodeSet(), &ps.st)
+	if ps.kind != opPerNode {
+		out, err := ps.applySeq(c, sc)
+		if err != errNumericPred {
+			return out, err
+		}
+		// A dyn predicate turned out numeric at runtime: numeric
+		// predicates select by per-context position, so the whole step
+		// reruns through the operator that numbers per context.
+	}
+	return ps.applyPerNode(c, sc.nodeSet())
+}
+
+// applyPerNode is the numbering operator: for each context node it runs
+// the bare step (axis and node test, no predicates) through the sequence
+// operators on a one-node context, puts the candidates in axis order,
+// numbers the step's predicates against that list — which is what gives
+// position() and last() their XPath semantics — and merges the
+// per-context results in document order. It makes one scan per context
+// node, so no pruning applies.
+func (ps *planStep) applyPerNode(c *context, ctx NodeSet) (seqCtx, error) {
+	bare := ps.onAxis(ps.st.axis)
+	// Candidates arrive in document order; a reverse axis numbers from
+	// the other end, which only a predicate can observe.
+	reversed := ps.st.axis.Reverse() && len(ps.st.preds) > 0
+	var out NodeSet
+	for _, n := range ctx {
+		cands, err := bare.fromNode(c, n)
+		if err != nil {
+			return seqCtx{}, err
+		}
+		if cands.pure {
+			pres := cands.pres
+			if reversed {
+				slices.Reverse(pres)
+			}
+			if pres, err = filterSeq(c, pres, ElemNode, ps.st.preds, false); err != nil {
+				return seqCtx{}, err
+			}
+			for _, p := range pres {
+				out = append(out, ElemNode(p))
+			}
+			continue
+		}
+		nodes := cands.nodes
+		if reversed {
+			slices.Reverse(nodes)
+		}
+		if nodes, err = filterSeq(c, nodes, sameNode, ps.st.preds, false); err != nil {
+			return seqCtx{}, err
+		}
+		out = append(out, nodes...)
+	}
+	if len(ctx) > 1 || reversed {
+		out = sortDedupe(out)
+	}
+	return seqCtx{nodes: out}, nil
+}
+
+// onAxis is the bare step of ps — its node test, no predicates — on
+// another axis.
+func (ps *planStep) onAxis(ax Axis) *planStep {
+	return &planStep{st: step{axis: ax, tk: ps.st.tk, name: ps.st.name}}
+}
+
+// fromNode runs a bare step from one context node, in document order.
+// Tree nodes and the document node go through treeSeq and attrSeq; what
+// this adds is the axes from an attribute node: self is the attribute
+// itself under node(), parent and ancestor(-or-self) continue from the
+// owning element, and every other axis is empty.
+func (ps *planStep) fromNode(c *context, n Node) (seqCtx, error) {
+	ax := ps.st.axis
+	if n.Attr != NoAttr {
+		switch ax {
+		case AxisSelf:
+			if ps.st.tk == testNode {
+				return seqCtx{nodes: NodeSet{n}}, nil
+			}
+		case AxisParent:
+			return ps.onAxis(AxisSelf).treeSeq(c, []xenc.Pre{n.Pre}, false)
+		case AxisAncestor, AxisAncestorOrSelf:
+			up, err := ps.onAxis(AxisAncestorOrSelf).treeSeq(c, []xenc.Pre{n.Pre}, false)
+			if err == nil && ax == AxisAncestorOrSelf && ps.st.tk == testNode {
+				up = seqCtx{nodes: append(up.nodeSet(), n)}
+			}
+			return up, err
+		}
+		return seqCtx{}, nil
+	}
+	doc := n.Pre == DocNodePre
+	if ax == AxisAttribute {
+		if doc { // the document node has no attributes
+			return seqCtx{}, nil
+		}
+		ns, err := ps.attrSeq(c, []xenc.Pre{n.Pre})
 		return seqCtx{nodes: ns}, err
 	}
-	out, err := ps.applySeq(c, sc)
-	if err == errNumericPred {
-		// A dyn predicate turned out numeric at runtime: numeric
-		// predicates select by per-context position, so rerun the whole
-		// step node-at-a-time, whose numbering defines those semantics.
-		ns, perr := applyStep(c, sc.nodeSet(), &ps.st)
-		return seqCtx{nodes: ns}, perr
+	if doc {
+		return ps.treeSeq(c, nil, true)
 	}
-	return out, err
+	return ps.treeSeq(c, []xenc.Pre{n.Pre}, false)
 }
 
 // applySeq is the sequence-level strategy of apply; it reports
@@ -170,13 +250,13 @@ func (ps *planStep) applySeq(c *context, sc seqCtx) (seqCtx, error) {
 		return seqCtx{}, err
 	}
 	if len(attrs) > 0 {
-		// Attribute nodes go through the per-node evaluator (each is a
-		// singleton scan; no overlap to prune).
-		sp, err := applyStep(c, attrs, &ps.st)
+		// Attribute-node contexts go through the numbering operator (each
+		// is a singleton scan; no overlap to prune).
+		sp, err := ps.applyPerNode(c, attrs)
 		if err != nil {
 			return seqCtx{}, err
 		}
-		out = seqCtx{nodes: mergeNodes(out.nodeSet(), sp)}
+		out = seqCtx{nodes: mergeNodes(out.nodeSet(), sp.nodes)}
 	}
 	return out, nil
 }
@@ -217,20 +297,15 @@ func (ps *planStep) treeSeq(c *context, pres []xenc.Pre, doc bool) (seqCtx, erro
 		}
 	}
 	if !withDoc {
-		var err error
-		for _, pred := range ps.seqPreds {
-			if cands, err = filterPres(c, cands, pred, ps.dyn); err != nil {
-				return seqCtx{}, err
-			}
-		}
-		return seqCtx{pure: true, pres: cands}, nil
+		cands, err := filterSeq(c, cands, ElemNode, ps.seqPreds, ps.dyn)
+		return seqCtx{pure: true, pres: cands}, err
 	}
 	out := make(NodeSet, 0, len(cands)+1)
 	out = append(out, DocNode())
 	for _, p := range cands {
 		out = append(out, ElemNode(p))
 	}
-	out, err := ps.filterSeqPreds(c, out)
+	out, err := filterSeq(c, out, sameNode, ps.seqPreds, ps.dyn)
 	return seqCtx{nodes: out}, err
 }
 
@@ -240,36 +315,47 @@ func (ps *planStep) axisSeq(v xenc.DocView, pres []xenc.Pre, ax Axis, t staircas
 	if ps.kind == opFusedPos {
 		return fusedPosScan(v, pres, ax, t, k)
 	}
-	return staircase.EvalAxis(v, pres, seqAxis(ax), t)
+	return staircase.EvalAxis(v, pres, staircase.Axis(ax), t)
 }
 
-// filterPres is filterSeqPreds over the pure pre representation: one
-// sequence-safe predicate, filtered in place with a reusable scratch
-// context. dyn marks a predicate whose type only runtime knows: a
-// numeric value makes it positional, which the merged sequence cannot
-// honor, so the step falls back via errNumericPred.
-func filterPres(c *context, pres []xenc.Pre, pred expr, dyn bool) ([]xenc.Pre, error) {
-	sub := context{view: c.view, vars: c.vars, size: len(pres)}
-	w := 0
-	for i, p := range pres {
-		sub.node = ElemNode(p)
-		sub.pos = i + 1
-		val, err := pred.eval(&sub)
-		if err != nil {
-			return nil, err
-		}
-		if dyn {
-			if _, isNum := val.(Number); isNum {
+// filterSeq filters a sequence — pre ranks or nodes, node says which —
+// in place by each predicate in turn: a predicate sees the elements the
+// previous one kept, numbered in the order seq holds them, and a numeric
+// value selects by that position. dyn marks predicates whose type only
+// runtime knows, applied over a merged sequence: a numeric value makes
+// one positional per context, which the merged sequence cannot honor, so
+// the step starts over via errNumericPred.
+func filterSeq[T xenc.Pre | Node](c *context, seq []T, node func(T) Node, preds []expr, dyn bool) ([]T, error) {
+	for _, pred := range preds {
+		sub := context{view: c.view, vars: c.vars, size: len(seq)}
+		w := 0
+		for i, x := range seq {
+			sub.node = node(x)
+			sub.pos = i + 1
+			val, err := pred.eval(&sub)
+			if err != nil {
+				return nil, err
+			}
+			keep := false
+			if num, isNum := val.(Number); !isNum {
+				keep = BoolOf(val)
+			} else if dyn {
 				return nil, errNumericPred
+			} else {
+				keep = float64(num) == float64(i+1)
+			}
+			if keep {
+				seq[w] = x
+				w++
 			}
 		}
-		if BoolOf(val) {
-			pres[w] = p
-			w++
-		}
+		seq = seq[:w]
 	}
-	return pres[:w], nil
+	return seq, nil
 }
+
+// sameNode is filterSeq's node func over a NodeSet.
+func sameNode(n Node) Node { return n }
 
 // attrSeq runs the attribute axis over an ascending element sequence.
 // Distinct elements own distinct attributes, so the output is already in
@@ -299,38 +385,7 @@ func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 			out = append(out, Node{Pre: p, Attr: int32(i)})
 		}
 	}
-	return ps.filterSeqPreds(c, out)
-}
-
-// filterSeqPreds applies the sequence-safe predicates, filtering in
-// place with one reusable scratch context. Compilation guarantees the
-// predicates never consult position() or last() and never evaluate to a
-// number, so every node's verdict is independent of the numbering the
-// per-node path would have assigned.
-func (ps *planStep) filterSeqPreds(c *context, ns NodeSet) (NodeSet, error) {
-	for _, pred := range ps.seqPreds {
-		sub := context{view: c.view, vars: c.vars, size: len(ns)}
-		w := 0
-		for i, n := range ns {
-			sub.node = n
-			sub.pos = i + 1
-			val, err := pred.eval(&sub)
-			if err != nil {
-				return nil, err
-			}
-			if ps.dyn {
-				if _, isNum := val.(Number); isNum {
-					return nil, errNumericPred
-				}
-			}
-			if BoolOf(val) {
-				ns[w] = n
-				w++
-			}
-		}
-		ns = ns[:w]
-	}
-	return ns, nil
+	return filterSeq(c, out, sameNode, ps.seqPreds, ps.dyn)
 }
 
 // fusedPosScan evaluates axis::test[k] with the positional predicate
@@ -344,7 +399,7 @@ func fusedPosScan(v xenc.DocView, ctx []xenc.Pre, ax Axis, t staircase.Test, k i
 	last := xenc.Pre(-1)
 	for _, c := range ctx {
 		count := 0
-		staircase.Scan(v, c, seqAxis(ax), t, func(p xenc.Pre) bool {
+		staircase.Scan(v, c, staircase.Axis(ax), t, func(p xenc.Pre) bool {
 			count++
 			if count < k {
 				return true
@@ -363,38 +418,10 @@ func fusedPosScan(v xenc.DocView, ctx []xenc.Pre, ax Axis, t staircase.Test, k i
 	return out
 }
 
-// seqAxis maps an XPath tree axis to its staircase operator.
-func seqAxis(a Axis) staircase.Axis {
-	switch a {
-	case AxisSelf:
-		return staircase.AxisSelf
-	case AxisChild:
-		return staircase.AxisChild
-	case AxisDescendant:
-		return staircase.AxisDescendant
-	case AxisDescendantOrSelf:
-		return staircase.AxisDescendantOrSelf
-	case AxisParent:
-		return staircase.AxisParent
-	case AxisAncestor:
-		return staircase.AxisAncestor
-	case AxisAncestorOrSelf:
-		return staircase.AxisAncestorOrSelf
-	case AxisFollowing:
-		return staircase.AxisFollowing
-	case AxisFollowingSibling:
-		return staircase.AxisFollowingSibling
-	case AxisPreceding:
-		return staircase.AxisPreceding
-	case AxisPrecedingSibling:
-		return staircase.AxisPrecedingSibling
-	}
-	panic(fmt.Sprintf("xpath: no staircase operator for axis %v", a))
-}
-
 // splitContext separates tree nodes (which flow through the staircase
-// operators as pre ranks) from attribute nodes (which keep the per-node
-// path), and reports whether the document node is among the context.
+// operators as pre ranks) from attribute nodes (which the numbering
+// operator takes), and reports whether the document node is among the
+// context.
 // The all-tree case — every context after the first step of almost
 // every query — allocates exactly once.
 func splitContext(ctx NodeSet) (pres []xenc.Pre, attrs NodeSet, doc bool) {
@@ -494,10 +521,11 @@ func nodesOrdered(ns NodeSet) bool {
 // Explain renders the compiled evaluation plan: one line per location
 // step showing the operator the step lowers to — a sequence-level
 // staircase scan (seq), a scan with a fused early-exit positional
-// counter (seq pos=n), or the node-at-a-time fallback (per-node) — plus
-// the count of predicates applied over the sequence. Paths nested in
-// predicates and function arguments are rendered indented below their
-// parent.
+// counter (seq pos=n), or the numbering operator, which scans once per
+// context node (per-node) — plus the count of predicates applied over
+// the sequence. A filter expression lists its predicates, one line
+// each. Paths nested in predicates and function arguments are rendered
+// indented below their parent.
 func (e *Expr) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", e.root)
@@ -550,12 +578,8 @@ func explainExpr(b *strings.Builder, e expr, depth int) {
 		}
 	case *filterExpr:
 		explainExpr(b, x.base, depth)
-		for i, p := range x.preds {
-			mode := "per-node (positional)"
-			if i < len(x.seq) && x.seq[i] {
-				mode = "seq (in-place)"
-			}
-			fmt.Fprintf(b, "%sfilter [%s]: %s\n", indent, p, mode)
+		for _, p := range x.preds {
+			fmt.Fprintf(b, "%sfilter [%s]\n", indent, p)
 			explainExpr(b, p, depth+1)
 		}
 	case *binaryExpr:

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,8 +42,9 @@ const planDoc = `<site>
 
 // planQueries covers every execution strategy the compiler emits: pure
 // sequence steps, fused //, fused positional counters, sequence
-// predicates, per-node fallbacks (last(), reverse-axis positions), the
-// attribute axis, unions, filters and variables.
+// predicates, the numbering operator (last(), reverse-axis positions,
+// attribute and document-node contexts), the attribute axis, unions,
+// filters and variables.
 var planQueries = []string{
 	`//kw`,
 	`//kw/text()`,
@@ -160,6 +162,32 @@ var planQueries = []string{
 	`//person/@nope`,
 	`//person/attribute::text()`,
 	`count(/descendant::node())`,
+	// Shapes the numbering operator owns end to end: attribute contexts
+	// under a positional predicate, the document node under last(), a dyn
+	// predicate that turns numeric with attribute and document-node
+	// contexts in the same sequence, an unordered variable-bound start.
+	`//@id/parent::*[1]`,
+	`//@id/parent::person[last()]/name/text()`,
+	`//@*/ancestor-or-self::node()[last()]`,
+	`//@id/ancestor-or-self::node()[2]`,
+	`//@id/ancestor::*[1]`,
+	`//@id/ancestor::node()[last()]`,
+	`//@id/self::node()[1]`,
+	`//@id/self::*[1]`,
+	`//@id/following::node()[1]`,
+	`//@id/@id[last()]`,
+	`/descendant-or-self::node()[last()]`,
+	`/self::node()[last()]/*`,
+	`/@*[last()]`,
+	`/parent::node()[last()]`,
+	`/site/parent::node()[last()]`,
+	`//person/attribute::*[last()]`,
+	`(/ | //@id | //item)/descendant-or-self::node()[$x]`,
+	`(/ | //@id | //item)/ancestor-or-self::node()[$x]`,
+	`(/ | //@id)/self::node()[$who]`,
+	`$rev/name[last()]/text()`,
+	`$rev/preceding-sibling::*[1]/@id`,
+	`($rev)[2]/@id`,
 }
 
 // buildPlanStores shreds planDoc into the read-only store and a paged
@@ -183,17 +211,19 @@ func buildPlanStores(tb testing.TB) (xenc.DocView, xenc.DocView) {
 }
 
 // planVars builds the variable bindings the battery references: a
-// string, a number (exercising the dynamic numeric fallback), and a
-// node-set bound from the given view (store-specific pre ranks). The
-// node-set is shared across queries, so a filter that destructively
-// consumed it instead of copying would poison later queries.
+// string, a number (exercising the dynamic numeric fallback), and two
+// node-sets bound from the given view (store-specific pre ranks) — the
+// persons in document order, and out of order with a duplicate. The
+// node-sets are shared across queries, so a filter that destructively
+// consumed one instead of copying would poison later queries.
 func planVars(tb testing.TB, v xenc.DocView) map[string]Value {
 	tb.Helper()
 	ns, err := MustParse(`//person`).Select(v)
-	if err != nil {
-		tb.Fatal(err)
+	if err != nil || len(ns) != 3 {
+		tb.Fatalf("//person: %v, %v", ns, err)
 	}
-	return map[string]Value{"who": String("p1"), "x": Number(2), "ns": ns}
+	rev := NodeSet{ns[2], ns[1], ns[0], ns[1]}
+	return map[string]Value{"who": String("p1"), "x": Number(2), "ns": ns, "rev": rev}
 }
 
 // resultKey renders a value into a store-independent comparable form.
@@ -223,24 +253,25 @@ func resultKey(v xenc.DocView, val Value) string {
 }
 
 // TestPlanMatchesPerNode is the engine-level differential: every query
-// must produce bit-identical results through the compiled pipeline and
-// through the node-at-a-time interpreter, on both storage schemas.
+// must produce bit-identical results through the compiled plan and
+// through the node-at-a-time oracle (oracle_test.go), on both storage
+// schemas.
 func TestPlanMatchesPerNode(t *testing.T) {
+	t.Parallel()
 	ro, up := buildPlanStores(t)
 	for _, q := range planQueries {
 		e, err := Parse(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
+		ref := reference(e)
 		for _, view := range []struct {
 			name string
 			v    xenc.DocView
 		}{{"ro", ro}, {"up", up}} {
 			vars := planVars(t, view.v)
 			seqVal, seqErr := e.EvalVars(view.v, vars)
-			prev := SetPlanEnabled(false)
-			perVal, perErr := e.EvalVars(view.v, vars)
-			SetPlanEnabled(prev)
+			perVal, perErr := ref.EvalVars(view.v, vars)
 			if (seqErr == nil) != (perErr == nil) {
 				t.Fatalf("%s on %s: plan err %v, per-node err %v", q, view.name, seqErr, perErr)
 			}
@@ -349,7 +380,7 @@ func TestExplain(t *testing.T) {
 	}
 	out = MustParse(`//person[last()]`).Explain()
 	if !strings.Contains(out, "per-node") {
-		t.Errorf("Explain missing per-node fallback:\n%s", out)
+		t.Errorf("Explain missing the per-node numbering step:\n%s", out)
 	}
 	// The acceptance shape: a position-free step predicate is a sequence
 	// filter on a fused descendant scan, not a per-node fallback.
@@ -361,17 +392,15 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(out, "seq (fused //), 1 seq filter(s)") || strings.Contains(out, "per-node") {
 		t.Errorf("Explain(//person[profile/age]) not an in-place sequence filter:\n%s", out)
 	}
-	// Filter expressions render one line per predicate.
+	// Filter expressions render one line per predicate, and no strategy:
+	// every filter predicate numbers against the base sequence in place.
 	out = MustParse(`(//item)[author][2]`).Explain()
-	if !strings.Contains(out, "filter [child::author]: seq (in-place)") {
-		t.Errorf("Explain missing in-place filter line:\n%s", out)
-	}
-	if !strings.Contains(out, "filter [2]: seq (in-place)") {
-		t.Errorf("Explain: numeric filter predicate should stay in place (sequence position IS its numbering):\n%s", out)
+	if !strings.Contains(out, "filter [child::author]\n") || !strings.Contains(out, "filter [2]\n") {
+		t.Errorf("Explain missing filter lines:\n%s", out)
 	}
 	out = MustParse(`(//item)[position() = 2]`).Explain()
-	if !strings.Contains(out, "filter [(position() = 2)]: per-node (positional)") {
-		t.Errorf("Explain missing positional filter line:\n%s", out)
+	if !strings.Contains(out, "filter [(position() = 2)]\n") || strings.Contains(out, "per-node") {
+		t.Errorf("Explain: a positional filter predicate is not a per-node step:\n%s", out)
 	}
 	// A dynamic step predicate advertises its runtime fallback.
 	out = MustParse(`//watch[$n]`).Explain()
@@ -380,36 +409,25 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-// TestFilterExprClassification pins the per-predicate classification of
-// filter expressions: every position-free predicate — typed or not —
-// filters the base sequence in place; only position()/last() keep the
-// allocating per-node path. A variable base is borrowed, not owned.
+// TestFilterExprClassification pins what compilation records about a
+// filter expression: whether its base yields a fresh node-set the
+// predicates may filter in place. A variable base is borrowed, not owned.
 func TestFilterExprClassification(t *testing.T) {
 	cases := []struct {
 		q     string
-		seq   []bool
 		owned bool
 	}{
-		{`(//item)[author]`, []bool{true}, true},
-		{`(//item)[author][position() = 2]`, []bool{true, false}, true},
-		{`(//item)[last()]`, []bool{false}, true},
-		{`(//item)[$n]`, []bool{true}, true},
-		{`(//item)[2]`, []bool{true}, true},
-		{`($ns)[author]`, []bool{true}, false},
-		{`(//a | //b)[c]`, []bool{true}, true},
+		{`(//item)[author]`, true},
+		{`(//item)[author][position() = 2]`, true},
+		{`(//item)[last()]`, true},
+		{`($ns)[author]`, false},
+		{`($ns)[last()]`, false},
+		{`(//a | //b)[c]`, true},
 	}
 	for _, tc := range cases {
 		f, ok := MustParse(tc.q).root.(*filterExpr)
 		if !ok {
 			t.Fatalf("%s: root is not a filterExpr", tc.q)
-		}
-		if len(f.seq) != len(tc.seq) {
-			t.Fatalf("%s: %d seq marks, want %d", tc.q, len(f.seq), len(tc.seq))
-		}
-		for i := range f.seq {
-			if f.seq[i] != tc.seq[i] {
-				t.Errorf("%s: pred %d seq=%v, want %v", tc.q, i, f.seq[i], tc.seq[i])
-			}
 		}
 		if f.ownedBase != tc.owned {
 			t.Errorf("%s: ownedBase=%v, want %v", tc.q, f.ownedBase, tc.owned)
@@ -428,16 +446,21 @@ func TestFilterExprPreservesVariableBinding(t *testing.T) {
 	}
 	orig := append(NodeSet{}, persons...)
 	vars := map[string]Value{"ns": persons}
-	got, err := MustParse(`($ns)[income]`).SelectVars(ro, vars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("($ns)[income] = %d nodes, want 2", len(got))
-	}
-	for i := range persons {
-		if persons[i] != orig[i] {
-			t.Fatalf("filter mutated the variable binding at %d: %v != %v", i, persons[i], orig[i])
+	for _, tc := range []struct {
+		q    string
+		want int
+	}{{`($ns)[income]`, 2}, {`($ns)[position() > 1]`, 2}, {`($ns)[last()]`, 1}} {
+		got, err := MustParse(tc.q).SelectVars(ro, vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != tc.want {
+			t.Fatalf("%s = %d nodes, want %d", tc.q, len(got), tc.want)
+		}
+		for i := range persons {
+			if persons[i] != orig[i] {
+				t.Fatalf("%s mutated the variable binding at %d: %v != %v", tc.q, i, persons[i], orig[i])
+			}
 		}
 	}
 }
@@ -500,4 +523,75 @@ func TestPlanUnsortedVariableContext(t *testing.T) {
 			t.Errorf("result %d = %q, want %q", i, StringValue(ro, n), want[i])
 		}
 	}
+}
+
+// countingView wraps a DocView and counts tuple inspections: every
+// pre-addressed accessor call the evaluator makes.
+type countingView struct {
+	xenc.DocView
+	n int64
+}
+
+func (c *countingView) Size(p xenc.Pre) xenc.Size    { c.n++; return c.DocView.Size(p) }
+func (c *countingView) Level(p xenc.Pre) xenc.Level  { c.n++; return c.DocView.Level(p) }
+func (c *countingView) Kind(p xenc.Pre) xenc.Kind    { c.n++; return c.DocView.Kind(p) }
+func (c *countingView) Name(p xenc.Pre) int32        { c.n++; return c.DocView.Name(p) }
+func (c *countingView) Value(p xenc.Pre) string      { c.n++; return c.DocView.Value(p) }
+func (c *countingView) Attrs(p xenc.Pre) []xenc.Attr { c.n++; return c.DocView.Attrs(p) }
+func (c *countingView) AttrValue(p xenc.Pre, name int32) (string, bool) {
+	c.n++
+	return c.DocView.AttrValue(p, name)
+}
+
+// TestPipelineInspectionDrop pins what the staircase pruning buys. The
+// document chains 40 <l> elements, each carrying 3 <k> leaves, so the
+// intermediate context of //l//k is 40 mutually nested nodes: a walk
+// from each context node re-scans every region once per ancestor, while
+// the plan inspects each tuple a bounded number of times per step. The
+// plan must return what the node-at-a-time oracle returns, for at most a
+// fifth of its inspections and at most a small constant per tuple per
+// step.
+func TestPipelineInspectionDrop(t *testing.T) {
+	const depth, fan = 40, 3
+	b := shred.NewBuilder().Start("root")
+	for i := 0; i < depth; i++ {
+		b.Start("l")
+		for j := 0; j < fan; j++ {
+			b.Elem("k", "x")
+		}
+	}
+	for i := 0; i < depth; i++ {
+		b.End()
+	}
+	s, err := rostore.Build(b.End().Tree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := MustParse(`//l//k`)
+
+	check := func(e *Expr) (int64, []xenc.Pre) {
+		cv := &countingView{DocView: s}
+		ns, err := e.Select(cv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cv.n, ns.Pres()
+	}
+	seqN, seqRes := check(e)
+	perN, perRes := check(reference(e))
+
+	if len(seqRes) != depth*fan {
+		t.Fatalf("//l//k returned %d nodes, want %d", len(seqRes), depth*fan)
+	}
+	if !slices.Equal(seqRes, perRes) {
+		t.Fatalf("results diverged:\nplan:   %v\noracle: %v", seqRes, perRes)
+	}
+	if perN < 5*seqN {
+		t.Fatalf("tuple inspections: oracle %d, plan %d — want a >=5x drop on overlapping regions", perN, seqN)
+	}
+	const steps, perTuple = 2, 4 // descendant::l, descendant::k; level, kind, name and size reads
+	if limit := int64(steps * perTuple * s.Len()); seqN > limit {
+		t.Fatalf("plan inspections %d on a %d-tuple document: want <= %d (%d per tuple per step)", seqN, s.Len(), limit, perTuple)
+	}
+	t.Logf("tuple inspections on //l//k (depth %d, %d tuples): oracle %d, plan %d (%.1fx)", depth, s.Len(), perN, seqN, float64(perN)/float64(seqN))
 }

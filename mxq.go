@@ -116,10 +116,11 @@
 // and kind tests into the scan, collapses the // shorthand into single
 // descendant steps, fuses leading positional predicates ([1], [n]) into
 // early-exit counters, and applies position-free boolean predicates
-// over the merged sequence with a reusable scratch context; only
-// predicate shapes whose semantics need per-context numbering (last(),
-// positions on reverse axes) keep the node-at-a-time path. Prepared
-// caches the compiled plan across runs, and Prepared.Explain (or the
+// over the merged sequence with a reusable scratch context; predicate
+// shapes whose semantics need per-context numbering (last(), positions
+// on reverse axes) run through a numbering operator that drives the
+// same sequence operators one context node at a time. Prepared caches
+// the compiled plan across runs, and Prepared.Explain (or the
 // mxqshell explain command) renders the chosen operators.
 //
 // # Dictionary compaction
@@ -296,6 +297,11 @@ type Options struct {
 
 // ErrDatabaseClosed reports an operation on a closed Database.
 var ErrDatabaseClosed = errors.New("mxq: database is closed")
+
+// ErrNoDocument reports that the database holds no document of the
+// requested name, in memory or on disk (errors.Is; the error names the
+// document).
+var ErrNoDocument = errors.New("mxq: no document")
 
 // Database is a collection of named XML documents.
 type Database struct {
@@ -512,7 +518,7 @@ func (db *Database) OpenDocument(name string) (*Document, error) {
 		// The artifacts on disk belong to a document a replica
 		// subscription is mid-way through replacing; recovering from
 		// them would resurrect a half-deleted instance.
-		return nil, fmt.Errorf("mxq: no document %q (replica bootstrap in progress)", name)
+		return nil, fmt.Errorf("%w %q (replica bootstrap in progress)", ErrNoDocument, name)
 	}
 	if db.opts.Dir != "" {
 		for _, n := range checkpointedDocs(db.opts.Dir) {
@@ -524,7 +530,7 @@ func (db *Database) OpenDocument(name string) (*Document, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("mxq: no document %q", name)
+	return nil, fmt.Errorf("%w %q", ErrNoDocument, name)
 }
 
 // CloseDocument detaches one document: the auto-checkpointer is drained,
@@ -541,7 +547,7 @@ func (db *Database) CloseDocument(name string) error {
 	delete(db.docs, name)
 	db.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("mxq: no document %q", name)
+		return fmt.Errorf("%w %q", ErrNoDocument, name)
 	}
 	return doc.close(true)
 }
@@ -565,7 +571,7 @@ func (db *Database) Drop(name string) error {
 	delete(db.docs, name)
 	db.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("mxq: no document %q", name)
+		return fmt.Errorf("%w %q", ErrNoDocument, name)
 	}
 	if doc.log != nil {
 		doc.stopAuto()

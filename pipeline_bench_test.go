@@ -1,20 +1,15 @@
-// BenchmarkXMarkQueryPipeline quantifies the sequence-at-a-time query
-// pipeline against the node-at-a-time interpreter it replaced: the same
-// compiled expression runs both ways over the same XMark document, and a
-// counting view wrapper reports how many tuples each strategy inspects.
-// On descendant steps over many-ancestor contexts the per-node path
-// re-scans every overlapping region once per context node; the pipeline's
-// staircase pruning touches each region once, so inspections (and time)
-// drop superlinearly with nesting depth.
+// BenchmarkXMarkQueryPipeline measures the query pipeline on the XMark
+// shapes it was built for: each compiled expression runs over the same
+// XMark document, and a counting view wrapper reports how many tuples
+// the plan inspects. On descendant steps over many-ancestor contexts the
+// staircase pruning touches each overlapping region once; the last three
+// shapes run the numbering operator, which scans once per context node.
 package mxq
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
-	"mxq/internal/rostore"
-	"mxq/internal/shred"
 	"mxq/internal/xenc"
 	"mxq/internal/xpath"
 )
@@ -42,12 +37,10 @@ func (c *countingView) AttrValue(p xenc.Pre, name int32) (string, bool) {
 	return c.DocView.AttrValue(p, name)
 }
 
-// inspections evaluates e once over a counted wrapping of v under the
-// given pipeline mode and returns the tuple-inspection count.
-func inspections(tb testing.TB, v xenc.DocView, e *xpath.Expr, seq bool) int64 {
+// inspections evaluates e once over a counted wrapping of v and returns
+// the tuple-inspection count.
+func inspections(tb testing.TB, v xenc.DocView, e *xpath.Expr) int64 {
 	tb.Helper()
-	prev := xpath.SetPlanEnabled(seq)
-	defer xpath.SetPlanEnabled(prev)
 	cv := &countingView{DocView: v}
 	if _, err := e.Eval(cv); err != nil {
 		tb.Fatal(err)
@@ -55,10 +48,13 @@ func inspections(tb testing.TB, v xenc.DocView, e *xpath.Expr, seq bool) int64 {
 	return cv.n.Load()
 }
 
-// pipelineQueries are the XMark query shapes the refactor targets:
+// pipelineQueries are the XMark query shapes the pipeline targets:
 // //keyword-style descendant sweeps, multi-step descendant paths whose
-// intermediate context sets overlap, fused positional predicates, and a
-// long child chain as the control (little overlap to prune).
+// intermediate context sets overlap, fused positional predicates, a
+// long child chain as the control (little overlap to prune), and the
+// shapes that number per context: last(), a position on a reverse axis
+// (the two the served scan_ro workload runs) and a position from
+// attribute-node contexts.
 var pipelineQueries = []struct{ name, q string }{
 	{"keyword", `//keyword`},
 	{"item-names", `/site/regions//item/name/text()`},
@@ -67,6 +63,9 @@ var pipelineQueries = []struct{ name, q string }{
 	{"bidder-first", `/site/open_auctions/open_auction/bidder[1]/increase/text()`},
 	{"long-child-chain", `/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text()`},
 	{"pred-filter", `//item[description//keyword]/name/text()`},
+	{"bidder-last", `count(//open_auction/bidder[last()])`},
+	{"bidder-prev", `count(//bidder/preceding-sibling::bidder[1])`},
+	{"attr-parent", `count(//person/@id/parent::*[1])`},
 }
 
 func BenchmarkXMarkQueryPipeline(b *testing.B) {
@@ -76,81 +75,15 @@ func BenchmarkXMarkQueryPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name string
-			seq  bool
-		}{{"pernode", false}, {"seq", true}} {
-			b.Run(fmt.Sprintf("%s/%s", tc.name, mode.name), func(b *testing.B) {
-				b.ReportMetric(float64(inspections(b, f.up, e, mode.seq)), "inspections")
-				prev := xpath.SetPlanEnabled(mode.seq)
-				defer xpath.SetPlanEnabled(prev)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Eval(f.up); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportMetric(float64(inspections(b, f.up, e)), "inspections")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Eval(f.up); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
-}
-
-// nestedTree chains depth <l> elements, each carrying fan <k> leaves: a
-// //l//k query's intermediate context is depth mutually nested nodes, the
-// worst case for per-node descendant evaluation (every region re-scanned
-// once per ancestor) and the best case for staircase pruning.
-func nestedTree(depth, fan int) *shred.Tree {
-	b := shred.NewBuilder().Start("root")
-	for i := 0; i < depth; i++ {
-		b.Start("l")
-		for j := 0; j < fan; j++ {
-			b.Elem("k", "x")
-		}
-	}
-	for i := 0; i < depth; i++ {
-		b.End()
-	}
-	return b.End().Tree()
-}
-
-// TestPipelineInspectionDrop pins the acceptance criterion: on a
-// many-ancestor overlapping context the sequence pipeline inspects each
-// tuple at most once per step, so the per-node path must cost at least
-// 5x the inspections — and both must return identical results.
-func TestPipelineInspectionDrop(t *testing.T) {
-	s, err := rostore.Build(nestedTree(40, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := xpath.MustParse(`//l//k`)
-
-	check := func(seq bool) (int64, []xenc.Pre) {
-		prev := xpath.SetPlanEnabled(seq)
-		defer xpath.SetPlanEnabled(prev)
-		cv := &countingView{DocView: s}
-		ns, err := e.Select(cv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cv.n.Load(), ns.Pres()
-	}
-	seqN, seqRes := check(true)
-	perN, perRes := check(false)
-
-	if len(seqRes) != 40*3 {
-		t.Fatalf("//l//k returned %d nodes, want %d", len(seqRes), 40*3)
-	}
-	if len(seqRes) != len(perRes) {
-		t.Fatalf("result sizes diverged: seq %d, per-node %d", len(seqRes), len(perRes))
-	}
-	for i := range seqRes {
-		if seqRes[i] != perRes[i] {
-			t.Fatalf("results diverged at %d: seq %d, per-node %d", i, seqRes[i], perRes[i])
-		}
-	}
-	if perN < 5*seqN {
-		t.Fatalf("tuple inspections: per-node %d, seq %d — want a >=5x drop on overlapping regions", perN, seqN)
-	}
-	t.Logf("tuple inspections on //l//k (depth 40): per-node %d, seq %d (%.1fx)", perN, seqN, float64(perN)/float64(seqN))
 }
