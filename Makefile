@@ -59,15 +59,20 @@ lint:
 	fi
 
 # Line-count ratchet: `make loc` prints the non-test Go lines of the
-# root module (bench/ is its own module); `make loc-check` fails when
-# they exceed LOC_CEILING. A change that needs more lines raises the
-# ceiling in its own diff, where a reviewer sees it.
-LOC_CEILING = 21890
+# root module (bench/ is its own module), then the same count without
+# the oracle harness (internal/difftest + internal/naive live in
+# non-test files only because several packages' tests import them);
+# `make loc-check` fails when the first exceeds LOC_CEILING. A change
+# that needs more lines raises the ceiling in its own diff, where a
+# reviewer sees it.
+LOC_CEILING = 21607
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"
+	@echo "$$($(LOC_FILES) -not -path './internal/difftest/*' -not -path './internal/naive/*' | xargs cat | wc -l) without internal/difftest + internal/naive"
 
 loc-check:
-	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_CEILING) ]; then \
+	@n=$$($(MAKE) -s loc | awk 'NR==1 {print $$1}'); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "non-test Go lines: $$n > LOC_CEILING $(LOC_CEILING)"; exit 1; \
 	else echo "non-test Go lines: $$n (ceiling $(LOC_CEILING))"; fi
 

@@ -14,7 +14,7 @@
 //	BenchmarkConcurrentQueryDuringCommits — the versioned-snapshot read
 //	  path: query throughput with an active committer vs writer-idle
 //	BenchmarkCommitFsyncThroughput — group commit: fsyncs/commit vs
-//	  committer count, with and without Options.GroupCommitDelay
+//	  committer count
 //	BenchmarkCheckpointIncremental — full vs O(churn) checkpoint bytes
 //	  and wall time over the content-addressed chunk store
 //
@@ -320,8 +320,8 @@ func BenchmarkCommutativeDeltas(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			commits, aborts := m.Stats()
-			b.ReportMetric(float64(aborts)/float64(commits+1), "aborts/commit")
+			st := m.Stats()
+			b.ReportMetric(float64(st.Aborts)/float64(st.Commits+1), "aborts/commit")
 		})
 	}
 }
@@ -620,7 +620,7 @@ func BenchmarkConcurrentQueryDuringCommits(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return &Document{name: "bench", store: s, mgr: tx.NewManager(s, nil)}
+		return new(Database).newDocument("bench", s, nil)
 	}
 	const query = `/site/regions//item/name/text()`
 
@@ -645,11 +645,13 @@ func BenchmarkConcurrentQueryDuringCommits(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ns, err := xpath.MustParse(`/site/people/person/name/text()`).Select(doc.store)
+		probe := doc.Begin()
+		ns, err := xpath.MustParse(`/site/people/person/name/text()`).Select(probe.inner)
 		if err != nil || len(ns) == 0 {
 			b.Fatalf("no person name text nodes: %v", err)
 		}
-		victim := doc.store.NodeOf(ns[0].Pre)
+		victim := probe.inner.NodeOf(ns[0].Pre)
+		probe.Abort()
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -698,22 +700,12 @@ func BenchmarkConcurrentQueryDuringCommits(b *testing.B) {
 // leader/follower door. Throughput should *rise* with committer count —
 // the whole point of turning N commit fsyncs into ~1 — where a
 // fsync-per-commit design would stay flat. The reported fsyncs/commit
-// ratio makes the batching visible in BENCH_ci.json. The delay=500µs
-// variants measure Options.GroupCommitDelay: the leader holds the door
-// open briefly so more committers board each fsync, trading single-
-// commit latency for a lower fsyncs/commit ratio under load.
+// ratio makes the batching visible in BENCH_ci.json.
 func BenchmarkCommitFsyncThroughput(b *testing.B) {
-	for _, cfg := range []struct {
-		committers int
-		delay      time.Duration
-	}{
-		{1, 0}, {4, 0}, {16, 0},
-		{4, 500 * time.Microsecond}, {16, 500 * time.Microsecond},
-	} {
-		committers := cfg.committers
-		b.Run(fmt.Sprintf("committers=%d/delay=%v", committers, cfg.delay), func(b *testing.B) {
+	for _, committers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("committers=%d", committers), func(b *testing.B) {
 			dir := b.TempDir()
-			db, err := Open(Options{Dir: dir, PageSize: 64, GroupCommitDelay: cfg.delay})
+			db, err := Open(Options{Dir: dir, PageSize: 64})
 			if err != nil {
 				b.Fatal(err)
 			}

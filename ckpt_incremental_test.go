@@ -41,21 +41,20 @@ func TestCheckpointIncrementalSavings(t *testing.T) {
 	// contiguous in document order (a hot region of items, not one node
 	// per item across the whole document), so the dirtied pages — the
 	// unit a chunk covers — track the churn volume.
-	ns, err := xpath.MustParse(`/site/regions//item//text()`).Select(doc.store)
+	txn := doc.Begin()
+	ns, err := xpath.MustParse(`/site/regions//item//text()`).Select(txn.inner)
 	if err != nil || len(ns) == 0 {
 		t.Fatalf("selecting churn targets: %v (%d nodes)", err, len(ns))
 	}
-	churn := doc.store.LiveNodes() / 100
+	churn := txn.inner.LiveNodes() / 100
 	if churn > len(ns) {
 		churn = len(ns)
 	}
 	if churn == 0 {
 		t.Fatal("document too small to churn under 1%")
 	}
-	txn := doc.Begin()
 	for i := 0; i < churn; i++ {
-		id := doc.store.NodeOf(ns[i].Pre)
-		if err := txn.inner.SetValue(txn.inner.PreOf(id), fmt.Sprintf("churn-%d", i)); err != nil {
+		if err := txn.inner.SetValue(ns[i].Pre, fmt.Sprintf("churn-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,17 +17,17 @@ import (
 	"mxq/internal/xenc"
 	"mxq/internal/xpath"
 	"mxq/internal/xupdate"
-
-	"mxq/internal/core"
 )
 
-// Document is one stored XML document.
+// Document is one stored XML document. Its read methods (Query,
+// QueryValue, Count, SerializeTo, XML) come from the embedded queries,
+// each call leasing the current committed version.
 type Document struct {
-	name  string
-	db    *Database
-	store *core.Store
-	mgr   *tx.Manager
-	log   *wal.Log
+	queries
+	name string
+	db   *Database
+	mgr  *tx.Manager
+	log  *wal.Log
 
 	// Online durability (nil without Options.Dir): the checkpointer
 	// streams LSN-pinned snapshots outside any lock; the auto goroutine
@@ -54,15 +54,34 @@ type Document struct {
 // Name returns the document's name.
 func (d *Document) Name() string { return d.name }
 
-// read runs fn against the cached snapshot of the current committed
-// version. No lock is held while fn runs — the view is an immutable
-// copy-on-write snapshot leased from the transaction manager — so
-// queries fully overlap commits, and repeated reads at an unchanged
-// version reuse the same snapshot.
-func (d *Document) read(fn func(v xenc.DocView) error) error {
+// queries is the read-only method set of a document at one committed
+// version, written once over the read seam. Document embeds it leasing
+// the current version per call; Snapshot embeds it reading the version
+// it pinned.
+type queries struct {
+	// read runs fn against an immutable copy-on-write view of one
+	// committed version. No lock is held while fn runs, so reads fully
+	// overlap commits; the view must not escape fn.
+	read func(fn func(v xenc.DocView) error) error
+}
+
+// readCurrent is Document's read: a lease on the current committed
+// version for the length of the call. Repeated reads at an unchanged
+// version share the manager's cached snapshot.
+func (d *Document) readCurrent(fn func(v xenc.DocView) error) error {
 	rv := d.mgr.AcquireRead()
 	defer rv.Close()
 	return fn(rv.View())
+}
+
+// eval runs a compiled query and materializes its result inside one
+// read.
+func (r *queries) eval(expr *xpath.Expr, vars map[string]xpath.Value) (res Result, err error) {
+	err = r.read(func(v xenc.DocView) (inner error) {
+		res, inner = materialize(v, expr, vars)
+		return inner
+	})
+	return res, err
 }
 
 // Item is one materialized query result: results are copied out of the
@@ -90,22 +109,16 @@ func (r Result) Strings() []string {
 	return out
 }
 
-// Query compiles and runs an XPath expression as a read-only transaction
-// against the snapshot of the current committed version; evaluation
-// holds no lock, so queries never block (and are never blocked by)
-// concurrent commits.
-func (d *Document) Query(q string) (Result, error) {
+// Query compiles and runs an XPath expression as a read-only
+// transaction against one committed version — the current one on a
+// Document, the pinned one on a Snapshot. Evaluation holds no lock, so
+// queries never block (and are never blocked by) concurrent commits.
+func (r *queries) Query(q string) (Result, error) {
 	expr, err := xpath.Parse(q)
 	if err != nil {
 		return nil, err
 	}
-	var res Result
-	err = d.read(func(v xenc.DocView) error {
-		var inner error
-		res, inner = materialize(v, expr, nil)
-		return inner
-	})
-	return res, err
+	return r.eval(expr, nil)
 }
 
 // QueryVars runs a query with variable bindings (values are strings).
@@ -114,17 +127,7 @@ func (d *Document) QueryVars(q string, vars map[string]string) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bound := make(map[string]xpath.Value, len(vars))
-	for k, v := range vars {
-		bound[k] = xpath.String(v)
-	}
-	var res Result
-	err = d.read(func(v xenc.DocView) error {
-		var inner error
-		res, inner = materialize(v, expr, bound)
-		return inner
-	})
-	return res, err
+	return d.eval(expr, bindVars(vars))
 }
 
 // Prepared is a compiled query bound to a document. Compiling once and
@@ -148,14 +151,7 @@ func (d *Document) Prepare(q string) (*Prepared, error) {
 
 // Run executes the prepared query; vars may be nil.
 func (p *Prepared) Run(vars map[string]string) (Result, error) {
-	var res Result
-	bound := bindVars(vars)
-	err := p.doc.read(func(v xenc.DocView) error {
-		var inner error
-		res, inner = materialize(v, p.expr, bound)
-		return inner
-	})
-	return res, err
+	return p.doc.eval(p.expr, bindVars(vars))
 }
 
 // RunSnapshot executes the prepared query against a pinned snapshot
@@ -164,14 +160,7 @@ func (p *Prepared) Run(vars map[string]string) (Result, error) {
 // both). The snapshot should be of the document the query was prepared
 // against.
 func (p *Prepared) RunSnapshot(s *Snapshot, vars map[string]string) (Result, error) {
-	var res Result
-	bound := bindVars(vars)
-	err := s.read(func(v xenc.DocView) error {
-		var inner error
-		res, inner = materialize(v, p.expr, bound)
-		return inner
-	})
-	return res, err
+	return s.eval(p.expr, bindVars(vars))
 }
 
 // bindVars converts string bindings to XPath values (nil stays nil).
@@ -201,8 +190,8 @@ func (p *Prepared) Source() string { return p.expr.Source() }
 func (p *Prepared) Explain() string { return p.expr.Explain() }
 
 // QueryValue runs a query and returns its single string value.
-func (d *Document) QueryValue(q string) (string, error) {
-	res, err := d.Query(q)
+func (r *queries) QueryValue(q string) (string, error) {
+	res, err := r.Query(q)
 	if err != nil {
 		return "", err
 	}
@@ -213,8 +202,8 @@ func (d *Document) QueryValue(q string) (string, error) {
 }
 
 // Count returns the number of nodes a path selects.
-func (d *Document) Count(q string) (int, error) {
-	res, err := d.Query(q)
+func (r *queries) Count(q string) (int, error) {
+	res, err := r.Query(q)
 	if err != nil {
 		return 0, err
 	}
@@ -286,18 +275,17 @@ func (d *Document) Begin() *Tx {
 func (d *Document) Version() uint64 { return d.mgr.Version() }
 
 // SerializeTo writes the document as XML. Serialization runs against
-// the current committed version's snapshot, so a slow writer never
-// stalls commits.
-func (d *Document) SerializeTo(w io.Writer, indent string) error {
-	return d.read(func(v xenc.DocView) error {
+// an immutable snapshot, so a slow writer never stalls commits.
+func (r *queries) SerializeTo(w io.Writer, indent string) error {
+	return r.read(func(v xenc.DocView) error {
 		return serialize.Document(w, v, serialize.Options{Indent: indent})
 	})
 }
 
 // XML returns the serialized document.
-func (d *Document) XML() (string, error) {
+func (r *queries) XML() (string, error) {
 	var b strings.Builder
-	if err := d.SerializeTo(&b, ""); err != nil {
+	if err := r.SerializeTo(&b, ""); err != nil {
 		return "", err
 	}
 	return b.String(), nil
@@ -335,21 +323,24 @@ type Stats struct {
 	CkptDedupeRatio    float64 // reused / (written + reused)
 }
 
-// Stats returns storage statistics.
+// Stats returns storage statistics. The store figures are read from the
+// base under the manager's shared lock, not from a snapshot, so polling
+// Stats through a write-only phase builds none.
 func (d *Document) Stats() Stats {
-	var s Stats
-	d.mgr.View(func(v xenc.DocView) error {
-		s.LiveNodes = v.LiveNodes()
-		s.Tuples = int(v.Len())
-		s.Pages = d.store.Pages()
-		s.PageSize = d.store.PageSize()
-		s.Names, s.Props = d.store.DictStats()
-		if s.Tuples > 0 {
-			s.Fill = float64(s.LiveNodes) / float64(s.Tuples)
-		}
-		return nil
-	})
-	s.Commits, s.Aborts = d.mgr.Stats()
+	ms := d.mgr.Stats()
+	s := Stats{
+		LiveNodes: ms.LiveNodes,
+		Tuples:    ms.Tuples,
+		Pages:     ms.Pages,
+		PageSize:  ms.PageSize,
+		Names:     ms.Names,
+		Props:     ms.Props,
+		Commits:   ms.Commits,
+		Aborts:    ms.Aborts,
+	}
+	if s.Tuples > 0 {
+		s.Fill = float64(s.LiveNodes) / float64(s.Tuples)
+	}
 	if d.log != nil {
 		s.Checkpoints = d.checkpoints.Load()
 		s.WALBytes, s.WALRecords = d.log.TailStatsAbove(d.lastCkptLSN.Load())
@@ -418,15 +409,19 @@ func (d *Document) checkpointDue() bool {
 
 // close shuts the document's durability machinery down in dependency
 // order: the auto-checkpoint goroutine is drained first (it may be
-// inside a Run; stopAuto waits it out without holding the checkpointer
-// mutex, so there is no deadlock), then the checkpointer is closed —
+// inside a Run; it is waited out without holding the checkpointer
+// mutex, so there is no deadlock, and afterwards no background
+// checkpoint can start), then the checkpointer is closed —
 // which waits out any in-flight *manual* Run, including its WAL prune —
 // and only then is the WAL released. finalCkpt additionally writes one
 // last checkpoint before closing, so a reopen recovers from the image
 // alone (and a never-checkpointed document is not lost when its segments
 // are detached).
 func (d *Document) close(finalCkpt bool) error {
-	d.stopAuto()
+	if d.stopC != nil {
+		d.stopOnce.Do(func() { close(d.stopC) })
+		d.wg.Wait()
+	}
 	var first error
 	if d.ckpter != nil {
 		if finalCkpt {
@@ -480,14 +475,7 @@ func (d *Document) CompactDictionaries() (namesDropped, propsDropped int) {
 }
 
 // CheckInvariants validates the storage invariants (testing hook).
-func (d *Document) CheckInvariants() error {
-	var err error
-	d.mgr.View(func(xenc.DocView) error {
-		err = d.store.CheckInvariants()
-		return nil
-	})
-	return err
-}
+func (d *Document) CheckInvariants() error { return d.mgr.CheckInvariants() }
 
 // Tx is a write transaction over one document. It supports queries (with
 // read-your-writes semantics) and XUpdate lists; Commit applies the

@@ -91,12 +91,9 @@ func viewXML(t testing.TB, v xenc.DocView) string {
 
 func (e *env) baseXML(t testing.TB) string {
 	t.Helper()
-	var out string
-	e.m.View(func(v xenc.DocView) error {
-		out = viewXML(t, v)
-		return nil
-	})
-	return out
+	rv := e.m.AcquireRead()
+	defer rv.Close()
+	return viewXML(t, rv.View())
 }
 
 // recover reopens the WAL from disk (as a restart would) and runs

@@ -18,7 +18,6 @@ import (
 	"mxq/internal/tx"
 	"mxq/internal/wal"
 	"mxq/internal/wire"
-	"mxq/internal/xenc"
 )
 
 // ReplConfig describes one replication workload: a seeded primary
@@ -168,10 +167,9 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 			stop()
 			got := serializeView(t, sink.view())
 			oracleCheckRepl(t, cfg, tree, batches, got, tail, "converged follower")
-			var primary string
-			if err := m.View(func(v xenc.DocView) error { primary = serializeView(t, v); return nil }); err != nil {
-				t.Fatalf("seed %d: primary view: %v", cfg.Seed, err)
-			}
+			rv := m.AcquireRead()
+			primary := serializeView(t, rv.View())
+			rv.Close()
 			if got != primary {
 				t.Fatalf("seed %d round %d: converged follower diverges from primary at LSN %d\nfollower: %s\nprimary:  %s",
 					cfg.Seed, round, tail, got, primary)

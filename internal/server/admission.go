@@ -5,6 +5,10 @@ import (
 	"sync"
 )
 
+// ErrOverloaded reports an acquisition refused because the wait queue
+// is full.
+var ErrOverloaded = errors.New("server: overloaded")
+
 // errAdmissionClosed is returned to waiters when the server drains.
 var errAdmissionClosed = errors.New("server: admission closed")
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mxq"
+	"mxq/internal/wire"
 )
 
 func TestAdmissionFastPath(t *testing.T) {
@@ -129,9 +130,9 @@ func waitWaiters(t *testing.T, a *admission, n int) {
 }
 
 func TestPayloadRoundTrip(t *testing.T) {
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.Uvarint(7).String("hello").Byte(0xAB).String("").Uvarint(1 << 40)
-	r := NewPayloadReader(p.Bytes())
+	r := wire.NewPayloadReader(p.Bytes())
 	if n, err := r.Uvarint(); err != nil || n != 7 {
 		t.Fatalf("uvarint = %d, %v", n, err)
 	}
@@ -153,10 +154,10 @@ func TestPayloadRoundTrip(t *testing.T) {
 }
 
 func TestPayloadTruncated(t *testing.T) {
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.String("hello")
 	raw := p.Bytes()
-	r := NewPayloadReader(raw[:len(raw)-2])
+	r := wire.NewPayloadReader(raw[:len(raw)-2])
 	if _, err := r.String(); err == nil {
 		t.Fatal("truncated string should error")
 	}
@@ -164,11 +165,11 @@ func TestPayloadTruncated(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Frame{ID: 42, Op: OpQuery, Payload: []byte("payload")}
-	if err := WriteFrame(&buf, in); err != nil {
+	in := wire.Frame{ID: 42, Op: wire.OpQuery, Payload: []byte("payload")}
+	if err := wire.WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(&buf, 0)
+	out, err := wire.ReadFrame(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +182,13 @@ func TestFrameLimits(t *testing.T) {
 	// Length below the fixed header is malformed.
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 4, 1, 2, 3, 4})
-	if _, err := ReadFrame(&buf, 0); err == nil {
+	if _, err := wire.ReadFrame(&buf, 0); err == nil {
 		t.Fatal("undersized frame should error")
 	}
 	// Length above the cap is rejected before any allocation.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf, 1024); err == nil {
+	if _, err := wire.ReadFrame(&buf, 1024); err == nil {
 		t.Fatal("oversized frame should error")
 	}
 }
@@ -225,17 +226,17 @@ func TestOverloadFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.String("lib").String("//b").Uvarint(0)
-	if err := WriteFrame(conn, Frame{ID: 1, Op: OpQuery, Payload: p.Bytes()}); err != nil {
+	if err := wire.WriteFrame(conn, wire.Frame{ID: 1, Op: wire.OpQuery, Payload: p.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(conn, 0)
+	f, err := wire.ReadFrame(conn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != 1 || f.Op != CodeOverloaded {
-		t.Fatalf("frame under overload = id %d op %d, want CodeOverloaded", f.ID, f.Op)
+	if f.ID != 1 || f.Op != wire.CodeOverloaded {
+		t.Fatalf("frame under overload = id %d op %d, want wire.CodeOverloaded", f.ID, f.Op)
 	}
 
 	srv.adm.release(1)
@@ -244,14 +245,14 @@ func TestOverloadFrames(t *testing.T) {
 	}
 	srv.adm.release(1)
 
-	if err := WriteFrame(conn, Frame{ID: 2, Op: OpQuery, Payload: p.Bytes()}); err != nil {
+	if err := wire.WriteFrame(conn, wire.Frame{ID: 2, Op: wire.OpQuery, Payload: p.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
-	f, err = ReadFrame(conn, 0)
+	f, err = wire.ReadFrame(conn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != 2 || f.Op != StatusOK {
-		t.Fatalf("frame after release = id %d op %d, want StatusOK", f.ID, f.Op)
+	if f.ID != 2 || f.Op != wire.StatusOK {
+		t.Fatalf("frame after release = id %d op %d, want wire.StatusOK", f.ID, f.Op)
 	}
 }

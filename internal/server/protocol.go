@@ -10,8 +10,7 @@
 //
 // The frame codec, opcode space and version-negotiation contract live
 // in the leaf package internal/wire (shared with the replication
-// subsystem and the Go client); this package aliases the names its
-// sessions use.
+// subsystem and the Go client); sessions use its names directly.
 //
 // # Wire protocol
 //
@@ -51,73 +50,3 @@
 // version. Everything a session holds — snapshots, catalog references —
 // is released when the connection closes, however it closes.
 package server
-
-import (
-	"errors"
-	"io"
-
-	"mxq/internal/wire"
-)
-
-// Request opcodes (see the wire package for payload layouts).
-const (
-	OpPing      = wire.OpPing
-	OpListDocs  = wire.OpListDocs
-	OpLoad      = wire.OpLoad
-	OpQuery     = wire.OpQuery
-	OpUpdate    = wire.OpUpdate
-	OpExplain   = wire.OpExplain
-	OpBeginRead = wire.OpBeginRead
-	OpEndRead   = wire.OpEndRead
-
-	OpHello        = wire.OpHello
-	OpSubscribeWAL = wire.OpSubscribeWAL
-	OpDocStatus    = wire.OpDocStatus
-)
-
-// Response status codes (0 is OK).
-const (
-	StatusOK          = wire.StatusOK
-	CodeBadRequest    = wire.CodeBadRequest
-	CodeNoDocument    = wire.CodeNoDocument
-	CodeQuery         = wire.CodeQuery
-	CodeOverloaded    = wire.CodeOverloaded
-	CodeShuttingDown  = wire.CodeShuttingDown
-	CodeInternal      = wire.CodeInternal
-	CodeReadNotPinned = wire.CodeReadNotPinned
-	CodeStale         = wire.CodeStale
-	CodeVersion       = wire.CodeVersion
-	CodeReadOnly      = wire.CodeReadOnly
-)
-
-// Sentinel errors for the status codes a client program branches on.
-var (
-	ErrOverloaded   = errors.New("server: overloaded")
-	ErrShuttingDown = errors.New("server: shutting down")
-	ErrNoDocument   = errors.New("server: no such document")
-)
-
-// MaxFrame is the default cap on a frame's length field; a peer
-// announcing more is cut off rather than allocated for.
-const MaxFrame = wire.MaxFrame
-
-// Frame is one decoded frame: id, op (opcode or status), payload.
-type Frame = wire.Frame
-
-// PayloadBuilder assembles a payload of uvarints and length-prefixed
-// strings.
-type PayloadBuilder = wire.PayloadBuilder
-
-// PayloadReader decodes a payload assembled by PayloadBuilder.
-type PayloadReader = wire.PayloadReader
-
-// NewPayloadReader wraps a payload.
-func NewPayloadReader(b []byte) *PayloadReader { return wire.NewPayloadReader(b) }
-
-// ReadFrame reads one frame, rejecting lengths beyond max (0 means
-// MaxFrame).
-func ReadFrame(r io.Reader, max uint32) (Frame, error) { return wire.ReadFrame(r, max) }
-
-// WriteFrame writes one frame in a single Write, keeping frames intact
-// under concurrent connection teardown.
-func WriteFrame(w io.Writer, f Frame) error { return wire.WriteFrame(w, f) }

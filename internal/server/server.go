@@ -28,7 +28,7 @@ type Config struct {
 	// it must be zero for databases without a durability directory
 	// (detaching an in-memory document discards it).
 	IdleClose time.Duration
-	// MaxFrame caps a request frame's size (0 = MaxFrame const).
+	// MaxFrame caps a request frame's size (0 = wire.MaxFrame).
 	MaxFrame uint32
 	// ReadOnly rejects every write opcode (Load, Update) with
 	// CodeReadOnly. The daemon's follower mode (-follow) sets it: a

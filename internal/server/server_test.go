@@ -14,6 +14,7 @@ import (
 	"mxq"
 	"mxq/client"
 	"mxq/internal/server"
+	"mxq/internal/wire"
 )
 
 var bg = context.Background()
@@ -123,7 +124,7 @@ func TestLoadRefusesDeepNesting(t *testing.T) {
 	deep := strings.Repeat("<a>", 40000) + strings.Repeat("</a>", 40000)
 	err := c.Load(bg, "deep", deep)
 	var ce *client.Error
-	if !errors.As(err, &ce) || ce.Status != server.CodeQuery {
+	if !errors.As(err, &ce) || ce.Status != wire.CodeQuery {
 		t.Fatalf("load of 40000 nested elements = %v, want a CodeQuery error", err)
 	}
 	if err := c.Ping(bg); err != nil {
@@ -405,7 +406,7 @@ func TestOpenFailureIsNotNoDocument(t *testing.T) {
 	c := dial(t, addr)
 	_, err = c.Query(bg, name, "count(//book)", nil)
 	var ce *client.Error
-	if !errors.As(err, &ce) || ce.Status != server.CodeInternal {
+	if !errors.As(err, &ce) || ce.Status != wire.CodeInternal {
 		t.Fatalf("query over torn images = %v, want CodeInternal", err)
 	}
 	if !strings.Contains(ce.Msg, "recovering") {

@@ -53,12 +53,12 @@ func newSession(srv *Server, conn net.Conn) *session {
 func (s *session) serve() {
 	defer s.closeSession()
 	for {
-		f, err := ReadFrame(s.conn, s.srv.cfg.MaxFrame)
+		f, err := wire.ReadFrame(s.conn, s.srv.cfg.MaxFrame)
 		if err != nil {
 			return // disconnect, malformed frame, or drain deadline
 		}
 		if s.srv.draining() {
-			s.respondErr(f.ID, CodeShuttingDown, "server is shutting down")
+			s.respondErr(f.ID, wire.CodeShuttingDown, "server is shutting down")
 			return
 		}
 		if !s.handle(f) {
@@ -82,61 +82,61 @@ func (s *session) closeSession() {
 
 // handle dispatches one request; it reports whether the session should
 // keep serving.
-func (s *session) handle(f Frame) bool {
+func (s *session) handle(f wire.Frame) bool {
 	switch f.Op {
-	case OpPing:
-		return s.respond(f.ID, StatusOK, nil)
-	case OpListDocs:
+	case wire.OpPing:
+		return s.respond(f.ID, wire.StatusOK, nil)
+	case wire.OpListDocs:
 		names := s.srv.cfg.DB.Documents()
-		var p PayloadBuilder
+		var p wire.PayloadBuilder
 		p.Uvarint(uint64(len(names)))
 		for _, n := range names {
 			p.String(n)
 		}
-		return s.respond(f.ID, StatusOK, p.Bytes())
-	case OpLoad:
+		return s.respond(f.ID, wire.StatusOK, p.Bytes())
+	case wire.OpLoad:
 		return s.handleLoad(f)
-	case OpQuery:
+	case wire.OpQuery:
 		return s.handleQuery(f)
-	case OpUpdate:
+	case wire.OpUpdate:
 		return s.handleUpdate(f)
-	case OpExplain:
+	case wire.OpExplain:
 		return s.handleExplain(f)
-	case OpBeginRead:
+	case wire.OpBeginRead:
 		return s.handleBeginRead(f)
-	case OpEndRead:
+	case wire.OpEndRead:
 		return s.handleEndRead(f)
-	case OpHello:
+	case wire.OpHello:
 		return s.handleHello(f)
-	case OpSubscribeWAL:
+	case wire.OpSubscribeWAL:
 		return s.handleSubscribeWAL(f)
-	case OpDocStatus:
+	case wire.OpDocStatus:
 		return s.handleDocStatus(f)
 	}
-	return s.respondErr(f.ID, CodeBadRequest, fmt.Sprintf("unknown opcode %d", f.Op))
+	return s.respondErr(f.ID, wire.CodeBadRequest, fmt.Sprintf("unknown opcode %d", f.Op))
 }
 
 // handleHello negotiates the session's feature set. Hello may be sent
 // at any point (idempotently renegotiating), but clients send it first.
-func (s *session) handleHello(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleHello(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	clientMax, err := r.Uvarint()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	clientFeats, err := r.Uvarint()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	version, feats, ok := wire.Negotiate(clientMax, s.srv.features(), clientFeats)
 	if !ok {
-		return s.respondErr(f.ID, CodeVersion,
+		return s.respondErr(f.ID, wire.CodeVersion,
 			fmt.Sprintf("client speaks up to protocol %d; this server speaks %d", clientMax, wire.Version))
 	}
 	s.feats = feats
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.Uvarint(version).Uvarint(feats)
-	return s.respond(f.ID, StatusOK, p.Bytes())
+	return s.respond(f.ID, wire.StatusOK, p.Bytes())
 }
 
 // handleSubscribeWAL turns the connection into a replication stream:
@@ -150,23 +150,23 @@ func (s *session) handleHello(f Frame) bool {
 // its whole lifetime would let a handful of followers starve query
 // admission. The WAL reader it drives does bounded work per batch and
 // blocks idle between commits.
-func (s *session) handleSubscribeWAL(f Frame) bool {
+func (s *session) handleSubscribeWAL(f wire.Frame) bool {
 	// CodeVersion, never CodeBadRequest: a session that never said Hello
 	// lands here too, and its client can tell "forgot the handshake" from
 	// "unknown opcode".
 	if s.feats&wire.FeatReplication == 0 {
-		s.respondErr(f.ID, CodeVersion, "session did not negotiate the replication feature")
+		s.respondErr(f.ID, wire.CodeVersion, "session did not negotiate the replication feature")
 		return true
 	}
-	r := NewPayloadReader(f.Payload)
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		s.respondErr(f.ID, CodeBadRequest, err.Error())
+		s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 		return true
 	}
 	after, err := r.Uvarint()
 	if err != nil {
-		s.respondErr(f.ID, CodeBadRequest, err.Error())
+		s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 		return true
 	}
 	doc, err := s.srv.catalog.acquire(name)
@@ -180,7 +180,7 @@ func (s *session) handleSubscribeWAL(f Frame) bool {
 	defer s.srv.catalog.release(name)
 	src, err := doc.ReplSource()
 	if err != nil {
-		s.respondErr(f.ID, CodeQuery, err.Error())
+		s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		return true
 	}
 	logf := s.srv.cfg.Logf
@@ -196,11 +196,11 @@ func (s *session) handleSubscribeWAL(f Frame) bool {
 // handleDocStatus reports the document's replication standing: the
 // server's role, the applied (read-your-writes) watermark and the WAL
 // tail. A client uses it to measure follower lag and to pick replicas.
-func (s *session) handleDocStatus(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleDocStatus(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	doc, err := s.srv.catalog.acquire(name)
 	if err != nil {
@@ -211,13 +211,13 @@ func (s *session) handleDocStatus(f Frame) bool {
 	if s.srv.cfg.ReadOnly {
 		role = wire.RoleFollower
 	}
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.Byte(role).Uvarint(doc.AppliedLSN()).Uvarint(doc.LastLSN())
 	// The document's cumulative checkpoint I/O — how much the incremental
 	// format is saving.
 	st := doc.Stats()
 	p.Uvarint(st.CkptBytesWritten).Uvarint(st.CkptChunksWritten).Uvarint(st.CkptChunksReused)
-	return s.respond(f.ID, StatusOK, p.Bytes())
+	return s.respond(f.ID, wire.StatusOK, p.Bytes())
 }
 
 // admit wraps an execution in the admission semaphore, translating
@@ -225,51 +225,51 @@ func (s *session) handleDocStatus(f Frame) bool {
 func (s *session) admit(id uint64, weight int64, run func() bool) bool {
 	if err := s.srv.adm.acquire(weight); err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			return s.respondErr(id, CodeOverloaded, "overloaded")
+			return s.respondErr(id, wire.CodeOverloaded, "overloaded")
 		}
-		return s.respondErr(id, CodeShuttingDown, "server is shutting down")
+		return s.respondErr(id, wire.CodeShuttingDown, "server is shutting down")
 	}
 	defer s.srv.adm.release(weight)
 	return run()
 }
 
-func (s *session) handleLoad(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleLoad(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	xml, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	if s.srv.cfg.ReadOnly {
-		return s.respondErr(f.ID, CodeReadOnly, "server is read-only (follower); load on the primary")
+		return s.respondErr(f.ID, wire.CodeReadOnly, "server is read-only (follower); load on the primary")
 	}
 	return s.admit(f.ID, 2, func() bool {
 		doc, err := s.srv.cfg.DB.LoadXMLString(name, xml)
 		if err != nil {
-			return s.respondErr(f.ID, CodeQuery, err.Error())
+			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
 		s.srv.catalog.adopt(name, doc)
 		s.srv.catalog.release(name)
-		return s.respond(f.ID, StatusOK, nil)
+		return s.respond(f.ID, wire.StatusOK, nil)
 	})
 }
 
-func (s *session) handleQuery(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleQuery(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	query, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	nvars, err := r.Uvarint()
 	if err != nil || nvars > 1024 {
-		return s.respondErr(f.ID, CodeBadRequest, "bad variable count")
+		return s.respondErr(f.ID, wire.CodeBadRequest, "bad variable count")
 	}
 	var vars map[string]string
 	if nvars > 0 {
@@ -277,11 +277,11 @@ func (s *session) handleQuery(f Frame) bool {
 		for i := uint64(0); i < nvars; i++ {
 			k, err := r.String()
 			if err != nil {
-				return s.respondErr(f.ID, CodeBadRequest, err.Error())
+				return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 			}
 			v, err := r.String()
 			if err != nil {
-				return s.respondErr(f.ID, CodeBadRequest, err.Error())
+				return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 			}
 			vars[k] = v
 		}
@@ -292,10 +292,10 @@ func (s *session) handleQuery(f Frame) bool {
 	var minLSN, timeoutMillis uint64
 	if r.Remaining() > 0 {
 		if minLSN, err = r.Uvarint(); err != nil {
-			return s.respondErr(f.ID, CodeBadRequest, err.Error())
+			return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 		}
 		if timeoutMillis, err = r.Uvarint(); err != nil {
-			return s.respondErr(f.ID, CodeBadRequest, err.Error())
+			return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 		}
 	}
 	return s.admit(f.ID, 1, func() bool {
@@ -308,7 +308,7 @@ func (s *session) handleQuery(f Frame) bool {
 				return served
 			}
 		}
-		doc, pr, release, ok := s.docForRead(f.ID, name)
+		doc, run, release, ok := s.docForRead(f.ID, name)
 		if !ok {
 			return true
 		}
@@ -320,41 +320,36 @@ func (s *session) handleQuery(f Frame) bool {
 			// overload control rather than pile up unboundedly behind it.
 			if err := doc.WaitApplied(minLSN, time.Until(rywDeadline)); err != nil {
 				if errors.Is(err, mxq.ErrStale) {
-					return s.respondErr(f.ID, CodeStale,
+					return s.respondErr(f.ID, wire.CodeStale,
 						fmt.Sprintf("document %q applied LSN %d, read requires %d", name, doc.AppliedLSN(), minLSN))
 				}
-				return s.respondErr(f.ID, CodeInternal, err.Error())
+				return s.respondErr(f.ID, wire.CodeInternal, err.Error())
 			}
 		}
 		prep, err := s.prepare(doc, query)
 		if err != nil {
-			return s.respondErr(f.ID, CodeQuery, err.Error())
+			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
-		var res mxq.Result
-		if pr != nil {
-			res, err = prep.RunSnapshot(pr.snap, vars)
-		} else {
-			res, err = prep.Run(vars)
-		}
+		res, err := run(prep, vars)
 		if err != nil {
-			return s.respondErr(f.ID, CodeQuery, err.Error())
+			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
-		return s.respond(f.ID, StatusOK, encodeResult(res))
+		return s.respond(f.ID, wire.StatusOK, encodeResult(res))
 	})
 }
 
-func (s *session) handleUpdate(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleUpdate(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	mods, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	if s.srv.cfg.ReadOnly {
-		return s.respondErr(f.ID, CodeReadOnly, "server is read-only (follower); write on the primary")
+		return s.respondErr(f.ID, wire.CodeReadOnly, "server is read-only (follower); write on the primary")
 	}
 	return s.admit(f.ID, 2, func() bool {
 		e, err := s.srv.catalog.acquireEntry(name)
@@ -370,25 +365,25 @@ func (s *session) handleUpdate(f Frame) bool {
 		defer e.wmu.Unlock()
 		res, lsn, err := e.doc.UpdateLSN(mods)
 		if err != nil {
-			return s.respondErr(f.ID, CodeQuery, err.Error())
+			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
-		var p PayloadBuilder
+		var p wire.PayloadBuilder
 		// The trailing field is the commit's WAL LSN, the token a
 		// read-your-writes follower read passes as minLSN.
 		p.Uvarint(uint64(res.Ops)).Uvarint(uint64(res.Affected)).Uvarint(lsn)
-		return s.respond(f.ID, StatusOK, p.Bytes())
+		return s.respond(f.ID, wire.StatusOK, p.Bytes())
 	})
 }
 
-func (s *session) handleExplain(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleExplain(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	query, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	return s.admit(f.ID, 1, func() bool {
 		doc, _, release, ok := s.docForRead(f.ID, name)
@@ -398,22 +393,22 @@ func (s *session) handleExplain(f Frame) bool {
 		defer release()
 		prep, err := s.prepare(doc, query)
 		if err != nil {
-			return s.respondErr(f.ID, CodeQuery, err.Error())
+			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
-		var p PayloadBuilder
+		var p wire.PayloadBuilder
 		p.String(prep.Explain())
-		return s.respond(f.ID, StatusOK, p.Bytes())
+		return s.respond(f.ID, wire.StatusOK, p.Bytes())
 	})
 }
 
-func (s *session) handleBeginRead(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleBeginRead(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	if _, dup := s.reads[name]; dup {
-		return s.respondErr(f.ID, CodeBadRequest, fmt.Sprintf("read already pinned on %q", name))
+		return s.respondErr(f.ID, wire.CodeBadRequest, fmt.Sprintf("read already pinned on %q", name))
 	}
 	doc, err := s.srv.catalog.acquire(name)
 	if err != nil {
@@ -421,25 +416,25 @@ func (s *session) handleBeginRead(f Frame) bool {
 	}
 	snap := doc.Snapshot()
 	s.reads[name] = &pinnedRead{doc: doc, snap: snap}
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.Uvarint(snap.Version())
-	return s.respond(f.ID, StatusOK, p.Bytes())
+	return s.respond(f.ID, wire.StatusOK, p.Bytes())
 }
 
-func (s *session) handleEndRead(f Frame) bool {
-	r := NewPayloadReader(f.Payload)
+func (s *session) handleEndRead(f wire.Frame) bool {
+	r := wire.NewPayloadReader(f.Payload)
 	name, err := r.String()
 	if err != nil {
-		return s.respondErr(f.ID, CodeBadRequest, err.Error())
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	pr, ok := s.reads[name]
 	if !ok {
-		return s.respondErr(f.ID, CodeReadNotPinned, fmt.Sprintf("no pinned read on %q", name))
+		return s.respondErr(f.ID, wire.CodeReadNotPinned, fmt.Sprintf("no pinned read on %q", name))
 	}
 	delete(s.reads, name)
 	pr.snap.Close()
 	s.srv.catalog.release(name)
-	return s.respond(f.ID, StatusOK, nil)
+	return s.respond(f.ID, wire.StatusOK, nil)
 }
 
 // waitForDoc polls until the named document exists (a replica may
@@ -461,27 +456,31 @@ func (s *session) waitForDoc(id uint64, name string, deadline time.Time) (ok, se
 			return false, s.respondNoDoc(id, name, err)
 		}
 		if !time.Now().Before(deadline) {
-			return false, s.respondErr(id, CodeStale, fmt.Sprintf("document %q not yet replicated here", name))
+			return false, s.respondErr(id, wire.CodeStale, fmt.Sprintf("document %q not yet replicated here", name))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// docForRead resolves the document a read request runs against: the
-// pinned read when the session holds one (no extra catalog traffic; the
-// pin's reference keeps the document attached), otherwise a fresh
-// catalog reference released after the request. ok=false means the
-// error response was already sent.
-func (s *session) docForRead(id uint64, name string) (doc *mxq.Document, pr *pinnedRead, release func(), ok bool) {
+// docForRead resolves the document a read request runs against and how
+// a compiled plan runs on it: against the pinned read's version when the
+// session holds one (no extra catalog traffic; the pin's reference keeps
+// the document attached), otherwise against whatever is current, under
+// a fresh catalog reference released after the request. ok=false means
+// the error response was already sent.
+func (s *session) docForRead(id uint64, name string) (doc *mxq.Document, run func(*mxq.Prepared, map[string]string) (mxq.Result, error), release func(), ok bool) {
 	if pr := s.reads[name]; pr != nil {
-		return pr.doc, pr, func() {}, true
+		run = func(p *mxq.Prepared, vars map[string]string) (mxq.Result, error) {
+			return p.RunSnapshot(pr.snap, vars)
+		}
+		return pr.doc, run, func() {}, true
 	}
 	doc, err := s.srv.catalog.acquire(name)
 	if err != nil {
 		s.respondNoDoc(id, name, err)
 		return nil, nil, nil, false
 	}
-	return doc, nil, func() { s.srv.catalog.release(name) }, true
+	return doc, (*mxq.Prepared).Run, func() { s.srv.catalog.release(name) }, true
 }
 
 // prepare returns the session's cached compiled plan for (doc, query),
@@ -514,7 +513,7 @@ func (s *session) prepare(doc *mxq.Document, query string) (*mxq.Prepared, error
 // encodeResult renders a Result: uvarint count, then per item a kind
 // code, the string value, and the serialized XML ("" for non-elements).
 func encodeResult(res mxq.Result) []byte {
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.Uvarint(uint64(len(res)))
 	for _, it := range res {
 		p.Byte(wire.KindCode(it.Kind))
@@ -525,11 +524,11 @@ func encodeResult(res mxq.Result) []byte {
 }
 
 func (s *session) respond(id uint64, status byte, payload []byte) bool {
-	return WriteFrame(s.conn, Frame{ID: id, Op: status, Payload: payload}) == nil
+	return wire.WriteFrame(s.conn, wire.Frame{ID: id, Op: status, Payload: payload}) == nil
 }
 
 func (s *session) respondErr(id uint64, code byte, msg string) bool {
-	var p PayloadBuilder
+	var p wire.PayloadBuilder
 	p.String(msg)
 	return s.respond(id, code, p.Bytes())
 }
@@ -537,10 +536,10 @@ func (s *session) respondErr(id uint64, code byte, msg string) bool {
 // respondNoDoc distinguishes "unknown document" from other open errors.
 func (s *session) respondNoDoc(id uint64, name string, err error) bool {
 	if errors.Is(err, mxq.ErrDatabaseClosed) {
-		return s.respondErr(id, CodeShuttingDown, "server is shutting down")
+		return s.respondErr(id, wire.CodeShuttingDown, "server is shutting down")
 	}
 	if errors.Is(err, mxq.ErrNoDocument) {
-		return s.respondErr(id, CodeNoDocument, fmt.Sprintf("no document %q", name))
+		return s.respondErr(id, wire.CodeNoDocument, fmt.Sprintf("no document %q", name))
 	}
-	return s.respondErr(id, CodeInternal, err.Error())
+	return s.respondErr(id, wire.CodeInternal, err.Error())
 }

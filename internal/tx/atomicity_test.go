@@ -38,7 +38,7 @@ func TestReadersNeverSeePartialCommits(t *testing.T) {
 					return
 				default:
 				}
-				m.View(func(v xenc.DocView) error {
+				readCurrent(m, func(v xenc.DocView) error {
 					val, err := countPairs.Eval(v)
 					if err != nil {
 						t.Error(err)
@@ -87,7 +87,7 @@ func TestReadersNeverSeePartialCommits(t *testing.T) {
 	if n := torn.Load(); n != 0 {
 		t.Fatalf("readers observed %d torn states", n)
 	}
-	m.View(func(v xenc.DocView) error {
+	readCurrent(m, func(v xenc.DocView) error {
 		ns, _ := xpath.MustParse(`//pair`).Select(v)
 		if len(ns) != writers*commitsPerWriter*2 {
 			t.Fatalf("pairs = %d, want %d", len(ns), writers*commitsPerWriter*2)

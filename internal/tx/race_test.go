@@ -12,7 +12,7 @@ import (
 	"mxq/internal/xenc"
 )
 
-// invariantChecker is implemented by *core.Store; Manager.Snapshot views
+// invariantChecker is implemented by *core.Store; leased views
 // are stores underneath, so tests can run the O(N) structural check on
 // them.
 type invariantChecker interface {
@@ -121,7 +121,7 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 					return
 				default:
 				}
-				snap := m.Snapshot()
+				snap := m.AcquireRead()
 				err := checkSnapshot(snap.View())
 				snap.Close()
 				if err != nil {
@@ -138,7 +138,7 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		snap := m.Snapshot()
+		snap := m.AcquireRead()
 		defer snap.Close()
 		frozen := snap.View()
 		base := frozen.LiveNodes()
@@ -159,7 +159,8 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 		}
 	}()
 
-	// A lock-based reader keeps the classic View path honest too.
+	// A reader of the base itself, under the shared lock, keeps the two
+	// hooks that never build a snapshot honest too.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -169,8 +170,12 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 				return
 			default:
 			}
-			if err := m.View(func(v xenc.DocView) error { return checkSnapshot(v) }); err != nil {
-				t.Errorf("View reader: %v", err)
+			if err := m.CheckInvariants(); err != nil {
+				t.Errorf("base invariants: %v", err)
+				return
+			}
+			if st := m.Stats(); st.LiveNodes < shelves*booksPerShelf {
+				t.Errorf("Stats saw %d live nodes, fewer than the %d books loaded", st.LiveNodes, shelves*booksPerShelf)
 				return
 			}
 		}
@@ -212,7 +217,7 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 		t.Fatal("no snapshots were checked concurrently with commits")
 	}
 	// Final state: base must reflect exactly the committed books.
-	final := m.Snapshot()
+	final := m.AcquireRead()
 	defer final.Close()
 	if err := checkSnapshot(final.View()); err != nil {
 		t.Fatalf("final state: %v", err)

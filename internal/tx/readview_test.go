@@ -19,6 +19,14 @@ func viewXML(t *testing.T, v xenc.DocView) string {
 	return b.String()
 }
 
+// readCurrent runs fn against a lease on the current committed version,
+// the way every reader outside this package does.
+func readCurrent(m *Manager, fn func(v xenc.DocView) error) error {
+	rv := m.AcquireRead()
+	defer rv.Close()
+	return fn(rv.View())
+}
+
 // setBook updates the text of the idx-th book to val in one committed
 // transaction.
 func setBook(t *testing.T, m *Manager, idx int, val string) {

@@ -27,7 +27,7 @@ func TestClosedSnapshotRestoresInPlaceWrites(t *testing.T) {
 		t.Fatalf("test document too small: %d page chunks", total)
 	}
 
-	snap := m.Snapshot()
+	snap := m.AcquireRead()
 	if got := s.DirtyPages(); got != 0 {
 		t.Fatalf("base owns %d chunks while the snapshot shares everything, want 0", got)
 	}
@@ -60,15 +60,16 @@ func TestSnapshotDoubleClose(t *testing.T) {
 	m := NewManager(s, nil)
 	total := s.DirtyPages()
 
-	a := m.Snapshot()
-	b := m.Snapshot()
+	a := m.AcquireRead()
+	b := m.AcquireRead()
 	if a.View() != b.View() {
 		t.Fatal("two handles at the same version did not share one snapshot")
 	}
 	a.Close()
 	a.Close() // idempotent: must not steal b's (or the cache slot's) reference
-	if !a.Closed() || b.Closed() {
-		t.Fatalf("Closed() reports a=%v b=%v, want true false", a.Closed(), b.Closed())
+	noop := func(xenc.DocView) error { return nil }
+	if errA, errB := a.WithView(noop), b.WithView(noop); errA != ErrSnapshotClosed || errB != nil {
+		t.Fatalf("reads after a's Close report a=%v b=%v, want ErrSnapshotClosed and nil", errA, errB)
 	}
 	before := viewXML(t, b.View())
 	setBook(t, m, 0, "after-double-close")
@@ -91,7 +92,7 @@ func TestSnapshotCloseRacesCommit(t *testing.T) {
 	total := s.DirtyPages()
 
 	const commits = 60
-	snaps := make(chan *Snapshot, 8)
+	snaps := make(chan *ReadView, 8)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -101,7 +102,7 @@ func TestSnapshotCloseRacesCommit(t *testing.T) {
 		}
 	}()
 	for i := 0; i < commits; i++ {
-		snaps <- m.Snapshot()
+		snaps <- m.AcquireRead()
 		setBook(t, m, i%3, fmt.Sprintf("c%d", i))
 	}
 	close(snaps)
@@ -128,7 +129,7 @@ func TestSnapshotReadRacesClose(t *testing.T) {
 	total := s.DirtyPages()
 
 	for i := 0; i < 100; i++ {
-		snap := m.Snapshot()
+		snap := m.AcquireRead()
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -161,11 +162,11 @@ func TestSnapshotReadRacesClose(t *testing.T) {
 // chunks, not to the manager.
 func TestSnapshotOutlivesManager(t *testing.T) {
 	s := buildStore(t, doc, 16)
-	var snap *Snapshot
+	var snap *ReadView
 	var want string
 	func() {
 		m := NewManager(s, nil)
-		snap = m.Snapshot()
+		snap = m.AcquireRead()
 		want = viewXML(t, snap.View())
 		setBook(t, m, 0, "mutated-before-manager-died")
 	}()
@@ -175,50 +176,6 @@ func TestSnapshotOutlivesManager(t *testing.T) {
 		t.Fatalf("snapshot drifted after its manager was dropped:\nwant: %s\ngot:  %s", want, got)
 	}
 	snap.Close()
-}
-
-// TestSnapshotFinalizerWarnsAndReleases: an unclosed handle that becomes
-// garbage must be released by its finalizer and reported through the
-// leak handler, so even leaky callers don't tax the base forever.
-func TestSnapshotFinalizerWarnsAndReleases(t *testing.T) {
-	s := buildStore(t, doc, 16)
-	m := NewManager(s, nil)
-	total := s.DirtyPages()
-
-	warned := make(chan uint64, 1)
-	SetSnapshotLeakHandler(func(v uint64, _ []byte) {
-		select {
-		case warned <- v:
-		default:
-		}
-	})
-	defer SetSnapshotLeakHandler(nil)
-
-	func() {
-		leaked := m.Snapshot() // never closed
-		_ = leaked.Version()
-	}()
-	// Supersede the leaked version so the leaked handle holds the only
-	// outstanding reference once the cache moves on.
-	setBook(t, m, 0, "supersede")
-
-	deadline := time.After(10 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case v := <-warned:
-			if v != 0 {
-				t.Fatalf("leak handler reported version %d, want 0", v)
-			}
-			if got := s.DirtyPages(); got != total {
-				t.Fatalf("base owns %d/%d chunks after finalizer release", got, total)
-			}
-			return
-		case <-deadline:
-			t.Fatal("finalizer never fired for the leaked snapshot")
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
 }
 
 // TestRacingFirstReadersBuildInParallel proves the epoch-based slow
@@ -295,57 +252,4 @@ func TestRacingFirstReadersBuildInParallel(t *testing.T) {
 	if got := s.DirtyPages(); got != total {
 		t.Fatalf("base owns %d/%d chunks after the race; a losing build leaked its references", got, total)
 	}
-}
-
-// TestSnapshotLeakStackAttribution: with SetSnapshotDebug on, a leaked
-// handle's report must carry the call stack of the site that opened it,
-// so the leak handler can say *where* the handle came from.
-func TestSnapshotLeakStackAttribution(t *testing.T) {
-	s := buildStore(t, doc, 16)
-	m := NewManager(s, nil)
-
-	SetSnapshotDebug(true)
-	defer SetSnapshotDebug(false)
-	type leak struct {
-		version uint64
-		stack   []byte
-	}
-	leaks := make(chan leak, 1)
-	SetSnapshotLeakHandler(func(v uint64, stack []byte) {
-		select {
-		case leaks <- leak{v, stack}:
-		default:
-		}
-	})
-	defer SetSnapshotLeakHandler(nil)
-
-	leakySnapshotOpener(m)
-	setBook(t, m, 0, "supersede-leaked-version")
-
-	deadline := time.After(10 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case l := <-leaks:
-			if len(l.stack) == 0 {
-				t.Fatal("leak reported without a captured stack despite debug mode")
-			}
-			if !strings.Contains(string(l.stack), "leakySnapshotOpener") {
-				t.Fatalf("stack does not attribute the leak to its opener:\n%s", l.stack)
-			}
-			return
-		case <-deadline:
-			t.Fatal("finalizer never fired for the leaked snapshot")
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-}
-
-// leakySnapshotOpener exists to have a recognizable frame in the
-// captured stack.
-//
-//go:noinline
-func leakySnapshotOpener(m *Manager) {
-	snap := m.Snapshot() // deliberately never closed
-	_ = snap.Version()
 }

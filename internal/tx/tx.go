@@ -57,6 +57,9 @@ var ErrDone = errors.New("tx: transaction already committed or aborted")
 // stop accepting writes, or fall back to a fresh checkpoint).
 var ErrNotDurable = errors.New("tx: commit applied but not durable")
 
+// ErrSnapshotClosed reports a read through a ReadView after Close.
+var ErrSnapshotClosed = errors.New("tx: snapshot is closed")
+
 // Validator checks document consistency before commit ("run XML document
 // validation (if there is a schema)"). A non-nil error aborts the commit.
 type Validator func(v xenc.DocView) error
@@ -141,23 +144,48 @@ func (rs *readSnap) tryAcquire() bool {
 	}
 }
 
-// ReadView is a leased handle on the cached snapshot of one committed
-// version. The view is immutable and safe for concurrent use; Close
-// returns the lease (idempotent). Holding a ReadView open pins the
-// chunks its version shares with the base, so long-running readers cost
-// the base only the pages dirtied by commits that overlap them.
+// ReadView is a leased handle on the snapshot of one committed version:
+// the one read handle, whether it lives for a single query or is held
+// across many commits. The view is read without any lock and is safe
+// for concurrent use — commits copy the pages they modify instead of
+// updating shared chunks in place (Section 3.2's copy-on-write reader
+// isolation). Leases taken at the same version share one snapshot with
+// each other and with the manager's cache slot; holding one open pins
+// the chunks its version shares with the base, so a long-running reader
+// costs the base only the pages dirtied by commits that overlap it, and
+// the base resumes in-place writes on a chunk as soon as its last
+// sharer is gone. The caller must Close the lease — nothing in this
+// package does it on the caller's behalf.
 type ReadView struct {
 	rs     *readSnap
 	closed atomic.Bool
 }
 
-// View returns the immutable document view.
+// View returns the immutable document view. It must not be used after
+// Close; a reader that cannot rule out a concurrent Close goes through
+// WithView instead.
 func (rv *ReadView) View() xenc.DocView { return rv.rs.store }
 
 // Version returns the committed version the view observes.
 func (rv *ReadView) Version() uint64 { return rv.rs.version }
 
-// Close returns the lease. Calling Close more than once is harmless.
+// WithView runs fn against the view while holding a temporary reference
+// of its own, so a Close racing the call from another goroutine cannot
+// release the snapshot's chunks mid-read — the release is deferred
+// until fn returns. It fails with ErrSnapshotClosed once Close has been
+// called.
+func (rv *ReadView) WithView(fn func(v xenc.DocView) error) error {
+	if rv.closed.Load() || !rv.rs.tryAcquire() {
+		return ErrSnapshotClosed
+	}
+	defer rv.rs.release()
+	return fn(rv.rs.store)
+}
+
+// Close returns the lease. Once the last sharer of the version is gone
+// (leases and the manager's cache slot all count), the snapshot's chunk
+// references are handed back to the base store. Close is idempotent and
+// safe to call concurrently with commits and with WithView.
 func (rv *ReadView) Close() {
 	if rv.closed.CompareAndSwap(false, true) {
 		rv.rs.release()
@@ -187,16 +215,6 @@ func (m *Manager) SetValidator(v Validator) { m.validator = v }
 
 // SetLockAncestors toggles the root-locking ablation mode.
 func (m *Manager) SetLockAncestors(on bool) { m.lockAncestors = on }
-
-// View calls fn with the base store itself under the global read lock,
-// which excludes commits for the duration: the hook for statistics and
-// invariant checks over base-private state. Queries read a leased
-// snapshot instead (AcquireRead).
-func (m *Manager) View(fn func(v xenc.DocView) error) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return fn(m.store)
-}
 
 // Version returns the number of committed write transactions.
 func (m *Manager) Version() uint64 { return m.version.Load() }
@@ -313,11 +331,40 @@ func (m *Manager) invalidateStale() {
 	}
 }
 
-// Stats returns commit and abort counters.
-func (m *Manager) Stats() (commits, aborts uint64) {
+// Stats are the manager's counters and the base store's shape, read in
+// one critical section.
+type Stats struct {
+	Commits, Aborts uint64 // finished write transactions
+	LiveNodes       int    // live nodes
+	Tuples          int    // tuples including unused space
+	Pages, PageSize int    // logical pages, tuples per page
+	Names, Props    int    // shared dictionary entries (see CompactDictionaries)
+}
+
+// Stats reads the counters and the base store's shape under the shared
+// lock. It builds no snapshot, so polling it through a write-only phase
+// leaves the cache slot empty.
+func (m *Manager) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.commits, m.aborts
+	st := Stats{
+		Commits:   m.commits,
+		Aborts:    m.aborts,
+		LiveNodes: m.store.LiveNodes(),
+		Tuples:    int(m.store.Len()),
+		Pages:     m.store.Pages(),
+		PageSize:  m.store.PageSize(),
+	}
+	st.Names, st.Props = m.store.DictStats()
+	return st
+}
+
+// CheckInvariants validates the base store's storage invariants with
+// commits excluded (testing hook).
+func (m *Manager) CheckInvariants() error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.store.CheckInvariants()
 }
 
 // Begin starts a write transaction. The returned Tx is not safe for

@@ -63,7 +63,7 @@ func TestCommitMakesChangesVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Uncommitted: invisible to readers.
-	m.View(func(v xenc.DocView) error {
+	readCurrent(m, func(v xenc.DocView) error {
 		if n, _ := xpath.MustParse(`//book`).Select(v); len(n) != 3 {
 			t.Fatalf("uncommitted change visible: %d books", len(n))
 		}
@@ -76,7 +76,7 @@ func TestCommitMakesChangesVisible(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	m.View(func(v xenc.DocView) error {
+	readCurrent(m, func(v xenc.DocView) error {
 		if n, _ := xpath.MustParse(`//book`).Select(v); len(n) != 4 {
 			t.Fatalf("committed change lost: %d books", len(n))
 		}
@@ -85,8 +85,8 @@ func TestCommitMakesChangesVisible(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if c, a := m.Stats(); c != 1 || a != 0 {
-		t.Fatalf("stats = %d/%d", c, a)
+	if st := m.Stats(); st.Commits != 1 || st.Aborts != 0 {
+		t.Fatalf("stats = %d/%d", st.Commits, st.Aborts)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestAbortDiscardsChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Abort()
-	m.View(func(v xenc.DocView) error {
+	readCurrent(m, func(v xenc.DocView) error {
 		if n, _ := xpath.MustParse(`//book`).Select(v); len(n) != 3 {
 			t.Fatalf("aborted change visible: %d books", len(n))
 		}
@@ -142,8 +142,8 @@ func TestPageConflictAborts(t *testing.T) {
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if c, a := m.Stats(); c != 1 || a != 1 {
-		t.Fatalf("stats = %d/%d", c, a)
+	if st := m.Stats(); st.Commits != 1 || st.Aborts != 1 {
+		t.Fatalf("stats = %d/%d", st.Commits, st.Aborts)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestConcurrentWritersStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	books := 0
-	m.View(func(v xenc.DocView) error {
+	readCurrent(m, func(v xenc.DocView) error {
 		n, _ := xpath.MustParse(`//book`).Select(v)
 		books = len(n)
 		return nil
@@ -293,7 +293,7 @@ func TestValidatorBlocksCommit(t *testing.T) {
 	if err := tx.Commit(); err == nil {
 		t.Fatal("validator did not block commit")
 	}
-	m.View(func(v xenc.DocView) error {
+	readCurrent(m, func(v xenc.DocView) error {
 		if n, _ := xpath.MustParse(`//banned`).Select(v); len(n) != 0 {
 			t.Fatal("invalid content leaked into the base store")
 		}

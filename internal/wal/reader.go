@@ -1,12 +1,8 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
@@ -111,7 +107,11 @@ func (r *Reader) Next() (*Record, error) {
 				return nil, err
 			}
 		}
-		rec, n, ok := readRecordAt(r.f, r.off)
+		fi, err := r.f.Stat()
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		rec, n, ok := readRecordAt(r.f, r.off, fi.Size())
 		if ok {
 			r.off += n
 			if rec.LSN <= r.lsn {
@@ -185,30 +185,4 @@ func (r *Reader) advanceSegment(target uint64) (bool, error) {
 	r.f.Close()
 	r.f = nil
 	return true, nil
-}
-
-// readRecordAt decodes one record at off. ok=false means a clean or
-// torn end — the caller decides whether that is "wait" or "move on".
-func readRecordAt(f *os.File, off int64) (*Record, int64, bool) {
-	var hdr [8]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, 0, false
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > 1<<30 {
-		return nil, 0, false
-	}
-	payload := make([]byte, n)
-	if _, err := f.ReadAt(payload, off+8); err != nil {
-		return nil, 0, false
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, false
-	}
-	var rec Record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, 0, false
-	}
-	return &rec, int64(8 + int(n)), true
 }

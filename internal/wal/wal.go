@@ -49,7 +49,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mxq/internal/xenc"
 )
@@ -139,7 +138,6 @@ type Log struct {
 	lsn      uint64
 	sync     bool
 	segBytes int64
-	gcDelay  time.Duration // group-commit leader's pre-fsync wait
 
 	// durable is the highest LSN known to have reached stable storage;
 	// it only ever advances. syncMu is the group-commit door: the leader
@@ -166,12 +164,6 @@ type Options struct {
 	// reaches it, the segment is sealed and a new one started. Zero means
 	// DefaultSegmentBytes.
 	SegmentBytes int64
-	// GroupCommitDelay is how long a group-commit leader waits before
-	// flushing, giving concurrent committers time to queue behind the one
-	// fsync. Zero (the default) flushes immediately: lowest latency, one
-	// fsync per quiet commit. A small delay (hundreds of microseconds)
-	// trades that latency for fewer, larger group commits under load.
-	GroupCommitDelay time.Duration
 }
 
 // Open opens or creates the segmented log rooted at path (segments live
@@ -185,7 +177,6 @@ func Open(path string, opts Options) (*Log, error) {
 		base:     filepath.Base(path),
 		sync:     !opts.NoSync,
 		segBytes: opts.SegmentBytes,
-		gcDelay:  opts.GroupCommitDelay,
 	}
 	if l.segBytes <= 0 {
 		l.segBytes = DefaultSegmentBytes
@@ -298,7 +289,8 @@ type segMeta struct {
 }
 
 // scanFile reads one segment file start to finish, calling fn (if
-// non-nil) per valid record. It is a pure read — no *segment state is
+// non-nil) per valid record; the first offset readRecordAt refuses is
+// the end of the valid prefix. It is a pure read — no *segment state is
 // touched — so Replay can run concurrently with Append without racing
 // the segment accounting Append maintains under l.mu.
 func scanFile(path string, fn func(*Record) error) (segMeta, error) {
@@ -313,40 +305,55 @@ func scanFile(path string, fn func(*Record) error) (segMeta, error) {
 		return meta, fmt.Errorf("wal: %w", err)
 	}
 	meta.size = fi.Size()
-	r := io.Reader(f)
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return meta, nil // clean EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > 1<<30 {
-			return meta, nil // absurd length: torn tail
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return meta, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return meta, nil // corrupt tail
-		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return meta, nil
+		rec, n, ok := readRecordAt(f, meta.validEnd, meta.size)
+		if !ok {
+			return meta, nil // clean EOF or torn tail
 		}
 		if fn != nil {
-			if err := fn(&rec); err != nil {
+			if err := fn(rec); err != nil {
 				return meta, err
 			}
 		}
-		meta.validEnd += int64(8 + int(n))
+		meta.validEnd += n
 		if meta.firstLSN == 0 {
 			meta.firstLSN = rec.LSN
 		}
 		meta.lastLSN = rec.LSN
 		meta.records++
 	}
+}
+
+// readRecordAt decodes the one record frame — uint32 payload length,
+// uint32 CRC-32 of the payload, gob payload — at off in a segment of
+// size bytes, returning the record and the frame's length. ok=false
+// means a clean or torn end: a short header, a length announcing more
+// than the segment has left (refused before anything is allocated for
+// it, so a torn header cannot size a buffer), a short payload, a
+// checksum mismatch or an undecodable payload. The caller decides
+// whether that is "truncate", "wait" or "move on".
+func readRecordAt(r io.ReaderAt, off, size int64) (*Record, int64, bool) {
+	var hdr [8]byte
+	if _, err := r.ReadAt(hdr[:], off); err != nil {
+		return nil, 0, false
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	if n > size-off-8 {
+		return nil, 0, false
+	}
+	payload := make([]byte, n)
+	if _, err := r.ReadAt(payload, off+8); err != nil {
+		return nil, 0, false
+	}
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, 0, false
+	}
+	var rec Record
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		return nil, 0, false
+	}
+	return &rec, 8 + n, true
 }
 
 // addSegment creates and registers an empty segment file. On failure
@@ -562,14 +569,6 @@ func (l *Log) Sync(lsn uint64) error {
 	defer l.syncMu.Unlock()
 	if l.durable.Load() >= lsn {
 		return nil // the previous leader's fsync covered us
-	}
-	if l.gcDelay > 0 {
-		// Group-commit window: this caller is the leader (it holds the
-		// door); waiting here lets concurrent committers append records
-		// the single fsync below will cover. The wait happens after the
-		// durable re-check and before the target capture, so late
-		// arrivals' LSNs are included, not just observed.
-		time.Sleep(l.gcDelay)
 	}
 	// Capture the active file and the highest appended LSN: the fsync
 	// below covers every record appended before the capture (records in

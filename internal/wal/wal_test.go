@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 func openTemp(t *testing.T) (*Log, string) {
@@ -117,6 +117,59 @@ func TestTornTailTruncated(t *testing.T) {
 	l2.Replay(0, func(*Record) error { count++; return nil })
 	if count != 1 {
 		t.Fatalf("replayed %d records, want 1", count)
+	}
+}
+
+// TestTornHeaderCannotSizeAllocation: a tail that is nothing but an
+// 8-byte header announcing a 1 GiB payload is a torn tail like any
+// other — and the length is refused against what the segment has left
+// before a buffer is made for it, on the recovery scan, Replay and the
+// streaming Reader alike.
+func TestTornHeaderCannotSizeAllocation(t *testing.T) {
+	l, path := openTemp(t)
+	l.Append([]Op{{Kind: OpSetValue, Target: 9, Value: "x"}})
+	l.Append([]Op{{Kind: OpSetValue, Target: 9, Value: "y"}})
+	valid := l.Segments()[0].Size
+	l.Close()
+	seg := segFiles(t, path)[0]
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0xff, 0xff, 0xff, 0x3f, 1, 2, 3, 4}) // len 0x3fffffff, nothing behind it
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := scanFile(seg, nil); err != nil { // what Replay runs per segment
+		t.Fatal(err)
+	}
+	l2, err := Open(path, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	r, err := l2.NewReader(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	streamed := 0
+	for rec, err := r.Next(); rec != nil || err != nil; rec, err = r.Next() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed++
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("recovering a %d-byte segment allocated %d bytes", valid+8, got)
+	}
+	if l2.LastLSN() != 2 || streamed != 2 {
+		t.Fatalf("LastLSN = %d, streamed %d records; want 2 and 2", l2.LastLSN(), streamed)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != valid {
+		t.Fatalf("segment is %d bytes after recovery (err %v), want the torn header truncated to %d", fi.Size(), err, valid)
 	}
 }
 
@@ -300,51 +353,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 	if l.SyncCount() > n {
 		t.Fatalf("fsyncs = %d > %d appends", l.SyncCount(), n)
-	}
-}
-
-// TestGroupCommitDelayBatches: with a delay window the leader's sleep
-// gives late committers time to board, so concurrent commits share far
-// fewer fsyncs — and the wait must not weaken the durability contract
-// (every Sync still returns with its LSN durable).
-func TestGroupCommitDelayBatches(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "delay.wal")
-	l, err := Open(path, Options{GroupCommitDelay: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	const n = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lsn, err := l.Append([]Op{{Kind: OpDelete, Target: int32(i)}})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if err := l.Sync(lsn); err != nil {
-				errs <- err
-				return
-			}
-			if l.DurableLSN() < lsn {
-				errs <- fmt.Errorf("lsn %d not durable after delayed Sync", lsn)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// All 16 goroutines were in flight inside one 5ms window; a leader
-	// that slept it out covers nearly all of them. The generous bound
-	// only fails if the delay is not batching at all.
-	if got := l.SyncCount(); got > n/2 {
-		t.Fatalf("fsyncs = %d for %d concurrent commits — delay window not batching", got, n)
 	}
 }
 

@@ -32,22 +32,22 @@
 //
 // # Snapshot handles and the Close contract
 //
-// Document.Snapshot exposes the same mechanism as an explicit handle: a
-// refcounted *Snapshot whose queries observe one committed version for
-// as long as it is open, shared with the query path's internal cache
-// when the versions coincide. The contract is Close-when-done: a held
-// snapshot keeps the chunks it shares with the base copy-on-write (each
-// overlapping commit pays one page copy per page it dirties), and Close
-// — idempotent, safe to race with commits — returns the handle's chunk
-// references so the base resumes in-place writes once the last sharer
-// of that version is gone. A snapshot's lifetime cost is therefore
-// bounded by the pages dirtied while it was open, never by how long it
-// stayed open after. Using a handle after Close returns
+// Document.Snapshot hands out the same lease a query takes for one
+// call, held until Close: a *Snapshot whose queries (the read methods
+// above, one implementation under both types) observe one committed
+// version for as long as it is open, sharing that version's snapshot
+// with every other reader of it. The contract is Close-when-done: a
+// held snapshot keeps the chunks it shares with the base copy-on-write
+// (each overlapping commit pays one page copy per page it dirties), and
+// Close — idempotent, safe to race with commits — returns the handle's
+// chunk references so the base resumes in-place writes once the last
+// sharer of that version is gone. A snapshot's lifetime cost is
+// therefore bounded by the pages dirtied while it was open, never by
+// how long it stayed open after. Using a handle after Close returns
 // ErrSnapshotClosed. Handles that are garbage-collected unclosed are
-// released by a finalizer and reported as leaks (see
-// tx.SetSnapshotLeakHandler), but the base pays the copy-on-write tax
-// until the collector runs — always pair Snapshot with a deferred
-// Close.
+// released by a finalizer and reported on stderr, but the base pays the
+// copy-on-write tax until the collector runs — always pair Snapshot
+// with a deferred Close.
 //
 // # Durability: incremental checkpoints, segmented WAL, group commit
 //
@@ -56,9 +56,7 @@
 // concurrent committers share the fsync through a leader/follower door
 // (group commit): under load, N commits cost ~1 physical flush, so
 // commit throughput rises with concurrency instead of serializing on
-// the disk. Options.GroupCommitDelay holds that door open briefly so
-// more committers board each flush, trading single-commit latency for
-// fewer fsyncs under load. Checkpoints are *online* and *incremental*:
+// the disk. Checkpoints are *online* and *incremental*:
 // Document.Checkpoint pins a (snapshot, LSN) pair inside the commit
 // critical section — an O(pages) refcount sweep, the same
 // copy-on-write machinery the read path uses — then serializes the
@@ -183,7 +181,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
@@ -285,14 +282,6 @@ type Options struct {
 	// namespace. Note Drop only deletes the default directory; a custom
 	// backend's data is the caller's to reclaim.
 	ChunkStore func(doc string) ChunkStore
-	// GroupCommitDelay stretches the group-commit window: the fsync
-	// leader sleeps this long before flushing, so commits arriving
-	// within the window share the flush instead of each paying their
-	// own. Zero (the default) keeps the natural-contention batching —
-	// only commits that arrive while a flush is in progress share the
-	// next one. Worth a few hundred microseconds on fsync-bound
-	// concurrent workloads; pure added latency for a lone committer.
-	GroupCommitDelay time.Duration
 }
 
 // ErrDatabaseClosed reports an operation on a closed Database.
@@ -363,12 +352,13 @@ func checkpointedDocs(dir string) []string {
 	return names
 }
 
-func (db *Database) walOptions() wal.Options {
-	return wal.Options{
-		NoSync:           db.opts.NoSync,
-		SegmentBytes:     db.opts.WALSegmentBytes,
-		GroupCommitDelay: db.opts.GroupCommitDelay,
-	}
+// walPath is the base path of the document's WAL segments.
+func (db *Database) walPath(name string) string {
+	return filepath.Join(db.opts.Dir, name+".wal")
+}
+
+func (db *Database) openWAL(name string) (*wal.Log, error) {
+	return wal.Open(db.walPath(name), wal.Options{NoSync: db.opts.NoSync, SegmentBytes: db.opts.WALSegmentBytes})
 }
 
 // chunkStoreFor resolves the document's chunk store: the Options
@@ -382,7 +372,7 @@ func (db *Database) chunkStoreFor(name string) ChunkStore {
 }
 
 func (db *Database) recoverDoc(name string) error {
-	log, err := wal.Open(filepath.Join(db.opts.Dir, name+".wal"), db.walOptions())
+	log, err := db.openWAL(name)
 	if err != nil {
 		return err
 	}
@@ -391,26 +381,23 @@ func (db *Database) recoverDoc(name string) error {
 		log.Close()
 		return err
 	}
-	doc := &Document{
-		name:  name,
-		db:    db,
-		store: store,
-		log:   log,
-		mgr:   tx.NewManager(store, log),
-	}
-	doc.attachDurability()
-	db.docs[name] = doc
+	db.docs[name] = db.newDocument(name, store, log)
 	return nil
 }
 
-// attachDurability wires the online checkpointer and, when the policy
-// asks for it, the background auto-checkpoint goroutine.
-func (d *Document) attachDurability() {
-	if d.log == nil {
-		return
+// newDocument assembles a document over a built, recovered or
+// bootstrapped store — the one place a Document is made. log is nil
+// without a durability directory; with one, the online checkpointer,
+// the follower tracker and (when the policy asks for it) the background
+// auto-checkpoint goroutine are wired here, and close tears them down.
+func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *Document {
+	d := &Document{name: name, db: db, log: log, mgr: tx.NewManager(store, log)}
+	d.read = d.readCurrent
+	if log == nil {
+		return d
 	}
-	d.ckpter = ckpt.New(d.db.opts.Dir, d.name, d.log, d.mgr.PinCheckpoint)
-	if cs := d.db.chunkStoreFor(d.name); cs != nil {
+	d.ckpter = ckpt.New(db.opts.Dir, name, log, d.mgr.PinCheckpoint)
+	if cs := db.chunkStoreFor(name); cs != nil {
 		d.ckpter.SetChunkStore(cs)
 	}
 	d.tracker = repl.NewTracker()
@@ -418,23 +405,14 @@ func (d *Document) attachDurability() {
 	// The policy measures the WAL tail beyond the last checkpoint; start
 	// from the manifest's LSN so records a previous session already
 	// checkpointed (but whose segment is not yet prunable) don't count.
-	d.lastCkptLSN.Store(ckpt.CurrentLSN(d.db.opts.Dir, d.name))
-	if !d.db.opts.CheckpointEvery.enabled() {
-		return
+	d.lastCkptLSN.Store(ckpt.CurrentLSN(db.opts.Dir, name))
+	if db.opts.CheckpointEvery.enabled() {
+		d.autoC = make(chan struct{}, 1)
+		d.stopC = make(chan struct{})
+		d.wg.Add(1)
+		go d.autoCheckpointLoop()
 	}
-	d.autoC = make(chan struct{}, 1)
-	d.stopC = make(chan struct{})
-	d.wg.Add(1)
-	go d.autoCheckpointLoop()
-}
-
-// stopAuto drains the auto-checkpointer: after it returns no further
-// background checkpoint can start.
-func (d *Document) stopAuto() {
-	if d.stopC != nil {
-		d.stopOnce.Do(func() { close(d.stopC) })
-		d.wg.Wait()
-	}
+	return d
 }
 
 // LoadXML shreds and stores a document under the given name. The
@@ -465,8 +443,6 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc := &Document{name: name, db: db, store: store}
-
 	// The duplicate-name check must precede opening the WAL: wal.Open
 	// runs a recovery scan that truncates what it takes for a torn tail,
 	// and pointing a second scan at the live document's segments could
@@ -479,15 +455,13 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 	if _, dup := db.docs[name]; dup {
 		return nil, fmt.Errorf("mxq: document %q already exists", name)
 	}
+	var log *wal.Log
 	if db.opts.Dir != "" {
-		log, err := wal.Open(filepath.Join(db.opts.Dir, name+".wal"), db.walOptions())
-		if err != nil {
+		if log, err = db.openWAL(name); err != nil {
 			return nil, err
 		}
-		doc.log = log
 	}
-	doc.mgr = tx.NewManager(store, doc.log)
-	doc.attachDurability()
+	doc := db.newDocument(name, store, log)
 	db.docs[name] = doc
 	return doc, nil
 }
@@ -574,16 +548,13 @@ func (db *Database) Drop(name string) error {
 		return fmt.Errorf("%w %q", ErrNoDocument, name)
 	}
 	if doc.log != nil {
-		doc.stopAuto()
-		// Waiting out an in-flight checkpoint (Close serializes on the
-		// checkpointer's mutex) before removing artifacts: a Run that
-		// lost this race would otherwise republish an image and prune a
-		// WAL that no longer exists.
-		doc.ckpter.Close()
-		doc.log.Close()
+		// close waits out an in-flight checkpoint before the artifacts
+		// go: a Run that lost this race would otherwise republish an
+		// image and prune a WAL that no longer exists.
+		doc.close(false)
 		// Exact-boundary removal: a document whose name is a prefix of
 		// another ("a" vs "a-b") must never take the other's artifacts.
-		wal.RemoveSegments(filepath.Join(db.opts.Dir, name+".wal"))
+		wal.RemoveSegments(db.walPath(name))
 		ckpt.RemoveArtifacts(db.opts.Dir, name)
 		// Dropping the document is the one case chunks go too: no future
 		// manifest of this document will reference them. (Only the default

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -218,27 +217,19 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 	if old != nil {
 		// Detach without a final checkpoint: the old image is on a dead
 		// LSN line and about to be wiped.
-		old.stopAuto()
-		if old.ckpter != nil {
-			old.ckpter.Close()
-		}
-		if old.log != nil {
-			old.log.Close()
-		}
+		old.close(false)
 	}
-	path := filepath.Join(db.opts.Dir, s.name+".wal")
-	wal.RemoveSegments(path)
+	wal.RemoveSegments(db.walPath(s.name))
 	ckpt.RemoveArtifacts(db.opts.Dir, s.name)
 
-	log, err := wal.Open(path, db.walOptions())
+	log, err := db.openWAL(s.name)
 	if err != nil {
 		return err
 	}
 	// The local log must hand out exactly the LSNs the primary's stream
 	// carries next; records at or below lsn are inside the image.
 	log.EnsureLSN(lsn)
-	doc := &Document{name: s.name, db: db, store: store, log: log, mgr: tx.NewManager(store, log)}
-	doc.attachDurability()
+	doc := db.newDocument(s.name, store, log)
 	if err := doc.Checkpoint(); err != nil {
 		doc.close(false)
 		return fmt.Errorf("mxq: writing bootstrap checkpoint: %w", err)

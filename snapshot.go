@@ -1,26 +1,24 @@
 package mxq
 
 import (
-	"errors"
-	"io"
-	"strings"
+	"fmt"
+	"os"
+	"runtime"
 
-	"mxq/internal/serialize"
 	"mxq/internal/tx"
-	"mxq/internal/xenc"
-	"mxq/internal/xpath"
 )
 
 // ErrSnapshotClosed reports use of a snapshot handle after Close.
-var ErrSnapshotClosed = errors.New("mxq: snapshot is closed")
+var ErrSnapshotClosed = tx.ErrSnapshotClosed
 
 // Snapshot is an immutable point-in-time view of a document, held open
-// until Close. Queries against it observe the committed version current
-// when it was taken, no matter how many transactions commit afterwards —
-// commits copy the pages they modify instead of updating shared chunks
-// in place (the page-granular copy-on-write scheme of the paper's
-// Section 3.2) — and it is safe for concurrent use by any number of
-// goroutines.
+// until Close. Queries against it (the embedded Query, QueryValue,
+// Count, SerializeTo, XML — the methods a Document has) observe the
+// committed version current when it was taken, no matter how many
+// transactions commit afterwards — commits copy the pages they modify
+// instead of updating shared chunks in place (the page-granular
+// copy-on-write scheme of the paper's Section 3.2) — and it is safe for
+// concurrent use by any number of goroutines.
 //
 // Lifetime contract: a held snapshot keeps the chunks it shares with the
 // base store copy-on-write, so commits that overlap its lifetime pay one
@@ -29,88 +27,44 @@ var ErrSnapshotClosed = errors.New("mxq: snapshot is closed")
 // base store resumes writing those chunks in place, so a snapshot's
 // total cost is bounded by the pages dirtied while it was open. Always
 // pair Snapshot with a deferred Close. A handle that is garbage-collected
-// unclosed is released by a finalizer and reported as a leak, but until
+// unclosed is released by a finalizer and reported on stderr, but until
 // the collector runs the base keeps paying the copy-on-write tax.
 type Snapshot struct {
-	h *tx.Snapshot
+	queries
+	rv *tx.ReadView
 }
 
 // Snapshot returns a closeable handle on the document's current
-// committed version. Handles taken at the same version share one
-// underlying snapshot with the query path's internal cache, so taking
-// one is cheap (at most one O(pages) refcount sweep, usually none).
-// The caller must Close the handle when done.
+// committed version: the same lease a query takes for the length of one
+// call, held until Close. Handles taken at the same version share one
+// underlying snapshot with each other and with the query path, so
+// taking one is cheap (at most one O(pages) refcount sweep, usually
+// none). The caller must Close the handle when done.
 func (d *Document) Snapshot() *Snapshot {
-	return &Snapshot{h: d.mgr.Snapshot()}
+	rv := d.mgr.AcquireRead()
+	// Each read takes a reference of its own (WithView), so a Close
+	// racing it — or the finalizer, should the handle become garbage
+	// mid-call — cannot release the snapshot's chunks until it returns.
+	s := &Snapshot{queries: queries{read: rv.WithView}, rv: rv}
+	runtime.SetFinalizer(s, (*Snapshot).leaked)
+	return s
 }
 
-// Close releases the snapshot. Calling Close more than once is harmless;
-// using the snapshot afterwards returns ErrSnapshotClosed.
-func (s *Snapshot) Close() { s.h.Close() }
+// Close releases the snapshot. Calling Close more than once is harmless
+// and it is safe to race with commits; using the snapshot afterwards
+// returns ErrSnapshotClosed.
+func (s *Snapshot) Close() {
+	runtime.SetFinalizer(s, nil)
+	s.rv.Close()
+}
 
 // Version returns the committed version the snapshot observes.
-func (s *Snapshot) Version() uint64 { return s.h.Version() }
+func (s *Snapshot) Version() uint64 { return s.rv.Version() }
 
-// read runs fn against the snapshot's view. The underlying handle takes
-// a per-call reference, so a Close racing the read (or the finalizer
-// backstop, should the handle become garbage mid-call) cannot release
-// the snapshot's chunks until fn returns.
-func (s *Snapshot) read(fn func(v xenc.DocView) error) error {
-	err := s.h.WithView(fn)
-	if err == tx.ErrSnapshotClosed {
-		return ErrSnapshotClosed
-	}
-	return err
-}
-
-// Query compiles and runs an XPath expression against the snapshot.
-func (s *Snapshot) Query(q string) (Result, error) {
-	expr, err := xpath.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	var res Result
-	err = s.read(func(v xenc.DocView) error {
-		var inner error
-		res, inner = materialize(v, expr, nil)
-		return inner
-	})
-	return res, err
-}
-
-// QueryValue runs a query and returns its single string value.
-func (s *Snapshot) QueryValue(q string) (string, error) {
-	res, err := s.Query(q)
-	if err != nil {
-		return "", err
-	}
-	if len(res) == 0 {
-		return "", nil
-	}
-	return res[0].Value, nil
-}
-
-// Count returns the number of nodes a path selects in the snapshot.
-func (s *Snapshot) Count(q string) (int, error) {
-	res, err := s.Query(q)
-	if err != nil {
-		return 0, err
-	}
-	return len(res), nil
-}
-
-// SerializeTo writes the snapshot as XML.
-func (s *Snapshot) SerializeTo(w io.Writer, indent string) error {
-	return s.read(func(v xenc.DocView) error {
-		return serialize.Document(w, v, serialize.Options{Indent: indent})
-	})
-}
-
-// XML returns the serialized snapshot.
-func (s *Snapshot) XML() (string, error) {
-	var b strings.Builder
-	if err := s.SerializeTo(&b, ""); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+// leaked is the garbage-collection backstop for a handle nobody closed:
+// release it so the base stops paying for it, and say so.
+func (s *Snapshot) leaked() {
+	s.rv.Close()
+	fmt.Fprintf(os.Stderr, "mxq: Snapshot of version %d was garbage-collected without Close; "+
+		"the base store paid copy-on-write for its chunks until now\n", s.rv.Version())
 }
