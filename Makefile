@@ -65,7 +65,7 @@ lint:
 # `make loc-check` fails when the first exceeds LOC_CEILING. A change
 # that needs more lines raises the ceiling in its own diff, where a
 # reviewer sees it.
-LOC_CEILING = 21607
+LOC_CEILING = 21757
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"
@@ -148,10 +148,15 @@ repl-smoke:
 # node-at-a-time oracle in oracle_test.go vs the plan over the naive
 # dense store), the checkpoint chunk decoder (bytes from disk or from a
 # primary: no panic, bounded allocation, accepted input re-encodes to
-# itself), the pack index reader under the chunk store
-# (bytes from disk: no panic, allocation bounded by the file's size,
-# accepted entries inside the file, written packs round-trip) and the
-# wire frame and payload decoder (bytes
+# itself), the pack reader under the chunk store (bytes from disk,
+# through the index and then through every entry it accepts: no panic,
+# allocation bounded by a fixed multiple of the file's size — a raw
+# length is only believed of stored bytes that could inflate to it —
+# accepted entries inside the file; written packs of compressible,
+# incompressible and empty chunks round-trip, deflated only where that
+# is shorter; a stream that inflates to fewer or more bytes than its
+# indexed raw length is a failed copy, not an error, not a short chunk)
+# and the wire frame and payload decoder (bytes
 # from any peer: no panic, no allocation above the frame limit, accepted
 # frames round-trip). Go allows one -fuzz target per invocation;
 # -fuzzminimizetime=1x keeps short runs fuzzing instead of minimizing.

@@ -312,12 +312,14 @@ type Stats struct {
 	// CkptChunksReused counts manifest references that resolved to chunks
 	// already in the store; CkptDedupeRatio is reused/(written+reused) —
 	// near 1.0 means checkpoints cost O(churn), not O(document).
-	// CkptBytesCompacted is the write amplification of chunk garbage
-	// collection: surviving chunks the default local store copied out of
-	// mostly-dead pack files to reclaim their space (0 for a store that
-	// keeps no such count).
+	// CkptBytesStored is what the written chunks take on disk (the default
+	// local store deflates them) and CkptBytesCompacted the write
+	// amplification of chunk garbage collection: surviving chunks that
+	// store copied out of mostly-dead pack files, in stored bytes (both 0
+	// for a store that keeps no such count).
 	CkptBytesWritten   uint64  // chunk bytes actually written by checkpoints
-	CkptBytesCompacted uint64  // chunk bytes rewritten by chunk GC
+	CkptBytesStored    uint64  // bytes those chunks take on disk
+	CkptBytesCompacted uint64  // stored chunk bytes rewritten by chunk GC
 	CkptChunksWritten  uint64  // chunks written (missing from the store)
 	CkptChunksReused   uint64  // chunks reused (already present)
 	CkptDedupeRatio    float64 // reused / (written + reused)
@@ -348,6 +350,7 @@ func (d *Document) Stats() Stats {
 	if d.ckpter != nil {
 		cs := d.ckpter.Stats()
 		s.CkptBytesWritten = cs.BytesWritten
+		s.CkptBytesStored = cs.BytesStored
 		s.CkptBytesCompacted = cs.BytesCompacted
 		s.CkptChunksWritten = cs.ChunksWritten
 		s.CkptChunksReused = cs.ChunksReused

@@ -15,9 +15,10 @@
 // BatchPutter, and a store that does not — or that wraps another
 // store's Put — is simply fed one Put per chunk (PutAll is that
 // choice). Garbage collection is the store's own (Sweep), because only
-// the store knows how its chunks share storage. The in-tree backends
-// are Dir (a local directory of immutable pack files, the durability
-// default: one file per write, see Dir) and Mem (tests).
+// the store knows how its chunks share storage (and how it stores them:
+// names and sizes at this interface are of the raw bytes). The in-tree
+// backends are Dir (a local directory of immutable pack files of deflated
+// chunks, the durability default: one file per write) and Mem (tests).
 package chunkstore
 
 import (
@@ -65,7 +66,8 @@ var ErrMissing = errors.New("chunkstore: chunk missing")
 // verifies the content against the name and fails — wrapping ErrMissing
 // — rather than return corrupt bytes. Writers that need the chunks on
 // stable storage before publishing a manifest referencing them call
-// Sync after their Puts.
+// Sync after their Puts. A Store is safe for concurrent use: a load
+// fetches its chunks from several goroutines at once.
 type Store interface {
 	// Put stores data under h. h must equal Sum(data).
 	Put(h Hash, data []byte) error

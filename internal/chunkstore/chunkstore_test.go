@@ -118,20 +118,65 @@ func mustGetAll(t *testing.T, d *Dir, hs []Hash, datas [][]byte) {
 	}
 }
 
+// flipByte inverts the byte at off of the file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] = ^b[0]
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDirTornChunkIsMissing: a copy cut short or with one byte flipped —
+// stored verbatim or as a deflate stream, which Locate's stored length
+// tells apart — is a missing chunk, and a later Put repairs it.
 func TestDirTornChunkIsMissing(t *testing.T) {
+	verbatim := []byte("some chunk content that will be torn")
+	deflated := bytes.Repeat(verbatim, 20)
+	cut := func(t *testing.T, path string, off, n int64) {
+		if err := os.Truncate(path, off+n/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip := func(t *testing.T, path string, off, n int64) { flipByte(t, path, off+n/2) }
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		damage func(t *testing.T, path string, off, n int64)
+	}{
+		{"verbatim/cut", verbatim, cut},
+		{"deflated/cut", deflated, cut},
+		{"verbatim/flip", verbatim, flip},
+		{"deflated/flip", deflated, flip},
+		{"deflated/flip-last", deflated, func(t *testing.T, path string, off, n int64) { flipByte(t, path, off+n-1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testTornChunk(t, tc.data, tc.damage) })
+	}
+}
+
+func testTornChunk(t *testing.T, data []byte, damage func(t *testing.T, path string, off, n int64)) {
 	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
-	data := []byte("some chunk content that will be torn")
 	h := Sum(data)
 	if err := d.Put(h, data); err != nil {
 		t.Fatal(err)
 	}
 	path, off, n, ok := d.Locate(h)
-	if !ok || n != int64(len(data)) {
-		t.Fatalf("Locate = %s, %d, %d, %v", path, off, n, ok)
+	if wantDeflated := len(data) > 100; !ok || (n < int64(len(data))) != wantDeflated || n > int64(len(data)) {
+		t.Fatalf("Locate = %s, %d, %d, %v for a chunk of %d bytes", path, off, n, ok, len(data))
 	}
-	if err := os.Truncate(path, off+n/2); err != nil {
-		t.Fatal(err)
+	if got := d.BytesStored(); got != uint64(n) {
+		t.Fatalf("BytesStored = %d after storing %d bytes", got, n)
 	}
+	damage(t, path, off, n)
 	if _, err := d.Get(h); !errors.Is(err, ErrMissing) {
 		t.Fatalf("Get of torn chunk = %v, want ErrMissing", err)
 	}
@@ -161,14 +206,7 @@ func TestDirGetVerifiesContent(t *testing.T) {
 	hs, datas := batch(0, 10)
 	mustPutMany(t, d, hs, datas)
 	path, off, _, _ := d.Locate(hs[4])
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{'X'}, off+1); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	flipByte(t, path, off+1)
 	for _, d := range []*Dir{d, NewDir(d.Root())} {
 		for i, h := range hs {
 			got, err := d.Get(h)
@@ -259,6 +297,47 @@ func TestDirIgnoresStrays(t *testing.T) {
 			t.Errorf("sweep touched %s: %v", f, err)
 		}
 	}
+}
+
+// TestDirIgnoresOlderFormat: packs of the format before this one (no raw
+// lengths, chunks verbatim) are not packs. A directory of them opens as
+// an empty store, takes new writes, and loses them to the next sweep.
+func TestDirIgnoresOlderFormat(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "chunks")
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hs, datas := batch(0, 3)
+	var olds []string
+	for i, data := range datas {
+		old := []byte("MXQPACK1\x00\x00\x00\x01")
+		old = append(old, hs[i][:]...)
+		old = append(old, 0, 0, 0, byte(len(data)))
+		old = append(old, data...)
+		sum := Sum(old[:packHeaderSize+HashSize+4])
+		olds = append(olds, filepath.Join(root, sum.String()+packSuffix))
+		if err := os.WriteFile(olds[i], old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := NewDir(root)
+	if u, err := d.Usage(); err != nil || u != (Usage{Packs: 3}) {
+		t.Fatalf("Usage = %+v, %v", u, err)
+	}
+	if have, err := d.HasMany(hs); err != nil || slices.Contains(have, true) {
+		t.Fatalf("HasMany over MXQPACK1 files = %v, %v", have, err)
+	}
+	if _, err := d.Get(hs[0]); !errors.Is(err, ErrMissing) {
+		t.Fatalf("Get = %v, want ErrMissing", err)
+	}
+	mustPutMany(t, d, hs, datas)
+	if err := d.Sweep(keepAll); err != nil {
+		t.Fatal(err)
+	}
+	if files := packFiles(t, d); len(files) != 1 || slices.Contains(olds, files[0]) {
+		t.Fatalf("after a sweep: %v", files)
+	}
+	mustGetAll(t, NewDir(root), hs, datas)
 }
 
 func TestHashHexRoundTrip(t *testing.T) {
@@ -506,12 +585,13 @@ func TestSweepIndexFollowsCompaction(t *testing.T) {
 	if err := d.Sweep(keepSet(live)); err != nil {
 		t.Fatal(err)
 	}
-	var want uint64
-	for _, data := range liveData {
-		want += uint64(len(data))
+	var want, raw uint64 // stored bytes: what compaction copies
+	for i, h := range live {
+		_, _, n, _ := d.Locate(h)
+		want, raw = want+uint64(n), raw+uint64(len(liveData[i]))
 	}
-	if got := d.BytesCompacted(); got != want {
-		t.Fatalf("BytesCompacted = %d, want %d", got, want)
+	if got := d.BytesCompacted(); got != want || want >= raw {
+		t.Fatalf("BytesCompacted = %d, want the %d stored bytes of %d raw", got, want, raw)
 	}
 	files := packFiles(t, d)
 	if len(files) != 1 || files[0] == victim[0] {
@@ -543,27 +623,44 @@ func TestSweepIndexFollowsCompaction(t *testing.T) {
 }
 
 // TestCompactionDropsCorruptChunks: a chunk that fails verification
-// while being copied is dropped, never carried into the new pack, and
-// every other survivor is.
+// while being copied — one stored verbatim, one deflated — is dropped,
+// never carried into the new pack, and every other survivor is, also in
+// the window where the new pack is published and the victim still there.
 func TestCompactionDropsCorruptChunks(t *testing.T) {
 	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
 	hs, datas := batch(0, 40)
 	mustPutMany(t, d, hs, datas)
+	deflated := 0
 	for _, i := range []int{25, 33} {
-		path, off, _, _ := d.Locate(hs[i])
-		f, err := os.OpenFile(path, os.O_RDWR, 0)
-		if err != nil {
-			t.Fatal(err)
+		path, off, n, _ := d.Locate(hs[i])
+		if n < int64(len(datas[i])) {
+			deflated++
 		}
-		if _, err := f.WriteAt([]byte{'X'}, off); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		flipByte(t, path, off+n/2)
 	}
+	if deflated != 1 {
+		t.Fatalf("%d of the 2 corrupted chunks are stored deflated, want one of each kind", deflated)
+	}
+	window := filepath.Join(t.TempDir(), "window")
+	d.OnCompact(func() {
+		if err := os.CopyFS(window, os.DirFS(d.Root())); err != nil {
+			t.Error(err)
+		}
+	})
 	if err := d.Sweep(keepSet(hs[20:])); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []*Dir{d, NewDir(d.Root())} {
+	if u, err := NewDir(window).Usage(); err != nil || u != (Usage{Packs: 2, Chunks: 40, Copies: 58}) {
+		t.Fatalf("Usage inside the compaction window = %+v, %v", u, err)
+	}
+	for _, d := range []*Dir{d, NewDir(d.Root()), NewDir(window)} {
+		if d.Root() == window {
+			// Killed in the window: the next sweep resolves the duplicates
+			// and meets the two corrupt copies in the victim again.
+			if err := d.Sweep(keepSet(hs[20:])); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if u, err := d.Usage(); err != nil || u != (Usage{Packs: 1, Chunks: 18, Copies: 18}) {
 			t.Fatalf("Usage = %+v, %v", u, err)
 		}
@@ -610,14 +707,7 @@ func TestSweepResolvesDuplicates(t *testing.T) {
 	// Corrupt the copy a fresh Dir prefers of one survivor.
 	c = NewDir(crashed)
 	path, off, _, _ := c.Locate(live[7])
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{'X'}, off); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	flipByte(t, path, off)
 	if err := c.Sweep(keepSet(live)); err != nil {
 		t.Fatal(err)
 	}

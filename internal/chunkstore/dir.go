@@ -11,29 +11,35 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"mxq/internal/par"
 )
 
 // Dir is the local filesystem backend: a directory of immutable pack
-// files (see pack.go for the format). Every write — a PutMany batch or
-// a single Put — publishes exactly one file, root/<64 hex>.pack, via
-// tmp + fsync + rename, so a crash never leaves a torn pack under a
-// final name; Sync fsyncs the directory so the renames themselves are
-// durable before a manifest referencing the chunks is published. A crash
-// can leave the tmp file itself behind; the first write through a Dir
-// removes every tmp file that is not this process's own.
+// files (see pack.go for the format), each chunk deflated — or verbatim,
+// when that is not shorter — under the name of its raw bytes: callers
+// hand over and get back raw chunks and never see the stored form. Every
+// write — a PutMany batch or a single Put — publishes exactly one file,
+// root/<64 hex>.pack, via tmp + fsync + rename, so a crash never leaves a
+// torn pack under a final name; Sync fsyncs the directory so the renames
+// themselves are durable before a manifest referencing the chunks is
+// published. A crash can leave the tmp file itself behind; the first
+// write through a Dir removes every tmp file not this process's own.
 //
-// Reads go through an in-memory index, hash → (pack, offset, length),
-// built lazily by listing the root and reading each pack's index only.
-// Get is one pread plus the content-against-name check; a copy that
-// fails it is forgotten (so a later Put writes the chunk again), the
+// Reads go through an in-memory index, hash → (pack, offset, stored and
+// raw length), built lazily by listing the root and reading each pack's
+// index only. Get is one pread, one inflate to exactly the raw length
+// and the content-against-name check on the result; a copy that fails
+// any of it is forgotten (so a later Put writes the chunk again), the
 // read falls through to another copy when the index knows one, and is
 // otherwise ErrMissing.
 //
 // Sweep is the garbage collector. It drops the index entries of dead
 // chunks, unlinks packs left with no live chunk, and rewrites the live
-// chunks of every pack whose dead bytes reach a quarter of its data
-// into one new pack, so the directory never holds more than 4/3 of the
-// live chunk bytes (plus indexes) after a sweep. Which chunks of a pack
+// chunks of every pack whose dead bytes reach a quarter of its data into
+// one new pack (stored bytes copied as they are, each verified by
+// inflating it), so the directory never holds more than 4/3 of the live
+// stored bytes (plus indexes) after a sweep. Which chunks of a pack
 // are dead is known in memory only; the next sweep — of this Dir or a
 // freshly opened one — derives it again from keep.
 //
@@ -46,6 +52,7 @@ import (
 type Dir struct {
 	root      string
 	sweepTmps sync.Once // stale tmp files are removed before the first write
+	stored    atomic.Uint64
 	compacted atomic.Uint64
 
 	mu        sync.Mutex
@@ -79,7 +86,8 @@ func (d *Dir) Put(h Hash, data []byte) error {
 
 // PutMany implements BatchPutter: the chunks of the batch the index does
 // not already resolve become one pack. Every chunk's content is checked
-// against its name, written or not.
+// against its name, written or not, and the ones to write are deflated —
+// both on every core, ahead of the one sequential write.
 func (d *Dir) PutMany(hs []Hash, datas [][]byte) error {
 	if len(hs) != len(datas) {
 		return errBatchShape(len(hs), len(datas))
@@ -91,47 +99,43 @@ func (d *Dir) PutMany(hs []Hash, datas [][]byte) error {
 			return err
 		}
 	}
-	var (
-		ws      = make([]Hash, 0, len(hs)) // the chunks to store
-		wd      = make([][]byte, 0, len(hs))
-		skipped []int
-		batch   = make(map[Hash]struct{}, len(hs))
-	)
+	var at []int // where in the batch the chunks to store are: not held, the first of their name
+	batch := make(map[Hash]struct{}, len(hs))
 	for i, h := range hs {
-		if _, again := batch[h]; again || d.index[h] != nil {
-			skipped = append(skipped, i)
-			continue
+		if _, again := batch[h]; !again && d.index[h] == nil {
+			batch[h] = struct{}{}
+			at = append(at, i)
 		}
-		batch[h] = struct{}{}
-		ws, wd = append(ws, h), append(wd, datas[i])
 	}
 	d.mu.Unlock()
 
-	// The pack writer verifies what it stores; what is skipped as held
-	// still has to be what its name says.
-	for _, i := range skipped {
-		if Sum(datas[i]) != hs[i] {
+	// Stored or skipped as held, a chunk has to be what its name says.
+	err := par.Do(len(hs), func(i int) error {
+		if len(datas[i]) > math.MaxUint32 {
+			return fmt.Errorf("chunkstore: chunk %s is %d bytes", hs[i], len(datas[i]))
+		} else if Sum(datas[i]) != hs[i] {
 			return errMismatch(hs[i])
 		}
-	}
-	if len(ws) == 0 {
 		return nil
+	})
+	if err != nil || len(at) == 0 {
+		return err
 	}
-	ns := make([]uint32, len(wd))
-	for i, data := range wd {
-		if len(data) > math.MaxUint32 {
-			return fmt.Errorf("chunkstore: chunk %s is %d bytes", ws[i], len(data))
-		}
-		ns[i] = uint32(len(data))
-	}
+	es, stored := make([]*entry, len(at)), make([][]byte, len(at))
+	par.Do(len(at), func(j int) error { // never fails
+		stored[j] = deflate(datas[at[j]])
+		es[j] = &entry{h: hs[at[j]], n: uint32(len(stored[j])), raw: uint32(len(datas[at[j]]))}
+		return nil
+	})
 	if err := os.MkdirAll(d.root, 0o755); err != nil {
 		return err
 	}
 	d.sweepTmps.Do(d.removeStaleTmps)
-	p, err := writePack(d.root, ws, ns, func(i int) ([]byte, error) { return wd[i], nil })
+	p, err := writePack(d.root, es, func(j int) ([]byte, error) { return stored[j], nil })
 	if err != nil {
 		return err
 	}
+	d.stored.Add(uint64(p.data))
 	d.mu.Lock()
 	d.adopt(p)
 	d.dirty = true
@@ -243,16 +247,16 @@ func (d *Dir) lookup(h Hash) (*entry, error) {
 
 func (d *Dir) path(p *pack) string { return filepath.Join(d.root, p.name) }
 
-// verified reads the copy e and checks it against its name. ok=false
-// with a nil error is a torn or corrupt copy.
-func (d *Dir) verified(e *entry) (data []byte, ok bool, err error) {
+// verified reads the copy e, inflates it and checks the result against
+// its name. ok=false with a nil error is a torn or corrupt copy.
+func (d *Dir) verified(e *entry) (raw []byte, ok bool, err error) {
 	f, err := os.Open(d.path(e.p))
 	if err != nil {
 		return nil, false, err
 	}
 	defer f.Close()
-	data, err = readChunk(f, e.off, e.n)
-	return data, err == nil && data != nil && Sum(data) == e.h, err
+	_, raw, err = readChunk(f, e)
+	return raw, raw != nil, err
 }
 
 func (d *Dir) Get(h Hash) ([]byte, error) {
@@ -339,8 +343,8 @@ func (d *Dir) HasMany(hs []Hash) ([]bool, error) {
 	return out, nil
 }
 
-// Locate reports where the index resolves h: the pack file and the
-// byte range of the chunk inside it (crash-injection hook).
+// Locate reports where the index resolves h: the pack file and the range
+// of the chunk's stored bytes, not its raw length (crash-injection hook).
 func (d *Dir) Locate(h Hash) (path string, off, n int64, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -360,8 +364,13 @@ func (d *Dir) OnCompact(fn func()) {
 	d.mu.Unlock()
 }
 
-// BytesCompacted returns the chunk bytes Sweep has rewritten through
-// this Dir so far: the write amplification compaction costs.
+// BytesStored returns the chunk bytes Put and PutMany have written to
+// packs through this Dir so far, as stored: over the same chunks' raw
+// bytes it is the compression ratio.
+func (d *Dir) BytesStored() uint64 { return d.stored.Load() }
+
+// BytesCompacted returns the stored chunk bytes Sweep has rewritten
+// through this Dir so far: the write amplification compaction costs.
 func (d *Dir) BytesCompacted() uint64 { return d.compacted.Load() }
 
 // Usage is what a root directory holds, counted from the pack indexes
@@ -450,8 +459,9 @@ func (d *Dir) unlink(p *pack) error {
 }
 
 // compact rewrites the live chunks of the victims into one new pack and
-// unlinks the victims. Each chunk is verified as it is copied; one that
-// fails is dropped, never copied. Caller holds d.mu.
+// unlinks the victims. Stored bytes are copied as they are, each chunk
+// verified — inflated, hashed — on the way; one that fails is dropped,
+// never copied. Caller holds d.mu.
 func (d *Dir) compact(victims []*pack) error {
 	var srcs []*entry
 	for _, p := range victims {
@@ -485,16 +495,20 @@ func (d *Dir) compact(victims []*pack) error {
 			}
 			open, from = f, e.p
 		}
-		return readChunk(open, e.off, e.n) // torn: nil, which the writer rejects
+		stored, _, err := readChunk(open, e)
+		if err == nil && stored == nil {
+			err = errMismatch(e.h) // torn or corrupt
+		}
+		return stored, err
 	}
 	var np *pack
 	for len(srcs) > 0 && np == nil {
-		hs, ns := make([]Hash, len(srcs)), make([]uint32, len(srcs))
+		es := make([]*entry, len(srcs))
 		for i, e := range srcs {
-			hs[i], ns[i] = e.h, e.n
+			es[i] = &entry{h: e.h, n: e.n, raw: e.raw}
 		}
 		var err error
-		np, err = writePack(d.root, hs, ns, fetch)
+		np, err = writePack(d.root, es, fetch)
 		if bad := new(mismatchError); errors.As(err, &bad) {
 			// Drop the corrupt copy and start over without it.
 			d.forget(srcs[last])

@@ -2,6 +2,8 @@ package chunkstore
 
 import (
 	"bufio"
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -10,58 +12,77 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // A pack is one immutable file holding the chunks of one write:
 //
-//	magic   8 bytes   "MXQPACK1"
+//	magic   8 bytes   "MXQPACK2"
 //	count   4 bytes   big-endian uint32
-//	index   count × ( 32-byte SHA-256 name, 4-byte big-endian length )
-//	data    the chunks back to back, in index order
+//	index   count × ( 32-byte SHA-256 of the raw chunk, 4-byte big-endian
+//	                  stored length, 4-byte big-endian raw length )
+//	data    the stored chunks back to back, in index order
+//
+// A chunk is stored as one raw-deflate stream of its bytes, or verbatim
+// when the stream would not be strictly shorter: stored length == raw
+// length is the only mark of that. Names are always of the raw bytes.
 //
 // The index comes first so a reader learns what a pack holds — and where,
-// by summing lengths — without touching the data, and so a pack cut
-// short anywhere in its data still yields every chunk before the cut.
+// by summing stored lengths — without touching the data, and so a pack
+// cut short anywhere in its data still yields every chunk before the cut.
 // The file is named by the SHA-256 of magic+count+index, so the same
 // batch lands on the same file. Nothing in a pack is trusted beyond
-// "these bytes might be that chunk": every read is verified against the
-// chunk's name.
-var packMagic = [8]byte{'M', 'X', 'Q', 'P', 'A', 'C', 'K', '1'}
+// "these bytes might be that chunk": every read is inflated and verified
+// against the chunk's name.
+var packMagic = [8]byte{'M', 'X', 'Q', 'P', 'A', 'C', 'K', '2'}
 
 const (
 	packHeaderSize = len(packMagic) + 4
-	packEntrySize  = HashSize + 4
+	packEntrySize  = HashSize + 4 + 4
 	packSuffix     = ".pack"
 )
+
+// deflateLevel is the one level chunks are stored at: BestSpeed takes
+// XMark chunks to 0.30 of their size, the default level to 0.28 for 2.5×
+// the CPU — and a checkpoint deflates while commits are running.
+const deflateLevel = flate.BestSpeed
+
+// maxInflate is deflate's ceiling: a 258-byte match costs at least two
+// bits, so no stream yields more than 1032 bytes a stored byte. An index
+// entry claiming more is not a chunk — so no raw length read from disk
+// sizes more memory than the bytes present in the file justify.
+const maxInflate = 1032
 
 // errNotPack reports a file that does not open as a pack: no magic, or
 // an index the file is too short to hold.
 var errNotPack = errors.New("chunkstore: not a pack file")
 
-// entry is one copy of a chunk: its name, the pack holding it and where
-// its bytes lie in the pack file.
+// entry is one copy of a chunk: its name, the pack holding it, where its
+// stored bytes lie in the pack file and how long it is once inflated.
 type entry struct {
 	p   *pack
 	h   Hash
 	off int64
-	n   uint32
+	n   uint32 // stored bytes
+	raw uint32 // bytes of the chunk itself; n == raw: stored verbatim
 }
 
 // pack is what a Dir remembers of one pack file.
 type pack struct {
 	name    string   // file name under the root
-	data    int64    // chunk bytes the file holds, live or dead
+	data    int64    // stored chunk bytes the file holds, live or dead
 	entries []*entry // the copies not known to be dead or corrupt
 }
 
 // readPackIndex parses the index of a pack file of the given size. The
 // count is checked against the bytes present before it sizes anything,
-// and only entries whose bytes lie wholly inside the file are returned:
-// a pack truncated inside its data loses the chunks at and after the
-// cut and nothing else; one truncated inside its index, or not a pack
-// at all, is an error.
+// and only entries whose stored bytes lie wholly inside the file — and
+// could inflate to the raw length they claim — are returned: a pack
+// truncated inside its data loses the chunks at and after the cut and
+// nothing else; one truncated inside its index, or not a pack at all, is
+// an error.
 func readPackIndex(r io.ReaderAt, size int64) ([]*entry, error) {
 	var hdr [packHeaderSize]byte
 	if size < int64(len(hdr)) {
@@ -84,12 +105,14 @@ func readPackIndex(r io.ReaderAt, size int64) ([]*entry, error) {
 	entries := make([]*entry, 0, count)
 	off := int64(len(hdr)) + int64(len(index))
 	for ; len(index) > 0; index = index[packEntrySize:] {
-		e := &entry{off: off, n: binary.BigEndian.Uint32(index[HashSize:])}
+		e := &entry{off: off, n: binary.BigEndian.Uint32(index[HashSize:]), raw: binary.BigEndian.Uint32(index[HashSize+4:])}
 		copy(e.h[:], index)
 		if off += int64(e.n); off > size {
 			break
 		}
-		entries = append(entries, e)
+		if e.n <= e.raw && uint64(e.raw) <= maxInflate*uint64(e.n) {
+			entries = append(entries, e)
+		}
 	}
 	return entries, nil
 }
@@ -116,16 +139,59 @@ func openPack(root, name string) (*pack, error) {
 	return p, nil
 }
 
-// readChunk reads the n bytes at off of a pack file. A file that ends
-// before them — a pack shorter than its index promised — yields nil
-// data, which hashes to no chunk's name, and no error.
-func readChunk(f io.ReaderAt, off int64, n uint32) ([]byte, error) {
-	data := make([]byte, n)
-	_, err := f.ReadAt(data, off)
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil, nil
+// Deflate writers (≈ 0.5 MB) and readers (≈ 40 KB) dwarf a chunk: reused.
+var (
+	deflaters = sync.Pool{New: func() any {
+		w, _ := flate.NewWriter(nil, deflateLevel) // fails on an invalid level only
+		return w
+	}}
+	inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+)
+
+// deflate returns what raw is stored as: its deflate stream, or raw
+// itself when the stream is not strictly shorter.
+func deflate(raw []byte) []byte {
+	var buf bytes.Buffer
+	buf.Grow(len(raw)/2 + 64)
+	w := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(w)
+	w.Reset(&buf)
+	w.Write(raw) // a bytes.Buffer takes every write
+	w.Close()
+	if buf.Len() < len(raw) {
+		return buf.Bytes()
 	}
-	return data, err
+	return raw
+}
+
+// readChunk reads the copy e from its pack file: its stored bytes and
+// the chunk they inflate to. Both are nil, and the error too, for a copy
+// that is not the chunk its name says: the file ends before the stored
+// bytes, they are not one deflate stream that yields exactly the indexed
+// raw length and ends where they end, or the result does not hash to the
+// name.
+func readChunk(f io.ReaderAt, e *entry) (stored, raw []byte, err error) {
+	stored = make([]byte, e.n)
+	if _, err := f.ReadAt(stored, e.off); errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, nil, nil
+	} else if err != nil {
+		return nil, nil, err
+	}
+	if raw = stored; e.n != e.raw {
+		src := bytes.NewReader(stored)
+		r := inflaters.Get().(io.ReadCloser)
+		defer inflaters.Put(r)
+		r.(flate.Resetter).Reset(src, nil)
+		raw = make([]byte, int(e.raw)+1) // one spare byte: room to see a stream running long
+		if n, err := io.ReadFull(r, raw); err != io.ErrUnexpectedEOF || n != int(e.raw) || src.Len() != 0 {
+			return nil, nil, nil
+		}
+		raw = raw[:e.raw:e.raw]
+	}
+	if Sum(raw) != e.h {
+		return nil, nil, nil
+	}
+	return stored, raw, nil
 }
 
 // tmpTag marks the tmp files of this process, which may be in flight —
@@ -140,58 +206,39 @@ var (
 // only so that a test can record the order of durability steps.
 var fsync = (*os.File).Sync
 
-// encodePackIndex renders the header and index of a pack of the chunks
-// named hs with lengths ns.
-func encodePackIndex(hs []Hash, ns []uint32) []byte {
-	index := make([]byte, packHeaderSize, packHeaderSize+len(hs)*packEntrySize)
+// encodePackIndex renders the header and index of a pack of the copies
+// es (name, stored length and raw length are what it reads of each).
+func encodePackIndex(es []*entry) []byte {
+	index := make([]byte, packHeaderSize, packHeaderSize+len(es)*packEntrySize)
 	copy(index, packMagic[:])
-	binary.BigEndian.PutUint32(index[8:], uint32(len(hs)))
-	for i, h := range hs {
-		index = append(index, h[:]...)
-		index = binary.BigEndian.AppendUint32(index, ns[i])
+	binary.BigEndian.PutUint32(index[8:], uint32(len(es)))
+	for _, e := range es {
+		index = append(index, e.h[:]...)
+		index = binary.BigEndian.AppendUint32(index, e.n)
+		index = binary.BigEndian.AppendUint32(index, e.raw)
 	}
 	return index
 }
 
-// writePackTo streams a pack to w: the index, then each chunk as
-// chunk(i) hands it over — verified against its name and indexed length
-// first, so no pack ever claims bytes under a name they do not hash to.
-func writePackTo(w io.Writer, index []byte, hs []Hash, ns []uint32, chunk func(i int) ([]byte, error)) error {
-	if _, err := w.Write(index); err != nil {
-		return err
-	}
-	for i, h := range hs {
-		data, err := chunk(i)
-		if err != nil {
-			return err
-		}
-		if uint32(len(data)) != ns[i] || Sum(data) != h {
-			return errMismatch(h)
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writePack publishes one pack under root, which exists, holding the
-// chunks named hs (ns[i] bytes each, fetched one at a time through
-// chunk so a batch is never copied whole): streamed to a tmp file
-// through a buffered writer, fsynced, renamed to its final name. It is
-// the package's only path to disk. The rename itself is durable once
-// the root directory is fsynced (Dir.Sync).
-func writePack(root string, hs []Hash, ns []uint32, chunk func(i int) ([]byte, error)) (*pack, error) {
-	if len(hs) > math.MaxUint32 {
-		return nil, fmt.Errorf("chunkstore: %d chunks in one pack", len(hs))
+// copies es (name, stored and raw length set; pack and offsets are filled
+// in here), their stored bytes fetched one at a time through stored so a
+// compaction never holds its packs whole: streamed to a tmp file through
+// a buffered writer, fsynced, renamed. It is the package's only path to
+// disk, and trusts its caller that the bytes inflate to the chunk the
+// index names (PutMany deflated verified content; compaction inflates
+// what it copies). The rename is durable once the root is fsynced (Dir.Sync).
+func writePack(root string, es []*entry, stored func(i int) ([]byte, error)) (*pack, error) {
+	if len(es) > math.MaxUint32 {
+		return nil, fmt.Errorf("chunkstore: %d chunks in one pack", len(es))
 	}
-	index := encodePackIndex(hs, ns)
+	index := encodePackIndex(es)
 	sum := Sum(index)
-	p := &pack{name: hex.EncodeToString(sum[:]) + packSuffix, entries: make([]*entry, len(hs))}
+	p := &pack{name: hex.EncodeToString(sum[:]) + packSuffix, entries: es}
 	off := int64(len(index))
-	for i, h := range hs {
-		p.entries[i] = &entry{p: p, h: h, off: off, n: ns[i]}
-		off += int64(ns[i])
+	for _, e := range es {
+		e.p, e.off = p, off
+		off += int64(e.n)
 	}
 	p.data = off - int64(len(index))
 
@@ -202,7 +249,13 @@ func writePack(root string, hs []Hash, ns []uint32, chunk func(i int) ([]byte, e
 		return nil, err
 	}
 	w := bufio.NewWriterSize(f, int(min(off, 1<<18))) // a one-chunk pack is one write
-	err = writePackTo(w, index, hs, ns, chunk)
+	_, err = w.Write(index)
+	for i := 0; i < len(es) && err == nil; i++ {
+		var data []byte
+		if data, err = stored(i); err == nil {
+			_, err = w.Write(data)
+		}
+	}
 	if err == nil {
 		err = w.Flush()
 	}

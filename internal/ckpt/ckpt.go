@@ -29,7 +29,9 @@
 //	<name>-<LSN as 16 hex digits>.ckpt   checkpoint images: magic +
 //	                                     JSON {lsn, store manifest}
 //	<name>.chunks/<64 hex>.pack          content-addressed column chunks,
-//	                                     one pack file per checkpoint
+//	                                     one pack file per checkpoint;
+//	                                     chunks are stored deflated,
+//	                                     names are of the raw bytes
 //	                                     (see internal/chunkstore)
 //	<name>.manifest                      JSON {file, lsn} naming the
 //	                                     current checkpoint
@@ -159,9 +161,11 @@ type Stats struct {
 	ChunksWritten uint64 // chunks the store was missing (bytes moved)
 	ChunksReused  uint64 // chunk references served by dedupe
 	BytesWritten  uint64 // chunk bytes actually written
-	// BytesCompacted is the chunk bytes garbage collection rewrote to
-	// reclaim the space of dead neighbours: write amplification, to be
-	// read next to BytesWritten.
+	// BytesStored is what the chunks counted in BytesWritten take on disk
+	// (chunkstore.Dir deflates them); BytesCompacted is the stored bytes
+	// garbage collection rewrote to reclaim the space of dead neighbours:
+	// write amplification. Both are 0 for a store that keeps no count.
+	BytesStored    uint64
 	BytesCompacted uint64
 }
 
@@ -195,7 +199,7 @@ type Checkpointer struct {
 	chunkWrap func(chunkstore.Store) chunkstore.Store
 
 	// Cumulative Stats counters.
-	statCkpts, statChunksW, statChunksR, statBytes, statCompacted atomic.Uint64
+	statCkpts, statChunksW, statChunksR, statBytes, statStored, statCompacted atomic.Uint64
 
 	// pruneBarrier, when non-nil, returns the highest LSN the WAL may be
 	// pruned up to for reasons beyond checkpoint retention — the
@@ -242,6 +246,7 @@ func (c *Checkpointer) Stats() Stats {
 		ChunksWritten:  c.statChunksW.Load(),
 		ChunksReused:   c.statChunksR.Load(),
 		BytesWritten:   c.statBytes.Load(),
+		BytesStored:    c.statStored.Load(),
 		BytesCompacted: c.statCompacted.Load(),
 	}
 }
@@ -448,9 +453,9 @@ func (c *Checkpointer) gc() {
 	}
 	cs := c.chunks()
 	cs.Sweep(func(h chunkstore.Hash) bool { return live[h] }) // a failed sweep only leaks
-	// A store that rewrites surviving chunks to reclaim space keeps a
-	// running count of them (chunkstore.Dir does).
-	if cc, ok := cs.(interface{ BytesCompacted() uint64 }); ok {
+	// chunkstore.Dir keeps running counts of what it stored and rewrote.
+	if cc, ok := cs.(*chunkstore.Dir); ok {
+		c.statStored.Store(cc.BytesStored())
 		c.statCompacted.Store(cc.BytesCompacted())
 	}
 }

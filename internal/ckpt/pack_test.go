@@ -21,8 +21,9 @@ import (
 // document. After every round both retained images must materialize
 // through a freshly opened store and equal what the document was, the
 // chunk directory must stay within the compaction rule's bound of the
-// bytes the retained images name, no chunk may be held twice, and a
-// second checkpoint of the unchanged store must write nothing. It pins
+// bytes the retained images name — as stored, deflated, which is what
+// Locate reports and what the rule counts — no chunk may be held twice,
+// and a second checkpoint of the unchanged store must write nothing. It pins
 // the failure of the first pack prototype: an index that does not
 // follow a compacted chunk makes every survivor look missing, so it is
 // written again and the directory grows by a document per checkpoint.
@@ -129,8 +130,12 @@ func TestPackDiskTracksLiveBytes(t *testing.T) {
 		t.Logf("round %d: %d pages touched, %d packs, %d bytes on disk, %d live, %d compacted so far",
 			round, touched, len(packs), onDisk, liveBytes, after.BytesCompacted)
 	}
-	if st := e.ck.Stats(); st.BytesCompacted == 0 || st.BytesCompacted > st.BytesWritten {
-		t.Fatalf("8 rounds of half-document churn: %d bytes compacted beside %d written", st.BytesCompacted, st.BytesWritten)
+	st := e.ck.Stats()
+	if st.BytesCompacted == 0 || st.BytesCompacted > st.BytesStored {
+		t.Fatalf("8 rounds of half-document churn: %d bytes compacted beside %d stored", st.BytesCompacted, st.BytesStored)
+	}
+	if st.BytesStored == 0 || st.BytesStored*2 > st.BytesWritten {
+		t.Fatalf("%d chunk bytes written take %d on disk: XMark text should deflate to under half", st.BytesWritten, st.BytesStored)
 	}
 }
 

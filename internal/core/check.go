@@ -69,7 +69,7 @@ func (s *Store) CheckInvariants() error {
 	// Free runs, node map, level discipline, live count.
 	live := 0
 	prevLevel := xenc.Level(-1)
-	seen := make(map[xenc.NodeID]xenc.Pre)
+	seen := make([]xenc.Pre, s.nodeLen) // by node id: 1 + the pre holding it
 	for p := xenc.Pre(0); p < s.Len(); p++ {
 		pos := s.physOf(p)
 		if s.levelAt(pos) == xenc.LevelUnused {
@@ -91,10 +91,10 @@ func (s *Store) CheckInvariants() error {
 		if id < 0 || id >= s.nodeLen {
 			return fmt.Errorf("live tuple at pre %d has invalid node id %d", p, id)
 		}
-		if prev, dup := seen[id]; dup {
-			return fmt.Errorf("node id %d appears at pre %d and %d", id, prev, p)
+		if prev := seen[id]; prev != 0 {
+			return fmt.Errorf("node id %d appears at pre %d and %d", id, prev-1, p)
 		}
-		seen[id] = p
+		seen[id] = p + 1
 		if s.posOf(id) != pos {
 			return fmt.Errorf("node/pos[%d] = %d, want %d", id, s.posOf(id), pos)
 		}

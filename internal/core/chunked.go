@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mxq/internal/chunkstore"
+	"mxq/internal/par"
 	"mxq/internal/xenc"
 )
 
@@ -492,11 +493,13 @@ func decodeDictChunk(data []byte) ([]string, error) {
 // chunkRef is one manifest chunk reference plus a way to (re)produce
 // its bytes: data is non-nil when serialization already happened (cache
 // miss), ser re-serializes on demand (cache hit whose bytes turn out to
-// be needed after all — e.g. the chunk store lost the chunk).
+// be needed after all — e.g. the chunk store lost the chunk). cache is
+// where the chunk keeps its hash — a scratch one if it may not.
 type chunkRef struct {
-	hash chunkstore.Hash
-	data []byte
-	ser  func() []byte
+	hash  chunkstore.Hash
+	data  []byte
+	ser   func() []byte
+	cache *chunkHash
 }
 
 func (r *chunkRef) bytes() []byte {
@@ -508,8 +511,8 @@ func (r *chunkRef) bytes() []byte {
 
 // collectChunks computes the store's manifest, reading cached chunk
 // hashes where the COW layer proves the chunk unchanged and serializing
-// (then caching) the rest. The returned refs parallel the manifest's
-// chunk references in order.
+// (then caching) the rest — on every core: a first image has them all to
+// do. The returned refs parallel the manifest's chunk references in order.
 func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 	m := &ChunkManifest{
 		PageBits:  s.pageBits,
@@ -521,22 +524,10 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 	}
 	refs := make([]chunkRef, 0, len(s.pages)+len(s.nodes)+len(s.freeChunks)+2)
 
+	var lists []*[]string // the manifest list each ref is named in
 	add := func(cache *chunkHash, ser func() []byte, list *[]string) {
-		ref := chunkRef{ser: ser}
-		if cache != nil {
-			if h, ok := cache.get(); ok {
-				ref.hash = h
-			} else {
-				ref.data = ser()
-				ref.hash = chunkstore.Sum(ref.data)
-				cache.set(ref.hash)
-			}
-		} else {
-			ref.data = ser()
-			ref.hash = chunkstore.Sum(ref.data)
-		}
-		*list = append(*list, ref.hash.String())
-		refs = append(refs, ref)
+		refs = append(refs, chunkRef{ser: ser, cache: cache})
+		lists = append(lists, list)
 	}
 
 	for _, p := range s.pages {
@@ -556,18 +547,31 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 			// Partial tail: its encoding depends on freeLen, which popFree
 			// moves without dirtying — never trust or populate the cache.
 			count = s.freeLen & s.pageMask
-			cache = nil
+			cache = new(chunkHash)
 		}
 		add(cache, func() []byte { return encodeFreeChunk(c, count) }, &m.Free)
 	}
 	addDict := func(vals []string, list *[]string) {
 		for at := 0; at < len(vals); at += dictGroupSize {
 			group := vals[at:min(at+dictGroupSize, len(vals))]
-			add(nil, func() []byte { return encodeDictChunk(group) }, list)
+			add(new(chunkHash), func() []byte { return encodeDictChunk(group) }, list)
 		}
 	}
 	addDict(s.qn.NamesList(), &m.Names)
 	addDict(s.prop.values(), &m.Props)
+
+	par.Do(len(refs), func(i int) error { // never fails
+		ref, ok := &refs[i], false
+		if ref.hash, ok = ref.cache.get(); !ok {
+			ref.data = ref.ser()
+			ref.hash = chunkstore.Sum(ref.data)
+			ref.cache.set(ref.hash)
+		}
+		return nil
+	})
+	for i := range refs {
+		*lists[i] = append(*lists[i], refs[i].hash.String())
+	}
 	return m, refs
 }
 
@@ -602,13 +606,16 @@ func (s *Store) SaveChunked(cs chunkstore.Store) (*ChunkManifest, ChunkSaveStats
 		return nil, stats, fmt.Errorf("core: probing chunk store: %w", err)
 	}
 	var missing []chunkstore.Hash
-	var datas [][]byte
 	for j, h := range order {
 		if !have[j] {
 			missing = append(missing, h)
-			datas = append(datas, refs[firstRef[h]].bytes())
 		}
 	}
+	datas := make([][]byte, len(missing))
+	par.Do(len(missing), func(j int) error { // never fails
+		datas[j] = refs[firstRef[missing[j]]].bytes() // serializes, where only the hash was cached
+		return nil
+	})
 	if err := chunkstore.PutAll(cs, missing, datas); err != nil {
 		return nil, stats, fmt.Errorf("core: writing %d chunks: %w", len(missing), err)
 	}
@@ -671,28 +678,16 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		qn:        xenc.NewQNamePool(),
 		liveNodes: m.LiveNodes,
 	}
-	fetch := func(hexHash string) (chunkstore.Hash, []byte, error) {
-		h, err := chunkstore.ParseHash(hexHash)
-		if err != nil {
-			return h, nil, fmt.Errorf("core: manifest is corrupt: %w", err)
-		}
-		data, err := cs.Get(h)
-		if err != nil {
-			return h, nil, fmt.Errorf("core: manifest chunk: %w", err)
-		}
-		return h, data, nil
-	}
-	for _, hs := range m.Pages {
-		h, data, err := fetch(hs)
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	s.pages, err = loadChunks(cs, m.Pages, func(_ int, h chunkstore.Hash, data []byte) (*page, error) {
 		p, err := decodePageChunk(data, pageSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s: %w", h, err)
+		if err == nil {
+			p.hash.set(h)
 		}
-		p.hash.set(h)
-		s.pages = append(s.pages, p)
+		return p, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if m.NodeLen < 0 {
 		return nil, fmt.Errorf("core: manifest is corrupt: negative node count %d", m.NodeLen)
@@ -700,17 +695,15 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 	if want := int((m.NodeLen + pageSize - 1) >> m.PageBits); len(m.Nodes) != want {
 		return nil, fmt.Errorf("core: manifest is corrupt: %d node chunks for %d ids (want %d)", len(m.Nodes), m.NodeLen, want)
 	}
-	for _, hs := range m.Nodes {
-		h, data, err := fetch(hs)
-		if err != nil {
-			return nil, err
-		}
+	s.nodes, err = loadChunks(cs, m.Nodes, func(_ int, h chunkstore.Hash, data []byte) (*nodeChunk, error) {
 		c, err := decodeNodeChunk(data, pageSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s: %w", h, err)
+		if err == nil {
+			c.hash.set(h)
 		}
-		c.hash.set(h)
-		s.nodes = append(s.nodes, c)
+		return c, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.nodeLen = m.NodeLen
 	if m.FreeLen < 0 {
@@ -719,14 +712,10 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 	if want := int((m.FreeLen + pageSize - 1) >> m.PageBits); len(m.Free) != want {
 		return nil, fmt.Errorf("core: manifest is corrupt: %d free chunks for depth %d (want %d)", len(m.Free), m.FreeLen, want)
 	}
-	for i, hs := range m.Free {
-		h, data, err := fetch(hs)
-		if err != nil {
-			return nil, err
-		}
+	s.freeChunks, err = loadChunks(cs, m.Free, func(i int, h chunkstore.Hash, data []byte) (*freeChunk, error) {
 		ids, err := decodeFreeChunk(data, pageSize)
 		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s: %w", h, err)
+			return nil, err
 		}
 		wantCount := pageSize
 		full := int32(i+1)<<m.PageBits <= m.FreeLen
@@ -734,11 +723,11 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 			wantCount = m.FreeLen & s.pageMask
 		}
 		if int32(len(ids)) != wantCount {
-			return nil, fmt.Errorf("core: chunk %s: free chunk holds %d ids, manifest implies %d", h, len(ids), wantCount)
+			return nil, fmt.Errorf("free chunk holds %d ids, manifest implies %d", len(ids), wantCount)
 		}
 		for _, id := range ids {
 			if id < 0 || id >= s.nodeLen {
-				return nil, fmt.Errorf("core: manifest is corrupt: free node id %d out of range [0,%d)", id, s.nodeLen)
+				return nil, fmt.Errorf("free node id %d out of range [0,%d)", id, s.nodeLen)
 			}
 		}
 		c := newFreeChunk(int(pageSize))
@@ -746,19 +735,21 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		if full {
 			c.hash.set(h)
 		}
-		s.freeChunks = append(s.freeChunks, c)
+		return c, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.freeLen = m.FreeLen
+	// Dictionary ids are positions: decoded side by side, applied in order.
 	loadDict := func(hashes []string, apply func(string)) error {
-		for _, hs := range hashes {
-			h, data, err := fetch(hs)
-			if err != nil {
-				return err
-			}
-			vals, err := decodeDictChunk(data)
-			if err != nil {
-				return fmt.Errorf("core: chunk %s: %w", h, err)
-			}
+		groups, err := loadChunks(cs, hashes, func(_ int, _ chunkstore.Hash, data []byte) ([]string, error) {
+			return decodeDictChunk(data)
+		})
+		if err != nil {
+			return err
+		}
+		for _, vals := range groups {
 			for _, v := range vals {
 				apply(v)
 			}
@@ -775,4 +766,26 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		return nil, fmt.Errorf("core: manifest state is corrupt: %w", err)
 	}
 	return s, nil
+}
+
+// loadChunks fetches the chunks a manifest list names from cs and
+// decodes each into its slot, on every core (a fetch from the local store
+// is a pread, an inflate and a hash). The error is the one a loop over
+// the list would have met first, and names the chunk.
+func loadChunks[T any](cs chunkstore.Store, list []string, decode func(i int, h chunkstore.Hash, data []byte) (T, error)) ([]T, error) {
+	out := make([]T, len(list))
+	return out, par.Do(len(list), func(i int) error {
+		h, err := chunkstore.ParseHash(list[i])
+		if err != nil {
+			return fmt.Errorf("core: manifest is corrupt: %w", err)
+		}
+		data, err := cs.Get(h)
+		if err != nil {
+			return fmt.Errorf("core: manifest chunk: %w", err)
+		}
+		if out[i], err = decode(i, h, data); err != nil {
+			return fmt.Errorf("core: chunk %s: %w", h, err)
+		}
+		return nil
+	})
 }

@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mxq/internal/chunkstore"
@@ -404,5 +408,110 @@ func TestChunkedSaveWritePaths(t *testing.T) {
 	_, st2 = mustSaveChunked(t, s, batch)
 	if plain.puts != st1.ChunksWritten || batch.batched != st2.ChunksWritten || st1 != st2 || st1.ChunksWritten > 3 {
 		t.Fatalf("incremental save: %d Puts / %d batched, stats %+v vs %+v", plain.puts, batch.batched, st1, st2)
+	}
+}
+
+// TestChunkedParallelSaveLoad: saving and loading fan out over the cores
+// (run under -race) and are still the same save and load. A store with
+// many chunks of every kind loads from a Dir (pread, inflate, verify) and
+// from a Mem to the same state, with every hash cached; a chunk missing
+// or corrupt in the middle of the page list — among other failures after
+// it — is the one the error names, every time; and a snapshot's manifest
+// is the same however often, and from however many goroutines at once,
+// it is collected.
+func TestChunkedParallelSaveLoad(t *testing.T) {
+	s := mustBuild(t, itemsDoc(1500), Options{PageSize: 16, FillFactor: 0.75})
+	for i := 0; i < 40; i++ { // more than a chunk of free ids
+		if err := s.Delete(s.NthChild(s.Root(), 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := stateBytes(s)
+	snap := s.Snapshot()
+	defer snap.Release()
+
+	// Concurrent collection over one snapshot, no hash cached yet: every
+	// collector encodes and hashes, all agree.
+	dir, mem := chunkstore.NewDir(filepath.Join(t.TempDir(), "chunks")), chunkstore.NewMem()
+	var wg sync.WaitGroup
+	mans := make([]*ChunkManifest, 4)
+	for i := range mans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch i {
+			case 0:
+				mans[i], _, _ = snap.SaveChunked(dir)
+			case 1:
+				mans[i], _, _ = snap.SaveChunked(mem)
+			default:
+				mans[i], _ = snap.BuildManifest()
+			}
+		}()
+	}
+	wg.Wait()
+	again, _ := snap.collectChunks() // every hash cached by now
+	for i, m := range append(mans, again) {
+		if !reflect.DeepEqual(m, mans[0]) || m == nil {
+			t.Fatalf("collection %d of one snapshot differs from the first", i)
+		}
+	}
+	m := mans[0]
+	if len(m.Pages) < 100 || len(m.Nodes) < 100 || len(m.Free) < 2 {
+		t.Fatalf("%d page, %d node, %d free chunks: too few to fan out", len(m.Pages), len(m.Nodes), len(m.Free))
+	}
+
+	for name, cs := range map[string]chunkstore.Store{"dir": chunkstore.NewDir(dir.Root()), "mem": mem} {
+		got := mustLoadChunked(t, m, cs)
+		if !bytes.Equal(stateBytes(got), want) {
+			t.Fatalf("%s: loaded store diverged from the saved one", name)
+		}
+		if _, stats := mustSaveChunked(t, got, cs); stats.ChunksWritten != 0 {
+			t.Fatalf("%s: re-save of a just-loaded store wrote %d chunks", name, stats.ChunksWritten)
+		}
+	}
+
+	// One page chunk gone, one corrupt on disk after it, a third — later
+	// still — decoding as the wrong kind: the first in list order is named.
+	mid := len(m.Pages) / 2
+	gone, err := chunkstore.ParseHash(m.Pages[mid])
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn, err := chunkstore.ParseHash(m.Pages[mid+3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := *m
+	broken.Pages = append([]string(nil), m.Pages...)
+	broken.Pages[mid+7] = m.Nodes[0]
+	path, off, n, ok := dir.Locate(torn)
+	if !ok {
+		t.Fatal("page chunk not in the store")
+	}
+	pack, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack[off+n/2] ^= 0xff
+	if err := os.WriteFile(path, pack, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		_, err := LoadChunked(&broken, chunkstore.NewDir(dir.Root()))
+		if err == nil || !strings.Contains(err.Error(), torn.String()) || !errors.Is(err, chunkstore.ErrMissing) {
+			t.Fatalf("round %d: LoadChunked = %v, want chunk %s reported missing", round, err, torn)
+		}
+	}
+	// (A swept chunk is gone for the Dir that swept it; its bytes stay in
+	// the pack until that is rewritten.)
+	if err := dir.Sweep(func(h chunkstore.Hash) bool { return h != gone }); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		_, err := LoadChunked(&broken, dir)
+		if err == nil || !strings.Contains(err.Error(), gone.String()) || !errors.Is(err, chunkstore.ErrMissing) {
+			t.Fatalf("round %d: LoadChunked = %v, want chunk %s reported missing", round, err, gone)
+		}
 	}
 }

@@ -37,8 +37,9 @@ type CrashConfig struct {
 	CheckpointEvery int
 	// TearCkpt additionally tears a checkpoint artifact after the WAL
 	// cut — the newest image, the manifest pointer, or a pack file only
-	// the newest image references, truncated at a random offset — so
-	// recovery must degrade to the previous retained checkpoint.
+	// the newest image references, truncated at a random offset, or one
+	// byte inverted inside a chunk only it references (held deflated if
+	// pages are large) — so recovery must degrade to the previous image.
 	// Requires CheckpointEvery > 0 (two images must be on disk).
 	TearCkpt bool
 	// KillInCompaction ends the run inside a checkpoint's chunk GC: the
@@ -264,8 +265,10 @@ func cutWAL(t *testing.T, rng *rand.Rand, walPath string) (noop bool) {
 // offset — the newest image, the document manifest, or a pack file
 // only the newest image reads from (a chunk shared with an older image
 // cannot be torn by a crash: the chunk store skips writes for chunks it
-// already holds). It returns the new recovery floor: the LSN
-// of the previous retained image, which must stay materializable
+// already holds) — or inverts one byte inside the stored bytes of a
+// chunk only the newest image references: the pack's index stays whole,
+// only inflating or hashing can tell. It returns the new recovery floor:
+// the LSN of the previous retained image, which must stay materializable
 // whatever was torn.
 func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
 	t.Helper()
@@ -278,7 +281,7 @@ func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
 	}
 	newest, prev := imgs[0], imgs[1]
 	imgPath := filepath.Join(dir, newest.File)
-	switch rng.Intn(3) {
+	switch kind := rng.Intn(4); kind {
 	case 0:
 		tearFile(t, rng, imgPath)
 	case 1:
@@ -322,14 +325,25 @@ func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
 				own = append(own, path)
 			}
 		}
-		if len(own) == 0 {
+		switch {
+		case kind == 3 && len(unique) > 0:
+			path, off, n, _ := cs.Locate(unique[rng.Intn(len(unique))])
+			pack, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pack[off+rng.Int63n(n)] ^= 0xff
+			if err := os.WriteFile(path, pack, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		case len(own) == 0:
 			// No churn between the checkpoints, or the sweep has already
 			// folded the newest chunks into a shared pack: nothing a
 			// crash could have torn; tear the image instead.
 			tearFile(t, rng, imgPath)
-			break
+		default:
+			tearFile(t, rng, own[rng.Intn(len(own))])
 		}
-		tearFile(t, rng, own[rng.Intn(len(own))])
 	}
 	return prev.LSN
 }
@@ -368,6 +382,8 @@ func CrashConfigs(iters int) []CrashConfig {
 		// Killed inside chunk GC, between a compaction's publish and its
 		// unlinks, then the WAL cut: duplicates on disk, nothing lost.
 		{Batches: 60, BatchOps: 4, DocSize: 90, PageSize: 16, Fill: 0.7, SegmentBytes: 512, CheckpointEvery: 3, KillInCompaction: true},
+		// Torn artifacts again, over pages large enough to be held deflated.
+		{Batches: 24, BatchOps: 5, DocSize: 300, PageSize: 64, Fill: 0.8, SegmentBytes: 2048, CheckpointEvery: 5, TearCkpt: true},
 	}
 	for i := 0; i < iters; i++ {
 		for j, s := range shapes {

@@ -145,8 +145,9 @@ func (s *Shell) Execute(line string) (quit bool, err error) {
 				st.WALBytes, st.WALRecords, st.Checkpoints)
 		}
 		if st.CkptChunksWritten > 0 || st.CkptChunksReused > 0 {
-			fmt.Fprintf(s.out, "ckpt io:    %d bytes in %d chunks written, %d reused (dedupe %.1f%%), %d bytes compacted\n",
-				st.CkptBytesWritten, st.CkptChunksWritten, st.CkptChunksReused, 100*st.CkptDedupeRatio, st.CkptBytesCompacted)
+			fmt.Fprintf(s.out, "ckpt io:    %d bytes in %d chunks written, %d reused (dedupe %.1f%%), %d bytes on disk (%.2fx), %d bytes compacted\n",
+				st.CkptBytesWritten, st.CkptChunksWritten, st.CkptChunksReused, 100*st.CkptDedupeRatio,
+				st.CkptBytesStored, float64(st.CkptBytesStored)/float64(max(st.CkptBytesWritten, 1)), st.CkptBytesCompacted)
 		}
 	case "checkpoint":
 		doc, err := s.doc(arg(1))

@@ -91,7 +91,8 @@
 // nudge — (bytes and/or records; Stats.WALBytes and Stats.WALRecords
 // expose that tail, Stats.Checkpoints the
 // completions, and Stats.CkptBytesWritten / CkptChunksWritten /
-// CkptChunksReused / CkptDedupeRatio the incremental win, and
+// CkptChunksReused / CkptDedupeRatio the incremental win,
+// Stats.CkptBytesStored what the written chunks take on disk, and
 // Stats.CkptBytesCompacted what chunk GC rewrote to reclaim space);
 // Database.Close drains it. Recovery loads the manifest's image and
 // replays the segments above its LSN, degrading to the previous image
