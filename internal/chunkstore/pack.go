@@ -167,9 +167,8 @@ func deflate(raw []byte) []byte {
 // readChunk reads the copy e from its pack file: its stored bytes and
 // the chunk they inflate to. Both are nil, and the error too, for a copy
 // that is not the chunk its name says: the file ends before the stored
-// bytes, they are not one deflate stream that yields exactly the indexed
-// raw length and ends where they end, or the result does not hash to the
-// name.
+// bytes, they are not one deflate stream yielding exactly the indexed raw
+// length and ending where they end, or the result has another hash.
 func readChunk(f io.ReaderAt, e *entry) (stored, raw []byte, err error) {
 	stored = make([]byte, e.n)
 	if _, err := f.ReadAt(stored, e.off); errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {

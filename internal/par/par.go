@@ -17,21 +17,22 @@ func Do(n int, f func(i int) error) error {
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if errs[i] = f(i); errs[i] != nil {
-					stop.Store(true)
-				}
+	work := func() {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
+			if errs[i] = f(i); errs[i] != nil {
+				stop.Store(true)
+			}
+		}
 	}
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work() // the caller works too: a batch of one starts no goroutine
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
