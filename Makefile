@@ -8,13 +8,14 @@
 # vet and test bench/, a module of its own (BENCHMARK.json runs it) that
 # the root module's ./... does not reach: it imports internal packages,
 # so it is what catches a change breaking an identifier the benchmark
-# uses.
+# uses — and last the line-count ratchet (loc-check), so a local `make
+# check` fails the diff CI's lint job would.
 
 GO ?= go
 
 .PHONY: check build vet test race bench-check bench bench-json lint loc loc-check fuzz server-smoke repl-smoke
 
-check: build vet race bench-check
+check: build vet race bench-check loc-check
 
 build:
 	$(GO) build ./...
@@ -65,7 +66,7 @@ lint:
 # `make loc-check` fails when the first exceeds LOC_CEILING. A change
 # that needs more lines raises the ceiling in its own diff, where a
 # reviewer sees it.
-LOC_CEILING = 21757
+LOC_CEILING = 21649
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"

@@ -45,12 +45,10 @@ func TestCloseRacesThrottledCheckpoint(t *testing.T) {
 	// Throttle the chunk stream so the close provably overlaps it.
 	streaming := make(chan struct{})
 	var once sync.Once
-	doc.ckpter.SetChunkWrapper(func(cs chunkstore.Store) chunkstore.Store {
-		return &slowChunks{
-			Store: cs,
-			start: func() { once.Do(func() { close(streaming) }) },
-			delay: 5 * time.Millisecond,
-		}
+	doc.ckpter.SetChunkStore(&slowChunks{
+		Store: ckpt.DefaultChunkStore(dir, "lib"),
+		start: func() { once.Do(func() { close(streaming) }) },
+		delay: 5 * time.Millisecond,
 	})
 	for i := 0; i < 8; i++ {
 		if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>race</book></xupdate:append>`)); err != nil {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mxq/internal/ckpt"
 	"mxq/internal/repl"
@@ -33,17 +32,11 @@ type Document struct {
 	// streams LSN-pinned snapshots outside any lock; the auto goroutine
 	// (only with Options.CheckpointEvery) runs it when the WAL tail
 	// exceeds the policy.
-	ckpter      *ckpt.Checkpointer
-	autoC       chan struct{}
-	stopC       chan struct{}
-	stopOnce    sync.Once
-	wg          sync.WaitGroup
-	checkpoints atomic.Uint64
-	// lastCkptLSN is the LSN the newest checkpoint covers — the baseline
-	// the auto policy (and Stats' WAL-tail figures) measure against, so
-	// covered records parked in the never-pruned active segment don't
-	// re-trigger checkpoint after checkpoint.
-	lastCkptLSN atomic.Uint64
+	ckpter   *ckpt.Checkpointer
+	autoC    chan struct{}
+	stopC    chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 
 	// tracker registers live replication subscriptions (nil without a
 	// durability directory). Its Barrier fences the checkpointer's WAL
@@ -343,12 +336,10 @@ func (d *Document) Stats() Stats {
 	if s.Tuples > 0 {
 		s.Fill = float64(s.LiveNodes) / float64(s.Tuples)
 	}
-	if d.log != nil {
-		s.Checkpoints = d.checkpoints.Load()
-		s.WALBytes, s.WALRecords = d.log.TailStatsAbove(d.lastCkptLSN.Load())
-	}
 	if d.ckpter != nil {
+		s.WALBytes, s.WALRecords = d.log.TailStatsAbove(d.ckpter.LastLSN())
 		cs := d.ckpter.Stats()
+		s.Checkpoints = cs.Checkpoints
 		s.CkptBytesWritten = cs.BytesWritten
 		s.CkptBytesStored = cs.BytesStored
 		s.CkptBytesCompacted = cs.BytesCompacted
@@ -365,29 +356,16 @@ func (d *Document) Stats() Stats {
 // pinned inside the commit critical section (an O(pages) refcount
 // sweep), and the O(document) image streams from that immutable
 // snapshot outside any lock — commits keep landing at full speed while
-// it writes. Completion is published through a crash-safe manifest, and
-// only WAL segments wholly below the pinned LSN are deleted, so a
-// commit racing the checkpoint is never lost: its record lives in a
-// segment the prune keeps. Requires a durability directory.
+// it writes. Completion is the atomic publication of the LSN-stamped
+// image file, and only WAL segments wholly below the pinned LSN are
+// deleted, so a commit racing the checkpoint is never lost: its record
+// lives in a segment the prune keeps. Requires a durability directory.
 func (d *Document) Checkpoint() error {
 	if d.ckpter == nil {
 		return fmt.Errorf("mxq: document %q has no durability directory", d.name)
 	}
-	lsn, err := d.ckpter.Run()
-	if err != nil {
-		return err
-	}
-	// CAS-max: a manual Checkpoint racing the auto goroutine can finish
-	// its lower-LSN Run later; the baseline must never regress or the
-	// policy would re-trigger on work the newer image already absorbed.
-	for {
-		cur := d.lastCkptLSN.Load()
-		if cur >= lsn || d.lastCkptLSN.CompareAndSwap(cur, lsn) {
-			break
-		}
-	}
-	d.checkpoints.Add(1)
-	return nil
+	_, err := d.ckpter.Run()
+	return err
 }
 
 // maybeAutoCheckpoint nudges the background checkpointer when the WAL
@@ -406,7 +384,7 @@ func (d *Document) maybeAutoCheckpoint() {
 // checkpointDue reports whether the WAL tail beyond the newest
 // checkpoint exceeds the auto-checkpoint policy.
 func (d *Document) checkpointDue() bool {
-	bytes, records := d.log.TailStatsAbove(d.lastCkptLSN.Load())
+	bytes, records := d.log.TailStatsAbove(d.ckpter.LastLSN())
 	return d.db.opts.CheckpointEvery.exceeded(bytes, records)
 }
 

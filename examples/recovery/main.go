@@ -5,14 +5,15 @@
 //
 // Checkpoints are *online*: the image is pinned at a (version, LSN) pair
 // inside the commit critical section and streamed outside any lock, so
-// commits keep landing while it writes; completion is published through
-// a crash-safe manifest, and only WAL segments wholly below the pinned
+// commits keep landing while it writes; completion is the atomic rename
+// of the LSN-stamped image file into place — the newest image on disk is
+// the current checkpoint — and only WAL segments wholly below the pinned
 // LSN are pruned. With Options.CheckpointEvery a background goroutine
 // does this automatically once the WAL tail grows past the policy.
 //
 // Checkpoints are also *incremental*: column chunks are written to a
-// content-addressed chunk store and the image is just a manifest of
-// chunk hashes, so a checkpoint after a small change re-references the
+// content-addressed chunk store and the image is just a list of chunk
+// hashes, so a checkpoint after a small change re-references the
 // unchanged chunks and writes only the dirtied ones (O(churn) I/O).
 // Stats exposes the written/reused counters, printed below.
 //
@@ -64,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	full := doc.Stats()
-	fmt.Printf("online checkpoint written (manifest of %d content-addressed chunks, %d bytes)\n",
+	fmt.Printf("online checkpoint written (image naming %d content-addressed chunks, %d bytes)\n",
 		full.CkptChunksWritten, full.CkptBytesWritten)
 
 	for i := 1; i <= 3; i++ {
@@ -119,7 +120,7 @@ func main() {
 	db.Close()
 	fmt.Println("\n-- crash --")
 
-	// Session 2: recovery = manifest'd checkpoint image (the chunks it
+	// Session 2: recovery = newest checkpoint image (the chunks it
 	// names) + WAL replay.
 	db2, err := mxq.Open(mxq.Options{Dir: dir})
 	if err != nil {

@@ -57,7 +57,6 @@ func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 			ever[h] = true
 		}
 	}
-	want := e.baseXML(t)
 
 	imgs, err := Images(e.dir, "d")
 	if err != nil {
@@ -94,9 +93,62 @@ func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 		}
 	}
 
-	// An unreadable retained image skips the whole sweep. Clobber the
-	// current image; the next checkpoint keeps it as "previous" and
+	// A retained image nothing can recover from does not hold the
+	// "previous image" slot. Clobber the current image: the next
+	// checkpoint removes the clobbered file and keeps the older readable
+	// image — and every chunk it names — as the previous one.
+	newestPath := filepath.Join(e.dir, imgs[0].File)
+	good, err := os.ReadFile(newestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newestPath, good[:len(good)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.commitBook(t, "s2", "while-clobbered")
+	if _, err := e.ck.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(newestPath); !os.IsNotExist(err) {
+		t.Fatalf("the clobbered image was not removed (%v)", err)
+	}
+	after, err := Images(e.dir, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != 2 || after[1] != imgs[1] {
+		t.Fatalf("images after the clobbered one: %v, want a new one and %v", after, imgs[1])
+	}
+	for _, h := range perImage[1] {
+		if ok, _ := cs.Has(h); !ok {
+			t.Fatalf("chunk %s of the retained previous image was swept", h)
+		}
+	}
+	recoverWithoutNewest := func(what string) {
+		t.Helper()
+		imgs, err := Images(e.dir, "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		aside := filepath.Join(t.TempDir(), "newest")
+		if err := os.Rename(filepath.Join(e.dir, imgs[0].File), aside); err != nil {
+			t.Fatal(err)
+		}
+		store, _ := e.recover(t)
+		if got, want := viewXML(t, store), e.baseXML(t); got != want {
+			t.Fatalf("recovery from the previous image %s:\nwant %s\ngot  %s", what, want, got)
+		}
+		if err := os.Rename(aside, filepath.Join(e.dir, imgs[0].File)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recoverWithoutNewest("after a clobbered image was retired")
+
+	// An image that cannot be read at all (an I/O error, here a directory
+	// in its place) may still be one: it keeps its slot, and the whole
+	// sweep is skipped. The next checkpoint keeps it as "previous" and
 	// retires the older one, whose own chunks would now be garbage.
+	perImage, _ = retained(t, e.dir)
 	inNewest := make(map[chunkstore.Hash]bool)
 	for _, h := range perImage[0] {
 		inNewest[h] = true
@@ -110,19 +162,19 @@ func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 	if len(onlyOldest) == 0 {
 		t.Fatal("no chunk unique to the older image")
 	}
-	newestPath := filepath.Join(e.dir, imgs[0].File)
-	good, err := os.ReadFile(newestPath)
-	if err != nil {
+	newestPath = filepath.Join(e.dir, after[0].File)
+	aside := filepath.Join(t.TempDir(), "unreadable")
+	if err := os.Rename(newestPath, aside); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newestPath, good[:len(good)/2], 0o644); err != nil {
+	if err := os.Mkdir(newestPath, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	e.commitBook(t, "s2", "while-unreadable")
 	if _, err := e.ck.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(e.dir, imgs[1].File)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(e.dir, after[1].File)); !os.IsNotExist(err) {
 		t.Fatalf("the older image was not retired (%v)", err)
 	}
 	for _, h := range onlyOldest {
@@ -131,7 +183,10 @@ func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 		}
 	}
 	// Readable again: the next checkpoint's sweep takes them.
-	if err := os.WriteFile(newestPath, good, 0o644); err != nil {
+	if err := os.Remove(newestPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, newestPath); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.ck.Run(); err != nil {
@@ -142,22 +197,10 @@ func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 			t.Fatalf("chunk %s survived the sweep after the image became readable", h)
 		}
 	}
-	want = e.baseXML(t)
 
 	// The point of keeping the previous image's chunks: losing the
-	// current image (and the manifest) must still recover to full state.
-	imgs, err = Images(e.dir, "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(e.dir, imgs[0].File)); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(filepath.Join(e.dir, "d"+manifestSuffix))
-	store, _ := e.recover(t)
-	if got := viewXML(t, store); got != want {
-		t.Fatalf("recovery from previous image after GC:\nwant %s\ngot  %s", want, got)
-	}
+	// current image must still recover to full state.
+	recoverWithoutNewest("after GC")
 }
 
 // TestTornChunkDegradesWholeImage: a pack torn at a random offset loses

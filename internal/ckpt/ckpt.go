@@ -1,7 +1,7 @@
 // Package ckpt is the online durability subsystem: incremental
-// content-addressed checkpoints that never stall commits, a crash-safe
-// manifest chain, and recovery that degrades gracefully over torn
-// artifacts.
+// content-addressed checkpoints that never stall commits, each
+// committed by the atomic publication of one LSN-stamped image file, and
+// recovery that degrades gracefully over torn artifacts.
 //
 // The paper's transaction protocol (Section 3.2 / Figure 8) rests on two
 // legs: a single-I/O WAL commit and a checkpointed store image. This
@@ -13,14 +13,16 @@
 // every column chunk is named by its SHA-256, the ones the document's
 // chunk store is missing go into it as one batch (one pack file in the
 // default local store), and the LSN-stamped image shrinks to a small
-// manifest of chunk names. Chunks the store already holds — everything
-// the COW layer did not see dirtied since the previous checkpoint — are
-// re-referenced, not rewritten, so checkpoint I/O tracks churn, not
-// document size, and frequent auto-checkpoints are cheap. Completion is
-// recorded in a manifest written via tmp+rename+fsync; only then are
-// WAL segments wholly below the checkpoint's LSN deleted
-// (wal.Log.Prune), so a commit racing a checkpoint cannot be lost: a
-// record the checkpoint does not cover lives in a segment Prune keeps.
+// list of chunk names (core.ChunkManifest). Chunks the store already
+// holds — everything the COW layer did not see dirtied since the
+// previous checkpoint — are re-referenced, not rewritten, so checkpoint
+// I/O tracks churn, not document size, and frequent auto-checkpoints are
+// cheap. The image's publication (tmp + fsync + rename + dir fsync) is
+// the checkpoint's one commit point, and its file name the only record
+// of which checkpoint is current; only then are WAL segments wholly
+// below the checkpoint's LSN deleted (wal.Log.Prune), so a commit racing
+// a checkpoint cannot be lost: a record the checkpoint does not cover
+// lives in a segment Prune keeps.
 //
 // # Artifacts
 //
@@ -33,35 +35,35 @@
 //	                                     chunks are stored deflated,
 //	                                     names are of the raw bytes
 //	                                     (see internal/chunkstore)
-//	<name>.manifest                      JSON {file, lsn} naming the
-//	                                     current checkpoint
 //	<name>.wal.NNNNNNNN                  WAL segments (see internal/wal)
 //
-// Every image/manifest is published atomically (write to *.tmp, fsync,
-// rename, fsync dir), and chunks are synced before any image naming
-// them is published. Cleanup keeps the previous checkpoint image
-// besides the current one, prunes the WAL only below the *oldest
-// retained* checkpoint, and garbage-collects chunks by mark-and-sweep:
-// a chunk referenced by ANY retained image is never dropped (the store
-// rewrites the survivors of a mostly-dead pack, it never loses one), so
-// every retained image stays materializable — if the current image, its
-// manifest, or one of its chunks is lost or torn, recovery still has an
-// older image plus every chunk and WAL record needed to roll it
-// forward.
+// That is all: the newest image on disk is the current checkpoint.
+// Anything else in the directory — a bare <name>.ckpt, a pointer file an
+// older build left beside the images — is a foreign file: never read,
+// never a reason a document exists, never removed.
+//
+// Every image is published atomically (write to *.tmp, fsync, rename,
+// fsync dir), and chunks are synced before any image naming them is
+// published. Cleanup keeps the previous usable checkpoint image besides
+// the current one (an image readImage refuses is removed, not counted),
+// prunes the WAL only below the *oldest retained* checkpoint, and
+// garbage-collects chunks by mark-and-sweep: a chunk referenced by ANY
+// retained image is never dropped (the store rewrites the survivors of a
+// mostly-dead pack, it never loses one), so every retained image stays
+// materializable — if the current image or one of its chunks is lost or
+// torn, recovery still has an older image plus every chunk and WAL
+// record needed to roll it forward.
 //
 // # Recovery
 //
-// Recover tries candidates in order of preference — the manifest's
-// target first, then every other image on disk by descending LSN — and
-// accepts the first one that loads and whose WAL replay is gap-free
-// (contiguous LSNs from the image's pin).
-// Image manifests are self-contained (each names every chunk of the
-// full document), so a candidate either materializes completely or is
-// skipped whole — recovery never mixes two checkpoints. A leftover
-// *.tmp, a manifest naming a missing file, a torn image, a file that
-// does not open with the image magic, a torn or missing chunk or pack
-// file, or an empty segment tail all degrade to the next candidate
-// instead of failing.
+// Recover tries every image on disk by descending LSN and accepts the
+// first one that loads and whose WAL replay is gap-free (contiguous LSNs
+// from the image's pin). Images are self-contained (each names every
+// chunk of the full document), so a candidate either materializes
+// completely or is skipped whole — recovery never mixes two checkpoints.
+// A leftover *.tmp, a torn image, a file that does not open with the
+// image magic, a torn or missing chunk or pack file, or an empty segment
+// tail all degrade to the next candidate instead of failing.
 package ckpt
 
 import (
@@ -104,12 +106,6 @@ var ErrClosed = errors.New("ckpt: checkpointer is closed")
 // implementation. The checkpointer releases the snapshot when done.
 type Pin func() (*core.Store, uint64)
 
-// manifest is the JSON wire form of the current-checkpoint pointer.
-type manifest struct {
-	File string `json:"file"` // checkpoint file name, relative to dir
-	LSN  uint64 `json:"lsn"`
-}
-
 // imageMagic opens every checkpoint image; a file without it is refused
 // with "unsupported image format".
 var imageMagic = [8]byte{'M', 'X', 'Q', 'C', 'K', 'V', '2', 0}
@@ -128,15 +124,23 @@ func readImage(path string) (image, error) {
 	if err != nil {
 		return image{}, err
 	}
+	return parseImage(filepath.Base(path), data)
+}
+
+// parseImage decodes an image file's bytes. An error is a refusal: the
+// bytes were all there and are not an image (bad magic, torn JSON, no
+// store manifest), so nothing will ever recover from that file — unlike
+// an I/O error reading it, after which it may still be one.
+func parseImage(file string, data []byte) (image, error) {
 	if !bytes.HasPrefix(data, imageMagic[:]) {
-		return image{}, fmt.Errorf("ckpt: %s: unsupported image format", filepath.Base(path))
+		return image{}, fmt.Errorf("ckpt: %s: unsupported image format", file)
 	}
 	var img image
 	if err := json.Unmarshal(data[len(imageMagic):], &img); err != nil {
-		return image{}, fmt.Errorf("ckpt: corrupt image %s: %w", filepath.Base(path), err)
+		return image{}, fmt.Errorf("ckpt: corrupt image %s: %w", file, err)
 	}
 	if img.Store == nil {
-		return image{}, fmt.Errorf("ckpt: corrupt image %s: no store manifest", filepath.Base(path))
+		return image{}, fmt.Errorf("ckpt: corrupt image %s: no store manifest", file)
 	}
 	return img, nil
 }
@@ -157,7 +161,7 @@ func RemoveChunks(dir, name string) { os.RemoveAll(ChunkDir(dir, name)) }
 // Stats is the checkpointer's cumulative I/O accounting — the
 // observable incremental-checkpoint win.
 type Stats struct {
-	Checkpoints   uint64 // images published
+	Checkpoints   uint64 // Runs completed
 	ChunksWritten uint64 // chunks the store was missing (bytes moved)
 	ChunksReused  uint64 // chunk references served by dedupe
 	BytesWritten  uint64 // chunk bytes actually written
@@ -182,21 +186,20 @@ type Checkpointer struct {
 	keep int
 
 	// mu serializes checkpoints: concurrent Run calls (auto + manual)
-	// queue rather than race on the manifest. Close takes it too, so
+	// queue rather than race on the directory. Close takes it too, so
 	// closing waits out an in-flight checkpoint instead of yanking the
 	// WAL from under its prune.
 	mu     sync.Mutex
 	closed bool
 
-	// cs is the chunk store images reference; nil until first use, then
-	// the document's default local directory unless SetChunkStore
-	// installed another backend.
-	cs chunkstore.Store
+	// lastLSN is the LSN of the newest image: seeded from the directory in
+	// New, advanced by Run under mu (pins taken under mu are monotone, so
+	// a plain store never regresses it), read without mu by LastLSN.
+	lastLSN atomic.Uint64
 
-	// chunkWrap, when non-nil, wraps the chunk store for the duration of
-	// a save (testing hook: throttling Put stretches the write phase to
-	// prove commits do not stall behind it).
-	chunkWrap func(chunkstore.Store) chunkstore.Store
+	// cs is the chunk store images reference: the document's default
+	// local directory unless SetChunkStore installed another backend.
+	cs chunkstore.Store
 
 	// Cumulative Stats counters.
 	statCkpts, statChunksW, statChunksR, statBytes, statStored, statCompacted atomic.Uint64
@@ -211,31 +214,26 @@ type Checkpointer struct {
 
 // New returns a checkpointer for document name in dir. log may be nil.
 func New(dir, name string, log *wal.Log, pin Pin) *Checkpointer {
-	return &Checkpointer{dir: dir, name: name, log: log, pin: pin, keep: 1}
+	c := &Checkpointer{dir: dir, name: name, log: log, pin: pin, keep: 1, cs: DefaultChunkStore(dir, name)}
+	c.lastLSN.Store(CurrentLSN(dir, name))
+	return c
 }
 
-// SetChunkWrapper installs a chunk-store wrapper applied for the
-// duration of each save (testing hook; pass nil to remove).
-func (c *Checkpointer) SetChunkWrapper(fn func(chunkstore.Store) chunkstore.Store) {
-	c.chunkWrap = fn
-}
+// LastLSN returns the LSN the newest checkpoint image covers (0 if there
+// is none): the baseline an auto-checkpoint policy measures the WAL tail
+// against, so covered records parked in the never-pruned active segment
+// do not re-trigger checkpoint after checkpoint. It never waits behind a
+// running checkpoint.
+func (c *Checkpointer) LastLSN() uint64 { return c.lastLSN.Load() }
 
 // SetChunkStore installs the chunk store images reference (an
-// alternative backend, or a store shared with a bootstrap). Install it
-// before the first Run; nil keeps the document's default local
-// directory.
+// alternative backend, or a store shared with a bootstrap) in place of
+// the document's default local directory. Install it before the first
+// Run.
 func (c *Checkpointer) SetChunkStore(cs chunkstore.Store) {
 	c.mu.Lock()
 	c.cs = cs
 	c.mu.Unlock()
-}
-
-// chunks returns the chunk store, defaulting lazily. Caller holds c.mu.
-func (c *Checkpointer) chunks() chunkstore.Store {
-	if c.cs == nil {
-		c.cs = DefaultChunkStore(c.dir, c.name)
-	}
-	return c.cs
 }
 
 // Stats returns cumulative checkpoint I/O counters (safe concurrently
@@ -262,25 +260,22 @@ func ckptFile(name string, lsn uint64) string {
 	return fmt.Sprintf("%s-%016x.ckpt", name, lsn)
 }
 
-// parseCkptLSN extracts the LSN from an image file name produced by
-// ckptFile, reporting ok=false for anything else. Matching is exact —
-// lowercase hex, fixed width, the "-" boundary in place — so a document
-// whose name is a dash-prefix of another ("a" vs "a-b") never claims the
-// other's images.
-func parseCkptLSN(name, file string) (uint64, bool) {
+// DocumentOfArtifact is the one image-name parser: it splits a bare file
+// name produced by ckptFile into the document it belongs to and the LSN
+// it is stamped with, reporting ok=false for anything else (tmp files,
+// WAL segments, foreign files). Matching is exact — lowercase hex, fixed
+// width, the "-" boundary in place — so a document whose name is a
+// dash-prefix of another ("a" vs "a-b") never claims the other's images,
+// and database discovery, which shares it, can never disagree with
+// Recover's candidate scan.
+func DocumentOfArtifact(file string) (doc string, lsn uint64, ok bool) {
 	base := strings.TrimSuffix(file, ".ckpt")
-	if base == file || !strings.HasPrefix(base, name+"-") {
-		return 0, false
+	i := len(base) - 17
+	if base == file || i <= 0 || base[i] != '-' || !isLowerHex(base[i+1:]) {
+		return "", 0, false
 	}
-	hex := base[len(name)+1:]
-	if len(hex) != 16 || !isLowerHex(hex) {
-		return 0, false
-	}
-	lsn, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return lsn, true
+	lsn, err := strconv.ParseUint(base[i+1:], 16, 64)
+	return base[:i], lsn, err == nil
 }
 
 func isLowerHex(s string) bool {
@@ -292,68 +287,65 @@ func isLowerHex(s string) bool {
 	return true
 }
 
-// ownsTmp reports whether a "*.tmp" file (bare name) is an in-progress
-// or stale artifact of this document — exactly an image or manifest
-// path plus the ".tmp" suffix. A bare prefix match would claim (and let
-// retire delete) another document's in-flight tmp when one name
-// prefixes the other.
-func ownsTmp(name, file string) bool {
-	base := strings.TrimSuffix(file, ".tmp")
-	if base == file {
-		return false
-	}
-	if base == name+manifestSuffix {
-		return true
-	}
-	_, ok := parseCkptLSN(name, base)
-	return ok
+// Image describes one LSN-stamped checkpoint image on disk.
+type Image struct {
+	File string // bare file name, relative to the document directory
+	LSN  uint64
 }
 
-// DocumentOfArtifact reports which document a durability artifact file
-// (bare name) belongs to: a manifest or an LSN-stamped image. ok=false
-// for everything else (tmp files, WAL segments, foreign files).
-// Database discovery shares this parser so it can never disagree with
-// Recover's candidate scan.
-func DocumentOfArtifact(file string) (string, bool) {
-	if strings.HasSuffix(file, ".tmp") {
-		return "", false
+// scan is the one per-document directory scan: the document's images,
+// newest first, and the bare names of its in-progress or stale image
+// "*.tmp" files — exactly an image name plus ".tmp"; a bare prefix match
+// would claim (and let retire delete) another document's in-flight tmp
+// when one name prefixes the other.
+func scan(dir, name string) (imgs []Image, tmps []string, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
 	}
-	if base := strings.TrimSuffix(file, manifestSuffix); base != file {
-		return base, base != ""
+	for _, e := range entries {
+		file := strings.TrimSuffix(e.Name(), ".tmp")
+		doc, lsn, ok := DocumentOfArtifact(file)
+		if !ok || doc != name {
+			continue
+		}
+		if file != e.Name() {
+			tmps = append(tmps, e.Name())
+		} else {
+			imgs = append(imgs, Image{File: file, LSN: lsn})
+		}
 	}
-	base := strings.TrimSuffix(file, ".ckpt")
-	if i := len(base) - 17; base != file && i > 0 && base[i] == '-' && isLowerHex(base[i+1:]) {
-		return base[:i], true
-	}
-	return "", false
+	sort.Slice(imgs, func(i, j int) bool { return imgs[i].LSN > imgs[j].LSN })
+	return imgs, tmps, nil
+}
+
+// Images lists the document's checkpoint images, newest first.
+func Images(dir, name string) ([]Image, error) {
+	imgs, _, err := scan(dir, name)
+	return imgs, err
 }
 
 // RemoveArtifacts deletes every checkpoint artifact of the document —
-// images, manifest, stale tmp files — with exact-boundary
-// matching, leaving other documents' files alone.
+// images and stale tmp files — with exact-boundary matching, leaving
+// other documents' files alone.
 func RemoveArtifacts(dir, name string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
+	imgs, tmps, _ := scan(dir, name)
+	for _, img := range imgs {
+		os.Remove(filepath.Join(dir, img.File))
 	}
-	for _, e := range entries {
-		n := e.Name()
-		_, isImage := parseCkptLSN(name, n)
-		if isImage || n == name+manifestSuffix || ownsTmp(name, n) {
-			os.Remove(filepath.Join(dir, n))
-		}
+	for _, tmp := range tmps {
+		os.Remove(filepath.Join(dir, tmp))
 	}
 }
 
-// CurrentLSN returns the manifest's checkpoint LSN for the document (0
-// if there is no readable manifest): the baseline the auto-checkpoint
-// policy measures the WAL tail against.
+// CurrentLSN returns the LSN of the document's newest checkpoint image
+// (0 if there is none).
 func CurrentLSN(dir, name string) uint64 {
-	m, err := readManifest(dir, name)
-	if err != nil {
+	imgs, _ := Images(dir, name)
+	if len(imgs) == 0 {
 		return 0
 	}
-	return m.LSN
+	return imgs[0].LSN
 }
 
 // Run writes one checkpoint: pin, write missing chunks, publish,
@@ -375,16 +367,11 @@ func (c *Checkpointer) Run() (uint64, error) {
 
 	// Chunks first: SaveChunked syncs them, so by the time an image
 	// naming them exists, every chunk it references is durable.
-	cs := c.chunks()
-	if c.chunkWrap != nil {
-		cs = c.chunkWrap(cs)
-	}
-	man, stats, err := img.SaveChunked(cs)
+	man, stats, err := img.SaveChunked(c.cs)
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: writing chunks: %w", err)
 	}
-	file := ckptFile(c.name, lsn)
-	err = writeFileAtomic(c.dir, file, func(w io.Writer) error {
+	err = writeFileAtomic(c.dir, ckptFile(c.name, lsn), func(w io.Writer) error {
 		if _, werr := w.Write(imageMagic[:]); werr != nil {
 			return werr
 		}
@@ -393,21 +380,12 @@ func (c *Checkpointer) Run() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: writing image: %w", err)
 	}
-
-	m, _ := json.Marshal(manifest{File: file, LSN: lsn})
-	err = writeFileAtomic(c.dir, c.name+manifestSuffix, func(w io.Writer) error {
-		_, werr := w.Write(m)
-		return werr
-	})
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: writing manifest: %w", err)
-	}
-	c.statCkpts.Add(1)
+	c.lastLSN.Store(lsn)
 	c.statChunksW.Add(uint64(stats.ChunksWritten))
 	c.statChunksR.Add(uint64(stats.ChunksReused))
 	c.statBytes.Add(uint64(stats.BytesWritten))
 
-	// The manifest is durable: the new checkpoint is the recovery root.
+	// The image is durable: the new checkpoint is the recovery root.
 	// Retire images beyond the retention horizon and prune WAL segments
 	// every retained image has already absorbed — capped by the external
 	// prune barrier (a live follower's lowest acked LSN), because a
@@ -426,6 +404,7 @@ func (c *Checkpointer) Run() (uint64, error) {
 	}
 	// With retirement settled, sweep chunks no retained image references.
 	c.gc()
+	c.statCkpts.Add(1)
 	return lsn, nil
 }
 
@@ -451,35 +430,12 @@ func (c *Checkpointer) gc() {
 			live[h] = true
 		}
 	}
-	cs := c.chunks()
-	cs.Sweep(func(h chunkstore.Hash) bool { return live[h] }) // a failed sweep only leaks
+	c.cs.Sweep(func(h chunkstore.Hash) bool { return live[h] }) // a failed sweep only leaks
 	// chunkstore.Dir keeps running counts of what it stored and rewrote.
-	if cc, ok := cs.(*chunkstore.Dir); ok {
+	if cc, ok := c.cs.(*chunkstore.Dir); ok {
 		c.statStored.Store(cc.BytesStored())
 		c.statCompacted.Store(cc.BytesCompacted())
 	}
-}
-
-// Image describes one LSN-stamped checkpoint image on disk.
-type Image struct {
-	File string // bare file name, relative to the document directory
-	LSN  uint64
-}
-
-// Images lists the document's checkpoint images, newest first.
-func Images(dir, name string) ([]Image, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var imgs []Image
-	for _, e := range entries {
-		if lsn, ok := parseCkptLSN(name, e.Name()); ok {
-			imgs = append(imgs, Image{File: e.Name(), LSN: lsn})
-		}
-	}
-	sort.Slice(imgs, func(i, j int) bool { return imgs[i].LSN > imgs[j].LSN })
-	return imgs, nil
 }
 
 // ImageChunks returns the chunk hashes a checkpoint image references,
@@ -503,40 +459,45 @@ func (c *Checkpointer) Close() {
 	c.mu.Unlock()
 }
 
-const manifestSuffix = ".manifest"
-
-// retire removes checkpoint images beyond the retention count plus any
-// stale *.tmp leftovers, and returns the prune horizon: the LSN of the
-// oldest image still retained (every WAL record at or below it is
-// redundant for every image we can still recover from).
+// retire removes checkpoint images beyond the retention count, images
+// no recovery can use, and stale *.tmp leftovers, and returns the prune
+// horizon: the LSN of the oldest image still retained (every WAL record
+// at or below it is redundant for every image we can still recover
+// from). Only an image that parses counts toward keep — a torn one
+// holding the "previous image" slot would leave nothing to fall back on
+// — while one that cannot be read at all may still be an image: it is
+// counted, and gc skips its sweep over it.
 func (c *Checkpointer) retire(current uint64) uint64 {
-	entries, err := os.ReadDir(c.dir)
+	imgs, tmps, err := scan(c.dir, c.name)
 	if err != nil {
 		return 0
 	}
-	var lsns []uint64
-	for _, e := range entries {
-		n := e.Name()
-		if ownsTmp(c.name, n) {
-			os.Remove(filepath.Join(c.dir, n))
-			continue
-		}
-		if lsn, ok := parseCkptLSN(c.name, n); ok {
-			lsns = append(lsns, lsn)
-		}
+	for _, tmp := range tmps {
+		os.Remove(filepath.Join(c.dir, tmp))
 	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
-	oldest := current
-	for i, lsn := range lsns {
-		if i <= c.keep {
-			if lsn < oldest {
-				oldest = lsn
-			}
+	oldest, kept := current, 0
+	for _, img := range imgs {
+		path := filepath.Join(c.dir, img.File)
+		// The current image was written just now; it is not read back.
+		if kept > c.keep || (img.LSN != current && refused(path)) {
+			os.Remove(path)
 			continue
 		}
-		os.Remove(filepath.Join(c.dir, ckptFile(c.name, lsn)))
+		kept++
+		oldest = min(oldest, img.LSN)
 	}
 	return oldest
+}
+
+// refused reports whether the file at path reads whole and is not an
+// image.
+func refused(path string) bool {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	_, err = parseImage(filepath.Base(path), data)
+	return err != nil
 }
 
 // writeFileAtomic publishes dir/file via tmp + fsync + rename + dir
@@ -576,34 +537,23 @@ func writeFileAtomic(dir, file string, write func(io.Writer) error) error {
 }
 
 // Recover rebuilds the document's store from the best available
-// checkpoint plus the WAL. Candidates are tried in order — the
-// manifest's target first, then every image on disk by descending LSN —
-// and the first one that loads cleanly and replays without an LSN gap
-// wins. An image materializes from cs (nil means the document's default
-// chunk directory); because each image names every chunk of the full
-// document, a torn chunk or image fails that candidate whole and
-// recovery degrades to the next-older image — never a mix of two. It
-// returns the store and the LSN of the last replayed record (the
-// durable horizon); when no candidate recovers, an error wrapping
+// checkpoint plus the WAL. Every image on disk is a candidate, tried by
+// descending LSN, and the first one that loads cleanly and replays
+// without an LSN gap wins. An image materializes from cs (nil means the
+// document's default chunk directory); because each image names every
+// chunk of the full document, a torn chunk or image fails that candidate
+// whole and recovery degrades to the next-older image — never a mix of
+// two. It returns the store and the LSN of the last replayed record
+// (the durable horizon); when no candidate recovers, an error wrapping
 // ErrNoCheckpoint and the first candidate's failure.
 func Recover(dir, name string, log *wal.Log, cs chunkstore.Store) (*core.Store, uint64, error) {
 	if cs == nil {
 		cs = DefaultChunkStore(dir, name)
 	}
-	var candidates []string
-	if m, err := readManifest(dir, name); err == nil {
-		candidates = append(candidates, m.File)
-	}
 	imgs, _ := Images(dir, name)
-	for _, img := range imgs {
-		if len(candidates) == 0 || img.File != candidates[0] {
-			candidates = append(candidates, img.File)
-		}
-	}
-
 	var firstErr error
-	for _, file := range candidates {
-		store, lsn, err := tryRecover(filepath.Join(dir, file), log, cs)
+	for _, img := range imgs {
+		store, lsn, err := tryRecover(filepath.Join(dir, img.File), log, cs)
 		if err == nil {
 			if log != nil {
 				log.EnsureLSN(lsn)
@@ -611,29 +561,13 @@ func Recover(dir, name string, log *wal.Log, cs chunkstore.Store) (*core.Store, 
 			return store, lsn, nil
 		}
 		if firstErr == nil {
-			firstErr = fmt.Errorf("recovering from %s: %w", file, err)
+			firstErr = fmt.Errorf("recovering from %s: %w", img.File, err)
 		}
 	}
 	if firstErr == nil {
 		return nil, 0, fmt.Errorf("%w for %q in %s", ErrNoCheckpoint, name, dir)
 	}
 	return nil, 0, fmt.Errorf("%w for %q in %s: %w", ErrNoCheckpoint, name, dir, firstErr)
-}
-
-// readManifest loads and validates the manifest.
-func readManifest(dir, name string) (manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, name+manifestSuffix))
-	if err != nil {
-		return manifest{}, err
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return manifest{}, fmt.Errorf("ckpt: corrupt manifest: %w", err)
-	}
-	if m.File == "" || strings.ContainsAny(m.File, "/\\") {
-		return manifest{}, fmt.Errorf("ckpt: corrupt manifest: bad file %q", m.File)
-	}
-	return m, nil
 }
 
 // tryRecover loads one image and rolls it forward, insisting on

@@ -172,9 +172,7 @@ func TestOnlineCheckpointNonBlocking(t *testing.T) {
 	// The small test document yields only a handful of chunks; a per-Put
 	// pause keeps the streaming window wide enough to observe overlap.
 	const delay = 25 * time.Millisecond
-	e.ck.SetChunkWrapper(func(s chunkstore.Store) chunkstore.Store {
-		return &slowStore{Store: s, delay: delay}
-	})
+	e.ck.SetChunkStore(&slowStore{Store: DefaultChunkStore(e.dir, "d"), delay: delay})
 
 	stop := make(chan struct{})
 	var (
@@ -291,18 +289,22 @@ func TestTornArtifacts(t *testing.T) {
 		return e, e.baseXML(t)
 	}
 
+	newest := func(t *testing.T, e *env) Image {
+		t.Helper()
+		imgs, err := Images(e.dir, "d")
+		if err != nil || len(imgs) == 0 {
+			t.Fatalf("no image on disk: %v", err)
+		}
+		return imgs[0]
+	}
 	currentImage := func(t *testing.T, e *env) string {
 		t.Helper()
-		m, err := readManifest(e.dir, "d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return filepath.Join(e.dir, m.File)
+		return filepath.Join(e.dir, newest(t, e).File)
 	}
 
 	t.Run("LeftoverTmpFilesIgnored", func(t *testing.T) {
 		e, want := setup(t)
-		for _, junk := range []string{"d-00000000000000ff.ckpt.tmp", "d.manifest.tmp", "d.wal.tmp"} {
+		for _, junk := range []string{"d-00000000000000ff.ckpt.tmp", "d.wal.tmp"} {
 			if err := os.WriteFile(filepath.Join(e.dir, junk), []byte("torn garbage"), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +322,7 @@ func TestTornArtifacts(t *testing.T) {
 		}
 	})
 
-	t.Run("ManifestPointsAtMissingImage", func(t *testing.T) {
+	t.Run("NewestImageMissing", func(t *testing.T) {
 		e, want := setup(t)
 		if err := os.Remove(currentImage(t, e)); err != nil {
 			t.Fatal(err)
@@ -347,17 +349,6 @@ func TestTornArtifacts(t *testing.T) {
 		}
 	})
 
-	t.Run("CorruptManifest", func(t *testing.T) {
-		e, want := setup(t)
-		if err := os.WriteFile(filepath.Join(e.dir, "d.manifest"), []byte("{torn"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		store, _ := e.recover(t)
-		if got := viewXML(t, store); got != want {
-			t.Fatalf("corrupt manifest broke recovery:\nwant %s\ngot  %s", want, got)
-		}
-	})
-
 	t.Run("EmptySegmentTail", func(t *testing.T) {
 		e, want := setup(t)
 		segs := e.log.Segments()
@@ -373,35 +364,33 @@ func TestTornArtifacts(t *testing.T) {
 
 	t.Run("MissingSegmentBelowManifestIsHarmless", func(t *testing.T) {
 		e, want := setup(t)
-		m, err := readManifest(e.dir, "d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A sealed segment every record of which the manifest's image
-		// covers is dead weight (it exists only to serve the *previous*
-		// image); deleting it must not disturb manifest-rooted recovery.
+		// A sealed segment every record of which the newest image (and so
+		// the chunk manifest it holds) covers is dead weight (it exists
+		// only to serve the *previous* image); deleting it must not
+		// disturb recovery rooted at the newest image.
+		lsn := newest(t, e).LSN
 		var victim string
 		for _, seg := range e.log.Segments()[:len(e.log.Segments())-1] {
-			if seg.Records > 0 && seg.LastLSN <= m.LSN {
+			if seg.Records > 0 && seg.LastLSN <= lsn {
 				victim = seg.Path
 				break
 			}
 		}
 		if victim == "" {
-			t.Skip("layout kept no sealed segment below the manifest LSN")
+			t.Skip("layout kept no sealed segment below the newest image's LSN")
 		}
 		if err := os.Remove(victim); err != nil {
 			t.Fatal(err)
 		}
 		store, _ := e.recover(t)
 		if got := viewXML(t, store); got != want {
-			t.Fatalf("recovery needed a segment the manifest image covers:\nwant %s\ngot  %s", want, got)
+			t.Fatalf("recovery needed a segment the newest image covers:\nwant %s\ngot  %s", want, got)
 		}
 	})
 
 	t.Run("MissingNeededSegmentIsGapNotSilentLoss", func(t *testing.T) {
 		e, _ := setup(t)
-		// Delete the manifest image AND a sealed segment the previous
+		// Delete the newest image AND a sealed segment the previous
 		// image needs: the previous candidate must fail with a gap, not
 		// recover a hole-y document. (With the current image also gone
 		// nothing can recover — the point is the failure is loud.)
@@ -445,15 +434,12 @@ func TestPreviousCheckpointStaysRollable(t *testing.T) {
 	}
 	want := e.baseXML(t)
 
-	// Kill the newest image and the manifest outright.
-	m, err := readManifest(e.dir, "d")
-	if err != nil {
-		t.Fatal(err)
+	// Kill the newest image outright.
+	imgs, err := Images(e.dir, "d")
+	if err != nil || len(imgs) < 2 {
+		t.Fatalf("want two retained images, have %v (%v)", imgs, err)
 	}
-	if err := os.Remove(filepath.Join(e.dir, m.File)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(e.dir, "d.manifest")); err != nil {
+	if err := os.Remove(filepath.Join(e.dir, imgs[0].File)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -473,71 +459,81 @@ func TestRetireBoundsImageCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := os.ReadDir(e.dir)
+	imgs, err := Images(e.dir, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	images := 0
-	for _, en := range entries {
-		if _, ok := parseCkptLSN("d", en.Name()); ok {
-			images++
-		}
-	}
-	if images > 2 {
-		t.Fatalf("%d images on disk, want <= 2 (current + previous)", images)
+	if len(imgs) > 2 {
+		t.Fatalf("%d images on disk, want <= 2 (current + previous)", len(imgs))
 	}
 }
 
 func TestParseCkptLSN(t *testing.T) {
-	if lsn, ok := parseCkptLSN("d", ckptFile("d", 0xab)); !ok || lsn != 0xab {
-		t.Fatalf("round trip failed: %d %v", lsn, ok)
+	if doc, lsn, ok := DocumentOfArtifact(ckptFile("d", 0xab)); !ok || doc != "d" || lsn != 0xab {
+		t.Fatalf("round trip failed: %q %d %v", doc, lsn, ok)
 	}
-	for _, bad := range []string{"d.ckpt", "e-00000000000000ab.ckpt", "d-xyz.ckpt", "d-ab.ckpt", "d-00000000000000ab.ckpt.tmp"} {
-		if _, ok := parseCkptLSN("d", bad); ok {
-			t.Fatalf("parsed %q as an image", bad)
+	// Uppercase hex is never produced; reject it.
+	for _, bad := range []string{"d.ckpt", "d-xyz.ckpt", "d-ab.ckpt", "d-00000000000000AB.ckpt", "-00000000000000ab.ckpt", "d-00000000000000ab.ckpt.tmp"} {
+		if doc, _, ok := DocumentOfArtifact(bad); ok {
+			t.Fatalf("parsed %q as an image of %q", bad, doc)
 		}
 	}
 }
 
 func TestArtifactOwnershipBoundaries(t *testing.T) {
-	// ownsTmp must not claim a dash-sibling's in-flight tmp.
-	if ownsTmp("a", "a-b-00000000000000ff.ckpt.tmp") {
-		t.Fatal(`doc "a" claimed doc "a-b"'s image tmp`)
-	}
-	if !ownsTmp("a-b", "a-b-00000000000000ff.ckpt.tmp") {
-		t.Fatal("owner did not claim its own image tmp")
-	}
-	if !ownsTmp("a", "a.manifest.tmp") {
-		t.Fatal("owner did not claim its manifest tmp")
-	}
-	if ownsTmp("a", "a.ckpt.tmp") {
-		t.Fatal("a bare a.ckpt.tmp claimed: only LSN-stamped images are artifacts")
-	}
-	// Uppercase hex is never produced; reject it.
-	if _, ok := parseCkptLSN("d", "d-00000000000000AB.ckpt"); ok {
-		t.Fatal("uppercase hex accepted")
-	}
-	// DocumentOfArtifact mirrors the same rules.
+	// The one image-name parser: the document is everything before the
+	// last "-<16 hex>.ckpt", so a dash-prefix never claims a sibling.
 	cases := map[string]string{
-		"d.manifest":                "d",
 		"d-00000000000000ab.ckpt":   "d",
 		"a-b-00000000000000ff.ckpt": "a-b",
 	}
 	for file, want := range cases {
-		if got, ok := DocumentOfArtifact(file); !ok || got != want {
+		if got, _, ok := DocumentOfArtifact(file); !ok || got != want {
 			t.Fatalf("DocumentOfArtifact(%q) = %q/%v, want %q", file, got, ok, want)
 		}
 	}
-	for _, file := range []string{"d.manifest.tmp", "d-00000000000000ab.ckpt.tmp", "d.wal.00000001", "d.ckpt", "d.wal", "other.txt"} {
-		if name, ok := DocumentOfArtifact(file); ok {
+	// A <name>.manifest (the pointer builds before PR 24 wrote) is as
+	// foreign as a bare <name>.ckpt: no document exists because of it.
+	for _, file := range []string{"d.manifest", "d.manifest.tmp", "d-00000000000000ab.ckpt.tmp", "d.wal.00000001", "d.ckpt", "d.wal", "other.txt"} {
+		if name, _, ok := DocumentOfArtifact(file); ok {
 			t.Fatalf("DocumentOfArtifact(%q) claimed %q", file, name)
 		}
+	}
+
+	// The per-document scan claims exactly the document's images and
+	// their in-flight tmp files — not a dash-sibling's, not a manifest's,
+	// not a bare a.ckpt.tmp (only LSN-stamped images are artifacts).
+	dir := t.TempDir()
+	for _, f := range []string{
+		"a-0000000000000001.ckpt", "a-00000000000000ff.ckpt", "a-0000000000000100.ckpt.tmp",
+		"a-b-00000000000000ff.ckpt", "a-b-0000000000000100.ckpt.tmp",
+		"a.manifest", "a.manifest.tmp", "a.ckpt", "a.ckpt.tmp",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, f), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	imgs, tmps, err := scan(dir, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(imgs, tmps), "[{a-00000000000000ff.ckpt 255} {a-0000000000000001.ckpt 1}] [a-0000000000000100.ckpt.tmp]"; got != want {
+		t.Fatalf("scan(a) = %s, want %s", got, want)
+	}
+	if imgs, tmps, _ := scan(dir, "a-b"); fmt.Sprint(imgs, tmps) != "[{a-b-00000000000000ff.ckpt 255}] [a-b-0000000000000100.ckpt.tmp]" {
+		t.Fatalf("scan(a-b) = %v %v", imgs, tmps)
+	}
+	if got := CurrentLSN(dir, "a"); got != 0xff {
+		t.Fatalf("CurrentLSN(a) = %d, want 255 (the newest image's)", got)
+	}
+	if got := CurrentLSN(dir, "nobody"); got != 0 {
+		t.Fatalf("CurrentLSN(nobody) = %d, want 0", got)
 	}
 }
 
 // TestRemoveArtifactsSparesSiblings: removing "a"'s artifacts must not
 // touch "a-b"'s, even mid-checkpoint (its .tmp files included), nor a
-// bare a.ckpt, which is not an artifact.
+// bare a.ckpt or an a.manifest, which are not artifacts.
 func TestRemoveArtifactsSparesSiblings(t *testing.T) {
 	dir := t.TempDir()
 	for _, f := range []string{
@@ -557,8 +553,130 @@ func TestRemoveArtifactsSparesSiblings(t *testing.T) {
 	for _, e := range entries {
 		left = append(left, e.Name())
 	}
-	want := []string{"a-b-0000000000000001.ckpt", "a-b-0000000000000002.ckpt.tmp", "a-b.manifest", "a.ckpt"}
+	want := []string{"a-b-0000000000000001.ckpt", "a-b-0000000000000002.ckpt.tmp", "a-b.manifest", "a.ckpt", "a.manifest"}
 	if fmt.Sprint(left) != fmt.Sprint(want) {
 		t.Fatalf("left %v, want %v", left, want)
+	}
+}
+
+// TestRetentionCountsOnlyUsableImages: an image readImage refuses must
+// not hold the "previous image" slot. Checkpoint at LSN 1 and 2, tear
+// image 2, restart (recovery falls back to image 1 and replays to 2),
+// commit, checkpoint: the directory must hold image 3 and the readable
+// image 1 — not the torn image 2, with image 1 retired and the WAL
+// pruned to 2, which would leave nothing to fall back on.
+func TestRetentionCountsOnlyUsableImages(t *testing.T) {
+	e := newEnv(t, 160)
+	for _, name := range []string{"one", "two"} {
+		e.commitBook(t, "s1", name)
+		if _, err := e.ck.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn := filepath.Join(e.dir, ckptFile("d", 2))
+	fi, err := os.Stat(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(torn, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	e.log.Close()
+
+	log, err := wal.Open(filepath.Join(e.dir, "d.wal"), wal.Options{NoSync: true, SegmentBytes: 160})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	store, lsn, err := Recover(e.dir, "d", log, nil)
+	if err != nil || lsn != 2 {
+		t.Fatalf("recovery over the torn image: LSN %d, %v; want 2", lsn, err)
+	}
+	m := tx.NewManager(store, log)
+	e = &env{dir: e.dir, log: log, s: store, m: m, ck: New(e.dir, "d", log, m.PinCheckpoint)}
+	e.commitBook(t, "s2", "three")
+	if _, err := e.ck.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	imgs, err := Images(e.dir, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(imgs), fmt.Sprint([]Image{{ckptFile("d", 3), 3}, {ckptFile("d", 1), 1}}); got != want {
+		t.Fatalf("retained images %s, want %s", got, want)
+	}
+	// The previous retained image is one recovery can use.
+	want := e.baseXML(t)
+	if err := os.Remove(filepath.Join(e.dir, imgs[0].File)); err != nil {
+		t.Fatal(err)
+	}
+	got, lsn := e.recover(t)
+	if xml := viewXML(t, got); lsn != 3 || xml != want {
+		t.Fatalf("recovery from the previous image reached LSN %d:\nwant %s\ngot  %s", lsn, want, xml)
+	}
+}
+
+// TestDirectoryHoldsOnlyArtifacts: after several checkpoints a
+// document's directory entries are exactly its images, its WAL segments
+// and its chunk directory — no pointer file, no tmp — and a
+// <name>.manifest left by an older build is a foreign file: never read,
+// never removed.
+func TestDirectoryHoldsOnlyArtifacts(t *testing.T) {
+	e := newEnv(t, 160)
+	for round := 0; round < 4; round++ {
+		e.commitBook(t, "s1", fmt.Sprintf("r%d", round))
+		if _, err := e.ck.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(extra ...string) {
+		t.Helper()
+		want := map[string]bool{"d.chunks": true}
+		for _, f := range extra {
+			want[f] = true
+		}
+		imgs, err := Images(e.dir, "d")
+		if err != nil || len(imgs) != 2 {
+			t.Fatalf("images %v (%v), want 2", imgs, err)
+		}
+		for _, img := range imgs {
+			want[img.File] = true
+		}
+		for _, seg := range e.log.Segments() {
+			want[filepath.Base(seg.Path)] = true
+		}
+		entries, err := os.ReadDir(e.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, en := range entries {
+			if !want[en.Name()] {
+				t.Fatalf("unexpected directory entry %q", en.Name())
+			}
+			delete(want, en.Name())
+		}
+		if len(want) != 0 {
+			t.Fatalf("missing directory entries %v", want)
+		}
+	}
+	expect()
+
+	// A stale pointer naming a file that is not there changes nothing.
+	stale := []byte(`{"file":"d-00000000000000ee.ckpt","lsn":238}`)
+	if err := os.WriteFile(filepath.Join(e.dir, "d.manifest"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.commitBook(t, "s2", "after")
+	if lsn, err := e.ck.Run(); err != nil || e.ck.LastLSN() != lsn || CurrentLSN(e.dir, "d") != lsn {
+		t.Fatalf("Run = %d, %v; LastLSN %d, CurrentLSN %d", lsn, err, e.ck.LastLSN(), CurrentLSN(e.dir, "d"))
+	}
+	expect("d.manifest")
+	if got, err := os.ReadFile(filepath.Join(e.dir, "d.manifest")); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("the foreign d.manifest was touched: %q, %v", got, err)
+	}
+	store, _ := e.recover(t)
+	if got, want := viewXML(t, store), e.baseXML(t); got != want {
+		t.Fatalf("recovery beside a foreign d.manifest:\nwant %s\ngot  %s", want, got)
 	}
 }

@@ -36,10 +36,10 @@ type CrashConfig struct {
 	// batches (0: only the initial checkpoint).
 	CheckpointEvery int
 	// TearCkpt additionally tears a checkpoint artifact after the WAL
-	// cut — the newest image, the manifest pointer, or a pack file only
-	// the newest image references, truncated at a random offset, or one
-	// byte inverted inside a chunk only it references (held deflated if
-	// pages are large) — so recovery must degrade to the previous image.
+	// cut — the newest image or a pack file only the newest image
+	// references, truncated at a random offset, or one byte inverted
+	// inside a chunk only it references (held deflated if pages are
+	// large) — so recovery must degrade to the previous image.
 	// Requires CheckpointEvery > 0 (two images must be on disk).
 	TearCkpt bool
 	// KillInCompaction ends the run inside a checkpoint's chunk GC: the
@@ -58,8 +58,10 @@ type CrashConfig struct {
 // nothing — and the recovered document is bit-identical to the oracle
 // replayed to that same LSN. Recovery is then repeated to prove it is
 // deterministic (the first recovery's torn-tail truncation must not
-// change the outcome).
-func RunCrash(t *testing.T, cfg CrashConfig) {
+// change the outcome). It returns the shape of the checkpoint tear it
+// applied ("image", "pack" or "flip"; "" without TearCkpt), so a caller
+// running a matrix can prove every shape ran.
+func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dir := t.TempDir()
@@ -133,8 +135,8 @@ func RunCrash(t *testing.T, cfg CrashConfig) {
 	log.Close()
 	if cfg.KillInCompaction {
 		// The kill came inside the last checkpoint run, after its image
-		// and manifest were published and before any later commit: the
-		// copy holds the whole history, and that checkpoint is the floor.
+		// was published and before any later commit: the copy holds the
+		// whole history, and that checkpoint is the floor.
 		if killed == "" {
 			t.Fatalf("seed %d: %d batches caused no compaction to die in", cfg.Seed, cfg.Batches)
 		}
@@ -153,7 +155,7 @@ func RunCrash(t *testing.T, cfg CrashConfig) {
 		// Recovery may lose the newest image wholesale; the floor drops
 		// to the previous retained checkpoint, whose chunks and WAL
 		// records retention guarantees are still on disk.
-		floor = tearCkptArtifact(t, rng, dir)
+		floor, tore = tearCkptArtifact(t, rng, dir)
 	}
 
 	recovered, recLSN := recoverOnce(t, cfg, dir, walPath)
@@ -200,6 +202,7 @@ func RunCrash(t *testing.T, cfg CrashConfig) {
 	if got2 := serializeView(t, recovered2); got2 != got {
 		t.Fatalf("seed %d: second recovery produced different bytes", cfg.Seed)
 	}
+	return tore
 }
 
 func recoverOnce(t *testing.T, cfg CrashConfig, dir, walPath string) (*core.Store, uint64) {
@@ -262,15 +265,15 @@ func cutWAL(t *testing.T, rng *rand.Rand, walPath string) (noop bool) {
 }
 
 // tearCkptArtifact truncates one checkpoint artifact at a random
-// offset — the newest image, the document manifest, or a pack file
-// only the newest image reads from (a chunk shared with an older image
+// offset — the newest image ("image") or a pack file only the newest
+// image reads from ("pack"; a chunk shared with an older image
 // cannot be torn by a crash: the chunk store skips writes for chunks it
 // already holds) — or inverts one byte inside the stored bytes of a
-// chunk only the newest image references: the pack's index stays whole,
-// only inflating or hashing can tell. It returns the new recovery floor:
-// the LSN of the previous retained image, which must stay materializable
-// whatever was torn.
-func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
+// chunk only the newest image references ("flip"): the pack's index
+// stays whole, only inflating or hashing can tell. It returns the new
+// recovery floor — the LSN of the previous retained image, which must
+// stay materializable whatever was torn — and the shape it applied.
+func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) (floor uint64, shape string) {
 	t.Helper()
 	imgs, err := ckpt.Images(dir, "d")
 	if err != nil {
@@ -281,12 +284,8 @@ func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
 	}
 	newest, prev := imgs[0], imgs[1]
 	imgPath := filepath.Join(dir, newest.File)
-	switch kind := rng.Intn(4); kind {
-	case 0:
-		tearFile(t, rng, imgPath)
-	case 1:
-		tearFile(t, rng, filepath.Join(dir, "d.manifest"))
-	default:
+	shape = []string{"image", "pack", "flip"}[rng.Intn(3)]
+	if shape != "image" {
 		newHashes, err := ckpt.ImageChunks(imgPath)
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +325,7 @@ func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
 			}
 		}
 		switch {
-		case kind == 3 && len(unique) > 0:
+		case shape == "flip" && len(unique) > 0:
 			path, off, n, _ := cs.Locate(unique[rng.Intn(len(unique))])
 			pack, err := os.ReadFile(path)
 			if err != nil {
@@ -340,12 +339,16 @@ func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) uint64 {
 			// No churn between the checkpoints, or the sweep has already
 			// folded the newest chunks into a shared pack: nothing a
 			// crash could have torn; tear the image instead.
-			tearFile(t, rng, imgPath)
+			shape = "image"
 		default:
+			shape = "pack"
 			tearFile(t, rng, own[rng.Intn(len(own))])
 		}
 	}
-	return prev.LSN
+	if shape == "image" {
+		tearFile(t, rng, imgPath)
+	}
+	return prev.LSN, shape
 }
 
 // tearFile truncates path at a uniformly random offset strictly inside

@@ -146,10 +146,25 @@ func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		iters = crashIters(2)
 	}
-	for _, cfg := range CrashConfigs(iters) {
+	tore := map[string]int{}
+	ran := 0
+	cfgs := CrashConfigs(iters)
+	for _, cfg := range cfgs {
 		t.Run(crashName(cfg), func(t *testing.T) {
-			RunCrash(t, cfg)
+			tore[RunCrash(t, cfg)]++
+			ran++
 		})
+	}
+	// Coverage tripwire: over the whole matrix (not a -run selection of
+	// it) every checkpoint-tear shape must actually have run; the kill
+	// shape trips inside RunCrash if no compaction fired.
+	if ran < len(cfgs) || iters < 2 {
+		return
+	}
+	for _, shape := range []string{"image", "pack", "flip"} {
+		if tore[shape] == 0 {
+			t.Errorf("checkpoint-tear shape %q not exercised: %v", shape, tore)
+		}
 	}
 }
 

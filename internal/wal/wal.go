@@ -214,24 +214,19 @@ func (l *Log) segPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%s.%0*d", l.base, segWidth, seq))
 }
 
-// loadSegments globs and orders the on-disk segment files.
+// loadSegments lists the on-disk segment files in segment order.
 func (l *Log) loadSegments() error {
-	pattern := filepath.Join(l.dir, l.base+".*")
-	matches, err := filepath.Glob(pattern)
+	paths, err := SegmentPaths(filepath.Join(l.dir, l.base))
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	for _, m := range matches {
-		if !isSegmentName(l.base, filepath.Base(m)) {
-			continue // not a segment (e.g. a foreign ".tmp")
-		}
-		seq, err := strconv.ParseUint(m[len(m)-segWidth:], 10, 64)
+	for _, p := range paths {
+		seq, err := strconv.ParseUint(p[len(p)-segWidth:], 10, 64)
 		if err != nil || seq == 0 {
 			continue
 		}
-		l.segs = append(l.segs, &segment{seq: seq, path: m})
+		l.segs = append(l.segs, &segment{seq: seq, path: p})
 	}
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].seq < l.segs[j].seq })
 	return nil
 }
 
@@ -747,15 +742,9 @@ func SegmentPaths(path string) ([]string, error) {
 // (Drop uses it; matching is exact, so another document whose name
 // shares a prefix is never touched).
 func RemoveSegments(path string) {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if isSegmentName(base, e.Name()) {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
+	paths, _ := SegmentPaths(path)
+	for _, p := range paths {
+		os.Remove(p)
 	}
 }
 
@@ -789,6 +778,3 @@ func (l *Log) Close() error {
 	active.f = nil
 	return err
 }
-
-// Path returns the log's base path (segments live at Path().NNNNNNNN).
-func (l *Log) Path() string { return filepath.Join(l.dir, l.base) }

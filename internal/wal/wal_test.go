@@ -249,14 +249,6 @@ func TestReplayCallbackError(t *testing.T) {
 	}
 }
 
-func TestPathAccessor(t *testing.T) {
-	l, path := openTemp(t)
-	defer l.Close()
-	if l.Path() != path {
-		t.Fatalf("Path() = %q, want %q", l.Path(), path)
-	}
-}
-
 func TestSyncedAppend(t *testing.T) {
 	// Exercise the fsync path (Options without NoSync).
 	path := filepath.Join(t.TempDir(), "synced.wal")

@@ -81,7 +81,7 @@
 // gets a checkpoint's missing chunks as one batch, any other gets one
 // Put per chunk). Completion is published
 // atomically (chunks synced first, then tmp+rename+fsync of the image,
-// then of a manifest), and only WAL segments wholly below the pinned
+// the one commit point), and only WAL segments wholly below the pinned
 // LSN are deleted — a commit racing the checkpoint lives in a segment
 // the prune keeps, so it can never be lost, by construction.
 // Options.CheckpointEvery runs this automatically in a per-document
@@ -94,10 +94,10 @@
 // CkptChunksReused / CkptDedupeRatio the incremental win,
 // Stats.CkptBytesStored what the written chunks take on disk, and
 // Stats.CkptBytesCompacted what chunk GC rewrote to reclaim space);
-// Database.Close drains it. Recovery loads the manifest's image and
+// Database.Close drains it. Recovery loads the newest image and
 // replays the segments above its LSN, degrading to the previous image
 // over torn artifacts (leftover *.tmp, missing or torn image, torn or
-// missing chunk, corrupt manifest) — each image names every chunk of
+// missing chunk) — each image names every chunk of
 // the full document, so a candidate materializes whole or is skipped
 // whole, never mixed — and never to silent loss: replay insists on
 // gap-free LSNs.
@@ -180,6 +180,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -252,10 +253,10 @@ type Options struct {
 	FillFactor float64
 	// Dir, when non-empty, enables durability: each document gets a
 	// segmented write-ahead log (<name>.wal.NNNNNNNN), LSN-stamped
-	// checkpoint images (<name>-<lsn>.ckpt) and a crash-safe manifest
-	// (<name>.manifest) in Dir, and Open recovers every checkpointed
-	// document found there (manifest first, degrading to older images
-	// over torn artifacts).
+	// checkpoint images (<name>-<lsn>.ckpt) and a chunk directory
+	// (<name>.chunks/) in Dir, and Open recovers every document with an
+	// image there (newest image first, degrading to older images over
+	// torn artifacts).
 	Dir string
 	// NoSync skips fsync on WAL appends (faster, test-friendly).
 	NoSync bool
@@ -329,28 +330,21 @@ func Open(opts Options) (*Database, error) {
 	return db, nil
 }
 
-// checkpointedDocs lists document names with recovery artifacts in dir:
-// a manifest or an LSN-stamped image.
+// checkpointedDocs lists, sorted, the names of the documents with an
+// LSN-stamped image in dir.
 func checkpointedDocs(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	seen := map[string]bool{}
 	var names []string
-	add := func(n string) {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
 	for _, e := range entries {
-		if name, ok := ckpt.DocumentOfArtifact(e.Name()); ok {
-			add(name)
+		if name, _, ok := ckpt.DocumentOfArtifact(e.Name()); ok {
+			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	return names
+	return slices.Compact(names)
 }
 
 // walPath is the base path of the document's WAL segments.
@@ -403,10 +397,6 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *D
 	}
 	d.tracker = repl.NewTracker()
 	d.ckpter.SetPruneBarrier(d.tracker.Barrier)
-	// The policy measures the WAL tail beyond the last checkpoint; start
-	// from the manifest's LSN so records a previous session already
-	// checkpointed (but whose segment is not yet prunable) don't count.
-	d.lastCkptLSN.Store(ckpt.CurrentLSN(db.opts.Dir, name))
 	if db.opts.CheckpointEvery.enabled() {
 		d.autoC = make(chan struct{}, 1)
 		d.stopC = make(chan struct{})
@@ -558,7 +548,7 @@ func (db *Database) Drop(name string) error {
 		wal.RemoveSegments(db.walPath(name))
 		ckpt.RemoveArtifacts(db.opts.Dir, name)
 		// Dropping the document is the one case chunks go too: no future
-		// manifest of this document will reference them. (Only the default
+		// image of this document will reference them. (Only the default
 		// local store — a caller-supplied ChunkStore manages its own data.)
 		if db.opts.ChunkStore == nil {
 			ckpt.RemoveChunks(db.opts.Dir, name)

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"mxq/internal/ckpt"
 	"mxq/internal/tx"
 	"mxq/internal/validate"
 )
@@ -320,8 +323,8 @@ func TestPreparedQueries(t *testing.T) {
 
 // TestAutoCheckpointPolicy: with Options.CheckpointEvery set, the
 // background goroutine must checkpoint once the WAL tail exceeds the
-// policy, prune covered segments, and leave a recoverable manifest;
-// Close must drain it cleanly.
+// policy, prune covered segments, and leave a recoverable image — and
+// no pointer file beside it; Close must drain it cleanly.
 func TestAutoCheckpointPolicy(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{
@@ -350,8 +353,11 @@ func TestAutoCheckpointPolicy(t *testing.T) {
 	want, _ := doc.XML()
 	db.Close() // drains the auto goroutine
 
-	if _, err := os.Stat(filepath.Join(dir, "lib.manifest")); err != nil {
-		t.Fatalf("no manifest after auto checkpoint: %v", err)
+	if imgs, err := ckpt.Images(dir, "lib"); err != nil || len(imgs) == 0 {
+		t.Fatalf("no image after auto checkpoint: %v; dir: %v", err, ls(t, dir))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "lib.manifest")); !os.IsNotExist(err) {
+		t.Fatalf("a checkpoint wrote lib.manifest (%v); dir: %v", err, ls(t, dir))
 	}
 	db2, err := Open(Options{Dir: dir, NoSync: true})
 	if err != nil {
@@ -367,6 +373,78 @@ func TestAutoCheckpointPolicy(t *testing.T) {
 	}
 	if n, _ := doc2.Count(`//book[text()="auto"]`); n != 12 {
 		t.Fatalf("auto-checkpointed commits lost: %d of 12", n)
+	}
+}
+
+// TestRacingCheckpointsNeverRegressBaseline: manual Checkpoint calls
+// racing the auto goroutine return in any order, but the baseline the
+// policy and Stats measure the WAL tail against (the checkpointer's
+// last-published LSN) only moves forward — so once the writer is quiet
+// Stats().WALRecords never grows, and the last checkpoint leaves it 0.
+func TestRacingCheckpointsNeverRegressBaseline(t *testing.T) {
+	db, err := Open(Options{
+		Dir: t.TempDir(), NoSync: true,
+		CheckpointEvery: CheckpointPolicy{Records: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("lib", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	race := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					fn()
+				}
+			}
+		}()
+	}
+	checkpoint := func() {
+		if err := doc.Checkpoint(); err != nil {
+			t.Errorf("racing manual checkpoint: %v", err)
+		}
+	}
+	race(checkpoint)
+	race(checkpoint)
+	var baseline uint64
+	race(func() {
+		cur := doc.ckpter.LastLSN()
+		if cur < baseline {
+			t.Errorf("checkpoint baseline went back from LSN %d to %d", baseline, cur)
+		}
+		baseline = cur
+	})
+	for i := 0; i < 40; i++ {
+		if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>race</book></xupdate:append>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The writer is quiet; checkpoints (two manual loops, maybe an auto
+	// one still in flight) keep finishing: the tail may only shrink.
+	tail := doc.Stats().WALRecords
+	for i := 0; i < 200; i++ {
+		if now := doc.Stats().WALRecords; now > tail {
+			t.Fatalf("WAL tail beyond the last checkpoint grew %d -> %d with no commit in flight", tail, now)
+		} else {
+			tail = now
+		}
+	}
+	close(stop)
+	wg.Wait()
+	checkpoint()
+	if st := doc.Stats(); st.WALRecords != 0 {
+		t.Fatalf("after the last checkpoint the tail is %d records: %+v", st.WALRecords, st)
 	}
 }
 
@@ -456,13 +534,14 @@ func TestDropSparesDashSiblingDocuments(t *testing.T) {
 	}
 }
 
-// TestBareFilesAreForeign: only <name>.manifest, <name>-<lsn>.ckpt and
-// <name>.wal.NNNNNNNN are a document's artifacts. A bare <name>.ckpt or
-// <name>.wal names no document on open and survives another document's
-// checkpoints.
+// TestBareFilesAreForeign: only <name>-<lsn>.ckpt, <name>.wal.NNNNNNNN
+// and <name>.chunks/ are a document's artifacts. A bare <name>.ckpt or
+// <name>.wal, or the <name>.manifest pointer an older build wrote, names
+// no document on open and survives another document's checkpoints and
+// its own namesake's Drop.
 func TestBareFilesAreForeign(t *testing.T) {
 	dir := t.TempDir()
-	bare := []string{"x.ckpt", "x.wal", "lib.ckpt"}
+	bare := []string{"x.ckpt", "x.wal", "x.manifest", "lib.ckpt", "lib.manifest"}
 	for _, f := range bare {
 		if err := os.WriteFile(filepath.Join(dir, f), []byte("eight or more arbitrary bytes"), 0o644); err != nil {
 			t.Fatal(err)
@@ -492,6 +571,16 @@ func TestBareFilesAreForeign(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("checkpoint retirement touched %s: %v", f, err)
 		}
+	}
+	if err := db.Drop("lib"); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(bare)
+	if got := ls(t, dir); !slices.Equal(got, bare) {
+		t.Fatalf("after Drop the directory holds %v, want only the foreign files %v", got, bare)
+	}
+	if _, err := db.OpenDocument("x"); !errors.Is(err, ErrNoDocument) {
+		t.Fatalf("OpenDocument of a name with only foreign files = %v, want ErrNoDocument", err)
 	}
 }
 
