@@ -94,9 +94,9 @@ func TestCheckpointIncrementalSavings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	doc2, ok := db2.Document("site")
-	if !ok {
-		t.Fatal("document did not recover")
+	doc2, err := db2.OpenDocument("site")
+	if err != nil {
+		t.Fatalf("document did not recover: %v", err)
 	}
 	got, err := doc2.XML()
 	if err != nil {

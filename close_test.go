@@ -2,6 +2,8 @@ package mxq
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -102,12 +104,15 @@ func TestCloseDocumentReopen(t *testing.T) {
 	if err := db.CloseDocument("lib"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.Document("lib"); ok {
-		t.Fatal("document still registered after CloseDocument")
+	if err := doc.Checkpoint(); !errors.Is(err, ckpt.ErrClosed) {
+		t.Fatalf("Checkpoint on the closed instance = %v, want ckpt.ErrClosed", err)
 	}
 	doc2, err := db.OpenDocument("lib")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if doc2 == doc {
+		t.Fatal("OpenDocument after CloseDocument returned the detached instance")
 	}
 	if got, _ := doc2.XML(); got != want {
 		t.Fatalf("reopened state differs:\nwant %s\ngot  %s", want, got)
@@ -128,15 +133,66 @@ func TestCloseDocumentReopen(t *testing.T) {
 	}
 }
 
-// TestLazyOpen: with Options.LazyOpen, Open recovers nothing eagerly;
-// OpenDocument recovers on first use and errors on unknown names and
+// TestOpenAttachesOnFirstUse: Open recovers nothing — it succeeds over
+// a directory whose only image of one document is torn, and that
+// document's first OpenDocument reports the failure. OpenDocument
+// recovers the others on first use and errors on unknown names and
 // closed databases.
-func TestLazyOpen(t *testing.T) {
+func TestOpenAttachesOnFirstUse(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want string
+	for _, name := range []string{"lib", "torn"} {
+		doc, err := db.LoadXMLString(name, libDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := doc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		want, _ = doc.XML() // the same for both
+	}
+	db.Close()
+	imgs, err := ckpt.Images(dir, "torn")
+	if err != nil || len(imgs) != 1 {
+		t.Fatalf("images of torn = %v, %v; want one", imgs, err)
+	}
+	if err := os.Truncate(filepath.Join(dir, imgs[0].File), 10); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatalf("Open over a torn image: %v", err)
+	}
+	if _, err := db2.OpenDocument("torn"); err == nil || errors.Is(err, ErrNoDocument) {
+		t.Fatalf("OpenDocument over a torn image = %v, want the recovery failure", err)
+	}
+	doc2, err := db2.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := doc2.XML(); got != want {
+		t.Fatalf("recovered state differs:\nwant %s\ngot  %s", want, got)
+	}
+	if _, err := db2.OpenDocument("nope"); !errors.Is(err, ErrNoDocument) {
+		t.Fatalf("OpenDocument of unknown name = %v, want ErrNoDocument", err)
+	}
+	db2.Close()
+	if _, err := db2.OpenDocument("lib"); !errors.Is(err, ErrDatabaseClosed) {
+		t.Fatalf("OpenDocument after Close = %v, want ErrDatabaseClosed", err)
+	}
+}
+
+// closeThrottled loads and checkpoints "lib", commits past the image,
+// throttles its chunk store and starts CloseDocument; it returns once
+// the final checkpoint is mid-stream, with the document's XML and last
+// LSN and a channel that yields CloseDocument's result.
+func closeThrottled(t *testing.T, db *Database, dir string) (doc *Document, want string, lsn uint64, closed <-chan error) {
+	t.Helper()
 	doc, err := db.LoadXMLString("lib", libDoc)
 	if err != nil {
 		t.Fatal(err)
@@ -144,28 +200,80 @@ func TestLazyOpen(t *testing.T) {
 	if err := doc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := doc.XML()
-	db.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>fence</book></xupdate:append>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ = doc.XML()
+	streaming := make(chan struct{})
+	var once sync.Once
+	doc.ckpter.SetChunkStore(&slowChunks{
+		Store: ckpt.DefaultChunkStore(dir, "lib"),
+		start: func() { once.Do(func() { close(streaming) }) },
+		delay: 20 * time.Millisecond,
+	})
+	errc := make(chan error, 1)
+	go func() { errc <- db.CloseDocument("lib") }()
+	<-streaming
+	return doc, want, doc.LastLSN(), errc
+}
 
-	db2, err := Open(Options{Dir: dir, NoSync: true, LazyOpen: true})
+// TestOpenDocumentWaitsOutCloseDocument: an OpenDocument issued while
+// CloseDocument's final checkpoint is still writing waits for the name's
+// artifacts to settle. It returns a new instance recovered from the
+// published final image — never a second live instance over the WAL the
+// closing one still holds.
+func TestOpenDocumentWaitsOutCloseDocument(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db2.Document("lib"); ok {
-		t.Fatal("LazyOpen recovered eagerly")
-	}
-	doc2, err := db2.OpenDocument("lib")
+	defer db.Close()
+	doc, want, lsn, closed := closeThrottled(t, db, dir)
+	doc2, err := db.OpenDocument("lib")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := ckpt.CurrentLSN(dir, "lib"); got != lsn {
+		t.Fatalf("OpenDocument returned before the final image: newest image at LSN %d, want %d", got, lsn)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if doc2 == doc {
+		t.Fatal("OpenDocument returned the closing instance")
 	}
 	if got, _ := doc2.XML(); got != want {
-		t.Fatalf("lazily recovered state differs:\nwant %s\ngot  %s", want, got)
+		t.Fatalf("reopened state differs:\nwant %s\ngot  %s", want, got)
 	}
-	if _, err := db2.OpenDocument("nope"); err == nil {
-		t.Fatal("OpenDocument of unknown name succeeded")
+	if err := doc.Checkpoint(); !errors.Is(err, ckpt.ErrClosed) {
+		t.Fatalf("Checkpoint on the closed instance = %v, want ckpt.ErrClosed", err)
 	}
-	db2.Close()
-	if _, err := db2.OpenDocument("lib"); !errors.Is(err, ErrDatabaseClosed) {
-		t.Fatalf("OpenDocument after Close = %v, want ErrDatabaseClosed", err)
+}
+
+// TestCloseWakesFenceWaiters: a lookup waiting out a CloseDocument fails
+// with ErrDatabaseClosed when the database closes under it.
+func TestCloseWakesFenceWaiters(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, closed := closeThrottled(t, db, dir)
+	opened := make(chan error, 1)
+	go func() {
+		_, err := db.OpenDocument("lib")
+		opened <- err
+	}()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-opened; !errors.Is(err, ErrDatabaseClosed) {
+		t.Fatalf("OpenDocument waiting on a closing document = %v, want ErrDatabaseClosed", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,11 +2,13 @@
 // package documentation for the wire protocol and client/ for the Go
 // client. It drains gracefully on SIGINT/SIGTERM: in-flight requests
 // finish (under -drain-timeout), sessions release their snapshots, then
-// the database closes, flushing WAL segments and checkpointers.
+// the database closes, flushing WAL segments and checkpointers. With
+// -dir it serves every document checkpointed there, each recovered on
+// its first request.
 //
 // With -follow, mxqd runs as a read replica: it subscribes every
-// document of the primary at the given address (bootstrapping empty
-// replicas from checkpoint images, then replaying the WAL as the
+// document of the primary at the given address (an empty replica
+// bootstraps from a checkpoint image, then replays the WAL as the
 // primary commits), serves the same read protocol, and rejects writes
 // with a typed read-only error. Reads carry read-your-writes LSNs, so
 // a client that wrote on the primary never silently reads an older
@@ -36,7 +38,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:4477", "listen address")
 	dir := flag.String("dir", "", "durability directory (segmented WAL + checkpoints); empty = in-memory")
 	follow := flag.String("follow", "", "primary address: run as a read-only replica of every document there (requires -dir)")
-	lazy := flag.Bool("lazy", true, "with -dir: open documents on first use instead of recovering all at startup")
 	nosync := flag.Bool("nosync", false, "skip fsync on WAL appends")
 	ckptBytes := flag.Int64("ckpt-bytes", 0, "auto-checkpoint once the WAL tail exceeds this many bytes (0 = off)")
 	ckptRecords := flag.Int("ckpt-records", 0, "auto-checkpoint once the WAL tail exceeds this many records (0 = off)")
@@ -60,7 +61,7 @@ func main() {
 	}
 
 	db, err := mxq.Open(mxq.Options{
-		Dir: *dir, NoSync: *nosync, LazyOpen: *lazy,
+		Dir: *dir, NoSync: *nosync,
 		CheckpointEvery: mxq.CheckpointPolicy{Bytes: *ckptBytes, Records: *ckptRecords},
 	})
 	if err != nil {

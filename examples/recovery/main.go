@@ -121,15 +121,15 @@ func main() {
 	fmt.Println("\n-- crash --")
 
 	// Session 2: recovery = newest checkpoint image (the chunks it
-	// names) + WAL replay.
+	// names) + WAL replay, on the document's first OpenDocument.
 	db2, err := mxq.Open(mxq.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db2.Close()
-	doc2, ok := db2.Document("ledger")
-	if !ok {
-		log.Fatal("ledger not recovered")
+	doc2, err := db2.OpenDocument("ledger")
+	if err != nil {
+		log.Fatal(err)
 	}
 	got, err := doc2.XML()
 	if err != nil {

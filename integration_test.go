@@ -226,9 +226,9 @@ func TestFacadeEndToEndWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	doc2, ok := db2.Document("inv")
-	if !ok {
-		t.Fatal("document lost")
+	doc2, err := db2.OpenDocument("inv")
+	if err != nil {
+		t.Fatalf("document lost: %v", err)
 	}
 	got, _ := doc2.XML()
 	if got != want {

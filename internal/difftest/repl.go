@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mxq"
 	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
 	"mxq/internal/core"
@@ -22,14 +25,14 @@ import (
 
 // ReplConfig describes one replication workload: a seeded primary
 // commits batches through the transaction manager while a follower —
-// subscribed over a real loopback connection through repl.Serve and
-// repl.Follower — replays them. The follower is repeatedly
-// disconnected mid-stream, crash-restarted from its own durability
-// directory (optionally with its WAL cut at a random byte offset, the
-// same injection the crash mode uses), and left behind while the
-// primary commits and prunes — forcing both resume paths: gap-free WAL
-// replay and re-bootstrap from a pinned image (manifest, then only the
-// chunks the follower's chunk store is missing).
+// the product's, an mxq.Database running FollowDocument over a real
+// loopback connection to repl.Serve — replays them. The follower is
+// repeatedly disconnected mid-stream, crash-restarted from its own
+// durability directory (optionally with its WAL cut at a random byte
+// offset, the same injection the crash mode uses), and left behind
+// while the primary commits and prunes — forcing both resume paths:
+// gap-free WAL replay and re-bootstrap from a pinned image (manifest,
+// then only the chunks the follower's chunk store is missing).
 type ReplConfig struct {
 	Seed     int64
 	Rounds   int // disconnect / crash / reconnect cycles
@@ -43,7 +46,7 @@ type ReplConfig struct {
 	// outrun a disconnected follower, forcing snapshot re-bootstraps.
 	SegmentBytes    int64
 	CheckpointEvery int // primary checkpoint every N commits (0: initial only)
-	FollowerCkpt    int // follower local checkpoint every N applied batches
+	FollowerCkpt    int // the follower's CheckpointEvery.Records (0: bootstrap images only)
 	// ForceLap keeps committing and checkpointing while the follower is
 	// away until its LSN is pruned out of the primary's WAL, so every
 	// reconnect after the first provably takes the snapshot path.
@@ -53,9 +56,9 @@ type ReplConfig struct {
 // RunRepl executes one replication workload. The contract it checks:
 // a follower is at all times a crash-recovered image of the primary at
 // its applied LSN — after every disconnect, crash, WAL cut and
-// re-bootstrap, the follower's store is bit-identical to the naive
-// oracle replayed to exactly the LSN the follower reports applied, and
-// a connected follower always converges to the primary's tail. It also
+// re-bootstrap, the follower's document serializes exactly like the
+// naive oracle replayed to the LSN the follower reports applied, and a
+// connected follower always converges to the primary's tail. It also
 // checks the prune fence: while a follower subscription is live, the
 // primary's WAL can always stream past the tracker's barrier.
 func RunRepl(t *testing.T, cfg ReplConfig) {
@@ -82,10 +85,18 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 	}
 
 	src := repl.Source{Name: "d", Log: log, Pin: m.PinCheckpoint, Track: tracker}
-	addr, shutdown := serveRepl(t, src)
+	var subs wireLog
+	addr, shutdown := serveRepl(t, src, &subs)
 	defer shutdown()
 
-	sink := newReplSink(t.TempDir(), wal.Options{NoSync: true, SegmentBytes: cfg.SegmentBytes}, cfg.FollowerCkpt)
+	f := &replFollower{opts: mxq.Options{
+		Dir: t.TempDir(), NoSync: true, WALSegmentBytes: cfg.SegmentBytes,
+		CheckpointEvery: mxq.CheckpointPolicy{Records: cfg.FollowerCkpt},
+	}}
+	f.open(t)
+	defer func() { f.db.Close() }()
+	stop := func() {} // stopped on every exit: shutdown waits out its connection
+	defer func() { stop() }()
 
 	// The committed history keyed by commit LSN; the oracle replays a
 	// prefix of it at every verification point.
@@ -134,27 +145,29 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 		// segments and frequent checkpoints this outruns the follower's
 		// LSN, so the reconnect takes the snapshot path.
 		commit(cfg.Offline)
-		if cfg.ForceLap {
-			if applied, ok := sink.applied(); ok {
-				lapped := false
-				for lap := 0; lap < 50; lap++ {
-					if !log.CanStream(applied) {
-						lapped = true
-						break
-					}
-					commit(1)
-					if _, err := ck.Run(); err != nil {
-						t.Fatalf("seed %d: lap checkpoint: %v", cfg.Seed, err)
-					}
+		if d := f.doc(); cfg.ForceLap && d != nil {
+			applied := d.AppliedLSN()
+			lapped := false
+			for lap := 0; lap < 50; lap++ {
+				if !log.CanStream(applied) {
+					lapped = true
+					break
 				}
-				if !lapped {
-					t.Fatalf("seed %d round %d: could not prune the primary past follower LSN %d",
-						cfg.Seed, round, applied)
+				commit(1)
+				if _, err := ck.Run(); err != nil {
+					t.Fatalf("seed %d: lap checkpoint: %v", cfg.Seed, err)
 				}
+			}
+			if !lapped {
+				t.Fatalf("seed %d round %d: could not prune the primary past follower LSN %d",
+					cfg.Seed, round, applied)
 			}
 		}
 
-		stop := startFollower(t, addr, sink)
+		stop, err = f.db.FollowDocument(addr, "d")
+		if err != nil {
+			t.Fatalf("seed %d: %v", cfg.Seed, err)
+		}
 		commit(cfg.Batches)
 
 		final := round == cfg.Rounds
@@ -163,10 +176,9 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 			// tail, then verify full agreement with both the oracle and
 			// the primary's live store.
 			tail := log.LastLSN()
-			waitApplied(t, cfg, sink, tail)
+			waitApplied(t, cfg, f, tail)
 			stop()
-			got := serializeView(t, sink.view())
-			oracleCheckRepl(t, cfg, tree, batches, got, tail, "converged follower")
+			got := oracleCheckRepl(t, cfg, tree, batches, f.doc(), tail, "converged follower")
 			rv := m.AcquireRead()
 			primary := serializeView(t, rv.View())
 			rv.Close()
@@ -179,61 +191,53 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 			// happens to be. The follower must still be a clean prefix.
 			time.Sleep(time.Duration(rng.Intn(25)) * time.Millisecond)
 			stop()
-			if applied, ok := sink.appliedQuiesced(); ok {
+			if d := f.doc(); d != nil {
+				applied := d.AppliedLSN()
 				if applied > log.LastLSN() {
 					t.Fatalf("seed %d round %d: follower applied %d beyond primary tail %d",
 						cfg.Seed, round, applied, log.LastLSN())
 				}
-				oracleCheckRepl(t, cfg, tree, batches, serializeView(t, sink.view()), applied, "mid-stream follower")
+				oracleCheckRepl(t, cfg, tree, batches, d, applied, "mid-stream follower")
 			}
 		}
 
-		// Crash the follower process: drop all in-memory state, optionally
-		// cut its WAL at a random byte offset, recover from its own
-		// artifacts, and check the recovered image against the oracle at
-		// the LSN recovery reports.
-		if recLSN, ok := sink.crash(t, rng, cfg); ok {
-			oracleCheckRepl(t, cfg, tree, batches, serializeView(t, sink.view()), recLSN, "crash-recovered follower")
+		// Crash the follower process: close it, optionally cut its WAL at
+		// a random byte offset, recover from its own artifacts, and check
+		// the recovered document against the oracle at the LSN it
+		// reports.
+		if d := f.crash(t, rng, cfg); d != nil {
+			oracleCheckRepl(t, cfg, tree, batches, d, d.AppliedLSN(), "crash-recovered follower")
 		}
 	}
 
-	if sinkErr := sink.err(); sinkErr != nil {
-		t.Fatalf("seed %d: follower sink recorded error: %v", cfg.Seed, sinkErr)
+	// Coverage tripwires, read off the wire: the lapping shape must have
+	// answered a follower that had state with a snapshot, and — every
+	// round ending in a follower crash-restart that keeps its chunk store
+	// — at least one such re-bootstrap must have shipped fewer chunks
+	// than its image names (transfer is O(churn), not O(document); the
+	// count is held against the image's own size, because random subtree
+	// deletes and inserts resize the document between bootstraps); and a
+	// never-pruned primary must never push a follower with state off the
+	// gap-free WAL-replay path.
+	rebootstraps, reused := subs.rebootstraps()
+	if cfg.ForceLap && (rebootstraps == 0 || reused == 0) {
+		t.Fatalf("seed %d: lapped follower: %d re-bootstraps, %d of them reusing local chunks; want both > 0",
+			cfg.Seed, rebootstraps, reused)
 	}
-
-	// Coverage tripwires: the lapping shape must have taken the snapshot
-	// re-bootstrap path and — every round ending in a follower
-	// crash-restart that keeps its chunk store — at least one re-bootstrap
-	// must have fetched fewer chunks than a cold bootstrap of the same
-	// image would, which is every chunk it names (transfer is O(churn),
-	// not O(document); the count is held against the image's own size, not
-	// the first bootstrap's, because random subtree deletes and inserts
-	// resize the document between bootstraps); and a never-pruned primary
-	// must never push a follower off the gap-free WAL-replay path.
-	fetches := sink.bootstrapFetches()
-	boots := len(fetches)
-	if cfg.ForceLap && boots < 2 {
-		t.Fatalf("seed %d: snapshot re-bootstrap path not exercised (%d bootstraps)", cfg.Seed, boots)
-	}
-	if cfg.ForceLap {
-		reused := false
-		for _, f := range fetches[1:] {
-			reused = reused || f.fetched < f.named
-		}
-		if !reused {
-			t.Fatalf("seed %d: no re-bootstrap reused a local chunk: {fetched named} per bootstrap %v", cfg.Seed, fetches)
-		}
-	}
-	if cfg.CheckpointEvery == 0 && !cfg.ForceLap && boots != 1 {
-		t.Fatalf("seed %d: pruning disabled but follower bootstrapped %d times (want exactly the initial one)",
-			cfg.Seed, boots)
+	if cfg.CheckpointEvery == 0 && !cfg.ForceLap && rebootstraps > 0 {
+		t.Fatalf("seed %d: pruning disabled but a follower with state was answered with a snapshot %d times",
+			cfg.Seed, rebootstraps)
 	}
 }
 
 // oracleCheckRepl replays a fresh oracle to lsn and compares it against
-// the already-serialized follower bytes.
-func oracleCheckRepl(t *testing.T, cfg ReplConfig, tree *shred.Tree, batches map[uint64][]op, got string, lsn uint64, who string) {
+// the follower's document, returning the document's XML.
+func oracleCheckRepl(t *testing.T, cfg ReplConfig, tree *shred.Tree, batches map[uint64][]op, d *mxq.Document, lsn uint64, who string) string {
 	t.Helper()
+	got, err := d.XML()
+	if err != nil {
+		t.Fatalf("seed %d: serializing %s: %v", cfg.Seed, who, err)
+	}
 	oracle, err := naive.Build(tree)
 	if err != nil {
 		t.Fatalf("seed %d: building oracle: %v", cfg.Seed, err)
@@ -249,14 +253,15 @@ func oracleCheckRepl(t *testing.T, cfg ReplConfig, tree *shred.Tree, batches map
 		t.Fatalf("seed %d: %s diverges from oracle at LSN %d\nfollower: %s\noracle:   %s",
 			cfg.Seed, who, lsn, got, want)
 	}
+	return got
 }
 
 // serveRepl runs a minimal subscription listener: Hello is answered
-// with replication, SubscribeWAL hands the connection to
-// repl.Serve. shutdown closes the listener and waits out every
-// connection (the follower must be stopped first — its death is what
-// unblocks Serve).
-func serveRepl(t *testing.T, src repl.Source) (addr string, shutdown func()) {
+// with replication, SubscribeWAL hands the connection to repl.Serve
+// through a tap that records the subscription in subs. shutdown closes
+// the listener and waits out every connection (the follower must be
+// stopped first — its death is what unblocks Serve).
+func serveRepl(t *testing.T, src repl.Source, subs *wireLog) (addr string, shutdown func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -275,7 +280,7 @@ func serveRepl(t *testing.T, src repl.Source) (addr string, shutdown func()) {
 			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				replConn(conn, src)
+				replConn(conn, src, subs)
 			}()
 		}
 	}()
@@ -285,7 +290,7 @@ func serveRepl(t *testing.T, src repl.Source) (addr string, shutdown func()) {
 	}
 }
 
-func replConn(conn net.Conn, src repl.Source) {
+func replConn(conn net.Conn, src repl.Source, subs *wireLog) {
 	for {
 		fr, err := wire.ReadFrame(conn, 0)
 		if err != nil {
@@ -307,7 +312,11 @@ func replConn(conn net.Conn, src repl.Source) {
 			if err != nil {
 				return
 			}
-			repl.Serve(conn, fr.ID, after, src, 0, nil)
+			sub := &subscription{after: after}
+			subs.mu.Lock()
+			subs.subs = append(subs.subs, sub)
+			subs.mu.Unlock()
+			repl.Serve(tap{conn, subs, sub}, fr.ID, after, src, 0, nil)
 			return
 		default:
 			return
@@ -315,250 +324,162 @@ func replConn(conn net.Conn, src repl.Source) {
 	}
 }
 
-// startFollower runs one subscription until its stop function is
-// called; the stop function waits the follower's goroutine out, so
-// after it returns the sink is quiescent.
-func startFollower(t *testing.T, addr string, sink *replSink) (stop func()) {
-	t.Helper()
-	f := &repl.Follower{Addr: addr, Doc: "d", Sink: sink}
-	stopC := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f.Run(stopC)
-	}()
-	return func() {
-		close(stopC)
-		<-done
-	}
+// subscription is one SubscribeWAL as the primary answered it: the
+// follower's after, the mode of the first response, the distinct chunks
+// the manifest names, and the chunks the ChunkData frames carried, up to
+// the one with the last flag (complete).
+type subscription struct {
+	after          uint64
+	mode           byte
+	named, shipped int
+	complete       bool
 }
 
-// waitApplied polls until the sink has applied lsn; the deadline is
-// generous because a snapshot re-bootstrap plus catch-up sits behind
-// the follower's reconnect backoff.
-func waitApplied(t *testing.T, cfg ReplConfig, sink *replSink, lsn uint64) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if applied, ok := sink.applied(); ok && applied >= lsn {
-			return
+// wireLog is every subscription the primary served; the coverage
+// tripwires read it instead of asking the follower.
+type wireLog struct {
+	mu   sync.Mutex
+	subs []*subscription
+}
+
+// rebootstraps counts the subscriptions from a follower with state that
+// were answered with a snapshot, and those of them whose completed chunk
+// stream shipped fewer chunks than the manifest names.
+func (l *wireLog) rebootstraps() (n, reused int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range l.subs {
+		if s.after == wire.SubscribeNone || s.mode != wire.ModeSnapshotChunked {
+			continue
 		}
-		if time.Now().After(deadline) {
-			applied, _ := sink.applied()
-			t.Fatalf("seed %d: follower stuck at LSN %d, want %d (sink error: %v)",
-				cfg.Seed, applied, lsn, sink.err())
+		n++
+		if s.complete && s.shipped < s.named {
+			reused++
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	return n, reused
 }
 
-// replSink is the follower-side state: a store, manager, local WAL,
-// local checkpointer and chunk directory in its own durability
-// directory — the same pieces the root package's document sink wires
-// together, minus the catalog.
-// The mutex covers the handoff between the follower's goroutine (via
-// the Sink interface) and the test goroutine (crash/verify while the
-// follower is stopped).
-type replSink struct {
-	mu        sync.Mutex
-	dir       string
-	wopts     wal.Options
-	ckptEvery int
-
-	store    *core.Store
-	log      *wal.Log
-	mgr      *tx.Manager
-	ck       *ckpt.Checkpointer
-	applies  int
-	puts     int         // chunks fetched since the last completed bootstrap, over all its attempts
-	fetches  []bootFetch // one per completed bootstrap
-	firstErr error
+// tap records what repl.Serve writes to one subscription's connection.
+// wire.WriteFrame makes one Write per frame, so each Write is one frame.
+type tap struct {
+	net.Conn
+	log *wireLog
+	sub *subscription
 }
 
-// bootFetch is one bootstrap's transfer: how many chunks the follower
-// fetched from the primary, of how many distinct chunks the image names.
-type bootFetch struct{ fetched, named int }
-
-func newReplSink(dir string, wopts wal.Options, ckptEvery int) *replSink {
-	return &replSink{dir: dir, wopts: wopts, ckptEvery: ckptEvery}
-}
-
-func (s *replSink) walPath() string { return filepath.Join(s.dir, "f.wal") }
-
-func (s *replSink) fail(err error) error {
-	if s.firstErr == nil {
-		s.firstErr = err
+func (c tap) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	fr, ferr := wire.ReadFrame(bytes.NewReader(p[:n]), 0)
+	if err != nil || ferr != nil {
+		return n, err
 	}
-	return err
-}
-
-func (s *replSink) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.firstErr
-}
-
-func (s *replSink) applied() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mgr == nil {
-		return 0, false
+	c.log.mu.Lock()
+	defer c.log.mu.Unlock()
+	s := c.sub
+	r := wire.NewPayloadReader(fr.Payload)
+	switch fr.Op {
+	case wire.StatusOK: // the mode response, the one status frame Serve sends
+		s.mode, _ = r.Byte()
+	case wire.OpSnapManifest:
+		var m core.ChunkManifest
+		if json.Unmarshal(fr.Payload, &m) == nil {
+			hs, _ := m.ChunkHashes()
+			distinct := make(map[chunkstore.Hash]bool, len(hs))
+			for _, h := range hs {
+				distinct[h] = true
+			}
+			s.named = len(distinct)
+		}
+	case wire.OpChunkData:
+		last, _ := r.Byte()
+		chunks, _ := r.Uvarint()
+		s.shipped += int(chunks)
+		s.complete = last == 1
 	}
-	return s.mgr.AppliedLSN(), true
+	return n, err
 }
 
-// appliedQuiesced and view are test-goroutine accessors; the caller
-// guarantees the follower goroutine has exited.
-func (s *replSink) appliedQuiesced() (uint64, bool) { return s.applied() }
-
-func (s *replSink) view() *core.Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store
+// replFollower is the follower process: an mxq.Database over its own
+// directory, following "d" with the docSink mxqd -follow runs.
+type replFollower struct {
+	opts mxq.Options
+	db   *mxq.Database
 }
 
-// AppliedLSN implements repl.Sink.
-func (s *replSink) AppliedLSN() (uint64, bool) { return s.applied() }
-
-// countingStore counts the chunks the follower stores during a
-// bootstrap — each one a chunk it fetched from the primary.
-type countingStore struct {
-	chunkstore.Store
-	sink *replSink
-}
-
-func (c countingStore) Put(h chunkstore.Hash, data []byte) error {
-	c.sink.mu.Lock()
-	c.sink.puts++
-	c.sink.mu.Unlock()
-	return c.Store.Put(h, data)
-}
-
-// ChunkStore implements repl.Sink: the chunk directory the local
-// checkpointer writes, so a re-bootstrap diffs against everything this
-// follower ever checkpointed and still retains.
-func (s *replSink) ChunkStore() (chunkstore.Store, error) {
-	return countingStore{ckpt.DefaultChunkStore(s.dir, "f"), s}, nil
-}
-
-// BootstrapManifest implements repl.Sink: wholesale replacement from a
-// checkpoint image's manifest, exactly like the root package's
-// document sink — materialize from the local chunk store, wipe local
-// artifacts (chunks stay), position a fresh WAL at the image's LSN,
-// write an initial local checkpoint so a crash right after recovers
-// locally.
-func (s *replSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
-	store, err := core.LoadChunked(m, ckpt.DefaultChunkStore(s.dir, "f"))
+func (f *replFollower) open(t *testing.T) {
+	t.Helper()
+	db, err := mxq.Open(f.opts)
 	if err != nil {
-		return s.fail(fmt.Errorf("difftest: materializing bootstrap manifest: %w", err))
+		t.Fatal(err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ck != nil {
-		s.ck.Close()
-	}
-	if s.log != nil {
-		s.log.Close()
-	}
-	s.store, s.log, s.mgr, s.ck = nil, nil, nil, nil
-	wal.RemoveSegments(s.walPath())
-	ckpt.RemoveArtifacts(s.dir, "f")
-	log, err := wal.Open(s.walPath(), s.wopts)
+	f.db = db
+}
+
+// doc is the followed document, nil while the follower holds no state.
+func (f *replFollower) doc() *mxq.Document {
+	d, err := f.db.OpenDocument("d")
 	if err != nil {
-		return s.fail(err)
+		return nil
 	}
-	log.EnsureLSN(lsn)
-	s.store, s.log = store, log
-	s.mgr = tx.NewManager(store, log)
-	s.ck = ckpt.New(s.dir, "f", log, s.mgr.PinCheckpoint)
-	if _, err := s.ck.Run(); err != nil {
-		return s.fail(fmt.Errorf("difftest: bootstrap checkpoint: %w", err))
-	}
-	hs, _ := m.ChunkHashes() // LoadChunked above already parsed them
-	named := make(map[chunkstore.Hash]bool, len(hs))
-	for _, h := range hs {
-		named[h] = true
-	}
-	s.fetches = append(s.fetches, bootFetch{fetched: s.puts, named: len(named)})
-	s.puts = 0
-	return nil
+	return d
 }
 
-func (s *replSink) bootstrapFetches() []bootFetch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]bootFetch(nil), s.fetches...)
-}
-
-// Apply implements repl.Sink: replay the batch through the recovery
-// apply path, make it durable, occasionally checkpoint locally so
-// crash-recovery floors advance past the bootstrap image.
-func (s *replSink) Apply(recs []*wal.Record) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mgr == nil {
-		return 0, s.fail(fmt.Errorf("difftest: apply before bootstrap"))
-	}
-	for _, rec := range recs {
-		if err := s.mgr.ApplyReplicated(rec); err != nil {
-			return 0, s.fail(err)
-		}
-	}
-	last := recs[len(recs)-1].LSN
-	if err := s.log.Sync(last); err != nil {
-		return 0, s.fail(err)
-	}
-	s.applies++
-	if s.ckptEvery > 0 && s.applies%s.ckptEvery == 0 {
-		if _, err := s.ck.Run(); err != nil {
-			return 0, s.fail(fmt.Errorf("difftest: follower checkpoint: %w", err))
-		}
-	}
-	return last, nil
-}
-
-// crash simulates a follower process crash and restart: all in-memory
-// state is dropped, the local WAL is cut at a random byte offset half
-// the time (disk loss past the last sync — or even past acked LSNs,
-// which the snapshot fallback must absorb), and the document is
-// recovered from local artifacts alone. Reports the recovered LSN; ok
-// is false when the follower never bootstrapped (nothing to crash).
-// Caller must have stopped the follower.
-func (s *replSink) crash(t *testing.T, rng *rand.Rand, cfg ReplConfig) (uint64, bool) {
+// crash simulates a follower process crash and restart: the database is
+// closed, the local WAL is cut at a random byte offset half the time
+// (disk loss past the last sync — or even past acked LSNs, which the
+// snapshot fallback must absorb), and the document is recovered from
+// local artifacts alone. It returns the recovered document, nil when
+// the follower never bootstrapped (nothing to crash). The caller must
+// have stopped the subscription.
+func (f *replFollower) crash(t *testing.T, rng *rand.Rand, cfg ReplConfig) *mxq.Document {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mgr == nil {
-		return 0, false
+	d := f.doc()
+	if d == nil {
+		return nil
 	}
-	appliedBefore := s.mgr.AppliedLSN()
-	s.ck.Close()
-	s.log.Close()
-	s.store, s.log, s.mgr, s.ck = nil, nil, nil, nil
+	appliedBefore := d.AppliedLSN()
+	f.db.Close()
 	if rng.Intn(2) == 0 {
-		cutWAL(t, rng, s.walPath())
+		cutWAL(t, rng, filepath.Join(f.opts.Dir, "d.wal"))
 	}
-	log, err := wal.Open(s.walPath(), s.wopts)
-	if err != nil {
-		t.Fatalf("seed %d: reopening follower wal: %v", cfg.Seed, err)
-	}
-	store, lsn, err := ckpt.Recover(s.dir, "f", log, nil)
+	f.open(t)
+	d, err := f.db.OpenDocument("d")
 	if err != nil {
 		t.Fatalf("seed %d: follower recovery errored (must degrade, never fail): %v", cfg.Seed, err)
 	}
+	lsn := d.AppliedLSN()
 	if lsn > appliedBefore {
 		t.Fatalf("seed %d: follower recovered LSN %d beyond what it had applied (%d)", cfg.Seed, lsn, appliedBefore)
 	}
-	if err := store.CheckInvariants(); err != nil {
+	if last := d.LastLSN(); last != lsn {
+		t.Fatalf("seed %d: recovered follower applied %d, its WAL ends at %d", cfg.Seed, lsn, last)
+	}
+	if err := d.CheckInvariants(); err != nil {
 		t.Fatalf("seed %d: recovered follower invariants: %v", cfg.Seed, err)
 	}
-	s.store, s.log = store, log
-	s.mgr = tx.NewManager(store, log)
-	s.ck = ckpt.New(s.dir, "f", log, s.mgr.PinCheckpoint)
-	if got := s.mgr.AppliedLSN(); got != lsn {
-		t.Fatalf("seed %d: recovered manager applied %d, recovery reported %d", cfg.Seed, got, lsn)
+	return d
+}
+
+// waitApplied polls until the follower has applied lsn; the deadline is
+// generous because a snapshot re-bootstrap plus catch-up sits behind
+// the follower's reconnect backoff.
+func waitApplied(t *testing.T, cfg ReplConfig, f *replFollower, lsn uint64) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		var applied uint64
+		if d := f.doc(); d != nil {
+			applied = d.AppliedLSN()
+			if applied >= lsn {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("seed %d: follower stuck at LSN %d, want %d", cfg.Seed, applied, lsn)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	return lsn, true
 }
 
 // ReplConfigs returns the seeded replication matrix; iters scales the

@@ -14,9 +14,9 @@ import (
 	"mxq/internal/wire"
 )
 
-// Sink is the follower-side state a subscription feeds: the root
-// package implements it over a document's store, manager and local WAL.
-// Methods are called from a single goroutine.
+// Sink is the follower-side state a subscription feeds. The root
+// package's docSink is the one implementation, over a document's store,
+// manager and local WAL. Methods are called from a single goroutine.
 type Sink interface {
 	// AppliedLSN is where the follower resumes from: the last LSN whose
 	// effects are durably applied locally. ok=false means the follower
@@ -49,23 +49,12 @@ type Sink interface {
 // subscription is self-healing: every reconnect renegotiates from the
 // sink's current applied LSN, so a crash on either side (or a prune
 // that outran the fence while disconnected) degrades to a bootstrap,
-// never to divergence.
+// never to divergence. Logf receives the connection errors.
 type Follower struct {
 	Addr string
 	Doc  string
 	Sink Sink
 	Logf func(string, ...any)
-
-	// DialFunc overrides the TCP dial (tests). nil = net.Dial.
-	DialFunc func() (net.Conn, error)
-	// MaxFrame caps inbound frame size (0 = wire.MaxFrame).
-	MaxFrame uint32
-}
-
-func (f *Follower) logf(format string, args ...any) {
-	if f.Logf != nil {
-		f.Logf(format, args...)
-	}
 }
 
 // Run services the subscription until stop closes. Connection errors
@@ -86,7 +75,7 @@ func (f *Follower) Run(stop <-chan struct{}) {
 		default:
 		}
 		if err != nil {
-			f.logf("repl %s: subscription ended: %v", f.Doc, err)
+			f.Logf("repl %s: subscription ended: %v", f.Doc, err)
 		}
 		if progressed {
 			backoff = 100 * time.Millisecond
@@ -105,7 +94,7 @@ func (f *Follower) Run(stop <-chan struct{}) {
 // runOnce runs a single connection's lifetime. progressed reports
 // whether anything was bootstrapped or applied (it resets the backoff).
 func (f *Follower) runOnce(stop <-chan struct{}) (progressed bool, err error) {
-	conn, err := f.dial()
+	conn, err := net.DialTimeout("tcp", f.Addr, 5*time.Second)
 	if err != nil {
 		return false, err
 	}
@@ -160,7 +149,7 @@ func (f *Follower) runOnce(stop <-chan struct{}) (progressed bool, err error) {
 	}
 
 	for {
-		fr, err := wire.ReadFrame(conn, f.MaxFrame)
+		fr, err := wire.ReadFrame(conn, 0)
 		if err != nil {
 			return progressed, err
 		}
@@ -185,13 +174,6 @@ func (f *Follower) runOnce(stop <-chan struct{}) (progressed bool, err error) {
 	}
 }
 
-func (f *Follower) dial() (net.Conn, error) {
-	if f.DialFunc != nil {
-		return f.DialFunc()
-	}
-	return net.DialTimeout("tcp", f.Addr, 5*time.Second)
-}
-
 // hello negotiates replication. A primary that answers with anything
 // but OK cannot serve this subscription.
 func (f *Follower) hello(conn net.Conn) error {
@@ -200,7 +182,7 @@ func (f *Follower) hello(conn net.Conn) error {
 	if err := wire.WriteFrame(conn, wire.Frame{ID: 1, Op: wire.OpHello, Payload: p.Bytes()}); err != nil {
 		return err
 	}
-	fr, err := wire.ReadFrame(conn, f.MaxFrame)
+	fr, err := wire.ReadFrame(conn, 0)
 	if err != nil {
 		return err
 	}
@@ -228,7 +210,7 @@ func (f *Follower) subscribe(conn net.Conn, after uint64) (mode byte, start uint
 	if err := wire.WriteFrame(conn, wire.Frame{ID: 2, Op: wire.OpSubscribeWAL, Payload: p.Bytes()}); err != nil {
 		return 0, 0, err
 	}
-	fr, err := wire.ReadFrame(conn, f.MaxFrame)
+	fr, err := wire.ReadFrame(conn, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -250,7 +232,7 @@ func (f *Follower) subscribe(conn net.Conn, after uint64) (mode byte, start uint
 // missing chunks, verify and store each as it arrives, then hand the
 // complete manifest to the sink.
 func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
-	fr, err := wire.ReadFrame(conn, f.MaxFrame)
+	fr, err := wire.ReadFrame(conn, 0)
 	if err != nil {
 		return err
 	}
@@ -301,7 +283,7 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 		pending[h] = true
 	}
 	for last := false; !last; {
-		fr, err := wire.ReadFrame(conn, f.MaxFrame)
+		fr, err := wire.ReadFrame(conn, 0)
 		if err != nil {
 			return err
 		}

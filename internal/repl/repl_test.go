@@ -1,8 +1,7 @@
-package repl
+package repl_test
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -10,8 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"mxq/internal/chunkstore"
+	"mxq"
 	"mxq/internal/core"
+	"mxq/internal/repl"
 	"mxq/internal/serialize"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
@@ -42,7 +42,7 @@ type primary struct {
 	t     *testing.T
 	log   *wal.Log
 	mgr   *tx.Manager
-	track *Tracker
+	track *repl.Tracker
 	ln    net.Listener
 	wg    sync.WaitGroup
 }
@@ -54,7 +54,7 @@ func newPrimary(t *testing.T, segBytes int64) *primary {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
-	p := &primary{t: t, log: log, mgr: tx.NewManager(buildStore(t), log), track: NewTracker()}
+	p := &primary{t: t, log: log, mgr: tx.NewManager(buildStore(t), log), track: repl.NewTracker()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -102,14 +102,16 @@ func (p *primary) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			Serve(conn, fr.ID, after, Source{
-				Name: "d", Log: p.log, Pin: p.mgr.PinCheckpoint, Track: p.track,
-			}, 0, p.t.Logf)
+			repl.Serve(conn, fr.ID, after, p.source(), 0, p.t.Logf)
 			return
 		default:
 			return
 		}
 	}
+}
+
+func (p *primary) source() repl.Source {
+	return repl.Source{Name: "d", Log: p.log, Pin: p.mgr.PinCheckpoint, Track: p.track}
 }
 
 func (p *primary) commit(name string) uint64 {
@@ -148,93 +150,6 @@ func managerXML(t testing.TB, m *tx.Manager) string {
 	return b.String()
 }
 
-// testSink applies a subscription onto a real manager + local WAL and
-// chunk store — the same wiring the root package's follower documents
-// use.
-type testSink struct {
-	t   *testing.T
-	dir string
-	cs  *chunkstore.Mem
-
-	mu        sync.Mutex
-	log       *wal.Log
-	mgr       *tx.Manager
-	bootstrap int
-}
-
-func newTestSink(t *testing.T) *testSink {
-	return &testSink{t: t, dir: t.TempDir(), cs: chunkstore.NewMem()}
-}
-
-func (s *testSink) manager() *tx.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgr
-}
-
-func (s *testSink) AppliedLSN() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mgr == nil {
-		return 0, false
-	}
-	return s.mgr.AppliedLSN(), true
-}
-
-// applied is the test-side shorthand (0 until bootstrapped).
-func (s *testSink) applied() uint64 {
-	lsn, _ := s.AppliedLSN()
-	return lsn
-}
-
-func (s *testSink) ChunkStore() (chunkstore.Store, error) { return s.cs, nil }
-
-func (s *testSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
-	store, err := core.LoadChunked(m, s.cs)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log != nil {
-		s.log.Close()
-	}
-	path := filepath.Join(s.dir, "d.wal")
-	wal.RemoveSegments(path)
-	log, err := wal.Open(path, wal.Options{NoSync: true})
-	if err != nil {
-		return err
-	}
-	log.EnsureLSN(lsn)
-	s.log = log
-	s.mgr = tx.NewManager(store, log)
-	s.bootstrap++
-	return nil
-}
-
-func (s *testSink) Apply(recs []*wal.Record) (uint64, error) {
-	s.mu.Lock()
-	mgr := s.mgr
-	s.mu.Unlock()
-	if mgr == nil {
-		return 0, fmt.Errorf("apply before bootstrap")
-	}
-	for _, rec := range recs {
-		if err := mgr.ApplyReplicated(rec); err != nil {
-			return 0, err
-		}
-	}
-	return recs[len(recs)-1].LSN, nil
-}
-
-func (s *testSink) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log != nil {
-		s.log.Close()
-	}
-}
-
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -246,17 +161,50 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// startFollower runs f until the returned stop function is called.
-func startFollower(t *testing.T, f *Follower) (stop func()) {
+// follower opens a durable database in a fresh directory for the
+// followed document "d". The follower side of these tests is the
+// product's — mxq.Database.FollowDocument, whose docSink is the one
+// repl.Sink in the tree — against a hand-built primary.
+func follower(t *testing.T) *mxq.Database {
 	t.Helper()
-	stopC := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); f.Run(stopC) }()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(stopC) })
-		<-done
+	db, err := mxq.Open(mxq.Options{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return db
+}
+
+// follow subscribes db's "d" to the primary until stop is called.
+func follow(t *testing.T, db *mxq.Database, p *primary) (stop func()) {
+	t.Helper()
+	stop, err := db.FollowDocument(p.ln.Addr().String(), "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stop
+}
+
+// followed is the follower's document (nil before its bootstrap).
+func followed(db *mxq.Database) *mxq.Document {
+	d, _ := db.OpenDocument("d")
+	return d
+}
+
+// applied is the follower's applied LSN (0 before its bootstrap).
+func applied(db *mxq.Database) uint64 {
+	if d := followed(db); d != nil {
+		return d.AppliedLSN()
+	}
+	return 0
+}
+
+func xml(t *testing.T, d *mxq.Document) string {
+	t.Helper()
+	s, err := d.XML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestFollowerBootstrapAndStream: an empty follower bootstraps from a
@@ -267,18 +215,17 @@ func TestFollowerBootstrapAndStream(t *testing.T) {
 	p.commit("B")
 	p.commit("C")
 
-	sink := newTestSink(t)
-	defer sink.close()
-	f := &Follower{Addr: p.ln.Addr().String(), Doc: "d", Sink: sink, Logf: t.Logf}
-	stop := startFollower(t, f)
+	db := follower(t)
+	defer db.Close()
+	stop := follow(t, db, p)
 	defer stop()
 
-	waitFor(t, "bootstrap catch-up", func() bool { return sink.applied() == 2 })
+	waitFor(t, "bootstrap catch-up", func() bool { return applied(db) == 2 })
 	// Live tail: commits made after the subscription stream through.
 	p.commit("D")
 	last := p.commit("E")
-	waitFor(t, "live stream", func() bool { return sink.applied() == last })
-	if got, want := managerXML(t, sink.manager()), p.xml(); got != want {
+	waitFor(t, "live stream", func() bool { return applied(db) == last })
+	if got, want := xml(t, followed(db)), p.xml(); got != want {
 		t.Fatalf("stores diverged:\nfollower: %s\nprimary:  %s", got, want)
 	}
 	waitFor(t, "ack propagation", func() bool { return p.track.Barrier() == last })
@@ -293,44 +240,46 @@ func TestFollowerBootstrapAndStream(t *testing.T) {
 }
 
 // TestFollowerResumesInWALMode: a follower that already holds a prefix
-// reconnects and resumes by WAL replay alone — no second bootstrap.
+// reconnects and resumes by WAL replay alone — no second bootstrap,
+// which would have replaced the document instance.
 func TestFollowerResumesInWALMode(t *testing.T) {
 	p := newPrimary(t, wal.DefaultSegmentBytes)
 	p.commit("B")
 
-	sink := newTestSink(t)
-	defer sink.close()
-	f := &Follower{Addr: p.ln.Addr().String(), Doc: "d", Sink: sink, Logf: t.Logf}
-	stop := startFollower(t, f)
-	waitFor(t, "first catch-up", func() bool { return sink.applied() == 1 })
+	db := follower(t)
+	defer db.Close()
+	stop := follow(t, db, p)
+	waitFor(t, "first catch-up", func() bool { return applied(db) == 1 })
 	stop()
+	first := followed(db)
 
 	// Commits land while the follower is away; the WAL keeps them.
 	last := p.commit("C")
-	stop = startFollower(t, f)
+	stop = follow(t, db, p)
 	defer stop()
-	waitFor(t, "resume", func() bool { return sink.applied() == last })
-	if n := sink.bootstrap; n != 1 {
-		t.Fatalf("bootstrapped %d times, want 1 (resume must use WAL mode)", n)
+	waitFor(t, "resume", func() bool { return applied(db) == last })
+	if followed(db) != first {
+		t.Fatal("bootstrapped again (resume must use WAL mode)")
 	}
-	if got, want := managerXML(t, sink.manager()), p.xml(); got != want {
+	if got, want := xml(t, first), p.xml(); got != want {
 		t.Fatalf("stores diverged after resume:\n%s\n%s", got, want)
 	}
 }
 
 // TestPrunedFollowerRebootstraps: while the follower is disconnected
 // its fence is gone; if the primary prunes past its position, the
-// reconnect self-heals through a fresh bootstrap.
+// reconnect self-heals through a fresh bootstrap, which replaces the
+// document instance.
 func TestPrunedFollowerRebootstraps(t *testing.T) {
 	p := newPrimary(t, 256) // tiny segments so pruning actually seals some
 	p.commit("B")
 
-	sink := newTestSink(t)
-	defer sink.close()
-	f := &Follower{Addr: p.ln.Addr().String(), Doc: "d", Sink: sink, Logf: t.Logf}
-	stop := startFollower(t, f)
-	waitFor(t, "first catch-up", func() bool { return sink.applied() == 1 })
+	db := follower(t)
+	defer db.Close()
+	stop := follow(t, db, p)
+	waitFor(t, "first catch-up", func() bool { return applied(db) == 1 })
 	stop()
+	first := followed(db)
 
 	var last uint64
 	for i := 0; i < 30; i++ {
@@ -343,13 +292,13 @@ func TestPrunedFollowerRebootstraps(t *testing.T) {
 		t.Skip("prune sealed nothing; segment bound too large for this doc")
 	}
 
-	stop = startFollower(t, f)
+	stop = follow(t, db, p)
 	defer stop()
-	waitFor(t, "re-bootstrap", func() bool { return sink.applied() == last })
-	if n := sink.bootstrap; n != 2 {
-		t.Fatalf("bootstrapped %d times, want 2", n)
+	waitFor(t, "re-bootstrap", func() bool { return applied(db) == last })
+	if followed(db) == first {
+		t.Fatal("caught up without bootstrapping past the prune")
 	}
-	if got, want := managerXML(t, sink.manager()), p.xml(); got != want {
+	if got, want := xml(t, followed(db)), p.xml(); got != want {
 		t.Fatalf("stores diverged after re-bootstrap:\n%s\n%s", got, want)
 	}
 }
@@ -364,9 +313,7 @@ func TestChunkNeedOverflowingCountRejected(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		defer srv.Close()
-		errc <- Serve(srv, 2, wire.SubscribeNone, Source{
-			Name: "d", Log: p.log, Pin: p.mgr.PinCheckpoint, Track: p.track,
-		}, 0, nil)
+		errc <- repl.Serve(srv, 2, wire.SubscribeNone, p.source(), 0, nil)
 	}()
 	for _, want := range []byte{wire.StatusOK, wire.OpSnapManifest} {
 		fr, err := wire.ReadFrame(cli, 0)
@@ -385,7 +332,7 @@ func TestChunkNeedOverflowingCountRejected(t *testing.T) {
 }
 
 func TestTrackerBarrier(t *testing.T) {
-	tr := NewTracker()
+	tr := repl.NewTracker()
 	if tr.Barrier() != ^uint64(0) {
 		t.Fatal("empty tracker constrains pruning")
 	}
@@ -410,25 +357,5 @@ func TestTrackerBarrier(t *testing.T) {
 	tr.Ack(a, 99) // late ack on a dead subscription is inert
 	if tr.Count() != 0 || tr.Barrier() != ^uint64(0) {
 		t.Fatal("dead subscription resurrected")
-	}
-}
-
-func TestRecordCodec(t *testing.T) {
-	in := []*wal.Record{
-		{LSN: 7, Ops: []wal.Op{{Kind: wal.OpSetValue, Target: 3, Value: "v"}}},
-		{LSN: 8, Ops: []wal.Op{{Kind: wal.OpAppendChild, Target: 1,
-			Frag:   []wal.FragNode{{Kind: 1, Name: "book", Attrs: []string{"id", "b9"}}},
-			NewIDs: []xenc.NodeID{42}}}},
-	}
-	b, err := encodeRecords(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decodeRecords(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].LSN != 7 || out[1].Ops[0].Frag[0].Name != "book" || out[1].Ops[0].NewIDs[0] != 42 {
-		t.Fatalf("round trip = %+v", out)
 	}
 }

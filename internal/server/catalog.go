@@ -8,8 +8,8 @@ import (
 )
 
 // catalog is the server's refcounted document registry. Documents open
-// once per name on first use (mxq.Database.OpenDocument recovers them
-// lazily from their durability artifacts) and close on idle: when the
+// once per name on first use (mxq.Database.OpenDocument attaches them
+// from their durability artifacts) and close on idle: when the
 // last reference is released, a timer starts, and if no one re-acquires
 // the document before it fires, the catalog detaches it (final
 // checkpoint, WAL released) so an mxqd fronting thousands of documents
@@ -22,12 +22,15 @@ type catalog struct {
 
 	mu      sync.Mutex
 	entries map[string]*catEntry
-	// closing marks names whose detach (final checkpoint, WAL release)
-	// is in flight. An acquire for such a name must wait for the channel
-	// to close before reopening: going straight to OpenDocument would
-	// either race the checkpoint write (spurious "no document") or grab
-	// the dying instance out of the database map.
-	closing map[string]chan struct{}
+	// closing marks names whose idle detach is in flight. It makes the
+	// refcount check and the detach one step: closeIdle sees no
+	// reference and marks the name under mu, so no acquire can take a
+	// reference to the instance in between, before CloseDocument has
+	// fenced the name in the database. An acquire waits for the channel
+	// to close; detaches counts the detaches begun, so an acquire whose
+	// OpenDocument raced one looks again.
+	closing  map[string]chan struct{}
+	detaches uint64
 }
 
 type catEntry struct {
@@ -66,68 +69,45 @@ func (c *catalog) acquire(name string) (*mxq.Document, error) {
 func (c *catalog) acquireEntry(name string) (*catEntry, error) {
 	for {
 		c.mu.Lock()
-		if e, ok := c.entries[name]; ok {
-			// Re-validate against the database: a follower bootstrap
-			// replaces the document instance wholesale (docSink.Bootstrap
-			// detaches the old one and publishes a new one), which this
-			// catalog cannot see. A cached entry pointing at a detached
-			// instance would serve reads frozen at the old LSN line.
-			if cur, live := c.db.Document(name); live && cur == e.doc {
-				e.refs++
-				if e.timer != nil {
-					e.timer.Stop()
-					e.timer = nil
-				}
-				c.mu.Unlock()
-				return e, nil
-			}
-			// Stale: drop the entry and reopen below. References already
-			// out on the old entry still release by name against the new
-			// one; the refcount only times idle close, so the worst a
-			// miscount causes is an early or late detach, which acquire
-			// recovers from by reopening.
-			delete(c.entries, name)
-		}
 		done, detaching := c.closing[name]
+		detaches := c.detaches
 		c.mu.Unlock()
-		if !detaching {
-			break
+		if detaching {
+			<-done // wait out the in-flight detach, then retry
+			continue
 		}
-		<-done // wait out the in-flight detach, then retry
-	}
-
-	// Open outside the catalog lock: recovery is O(document) and must
-	// not stall other names. A racing open of the same name resolves in
-	// the re-check below (OpenDocument itself is idempotent).
-	doc, err := c.db.OpenDocument(name)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok {
+		// Open outside the catalog lock: recovery is O(document) and must
+		// not stall other names.
+		doc, err := c.db.OpenDocument(name)
+		if err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		if c.detaches != detaches {
+			c.mu.Unlock()
+			continue // doc may be the instance that detach is closing
+		}
+		e, ok := c.entries[name]
+		if !ok || e.doc != doc {
+			// New, or stale: a follower bootstrap replaces the document
+			// instance wholesale, which this catalog cannot see, and an
+			// entry on the detached instance would serve reads frozen at
+			// the old LSN line. References already out on a stale entry
+			// release by name against the new one; the refcount only
+			// times idle close, so the worst a miscount causes is an
+			// early or late detach, which acquire recovers from by
+			// reopening.
+			e = &catEntry{doc: doc}
+			c.entries[name] = e
+		}
 		e.refs++
 		if e.timer != nil {
 			e.timer.Stop()
 			e.timer = nil
 		}
+		c.mu.Unlock()
 		return e, nil
 	}
-	e := &catEntry{doc: doc, refs: 1}
-	c.entries[name] = e
-	return e, nil
-}
-
-// adopt registers a document created through the protocol (OpLoad) with
-// one reference held.
-func (c *catalog) adopt(name string, doc *mxq.Document) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok {
-		e.refs++
-		return
-	}
-	c.entries[name] = &catEntry{doc: doc, refs: 1}
 }
 
 // release drops one reference; the last one arms the idle-close timer.
@@ -157,6 +137,7 @@ func (c *catalog) closeIdle(name string) {
 	delete(c.entries, name)
 	done := make(chan struct{})
 	c.closing[name] = done
+	c.detaches++
 	c.mu.Unlock()
 	// Outside the lock: the final checkpoint streams O(document).
 	// Acquires for this name park on the closing channel meanwhile.

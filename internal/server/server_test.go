@@ -227,10 +227,15 @@ func TestIdleClose(t *testing.T) {
 	if _, err := c.Query(bg, "lib", "count(//book)", nil); err != nil {
 		t.Fatal(err)
 	}
-	// The idle timer detaches the document from the database.
+	attached, err := db.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The idle timer detaches the document from the database: the next
+	// lookup recovers a new instance.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, open := db.Document("lib"); !open {
+		if d, err := db.OpenDocument("lib"); err == nil && d != attached {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -261,9 +266,13 @@ func TestIdleCloseDoesNotDetachPinnedRead(t *testing.T) {
 	if _, err := c.BeginRead(bg, "lib"); err != nil {
 		t.Fatal(err)
 	}
+	attached, err := db.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(100 * time.Millisecond)
-	if _, open := db.Document("lib"); !open {
-		t.Fatal("pinned document was detached by the idle closer")
+	if d, err := db.OpenDocument("lib"); err != nil || d != attached {
+		t.Fatalf("pinned document was detached by the idle closer (%v)", err)
 	}
 	items, err := c.Query(bg, "lib", "count(//book)", nil)
 	if err != nil || items[0].Value != "2" {
@@ -398,7 +407,7 @@ func TestOpenFailureIsNotNoDocument(t *testing.T) {
 		}
 	}
 
-	db, err = mxq.Open(mxq.Options{Dir: dir, NoSync: true, LazyOpen: true})
+	db, err = mxq.Open(mxq.Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,5 +420,45 @@ func TestOpenFailureIsNotNoDocument(t *testing.T) {
 	}
 	if !strings.Contains(ce.Msg, "recovering") {
 		t.Fatalf("error message %q does not report the recovery failure", ce.Msg)
+	}
+}
+
+// TestReopenedDirectory: a server over a directory a previous process
+// checkpointed serves what is there before anything attaches it —
+// ListDocs names the document, a Load of its name is refused (taking the
+// name would have the next recovery replay the new document's commits
+// over the old image), and queries see the old content.
+func TestReopenedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	db, err := mxq.Open(mxq.Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.LoadXMLString("lib", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = mxq.Open(mxq.Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startServer(t, server.Config{DB: db})
+	c := dial(t, addr)
+	if docs, err := c.ListDocs(bg); err != nil || len(docs) != 1 || docs[0] != "lib" {
+		t.Fatalf("ListDocs over a reopened directory = %v, %v; want [lib]", docs, err)
+	}
+	if err := c.Load(bg, "lib", `<other><x>1</x></other>`); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("Load over a checkpointed document = %v, want already exists", err)
+	}
+	items, err := c.Query(bg, "lib", "count(//book)", nil)
+	if err != nil || items[0].Value != "2" {
+		t.Fatalf("query after the refused load = %+v, %v", items, err)
 	}
 }

@@ -247,12 +247,14 @@ func (s *session) handleLoad(f wire.Frame) bool {
 		return s.respondErr(f.ID, wire.CodeReadOnly, "server is read-only (follower); load on the primary")
 	}
 	return s.admit(f.ID, 2, func() bool {
-		doc, err := s.srv.cfg.DB.LoadXMLString(name, xml)
-		if err != nil {
+		if _, err := s.srv.cfg.DB.LoadXMLString(name, xml); err != nil {
 			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
-		s.srv.catalog.adopt(name, doc)
-		s.srv.catalog.release(name)
+		// Enter the document in the catalog, so its idle timer runs from
+		// the load.
+		if _, err := s.srv.catalog.acquire(name); err == nil {
+			s.srv.catalog.release(name)
+		}
 		return s.respond(f.ID, wire.StatusOK, nil)
 	})
 }
@@ -301,7 +303,7 @@ func (s *session) handleQuery(f wire.Frame) bool {
 	return s.admit(f.ID, 1, func() bool {
 		rywDeadline := time.Now().Add(time.Duration(timeoutMillis) * time.Millisecond)
 		if minLSN > 0 {
-			// A follower that is still bootstrapping the document has
+			// A follower that has not bootstrapped the document yet has
 			// nothing to acquire yet; the read-your-writes park covers
 			// "document not here yet" the same as "LSN not applied yet".
 			if ok, served := s.waitForDoc(f.ID, name, rywDeadline); !ok {
@@ -437,8 +439,8 @@ func (s *session) handleEndRead(f wire.Frame) bool {
 	return s.respond(f.ID, wire.StatusOK, nil)
 }
 
-// waitForDoc polls until the named document exists (a replica may
-// still be bootstrapping it), the deadline passes (answer CodeStale —
+// waitForDoc polls until the named document exists (a replica may not
+// have bootstrapped it yet), the deadline passes (answer CodeStale —
 // the same typed outcome as a read-your-writes timeout) or a
 // non-retryable open error appears. ok=true means proceed; otherwise
 // the response was sent and served is the keep-serving result.

@@ -166,9 +166,9 @@ func (s *Shell) Execute(line string) (quit bool, err error) {
 }
 
 func (s *Shell) doc(name string) (*mxq.Document, error) {
-	d, ok := s.db.Document(name)
-	if !ok {
-		return nil, s.errorf("no document %q (try 'docs')", name)
+	d, err := s.db.OpenDocument(name)
+	if err != nil {
+		return nil, s.errorf("%v (try 'docs')", err)
 	}
 	return d, nil
 }

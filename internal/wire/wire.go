@@ -98,8 +98,8 @@ const (
 	// every chunk of the image; the follower answers with one ChunkNeed
 	// frame listing the hashes it is missing; the primary ships exactly
 	// those in ChunkData frames (last flag on the final one), then
-	// WALRecords from startLSN. A re-bootstrapping follower that already
-	// holds most chunks transfers only the churn.
+	// WALRecords from startLSN. A follower that bootstraps again and
+	// already holds most chunks transfers only the churn.
 	ModeSnapshotChunked byte = 2
 )
 

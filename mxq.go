@@ -141,10 +141,11 @@
 // The library also runs as a daemon: cmd/mxqd serves a Database over
 // TCP (length-prefixed binary frames; see internal/server for the
 // protocol) with per-session prepared-statement caches, pinned read
-// versions built on Snapshot handles, a lazily-opened document catalog
-// (Options.LazyOpen + OpenDocument/CloseDocument), admission control,
-// and graceful drain. The client package is the Go client, cmd/mxqload
-// the load generator, and examples/ has a served quickstart.
+// versions built on Snapshot handles, a document catalog over
+// OpenDocument/CloseDocument (a document is recovered on first use and
+// may be detached when idle), admission control, and graceful drain.
+// The client package is the Go client, cmd/mxqload the load generator,
+// and examples/ has a served quickstart.
 //
 // # Replication
 //
@@ -254,9 +255,10 @@ type Options struct {
 	// Dir, when non-empty, enables durability: each document gets a
 	// segmented write-ahead log (<name>.wal.NNNNNNNN), LSN-stamped
 	// checkpoint images (<name>-<lsn>.ckpt) and a chunk directory
-	// (<name>.chunks/) in Dir, and Open recovers every document with an
-	// image there (newest image first, degrading to older images over
-	// torn artifacts).
+	// (<name>.chunks/) in Dir. Every document with an image there
+	// exists: Documents lists it, and its first OpenDocument recovers it
+	// (newest image first, degrading to older images over torn
+	// artifacts).
 	Dir string
 	// NoSync skips fsync on WAL appends (faster, test-friendly).
 	NoSync bool
@@ -269,11 +271,6 @@ type Options struct {
 	// exceeds the policy — commits keep landing at full speed while the
 	// image streams (see Document.Checkpoint). Close drains it.
 	CheckpointEvery CheckpointPolicy
-	// LazyOpen skips recovering checkpointed documents at Open; each is
-	// recovered on its first OpenDocument instead. A server fronting a
-	// large directory pays recovery per document actually used, not for
-	// the whole catalog at startup.
-	LazyOpen bool
 	// PreserveWhitespace keeps whitespace-only text nodes when shredding.
 	PreserveWhitespace bool
 	// ChunkStore, when non-nil, supplies the content-addressed chunk
@@ -294,57 +291,67 @@ var ErrDatabaseClosed = errors.New("mxq: database is closed")
 // document).
 var ErrNoDocument = errors.New("mxq: no document")
 
-// Database is a collection of named XML documents.
+// Database is a collection of named XML documents. A document exists
+// while it is attached (loaded, or recovered by OpenDocument) or has a
+// checkpoint image in Options.Dir.
 type Database struct {
 	mu     sync.RWMutex
-	docs   map[string]*Document
+	docs   map[string]*Document // attached documents
 	opts   Options
 	closed bool
-	// bootstrapping marks documents a replica subscription is currently
-	// replacing wholesale (docSink.Bootstrap): their on-disk artifacts
-	// are mid-wipe, so OpenDocument must refuse to recover from them
-	// rather than resurrect a half-deleted instance.
-	bootstrapping map[string]bool
+	closeC chan struct{} // closed by Close: wakes every fence waiter
+	// fences holds one channel per name whose artifacts are changing
+	// (CloseDocument's final checkpoint, Drop's delete, a follower
+	// bootstrap's wipe and republish); closing it ends the change.
+	// Lookups, loads and drops of that name wait for it first (settle),
+	// so none decides from half-written artifacts or a dying instance.
+	fences map[string]chan struct{}
 }
 
-// Open creates a database. With Options.Dir set, previously checkpointed
-// documents are recovered (best checkpoint image + segmented WAL
-// replay; see internal/ckpt for the degradation order over torn
-// artifacts).
+// Open creates a database; with Options.Dir set it creates the
+// directory. It recovers nothing: each document attaches on its first
+// OpenDocument.
 func Open(opts Options) (*Database, error) {
-	db := &Database{docs: make(map[string]*Document), opts: opts, bootstrapping: make(map[string]bool)}
-	if opts.Dir == "" {
-		return db, nil
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("mxq: %w", err)
-	}
-	if opts.LazyOpen {
-		return db, nil
-	}
-	for _, name := range checkpointedDocs(opts.Dir) {
-		if err := db.recoverDoc(name); err != nil {
-			return nil, fmt.Errorf("mxq: recovering %q: %w", name, err)
+	if opts.Dir != "" {
+		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("mxq: %w", err)
 		}
 	}
-	return db, nil
+	return &Database{
+		docs: make(map[string]*Document), opts: opts,
+		closeC: make(chan struct{}), fences: make(map[string]chan struct{}),
+	}, nil
 }
 
-// checkpointedDocs lists, sorted, the names of the documents with an
-// LSN-stamped image in dir.
-func checkpointedDocs(dir string) []string {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, e := range entries {
-		if name, _, ok := ckpt.DocumentOfArtifact(e.Name()); ok {
-			names = append(names, name)
+// settle waits until no change to name's artifacts is in flight. The
+// caller holds db.mu, which is released while waiting; it fails with
+// ErrDatabaseClosed once the database is closed.
+func (db *Database) settle(name string) error {
+	for {
+		if db.closed {
+			return ErrDatabaseClosed
 		}
+		fence, ok := db.fences[name]
+		if !ok {
+			return nil
+		}
+		db.mu.Unlock()
+		select {
+		case <-fence:
+		case <-db.closeC:
+		}
+		db.mu.Lock()
 	}
-	sort.Strings(names)
-	return slices.Compact(names)
+}
+
+// exists reports, with db.mu held, whether name is attached or has a
+// checkpoint image on disk.
+func (db *Database) exists(name string) bool {
+	if _, ok := db.docs[name]; ok || db.opts.Dir == "" {
+		return ok
+	}
+	imgs, _ := ckpt.Images(db.opts.Dir, name)
+	return len(imgs) > 0
 }
 
 // walPath is the base path of the document's WAL segments.
@@ -366,18 +373,17 @@ func (db *Database) chunkStoreFor(name string) ChunkStore {
 	return db.opts.ChunkStore(name)
 }
 
-func (db *Database) recoverDoc(name string) error {
+func (db *Database) recoverDoc(name string) (*Document, error) {
 	log, err := db.openWAL(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	store, _, err := ckpt.Recover(db.opts.Dir, name, log, db.chunkStoreFor(name))
 	if err != nil {
 		log.Close()
-		return err
+		return nil, err
 	}
-	db.docs[name] = db.newDocument(name, store, log)
-	return nil
+	return db.newDocument(name, store, log), nil
 }
 
 // newDocument assembles a document over a built, recovered or
@@ -437,13 +443,15 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 	// The duplicate-name check must precede opening the WAL: wal.Open
 	// runs a recovery scan that truncates what it takes for a torn tail,
 	// and pointing a second scan at the live document's segments could
-	// destroy records the running log is mid-append on.
+	// destroy records the running log is mid-append on. A document that
+	// is only on disk is a duplicate too: the next recovery would replay
+	// the new document's commits over the old one's image.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrDatabaseClosed
+	if err := db.settle(name); err != nil {
+		return nil, err
 	}
-	if _, dup := db.docs[name]; dup {
+	if db.exists(name) {
 		return nil, fmt.Errorf("mxq: document %q already exists", name)
 	}
 	var log *wal.Log
@@ -457,111 +465,136 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 	return doc, nil
 }
 
-// Document returns a stored document by name.
-func (db *Database) Document(name string) (*Document, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	d, ok := db.docs[name]
-	return d, ok
-}
-
-// OpenDocument returns the named document, recovering it from its
-// durability artifacts on first use (the LazyOpen counterpart of the
-// eager recovery Open performs by default; also how a document detached
-// by CloseDocument comes back). A document with no in-memory instance
-// and no on-disk checkpoint is an error.
+// OpenDocument returns the named document, attaching it on first use:
+// a document that is not attached is recovered from its newest usable
+// checkpoint image and the WAL above it (see internal/ckpt for the
+// degradation order over torn artifacts). It is the one lookup — for a
+// document loaded in this process, one on disk from an earlier one, and
+// one detached by CloseDocument alike. While the name's artifacts are
+// changing (CloseDocument, Drop, a follower bootstrap) it waits for the
+// change to finish. A name neither attached nor checkpointed is
+// ErrNoDocument.
 func (db *Database) OpenDocument(name string) (*Document, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrDatabaseClosed
+	if err := db.settle(name); err != nil {
+		return nil, err
 	}
 	if d, ok := db.docs[name]; ok {
 		return d, nil
 	}
-	if db.bootstrapping[name] {
-		// The artifacts on disk belong to a document a replica
-		// subscription is mid-way through replacing; recovering from
-		// them would resurrect a half-deleted instance.
-		return nil, fmt.Errorf("%w %q (replica bootstrap in progress)", ErrNoDocument, name)
+	if !db.exists(name) {
+		return nil, fmt.Errorf("%w %q", ErrNoDocument, name)
 	}
-	if db.opts.Dir != "" {
-		for _, n := range checkpointedDocs(db.opts.Dir) {
-			if n == name {
-				if err := db.recoverDoc(name); err != nil {
-					return nil, fmt.Errorf("mxq: recovering %q: %w", name, err)
-				}
-				return db.docs[name], nil
-			}
-		}
+	d, err := db.recoverDoc(name)
+	if err != nil {
+		return nil, fmt.Errorf("mxq: recovering %q: %w", name, err)
 	}
-	return nil, fmt.Errorf("%w %q", ErrNoDocument, name)
+	db.docs[name] = d
+	return d, nil
 }
 
-// CloseDocument detaches one document: the auto-checkpointer is drained,
-// a final checkpoint is written (so the reopen replays no WAL and a
-// never-checkpointed document is not lost), the checkpointer is closed
-// and the WAL segments released. Durability artifacts stay on disk —
-// OpenDocument recovers the document later; contrast Drop, which deletes
-// them. The caller must guarantee no in-flight queries or transactions
-// on the document. Without a durability directory this discards the
-// document, exactly like Drop.
-func (db *Database) CloseDocument(name string) error {
+// detach settles name, takes its attached instance (nil if none) out of
+// the database and fences the name until lift is called. A name that
+// fails check is ErrNoDocument; a nil check admits any name.
+func (db *Database) detach(name string, check func(string) bool) (doc *Document, lift func(), err error) {
 	db.mu.Lock()
-	doc, ok := db.docs[name]
-	delete(db.docs, name)
-	db.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w %q", ErrNoDocument, name)
+	defer db.mu.Unlock()
+	if err := db.settle(name); err != nil {
+		return nil, nil, err
 	}
+	if check != nil && !check(name) {
+		return nil, nil, fmt.Errorf("%w %q", ErrNoDocument, name)
+	}
+	doc = db.docs[name]
+	delete(db.docs, name)
+	fence := make(chan struct{})
+	db.fences[name] = fence
+	return doc, func() {
+		db.mu.Lock()
+		delete(db.fences, name)
+		db.mu.Unlock()
+		close(fence)
+	}, nil
+}
+
+// CloseDocument detaches one attached document: the auto-checkpointer
+// is drained, a final checkpoint is written (so the reopen replays no
+// WAL and a never-checkpointed document is not lost), the checkpointer
+// is closed and the WAL segments released. Durability artifacts stay on
+// disk — the next OpenDocument recovers a new instance from them, and
+// waits for this call to publish the final image first; contrast Drop,
+// which deletes them. The caller must guarantee no in-flight queries or
+// transactions on the document. Without a durability directory this
+// discards the document, exactly like Drop.
+func (db *Database) CloseDocument(name string) error {
+	doc, lift, err := db.detach(name, func(name string) bool { return db.docs[name] != nil })
+	if err != nil {
+		return err
+	}
+	defer lift()
 	return doc.close(true)
 }
 
-// Documents lists the stored document names, sorted.
+// Documents lists, sorted, the names of the documents that exist:
+// attached, checkpointed in Options.Dir, or mid-change.
 func (db *Database) Documents() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.docs))
+	var names []string
+	if db.opts.Dir != "" {
+		entries, _ := os.ReadDir(db.opts.Dir)
+		for _, e := range entries {
+			if name, _, ok := ckpt.DocumentOfArtifact(e.Name()); ok {
+				names = append(names, name)
+			}
+		}
+	}
 	for n := range db.docs {
 		names = append(names, n)
 	}
+	for n := range db.fences {
+		names = append(names, n)
+	}
 	sort.Strings(names)
-	return names
+	return slices.Compact(names)
 }
 
-// Drop removes a document (and its durability files, if any).
+// Drop removes a document and its durability files, attached or not.
 func (db *Database) Drop(name string) error {
-	db.mu.Lock()
-	doc, ok := db.docs[name]
-	delete(db.docs, name)
-	db.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w %q", ErrNoDocument, name)
+	doc, lift, err := db.detach(name, db.exists)
+	if err != nil {
+		return err
 	}
-	if doc.log != nil {
+	defer lift()
+	if doc != nil {
 		// close waits out an in-flight checkpoint before the artifacts
 		// go: a Run that lost this race would otherwise republish an
 		// image and prune a WAL that no longer exists.
 		doc.close(false)
-		// Exact-boundary removal: a document whose name is a prefix of
-		// another ("a" vs "a-b") must never take the other's artifacts.
-		wal.RemoveSegments(db.walPath(name))
-		ckpt.RemoveArtifacts(db.opts.Dir, name)
-		// Dropping the document is the one case chunks go too: no future
-		// image of this document will reference them. (Only the default
-		// local store — a caller-supplied ChunkStore manages its own data.)
-		if db.opts.ChunkStore == nil {
-			ckpt.RemoveChunks(db.opts.Dir, name)
-		}
+	}
+	if db.opts.Dir == "" {
+		return nil
+	}
+	// Exact-boundary removal: a document whose name is a prefix of
+	// another ("a" vs "a-b") must never take the other's artifacts.
+	wal.RemoveSegments(db.walPath(name))
+	ckpt.RemoveArtifacts(db.opts.Dir, name)
+	// Dropping the document is the one case chunks go too: no future
+	// image of this document will reference them. (Only the default
+	// local store — a caller-supplied ChunkStore manages its own data.)
+	if db.opts.ChunkStore == nil {
+		ckpt.RemoveChunks(db.opts.Dir, name)
 	}
 	return nil
 }
 
 // Close drains every document's auto-checkpointer (a checkpoint in
-// flight finishes; no new one starts) and closes the WAL segments. It is
-// idempotent, and safe to race with manual Checkpoint calls: a
-// checkpoint that loses the race fails with ckpt.ErrClosed instead of
-// writing through a closed log.
+// flight finishes; no new one starts) and closes the WAL segments; a
+// call waiting out a change to some name's artifacts fails with
+// ErrDatabaseClosed. It is idempotent, and safe to race with manual
+// Checkpoint calls: a checkpoint that loses the race fails with
+// ckpt.ErrClosed instead of writing through a closed log.
 func (db *Database) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -569,6 +602,7 @@ func (db *Database) Close() error {
 		return nil
 	}
 	db.closed = true
+	close(db.closeC)
 	var first error
 	for _, d := range db.docs {
 		if err := d.close(false); err != nil && first == nil {

@@ -114,8 +114,8 @@ func TestDocumentRegistry(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("documents = %v", names)
 	}
-	if _, ok := db.Document("a"); !ok {
-		t.Fatal("lookup failed")
+	if _, err := db.OpenDocument("a"); err != nil {
+		t.Fatalf("lookup failed: %v", err)
 	}
 	if err := db.Drop("a"); err != nil {
 		t.Fatal(err)
@@ -123,8 +123,100 @@ func TestDocumentRegistry(t *testing.T) {
 	if err := db.Drop("a"); err == nil {
 		t.Fatal("double drop succeeded")
 	}
-	if _, ok := db.Document("a"); ok {
-		t.Fatal("dropped document still present")
+	if _, err := db.OpenDocument("a"); !errors.Is(err, ErrNoDocument) {
+		t.Fatalf("dropped document still present: %v", err)
+	}
+}
+
+// checkpointedLib leaves a durable "lib" in dir — loaded, updated,
+// checkpointed, closed — and returns its XML.
+func checkpointedLib(t *testing.T, dir string) string {
+	t.Helper()
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("lib", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>on disk</book></xupdate:append>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := doc.XML()
+	return want
+}
+
+// TestLoadOverUnattachedDocumentFails: a name with a checkpoint image
+// exists whether or not it is attached, so loading over it fails — and
+// the document on disk recovers unchanged, through an update and a
+// restart too (a load that took the name would have had its commits
+// replayed over the old image).
+func TestLoadOverUnattachedDocumentFails(t *testing.T) {
+	dir := t.TempDir()
+	want := checkpointedLib(t, dir)
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.LoadXMLString("lib", `<other><x>1</x></other>`); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("load over an unattached document = %v, want already exists", err)
+	}
+	doc, err := db.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := doc.XML(); got != want {
+		t.Fatalf("document changed by a refused load:\nwant %s\ngot  %s", want, got)
+	}
+	if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib"><x>3</x></xupdate:append>`)); err != nil {
+		t.Fatal(err)
+	}
+	want, _ = doc.XML()
+	db.Close()
+	db, err = Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err = db.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := doc.XML(); got != want {
+		t.Fatalf("restart recovered another document:\nwant %s\ngot  %s", want, got)
+	}
+}
+
+// TestDocumentsListsUnattached: after Close and Open, Documents lists a
+// checkpointed document before anything attaches it, and Drop removes
+// it — artifacts and all — without attaching it.
+func TestDocumentsListsUnattached(t *testing.T) {
+	dir := t.TempDir()
+	checkpointedLib(t, dir)
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.Documents(); !slices.Equal(got, []string{"lib"}) {
+		t.Fatalf("Documents over a reopened directory = %v, want [lib]", got)
+	}
+	if err := db.Drop("lib"); err != nil {
+		t.Fatalf("Drop of an unattached document: %v", err)
+	}
+	if got := db.Documents(); len(got) != 0 {
+		t.Fatalf("Documents after Drop = %v", got)
+	}
+	if _, err := db.OpenDocument("lib"); !errors.Is(err, ErrNoDocument) {
+		t.Fatalf("OpenDocument after Drop = %v, want ErrNoDocument", err)
+	}
+	if got := ls(t, dir); len(got) != 0 {
+		t.Fatalf("Drop left %v behind", got)
 	}
 }
 
@@ -247,9 +339,9 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	doc2, ok := db2.Document("lib")
-	if !ok {
-		t.Fatalf("document not recovered; dir: %v", ls(t, dir))
+	doc2, err := db2.OpenDocument("lib")
+	if err != nil {
+		t.Fatalf("document not recovered: %v; dir: %v", err, ls(t, dir))
 	}
 	got, err := doc2.XML()
 	if err != nil {
@@ -364,9 +456,9 @@ func TestAutoCheckpointPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	doc2, ok := db2.Document("lib")
-	if !ok {
-		t.Fatalf("document not recovered; dir: %v", ls(t, dir))
+	doc2, err := db2.OpenDocument("lib")
+	if err != nil {
+		t.Fatalf("document not recovered: %v; dir: %v", err, ls(t, dir))
 	}
 	if got, _ := doc2.XML(); got != want {
 		t.Fatalf("recovered state differs:\nwant %s\ngot  %s", want, got)
@@ -481,7 +573,10 @@ func TestCheckpointOnlineKeepsCommitsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	doc2, _ := db2.Document("lib")
+	doc2, err := db2.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, _ := doc2.XML(); got != want {
 		t.Fatalf("post-checkpoint commit lost:\nwant %s\ngot  %s", want, got)
 	}
@@ -522,12 +617,12 @@ func TestDropSparesDashSiblingDocuments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if _, ok := db2.Document("a"); ok {
-		t.Fatal(`dropped document "a" came back`)
+	if _, err := db2.OpenDocument("a"); !errors.Is(err, ErrNoDocument) {
+		t.Fatalf(`dropped document "a" came back: %v`, err)
 	}
-	doc2, ok := db2.Document("a-b")
-	if !ok {
-		t.Fatalf(`dropping "a" destroyed "a-b"; dir: %v`, ls(t, dir))
+	doc2, err := db2.OpenDocument("a-b")
+	if err != nil {
+		t.Fatalf(`dropping "a" destroyed "a-b": %v; dir: %v`, err, ls(t, dir))
 	}
 	if got, _ := doc2.XML(); got != want {
 		t.Fatalf(`"a-b" damaged by Drop("a"):\nwant %s\ngot  %s`, want, got)
@@ -547,14 +642,14 @@ func TestBareFilesAreForeign(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := checkpointedDocs(dir); len(got) != 0 {
-		t.Fatalf("bare files claimed as documents: %v", got)
-	}
 	db, err := Open(Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	if got := db.Documents(); len(got) != 0 {
+		t.Fatalf("bare files claimed as documents: %v", got)
+	}
 	doc, err := db.LoadXMLString("lib", libDoc)
 	if err != nil {
 		t.Fatal(err)

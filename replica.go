@@ -148,15 +148,21 @@ func (db *Database) FollowDocument(addr, name string) (stop func(), err error) {
 }
 
 // docSink feeds a subscription into one named document of the
-// database. It is driven from the follower's single goroutine.
+// database — the one repl.Sink in the tree. It is driven from the
+// follower's single goroutine, and finds the document the way every
+// caller does, through OpenDocument: a restarted follower attaches its
+// local image and WAL and resumes by replay.
 type docSink struct {
 	db   *Database
 	name string
 }
 
+// AppliedLSN implements repl.Sink. A document that does not exist, or
+// whose artifacts no longer recover, is no state: the subscription
+// bootstraps, which replaces it.
 func (s *docSink) AppliedLSN() (uint64, bool) {
-	d, ok := s.db.Document(s.name)
-	if !ok || d.log == nil {
+	d, err := s.db.OpenDocument(s.name)
+	if err != nil {
 		return 0, false
 	}
 	return d.mgr.AppliedLSN(), true
@@ -180,13 +186,13 @@ func (s *docSink) ChunkStore() (chunkstore.Store, error) {
 // artifacts wiped — its history is foreign to the image's LSN line —
 // then a fresh WAL is positioned at lsn and an initial local checkpoint
 // written, so a follower restart recovers locally and resumes by WAL
-// replay instead of re-bootstrapping. The chunk directory deliberately
+// replay instead of a second bootstrap. The chunk directory deliberately
 // survives the wipe: chunks are named by content, not by LSN line, so
 // they are exactly as valid for the new incarnation, and the initial
 // local checkpoint re-references them instead of rewriting the
 // document. Readers holding the old instance's snapshots finish
-// undisturbed on them; new readers see the bootstrapped document once
-// it is published.
+// undisturbed on them; OpenDocument waits for the bootstrapped document
+// to be published.
 func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 	cs, err := s.ChunkStore()
 	if err != nil {
@@ -197,23 +203,14 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 		return fmt.Errorf("mxq: materializing bootstrap manifest: %w", err)
 	}
 	db := s.db
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrDatabaseClosed
+	// The name stays fenced until the new instance is published (or this
+	// bootstrap fails): recovery from a half-wiped directory would
+	// resurrect a dead LSN line.
+	old, lift, err := db.detach(s.name, nil)
+	if err != nil {
+		return err
 	}
-	old := db.docs[s.name]
-	delete(db.docs, s.name)
-	// Fence OpenDocument out of the artifacts until the new instance is
-	// published (or this bootstrap fails): recovery from a half-wiped
-	// directory would resurrect a dead LSN line.
-	db.bootstrapping[s.name] = true
-	db.mu.Unlock()
-	defer func() {
-		db.mu.Lock()
-		delete(db.bootstrapping, s.name)
-		db.mu.Unlock()
-	}()
+	defer lift()
 	if old != nil {
 		// Detach without a final checkpoint: the old image is on a dead
 		// LSN line and about to be wiped.
@@ -236,13 +233,12 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 	}
 
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		doc.close(false)
 		return ErrDatabaseClosed
 	}
 	db.docs[s.name] = doc
-	db.mu.Unlock()
 	return nil
 }
 
@@ -251,9 +247,9 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 // so acking anything a local crash could lose would strand this
 // follower on the snapshot path forever.
 func (s *docSink) Apply(recs []*wal.Record) (uint64, error) {
-	d, ok := s.db.Document(s.name)
-	if !ok || d.log == nil {
-		return 0, fmt.Errorf("mxq: follower document %q vanished mid-stream", s.name)
+	d, err := s.db.OpenDocument(s.name)
+	if err != nil {
+		return 0, fmt.Errorf("mxq: follower document %q: %w", s.name, err)
 	}
 	for _, rec := range recs {
 		if err := d.mgr.ApplyReplicated(rec); err != nil {

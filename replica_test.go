@@ -128,6 +128,24 @@ func appendBook(t *testing.T, doc *Document, name string) uint64 {
 	return txn.CommitLSN()
 }
 
+// appliedAt reports whether the named document exists on db and has
+// applied lsn.
+func appliedAt(db *Database, name string, lsn uint64) bool {
+	d, err := db.OpenDocument(name)
+	return err == nil && d.AppliedLSN() == lsn
+}
+
+// books is a one-shelf library of n numbered books.
+func books(n int) string {
+	var sb strings.Builder
+	sb.WriteString(`<lib><shelf id="s1">`)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "<book>title-%05d</book>", i)
+	}
+	sb.WriteString(`</shelf></lib>`)
+	return sb.String()
+}
+
 // TestFollowDocument is the whole follower lifecycle against a live
 // primary: empty-directory bootstrap, live streaming, read-your-writes
 // by LSN, restart with WAL-mode resume.
@@ -142,26 +160,43 @@ func TestFollowDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendBook(t, doc, "B")
-	ln, _ := replListener(t, doc)
+	ln, sent := replListener(t, doc)
 
 	followerDir := t.TempDir()
-	followerDB, err := Open(Options{Dir: followerDir, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
+	follower := func() *Database {
+		t.Helper()
+		db, err := Open(Options{Dir: followerDir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
 	}
-	stop, err := followerDB.FollowDocument(ln.Addr().String(), "lib")
-	if err != nil {
-		t.Fatal(err)
+	// stop ends the subscription and waits until the primary has let go
+	// of it, so no byte of it is counted against the next one.
+	follow := func(db *Database) (stop func()) {
+		t.Helper()
+		stopFollow, err := db.FollowDocument(ln.Addr().String(), "lib")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stopFollow)
+		return func() {
+			stopFollow()
+			waitUntil(t, "unsubscribe", func() bool { return doc.Followers() == 0 })
+		}
 	}
-	waitUntil(t, "bootstrap", func() bool {
-		d, ok := followerDB.Document("lib")
-		return ok && d.AppliedLSN() == doc.LastLSN()
-	})
+	followerDB := follower()
+	stop := follow(followerDB)
+	waitUntil(t, "bootstrap", func() bool { return appliedAt(followerDB, "lib", doc.LastLSN()) })
 
 	// Read-your-writes: commit on the primary, wait for the LSN on the
 	// follower, then the read must see it.
 	lsn := appendBook(t, doc, "C")
-	fdoc, _ := followerDB.Document("lib")
+	fdoc, err := followerDB.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := fdoc.WaitApplied(lsn, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -173,44 +208,52 @@ func TestFollowDocument(t *testing.T) {
 		t.Fatalf("future LSN wait = %v", err)
 	}
 	waitUntil(t, "follower registration", func() bool { return doc.Followers() == 1 })
+	cold := sent.Load()
 
-	// Restart the follower: it must recover locally and resume by WAL
-	// replay (no second bootstrap — the primary would tell us by mode,
-	// which docSink counts via a fresh ckpt each bootstrap; we check
-	// convergence and that local recovery alone reached the old LSN).
+	// Restart the follower: the subscription attaches the local image
+	// and WAL and resumes by WAL replay, so the primary ships the one
+	// missing record, not a bootstrap.
 	stop()
 	if err := followerDB.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lsn = appendBook(t, doc, "D")
-
-	followerDB, err = Open(Options{Dir: followerDir, NoSync: true})
-	if err != nil {
+	followerDB = follower()
+	base := sent.Load()
+	stop = follow(followerDB)
+	// Wait for the follower's ack on the primary: a lookup on the
+	// follower would attach the document before the subscription does.
+	waitUntil(t, "resume", func() bool { return doc.tracker.Barrier() == lsn })
+	if resumed := sent.Load() - base; resumed*20 >= cold {
+		t.Fatalf("resume shipped %d bytes, the cold bootstrap %d: the restarted follower bootstrapped", resumed, cold)
+	}
+	stop()
+	if err := followerDB.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer followerDB.Close()
-	fdoc, ok := followerDB.Document("lib")
-	if !ok {
-		t.Fatal("follower did not recover its local document")
+
+	// Restart again, attaching before following: the instance
+	// OpenDocument recovers is the one the subscription rolls forward (a
+	// bootstrap would have replaced it).
+	lsn = appendBook(t, doc, "E")
+	followerDB = follower()
+	fdoc, err = followerDB.OpenDocument("lib")
+	if err != nil {
+		t.Fatalf("follower did not recover its local document: %v", err)
 	}
 	if fdoc.AppliedLSN() == 0 {
 		t.Fatal("local recovery lost the applied watermark")
 	}
-	stop, err = followerDB.FollowDocument(ln.Addr().String(), "lib")
-	if err != nil {
-		t.Fatal(err)
+	follow(followerDB)
+	waitUntil(t, "resume", func() bool { return appliedAt(followerDB, "lib", lsn) })
+	if d, _ := followerDB.OpenDocument("lib"); d != fdoc {
+		t.Fatal("the subscription replaced the recovered instance: the restarted follower bootstrapped")
 	}
-	defer stop()
-	waitUntil(t, "resume", func() bool {
-		d, ok := followerDB.Document("lib")
-		return ok && d.AppliedLSN() == lsn
-	})
-	d, _ := followerDB.Document("lib")
 	want, err := doc.XML()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.XML()
+	got, err := fdoc.XML()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +269,12 @@ func TestFollowDocument(t *testing.T) {
 // so the wire carries only the chunks the churn since then dirtied —
 // a small fraction of the first (cold) bootstrap's transfer.
 func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString(`<lib><shelf id="s1">`)
-	for i := 0; i < 20000; i++ {
-		fmt.Fprintf(&sb, "<book>title-%05d</book>", i)
-	}
-	sb.WriteString(`</shelf></lib>`)
-
 	primaryDB, err := Open(Options{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primaryDB.Close()
-	doc, err := primaryDB.LoadXMLString("lib", sb.String())
+	doc, err := primaryDB.LoadXMLString("lib", books(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +291,7 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "cold bootstrap", func() bool {
-		d, ok := followerDB.Document("lib")
-		return ok && d.AppliedLSN() == doc.LastLSN()
-	})
+	waitUntil(t, "cold bootstrap", func() bool { return appliedAt(followerDB, "lib", doc.LastLSN()) })
 	stop()
 	if err := followerDB.Close(); err != nil {
 		t.Fatal(err)
@@ -280,8 +313,8 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer followerDB.Close()
-	if _, ok := followerDB.Document("lib"); ok {
-		t.Fatal("document recovered without WAL or images; crash simulation is broken")
+	if _, err := followerDB.OpenDocument("lib"); !errors.Is(err, ErrNoDocument) {
+		t.Fatalf("document recovered without WAL or images (%v); crash simulation is broken", err)
 	}
 	base := sent.Load()
 	stop, err = followerDB.FollowDocument(ln.Addr().String(), "lib")
@@ -289,10 +322,7 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	waitUntil(t, "re-bootstrap", func() bool {
-		d, ok := followerDB.Document("lib")
-		return ok && d.AppliedLSN() == lsn
-	})
+	waitUntil(t, "re-bootstrap", func() bool { return appliedAt(followerDB, "lib", lsn) })
 	rebootstrap := sent.Load() - base
 
 	// The re-bootstrap is a full bootstrap on the wire protocol level
@@ -303,7 +333,10 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	}
 	t.Logf("cold bootstrap %d bytes, re-bootstrap %d bytes (%.1f%%)", cold, rebootstrap, 100*float64(rebootstrap)/float64(cold))
 
-	fdoc, _ := followerDB.Document("lib")
+	fdoc, err := followerDB.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := doc.XML()
 	if err != nil {
 		t.Fatal(err)
