@@ -66,7 +66,7 @@ lint:
 # `make loc-check` fails when the first exceeds LOC_CEILING. A change
 # that needs more lines raises the ceiling in its own diff, where a
 # reviewer sees it.
-LOC_CEILING = 21566
+LOC_CEILING = 21568
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"

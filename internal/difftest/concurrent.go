@@ -135,13 +135,16 @@ func RunConcurrent(t *testing.T, cfg ConcurrentConfig) {
 	// any reader that observes a version finds its oracle.
 	var verMu sync.RWMutex
 	versions := map[uint64]*naive.Store{0: oracle.Clone()}
-	oracleAt := func(v uint64) *naive.Store {
+	frozenAt := func(v uint64) *naive.Store {
 		verMu.RLock()
 		defer verMu.RUnlock()
 		return versions[v]
 	}
 
 	stop := make(chan struct{})
+	// halt stops the readers; a Fatalf in the driver below runs it too.
+	halt := sync.OnceFunc(func() { close(stop) })
+	defer halt()
 	errs := make(chan error, cfg.Readers)
 	var wg sync.WaitGroup
 	for r := 0; r < cfg.Readers; r++ {
@@ -187,7 +190,7 @@ func RunConcurrent(t *testing.T, cfg ConcurrentConfig) {
 						defer rv.Close()
 					}
 					view, v := rv.View(), rv.Version()
-					want := oracleAt(v)
+					want := frozenAt(v)
 					if want == nil {
 						return fmt.Errorf("seed %d reader %d: no oracle for version %d", cfg.Seed, r, v)
 					}
@@ -224,20 +227,8 @@ func RunConcurrent(t *testing.T, cfg ConcurrentConfig) {
 	step := 0
 	for batch := 1; batch <= cfg.Batches; batch++ {
 		txn := m.Begin()
-		var pending []op
-		for i := 0; i < cfg.BatchOps; i++ {
-			o, genOK := genOp(rng, txn, step)
-			if !genOK {
-				close(stop)
-				t.Fatalf("seed %d batch %d: tx image has no live nodes", cfg.Seed, batch)
-			}
-			pending = append(pending, o)
-			if err := o.applyPaged(txn); err != nil {
-				close(stop)
-				t.Fatalf("seed %d batch %d: tx %v: %v", cfg.Seed, batch, o, err)
-			}
-			step++
-		}
+		pending := genBatch(t, cfg.Seed, rng, txn, batch, step, cfg.BatchOps)
+		step += cfg.BatchOps
 		if rng.Intn(3) == 0 {
 			// Aborted batches must be invisible to every reader.
 			txn.Abort()
@@ -245,7 +236,6 @@ func RunConcurrent(t *testing.T, cfg ConcurrentConfig) {
 		}
 		for _, o := range pending {
 			if err := o.applyNaive(oracle); err != nil {
-				close(stop)
 				t.Fatalf("seed %d batch %d: oracle %v: %v", cfg.Seed, batch, o, err)
 			}
 		}
@@ -254,7 +244,6 @@ func RunConcurrent(t *testing.T, cfg ConcurrentConfig) {
 		versions[next] = oracle.Clone()
 		verMu.Unlock()
 		if err := txn.Commit(); err != nil {
-			close(stop)
 			t.Fatalf("seed %d batch %d: commit: %v", cfg.Seed, batch, err)
 		}
 		// Periodic dictionary compaction while readers race: aborted
@@ -264,7 +253,7 @@ func RunConcurrent(t *testing.T, cfg ConcurrentConfig) {
 			m.CompactDictionaries()
 		}
 	}
-	close(stop)
+	halt()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -11,7 +11,6 @@ import (
 	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
 	"mxq/internal/core"
-	"mxq/internal/naive"
 	"mxq/internal/tx"
 	"mxq/internal/wal"
 )
@@ -103,17 +102,7 @@ func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
 	committed := 0
 	for b := 1; b <= cfg.Batches && killed == ""; b++ {
 		txn := m.Begin()
-		var pending []op
-		for i := 0; i < cfg.BatchOps; i++ {
-			o, ok := genOp(rng, txn, b*1000+i)
-			if !ok {
-				t.Fatalf("seed %d batch %d: tx image has no live nodes", cfg.Seed, b)
-			}
-			pending = append(pending, o)
-			if err := o.applyPaged(txn); err != nil {
-				t.Fatalf("seed %d batch %d: tx %v: %v", cfg.Seed, b, o, err)
-			}
-		}
+		pending := genBatch(t, cfg.Seed, rng, txn, b, b*1000, cfg.BatchOps)
 		if rng.Intn(4) == 0 { // some batches abort: no record, no oracle ops
 			txn.Abort()
 			continue
@@ -176,18 +165,7 @@ func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
 	}
 
 	// The oracle replayed to the recovered LSN must agree exactly.
-	oracle, err := naive.Build(tree)
-	if err != nil {
-		t.Fatalf("seed %d: building oracle: %v", cfg.Seed, err)
-	}
-	for lsn := uint64(1); lsn <= recLSN; lsn++ {
-		for _, o := range batches[lsn] {
-			if err := o.applyNaive(oracle); err != nil {
-				t.Fatalf("seed %d: oracle replay of LSN %d op %v: %v", cfg.Seed, lsn, o, err)
-			}
-		}
-	}
-	got, want := serializeView(t, recovered), serializeView(t, oracle)
+	got, want := serializeView(t, recovered), oracleAt(t, cfg.Seed, tree, batches, recLSN)
 	if got != want {
 		t.Fatalf("seed %d: recovered state diverges from oracle at LSN %d\nrecovered: %s\noracle:    %s",
 			cfg.Seed, recLSN, got, want)

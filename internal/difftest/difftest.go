@@ -234,6 +234,43 @@ func genOp(rng *rand.Rand, v xenc.DocView, stamp int) (op, bool) {
 	return o, true
 }
 
+// genBatch generates n random ops against a transaction image and
+// applies each to it as it goes; op i is stamped key+i. It returns the
+// ops, which the oracle replays if the transaction commits.
+func genBatch(t *testing.T, seed int64, rng *rand.Rand, txn *tx.Tx, batch, key, n int) []op {
+	t.Helper()
+	ops := make([]op, 0, n)
+	for i := 0; i < n; i++ {
+		o, ok := genOp(rng, txn, key+i)
+		if !ok {
+			t.Fatalf("seed %d batch %d: tx image has no live nodes", seed, batch)
+		}
+		ops = append(ops, o)
+		if err := o.applyPaged(txn); err != nil {
+			t.Fatalf("seed %d batch %d: tx %v: %v", seed, batch, o, err)
+		}
+	}
+	return ops
+}
+
+// oracleAt builds a fresh oracle over tree, replays the batches committed
+// at LSNs 1..lsn onto it and returns its serialization.
+func oracleAt(t *testing.T, seed int64, tree *shred.Tree, batches map[uint64][]op, lsn uint64) string {
+	t.Helper()
+	oracle, err := naive.Build(tree)
+	if err != nil {
+		t.Fatalf("seed %d: building oracle: %v", seed, err)
+	}
+	for l := uint64(1); l <= lsn; l++ {
+		for _, o := range batches[l] {
+			if err := o.applyNaive(oracle); err != nil {
+				t.Fatalf("seed %d: oracle replay of LSN %d op %v: %v", seed, l, o, err)
+			}
+		}
+	}
+	return serializeView(t, oracle)
+}
+
 // randFrag builds a small random single-rooted fragment: an element with
 // up to three child nodes (elements, text, comments), possibly carrying
 // an attribute.
@@ -394,18 +431,8 @@ func runTx(t *testing.T, cfg Config, rng *rand.Rand, paged *core.Store, oracle *
 	for step < cfg.Steps {
 		batch++
 		txn := m.Begin()
-		var pending []op
-		for i := 0; i < cfg.TxBatch && step < cfg.Steps; i++ {
-			o, ok := genOp(rng, txn, step)
-			if !ok {
-				t.Fatalf("seed %d step %d: tx image has no live nodes", cfg.Seed, step)
-			}
-			pending = append(pending, o)
-			if err := o.applyPaged(txn); err != nil {
-				t.Fatalf("seed %d step %d: tx %v: %v", cfg.Seed, step, o, err)
-			}
-			step++
-		}
+		pending := genBatch(t, cfg.Seed, rng, txn, batch, step, min(cfg.TxBatch, cfg.Steps-step))
+		step += len(pending)
 		commit := batch%2 == 1
 		if commit {
 			if err := txn.Commit(); err != nil {

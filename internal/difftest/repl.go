@@ -15,7 +15,6 @@ import (
 	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
 	"mxq/internal/core"
-	"mxq/internal/naive"
 	"mxq/internal/repl"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
@@ -107,17 +106,7 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 		for b := 0; b < n; b++ {
 			batchNo++
 			txn := m.Begin()
-			var pending []op
-			for i := 0; i < cfg.BatchOps; i++ {
-				o, ok := genOp(rng, txn, batchNo*1000+i)
-				if !ok {
-					t.Fatalf("seed %d batch %d: tx image has no live nodes", cfg.Seed, batchNo)
-				}
-				pending = append(pending, o)
-				if err := o.applyPaged(txn); err != nil {
-					t.Fatalf("seed %d batch %d: tx %v: %v", cfg.Seed, batchNo, o, err)
-				}
-			}
+			pending := genBatch(t, cfg.Seed, rng, txn, batchNo, batchNo*1000, cfg.BatchOps)
 			if rng.Intn(5) == 0 { // some batches abort: no record, no oracle ops
 				txn.Abort()
 				continue
@@ -147,20 +136,15 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 		commit(cfg.Offline)
 		if d := f.doc(); cfg.ForceLap && d != nil {
 			applied := d.AppliedLSN()
-			lapped := false
-			for lap := 0; lap < 50; lap++ {
-				if !log.CanStream(applied) {
-					lapped = true
-					break
+			for lap := 0; log.CanStream(applied); lap++ {
+				if lap == 50 {
+					t.Fatalf("seed %d round %d: could not prune the primary past follower LSN %d",
+						cfg.Seed, round, applied)
 				}
 				commit(1)
 				if _, err := ck.Run(); err != nil {
 					t.Fatalf("seed %d: lap checkpoint: %v", cfg.Seed, err)
 				}
-			}
-			if !lapped {
-				t.Fatalf("seed %d round %d: could not prune the primary past follower LSN %d",
-					cfg.Seed, round, applied)
 			}
 		}
 
@@ -169,6 +153,14 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 			t.Fatalf("seed %d: %v", cfg.Seed, err)
 		}
 		commit(cfg.Batches)
+		// Every stop below comes after this round's subscription is on the
+		// wire, so each FollowDocument is at least one subscription.
+		waitFor(t, func() (bool, string) {
+			subs.mu.Lock()
+			n := len(subs.subs)
+			subs.mu.Unlock()
+			return n >= round, fmt.Sprintf("seed %d: %d subscriptions after %d FollowDocument calls", cfg.Seed, n, round)
+		})
 
 		final := round == cfg.Rounds
 		if final || rng.Intn(2) == 0 {
@@ -176,7 +168,13 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 			// tail, then verify full agreement with both the oracle and
 			// the primary's live store.
 			tail := log.LastLSN()
-			waitApplied(t, cfg, f, tail)
+			waitFor(t, func() (bool, string) {
+				var applied uint64
+				if d := f.doc(); d != nil {
+					applied = d.AppliedLSN()
+				}
+				return applied >= tail, fmt.Sprintf("seed %d: follower stuck at LSN %d, want %d", cfg.Seed, applied, tail)
+			})
 			stop()
 			got := oracleCheckRepl(t, cfg, tree, batches, f.doc(), tail, "converged follower")
 			rv := m.AcquireRead()
@@ -185,6 +183,15 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 			if got != primary {
 				t.Fatalf("seed %d round %d: converged follower diverges from primary at LSN %d\nfollower: %s\nprimary:  %s",
 					cfg.Seed, round, tail, got, primary)
+			}
+			if d := f.doc(); cfg.FollowerCkpt > 0 {
+				// A failed follower checkpoint is only logged; it shows here
+				// as a WAL tail that never drops under the policy.
+				waitFor(t, func() (bool, string) {
+					n := d.Stats().WALRecords
+					return n < cfg.FollowerCkpt, fmt.Sprintf("seed %d: follower checkpoints stalled: %d WAL records above its image, policy %d",
+						cfg.Seed, n, cfg.FollowerCkpt)
+				})
 			}
 		} else {
 			// Mid-stream stop: cut the connection wherever the stream
@@ -208,6 +215,17 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 		if d := f.crash(t, rng, cfg); d != nil {
 			oracleCheckRepl(t, cfg, tree, batches, d, d.AppliedLSN(), "crash-recovered follower")
 		}
+	}
+
+	// The follower subscribes again only after a failure — an Apply, a
+	// bootstrap, a protocol check — so, with every connection the primary
+	// served now closed (no tap writes any more), each FollowDocument must
+	// be exactly one subscription.
+	stop()
+	shutdown()
+	if n := len(subs.subs); n != cfg.Rounds {
+		t.Fatalf("seed %d: %d subscriptions for %d FollowDocument calls: the follower failed and resubscribed",
+			cfg.Seed, n, cfg.Rounds)
 	}
 
 	// Coverage tripwires, read off the wire: the lapping shape must have
@@ -238,18 +256,7 @@ func oracleCheckRepl(t *testing.T, cfg ReplConfig, tree *shred.Tree, batches map
 	if err != nil {
 		t.Fatalf("seed %d: serializing %s: %v", cfg.Seed, who, err)
 	}
-	oracle, err := naive.Build(tree)
-	if err != nil {
-		t.Fatalf("seed %d: building oracle: %v", cfg.Seed, err)
-	}
-	for l := uint64(1); l <= lsn; l++ {
-		for _, o := range batches[l] {
-			if err := o.applyNaive(oracle); err != nil {
-				t.Fatalf("seed %d: oracle replay of LSN %d op %v: %v", cfg.Seed, l, o, err)
-			}
-		}
-	}
-	if want := serializeView(t, oracle); got != want {
+	if want := oracleAt(t, cfg.Seed, tree, batches, lsn); got != want {
 		t.Fatalf("seed %d: %s diverges from oracle at LSN %d\nfollower: %s\noracle:   %s",
 			cfg.Seed, who, lsn, got, want)
 	}
@@ -461,24 +468,19 @@ func (f *replFollower) crash(t *testing.T, rng *rand.Rand, cfg ReplConfig) *mxq.
 	return d
 }
 
-// waitApplied polls until the follower has applied lsn; the deadline is
-// generous because a snapshot re-bootstrap plus catch-up sits behind
-// the follower's reconnect backoff.
-func waitApplied(t *testing.T, cfg ReplConfig, f *replFollower, lsn uint64) {
+// waitFor polls cond until it reports done, failing with its message
+// after a deadline generous enough for a snapshot re-bootstrap plus
+// catch-up behind the follower's reconnect backoff.
+func waitFor(t *testing.T, cond func() (done bool, msg string)) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		var applied uint64
-		if d := f.doc(); d != nil {
-			applied = d.AppliedLSN()
-			if applied >= lsn {
-				return
-			}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		done, msg := cond()
+		if done {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("seed %d: follower stuck at LSN %d, want %d", cfg.Seed, applied, lsn)
+			t.Fatal(msg)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

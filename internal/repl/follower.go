@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"time"
 
 	"mxq/internal/chunkstore"
@@ -49,17 +50,17 @@ type Sink interface {
 // subscription is self-healing: every reconnect renegotiates from the
 // sink's current applied LSN, so a crash on either side (or a prune
 // that outran the fence while disconnected) degrades to a bootstrap,
-// never to divergence. Logf receives the connection errors.
+// never to divergence.
 type Follower struct {
 	Addr string
 	Doc  string
 	Sink Sink
-	Logf func(string, ...any)
 }
 
 // Run services the subscription until stop closes. Connection errors
-// are logged and retried with backoff (100ms doubling to 3s, reset
-// whenever a connection made progress); only a nil from stop ends it.
+// are logged to stderr and retried with backoff (100ms doubling to 3s,
+// reset whenever a connection made progress); only a nil from stop ends
+// it.
 func (f *Follower) Run(stop <-chan struct{}) {
 	backoff := 100 * time.Millisecond
 	for {
@@ -75,7 +76,7 @@ func (f *Follower) Run(stop <-chan struct{}) {
 		default:
 		}
 		if err != nil {
-			f.Logf("repl %s: subscription ended: %v", f.Doc, err)
+			fmt.Fprintf(os.Stderr, "mxq: repl %s: subscription ended: %v\n", f.Doc, err)
 		}
 		if progressed {
 			backoff = 100 * time.Millisecond
@@ -265,9 +266,11 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 		return err
 	}
 	var need []chunkstore.Hash
+	pending := make(map[chunkstore.Hash]bool)
 	for i, h := range uniq {
 		if !have[i] {
 			need = append(need, h)
+			pending[h] = true
 		}
 	}
 	var p wire.PayloadBuilder
@@ -277,10 +280,6 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 	}
 	if err := wire.WriteFrame(conn, wire.Frame{Op: wire.OpChunkNeed, Payload: p.Bytes()}); err != nil {
 		return err
-	}
-	pending := make(map[chunkstore.Hash]bool, len(need))
-	for _, h := range need {
-		pending[h] = true
 	}
 	for last := false; !last; {
 		fr, err := wire.ReadFrame(conn, 0)

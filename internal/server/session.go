@@ -184,10 +184,7 @@ func (s *session) handleSubscribeWAL(f wire.Frame) bool {
 		return true
 	}
 	logf := s.srv.cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if err := repl.Serve(s.conn, f.ID, after, src, s.srv.cfg.MaxFrame, logf); err != nil {
+	if err := repl.Serve(s.conn, f.ID, after, src, s.srv.cfg.MaxFrame, logf); err != nil && logf != nil {
 		logf("server: replication stream for %q ended: %v", name, err)
 	}
 	return false

@@ -345,13 +345,18 @@ func (db *Database) settle(name string) error {
 }
 
 // exists reports, with db.mu held, whether name is attached or has a
-// checkpoint image on disk.
-func (db *Database) exists(name string) bool {
+// checkpoint image on disk. A Dir that cannot be read is an error, never
+// "absent": a load would take a checkpointed name, and the next recovery
+// would replay its commits over the old image.
+func (db *Database) exists(name string) (bool, error) {
 	if _, ok := db.docs[name]; ok || db.opts.Dir == "" {
-		return ok
+		return ok, nil
 	}
-	imgs, _ := ckpt.Images(db.opts.Dir, name)
-	return len(imgs) > 0
+	imgs, err := ckpt.Images(db.opts.Dir, name)
+	if err != nil {
+		return false, fmt.Errorf("mxq: looking up %q: %w", name, err)
+	}
+	return len(imgs) > 0, nil
 }
 
 // walPath is the base path of the document's WAL segments.
@@ -363,12 +368,11 @@ func (db *Database) openWAL(name string) (*wal.Log, error) {
 	return wal.Open(db.walPath(name), wal.Options{NoSync: db.opts.NoSync, SegmentBytes: db.opts.WALSegmentBytes})
 }
 
-// chunkStoreFor resolves the document's chunk store: the Options
-// factory if installed, else nil (the ckpt layer defaults to the local
-// <name>.chunks directory).
-func (db *Database) chunkStoreFor(name string) ChunkStore {
+// chunkStore resolves the document's chunk store: the Options factory's
+// if installed, else the local <name>.chunks directory.
+func (db *Database) chunkStore(name string) ChunkStore {
 	if db.opts.ChunkStore == nil {
-		return nil
+		return ckpt.DefaultChunkStore(db.opts.Dir, name)
 	}
 	return db.opts.ChunkStore(name)
 }
@@ -378,7 +382,7 @@ func (db *Database) recoverDoc(name string) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, _, err := ckpt.Recover(db.opts.Dir, name, log, db.chunkStoreFor(name))
+	store, _, err := ckpt.Recover(db.opts.Dir, name, log, db.chunkStore(name))
 	if err != nil {
 		log.Close()
 		return nil, err
@@ -398,9 +402,7 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *D
 		return d
 	}
 	d.ckpter = ckpt.New(db.opts.Dir, name, log, d.mgr.PinCheckpoint)
-	if cs := db.chunkStoreFor(name); cs != nil {
-		d.ckpter.SetChunkStore(cs)
-	}
+	d.ckpter.SetChunkStore(db.chunkStore(name))
 	d.tracker = repl.NewTracker()
 	d.ckpter.SetPruneBarrier(d.tracker.Barrier)
 	if db.opts.CheckpointEvery.enabled() {
@@ -451,7 +453,9 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 	if err := db.settle(name); err != nil {
 		return nil, err
 	}
-	if db.exists(name) {
+	if ok, err := db.exists(name); err != nil {
+		return nil, err
+	} else if ok {
 		return nil, fmt.Errorf("mxq: document %q already exists", name)
 	}
 	var log *wal.Log
@@ -475,6 +479,16 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 // change to finish. A name neither attached nor checkpointed is
 // ErrNoDocument.
 func (db *Database) OpenDocument(name string) (*Document, error) {
+	// Fast path, under the shared lock, for every served request: an
+	// attached instance is never a dying one (detach takes it out of docs
+	// as it fences the name), so it needs no settle.
+	db.mu.RLock()
+	d, ok := db.docs[name]
+	db.mu.RUnlock()
+	if ok {
+		return d, nil
+	}
+
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.settle(name); err != nil {
@@ -483,7 +497,9 @@ func (db *Database) OpenDocument(name string) (*Document, error) {
 	if d, ok := db.docs[name]; ok {
 		return d, nil
 	}
-	if !db.exists(name) {
+	if ok, err := db.exists(name); err != nil {
+		return nil, err
+	} else if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNoDocument, name)
 	}
 	d, err := db.recoverDoc(name)
@@ -497,14 +513,18 @@ func (db *Database) OpenDocument(name string) (*Document, error) {
 // detach settles name, takes its attached instance (nil if none) out of
 // the database and fences the name until lift is called. A name that
 // fails check is ErrNoDocument; a nil check admits any name.
-func (db *Database) detach(name string, check func(string) bool) (doc *Document, lift func(), err error) {
+func (db *Database) detach(name string, check func(string) (bool, error)) (doc *Document, lift func(), err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.settle(name); err != nil {
 		return nil, nil, err
 	}
-	if check != nil && !check(name) {
-		return nil, nil, fmt.Errorf("%w %q", ErrNoDocument, name)
+	if check != nil {
+		if ok, err := check(name); err != nil {
+			return nil, nil, err
+		} else if !ok {
+			return nil, nil, fmt.Errorf("%w %q", ErrNoDocument, name)
+		}
 	}
 	doc = db.docs[name]
 	delete(db.docs, name)
@@ -528,7 +548,7 @@ func (db *Database) detach(name string, check func(string) bool) (doc *Document,
 // transactions on the document. Without a durability directory this
 // discards the document, exactly like Drop.
 func (db *Database) CloseDocument(name string) error {
-	doc, lift, err := db.detach(name, func(name string) bool { return db.docs[name] != nil })
+	doc, lift, err := db.detach(name, func(name string) (bool, error) { return db.docs[name] != nil, nil })
 	if err != nil {
 		return err
 	}
@@ -560,7 +580,8 @@ func (db *Database) Documents() []string {
 	return slices.Compact(names)
 }
 
-// Drop removes a document and its durability files, attached or not.
+// Drop removes a document and its durability files, attached or not. A
+// Dir that cannot be read fails it, rather than answering ErrNoDocument.
 func (db *Database) Drop(name string) error {
 	doc, lift, err := db.detach(name, db.exists)
 	if err != nil {

@@ -220,6 +220,49 @@ func TestDocumentsListsUnattached(t *testing.T) {
 	}
 }
 
+// TestUnreadableDirIsNotAbsence: while Dir cannot be read, a name with
+// an image is neither absent nor free — OpenDocument and Drop report the
+// read error, not ErrNoDocument, and a load is refused — and once Dir is
+// back the document recovers unchanged.
+func TestUnreadableDirIsNotAbsence(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	want := checkpointedLib(t, dir)
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Root reads any directory whatever its mode, so Dir becomes a file.
+	if err := os.Rename(dir, dir+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.OpenDocument("lib"); err == nil || errors.Is(err, ErrNoDocument) {
+		t.Fatalf("OpenDocument over an unreadable Dir = %v, want the read error", err)
+	}
+	if err := db.Drop("lib"); err == nil || errors.Is(err, ErrNoDocument) {
+		t.Fatalf("Drop over an unreadable Dir = %v, want the read error", err)
+	}
+	if _, err := db.LoadXMLString("lib", `<other/>`); err == nil {
+		t.Fatal("load over an unreadable Dir succeeded")
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir+".away", dir); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := doc.XML(); got != want {
+		t.Fatalf("document changed while Dir was unreadable:\nwant %s\ngot  %s", want, got)
+	}
+}
+
 func TestBadInputs(t *testing.T) {
 	db, _ := Open(Options{})
 	if _, err := db.LoadXMLString("bad", `<a><b></a>`); err == nil {

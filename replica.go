@@ -3,7 +3,6 @@ package mxq
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -129,14 +128,7 @@ func (db *Database) FollowDocument(addr, name string) (stop func(), err error) {
 	if closed {
 		return nil, ErrDatabaseClosed
 	}
-	f := &repl.Follower{
-		Addr: addr,
-		Doc:  name,
-		Sink: &docSink{db: db, name: name},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "mxq: "+format+"\n", args...)
-		},
-	}
+	f := &repl.Follower{Addr: addr, Doc: name, Sink: &docSink{db: db, name: name}}
 	stopC := make(chan struct{})
 	done := make(chan struct{})
 	go func() { defer close(done); f.Run(stopC) }()
@@ -173,10 +165,7 @@ func (s *docSink) AppliedLSN() (uint64, bool) {
 // incarnation of this follower checkpointed counts as already
 // transferred when the manifest is diffed.
 func (s *docSink) ChunkStore() (chunkstore.Store, error) {
-	if cs := s.db.chunkStoreFor(s.name); cs != nil {
-		return cs, nil
-	}
-	return ckpt.DefaultChunkStore(s.db.opts.Dir, s.name), nil
+	return s.db.chunkStore(s.name), nil
 }
 
 // BootstrapManifest replaces the document wholesale from the manifest
