@@ -197,10 +197,3 @@ func (m *Mem) Sweep(keep func(Hash) bool) error {
 }
 
 func (m *Mem) Sync() error { return nil }
-
-// Len returns the number of chunks held (testing hook).
-func (m *Mem) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.chunks)
-}

@@ -9,7 +9,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+
+	"mxq/internal/vfs"
 )
 
 func testStore(t *testing.T, s Store) {
@@ -451,16 +454,21 @@ func TestDirPutManyFirstErrorWins(t *testing.T) {
 // over the same root) stay.
 func TestDirRemovesStaleTmps(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
-	d := NewDir(root)
+	rec := &recFS{root: root}
+	d := NewDirFS(rec, root)
 	hs, datas := batch(0, 20)
 	mustPutMany(t, d, hs, datas)
+	// This process's tmp suffix, as the publish just used it.
+	tmp := filepath.Base(rec.log[slices.IndexFunc(rec.log, func(e event) bool { return e.op == "open" })].name)
+	final, _, _ := vfs.SplitTmp(tmp)
+	own := tmp[len(final) : strings.LastIndex(tmp, ".")+1]
 	name := strings.Repeat("ab", HashSize) + packSuffix
 	stale := []string{
 		filepath.Join(root, name+".tmp4242-17e0a5c3.9"), // another process's
 		filepath.Join(root, name+".tmp7"),
 	}
 	keep := []string{
-		filepath.Join(root, name+tmpTag+"99"),
+		filepath.Join(root, name+own+"99"),
 		filepath.Join(root, "junk.txt"),
 	}
 	for _, f := range append(append([]string(nil), stale...), keep...) {
@@ -627,7 +635,13 @@ func TestSweepIndexFollowsCompaction(t *testing.T) {
 // never carried into the new pack, and every other survivor is, also in
 // the window where the new pack is published and the victim still there.
 func TestCompactionDropsCorruptChunks(t *testing.T) {
-	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
+	root, window := filepath.Join(t.TempDir(), "chunks"), filepath.Join(t.TempDir(), "window")
+	rec := &recFS{root: root, onCompact: func() {
+		if err := os.CopyFS(window, os.DirFS(root)); err != nil {
+			t.Error(err)
+		}
+	}}
+	d := NewDirFS(rec, root)
 	hs, datas := batch(0, 40)
 	mustPutMany(t, d, hs, datas)
 	deflated := 0
@@ -641,14 +655,11 @@ func TestCompactionDropsCorruptChunks(t *testing.T) {
 	if deflated != 1 {
 		t.Fatalf("%d of the 2 corrupted chunks are stored deflated, want one of each kind", deflated)
 	}
-	window := filepath.Join(t.TempDir(), "window")
-	d.OnCompact(func() {
-		if err := os.CopyFS(window, os.DirFS(d.Root())); err != nil {
-			t.Error(err)
-		}
-	})
 	if err := d.Sweep(keepSet(hs[20:])); err != nil {
 		t.Fatal(err)
+	}
+	if rec.onCompact != nil {
+		t.Fatal("the sweep never stood in a compaction's window")
 	}
 	if u, err := NewDir(window).Usage(); err != nil || u != (Usage{Packs: 2, Chunks: 40, Copies: 58}) {
 		t.Fatalf("Usage inside the compaction window = %+v, %v", u, err)
@@ -685,18 +696,21 @@ func TestCompactionDropsCorruptChunks(t *testing.T) {
 func TestSweepResolvesDuplicates(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
 	crashed := filepath.Join(t.TempDir(), "crashed")
-	d := NewDir(root)
-	hs, datas := batch(0, 60)
-	mustPutMany(t, d, hs, datas)
-	live, liveData := hs[30:], datas[30:]
-	d.OnCompact(func() {
+	rec := &recFS{root: root, onCompact: func() {
 		// The new pack is published and the victim not yet unlinked.
 		if err := os.CopyFS(crashed, os.DirFS(root)); err != nil {
 			t.Error(err)
 		}
-	})
+	}}
+	d := NewDirFS(rec, root)
+	hs, datas := batch(0, 60)
+	mustPutMany(t, d, hs, datas)
+	live, liveData := hs[30:], datas[30:]
 	if err := d.Sweep(keepSet(live)); err != nil {
 		t.Fatal(err)
+	}
+	if rec.onCompact != nil {
+		t.Fatal("the sweep never stood in a compaction's window")
 	}
 	c := NewDir(crashed)
 	if u, err := c.Usage(); err != nil || u != (Usage{Packs: 2, Chunks: 60, Copies: 90}) {
@@ -723,52 +737,144 @@ func TestSweepResolvesDuplicates(t *testing.T) {
 }
 
 // TestDirDurabilityOrder pins the order of the steps a crash must not
-// find reversed, by recording every fsync: a pack is fsynced under its
-// tmp name before the rename publishes it, Sync fsyncs the root after,
-// and a compaction's victims are still on disk when the root holding
-// their replacement is fsynced.
+// find reversed, by recording every fsync through the file system: a
+// pack is fsynced under its tmp name before the rename publishes it, the
+// root is fsynced after, before PutMany returns — so Sync has nothing
+// left to do — and a compaction's victims are still on disk when the
+// root holding their replacement is fsynced, and unlinked only after.
 func TestDirDurabilityOrder(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
-	type event struct {
-		name  string
-		packs int // published packs on disk at the time
+	rec := &recFS{root: root}
+	fsyncs := func() (out []event) {
+		for _, e := range rec.log {
+			if e.op == "fsync" || e.op == "syncdir" {
+				out = append(out, e)
+			}
+		}
+		rec.log = nil
+		return out
 	}
-	var log []event
-	real := fsync
-	defer func() { fsync = real }()
-	fsync = func(f *os.File) error {
-		packs, _ := filepath.Glob(filepath.Join(root, "*"+packSuffix))
-		log = append(log, event{f.Name(), len(packs)})
-		return real(f)
+	isTmp := func(e event) bool {
+		_, own, ok := vfs.SplitTmp(filepath.Base(e.name))
+		return e.op == "fsync" && own && ok
 	}
-	isTmp := func(e event) bool { return strings.Contains(e.name, packSuffix+tmpTag) }
 
-	d := NewDir(root)
+	d := NewDirFS(rec, root)
 	hs, datas := batch(0, 40)
 	if err := d.PutMany(hs, datas); err != nil {
 		t.Fatal(err)
 	}
-	if len(log) != 1 || !isTmp(log[0]) || log[0].packs != 0 {
-		t.Fatalf("PutMany fsynced %v, want the tmp file before any pack is published", log)
+	if log := fsyncs(); len(log) != 2 || !isTmp(log[0]) || log[0].packs != 0 || log[1] != (event{"syncdir", root, 1}) {
+		t.Fatalf("PutMany fsynced %v, want the tmp file before any pack is published, then the root with the pack published", log)
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if len(log) != 2 || log[1] != (event{root, 1}) {
-		t.Fatalf("Sync fsynced %v, want the root with the pack published", log)
-	}
-	if err := d.Sync(); err != nil || len(log) != 2 {
-		t.Fatalf("a second Sync with nothing written fsynced again: %v, %v", log, err)
+	if err := d.Sync(); err != nil || len(fsyncs()) != 0 {
+		t.Fatalf("Sync after a published write fsynced again: %v", err)
 	}
 
-	log = nil
 	if err := d.Sweep(keepSet(hs[20:])); err != nil {
 		t.Fatal(err)
 	}
-	if len(log) != 2 || !isTmp(log[0]) || log[0].packs != 1 || log[1] != (event{root, 2}) {
+	i := slices.IndexFunc(rec.log, func(e event) bool { return e.op == "remove" })
+	if i < 1 || rec.log[i-1] != (event{"syncdir", root, 2}) {
+		t.Fatalf("compaction logged %v, want the victim unlinked right after the root fsync", rec.log)
+	}
+	if log := fsyncs(); len(log) != 2 || !isTmp(log[0]) || log[0].packs != 1 || log[1] != (event{"syncdir", root, 2}) {
 		t.Fatalf("compaction fsynced %v, want the tmp file, then the root while the victim is still there", log)
 	}
 	if files := packFiles(t, d); len(files) != 1 {
 		t.Fatalf("after compaction: %v", files)
 	}
+}
+
+// TestDirSyncAfterFailedPublish: a publish that fails after its rename
+// leaves a pack whose directory entry is not known to be durable, and
+// which a later checkpoint may come to name; the Dir's next Sync fsyncs
+// the root, once.
+func TestDirSyncAfterFailedPublish(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "chunks")
+	rec := &recFS{root: root, failSyncDir: true}
+	d := NewDirFS(rec, root)
+	hs, datas := batch(0, 40)
+	if err := d.PutMany(hs, datas); err == nil {
+		t.Fatal("PutMany succeeded over a failed directory fsync")
+	}
+	rec.failSyncDir, rec.log = false, nil
+	if err := d.Sync(); err != nil || len(rec.log) != 1 || rec.log[0] != (event{"syncdir", root, 1}) {
+		t.Fatalf("Sync after a failed publish = %v, logged %v", err, rec.log)
+	}
+	if err := d.Sync(); err != nil || len(rec.log) != 1 {
+		t.Fatalf("a second Sync fsynced again: %v, %v", err, rec.log)
+	}
+}
+
+// event is one mutation recFS saw: the call, the path it names and how
+// many published packs the root held at the time.
+type event struct {
+	op, name string
+	packs    int
+}
+
+// recFS is vfs.OS with every mutation logged. It runs onCompact when the
+// disk stands in a compaction's window — a pack renamed into place, the
+// root fsynced, and the first pack about to be removed — and fails every
+// directory fsync while failSyncDir is set.
+type recFS struct {
+	root        string
+	log         []event
+	onCompact   func()
+	failSyncDir bool
+}
+
+func (r *recFS) record(op, name string) {
+	packs, _ := filepath.Glob(filepath.Join(r.root, "*"+packSuffix))
+	n := len(r.log)
+	if op == "remove" && strings.HasSuffix(name, packSuffix) && r.onCompact != nil &&
+		n >= 2 && r.log[n-2].op == "rename" && r.log[n-1].op == "syncdir" && r.log[n-1].name == r.root {
+		r.onCompact()
+		r.onCompact = nil
+	}
+	r.log = append(r.log, event{op, name, len(packs)})
+}
+
+func (r *recFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	r.record("open", name)
+	f, err := vfs.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &recFile{f, r, name}, nil
+}
+
+func (r *recFS) Rename(oldpath, newpath string) error {
+	r.record("rename", newpath)
+	return vfs.OS.Rename(oldpath, newpath)
+}
+
+func (r *recFS) SyncDir(dir string) error {
+	r.record("syncdir", dir)
+	if r.failSyncDir {
+		return syscall.EIO
+	}
+	return vfs.OS.SyncDir(dir)
+}
+
+func (r *recFS) Remove(name string) error {
+	r.record("remove", name)
+	return vfs.OS.Remove(name)
+}
+
+func (r *recFS) Truncate(name string, size int64) error { return vfs.OS.Truncate(name, size) }
+func (r *recFS) MkdirAll(path string, perm os.FileMode) error {
+	return vfs.OS.MkdirAll(path, perm)
+}
+
+type recFile struct {
+	vfs.File
+	fs   *recFS
+	name string
+}
+
+func (f *recFile) Sync() error {
+	f.fs.record("fsync", f.name)
+	return f.File.Sync()
 }

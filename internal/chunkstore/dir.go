@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"mxq/internal/par"
+	"mxq/internal/vfs"
 )
 
 // Dir is the local filesystem backend: a directory of immutable pack
@@ -20,11 +21,11 @@ import (
 // when that is not shorter — under the name of its raw bytes: callers
 // hand over and get back raw chunks and never see the stored form. Every
 // write — a PutMany batch or a single Put — publishes exactly one file,
-// root/<64 hex>.pack, via tmp + fsync + rename, so a crash never leaves a
-// torn pack under a final name; Sync fsyncs the directory so the renames
-// themselves are durable before a manifest referencing the chunks is
-// published. A crash can leave the tmp file itself behind; the first
-// write through a Dir removes every tmp file not this process's own.
+// root/<64 hex>.pack, through the Dir's vfs.FS and vfs.Publish, so a
+// crash never leaves a torn pack under a final name, and the pack is
+// durable, directory entry included, when the write returns. A crash can
+// leave the tmp file itself behind; the first write through a Dir
+// removes every tmp file not this process's own.
 //
 // Reads go through an in-memory index, hash → (pack, offset, stored and
 // raw length), built lazily by listing the root and reading each pack's
@@ -50,17 +51,17 @@ import (
 // per chunk), and what one compacts away another finds again (a pack
 // that has vanished re-lists and retries).
 type Dir struct {
+	fs        vfs.FS
 	root      string
 	sweepTmps sync.Once // stale tmp files are removed before the first write
 	stored    atomic.Uint64
 	compacted atomic.Uint64
 
-	mu        sync.Mutex
-	listed    bool             // the root has been listed at least once
-	dirty     bool             // a rename the root directory has not fsynced
-	packs     map[string]*pack // by file name
-	index     map[Hash]*entry  // the copy each held chunk is read from
-	onCompact func()
+	mu     sync.Mutex
+	listed bool             // the root has been listed at least once
+	dirty  bool             // a publish failed, maybe after its rename
+	packs  map[string]*pack // by file name
+	index  map[Hash]*entry  // the copy each held chunk is read from
 }
 
 // compactAt is the dead share of a pack's data at which Sweep rewrites
@@ -72,9 +73,12 @@ type Dir struct {
 const compactAt = 4
 
 // NewDir opens (creating if needed on first Put) a directory-backed
-// store rooted at root.
-func NewDir(root string) *Dir {
-	return &Dir{root: root, packs: make(map[string]*pack), index: make(map[Hash]*entry)}
+// store rooted at root, on the operating system's file system.
+func NewDir(root string) *Dir { return NewDirFS(vfs.OS, root) }
+
+// NewDirFS is NewDir changing the disk through fsys.
+func NewDirFS(fsys vfs.FS, root string) *Dir {
+	return &Dir{fs: fsys, root: root, packs: make(map[string]*pack), index: make(map[Hash]*entry)}
 }
 
 // Root returns the store's root directory.
@@ -127,32 +131,31 @@ func (d *Dir) PutMany(hs []Hash, datas [][]byte) error {
 		es[j] = &entry{h: hs[at[j]], n: uint32(len(stored[j])), raw: uint32(len(datas[at[j]]))}
 		return nil
 	})
-	if err := os.MkdirAll(d.root, 0o755); err != nil {
+	if err := d.fs.MkdirAll(d.root, 0o755); err != nil {
 		return err
 	}
 	d.sweepTmps.Do(d.removeStaleTmps)
-	p, err := writePack(d.root, es, func(j int) ([]byte, error) { return stored[j], nil })
+	p, err := writePack(d.fs, d.root, es, func(j int) ([]byte, error) { return stored[j], nil })
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err != nil {
+		d.dirty = true
 		return err
 	}
 	d.stored.Add(uint64(p.data))
-	d.mu.Lock()
 	d.adopt(p)
-	d.dirty = true
-	d.mu.Unlock()
 	return nil
 }
 
-// removeStaleTmps deletes the "<name>.pack.tmp…" files that writers
-// killed mid-write left behind; nothing else ever would. Files carrying
-// this process's tmpTag may be in flight and are kept. Best effort: a
-// leftover is only wasted space, so errors are ignored.
+// removeStaleTmps deletes the tmp files of packs that writers killed
+// mid-write left behind; nothing else ever would. This process's own may
+// be in flight and are kept. Best effort: a leftover is only wasted
+// space, so errors are ignored.
 func (d *Dir) removeStaleTmps() {
 	files, _ := os.ReadDir(d.root)
 	for _, f := range files {
-		name := f.Name()
-		if strings.Contains(name, packSuffix+".tmp") && !strings.Contains(name, packSuffix+tmpTag) {
-			os.Remove(filepath.Join(d.root, name))
+		if final, own, ok := vfs.SplitTmp(f.Name()); ok && !own && strings.HasSuffix(final, packSuffix) {
+			d.fs.Remove(filepath.Join(d.root, f.Name()))
 		}
 	}
 }
@@ -355,15 +358,6 @@ func (d *Dir) Locate(h Hash) (path string, off, n int64, ok bool) {
 	return d.path(e.p), e.off, int64(e.n), true
 }
 
-// OnCompact installs fn to run inside Sweep once a compaction's new
-// pack is durable and before its victims are unlinked — the state a
-// crash in that window leaves on disk (crash-injection hook).
-func (d *Dir) OnCompact(fn func()) {
-	d.mu.Lock()
-	d.onCompact = fn
-	d.mu.Unlock()
-}
-
 // BytesStored returns the chunk bytes Put and PutMany have written to
 // packs through this Dir so far, as stored: over the same chunks' raw
 // bytes it is the compression ratio.
@@ -384,7 +378,7 @@ type Usage struct {
 // Usage lists the root afresh (dead chunks Sweep has only dropped from
 // this Dir's index still count until their pack is rewritten).
 func (d *Dir) Usage() (Usage, error) {
-	fresh := NewDir(d.root)
+	fresh := NewDirFS(d.fs, d.root)
 	if err := fresh.relist(); err != nil {
 		return Usage{}, err
 	}
@@ -398,10 +392,10 @@ func (d *Dir) Usage() (Usage, error) {
 // Sweep implements Store. The order of its steps is what makes a crash
 // anywhere inside it harmless: index entries go first (memory only),
 // then packs with nothing live (no retained image names their chunks),
-// then compaction — the new pack is written, fsynced, renamed and the
-// directory fsynced before the first victim is unlinked, so a crash in
-// between leaves every live chunk in two packs, which the next sweep
-// resolves (a copy the index does not resolve to counts as dead).
+// then compaction — the new pack is published, directory fsync included,
+// before the first victim is unlinked, so a crash in between leaves every
+// live chunk in two packs, which the next sweep resolves (a copy the
+// index does not resolve to counts as dead).
 func (d *Dir) Sweep(keep func(Hash) bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -451,7 +445,7 @@ func (d *Dir) Sweep(keep func(Hash) bool) error {
 
 // unlink removes a pack file and forgets the pack. Caller holds d.mu.
 func (d *Dir) unlink(p *pack) error {
-	if err := os.Remove(d.path(p)); err != nil && !os.IsNotExist(err) {
+	if err := d.fs.Remove(d.path(p)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	delete(d.packs, p.name)
@@ -508,7 +502,7 @@ func (d *Dir) compact(victims []*pack) error {
 			es[i] = &entry{h: e.h, n: e.n, raw: e.raw}
 		}
 		var err error
-		np, err = writePack(d.root, es, fetch)
+		np, err = writePack(d.fs, d.root, es, fetch)
 		if bad := new(mismatchError); errors.As(err, &bad) {
 			// Drop the corrupt copy and start over without it.
 			d.forget(srcs[last])
@@ -516,16 +510,11 @@ func (d *Dir) compact(victims []*pack) error {
 			continue
 		}
 		if err != nil {
+			d.dirty = true
 			return err
 		}
 	}
 	if np != nil {
-		if err := syncDir(d.root); err != nil {
-			return err
-		}
-		if d.onCompact != nil {
-			d.onCompact()
-		}
 		// The index must follow the chunks, or the next checkpoint
 		// finds every survivor missing and writes it again.
 		d.packs[np.name] = np
@@ -542,25 +531,17 @@ func (d *Dir) compact(victims []*pack) error {
 	return nil
 }
 
-// Sync makes the renames of the packs written so far durable.
+// Sync fsyncs the root after a failed write, which may have renamed its
+// pack into place — for a later checkpoint to name — without doing so.
 func (d *Dir) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.dirty {
 		return nil
 	}
-	if err := syncDir(d.root); err != nil {
+	if err := d.fs.SyncDir(d.root); err != nil {
 		return err
 	}
 	d.dirty = false
 	return nil
-}
-
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return fsync(f)
 }

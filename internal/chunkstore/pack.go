@@ -13,8 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
-	"time"
+
+	"mxq/internal/vfs"
 )
 
 // A pack is one immutable file holding the chunks of one write:
@@ -193,18 +193,6 @@ func readChunk(f io.ReaderAt, e *entry) (stored, raw []byte, err error) {
 	return stored, raw, nil
 }
 
-// tmpTag marks the tmp files of this process, which may be in flight —
-// through this Dir or another over the same root — and so must survive
-// the stale-tmp sweep; tmpSeq keeps their names apart.
-var (
-	tmpTag = fmt.Sprintf(".tmp%d-%x.", os.Getpid(), time.Now().UnixNano())
-	tmpSeq atomic.Uint64
-)
-
-// fsync is (*os.File).Sync, for files and directories alike; a variable
-// only so that a test can record the order of durability steps.
-var fsync = (*os.File).Sync
-
 // encodePackIndex renders the header and index of a pack of the copies
 // es (name, stored length and raw length are what it reads of each).
 func encodePackIndex(es []*entry) []byte {
@@ -219,15 +207,13 @@ func encodePackIndex(es []*entry) []byte {
 	return index
 }
 
-// writePack publishes one pack under root, which exists, holding the
-// copies es (name, stored and raw length set; pack and offsets are filled
-// in here), their stored bytes fetched one at a time through stored so a
-// compaction never holds its packs whole: streamed to a tmp file through
-// a buffered writer, fsynced, renamed. It is the package's only path to
-// disk, and trusts its caller that the bytes inflate to the chunk the
-// index names (PutMany deflated verified content; compaction inflates
-// what it copies). The rename is durable once the root is fsynced (Dir.Sync).
-func writePack(root string, es []*entry, stored func(i int) ([]byte, error)) (*pack, error) {
+// writePack publishes through vfs.Publish one pack under root, which
+// exists, holding the copies es (name, stored and raw length set; pack
+// and offsets are filled in here), their stored bytes fetched one at a
+// time through stored so a compaction never holds its packs whole. It
+// trusts its caller that the bytes inflate to the chunk the index names
+// (PutMany deflated verified content; compaction inflates what it copies).
+func writePack(fsys vfs.FS, root string, es []*entry, stored func(i int) ([]byte, error)) (*pack, error) {
 	if len(es) > math.MaxUint32 {
 		return nil, fmt.Errorf("chunkstore: %d chunks in one pack", len(es))
 	}
@@ -240,35 +226,21 @@ func writePack(root string, es []*entry, stored func(i int) ([]byte, error)) (*p
 		off += int64(e.n)
 	}
 	p.data = off - int64(len(index))
-
-	path := filepath.Join(root, p.name)
-	tmp := fmt.Sprintf("%s%s%d", path, tmpTag, tmpSeq.Add(1))
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := bufio.NewWriterSize(f, int(min(off, 1<<18))) // a one-chunk pack is one write
-	_, err = w.Write(index)
-	for i := 0; i < len(es) && err == nil; i++ {
-		var data []byte
-		if data, err = stored(i); err == nil {
-			_, err = w.Write(data)
+	err := vfs.Publish(fsys, filepath.Join(root, p.name), func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, int(min(off, 1<<18))) // a one-chunk pack is one write
+		_, err := w.Write(index)
+		for i := 0; i < len(es) && err == nil; i++ {
+			var data []byte
+			if data, err = stored(i); err == nil {
+				_, err = w.Write(data)
+			}
 		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = fsync(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
+		if err != nil {
+			return err
+		}
+		return w.Flush()
+	})
 	if err != nil {
-		os.Remove(tmp)
 		return nil, err
 	}
 	return p, nil

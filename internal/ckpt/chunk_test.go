@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mxq/internal/chunkstore"
+	"mxq/internal/vfs"
 	"mxq/internal/wal"
 )
 
@@ -380,7 +381,7 @@ func TestStaleChunkTmpRemovedOnReopen(t *testing.T) {
 	// Reopen: a fresh checkpointer (and with it a fresh chunk store)
 	// over the same directory, then a checkpoint with something to write.
 	e.ck.Close()
-	e.ck = New(e.dir, "d", e.log, e.m.PinCheckpoint)
+	e.ck = New(vfs.OS, e.dir, "d", e.log, e.m.PinCheckpoint)
 	e.commitBook(t, "s1", "after")
 	want := e.baseXML(t)
 	if _, err := e.ck.Run(); err != nil {

@@ -17,12 +17,12 @@
 // holds — everything the COW layer did not see dirtied since the
 // previous checkpoint — are re-referenced, not rewritten, so checkpoint
 // I/O tracks churn, not document size, and frequent auto-checkpoints are
-// cheap. The image's publication (tmp + fsync + rename + dir fsync) is
-// the checkpoint's one commit point, and its file name the only record
-// of which checkpoint is current; only then are WAL segments wholly
-// below the checkpoint's LSN deleted (wal.Log.Prune), so a commit racing
-// a checkpoint cannot be lost: a record the checkpoint does not cover
-// lives in a segment Prune keeps.
+// cheap. The image's publication (vfs.Publish: tmp + fsync + rename +
+// dir fsync) is the checkpoint's one commit point, and its file name the
+// only record of which checkpoint is current; only then are WAL segments
+// wholly below the checkpoint's LSN deleted (wal.Log.Prune), so a commit
+// racing a checkpoint cannot be lost: a record the checkpoint does not
+// cover lives in a segment Prune keeps.
 //
 // # Artifacts
 //
@@ -42,9 +42,10 @@
 // older build left beside the images — is a foreign file: never read,
 // never a reason a document exists, never removed.
 //
-// Every image is published atomically (write to *.tmp, fsync, rename,
-// fsync dir), and chunks are synced before any image naming them is
-// published. Cleanup keeps the previous usable checkpoint image besides
+// Every image is published atomically (vfs.Publish, through the FS given
+// to New), after the WAL records it covers are durable — so a Run over a
+// log a failed fsync poisoned publishes nothing — and the chunks it names
+// are synced. Cleanup keeps the previous usable checkpoint image besides
 // the current one (an image readImage refuses is removed, not counted),
 // prunes the WAL only below the *oldest retained* checkpoint, and
 // garbage-collects chunks by mark-and-sweep: a chunk referenced by ANY
@@ -61,7 +62,7 @@
 // from the image's pin). Images are self-contained (each names every
 // chunk of the full document), so a candidate either materializes
 // completely or is skipped whole — recovery never mixes two checkpoints.
-// A leftover *.tmp, a torn image, a file that does not open with the
+// A leftover tmp file, a torn image, a file that does not open with the
 // image magic, a torn or missing chunk or pack file, or an empty segment
 // tail all degrade to the next candidate instead of failing.
 package ckpt
@@ -83,6 +84,7 @@ import (
 	"mxq/internal/chunkstore"
 	"mxq/internal/core"
 	"mxq/internal/tx"
+	"mxq/internal/vfs"
 	"mxq/internal/wal"
 )
 
@@ -153,11 +155,6 @@ func DefaultChunkStore(dir, name string) *chunkstore.Dir {
 	return chunkstore.NewDir(ChunkDir(dir, name))
 }
 
-// RemoveChunks deletes the document's default chunk directory (document
-// drop; RemoveArtifacts deliberately leaves chunks in place because a
-// re-bootstrapped document on a new LSN line reuses them by content).
-func RemoveChunks(dir, name string) { os.RemoveAll(ChunkDir(dir, name)) }
-
 // Stats is the checkpointer's cumulative I/O accounting — the
 // observable incremental-checkpoint win.
 type Stats struct {
@@ -175,6 +172,7 @@ type Stats struct {
 
 // Checkpointer writes online checkpoints for one document.
 type Checkpointer struct {
+	fs   vfs.FS
 	dir  string
 	name string
 	log  *wal.Log // may be nil (checkpoint-only durability)
@@ -198,7 +196,8 @@ type Checkpointer struct {
 	lastLSN atomic.Uint64
 
 	// cs is the chunk store images reference: the document's default
-	// local directory unless SetChunkStore installed another backend.
+	// local directory, over fs, unless SetChunkStore installed another
+	// backend.
 	cs chunkstore.Store
 
 	// Cumulative Stats counters.
@@ -212,9 +211,11 @@ type Checkpointer struct {
 	pruneBarrier func() uint64
 }
 
-// New returns a checkpointer for document name in dir. log may be nil.
-func New(dir, name string, log *wal.Log, pin Pin) *Checkpointer {
-	c := &Checkpointer{dir: dir, name: name, log: log, pin: pin, keep: 1, cs: DefaultChunkStore(dir, name)}
+// New returns a checkpointer for document name in dir that changes the
+// disk through fsys. log may be nil.
+func New(fsys vfs.FS, dir, name string, log *wal.Log, pin Pin) *Checkpointer {
+	cs := chunkstore.NewDirFS(fsys, ChunkDir(dir, name))
+	c := &Checkpointer{fs: fsys, dir: dir, name: name, log: log, pin: pin, keep: 1, cs: cs}
 	c.lastLSN.Store(CurrentLSN(dir, name))
 	return c
 }
@@ -294,22 +295,25 @@ type Image struct {
 }
 
 // scan is the one per-document directory scan: the document's images,
-// newest first, and the bare names of its in-progress or stale image
-// "*.tmp" files — exactly an image name plus ".tmp"; a bare prefix match
-// would claim (and let retire delete) another document's in-flight tmp
-// when one name prefixes the other.
+// newest first, and the bare names of its in-progress or stale image tmp
+// files — exactly an image name plus a vfs.Publish tmp suffix; a bare
+// prefix match would claim (and let retire delete) another document's
+// in-flight tmp when one name prefixes the other.
 func scan(dir, name string) (imgs []Image, tmps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, e := range entries {
-		file := strings.TrimSuffix(e.Name(), ".tmp")
+		file, _, tmp := vfs.SplitTmp(e.Name())
+		if !tmp {
+			file = e.Name()
+		}
 		doc, lsn, ok := DocumentOfArtifact(file)
 		if !ok || doc != name {
 			continue
 		}
-		if file != e.Name() {
+		if tmp {
 			tmps = append(tmps, e.Name())
 		} else {
 			imgs = append(imgs, Image{File: file, LSN: lsn})
@@ -328,13 +332,13 @@ func Images(dir, name string) ([]Image, error) {
 // RemoveArtifacts deletes every checkpoint artifact of the document —
 // images and stale tmp files — with exact-boundary matching, leaving
 // other documents' files alone.
-func RemoveArtifacts(dir, name string) {
+func RemoveArtifacts(fsys vfs.FS, dir, name string) {
 	imgs, tmps, _ := scan(dir, name)
 	for _, img := range imgs {
-		os.Remove(filepath.Join(dir, img.File))
+		fsys.Remove(filepath.Join(dir, img.File))
 	}
 	for _, tmp := range tmps {
-		os.Remove(filepath.Join(dir, tmp))
+		fsys.Remove(filepath.Join(dir, tmp))
 	}
 }
 
@@ -364,6 +368,13 @@ func (c *Checkpointer) Run() (uint64, error) {
 
 	img, lsn := c.pin()
 	defer img.Release()
+	// An image carries only durable records: the pin may cover a commit
+	// whose fsync is in flight, or failed and poisoned the log.
+	if c.log != nil {
+		if err := c.log.Sync(lsn); err != nil {
+			return 0, fmt.Errorf("ckpt: %w", err)
+		}
+	}
 
 	// Chunks first: SaveChunked syncs them, so by the time an image
 	// naming them exists, every chunk it references is durable.
@@ -371,7 +382,7 @@ func (c *Checkpointer) Run() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: writing chunks: %w", err)
 	}
-	err = writeFileAtomic(c.dir, ckptFile(c.name, lsn), func(w io.Writer) error {
+	err = vfs.Publish(c.fs, filepath.Join(c.dir, ckptFile(c.name, lsn)), func(w io.Writer) error {
 		if _, werr := w.Write(imageMagic[:]); werr != nil {
 			return werr
 		}
@@ -460,7 +471,7 @@ func (c *Checkpointer) Close() {
 }
 
 // retire removes checkpoint images beyond the retention count, images
-// no recovery can use, and stale *.tmp leftovers, and returns the prune
+// no recovery can use, and stale tmp leftovers, and returns the prune
 // horizon: the LSN of the oldest image still retained (every WAL record
 // at or below it is redundant for every image we can still recover
 // from). Only an image that parses counts toward keep — a torn one
@@ -473,14 +484,14 @@ func (c *Checkpointer) retire(current uint64) uint64 {
 		return 0
 	}
 	for _, tmp := range tmps {
-		os.Remove(filepath.Join(c.dir, tmp))
+		c.fs.Remove(filepath.Join(c.dir, tmp))
 	}
 	oldest, kept := current, 0
 	for _, img := range imgs {
 		path := filepath.Join(c.dir, img.File)
 		// The current image was written just now; it is not read back.
 		if kept > c.keep || (img.LSN != current && refused(path)) {
-			os.Remove(path)
+			c.fs.Remove(path)
 			continue
 		}
 		kept++
@@ -490,50 +501,10 @@ func (c *Checkpointer) retire(current uint64) uint64 {
 }
 
 // refused reports whether the file at path reads whole and is not an
-// image.
+// image: readImage fails, and not with the I/O error of reading it.
 func refused(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	_, err = parseImage(filepath.Base(path), data)
-	return err != nil
-}
-
-// writeFileAtomic publishes dir/file via tmp + fsync + rename + dir
-// fsync, so a crash leaves either the old file or the new one — never a
-// torn one.
-func writeFileAtomic(dir, file string, write func(io.Writer) error) error {
-	path := filepath.Join(dir, file)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	_, err := readImage(path)
+	return err != nil && !errors.As(err, new(*os.PathError))
 }
 
 // Recover rebuilds the document's store from the best available

@@ -17,6 +17,7 @@ import (
 	"mxq/internal/serialize"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
+	"mxq/internal/vfs"
 	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xpath"
@@ -57,7 +58,7 @@ func newEnv(t testing.TB, segBytes int64) *env {
 	t.Cleanup(func() { log.Close() })
 	s := buildStore(t, docXML, 16)
 	m := tx.NewManager(s, log)
-	ck := New(dir, "d", log, m.PinCheckpoint)
+	ck := New(vfs.OS, dir, "d", log, m.PinCheckpoint)
 	return &env{dir: dir, log: log, s: s, m: m, ck: ck}
 }
 
@@ -544,7 +545,7 @@ func TestRemoveArtifactsSparesSiblings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	RemoveArtifacts(dir, "a")
+	RemoveArtifacts(vfs.OS, dir, "a")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -593,7 +594,7 @@ func TestRetentionCountsOnlyUsableImages(t *testing.T) {
 		t.Fatalf("recovery over the torn image: LSN %d, %v; want 2", lsn, err)
 	}
 	m := tx.NewManager(store, log)
-	e = &env{dir: e.dir, log: log, s: store, m: m, ck: New(e.dir, "d", log, m.PinCheckpoint)}
+	e = &env{dir: e.dir, log: log, s: store, m: m, ck: New(vfs.OS, e.dir, "d", log, m.PinCheckpoint)}
 	e.commitBook(t, "s2", "three")
 	if _, err := e.ck.Run(); err != nil {
 		t.Fatal(err)

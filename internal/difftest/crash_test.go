@@ -11,6 +11,7 @@ import (
 	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
 	"mxq/internal/core"
+	"mxq/internal/shred"
 	"mxq/internal/tx"
 	"mxq/internal/wal"
 )
@@ -43,11 +44,88 @@ type CrashConfig struct {
 	TearCkpt bool
 	// KillInCompaction ends the run inside a checkpoint's chunk GC: the
 	// process dies between the publish of a compaction's new pack and
-	// the unlinking of the packs it replaces, on the first compaction
-	// the workload causes (it must cause one). Recovery runs over the
-	// disk as it stood at that instant — every surviving chunk of the
-	// compacted packs held twice.
+	// the unlinking of the packs it replaces — the disk is copied when
+	// the file system sees a pack renamed into place, the chunk
+	// directory fsynced, and the first pack removed — on the first
+	// compaction the workload causes (it must cause one). Recovery runs
+	// over the disk as it stood at that instant — every surviving chunk
+	// of the compacted packs held twice.
 	KillInCompaction bool
+}
+
+// history is RunCrash's seeded workload under way: a random document
+// committed to in batches through a tx.Manager over a segmented WAL,
+// checkpointed online, with every change to the disk going through a
+// diskFS, and the ops of each commit filed under the LSN of its record,
+// for the oracle to replay a prefix of.
+type history struct {
+	cfg     CrashConfig
+	rng     *rand.Rand
+	dir     string
+	tree    *shred.Tree
+	log     *wal.Log
+	m       *tx.Manager
+	ck      *ckpt.Checkpointer
+	batches map[uint64][]op
+}
+
+func newHistory(t *testing.T, cfg CrashConfig, disk *diskFS, fsync bool) *history {
+	t.Helper()
+	h := &history{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), dir: t.TempDir(), batches: make(map[uint64][]op)}
+	h.tree = randomDoc(h.rng, cfg.DocSize)
+	log, err := wal.Open(h.walPath(), wal.Options{NoSync: !fsync, SegmentBytes: cfg.SegmentBytes, FS: disk})
+	if err != nil {
+		t.Fatalf("seed %d: %v", cfg.Seed, err)
+	}
+	paged, err := core.Build(h.tree, core.Options{PageSize: cfg.PageSize, FillFactor: cfg.Fill})
+	if err != nil {
+		t.Fatalf("seed %d: building paged store: %v", cfg.Seed, err)
+	}
+	h.log, h.m = log, tx.NewManager(paged, log)
+	h.ck = ckpt.New(disk, h.dir, "d", log, h.m.PinCheckpoint)
+	return h
+}
+
+func (h *history) walPath() string { return filepath.Join(h.dir, "d.wal") }
+
+// commit runs batch b. One batch in four aborts (ok=false: no record, no
+// oracle ops); the others commit, and a commit that got its record
+// written files its ops under the record's LSN even when it reports
+// failure, since recovery may still find the record.
+func (h *history) commit(t *testing.T, b int) (ok bool, err error) {
+	t.Helper()
+	txn := h.m.Begin()
+	before := h.log.LastLSN()
+	pending := genBatch(t, h.cfg.Seed, h.rng, txn, b, b*1000, h.cfg.BatchOps)
+	if h.rng.Intn(4) == 0 {
+		txn.Abort()
+		return false, nil
+	}
+	err = txn.Commit()
+	if lsn := h.log.LastLSN(); lsn != before {
+		h.batches[lsn] = pending
+	}
+	return true, err
+}
+
+// check recovers the directory, as a restart would, and holds the result
+// to the oracle: a prefix of the history no shorter than floor.
+func (h *history) check(t *testing.T, floor, lastLSN uint64) (*core.Store, uint64) {
+	t.Helper()
+	seed := h.cfg.Seed
+	recovered, recLSN := recoverOnce(t, h.cfg, h.dir, h.walPath())
+	if recLSN < floor || recLSN > lastLSN {
+		t.Fatalf("seed %d: recovered LSN %d outside [%d, %d]", seed, recLSN, floor, lastLSN)
+	}
+	if err := recovered.CheckInvariants(); err != nil {
+		t.Fatalf("seed %d: recovered store invariants: %v", seed, err)
+	}
+	got, want := serializeView(t, recovered), oracleAt(t, seed, h.tree, h.batches, recLSN)
+	if got != want {
+		t.Fatalf("seed %d: recovered state diverges from oracle at LSN %d\nrecovered: %s\noracle:    %s",
+			seed, recLSN, got, want)
+	}
+	return recovered, recLSN
 }
 
 // RunCrash executes one crash-injection workload. The durability
@@ -62,66 +140,42 @@ type CrashConfig struct {
 // running a matrix can prove every shape ran.
 func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	dir := t.TempDir()
-	tree := randomDoc(rng, cfg.DocSize)
-	walPath := filepath.Join(dir, "d.wal")
-
-	log, err := wal.Open(walPath, wal.Options{NoSync: true, SegmentBytes: cfg.SegmentBytes})
-	if err != nil {
-		t.Fatalf("seed %d: %v", cfg.Seed, err)
-	}
-	paged, err := core.Build(tree, core.Options{PageSize: cfg.PageSize, FillFactor: cfg.Fill})
-	if err != nil {
-		t.Fatalf("seed %d: building paged store: %v", cfg.Seed, err)
-	}
-	m := tx.NewManager(paged, log)
-	ck := ckpt.New(dir, "d", log, m.PinCheckpoint)
-	killed := "" // KillInCompaction: the copy of dir taken at the kill
+	disk := &diskFS{}
+	h := newHistory(t, cfg, disk, false)
+	killed := "" // KillInCompaction: the copy of the directory taken at the kill
 	if cfg.KillInCompaction {
-		cs := ckpt.DefaultChunkStore(dir, "d")
-		cs.OnCompact(func() {
-			if killed == "" {
-				killed = t.TempDir()
-				if err := os.CopyFS(killed, os.DirFS(dir)); err != nil {
-					t.Fatalf("seed %d: copying the disk at the kill: %v", cfg.Seed, err)
-				}
+		disk.onCompact = func() {
+			killed = t.TempDir()
+			if err := os.CopyFS(killed, os.DirFS(h.dir)); err != nil {
+				t.Fatalf("seed %d: copying the disk at the kill: %v", cfg.Seed, err)
 			}
-		})
-		ck.SetChunkStore(cs)
+		}
 	}
 
-	ckptLSN, err := ck.Run() // initial checkpoint: the recovery floor
+	ckptLSN, err := h.ck.Run() // initial checkpoint: the recovery floor
 	if err != nil {
 		t.Fatalf("seed %d: initial checkpoint: %v", cfg.Seed, err)
 	}
-
-	// The committed history, keyed by the LSN of the commit that applied
-	// it; the oracle replays a prefix of it after the crash.
-	batches := make(map[uint64][]op)
 	committed := 0
 	for b := 1; b <= cfg.Batches && killed == ""; b++ {
-		txn := m.Begin()
-		pending := genBatch(t, cfg.Seed, rng, txn, b, b*1000, cfg.BatchOps)
-		if rng.Intn(4) == 0 { // some batches abort: no record, no oracle ops
-			txn.Abort()
-			continue
-		}
-		if err := txn.Commit(); err != nil {
+		ok, err := h.commit(t, b)
+		if err != nil {
 			t.Fatalf("seed %d batch %d: commit: %v", cfg.Seed, b, err)
 		}
+		if !ok {
+			continue
+		}
 		committed++
-		batches[log.LastLSN()] = pending
 		if cfg.CheckpointEvery > 0 && committed%cfg.CheckpointEvery == 0 {
-			lsn, err := ck.Run()
+			lsn, err := h.ck.Run()
 			if err != nil {
 				t.Fatalf("seed %d batch %d: checkpoint: %v", cfg.Seed, b, err)
 			}
 			ckptLSN = lsn
 		}
 	}
-	lastLSN := log.LastLSN()
-	log.Close()
+	lastLSN := h.log.LastLSN()
+	h.log.Close()
 	if cfg.KillInCompaction {
 		// The kill came inside the last checkpoint run, after its image
 		// was published and before any later commit: the copy holds the
@@ -129,8 +183,8 @@ func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
 		if killed == "" {
 			t.Fatalf("seed %d: %d batches caused no compaction to die in", cfg.Seed, cfg.Batches)
 		}
-		dir, walPath = killed, filepath.Join(killed, "d.wal")
-		if u, err := ckpt.DefaultChunkStore(dir, "d").Usage(); err != nil || u.Copies == u.Chunks {
+		h.dir = killed
+		if u, err := ckpt.DefaultChunkStore(h.dir, "d").Usage(); err != nil || u.Copies == u.Chunks {
 			t.Fatalf("seed %d: the disk at the kill holds no chunk twice (%+v, %v)", cfg.Seed, u, err)
 		}
 	}
@@ -138,46 +192,30 @@ func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
 	// Crash: sever the WAL at a random byte offset across the
 	// concatenated live segments, and — when configured — tear a
 	// checkpoint artifact too (a crash mid-checkpoint can leave both).
-	cutAll := cutWAL(t, rng, walPath)
+	cutAll := cutWAL(t, h.rng, h.walPath())
 	floor := ckptLSN
 	if cfg.TearCkpt {
 		// Recovery may lose the newest image wholesale; the floor drops
 		// to the previous retained checkpoint, whose chunks and WAL
 		// records retention guarantees are still on disk.
-		floor, tore = tearCkptArtifact(t, rng, dir)
+		floor, tore = tearCkptArtifact(t, h.rng, h.dir)
 	}
-
-	recovered, recLSN := recoverOnce(t, cfg, dir, walPath)
 
 	// Prefix property: at least the checkpoint floor, at most (and after
-	// a no-op cut, exactly) the full history.
-	if recLSN < floor {
-		t.Fatalf("seed %d: recovered LSN %d below checkpoint floor %d", cfg.Seed, recLSN, floor)
-	}
-	if recLSN > lastLSN {
-		t.Fatalf("seed %d: recovered LSN %d beyond committed history %d", cfg.Seed, recLSN, lastLSN)
-	}
+	// a no-op cut, exactly) the full history; the oracle replayed to the
+	// recovered LSN must agree exactly.
+	recovered, recLSN := h.check(t, floor, lastLSN)
 	if cutAll && recLSN != lastLSN {
 		t.Fatalf("seed %d: cut removed nothing but recovery lost LSNs %d..%d", cfg.Seed, recLSN+1, lastLSN)
-	}
-	if err := recovered.CheckInvariants(); err != nil {
-		t.Fatalf("seed %d: recovered store invariants: %v", cfg.Seed, err)
-	}
-
-	// The oracle replayed to the recovered LSN must agree exactly.
-	got, want := serializeView(t, recovered), oracleAt(t, cfg.Seed, tree, batches, recLSN)
-	if got != want {
-		t.Fatalf("seed %d: recovered state diverges from oracle at LSN %d\nrecovered: %s\noracle:    %s",
-			cfg.Seed, recLSN, got, want)
 	}
 
 	// Recovery must be deterministic: running it again (after the first
 	// pass truncated the torn tail) lands on the same LSN and bytes.
-	recovered2, recLSN2 := recoverOnce(t, cfg, dir, walPath)
+	recovered2, recLSN2 := recoverOnce(t, cfg, h.dir, h.walPath())
 	if recLSN2 != recLSN {
 		t.Fatalf("seed %d: second recovery reached LSN %d, first %d", cfg.Seed, recLSN2, recLSN)
 	}
-	if got2 := serializeView(t, recovered2); got2 != got {
+	if serializeView(t, recovered2) != serializeView(t, recovered) {
 		t.Fatalf("seed %d: second recovery produced different bytes", cfg.Seed)
 	}
 	return tore
@@ -195,51 +233,6 @@ func recoverOnce(t *testing.T, cfg CrashConfig, dir, walPath string) (*core.Stor
 		t.Fatalf("seed %d: recovery errored (must degrade, never fail): %v", cfg.Seed, err)
 	}
 	return store, lsn
-}
-
-// cutWAL truncates the concatenated segment stream at a uniformly random
-// byte offset: a cut inside segment k truncates k mid-file and deletes
-// every later segment. It reports whether the cut was a no-op (landed at
-// the very end of the stream).
-func cutWAL(t *testing.T, rng *rand.Rand, walPath string) (noop bool) {
-	t.Helper()
-	segs, err := wal.SegmentPaths(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) == 0 {
-		t.Fatalf("no WAL segments found at %s — nothing to cut", walPath)
-	}
-	var total int64
-	sizes := make([]int64, len(segs))
-	for i, s := range segs {
-		fi, err := os.Stat(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[i] = fi.Size()
-		total += fi.Size()
-	}
-	cut := rng.Int63n(total + 1)
-	if cut == total {
-		return true
-	}
-	for i, s := range segs {
-		if cut >= sizes[i] {
-			cut -= sizes[i]
-			continue
-		}
-		if err := os.Truncate(s, cut); err != nil {
-			t.Fatal(err)
-		}
-		for _, later := range segs[i+1:] {
-			if err := os.Remove(later); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return false
-	}
-	return true
 }
 
 // tearCkptArtifact truncates one checkpoint artifact at a random

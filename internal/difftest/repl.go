@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"mxq/internal/repl"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
+	"mxq/internal/vfs"
 	"mxq/internal/wal"
 	"mxq/internal/wire"
 )
@@ -77,7 +79,7 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 	}
 	m := tx.NewManager(paged, log)
 	tracker := repl.NewTracker()
-	ck := ckpt.New(pdir, "d", log, m.PinCheckpoint)
+	ck := ckpt.New(vfs.OS, pdir, "d", log, m.PinCheckpoint)
 	ck.SetPruneBarrier(tracker.Barrier)
 	if _, err := ck.Run(); err != nil {
 		t.Fatalf("seed %d: initial checkpoint: %v", cfg.Seed, err)
@@ -516,4 +518,49 @@ func ReplConfigs(iters int) []ReplConfig {
 // replName labels one config for subtest naming.
 func replName(c ReplConfig) string {
 	return fmt.Sprintf("seed=%d/seg=%d/ckpt=%d", c.Seed, c.SegmentBytes, c.CheckpointEvery)
+}
+
+// cutWAL truncates the concatenated segment stream at a uniformly random
+// byte offset: a cut inside segment k truncates k mid-file and deletes
+// every later segment. It reports whether the cut was a no-op (landed at
+// the very end of the stream).
+func cutWAL(t *testing.T, rng *rand.Rand, walPath string) (noop bool) {
+	t.Helper()
+	segs, err := wal.SegmentPaths(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) == 0 {
+		t.Fatalf("no WAL segments found at %s — nothing to cut", walPath)
+	}
+	var total int64
+	sizes := make([]int64, len(segs))
+	for i, s := range segs {
+		fi, err := os.Stat(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = fi.Size()
+		total += fi.Size()
+	}
+	cut := rng.Int63n(total + 1)
+	if cut == total {
+		return true
+	}
+	for i, s := range segs {
+		if cut >= sizes[i] {
+			cut -= sizes[i]
+			continue
+		}
+		if err := os.Truncate(s, cut); err != nil {
+			t.Fatal(err)
+		}
+		for _, later := range segs[i+1:] {
+			if err := os.Remove(later); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return false
+	}
+	return true
 }

@@ -53,8 +53,8 @@ var ErrDone = errors.New("tx: transaction already committed or aborted")
 // the base store and visible to readers — but the group-commit fsync
 // failed, so the record may not survive a crash. This is not a clean
 // failure: the caller must NOT retry the transaction (that would apply
-// it twice); treat it like any other lost-disk condition (surface it,
-// stop accepting writes, or fall back to a fresh checkpoint).
+// it twice). The failed fsync poisons the WAL, so every later commit and
+// checkpoint fails too until the log is reopened (see internal/wal).
 var ErrNotDurable = errors.New("tx: commit applied but not durable")
 
 // ErrSnapshotClosed reports a read through a ReadView after Close.

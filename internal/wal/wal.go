@@ -34,12 +34,21 @@
 // usually find their record already durable when they get through —
 // turning N commit fsyncs into ~1 under load. SyncCount exposes how many
 // physical fsyncs the door actually issued.
+//
+// A failed fsync — the door's or a seal's — poisons the log: the kernel
+// may have dropped the pages it could not write, so a later fsync that
+// succeeds proves nothing. Append, AppendRecord, Sync and Close return
+// that error from then on, and DurableLSN never passes the record; only
+// reopening, which reads what is on disk, makes the log writable again.
+// Every change to the disk goes through Options.FS (internal/vfs).
 package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -47,9 +56,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"mxq/internal/vfs"
 	"mxq/internal/xenc"
 )
 
@@ -112,7 +123,7 @@ const segWidth = 8
 type segment struct {
 	seq      uint64
 	path     string
-	f        *os.File // non-nil only for the active segment
+	f        vfs.File // non-nil only for the active segment
 	firstLSN uint64   // 0 when the segment holds no records
 	lastLSN  uint64
 	size     int64
@@ -131,13 +142,15 @@ type SegmentInfo struct {
 
 // Log is an append-only, segmented write-ahead log.
 type Log struct {
-	mu       sync.Mutex // segment list, active file, lsn, tail counters
+	mu       sync.Mutex // segment list, active file, lsn, tail counters, failed
+	fs       vfs.FS
 	dir      string
 	base     string // segment name prefix (e.g. "doc.wal")
 	segs     []*segment
 	lsn      uint64
 	sync     bool
 	segBytes int64
+	failed   error // the first failed fsync: the log is poisoned
 
 	// durable is the highest LSN known to have reached stable storage;
 	// it only ever advances. syncMu is the group-commit door: the leader
@@ -164,6 +177,8 @@ type Options struct {
 	// reaches it, the segment is sealed and a new one started. Zero means
 	// DefaultSegmentBytes.
 	SegmentBytes int64
+	// FS is what the log changes the disk through. Nil means vfs.OS.
+	FS vfs.FS
 }
 
 // Open opens or creates the segmented log rooted at path (segments live
@@ -173,13 +188,11 @@ type Options struct {
 // log mid-stream).
 func Open(path string, opts Options) (*Log, error) {
 	l := &Log{
+		fs:       cmp.Or(opts.FS, vfs.OS),
 		dir:      filepath.Dir(path),
 		base:     filepath.Base(path),
 		sync:     !opts.NoSync,
-		segBytes: opts.SegmentBytes,
-	}
-	if l.segBytes <= 0 {
-		l.segBytes = DefaultSegmentBytes
+		segBytes: cmp.Or(max(opts.SegmentBytes, 0), DefaultSegmentBytes),
 	}
 	if err := l.loadSegments(); err != nil {
 		return nil, err
@@ -194,17 +207,11 @@ func Open(path string, opts Options) (*Log, error) {
 	}
 	// Open the active (last) segment for appending — unless addSegment
 	// just created it with an open handle of its own.
-	active := l.segs[len(l.segs)-1]
-	if active.f == nil {
-		f, err := os.OpenFile(active.path, os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
+	if active := l.segs[len(l.segs)-1]; active.f == nil {
+		var err error
+		if active.f, err = l.fs.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		if _, err := f.Seek(active.size, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		active.f = f
 	}
 	l.durable.Store(l.lsn) // whatever survived on disk is as durable as it gets
 	return l, nil
@@ -246,7 +253,7 @@ func (l *Log) scanAll() error {
 		seg.records, seg.size = meta.records, meta.size
 		torn := meta.validEnd < meta.size
 		if torn {
-			if err := os.Truncate(seg.path, meta.validEnd); err != nil {
+			if err := l.fs.Truncate(seg.path, meta.validEnd); err != nil {
 				return fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
 			}
 			seg.size = meta.validEnd
@@ -257,7 +264,7 @@ func (l *Log) scanAll() error {
 		}
 		if torn && i < len(l.segs)-1 {
 			for _, later := range l.segs[i+1:] {
-				if err := os.Remove(later.path); err != nil {
+				if err := l.fs.Remove(later.path); err != nil {
 					return fmt.Errorf("wal: removing cut segment %s: %w", later.path, err)
 				}
 			}
@@ -269,7 +276,7 @@ func (l *Log) scanAll() error {
 		// Make the truncation/removals durable now: a crash after this
 		// recovery must not resurrect post-cut segments whose records are
 		// non-contiguous with the truncated prefix.
-		return l.syncDir()
+		return l.fs.SyncDir(l.dir)
 	}
 	return nil
 }
@@ -355,33 +362,19 @@ func readRecordAt(r io.ReaderAt, off, size int64) (*Record, int64, bool) {
 // nothing is registered, so the caller's segment list stays usable.
 func (l *Log) addSegment(seq uint64) (*segment, error) {
 	seg := &segment{seq: seq, path: l.segPath(seq)}
-	f, err := os.OpenFile(seg.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
+	var err error
+	if seg.f, err = l.fs.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644); err != nil {
 		return nil, fmt.Errorf("wal: creating segment: %w", err)
 	}
-	seg.f = f
 	if l.sync {
-		if err := l.syncDir(); err != nil {
-			f.Close()
-			os.Remove(seg.path)
-			return nil, err
+		if err := l.fs.SyncDir(l.dir); err != nil {
+			seg.f.Close()
+			l.fs.Remove(seg.path)
+			return nil, fmt.Errorf("wal: creating segment: %w", err)
 		}
 	}
 	l.segs = append(l.segs, seg)
 	return seg, nil
-}
-
-// syncDir makes directory-level changes (segment create/delete) durable.
-func (l *Log) syncDir() error {
-	d, err := os.Open(l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing dir: %w", err)
-	}
-	return nil
 }
 
 // LastLSN returns the LSN of the last appended record (0 if none).
@@ -432,6 +425,9 @@ func (l *Log) AppendRecord(rec *Record) error {
 // appendLocked writes one record (rec.LSN must be l.lsn+1) to the
 // active segment. Called with l.mu held.
 func (l *Log) appendLocked(rec *Record) error {
+	if l.failed != nil {
+		return l.failed
+	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
 		return fmt.Errorf("wal: encoding record: %w", err)
@@ -466,41 +462,37 @@ func (l *Log) appendLocked(rec *Record) error {
 		l.advanceDurable(rec.LSN)
 	}
 	if active.size >= l.segBytes {
-		// Rotation is best-effort: the record above is fully written and
-		// will be made durable by Sync against this (still-active)
-		// segment, so a failed seal or segment creation must NOT fail the
-		// append — a WAL record that persists for a commit reported as
-		// failed would resurrect at recovery. The oversized segment stays
-		// active and rotation is retried on the next append.
+		// The record is written, so rotation must not fail the append: a
+		// record that persists for a commit reported as failed would
+		// resurrect at recovery. A failed seal poisons the log, and the
+		// Sync after this append reports it.
 		l.tryRotate(active)
 	}
 	return nil
 }
 
-// repairActive rolls the active segment back to the last record
-// boundary after a failed write. If even the rollback fails, the
+// repairActive rolls the active segment, open for appending, back to the
+// last record boundary after a failed write. If even that fails, the
 // segment is closed so further appends error loudly instead of landing
 // beyond unscanned garbage.
 func (l *Log) repairActive(active *segment) {
-	if _, err := active.f.Seek(active.size, io.SeekStart); err == nil {
-		if err := active.f.Truncate(active.size); err == nil {
-			return
-		}
+	if err := active.f.Truncate(active.size); err != nil {
+		active.f.Close()
+		active.f = nil
 	}
-	active.f.Close()
-	active.f = nil
 }
 
 // tryRotate seals the active segment and starts a new one. The seal
 // fsync makes every record in the sealed segment durable, so Sync never
-// needs to revisit anything but the active file; the old file is closed
-// only after the new segment exists, so any failure leaves the old
-// segment active and writable (rotation retries later). Called with
-// l.mu held.
+// needs to revisit anything but the active file; a failed one poisons the
+// log. The old file is closed only after the new segment exists, so a
+// failed creation leaves the old segment active and writable (rotation
+// retries later). Called with l.mu held.
 func (l *Log) tryRotate(active *segment) {
 	if l.sync {
 		if err := active.f.Sync(); err != nil {
-			return // seal not durable: keep appending here, retry later
+			l.failed = fmt.Errorf("wal: sealing segment: %w", err)
+			return
 		}
 		l.advanceDurable(active.lastLSN)
 	}
@@ -555,7 +547,8 @@ func (l *Log) DurableChanged() <-chan struct{} {
 // Sync makes every record with LSN <= lsn durable. It is the
 // group-commit door: safe for any number of concurrent callers, the
 // first through becomes the leader and fsyncs once for everyone queued
-// behind it. A no-op when the log runs with NoSync.
+// behind it. A no-op when the log runs with NoSync. A failed fsync
+// poisons the log (package doc).
 func (l *Log) Sync(lsn uint64) error {
 	if !l.sync || l.durable.Load() >= lsn {
 		return nil
@@ -570,23 +563,27 @@ func (l *Log) Sync(lsn uint64) error {
 	// earlier segments were made durable when those segments were
 	// sealed).
 	l.mu.Lock()
-	f := l.segs[len(l.segs)-1].f
-	target := l.lsn
+	f, target, err := l.segs[len(l.segs)-1].f, l.lsn, l.failed
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if f == nil {
 		return fmt.Errorf("wal: log is closed")
 	}
 	l.syncCount.Add(1)
-	if err := f.Sync(); err != nil {
-		// A rotation racing this door may have sealed — fsynced — and
-		// closed the captured file after we let go of l.mu; the caller's
-		// record is durable then (the seal covered everything in the
-		// segment), so only report an error the durability watermark does
-		// not contradict.
-		if l.durable.Load() >= lsn {
-			return nil
-		}
-		return fmt.Errorf("wal: sync: %w", err)
+	err = f.Sync()
+	if errors.Is(err, os.ErrClosed) && l.durable.Load() >= lsn {
+		return nil // a racing rotation's seal fsynced and closed the file
+	}
+	// Under l.mu, so that a seal failing meanwhile is seen here.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil && l.failed == nil {
+		l.failed = fmt.Errorf("wal: sync: %w", err)
+	}
+	if l.failed != nil {
+		return l.failed
 	}
 	l.advanceDurable(target)
 	return nil
@@ -655,13 +652,13 @@ func (l *Log) Prune(upTo uint64) error {
 		return nil
 	}
 	for _, seg := range l.segs[:cut] {
-		if err := os.Remove(seg.path); err != nil {
+		if err := l.fs.Remove(seg.path); err != nil {
 			return fmt.Errorf("wal: pruning segment: %w", err)
 		}
 	}
 	l.segs = append(l.segs[:0], l.segs[cut:]...)
 	if l.sync {
-		return l.syncDir()
+		return l.fs.SyncDir(l.dir)
 	}
 	return nil
 }
@@ -669,15 +666,7 @@ func (l *Log) Prune(upTo uint64) error {
 // TailStats reports the un-pruned log tail: total bytes and record count
 // across all live segments. The auto-checkpoint policy reads it to
 // decide when the WAL has grown enough to warrant a new checkpoint.
-func (l *Log) TailStats() (bytes int64, records int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, seg := range l.segs {
-		bytes += seg.size
-		records += seg.records
-	}
-	return bytes, records
-}
+func (l *Log) TailStats() (bytes int64, records int) { return l.TailStatsAbove(0) }
 
 // TailStatsAbove reports the log tail *beyond* lsn: how many records
 // with LSN > lsn the live segments hold, and (approximately, prorating
@@ -707,15 +696,8 @@ func (l *Log) TailStatsAbove(lsn uint64) (bytes int64, records int) {
 // isSegmentName reports whether file (a bare name) is a segment of the
 // log with base name base.
 func isSegmentName(base, file string) bool {
-	if len(file) != len(base)+1+segWidth || file[:len(base)] != base || file[len(base)] != '.' {
-		return false
-	}
-	for _, c := range file[len(base)+1:] {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
+	return len(file) == len(base)+1+segWidth && strings.HasPrefix(file, base+".") &&
+		strings.Trim(file[len(base)+1:], "0123456789") == ""
 }
 
 // SegmentPaths lists the on-disk segment files of the log rooted at
@@ -741,10 +723,10 @@ func SegmentPaths(path string) ([]string, error) {
 // RemoveSegments deletes every segment file of the log rooted at path
 // (Drop uses it; matching is exact, so another document whose name
 // shares a prefix is never touched).
-func RemoveSegments(path string) {
+func RemoveSegments(fsys vfs.FS, path string) {
 	paths, _ := SegmentPaths(path)
 	for _, p := range paths {
-		os.Remove(p)
+		fsys.Remove(p)
 	}
 }
 
@@ -763,18 +745,13 @@ func (l *Log) Segments() []SegmentInfo {
 	return out
 }
 
-// Close closes the active segment file.
+// Close closes the active segment file; a poisoned log reports its error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.segs) == 0 {
-		return nil
+	var err error
+	if active := l.segs[len(l.segs)-1]; active.f != nil {
+		err, active.f = active.f.Close(), nil
 	}
-	active := l.segs[len(l.segs)-1]
-	if active.f == nil {
-		return nil
-	}
-	err := active.f.Close()
-	active.f = nil
-	return err
+	return cmp.Or(l.failed, err)
 }

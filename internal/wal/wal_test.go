@@ -6,7 +6,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
+
+	"mxq/internal/vfs"
 )
 
 func openTemp(t *testing.T) (*Log, string) {
@@ -535,7 +539,7 @@ func TestBareFileAtBasePathIsForeign(t *testing.T) {
 	}
 	l.Append([]Op{{Kind: OpRename, Target: 7, Name: "x"}})
 	l.Close()
-	RemoveSegments(path)
+	RemoveSegments(vfs.OS, path)
 	if segs := segFiles(t, path); len(segs) != 0 {
 		t.Fatalf("segments survive RemoveSegments: %v", segs)
 	}
@@ -639,7 +643,7 @@ func TestRemoveSegmentsExactMatch(t *testing.T) {
 	long.Append([]Op{{Kind: OpDelete, Target: 2}})
 	long.Close()
 
-	RemoveSegments(filepath.Join(dir, "a.wal"))
+	RemoveSegments(vfs.OS, filepath.Join(dir, "a.wal"))
 	if files := segFiles(t, filepath.Join(dir, "a.wal")); len(files) != 0 {
 		t.Fatalf("own segments survived: %v", files)
 	}
@@ -892,5 +896,91 @@ func TestRotationBoundarySyncDurable(t *testing.T) {
 	}
 	if segs := l.Segments(); len(segs) != 2 {
 		t.Fatalf("segments = %d, want seal to have happened", len(segs))
+	}
+}
+
+// syncFaultFS is vfs.OS with the file fsyncs failing while fail is set.
+type syncFaultFS struct {
+	vfs.FS
+	fail atomic.Bool
+}
+
+func (s *syncFaultFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncFaultFile{f, s}, nil
+}
+
+type syncFaultFile struct {
+	vfs.File
+	fs *syncFaultFS
+}
+
+func (f syncFaultFile) Sync() error {
+	if f.fs.fail.Load() {
+		return syscall.EIO
+	}
+	return f.File.Sync()
+}
+
+// TestFailedFsyncPoisonsLog: after a failed fsync — the group-commit
+// door's or a seal's — the log is poisoned. Sync keeps failing even once
+// the disk answers again (the pages the failed fsync could not write may
+// be gone, and a later fsync that succeeds proves nothing about them), so
+// DurableLSN never passes the record; Append and AppendRecord fail, and so
+// does Close, which still releases the segment. Reopening reads what is
+// really on disk.
+func TestFailedFsyncPoisonsLog(t *testing.T) {
+	s := recordSize(t)
+	for _, seal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("seal=%v", seal), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "poison.wal")
+			ffs := &syncFaultFS{FS: vfs.OS}
+			l, err := Open(path, Options{SegmentBytes: 3 * s, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := l.Append(boundaryOps())
+			if err != nil || l.Sync(lsn) != nil || l.DurableLSN() != 1 {
+				t.Fatalf("first record: %d, %v, durable %d", lsn, err, l.DurableLSN())
+			}
+			lsn, _ = l.Append(boundaryOps()) // below the rotation threshold
+			ffs.fail.Store(true)
+			if seal {
+				// The third record reaches the threshold: its seal fails, and
+				// the record stands.
+				if lsn, err = l.Append(boundaryOps()); err != nil {
+					t.Fatalf("the append whose seal failed: %v", err)
+				}
+			} else if err := l.Sync(lsn); err == nil {
+				t.Fatal("Sync over a failing fsync succeeded")
+			}
+			ffs.fail.Store(false)
+			if err := l.Sync(lsn); err == nil || l.DurableLSN() != 1 {
+				t.Fatalf("Sync after the failed fsync = %v, durable %d: the log passed the failed record", err, l.DurableLSN())
+			}
+			if _, err := l.Append(boundaryOps()); err == nil {
+				t.Fatal("Append on a poisoned log succeeded")
+			}
+			if err := l.AppendRecord(&Record{LSN: lsn + 1}); err == nil {
+				t.Fatal("AppendRecord on a poisoned log succeeded")
+			}
+			if l.LastLSN() != lsn {
+				t.Fatalf("LastLSN = %d, want %d", l.LastLSN(), lsn)
+			}
+			if err := l.Close(); err == nil {
+				t.Fatal("Close of a poisoned log succeeded")
+			}
+			l2, err := Open(path, Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			if next, err := l2.Append(boundaryOps()); err != nil || next != lsn+1 {
+				t.Fatalf("append after reopening = %d, %v, want %d", next, err, lsn+1)
+			}
+		})
 	}
 }

@@ -56,7 +56,8 @@
 // concurrent committers share the fsync through a leader/follower door
 // (group commit): under load, N commits cost ~1 physical flush, so
 // commit throughput rises with concurrency instead of serializing on
-// the disk. Checkpoints are *online* and *incremental*:
+// the disk. A failed fsync leaves the document read-only until it is
+// reopened. Checkpoints are *online* and *incremental*:
 // Document.Checkpoint pins a (snapshot, LSN) pair inside the commit
 // critical section — an O(pages) refcount sweep, the same
 // copy-on-write machinery the read path uses — then serializes the
@@ -192,6 +193,7 @@ import (
 	"mxq/internal/shred"
 	"mxq/internal/tx"
 	"mxq/internal/validate"
+	"mxq/internal/vfs"
 	"mxq/internal/wal"
 )
 
@@ -401,7 +403,7 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *D
 	if log == nil {
 		return d
 	}
-	d.ckpter = ckpt.New(db.opts.Dir, name, log, d.mgr.PinCheckpoint)
+	d.ckpter = ckpt.New(vfs.OS, db.opts.Dir, name, log, d.mgr.PinCheckpoint)
 	d.ckpter.SetChunkStore(db.chunkStore(name))
 	d.tracker = repl.NewTracker()
 	d.ckpter.SetPruneBarrier(d.tracker.Barrier)
@@ -599,13 +601,13 @@ func (db *Database) Drop(name string) error {
 	}
 	// Exact-boundary removal: a document whose name is a prefix of
 	// another ("a" vs "a-b") must never take the other's artifacts.
-	wal.RemoveSegments(db.walPath(name))
-	ckpt.RemoveArtifacts(db.opts.Dir, name)
+	wal.RemoveSegments(vfs.OS, db.walPath(name))
+	ckpt.RemoveArtifacts(vfs.OS, db.opts.Dir, name)
 	// Dropping the document is the one case chunks go too: no future
 	// image of this document will reference them. (Only the default
 	// local store — a caller-supplied ChunkStore manages its own data.)
 	if db.opts.ChunkStore == nil {
-		ckpt.RemoveChunks(db.opts.Dir, name)
+		os.RemoveAll(ckpt.ChunkDir(db.opts.Dir, name))
 	}
 	return nil
 }
