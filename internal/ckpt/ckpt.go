@@ -332,13 +332,13 @@ func Images(dir, name string) ([]Image, error) {
 // RemoveArtifacts deletes every checkpoint artifact of the document —
 // images and stale tmp files — with exact-boundary matching, leaving
 // other documents' files alone.
-func RemoveArtifacts(fsys vfs.FS, dir, name string) {
+func RemoveArtifacts(dir, name string) {
 	imgs, tmps, _ := scan(dir, name)
 	for _, img := range imgs {
-		fsys.Remove(filepath.Join(dir, img.File))
+		vfs.OS.Remove(filepath.Join(dir, img.File))
 	}
 	for _, tmp := range tmps {
-		fsys.Remove(filepath.Join(dir, tmp))
+		vfs.OS.Remove(filepath.Join(dir, tmp))
 	}
 }
 
@@ -501,10 +501,14 @@ func (c *Checkpointer) retire(current uint64) uint64 {
 }
 
 // refused reports whether the file at path reads whole and is not an
-// image: readImage fails, and not with the I/O error of reading it.
+// image.
 func refused(path string) bool {
-	_, err := readImage(path)
-	return err != nil && !errors.As(err, new(*os.PathError))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	_, err = parseImage(filepath.Base(path), data)
+	return err != nil
 }
 
 // Recover rebuilds the document's store from the best available

@@ -545,7 +545,7 @@ func TestRemoveArtifactsSparesSiblings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	RemoveArtifacts(vfs.OS, dir, "a")
+	RemoveArtifacts(dir, "a")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

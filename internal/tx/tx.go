@@ -54,7 +54,8 @@ var ErrDone = errors.New("tx: transaction already committed or aborted")
 // failed, so the record may not survive a crash. This is not a clean
 // failure: the caller must NOT retry the transaction (that would apply
 // it twice). The failed fsync poisons the WAL, so every later commit and
-// checkpoint fails too until the log is reopened (see internal/wal).
+// checkpoint fails too until the log is reopened, which is no proof that
+// the record reached the disk (see internal/wal).
 var ErrNotDurable = errors.New("tx: commit applied but not durable")
 
 // ErrSnapshotClosed reports a read through a ReadView after Close.

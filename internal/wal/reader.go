@@ -139,22 +139,19 @@ func (r *Reader) Next() (*Record, error) {
 	}
 }
 
-// segmentOf finds the live segment holding lsn (seq 0: none does).
-func (l *Log) segmentOf(lsn uint64) (path string, seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, seg := range l.segs {
-		if seg.records > 0 && seg.firstLSN <= lsn && lsn <= seg.lastLSN {
-			return seg.path, seg.seq
-		}
-	}
-	return "", 0
-}
-
 // open positions the reader at the segment containing target.
 func (r *Reader) open(target uint64) error {
-	path, seq := r.l.segmentOf(target)
-	if seq == 0 {
+	r.l.mu.Lock()
+	var path string
+	var seq uint64
+	for _, seg := range r.l.segs {
+		if seg.records > 0 && seg.firstLSN <= target && target <= seg.lastLSN {
+			path, seq = seg.path, seg.seq
+			break
+		}
+	}
+	r.l.mu.Unlock()
+	if path == "" {
 		return fmt.Errorf("%w: record %d is in no live segment", ErrPruned, target)
 	}
 	f, err := os.Open(path)
@@ -170,7 +167,15 @@ func (r *Reader) open(target uint64) error {
 // otherwise the record should appear at the current offset on a
 // re-read (reports false).
 func (r *Reader) advanceSegment(target uint64) (bool, error) {
-	_, nextSeq := r.l.segmentOf(target)
+	r.l.mu.Lock()
+	var nextSeq uint64
+	for _, seg := range r.l.segs {
+		if seg.records > 0 && seg.firstLSN <= target && target <= seg.lastLSN {
+			nextSeq = seg.seq
+			break
+		}
+	}
+	r.l.mu.Unlock()
 	if nextSeq == 0 {
 		return false, fmt.Errorf("%w: record %d is in no live segment", ErrPruned, target)
 	}

@@ -38,14 +38,16 @@
 // A failed fsync — the door's or a seal's — poisons the log: the kernel
 // may have dropped the pages it could not write, so a later fsync that
 // succeeds proves nothing. Append, AppendRecord, Sync and Close return
-// that error from then on, and DurableLSN never passes the record; only
-// reopening, which reads what is on disk, makes the log writable again.
-// Every change to the disk goes through Options.FS (internal/vfs).
+// that error from then on, and DurableLSN never passes the record. A
+// reopened log is writable again, but reopening is no proof either: Open
+// reads the page cache, which may still hold a record the kernel never
+// wrote, and counts every record it finds durable.
+// Every change a Log makes to the disk goes through Options.FS
+// (internal/vfs); RemoveSegments, which has no Log, goes through vfs.OS.
 package wal
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -56,7 +58,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -142,7 +143,7 @@ type SegmentInfo struct {
 
 // Log is an append-only, segmented write-ahead log.
 type Log struct {
-	mu       sync.Mutex // segment list, active file, lsn, tail counters, failed
+	mu       sync.Mutex // segment list, active file, lsn, tail counters
 	fs       vfs.FS
 	dir      string
 	base     string // segment name prefix (e.g. "doc.wal")
@@ -150,7 +151,6 @@ type Log struct {
 	lsn      uint64
 	sync     bool
 	segBytes int64
-	failed   error // the first failed fsync: the log is poisoned
 
 	// durable is the highest LSN known to have reached stable storage;
 	// it only ever advances. syncMu is the group-commit door: the leader
@@ -158,6 +158,12 @@ type Log struct {
 	durable   atomic.Uint64
 	syncMu    sync.Mutex
 	syncCount atomic.Uint64
+
+	// fsyncMu is held across every fsync of a segment file, the door's
+	// and a seal's alike; failed, the first one that failed, is set
+	// before it is let go. The log is poisoned once failed is set.
+	fsyncMu sync.Mutex
+	failed  atomic.Pointer[error]
 
 	// notifyC broadcasts durable-LSN advances to streaming readers (the
 	// replication sender parks on it instead of polling): it is closed
@@ -188,11 +194,17 @@ type Options struct {
 // log mid-stream).
 func Open(path string, opts Options) (*Log, error) {
 	l := &Log{
-		fs:       cmp.Or(opts.FS, vfs.OS),
+		fs:       opts.FS,
 		dir:      filepath.Dir(path),
 		base:     filepath.Base(path),
 		sync:     !opts.NoSync,
-		segBytes: cmp.Or(max(opts.SegmentBytes, 0), DefaultSegmentBytes),
+		segBytes: opts.SegmentBytes,
+	}
+	if l.fs == nil {
+		l.fs = vfs.OS
+	}
+	if l.segBytes <= 0 {
+		l.segBytes = DefaultSegmentBytes
 	}
 	if err := l.loadSegments(); err != nil {
 		return nil, err
@@ -425,8 +437,8 @@ func (l *Log) AppendRecord(rec *Record) error {
 // appendLocked writes one record (rec.LSN must be l.lsn+1) to the
 // active segment. Called with l.mu held.
 func (l *Log) appendLocked(rec *Record) error {
-	if l.failed != nil {
-		return l.failed
+	if err := l.poisoned(); err != nil {
+		return err
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
@@ -489,12 +501,8 @@ func (l *Log) repairActive(active *segment) {
 // failed creation leaves the old segment active and writable (rotation
 // retries later). Called with l.mu held.
 func (l *Log) tryRotate(active *segment) {
-	if l.sync {
-		if err := active.f.Sync(); err != nil {
-			l.failed = fmt.Errorf("wal: sealing segment: %w", err)
-			return
-		}
-		l.advanceDurable(active.lastLSN)
+	if l.sync && l.fsync(active.f, active.lastLSN, active.lastLSN) != nil {
+		return
 	}
 	if _, err := l.addSegment(active.seq + 1); err != nil {
 		return // could not start a new segment: old one stays active
@@ -563,29 +571,45 @@ func (l *Log) Sync(lsn uint64) error {
 	// earlier segments were made durable when those segments were
 	// sealed).
 	l.mu.Lock()
-	f, target, err := l.segs[len(l.segs)-1].f, l.lsn, l.failed
+	f, target := l.segs[len(l.segs)-1].f, l.lsn
 	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	if f == nil {
 		return fmt.Errorf("wal: log is closed")
 	}
 	l.syncCount.Add(1)
-	err = f.Sync()
-	if errors.Is(err, os.ErrClosed) && l.durable.Load() >= lsn {
-		return nil // a racing rotation's seal fsynced and closed the file
+	return l.fsync(f, lsn, target)
+}
+
+// fsync fsyncs f, a segment file holding every record up to upTo, and
+// raises DurableLSN to upTo; a failure poisons the log. The kernel reports
+// a failed writeback to one fsync of a file only, so fsyncMu keeps the
+// door's and a seal's apart: one that overlapped a failing one could
+// succeed over the lost pages. f closed by a seal that covered need, the
+// caller's record, is success.
+func (l *Log) fsync(f vfs.File, need, upTo uint64) error {
+	l.fsyncMu.Lock()
+	defer l.fsyncMu.Unlock()
+	if err := l.poisoned(); err != nil {
+		return err
 	}
-	// Under l.mu, so that a seal failing meanwhile is seen here.
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err != nil && l.failed == nil {
-		l.failed = fmt.Errorf("wal: sync: %w", err)
+	err := f.Sync()
+	if errors.Is(err, os.ErrClosed) && l.durable.Load() >= need {
+		return nil
 	}
-	if l.failed != nil {
-		return l.failed
+	if err != nil {
+		err = fmt.Errorf("wal: fsync: %w", err)
+		l.failed.Store(&err)
+		return err
 	}
-	l.advanceDurable(target)
+	l.advanceDurable(upTo)
+	return nil
+}
+
+// poisoned returns the failed fsync that poisoned the log, or nil.
+func (l *Log) poisoned() error {
+	if err := l.failed.Load(); err != nil {
+		return *err
+	}
 	return nil
 }
 
@@ -666,7 +690,15 @@ func (l *Log) Prune(upTo uint64) error {
 // TailStats reports the un-pruned log tail: total bytes and record count
 // across all live segments. The auto-checkpoint policy reads it to
 // decide when the WAL has grown enough to warrant a new checkpoint.
-func (l *Log) TailStats() (bytes int64, records int) { return l.TailStatsAbove(0) }
+func (l *Log) TailStats() (bytes int64, records int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, seg := range l.segs {
+		bytes += seg.size
+		records += seg.records
+	}
+	return bytes, records
+}
 
 // TailStatsAbove reports the log tail *beyond* lsn: how many records
 // with LSN > lsn the live segments hold, and (approximately, prorating
@@ -696,8 +728,15 @@ func (l *Log) TailStatsAbove(lsn uint64) (bytes int64, records int) {
 // isSegmentName reports whether file (a bare name) is a segment of the
 // log with base name base.
 func isSegmentName(base, file string) bool {
-	return len(file) == len(base)+1+segWidth && strings.HasPrefix(file, base+".") &&
-		strings.Trim(file[len(base)+1:], "0123456789") == ""
+	if len(file) != len(base)+1+segWidth || file[:len(base)] != base || file[len(base)] != '.' {
+		return false
+	}
+	for _, c := range file[len(base)+1:] {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // SegmentPaths lists the on-disk segment files of the log rooted at
@@ -723,10 +762,10 @@ func SegmentPaths(path string) ([]string, error) {
 // RemoveSegments deletes every segment file of the log rooted at path
 // (Drop uses it; matching is exact, so another document whose name
 // shares a prefix is never touched).
-func RemoveSegments(fsys vfs.FS, path string) {
+func RemoveSegments(path string) {
 	paths, _ := SegmentPaths(path)
 	for _, p := range paths {
-		fsys.Remove(p)
+		vfs.OS.Remove(p)
 	}
 }
 
@@ -751,7 +790,11 @@ func (l *Log) Close() error {
 	defer l.mu.Unlock()
 	var err error
 	if active := l.segs[len(l.segs)-1]; active.f != nil {
-		err, active.f = active.f.Close(), nil
+		err = active.f.Close()
+		active.f = nil
 	}
-	return cmp.Or(l.failed, err)
+	if perr := l.poisoned(); perr != nil {
+		return perr
+	}
+	return err
 }

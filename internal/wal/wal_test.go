@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"mxq/internal/vfs"
 )
@@ -539,7 +540,7 @@ func TestBareFileAtBasePathIsForeign(t *testing.T) {
 	}
 	l.Append([]Op{{Kind: OpRename, Target: 7, Name: "x"}})
 	l.Close()
-	RemoveSegments(vfs.OS, path)
+	RemoveSegments(path)
 	if segs := segFiles(t, path); len(segs) != 0 {
 		t.Fatalf("segments survive RemoveSegments: %v", segs)
 	}
@@ -643,7 +644,7 @@ func TestRemoveSegmentsExactMatch(t *testing.T) {
 	long.Append([]Op{{Kind: OpDelete, Target: 2}})
 	long.Close()
 
-	RemoveSegments(vfs.OS, filepath.Join(dir, "a.wal"))
+	RemoveSegments(filepath.Join(dir, "a.wal"))
 	if files := segFiles(t, filepath.Join(dir, "a.wal")); len(files) != 0 {
 		t.Fatalf("own segments survived: %v", files)
 	}
@@ -930,8 +931,8 @@ func (f syncFaultFile) Sync() error {
 // the disk answers again (the pages the failed fsync could not write may
 // be gone, and a later fsync that succeeds proves nothing about them), so
 // DurableLSN never passes the record; Append and AppendRecord fail, and so
-// does Close, which still releases the segment. Reopening reads what is
-// really on disk.
+// does Close, which still releases the segment. A reopened log is writable
+// again.
 func TestFailedFsyncPoisonsLog(t *testing.T) {
 	s := recordSize(t)
 	for _, seal := range []bool{false, true} {
@@ -982,5 +983,73 @@ func TestFailedFsyncPoisonsLog(t *testing.T) {
 				t.Fatalf("append after reopening = %d, %v, want %d", next, err, lsn+1)
 			}
 		})
+	}
+}
+
+// raceSyncFS is vfs.OS whose first file fsync fails with EIO, the way a
+// kernel reports a failed writeback: once. The failure is held back until
+// a second fsync has started, or for a grace period if none can start
+// meanwhile; the second, and every later one, succeeds.
+type raceSyncFS struct {
+	vfs.FS
+	syncs           atomic.Int32
+	entered, second chan struct{}
+}
+
+func (r *raceSyncFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := r.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return raceSyncFile{f, r}, nil
+}
+
+type raceSyncFile struct {
+	vfs.File
+	fs *raceSyncFS
+}
+
+func (f raceSyncFile) Sync() error {
+	switch f.fs.syncs.Add(1) {
+	case 1:
+		close(f.fs.entered)
+		select {
+		case <-f.fs.second:
+		case <-time.After(100 * time.Millisecond):
+		}
+		return syscall.EIO
+	case 2:
+		close(f.fs.second)
+	}
+	return f.File.Sync()
+}
+
+// TestFailedDoorFsyncStopsConcurrentSeal: a seal that starts while the
+// group-commit door's fsync is failing must not report the records durable.
+// Its own fsync would succeed — the kernel told the door — so it has to wait
+// for the door's verdict rather than run beside it.
+func TestFailedDoorFsyncStopsConcurrentSeal(t *testing.T) {
+	s := recordSize(t)
+	rfs := &raceSyncFS{FS: vfs.OS, entered: make(chan struct{}), second: make(chan struct{})}
+	l, err := Open(filepath.Join(t.TempDir(), "race.wal"), Options{SegmentBytes: 3 * s, FS: rfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.Append(boundaryOps())
+	lsn, _ := l.Append(boundaryOps()) // below the rotation threshold
+	door := make(chan error)
+	go func() { door <- l.Sync(lsn) }()
+	<-rfs.entered
+	// The third record reaches the threshold, and its seal fsyncs.
+	third, err := l.Append(boundaryOps())
+	if err != nil {
+		t.Fatalf("the append that seals: %v", err)
+	}
+	if err := <-door; err == nil {
+		t.Fatal("the door's failed fsync reported success")
+	}
+	if err := l.Sync(third); err == nil || l.DurableLSN() != 0 {
+		t.Fatalf("Sync(%d) = %v, durable %d: the seal passed the door's failed fsync", third, err, l.DurableLSN())
 	}
 }

@@ -57,7 +57,8 @@
 // (group commit): under load, N commits cost ~1 physical flush, so
 // commit throughput rises with concurrency instead of serializing on
 // the disk. A failed fsync leaves the document read-only until it is
-// reopened. Checkpoints are *online* and *incremental*:
+// reopened, which reads the page cache and so is no proof that the
+// record reached the disk. Checkpoints are *online* and *incremental*:
 // Document.Checkpoint pins a (snapshot, LSN) pair inside the commit
 // critical section — an O(pages) refcount sweep, the same
 // copy-on-write machinery the read path uses — then serializes the
@@ -601,11 +602,12 @@ func (db *Database) Drop(name string) error {
 	}
 	// Exact-boundary removal: a document whose name is a prefix of
 	// another ("a" vs "a-b") must never take the other's artifacts.
-	wal.RemoveSegments(vfs.OS, db.walPath(name))
-	ckpt.RemoveArtifacts(vfs.OS, db.opts.Dir, name)
+	wal.RemoveSegments(db.walPath(name))
+	ckpt.RemoveArtifacts(db.opts.Dir, name)
 	// Dropping the document is the one case chunks go too: no future
 	// image of this document will reference them. (Only the default
 	// local store — a caller-supplied ChunkStore manages its own data.)
+	// vfs.FS has no RemoveAll, so this one delete does not go through it.
 	if db.opts.ChunkStore == nil {
 		os.RemoveAll(ckpt.ChunkDir(db.opts.Dir, name))
 	}

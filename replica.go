@@ -11,7 +11,6 @@ import (
 	"mxq/internal/core"
 	"mxq/internal/repl"
 	"mxq/internal/tx"
-	"mxq/internal/vfs"
 	"mxq/internal/wal"
 	"mxq/internal/xupdate"
 )
@@ -206,8 +205,8 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 		// LSN line and about to be wiped.
 		old.close(false)
 	}
-	wal.RemoveSegments(vfs.OS, db.walPath(s.name))
-	ckpt.RemoveArtifacts(vfs.OS, db.opts.Dir, s.name)
+	wal.RemoveSegments(db.walPath(s.name))
+	ckpt.RemoveArtifacts(db.opts.Dir, s.name)
 
 	log, err := db.openWAL(s.name)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"mxq/internal/ckpt"
 	"mxq/internal/repl"
 	"mxq/internal/tx"
-	"mxq/internal/vfs"
 	"mxq/internal/wal"
 	"mxq/internal/wire"
 )
@@ -305,8 +304,8 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	// The crash: WAL and checkpoint images gone (the follower cannot
 	// recover locally), chunk store intact. Then a little churn on the
 	// primary, so the manifest is not even identical.
-	wal.RemoveSegments(vfs.OS, filepath.Join(followerDir, "lib.wal"))
-	ckpt.RemoveArtifacts(vfs.OS, followerDir, "lib")
+	wal.RemoveSegments(filepath.Join(followerDir, "lib.wal"))
+	ckpt.RemoveArtifacts(followerDir, "lib")
 	lsn := appendBook(t, doc, "churn")
 
 	followerDB, err = Open(Options{Dir: followerDir, NoSync: true})
