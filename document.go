@@ -80,6 +80,10 @@ func (r *queries) eval(expr *xpath.Expr, vars map[string]xpath.Value) (res Resul
 // Item is one materialized query result: results are copied out of the
 // snapshot the query ran against, so they stay valid across later
 // updates.
+//
+// An element item's XML and Value are the two halves of one string, one
+// allocation filled by one walk; either keeps both alive, so a caller
+// that keeps only a large element's Value should strings.Clone it.
 type Item struct {
 	// Kind is "element", "text", "comment", "processing-instruction",
 	// "attribute", "document", "number", "string" or "boolean".
@@ -211,8 +215,9 @@ func materialize(v xenc.DocView, expr *xpath.Expr, vars map[string]xpath.Value) 
 	switch x := val.(type) {
 	case xpath.NodeSet:
 		res := make(Result, 0, len(x))
+		var sc scratch
 		for _, n := range x {
-			res = append(res, materializeNode(v, n))
+			res = append(res, sc.node(v, n))
 		}
 		return res, nil
 	case xpath.Number:
@@ -225,20 +230,26 @@ func materialize(v xenc.DocView, expr *xpath.Expr, vars map[string]xpath.Value) 
 	return nil, fmt.Errorf("mxq: unexpected result type %T", val)
 }
 
-func materializeNode(v xenc.DocView, n xpath.Node) Item {
+// scratch is where one result's elements are serialized before each is
+// copied out as one string.
+type scratch struct{ xml, text []byte }
+
+func (sc *scratch) node(v xenc.DocView, n xpath.Node) Item {
 	if n.Pre == xpath.DocNodePre {
 		return Item{Kind: "document", Value: xpath.StringValue(v, n)}
 	}
 	if n.Attr != xpath.NoAttr {
 		return Item{Kind: "attribute", Value: xpath.StringValue(v, n)}
 	}
-	it := Item{Value: xpath.StringValue(v, n)}
+	it := Item{Value: v.Value(n.Pre)}
 	switch v.Kind(n.Pre) {
 	case xenc.KindElem:
-		it.Kind = "element"
-		if s, err := serialize.String(v, n.Pre, serialize.Options{}); err == nil {
-			it.XML = s
-		}
+		// Append fails only on a rank that is not a live node, and n is one.
+		sc.xml, sc.text, _ = serialize.Append(sc.xml[:0], sc.text[:0], v, n.Pre, serialize.Options{})
+		split := len(sc.xml)
+		sc.xml = append(sc.xml, sc.text...)
+		s := string(sc.xml)
+		it.Kind, it.XML, it.Value = "element", s[:split], s[split:]
 	case xenc.KindText:
 		it.Kind = "text"
 	case xenc.KindComment:

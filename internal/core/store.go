@@ -685,7 +685,7 @@ func (s *Store) Names() *xenc.QNamePool { return s.qn }
 // place or swap the chunk for a private copy.
 func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
 	pg := s.pages[s.logToPhys[p>>s.pageBits]]
-	return xenc.Columns{Size: pg.size, Level: pg.level, Kind: pg.kind, Name: pg.name}, int(p & s.pageMask)
+	return xenc.Columns{Size: pg.size, Level: pg.level, Kind: pg.kind, Name: pg.name, Text: pg.text}, int(p & s.pageMask)
 }
 
 var (

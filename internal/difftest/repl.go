@@ -325,7 +325,7 @@ func replConn(conn net.Conn, src repl.Source, subs *wireLog) {
 			subs.mu.Lock()
 			subs.subs = append(subs.subs, sub)
 			subs.mu.Unlock()
-			repl.Serve(tap{conn, subs, sub}, fr.ID, after, src, 0, nil)
+			repl.Serve(&tap{Conn: conn, log: subs, sub: sub}, fr.ID, after, src, 0, nil)
 			return
 		default:
 			return
@@ -370,19 +370,32 @@ func (l *wireLog) rebootstraps() (n, reused int) {
 }
 
 // tap records what repl.Serve writes to one subscription's connection.
-// wire.WriteFrame makes one Write per frame, so each Write is one frame.
+// wire.WriteFrame hands a frame over in more than one Write (header,
+// then payload), so the tap reassembles frames from what it has seen.
 type tap struct {
 	net.Conn
-	log *wireLog
-	sub *subscription
+	log     *wireLog
+	sub     *subscription
+	pending []byte // written bytes not yet part of a whole frame
 }
 
-func (c tap) Write(p []byte) (int, error) {
+func (c *tap) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	fr, ferr := wire.ReadFrame(bytes.NewReader(p[:n]), 0)
-	if err != nil || ferr != nil {
-		return n, err
+	c.pending = append(c.pending, p[:n]...)
+	for {
+		r := bytes.NewReader(c.pending)
+		fr, ferr := wire.ReadFrame(r, 0)
+		if ferr != nil {
+			return n, err
+		}
+		c.pending = c.pending[len(c.pending)-r.Len():]
+		c.record(fr)
 	}
+}
+
+// record notes what one frame the primary sent says about the
+// subscription.
+func (c *tap) record(fr wire.Frame) {
 	c.log.mu.Lock()
 	defer c.log.mu.Unlock()
 	s := c.sub
@@ -406,7 +419,6 @@ func (c tap) Write(p []byte) (int, error) {
 		s.shipped += int(chunks)
 		s.complete = last == 1
 	}
-	return n, err
 }
 
 // replFollower is the follower process: an mxq.Database over its own

@@ -143,7 +143,7 @@ func (s *Store) Root() xenc.Pre { return 0 }
 // Figure 9 ro-vs-up comparison like for like — both sides run the column
 // kernels, and the difference left is free space and page crossings.
 func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
-	return xenc.Columns{Size: s.size, Level: s.level, Kind: s.kind, Name: s.name}, int(p)
+	return xenc.Columns{Size: s.size, Level: s.level, Kind: s.kind, Name: s.name, Text: s.text}, int(p)
 }
 
 var _ xenc.ColumnView = (*Store)(nil)

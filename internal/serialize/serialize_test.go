@@ -30,6 +30,9 @@ func TestRoundTripCompact(t *testing.T) {
 		`<r><!--note--><?pi body?><p>t</p></r>`,
 		`<r>a&amp;b &lt;tag&gt;</r>`,
 		`<r a="it&quot;s &lt;ok&gt;"/>`,
+		// A parser turns a literal CR into LF; only &#13; survives.
+		`<r>a&#13;b</r>`,
+		`<r x="a&#13;b"/>`,
 	}
 	for _, doc := range docs {
 		v := roView(t, doc)

@@ -28,7 +28,8 @@ type Config struct {
 	// it must be zero for databases without a durability directory
 	// (detaching an in-memory document discards it).
 	IdleClose time.Duration
-	// MaxFrame caps a request frame's size (0 = wire.MaxFrame).
+	// MaxFrame caps a frame's size (0 = wire.MaxFrame): a larger request
+	// is cut off, a larger result refused with CodeQuery.
 	MaxFrame uint32
 	// ReadOnly rejects every write opcode (Load, Update) with
 	// CodeReadOnly. The daemon's follower mode (-follow) sets it: a
@@ -68,6 +69,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxWaiters <= 0 {
 		cfg.MaxWaiters = int(4 * cfg.MaxConcurrent)
+	}
+	if cfg.MaxFrame == 0 {
+		cfg.MaxFrame = wire.MaxFrame
 	}
 	return &Server{
 		cfg:      cfg,

@@ -114,6 +114,39 @@ func TestClientErrors(t *testing.T) {
 	}
 }
 
+// A result whose frame would pass the frame limit used to go out whole;
+// the client refused the frame and closed the connection. The server
+// now refuses the query with a message naming the size and the limit,
+// and the session goes on serving.
+func TestOversizedResultIsRefused(t *testing.T) {
+	db, err := mxq.Open(mxq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	para := "<p>" + strings.Repeat("x", 1000) + "</p>"
+	if _, err := db.LoadXMLString("big", "<r>"+strings.Repeat(para, 100)+"</r>"); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 64 << 10
+	addr, _ := startServer(t, server.Config{DB: db, MaxFrame: limit})
+	c := dial(t, addr)
+	_, err = c.Query(bg, "big", "//p", nil)
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Status != wire.CodeQuery || !strings.Contains(ce.Msg, "65536-byte frame limit") {
+		t.Fatalf("query for a 200 KB result under a 64 KiB frame limit = %v, want a CodeQuery error naming the limit", err)
+	}
+	if !strings.Contains(ce.Msg, "of 100 items is a 2") {
+		t.Errorf("refusal %q does not name the result's size", ce.Msg)
+	}
+	if err := c.Ping(bg); err != nil {
+		t.Fatalf("ping after the refused result: %v", err)
+	}
+	items, err := c.Query(bg, "big", "//p[3]", nil)
+	if err != nil || len(items) != 1 || items[0].XML != para {
+		t.Fatalf("a result under the limit after the refusal = %d items, %v", len(items), err)
+	}
+}
+
 // A Load nested past xenc.MaxLevel used to wrap the shredder's depth
 // count and panic core.Build on a session goroutine, which has no
 // recover: one 280 KB frame took the daemon down. It is a query error

@@ -14,6 +14,10 @@ import (
 // maxPrepared bounds the per-session prepared-statement cache.
 const maxPrepared = 256
 
+// maxKept bounds the result buffer a session keeps between requests; an
+// idle session does not pin what one huge result grew.
+const maxKept = 1 << 20
+
 // prepKey keys compiled plans by document *instance*, not name: a
 // document detached by the idle closer and recovered again is a new
 // instance, so stale plans (bound to the old instance's store) can
@@ -38,6 +42,7 @@ type session struct {
 	prepared map[prepKey]*mxq.Prepared
 	reads    map[string]*pinnedRead // doc name -> pinned snapshot
 	feats    uint64                 // negotiated feature bits; 0 until Hello
+	out      wire.PayloadBuilder    // query results, reused across requests
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -333,7 +338,15 @@ func (s *session) handleQuery(f wire.Frame) bool {
 		if err != nil {
 			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
-		return s.respond(f.ID, wire.StatusOK, encodeResult(res))
+		payload, err := s.encodeResult(res)
+		if err != nil {
+			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
+		}
+		served := s.respond(f.ID, wire.StatusOK, payload)
+		if cap(payload) > maxKept {
+			s.out = wire.PayloadBuilder{}
+		}
+		return served
 	})
 }
 
@@ -509,17 +522,25 @@ func (s *session) prepare(doc *mxq.Document, query string) (*mxq.Prepared, error
 	return p, nil
 }
 
-// encodeResult renders a Result: uvarint count, then per item a kind
-// code, the string value, and the serialized XML ("" for non-elements).
-func encodeResult(res mxq.Result) []byte {
-	var p wire.PayloadBuilder
-	p.Uvarint(uint64(len(res)))
+// encodeResult renders a Result into the session's buffer, sized exactly
+// first: uvarint count, then per item a kind code, the string value, and
+// the serialized XML ("" for non-elements). A result whose frame would
+// pass MaxFrame, which the peer would refuse, is refused here.
+func (s *session) encodeResult(res mxq.Result) ([]byte, error) {
+	n := wire.UvarintLen(uint64(len(res)))
 	for _, it := range res {
-		p.Byte(wire.KindCode(it.Kind))
-		p.String(it.Value)
-		p.String(it.XML)
+		n += 1 + wire.UvarintLen(uint64(len(it.Value))) + len(it.Value) +
+			wire.UvarintLen(uint64(len(it.XML))) + len(it.XML)
 	}
-	return p.Bytes()
+	if limit := s.srv.cfg.MaxFrame; uint64(8+1+n) > uint64(limit) {
+		return nil, fmt.Errorf("result of %d items is a %d-byte frame, above the %d-byte frame limit", len(res), 8+1+n, limit)
+	}
+	s.out.Reset(n)
+	s.out.Uvarint(uint64(len(res)))
+	for _, it := range res {
+		s.out.Byte(wire.KindCode(it.Kind)).String(it.Value).String(it.XML)
+	}
+	return s.out.Bytes(), nil
 }
 
 func (s *session) respond(id uint64, status byte, payload []byte) bool {

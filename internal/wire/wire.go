@@ -39,6 +39,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"net"
+	"slices"
 )
 
 // Version is the protocol version this build speaks, the only one.
@@ -165,15 +168,16 @@ func ReadFrame(r io.Reader, max uint32) (Frame, error) {
 }
 
 // WriteFrame writes one frame. The payload is assembled by the caller
-// (see PayloadBuilder); a single Write keeps frames intact under
-// concurrent connection teardown.
+// (see PayloadBuilder) and is not copied: header and payload go out as
+// net.Buffers, one writev on a TCP connection and one Write each on any
+// other writer, which one goroutine at a time must then own.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := make([]byte, 4+8+1+len(f.Payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(8+1+len(f.Payload)))
-	binary.BigEndian.PutUint64(buf[4:12], f.ID)
-	buf[12] = f.Op
-	copy(buf[13:], f.Payload)
-	_, err := w.Write(buf)
+	var hdr [4 + 8 + 1]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(8+1+len(f.Payload)))
+	binary.BigEndian.PutUint64(hdr[4:12], f.ID)
+	hdr[12] = f.Op
+	bufs := net.Buffers{hdr[:], f.Payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
@@ -208,6 +212,13 @@ func (p *PayloadBuilder) Raw(b []byte) *PayloadBuilder {
 
 // Bytes returns the assembled payload.
 func (p *PayloadBuilder) Bytes() []byte { return p.b }
+
+// Reset empties the builder for reuse and makes room for n bytes, so a
+// payload sized in advance is assembled without growing.
+func (p *PayloadBuilder) Reset(n int) { p.b = slices.Grow(p.b[:0], n) }
+
+// UvarintLen returns how many bytes Uvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // PayloadReader decodes a payload assembled by PayloadBuilder.
 type PayloadReader struct{ b []byte }

@@ -39,6 +39,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResetSizesExactly: UvarintLen predicts what Uvarint appends at
+// every length boundary, so a payload sized with it fills a Reset
+// builder without growing.
+func TestResetSizesExactly(t *testing.T) {
+	var p PayloadBuilder
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			p.Reset(UvarintLen(v))
+			before := &p.Bytes()[:1][0]
+			if p.Uvarint(v); len(p.Bytes()) != UvarintLen(v) || &p.Bytes()[0] != before {
+				t.Fatalf("Uvarint(%d) appended %d bytes, UvarintLen says %d (grown: %v)", v, len(p.Bytes()), UvarintLen(v), &p.Bytes()[0] != before)
+			}
+		}
+	}
+}
+
 func TestReadFrameLimits(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, Frame{ID: 1, Op: OpPing, Payload: make([]byte, 100)}); err != nil {

@@ -74,6 +74,10 @@ func (q *QNamePool) Name(id int32) string {
 	return (*q.names.Load())[id]
 }
 
+// Table returns the id→name table as published now, uncopied and
+// read-only. It holds every id of any view that can be read already.
+func (q *QNamePool) Table() []string { return *q.names.Load() }
+
 // Len returns the number of interned names.
 func (q *QNamePool) Len() int { return len(*q.names.Load()) }
 

@@ -4,8 +4,8 @@
 // paper), node kinds, interned qualified names, and the DocView interface
 // that every document store (read-only, paged-updatable, naive) implements.
 // Two optional interfaces sit beside it, discovered by type assertion:
-// ColumnView hands bulk operators the raw size/level/kind/name column
-// slices one contiguous run at a time, and ParentView answers parent
+// ColumnView hands bulk operators the raw column slices one contiguous
+// run at a time, and ParentView answers parent
 // lookups from a store's parent table. A view without them is read
 // through the per-tuple DocView accessors, which remain the definition
 // of every operator.
@@ -146,25 +146,26 @@ type DocView interface {
 	Root() Pre
 }
 
-// Columns is a window onto the size, level, kind and name columns of one
-// run: a maximal stretch of consecutive view ranks whose tuples are also
-// consecutive in memory (one logical page of the paged store, the whole
-// document in the read-only store). The four slices have equal length
-// and share their indexing. They alias the store's own memory: they are
-// read-only, and they must not be retained across a mutation of the
-// view, which may rewrite them in place or replace the page behind a
+// Columns is a window onto the size, level, kind, name and text columns
+// of one run: a maximal stretch of consecutive view ranks whose tuples
+// are also consecutive in memory (one logical page of the paged store,
+// the whole document in the read-only store). The five slices have equal
+// length and share their indexing. They alias the store's own memory:
+// they are read-only, and they must not be retained across a mutation of
+// the view, which may rewrite them in place or replace the page behind a
 // rank by a private copy.
 type Columns struct {
 	Size  []Size
 	Level []Level
 	Kind  []uint8 // Kind values
 	Name  []int32
+	Text  []string // Value at each rank
 }
 
 // ColumnView is implemented by views that can expose their columns
-// directly. The staircase operators pick it up by type assertion and
-// loop over the slices instead of making several accessor calls per
-// tuple, each of which would redo the rank-to-page translation.
+// directly. The staircase operators and the serializer pick it up by
+// type assertion and loop over the slices instead of making accessor
+// calls per tuple, each redoing the rank-to-page translation.
 //
 // The interface is optional on purpose. A view that wraps another one to
 // observe it (an accessor-counting view in a test or benchmark) embeds
