@@ -121,6 +121,18 @@ func mustGetAll(t *testing.T, d *Dir, hs []Hash, datas [][]byte) {
 	}
 }
 
+// locate reports where d's index resolves h: the pack file and the range
+// of the chunk's stored bytes, not its raw length.
+func locate(d *Dir, h Hash) (path string, off, n int64, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, err := d.lookup(h)
+	if err != nil || e == nil {
+		return "", 0, 0, false
+	}
+	return d.path(e.p), e.off, int64(e.n), true
+}
+
 // flipByte inverts the byte at off of the file at path.
 func flipByte(t *testing.T, path string, off int64) {
 	t.Helper()
@@ -140,7 +152,7 @@ func flipByte(t *testing.T, path string, off int64) {
 }
 
 // TestDirTornChunkIsMissing: a copy cut short or with one byte flipped —
-// stored verbatim or as a deflate stream, which Locate's stored length
+// stored verbatim or as a deflate stream, which the stored length
 // tells apart — is a missing chunk, and a later Put repairs it.
 func TestDirTornChunkIsMissing(t *testing.T) {
 	verbatim := []byte("some chunk content that will be torn")
@@ -172,9 +184,9 @@ func testTornChunk(t *testing.T, data []byte, damage func(t *testing.T, path str
 	if err := d.Put(h, data); err != nil {
 		t.Fatal(err)
 	}
-	path, off, n, ok := d.Locate(h)
+	path, off, n, ok := locate(d, h)
 	if wantDeflated := len(data) > 100; !ok || (n < int64(len(data))) != wantDeflated || n > int64(len(data)) {
-		t.Fatalf("Locate = %s, %d, %d, %v for a chunk of %d bytes", path, off, n, ok, len(data))
+		t.Fatalf("locate = %s, %d, %d, %v for a chunk of %d bytes", path, off, n, ok, len(data))
 	}
 	if got := d.BytesStored(); got != uint64(n) {
 		t.Fatalf("BytesStored = %d after storing %d bytes", got, n)
@@ -208,7 +220,7 @@ func TestDirGetVerifiesContent(t *testing.T) {
 	d := NewDir(filepath.Join(t.TempDir(), "chunks"))
 	hs, datas := batch(0, 10)
 	mustPutMany(t, d, hs, datas)
-	path, off, _, _ := d.Locate(hs[4])
+	path, off, _, _ := locate(d, hs[4])
 	flipByte(t, path, off+1)
 	for _, d := range []*Dir{d, NewDir(d.Root())} {
 		for i, h := range hs {
@@ -230,7 +242,7 @@ func TestDirTruncatedPack(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
 	hs, datas := batch(0, 12)
 	mustPutMany(t, NewDir(root), hs, datas)
-	path, _, _, _ := NewDir(root).Locate(hs[0])
+	path, _, _, _ := locate(NewDir(root), hs[0])
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -595,7 +607,7 @@ func TestSweepIndexFollowsCompaction(t *testing.T) {
 	}
 	var want, raw uint64 // stored bytes: what compaction copies
 	for i, h := range live {
-		_, _, n, _ := d.Locate(h)
+		_, _, n, _ := locate(d, h)
 		want, raw = want+uint64(n), raw+uint64(len(liveData[i]))
 	}
 	if got := d.BytesCompacted(); got != want || want >= raw {
@@ -646,7 +658,7 @@ func TestCompactionDropsCorruptChunks(t *testing.T) {
 	mustPutMany(t, d, hs, datas)
 	deflated := 0
 	for _, i := range []int{25, 33} {
-		path, off, n, _ := d.Locate(hs[i])
+		path, off, n, _ := locate(d, hs[i])
 		if n < int64(len(datas[i])) {
 			deflated++
 		}
@@ -720,7 +732,7 @@ func TestSweepResolvesDuplicates(t *testing.T) {
 
 	// Corrupt the copy a fresh Dir prefers of one survivor.
 	c = NewDir(crashed)
-	path, off, _, _ := c.Locate(live[7])
+	path, off, _, _ := locate(c, live[7])
 	flipByte(t, path, off)
 	if err := c.Sweep(keepSet(live)); err != nil {
 		t.Fatal(err)

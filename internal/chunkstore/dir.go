@@ -23,7 +23,10 @@ import (
 // write — a PutMany batch or a single Put — publishes exactly one file,
 // root/<64 hex>.pack, through the Dir's vfs.FS and vfs.Publish, so a
 // crash never leaves a torn pack under a final name, and the pack is
-// durable, directory entry included, when the write returns. A crash can
+// durable, directory entry included, when the write returns. The root's
+// own entry needs no fsync of its own: under ckpt's layout its parent is
+// the directory images are published to, and the fsync that publishes the
+// first image naming a chunk makes the entry durable too. A crash can
 // leave the tmp file itself behind; the first write through a Dir
 // removes every tmp file not this process's own.
 //
@@ -344,18 +347,6 @@ func (d *Dir) HasMany(hs []Hash) ([]bool, error) {
 		out[i] = d.index[h] != nil
 	}
 	return out, nil
-}
-
-// Locate reports where the index resolves h: the pack file and the range
-// of the chunk's stored bytes, not its raw length (crash-injection hook).
-func (d *Dir) Locate(h Hash) (path string, off, n int64, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, err := d.lookup(h)
-	if err != nil || e == nil {
-		return "", 0, 0, false
-	}
-	return d.path(e.p), e.off, int64(e.n), true
 }
 
 // BytesStored returns the chunk bytes Put and PutMany have written to

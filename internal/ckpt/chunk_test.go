@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,6 +35,45 @@ func retained(t testing.TB, dir string) (perImage [][]chunkstore.Hash, live map[
 		}
 	}
 	return perImage, live
+}
+
+// stored is where a chunk's stored bytes lie: its pack file and the range.
+type stored struct {
+	path   string
+	off, n int64
+}
+
+// packed reads the index of every pack under root — magic, count, then
+// per chunk its hash, stored and raw length, as internal/chunkstore's
+// pack format has it — and returns where each chunk is held. A chunk held
+// twice resolves to the pack first in name order, as a fresh Dir's does.
+func packed(t testing.TB, root string) map[chunkstore.Hash]stored {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(root, "*.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := make(map[chunkstore.Hash]stored)
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 12 || string(b[:8]) != "MXQPACK2" {
+			continue
+		}
+		count := int(binary.BigEndian.Uint32(b[8:]))
+		off := int64(12 + 40*count)
+		for i := 0; i < count && 12+40*(i+1) <= len(b); i++ {
+			e := b[12+40*i:]
+			n := int64(binary.BigEndian.Uint32(e[32:]))
+			if h := chunkstore.Hash(e[:32]); at[h].path == "" {
+				at[h] = stored{path, off, n}
+			}
+			off += n
+		}
+	}
+	return at
 }
 
 // TestChunkGCNeverOrphansRetainedImage: after several checkpoints the
@@ -241,11 +281,11 @@ func tornPackDegradesWholeImage(t *testing.T, rng *rand.Rand) {
 	for _, h := range perImage[1] {
 		shared[h] = true
 	}
-	cs := DefaultChunkStore(e.dir, "d")
+	held := packed(t, ChunkDir(e.dir, "d"))
 	torn := "" // the pack the second checkpoint wrote
 	for _, h := range perImage[0] {
-		if path, _, _, ok := cs.Locate(h); ok && !shared[h] {
-			torn = path
+		if s, ok := held[h]; ok && !shared[h] {
+			torn = s.path
 			break
 		}
 	}
@@ -263,14 +303,14 @@ func tornPackDegradesWholeImage(t *testing.T, rng *rand.Rand) {
 	}
 	at := make(map[chunkstore.Hash]where)
 	for h := range live {
-		path, off, n, ok := cs.Locate(h)
+		s, ok := held[h]
 		if !ok {
 			t.Fatalf("chunk %s of a retained image is not in the store", h)
 		}
-		if path == torn && shared[h] {
+		if s.path == torn && shared[h] {
 			t.Fatalf("the second checkpoint's pack holds chunk %s of the first image", h)
 		}
-		at[h] = where{path, off + n}
+		at[h] = where{s.path, s.off + s.n}
 	}
 	if err := os.Truncate(torn, cut); err != nil {
 		t.Fatal(err)

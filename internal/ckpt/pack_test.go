@@ -23,7 +23,7 @@ import (
 // through a freshly opened store and equal what the document was, the
 // chunk directory must stay within the compaction rule's bound of the
 // bytes the retained images name — as stored, deflated, which is what
-// Locate reports and what the rule counts — no chunk may be held twice,
+// a pack's index records and what the rule counts — no chunk may be held twice,
 // and a second checkpoint of the unchanged store must write nothing. It pins
 // the failure of the first pack prototype: an index that does not
 // follow a compacted chunk makes every survivor look missing, so it is
@@ -98,12 +98,13 @@ func TestPackDiskTracksLiveBytes(t *testing.T) {
 		// (b) the directory against the bytes the retained images name.
 		_, live := retained(t, dir)
 		var liveBytes int64
+		held := packed(t, fresh.Root())
 		for h := range live {
-			_, _, n, ok := fresh.Locate(h)
+			s, ok := held[h]
 			if !ok {
 				t.Fatalf("round %d: retained chunk %s not in the store", round, h)
 			}
-			liveBytes += n
+			liveBytes += s.n
 		}
 		onDisk, packs := chunkDirBytes(t, fresh.Root())
 		if bound := liveBytes*4/3 + 64*int64(len(live)); onDisk > bound {

@@ -1,7 +1,13 @@
 package difftest
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,51 +19,35 @@ import (
 	"mxq/internal/core"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
+	"mxq/internal/vfs"
 	"mxq/internal/wal"
 )
 
-// CrashConfig describes one crash-injection workload: a seeded batch
-// workload commits through the transaction manager with a segmented WAL
-// and periodic online checkpoints, then the WAL is cut at a random byte
-// offset — mid-record, mid-segment, or exactly at a rotation boundary —
-// and the recovered store is compared against the naive oracle replayed
-// to the LSN recovery reports durable.
+// CrashConfig describes one crash workload: a seeded batch workload
+// commits through the transaction manager over a segmented WAL, fsync on,
+// with periodic online checkpoints, while its file system records every
+// mutating call. RunCrash derives from that one trace the states a crash
+// can leave on disk (crashStates) and recovers each.
 type CrashConfig struct {
 	Seed     int64
-	Batches  int // committed/aborted batches before the crash
+	Batches  int // committed/aborted batches
 	BatchOps int // ops per batch
 	DocSize  int
 	PageSize int
 	Fill     float64
 	// SegmentBytes should be small enough that the workload rotates
-	// through several segments, so cuts land mid-rotation too.
+	// through several segments, so crashes land mid-rotation too.
 	SegmentBytes int64
 	// CheckpointEvery runs an online checkpoint every N committed
 	// batches (0: only the initial checkpoint).
 	CheckpointEvery int
-	// TearCkpt additionally tears a checkpoint artifact after the WAL
-	// cut — the newest image or a pack file only the newest image
-	// references, truncated at a random offset, or one byte inverted
-	// inside a chunk only it references (held deflated if pages are
-	// large) — so recovery must degrade to the previous image.
-	// Requires CheckpointEvery > 0 (two images must be on disk).
-	TearCkpt bool
-	// KillInCompaction ends the run inside a checkpoint's chunk GC: the
-	// process dies between the publish of a compaction's new pack and
-	// the unlinking of the packs it replaces — the disk is copied when
-	// the file system sees a pack renamed into place, the chunk
-	// directory fsynced, and the first pack removed — on the first
-	// compaction the workload causes (it must cause one). Recovery runs
-	// over the disk as it stood at that instant — every surviving chunk
-	// of the compacted packs held twice.
-	KillInCompaction bool
 }
 
-// history is RunCrash's seeded workload under way: a random document
-// committed to in batches through a tx.Manager over a segmented WAL,
-// checkpointed online, with every change to the disk going through a
-// diskFS, and the ops of each commit filed under the LSN of its record,
-// for the oracle to replay a prefix of.
+// history is the crash and fault modes' seeded workload under way: a
+// random document committed to in batches through a tx.Manager over a
+// segmented WAL, fsync on, checkpointed online, with every change to the
+// disk going through a diskFS, and the ops of each commit filed under the
+// LSN of its record, for the oracle to replay a prefix of.
 type history struct {
 	cfg     CrashConfig
 	rng     *rand.Rand
@@ -67,13 +57,15 @@ type history struct {
 	m       *tx.Manager
 	ck      *ckpt.Checkpointer
 	batches map[uint64][]op
+	oracle  map[uint64]string // the oracle's serialization at each LSN asked for
 }
 
-func newHistory(t *testing.T, cfg CrashConfig, disk *diskFS, fsync bool) *history {
+func newHistory(t *testing.T, cfg CrashConfig, disk *diskFS) *history {
 	t.Helper()
-	h := &history{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), dir: t.TempDir(), batches: make(map[uint64][]op)}
+	h := &history{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), dir: t.TempDir(),
+		batches: make(map[uint64][]op), oracle: make(map[uint64]string)}
 	h.tree = randomDoc(h.rng, cfg.DocSize)
-	log, err := wal.Open(h.walPath(), wal.Options{NoSync: !fsync, SegmentBytes: cfg.SegmentBytes, FS: disk})
+	log, err := wal.Open(h.walPath(), wal.Options{SegmentBytes: cfg.SegmentBytes, FS: disk})
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
@@ -108,56 +100,114 @@ func (h *history) commit(t *testing.T, b int) (ok bool, err error) {
 	return true, err
 }
 
-// check recovers the directory, as a restart would, and holds the result
-// to the oracle: a prefix of the history no shorter than floor.
-func (h *history) check(t *testing.T, floor, lastLSN uint64) (*core.Store, uint64) {
-	t.Helper()
-	seed := h.cfg.Seed
-	recovered, recLSN := recoverOnce(t, h.cfg, h.dir, h.walPath())
-	if recLSN < floor || recLSN > lastLSN {
-		t.Fatalf("seed %d: recovered LSN %d outside [%d, %d]", seed, recLSN, floor, lastLSN)
+// recover recovers the document in dir, as a restart would.
+func (h *history) recover(dir string) (*core.Store, uint64, error) {
+	log, err := wal.Open(filepath.Join(dir, "d.wal"), wal.Options{NoSync: true, SegmentBytes: h.cfg.SegmentBytes})
+	if err != nil {
+		return nil, 0, err
 	}
-	if err := recovered.CheckInvariants(); err != nil {
-		t.Fatalf("seed %d: recovered store invariants: %v", seed, err)
-	}
-	got, want := serializeView(t, recovered), oracleAt(t, seed, h.tree, h.batches, recLSN)
-	if got != want {
-		t.Fatalf("seed %d: recovered state diverges from oracle at LSN %d\nrecovered: %s\noracle:    %s",
-			seed, recLSN, got, want)
-	}
-	return recovered, recLSN
+	defer log.Close()
+	return ckpt.Recover(dir, "d", log, nil)
 }
 
-// RunCrash executes one crash-injection workload. The durability
-// contract it checks: recovery never errors, recovers a *prefix* of the
-// committed history — at least the last completed checkpoint, at most
-// the full history, exactly the full history when the cut removed
-// nothing — and the recovered document is bit-identical to the oracle
-// replayed to that same LSN. Recovery is then repeated to prove it is
-// deterministic (the first recovery's torn-tail truncation must not
-// change the outcome). It returns the shape of the checkpoint tear it
-// applied ("image", "pack" or "flip"; "" without TearCkpt), so a caller
-// running a matrix can prove every shape ran.
-func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
+// recovery is what recovering a disk gave: the LSN and the document's
+// serialization ("" for no image at all).
+type recovery struct {
+	lsn uint64
+	xml string
+}
+
+// check recovers the document in dir and holds the result to the oracle:
+// recovery does not error, recovers a prefix of the history no shorter
+// than floor and no longer than ceiling, passes CheckInvariants and is
+// bit-identical to the oracle replayed to the recovered LSN; and the
+// image it would fall back to is whole too: the store holds every chunk
+// the two newest images name. With noImage, ErrNoCheckpoint passes: no
+// image need be on disk yet.
+func (h *history) check(t *testing.T, dir string, floor, ceiling uint64, noImage bool) recovery {
 	t.Helper()
-	disk := &diskFS{}
-	h := newHistory(t, cfg, disk, false)
-	killed := "" // KillInCompaction: the copy of the directory taken at the kill
-	if cfg.KillInCompaction {
-		disk.onCompact = func() {
-			killed = t.TempDir()
-			if err := os.CopyFS(killed, os.DirFS(h.dir)); err != nil {
-				t.Fatalf("seed %d: copying the disk at the kill: %v", cfg.Seed, err)
+	seed := h.cfg.Seed
+	store, lsn, err := h.recover(dir)
+	if noImage && errors.Is(err, ckpt.ErrNoCheckpoint) {
+		return recovery{}
+	}
+	if err != nil {
+		t.Fatalf("seed %d: recovery errored (must degrade, never fail): %v", seed, err)
+	}
+	if lsn < floor || lsn > ceiling {
+		t.Fatalf("seed %d: recovered LSN %d outside [%d, %d]", seed, lsn, floor, ceiling)
+	}
+	if err := store.CheckInvariants(); err != nil {
+		t.Fatalf("seed %d: recovered store invariants: %v", seed, err)
+	}
+	want, ok := h.oracle[lsn]
+	if !ok {
+		want = oracleAt(t, seed, h.tree, h.batches, lsn)
+		h.oracle[lsn] = want
+	}
+	if got := serializeView(t, store); got != want {
+		t.Fatalf("seed %d: recovered state diverges from oracle at LSN %d\nrecovered: %s\noracle:    %s", seed, lsn, got, want)
+	}
+	imgs, _ := ckpt.Images(dir, "d")
+	for _, img := range imgs[:min(2, len(imgs))] {
+		hs, err := ckpt.ImageChunks(filepath.Join(dir, img.File))
+		if err == nil {
+			var have []bool
+			if have, err = ckpt.DefaultChunkStore(dir, "d").HasMany(hs); slices.Contains(have, false) {
+				err = chunkstore.ErrMissing
 			}
 		}
+		if err != nil {
+			t.Fatalf("seed %d: retained image %s: %v", seed, img.File, err)
+		}
 	}
+	return recovery{lsn, want}
+}
 
-	ckptLSN, err := h.ck.Run() // initial checkpoint: the recovery floor
-	if err != nil {
-		t.Fatalf("seed %d: initial checkpoint: %v", cfg.Seed, err)
+// mark is the position in a run's trace — the calls made so far — at
+// which a commit or a checkpoint returned, and the LSN it made durable.
+type mark struct {
+	at  int
+	lsn uint64
+}
+
+// crashClasses is what TestCrashRecovery's tripwire requires of the
+// matrix: crash points inside each barrier class (barrierClass), a
+// type-(c) state that differed on disk from its crash point's type-(a)
+// state ("dropped"), and a state without the chunk directory's mkdir
+// ("chunkdir").
+var crashClasses = []string{"commit", "seal", "pack", "image", "retire", "prune", "compaction", "dropped", "chunkdir"}
+
+// RunCrash runs one crash workload and then recovers the states its
+// trace says a crash can leave: at each crash point — before each call
+// through the file system, and after the last — (a) every call persisted;
+// (b) the writes not yet durable dropped, and cut at one seeded byte
+// offset; (c) each directory op not yet durable alone not persisted, with
+// whatever needs it (crashStates). A state whose disk was already
+// recovered is skipped. The contract each state is held to: a file under
+// a pack or image name is whole (vfs.Publish's); recovery does not error
+// — before the initial image returned, ErrNoCheckpoint is allowed — and
+// recovers at least the last commit and checkpoint that returned before
+// the crash point, at most the last record written, bit-identical to the
+// oracle at that LSN, with the image it would fall back to whole
+// (history.check); and the disk recovery left recovers the same. It
+// returns how many crash points and states it found of each of
+// crashClasses.
+func RunCrash(t *testing.T, cfg CrashConfig) map[string]int {
+	t.Helper()
+	disk := newDiskFS(cfg.SegmentBytes)
+	h := newHistory(t, cfg, disk)
+	var returned []mark // in trace order; the first is the initial checkpoint
+	checkpoint := func(b int) {
+		lsn, err := h.ck.Run()
+		if err != nil {
+			t.Fatalf("seed %d batch %d: checkpoint: %v", cfg.Seed, b, err)
+		}
+		returned = append(returned, mark{disk.calls(), lsn})
 	}
+	checkpoint(0)
 	committed := 0
-	for b := 1; b <= cfg.Batches && killed == ""; b++ {
+	for b := 1; b <= cfg.Batches; b++ {
 		ok, err := h.commit(t, b)
 		if err != nil {
 			t.Fatalf("seed %d batch %d: commit: %v", cfg.Seed, b, err)
@@ -165,199 +215,326 @@ func RunCrash(t *testing.T, cfg CrashConfig) (tore string) {
 		if !ok {
 			continue
 		}
-		committed++
-		if cfg.CheckpointEvery > 0 && committed%cfg.CheckpointEvery == 0 {
-			lsn, err := h.ck.Run()
-			if err != nil {
-				t.Fatalf("seed %d batch %d: checkpoint: %v", cfg.Seed, b, err)
+		returned = append(returned, mark{disk.calls(), h.log.LastLSN()})
+		if committed++; cfg.CheckpointEvery > 0 && committed%cfg.CheckpointEvery == 0 {
+			checkpoint(b)
+		}
+	}
+	if err := h.log.Close(); err != nil {
+		t.Fatalf("seed %d: closing the log: %v", cfg.Seed, err)
+	}
+
+	trace := disk.trace
+	durable := durability(trace)
+	found := make(map[string]int)
+	recovered := make(map[[sha256.Size]byte]recovery)
+	scratch, onDisk := t.TempDir(), diskState{}
+	var floor, written uint64 // the last LSN returned, and written, before the crash point
+	next, packAt, imageAt := 0, -1, -1
+	for i := 0; i <= len(trace); i++ {
+		for ; next < len(returned) && returned[next].at <= i; next++ {
+			floor = max(floor, returned[next].lsn)
+		}
+		if i > 0 {
+			switch trace[i-1].site {
+			case "wal-append":
+				written++ // one record a write, from LSN 1
+			case "pack-rename":
+				packAt = i
+			case "image-rename":
+				imageAt = i
 			}
-			ckptLSN = lsn
+		}
+		if class := barrierClass(trace, i, packAt > imageAt); class != "" {
+			found[class]++
+		}
+		noImage := i < returned[0].at
+		var a [sha256.Size]byte
+		for k, s := range crashStates(trace, durable, i, h.rng) {
+			state, torn := replay(trace, durable, h.dir, i, s)
+			sum := state.sum()
+			switch {
+			case k == 0:
+				a = sum
+			case s.drop >= 0 && sum != a:
+				found["dropped"]++
+			}
+			if s.drop >= 0 && trace[s.drop].path == ckpt.ChunkDir(h.dir, "d") {
+				found["chunkdir"]++
+			}
+			if torn != "" {
+				t.Fatalf("seed %d: a crash before call %d can leave %s torn under its final name", cfg.Seed, i, torn)
+			}
+			if _, done := recovered[sum]; done {
+				continue
+			}
+			state.write(t, scratch, onDisk)
+			r := h.check(t, scratch, floor, written, noImage)
+			recovered[sum] = r
+			// Recovery is deterministic: what the first recovery left — it
+			// cuts a torn WAL tail — recovers to the same LSN and bytes.
+			onDisk = readDisk(t, scratch)
+			repaired := onDisk.sum()
+			again, done := recovered[repaired]
+			if !done {
+				again = h.check(t, scratch, floor, written, noImage)
+				recovered[repaired] = again
+				onDisk = readDisk(t, scratch)
+			}
+			if again != r {
+				t.Fatalf("seed %d: recovering what recovery left reached LSN %d, the first recovery %d", cfg.Seed, again.lsn, r.lsn)
+			}
 		}
 	}
-	lastLSN := h.log.LastLSN()
-	h.log.Close()
-	if cfg.KillInCompaction {
-		// The kill came inside the last checkpoint run, after its image
-		// was published and before any later commit: the copy holds the
-		// whole history, and that checkpoint is the floor.
-		if killed == "" {
-			t.Fatalf("seed %d: %d batches caused no compaction to die in", cfg.Seed, cfg.Batches)
-		}
-		h.dir = killed
-		if u, err := ckpt.DefaultChunkStore(h.dir, "d").Usage(); err != nil || u.Copies == u.Chunks {
-			t.Fatalf("seed %d: the disk at the kill holds no chunk twice (%+v, %v)", cfg.Seed, u, err)
-		}
-	}
-
-	// Crash: sever the WAL at a random byte offset across the
-	// concatenated live segments, and — when configured — tear a
-	// checkpoint artifact too (a crash mid-checkpoint can leave both).
-	cutAll := cutWAL(t, h.rng, h.walPath())
-	floor := ckptLSN
-	if cfg.TearCkpt {
-		// Recovery may lose the newest image wholesale; the floor drops
-		// to the previous retained checkpoint, whose chunks and WAL
-		// records retention guarantees are still on disk.
-		floor, tore = tearCkptArtifact(t, h.rng, h.dir)
-	}
-
-	// Prefix property: at least the checkpoint floor, at most (and after
-	// a no-op cut, exactly) the full history; the oracle replayed to the
-	// recovered LSN must agree exactly.
-	recovered, recLSN := h.check(t, floor, lastLSN)
-	if cutAll && recLSN != lastLSN {
-		t.Fatalf("seed %d: cut removed nothing but recovery lost LSNs %d..%d", cfg.Seed, recLSN+1, lastLSN)
-	}
-
-	// Recovery must be deterministic: running it again (after the first
-	// pass truncated the torn tail) lands on the same LSN and bytes.
-	recovered2, recLSN2 := recoverOnce(t, cfg, h.dir, h.walPath())
-	if recLSN2 != recLSN {
-		t.Fatalf("seed %d: second recovery reached LSN %d, first %d", cfg.Seed, recLSN2, recLSN)
-	}
-	if serializeView(t, recovered2) != serializeView(t, recovered) {
-		t.Fatalf("seed %d: second recovery produced different bytes", cfg.Seed)
-	}
-	return tore
+	t.Logf("seed %d: %d calls, %d disks recovered, %v", cfg.Seed, len(trace), len(recovered), found)
+	return found
 }
 
-func recoverOnce(t *testing.T, cfg CrashConfig, dir, walPath string) (*core.Store, uint64) {
-	t.Helper()
-	log, err := wal.Open(walPath, wal.Options{NoSync: true, SegmentBytes: cfg.SegmentBytes})
-	if err != nil {
-		t.Fatalf("seed %d: reopening wal after crash: %v", cfg.Seed, err)
+// barrierClass names the window of the protocol crash point i of trace
+// lies in: inside a commit (after its WAL write, before its fsync), a
+// seal and rotation (after the seal's fsync, before the next segment
+// exists), a pack or image publish (after the rename, before the
+// directory fsync), an image retire or a WAL prune (after a remove), or a
+// compaction — after the new pack's publish, before the last victim's
+// unlink: compacting reports whether a pack was published after the
+// newest image. "" is any other point.
+func barrierClass(trace []call, i int, compacting bool) string {
+	if i == 0 || i == len(trace) {
+		return ""
 	}
-	defer log.Close()
-	store, lsn, err := ckpt.Recover(dir, "d", log, nil)
-	if err != nil {
-		t.Fatalf("seed %d: recovery errored (must degrade, never fail): %v", cfg.Seed, err)
+	prev, next := trace[i-1], trace[i]
+	switch {
+	case prev.site == "wal-append":
+		return "commit"
+	case prev.site == "wal-seal":
+		return "seal"
+	case prev.site == "pack-rename":
+		return "pack"
+	case prev.site == "image-rename":
+		return "image"
+	case compacting && next.op == "remove" && artifact(next.path) == "pack":
+		return "compaction"
+	case prev.op == "remove" && artifact(prev.path) == "image":
+		return "retire"
+	case prev.op == "remove" && artifact(prev.path) == "wal":
+		return "prune"
 	}
-	return store, lsn
+	return ""
 }
 
-// tearCkptArtifact truncates one checkpoint artifact at a random
-// offset — the newest image ("image") or a pack file only the newest
-// image reads from ("pack"; a chunk shared with an older image
-// cannot be torn by a crash: the chunk store skips writes for chunks it
-// already holds) — or inverts one byte inside the stored bytes of a
-// chunk only the newest image references ("flip"): the pack's index
-// stays whole, only inflating or hashing can tell. It returns the new
-// recovery floor — the LSN of the previous retained image, which must
-// stay materializable whatever was torn — and the shape it applied.
-func tearCkptArtifact(t *testing.T, rng *rand.Rand, dir string) (floor uint64, shape string) {
+// durability returns, for each call of trace, the index of the call that
+// made it durable — a write's or a truncate's: the next fsync of its
+// file; a directory op's (create, rename, remove, mkdir): the next fsync
+// of its parent directory — or len(trace) if none did. A file fsync does
+// not make the file's directory entry durable.
+func durability(trace []call) []int {
+	at := make([]int, len(trace))
+	files, dirs := make(map[int]int), make(map[string]int)
+	for j := len(trace) - 1; j >= 0; j-- {
+		c := trace[j]
+		at[j] = len(trace)
+		switch c.op {
+		case "fsync":
+			files[c.file] = j
+		case "syncdir":
+			dirs[c.path] = j
+		case "write", "truncate":
+			if k, ok := files[c.file]; ok {
+				at[j] = k
+			}
+		default:
+			if k, ok := dirs[filepath.Dir(c.path)]; ok {
+				at[j] = k
+			}
+		}
+	}
+	return at
+}
+
+// crashState is one disk a crash may leave short of what the calls
+// before it asked for: of the writes not yet durable, the first cut bytes
+// reach the disk, in trace order, and the directory op drop (-1: none) is
+// not persisted.
+type crashState struct {
+	cut  int64
+	drop int
+}
+
+// crashStates lists the states a crash before call i of trace may leave
+// that RunCrash recovers, type (a) first.
+func crashStates(trace []call, durable []int, i int, rng *rand.Rand) []crashState {
+	all := crashState{cut: math.MaxInt64, drop: -1}
+	states := []crashState{all} // (a)
+	var pending int64
+	data := false
+	for j, c := range trace[:i] {
+		if durable[j] < i {
+			continue
+		}
+		switch c.op {
+		case "write", "truncate":
+			pending, data = pending+int64(len(c.data)), true
+		case "create", "rename", "remove", "mkdir":
+			states = append(states, crashState{cut: all.cut, drop: j}) // (c)
+		}
+	}
+	if data {
+		states = append(states, crashState{cut: 0, drop: -1}) // (b), dropped
+	}
+	if pending > 1 {
+		states = append(states, crashState{cut: 1 + rng.Int63n(pending-1), drop: -1}) // (b), cut
+	}
+	return states
+}
+
+// diskState is the document directory as a crash leaves it: each path
+// under it, relative to it, and a file's bytes; a directory is nil, an
+// empty file an empty slice.
+type diskState map[string][]byte
+
+// replay returns the disk the first i calls of trace leave under root in
+// state s. A write into a file whose create was not persisted, and an
+// entry under a directory whose mkdir was not, are lost with it. torn
+// names a pack or an image under its final name that lost bytes.
+func replay(trace []call, durable []int, root string, i int, s crashState) (state diskState, torn string) {
+	names := map[string]int{".": -1} // the file each path names; -1 is a directory
+	content := make(map[int][]byte)
+	short := make(map[int]bool) // files that lost bytes
+	rel := func(path string) string { r, _ := filepath.Rel(root, path); return r }
+	inDir := func(path string) bool { n, ok := names[filepath.Dir(path)]; return ok && n < 0 }
+	var pending int64 // bytes of the writes not yet durable so far
+	for j, c := range trace[:i] {
+		path := rel(c.path)
+		switch {
+		case c.op == "write":
+			n := int64(len(c.data))
+			keep := n
+			if durable[j] >= i {
+				keep, pending = min(max(s.cut-pending, 0), n), pending+n
+			}
+			if keep < n {
+				short[c.file] = true
+			}
+			if keep > 0 {
+				content[c.file] = append(resize(content[c.file], c.off), c.data[:keep]...)
+			}
+		case c.op == "truncate":
+			if durable[j] < i || s.cut > pending {
+				content[c.file] = resize(content[c.file], c.off)
+			} else {
+				short[c.file] = true
+			}
+		case j == s.drop:
+		case c.op == "create" && inDir(path):
+			names[path], content[c.file] = c.file, []byte{}
+		case c.op == "mkdir" && inDir(path):
+			names[path] = -1
+		case c.op == "rename" && inDir(path):
+			if n, ok := names[rel(c.from)]; ok {
+				names[path] = n
+				delete(names, rel(c.from))
+			}
+		case c.op == "remove":
+			delete(names, path)
+		}
+	}
+	state = make(diskState, len(names))
+	for path, n := range names {
+		switch {
+		case path == ".":
+		case n < 0:
+			state[path] = nil
+		default:
+			state[path] = content[n]
+			if _, _, tmp := vfs.SplitTmp(filepath.Base(path)); short[n] && !tmp && (artifact(path) == "pack" || artifact(path) == "image") {
+				torn = path
+			}
+		}
+	}
+	return state, torn
+}
+
+// resize cuts b to n bytes, or pads it with zeros: a hole reads as zeros.
+func resize(b []byte, n int64) []byte {
+	if n <= int64(len(b)) {
+		return b[:n]
+	}
+	return append(b, make([]byte, n-int64(len(b)))...)
+}
+
+// sum is the digest of the disk's paths and contents.
+func (d diskState) sum() (s [sha256.Size]byte) {
+	h := sha256.New()
+	for _, path := range slices.Sorted(maps.Keys(d)) {
+		fmt.Fprintf(h, "%q %t %d\n", path, d[path] == nil, len(d[path]))
+		h.Write(d[path])
+	}
+	h.Sum(s[:0])
+	return s
+}
+
+// write makes dir, which holds onDisk, hold exactly the disk.
+func (d diskState) write(t *testing.T, dir string, onDisk diskState) {
 	t.Helper()
-	imgs, err := ckpt.Images(dir, "d")
-	if err != nil {
-		t.Fatal(err)
+	for path, have := range onDisk {
+		if want, ok := d[path]; !ok || (want == nil) != (have == nil) {
+			if err := os.RemoveAll(filepath.Join(dir, path)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if len(imgs) < 2 {
-		t.Fatalf("TearCkpt needs two retained images to degrade across, have %d", len(imgs))
-	}
-	newest, prev := imgs[0], imgs[1]
-	imgPath := filepath.Join(dir, newest.File)
-	shape = []string{"image", "pack", "flip"}[rng.Intn(3)]
-	if shape != "image" {
-		newHashes, err := ckpt.ImageChunks(imgPath)
+	for _, path := range slices.Sorted(maps.Keys(d)) { // a directory before what it holds
+		have, ok := onDisk[path]
+		var err error
+		switch {
+		case d[path] == nil:
+			err = os.MkdirAll(filepath.Join(dir, path), 0o755)
+		case !ok || have == nil || !bytes.Equal(have, d[path]):
+			err = os.WriteFile(filepath.Join(dir, path), d[path], 0o644)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared := make(map[chunkstore.Hash]bool)
-		for _, old := range imgs[1:] {
-			hs, err := ckpt.ImageChunks(filepath.Join(dir, old.File))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, h := range hs {
-				shared[h] = true
-			}
-		}
-		var unique []chunkstore.Hash
-		for _, h := range newHashes {
-			if !shared[h] {
-				unique = append(unique, h)
-			}
-		}
-		// A crash can only have torn what the interrupted checkpoint
-		// itself wrote: a pack holding a chunk of the newest image that
-		// no older retained image reads from. (A compaction's product,
-		// which older images share, was durable before the packs it
-		// replaced were unlinked.)
-		cs := ckpt.DefaultChunkStore(dir, "d")
-		sharedPacks := make(map[string]bool)
-		for h := range shared {
-			if path, _, _, ok := cs.Locate(h); ok {
-				sharedPacks[path] = true
-			}
-		}
-		var own []string
-		for _, h := range unique {
-			if path, _, _, ok := cs.Locate(h); ok && !sharedPacks[path] && !slices.Contains(own, path) {
-				own = append(own, path)
-			}
-		}
-		switch {
-		case shape == "flip" && len(unique) > 0:
-			path, off, n, _ := cs.Locate(unique[rng.Intn(len(unique))])
-			pack, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pack[off+rng.Int63n(n)] ^= 0xff
-			if err := os.WriteFile(path, pack, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		case len(own) == 0:
-			// No churn between the checkpoints, or the sweep has already
-			// folded the newest chunks into a shared pack: nothing a
-			// crash could have torn; tear the image instead.
-			shape = "image"
-		default:
-			shape = "pack"
-			tearFile(t, rng, own[rng.Intn(len(own))])
-		}
 	}
-	if shape == "image" {
-		tearFile(t, rng, imgPath)
-	}
-	return prev.LSN, shape
 }
 
-// tearFile truncates path at a uniformly random offset strictly inside
-// the file (offset 0 = emptied, never a clean full copy).
-func tearFile(t *testing.T, rng *rand.Rand, path string) {
+// readDisk returns what dir holds.
+func readDisk(t *testing.T, dir string) diskState {
 	t.Helper()
-	fi, err := os.Stat(path)
+	d := make(diskState)
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if e.IsDir() {
+			d[rel] = nil
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		d[rel] = append([]byte{}, b...) // never nil: nil is a directory
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() == 0 {
-		return
-	}
-	if err := os.Truncate(path, rng.Int63n(fi.Size())); err != nil {
-		t.Fatal(err)
-	}
+	return d
 }
 
-// CrashConfigs returns the seeded crash-injection matrix; iters scales
-// the number of random cuts per shape (the nightly soak raises it).
+// CrashConfigs returns the seeded crash matrix; iters is the number of
+// seeds per shape (the nightly soak raises it).
 func CrashConfigs(iters int) []CrashConfig {
 	var cfgs []CrashConfig
 	shapes := []CrashConfig{
-		// Small segments: cuts land mid-rotation; frequent checkpoints.
+		// Small segments and periodic checkpoints: every barrier class,
+		// compaction included.
 		{Batches: 30, BatchOps: 4, DocSize: 90, PageSize: 16, Fill: 0.7, SegmentBytes: 512, CheckpointEvery: 7},
-		// One big segment: cuts always tear the active tail.
+		// One big segment, no mid-run checkpoint: every crash tears the
+		// active tail.
 		{Batches: 20, BatchOps: 3, DocSize: 60, PageSize: 32, Fill: 0.8, SegmentBytes: wal.DefaultSegmentBytes},
-		// Tiny segments, no mid-run checkpoints: long replay chains.
+		// Tiny segments, no mid-run checkpoint: a seal and rotation after
+		// almost every record, and long replay chains.
 		{Batches: 25, BatchOps: 5, DocSize: 120, PageSize: 16, Fill: 0.75, SegmentBytes: 256},
-		// Torn checkpoint artifacts on top of the WAL cut: recovery must
-		// degrade whole to the previous retained image, never mix two.
-		{Batches: 30, BatchOps: 4, DocSize: 90, PageSize: 16, Fill: 0.7, SegmentBytes: 512, CheckpointEvery: 7, TearCkpt: true},
-		{Batches: 24, BatchOps: 5, DocSize: 120, PageSize: 32, Fill: 0.8, SegmentBytes: 1024, CheckpointEvery: 5, TearCkpt: true},
-		// Killed inside chunk GC, between a compaction's publish and its
-		// unlinks, then the WAL cut: duplicates on disk, nothing lost.
-		{Batches: 60, BatchOps: 4, DocSize: 90, PageSize: 16, Fill: 0.7, SegmentBytes: 512, CheckpointEvery: 3, KillInCompaction: true},
-		// Torn artifacts again, over pages large enough to be held deflated.
-		{Batches: 24, BatchOps: 5, DocSize: 300, PageSize: 64, Fill: 0.8, SegmentBytes: 2048, CheckpointEvery: 5, TearCkpt: true},
 	}
 	for i := 0; i < iters; i++ {
 		for j, s := range shapes {
@@ -370,12 +547,5 @@ func CrashConfigs(iters int) []CrashConfig {
 
 // crashName labels one config for subtest naming.
 func crashName(c CrashConfig) string {
-	n := fmt.Sprintf("seed=%d/seg=%d/ckpt=%d", c.Seed, c.SegmentBytes, c.CheckpointEvery)
-	if c.TearCkpt {
-		n += "/tear"
-	}
-	if c.KillInCompaction {
-		n += "/kill"
-	}
-	return n
+	return fmt.Sprintf("seed=%d/seg=%d/ckpt=%d", c.Seed, c.SegmentBytes, c.CheckpointEvery)
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,11 +34,24 @@ type fired struct {
 	inSweep bool
 }
 
+// call is one mutating call through the seam that took effect, as the
+// trace holds it. A file is named by the number the trace gave it when it
+// was created, so its writes and fsyncs follow it across a rename.
+type call struct {
+	op   string // create, write, truncate, fsync, rename, remove, mkdir or syncdir
+	site string // the site the call was made at, "" if none
+	path string // create, rename (the new name), remove, mkdir, syncdir
+	from string // rename: the old name
+	file int    // create, write, truncate, fsync
+	off  int64  // write: where the bytes went; truncate: the new size
+	data []byte // write
+}
+
 // diskFS is vfs.OS seen by the crash and fault modes. It names every call
 // by the site of the durable layers it comes from, fails the nth call at
-// one site once armed, and runs onCompact when the disk stands in a
-// compaction's window: a pack renamed into place, its directory fsynced,
-// and the first pack about to be removed.
+// one site once armed, and appends every mutating call that took effect
+// to its trace, in the order the calls ran: it holds its lock across each
+// one.
 type diskFS struct {
 	segBytes int64 // a WAL segment this large is being sealed
 
@@ -45,9 +59,14 @@ type diskFS struct {
 	want      fault
 	nth, seen int
 	fired     fired
-	imaged    bool         // an image was published since the last take
-	last      [2][2]string // the previous two mutations: {op, path}
-	onCompact func()
+	imaged    bool // an image was published since the last take
+	trace     []call
+	files     map[string]int // the file each path names
+	sizes     []int64        // each file's size: every write lands at its end
+}
+
+func newDiskFS(segBytes int64) *diskFS {
+	return &diskFS{segBytes: segBytes, files: make(map[string]int)}
 }
 
 // arm fails the nth call at f.site from now on.
@@ -66,18 +85,16 @@ func (d *diskFS) take() fired {
 	return f
 }
 
-// trip records the mutation op on path at site and returns the error it
-// is to fail with, if any.
-func (d *diskFS) trip(site, op, path string) error {
+// calls returns how many calls the trace holds so far.
+func (d *diskFS) calls() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if op == "remove" && strings.HasSuffix(path, ".pack") && d.onCompact != nil &&
-		d.last[0][0] == "rename" && strings.HasSuffix(d.last[0][1], ".pack") &&
-		d.last[1] == [2]string{"syncdir", filepath.Dir(d.last[0][1])} {
-		d.onCompact()
-		d.onCompact = nil
-	}
-	d.last = [2][2]string{d.last[1], {op, path}}
+	return len(d.trace)
+}
+
+// trip returns the error the call at site is to fail with, if any.
+// Caller holds d.mu.
+func (d *diskFS) trip(site string) error {
 	if site != "" && site == d.want.site {
 		if d.seen++; d.seen == d.nth {
 			d.fired = fired{site: site, inSweep: d.imaged}
@@ -109,81 +126,151 @@ func artifact(path string) string {
 }
 
 func (d *diskFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
-	d.trip("", "open", name)
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	f, err := vfs.OS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &diskFile{File: f, fs: d, path: name}, nil
+	file, ok := d.files[name]
+	if !ok {
+		file = len(d.sizes)
+		d.files[name], d.sizes = file, append(d.sizes, 0)
+		d.trace = append(d.trace, call{op: "create", path: name, file: file})
+	}
+	return &diskFile{File: f, fs: d, path: name, file: file}, nil
 }
 
 func (d *diskFS) Rename(oldpath, newpath string) error {
-	if err := d.trip(artifact(newpath)+"-rename", "rename", newpath); err != nil {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	site := artifact(newpath) + "-rename"
+	if err := d.trip(site); err != nil {
 		return err
 	}
-	return vfs.OS.Rename(oldpath, newpath)
+	if err := vfs.OS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	d.files[newpath] = d.files[oldpath]
+	delete(d.files, oldpath)
+	d.trace = append(d.trace, call{op: "rename", site: site, path: newpath, from: oldpath})
+	return nil
 }
 
 func (d *diskFS) SyncDir(dir string) error {
 	d.mu.Lock()
-	prev := d.last[1]
-	d.mu.Unlock()
+	defer d.mu.Unlock()
 	site := ""
-	if filepath.Dir(prev[1]) == dir && (prev[0] == "rename" || prev[0] == "open" && artifact(prev[1]) == "wal") {
-		site = map[string]string{"wal": "segment", "pack": "pack", "image": "image"}[artifact(prev[1])] + "-dirsync"
+	if n := len(d.trace); n > 0 {
+		prev := d.trace[n-1]
+		if filepath.Dir(prev.path) == dir && (prev.op == "rename" || prev.op == "create" && artifact(prev.path) == "wal") {
+			site = map[string]string{"wal": "segment", "pack": "pack", "image": "image"}[artifact(prev.path)] + "-dirsync"
+		}
 	}
-	if err := d.trip(site, "syncdir", dir); err != nil {
+	if err := d.trip(site); err != nil {
 		return err
 	}
-	return vfs.OS.SyncDir(dir)
+	if err := vfs.OS.SyncDir(dir); err != nil {
+		return err
+	}
+	d.trace = append(d.trace, call{op: "syncdir", site: site, path: dir})
+	return nil
 }
 
 func (d *diskFS) Remove(name string) error {
-	d.trip("", "remove", name)
-	return vfs.OS.Remove(name)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := vfs.OS.Remove(name); err != nil {
+		return err
+	}
+	delete(d.files, name)
+	d.trace = append(d.trace, call{op: "remove", path: name})
+	return nil
 }
 
 func (d *diskFS) Truncate(name string, size int64) error {
-	d.trip("", "truncate", name)
-	return vfs.OS.Truncate(name, size)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := vfs.OS.Truncate(name, size); err != nil {
+		return err
+	}
+	d.truncated(d.files[name], size)
+	return nil
+}
+
+// truncated records a truncate of file. Caller holds d.mu.
+func (d *diskFS) truncated(file int, size int64) {
+	d.sizes[file] = size
+	d.trace = append(d.trace, call{op: "truncate", file: file, off: size})
 }
 
 func (d *diskFS) MkdirAll(path string, perm os.FileMode) error {
-	d.trip("", "mkdir", path)
-	return vfs.OS.MkdirAll(path, perm)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, statErr := os.Stat(path)
+	if err := vfs.OS.MkdirAll(path, perm); err != nil || statErr == nil {
+		return err
+	}
+	d.trace = append(d.trace, call{op: "mkdir", path: path})
+	return nil
 }
 
 // diskFile is a file opened through diskFS.
 type diskFile struct {
 	vfs.File
 	fs   *diskFS
-	path string
+	path string // the name it was opened under
+	file int
 }
 
 func (f *diskFile) Write(p []byte) (int, error) {
+	d := f.fs
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	site := map[string]string{"wal": "wal-append", "pack": "pack-write"}[artifact(f.path)]
-	if err := f.fs.trip(site, "write", f.path); err != nil {
-		n := 0
-		if f.fs.want.mode == "short" {
-			n, _ = f.File.Write(p[:len(p)/2])
-		}
-		return n, err
+	n, err := 0, d.trip(site)
+	if err == nil {
+		n, err = f.File.Write(p)
+	} else if d.want.mode == "short" {
+		n, _ = f.File.Write(p[:len(p)/2])
 	}
-	return f.File.Write(p)
+	if n > 0 {
+		d.trace = append(d.trace, call{op: "write", site: site, file: f.file, off: d.sizes[f.file], data: bytes.Clone(p[:n])})
+		d.sizes[f.file] += int64(n)
+	}
+	return n, err
+}
+
+func (f *diskFile) Truncate(size int64) error {
+	d := f.fs
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := f.File.Truncate(size); err != nil {
+		return err
+	}
+	d.truncated(f.file, size)
+	return nil
 }
 
 func (f *diskFile) Sync() error {
+	d := f.fs
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	site := artifact(f.path) + "-fsync"
 	if site == "wal-fsync" {
 		// The door syncs the active segment, a seal the one that reached
 		// the rotation threshold.
 		site = "wal-sync"
-		if fi, err := os.Stat(f.path); err == nil && fi.Size() >= f.fs.segBytes {
+		if d.sizes[f.file] >= d.segBytes {
 			site = "wal-seal"
 		}
 	}
-	if err := f.fs.trip(site, "fsync", f.path); err != nil {
+	if err := d.trip(site); err != nil {
 		return err
 	}
-	return f.File.Sync()
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	d.trace = append(d.trace, call{op: "fsync", site: site, file: f.file})
+	return nil
 }

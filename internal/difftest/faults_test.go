@@ -65,8 +65,8 @@ func FaultConfigs(iters int) []FaultConfig {
 func RunFaults(t *testing.T, cfg FaultConfig) bool {
 	t.Helper()
 	seed := cfg.Seed
-	disk := &diskFS{segBytes: cfg.SegmentBytes}
-	h := newHistory(t, cfg.CrashConfig, disk, true)
+	disk := newDiskFS(cfg.SegmentBytes)
+	h := newHistory(t, cfg.CrashConfig, disk)
 	if _, err := h.ck.Run(); err != nil {
 		t.Fatalf("seed %d: initial checkpoint: %v", seed, err)
 	}
@@ -129,7 +129,7 @@ func RunFaults(t *testing.T, cfg FaultConfig) bool {
 	if err := h.log.Close(); (err != nil) != (failedLSN != 0) {
 		t.Fatalf("seed %d: Close = %v, poisoned at %d", seed, err, failedLSN)
 	}
-	h.check(t, lastOK, lastLSN)
+	h.check(t, h.dir, lastOK, lastLSN, false)
 	return hit
 }
 

@@ -139,20 +139,23 @@ func (r *Reader) Next() (*Record, error) {
 	}
 }
 
-// open positions the reader at the segment containing target.
-func (r *Reader) open(target uint64) error {
+// holding returns the path and seq of the live segment holding target.
+func (r *Reader) holding(target uint64) (string, uint64, error) {
 	r.l.mu.Lock()
-	var path string
-	var seq uint64
+	defer r.l.mu.Unlock()
 	for _, seg := range r.l.segs {
 		if seg.records > 0 && seg.firstLSN <= target && target <= seg.lastLSN {
-			path, seq = seg.path, seg.seq
-			break
+			return seg.path, seg.seq, nil
 		}
 	}
-	r.l.mu.Unlock()
-	if path == "" {
-		return fmt.Errorf("%w: record %d is in no live segment", ErrPruned, target)
+	return "", 0, fmt.Errorf("%w: record %d is in no live segment", ErrPruned, target)
+}
+
+// open positions the reader at the segment containing target.
+func (r *Reader) open(target uint64) error {
+	path, seq, err := r.holding(target)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -167,20 +170,9 @@ func (r *Reader) open(target uint64) error {
 // otherwise the record should appear at the current offset on a
 // re-read (reports false).
 func (r *Reader) advanceSegment(target uint64) (bool, error) {
-	r.l.mu.Lock()
-	var nextSeq uint64
-	for _, seg := range r.l.segs {
-		if seg.records > 0 && seg.firstLSN <= target && target <= seg.lastLSN {
-			nextSeq = seg.seq
-			break
-		}
-	}
-	r.l.mu.Unlock()
-	if nextSeq == 0 {
-		return false, fmt.Errorf("%w: record %d is in no live segment", ErrPruned, target)
-	}
-	if nextSeq == r.seq {
-		return false, nil
+	_, seq, err := r.holding(target)
+	if err != nil || seq == r.seq {
+		return false, err
 	}
 	r.f.Close()
 	r.f = nil

@@ -690,15 +690,7 @@ func (l *Log) Prune(upTo uint64) error {
 // TailStats reports the un-pruned log tail: total bytes and record count
 // across all live segments. The auto-checkpoint policy reads it to
 // decide when the WAL has grown enough to warrant a new checkpoint.
-func (l *Log) TailStats() (bytes int64, records int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, seg := range l.segs {
-		bytes += seg.size
-		records += seg.records
-	}
-	return bytes, records
-}
+func (l *Log) TailStats() (bytes int64, records int) { return l.TailStatsAbove(0) }
 
 // TailStatsAbove reports the log tail *beyond* lsn: how many records
 // with LSN > lsn the live segments hold, and (approximately, prorating
