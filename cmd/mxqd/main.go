@@ -4,7 +4,10 @@
 // finish (under -drain-timeout), sessions release their snapshots, then
 // the database closes, flushing WAL segments and checkpointers. With
 // -dir it serves every document checkpointed there, each recovered on
-// its first request.
+// its first request and kept attached until shutdown. A request that
+// panics ends its own session (answered with an internal error, the
+// stack logged), not the daemon; only a panic inside a commit's
+// critical section still ends the process.
 //
 // With -follow, mxqd runs as a read replica: it subscribes every
 // document of the primary at the given address (an empty replica
@@ -43,21 +46,12 @@ func main() {
 	ckptRecords := flag.Int("ckpt-records", 0, "auto-checkpoint once the WAL tail exceeds this many records (0 = off)")
 	maxConcurrent := flag.Int64("max-concurrent", 64, "admission: weight units executing at once (queries 1, updates/loads 2)")
 	maxWaiters := flag.Int("max-waiters", 0, "admission: queued requests before overload rejection (0 = 4x max-concurrent)")
-	idleClose := flag.Duration("idle-close", 0, "with -dir: detach documents unreferenced this long (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown: how long in-flight requests may finish")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "mxqd: ", log.LstdFlags)
-	if *idleClose > 0 && *dir == "" {
-		logger.Fatal("-idle-close requires -dir (detaching an in-memory document discards it)")
-	}
 	if *follow != "" && *dir == "" {
 		logger.Fatal("-follow requires -dir (a replica's acks promise durably-applied records)")
-	}
-	if *follow != "" && *idleClose > 0 {
-		// A followed document must stay attached: its subscription is
-		// what keeps it converging.
-		logger.Fatal("-follow and -idle-close are mutually exclusive")
 	}
 
 	db, err := mxq.Open(mxq.Options{
@@ -94,7 +88,6 @@ func main() {
 		DB:            db,
 		MaxConcurrent: *maxConcurrent,
 		MaxWaiters:    *maxWaiters,
-		IdleClose:     *idleClose,
 		ReadOnly:      *follow != "",
 		Logf:          logger.Printf,
 	})

@@ -1,12 +1,14 @@
 // Package server is the mxqd network daemon: a TCP server exposing a
 // Database over a length-prefixed binary frame protocol, with
 // per-session state (prepared-statement cache, pinned read versions,
-// negotiated feature bits), a refcounted lazily-opened document
-// catalog, admission control (a weighted semaphore over executing
-// requests with a bounded wait queue — overflow is answered with a fast
-// ErrOverloaded frame instead of unbounded memory), and graceful drain
-// (stop accepting, finish in-flight requests under a deadline, close
-// documents so the auto-checkpointer and WAL flush cleanly).
+// negotiated feature bits), admission control (a weighted semaphore
+// over executing requests with a bounded wait queue — overflow is
+// answered with a fast ErrOverloaded frame instead of unbounded
+// memory), and graceful drain (stop accepting, finish in-flight
+// requests under a deadline, so the daemon can then close the database
+// and the auto-checkpointer and WAL flush cleanly). Every request finds
+// its document with Database.OpenDocument, which attaches it on first
+// use; the server keeps no registry of its own.
 //
 // The frame codec, opcode space and version-negotiation contract live
 // in the leaf package internal/wire (shared with the replication
@@ -47,6 +49,10 @@
 // plans by (document instance, query text), so repeated queries skip the
 // parse; its pinned reads (OpBeginRead … OpEndRead) hold a closeable
 // snapshot per document, giving multi-request reads one consistent
-// version. Everything a session holds — snapshots, catalog references —
-// is released when the connection closes, however it closes.
+// version. Those snapshots are all a session holds of any document, and
+// they are released when the connection closes, however it closes. A
+// panic while serving a request ends that session alone — the request
+// is answered CodeInternal and the connection closed — not the daemon,
+// unless it strikes inside a commit's critical section, where it ends
+// the process as it always did.
 package server

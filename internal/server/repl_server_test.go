@@ -54,7 +54,7 @@ func startFollower(t *testing.T, primaryAddr string, docs ...string) (addr strin
 // said Hello gets CodeVersion, not CodeBadRequest, and the session
 // survives.
 func TestHelloNegotiation(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	dial(t, addr)
 
 	conn, err := net.Dial("tcp", addr)
@@ -102,7 +102,7 @@ func TestReadOnlyServer(t *testing.T) {
 	if _, err := db.LoadXMLString("lib", libDoc); err != nil {
 		t.Fatal(err)
 	}
-	addr, _ := startServer(t, server.Config{DB: db, ReadOnly: true})
+	addr := startServer(t, server.Config{ReadOnly: true}, db)
 	c := dial(t, addr)
 	if _, err := c.Update(bg, "lib", wrapMods(`<xupdate:append select="/lib/shelf"><book>X</book></xupdate:append>`)); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("update on read-only server = %v, want ErrReadOnly", err)
@@ -131,7 +131,7 @@ func TestReadYourWritesAcrossReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primaryAddr, _ := startServer(t, server.Config{DB: pdb})
+	primaryAddr := startServer(t, server.Config{}, pdb)
 	seed := dial(t, primaryAddr)
 	if err := seed.Load(bg, "lib", libDoc); err != nil {
 		t.Fatal(err)

@@ -11,23 +11,29 @@ import (
 	"mxq/internal/wire"
 )
 
+// database is what the server uses of an *mxq.Database: the listing,
+// the one lookup and the load.
+type database interface {
+	Documents() []string
+	OpenDocument(name string) (*mxq.Document, error)
+	LoadXMLString(name, xml string) (*mxq.Document, error)
+}
+
 // Config configures a Server.
 type Config struct {
-	// DB is the database the server fronts. The server never closes it;
+	// DB is the database the server fronts, an *mxq.Database. Every
+	// request looks its document up with OpenDocument, whose per-name
+	// fence decides which instance of a name is live; the server holds
+	// no reference of its own. The server never closes the database;
 	// the daemon does, after Shutdown returns (so the WAL and
 	// auto-checkpointers flush once no request can touch them).
-	DB *mxq.Database
+	DB database
 	// MaxConcurrent bounds the weight units executing at once (queries
 	// weigh 1, updates and loads 2). Default 64.
 	MaxConcurrent int64
 	// MaxWaiters bounds how many admissions may queue before overflow is
 	// answered with ErrOverloaded frames. Default 4 * MaxConcurrent.
 	MaxWaiters int
-	// IdleClose detaches a document (final checkpoint, WAL released)
-	// after it has been unreferenced this long. Zero disables idle close;
-	// it must be zero for databases without a durability directory
-	// (detaching an in-memory document discards it).
-	IdleClose time.Duration
 	// MaxFrame caps a frame's size (0 = wire.MaxFrame): a larger request
 	// is cut off, a larger result refused with CodeQuery.
 	MaxFrame uint32
@@ -36,7 +42,8 @@ type Config struct {
 	// followed document has exactly one writer, the primary's stream,
 	// and a local write would fork its LSN line.
 	ReadOnly bool
-	// Logf, when non-nil, receives server lifecycle messages.
+	// Logf, when non-nil, receives server lifecycle messages, and the
+	// value and stack of a panic that ended a session.
 	Logf func(format string, args ...any)
 }
 
@@ -49,11 +56,16 @@ func (s *Server) features() uint64 {
 }
 
 // Server is the mxqd daemon core: an accept loop spawning one session
-// per connection over a shared catalog and admission semaphore.
+// per connection over a shared admission semaphore.
 type Server struct {
-	cfg     Config
-	adm     *admission
-	catalog *catalog
+	cfg Config
+	adm *admission
+	// writers maps a document name to the *sync.Mutex that serializes
+	// the server's write transactions on it: the engine's page locking is
+	// optimistic (a racing writer gets tx.ErrConflict back), so concurrent
+	// Update frames queue here instead of bouncing off each other.
+	// Readers never take it.
+	writers sync.Map
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -76,7 +88,6 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:      cfg,
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxWaiters),
-		catalog:  newCatalog(cfg.DB, cfg.IdleClose),
 		sessions: make(map[*session]struct{}),
 	}
 }
@@ -127,8 +138,8 @@ func (s *Server) sessionDone(sess *session) {
 // Shutdown drains the server: stop accepting, fail queued admissions,
 // let requests already executing finish and their responses flush, and
 // force-close whatever is still running when the timeout expires.
-// Sessions release their pinned snapshots and catalog references on the
-// way out; after Shutdown returns, no request touches the database, so
+// Sessions release their pinned snapshots on the way out; after
+// Shutdown returns, no request touches the database, so
 // the daemon can Close it (flushing WAL segments and draining
 // auto-checkpointers) safely.
 func (s *Server) Shutdown(timeout time.Duration) error {
@@ -166,7 +177,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.catalog.shutdown()
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("server: drained (forced=%v)", timedOut)
 	}

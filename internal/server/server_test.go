@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -25,18 +26,17 @@ const modsWrap = `<xupdate:modifications version="1.0" xmlns:xupdate="http://www
 
 func wrapMods(body string) string { return strings.Replace(modsWrap, "%BODY%", body, 1) }
 
-// startServer brings up a server on a loopback port and tears it down
-// with the test.
-func startServer(t *testing.T, cfg server.Config) (addr string, db *mxq.Database) {
+// startServer brings up a server over db (a fresh in-memory database if
+// nil) on a loopback port, and tears both down with the test.
+func startServer(t *testing.T, cfg server.Config, db *mxq.Database) string {
 	t.Helper()
-	if cfg.DB == nil {
+	if db == nil {
 		var err error
-		cfg.DB, err = mxq.Open(mxq.Options{})
-		if err != nil {
+		if db, err = mxq.Open(mxq.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db = cfg.DB
+	cfg.DB = db
 	srv := server.New(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,7 +47,7 @@ func startServer(t *testing.T, cfg server.Config) (addr string, db *mxq.Database
 		srv.Shutdown(5 * time.Second)
 		db.Close()
 	})
-	return l.Addr().String(), db
+	return l.Addr().String()
 }
 
 func dial(t *testing.T, addr string) *client.Client {
@@ -61,7 +61,7 @@ func dial(t *testing.T, addr string) *client.Client {
 }
 
 func TestClientBasic(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	if err := c.Ping(bg); err != nil {
 		t.Fatalf("ping: %v", err)
@@ -94,7 +94,7 @@ func TestClientBasic(t *testing.T) {
 }
 
 func TestClientErrors(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	if _, err := c.Query(bg, "nope", "//x", nil); !errors.Is(err, client.ErrNoDocument) {
 		t.Fatalf("unknown doc = %v, want ErrNoDocument", err)
@@ -128,7 +128,7 @@ func TestOversizedResultIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	const limit = 64 << 10
-	addr, _ := startServer(t, server.Config{DB: db, MaxFrame: limit})
+	addr := startServer(t, server.Config{MaxFrame: limit}, db)
 	c := dial(t, addr)
 	_, err = c.Query(bg, "big", "//p", nil)
 	var ce *client.Error
@@ -152,7 +152,7 @@ func TestOversizedResultIsRefused(t *testing.T) {
 // recover: one 280 KB frame took the daemon down. It is a query error
 // now, and the daemon answers the next request.
 func TestLoadRefusesDeepNesting(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	deep := strings.Repeat("<a>", 40000) + strings.Repeat("</a>", 40000)
 	err := c.Load(bg, "deep", deep)
@@ -169,7 +169,7 @@ func TestLoadRefusesDeepNesting(t *testing.T) {
 }
 
 func TestClientUpdate(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	if err := c.Load(bg, "lib", libDoc); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestClientUpdate(t *testing.T) {
 }
 
 func TestClientExplain(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	if err := c.Load(bg, "lib", libDoc); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestClientExplain(t *testing.T) {
 // TestClientSnapshotIsolation pins a read version and checks queries in
 // the window ignore a commit that lands mid-window.
 func TestClientSnapshotIsolation(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	reader := dial(t, addr)
 	writer := dial(t, addr)
 	if err := reader.Load(bg, "lib", libDoc); err != nil {
@@ -244,72 +244,134 @@ func TestClientSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestIdleClose checks the catalog detaches an unreferenced durable
-// document and recovers it transparently on the next request.
-func TestIdleClose(t *testing.T) {
-	dir := t.TempDir()
-	db, err := mxq.Open(mxq.Options{Dir: dir, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, _ := startServer(t, server.Config{DB: db, IdleClose: 30 * time.Millisecond})
+// An insert-before or insert-after whose content is an attribute
+// constructor used to pass the parser; the executor then handed the
+// store a nil fragment, and the panic on the session goroutine took the
+// daemon down. With an element beside the constructor the insert
+// succeeded and dropped the attribute. The program is refused whole now.
+func TestUpdateRefusesAttributeInsert(t *testing.T) {
+	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	if err := c.Load(bg, "lib", libDoc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(bg, "lib", "count(//book)", nil); err != nil {
-		t.Fatal(err)
-	}
-	attached, err := db.OpenDocument("lib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The idle timer detaches the document from the database: the next
-	// lookup recovers a new instance.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if d, err := db.OpenDocument("lib"); err == nil && d != attached {
-			break
+	attr := `<xupdate:attribute name="x">1</xupdate:attribute>`
+	for _, body := range []string{
+		`<xupdate:insert-before select="/lib/shelf">` + attr + `</xupdate:insert-before>`,
+		`<xupdate:insert-after select="//book[1]"><c/>` + attr + `</xupdate:insert-after>`,
+	} {
+		_, err := c.Update(bg, "lib", wrapMods(body))
+		var ce *client.Error
+		if !errors.As(err, &ce) || ce.Status != wire.CodeQuery {
+			t.Fatalf("update %s = %v, want a CodeQuery error", body, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("document not detached after idle close")
+		if err := c.Ping(bg); err != nil {
+			t.Fatalf("ping after the refused update: %v", err)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	// The next request recovers it from its checkpoint.
-	items, err := c.Query(bg, "lib", "count(//book)", nil)
-	if err != nil || items[0].Value != "2" {
-		t.Fatalf("query after idle close = %+v, %v", items, err)
+	items, err := c.Query(bg, "lib", "/lib", nil)
+	if err != nil || len(items) != 1 || items[0].XML != libDoc {
+		t.Fatalf("document after the refused updates = %+v, %v; want it unchanged", items, err)
 	}
 }
 
-// TestIdleCloseDoesNotDetachPinnedRead: a pinned read holds a catalog
-// reference, so the idle closer must leave the document attached.
-func TestIdleCloseDoesNotDetachPinnedRead(t *testing.T) {
-	dir := t.TempDir()
-	db, err := mxq.Open(mxq.Options{Dir: dir, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, _ := startServer(t, server.Config{DB: db, IdleClose: 20 * time.Millisecond})
+// A Query frame of a million nested parentheses (2 MB), or of 800,000
+// nested predicates (2.4 MB), used to overflow the session goroutine's
+// stack, which is fatal to the process: no recover catches it. The
+// parser refuses nesting past a fixed depth, on every path an
+// expression arrives by.
+func TestQueryRefusesDeepNesting(t *testing.T) {
+	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	if err := c.Load(bg, "lib", libDoc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.BeginRead(bg, "lib"); err != nil {
-		t.Fatal(err)
+	parens := strings.Repeat("(", 1<<20) + "1" + strings.Repeat(")", 1<<20)
+	preds := strings.Repeat("a[", 800000) + "1" + strings.Repeat("]", 800000)
+	for _, req := range []struct {
+		name string
+		send func() error
+	}{
+		{"query", func() error { _, err := c.Query(bg, "lib", parens, nil); return err }},
+		{"explain", func() error { _, err := c.Explain(bg, "lib", preds); return err }},
+		{"update", func() error {
+			_, err := c.Update(bg, "lib", wrapMods(`<xupdate:remove select="`+preds+`"/>`))
+			return err
+		}},
+	} {
+		err := req.send()
+		var ce *client.Error
+		if !errors.As(err, &ce) || ce.Status != wire.CodeQuery || !strings.Contains(ce.Msg, "nests deeper than") {
+			t.Fatalf("%s of a nested tower = %.200v, want a CodeQuery nesting error", req.name, err)
+		}
+		if err := c.Ping(bg); err != nil {
+			t.Fatalf("ping after the refused %s: %v", req.name, err)
+		}
 	}
-	attached, err := db.OpenDocument("lib")
+}
+
+// panickyDB is a database whose LoadXMLString panics, standing in for
+// any bug a request can reach.
+type panickyDB struct{ *mxq.Database }
+
+func (panickyDB) LoadXMLString(name, xml string) (*mxq.Document, error) {
+	panic("load exploded")
+}
+
+// A panic on a session goroutine used to end the daemon. It ends the
+// session now: the request gets CodeInternal, the connection closes,
+// the panic and its stack are logged, and the admission unit the
+// request held is back, so another session's query runs under
+// MaxConcurrent 1 and the drain finishes without forcing anything.
+func TestSessionPanicIsContained(t *testing.T) {
+	db, err := mxq.Open(mxq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	if d, err := db.OpenDocument("lib"); err != nil || d != attached {
-		t.Fatalf("pinned document was detached by the idle closer (%v)", err)
+	defer db.Close()
+	if _, err := db.LoadXMLString("lib", libDoc); err != nil {
+		t.Fatal(err)
 	}
-	items, err := c.Query(bg, "lib", "count(//book)", nil)
-	if err != nil || items[0].Value != "2" {
-		t.Fatalf("pinned query = %+v, %v", items, err)
+	var mu sync.Mutex
+	var logged []string
+	srv := server.New(server.Config{DB: panickyDB{db}, MaxConcurrent: 1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	c, err := client.Dial(bg, l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Load(bg, "other", libDoc)
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Status != wire.CodeInternal || strings.Contains(ce.Msg, "goroutine") {
+		t.Fatalf("load that panics = %v, want a CodeInternal error without the stack", err)
+	}
+	if err := c.Ping(bg); err == nil {
+		t.Fatal("the session that panicked still answers")
+	}
+	other, err := client.Dial(bg, l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if items, err := other.Query(bg, "lib", "count(//book)", nil); err != nil || items[0].Value != "2" {
+		t.Fatalf("query on another session = %+v, %v", items, err)
+	}
+	if err := srv.Shutdown(time.Minute); err != nil {
+		t.Fatalf("shutdown after the panic: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) == 0 || !strings.Contains(logged[0], "load exploded") || !strings.Contains(logged[0], "goroutine") {
+		t.Fatalf("log = %q, want the panic value and its stack", logged)
 	}
 }
 
@@ -356,7 +418,7 @@ func TestShutdownDrains(t *testing.T) {
 // sessions mixing queries and updates; every request must succeed (the
 // default admission queue absorbs the burst — no overload responses).
 func TestManySessions(t *testing.T) {
-	addr, _ := startServer(t, server.Config{})
+	addr := startServer(t, server.Config{}, nil)
 	setup := dial(t, addr)
 	if err := setup.Load(bg, "lib", libDoc); err != nil {
 		t.Fatal(err)
@@ -444,7 +506,7 @@ func TestOpenFailureIsNotNoDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _ := startServer(t, server.Config{DB: db})
+	addr := startServer(t, server.Config{}, db)
 	c := dial(t, addr)
 	_, err = c.Query(bg, name, "count(//book)", nil)
 	var ce *client.Error
@@ -482,7 +544,7 @@ func TestReopenedDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _ := startServer(t, server.Config{DB: db})
+	addr := startServer(t, server.Config{}, db)
 	c := dial(t, addr)
 	if docs, err := c.ListDocs(bg); err != nil || len(docs) != 1 || docs[0] != "lib" {
 		t.Fatalf("ListDocs over a reopened directory = %v, %v; want [lib]", docs, err)

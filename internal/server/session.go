@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
+	"sync"
 	"time"
 
 	"mxq"
@@ -19,16 +21,16 @@ const maxPrepared = 256
 const maxKept = 1 << 20
 
 // prepKey keys compiled plans by document *instance*, not name: a
-// document detached by the idle closer and recovered again is a new
-// instance, so stale plans (bound to the old instance's store) can
+// follower bootstrap or a CloseDocument replaces the instance a name
+// resolves to, so stale plans (bound to the old instance's store) can
 // never serve reads against the new one.
 type prepKey struct {
 	doc *mxq.Document
 	q   string
 }
 
-// pinnedRead is one BEGIN READ … END window: a closeable snapshot plus
-// the catalog reference that keeps its document attached.
+// pinnedRead is one BEGIN READ … END window: a closeable snapshot and
+// the document instance it was taken of.
 type pinnedRead struct {
 	doc  *mxq.Document
 	snap *mxq.Snapshot
@@ -54,9 +56,27 @@ func newSession(srv *Server, conn net.Conn) *session {
 	}
 }
 
-// serve is the session's request loop.
+// serve is the session's request loop. A panic while serving a request
+// ends this session only: the request is answered CodeInternal (the
+// stack goes to Config.Logf, not to the peer) and the connection is
+// closed. The defers on the way up have released the request's
+// admission units, the document's write mutex and an update's page
+// locks (Document.UpdateLSN aborts its transaction), and closeSession
+// releases the pinned snapshots. A panic inside a commit's critical
+// section is the exception: the store may be half-applied, so it ends
+// the process (tx.Tx.Commit) and the next start recovers from the log.
 func (s *session) serve() {
 	defer s.closeSession()
+	var id uint64 // the request in flight
+	var op byte
+	defer func() {
+		if v := recover(); v != nil {
+			if logf := s.srv.cfg.Logf; logf != nil {
+				logf("server: panic serving opcode %d: %v\n%s", op, v, debug.Stack())
+			}
+			s.respondErr(id, wire.CodeInternal, "internal error; the server closed this session")
+		}
+	}()
 	for {
 		f, err := wire.ReadFrame(s.conn, s.srv.cfg.MaxFrame)
 		if err != nil {
@@ -66,19 +86,19 @@ func (s *session) serve() {
 			s.respondErr(f.ID, wire.CodeShuttingDown, "server is shutting down")
 			return
 		}
+		id, op = f.ID, f.Op
 		if !s.handle(f) {
 			return
 		}
 	}
 }
 
-// closeSession releases every held resource: pinned snapshots (and
-// their catalog references), then the connection. The prepared cache
-// needs no teardown (compiled plans hold no store references).
+// closeSession releases every held resource: pinned snapshots, then the
+// connection. The prepared cache needs no teardown (compiled plans hold
+// no store references).
 func (s *session) closeSession() {
 	for name, pr := range s.reads {
 		pr.snap.Close()
-		s.srv.catalog.release(name)
 		delete(s.reads, name)
 	}
 	s.conn.Close()
@@ -174,15 +194,11 @@ func (s *session) handleSubscribeWAL(f wire.Frame) bool {
 		s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 		return true
 	}
-	doc, err := s.srv.catalog.acquire(name)
+	doc, err := s.srv.cfg.DB.OpenDocument(name)
 	if err != nil {
 		s.respondNoDoc(f.ID, name, err)
 		return true
 	}
-	// The catalog reference is held for the stream's whole life: a
-	// subscribed document must not be idle-closed out from under its
-	// WAL reader.
-	defer s.srv.catalog.release(name)
 	src, err := doc.ReplSource()
 	if err != nil {
 		s.respondErr(f.ID, wire.CodeQuery, err.Error())
@@ -204,11 +220,10 @@ func (s *session) handleDocStatus(f wire.Frame) bool {
 	if err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
-	doc, err := s.srv.catalog.acquire(name)
+	doc, err := s.srv.cfg.DB.OpenDocument(name)
 	if err != nil {
 		return s.respondNoDoc(f.ID, name, err)
 	}
-	defer s.srv.catalog.release(name)
 	role := wire.RolePrimary
 	if s.srv.cfg.ReadOnly {
 		role = wire.RoleFollower
@@ -251,11 +266,6 @@ func (s *session) handleLoad(f wire.Frame) bool {
 	return s.admit(f.ID, 2, func() bool {
 		if _, err := s.srv.cfg.DB.LoadXMLString(name, xml); err != nil {
 			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
-		}
-		// Enter the document in the catalog, so its idle timer runs from
-		// the load.
-		if _, err := s.srv.catalog.acquire(name); err == nil {
-			s.srv.catalog.release(name)
 		}
 		return s.respond(f.ID, wire.StatusOK, nil)
 	})
@@ -312,11 +322,10 @@ func (s *session) handleQuery(f wire.Frame) bool {
 				return served
 			}
 		}
-		doc, run, release, ok := s.docForRead(f.ID, name)
+		doc, run, ok := s.docForRead(f.ID, name)
 		if !ok {
 			return true
 		}
-		defer release()
 		if minLSN > 0 {
 			// Park until the replica catches up to the client's commit.
 			// This holds an admission unit while parked — deliberate: a
@@ -364,18 +373,18 @@ func (s *session) handleUpdate(f wire.Frame) bool {
 		return s.respondErr(f.ID, wire.CodeReadOnly, "server is read-only (follower); write on the primary")
 	}
 	return s.admit(f.ID, 2, func() bool {
-		e, err := s.srv.catalog.acquireEntry(name)
+		doc, err := s.srv.cfg.DB.OpenDocument(name)
 		if err != nil {
 			return s.respondNoDoc(f.ID, name, err)
 		}
-		defer s.srv.catalog.release(name)
 		// Serialize writers: the engine's optimistic page locks turn a
-		// racing update into tx.ErrConflict; queueing on the entry's
+		// racing update into tx.ErrConflict; queueing on the name's
 		// write mutex gives the wire protocol first-come-first-served
 		// updates instead of surfacing the conflict to clients.
-		e.wmu.Lock()
-		defer e.wmu.Unlock()
-		res, lsn, err := e.doc.UpdateLSN(mods)
+		wmu, _ := s.srv.writers.LoadOrStore(name, new(sync.Mutex))
+		wmu.(*sync.Mutex).Lock()
+		defer wmu.(*sync.Mutex).Unlock()
+		res, lsn, err := doc.UpdateLSN(mods)
 		if err != nil {
 			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
 		}
@@ -398,11 +407,10 @@ func (s *session) handleExplain(f wire.Frame) bool {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	return s.admit(f.ID, 1, func() bool {
-		doc, _, release, ok := s.docForRead(f.ID, name)
+		doc, _, ok := s.docForRead(f.ID, name)
 		if !ok {
 			return true
 		}
-		defer release()
 		prep, err := s.prepare(doc, query)
 		if err != nil {
 			return s.respondErr(f.ID, wire.CodeQuery, err.Error())
@@ -422,7 +430,7 @@ func (s *session) handleBeginRead(f wire.Frame) bool {
 	if _, dup := s.reads[name]; dup {
 		return s.respondErr(f.ID, wire.CodeBadRequest, fmt.Sprintf("read already pinned on %q", name))
 	}
-	doc, err := s.srv.catalog.acquire(name)
+	doc, err := s.srv.cfg.DB.OpenDocument(name)
 	if err != nil {
 		return s.respondNoDoc(f.ID, name, err)
 	}
@@ -445,7 +453,6 @@ func (s *session) handleEndRead(f wire.Frame) bool {
 	}
 	delete(s.reads, name)
 	pr.snap.Close()
-	s.srv.catalog.release(name)
 	return s.respond(f.ID, wire.StatusOK, nil)
 }
 
@@ -459,9 +466,8 @@ func (s *session) waitForDoc(id uint64, name string, deadline time.Time) (ok, se
 		if _, pinned := s.reads[name]; pinned {
 			return true, true
 		}
-		_, err := s.srv.catalog.acquire(name)
+		_, err := s.srv.cfg.DB.OpenDocument(name)
 		if err == nil {
-			s.srv.catalog.release(name)
 			return true, true
 		}
 		if !errors.Is(err, mxq.ErrNoDocument) {
@@ -476,23 +482,21 @@ func (s *session) waitForDoc(id uint64, name string, deadline time.Time) (ok, se
 
 // docForRead resolves the document a read request runs against and how
 // a compiled plan runs on it: against the pinned read's version when the
-// session holds one (no extra catalog traffic; the pin's reference keeps
-// the document attached), otherwise against whatever is current, under
-// a fresh catalog reference released after the request. ok=false means
-// the error response was already sent.
-func (s *session) docForRead(id uint64, name string) (doc *mxq.Document, run func(*mxq.Prepared, map[string]string) (mxq.Result, error), release func(), ok bool) {
+// session holds one, otherwise against whatever is current. ok=false
+// means the error response was already sent.
+func (s *session) docForRead(id uint64, name string) (doc *mxq.Document, run func(*mxq.Prepared, map[string]string) (mxq.Result, error), ok bool) {
 	if pr := s.reads[name]; pr != nil {
 		run = func(p *mxq.Prepared, vars map[string]string) (mxq.Result, error) {
 			return p.RunSnapshot(pr.snap, vars)
 		}
-		return pr.doc, run, func() {}, true
+		return pr.doc, run, true
 	}
-	doc, err := s.srv.catalog.acquire(name)
+	doc, err := s.srv.cfg.DB.OpenDocument(name)
 	if err != nil {
 		s.respondNoDoc(id, name, err)
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	return doc, (*mxq.Prepared).Run, func() { s.srv.catalog.release(name) }, true
+	return doc, (*mxq.Prepared).Run, true
 }
 
 // prepare returns the session's cached compiled plan for (doc, query),

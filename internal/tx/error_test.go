@@ -2,10 +2,15 @@ package tx
 
 import (
 	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mxq/internal/core"
 	"mxq/internal/shred"
+	"mxq/internal/vfs"
 	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
@@ -129,6 +134,66 @@ func TestLockReleaseOnAbort(t *testing.T) {
 	}
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panickyFS is the operating system's file system whose writes panic
+// once armed.
+type panickyFS struct {
+	vfs.FS
+	armed *bool
+}
+
+func (fs panickyFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return panickyFile{f, fs.armed}, nil
+}
+
+type panickyFile struct {
+	vfs.File
+	armed *bool
+}
+
+func (f panickyFile) Write(p []byte) (int, error) {
+	if *f.armed {
+		panic("write exploded")
+	}
+	return f.File.Write(p)
+}
+
+// TestPanicInsideCommitIsFatal: a panic while the commit holds the
+// global write lock (here in the WAL append) may leave the record
+// logged and the store half-applied, so it ends the process even under
+// a recover, instead of leaving the lock held and every later commit
+// blocked. The test runs the commit in a child process.
+func TestPanicInsideCommitIsFatal(t *testing.T) {
+	if os.Getenv("MXQ_TX_PANIC_CHILD") == "1" {
+		armed := false
+		log, err := wal.Open(filepath.Join(t.TempDir(), "doc.wal"), wal.Options{NoSync: true, FS: panickyFS{vfs.OS, &armed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewManager(buildStore(t, doc, 16), log)
+		txn := m.Begin()
+		if _, err := txn.AppendChild(mustSelect(t, txn, `//shelf[@id="s1"]`), frag(t, `<x/>`)); err != nil {
+			t.Fatal(err)
+		}
+		armed = true
+		func() {
+			defer func() { recover() }()
+			txn.Commit()
+		}()
+		t.Fatal("the process outlived a panic inside the commit")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestPanicInsideCommitIsFatal$")
+	cmd.Env = append(os.Environ(), "MXQ_TX_PANIC_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "write exploded [inside a commit]") {
+		t.Fatalf("child = %v, output:\n%s\nwant exit status 2 and the panic reported", err, out)
 	}
 }
 

@@ -2,6 +2,8 @@ package tx
 
 import (
 	"fmt"
+	"os"
+	"runtime/debug"
 
 	"mxq/internal/core"
 	"mxq/internal/shred"
@@ -393,45 +395,11 @@ func (t *Tx) Commit() error {
 		}
 	}
 	m := t.m
-	m.mu.Lock()
-	// Commit-time check: every op target must still exist in the base
-	// (page locks make this unreachable for conflicting writers, but a
-	// cheap check keeps replay failures impossible).
-	for i := range t.ops {
-		op := &t.ops[i]
-		if op.Target == xenc.NoNode {
-			continue
-		}
-		if !knownNewID(t.ops[:i], op.Target) && m.store.PreOf(op.Target) == xenc.NoPre {
-			m.mu.Unlock()
-			t.Abort()
-			return fmt.Errorf("tx: %w: op %d target %d vanished", ErrConflict, i, op.Target)
-		}
-	}
-	var lsn uint64
-	if m.log != nil {
-		var err error
-		// Append inside the critical section (it assigns the LSN that
-		// orders this commit), but do NOT fsync here: durability is
-		// settled by the group-commit Sync below, outside the lock, so
-		// concurrent committers share one fsync instead of queueing N of
-		// them behind the global mutex.
-		if lsn, err = m.log.Append(t.ops); err != nil {
-			m.mu.Unlock()
-			t.Abort()
-			return err
-		}
-	}
-	if err := ApplyOps(m.store, t.ops); err != nil {
-		// The WAL record is already written; an apply failure here is an
-		// invariant violation, not a user error.
-		m.mu.Unlock()
+	lsn, err := t.publish()
+	if err != nil {
 		t.Abort()
-		return fmt.Errorf("tx: applying committed ops: %w", err)
+		return err
 	}
-	m.version.Add(1)
-	m.commits++
-	m.mu.Unlock()
 	m.invalidateStale()
 	// Wake read-your-writes waiters: the ops are applied and any snapshot
 	// acquired from here on observes them. Durability is settled below —
@@ -459,6 +427,54 @@ func (t *Tx) Commit() error {
 		}
 	}
 	return nil
+}
+
+// publish is Commit's critical section: under the global write lock it
+// checks the ops' targets, appends the WAL record and replays the ops
+// onto the base store. A panic in here may leave the record logged and
+// the store half-applied, which no caller can undo and serve on, so it
+// ends the process the way an unrecovered panic would (recovery replays
+// the log), even under a caller that recovers panics.
+func (t *Tx) publish() (lsn uint64, err error) {
+	m := t.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	defer func() {
+		if v := recover(); v != nil {
+			fmt.Fprintf(os.Stderr, "panic: %v [inside a commit]\n\n%s", v, debug.Stack())
+			os.Exit(2)
+		}
+	}()
+	// Commit-time check: every op target must still exist in the base
+	// (page locks make this unreachable for conflicting writers, but a
+	// cheap check keeps replay failures impossible).
+	for i := range t.ops {
+		op := &t.ops[i]
+		if op.Target == xenc.NoNode {
+			continue
+		}
+		if !knownNewID(t.ops[:i], op.Target) && m.store.PreOf(op.Target) == xenc.NoPre {
+			return 0, fmt.Errorf("tx: %w: op %d target %d vanished", ErrConflict, i, op.Target)
+		}
+	}
+	if m.log != nil {
+		// Append inside the critical section (it assigns the LSN that
+		// orders this commit), but do NOT fsync here: durability is
+		// settled by the group-commit Sync in Commit, outside the lock, so
+		// concurrent committers share one fsync instead of queueing N of
+		// them behind the global mutex.
+		if lsn, err = m.log.Append(t.ops); err != nil {
+			return 0, err
+		}
+	}
+	if err := ApplyOps(m.store, t.ops); err != nil {
+		// The WAL record is already written; an apply failure here is an
+		// invariant violation, not a user error.
+		return 0, fmt.Errorf("tx: applying committed ops: %w", err)
+	}
+	m.version.Add(1)
+	m.commits++
+	return lsn, nil
 }
 
 func knownNewID(prior []wal.Op, id xenc.NodeID) bool {

@@ -60,9 +60,8 @@ func FuzzXPathParse(f *testing.F) {
 
 	doc := buildFuzzDoc(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		// Reject pathological inputs that are legal but exponentially
-		// nested; the parser is recursive descent, and Go's fuzzer finds
-		// multi-kilobyte bracket towers that only test stack depth.
+		// Nesting is bounded by maxDepth (TestParseBoundsDepth), so the
+		// cap only keeps each input cheap to lex, parse and evaluate.
 		if len(src) > 4096 {
 			t.Skip()
 		}

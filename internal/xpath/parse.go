@@ -25,7 +25,7 @@ func Parse(src string) (*Expr, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	root, err := p.parseExpr()
+	root, _, err := p.parseExpr()
 	if err != nil {
 		return nil, fmt.Errorf("xpath: %w (in %q)", err, src)
 	}
@@ -48,9 +48,38 @@ func MustParse(src string) *Expr {
 	return e
 }
 
+// maxDepth bounds the height of an expression's tree. Parentheses,
+// predicates, function arguments, unary minus, path steps and every
+// operator of a binary or union chain each add a level above their
+// operands, and the parse functions return the height of what they
+// built. The compiler, the evaluator and String all recurse over that
+// tree, and a stack overflow is fatal to the process, not a panic a
+// server can recover, so an expression past the bound is refused the way
+// a document nested past xenc.MaxLevel is. Real queries are a few
+// levels tall: the tallest any test or fuzz seed parses is 7.
+const maxDepth = 1000
+
+var errTooDeep = fmt.Errorf("expression nests deeper than %d levels", maxDepth)
+
 type parser struct {
 	toks []token
 	at   int
+	// depth counts the parseExpr and unary-minus levels open at the
+	// current token. Each is one level of the tree being built (the
+	// parentheses, predicate, function call or minus around it), so
+	// refusing past maxDepth here refuses nothing the height bound would
+	// pass; it only stops the parser's own recursion before the heights
+	// come back.
+	depth int
+}
+
+// descend opens one level of the parser's recursion; the caller closes
+// it with p.depth-- once the level's subtree is parsed.
+func (p *parser) descend() error {
+	if p.depth++; p.depth > maxDepth {
+		return errTooDeep
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.at] }
@@ -70,203 +99,135 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 	return p.next(), nil
 }
 
-// parseExpr := OrExpr
-func (p *parser) parseExpr() (expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// parseExpr := OrExpr. It refuses a tree taller than maxDepth.
+func (p *parser) parseExpr() (expr, int, error) {
+	if err := p.descend(); err != nil {
+		return nil, 0, err
 	}
-	for p.accept(tokOr) {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryExpr{op: "or", l: l, r: r}
+	e, h, err := p.parseBinary(0)
+	p.depth--
+	if err == nil && h > maxDepth {
+		err = errTooDeep
 	}
-	return l, nil
+	return e, h, err
 }
 
-func (p *parser) parseAnd() (expr, error) {
-	l, err := p.parseEquality()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokAnd) {
-		r, err := p.parseEquality()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryExpr{op: "and", l: l, r: r}
-	}
-	return l, nil
+// binaryOps lists the binary operators by precedence, loosest first:
+// OrExpr, AndExpr, EqualityExpr, RelationalExpr, AdditiveExpr,
+// MultiplicativeExpr. All of them associate to the left.
+var binaryOps = [...][]struct {
+	tok tokKind
+	op  string
+}{
+	{{tokOr, "or"}},
+	{{tokAnd, "and"}},
+	{{tokEq, "="}, {tokNeq, "!="}},
+	{{tokLt, "<"}, {tokLe, "<="}, {tokGt, ">"}, {tokGe, ">="}},
+	{{tokPlus, "+"}, {tokMinus, "-"}},
+	{{tokStar, "*"}, {tokDiv, "div"}, {tokMod, "mod"}},
 }
 
-func (p *parser) parseEquality() (expr, error) {
-	l, err := p.parseRelational()
+// parseBinary parses a chain of the operators at precedence level whose
+// operands are the next level's; past the last level it parses a
+// UnaryExpr. A chain is as tall as it is long, on top of its first
+// operand.
+func (p *parser) parseBinary(level int) (expr, int, error) {
+	if level == len(binaryOps) {
+		return p.parseUnary()
+	}
+	l, hl, err := p.parseBinary(level + 1)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
-		var op string
-		switch p.peek().kind {
-		case tokEq:
-			op = "="
-		case tokNeq:
-			op = "!="
-		default:
-			return l, nil
+		op := ""
+		for _, o := range binaryOps[level] {
+			if p.peek().kind == o.tok {
+				op = o.op
+			}
+		}
+		if op == "" {
+			return l, hl, nil
 		}
 		p.next()
-		r, err := p.parseRelational()
+		r, hr, err := p.parseBinary(level + 1)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		l = &binaryExpr{op: op, l: l, r: r}
+		l, hl = &binaryExpr{op: op, l: l, r: r}, max(hl, hr)+1
 	}
 }
 
-func (p *parser) parseRelational() (expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tokLt:
-			op = "<"
-		case tokLe:
-			op = "<="
-		case tokGt:
-			op = ">"
-		case tokGe:
-			op = ">="
-		default:
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryExpr{op: op, l: l, r: r}
-	}
-}
-
-func (p *parser) parseAdditive() (expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tokPlus:
-			op = "+"
-		case tokMinus:
-			op = "-"
-		default:
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryExpr{op: op, l: l, r: r}
-	}
-}
-
-func (p *parser) parseMultiplicative() (expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tokStar:
-			op = "*"
-		case tokDiv:
-			op = "div"
-		case tokMod:
-			op = "mod"
-		default:
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryExpr{op: op, l: l, r: r}
-	}
-}
-
-func (p *parser) parseUnary() (expr, error) {
+func (p *parser) parseUnary() (expr, int, error) {
 	if p.accept(tokMinus) {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err := p.descend(); err != nil {
+			return nil, 0, err
 		}
-		return &negExpr{e: e}, nil
+		e, h, err := p.parseUnary()
+		p.depth--
+		if err != nil {
+			return nil, 0, err
+		}
+		return &negExpr{e: e}, h + 1, nil
 	}
 	return p.parseUnion()
 }
 
-func (p *parser) parseUnion() (expr, error) {
-	l, err := p.parsePath()
+func (p *parser) parseUnion() (expr, int, error) {
+	l, hl, err := p.parsePath()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.accept(tokPipe) {
-		r, err := p.parsePath()
+		r, hr, err := p.parsePath()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		l = &unionExpr{l: l, r: r}
+		l, hl = &unionExpr{l: l, r: r}, max(hl, hr)+1
 	}
-	return l, nil
+	return l, hl, nil
 }
 
 // parsePath := LocationPath | FilterExpr (('/'|'//') RelativeLocationPath)?
-func (p *parser) parsePath() (expr, error) {
+// A path or filter is a level above its start and its predicates.
+func (p *parser) parsePath() (expr, int, error) {
 	switch p.peek().kind {
 	case tokSlash:
 		p.next()
 		pe := &pathExpr{absolute: true}
+		h := 0
 		if p.startsStep() {
-			if err := p.parseRelativePath(pe); err != nil {
-				return nil, err
+			var err error
+			if h, err = p.parseRelativePath(pe); err != nil {
+				return nil, 0, err
 			}
 		}
-		return pe, nil
+		return pe, h + 1, nil
 	case tokDblSlash:
 		p.next()
 		pe := &pathExpr{absolute: true}
 		pe.steps = append(pe.steps, step{axis: AxisDescendantOrSelf, tk: testNode})
-		if err := p.parseRelativePath(pe); err != nil {
-			return nil, err
+		h, err := p.parseRelativePath(pe)
+		if err != nil {
+			return nil, 0, err
 		}
-		return pe, nil
+		return pe, h + 1, nil
 	}
 	if p.startsPrimary() {
-		base, err := p.parsePrimary()
+		base, h, err := p.parsePrimary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		var preds []expr
 		for p.peek().kind == tokLBracket {
-			pr, err := p.parsePredicate()
+			pr, hp, err := p.parsePredicate()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			preds = append(preds, pr)
+			preds, h = append(preds, pr), max(h, hp)
 		}
 		if len(preds) > 0 {
-			base = &filterExpr{base: base, preds: preds}
+			base, h = &filterExpr{base: base, preds: preds}, h+1
 		}
 		if p.peek().kind == tokSlash || p.peek().kind == tokDblSlash {
 			pe := &pathExpr{start: base}
@@ -275,18 +236,20 @@ func (p *parser) parsePath() (expr, error) {
 			} else {
 				p.next()
 			}
-			if err := p.parseRelativePath(pe); err != nil {
-				return nil, err
+			hs, err := p.parseRelativePath(pe)
+			if err != nil {
+				return nil, 0, err
 			}
-			return pe, nil
+			return pe, max(h, hs) + 1, nil
 		}
-		return base, nil
+		return base, h, nil
 	}
 	pe := &pathExpr{}
-	if err := p.parseRelativePath(pe); err != nil {
-		return nil, err
+	h, err := p.parseRelativePath(pe)
+	if err != nil {
+		return nil, 0, err
 	}
-	return pe, nil
+	return pe, h + 1, nil
 }
 
 // startsPrimary reports whether the next token begins a primary
@@ -320,13 +283,16 @@ func isNodeType(name string) bool {
 	return false
 }
 
-func (p *parser) parseRelativePath(pe *pathExpr) error {
+// parseRelativePath appends the steps to pe and returns the height of
+// their tallest predicate.
+func (p *parser) parseRelativePath(pe *pathExpr) (int, error) {
+	h := 0
 	for {
-		st, err := p.parseStep()
+		st, hs, err := p.parseStep()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		pe.steps = append(pe.steps, st)
+		pe.steps, h = append(pe.steps, st), max(h, hs)
 		if p.accept(tokSlash) {
 			continue
 		}
@@ -334,19 +300,19 @@ func (p *parser) parseRelativePath(pe *pathExpr) error {
 			pe.steps = append(pe.steps, step{axis: AxisDescendantOrSelf, tk: testNode})
 			continue
 		}
-		return nil
+		return h, nil
 	}
 }
 
-func (p *parser) parseStep() (step, error) {
+func (p *parser) parseStep() (step, int, error) {
 	var st step
 	switch p.peek().kind {
 	case tokDot:
 		p.next()
-		return step{axis: AxisSelf, tk: testNode}, nil
+		return step{axis: AxisSelf, tk: testNode}, 0, nil
 	case tokDotDot:
 		p.next()
-		return step{axis: AxisParent, tk: testNode}, nil
+		return step{axis: AxisParent, tk: testNode}, 0, nil
 	case tokAt:
 		p.next()
 		st.axis = AxisAttribute
@@ -354,23 +320,24 @@ func (p *parser) parseStep() (step, error) {
 		t := p.next()
 		ax, ok := axisNames[t.text]
 		if !ok {
-			return st, fmt.Errorf("unknown axis %q", t.text)
+			return st, 0, fmt.Errorf("unknown axis %q", t.text)
 		}
 		st.axis = ax
 	default:
 		st.axis = AxisChild
 	}
 	if err := p.parseNodeTest(&st); err != nil {
-		return st, err
+		return st, 0, err
 	}
+	h := 0
 	for p.peek().kind == tokLBracket {
-		pr, err := p.parsePredicate()
+		pr, hp, err := p.parsePredicate()
 		if err != nil {
-			return st, err
+			return st, 0, err
 		}
-		st.preds = append(st.preds, pr)
+		st.preds, h = append(st.preds, pr), max(h, hp)
 	}
-	return st, nil
+	return st, h, nil
 }
 
 func (p *parser) parseNodeTest(st *step) error {
@@ -405,64 +372,67 @@ func (p *parser) parseNodeTest(st *step) error {
 	return nil
 }
 
-func (p *parser) parsePredicate() (expr, error) {
+func (p *parser) parsePredicate() (expr, int, error) {
 	if _, err := p.expect(tokLBracket, "'['"); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	e, err := p.parseExpr()
+	e, h, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, err := p.expect(tokRBracket, "']'"); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return e, nil
+	return e, h, nil
 }
 
-func (p *parser) parsePrimary() (expr, error) {
+func (p *parser) parsePrimary() (expr, int, error) {
 	switch t := p.next(); t.kind {
 	case tokNumber:
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad number %q", t.text)
+			return nil, 0, fmt.Errorf("bad number %q", t.text)
 		}
-		return numberLit(f), nil
+		return numberLit(f), 1, nil
 	case tokLiteral:
-		return stringLit(t.text), nil
+		return stringLit(t.text), 1, nil
 	case tokDollar:
-		return varRef(t.text), nil
+		return varRef(t.text), 1, nil
 	case tokLParen:
-		e, err := p.parseExpr()
+		e, h, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if _, err := p.expect(tokRParen, "')'"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return e, nil
+		// Parentheses build no node but count as one, so that every
+		// level descend opens is a level of the tree.
+		return e, h + 1, nil
 	case tokName:
 		// Function call (startsPrimary guaranteed the '(').
 		if _, err := p.expect(tokLParen, "'('"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		fc := &funcCall{name: t.text}
+		h := 0
 		if p.peek().kind != tokRParen {
 			for {
-				arg, err := p.parseExpr()
+				arg, ha, err := p.parseExpr()
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
-				fc.args = append(fc.args, arg)
+				fc.args, h = append(fc.args, arg), max(h, ha)
 				if !p.accept(tokComma) {
 					break
 				}
 			}
 		}
 		if _, err := p.expect(tokRParen, "')'"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return fc, nil
+		return fc, h + 1, nil
 	default:
-		return nil, fmt.Errorf("unexpected %v", t)
+		return nil, 0, fmt.Errorf("unexpected %v", t)
 	}
 }

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -37,6 +38,41 @@ func TestParserNeverPanics(t *testing.T) {
 			}()
 			Parse(src)
 		}()
+	}
+}
+
+// TestParseBoundsDepth: every way an expression's tree grows tall —
+// parentheses, predicates, function arguments, unary minus, a chain of
+// binary operators, a chain of unions, and parentheses each closed by a
+// chain whose first operand is the nesting inside them — parses at half
+// of maxDepth and is refused at twice it, with an error, before anything
+// recurses that far.
+func TestParseBoundsDepth(t *testing.T) {
+	// closedByChains nests sqrt(n) parentheses and follows each ')' with
+	// a chain of sqrt(n) operators: no level is deep, the tree is n tall.
+	closedByChains := func(chain string) func(n int) string {
+		return func(n int) string {
+			k := int(math.Sqrt(float64(n)))
+			return strings.Repeat("(", k) + "//a" + strings.Repeat(")"+strings.Repeat(chain, k), k)
+		}
+	}
+	towers := map[string]func(n int) string{
+		"parens":           func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) },
+		"preds":            func(n int) string { return strings.Repeat("a[", n) + "1" + strings.Repeat("]", n) },
+		"args":             func(n int) string { return strings.Repeat("not(", n) + "1" + strings.Repeat(")", n) },
+		"unary":            func(n int) string { return strings.Repeat("-", n) + "1" },
+		"operators":        func(n int) string { return strings.Repeat("1 + 2 * ", n) + "1" },
+		"unions":           func(n int) string { return strings.Repeat("//a | ", n) + "//a" },
+		"parens+operators": closedByChains(" + 1"),
+		"parens+unions":    closedByChains(" | //a"),
+	}
+	for name, tower := range towers {
+		if _, err := Parse(tower(maxDepth / 2)); err != nil {
+			t.Errorf("%s nested %d deep: %v", name, maxDepth/2, err)
+		}
+		if _, err := Parse(tower(2 * maxDepth)); err == nil || !strings.Contains(err.Error(), "nests deeper than") {
+			t.Errorf("%s nested %d deep: error %v, want the nesting refused", name, 2*maxDepth, err)
+		}
 	}
 }
 

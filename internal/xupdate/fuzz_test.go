@@ -10,9 +10,12 @@ const fuzzWrap = `<xupdate:modifications version="1.0" xmlns:xupdate="http://www
 // modification-list parser: it must return a parse error or a valid
 // *Mods, never panic — whatever the tokenizer and the embedded XPath
 // select compiler are handed — and decide and parse as the encoding/xml
-// walk it replaced did (parseChecked). The seed corpus covers every operation
-// the subset implements, namespace variants, fragment content, and
-// malformed shapes.
+// walk it replaced did (parseChecked). A program that parses is then
+// executed against a fresh store of sampleDoc: it may fail with an
+// error, must not panic, and when it succeeds the store must pass
+// CheckInvariants. The seed corpus covers every operation the subset
+// implements, namespace variants, fragment content, and malformed
+// shapes.
 func FuzzXUpdateParse(f *testing.F) {
 	seeds := []string{
 		// Every operation, well-formed.
@@ -45,6 +48,10 @@ func FuzzXUpdateParse(f *testing.F) {
 		fuzzWrap + `<xupdate:modifications/></xupdate:modifications>`, // nested root
 		`<notxupdate><remove select="//a"/></notxupdate>`,
 		fuzzWrap + `<xupdate:append select="/r" child="notanumber"><b/></xupdate:append></xupdate:modifications>`,
+		// Attribute constructors where only siblings go: the first used
+		// to panic the executor, the second to drop the attribute.
+		fuzzWrap + `<xupdate:insert-before select="//person"><xupdate:attribute name="a">v</xupdate:attribute></xupdate:insert-before></xupdate:modifications>`,
+		fuzzWrap + `<xupdate:insert-after select="//name"><c/><xupdate:attribute name="a">v</xupdate:attribute></xupdate:insert-after></xupdate:modifications>`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -64,6 +71,13 @@ func FuzzXUpdateParse(f *testing.F) {
 			if op.Select == nil {
 				t.Fatalf("op %d (%v) parsed without a select expression", i, op.Kind)
 			}
+		}
+		s := buildStore(t, sampleDoc)
+		if _, err := Execute(s, mods); err != nil {
+			return
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%q: invariants after a successful execute: %v", src, err)
 		}
 	})
 }

@@ -13,9 +13,11 @@ import (
 )
 
 // The parser as it walked encoding/xml's Decoder until shred.Tokenizer
-// replaced it, kept unchanged as the differential oracle: parseChecked
-// holds ParseString to the same accept/refuse decision and the same
-// commands on every program the tests and the fuzzer parse.
+// replaced it, kept as the differential oracle: parseChecked holds
+// ParseString to the same accept/refuse decision and the same commands
+// on every program the tests and the fuzzer parse. The two share only
+// Op.check, the rule for a command with nothing to apply, which does not
+// depend on how the XML was read.
 
 func oracleParse(r io.Reader) (*Mods, error) {
 	dec := xml.NewDecoder(r)
@@ -117,20 +119,8 @@ func oracleParseOp(dec *xml.Decoder, start xml.StartElement) (*Op, error) {
 		op.Frag = frag
 	}
 	op.Text = strings.TrimSpace(text.String())
-
-	switch op.Kind {
-	case OpInsertBefore, OpInsertAfter, OpAppend:
-		if op.Frag == nil && len(op.Attrs) == 0 {
-			return nil, fmt.Errorf("xupdate: %s without content", op.Kind)
-		}
-	case OpRename:
-		if op.Text == "" {
-			return nil, fmt.Errorf("xupdate: rename without a new name")
-		}
-	case OpVariable:
-		if op.VarName == "" {
-			return nil, fmt.Errorf("xupdate: variable without a name")
-		}
+	if err := op.check(); err != nil {
+		return nil, err
 	}
 	return op, nil
 }

@@ -193,22 +193,39 @@ func parseOp(z *shred.Tokenizer, start *shred.Token) (*Op, error) {
 		op.Frag = frag
 	}
 	op.Text = strings.TrimSpace(text.String())
+	if err := op.check(); err != nil {
+		return nil, err
+	}
+	return op, nil
+}
 
+// check refuses a parsed command that has nothing to apply. A top-level
+// attribute constructor sets an attribute on the selected element, which
+// only append does: insert-before and insert-after place siblings, and
+// an attribute is not one.
+func (op *Op) check() error {
 	switch op.Kind {
-	case OpInsertBefore, OpInsertAfter, OpAppend:
+	case OpInsertBefore, OpInsertAfter:
+		if len(op.Attrs) > 0 {
+			return fmt.Errorf("xupdate: %s cannot insert an attribute constructor", op.Kind)
+		}
+		if op.Frag == nil {
+			return fmt.Errorf("xupdate: %s without content", op.Kind)
+		}
+	case OpAppend:
 		if op.Frag == nil && len(op.Attrs) == 0 {
-			return nil, fmt.Errorf("xupdate: %s without content", op.Kind)
+			return fmt.Errorf("xupdate: %s without content", op.Kind)
 		}
 	case OpRename:
 		if op.Text == "" {
-			return nil, fmt.Errorf("xupdate: rename without a new name")
+			return fmt.Errorf("xupdate: rename without a new name")
 		}
 	case OpVariable:
 		if op.VarName == "" {
-			return nil, fmt.Errorf("xupdate: variable without a name")
+			return fmt.Errorf("xupdate: variable without a name")
 		}
 	}
-	return op, nil
+	return nil
 }
 
 // parseContent fills the builder with the content constructors and

@@ -229,6 +229,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestInsertRefusesAttributeConstructor: insert-before and insert-after
+// place siblings, so a top-level attribute constructor has no place in
+// them. Alone it used to reach the store as a nil fragment and panic;
+// beside an element it was dropped without a word.
+func TestInsertRefusesAttributeConstructor(t *testing.T) {
+	const attr = `<xupdate:attribute name="a">v</xupdate:attribute>`
+	for _, cmd := range []string{"insert-before", "insert-after"} {
+		for _, content := range []string{attr, `<c/>` + attr, attr + `<c/>`} {
+			body := `<xupdate:` + cmd + ` select="//person[1]">` + content + `</xupdate:` + cmd + `>`
+			_, err := parseChecked(t, mods(body))
+			if err == nil || !strings.Contains(err.Error(), cmd+" cannot insert an attribute constructor") {
+				t.Errorf("%s: error %v, want the attribute constructor refused by name", body, err)
+			}
+		}
+	}
+	// Inside a constructed element an attribute constructor is the
+	// element's own, and stays legal.
+	s := buildStore(t, sampleDoc)
+	run(t, s, mods(`<xupdate:insert-after select="//person[1]"><xupdate:element name="c">`+attr+`</xupdate:element></xupdate:insert-after>`))
+	if got := count(t, s, `//c[@a='v']`); got != 1 {
+		t.Fatalf("constructed element with an attribute: %s", serializeDoc(t, s))
+	}
+}
+
 func TestExecErrors(t *testing.T) {
 	s := buildStore(t, sampleDoc)
 	// Structural insert targeting an attribute is an execution error.

@@ -143,9 +143,9 @@
 // The library also runs as a daemon: cmd/mxqd serves a Database over
 // TCP (length-prefixed binary frames; see internal/server for the
 // protocol) with per-session prepared-statement caches, pinned read
-// versions built on Snapshot handles, a document catalog over
-// OpenDocument/CloseDocument (a document is recovered on first use and
-// may be detached when idle), admission control, and graceful drain.
+// versions built on Snapshot handles, admission control, and graceful
+// drain. Every request looks its document up with OpenDocument, so a
+// document is recovered on its first request.
 // The client package is the Go client, cmd/mxqload the load generator,
 // and examples/ has a served quickstart.
 //

@@ -13,6 +13,7 @@ import (
 	"mxq/internal/ckpt"
 	"mxq/internal/tx"
 	"mxq/internal/validate"
+	"mxq/internal/xenc"
 )
 
 const libDoc = `<lib><shelf id="s1"><book year="1999">Alpha</book><book year="2003">Beta</book></shelf></lib>`
@@ -331,6 +332,26 @@ func TestSchemaValidationOnCommit(t *testing.T) {
 	doc.SetSchema(nil)
 	if _, err := doc.Update(wrapMods(`<xupdate:append select="//book[1]"><sub/></xupdate:append>`)); err != nil {
 		t.Fatalf("after clearing schema: %v", err)
+	}
+}
+
+// TestUpdatePanicReleasesPages: a panic between Begin and the commit's
+// critical section (here a validator's) unwinds through Update's Abort,
+// so the pages the update locked are free for the next writer instead
+// of conflicting with it until a restart.
+func TestUpdatePanicReleasesPages(t *testing.T) {
+	db, _ := Open(Options{})
+	doc, _ := db.LoadXMLString("lib", libDoc)
+	add := wrapMods(`<xupdate:append select="//shelf"><book>New</book></xupdate:append>`)
+	doc.mgr.SetValidator(func(xenc.DocView) error { panic("validator exploded") })
+	func() {
+		defer func() { recover() }()
+		doc.Update(add)
+		t.Fatal("the validator did not panic")
+	}()
+	doc.mgr.SetValidator(nil)
+	if _, err := doc.Update(add); err != nil {
+		t.Fatalf("update after the panic = %v, want its pages unlocked", err)
 	}
 }
 

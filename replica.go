@@ -94,9 +94,11 @@ func (d *Document) UpdateLSN(xupdateXML string) (xupdate.Result, uint64, error) 
 		return xupdate.Result{}, 0, err
 	}
 	t := d.Begin()
+	// Abort is a no-op once Commit has run; on an error or a panic it
+	// gives the transaction's page locks back.
+	defer t.Abort()
 	res, err := xupdate.Execute(t.inner, mods)
 	if err != nil {
-		t.Abort()
 		return res, 0, err
 	}
 	if err := t.Commit(); err != nil {
