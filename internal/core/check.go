@@ -13,6 +13,7 @@ import (
 //   - logToPhys and physToLog are inverse bijections over the pages;
 //   - the chunked columns hold exactly one page-sized chunk per physical
 //     page (and the copy-on-write ownership tables track every chunk);
+//   - a page's cached live count, if any, is its count of used tuples;
 //   - free-run lengths count exactly the directly following unused
 //     tuples within their logical page;
 //   - node/pos and the node column are mutually consistent, and every
@@ -39,6 +40,9 @@ func (s *Store) CheckInvariants() error {
 			int32(len(pg.kind)) != s.pageSize || int32(len(pg.name)) != s.pageSize ||
 			int32(len(pg.text)) != s.pageSize || int32(len(pg.node)) != s.pageSize {
 			return fmt.Errorf("page chunk %d has ragged columns", i)
+		}
+		if c := pg.live.Load(); c != 0 && c-1 != pg.used() {
+			return fmt.Errorf("page chunk %d caches %d used tuples but holds %d (a write skipped dirtyPage)", i, c-1, pg.used())
 		}
 	}
 	for i, nc := range s.nodes {

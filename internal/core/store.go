@@ -114,9 +114,13 @@ type attrRef struct {
 // every chunk a snapshot holds, so once the last sharer is gone the
 // remaining owner writes the chunk in place again — a cached snapshot
 // that survives many commits therefore costs O(pages dirtied while it
-// was live), never a permanent copy-on-every-write tax.
+// was live), never a permanent copy-on-every-write tax. live caches the
+// used tuples + 1 for Store.Live (0: unknown); like hash, dirtyPage resets
+// it, a new, cloned or decoded page starts without it, and it is never
+// encoded.
 type page struct {
 	refs  atomic.Int32
+	live  atomic.Int32
 	hash  chunkHash // content address of the serialized chunk (see chunked.go)
 	size  []int32
 	level []int16
@@ -385,10 +389,11 @@ func (s *Store) dirtyPage(pg int32) *page {
 		s.pages[pg] = c
 		p = c
 	}
-	// The caller is about to write: whatever content hash the chunk had
-	// cached no longer describes it. (A clone starts without one; the
-	// shared original keeps its — still valid — hash.)
+	// The caller is about to write: whatever content hash and live count
+	// the chunk had cached no longer describe it. (A clone starts without
+	// them; the shared original keeps its — still valid — ones.)
 	p.hash.invalidate()
+	p.live.Store(0)
 	return p
 }
 
@@ -686,6 +691,28 @@ func (s *Store) Names() *xenc.QNamePool { return s.qn }
 func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
 	pg := s.pages[s.logToPhys[p>>s.pageBits]]
 	return xenc.Columns{Size: pg.size, Level: pg.level, Kind: pg.kind, Name: pg.name, Text: pg.text}, int(p & s.pageMask)
+}
+
+// Live implements xenc.ColumnView: the used tuples of p's logical page,
+// counted once and cached on the chunk until its next write.
+func (s *Store) Live(p xenc.Pre) (int, xenc.Pre) {
+	pg := s.pages[s.logToPhys[p>>s.pageBits]]
+	n := pg.live.Load() - 1
+	if n < 0 {
+		n = pg.used()
+		pg.live.Store(n + 1)
+	}
+	return int(n), (p>>s.pageBits + 1) << s.pageBits
+}
+
+func (p *page) used() int32 {
+	n := int32(0)
+	for _, l := range p.level {
+		if l != xenc.LevelUnused {
+			n++
+		}
+	}
+	return n
 }
 
 var (

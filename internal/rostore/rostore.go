@@ -146,4 +146,7 @@ func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
 	return xenc.Columns{Size: s.size, Level: s.level, Kind: s.kind, Name: s.name, Text: s.text}, int(p)
 }
 
+// Live implements xenc.ColumnView: the single run holds every node.
+func (s *Store) Live(xenc.Pre) (int, xenc.Pre) { return s.LiveNodes(), s.Len() }
+
 var _ xenc.ColumnView = (*Store)(nil)

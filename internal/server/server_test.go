@@ -279,15 +279,16 @@ func TestUpdateRefusesAttributeInsert(t *testing.T) {
 // nested predicates (2.4 MB), used to overflow the session goroutine's
 // stack, which is fatal to the process: no recover catches it. The
 // parser refuses nesting past a fixed depth, on every path an
-// expression arrives by.
+// expression arrives by. (Towers that tall now meet the lexer's token
+// bound first, TestQueryRefusesTooManyTokens; these stay under it.)
 func TestQueryRefusesDeepNesting(t *testing.T) {
 	addr := startServer(t, server.Config{}, nil)
 	c := dial(t, addr)
 	if err := c.Load(bg, "lib", libDoc); err != nil {
 		t.Fatal(err)
 	}
-	parens := strings.Repeat("(", 1<<20) + "1" + strings.Repeat(")", 1<<20)
-	preds := strings.Repeat("a[", 800000) + "1" + strings.Repeat("]", 800000)
+	parens := strings.Repeat("(", 20000) + "1" + strings.Repeat(")", 20000)
+	preds := strings.Repeat("a[", 15000) + "1" + strings.Repeat("]", 15000)
 	for _, req := range []struct {
 		name string
 		send func() error
@@ -307,6 +308,25 @@ func TestQueryRefusesDeepNesting(t *testing.T) {
 		if err := c.Ping(bg); err != nil {
 			t.Fatalf("ping after the refused %s: %v", req.name, err)
 		}
+	}
+}
+
+// A Query frame of ~2M one-byte tokens (2 MB) used to cost the session
+// 32 bytes a token in the lexer, before any bound applied. The lexer now
+// refuses it past a fixed token count, and the session goes on.
+func TestQueryRefusesTooManyTokens(t *testing.T) {
+	addr := startServer(t, server.Config{}, nil)
+	c := dial(t, addr)
+	if err := c.Load(bg, "lib", libDoc); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Query(bg, "lib", strings.Repeat("1+", 1<<20)+"1", nil)
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Status != wire.CodeQuery || !strings.Contains(ce.Msg, "tokens") {
+		t.Fatalf("query of ~2M tokens = %.200v, want a CodeQuery token-count error", err)
+	}
+	if err := c.Ping(bg); err != nil {
+		t.Fatalf("ping after the refused query: %v", err)
 	}
 }
 

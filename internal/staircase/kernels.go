@@ -10,7 +10,9 @@ package staircase
 // tuple whose level is not below the context's, free runs and sibling
 // subtrees are hopped by the size column, a name test is one integer
 // compare, and the next run is fetched only when a rank crosses a run
-// boundary. Results are the per-tuple operators' results, rank for rank
+// boundary. A subtree hop that leaves its run (past) subtracts whole runs
+// by their live counts (ColumnView.Live) without fetching their columns.
+// Results are the per-tuple operators' results, rank for rank
 // (TestKernelsMatchReference).
 //
 // Every exported operator picks its kernel by one type assertion at
@@ -112,25 +114,65 @@ func (k *cursor) each(from xenc.Pre, floor xenc.Level, t Test, fn func(xenc.Pre)
 }
 
 // hop enumerates the siblings at level lvl from p on: it tests the used
-// tuple at p, hops over its subtree (pre += size+1, re-hopping where
-// free space made the hop land short, inside the subtree) and goes on
-// until a used tuple above lvl in the tree, rank to, or fn returning
-// false. It returns the rank it stopped at.
+// tuple at p, goes past its subtree or free run, and goes on until a used
+// tuple above lvl in the tree, rank to, or fn returning false. It returns
+// the rank it stopped at.
 func (k *cursor) hop(p, to xenc.Pre, lvl xenc.Level, t Test, fn func(xenc.Pre) bool) xenc.Pre {
 	for p < to {
 		i := k.at(p)
-		l := k.Level[i]
-		if l != xenc.LevelUnused {
-			if l < lvl {
-				break
-			}
-			if l == lvl && k.matches(t, i) && !fn(p) {
-				break
-			}
+		if l := k.Level[i]; l != xenc.LevelUnused && (l < lvl || l == lvl && k.matches(t, i) && !fn(p)) {
+			break
 		}
-		p += k.Size[i] + 1
+		p = k.past(p, i)
 	}
 	return p
+}
+
+// past returns the rank behind the subtree or free run at p, index i of
+// the loaded run. Inside the run that is p+size+1, short of a subtree's
+// end by its free tuples (callers go on past such a landing). A subtree
+// that leaves the run ends exactly: cross counts the descendants left in
+// it, subtracts whole runs by their live counts and lands behind the last
+// descendant, O(1) a run if packed (used tuples first, then one free run
+// to its end), linear otherwise.
+func (k *cursor) past(p xenc.Pre, i int) xenc.Pre {
+	if p += k.Size[i] + 1; p > k.end {
+		return k.cross(i) // out of line, so that past inlines
+	}
+	return p
+}
+
+func (k *cursor) cross(i int) xenc.Pre {
+	live, _ := k.v.Live(k.base)
+	_, m := k.skip(i+1, int(k.Size[i]), live) // descendants behind the run
+	for q := k.end; q < k.n; {
+		n, end := k.v.Live(q)
+		if n >= m {
+			k.load(q)
+			j, _ := k.skip(0, m, n)
+			return q + xenc.Pre(j)
+		}
+		m, q = m-n, end
+	}
+	return k.n
+}
+
+// skip passes m used tuples of the loaded run, which holds live ones,
+// from index j on. It returns the index behind the last one passed and
+// how many of the m the run did not hold.
+func (k *cursor) skip(j, m, live int) (int, int) {
+	if n := len(k.Level); live == n || k.Level[live] == xenc.LevelUnused && int(k.Size[live]) == n-live-1 {
+		if m > live-j {
+			return n, m - (live - j)
+		}
+		return j + m, 0
+	}
+	for ; j < len(k.Level) && m > 0; j++ {
+		if k.Level[j] != xenc.LevelUnused {
+			m--
+		}
+	}
+	return j, m
 }
 
 // parent returns the parent of the used tuple at c: from the view's
@@ -151,20 +193,18 @@ func (k *cursor) parent(c xenc.Pre) xenc.Pre {
 	return xenc.NoPre
 }
 
-// after returns the first used tuple behind c's region, or n. The hop
-// c+size+1 lands there, or short of it by the free space inside the
-// region; from a landing inside the region, hopping on over whatever
-// subtree or free run lies there finishes the job.
+// after returns the first used tuple behind c's region, or n: past c,
+// then past what a short landing left inside the region.
 func (k *cursor) after(c xenc.Pre) xenc.Pre {
 	i := k.at(c)
 	lvl := k.Level[i]
-	p := c + k.Size[i] + 1
+	p := k.past(c, i)
 	for p < k.n {
 		i = k.at(p)
 		if l := k.Level[i]; l != xenc.LevelUnused && l <= lvl {
 			break
 		}
-		p += k.Size[i] + 1
+		p = k.past(p, i)
 	}
 	return p
 }
@@ -217,7 +257,7 @@ func (k *cursor) scan(c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
 		k.each(c+1, lvl, t, fn)
 	case AxisFollowingSibling:
 		if lvl > 0 {
-			k.hop(c+k.Size[i]+1, k.n, lvl, t, fn)
+			k.hop(k.past(c, i), k.n, lvl, t, fn)
 		}
 	case AxisFollowing:
 		k.each(k.after(c), xenc.LevelUnused, t, fn)
@@ -305,7 +345,7 @@ func (k *cursor) followingSibling(ctx []xenc.Pre, t Test) []xenc.Pre {
 		if c <= runHigh && lvl == runLvl {
 			continue // pruned: c is a sibling inside the run scanned before
 		}
-		stop := k.hop(c+k.Size[i]+1, k.n, lvl, t, m.add)
+		stop := k.hop(k.past(c, i), k.n, lvl, t, m.add)
 		runHigh, runLvl = stop-1, lvl
 	}
 	return m.result()

@@ -216,7 +216,14 @@ func TestKernelsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkKernels(t, "core/fresh", s, rng)
+	checkKernels(t, "core/fresh", s, rng, spanContexts(t, "core/fresh", s, pageSize, false)...)
+
+	// Every run packed and nothing free inside the document.
+	full, err := core.Build(tree, core.Options{PageSize: pageSize, FillFactor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKernels(t, "core/fill1.0", full, rng, spanContexts(t, "core/fill1.0", full, pageSize, false)...)
 
 	// Churn, then empty a few whole pages: the first regions element has
 	// thousands of descendants.
@@ -260,7 +267,8 @@ func TestKernelsMatchReference(t *testing.T) {
 		t.Fatalf("fixture lacks a state: hole mid-page %v, fully free page %v, spliced pages %v, node in a page's last slot %v",
 			holeMidPage, freePage, spliced, lastSlot != xenc.NoPre)
 	}
-	checkKernels(t, "core/churned", s, rng, lastSlot)
+	checkKernels(t, "core/churned", s, rng, append(spanContexts(t, "core/churned", s, pageSize, true), lastSlot)...)
+	checkPast(t, "core/churned", s)
 
 	// A transaction image mid-transaction: private pages beside shared
 	// ones, the columns changing between (not during) operator calls.
@@ -270,6 +278,112 @@ func TestKernelsMatchReference(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		churn(t, txn, rng, 20, pageSize)
 		checkKernels(t, fmt.Sprintf("tx/round%d", round), txn, rng)
+	}
+	// The image after a Delete of a subtree that spans pages.
+	name, _ = txn.Names().Lookup("open_auctions")
+	big = staircase.Descendant(txn, []xenc.Pre{txn.Root()}, staircase.Element(name))
+	if len(big) != 1 || txn.Size(big[0]) < 3*pageSize {
+		t.Fatalf("open_auctions: %v", big)
+	}
+	if err := txn.Delete(big[0]); err != nil {
+		t.Fatal(err)
+	}
+	checkKernels(t, "tx/delete", txn, rng, spanContexts(t, "tx/delete", txn, pageSize, true)...)
+	checkPast(t, "tx/delete", txn)
+}
+
+// regionEnds maps every used tuple of v to the rank just past its last
+// live descendant (just past itself when it has none): the region end the
+// per-tuple bodies find, from one pass over the accessors with a stack of
+// the open nodes.
+func regionEnds(v xenc.DocView) map[xenc.Pre]xenc.Pre {
+	ends := map[xenc.Pre]xenc.Pre{}
+	var open []xenc.Pre
+	last := xenc.NoPre
+	for _, p := range liveRanks(v) {
+		for len(open) > 0 && v.Level(open[len(open)-1]) >= v.Level(p) {
+			ends[open[len(open)-1]] = last + 1
+			open = open[:len(open)-1]
+		}
+		open = append(open, p)
+		last = p
+	}
+	for _, q := range open {
+		ends[q] = last + 1
+	}
+	return ends
+}
+
+// spanContexts finds on v, whose runs are pages of pageSize tuples, the
+// regions past has to cross runs for, and fails when one is missing:
+// a region covering a whole packed run; with holes, a region covering a
+// whole run that has a hole before its last used tuple; a region that
+// crosses a run end and ends on the last used tuple of its final run;
+// and the region of the root's last child, which ends with the view's
+// last used tuple. It returns a context node for each.
+func spanContexts(t *testing.T, label string, v xenc.DocView, pageSize xenc.Pre, holes bool) []xenc.Pre {
+	t.Helper()
+	pages := v.Len() / pageSize
+	packed := make([]bool, pages)
+	lastUsed := make([]xenc.Pre, pages)
+	for g := range packed {
+		base, free := xenc.Pre(g)*pageSize, false
+		packed[g], lastUsed[g] = true, xenc.NoPre
+		for o := xenc.Pre(0); o < pageSize; o++ {
+			if v.Level(base+o) == xenc.LevelUnused {
+				free = true
+			} else {
+				packed[g] = packed[g] && !free
+				lastUsed[g] = base + o
+			}
+		}
+	}
+	wholePacked, wholeHoles, endsOnLast := xenc.NoPre, xenc.NoPre, xenc.NoPre
+	ends := regionEnds(v)
+	for _, p := range liveRanks(v) {
+		end := ends[p]
+		first, last := p/pageSize, (end-1)/pageSize
+		for g := first + 1; g < last; g++ {
+			if packed[g] && lastUsed[g] != xenc.NoPre {
+				wholePacked = p
+			} else if !packed[g] {
+				wholeHoles = p
+			}
+		}
+		if last > first && end-1 == lastUsed[last] {
+			endsOnLast = p
+		}
+	}
+	kids := staircase.Child(v, []xenc.Pre{v.Root()}, staircase.AnyNode())
+	out := []xenc.Pre{wholePacked, endsOnLast, kids[len(kids)-1]}
+	if holes {
+		out = append(out, wholeHoles)
+	}
+	for i, p := range out {
+		if p == xenc.NoPre {
+			t.Fatalf("%s: fixture lacks region shape %d (whole packed run, ends on a run's last used tuple, last child, whole run with holes)", label, i)
+		}
+	}
+	return out
+}
+
+// checkPast holds the kernels' subtree hop to the per-tuple region end
+// for every used tuple of v: exact where the hop leaves the tuple's run,
+// and never past the end where it stays inside.
+func checkPast(t *testing.T, label string, v xenc.ColumnView) {
+	t.Helper()
+	crossed := 0
+	for p, end := range regionEnds(v) {
+		got, cross := staircase.Past(v, p)
+		if cross {
+			crossed++
+		}
+		if cross && got != end || got <= p || got > end {
+			t.Fatalf("%s: past(%d) = %d (left its run: %v), region ends at %d", label, p, got, cross, end)
+		}
+	}
+	if crossed == 0 {
+		t.Fatalf("%s: no region left its run", label)
 	}
 }
 

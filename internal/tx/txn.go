@@ -79,6 +79,9 @@ func (t *Tx) Root() xenc.Pre { return t.clone.Root() }
 // the transaction's next mutation.
 func (t *Tx) Cols(p xenc.Pre) (xenc.Columns, int) { return t.clone.Cols(p) }
 
+// Live counts the used tuples of p's run in the transaction image.
+func (t *Tx) Live(p xenc.Pre) (int, xenc.Pre) { return t.clone.Live(p) }
+
 // ParentPre resolves p's parent through the image's parent table
 // (xenc.ParentView).
 func (t *Tx) ParentPre(p xenc.Pre) xenc.Pre { return t.clone.ParentPre(p) }

@@ -5,8 +5,8 @@
 // that every document store (read-only, paged-updatable, naive) implements.
 // Two optional interfaces sit beside it, discovered by type assertion:
 // ColumnView hands bulk operators the raw column slices one contiguous
-// run at a time, and ParentView answers parent
-// lookups from a store's parent table. A view without them is read
+// run at a time (and a run's used-tuple count), and ParentView answers
+// parent lookups from a store's parent table. A view without them is read
 // through the per-tuple DocView accessors, which remain the definition
 // of every operator.
 //
@@ -178,6 +178,9 @@ type ColumnView interface {
 	// p's index in them, for 0 <= p < Len(). Index 0 is view rank p
 	// minus the returned index; a run never extends past Len().
 	Cols(p Pre) (Columns, int)
+	// Live returns the used tuples of the run that holds view rank p and
+	// the rank just past that run, without the columns (0 <= p < Len()).
+	Live(p Pre) (n int, end Pre)
 }
 
 // ParentView is implemented by views that keep a parent table and can

@@ -59,6 +59,11 @@ type lexer struct {
 	toks []token
 }
 
+// maxTokens bounds an expression's tokens, which the lexer builds (32 B
+// each, 2 MiB at the bound) before the parser sees one. The longest any
+// test, fuzz seed or XMark query lexes is 8,002.
+const maxTokens = 1 << 16
+
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	if err := l.run(); err != nil {
@@ -69,6 +74,9 @@ func lex(src string) ([]token, error) {
 
 func (l *lexer) run() error {
 	for {
+		if len(l.toks) == maxTokens {
+			return fmt.Errorf("xpath: expression has more than %d tokens", maxTokens)
+		}
 		l.skipSpace()
 		if l.pos >= len(l.src) {
 			l.emit(tokEOF, "")

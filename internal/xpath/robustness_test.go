@@ -3,6 +3,7 @@ package xpath
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,6 +74,28 @@ func TestParseBoundsDepth(t *testing.T) {
 		if _, err := Parse(tower(2 * maxDepth)); err == nil || !strings.Contains(err.Error(), "nests deeper than") {
 			t.Errorf("%s nested %d deep: error %v, want the nesting refused", name, 2*maxDepth, err)
 		}
+	}
+}
+
+// TestParseBoundsTokens: an expression of ~2M one-byte tokens is refused
+// by the lexer before its token slice grows past maxTokens. Lexed whole,
+// those tokens cost 64 MB; the refusal allocates a few MB at most.
+func TestParseBoundsTokens(t *testing.T) {
+	src := strings.Repeat("1+", 1<<20) + "1"
+	// concat(1,1,…,1) is two levels tall at any length; this one is
+	// maxTokens-1 tokens with the end of input.
+	if _, err := Parse("concat(" + strings.Repeat("1,", maxTokens/2-3) + "1)"); err != nil {
+		t.Fatalf("%d tokens: %.200v", maxTokens-1, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(src)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "tokens") {
+		t.Fatalf("~2M tokens: error %.200v, want the token count refused", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("refusing ~2M tokens allocated %d bytes, want under 16 MiB", alloc)
 	}
 }
 

@@ -87,8 +87,8 @@ type perTupleView struct{ xenc.DocView }
 // full): "cols" is the store as queries see it, "ref" the same store
 // with its columns hidden. The custom metric divides by the work the
 // operator cannot avoid — ns/slot over the slots a sweep covers, ns/hop
-// over the siblings a hop loop visits — so it carries across scale
-// factors.
+// over the siblings a hop loop visits, ns/page over the pages a hop
+// crosses — so it carries across scale factors.
 func BenchmarkStaircaseKernels(b *testing.B) {
 	s := getFixture(b, 0.1).up
 	lookup := func(name string) int32 {
@@ -115,6 +115,11 @@ func BenchmarkStaircaseKernels(b *testing.B) {
 	}{
 		{"descendant-root", "ns/slot", int(s.Len()), -1, func(v xenc.DocView) int {
 			return len(staircase.Descendant(v, root, keyword))
+		}},
+		// The child step of /site/*: six hops, each over a subtree of
+		// many pages, so the metric is per page of the document.
+		{"child-site", "ns/page", s.Pages(), len(staircase.Child(s, root, staircase.AnyNode())), func(v xenc.DocView) int {
+			return len(staircase.Child(v, root, staircase.AnyNode()))
 		}},
 		{"child-person-item", "ns/hop", children, len(parents), func(v xenc.DocView) int {
 			return len(staircase.Child(v, parents, name))
