@@ -269,9 +269,11 @@ func TestCommitsDuringCheckpointSurvivePrune(t *testing.T) {
 // never silently lose a committed record the artifacts still cover.
 func TestTornArtifacts(t *testing.T) {
 	// setup: two checkpoints with commits before, between and after, so
-	// both a current and a previous image exist.
+	// both a current and a previous image exist. The segment bound holds
+	// four one-book records, so the live log keeps three sealed-or-active
+	// segments and the gap subtest has one the previous image needs.
 	setup := func(t *testing.T) (*env, string) {
-		e := newEnv(t, 192)
+		e := newEnv(t, 128)
 		for i := 0; i < 6; i++ {
 			e.commitBook(t, "s1", fmt.Sprintf("a%d", i))
 		}

@@ -157,7 +157,7 @@ func (f *Follower) runOnce(stop <-chan struct{}) (progressed bool, err error) {
 		if fr.Op != wire.OpWALRecords {
 			return progressed, fmt.Errorf("repl: unexpected op %d mid-stream", fr.Op)
 		}
-		recs, err := decodeRecords(fr.Payload)
+		recs, err := decodeBatch(fr.Payload)
 		if err != nil {
 			return progressed, err
 		}
@@ -173,6 +173,20 @@ func (f *Follower) runOnce(stop <-chan struct{}) (progressed bool, err error) {
 			return progressed, err
 		}
 	}
+}
+
+// decodeBatch reverses nextBatch: a WALRecords payload is records in
+// their WAL encoding, concatenated.
+func decodeBatch(payload []byte) ([]*wal.Record, error) {
+	var recs []*wal.Record
+	for r := wire.NewPayloadReader(payload); r.Remaining() > 0; {
+		rec, err := wal.DecodeRecord(r)
+		if err != nil {
+			return nil, fmt.Errorf("repl: decoding record batch: %w", err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
 }
 
 // hello negotiates replication. A primary that answers with anything

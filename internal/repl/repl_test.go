@@ -2,6 +2,7 @@ package repl_test
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -328,6 +329,53 @@ func TestChunkNeedOverflowingCountRejected(t *testing.T) {
 	}
 	if err := <-errc; err == nil || !strings.Contains(err.Error(), "reading chunk wants") {
 		t.Fatalf("Serve returned %v, want a ChunkNeed count error", err)
+	}
+}
+
+// TestBatchNeverOutgrowsItsBound: the sender cuts WALRecords batches by
+// the records' encoded length, text inside fragments included, so no
+// frame carries more than maxBatchBytes (256 KiB) unless it carries one
+// record. Sized by an estimate that ignored fragment text, four commits
+// of 20 MiB text each once made one 80 MiB frame that every reconnect
+// of the follower refused, over wire.MaxFrame.
+func TestBatchNeverOutgrowsItsBound(t *testing.T) {
+	const maxBatchBytes = 256 << 10
+	p := newPrimary(t, wal.DefaultSegmentBytes)
+	big := strings.Repeat("x", 200<<10)
+	for _, text := range []string{"a", "b", big, "c", big, big, "d"} {
+		p.commit(text)
+	}
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	go func() {
+		defer srv.Close()
+		repl.Serve(srv, 2, 0, p.source(), 0, nil)
+	}()
+	if fr, err := wire.ReadFrame(cli, 0); err != nil || fr.Op != wire.StatusOK {
+		t.Fatalf("subscribe answer op %d, %v", fr.Op, err)
+	}
+	var frames []int
+	for next := uint64(1); next <= 7; {
+		fr, err := wire.ReadFrame(cli, 0)
+		if err != nil || fr.Op != wire.OpWALRecords {
+			t.Fatalf("frame op %d, %v; want WALRecords", fr.Op, err)
+		}
+		n := 0
+		for r := wire.NewPayloadReader(fr.Payload); r.Remaining() > 0; n++ {
+			rec, err := wal.DecodeRecord(r)
+			if err != nil || rec.LSN != next {
+				t.Fatalf("record %d of a batch: %+v, %v; want LSN %d", n, rec, err, next)
+			}
+			next++
+		}
+		if len(fr.Payload) > maxBatchBytes && n > 1 {
+			t.Fatalf("a batch of %d records is %d bytes, over %d", n, len(fr.Payload), maxBatchBytes)
+		}
+		frames = append(frames, n)
+	}
+	// A big text shares a batch with small records, never with another.
+	if fmt.Sprint(frames) != "[4 1 2]" {
+		t.Fatalf("records per frame %v, want [4 1 2]", frames)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 )
 
 // Batch and chunk shaping for the stream. One WALRecords frame carries
-// up to maxBatchRecords records or ~maxBatchBytes of encoded ops,
-// whichever fills first; a ChunkData frame carries about snapChunk
+// up to maxBatchRecords records in their WAL encoding, concatenated, and
+// goes past maxBatchBytes only to carry a single larger record (which the
+// log keeps within one frame); a ChunkData frame carries about snapChunk
 // bytes of chunks.
 const (
 	maxBatchRecords = 256
@@ -203,12 +204,13 @@ func streamRecords(conn net.Conn, log *wal.Log, after uint64, done <-chan struct
 		return err
 	}
 	defer r.Close()
+	var held []byte
 	for {
-		batch, err := nextBatch(r)
+		payload, err := nextBatch(r, &held)
 		if err != nil {
 			return err
 		}
-		if len(batch) == 0 {
+		if len(payload) == 0 {
 			// Caught up. Take the change channel, re-check (a commit may
 			// have landed between the drain and the take), then park.
 			ch := log.DurableChanged()
@@ -222,10 +224,6 @@ func streamRecords(conn net.Conn, log *wal.Log, after uint64, done <-chan struct
 				return errors.New("repl: subscription closed")
 			}
 		}
-		payload, err := encodeRecords(batch)
-		if err != nil {
-			return err
-		}
 		if err := wire.WriteFrame(conn, wire.Frame{Op: wire.OpWALRecords, Payload: payload}); err != nil {
 			return err
 		}
@@ -237,24 +235,30 @@ func streamRecords(conn net.Conn, log *wal.Log, after uint64, done <-chan struct
 	}
 }
 
-// nextBatch drains the reader up to the batch bounds; empty means
-// caught up.
-func nextBatch(r *wal.Reader) ([]*wal.Record, error) {
-	var batch []*wal.Record
-	bytes := 0
-	for len(batch) < maxBatchRecords && bytes < maxBatchBytes {
-		rec, err := r.Next()
-		if err != nil {
-			return nil, err
+// nextBatch encodes the records the reader yields into one WALRecords
+// payload, starting with *held, the encoded record the last batch had no
+// room for; empty means caught up. It stops after maxBatchRecords
+// records, or before one that would take a non-empty payload past
+// maxBatchBytes, which it leaves in *held.
+func nextBatch(r *wal.Reader, held *[]byte) ([]byte, error) {
+	var p wire.PayloadBuilder
+	for n := 0; n < maxBatchRecords; n++ {
+		one := *held
+		*held = nil
+		if one == nil {
+			rec, err := r.Next()
+			if err != nil || rec == nil {
+				return p.Bytes(), err
+			}
+			var b wire.PayloadBuilder
+			rec.Encode(&b)
+			one = b.Bytes()
 		}
-		if rec == nil {
+		if n > 0 && len(p.Bytes())+len(one) > maxBatchBytes {
+			*held = one
 			break
 		}
-		batch = append(batch, rec)
-		for i := range rec.Ops {
-			op := &rec.Ops[i]
-			bytes += 64 + len(op.Name) + len(op.Value) + 96*len(op.Frag)
-		}
+		p.Raw(one)
 	}
-	return batch, nil
+	return p.Bytes(), nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mxq/internal/core"
-	"mxq/internal/shred"
 	"mxq/internal/vfs"
 	"mxq/internal/wal"
 	"mxq/internal/xenc"
@@ -88,7 +87,7 @@ func TestApplyOpsIDMapping(t *testing.T) {
 	fr := frag(t, `<book>New</book>`)
 	shelfID := s.NodeOf(mustSelectStore(t, s, `//shelf[@id="s1"]`))
 	ops := []wal.Op{
-		{Kind: wal.OpAppendChild, Target: shelfID, Frag: fragNodes(fr), NewIDs: []xenc.NodeID{7777, 7778}},
+		{Kind: wal.OpAppendChild, Target: shelfID, Frag: fr, NewIDs: []xenc.NodeID{7777, 7778}},
 		{Kind: wal.OpRename, Target: 7777, Name: "tome"},
 	}
 	if err := ApplyOps(s, ops); err != nil {
@@ -111,10 +110,6 @@ func TestApplyOpsIDMapping(t *testing.T) {
 func mustSelectStore(t *testing.T, s *core.Store, q string) xenc.Pre {
 	t.Helper()
 	return mustSelect(t, s, q)
-}
-
-func fragNodes(tr *shred.Tree) []wal.FragNode {
-	return fragToWal(tr)
 }
 
 func TestLockReleaseOnAbort(t *testing.T) {

@@ -3,10 +3,13 @@ package tx
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"mxq/internal/shred"
 	"mxq/internal/wal"
+	"mxq/internal/wire"
 	"mxq/internal/xenc"
 )
 
@@ -32,6 +35,36 @@ func commitSetValue(t *testing.T, m *Manager, val string) uint64 {
 		t.Fatal(err)
 	}
 	return tx.CommitLSN()
+}
+
+// TestOversizedRecordFailsCommit: a commit whose WAL record one frame
+// could not carry to a follower fails, and leaves the log and the
+// committed store as they were.
+func TestOversizedRecordFailsCommit(t *testing.T) {
+	log := openTestWAL(t)
+	m := NewManager(buildStore(t, doc, 16), log)
+	var before string
+	readCurrent(m, func(v xenc.DocView) error { before = viewXML(t, v); return nil })
+	txn := m.Begin()
+	huge := &shred.Tree{Nodes: []shred.Node{{Kind: xenc.KindText, Value: strings.Repeat("x", wire.MaxFrame)}}}
+	if _, err := txn.AppendChild(findElem(t, txn, "shelf"), huge); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err == nil || !strings.Contains(err.Error(), "one frame carries") {
+		t.Fatalf("commit of an oversized record: %v", err)
+	}
+	readCurrent(m, func(v xenc.DocView) error {
+		if got := viewXML(t, v); got != before {
+			t.Errorf("refused commit changed the store:\n%s\nwas\n%s", got, before)
+		}
+		return nil
+	})
+	if segs := log.Segments(); log.LastLSN() != 0 || segs[len(segs)-1].Size != 0 {
+		t.Fatalf("refused commit left the log at LSN %d, %+v", log.LastLSN(), segs)
+	}
+	if lsn := commitSetValue(t, m, "v"); lsn != 1 {
+		t.Fatalf("next commit got LSN %d, want 1", lsn)
+	}
 }
 
 func TestCommitAdvancesApplied(t *testing.T) {

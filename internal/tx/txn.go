@@ -181,40 +181,13 @@ func (t *Tx) regionEnd(p xenc.Pre) xenc.Pre {
 	return last
 }
 
-func fragToWal(frag *shred.Tree) []wal.FragNode {
-	out := make([]wal.FragNode, len(frag.Nodes))
-	for i, n := range frag.Nodes {
-		fn := wal.FragNode{
-			Kind:  uint8(n.Kind),
-			Level: n.Level,
-			Size:  n.Size,
-			Name:  n.Name,
-			Value: n.Value,
-		}
-		for _, a := range n.Attrs {
-			fn.Attrs = append(fn.Attrs, a.Name, a.Value)
-		}
-		out[i] = fn
+// logged appends op, the change just made to the image, to the
+// transaction's log unless making it failed with err, which it returns.
+func (t *Tx) logged(op wal.Op, err error) error {
+	if err == nil {
+		t.ops = append(t.ops, op)
 	}
-	return out
-}
-
-func walToFrag(ops []wal.FragNode) *shred.Tree {
-	tr := &shred.Tree{Nodes: make([]shred.Node, len(ops))}
-	for i, fn := range ops {
-		n := shred.Node{
-			Kind:  xenc.Kind(fn.Kind),
-			Level: fn.Level,
-			Size:  fn.Size,
-			Name:  fn.Name,
-			Value: fn.Value,
-		}
-		for j := 0; j+1 < len(fn.Attrs); j += 2 {
-			n.Attrs = append(n.Attrs, shred.Attr{Name: fn.Attrs[j], Value: fn.Attrs[j+1]})
-		}
-		tr.Nodes[i] = n
-	}
-	return tr
+	return err
 }
 
 // InsertBefore inserts the fragment before the node at target.
@@ -229,11 +202,7 @@ func (t *Tx) InsertBefore(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, err
 	// so replay can re-resolve the insert point from it.
 	tgtID := t.clone.NodeOf(target)
 	ids, err := t.clone.InsertBefore(target, frag)
-	if err != nil {
-		return nil, err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpInsertBefore, Target: tgtID, Frag: fragToWal(frag), NewIDs: ids})
-	return ids, nil
+	return ids, t.logged(wal.Op{Kind: wal.OpInsertBefore, Target: tgtID, Frag: frag, NewIDs: ids}, err)
 }
 
 // InsertAfter inserts the fragment after the subtree at target.
@@ -246,11 +215,7 @@ func (t *Tx) InsertAfter(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, erro
 		return nil, err
 	}
 	ids, err := t.clone.InsertAfter(target, frag)
-	if err != nil {
-		return nil, err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpInsertAfter, Target: tgtID, Frag: fragToWal(frag), NewIDs: ids})
-	return ids, nil
+	return ids, t.logged(wal.Op{Kind: wal.OpInsertAfter, Target: tgtID, Frag: frag, NewIDs: ids}, err)
 }
 
 // AppendChild appends the fragment as last child(ren) of parent.
@@ -263,11 +228,7 @@ func (t *Tx) AppendChild(parent xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, erro
 		return nil, err
 	}
 	ids, err := t.clone.AppendChild(parent, frag)
-	if err != nil {
-		return nil, err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpAppendChild, Target: parentID, Frag: fragToWal(frag), NewIDs: ids})
-	return ids, nil
+	return ids, t.logged(wal.Op{Kind: wal.OpAppendChild, Target: parentID, Frag: frag, NewIDs: ids}, err)
 }
 
 // InsertChildAt inserts the fragment as child number idx of parent.
@@ -284,14 +245,7 @@ func (t *Tx) InsertChildAt(parent xenc.Pre, idx int, frag *shred.Tree) ([]xenc.N
 		return nil, err
 	}
 	ids, err := t.clone.InsertChildAt(parent, idx, frag)
-	if err != nil {
-		return nil, err
-	}
-	t.ops = append(t.ops, wal.Op{
-		Kind: wal.OpInsertChildAt, Target: parentID, Child: int32(idx),
-		Frag: fragToWal(frag), NewIDs: ids,
-	})
-	return ids, nil
+	return ids, t.logged(wal.Op{Kind: wal.OpInsertChildAt, Target: parentID, Child: int32(idx), Frag: frag, NewIDs: ids}, err)
 }
 
 // Delete removes the subtree at target.
@@ -303,11 +257,7 @@ func (t *Tx) Delete(target xenc.Pre) error {
 	if err := t.lockSpan(target, t.regionEnd(target), t.clone.ParentPre(target)); err != nil {
 		return err
 	}
-	if err := t.clone.Delete(target); err != nil {
-		return err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpDelete, Target: tgtID})
-	return nil
+	return t.logged(wal.Op{Kind: wal.OpDelete, Target: tgtID}, t.clone.Delete(target))
 }
 
 // SetValue updates a text/comment/PI node's content.
@@ -319,11 +269,7 @@ func (t *Tx) SetValue(p xenc.Pre, val string) error {
 	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
 		return err
 	}
-	if err := t.clone.SetValue(p, val); err != nil {
-		return err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpSetValue, Target: id, Value: val})
-	return nil
+	return t.logged(wal.Op{Kind: wal.OpSetValue, Target: id, Value: val}, t.clone.SetValue(p, val))
 }
 
 // Rename renames an element or PI node.
@@ -335,11 +281,7 @@ func (t *Tx) Rename(p xenc.Pre, name string) error {
 	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
 		return err
 	}
-	if err := t.clone.Rename(p, name); err != nil {
-		return err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpRename, Target: id, Name: name})
-	return nil
+	return t.logged(wal.Op{Kind: wal.OpRename, Target: id, Name: name}, t.clone.Rename(p, name))
 }
 
 // SetAttr adds or replaces an attribute.
@@ -351,11 +293,7 @@ func (t *Tx) SetAttr(p xenc.Pre, name, val string) error {
 	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
 		return err
 	}
-	if err := t.clone.SetAttr(p, name, val); err != nil {
-		return err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpSetAttr, Target: id, Name: name, Value: val})
-	return nil
+	return t.logged(wal.Op{Kind: wal.OpSetAttr, Target: id, Name: name, Value: val}, t.clone.SetAttr(p, name, val))
 }
 
 // RemoveAttr removes an attribute.
@@ -367,11 +305,7 @@ func (t *Tx) RemoveAttr(p xenc.Pre, name string) error {
 	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
 		return err
 	}
-	if err := t.clone.RemoveAttr(p, name); err != nil {
-		return err
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpRemoveAttr, Target: id, Name: name})
-	return nil
+	return t.logged(wal.Op{Kind: wal.OpRemoveAttr, Target: id, Name: name}, t.clone.RemoveAttr(p, name))
 }
 
 // --- commit / abort -----------------------------------------------------------
@@ -532,13 +466,13 @@ func ApplyOps(store *core.Store, ops []wal.Op) error {
 			if op.Target == xenc.NoNode {
 				return fmt.Errorf("tx: op %d: insert-before without anchor", i)
 			}
-			newIDs, err = store.InsertBefore(p, walToFrag(op.Frag))
+			newIDs, err = store.InsertBefore(p, op.Frag)
 		case wal.OpInsertAfter:
-			newIDs, err = store.InsertAfter(p, walToFrag(op.Frag))
+			newIDs, err = store.InsertAfter(p, op.Frag)
 		case wal.OpAppendChild:
-			newIDs, err = store.AppendChild(p, walToFrag(op.Frag))
+			newIDs, err = store.AppendChild(p, op.Frag)
 		case wal.OpInsertChildAt:
-			newIDs, err = store.InsertChildAt(p, int(op.Child), walToFrag(op.Frag))
+			newIDs, err = store.InsertChildAt(p, int(op.Child), op.Frag)
 		case wal.OpDelete:
 			err = store.Delete(p)
 		case wal.OpSetValue:

@@ -111,8 +111,11 @@ func (r *Reader) Next() (*Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		rec, n, ok := readRecordAt(r.f, r.off, fi.Size())
-		if ok {
+		rec, n, err := readRecordAt(r.f, r.off, fi.Size())
+		if err != nil {
+			return nil, err
+		}
+		if rec != nil {
 			r.off += n
 			if rec.LSN <= r.lsn {
 				continue // skipping the prefix after (re)opening mid-segment

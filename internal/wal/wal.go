@@ -5,10 +5,19 @@
 // replays committed records that a crash prevented from being carried
 // into the checkpointed store image.
 //
-// Records are length-prefixed, CRC-32 protected gob blobs. A torn tail
-// (crash mid-append) is detected by length/checksum mismatch and
-// truncated away, which is exactly the atomicity guarantee the paper's
-// single-I/O commit gives.
+// A record is framed in its segment by its payload's length and CRC-32
+// (uint32s, little-endian). The payload is the record's one encoding,
+// also what a WALRecords frame carries to a follower (concatenated): the
+// format byte 1, then canonical uvarints (int32 and int16 fields as their
+// bits) and length-prefixed strings — LSN, #ops, and per op kind, target,
+// child, name, value, #fragment nodes (per node kind, level, size, name,
+// value, #attributes, per attribute name, value), #new ids, the ids. It
+// is at most wire.MaxFrame less the 9-byte frame header, so one frame
+// carries any record: Append refuses a larger one before writing a byte.
+// A torn tail (crash mid-append) is detected by length/checksum mismatch
+// and truncated away, which is exactly the atomicity guarantee the
+// paper's single-I/O commit gives; a checksummed payload that does not
+// decode (a gob-era record: "unsupported WAL record format") fails Open.
 //
 // # Segments
 //
@@ -47,13 +56,13 @@
 package wal
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -61,7 +70,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mxq/internal/shred"
 	"mxq/internal/vfs"
+	"mxq/internal/wire"
 	"mxq/internal/xenc"
 )
 
@@ -81,26 +92,17 @@ const (
 	OpRemoveAttr
 )
 
-// FragNode is one node of a serialized insert fragment.
-type FragNode struct {
-	Kind  uint8
-	Level int16
-	Size  int32
-	Name  string
-	Value string
-	Attrs []string // name/value pairs, flattened
-}
-
 // Op is one resolved update operation. Targets are immutable node ids;
-// inserts carry the ids the transaction observed (NewIDs) so replay can
-// map transaction-local ids to the ids the base store hands out.
+// inserts carry their fragment as parsed (Frag, shared and never changed)
+// and the ids the transaction observed (NewIDs), so replay can map
+// transaction-local ids to the ids the base store hands out.
 type Op struct {
 	Kind   OpKind
 	Target xenc.NodeID
 	Child  int32
 	Name   string
 	Value  string
-	Frag   []FragNode
+	Frag   *shred.Tree
 	NewIDs []xenc.NodeID
 }
 
@@ -108,6 +110,96 @@ type Op struct {
 type Record struct {
 	LSN uint64
 	Ops []Op
+}
+
+// recordFormat opens every record's encoding; maxRecord bounds the
+// encoding by what one WALRecords frame carries (package doc).
+const (
+	recordFormat = 1
+	maxRecord    = wire.MaxFrame - 9
+)
+
+// Encode appends the record's encoding to p.
+func (rec *Record) Encode(p *wire.PayloadBuilder) {
+	p.Byte(recordFormat).Uvarint(rec.LSN).Uvarint(uint64(len(rec.Ops)))
+	for _, op := range rec.Ops {
+		p.Uvarint(uint64(op.Kind)).Uvarint(uint64(uint32(op.Target))).Uvarint(uint64(uint32(op.Child))).String(op.Name).String(op.Value)
+		var nodes []shred.Node
+		if op.Frag != nil {
+			nodes = op.Frag.Nodes
+		}
+		p.Uvarint(uint64(len(nodes)))
+		for _, n := range nodes {
+			p.Uvarint(uint64(n.Kind)).Uvarint(uint64(uint16(n.Level))).Uvarint(uint64(uint32(n.Size))).String(n.Name).String(n.Value)
+			p.Uvarint(uint64(len(n.Attrs)))
+			for _, a := range n.Attrs {
+				p.String(a.Name).String(a.Value)
+			}
+		}
+		p.Uvarint(uint64(len(op.NewIDs)))
+		for _, id := range op.NewIDs {
+			p.Uvarint(uint64(uint32(id)))
+		}
+	}
+}
+
+// DecodeRecord reads one record's encoding off r and leaves r just past
+// it. Every count is checked against the bytes left before it sizes an
+// allocation, and a value too wide for its field is refused, so what it
+// accepts re-encodes to the same bytes.
+func DecodeRecord(r *wire.PayloadReader) (*Record, error) {
+	if f, err := r.Byte(); err != nil || f != recordFormat {
+		return nil, cmp.Or(err, fmt.Errorf("wal: unsupported WAL record format %#02x", f))
+	}
+	// The first error sticks: every read after it returns zero, so the
+	// decode runs to its end unchecked.
+	var err error
+	uv := func(max uint64) (v uint64) {
+		if err == nil {
+			if v, err = r.Uvarint(); err == nil && v > max {
+				v, err = 0, fmt.Errorf("wal: record field %d exceeds %d", v, max)
+			}
+		}
+		return v
+	}
+	count := func(min int) (n uint64) {
+		if err == nil {
+			n, err = r.Count(min)
+		}
+		return n
+	}
+	str := func() (s string) {
+		if err == nil {
+			s, err = r.String()
+		}
+		return s
+	}
+	// An op encodes to at least 7 bytes, a node 6, an attribute 2.
+	rec := &Record{LSN: uv(math.MaxUint64)}
+	rec.Ops = make([]Op, count(7))
+	for i := range rec.Ops {
+		op := &rec.Ops[i]
+		op.Kind, op.Target, op.Child = OpKind(uv(math.MaxUint8)), int32(uv(math.MaxUint32)), int32(uv(math.MaxUint32))
+		op.Name, op.Value = str(), str()
+		op.Frag = &shred.Tree{Nodes: make([]shred.Node, count(6))}
+		for j := range op.Frag.Nodes {
+			n := &op.Frag.Nodes[j]
+			n.Kind, n.Level, n.Size = xenc.Kind(uv(math.MaxUint8)), int16(uv(math.MaxUint16)), int32(uv(math.MaxUint32))
+			n.Name, n.Value = str(), str()
+			n.Attrs = make([]shred.Attr, count(2))
+			for k := range n.Attrs {
+				n.Attrs[k] = shred.Attr{Name: str(), Value: str()}
+			}
+		}
+		op.NewIDs = make([]xenc.NodeID, count(1))
+		for j := range op.NewIDs {
+			op.NewIDs[j] = int32(uv(math.MaxUint32))
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // DefaultSegmentBytes is the rotation threshold when Options leaves
@@ -303,10 +395,10 @@ type segMeta struct {
 }
 
 // scanFile reads one segment file start to finish, calling fn (if
-// non-nil) per valid record; the first offset readRecordAt refuses is
-// the end of the valid prefix. It is a pure read — no *segment state is
-// touched — so Replay can run concurrently with Append without racing
-// the segment accounting Append maintains under l.mu.
+// non-nil) per valid record; the first offset readRecordAt finds no
+// record at is the end of the valid prefix. It is a pure read — no
+// *segment state is touched — so Replay can run concurrently with Append
+// without racing the segment accounting Append maintains under l.mu.
 func scanFile(path string, fn func(*Record) error) (segMeta, error) {
 	var meta segMeta
 	f, err := os.Open(path)
@@ -320,9 +412,9 @@ func scanFile(path string, fn func(*Record) error) (segMeta, error) {
 	}
 	meta.size = fi.Size()
 	for {
-		rec, n, ok := readRecordAt(f, meta.validEnd, meta.size)
-		if !ok {
-			return meta, nil // clean EOF or torn tail
+		rec, n, err := readRecordAt(f, meta.validEnd, meta.size)
+		if err != nil || rec == nil {
+			return meta, err // no error: clean EOF or torn tail
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
@@ -339,35 +431,36 @@ func scanFile(path string, fn func(*Record) error) (segMeta, error) {
 }
 
 // readRecordAt decodes the one record frame — uint32 payload length,
-// uint32 CRC-32 of the payload, gob payload — at off in a segment of
-// size bytes, returning the record and the frame's length. ok=false
-// means a clean or torn end: a short header, a length announcing more
-// than the segment has left (refused before anything is allocated for
-// it, so a torn header cannot size a buffer), a short payload, a
-// checksum mismatch or an undecodable payload. The caller decides
-// whether that is "truncate", "wait" or "move on".
-func readRecordAt(r io.ReaderAt, off, size int64) (*Record, int64, bool) {
+// uint32 CRC-32 of the payload, payload — at off in a segment of size
+// bytes, returning the record and the frame's length. No record and no
+// error mean a clean or torn end: a short header, an empty payload (a
+// zero-filled tail), a length announcing more than the segment has left
+// (refused before anything is allocated for it, so a torn header cannot
+// size a buffer), a short payload or a checksum mismatch. The caller
+// decides whether that is "truncate", "wait" or "move on".
+func readRecordAt(r io.ReaderAt, off, size int64) (*Record, int64, error) {
 	var hdr [8]byte
 	if _, err := r.ReadAt(hdr[:], off); err != nil {
-		return nil, 0, false
+		return nil, 0, nil
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > size-off-8 {
-		return nil, 0, false
+	if n == 0 || n > size-off-8 {
+		return nil, 0, nil
 	}
 	payload := make([]byte, n)
 	if _, err := r.ReadAt(payload, off+8); err != nil {
-		return nil, 0, false
+		return nil, 0, nil
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, false
+		return nil, 0, nil
 	}
-	var rec Record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, 0, false
+	p := wire.NewPayloadReader(payload)
+	rec, err := DecodeRecord(p)
+	if err == nil && p.Remaining() > 0 {
+		err = errors.New("wal: bytes trail a record")
 	}
-	return &rec, 8 + n, true
+	return rec, 8 + n, err
 }
 
 // addSegment creates and registers an empty segment file. On failure
@@ -440,13 +533,6 @@ func (l *Log) appendLocked(rec *Record) error {
 	if err := l.poisoned(); err != nil {
 		return err
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-		return fmt.Errorf("wal: encoding record: %w", err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
 	active := l.segs[len(l.segs)-1]
 	if active.f == nil {
 		return fmt.Errorf("wal: log is closed")
@@ -456,7 +542,15 @@ func (l *Log) appendLocked(rec *Record) error {
 	// no garbage can sit between this record's slot and a later append —
 	// recovery's scan would stop at the garbage and silently drop every
 	// durable record behind it otherwise.
-	record := append(hdr[:], payload.Bytes()...)
+	var p wire.PayloadBuilder
+	p.Raw(make([]byte, 8))
+	rec.Encode(&p)
+	record := p.Bytes()
+	if n := len(record) - 8; n > maxRecord {
+		return fmt.Errorf("wal: record %d encodes to %d bytes, over the %d one frame carries", rec.LSN, n, maxRecord)
+	}
+	binary.LittleEndian.PutUint32(record[0:4], uint32(len(record)-8))
+	binary.LittleEndian.PutUint32(record[4:8], crc32.ChecksumIEEE(record[8:]))
 	if _, err := active.f.Write(record); err != nil {
 		l.repairActive(active)
 		return fmt.Errorf("wal: %w", err)

@@ -6,6 +6,21 @@ import (
 	"testing"
 )
 
+// walBatch is a WALRecords payload of two records in internal/wal's
+// record encoding (that package imports this one, so it is spelt out):
+// LSN 7 sets node 3's value, LSN 8 appends <book id="b9"/> under node 1
+// as new node 42.
+var walBatch = func() []byte {
+	var p PayloadBuilder
+	p.Byte(1).Uvarint(7).Uvarint(1)
+	p.Uvarint(5).Uvarint(3).Uvarint(0).String("").String("v").Uvarint(0).Uvarint(0)
+	p.Byte(1).Uvarint(8).Uvarint(1)
+	p.Uvarint(2).Uvarint(1).Uvarint(0).String("").String("").Uvarint(1)
+	p.Uvarint(0).Uvarint(0).Uvarint(0).String("book").String("").Uvarint(1).String("id").String("b9")
+	p.Uvarint(1).Uvarint(42)
+	return p.Bytes()
+}()
+
 // seedFrames is one plausible frame per opcode, plus the ChunkNeed whose
 // count times the 32-byte hash size wraps to its empty remainder.
 func seedFrames() []Frame {
@@ -22,7 +37,7 @@ func seedFrames() []Frame {
 		{ID: 8, Op: OpEndRead, Payload: pb().String("lib").Bytes()},
 		{ID: 9, Op: OpHello, Payload: pb().Uvarint(Version).Uvarint(FeatReplication | FeatRYW).Bytes()},
 		{ID: 10, Op: OpSubscribeWAL, Payload: pb().String("lib").Uvarint(SubscribeNone).Bytes()},
-		{Op: OpWALRecords, Payload: []byte("opaque record batch")},
+		{Op: OpWALRecords, Payload: walBatch},
 		{Op: OpFollowerAck, Payload: pb().Uvarint(42).Bytes()},
 		{ID: 14, Op: OpDocStatus, Payload: pb().String("lib").Bytes()},
 		{Op: OpSnapManifest, Payload: []byte(`{"pageBits":4}`)},

@@ -226,11 +226,15 @@ type PayloadReader struct{ b []byte }
 // NewPayloadReader wraps a payload.
 func NewPayloadReader(b []byte) *PayloadReader { return &PayloadReader{b: b} }
 
-// Uvarint reads a uvarint.
+// Uvarint reads a uvarint in its shortest encoding, the one Uvarint
+// appends, so that what a reader accepts re-encodes to the same bytes.
 func (p *PayloadReader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(p.b)
 	if n <= 0 {
 		return 0, errors.New("wire: truncated uvarint")
+	}
+	if n != UvarintLen(v) {
+		return 0, errors.New("wire: overlong uvarint")
 	}
 	p.b = p.b[n:]
 	return v, nil

@@ -92,6 +92,33 @@ func TestTruncatedPayload(t *testing.T) {
 	}
 }
 
+// TestOverlongUvarintRefused: a value has one encoding on the wire, the
+// shortest; padding it with continuation bytes is refused, also as a
+// string's length or an element count.
+func TestOverlongUvarintRefused(t *testing.T) {
+	for _, b := range [][]byte{
+		{0x80, 0x00},
+		{0x81, 0x80, 0x00},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00},
+	} {
+		if v, err := NewPayloadReader(b).Uvarint(); err == nil {
+			t.Errorf("overlong uvarint %x accepted as %d", b, v)
+		}
+		if _, err := NewPayloadReader(append(b, 'x')).String(); err == nil {
+			t.Errorf("string behind overlong length %x accepted", b)
+		}
+		if _, err := NewPayloadReader(append(b, 'x')).Count(1); err == nil {
+			t.Errorf("overlong count %x accepted", b)
+		}
+	}
+	for _, v := range []uint64{0, 127, 128, 1<<63 - 1, 1<<64 - 1} {
+		var p PayloadBuilder
+		if got, err := NewPayloadReader(p.Uvarint(v).Bytes()).Uvarint(); err != nil || got != v {
+			t.Errorf("canonical uvarint %d read as %d, %v", v, got, err)
+		}
+	}
+}
+
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
 		clientMax uint64
