@@ -67,7 +67,7 @@ lint:
 # extending the harness costs the product nothing. A change that needs
 # more lines raises the ceiling in its own diff, where a reviewer sees
 # it.
-LOC_CEILING = 19673
+LOC_CEILING = 19421
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"
@@ -175,7 +175,8 @@ repl-smoke:
 # from any peer: no panic, no allocation above the frame limit, accepted
 # frames round-trip) and the WAL record decoder (a WALRecords payload
 # from a primary, or a segment's record: no panic, allocation bounded by
-# the input, accepted records re-encode to themselves). Go allows one
+# the input, accepted records re-encode to themselves and replay into a
+# small store without a panic, its invariants whole). Go allows one
 # -fuzz target per invocation; -fuzzminimizetime=1x keeps short runs
 # fuzzing instead of minimizing.
 # Raise FUZZTIME for a real session.

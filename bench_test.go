@@ -43,6 +43,7 @@ import (
 	"mxq/internal/rostore"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xmark"
 	"mxq/internal/xpath"
@@ -309,7 +310,7 @@ func BenchmarkCommutativeDeltas(b *testing.B) {
 							txn.Abort()
 							continue
 						}
-						if _, err := txn.AppendChild(ns[0].Pre, smallFrag); err != nil {
+						if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(ns[0].Pre), Frag: smallFrag}); err != nil {
 							txn.Abort()
 							continue
 						}
@@ -352,8 +353,7 @@ func BenchmarkTxSmallUpdateLargeDoc(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txn := m.Begin()
-		p := txn.PreOf(id)
-		if err := txn.SetValue(p, "updated"); err != nil {
+		if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: id, Value: "updated"}); err != nil {
 			b.Fatal(err)
 		}
 		if err := txn.Commit(); err != nil {
@@ -665,8 +665,7 @@ func BenchmarkConcurrentQueryDuringCommits(b *testing.B) {
 				}
 				for burst := 0; burst < 8; burst++ {
 					txn := doc.Begin()
-					pre := txn.inner.PreOf(victim)
-					if err := txn.inner.SetValue(pre, fmt.Sprintf("w%d-%d", i, burst)); err != nil {
+					if _, err := txn.inner.Apply(wal.Op{Kind: wal.OpSetValue, Target: victim, Value: fmt.Sprintf("w%d-%d", i, burst)}); err != nil {
 						b.Error(err)
 						return
 					}
@@ -799,7 +798,7 @@ func BenchmarkCheckpointIncremental(b *testing.B) {
 	churnOnce := func(b *testing.B, round int) {
 		txn := m.Begin()
 		for j, id := range ids {
-			if err := txn.SetValue(txn.PreOf(id), fmt.Sprintf("c%d-%d", round, j)); err != nil {
+			if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: id, Value: fmt.Sprintf("c%d-%d", round, j)}); err != nil {
 				b.Fatal(err)
 			}
 		}

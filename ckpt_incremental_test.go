@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mxq/internal/wal"
 	"mxq/internal/xmark"
 	"mxq/internal/xpath"
 )
@@ -54,7 +55,8 @@ func TestCheckpointIncrementalSavings(t *testing.T) {
 		t.Fatal("document too small to churn under 1%")
 	}
 	for i := 0; i < churn; i++ {
-		if err := txn.inner.SetValue(ns[i].Pre, fmt.Sprintf("churn-%d", i)); err != nil {
+		op := wal.Op{Kind: wal.OpSetValue, Target: txn.inner.NodeOf(ns[i].Pre), Value: fmt.Sprintf("churn-%d", i)}
+		if _, err := txn.inner.Apply(op); err != nil {
 			t.Fatal(err)
 		}
 	}

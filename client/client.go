@@ -141,20 +141,13 @@ type DocStatus struct {
 type Option func(*options)
 
 type options struct {
-	dialTimeout time.Duration
-	maxFrame    uint32
 	rywTimeout  time.Duration
 	replicaAddr string
 }
 
-// WithDialTimeout bounds the TCP connect (default 10s; the Dial
-// context, if it expires sooner, wins).
-func WithDialTimeout(d time.Duration) Option { return func(o *options) { o.dialTimeout = d } }
-
-// WithMaxFrame caps response frame sizes the client will accept
-// (default 64 MiB); a server announcing more is cut off, not
-// allocated for.
-func WithMaxFrame(n uint32) Option { return func(o *options) { o.maxFrame = n } }
+// dialTimeout bounds the TCP connect; the Dial context, if it expires
+// sooner, wins.
+const dialTimeout = 10 * time.Second
 
 // WithRYWTimeout bounds how long a replica-routed query may park
 // waiting for the client's last write to be applied before the server
@@ -184,7 +177,7 @@ type Client struct {
 
 // Dial connects to an mxqd server and negotiates the protocol.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
-	o := options{dialTimeout: 10 * time.Second, rywTimeout: 5 * time.Second}
+	o := options{rywTimeout: 5 * time.Second}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -207,7 +200,7 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 }
 
 func dialOne(ctx context.Context, addr string, o options) (*Client, error) {
-	d := net.Dialer{Timeout: o.dialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, &Error{Op: "dial", Err: err}
@@ -306,7 +299,8 @@ func (c *Client) roundTrip(ctx context.Context, op, doc string, opcode byte, pay
 	if err := wire.WriteFrame(c.conn, wire.Frame{ID: id, Op: opcode, Payload: payload}); err != nil {
 		return fail("send", err)
 	}
-	f, err := wire.ReadFrame(c.conn, c.opts.maxFrame)
+	// A response longer than wire.MaxFrame is cut off, not allocated for.
+	f, err := wire.ReadFrame(c.conn, wire.MaxFrame)
 	if err != nil {
 		return fail("recv", err)
 	}

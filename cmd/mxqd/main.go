@@ -42,7 +42,6 @@ func main() {
 	dir := flag.String("dir", "", "durability directory (segmented WAL + checkpoints); empty = in-memory")
 	follow := flag.String("follow", "", "primary address: run as a read-only replica of every document there (requires -dir)")
 	nosync := flag.Bool("nosync", false, "skip fsync on WAL appends")
-	ckptBytes := flag.Int64("ckpt-bytes", 0, "auto-checkpoint once the WAL tail exceeds this many bytes (0 = off)")
 	ckptRecords := flag.Int("ckpt-records", 0, "auto-checkpoint once the WAL tail exceeds this many records (0 = off)")
 	maxConcurrent := flag.Int64("max-concurrent", 64, "admission: weight units executing at once (queries 1, updates/loads 2)")
 	maxWaiters := flag.Int("max-waiters", 0, "admission: queued requests before overload rejection (0 = 4x max-concurrent)")
@@ -56,7 +55,7 @@ func main() {
 
 	db, err := mxq.Open(mxq.Options{
 		Dir: *dir, NoSync: *nosync,
-		CheckpointEvery: mxq.CheckpointPolicy{Bytes: *ckptBytes, Records: *ckptRecords},
+		CheckpointEvery: mxq.CheckpointPolicy{Records: *ckptRecords},
 	})
 	if err != nil {
 		logger.Fatal(err)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mxqshell [-page 1024] [-fill 0.8] [-dir data/]
-//	         [-ckpt-bytes N] [-ckpt-records N] [doc.xml ...]
+//	         [-ckpt-records N] [doc.xml ...]
 //
 // Commands:
 //
@@ -35,13 +35,12 @@ func main() {
 	page := flag.Int("page", 0, "logical page size in tuples (power of two)")
 	fill := flag.Float64("fill", 0, "shredder fill factor (0,1]")
 	dir := flag.String("dir", "", "durability directory (segmented WAL + checkpoints)")
-	ckptBytes := flag.Int64("ckpt-bytes", 0, "auto-checkpoint once the WAL tail exceeds this many bytes (0 = off)")
 	ckptRecords := flag.Int("ckpt-records", 0, "auto-checkpoint once the WAL tail exceeds this many records (0 = off)")
 	flag.Parse()
 
 	db, err := mxq.Open(mxq.Options{
 		PageSize: *page, FillFactor: *fill, Dir: *dir,
-		CheckpointEvery: mxq.CheckpointPolicy{Bytes: *ckptBytes, Records: *ckptRecords},
+		CheckpointEvery: mxq.CheckpointPolicy{Records: *ckptRecords},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mxqshell:", err)

@@ -393,10 +393,10 @@ func (d *Document) maybeAutoCheckpoint() {
 }
 
 // checkpointDue reports whether the WAL tail beyond the newest
-// checkpoint exceeds the auto-checkpoint policy.
+// checkpoint has reached the auto-checkpoint policy.
 func (d *Document) checkpointDue() bool {
-	bytes, records := d.log.TailStatsAbove(d.ckpter.LastLSN())
-	return d.db.opts.CheckpointEvery.exceeded(bytes, records)
+	_, records := d.log.TailStatsAbove(d.ckpter.LastLSN())
+	return records >= d.db.opts.CheckpointEvery.Records
 }
 
 // close shuts the document's durability machinery down in dependency

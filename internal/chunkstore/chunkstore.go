@@ -73,10 +73,8 @@ type Store interface {
 	Put(h Hash, data []byte) error
 	// Get returns the chunk named h, or an error wrapping ErrMissing.
 	Get(h Hash) ([]byte, error)
-	// Has reports whether the store holds h.
-	Has(h Hash) (bool, error)
-	// HasMany is Has batched: out[i] reports hs[i]. One round trip for
-	// remote backends.
+	// HasMany reports whether the store holds each of hs: out[i]
+	// reports hs[i]. One round trip for remote backends.
 	HasMany(hs []Hash) ([]bool, error)
 	// Sweep garbage-collects: every chunk keep reports false for is
 	// dropped and its storage reclaimed, every other chunk stays
@@ -166,13 +164,6 @@ func (m *Mem) Get(h Hash) ([]byte, error) {
 		return nil, fmt.Errorf("chunkstore: %s: %w", h, ErrMissing)
 	}
 	return data, nil
-}
-
-func (m *Mem) Has(h Hash) (bool, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.chunks[h]
-	return ok, nil
 }
 
 func (m *Mem) HasMany(hs []Hash) ([]bool, error) {

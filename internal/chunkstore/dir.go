@@ -326,13 +326,6 @@ func (d *Dir) forget(bad *entry) {
 	}
 }
 
-func (d *Dir) Has(h Hash) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, err := d.lookup(h)
-	return e != nil, err
-}
-
 // HasMany re-lists the root once, so its answers are as of this call
 // also for packs another Dir has swept since — a checkpoint is about to
 // publish an image on the strength of them.
@@ -357,28 +350,6 @@ func (d *Dir) BytesStored() uint64 { return d.stored.Load() }
 // BytesCompacted returns the stored chunk bytes Sweep has rewritten
 // through this Dir so far: the write amplification compaction costs.
 func (d *Dir) BytesCompacted() uint64 { return d.compacted.Load() }
-
-// Usage is what a root directory holds, counted from the pack indexes
-// on disk.
-type Usage struct {
-	Packs  int // pack files
-	Chunks int // distinct chunks
-	Copies int // chunks over all packs; more than Chunks when one is held twice
-}
-
-// Usage lists the root afresh (dead chunks Sweep has only dropped from
-// this Dir's index still count until their pack is rewritten).
-func (d *Dir) Usage() (Usage, error) {
-	fresh := NewDirFS(d.fs, d.root)
-	if err := fresh.relist(); err != nil {
-		return Usage{}, err
-	}
-	u := Usage{Packs: len(fresh.packs), Chunks: len(fresh.index)}
-	for _, p := range fresh.packs {
-		u.Copies += len(p.entries)
-	}
-	return u, nil
-}
 
 // Sweep implements Store. The order of its steps is what makes a crash
 // anywhere inside it harmless: index entries go first (memory only),

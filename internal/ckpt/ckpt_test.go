@@ -73,7 +73,7 @@ func (e *env) commitBook(t testing.TB, shelf, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txn.AppendChild(ns[0].Pre, fr); err != nil {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(ns[0].Pre), Frag: fr}); err != nil {
 		t.Fatal(err)
 	}
 	if err := txn.Commit(); err != nil {

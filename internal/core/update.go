@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mxq/internal/shred"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
 
@@ -34,6 +35,39 @@ import (
 
 // errIsRoot guards operations that are illegal on the document root.
 var errIsRoot = fmt.Errorf("core: operation not allowed on the document root")
+
+// Apply performs one resolved operation — a wal.Op, whose target is a
+// node id — and returns the ids of the nodes it inserted (op.NewIDs is
+// not read). It is the one switch over wal.OpKind that mutates a store:
+// a transaction's image, its commit, recovery and a follower all change
+// a store through it, so the op a transaction logs is the op it applied.
+func (s *Store) Apply(op wal.Op) ([]xenc.NodeID, error) {
+	p := s.PreOf(op.Target)
+	if p == xenc.NoPre {
+		return nil, fmt.Errorf("core: target node %d not found", op.Target)
+	}
+	switch op.Kind {
+	case wal.OpInsertBefore:
+		return s.InsertBefore(p, op.Frag)
+	case wal.OpInsertAfter:
+		return s.InsertAfter(p, op.Frag)
+	case wal.OpAppendChild:
+		return s.AppendChild(p, op.Frag)
+	case wal.OpInsertChildAt:
+		return s.InsertChildAt(p, int(op.Child), op.Frag)
+	case wal.OpDelete:
+		return nil, s.Delete(p)
+	case wal.OpSetValue:
+		return nil, s.SetValue(p, op.Value)
+	case wal.OpRename:
+		return nil, s.Rename(p, op.Name)
+	case wal.OpSetAttr:
+		return nil, s.SetAttr(p, op.Name, op.Value)
+	case wal.OpRemoveAttr:
+		return nil, s.RemoveAttr(p, op.Name)
+	}
+	return nil, fmt.Errorf("core: unknown op kind %d", op.Kind)
+}
 
 // InsertBefore inserts the fragment as the directly preceding sibling(s)
 // of the node at target (XUpdate insert-before).

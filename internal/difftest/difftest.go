@@ -30,8 +30,10 @@ import (
 	"mxq/internal/serialize"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xpath"
+	"mxq/internal/xupdate"
 )
 
 // diffQueries cross-check the query engine over both stores at every
@@ -82,105 +84,54 @@ type Config struct {
 	CompactDictEvery int
 }
 
-// mutTarget is the mutation surface shared by *core.Store and *tx.Tx.
-type mutTarget interface {
-	xenc.DocView
-	InsertBefore(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
-	InsertAfter(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
-	AppendChild(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
-	Delete(xenc.Pre) error
-	SetValue(xenc.Pre, string) error
-	Rename(xenc.Pre, string) error
-	SetAttr(xenc.Pre, string, string) error
-	RemoveAttr(xenc.Pre, string) error
+var opNames = [...]string{
+	wal.OpInsertBefore: "InsertBefore", wal.OpInsertAfter: "InsertAfter",
+	wal.OpAppendChild: "AppendChild", wal.OpDelete: "Delete",
+	wal.OpSetValue: "SetValue", wal.OpRename: "Rename",
+	wal.OpSetAttr: "SetAttr", wal.OpRemoveAttr: "RemoveAttr",
 }
 
-var (
-	_ mutTarget = (*core.Store)(nil)
-	_ mutTarget = (*tx.Tx)(nil)
-)
-
-// op kinds.
-const (
-	opInsertBefore = iota
-	opInsertAfter
-	opAppendChild
-	opDelete
-	opSetValue
-	opRename
-	opSetAttr
-	opRemoveAttr
-	numOpKinds
-)
-
-var opNames = [numOpKinds]string{
-	"InsertBefore", "InsertAfter", "AppendChild", "Delete",
-	"SetValue", "Rename", "SetAttr", "RemoveAttr",
-}
-
-// op is one resolved operation: a kind plus a live document-order index,
-// which each store translates to its own pre rank at apply time.
+// op is one operation: a wal.Op whose target is a live document-order
+// index, which each store translates to its own node at apply time.
 type op struct {
-	kind  int
+	wal.Op
 	index int
-	frag  *shred.Tree
-	name  string
-	value string
 }
 
 func (o op) String() string {
-	return fmt.Sprintf("%s@%d(name=%q value=%q)", opNames[o.kind], o.index, o.name, o.value)
+	return fmt.Sprintf("%s@%d(name=%q value=%q)", opNames[o.Kind], o.index, o.Name, o.Value)
 }
 
 // applyPaged runs the op on the paged store (or a transaction image).
-func (o op) applyPaged(v mutTarget) error {
-	p := liveIndexPre(v, o.index)
-	switch o.kind {
-	case opInsertBefore:
-		_, err := v.InsertBefore(p, o.frag)
-		return err
-	case opInsertAfter:
-		_, err := v.InsertAfter(p, o.frag)
-		return err
-	case opAppendChild:
-		_, err := v.AppendChild(p, o.frag)
-		return err
-	case opDelete:
-		return v.Delete(p)
-	case opSetValue:
-		return v.SetValue(p, o.value)
-	case opRename:
-		return v.Rename(p, o.name)
-	case opSetAttr:
-		return v.SetAttr(p, o.name, o.value)
-	case opRemoveAttr:
-		return v.RemoveAttr(p, o.name)
-	}
-	return fmt.Errorf("unknown op kind %d", o.kind)
+func (o op) applyPaged(v xupdate.Target) error {
+	w := o.Op
+	w.Target = v.NodeOf(liveIndexPre(v, o.index))
+	_, err := v.Apply(w)
+	return err
 }
 
 // applyNaive runs the op on the oracle.
 func (o op) applyNaive(s *naive.Store) error {
 	p := liveIndexPre(s, o.index)
-	switch o.kind {
-	case opInsertBefore:
-		return s.InsertBefore(p, o.frag)
-	case opInsertAfter:
-		return s.InsertAfter(p, o.frag)
-	case opAppendChild:
-		return s.AppendChild(p, o.frag)
-	case opDelete:
+	switch o.Kind {
+	case wal.OpInsertBefore:
+		return s.InsertBefore(p, o.Frag)
+	case wal.OpInsertAfter:
+		return s.InsertAfter(p, o.Frag)
+	case wal.OpAppendChild:
+		return s.AppendChild(p, o.Frag)
+	case wal.OpDelete:
 		return s.Delete(p)
-	case opSetValue:
-		return s.SetValue(p, o.value)
-	case opRename:
-		return s.Rename(p, o.name)
-	case opSetAttr:
-		return s.SetAttr(p, o.name, o.value)
-	case opRemoveAttr:
-		return s.RemoveAttr(p, o.name)
+	case wal.OpSetValue:
+		return s.SetValue(p, o.Value)
+	case wal.OpRename:
+		return s.Rename(p, o.Name)
+	case wal.OpSetAttr:
+		return s.SetAttr(p, o.Name, o.Value)
+	case wal.OpRemoveAttr:
+		return s.RemoveAttr(p, o.Name)
 	}
-	return fmt.Errorf("unknown op kind %d", o.kind)
+	return fmt.Errorf("unknown op kind %d", o.Kind)
 }
 
 // liveIndexPre returns the pre rank of the idx-th live node in document
@@ -205,31 +156,31 @@ func genOp(rng *rand.Rand, v xenc.DocView, stamp int) (op, bool) {
 	p := liveIndexPre(v, idx)
 	kind := v.Kind(p)
 
-	var candidates []int
+	var candidates []wal.OpKind
 	if idx != 0 {
-		candidates = append(candidates, opInsertBefore, opInsertAfter, opDelete)
+		candidates = append(candidates, wal.OpInsertBefore, wal.OpInsertAfter, wal.OpDelete)
 	}
 	switch kind {
 	case xenc.KindElem:
-		candidates = append(candidates, opAppendChild, opRename, opSetAttr, opRemoveAttr)
+		candidates = append(candidates, wal.OpAppendChild, wal.OpRename, wal.OpSetAttr, wal.OpRemoveAttr)
 	case xenc.KindText, xenc.KindComment:
-		candidates = append(candidates, opSetValue)
+		candidates = append(candidates, wal.OpSetValue)
 	case xenc.KindPI:
-		candidates = append(candidates, opSetValue, opRename)
+		candidates = append(candidates, wal.OpSetValue, wal.OpRename)
 	}
-	o := op{kind: candidates[rng.Intn(len(candidates))], index: idx}
-	switch o.kind {
-	case opInsertBefore, opInsertAfter, opAppendChild:
-		o.frag = randFrag(rng, stamp)
-	case opSetValue:
-		o.value = fmt.Sprintf("v%d", stamp)
-	case opRename:
-		o.name = fmt.Sprintf("r%d", rng.Intn(6))
-	case opSetAttr:
-		o.name = fmt.Sprintf("a%d", rng.Intn(4))
-		o.value = fmt.Sprintf("w%d", stamp)
-	case opRemoveAttr:
-		o.name = fmt.Sprintf("a%d", rng.Intn(4))
+	o := op{Op: wal.Op{Kind: candidates[rng.Intn(len(candidates))]}, index: idx}
+	switch o.Kind {
+	case wal.OpInsertBefore, wal.OpInsertAfter, wal.OpAppendChild:
+		o.Frag = randFrag(rng, stamp)
+	case wal.OpSetValue:
+		o.Value = fmt.Sprintf("v%d", stamp)
+	case wal.OpRename:
+		o.Name = fmt.Sprintf("r%d", rng.Intn(6))
+	case wal.OpSetAttr:
+		o.Name = fmt.Sprintf("a%d", rng.Intn(4))
+		o.Value = fmt.Sprintf("w%d", stamp)
+	case wal.OpRemoveAttr:
+		o.Name = fmt.Sprintf("a%d", rng.Intn(4))
 	}
 	return o, true
 }

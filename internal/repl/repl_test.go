@@ -126,7 +126,7 @@ func (p *primary) commit(name string) uint64 {
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	if _, err := txn.AppendChild(ns[0].Pre, fr); err != nil {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(ns[0].Pre), Frag: fr}); err != nil {
 		p.t.Fatal(err)
 	}
 	if err := txn.Commit(); err != nil {
@@ -264,6 +264,82 @@ func TestFollowerResumesInWALMode(t *testing.T) {
 	}
 	if got, want := xml(t, first), p.xml(); got != want {
 		t.Fatalf("stores diverged after resume:\n%s\n%s", got, want)
+	}
+}
+
+// TestFollowerRefusesMalformedBatch: a primary that streams a record
+// whose fragment the shredder could not have made — levels 0 then 5 —
+// ends the follower's subscription with an error, before the record
+// reaches the follower's WAL or store. The follower keeps running: its
+// document is as it was, and it resumes from the real primary.
+func TestFollowerRefusesMalformedBatch(t *testing.T) {
+	p := newPrimary(t, wal.DefaultSegmentBytes)
+	p.commit("B")
+	db := follower(t)
+	defer db.Close()
+	stop := follow(t, db, p)
+	waitFor(t, "catch-up", func() bool { return applied(db) == 1 })
+	stop()
+	d := followed(db)
+	before := xml(t, d)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			fr, err := wire.ReadFrame(conn, 0)
+			if err != nil {
+				return // the follower ended the subscription
+			}
+			var b wire.PayloadBuilder
+			switch fr.Op {
+			case wire.OpHello:
+				b.Uvarint(wire.Version).Uvarint(wire.FeatReplication | wire.FeatRYW)
+				wire.WriteFrame(conn, wire.Frame{ID: fr.ID, Op: wire.StatusOK, Payload: b.Bytes()})
+			case wire.OpSubscribeWAL:
+				b.Byte(wire.ModeWAL).Uvarint(1)
+				wire.WriteFrame(conn, wire.Frame{ID: fr.ID, Op: wire.StatusOK, Payload: b.Bytes()})
+				frag := &shred.Tree{Nodes: []shred.Node{
+					{Kind: xenc.KindElem, Name: "a", Size: 1},
+					{Kind: xenc.KindElem, Name: "b", Level: 5},
+				}}
+				rec := wal.Record{LSN: 2, Ops: []wal.Op{{Kind: wal.OpAppendChild, Target: 1, Frag: frag, NewIDs: []xenc.NodeID{9, 10}}}}
+				var batch wire.PayloadBuilder
+				rec.Encode(&batch)
+				wire.WriteFrame(conn, wire.Frame{Op: wire.OpWALRecords, Payload: batch.Bytes()})
+			}
+		}
+	}()
+	stop, err = db.FollowDocument(ln.Addr().String(), "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hungUp:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower kept the subscription that sent a malformed record")
+	}
+	stop()
+	if got := applied(db); got != 1 || xml(t, d) != before {
+		t.Fatalf("after the refused batch: applied %d, document %s; want 1, %s", got, xml(t, d), before)
+	}
+
+	last := p.commit("C")
+	stop = follow(t, db, p)
+	defer stop()
+	waitFor(t, "resume", func() bool { return applied(db) == last })
+	if got, want := xml(t, d), p.xml(); got != want {
+		t.Fatalf("stores diverged after the refused batch:\n%s\n%s", got, want)
 	}
 }
 

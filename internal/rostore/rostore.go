@@ -6,8 +6,9 @@
 // 'ro' side of the Figure 9 experiment.
 //
 // It is one of the paper's comparison baselines: imported only by the
-// benchmarks (bench_test.go, cmd/xmarkbench) and by tests that want a
-// second DocView, and deliberately not served.
+// benchmarks (bench_test.go's BenchmarkFigure9, the one Figure 9
+// harness, across scale factors through MXQ_BENCH_SF) and by tests that
+// want a second DocView, and deliberately not served.
 package rostore
 
 import (

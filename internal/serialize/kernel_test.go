@@ -12,6 +12,7 @@ import (
 	"mxq/internal/serialize"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xmark"
 	"mxq/internal/xpath"
@@ -47,9 +48,7 @@ func fragment(tb testing.TB, i int) *shred.Tree {
 // mutation is the surface core.Store and tx.Tx share.
 type mutation interface {
 	xenc.DocView
-	AppendChild(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
-	InsertBefore(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
-	Delete(xenc.Pre) error
+	Apply(wal.Op) ([]xenc.NodeID, error)
 }
 
 // mutate applies one delete or insert, chosen by op, at the used tuple
@@ -60,15 +59,16 @@ func mutate(tb testing.TB, s mutation, op, target int) error {
 	if p >= s.Len() {
 		return nil
 	}
-	var err error
+	w := wal.Op{Kind: wal.OpInsertBefore, Target: s.NodeOf(p)}
 	switch {
 	case op%3 == 0:
-		err = s.Delete(p)
+		w.Kind = wal.OpDelete
 	case op%3 == 1 && s.Kind(p) == xenc.KindElem:
-		_, err = s.AppendChild(p, fragment(tb, op/3))
+		w.Kind, w.Frag = wal.OpAppendChild, fragment(tb, op/3)
 	default:
-		_, err = s.InsertBefore(p, fragment(tb, op/3))
+		w.Frag = fragment(tb, op/3)
 	}
+	_, err := s.Apply(w)
 	return err
 }
 

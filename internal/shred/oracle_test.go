@@ -152,6 +152,9 @@ func compareTrees(t testing.TB, what, src string, got *Tree, gotErr error, want 
 		}
 		return
 	}
+	if err := got.Check(); err != nil {
+		t.Fatalf("%s %q: the shredder's tree fails Check: %v", what, src, err)
+	}
 	if len(got.Nodes) != len(want.Nodes) {
 		t.Fatalf("%s %q: %d nodes, encoding/xml gives %d", what, src, len(got.Nodes), len(want.Nodes))
 	}

@@ -52,6 +52,43 @@ func (t *Tree) Roots() []int {
 	return out
 }
 
+// Check reports whether t has a shape the shredder produces: levels
+// start at 0 and never rise by more than one, every size is the count of
+// the nodes the levels put under it, every kind is an element, text,
+// comment or PI, and only elements have attributes or children. A tree
+// from outside the process (a WAL record) is checked before a store
+// trusts its levels and sizes.
+func (t *Tree) Check() error {
+	var open []int // the nodes whose subtrees are still open
+	closeTo := func(depth, end int) error {
+		for len(open) > depth {
+			top := open[len(open)-1]
+			open = open[:len(open)-1]
+			if n := t.Nodes[top].Size; int(n) != end-top-1 {
+				return fmt.Errorf("shred: node %d has size %d, its subtree holds %d", top, n, end-top-1)
+			}
+		}
+		return nil
+	}
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		if n.Level < 0 || int(n.Level) > len(open) {
+			return fmt.Errorf("shred: node %d at level %d under a node at level %d", i, n.Level, len(open)-1)
+		}
+		if err := closeTo(int(n.Level), i); err != nil {
+			return err
+		}
+		if n.Kind > xenc.KindPI {
+			return fmt.Errorf("shred: node %d has kind %v", i, n.Kind)
+		}
+		if len(open) > 0 && t.Nodes[open[len(open)-1]].Kind != xenc.KindElem || n.Kind != xenc.KindElem && len(n.Attrs) > 0 {
+			return fmt.Errorf("shred: node %d: only an element has children or attributes", i)
+		}
+		open = append(open, i)
+	}
+	return closeTo(0, len(t.Nodes))
+}
+
 // Options configure the shredder.
 type Options struct {
 	// PreserveWhitespace keeps text nodes that consist only of whitespace.

@@ -180,6 +180,47 @@ func TestParseInvariants(t *testing.T) {
 	}
 }
 
+// TestTreeCheck: Check accepts what the shredder and the Builder make,
+// an empty tree included, and refuses each shape they cannot make.
+func TestTreeCheck(t *testing.T) {
+	good := []*Tree{
+		{},
+		NewBuilder().Start("r", Attr{"id", "1"}).Elem("a", "t").Comment("c").PI("p", "i").End().Text("tail").Tree(),
+	}
+	for _, src := range []string{paperDoc, `<x>t1<y>t2</y>t3<!--c--><z><w a="b"/></z></x>`} {
+		tr, err := ParseFragment(src, Options{PreserveWhitespace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = append(good, tr)
+	}
+	for i, tr := range good {
+		if err := tr.Check(); err != nil {
+			t.Errorf("good tree %d refused: %v", i, err)
+		}
+	}
+	elem := func(level int16, size int32) Node {
+		return Node{Kind: xenc.KindElem, Name: "e", Level: level, Size: size}
+	}
+	bad := map[string][]Node{
+		"level rises by five":  {elem(0, 1), elem(5, 0)},
+		"first level not 0":    {elem(1, 0)},
+		"negative level":       {elem(0, 0), elem(-1, 0)},
+		"size past the tree":   {elem(0, 7)},
+		"size short of it":     {elem(0, 1), elem(1, 1), elem(2, 0)},
+		"size of a leaf":       {elem(0, 0), elem(0, 2)},
+		"attribute kind":       {{Kind: xenc.KindAttr, Name: "a"}},
+		"unknown kind":         {{Kind: 9}},
+		"text with attributes": {{Kind: xenc.KindText, Attrs: []Attr{{"a", "v"}}}},
+		"text with a child":    {{Kind: xenc.KindText, Size: 1}, {Kind: xenc.KindText, Level: 1}},
+	}
+	for name, nodes := range bad {
+		if err := (&Tree{Nodes: nodes}).Check(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func checkTreeInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	for i, n := range tr.Nodes {

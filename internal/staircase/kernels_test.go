@@ -13,6 +13,7 @@ import (
 	"mxq/internal/shred"
 	"mxq/internal/staircase"
 	"mxq/internal/tx"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xmark"
 )
@@ -80,9 +81,7 @@ func kernelTests(tb testing.TB, v xenc.DocView) map[string]staircase.Test {
 // mutation is the surface core.Store and tx.Tx share.
 type mutation interface {
 	xenc.DocView
-	AppendChild(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
-	InsertBefore(xenc.Pre, *shred.Tree) ([]xenc.NodeID, error)
-	Delete(xenc.Pre) error
+	Apply(wal.Op) ([]xenc.NodeID, error)
 }
 
 // churn applies n random inserts and deletes. Fragments run from one
@@ -100,7 +99,7 @@ func churn(tb testing.TB, s mutation, rng *rand.Rand, n, pageSize int) {
 			if s.Size(target) > xenc.Size(4*pageSize) {
 				continue
 			}
-			if err := s.Delete(target); err != nil {
+			if _, err := s.Apply(wal.Op{Kind: wal.OpDelete, Target: s.NodeOf(target)}); err != nil {
 				tb.Fatal(err)
 			}
 			continue
@@ -110,13 +109,11 @@ func churn(tb testing.TB, s mutation, rng *rand.Rand, n, pageSize int) {
 			b.Elem("emph", "x")
 		}
 		frag := b.End().Tree()
-		var err error
+		op := wal.Op{Kind: wal.OpInsertBefore, Target: s.NodeOf(target), Frag: frag}
 		if s.Kind(target) == xenc.KindElem && rng.Intn(2) == 0 {
-			_, err = s.AppendChild(target, frag)
-		} else {
-			_, err = s.InsertBefore(target, frag)
+			op.Kind = wal.OpAppendChild
 		}
-		if err != nil {
+		if _, err := s.Apply(op); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -285,7 +282,7 @@ func TestKernelsMatchReference(t *testing.T) {
 	if len(big) != 1 || txn.Size(big[0]) < 3*pageSize {
 		t.Fatalf("open_auctions: %v", big)
 	}
-	if err := txn.Delete(big[0]); err != nil {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpDelete, Target: txn.NodeOf(big[0])}); err != nil {
 		t.Fatal(err)
 	}
 	checkKernels(t, "tx/delete", txn, rng, spanContexts(t, "tx/delete", txn, pageSize, true)...)

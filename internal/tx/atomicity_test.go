@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xpath"
 )
@@ -69,7 +70,7 @@ func TestReadersNeverSeePartialCommits(t *testing.T) {
 						txn.Abort()
 						continue
 					}
-					if _, err := txn.AppendChild(ns[0].Pre, frag(t, fmt.Sprintf(`<pair w="%d"/><pair w="%d"/>`, w, w))); err != nil {
+					if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(ns[0].Pre), Frag: frag(t, fmt.Sprintf(`<pair w="%d"/><pair w="%d"/>`, w, w))}); err != nil {
 						txn.Abort()
 						continue
 					}

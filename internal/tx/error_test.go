@@ -19,16 +19,16 @@ func TestOpsAfterDoneFail(t *testing.T) {
 	m := NewManager(s, nil)
 	txn := m.Begin()
 	txn.Abort()
-	if _, err := txn.AppendChild(0, frag(t, `<x/>`)); !errors.Is(err, ErrDone) {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: 0, Frag: frag(t, `<x/>`)}); !errors.Is(err, ErrDone) {
 		t.Fatalf("append after abort = %v", err)
 	}
-	if err := txn.Delete(1); !errors.Is(err, ErrDone) {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpDelete, Target: 1}); !errors.Is(err, ErrDone) {
 		t.Fatalf("delete after abort = %v", err)
 	}
-	if err := txn.SetValue(1, "x"); !errors.Is(err, ErrDone) {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: 1, Value: "x"}); !errors.Is(err, ErrDone) {
 		t.Fatalf("setvalue after abort = %v", err)
 	}
-	if _, err := txn.InsertBefore(1, frag(t, `<x/>`)); !errors.Is(err, ErrDone) {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpInsertBefore, Target: 1, Frag: frag(t, `<x/>`)}); !errors.Is(err, ErrDone) {
 		t.Fatalf("insert after abort = %v", err)
 	}
 	txn.Abort() // double abort is a no-op
@@ -39,12 +39,12 @@ func TestStoreErrorsPropagateWithoutPoisoning(t *testing.T) {
 	m := NewManager(s, nil)
 	txn := m.Begin()
 	// Illegal op: delete the root.
-	if err := txn.Delete(txn.Root()); err == nil {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpDelete, Target: txn.NodeOf(txn.Root())}); err == nil {
 		t.Fatal("root delete accepted")
 	}
 	// The tx is still usable (store-level errors are not conflicts).
 	shelf := mustSelect(t, txn, `//shelf[@id="s1"]`)
-	if _, err := txn.AppendChild(shelf, frag(t, `<book>X</book>`)); err != nil {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(shelf), Frag: frag(t, `<book>X</book>`)}); err != nil {
 		t.Fatalf("tx unusable after store error: %v", err)
 	}
 	if err := txn.Commit(); err != nil {
@@ -117,14 +117,14 @@ func TestLockReleaseOnAbort(t *testing.T) {
 	m := NewManager(s, nil)
 	t1 := m.Begin()
 	shelf := mustSelect(t, t1, `//shelf[@id="s1"]`)
-	if _, err := t1.AppendChild(shelf, frag(t, `<x/>`)); err != nil {
+	if _, err := t1.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t1.NodeOf(shelf), Frag: frag(t, `<x/>`)}); err != nil {
 		t.Fatal(err)
 	}
 	t1.Abort()
 	// The pages must be free again.
 	t2 := m.Begin()
 	shelf2 := mustSelect(t, t2, `//shelf[@id="s1"]`)
-	if _, err := t2.AppendChild(shelf2, frag(t, `<y/>`)); err != nil {
+	if _, err := t2.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t2.NodeOf(shelf2), Frag: frag(t, `<y/>`)}); err != nil {
 		t.Fatalf("locks leaked after abort: %v", err)
 	}
 	if err := t2.Commit(); err != nil {
@@ -173,7 +173,7 @@ func TestPanicInsideCommitIsFatal(t *testing.T) {
 		}
 		m := NewManager(buildStore(t, doc, 16), log)
 		txn := m.Begin()
-		if _, err := txn.AppendChild(mustSelect(t, txn, `//shelf[@id="s1"]`), frag(t, `<x/>`)); err != nil {
+		if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(mustSelect(t, txn, `//shelf[@id="s1"]`)), Frag: frag(t, `<x/>`)}); err != nil {
 			t.Fatal(err)
 		}
 		armed = true
@@ -200,7 +200,7 @@ func TestVersionCounts(t *testing.T) {
 	}
 	txn := m.Begin()
 	shelf := mustSelect(t, txn, `//shelf[@id="s1"]`)
-	txn.AppendChild(shelf, frag(t, `<x/>`))
+	txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(shelf), Frag: frag(t, `<x/>`)})
 	txn.Commit()
 	if m.Version() != 1 {
 		t.Fatalf("version = %d", m.Version())

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mxq/internal/staircase"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
 
@@ -191,7 +192,7 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 	for i := 0; i < commits || (snapshotsChecked.Load() < 20 && i < 100*commits); i++ {
 		txn := m.Begin()
 		shelf := findElem(t, txn, fmt.Sprintf("shelf[@id=%q]", fmt.Sprintf("s%d", i%shelves)))
-		if _, err := txn.AppendChild(shelf, frag(t, `<book>y</book>`)); err != nil {
+		if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(shelf), Frag: frag(t, `<book>y</book>`)}); err != nil {
 			t.Fatalf("commit %d: append: %v", i, err)
 		}
 		if i%3 == 2 {
@@ -203,7 +204,7 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 			t.Fatalf("commit %d: counter text vanished", i)
 		}
 		count++
-		if err := txn.SetValue(p, strconv.Itoa(count)); err != nil {
+		if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: txn.NodeOf(p), Value: strconv.Itoa(count)}); err != nil {
 			t.Fatalf("commit %d: set counter: %v", i, err)
 		}
 		if err := txn.Commit(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mxq/internal/serialize"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
 
@@ -33,7 +34,7 @@ func setBook(t *testing.T, m *Manager, idx int, val string) {
 	t.Helper()
 	txn := m.Begin()
 	books := findBooks(t, txn)
-	if err := txn.SetValue(books[idx]+1, val); err != nil { // text child follows the element
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: txn.NodeOf(books[idx] + 1), Value: val}); err != nil { // text child follows the element
 		t.Fatal(err)
 	}
 	if err := txn.Commit(); err != nil {
@@ -177,7 +178,7 @@ func TestAcquireReadConcurrentWithCommits(t *testing.T) {
 	for i := 1; i <= commits; i++ {
 		txn := m.Begin()
 		books := findBooks(t, txn)
-		if err := txn.SetValue(books[i%3]+1, fmt.Sprintf("c%d", i)); err != nil {
+		if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: txn.NodeOf(books[i%3] + 1), Value: fmt.Sprintf("c%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 		mu.Lock()

@@ -100,10 +100,9 @@ func (m *Manager) WaitApplied(lsn uint64, timeout time.Duration) error {
 // twin of the commit critical section. It appends the record to the
 // local log verbatim — the follower's LSN numbering must reproduce the
 // primary's exactly, and wal.Log.AppendRecord refuses gaps — replays
-// the record's operations onto the base store through the same
-// ApplyOps path recovery uses, bumps the committed version, and
-// advances the applied watermark so parked read-your-writes readers
-// wake.
+// the record's operations onto the base store through ApplyOps, as
+// commit and recovery do, bumps the committed version, and advances the
+// applied watermark so parked read-your-writes readers wake.
 //
 // Durability is the caller's business: ApplyReplicated does not fsync,
 // so a batch of records costs one Sync at its end (before the LSN is

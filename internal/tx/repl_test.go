@@ -28,7 +28,7 @@ func openTestWAL(t *testing.T) *wal.Log {
 func commitSetValue(t *testing.T, m *Manager, val string) uint64 {
 	t.Helper()
 	tx := m.Begin()
-	if err := tx.SetValue(findElem(t, tx, "book")+1, val); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpSetValue, Target: tx.NodeOf(findElem(t, tx, "book") + 1), Value: val}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -47,7 +47,7 @@ func TestOversizedRecordFailsCommit(t *testing.T) {
 	readCurrent(m, func(v xenc.DocView) error { before = viewXML(t, v); return nil })
 	txn := m.Begin()
 	huge := &shred.Tree{Nodes: []shred.Node{{Kind: xenc.KindText, Value: strings.Repeat("x", wire.MaxFrame)}}}
-	if _, err := txn.AppendChild(findElem(t, txn, "shelf"), huge); err != nil {
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(findElem(t, txn, "shelf")), Frag: huge}); err != nil {
 		t.Fatal(err)
 	}
 	if err := txn.Commit(); err == nil || !strings.Contains(err.Error(), "one frame carries") {
@@ -120,7 +120,7 @@ func TestApplyReplicated(t *testing.T) {
 	commitSetValue(t, primary, "AA")
 	tx := primary.Begin()
 	shelf := findElem(t, tx, "shelf")
-	if _, err := tx.AppendChild(shelf, frag(t, "<book>D</book>")); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, "<book>D</book>")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {

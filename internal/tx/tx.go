@@ -25,6 +25,13 @@
 //     WAL record, replay the transaction's resolved operations onto the
 //     base store, release.
 //
+// A write is one value from the XUpdate executor to replay: a wal.Op,
+// which names its target by immutable node id. Tx.Apply takes the op's
+// page locks, performs it on the image with core.Store.Apply and logs
+// that same op with the ids of the nodes it inserted; ApplyOps replays
+// a log through core.Store.Apply again — at commit, in recovery and on a
+// follower — mapping those transaction-local ids to the base's.
+//
 // For the ablation of this design, a Manager can be put in
 // root-locking mode (LockAncestors), which additionally write-locks every
 // ancestor's page the way an absolute-value size update would require;

@@ -59,7 +59,7 @@ func TestCommitMakesChangesVisible(t *testing.T) {
 	m := NewManager(s, nil)
 	tx := m.Begin()
 	shelf := findElem(t, tx, "shelf")
-	if _, err := tx.AppendChild(shelf, frag(t, `<book>D</book>`)); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, `<book>D</book>`)}); err != nil {
 		t.Fatal(err)
 	}
 	// Uncommitted: invisible to readers.
@@ -95,7 +95,7 @@ func TestAbortDiscardsChanges(t *testing.T) {
 	m := NewManager(s, nil)
 	tx := m.Begin()
 	shelf := findElem(t, tx, "shelf")
-	if _, err := tx.AppendChild(shelf, frag(t, `<book>D</book>`)); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, `<book>D</book>`)}); err != nil {
 		t.Fatal(err)
 	}
 	tx.Abort()
@@ -128,11 +128,11 @@ func TestPageConflictAborts(t *testing.T) {
 	t1 := m.Begin()
 	t2 := m.Begin()
 	shelf1 := findElem(t, t1, "shelf")
-	if _, err := t1.AppendChild(shelf1, frag(t, `<book>X</book>`)); err != nil {
+	if _, err := t1.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t1.NodeOf(shelf1), Frag: frag(t, `<book>X</book>`)}); err != nil {
 		t.Fatal(err)
 	}
 	shelf2 := findElem(t, t2, "shelf")
-	if _, err := t2.AppendChild(shelf2, frag(t, `<book>Y</book>`)); !errors.Is(err, ErrConflict) {
+	if _, err := t2.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t2.NodeOf(shelf2), Frag: frag(t, `<book>Y</book>`)}); !errors.Is(err, ErrConflict) {
 		t.Fatalf("expected conflict, got %v", err)
 	}
 	// t2 is poisoned; only abort works.
@@ -165,10 +165,10 @@ func TestDisjointPagesCommitConcurrently(t *testing.T) {
 	if t1.clone.PhysPage(s1) == t2.clone.PhysPage(s2) {
 		t.Skip("layout put both shelves on one page; enlarge the document")
 	}
-	if _, err := t1.AppendChild(s1, frag(t, `<book>X</book>`)); err != nil {
+	if _, err := t1.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t1.NodeOf(s1), Frag: frag(t, `<book>X</book>`)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t2.AppendChild(s2, frag(t, `<book>Y</book>`)); err != nil {
+	if _, err := t2.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t2.NodeOf(s2), Frag: frag(t, `<book>Y</book>`)}); err != nil {
 		t.Fatalf("disjoint writers conflicted: %v", err)
 	}
 	if err := t1.Commit(); err != nil {
@@ -210,10 +210,10 @@ func TestRootLockingAblation(t *testing.T) {
 	t2 := m.Begin()
 	s1 := mustSelect(t, t1, `//shelf[@id="s1"]`)
 	s2 := mustSelect(t, t2, `//shelf[@id="s2"]`)
-	if _, err := t1.AppendChild(s1, frag(t, `<book>X</book>`)); err != nil {
+	if _, err := t1.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t1.NodeOf(s1), Frag: frag(t, `<book>X</book>`)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t2.AppendChild(s2, frag(t, `<book>Y</book>`)); !errors.Is(err, ErrConflict) {
+	if _, err := t2.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t2.NodeOf(s2), Frag: frag(t, `<book>Y</book>`)}); !errors.Is(err, ErrConflict) {
 		t.Fatalf("root-locking mode did not conflict: %v", err)
 	}
 	t1.Commit()
@@ -245,7 +245,7 @@ func TestConcurrentWritersStress(t *testing.T) {
 					tx.Abort()
 					continue
 				}
-				if _, err := tx.AppendChild(ns[0].Pre, frag(t, `<book>N</book>`)); err != nil {
+				if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(ns[0].Pre), Frag: frag(t, `<book>N</book>`)}); err != nil {
 					tx.Abort()
 					continue
 				}
@@ -287,7 +287,7 @@ func TestValidatorBlocksCommit(t *testing.T) {
 	})
 	tx := m.Begin()
 	shelf := findElem(t, tx, "shelf")
-	if _, err := tx.AppendChild(shelf, frag(t, `<banned/>`)); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, `<banned/>`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err == nil {
@@ -351,7 +351,7 @@ func TestWALRecovery(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tx := m.Begin()
 		shelf := mustSelect(t, tx, `//shelf[@id="s2"]`)
-		if _, err := tx.AppendChild(shelf, frag(t, fmt.Sprintf(`<book>R%d</book>`, i))); err != nil {
+		if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, fmt.Sprintf(`<book>R%d</book>`, i))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -407,7 +407,7 @@ func TestRecoveryAfterCheckpointTruncate(t *testing.T) {
 		t.Helper()
 		tx := m.Begin()
 		shelf := mustSelect(t, tx, `//shelf[@id="s1"]`)
-		if _, err := tx.AppendChild(shelf, frag(t, `<book>`+name+`</book>`)); err != nil {
+		if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, `<book>`+name+`</book>`)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -464,7 +464,7 @@ func TestRecoveryWithTornTail(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tx := m.Begin()
 		shelf := mustSelect(t, tx, `//shelf[@id="s1"]`)
-		if _, err := tx.AppendChild(shelf, frag(t, `<book>T</book>`)); err != nil {
+		if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, `<book>T</book>`)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -515,7 +515,7 @@ func TestCheckpointTruncatesRecoveryWork(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tx := m.Begin()
 		shelf := mustSelect(t, tx, `//shelf[@id="s1"]`)
-		tx.AppendChild(shelf, frag(t, `<book>K</book>`))
+		tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, `<book>K</book>`)})
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -537,18 +537,18 @@ func TestXUpdateThroughTransaction(t *testing.T) {
 	tx := m.Begin()
 	// The Tx implements xupdate.Target; drive it with value + structure ops.
 	shelf := mustSelect(t, tx, `//shelf[@id="s1"]`)
-	if err := tx.SetAttr(shelf, "label", "fiction"); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpSetAttr, Target: tx.NodeOf(shelf), Name: "label", Value: "fiction"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Rename(shelf, "case"); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpRename, Target: tx.NodeOf(shelf), Name: "case"}); err != nil {
 		t.Fatal(err)
 	}
 	book := mustSelect(t, tx, `//case/book[1]`)
-	if err := tx.Delete(book); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpDelete, Target: tx.NodeOf(book)}); err != nil {
 		t.Fatal(err)
 	}
 	txt := mustSelect(t, tx, `//case/book[1]/text()`)
-	if err := tx.SetValue(txt, "B2"); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpSetValue, Target: tx.NodeOf(txt), Value: "B2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -567,15 +567,15 @@ func TestInsertBeforeAndChildAtThroughTx(t *testing.T) {
 	m := NewManager(s, nil)
 	tx := m.Begin()
 	book := mustSelect(t, tx, `//book[text()="B"]`)
-	if _, err := tx.InsertBefore(book, frag(t, `<book>A2</book>`)); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpInsertBefore, Target: tx.NodeOf(book), Frag: frag(t, `<book>A2</book>`)}); err != nil {
 		t.Fatal(err)
 	}
 	bookC := mustSelect(t, tx, `//book[text()="C"]`)
-	if _, err := tx.InsertAfter(bookC, frag(t, `<book>D</book>`)); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpInsertAfter, Target: tx.NodeOf(bookC), Frag: frag(t, `<book>D</book>`)}); err != nil {
 		t.Fatal(err)
 	}
 	shelf := mustSelect(t, tx, `//shelf[@id="s1"]`)
-	if _, err := tx.InsertChildAt(shelf, 0, frag(t, `<book>A0</book>`)); err != nil {
+	if _, err := tx.Apply(wal.Op{Kind: wal.OpInsertChildAt, Target: tx.NodeOf(shelf), Frag: frag(t, `<book>A0</book>`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -609,7 +609,7 @@ func TestCommitRacingCheckpointSurvivesPrune(t *testing.T) {
 		t.Helper()
 		txn := m.Begin()
 		shelf := mustSelect(t, txn, `//shelf[@id="s1"]`)
-		if _, err := txn.AppendChild(shelf, frag(t, `<book>`+name+`</book>`)); err != nil {
+		if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(shelf), Frag: frag(t, `<book>`+name+`</book>`)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := txn.Commit(); err != nil {
@@ -666,7 +666,7 @@ func TestPinCheckpointCapturesConsistentPair(t *testing.T) {
 			}
 			txn := m.Begin()
 			shelf := mustSelect(t, txn, `//shelf[@id="s2"]`)
-			if _, err := txn.AppendChild(shelf, frag(t, fmt.Sprintf(`<book>P%d</book>`, i))); err != nil {
+			if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(shelf), Frag: frag(t, fmt.Sprintf(`<book>P%d</book>`, i))}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -729,7 +729,7 @@ func TestCommitGroupDurability(t *testing.T) {
 				for {
 					txn := m.Begin()
 					shelf := mustSelect(t, txn, `//shelf[@id="s2"]`)
-					if _, err := txn.AppendChild(shelf, frag(t, fmt.Sprintf(`<book>G%d-%d</book>`, c, i))); err != nil {
+					if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(shelf), Frag: frag(t, fmt.Sprintf(`<book>G%d-%d</book>`, c, i))}); err != nil {
 						txn.Abort()
 						continue // page conflict with a sibling committer: retry
 					}

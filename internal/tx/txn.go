@@ -6,16 +6,15 @@ import (
 	"runtime/debug"
 
 	"mxq/internal/core"
-	"mxq/internal/shred"
 	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
 
 // Tx is a write transaction: a private copy-on-write image of the store
 // plus the log of resolved operations that commit will replay onto the
-// base. Tx implements xenc.DocView and the xupdate.Target mutation
-// surface, so XPath queries and XUpdate modification lists run against it
-// directly with read-your-writes semantics.
+// base. Tx implements xenc.DocView and xupdate.Target (Apply), so XPath
+// queries and XUpdate modification lists run against it directly with
+// read-your-writes semantics.
 type Tx struct {
 	m     *Manager
 	clone *core.Store
@@ -181,131 +180,53 @@ func (t *Tx) regionEnd(p xenc.Pre) xenc.Pre {
 	return last
 }
 
-// logged appends op, the change just made to the image, to the
-// transaction's log unless making it failed with err, which it returns.
-func (t *Tx) logged(op wal.Op, err error) error {
-	if err == nil {
-		t.ops = append(t.ops, op)
-	}
-	return err
-}
-
-// InsertBefore inserts the fragment before the node at target.
-func (t *Tx) InsertBefore(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
+// Apply performs op on the transaction image and logs it for commit,
+// with the ids of the nodes it inserted: the logged op is the applied
+// op, and commit replays it onto the base with the same core.Store.Apply.
+// The pages op writes are write-locked first (lock).
+func (t *Tx) Apply(op wal.Op) ([]xenc.NodeID, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	if err := t.lockPoint(target, t.clone.ParentPre(target)); err != nil {
+	p := t.clone.PreOf(op.Target)
+	if p == xenc.NoPre {
+		return nil, fmt.Errorf("tx: target node %d not found", op.Target)
+	}
+	if err := t.lock(op, p); err != nil {
 		return nil, err
 	}
-	// The anchor node's immutable id survives the insert (it only moves),
-	// so replay can re-resolve the insert point from it.
-	tgtID := t.clone.NodeOf(target)
-	ids, err := t.clone.InsertBefore(target, frag)
-	return ids, t.logged(wal.Op{Kind: wal.OpInsertBefore, Target: tgtID, Frag: frag, NewIDs: ids}, err)
-}
-
-// InsertAfter inserts the fragment after the subtree at target.
-func (t *Tx) InsertAfter(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
-	if err := t.check(); err != nil {
+	ids, err := t.clone.Apply(op)
+	if err != nil {
 		return nil, err
 	}
-	tgtID := t.clone.NodeOf(target)
-	if err := t.lockPoint(t.regionEnd(target)+1, t.clone.ParentPre(target)); err != nil {
-		return nil, err
-	}
-	ids, err := t.clone.InsertAfter(target, frag)
-	return ids, t.logged(wal.Op{Kind: wal.OpInsertAfter, Target: tgtID, Frag: frag, NewIDs: ids}, err)
+	op.NewIDs = ids
+	t.ops = append(t.ops, op)
+	return ids, nil
 }
 
-// AppendChild appends the fragment as last child(ren) of parent.
-func (t *Tx) AppendChild(parent xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
-	if err := t.check(); err != nil {
-		return nil, err
+// lock takes op's footprint, its target at view rank p: an insert locks
+// the point it lands at, a delete its target's region, a value op the
+// target's page. The anchor whose ancestors the ablation mode adds is
+// the new nodes' parent for an insert, the target's parent for a delete
+// and none for a value op, whose sizes do not change.
+func (t *Tx) lock(op wal.Op, p xenc.Pre) error {
+	switch op.Kind {
+	case wal.OpInsertBefore:
+		return t.lockPoint(p, t.clone.ParentPre(p))
+	case wal.OpInsertAfter:
+		return t.lockPoint(t.regionEnd(p)+1, t.clone.ParentPre(p))
+	case wal.OpAppendChild:
+		return t.lockPoint(t.regionEnd(p)+1, p)
+	case wal.OpInsertChildAt:
+		at := t.clone.NthChild(p, int(op.Child))
+		if at == xenc.NoPre {
+			at = t.regionEnd(p) + 1
+		}
+		return t.lockPoint(at, p)
+	case wal.OpDelete:
+		return t.lockSpan(p, t.regionEnd(p), t.clone.ParentPre(p))
 	}
-	parentID := t.clone.NodeOf(parent)
-	if err := t.lockPoint(t.regionEnd(parent)+1, parent); err != nil {
-		return nil, err
-	}
-	ids, err := t.clone.AppendChild(parent, frag)
-	return ids, t.logged(wal.Op{Kind: wal.OpAppendChild, Target: parentID, Frag: frag, NewIDs: ids}, err)
-}
-
-// InsertChildAt inserts the fragment as child number idx of parent.
-func (t *Tx) InsertChildAt(parent xenc.Pre, idx int, frag *shred.Tree) ([]xenc.NodeID, error) {
-	if err := t.check(); err != nil {
-		return nil, err
-	}
-	parentID := t.clone.NodeOf(parent)
-	at := t.clone.NthChild(parent, idx)
-	if at == xenc.NoPre {
-		at = t.regionEnd(parent) + 1
-	}
-	if err := t.lockPoint(at, parent); err != nil {
-		return nil, err
-	}
-	ids, err := t.clone.InsertChildAt(parent, idx, frag)
-	return ids, t.logged(wal.Op{Kind: wal.OpInsertChildAt, Target: parentID, Child: int32(idx), Frag: frag, NewIDs: ids}, err)
-}
-
-// Delete removes the subtree at target.
-func (t *Tx) Delete(target xenc.Pre) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	tgtID := t.clone.NodeOf(target)
-	if err := t.lockSpan(target, t.regionEnd(target), t.clone.ParentPre(target)); err != nil {
-		return err
-	}
-	return t.logged(wal.Op{Kind: wal.OpDelete, Target: tgtID}, t.clone.Delete(target))
-}
-
-// SetValue updates a text/comment/PI node's content.
-func (t *Tx) SetValue(p xenc.Pre, val string) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	id := t.clone.NodeOf(p)
-	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
-		return err
-	}
-	return t.logged(wal.Op{Kind: wal.OpSetValue, Target: id, Value: val}, t.clone.SetValue(p, val))
-}
-
-// Rename renames an element or PI node.
-func (t *Tx) Rename(p xenc.Pre, name string) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	id := t.clone.NodeOf(p)
-	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
-		return err
-	}
-	return t.logged(wal.Op{Kind: wal.OpRename, Target: id, Name: name}, t.clone.Rename(p, name))
-}
-
-// SetAttr adds or replaces an attribute.
-func (t *Tx) SetAttr(p xenc.Pre, name, val string) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	id := t.clone.NodeOf(p)
-	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
-		return err
-	}
-	return t.logged(wal.Op{Kind: wal.OpSetAttr, Target: id, Name: name, Value: val}, t.clone.SetAttr(p, name, val))
-}
-
-// RemoveAttr removes an attribute.
-func (t *Tx) RemoveAttr(p xenc.Pre, name string) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	id := t.clone.NodeOf(p)
-	if err := t.lockSpan(p, p, xenc.NoPre); err != nil {
-		return err
-	}
-	return t.logged(wal.Op{Kind: wal.OpRemoveAttr, Target: id, Name: name}, t.clone.RemoveAttr(p, name))
+	return t.lockSpan(p, p, xenc.NoPre)
 }
 
 // --- commit / abort -----------------------------------------------------------
@@ -439,53 +360,17 @@ func (t *Tx) Abort() {
 	t.clone = nil
 }
 
-// ApplyOps replays resolved operations onto a store, mapping the
-// transaction-local ids of inserted nodes to the ids the store hands out
-// (recovery uses the same code path, which keeps replay deterministic).
+// ApplyOps replays resolved operations onto a store through
+// core.Store.Apply, mapping the transaction-local ids of inserted nodes
+// to the ids the store hands out. Commit, recovery and a follower all
+// replay through it, which keeps replay deterministic.
 func ApplyOps(store *core.Store, ops []wal.Op) error {
 	idMap := make(map[xenc.NodeID]xenc.NodeID)
-	resolve := func(id xenc.NodeID) xenc.NodeID {
-		if mapped, ok := idMap[id]; ok {
-			return mapped
+	for i, op := range ops {
+		if id, ok := idMap[op.Target]; ok {
+			op.Target = id
 		}
-		return id
-	}
-	for i := range ops {
-		op := &ops[i]
-		var p xenc.Pre
-		if op.Target != xenc.NoNode {
-			p = store.PreOf(resolve(op.Target))
-			if p == xenc.NoPre {
-				return fmt.Errorf("tx: op %d: target node %d not found", i, op.Target)
-			}
-		}
-		var newIDs []xenc.NodeID
-		var err error
-		switch op.Kind {
-		case wal.OpInsertBefore:
-			if op.Target == xenc.NoNode {
-				return fmt.Errorf("tx: op %d: insert-before without anchor", i)
-			}
-			newIDs, err = store.InsertBefore(p, op.Frag)
-		case wal.OpInsertAfter:
-			newIDs, err = store.InsertAfter(p, op.Frag)
-		case wal.OpAppendChild:
-			newIDs, err = store.AppendChild(p, op.Frag)
-		case wal.OpInsertChildAt:
-			newIDs, err = store.InsertChildAt(p, int(op.Child), op.Frag)
-		case wal.OpDelete:
-			err = store.Delete(p)
-		case wal.OpSetValue:
-			err = store.SetValue(p, op.Value)
-		case wal.OpRename:
-			err = store.Rename(p, op.Name)
-		case wal.OpSetAttr:
-			err = store.SetAttr(p, op.Name, op.Value)
-		case wal.OpRemoveAttr:
-			err = store.RemoveAttr(p, op.Name)
-		default:
-			err = fmt.Errorf("unknown op kind %d", op.Kind)
-		}
+		newIDs, err := store.Apply(op)
 		if err != nil {
 			return fmt.Errorf("tx: op %d (%d): %w", i, op.Kind, err)
 		}

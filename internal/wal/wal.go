@@ -146,7 +146,10 @@ func (rec *Record) Encode(p *wire.PayloadBuilder) {
 // DecodeRecord reads one record's encoding off r and leaves r just past
 // it. Every count is checked against the bytes left before it sizes an
 // allocation, and a value too wide for its field is refused, so what it
-// accepts re-encodes to the same bytes.
+// accepts re-encodes to the same bytes. An op kind past OpRemoveAttr
+// and a fragment of a shape the shredder does not produce
+// (shred.Tree.Check) are refused too: the store trusts a fragment's
+// levels and sizes.
 func DecodeRecord(r *wire.PayloadReader) (*Record, error) {
 	if f, err := r.Byte(); err != nil || f != recordFormat {
 		return nil, cmp.Or(err, fmt.Errorf("wal: unsupported WAL record format %#02x", f))
@@ -179,7 +182,7 @@ func DecodeRecord(r *wire.PayloadReader) (*Record, error) {
 	rec.Ops = make([]Op, count(7))
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		op.Kind, op.Target, op.Child = OpKind(uv(math.MaxUint8)), int32(uv(math.MaxUint32)), int32(uv(math.MaxUint32))
+		op.Kind, op.Target, op.Child = OpKind(uv(uint64(OpRemoveAttr))), int32(uv(math.MaxUint32)), int32(uv(math.MaxUint32))
 		op.Name, op.Value = str(), str()
 		op.Frag = &shred.Tree{Nodes: make([]shred.Node, count(6))}
 		for j := range op.Frag.Nodes {
@@ -190,6 +193,9 @@ func DecodeRecord(r *wire.PayloadReader) (*Record, error) {
 			for k := range n.Attrs {
 				n.Attrs[k] = shred.Attr{Name: str(), Value: str()}
 			}
+		}
+		if err == nil {
+			err = op.Frag.Check()
 		}
 		op.NewIDs = make([]xenc.NodeID, count(1))
 		for j := range op.NewIDs {

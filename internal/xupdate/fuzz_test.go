@@ -66,10 +66,16 @@ func FuzzXUpdateParse(f *testing.F) {
 			return
 		}
 		// A successful parse must produce a well-formed op list: every op
-		// carries a compiled select.
+		// carries a compiled select, and its content is a tree of a shape
+		// the WAL decoder accepts.
 		for i, op := range mods.Ops {
 			if op.Select == nil {
 				t.Fatalf("op %d (%v) parsed without a select expression", i, op.Kind)
+			}
+			if op.Frag != nil {
+				if err := op.Frag.Check(); err != nil {
+					t.Fatalf("op %d (%v): content fails Check: %v", i, op.Kind, err)
+				}
 			}
 		}
 		s := buildStore(t, sampleDoc)

@@ -4,22 +4,25 @@
 // value commands update and rename and the element/attribute/text/
 // comment/processing-instruction content constructors.
 //
-// A parsed modification list is executed against any store that offers
-// the structural update operations (the paged core store directly, or a
-// transaction overlay). Selections are evaluated with the XPath engine;
-// selected nodes are pinned by their immutable NodeIDs before any
-// mutation, so earlier commands in a list cannot invalidate the targets
-// of later ones — this is the translation of XUpdate statements into bulk
-// updates on the pos/size/level, pageOffset and node/pos tables that
-// Section 3.1 describes.
+// A parsed modification list is executed against a Target: the paged
+// core store directly, or a transaction's image. Selections are
+// evaluated with the XPath engine; selected nodes are pinned by their
+// immutable NodeIDs before any mutation, so earlier commands in a list
+// cannot invalidate the targets of later ones. Each command then becomes
+// wal.Ops on those ids — the resolved operations a transaction logs and
+// commit replays — which is the translation of XUpdate statements into
+// bulk updates on the pos/size/level, pageOffset and node/pos tables
+// that Section 3.1 describes.
 package xupdate
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"mxq/internal/shred"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xpath"
 )
@@ -168,7 +171,7 @@ func parseOp(z *shred.Tokenizer, start *shred.Token) (*Op, error) {
 			}
 		case "child":
 			var c int
-			if _, err := fmt.Sscanf(a.Value, "%d", &c); err != nil || c < 1 {
+			if _, err := fmt.Sscanf(a.Value, "%d", &c); err != nil || c < 1 || c > math.MaxInt32 {
 				return nil, fmt.Errorf("xupdate: bad child position %q", a.Value)
 			}
 			op.Child = c - 1 // XUpdate child counts from 1
@@ -355,20 +358,13 @@ func parseConstructor(z *shred.Tokenizer, start *shred.Token, b *shred.Builder, 
 	return nil
 }
 
-// Target is the store interface the executor mutates: the DocView read
-// surface plus the structural and value update operations of the paged
-// store (Section 3). *core.Store and transaction overlays implement it.
+// Target is the store the executor mutates: the DocView read surface
+// plus Apply, which performs one resolved operation — a wal.Op on node
+// ids, the paged store's update primitives of Section 3 — and returns
+// the ids of the nodes it inserted. *core.Store and *tx.Tx implement it.
 type Target interface {
 	xenc.DocView
-	InsertBefore(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error)
-	InsertAfter(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error)
-	AppendChild(parent xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error)
-	InsertChildAt(parent xenc.Pre, idx int, frag *shred.Tree) ([]xenc.NodeID, error)
-	Delete(target xenc.Pre) error
-	SetValue(p xenc.Pre, val string) error
-	Rename(p xenc.Pre, name string) error
-	SetAttr(p xenc.Pre, name, val string) error
-	RemoveAttr(p xenc.Pre, name string) error
+	Apply(op wal.Op) ([]xenc.NodeID, error)
 }
 
 // Result summarizes an execution.
@@ -441,7 +437,7 @@ func executeOp(st Target, op *Op, vars map[string]xpath.Value) (int, error) {
 		if p == xenc.NoPre {
 			continue // removed by an earlier target of this same command
 		}
-		if err := applyOne(st, op, p, tgt.attrName); err != nil {
+		if err := applyOne(st, op, p, tgt.id, tgt.attrName); err != nil {
 			return count, err
 		}
 		count++
@@ -449,46 +445,43 @@ func executeOp(st Target, op *Op, vars map[string]xpath.Value) (int, error) {
 	return count, nil
 }
 
-func applyOne(st Target, op *Op, p xenc.Pre, attrName string) error {
-	isAttr := attrName != ""
-	switch op.Kind {
-	case OpRemove:
-		if isAttr {
-			return st.RemoveAttr(p, attrName)
-		}
-		return st.Delete(p)
-	case OpUpdate:
-		if isAttr {
-			return st.SetAttr(p, attrName, op.Text)
-		}
-		return updateContent(st, p, op.Text)
-	case OpRename:
-		if isAttr {
+// applyOne runs the command on one pinned target, node id at view rank
+// p (or its attribute attrName), as the wal.Ops it resolves to.
+func applyOne(st Target, op *Op, p xenc.Pre, id xenc.NodeID, attrName string) error {
+	apply := func(o wal.Op) error {
+		o.Target = id
+		_, err := st.Apply(o)
+		return err
+	}
+	if attrName != "" {
+		switch op.Kind {
+		case OpRemove:
+			return apply(wal.Op{Kind: wal.OpRemoveAttr, Name: attrName})
+		case OpUpdate:
+			return apply(wal.Op{Kind: wal.OpSetAttr, Name: attrName, Value: op.Text})
+		case OpRename:
 			val, _ := attrValue(st, p, attrName)
-			if err := st.RemoveAttr(p, attrName); err != nil {
+			if err := apply(wal.Op{Kind: wal.OpRemoveAttr, Name: attrName}); err != nil {
 				return err
 			}
-			return st.SetAttr(p, op.Text, val)
+			return apply(wal.Op{Kind: wal.OpSetAttr, Name: op.Text, Value: val})
 		}
-		return st.Rename(p, op.Text)
+		return fmt.Errorf("%s cannot target an attribute", op.Kind)
+	}
+	switch op.Kind {
+	case OpRemove:
+		return apply(wal.Op{Kind: wal.OpDelete})
+	case OpUpdate:
+		return updateContent(st, p, id, op.Text)
+	case OpRename:
+		return apply(wal.Op{Kind: wal.OpRename, Name: op.Text})
 	case OpInsertBefore:
-		if isAttr {
-			return fmt.Errorf("insert-before cannot target an attribute")
-		}
-		_, err := st.InsertBefore(p, op.Frag)
-		return err
+		return apply(wal.Op{Kind: wal.OpInsertBefore, Frag: op.Frag})
 	case OpInsertAfter:
-		if isAttr {
-			return fmt.Errorf("insert-after cannot target an attribute")
-		}
-		_, err := st.InsertAfter(p, op.Frag)
-		return err
+		return apply(wal.Op{Kind: wal.OpInsertAfter, Frag: op.Frag})
 	case OpAppend:
-		if isAttr {
-			return fmt.Errorf("append cannot target an attribute")
-		}
 		for _, a := range op.Attrs {
-			if err := st.SetAttr(p, a.Name, a.Value); err != nil {
+			if err := apply(wal.Op{Kind: wal.OpSetAttr, Name: a.Name, Value: a.Value}); err != nil {
 				return err
 			}
 		}
@@ -496,11 +489,9 @@ func applyOne(st Target, op *Op, p xenc.Pre, attrName string) error {
 			return nil
 		}
 		if op.Child < 0 {
-			_, err := st.AppendChild(p, op.Frag)
-			return err
+			return apply(wal.Op{Kind: wal.OpAppendChild, Frag: op.Frag})
 		}
-		_, err := st.InsertChildAt(p, op.Child, op.Frag)
-		return err
+		return apply(wal.Op{Kind: wal.OpInsertChildAt, Child: int32(op.Child), Frag: op.Frag})
 	}
 	return fmt.Errorf("unknown command %v", op.Kind)
 }
@@ -513,15 +504,16 @@ func attrValue(st Target, p xenc.Pre, name string) (string, bool) {
 	return st.AttrValue(p, id)
 }
 
-// updateContent implements xupdate:update on an element or value node:
-// value nodes get their content replaced; elements get their children
-// replaced by a single text node.
-func updateContent(st Target, p xenc.Pre, text string) error {
+// updateContent implements xupdate:update on an element or value node,
+// id at view rank p: value nodes get their content replaced; elements
+// get their children replaced by a single text node.
+func updateContent(st Target, p xenc.Pre, id xenc.NodeID, text string) error {
 	if st.Kind(p) != xenc.KindElem {
-		return st.SetValue(p, text)
+		_, err := st.Apply(wal.Op{Kind: wal.OpSetValue, Target: id, Value: text})
+		return err
 	}
-	// Delete all children (pin them first: deleting shifts nothing in the
-	// paged store, but ids are the stable handle).
+	// Pin the children by id, then delete them: a delete shifts nothing
+	// in the paged store, but ids are the stable handle.
 	var kids []xenc.NodeID
 	lvl := st.Level(p)
 	q := xenc.SkipFree(st, p+1)
@@ -531,12 +523,8 @@ func updateContent(st Target, p xenc.Pre, text string) error {
 		}
 		q = xenc.SkipFree(st, q+st.Size(q)+1)
 	}
-	for _, id := range kids {
-		cp := st.PreOf(id)
-		if cp == xenc.NoPre {
-			continue
-		}
-		if err := st.Delete(cp); err != nil {
+	for _, kid := range kids {
+		if _, err := st.Apply(wal.Op{Kind: wal.OpDelete, Target: kid}); err != nil {
 			return err
 		}
 	}
@@ -544,9 +532,6 @@ func updateContent(st Target, p xenc.Pre, text string) error {
 		return nil
 	}
 	frag := &shred.Tree{Nodes: []shred.Node{{Kind: xenc.KindText, Value: text}}}
-	_, err := st.AppendChild(st.PreOf(st.NodeOf(p)), frag)
-	if err != nil {
-		return err
-	}
-	return nil
+	_, err := st.Apply(wal.Op{Kind: wal.OpAppendChild, Target: id, Frag: frag})
+	return err
 }

@@ -228,22 +228,12 @@ func NewDirChunkStore(root string) ChunkStore {
 }
 
 // CheckpointPolicy decides when a document's background checkpointer
-// runs: after the un-checkpointed WAL tail exceeds Bytes, or Records
-// committed records, whichever triggers first. A zero field disables
-// that trigger; a fully zero policy disables automatic checkpointing.
+// runs: once the un-checkpointed WAL tail holds Records committed
+// records. A zero policy disables automatic checkpointing.
 type CheckpointPolicy struct {
-	// Bytes triggers a checkpoint once the live WAL segments hold at
-	// least this many bytes.
-	Bytes int64
 	// Records triggers a checkpoint once the live WAL segments hold at
 	// least this many committed records.
 	Records int
-}
-
-func (p CheckpointPolicy) enabled() bool { return p.Bytes > 0 || p.Records > 0 }
-
-func (p CheckpointPolicy) exceeded(bytes int64, records int) bool {
-	return (p.Bytes > 0 && bytes >= p.Bytes) || (p.Records > 0 && records >= p.Records)
 }
 
 // Options configure a Database.
@@ -408,7 +398,7 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *D
 	d.ckpter.SetChunkStore(db.chunkStore(name))
 	d.tracker = repl.NewTracker()
 	d.ckpter.SetPruneBarrier(d.tracker.Barrier)
-	if db.opts.CheckpointEvery.enabled() {
+	if db.opts.CheckpointEvery.Records > 0 {
 		d.autoC = make(chan struct{}, 1)
 		d.stopC = make(chan struct{})
 		d.wg.Add(1)
