@@ -10,7 +10,6 @@
 //	BenchmarkOrdpath         — related-work comparison (§4.2)
 //	BenchmarkFillFactor      — ablation AB1: unused-tuple share
 //	BenchmarkPageSize        — ablation AB2: logical page size
-//	BenchmarkCompact         — the page-compaction maintenance pass
 //	BenchmarkConcurrentQueryDuringCommits — the versioned-snapshot read
 //	  path: query throughput with an active committer vs writer-idle
 //	BenchmarkCommitFsyncThroughput — group commit: fsyncs/commit vs
@@ -574,23 +573,6 @@ func BenchmarkPageSize(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkCompact measures the maintenance extension: rebuilding a
-// churned store's pages at the target fill (an offline O(N) pass).
-func BenchmarkCompact(b *testing.B) {
-	f := getFixture(b, 0.01)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := core.Build(f.tree, core.Options{PageSize: 1024, FillFactor: 0.6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := s.Compact(0.8); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

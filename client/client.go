@@ -225,7 +225,7 @@ func dialOne(ctx context.Context, addr string, o options) (*Client, error) {
 // wire.Version.
 func (c *Client) hello(ctx context.Context) error {
 	var p wire.PayloadBuilder
-	p.Uvarint(wire.Version).Uvarint(wire.FeatReplication | wire.FeatRYW)
+	p.Uvarint(wire.Version).Uvarint(wire.FeatReplication)
 	r, err := c.roundTrip(ctx, "hello", "", wire.OpHello, p.Bytes())
 	if err != nil {
 		return err

@@ -22,7 +22,6 @@ import (
 	"mxq/internal/shred"
 	"mxq/internal/xenc"
 	"mxq/internal/xmark"
-	"mxq/internal/xpath"
 )
 
 // liveElems returns the view ranks of live element nodes in doc order.
@@ -125,61 +124,6 @@ func TestPagedVsNaiveDifferential(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestCompactPreservesQueries runs XMark queries before and after
-// compaction of a churned store.
-func TestCompactPreservesQueries(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := xmark.NewGenerator(0.002, 9).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tree, err := shred.Parse(bytes.NewReader(buf.Bytes()), shred.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.Build(tree, core.Options{PageSize: 256, FillFactor: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Churn: delete every third person, append new items.
-	persons, err := xpath.MustParse(`/site/people/person`).Select(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := len(persons) - 1; i > 0; i -= 3 {
-		if err := s.Delete(s.PreOf(persons[i].Pre)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	regions, err := xpath.MustParse(`/site/regions/europe`).Select(s)
-	if err != nil || len(regions) != 1 {
-		t.Fatalf("%v %d", err, len(regions))
-	}
-	frag, _ := shred.ParseFragment(`<item id="itemX"><location>Mars</location><name>odd thing</name><description><text>gold gold</text></description></item>`, shred.Options{})
-	if _, err := s.AppendChild(regions[0].Pre, frag); err != nil {
-		t.Fatal(err)
-	}
-
-	before, err := xmark.RunAll(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pagesBefore := s.Pages()
-	if err := s.Compact(0.8); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := xmark.RunAll(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before != after {
-		t.Fatalf("query results changed over Compact:\nbefore %v\nafter  %v", before, after)
-	}
-	t.Logf("compact: %d -> %d pages", pagesBefore, s.Pages())
 }
 
 // TestFacadeEndToEndWorkflow exercises the whole public stack as a user

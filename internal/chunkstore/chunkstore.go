@@ -17,8 +17,8 @@
 // choice). Garbage collection is the store's own (Sweep), because only
 // the store knows how its chunks share storage (and how it stores them:
 // names and sizes at this interface are of the raw bytes). The in-tree
-// backends are Dir (a local directory of immutable pack files of deflated
-// chunks, the durability default: one file per write) and Mem (tests).
+// backend is Dir: a local directory of immutable pack files of deflated
+// chunks, one file per write.
 package chunkstore
 
 import (
@@ -26,7 +26,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // HashSize is the size of a chunk name in bytes (SHA-256).
@@ -131,60 +130,3 @@ func (e *mismatchError) Error() string {
 }
 
 func errMismatch(h Hash) error { return &mismatchError{h} }
-
-// --- Mem: in-memory backend ----------------------------------------------
-
-// Mem is an in-memory Store for tests and for staging a bootstrap
-// transfer. The zero value is not usable; call NewMem.
-type Mem struct {
-	mu     sync.RWMutex
-	chunks map[Hash][]byte
-}
-
-// NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{chunks: make(map[Hash][]byte)} }
-
-func (m *Mem) Put(h Hash, data []byte) error {
-	if Sum(data) != h {
-		return errMismatch(h)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.chunks[h]; !ok {
-		m.chunks[h] = append([]byte(nil), data...)
-	}
-	return nil
-}
-
-func (m *Mem) Get(h Hash) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	data, ok := m.chunks[h]
-	if !ok {
-		return nil, fmt.Errorf("chunkstore: %s: %w", h, ErrMissing)
-	}
-	return data, nil
-}
-
-func (m *Mem) HasMany(hs []Hash) ([]bool, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]bool, len(hs))
-	for i, h := range hs {
-		_, out[i] = m.chunks[h]
-	}
-	return out, nil
-}
-
-func (m *Mem) Sweep(keep func(Hash) bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for h := range m.chunks {
-		if !keep(h) {
-			delete(m.chunks, h)
-		}
-	}
-	return nil
-}
-
-func (m *Mem) Sync() error { return nil }

@@ -109,8 +109,6 @@ func testStore(t *testing.T, s Store) {
 	}
 }
 
-func TestMem(t *testing.T) { testStore(t, NewMem()) }
-
 func TestDir(t *testing.T) { testStore(t, NewDir(filepath.Join(t.TempDir(), "chunks"))) }
 
 // packFiles lists the files under a Dir's root, packs or not.

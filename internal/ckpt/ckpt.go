@@ -331,15 +331,17 @@ func Images(dir, name string) ([]Image, error) {
 
 // RemoveArtifacts deletes every checkpoint artifact of the document —
 // images and stale tmp files — with exact-boundary matching, leaving
-// other documents' files alone.
-func RemoveArtifacts(dir, name string) {
-	imgs, tmps, _ := scan(dir, name)
+// other documents' files alone, and syncs dir. It returns the first
+// error, of the scan or of a remove.
+func RemoveArtifacts(dir, name string) error {
+	imgs, files, err := scan(dir, name)
+	if err != nil {
+		return err
+	}
 	for _, img := range imgs {
-		vfs.OS.Remove(filepath.Join(dir, img.File))
+		files = append(files, img.File)
 	}
-	for _, tmp := range tmps {
-		vfs.OS.Remove(filepath.Join(dir, tmp))
-	}
+	return vfs.RemoveFiles(vfs.OS, dir, files)
 }
 
 // CurrentLSN returns the LSN of the document's newest checkpoint image

@@ -79,7 +79,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 	want := stateBytes(s)
 
-	cs := chunkstore.NewMem()
+	cs := chunkstore.NewDir(t.TempDir())
 	m, stats := mustSaveChunked(t, s, cs)
 	if stats.ChunksWritten == 0 || stats.BytesWritten == 0 {
 		t.Fatalf("first save wrote nothing: %+v", stats)
@@ -116,7 +116,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 
 func TestChunkedIncrementalWritesOnlyChurn(t *testing.T) {
 	s := mustBuild(t, itemsDoc(2000), Options{PageSize: 64, FillFactor: 0.8})
-	cs := chunkstore.NewMem()
+	cs := chunkstore.NewDir(t.TempDir())
 	_, full := mustSaveChunked(t, s, cs)
 
 	// One localized edit: a rename dirties one page chunk (and nothing
@@ -155,7 +155,7 @@ func TestChunkedFreeTailNotCached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := chunkstore.NewMem()
+	cs := chunkstore.NewDir(t.TempDir())
 	mustSaveChunked(t, s, cs) // caches the full free chunks' hashes
 
 	// Recycle ids: popFree shrinks freeLen below the cached chunk's
@@ -198,7 +198,7 @@ func TestChunkedSnapshotIsolation(t *testing.T) {
 		}
 	}
 
-	cs := chunkstore.NewMem()
+	cs := chunkstore.NewDir(t.TempDir())
 	m, _ := mustSaveChunked(t, snap, cs)
 	got := mustLoadChunked(t, m, cs)
 	// The snapshot's tree is frozen (COW pages); only the shared
@@ -246,7 +246,7 @@ func TestChunkedBuildManifestResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := chunkstore.NewMem()
+	dst := chunkstore.NewDir(t.TempDir())
 	for _, h := range hs {
 		data, ok := resolve(h)
 		if !ok {
@@ -270,7 +270,7 @@ func TestChunkedBuildManifestResolver(t *testing.T) {
 
 func TestChunkedLoadRejectsCorruption(t *testing.T) {
 	s := mustBuild(t, itemsDoc(60), Options{PageSize: 16, FillFactor: 0.75})
-	cs := chunkstore.NewMem()
+	cs := chunkstore.NewDir(t.TempDir())
 	m, _ := mustSaveChunked(t, s, cs)
 
 	mutate := func(fn func(c ChunkManifest) ChunkManifest) error {
@@ -465,7 +465,10 @@ func TestChunkedParallelSaveLoad(t *testing.T) {
 
 	// Concurrent collection over one snapshot, no hash cached yet: every
 	// collector encodes and hashes, all agree.
-	dir, mem := chunkstore.NewDir(filepath.Join(t.TempDir(), "chunks")), chunkstore.NewMem()
+	// perPut hides Dir's PutMany, so its saves take PutAll's one-Put-per-chunk
+	// fallback (the shape of a store that wraps another's Put).
+	dir := chunkstore.NewDir(filepath.Join(t.TempDir(), "chunks"))
+	perPut := struct{ chunkstore.Store }{chunkstore.NewDir(filepath.Join(t.TempDir(), "perput"))}
 	var wg sync.WaitGroup
 	mans := make([]*ChunkManifest, 4)
 	for i := range mans {
@@ -476,7 +479,7 @@ func TestChunkedParallelSaveLoad(t *testing.T) {
 			case 0:
 				mans[i], _, _ = snap.SaveChunked(dir)
 			case 1:
-				mans[i], _, _ = snap.SaveChunked(mem)
+				mans[i], _, _ = snap.SaveChunked(perPut)
 			default:
 				mans[i], _ = snap.BuildManifest()
 			}
@@ -494,7 +497,7 @@ func TestChunkedParallelSaveLoad(t *testing.T) {
 		t.Fatalf("%d page, %d node, %d free chunks: too few to fan out", len(m.Pages), len(m.Nodes), len(m.Free))
 	}
 
-	for name, cs := range map[string]chunkstore.Store{"dir": chunkstore.NewDir(dir.Root()), "mem": mem} {
+	for name, cs := range map[string]chunkstore.Store{"dir": chunkstore.NewDir(dir.Root()), "per-put": perPut} {
 		got := mustLoadChunked(t, m, cs)
 		if !bytes.Equal(stateBytes(got), want) {
 			t.Fatalf("%s: loaded store diverged from the saved one", name)

@@ -45,7 +45,6 @@ func TestLiveCountsFollowWrites(t *testing.T) {
 			return err
 		}},
 		{"Delete spanning pages", func() error { return s.Delete(item(9)) }},
-		{"Compact", func() error { return s.Compact(0.5) }},
 		{"CompactDictionaries", func() error {
 			if err := s.Delete(item(0)); err != nil {
 				return err
@@ -122,7 +121,7 @@ func TestSnapshotKeepsLiveCount(t *testing.T) {
 func TestLoadedPagesStartUnknown(t *testing.T) {
 	s := mustBuild(t, itemsDoc(60), Options{PageSize: 16, FillFactor: 0.75})
 	warmLive(t, s)
-	cs := chunkstore.NewMem()
+	cs := chunkstore.NewDir(t.TempDir())
 	m, _ := mustSaveChunked(t, s, cs)
 	got := mustLoadChunked(t, m, cs)
 	for i, pg := range got.pages {

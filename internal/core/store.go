@@ -47,8 +47,7 @@
 // The qualified-name pool and the attribute-value dictionary are shared
 // between the base and all snapshots (both are append-only and internally
 // synchronized); an aborted transaction can leave unreferenced dictionary
-// entries behind, which CompactDictionaries reclaims offline the way
-// Compact reclaims dead pages.
+// entries behind, which CompactDictionaries reclaims offline.
 package core
 
 import (

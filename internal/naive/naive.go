@@ -11,8 +11,8 @@ package naive
 
 import (
 	"fmt"
+	"slices"
 
-	"mxq/internal/bat"
 	"mxq/internal/shred"
 	"mxq/internal/xenc"
 )
@@ -30,8 +30,7 @@ type Store struct {
 	// renumber the tail of this column too.
 	attrOwner []int32
 	attrName  []int32
-	attrVal   []int32
-	prop      *bat.Dict
+	attrVal   []string // the oracle needs no value encoding
 
 	qn *xenc.QNamePool
 }
@@ -41,7 +40,7 @@ func Build(t *shred.Tree) (*Store, error) {
 	if len(t.Nodes) == 0 {
 		return nil, fmt.Errorf("naive: cannot build a store from an empty tree")
 	}
-	s := &Store{prop: bat.NewDict(), qn: xenc.NewQNamePool()}
+	s := &Store{qn: xenc.NewQNamePool()}
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
 		s.pre = append(s.pre, int32(i))
@@ -57,7 +56,7 @@ func Build(t *shred.Tree) (*Store, error) {
 		for _, a := range nd.Attrs {
 			s.attrOwner = append(s.attrOwner, int32(i))
 			s.attrName = append(s.attrName, s.qn.Intern(a.Name))
-			s.attrVal = append(s.attrVal, s.prop.Put(a.Value))
+			s.attrVal = append(s.attrVal, a.Value)
 		}
 	}
 	return s, nil
@@ -77,8 +76,7 @@ func (s *Store) Clone() *Store {
 		text:      append([]string(nil), s.text...),
 		attrOwner: append([]int32(nil), s.attrOwner...),
 		attrName:  append([]int32(nil), s.attrName...),
-		attrVal:   append([]int32(nil), s.attrVal...),
-		prop:      s.prop.Clone(),
+		attrVal:   append([]string(nil), s.attrVal...),
 		qn:        s.qn,
 	}
 }
@@ -127,7 +125,7 @@ func (s *Store) Attrs(p xenc.Pre) []xenc.Attr {
 	}
 	out := make([]xenc.Attr, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		out = append(out, xenc.Attr{Name: s.attrName[i], Val: s.prop.Get(s.attrVal[i])})
+		out = append(out, xenc.Attr{Name: s.attrName[i], Val: s.attrVal[i]})
 	}
 	return out
 }
@@ -137,7 +135,7 @@ func (s *Store) AttrValue(p xenc.Pre, name int32) (string, bool) {
 	lo, hi := s.attrRange(p)
 	for i := lo; i < hi; i++ {
 		if s.attrName[i] == name {
-			return s.prop.Get(s.attrVal[i]), true
+			return s.attrVal[i], true
 		}
 	}
 	return "", false
@@ -218,11 +216,11 @@ func (s *Store) insertAt(at xenc.Pre, parent xenc.Pre, frag *shred.Tree) error {
 			newName[i] = s.qn.Intern(nd.Name)
 		}
 	}
-	s.size = bat.InsertInt32(s.size, int(at), newSize...)
-	s.level = bat.InsertInt16(s.level, int(at), newLevel...)
-	s.kind = bat.InsertUint8(s.kind, int(at), newKind...)
-	s.name = bat.InsertInt32(s.name, int(at), newName...)
-	s.text = insertStrings(s.text, int(at), newText)
+	s.size = slices.Insert(s.size, int(at), newSize...)
+	s.level = slices.Insert(s.level, int(at), newLevel...)
+	s.kind = slices.Insert(s.kind, int(at), newKind...)
+	s.name = slices.Insert(s.name, int(at), newName...)
+	s.text = slices.Insert(s.text, int(at), newText...)
 	// Re-enumerate the materialized pre column (the update a void column
 	// cannot absorb).
 	s.pre = append(s.pre, make([]int32, k)...)
@@ -258,9 +256,9 @@ func (s *Store) spliceAttr(owner xenc.Pre, name, val string) {
 	for i < len(s.attrOwner) && s.attrOwner[i] <= owner {
 		i++
 	}
-	s.attrOwner = bat.InsertInt32(s.attrOwner, i, owner)
-	s.attrName = bat.InsertInt32(s.attrName, i, s.qn.Intern(name))
-	s.attrVal = bat.InsertInt32(s.attrVal, i, s.prop.Put(val))
+	s.attrOwner = slices.Insert(s.attrOwner, i, owner)
+	s.attrName = slices.Insert(s.attrName, i, s.qn.Intern(name))
+	s.attrVal = slices.Insert(s.attrVal, i, val)
 }
 
 // Delete removes the subtree rooted at target, shifting the tail left.
@@ -270,11 +268,12 @@ func (s *Store) Delete(target xenc.Pre) error {
 	}
 	k := s.size[target] + 1
 	parent := s.parent(target)
-	s.size = bat.DeleteInt32(s.size, int(target), int(k))
-	s.level = bat.DeleteInt16(s.level, int(target), int(k))
-	s.kind = bat.DeleteUint8(s.kind, int(target), int(k))
-	s.name = bat.DeleteInt32(s.name, int(target), int(k))
-	s.text = append(s.text[:target], s.text[target+k:]...)
+	end := int(target + k)
+	s.size = slices.Delete(s.size, int(target), end)
+	s.level = slices.Delete(s.level, int(target), end)
+	s.kind = slices.Delete(s.kind, int(target), end)
+	s.name = slices.Delete(s.name, int(target), end)
+	s.text = slices.Delete(s.text, int(target), end)
 	s.pre = s.pre[:len(s.size)]
 	for i := int(target); i < len(s.pre); i++ {
 		s.pre[i] = int32(i)
@@ -347,7 +346,7 @@ func (s *Store) SetAttr(p xenc.Pre, name, val string) error {
 	lo, hi := s.attrRange(p)
 	for i := lo; i < hi; i++ {
 		if s.attrName[i] == nameID {
-			s.attrVal[i] = s.prop.Put(val)
+			s.attrVal[i] = val
 			return nil
 		}
 	}
@@ -368,9 +367,9 @@ func (s *Store) RemoveAttr(p xenc.Pre, name string) error {
 	lo, hi := s.attrRange(p)
 	for i := lo; i < hi; i++ {
 		if s.attrName[i] == nameID {
-			s.attrOwner = append(s.attrOwner[:i], s.attrOwner[i+1:]...)
-			s.attrName = append(s.attrName[:i], s.attrName[i+1:]...)
-			s.attrVal = append(s.attrVal[:i], s.attrVal[i+1:]...)
+			s.attrOwner = slices.Delete(s.attrOwner, i, i+1)
+			s.attrName = slices.Delete(s.attrName, i, i+1)
+			s.attrVal = slices.Delete(s.attrVal, i, i+1)
 			return nil
 		}
 	}
@@ -387,11 +386,4 @@ func (s *Store) parent(p xenc.Pre) xenc.Pre {
 		}
 	}
 	return xenc.NoPre
-}
-
-func insertStrings(s []string, i int, vals []string) []string {
-	s = append(s, vals...)
-	copy(s[i+len(vals):], s[i:])
-	copy(s[i:], vals)
-	return s
 }

@@ -92,7 +92,7 @@ func (p *primary) serveConn(conn net.Conn) {
 		switch fr.Op {
 		case wire.OpHello:
 			var b wire.PayloadBuilder
-			b.Uvarint(wire.Version).Uvarint(wire.FeatReplication | wire.FeatRYW)
+			b.Uvarint(wire.Version).Uvarint(wire.FeatReplication)
 			wire.WriteFrame(conn, wire.Frame{ID: fr.ID, Op: wire.StatusOK, Payload: b.Bytes()})
 		case wire.OpSubscribeWAL:
 			r := wire.NewPayloadReader(fr.Payload)
@@ -304,7 +304,7 @@ func TestFollowerRefusesMalformedBatch(t *testing.T) {
 			var b wire.PayloadBuilder
 			switch fr.Op {
 			case wire.OpHello:
-				b.Uvarint(wire.Version).Uvarint(wire.FeatReplication | wire.FeatRYW)
+				b.Uvarint(wire.Version).Uvarint(wire.FeatReplication)
 				wire.WriteFrame(conn, wire.Frame{ID: fr.ID, Op: wire.StatusOK, Payload: b.Bytes()})
 			case wire.OpSubscribeWAL:
 				b.Byte(wire.ModeWAL).Uvarint(1)

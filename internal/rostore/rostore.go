@@ -5,16 +5,17 @@
 // which is exactly why it cannot be updated, and why it serves as the
 // 'ro' side of the Figure 9 experiment.
 //
-// It is one of the paper's comparison baselines: imported only by the
-// benchmarks (bench_test.go's BenchmarkFigure9, the one Figure 9
-// harness, across scale factors through MXQ_BENCH_SF) and by tests that
-// want a second DocView, and deliberately not served.
+// It is Figure 9's baseline: imported only by the benchmarks
+// (bench_test.go's BenchmarkFigure9, the one Figure 9 harness, across
+// scale factors through MXQ_BENCH_SF) and by tests that want a second
+// DocView, and deliberately not served. Its prop table is an
+// xenc.QNamePool, the interner the qn table already uses, so attribute
+// values stay dictionary-encoded as Figure 5 draws them.
 package rostore
 
 import (
 	"fmt"
 
-	"mxq/internal/bat"
 	"mxq/internal/shred"
 	"mxq/internal/xenc"
 )
@@ -32,7 +33,7 @@ type Store struct {
 	attrOff  []int32 // len = LiveNodes+1
 	attrName []int32
 	attrVal  []int32
-	prop     *bat.Dict
+	prop     *xenc.QNamePool
 
 	qn *xenc.QNamePool
 }
@@ -50,7 +51,7 @@ func Build(t *shred.Tree) (*Store, error) {
 		kind:  make([]uint8, n),
 		name:  make([]int32, n),
 		text:  make([]string, n),
-		prop:  bat.NewDict(),
+		prop:  xenc.NewQNamePool(),
 		qn:    xenc.NewQNamePool(),
 	}
 	s.attrOff = make([]int32, n+1)
@@ -69,7 +70,7 @@ func Build(t *shred.Tree) (*Store, error) {
 		s.attrOff[i] = int32(len(s.attrName))
 		for _, a := range nd.Attrs {
 			s.attrName = append(s.attrName, s.qn.Intern(a.Name))
-			s.attrVal = append(s.attrVal, s.prop.Put(a.Value))
+			s.attrVal = append(s.attrVal, s.prop.Intern(a.Value))
 		}
 	}
 	s.attrOff[n] = int32(len(s.attrName))
@@ -118,7 +119,7 @@ func (s *Store) Attrs(p xenc.Pre) []xenc.Attr {
 	}
 	out := make([]xenc.Attr, hi-lo)
 	for i := lo; i < hi; i++ {
-		out[i-lo] = xenc.Attr{Name: s.attrName[i], Val: s.prop.Get(s.attrVal[i])}
+		out[i-lo] = xenc.Attr{Name: s.attrName[i], Val: s.prop.Name(s.attrVal[i])}
 	}
 	return out
 }
@@ -127,7 +128,7 @@ func (s *Store) Attrs(p xenc.Pre) []xenc.Attr {
 func (s *Store) AttrValue(p xenc.Pre, name int32) (string, bool) {
 	for i := s.attrOff[p]; i < s.attrOff[p+1]; i++ {
 		if s.attrName[i] == name {
-			return s.prop.Get(s.attrVal[i]), true
+			return s.prop.Name(s.attrVal[i]), true
 		}
 	}
 	return "", false

@@ -47,14 +47,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// features reports the feature bits this server offers in Hello.
-// Replication is always offered (any durable document can be
-// subscribed); read-your-writes likewise (the applied watermark exists
-// on primaries and followers alike).
-func (s *Server) features() uint64 {
-	return wire.FeatReplication | wire.FeatRYW
-}
-
 // Server is the mxqd daemon core: an accept loop spawning one session
 // per connection over a shared admission semaphore.
 type Server struct {

@@ -153,7 +153,8 @@ func (s *session) handleHello(f wire.Frame) bool {
 	if err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
-	version, feats, ok := wire.Negotiate(clientMax, s.srv.features(), clientFeats)
+	// Replication is always offered: any durable document can be subscribed.
+	version, feats, ok := wire.Negotiate(clientMax, wire.FeatReplication, clientFeats)
 	if !ok {
 		return s.respondErr(f.ID, wire.CodeVersion,
 			fmt.Sprintf("client speaks up to protocol %d; this server speaks %d", clientMax, wire.Version))

@@ -305,7 +305,7 @@ func TestValidatorBlocksCommit(t *testing.T) {
 // pinned snapshot saved, and the LSN the pin covers.
 type image struct {
 	man *core.ChunkManifest
-	cs  *chunkstore.Mem
+	cs  *chunkstore.Dir
 	lsn uint64
 }
 
@@ -314,7 +314,7 @@ func checkpoint(t *testing.T, m *Manager) image {
 	t.Helper()
 	snap, lsn := m.PinCheckpoint()
 	defer snap.Release()
-	cs := chunkstore.NewMem()
+	cs := chunkstore.NewDir(t.TempDir())
 	man, _, err := snap.SaveChunked(cs)
 	if err != nil {
 		t.Fatal(err)

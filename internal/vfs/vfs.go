@@ -5,8 +5,10 @@
 package vfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,6 +94,22 @@ func Publish(fsys FS, path string, write func(io.Writer) error) error {
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// RemoveFiles removes each named file of dir, then syncs dir so that the
+// unlinks are durable. It keeps going past a failure and returns the
+// first error; a file already gone counts as removed.
+func RemoveFiles(fsys FS, dir string, names []string) error {
+	var first error
+	for _, name := range names {
+		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) && first == nil {
+			first = err
+		}
+	}
+	if err := fsys.SyncDir(dir); first == nil {
+		first = err
+	}
+	return first
 }
 
 // SplitTmp reports whether the bare file name is a tmp file of a publish

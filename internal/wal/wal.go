@@ -852,13 +852,18 @@ func SegmentPaths(path string) ([]string, error) {
 }
 
 // RemoveSegments deletes every segment file of the log rooted at path
-// (Drop uses it; matching is exact, so another document whose name
-// shares a prefix is never touched).
-func RemoveSegments(path string) {
-	paths, _ := SegmentPaths(path)
-	for _, p := range paths {
-		vfs.OS.Remove(p)
+// and syncs its directory (Drop uses it; matching is exact, so another
+// document whose name shares a prefix is never touched). It returns the
+// first error, of the scan or of a remove.
+func RemoveSegments(path string) error {
+	paths, err := SegmentPaths(path)
+	if err != nil {
+		return err
 	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return vfs.RemoveFiles(vfs.OS, filepath.Dir(path), paths)
 }
 
 // Segments describes the live segments in order (observability, tests).

@@ -35,7 +35,7 @@ func seedFrames() []Frame {
 		{ID: 6, Op: OpExplain, Payload: pb().String("lib").String("//book[1]").Bytes()},
 		{ID: 7, Op: OpBeginRead, Payload: pb().String("lib").Bytes()},
 		{ID: 8, Op: OpEndRead, Payload: pb().String("lib").Bytes()},
-		{ID: 9, Op: OpHello, Payload: pb().Uvarint(Version).Uvarint(FeatReplication | FeatRYW).Bytes()},
+		{ID: 9, Op: OpHello, Payload: pb().Uvarint(Version).Uvarint(FeatReplication).Bytes()},
 		{ID: 10, Op: OpSubscribeWAL, Payload: pb().String("lib").Uvarint(SubscribeNone).Bytes()},
 		{Op: OpWALRecords, Payload: walBatch},
 		{Op: OpFollowerAck, Payload: pb().Uvarint(42).Bytes()},

@@ -48,15 +48,12 @@ import (
 const Version = 3
 
 // Feature bits exchanged in Hello (a bitmask; unknown bits are ignored,
-// the negotiated set is the intersection). Bit 2 is retired.
+// the negotiated set is the intersection). Bits 1 and 2 are retired.
 const (
 	// FeatReplication: the peer serves (server) or wants (client) the
 	// WAL-shipping opcodes SubscribeWAL / WALRecords / FollowerAck and the
 	// bootstrap opcodes SnapManifest / ChunkNeed / ChunkData.
 	FeatReplication uint64 = 1 << 0
-	// FeatRYW: read-your-writes — Query requests may carry a minimum LSN
-	// + park timeout.
-	FeatRYW uint64 = 1 << 1
 )
 
 // Request opcodes. 12 is retired.

@@ -130,13 +130,13 @@ func TestNegotiate(t *testing.T) {
 		{99, true}, // future client: the server answers with its own version
 	}
 	for _, c := range cases {
-		v, _, ok := Negotiate(c.clientMax, FeatReplication|FeatRYW, FeatReplication|FeatRYW)
+		v, _, ok := Negotiate(c.clientMax, FeatReplication, FeatReplication)
 		if ok != c.ok || (ok && v != Version) {
 			t.Errorf("Negotiate(max=%d) = %d, %v; want ok=%v", c.clientMax, v, ok, c.ok)
 		}
 	}
-	// Feature bits intersect; unknown bits vanish.
-	_, feats, ok := Negotiate(Version, FeatReplication, FeatReplication|FeatRYW|1<<60)
+	// Feature bits intersect; unknown and retired bits vanish.
+	_, feats, ok := Negotiate(Version, FeatReplication, FeatReplication|1<<1|1<<60)
 	if !ok || feats != FeatReplication {
 		t.Fatalf("feature intersection = %b, %v", feats, ok)
 	}

@@ -220,16 +220,3 @@ func SkipFree(v DocView, p Pre) Pre {
 	}
 	return p
 }
-
-// PrevUsed returns the last used tuple strictly before p, or -1. Free runs
-// are crossed one tuple at a time; runs are short (bounded by the logical
-// page size), and backward steps are only taken by the parent/ancestor
-// and preceding axes.
-func PrevUsed(v DocView, p Pre) Pre {
-	for p--; p >= 0; p-- {
-		if v.Level(p) != LevelUnused {
-			return p
-		}
-	}
-	return -1
-}

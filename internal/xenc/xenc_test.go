@@ -54,19 +54,6 @@ func TestSkipFreeAllFree(t *testing.T) {
 	}
 }
 
-func TestPrevUsed(t *testing.T) {
-	v := &fakeView{
-		size:  []int32{0, 1, 0, 0},
-		level: []Level{0, LevelUnused, LevelUnused, 1},
-	}
-	if got := PrevUsed(v, 3); got != 0 {
-		t.Fatalf("PrevUsed(3) = %d, want 0", got)
-	}
-	if got := PrevUsed(v, 0); got != -1 {
-		t.Fatalf("PrevUsed(0) = %d, want -1", got)
-	}
-}
-
 func TestIsUsed(t *testing.T) {
 	v := &fakeView{size: []int32{0, 0}, level: []Level{0, LevelUnused}}
 	if !IsUsed(v, 0) || IsUsed(v, 1) || IsUsed(v, -1) || IsUsed(v, 2) {

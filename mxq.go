@@ -147,7 +147,7 @@
 // drain. Every request looks its document up with OpenDocument, so a
 // document is recovered on its first request.
 // The client package is the Go client, cmd/mxqload the load generator,
-// and examples/ has a served quickstart.
+// and Example_server a served quickstart.
 //
 // # Replication
 //
@@ -165,7 +165,7 @@
 // follower holds each read until that LSN is applied (or fails typed,
 // never silently stale) — read-your-writes on scale-out reads. See
 // internal/repl, the ROADMAP "Replication" section, and
-// examples/replication.
+// Example_replication.
 //
 // Quick start:
 //
@@ -213,20 +213,6 @@ type ChunkStore = chunkstore.Store
 // ChunkHash is a chunk's content address (SHA-256).
 type ChunkHash = chunkstore.Hash
 
-// NewDirChunkStore returns the local-directory ChunkStore backend
-// rooted at root: every write (a checkpoint's batch of missing chunks)
-// lands as one immutable pack file root/<64 hex>.pack, written
-// atomically; every read is verified against the chunk's name; and
-// Sweep rewrites the survivors of a pack once a quarter of it is dead,
-// so the directory stays within 4/3 of the live bytes. It is the same
-// backend documents get by default; use it with Options.ChunkStore to place a
-// document's chunks somewhere other than Options.Dir — a bigger disk,
-// a shared cache volume. Remember per-document scoping: give each
-// document its own root.
-func NewDirChunkStore(root string) ChunkStore {
-	return chunkstore.NewDir(root)
-}
-
 // CheckpointPolicy decides when a document's background checkpointer
 // runs: once the un-checkpointed WAL tail holds Records committed
 // records. A zero policy disables automatic checkpointing.
@@ -264,8 +250,6 @@ type Options struct {
 	// exceeds the policy — commits keep landing at full speed while the
 	// image streams (see Document.Checkpoint). Close drains it.
 	CheckpointEvery CheckpointPolicy
-	// PreserveWhitespace keeps whitespace-only text nodes when shredding.
-	PreserveWhitespace bool
 	// ChunkStore, when non-nil, supplies the content-addressed chunk
 	// store backing each document's checkpoint images in place of the
 	// default local directory (<doc>.chunks/ in Dir). It is called once
@@ -410,7 +394,7 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *D
 // LoadXML shreds and stores a document under the given name. The
 // document is read into memory whole.
 func (db *Database) LoadXML(name string, r io.Reader) (*Document, error) {
-	tree, err := shred.Parse(r, shred.Options{PreserveWhitespace: db.opts.PreserveWhitespace})
+	tree, err := shred.Parse(r, shred.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +404,7 @@ func (db *Database) LoadXML(name string, r io.Reader) (*Document, error) {
 // LoadXMLString is LoadXML over a string; the document keeps no
 // reference to it.
 func (db *Database) LoadXMLString(name, xml string) (*Document, error) {
-	tree, err := shred.ParseString(xml, shred.Options{PreserveWhitespace: db.opts.PreserveWhitespace})
+	tree, err := shred.ParseString(xml, shred.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -575,6 +559,9 @@ func (db *Database) Documents() []string {
 
 // Drop removes a document and its durability files, attached or not. A
 // Dir that cannot be read fails it, rather than answering ErrNoDocument.
+// A nil answer means every file is gone and the unlinks of the images and
+// segments are durable; otherwise Drop returns the first error, having
+// removed what it could.
 func (db *Database) Drop(name string) error {
 	doc, lift, err := db.detach(name, db.exists)
 	if err != nil {
@@ -592,16 +579,22 @@ func (db *Database) Drop(name string) error {
 	}
 	// Exact-boundary removal: a document whose name is a prefix of
 	// another ("a" vs "a-b") must never take the other's artifacts.
-	wal.RemoveSegments(db.walPath(name))
-	ckpt.RemoveArtifacts(db.opts.Dir, name)
+	// Images go first: a name without images no longer exists, so a Drop
+	// that fails later leaves no document behind, only litter.
+	err = ckpt.RemoveArtifacts(db.opts.Dir, name)
+	if serr := wal.RemoveSegments(db.walPath(name)); err == nil {
+		err = serr
+	}
 	// Dropping the document is the one case chunks go too: no future
 	// image of this document will reference them. (Only the default
 	// local store — a caller-supplied ChunkStore manages its own data.)
 	// vfs.FS has no RemoveAll, so this one delete does not go through it.
 	if db.opts.ChunkStore == nil {
-		os.RemoveAll(ckpt.ChunkDir(db.opts.Dir, name))
+		if cerr := os.RemoveAll(ckpt.ChunkDir(db.opts.Dir, name)); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
 // Close drains every document's auto-checkpointer (a checkpoint in

@@ -2,6 +2,7 @@ package mxq
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"mxq/internal/ckpt"
 	"mxq/internal/tx"
 	"mxq/internal/validate"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
 
@@ -690,6 +692,41 @@ func TestDropSparesDashSiblingDocuments(t *testing.T) {
 	}
 	if got, _ := doc2.XML(); got != want {
 		t.Fatalf(`"a-b" damaged by Drop("a"):\nwant %s\ngot  %s`, want, got)
+	}
+}
+
+// TestDropReportsWhatItCouldNotRemove: an image name Drop cannot unlink
+// (here a non-empty directory, which os.Remove refuses) fails the Drop,
+// since the name still exists; the removable artifacts go regardless.
+func TestDropReportsWhatItCouldNotRemove(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("a", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	stuck := filepath.Join(dir, fmt.Sprintf("a-%016x.ckpt", 1<<40))
+	if err := os.MkdirAll(filepath.Join(stuck, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Drop("a"); err == nil {
+		t.Fatalf("Drop answered nil over a surviving image; dir: %v", ls(t, dir))
+	}
+	if names := db.Documents(); !slices.Equal(names, []string{"a"}) {
+		t.Fatalf("Documents after a failed Drop = %v, want [a]", names)
+	}
+	if imgs, _ := ckpt.Images(dir, "a"); len(imgs) != 1 || filepath.Join(dir, imgs[0].File) != stuck {
+		t.Fatalf("images left by the failed Drop: %v, want only the planted one", imgs)
+	}
+	if segs, _ := wal.SegmentPaths(filepath.Join(dir, "a.wal")); len(segs) != 0 {
+		t.Fatalf("segments left by the failed Drop: %v", segs)
 	}
 }
 

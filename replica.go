@@ -207,8 +207,14 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 		// LSN line and about to be wiped.
 		old.close(false)
 	}
-	wal.RemoveSegments(db.walPath(s.name))
-	ckpt.RemoveArtifacts(db.opts.Dir, s.name)
+	// A segment of the dead LSN line that survived would be read by the
+	// new log: a wipe that fails fails the bootstrap.
+	if err := ckpt.RemoveArtifacts(db.opts.Dir, s.name); err != nil {
+		return fmt.Errorf("mxq: wiping %q for bootstrap: %w", s.name, err)
+	}
+	if err := wal.RemoveSegments(db.walPath(s.name)); err != nil {
+		return fmt.Errorf("mxq: wiping %q for bootstrap: %w", s.name, err)
+	}
 
 	log, err := db.openWAL(s.name)
 	if err != nil {

@@ -68,7 +68,7 @@ func replListener(t *testing.T, doc *Document) (net.Listener, *atomic.Int64) {
 						r := wire.NewPayloadReader(fr.Payload)
 						cliVer, _ := r.Uvarint()
 						cliFeats, _ := r.Uvarint()
-						proto, feats, ok := wire.Negotiate(cliVer, wire.FeatReplication|wire.FeatRYW, cliFeats)
+						proto, feats, ok := wire.Negotiate(cliVer, wire.FeatReplication, cliFeats)
 						if !ok {
 							return
 						}
