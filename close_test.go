@@ -277,3 +277,89 @@ func TestCloseWakesFenceWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloseKeepsUncheckpointedDocument: a document that never reached a
+// checkpoint survives a clean Close — Close writes its image as
+// CloseDocument does — and comes back with its committed update.
+func TestCloseKeepsUncheckpointedDocument(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.LoadXMLString("a", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>kept</book></xupdate:append>`)); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := doc.XML()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.Documents(); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("Documents after Close and Open = %v, want [a]", got)
+	}
+	doc, err = db.OpenDocument("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := doc.XML(); got != want {
+		t.Fatalf("reopened document differs:\nwant %s\ngot  %s", want, got)
+	}
+}
+
+// TestLoadDiscardsOrphanedLog: a crash before a document's first
+// checkpoint leaves WAL segments and no image — no document. A new load
+// of the name starts a log of its own at LSN 1 instead of continuing the
+// dead document's.
+func TestLoadDiscardsOrphanedLog(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.LoadXMLString("a", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>lost</book></xupdate:append>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(Options{Dir: crashed, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.Documents(); len(got) != 0 {
+		t.Fatalf("Documents over an image-less crash state = %v, want none", got)
+	}
+	doc, err = db.LoadXMLString("a", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lsn, err := doc.UpdateLSN(wrapMods(`<xupdate:append select="/lib/shelf"><book>new</book></xupdate:append>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 1 {
+		t.Fatalf("first commit of the new document has LSN %d, want 1", lsn)
+	}
+}

@@ -165,7 +165,16 @@ func (s *Store) Names() *xenc.QNamePool { return s.qn }
 // Root returns the pre rank of the root element.
 func (s *Store) Root() xenc.Pre { return 0 }
 
-var _ xenc.DocView = (*Store)(nil)
+// Cols implements xenc.ColumnView: the dense columns are one run, as in
+// the read-only store, so the oracle runs the staircase kernels over them.
+func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
+	return xenc.Columns{Size: s.size, Level: s.level, Kind: s.kind, Name: s.name, Text: s.text}, int(p)
+}
+
+// Live implements xenc.ColumnView: the single run holds every node.
+func (s *Store) Live(xenc.Pre) (int, xenc.Pre) { return s.LiveNodes(), s.Len() }
+
+var _ xenc.ColumnView = (*Store)(nil)
 
 // --- structural updates (all O(N)) ----------------------------------------
 

@@ -19,7 +19,7 @@ import (
 )
 
 // perTuple hides everything but the DocView method set of a view, so
-// the serializer runs its reference body over it.
+// the kernel reads it through xenc.Columnar's adapter, one tuple a run.
 type perTuple struct{ xenc.DocView }
 
 // fragments are what the churn inserts: everything the serializer
@@ -73,38 +73,41 @@ func mutate(tb testing.TB, s mutation, op, target int) error {
 }
 
 // checkSerialize compares, at every element root of v and with both
-// indent styles, the kernel's output with the reference body's, byte for
-// byte, and each walk's text descendants with the XPath string value.
+// indent styles, the kernel's output on v and on v behind perTuple with
+// the reference body's on v, byte for byte, and each walk's text
+// descendants with the XPath string value.
 func checkSerialize(tb testing.TB, label string, v xenc.DocView) {
 	tb.Helper()
 	if _, ok := v.(xenc.ColumnView); !ok {
 		tb.Fatalf("%s: %T is not a ColumnView", label, v)
 	}
-	ref := perTuple{v}
+	views := map[string]xenc.DocView{"kernel": v, "adapter": perTuple{v}}
 	for p := xenc.SkipFree(v, 0); p < v.Len(); p = xenc.SkipFree(v, p+1) {
 		if v.Kind(p) != xenc.KindElem {
 			continue
 		}
 		want := xpath.StringValue(v, xpath.ElemNode(p))
 		for _, indent := range []string{"", "  "} {
-			kx, kt, err := serialize.Append(nil, nil, v, p, serialize.Options{Indent: indent})
+			rx, rt, err := serialize.ReferenceAppend(nil, nil, v, p, serialize.Options{Indent: indent})
 			if err != nil {
 				tb.Fatal(err)
 			}
-			rx, rt, err := serialize.Append(nil, nil, ref, p, serialize.Options{Indent: indent})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if !bytes.Equal(kx, rx) {
-				i := 0
-				for i < len(kx) && i < len(rx) && kx[i] == rx[i] {
-					i++
+			for side, view := range views {
+				kx, kt, err := serialize.Append(nil, nil, view, p, serialize.Options{Indent: indent})
+				if err != nil {
+					tb.Fatal(err)
 				}
-				tb.Fatalf("%s: subtree at %d, indent %q: kernel %d bytes, reference %d; first difference at byte %d:\nkernel    %q\nreference %q",
-					label, p, indent, len(kx), len(rx), i, kx[max(0, i-40):min(len(kx), i+40)], rx[max(0, i-40):min(len(rx), i+40)])
-			}
-			if string(kt) != want || string(rt) != want {
-				tb.Fatalf("%s: subtree at %d: text of %d bytes (kernel), %d (reference), string value %d", label, p, len(kt), len(rt), len(want))
+				if !bytes.Equal(kx, rx) {
+					i := 0
+					for i < len(kx) && i < len(rx) && kx[i] == rx[i] {
+						i++
+					}
+					tb.Fatalf("%s: subtree at %d, indent %q: %s %d bytes, reference %d; first difference at byte %d:\n%-9s %q\nreference %q",
+						label, p, indent, side, len(kx), len(rx), i, side, kx[max(0, i-40):min(len(kx), i+40)], rx[max(0, i-40):min(len(rx), i+40)])
+				}
+				if string(kt) != want || string(rt) != want {
+					tb.Fatalf("%s: subtree at %d: text of %d bytes (%s), %d (reference), string value %d", label, p, len(kt), side, len(rt), len(want))
+				}
 			}
 		}
 	}
@@ -114,7 +117,8 @@ func checkSerialize(tb testing.TB, label string, v xenc.DocView) {
 // stands on: on every kind of view that offers columns, in the states of
 // the paged store a walk has to cope with (free runs inside and at the
 // end of pages, spliced pages, fills from half to full), the kernel
-// writes exactly what the reference body writes.
+// writes exactly what the reference body writes, over the view's own
+// columns and over xenc.Columnar's adapter alike.
 func TestSerializeKernelMatchesReference(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := xmark.NewGenerator(0.001, 42).WriteTo(&buf); err != nil {
@@ -177,11 +181,12 @@ func TestSerializeKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzSerializeMatchesReference holds the kernel to the reference body,
-// and the text both collect to the XPath string value, on any document
-// the shredder accepts, built into small pages and then changed by a few
-// fuzz-chosen deletes and inserts (each pair of ops bytes is one: the
-// operation and fragment, then the target).
+// FuzzSerializeMatchesReference holds the kernel, on the store and over
+// the adapter, to the reference body, and the text each collects to the
+// XPath string value, on any document the shredder accepts, built into
+// small pages and then changed by a few fuzz-chosen deletes and inserts
+// (each pair of ops bytes is one: the operation and fragment, then the
+// target).
 func FuzzSerializeMatchesReference(f *testing.F) {
 	f.Add([]byte(`<r><a x="1">t</a><!--c--><?p i?><b/>u&#13;v</r>`), []byte{1, 3, 0, 2, 5, 1})
 	f.Add([]byte(`<r a="&quot;&#13;">x<y>z</y>w</r>`), []byte{})

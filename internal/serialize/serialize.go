@@ -1,15 +1,15 @@
 // Package serialize renders encoded documents and subtrees back to XML
 // text (the "XML Serialization" kernel extension in Figure 1), walking
 // the pre/size/level view in document order and rebuilding nesting from
-// the level column. One entry picks one of two bodies by a type
-// assertion, as the staircase operators do. The kernel makes one forward
-// pass over a xenc.ColumnView's runs: free runs hopped by the size
-// column, open elements on a stack, names from a table loaded once per
-// call, every byte appended to one buffer. The reference walks DocView
-// accessors tuple by tuple, one recursion per element, for views without
-// columns (the naive oracle, counting views); a differential test and a
-// fuzz target hold the two byte-equal. Append collects an element's text
-// descendants, its XPath string value, in the same walk.
+// the level column. The one body is a column kernel, as the staircase
+// operators' are: one forward pass over the runs of the view's columns
+// (xenc.Columnar's adapter, one tuple a run, for a view without them):
+// free runs hopped by the size column, open elements on a stack, names
+// from a table loaded once per call, every byte appended to one buffer.
+// A differential test and a fuzz target hold it byte-equal to a per-tuple
+// reference that walks the DocView accessors, one recursion per element.
+// Append collects an element's text descendants, its XPath string value,
+// in the same walk.
 //
 // Text escapes & < >, attribute values " too, and both write CR as
 // &#13;: a parser turns a literal CR into LF, so only the reference
@@ -69,7 +69,7 @@ func Append(xml, text []byte, v xenc.DocView, p xenc.Pre, opts Options) ([]byte,
 	return s.buf, s.text, err
 }
 
-// sink is what both bodies write to: XML onto buf, which goes to w (if
+// sink is what the walk writes to: XML onto buf, which goes to w (if
 // any) every flushAt bytes, and text descendants onto text if texts.
 type sink struct {
 	buf, text []byte
@@ -86,11 +86,7 @@ func (s *sink) subtree(v xenc.DocView, p xenc.Pre, opts Options) error {
 		return fmt.Errorf("serialize: pre %d is not a live node", p)
 	}
 	s.indent, s.base, s.names = opts.Indent, v.Level(p), v.Names().Table()
-	if cv, ok := v.(xenc.ColumnView); ok {
-		s.columns(cv, p)
-	} else {
-		s.node(v, p)
-	}
+	s.columns(xenc.Columnar(v), p)
 	if s.indent != "" {
 		s.buf = append(s.buf, '\n')
 	}
@@ -176,7 +172,7 @@ type open struct {
 	block bool // a non-text child was written: later children and the end tag start lines
 }
 
-// columns is the kernel body.
+// columns is the walk.
 func (s *sink) columns(v xenc.ColumnView, p xenc.Pre) {
 	var room [16]open
 	c, i := v.Cols(p)
@@ -232,44 +228,4 @@ func (s *sink) close(stack []open, l xenc.Level) []open {
 		stack = stack[:len(stack)-1]
 	}
 	return stack
-}
-
-// node is the reference body: it writes the node at p and returns after
-// its whole region.
-func (s *sink) node(v xenc.DocView, p xenc.Pre) {
-	if v.Kind(p) != xenc.KindElem {
-		s.leaf(v.Kind(p), v.Name(p), v.Value(p))
-		return
-	}
-	name := s.names[v.Name(p)]
-	if !s.startTag(name, v.Attrs(p), v.Size(p)) {
-		return
-	}
-	// Children: walk the region.
-	remaining := v.Size(p)
-	lvl := v.Level(p)
-	q := p
-	hasElemChild := false
-	for remaining > 0 {
-		q = xenc.SkipFree(v, q+1)
-		if q >= v.Len() || v.Level(q) <= lvl {
-			break
-		}
-		if v.Level(q) == lvl+1 {
-			if v.Kind(q) != xenc.KindText {
-				hasElemChild = true
-			}
-			if hasElemChild {
-				s.newline(v.Level(q))
-			}
-			if s.node(v, q); !s.spill(flushAt) {
-				return
-			}
-		}
-		remaining--
-	}
-	if hasElemChild {
-		s.newline(lvl)
-	}
-	s.endTag(name)
 }

@@ -265,23 +265,6 @@ func (sh *shredder) flatName(n Name, element bool) string {
 	return flat
 }
 
-// Subtree extracts the subtree rooted at index i as a standalone Tree
-// (levels rebased to 0). It is used by update operations that relocate or
-// copy document fragments.
-func (t *Tree) Subtree(i int) *Tree {
-	root := t.Nodes[i]
-	end := i + int(root.Size) + 1
-	out := &Tree{Nodes: make([]Node, end-i)}
-	base := root.Level
-	for j := i; j < end; j++ {
-		n := t.Nodes[j]
-		n.Level -= base
-		n.Attrs = append([]Attr(nil), n.Attrs...)
-		out.Nodes[j-i] = n
-	}
-	return out
-}
-
 // Builder assembles a Tree programmatically; the XMark generator and the
 // XUpdate element constructors use it to avoid a parse round-trip.
 type Builder struct {

@@ -115,26 +115,6 @@ func TestParseFragmentForest(t *testing.T) {
 	}
 }
 
-func TestSubtree(t *testing.T) {
-	tr, err := Parse(strings.NewReader(paperDoc), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Subtree rooted at f (index 5): f,g,h,i,j rebased to level 0.
-	sub := tr.Subtree(5)
-	if len(sub.Nodes) != 5 || sub.Nodes[0].Name != "f" || sub.Nodes[0].Level != 0 {
-		t.Fatalf("subtree = %+v", sub.Nodes)
-	}
-	if sub.Nodes[4].Name != "j" || sub.Nodes[4].Level != 2 {
-		t.Fatalf("j = %+v", sub.Nodes[4])
-	}
-	// Mutating the copy must not touch the original.
-	sub.Nodes[0].Name = "zz"
-	if tr.Nodes[5].Name != "f" {
-		t.Fatal("Subtree aliases the original")
-	}
-}
-
 func TestBuilder(t *testing.T) {
 	tr := NewBuilder().
 		Start("r", Attr{"id", "1"}).

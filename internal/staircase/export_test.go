@@ -11,3 +11,10 @@ func Past(v xenc.ColumnView, p xenc.Pre) (xenc.Pre, bool) {
 	crossed := p+k.Size[i]+1 > k.end
 	return k.past(p, i), crossed
 }
+
+// Reference and ReferenceScan are EvalAxis and Scan over the per-tuple
+// reference bodies, which the external tests hold the kernels to.
+var (
+	Reference     = reference
+	ReferenceScan = refScan
+)

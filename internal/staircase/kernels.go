@@ -1,27 +1,23 @@
 package staircase
 
-// Column kernels: the operators of staircase.go over xenc.ColumnView.
+// The column kernels: the body of every operator.
 //
-// A per-tuple operator body makes four or five DocView calls per tuple,
-// and each call redoes the rank-to-page translation. A kernel asks the
-// view for the column slices of one run at a time (xenc.Columns: one
-// logical page of the paged store, the whole document of the read-only
-// store) and loops over them directly: a region ends at the first used
-// tuple whose level is not below the context's, free runs and sibling
-// subtrees are hopped by the size column, a name test is one integer
-// compare, and the next run is fetched only when a rank crosses a run
-// boundary. A subtree hop that leaves its run (past) subtracts whole runs
-// by their live counts (ColumnView.Live) without fetching their columns.
-// Results are the per-tuple operators' results, rank for rank
-// (TestKernelsMatchReference).
-//
-// Every exported operator picks its kernel by one type assertion at
-// entry; nothing else in the package, and nothing outside it, chooses.
+// A kernel asks the view for the column slices of one run at a time
+// (xenc.Columns: one logical page of the paged store, the whole document
+// of the read-only store, one tuple behind xenc.Columnar's adapter) and
+// loops over them directly: a region ends at the first used tuple whose
+// level is not below the context's, free runs and sibling subtrees are
+// hopped by the size column, a name test is one integer compare, and the
+// next run is fetched only when a rank crosses a run boundary. A subtree
+// hop that leaves its run (past) subtracts whole runs by their live
+// counts (ColumnView.Live) without fetching their columns. The per-tuple
+// reference in reference_test.go, which reads the DocView accessors, is
+// what TestKernelsMatchReference holds them to, rank for rank.
 
 import "mxq/internal/xenc"
 
-// cursor is a position in a ColumnView: the columns of the run loaded
-// last and the view ranks [base, end) they cover. It lives for one
+// cursor is a position in a view's columns: the columns of the run
+// loaded last and the view ranks [base, end) they cover. It lives for one
 // operator call, during which the view does not change.
 type cursor struct {
 	v         xenc.ColumnView
@@ -31,8 +27,10 @@ type cursor struct {
 	xenc.Columns
 }
 
-func newCursor(v xenc.ColumnView) *cursor {
-	k := &cursor{v: v, n: v.Len()}
+// newCursor reads v's columns, through xenc.Columnar's adapter if v has
+// none. The parent table is v's own: the adapter hides it.
+func newCursor(v xenc.DocView) *cursor {
+	k := &cursor{v: xenc.Columnar(v), n: v.Len()}
 	k.pv, _ = v.(xenc.ParentView)
 	return k
 }
@@ -47,10 +45,10 @@ func (k *cursor) at(p xenc.Pre) int {
 }
 
 func (k *cursor) load(p xenc.Pre) {
-	cols, i := k.v.Cols(p)
-	k.Columns = cols
+	var i int
+	k.Columns, i = k.v.Cols(p)
 	k.base = p - xenc.Pre(i)
-	k.end = k.base + xenc.Pre(len(cols.Level))
+	k.end = k.base + xenc.Pre(len(k.Level))
 }
 
 // levelAt returns the level column value at p.
@@ -176,7 +174,10 @@ func (k *cursor) skip(j, m, live int) (int, int) {
 }
 
 // parent returns the parent of the used tuple at c: from the view's
-// parent table if it has one, else by the backward level scan.
+// parent table if it has one, else by the backward level scan — the
+// nearest preceding used tuple with a smaller level is the parent in
+// pre-order — which reads back over the subtrees of all of c's preceding
+// siblings.
 func (k *cursor) parent(c xenc.Pre) xenc.Pre {
 	if k.pv != nil {
 		return k.pv.ParentPre(c)
@@ -240,6 +241,7 @@ func (m *merger) result() []xenc.Pre {
 
 // --- the operators ----------------------------------------------------------
 
+// scan is Scan: one forward axis from c, with early exit.
 func (k *cursor) scan(c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
 	i := k.at(c)
 	lvl := k.Level[i]
@@ -264,6 +266,7 @@ func (k *cursor) scan(c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
 	}
 }
 
+// self filters the context sequence by the test.
 func (k *cursor) self(ctx []xenc.Pre, t Test) []xenc.Pre {
 	var out []xenc.Pre
 	for _, c := range ctx {
@@ -274,6 +277,10 @@ func (k *cursor) self(ctx []xenc.Pre, t Test) []xenc.Pre {
 	return out
 }
 
+// descendant returns the matching descendants of the context sequence in
+// document order, and the matching context nodes too if self. Context
+// nodes inside an already-swept region are pruned (the staircase
+// "pruning"), so the sweep touches every result region exactly once.
 func (k *cursor) descendant(ctx []xenc.Pre, t Test, self bool) []xenc.Pre {
 	var out []xenc.Pre
 	high := xenc.Pre(-1) // last rank of the regions swept so far
@@ -293,6 +300,12 @@ func (k *cursor) descendant(ctx []xenc.Pre, t Test, self bool) []xenc.Pre {
 	return out
 }
 
+// child returns the matching children of the context sequence, hopping
+// from sibling to sibling with pre += size+1 ("finding all children of a
+// node works by checking the first child and skipping to its siblings").
+// With free space interleaved a hop may land inside the previous child's
+// region; the level test detects that and the hop continues from there,
+// so each extra hole costs at most one extra hop.
 func (k *cursor) child(ctx []xenc.Pre, t Test) []xenc.Pre {
 	m := newMerger()
 	for _, c := range ctx {
@@ -301,6 +314,10 @@ func (k *cursor) child(ctx []xenc.Pre, t Test) []xenc.Pre {
 	return m.result()
 }
 
+// parents returns the distinct parents of the context sequence. Runs of
+// sibling context nodes share a parent, so consecutive repeats are
+// collapsed during the walk; the merge sort only fires when parents of
+// later context nodes actually land out of order (cousin sequences).
 func (k *cursor) parents(ctx []xenc.Pre, t Test) []xenc.Pre {
 	m := newMerger()
 	lastPar := xenc.NoPre
@@ -317,10 +334,21 @@ func (k *cursor) parents(ctx []xenc.Pre, t Test) []xenc.Pre {
 	return m.result()
 }
 
-func (k *cursor) ancestor(ctx []xenc.Pre, t Test) []xenc.Pre {
+// ancestor returns the distinct ancestors of the context sequence, and
+// the matching context nodes too if self. A chain walk stops at the
+// first node walked before: the rest of the chain was walked with it.
+// An ancestor precedes its descendants, so a context node is marked seen
+// before any later context node's walk can reach it.
+func (k *cursor) ancestor(ctx []xenc.Pre, t Test, self bool) []xenc.Pre {
 	seen := make(map[xenc.Pre]bool)
 	var out []xenc.Pre
 	for _, c := range ctx {
+		if self {
+			seen[c] = true
+			if k.matches(t, k.at(c)) {
+				out = append(out, c)
+			}
+		}
 		for p := k.parent(c); p != xenc.NoPre && !seen[p]; p = k.parent(p) {
 			seen[p] = true
 			if k.matches(t, k.at(p)) {
@@ -332,6 +360,11 @@ func (k *cursor) ancestor(ctx []xenc.Pre, t Test) []xenc.Pre {
 	return out
 }
 
+// followingSibling returns the matching following siblings. Sibling-run
+// pruning: once one context node's sibling run is scanned, every later
+// context node inside that run at the same level is itself a following
+// sibling of the first — its results are a suffix of what was already
+// emitted — so it is skipped without touching a tuple.
 func (k *cursor) followingSibling(ctx []xenc.Pre, t Test) []xenc.Pre {
 	m := newMerger()
 	runHigh := xenc.Pre(-1) // last rank examined by the previous sibling scan
@@ -351,6 +384,8 @@ func (k *cursor) followingSibling(ctx []xenc.Pre, t Test) []xenc.Pre {
 	return m.result()
 }
 
+// precedingSibling returns the matching preceding siblings: the hops
+// from each context node's parent's first child up to it.
 func (k *cursor) precedingSibling(ctx []xenc.Pre, t Test) []xenc.Pre {
 	m := newMerger()
 	for _, c := range ctx {
@@ -361,6 +396,9 @@ func (k *cursor) precedingSibling(ctx []xenc.Pre, t Test) []xenc.Pre {
 	return m.result()
 }
 
+// following returns everything after the context regions. The staircase
+// observation: following(ctx) == following(c*) where c* is the context
+// node whose region ends first, so one sweep suffices.
 func (k *cursor) following(ctx []xenc.Pre, t Test) []xenc.Pre {
 	if len(ctx) == 0 {
 		return nil
@@ -377,6 +415,9 @@ func (k *cursor) following(ctx []xenc.Pre, t Test) []xenc.Pre {
 	return out
 }
 
+// preceding returns everything before the context nodes except their
+// ancestors. The dual staircase observation: preceding(ctx) ==
+// preceding(max ctx).
 func (k *cursor) preceding(ctx []xenc.Pre, t Test) []xenc.Pre {
 	if len(ctx) == 0 {
 		return nil

@@ -19,7 +19,8 @@ import (
 )
 
 // perTuple hides everything but the DocView method set of a view, so the
-// operators run their per-tuple bodies over it: no Cols, no ParentPre.
+// kernels read it through xenc.Columnar's adapter, one tuple a run, and
+// find parents by the backward level scan: no Cols, no ParentPre.
 type perTuple struct{ xenc.DocView }
 
 var kernelAxes = []struct {
@@ -119,17 +120,17 @@ func churn(tb testing.TB, s mutation, rng *rand.Rand, n, pageSize int) {
 	}
 }
 
-// checkKernels compares every operator's kernel result on v with its
-// per-tuple result on the same view behind perTuple, over the five node
-// tests and random ascending context sequences; pinned context nodes are
-// added to every sequence's candidates.
+// checkKernels compares every operator's kernel result on v, and on the
+// same view behind perTuple, with its per-tuple reference result on v,
+// over the five node tests and random ascending context sequences;
+// pinned context nodes are added to every sequence's candidates.
 func checkKernels(t *testing.T, label string, v xenc.DocView, rng *rand.Rand, pinned ...xenc.Pre) {
 	t.Helper()
 	if _, ok := v.(xenc.ColumnView); !ok {
 		t.Fatalf("%s: %T is not a ColumnView", label, v)
 	}
-	ref := perTuple{v}
-	if _, ok := xenc.DocView(ref).(xenc.ColumnView); ok {
+	adapted := perTuple{v}
+	if _, ok := xenc.DocView(adapted).(xenc.ColumnView); ok {
 		t.Fatal("perTuple leaks Cols")
 	}
 	live := liveRanks(v)
@@ -153,11 +154,13 @@ func checkKernels(t *testing.T, label string, v xenc.DocView, rng *rand.Rand, pi
 	for tname, test := range kernelTests(t, v) {
 		for _, a := range kernelAxes {
 			for _, ctx := range ctxs {
-				got := staircase.EvalAxis(v, ctx, a.ax, test)
-				want := staircase.EvalAxis(ref, ctx, a.ax, test)
-				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s::%s over %d context nodes: kernel %d ranks, per-tuple %d; first difference at %d",
-						label, a.name, tname, len(ctx), len(got), len(want), firstDiff(got, want))
+				want := staircase.Reference(v, ctx, a.ax, test)
+				for side, view := range map[string]xenc.DocView{"kernel": v, "adapter": adapted} {
+					got := staircase.EvalAxis(view, ctx, a.ax, test)
+					if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %s::%s over %d context nodes: %s %d ranks, reference %d; first difference at %d",
+							label, a.name, tname, len(ctx), side, len(got), len(want), firstDiff(got, want))
+					}
 				}
 				if !a.scan {
 					continue
@@ -165,16 +168,19 @@ func checkKernels(t *testing.T, label string, v xenc.DocView, rng *rand.Rand, pi
 				// Scan from the first context node: whole axis, then the
 				// early exits a fused position takes.
 				for _, k := range []int{0, 1, 3} {
-					collect := func(view xenc.DocView) []xenc.Pre {
+					collect := func(scan func(xenc.DocView, xenc.Pre, staircase.Axis, staircase.Test, func(xenc.Pre) bool), view xenc.DocView) []xenc.Pre {
 						var out []xenc.Pre
-						staircase.Scan(view, ctx[0], a.ax, test, func(p xenc.Pre) bool {
+						scan(view, ctx[0], a.ax, test, func(p xenc.Pre) bool {
 							out = append(out, p)
 							return len(out) != k
 						})
 						return out
 					}
-					if g, w := collect(v), collect(ref); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
-						t.Fatalf("%s: Scan %s::%s from %d stopping at %d: kernel %v, per-tuple %v", label, a.name, tname, ctx[0], k, g, w)
+					w := collect(staircase.ReferenceScan, v)
+					for side, view := range map[string]xenc.DocView{"kernel": v, "adapter": adapted} {
+						if g := collect(staircase.Scan, view); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
+							t.Fatalf("%s: Scan %s::%s from %d stopping at %d: %s %v, reference %v", label, a.name, tname, ctx[0], k, side, g, w)
+						}
 					}
 				}
 			}
@@ -197,7 +203,8 @@ func firstDiff(a, b []xenc.Pre) int {
 // TestKernelsMatchReference is the differential the column kernels stand
 // on: on every kind of view that offers columns, in every state of the
 // paged store a scan has to cope with, each operator's kernel returns
-// exactly what its per-tuple body returns.
+// exactly what its per-tuple reference returns — over the view's own
+// columns and over xenc.Columnar's adapter alike.
 func TestKernelsMatchReference(t *testing.T) {
 	const pageSize = 64
 	tree := xmarkTree(t, 0.01)
@@ -226,7 +233,7 @@ func TestKernelsMatchReference(t *testing.T) {
 	// thousands of descendants.
 	churn(t, s, rng, 200, pageSize)
 	name, _ := s.Names().Lookup("africa")
-	big := staircase.Descendant(s, []xenc.Pre{s.Root()}, staircase.Element(name))
+	big := staircase.EvalAxis(s, []xenc.Pre{s.Root()}, staircase.AxisDescendant, staircase.Element(name))
 	if len(big) != 1 || s.Size(big[0]) < 3*pageSize {
 		t.Fatalf("africa: %v", big)
 	}
@@ -278,7 +285,7 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 	// The image after a Delete of a subtree that spans pages.
 	name, _ = txn.Names().Lookup("open_auctions")
-	big = staircase.Descendant(txn, []xenc.Pre{txn.Root()}, staircase.Element(name))
+	big = staircase.EvalAxis(txn, []xenc.Pre{txn.Root()}, staircase.AxisDescendant, staircase.Element(name))
 	if len(big) != 1 || txn.Size(big[0]) < 3*pageSize {
 		t.Fatalf("open_auctions: %v", big)
 	}
@@ -290,9 +297,9 @@ func TestKernelsMatchReference(t *testing.T) {
 }
 
 // regionEnds maps every used tuple of v to the rank just past its last
-// live descendant (just past itself when it has none): the region end the
-// per-tuple bodies find, from one pass over the accessors with a stack of
-// the open nodes.
+// live descendant (just past itself when it has none): the region end
+// the per-tuple reference finds, from one pass over the accessors with a
+// stack of the open nodes.
 func regionEnds(v xenc.DocView) map[xenc.Pre]xenc.Pre {
 	ends := map[xenc.Pre]xenc.Pre{}
 	var open []xenc.Pre
@@ -351,7 +358,7 @@ func spanContexts(t *testing.T, label string, v xenc.DocView, pageSize xenc.Pre,
 			endsOnLast = p
 		}
 	}
-	kids := staircase.Child(v, []xenc.Pre{v.Root()}, staircase.AnyNode())
+	kids := staircase.EvalAxis(v, []xenc.Pre{v.Root()}, staircase.AxisChild, staircase.AnyNode())
 	out := []xenc.Pre{wholePacked, endsOnLast, kids[len(kids)-1]}
 	if holes {
 		out = append(out, wholeHoles)
@@ -385,8 +392,8 @@ func checkPast(t *testing.T, label string, v xenc.ColumnView) {
 }
 
 // levelCounter is a view without columns but with the store's parent
-// table: it forwards ParentPre and counts the Level reads the per-tuple
-// bodies make.
+// table: it forwards ParentPre and counts the Level reads the kernels
+// make through xenc.Columnar's adapter.
 type levelCounter struct {
 	xenc.DocView
 	parents xenc.ParentView
@@ -411,7 +418,7 @@ func TestParentLookupDoesNotScanSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	name, _ := s.Names().Lookup("d")
-	ds := staircase.Descendant(s, []xenc.Pre{s.Root()}, staircase.Element(name))
+	ds := staircase.EvalAxis(s, []xenc.Pre{s.Root()}, staircase.AxisDescendant, staircase.Element(name))
 	if len(ds) != siblings {
 		t.Fatalf("%d d elements", len(ds))
 	}
@@ -429,7 +436,7 @@ func TestParentLookupDoesNotScanSiblings(t *testing.T) {
 		if len(got) != tc.want {
 			t.Fatalf("axis %d: %d results, want %d", tc.axis, len(got), tc.want)
 		}
-		if want := staircase.EvalAxis(perTuple{s}, last, tc.axis, staircase.Element(xenc.NoName)); !reflect.DeepEqual(got, want) {
+		if want := staircase.Reference(perTuple{s}, last, tc.axis, staircase.Element(xenc.NoName)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("axis %d: %v through the parent table, %v by the backward scan", tc.axis, got, want)
 		}
 		if v.levels > 2*depth {

@@ -112,20 +112,6 @@ func (o *oracle) axis(name string, ctx []xenc.Pre) []xenc.Pre {
 	return out
 }
 
-var axisFuncs = map[string]func(xenc.DocView, []xenc.Pre, Test) []xenc.Pre{
-	"self":               Self,
-	"child":              Child,
-	"parent":             Parent,
-	"descendant":         Descendant,
-	"descendant-or-self": DescendantOrSelf,
-	"ancestor":           Ancestor,
-	"ancestor-or-self":   AncestorOrSelf,
-	"following-sibling":  FollowingSibling,
-	"preceding-sibling":  PrecedingSibling,
-	"following":          Following,
-	"preceding":          Preceding,
-}
-
 var axisIDs = map[string]Axis{
 	"self":               AxisSelf,
 	"child":              AxisChild,
@@ -168,9 +154,9 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 		sort.Slice(ctx, func(a, b int) bool { return ctx[a] < ctx[b] })
 		ctxs = append(ctxs, ctx)
 	}
-	for name, fn := range axisFuncs {
+	for name, ax := range axisIDs {
 		for _, ctx := range ctxs {
-			got := fn(v, ctx, AnyNode())
+			got := EvalAxis(v, ctx, ax, AnyNode())
 			want := o.axis(name, ctx)
 			if len(got) == 0 && len(want) == 0 {
 				continue
@@ -178,10 +164,10 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: %s(%v) = %v, want %v", label, name, ctx, got, want)
 			}
-			// The sequence-level dispatcher must agree with the direct
-			// operator call.
-			if viaEval := EvalAxis(v, ctx, axisIDs[name], AnyNode()); !reflect.DeepEqual(viaEval, got) {
-				t.Fatalf("%s: EvalAxis(%s, %v) = %v, want %v", label, name, ctx, viaEval, got)
+			// The per-tuple reference the kernels are held to must agree
+			// with the tree semantics too.
+			if ref := reference(v, ctx, ax, AnyNode()); !reflect.DeepEqual(ref, want) {
+				t.Fatalf("%s: reference %s(%v) = %v, want %v", label, name, ctx, ref, want)
 			}
 		}
 	}
@@ -198,6 +184,14 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 			})
 			if !reflect.DeepEqual(scanned, full) && (len(scanned) != 0 || len(full) != 0) {
 				t.Fatalf("%s: Scan(%s, %d) = %v, want %v", label, name, p, scanned, full)
+			}
+			var ref []xenc.Pre
+			refScan(v, p, ax, AnyNode(), func(q xenc.Pre) bool {
+				ref = append(ref, q)
+				return true
+			})
+			if !reflect.DeepEqual(ref, full) && (len(ref) != 0 || len(full) != 0) {
+				t.Fatalf("%s: reference Scan(%s, %d) = %v, want %v", label, name, p, ref, full)
 			}
 			for k := 1; k <= 2 && k <= len(full); k++ {
 				var prefix []xenc.Pre
@@ -333,19 +327,19 @@ func TestNameAndKindTests(t *testing.T) {
 	}
 	pName, _ := s.Names().Lookup("p")
 	ctx := []xenc.Pre{s.Root()}
-	if got := Child(s, ctx, Element(pName)); len(got) != 2 {
+	if got := EvalAxis(s, ctx, AxisChild, Element(pName)); len(got) != 2 {
 		t.Fatalf("child::p = %v", got)
 	}
-	if got := Child(s, ctx, Element(xenc.NoName)); len(got) != 3 {
+	if got := EvalAxis(s, ctx, AxisChild, Element(xenc.NoName)); len(got) != 3 {
 		t.Fatalf("child::* = %v", got)
 	}
-	if got := Descendant(s, ctx, KindTest(xenc.KindText)); len(got) != 2 {
+	if got := EvalAxis(s, ctx, AxisDescendant, KindTest(xenc.KindText)); len(got) != 2 {
 		t.Fatalf("descendant::text() = %v", got)
 	}
-	if got := Child(s, ctx, KindTest(xenc.KindComment)); len(got) != 1 {
+	if got := EvalAxis(s, ctx, AxisChild, KindTest(xenc.KindComment)); len(got) != 1 {
 		t.Fatalf("child::comment() = %v", got)
 	}
-	if got := Child(s, ctx, AnyNode()); len(got) != 4 {
+	if got := EvalAxis(s, ctx, AxisChild, AnyNode()); len(got) != 4 {
 		t.Fatalf("child::node() = %v", got)
 	}
 }
@@ -353,8 +347,8 @@ func TestNameAndKindTests(t *testing.T) {
 func TestEmptyContext(t *testing.T) {
 	tr, _ := shred.Parse(strings.NewReader(paperDoc), shred.Options{})
 	s, _ := rostore.Build(tr)
-	for name, fn := range axisFuncs {
-		if got := fn(s, nil, AnyNode()); len(got) != 0 {
+	for name, ax := range axisIDs {
+		if got := EvalAxis(s, nil, ax, AnyNode()); len(got) != 0 {
 			t.Errorf("%s(nil) = %v", name, got)
 		}
 	}

@@ -80,19 +80,19 @@ func TestConcurrentSnapshotReadersDuringCommit(t *testing.T) {
 	// checkSnapshot asserts one snapshot is consistent.
 	checkSnapshot := func(v xenc.DocView) error {
 		root := v.Root()
-		all := staircase.DescendantOrSelf(v, []xenc.Pre{root}, staircase.AnyNode())
+		all := staircase.EvalAxis(v, []xenc.Pre{root}, staircase.AxisDescendantOrSelf, staircase.AnyNode())
 		if len(all) != v.LiveNodes() {
 			return fmt.Errorf("descendant-or-self found %d nodes, LiveNodes says %d", len(all), v.LiveNodes())
 		}
 		if int(v.Size(root)) != v.LiveNodes()-1 {
 			return fmt.Errorf("root size %d, want %d live descendants", v.Size(root), v.LiveNodes()-1)
 		}
-		books := staircase.Descendant(v, []xenc.Pre{root}, staircase.Element(bookName))
-		counters := staircase.Child(v, []xenc.Pre{root}, staircase.Element(counterName))
+		books := staircase.EvalAxis(v, []xenc.Pre{root}, staircase.AxisDescendant, staircase.Element(bookName))
+		counters := staircase.EvalAxis(v, []xenc.Pre{root}, staircase.AxisChild, staircase.Element(counterName))
 		if len(counters) != 1 {
 			return fmt.Errorf("found %d counter elements, want 1", len(counters))
 		}
-		texts := staircase.Child(v, counters, staircase.KindTest(xenc.KindText))
+		texts := staircase.EvalAxis(v, counters, staircase.AxisChild, staircase.KindTest(xenc.KindText))
 		if len(texts) != 1 {
 			return fmt.Errorf("counter has %d text children, want 1", len(texts))
 		}

@@ -3,12 +3,11 @@
 // (Grust's pre/post plane in its pre/size/level form, cf. Figure 2 of the
 // paper), node kinds, interned qualified names, and the DocView interface
 // that every document store (read-only, paged-updatable, naive) implements.
-// Two optional interfaces sit beside it, discovered by type assertion:
-// ColumnView hands bulk operators the raw column slices one contiguous
-// run at a time (and a run's used-tuple count), and ParentView answers
-// parent lookups from a store's parent table. A view without them is read
-// through the per-tuple DocView accessors, which remain the definition
-// of every operator.
+// Two interfaces sit beside it. ColumnView hands the bulk operators the
+// raw column slices one contiguous run at a time (and a run's used-tuple
+// count); every store implements it, and Columnar presents any other
+// DocView as one. ParentView answers parent lookups from a store's parent
+// table, where a store keeps one.
 //
 // Encoding invariants:
 //
@@ -149,11 +148,11 @@ type DocView interface {
 // Columns is a window onto the size, level, kind, name and text columns
 // of one run: a maximal stretch of consecutive view ranks whose tuples
 // are also consecutive in memory (one logical page of the paged store,
-// the whole document in the read-only store). The five slices have equal
-// length and share their indexing. They alias the store's own memory:
-// they are read-only, and they must not be retained across a mutation of
-// the view, which may rewrite them in place or replace the page behind a
-// rank by a private copy.
+// the whole document in the read-only store, one tuple behind Columnar's
+// adapter). The five slices have equal length and share their indexing.
+// They alias the store's own memory: they are read-only, and they must
+// not be retained across a mutation of the view, which may rewrite them
+// in place or replace the page behind a rank by a private copy.
 type Columns struct {
 	Size  []Size
 	Level []Level
@@ -162,16 +161,11 @@ type Columns struct {
 	Text  []string // Value at each rank
 }
 
-// ColumnView is implemented by views that can expose their columns
-// directly. The staircase operators and the serializer pick it up by
-// type assertion and loop over the slices instead of making accessor
-// calls per tuple, each redoing the rank-to-page translation.
-//
-// The interface is optional on purpose. A view that wraps another one to
-// observe it (an accessor-counting view in a test or benchmark) embeds
-// DocView alone, so it lacks Cols, keeps every column read on the
-// accessors it overrides, and runs the per-tuple operator bodies; so
-// does a view with no columns to hand out (the naive oracle).
+// ColumnView is a DocView that exposes its columns directly. The
+// staircase operators and the serializer loop over the slices a run at a
+// time instead of making accessor calls per tuple, each redoing the
+// rank-to-page translation. They take any DocView and read it through
+// Columnar.
 type ColumnView interface {
 	DocView
 	// Cols returns the columns of the run that holds view rank p and
@@ -185,12 +179,60 @@ type ColumnView interface {
 
 // ParentView is implemented by views that keep a parent table and can
 // answer a parent lookup without scanning the level column backwards
-// over every preceding sibling's subtree. It is optional: the read-only
-// schema has no such table.
+// over every preceding sibling's subtree. The read-only schema has no
+// such table.
 type ParentView interface {
 	// ParentPre returns the view rank of the parent of the used tuple at
 	// p, or NoPre if p is the root.
 	ParentPre(p Pre) Pre
+}
+
+// Columnar returns v as a ColumnView: v itself if it has columns, else
+// an adapter that presents each tuple as a run of one, read through v's
+// accessors. A used tuple costs four reads — Level, Size, Kind, then Name
+// (element, PI) or Value (any other kind), and both for a PI — and a free
+// tuple one, Level: the adapter presents it as a free run of one, since a
+// Size read in the middle of a free run is not a run length. The adapter
+// is one allocation; each Cols call overwrites the run the previous call
+// returned.
+func Columnar(v DocView) ColumnView {
+	if cv, ok := v.(ColumnView); ok {
+		return cv
+	}
+	return &tuples{DocView: v}
+}
+
+// tuples is Columnar's adapter: the columns of the one tuple read last.
+type tuples struct {
+	DocView
+	size  [1]Size
+	level [1]Level
+	kind  [1]uint8
+	name  [1]int32
+	text  [1]string
+}
+
+func (a *tuples) Cols(p Pre) (Columns, int) {
+	l := a.DocView.Level(p)
+	a.level[0], a.size[0], a.kind[0], a.name[0], a.text[0] = l, 0, 0, NoName, ""
+	if l != LevelUnused {
+		k := a.DocView.Kind(p)
+		a.size[0], a.kind[0] = a.DocView.Size(p), uint8(k)
+		if k == KindElem || k == KindPI {
+			a.name[0] = a.DocView.Name(p)
+		}
+		if k != KindElem {
+			a.text[0] = a.DocView.Value(p)
+		}
+	}
+	return Columns{Size: a.size[:], Level: a.level[:], Kind: a.kind[:], Name: a.name[:], Text: a.text[:]}, 0
+}
+
+func (a *tuples) Live(p Pre) (int, Pre) {
+	if a.DocView.Level(p) == LevelUnused {
+		return 0, p + 1
+	}
+	return 1, p + 1
 }
 
 // PostOf computes the post rank of a used tuple under the classic

@@ -78,7 +78,7 @@ func (d doc) name(s string) int32 {
 // children returns the direct element children of p named nameID, using
 // the staircase sibling hops.
 func (d doc) children(p xenc.Pre, nameID int32) []xenc.Pre {
-	return staircase.Child(d.v, []xenc.Pre{p}, staircase.Element(nameID))
+	return staircase.EvalAxis(d.v, []xenc.Pre{p}, staircase.AxisChild, staircase.Element(nameID))
 }
 
 // child returns the first element child named nameID, or NoPre.
@@ -262,7 +262,7 @@ func q6(v xenc.DocView) ([]string, error) {
 	}
 	var rows []string
 	for _, r := range regions {
-		items := staircase.Descendant(v, []xenc.Pre{r}, staircase.Element(nItem))
+		items := staircase.EvalAxis(v, []xenc.Pre{r}, staircase.AxisDescendant, staircase.Element(nItem))
 		rows = append(rows, fmt.Sprintf("%s %d", v.Names().Name(v.Name(r)), len(items)))
 	}
 	return rows, nil

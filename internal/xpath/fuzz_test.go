@@ -87,8 +87,8 @@ func FuzzXPathParse(f *testing.F) {
 // and, modulo physical pre ranks, on the result. This crosses both
 // dimensions at once: plan vs. oracle (the compiler's predicate
 // classification and // fusion, the numbering operator) and paged vs.
-// dense storage (free-run skipping in the staircase operators, the
-// column kernels vs. the per-tuple bodies the dense store runs).
+// dense storage (free-run skipping in the staircase kernels, paged runs
+// vs. the dense store's one run).
 func FuzzXPathEval(f *testing.F) {
 	seeds := []string{
 		// Shapes the compiler rewrites: descendant fusion, sequence

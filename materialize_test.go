@@ -19,14 +19,15 @@ var fetchShapes = []string{
 	"/site/regions/namerica/item[position() <= 100]",
 }
 
-// perTuple hides a view's columns, so the serializer runs its reference
-// body over it.
+// perTuple hides a view's columns, so the serializer reads it through
+// xenc.Columnar's adapter, one tuple a run.
 type perTuple struct{ xenc.DocView }
 
 // TestElementItemsMatchReference holds materialize's one walk per
 // element to the two it replaced: every element item's Value is the
-// XPath string value, and its XML is what the serializer's reference
-// body writes.
+// XPath string value, and its XML is what the serializer writes over the
+// adapter, away from the store's columns. (The serializer's own tests
+// hold the kernel to its per-tuple reference body.)
 func TestElementItemsMatchReference(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := xmark.NewGenerator(0.01, 42).WriteTo(&buf); err != nil {

@@ -392,7 +392,10 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *D
 }
 
 // LoadXML shreds and stores a document under the given name. The
-// document is read into memory whole.
+// document is read into memory whole. It is durable from its first
+// checkpoint on — an automatic or explicit one, or the one
+// CloseDocument and Close write — and a crash before that loses it,
+// committed updates and all.
 func (db *Database) LoadXML(name string, r io.Reader) (*Document, error) {
 	tree, err := shred.Parse(r, shred.Options{})
 	if err != nil {
@@ -437,6 +440,11 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 	}
 	var log *wal.Log
 	if db.opts.Dir != "" {
+		// Segments without an image are what a crash before the first
+		// checkpoint leaves: no document, and no log to continue.
+		if err := wal.RemoveSegments(db.walPath(name)); err != nil {
+			return nil, fmt.Errorf("mxq: removing the orphaned WAL of %q: %w", name, err)
+		}
 		if log, err = db.openWAL(name); err != nil {
 			return nil, err
 		}
@@ -598,7 +606,8 @@ func (db *Database) Drop(name string) error {
 }
 
 // Close drains every document's auto-checkpointer (a checkpoint in
-// flight finishes; no new one starts) and closes the WAL segments; a
+// flight finishes; no new one starts), writes each attached document's
+// final checkpoint as CloseDocument does, and closes the WAL segments; a
 // call waiting out a change to some name's artifacts fails with
 // ErrDatabaseClosed. It is idempotent, and safe to race with manual
 // Checkpoint calls: a checkpoint that loses the race fails with
@@ -613,7 +622,7 @@ func (db *Database) Close() error {
 	close(db.closeC)
 	var first error
 	for _, d := range db.docs {
-		if err := d.close(false); err != nil && first == nil {
+		if err := d.close(true); err != nil && first == nil {
 			first = err
 		}
 	}

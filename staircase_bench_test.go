@@ -56,13 +56,13 @@ func BenchmarkStaircaseSkipping(b *testing.B) {
 		}
 		name, _ := s.Names().Lookup("child")
 		ctx := []xenc.Pre{s.Root()}
-		want := len(staircase.Child(s, ctx, staircase.Element(name)))
+		want := len(staircase.EvalAxis(s, ctx, staircase.AxisChild, staircase.Element(name)))
 		if want != 500 {
 			b.Fatalf("child count = %d", want)
 		}
 		b.Run(fmt.Sprintf("staircase/depth%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := staircase.Child(s, ctx, staircase.Element(name)); len(got) != want {
+				if got := staircase.EvalAxis(s, ctx, staircase.AxisChild, staircase.Element(name)); len(got) != want {
 					b.Fatal("wrong result")
 				}
 			}
@@ -78,14 +78,14 @@ func BenchmarkStaircaseSkipping(b *testing.B) {
 }
 
 // perTupleView hides a store's columns and parent table behind the bare
-// DocView method set, so the staircase operators run their per-tuple
-// bodies over it.
+// DocView method set, so the staircase kernels read it through
+// xenc.Columnar's adapter, one tuple a run.
 type perTupleView struct{ xenc.DocView }
 
-// BenchmarkStaircaseKernels puts each column kernel beside the per-tuple
-// body it stands in for, on the paged store (XMark SF 0.1, pages 80%
-// full): "cols" is the store as queries see it, "ref" the same store
-// with its columns hidden. The custom metric divides by the work the
+// BenchmarkStaircaseKernels times each column kernel on the paged store
+// (XMark SF 0.1, pages 80% full): "cols" is the store as queries see it,
+// "adapter" the same store with its columns hidden, read through
+// xenc.Columnar one tuple at a time. The custom metric divides by the work the
 // operator cannot avoid — ns/slot over the slots a sweep covers, ns/hop
 // over the siblings a hop loop visits, ns/page over the pages a hop
 // crosses — so it carries across scale factors.
@@ -99,11 +99,11 @@ func BenchmarkStaircaseKernels(b *testing.B) {
 		return id
 	}
 	root := []xenc.Pre{s.Root()}
-	persons := staircase.Descendant(s, root, staircase.Element(lookup("person")))
-	items := staircase.Descendant(s, root, staircase.Element(lookup("item")))
-	people := staircase.Parent(s, persons[:1], staircase.AnyNode())
+	persons := staircase.EvalAxis(s, root, staircase.AxisDescendant, staircase.Element(lookup("person")))
+	items := staircase.EvalAxis(s, root, staircase.AxisDescendant, staircase.Element(lookup("item")))
+	people := staircase.EvalAxis(s, persons[:1], staircase.AxisParent, staircase.AnyNode())
 	parents := append(append([]xenc.Pre{}, items...), persons...) // regions precede people
-	children := len(staircase.Child(s, parents, staircase.AnyNode()))
+	children := len(staircase.EvalAxis(s, parents, staircase.AxisChild, staircase.AnyNode()))
 	k := len(persons) / 2
 	person, name, keyword := staircase.Element(lookup("person")), staircase.Element(lookup("name")), staircase.Element(lookup("keyword"))
 
@@ -114,15 +114,15 @@ func BenchmarkStaircaseKernels(b *testing.B) {
 		run        func(v xenc.DocView) int
 	}{
 		{"descendant-root", "ns/slot", int(s.Len()), -1, func(v xenc.DocView) int {
-			return len(staircase.Descendant(v, root, keyword))
+			return len(staircase.EvalAxis(v, root, staircase.AxisDescendant, keyword))
 		}},
 		// The child step of /site/*: six hops, each over a subtree of
 		// many pages, so the metric is per page of the document.
-		{"child-site", "ns/page", s.Pages(), len(staircase.Child(s, root, staircase.AnyNode())), func(v xenc.DocView) int {
-			return len(staircase.Child(v, root, staircase.AnyNode()))
+		{"child-site", "ns/page", s.Pages(), len(staircase.EvalAxis(s, root, staircase.AxisChild, staircase.AnyNode())), func(v xenc.DocView) int {
+			return len(staircase.EvalAxis(v, root, staircase.AxisChild, staircase.AnyNode()))
 		}},
 		{"child-person-item", "ns/hop", children, len(parents), func(v xenc.DocView) int {
-			return len(staircase.Child(v, parents, name))
+			return len(staircase.EvalAxis(v, parents, staircase.AxisChild, name))
 		}},
 		{"fused-person-k", "ns/hop", k, 1, func(v xenc.DocView) int {
 			n, hit := 0, 0
@@ -136,17 +136,17 @@ func BenchmarkStaircaseKernels(b *testing.B) {
 			return hit
 		}},
 		{"following-sibling", "ns/hop", len(persons) - 1, len(persons) - 1, func(v xenc.DocView) int {
-			return len(staircase.FollowingSibling(v, persons[:1], person))
+			return len(staircase.EvalAxis(v, persons[:1], staircase.AxisFollowingSibling, person))
 		}},
 		{"parent-last-sibling", "ns/hop", 1, 1, func(v xenc.DocView) int {
-			return len(staircase.Parent(v, persons[len(persons)-1:], staircase.Element(xenc.NoName)))
+			return len(staircase.EvalAxis(v, persons[len(persons)-1:], staircase.AxisParent, staircase.Element(xenc.NoName)))
 		}},
 	}
 	for _, tc := range cases {
 		for _, side := range []struct {
 			name string
 			v    xenc.DocView
-		}{{"cols", s}, {"ref", perTupleView{s}}} {
+		}{{"cols", s}, {"adapter", perTupleView{s}}} {
 			b.Run(tc.name+"/"+side.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if got := tc.run(side.v); got != tc.want && tc.want >= 0 {
