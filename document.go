@@ -268,7 +268,11 @@ func (d *Document) Update(xupdateXML string) (xupdate.Result, error) {
 	return res, err
 }
 
-// Begin starts a write transaction.
+// Begin starts a write transaction. It is snapshot-isolated, not
+// serializable: it reads the version current at Begin plus its own
+// writes, and commit checks only write conflicts, so two transactions
+// that each select what the other updates can both commit. For a serial
+// outcome run them one at a time, as mxqd does per document.
 func (d *Document) Begin() *Tx {
 	return &Tx{inner: d.mgr.Begin(), doc: d}
 }
@@ -303,7 +307,6 @@ type Stats struct {
 	PageSize  int     // tuples per page
 	Fill      float64 // live / total
 	Names     int     // interned qualified names (see CompactDictionaries)
-	Props     int     // attribute-value dictionary entries
 	Commits   uint64  // committed write transactions
 	Aborts    uint64  // aborted write transactions
 
@@ -340,7 +343,6 @@ func (d *Document) Stats() Stats {
 		Pages:     ms.Pages,
 		PageSize:  ms.PageSize,
 		Names:     ms.Names,
-		Props:     ms.Props,
 		Commits:   ms.Commits,
 		Aborts:    ms.Aborts,
 	}
@@ -453,16 +455,15 @@ func (d *Document) autoCheckpointLoop() {
 }
 
 // CompactDictionaries rebuilds the document's shared qualified-name
-// pool and attribute-value dictionary, dropping entries that only
-// aborted transactions ever referenced (aborts discard column data but
-// the shared dictionaries are append-only, so their entries leak). It
-// is an offline maintenance pass in the spirit of page compaction: run
-// it when Stats shows Names or Props drifting above what the live
-// document references. It blocks like a commit (exclusive lock) but
+// pool, dropping names that only aborted transactions ever referenced
+// (aborts discard column data but the shared pool is append-only, so
+// their names leak). It is an offline maintenance pass in the spirit of
+// page compaction: run it when Stats shows Names drifting above what the
+// live document references. It blocks like a commit (exclusive lock) but
 // never disturbs open snapshots or in-flight transactions, which keep
-// their own dictionary references. It returns the number of dropped
-// name and property entries.
-func (d *Document) CompactDictionaries() (namesDropped, propsDropped int) {
+// their own references to the old pool. It returns the number of dropped
+// names.
+func (d *Document) CompactDictionaries() (namesDropped int) {
 	return d.mgr.CompactDictionaries()
 }
 
@@ -471,7 +472,8 @@ func (d *Document) CheckInvariants() error { return d.mgr.CheckInvariants() }
 
 // Tx is a write transaction over one document. It supports queries (with
 // read-your-writes semantics) and XUpdate lists; Commit applies the
-// Figure 8 protocol.
+// Figure 8 protocol. Its isolation level is snapshot isolation (see
+// Document.Begin).
 type Tx struct {
 	inner *tx.Tx
 	doc   *Document

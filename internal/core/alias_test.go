@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"mxq/internal/shred"
+	"mxq/internal/xenc"
 	"mxq/internal/xmark"
 )
 
@@ -73,9 +74,11 @@ func assertOwnsStrings(t *testing.T, s *Store, src string) {
 			}
 		}
 	}
-	for _, v := range s.prop.values() {
-		if within(v, src) {
-			t.Fatalf("attribute value %q points into the parsed text", v)
+	for id := xenc.NodeID(0); id < s.nodeLen; id++ {
+		for _, r := range s.attrRefs(id) {
+			if within(r.val, src) {
+				t.Fatalf("node %d: attribute value %q points into the parsed text", id, r.val)
+			}
 		}
 	}
 	for _, name := range s.qn.NamesList() {

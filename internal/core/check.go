@@ -23,6 +23,8 @@ import (
 //   - levels form a valid pre-order (each node is at most one deeper
 //     than its predecessor);
 //   - parent links match the tree implied by the levels;
+//   - a used tuple's name id is NoName or in the name pool, and an
+//     attribute's name id is in the name pool;
 //   - the live-node count and attribute owners agree with the view.
 func (s *Store) CheckInvariants() error {
 	nPages := len(s.logToPhys)
@@ -70,7 +72,8 @@ func (s *Store) CheckInvariants() error {
 		}
 	}
 
-	// Free runs, node map, level discipline, live count.
+	// Free runs, node map, level discipline, names, live count.
+	names := int32(s.qn.Len())
 	live := 0
 	prevLevel := xenc.Level(-1)
 	seen := make([]xenc.Pre, s.nodeLen) // by node id: 1 + the pre holding it
@@ -109,6 +112,14 @@ func (s *Store) CheckInvariants() error {
 		prevLevel = lvl
 		if !xenc.Kind(s.kindAt(pos)).Valid() {
 			return fmt.Errorf("invalid kind %d at pre %d", s.kindAt(pos), p)
+		}
+		if n := s.nameAt(pos); n < xenc.NoName || n >= names {
+			return fmt.Errorf("tuple at pre %d has name id %d outside the name pool [0,%d)", p, n, names)
+		}
+		for _, r := range s.attrRefs(id) {
+			if r.name < 0 || r.name >= names {
+				return fmt.Errorf("attribute of the tuple at pre %d has name id %d outside the name pool [0,%d)", p, r.name, names)
+			}
 		}
 	}
 	if live != s.liveNodes {

@@ -82,7 +82,7 @@ func buildTB(t testing.TB, doc string, opts Options) *Store {
 }
 
 // churnedItems is an attribute-heavy store with holes in its pages, a
-// free list deeper than one chunk and late dictionary entries.
+// free list deeper than one chunk and a late attribute name.
 func churnedItems(t testing.TB) *Store {
 	t.Helper()
 	s := buildTB(t, itemsDoc(120), Options{PageSize: 16, FillFactor: 0.75})
@@ -107,6 +107,14 @@ func FuzzChunkDecode(f *testing.F) {
 	for _, c := range allChunks(churnedItems(f)) {
 		f.Add(c, uint8(1)) // 8<<1 = 16
 	}
+	// Inline attribute values at their edges — empty, multi-byte, several
+	// on one node — and the same chunk under the retired tag 6.
+	inline := inlineAttrChunk()
+	if again, err := reencodeChunk(inline, 8); err != nil || !bytes.Equal(again, inline) {
+		f.Fatalf("inline-attribute seed does not round-trip: %v", err)
+	}
+	f.Add(inline, uint8(0)) // 8<<0 = 8
+	f.Add(append([]byte{6}, inline[1:]...), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, sizeSel uint8) {
 		pageSize := int32(8) << (sizeSel % 8)
 		var before, after runtime.MemStats
@@ -114,7 +122,7 @@ func FuzzChunkDecode(f *testing.F) {
 		again, err := reencodeChunk(data, pageSize)
 		runtime.ReadMemStats(&after)
 		// Decoded columns cost ≤ 40 B a tuple, strings and attribute refs
-		// ≤ 17 B an input byte; the rest of the allowance covers the
+		// ≤ 23 B an input byte; the rest of the allowance covers the
 		// re-encoding and the fuzz worker's own background allocation.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*int(pageSize)+64*len(data)+1<<16); got > limit {
 			t.Fatalf("decoding %d bytes at page size %d allocated %d bytes (limit %d)", len(data), pageSize, got, limit)
@@ -123,6 +131,19 @@ func FuzzChunkDecode(f *testing.F) {
 			t.Fatalf("accepted chunk re-encodes differently:\n in  %x\n out %x", data, again)
 		}
 	})
+}
+
+// inlineAttrChunk is a node chunk of page size 8 whose attribute values
+// are empty, multi-byte and several to a node.
+func inlineAttrChunk() []byte {
+	c := newNodeChunk(8)
+	for i := range c.pos {
+		c.pos[i] = int32(2 * i)
+		c.parent[i] = int32(i) - 1
+	}
+	c.attrs[1] = []attrRef{{name: 3, val: ""}}
+	c.attrs[4] = []attrRef{{name: 1, val: "größe"}, {name: 2, val: "x"}, {name: 7, val: "a b"}}
+	return encodeNodeChunk(c)
 }
 
 // TestChunkedRealChunksReencode runs the fuzz property over every chunk
@@ -186,6 +207,7 @@ func TestChunkDecodeRejectsAdversarial(t *testing.T) {
 		{"tag only", []byte{chunkKindPage}, ps},
 		{"parent-commit page tag", append([]byte{1}, goodPage[1:]...), ps},
 		{"parent-commit dict tag", []byte{4, 0}, ps},
+		{"retired node tag 6", append([]byte{6}, goodNode[1:]...), ps},
 		{"unknown tag", append([]byte{99}, goodPage[1:]...), ps},
 		{"page count below page size", chunkOf(chunkKindPage, ps-1, zeros), ps},
 		{"page count 2^30 in 8 bytes", chunkOf(chunkKindPage, 1<<30, zeros), 1 << 30},
@@ -201,6 +223,8 @@ func TestChunkDecodeRejectsAdversarial(t *testing.T) {
 		{"text lengths sum past 2^32", chunkOf(chunkKindPage, ps, zeros, zeros, zeros, zeros, zeros, repeatLen(1<<32-1, ps), "x"), ps},
 		{"attr counts exceed the input", chunkOf(chunkKindNode, ps, zeros, zeros, 1<<31, zeros[1:], 1, 1), ps},
 		{"attr refs truncated", chunkOf(chunkKindNode, ps, zeros, zeros, 2, zeros[1:], 1, 1, 1), ps},
+		{"attr value lengths overrun", chunkOf(chunkKindNode, ps, zeros, zeros, 1, zeros[1:], 1, 5, "abc"), ps},
+		{"attr value lengths undershoot", chunkOf(chunkKindNode, ps, zeros, zeros, 1, zeros[1:], 1, 1, "abc"), ps},
 		{"free count above page size", chunkOf(chunkKindFree, ps+1, bytes.Repeat([]byte{2}, ps+1)), ps},
 		{"free count above input", chunkOf(chunkKindFree, ps, 2, 2), ps},
 		{"dict count above group size", chunkOf(chunkKindDict, dictGroupSize+1, bytes.Repeat([]byte{0}, dictGroupSize+1)), ps},
@@ -231,6 +255,18 @@ func TestChunkDecodeRejectsAdversarial(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unsupported chunk format") {
 		t.Fatalf("a parent-commit chunk must be refused as an unsupported format, got: %v", err)
 	}
+	// Tag 6 is the node chunk whose attribute refs named values in a
+	// shared dictionary: refused by name, by every decoder.
+	for _, data := range [][]byte{append([]byte{6}, goodNode[1:]...), append([]byte{6}, goodPage[1:]...)} {
+		for i, err := range []error{
+			func() error { _, err := decodeNodeChunk(data, ps); return err }(),
+			func() error { _, err := decodePageChunk(data, ps); return err }(),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "unsupported chunk format (kind tag 6)") {
+				t.Fatalf("decoder %d: a tag-6 chunk must be refused as an unsupported format, got: %v", i, err)
+			}
+		}
+	}
 }
 
 // repeatLen is n uvarints of value v.
@@ -244,8 +280,9 @@ func repeatLen(v uint64, n int) []byte {
 
 // TestChunkBytesPerTuple pins the codec's density where the paper's
 // table is densest: the structure columns of a freshly shredded XMark
-// document — page and node chunk bytes less the text itself — per tuple
-// slot (the fixed-width encoding this codec replaced took 23.7 B).
+// document — page and node chunk bytes less the text and the attribute
+// values themselves — per tuple slot (the fixed-width encoding this codec
+// replaced took 23.7 B).
 func TestChunkBytesPerTuple(t *testing.T) {
 	s := xmarkStore(t, 0.01, Options{})
 	var chunkBytes, textBytes int
@@ -255,6 +292,11 @@ func TestChunkBytesPerTuple(t *testing.T) {
 	}
 	for _, c := range s.nodes {
 		chunkBytes += len(encodeNodeChunk(c))
+		for _, refs := range c.attrs {
+			for _, r := range refs {
+				textBytes += len(r.val)
+			}
+		}
 	}
 	perTuple := float64(chunkBytes-textBytes) / float64(s.Len())
 	t.Logf("%d tuples: %d chunk bytes, %d of them text: %.2f structure bytes per tuple", s.Len(), chunkBytes, textBytes, perTuple)

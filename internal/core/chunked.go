@@ -60,18 +60,20 @@ func (c *chunkHash) set(h chunkstore.Hash) { c.p.Store(&h) }
 func (c *chunkHash) invalidate()           { c.p.Store(nil) }
 
 // Chunk encoding kind tags (first byte of every chunk). Tags 1–4 were
-// the fixed-width encodings this codec replaced; nothing was ever
-// deployed with them, so they are rejected, not migrated.
+// the fixed-width encodings this codec replaced, and tag 6 the node
+// chunk whose attribute refs named values in a shared dictionary;
+// nothing was ever deployed with them, so they are rejected, not
+// migrated.
 const (
 	chunkKindPage = 5 // pos/size/level/kind/name/text/node columns of one page
-	chunkKindNode = 6 // node/pos, parent and attribute columns of one chunk
 	chunkKindFree = 7 // a run of the recycled-NodeID stack
-	chunkKindDict = 8 // a group of dictionary strings (names or prop values)
+	chunkKindDict = 8 // a group of qualified names
+	chunkKindNode = 9 // node/pos, parent and attribute columns of one chunk
 )
 
-// dictGroupSize is the number of dictionary strings per dict chunk.
-// Dictionaries are append-only, so grouping keeps every group but the
-// tail byte-stable across checkpoints — they dedupe like data chunks.
+// dictGroupSize is the number of names per dict chunk. The name pool is
+// append-only, so grouping keeps every group but the tail byte-stable
+// across checkpoints — they dedupe like data chunks.
 const dictGroupSize = 4096
 
 // ChunkManifest is a checkpoint image in the content-addressed format:
@@ -91,18 +93,17 @@ type ChunkManifest struct {
 	Nodes     []string `json:"nodes"`
 	Free      []string `json:"free,omitempty"`
 	Names     []string `json:"names,omitempty"`
-	Props     []string `json:"props,omitempty"`
 }
 
 // TotalChunks returns the number of chunk references in the manifest.
 func (m *ChunkManifest) TotalChunks() int {
-	return len(m.Pages) + len(m.Nodes) + len(m.Free) + len(m.Names) + len(m.Props)
+	return len(m.Pages) + len(m.Nodes) + len(m.Free) + len(m.Names)
 }
 
 // ChunkHashes parses every chunk reference, in manifest order.
 func (m *ChunkManifest) ChunkHashes() ([]chunkstore.Hash, error) {
 	out := make([]chunkstore.Hash, 0, m.TotalChunks())
-	for _, list := range [][]string{m.Pages, m.Nodes, m.Free, m.Names, m.Props} {
+	for _, list := range [][]string{m.Pages, m.Nodes, m.Free, m.Names} {
 		for _, s := range list {
 			h, err := chunkstore.ParseHash(s)
 			if err != nil {
@@ -138,15 +139,17 @@ type ChunkSaveStats struct {
 //	page  tag 5 | uv n | size: n × uv(uint32) | level: n × zz-delta |
 //	      kind: n raw bytes | name: n × uv(name+1) (NoName → 0) |
 //	      node: n × zz-delta | text lengths: n × uv | text bytes
-//	node  tag 6 | uv n | pos: n × zz-delta | parent: n × zz-delta of
+//	node  tag 9 | uv n | pos: n × zz-delta | parent: n × zz-delta of
 //	      (index in chunk − parent) | attribute counts: n × uv |
-//	      attribute refs: Σcounts × (uv name, uv val)
+//	      attribute names: Σcounts × uv | value lengths: Σcounts × uv |
+//	      value bytes
 //	free  tag 7 | uv count | ids: count × zz-delta
 //	dict  tag 8 | uv count | lengths: count × uv | string bytes
 //
-// The text (and dictionary) bytes are one block closing the chunk; the
-// decoder converts it to one string and slices it per tuple, so a page
-// costs one text allocation, not one per text node.
+// The text (attribute value, name) bytes are one block closing the
+// chunk; the decoder converts it to one string and slices it per tuple,
+// so a page costs one text allocation, not one per text node, and a node
+// chunk one for all its values.
 
 type chunkEnc struct{ b []byte }
 
@@ -205,10 +208,11 @@ func (d *chunkDec) begin(kind byte, what string, limit int32, minBytes int) int 
 		return 0
 	}
 	if tag := d.b[0]; tag != kind {
-		if tag < chunkKindPage || tag > chunkKindDict {
-			d.fail("core: unsupported chunk format (kind tag %d); no migration from older builds", tag)
-		} else {
+		switch tag {
+		case chunkKindPage, chunkKindFree, chunkKindDict, chunkKindNode:
 			d.fail("core: chunk kind %d, want %s (%d)", tag, what, kind)
+		default:
+			d.fail("core: unsupported chunk format (kind tag %d); no migration from older builds", tag)
 		}
 		return 0
 	}
@@ -383,12 +387,16 @@ func encodeNodeChunk(c *nodeChunk) []byte {
 	for _, refs := range c.attrs {
 		e.uv(uint32(len(refs)))
 	}
-	for _, refs := range c.attrs {
-		for _, r := range refs {
-			e.uv(uint32(r.name))
-			e.uv(uint32(r.val))
+	eachRef := func(fn func(r attrRef)) {
+		for _, refs := range c.attrs {
+			for _, r := range refs {
+				fn(r)
+			}
 		}
 	}
+	eachRef(func(r attrRef) { e.uv(uint32(r.name)) })
+	eachRef(func(r attrRef) { e.uv(uint32(len(r.val))) })
+	eachRef(func(r attrRef) { e.b = append(e.b, r.val...) })
 	return e.b
 }
 
@@ -413,7 +421,7 @@ func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
 		counts[i] = d.uv()
 		total += uint64(counts[i])
 	}
-	// Each attribute ref costs ≥ 2 bytes of what is left.
+	// Each attribute ref costs ≥ 2 bytes of what is left (name, length).
 	if d.err == nil && total > uint64(len(d.b)-d.off)/2 {
 		d.fail("core: node chunk claims %d attribute refs in %d bytes", total, len(d.b)-d.off)
 	}
@@ -422,7 +430,12 @@ func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
 	}
 	refs := make([]attrRef, total)
 	for i := range refs {
-		refs[i] = attrRef{name: int32(d.uv()), val: int32(d.uv())}
+		refs[i].name = int32(d.uv())
+	}
+	vals := make([]string, total)
+	d.strs(vals)
+	for i := range refs {
+		refs[i].val = vals[i]
 	}
 	at := 0
 	for i, n := range counts {
@@ -551,14 +564,11 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 		}
 		add(cache, func() []byte { return encodeFreeChunk(c, count) }, &m.Free)
 	}
-	addDict := func(vals []string, list *[]string) {
-		for at := 0; at < len(vals); at += dictGroupSize {
-			group := vals[at:min(at+dictGroupSize, len(vals))]
-			add(new(chunkHash), func() []byte { return encodeDictChunk(group) }, list)
-		}
+	names := s.qn.NamesList()
+	for at := 0; at < len(names); at += dictGroupSize {
+		group := names[at:min(at+dictGroupSize, len(names))]
+		add(new(chunkHash), func() []byte { return encodeDictChunk(group) }, &m.Names)
 	}
-	addDict(s.qn.NamesList(), &m.Names)
-	addDict(s.prop.values(), &m.Props)
 
 	par.Do(len(refs), func(i int) error { // never fails
 		ref, ok := &refs[i], false
@@ -578,7 +588,7 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 // SaveChunked writes the store into cs in content-addressed form and
 // returns the manifest describing it. Only chunks cs does not already
 // hold are serialized in full and written — after small churn that is
-// the dirtied chunks plus the dictionary tails, never the whole
+// the dirtied chunks plus the name pool's tail, never the whole
 // document. They go out through chunkstore.PutAll: as one batch when cs
 // is a BatchPutter (the local Dir writes it as one pack file), else one
 // Put each, so a store that wraps Put sees every chunk. cs is synced
@@ -674,7 +684,6 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		pageSize:  pageSize,
 		logToPhys: append([]int32(nil), m.LogToPhys...),
 		physToLog: append([]int32(nil), m.PhysToLog...),
-		prop:      newPropDict(),
 		qn:        xenc.NewQNamePool(),
 		liveNodes: m.LiveNodes,
 	}
@@ -741,26 +750,17 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		return nil, err
 	}
 	s.freeLen = m.FreeLen
-	// Dictionary ids are positions: decoded side by side, applied in order.
-	loadDict := func(hashes []string, apply func(string)) error {
-		groups, err := loadChunks(cs, hashes, func(_ int, _ chunkstore.Hash, data []byte) ([]string, error) {
-			return decodeDictChunk(data)
-		})
-		if err != nil {
-			return err
-		}
-		for _, vals := range groups {
-			for _, v := range vals {
-				apply(v)
-			}
-		}
-		return nil
-	}
-	if err := loadDict(m.Names, func(v string) { s.qn.Intern(v) }); err != nil {
+	// Name ids are positions: decoded side by side, interned in order.
+	groups, err := loadChunks(cs, m.Names, func(_ int, _ chunkstore.Hash, data []byte) ([]string, error) {
+		return decodeDictChunk(data)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := loadDict(m.Props, func(v string) { s.prop.add(v) }); err != nil {
-		return nil, err
+	for _, names := range groups {
+		for _, name := range names {
+			s.qn.Intern(name)
+		}
 	}
 	if err := s.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("core: manifest state is corrupt: %w", err)

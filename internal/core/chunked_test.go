@@ -18,9 +18,10 @@ import (
 )
 
 // stateBytes dumps a store's physical state — the page maps, every
-// column of every page in physical order, the NodeID-keyed tables, the
-// free list and both dictionaries — without going through the chunk
-// codec: the canonical state comparison for chunked round trips.
+// column of every page in physical order, the NodeID-keyed tables with
+// their attribute values, the free list and the name pool — without
+// going through the chunk codec: the canonical state comparison for
+// chunked round trips.
 func stateBytes(s *Store) []byte {
 	var b bytes.Buffer
 	fmt.Fprintln(&b, s.pageBits, s.logToPhys, s.physToLog, s.liveNodes, s.nodeLen)
@@ -29,15 +30,19 @@ func stateBytes(s *Store) []byte {
 		fmt.Fprintf(&b, "%q\n", pg.text)
 	}
 	for id := xenc.NodeID(0); id < s.nodeLen; id++ {
-		fmt.Fprintln(&b, s.posOf(id), s.parentOf(id), s.attrRefs(id))
+		fmt.Fprint(&b, s.posOf(id), s.parentOf(id))
+		for _, r := range s.attrRefs(id) {
+			fmt.Fprintf(&b, " %d=%q", r.name, r.val)
+		}
+		fmt.Fprintln(&b)
 	}
 	s.forEachFree(func(id int32) { fmt.Fprintln(&b, id) })
-	fmt.Fprintf(&b, "%q %q\n", s.prop.values(), s.qn.NamesList())
+	fmt.Fprintf(&b, "%q\n", s.qn.NamesList())
 	return b.Bytes()
 }
 
 // itemsDoc builds an n-item document with attributes and text so every
-// chunk kind (pages, nodes, free, both dictionaries) is exercised.
+// chunk kind (pages, nodes, free, names) is exercised.
 func itemsDoc(n int) string {
 	var b strings.Builder
 	b.WriteString("<items>")
@@ -68,13 +73,13 @@ func mustLoadChunked(t *testing.T, m *ChunkManifest, cs chunkstore.Store) *Store
 
 func TestChunkedRoundTrip(t *testing.T) {
 	s := mustBuild(t, itemsDoc(200), Options{PageSize: 16, FillFactor: 0.75})
-	// Populate the free list and churn the dictionaries.
+	// Populate the free list and add a late name.
 	for i := 0; i < 5; i++ {
 		if err := s.Delete(s.NthChild(s.Root(), 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetAttr(s.NthChild(s.Root(), 0), "extra", "late-dict-entry"); err != nil {
+	if err := s.SetAttr(s.NthChild(s.Root(), 0), "extra", "late-value"); err != nil {
 		t.Fatal(err)
 	}
 	want := stateBytes(s)
@@ -128,7 +133,7 @@ func TestChunkedIncrementalWritesOnlyChurn(t *testing.T) {
 	if inc.ChunksWritten == 0 {
 		t.Fatal("edit produced no chunk writes")
 	}
-	// The rename touches one page plus the name-dictionary tail group.
+	// The rename touches one page plus the name pool's tail group.
 	if inc.ChunksWritten > 3 {
 		t.Fatalf("1-node edit wrote %d chunks (full image is %d)", inc.ChunksWritten, full.ChunksTotal)
 	}
@@ -202,8 +207,8 @@ func TestChunkedSnapshotIsolation(t *testing.T) {
 	m, _ := mustSaveChunked(t, snap, cs)
 	got := mustLoadChunked(t, m, cs)
 	// The snapshot's tree is frozen (COW pages); only the shared
-	// append-only dictionaries may have grown, and both sides of the
-	// comparison see the same grown dictionaries.
+	// append-only name pool may have grown, and both sides of the
+	// comparison see the same grown pool.
 	if got.LiveNodes() != liveBefore {
 		t.Fatalf("snapshot image has %d live nodes, pinned at %d", got.LiveNodes(), liveBefore)
 	}
@@ -549,5 +554,111 @@ func TestChunkedParallelSaveLoad(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), gone.String()) || !errors.Is(err, chunkstore.ErrMissing) {
 			t.Fatalf("round %d: LoadChunked = %v, want chunk %s reported missing", round, err, gone)
 		}
+	}
+}
+
+// TestLoadChunkedRefusesUnknownNameIDs: a page chunk naming a QName id
+// past the name pool, or a node chunk whose attribute does, hashes
+// correctly — a chunk's name proves only that its bytes are the ones
+// named — so the load itself must refuse it, naming the tuple, rather
+// than hand out a store whose first read of that node panics.
+func TestLoadChunkedRefusesUnknownNameIDs(t *testing.T) {
+	s := mustBuild(t, `<r k="v"><a/>text</r>`, Options{PageSize: 8})
+	cs := chunkstore.NewDir(t.TempDir())
+	m, _ := mustSaveChunked(t, s, cs)
+	put := func(data []byte) string {
+		h := chunkstore.Sum(data)
+		if err := cs.Put(h, data); err != nil {
+			t.Fatal(err)
+		}
+		return h.String()
+	}
+	chunk := func(list []string, i int) []byte {
+		h, err := chunkstore.ParseHash(list[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := cs.Get(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	pageBad := *m
+	p, err := decodePageChunk(chunk(m.Pages, 0), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.name[0] = 999 // the root element
+	pageBad.Pages = append([]string{put(encodePageChunk(p))}, m.Pages[1:]...)
+
+	nodeBad := *m
+	c, err := decodeNodeChunk(chunk(m.Nodes, 0), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.attrs[0] = append([]attrRef(nil), c.attrs[0]...) // the root's k="v"
+	c.attrs[0][0].name = 999
+	nodeBad.Nodes = append([]string{put(encodeNodeChunk(c))}, m.Nodes[1:]...)
+
+	for name, bad := range map[string]*ChunkManifest{"tuple name": &pageBad, "attribute name": &nodeBad} {
+		got, err := LoadChunked(bad, cs)
+		if err == nil {
+			t.Fatalf("%s: LoadChunked accepted name id 999 (pool of %d); Names().Name on it would panic", name, got.Names().Len())
+		}
+		if !strings.Contains(err.Error(), "pre 0 has name id 999") {
+			t.Fatalf("%s: error does not name the tuple: %v", name, err)
+		}
+	}
+}
+
+// TestChunkedAttributeValuesRoundTrip: values stored inline survive a
+// save and load whatever they hold — empty, shared by many nodes, not
+// ASCII — beside node chunks that hold no attribute at all, and a value
+// shared before the round trip is not shared storage after it: setting
+// one node's leaves the others alone.
+func TestChunkedAttributeValuesRoundTrip(t *testing.T) {
+	doc := `<r><e a="" b="shared"/><e a="shared"/><e a="shared" b=""/><e a="ünï ☃ 𝄞"/>` +
+		strings.Repeat("<f/>", 20) + `<e a="shared"/></r>`
+	s := mustBuild(t, doc, Options{PageSize: 8})
+	bare := 0
+	for _, c := range s.nodes {
+		n := 0
+		for _, refs := range c.attrs {
+			n += len(refs)
+		}
+		if n == 0 {
+			bare++
+		}
+	}
+	if bare == 0 {
+		t.Fatal("every node chunk holds attributes: the bare case is not tested")
+	}
+	cs := chunkstore.NewDir(t.TempDir())
+	m, _ := mustSaveChunked(t, s, cs)
+	got := mustLoadChunked(t, m, cs)
+	if !bytes.Equal(stateBytes(got), stateBytes(s)) {
+		t.Fatal("attribute values diverged across the round trip")
+	}
+	if x, want := snapshotXML(t, got), snapshotXML(t, s); x != want {
+		t.Fatalf("loaded document\n%s\nwant\n%s", x, want)
+	}
+
+	a, _ := got.Names().Lookup("a")
+	second := got.NthChild(got.Root(), 1)
+	if err := got.SetAttr(second, "a", "changed"); err != nil {
+		t.Fatal(err)
+	}
+	var vals []string
+	for k := 0; k < 4; k++ {
+		v, _ := got.AttrValue(got.NthChild(got.Root(), k), a)
+		vals = append(vals, v)
+	}
+	if want := []string{"", "changed", "shared", "ünï ☃ 𝄞"}; !reflect.DeepEqual(vals, want) {
+		t.Fatalf("values after SetAttr on the second element: %q, want %q", vals, want)
+	}
+	if last, _ := got.AttrValue(got.NthChild(got.Root(), 24), a); last != "shared" {
+		t.Fatalf("the last element's value is %q after SetAttr on the second, want \"shared\"", last)
 	}
 }

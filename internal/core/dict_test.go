@@ -1,10 +1,7 @@
 package core
 
 import (
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mxq/internal/serialize"
@@ -26,18 +23,17 @@ func buildDictStore(t *testing.T, xml string) *Store {
 }
 
 // TestCompactDictionariesDropsAbortLeaks plays the aborted-transaction
-// scenario at the store level: a snapshot interns names and property
-// values into the shared pools, then is released without ever reaching
-// the base. Compaction must drop exactly the leaked entries while the
-// document's observable state — including a pre-existing snapshot —
-// stays intact.
+// scenario at the store level: a snapshot interns names into the shared
+// pool, then is released without ever reaching the base. Compaction must
+// drop exactly the leaked names while the document's observable state —
+// including a pre-existing snapshot — stays intact.
 func TestCompactDictionariesDropsAbortLeaks(t *testing.T) {
 	s := buildDictStore(t, `<lib><shelf id="s1"><book genre="sf">A</book></shelf></lib>`)
 	before := snapshotXML(t, s)
-	namesBefore, propsBefore := s.DictStats()
+	namesBefore := s.Names().Len()
 
 	// Simulated aborted transaction: rename, new elements, new attribute
-	// values — all interned into the shared pools through the clone.
+	// names — all interned into the shared pool through the clone.
 	clone := s.Snapshot()
 	root := clone.Root()
 	if _, err := clone.AppendChild(root, fragTree(t, `<leaked-elem leaked-attr="leaked-val">x</leaked-elem>`)); err != nil {
@@ -48,23 +44,20 @@ func TestCompactDictionariesDropsAbortLeaks(t *testing.T) {
 	}
 	clone.Release()
 
-	namesLeaked, propsLeaked := s.DictStats()
-	if namesLeaked <= namesBefore || propsLeaked <= propsBefore {
-		t.Fatalf("abort did not leak: names %d->%d, props %d->%d",
-			namesBefore, namesLeaked, propsBefore, propsLeaked)
+	namesLeaked := s.Names().Len()
+	if namesLeaked <= namesBefore {
+		t.Fatalf("abort did not leak: names %d->%d", namesBefore, namesLeaked)
 	}
 
 	// A snapshot taken before compaction must keep reading the old pools.
 	held := s.Snapshot()
 	heldXML := snapshotXML(t, held)
 
-	nd, pd := s.CompactDictionaries()
-	if nd != namesLeaked-namesBefore || pd != propsLeaked-propsBefore {
-		t.Fatalf("dropped (%d names, %d props), want (%d, %d)",
-			nd, pd, namesLeaked-namesBefore, propsLeaked-propsBefore)
+	if nd := s.CompactDictionaries(); nd != namesLeaked-namesBefore {
+		t.Fatalf("dropped %d names, want %d", nd, namesLeaked-namesBefore)
 	}
-	if names, props := s.DictStats(); names != namesBefore || props != propsBefore {
-		t.Fatalf("post-compaction dict sizes (%d, %d), want (%d, %d)", names, props, namesBefore, propsBefore)
+	if names := s.Names().Len(); names != namesBefore {
+		t.Fatalf("post-compaction name pool size %d, want %d", names, namesBefore)
 	}
 	if got := snapshotXML(t, s); got != before {
 		t.Fatalf("document changed across compaction:\nbefore: %s\nafter:  %s", before, got)
@@ -102,8 +95,8 @@ func TestCompactDictionariesDropsAbortLeaks(t *testing.T) {
 	held.Release()
 
 	// Idempotence: with no new leaks a second pass drops nothing.
-	if nd, pd := s.CompactDictionaries(); nd != 0 || pd != 0 {
-		t.Fatalf("second compaction dropped (%d, %d), want (0, 0)", nd, pd)
+	if nd := s.CompactDictionaries(); nd != 0 {
+		t.Fatalf("second compaction dropped %d names, want 0", nd)
 	}
 }
 
@@ -119,8 +112,7 @@ func TestCompactDictionariesRemapsAcrossPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := snapshotXML(t, s)
-	nd, _ := s.CompactDictionaries()
-	if nd == 0 {
+	if s.CompactDictionaries() == 0 {
 		t.Fatal("rename left no leaked name to drop")
 	}
 	if got := snapshotXML(t, s); got != before {
@@ -164,43 +156,4 @@ func snapshotXML(t *testing.T, v xenc.DocView) string {
 		t.Fatal(err)
 	}
 	return b.String()
-}
-
-// TestPropDictReadsDuringPut is the -race stress test of the dictionary's
-// lock-free id→string side: one goroutine adds attribute values — as a
-// write transaction's image does — while readers resolve every id handed
-// out so far, as queries on the snapshots sharing the dictionary do.
-func TestPropDictReadsDuringPut(t *testing.T) {
-	const vals, readers = 20000, 4
-	d := newPropDict()
-	var handedOut atomic.Int32 // ids below it exist
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				hi := handedOut.Load()
-				for id := int32(0); id < hi; id++ {
-					if got, want := d.get(id), "v"+strconv.Itoa(int(id)); got != want {
-						t.Errorf("get(%d) = %q, want %q", id, got, want)
-						return
-					}
-				}
-				if hi == vals {
-					if d.count() != vals || len(d.values()) != vals {
-						t.Errorf("count %d, values %d, want %d", d.count(), len(d.values()), vals)
-					}
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < vals; i++ {
-		if id := d.put("v" + strconv.Itoa(i)); id != int32(i) {
-			t.Fatalf("put #%d = %d", i, id)
-		}
-		handedOut.Store(int32(i + 1))
-	}
-	wg.Wait()
 }

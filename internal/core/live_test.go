@@ -50,7 +50,7 @@ func TestLiveCountsFollowWrites(t *testing.T) {
 				return err
 			}
 			warmLive(t, s)
-			if names, _ := s.CompactDictionaries(); names == 0 {
+			if s.CompactDictionaries() == 0 {
 				t.Fatal("CompactDictionaries dropped no name")
 			}
 			return nil

@@ -41,8 +41,7 @@ func (s *Store) Snapshot() *Store {
 		nodeLen:    s.nodeLen,
 		freeChunks: append([]*freeChunk(nil), s.freeChunks...),
 		freeLen:    s.freeLen,
-		prop:       s.prop, // shared: append-only, synchronized
-		qn:         s.qn,   // shared: append-only, synchronized
+		qn:         s.qn, // shared: append-only, synchronized
 		liveNodes:  s.liveNodes,
 	}
 }

@@ -44,17 +44,23 @@
 // gone, the surviving owner writes it in place again, so a snapshot's
 // lifetime cost is bounded by the pages dirtied while it was live.
 //
-// The qualified-name pool and the attribute-value dictionary are shared
-// between the base and all snapshots (both are append-only and internally
-// synchronized); an aborted transaction can leave unreferenced dictionary
-// entries behind, which CompactDictionaries reclaims offline.
+// The qualified-name pool is shared between the base and all snapshots
+// (it is append-only and internally synchronized); an aborted transaction
+// can leave unreferenced names behind, which CompactDictionaries reclaims
+// offline.
+//
+// Attribute values are stored inline, like text: a string in the owner's
+// attribute refs, carried by the node chunk as a page chunk carries its
+// texts. This departs on purpose from Figure 5's property table, which
+// the base, every snapshot and every transaction shared and mutated: an
+// abort leaked into it, every checkpoint re-encoded it, and taking the
+// leaks back took a pass over the whole document.
 package core
 
 import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"mxq/internal/shred"
@@ -98,8 +104,8 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 type attrRef struct {
-	name int32 // qname id
-	val  int32 // prop dictionary id
+	name int32  // qname id
+	val  string // the value, owned by the store
 }
 
 // page is one physical page's worth of the pos/size/level table (plus the
@@ -243,63 +249,11 @@ type Store struct {
 	freeChunks []*freeChunk
 	freeLen    int32
 
-	// The attribute-value dictionary (Figure 5) and the qualified-name
-	// pool are shared between the base and every snapshot: both are
-	// append-only and internally synchronized.
-	prop *propDict
-	qn   *xenc.QNamePool
+	// The qualified-name pool is shared between the base and every
+	// snapshot: it is append-only and internally synchronized.
+	qn *xenc.QNamePool
 
 	liveNodes int
-}
-
-// propDict is the attribute-value dictionary. It is append-only and safe
-// for concurrent use: the base store and all its snapshots share one
-// dictionary (ids handed to an aborted snapshot simply go unreferenced).
-// Like xenc.QNamePool it reads id→string without locking (get runs once
-// per attribute value read): writers replace the published slice under
-// the mutex, which also guards the string→id map.
-type propDict struct {
-	mu   sync.RWMutex
-	vals atomic.Pointer[[]string]
-	ids  map[string]int32
-}
-
-func newPropDict() *propDict {
-	d := &propDict{ids: make(map[string]int32)}
-	d.vals.Store(new([]string))
-	return d
-}
-
-func (d *propDict) put(s string) int32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id, ok := d.ids[s]; ok {
-		return id
-	}
-	// s may be a slice of a request the dictionary must not pin.
-	return d.add(strings.Clone(s))
-}
-
-// add appends s under the next id without looking it up first. put calls
-// it under the mutex; the image loaders call it on a store nobody else
-// can see yet, to restore a dictionary id for id.
-func (d *propDict) add(s string) int32 {
-	vals := *d.vals.Load()
-	id := int32(len(vals))
-	vals = append(vals, s)
-	d.vals.Store(&vals)
-	d.ids[s] = id
-	return id
-}
-
-func (d *propDict) get(id int32) string { return (*d.vals.Load())[id] }
-
-// count returns the number of dictionary entries.
-func (d *propDict) count() int { return len(*d.vals.Load()) }
-
-// values returns a point-in-time copy of the dictionary contents.
-func (d *propDict) values() []string {
-	return append([]string(nil), *d.vals.Load()...)
 }
 
 // Build shreds a tree into a fresh paged store. Each page receives at
@@ -316,7 +270,6 @@ func Build(t *shred.Tree, opts Options) (*Store, error) {
 		pageBits: uint(bits.TrailingZeros(uint(opts.PageSize))),
 		pageMask: int32(opts.PageSize - 1),
 		pageSize: int32(opts.PageSize),
-		prop:     newPropDict(),
 		qn:       xenc.NewQNamePool(),
 	}
 	perPage := int32(float64(opts.PageSize) * opts.FillFactor)
@@ -547,7 +500,8 @@ func (s *Store) newNodeID() xenc.NodeID {
 }
 
 // writeNode materializes one shredded node at physical position pos,
-// with text — n.Value in memory the store owns — as its value.
+// with text — n.Value in memory the store owns — as its value and copies
+// of its attribute values (a tree may alias the text it was parsed from).
 func (s *Store) writeNode(pos int32, n *shred.Node, text string, id xenc.NodeID) {
 	wp := s.dirtyPage(pos >> s.pageBits)
 	o := pos & s.pageMask
@@ -566,7 +520,7 @@ func (s *Store) writeNode(pos int32, n *shred.Node, text string, id xenc.NodeID)
 	if len(n.Attrs) > 0 {
 		refs := make([]attrRef, len(n.Attrs))
 		for i, a := range n.Attrs {
-			refs[i] = attrRef{name: s.qn.Intern(a.Name), val: s.prop.put(a.Value)}
+			refs[i] = attrRef{name: s.qn.Intern(a.Name), val: strings.Clone(a.Value)}
 		}
 		s.setAttrs(id, refs)
 	}
@@ -664,7 +618,7 @@ func (s *Store) Attrs(p xenc.Pre) []xenc.Attr {
 	}
 	out := make([]xenc.Attr, len(refs))
 	for i, r := range refs {
-		out[i] = xenc.Attr{Name: r.name, Val: s.prop.get(r.val)}
+		out[i] = xenc.Attr{Name: r.name, Val: r.val}
 	}
 	return out
 }
@@ -673,7 +627,7 @@ func (s *Store) Attrs(p xenc.Pre) []xenc.Attr {
 func (s *Store) AttrValue(p xenc.Pre, name int32) (string, bool) {
 	for _, r := range s.attrRefs(s.NodeOf(p)) {
 		if r.name == name {
-			return s.prop.get(r.val), true
+			return r.val, true
 		}
 	}
 	return "", false

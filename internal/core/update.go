@@ -199,7 +199,8 @@ func (s *Store) Rename(p xenc.Pre, name string) error {
 
 // SetAttr adds or replaces an attribute on the element at p. The
 // attribute list is rebuilt rather than patched in place: the old slice
-// may be shared with a copy-on-write snapshot.
+// may be shared with a copy-on-write snapshot. The value is copied: it
+// may be a slice of a request or a log record.
 func (s *Store) SetAttr(p xenc.Pre, name, val string) error {
 	if err := s.checkLive(p); err != nil {
 		return err
@@ -209,18 +210,18 @@ func (s *Store) SetAttr(p xenc.Pre, name, val string) error {
 	}
 	id := s.NodeOf(p)
 	nameID := s.qn.Intern(name)
-	valID := s.prop.put(val)
+	val = strings.Clone(val)
 	refs := s.attrRefs(id)
 	nrefs := make([]attrRef, len(refs), len(refs)+1)
 	copy(nrefs, refs)
 	for i := range nrefs {
 		if nrefs[i].name == nameID {
-			nrefs[i].val = valID
+			nrefs[i].val = val
 			s.setAttrs(id, nrefs)
 			return nil
 		}
 	}
-	s.setAttrs(id, append(nrefs, attrRef{name: nameID, val: valID}))
+	s.setAttrs(id, append(nrefs, attrRef{name: nameID, val: val}))
 	return nil
 }
 

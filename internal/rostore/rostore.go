@@ -8,9 +8,10 @@
 // It is Figure 9's baseline: imported only by the benchmarks
 // (bench_test.go's BenchmarkFigure9, the one Figure 9 harness, across
 // scale factors through MXQ_BENCH_SF) and by tests that want a second
-// DocView, and deliberately not served. Its prop table is an
-// xenc.QNamePool, the interner the qn table already uses, so attribute
-// values stay dictionary-encoded as Figure 5 draws them.
+// DocView, and deliberately not served. Attribute values are stored
+// inline, like text, not in Figure 5's property table: internal/core
+// departs from that table on purpose (its package doc says why), and
+// Figure 9 compares like with like.
 package rostore
 
 import (
@@ -28,12 +29,10 @@ type Store struct {
 	name  []int32
 	text  []string
 
-	// Attribute table sorted by owner pre, indexed CSR-style, with
-	// values dictionary-encoded in prop (Figure 5).
+	// Attribute table sorted by owner pre, indexed CSR-style.
 	attrOff  []int32 // len = LiveNodes+1
 	attrName []int32
-	attrVal  []int32
-	prop     *xenc.QNamePool
+	attrVal  []string
 
 	qn *xenc.QNamePool
 }
@@ -51,7 +50,6 @@ func Build(t *shred.Tree) (*Store, error) {
 		kind:  make([]uint8, n),
 		name:  make([]int32, n),
 		text:  make([]string, n),
-		prop:  xenc.NewQNamePool(),
 		qn:    xenc.NewQNamePool(),
 	}
 	s.attrOff = make([]int32, n+1)
@@ -70,7 +68,7 @@ func Build(t *shred.Tree) (*Store, error) {
 		s.attrOff[i] = int32(len(s.attrName))
 		for _, a := range nd.Attrs {
 			s.attrName = append(s.attrName, s.qn.Intern(a.Name))
-			s.attrVal = append(s.attrVal, s.prop.Intern(a.Value))
+			s.attrVal = append(s.attrVal, a.Value)
 		}
 	}
 	s.attrOff[n] = int32(len(s.attrName))
@@ -119,7 +117,7 @@ func (s *Store) Attrs(p xenc.Pre) []xenc.Attr {
 	}
 	out := make([]xenc.Attr, hi-lo)
 	for i := lo; i < hi; i++ {
-		out[i-lo] = xenc.Attr{Name: s.attrName[i], Val: s.prop.Name(s.attrVal[i])}
+		out[i-lo] = xenc.Attr{Name: s.attrName[i], Val: s.attrVal[i]}
 	}
 	return out
 }
@@ -128,7 +126,7 @@ func (s *Store) Attrs(p xenc.Pre) []xenc.Attr {
 func (s *Store) AttrValue(p xenc.Pre, name int32) (string, bool) {
 	for i := s.attrOff[p]; i < s.attrOff[p+1]; i++ {
 		if s.attrName[i] == name {
-			return s.prop.Name(s.attrVal[i]), true
+			return s.attrVal[i], true
 		}
 	}
 	return "", false

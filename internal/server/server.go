@@ -53,10 +53,10 @@ type Server struct {
 	cfg Config
 	adm *admission
 	// writers maps a document name to the *sync.Mutex that serializes
-	// the server's write transactions on it: the engine's page locking is
-	// optimistic (a racing writer gets tx.ErrConflict back), so concurrent
-	// Update frames queue here instead of bouncing off each other.
-	// Readers never take it.
+	// the server's write transactions on it: transactions are only
+	// snapshot-isolated (racing ones could write-skew) and page locking
+	// is optimistic (a racing writer gets tx.ErrConflict back), so
+	// concurrent Update frames queue here. Readers never take it.
 	writers sync.Map
 
 	mu       sync.Mutex

@@ -378,10 +378,10 @@ func (s *session) handleUpdate(f wire.Frame) bool {
 		if err != nil {
 			return s.respondNoDoc(f.ID, name, err)
 		}
-		// Serialize writers: the engine's optimistic page locks turn a
-		// racing update into tx.ErrConflict; queueing on the name's
-		// write mutex gives the wire protocol first-come-first-served
-		// updates instead of surfacing the conflict to clients.
+		// Serialize writers: transactions are snapshot-isolated, so two
+		// racing updates could write-skew, and the engine's optimistic
+		// page locks bounce one with tx.ErrConflict; queueing on the
+		// name's write mutex makes served updates serial and FIFO.
 		wmu, _ := s.srv.writers.LoadOrStore(name, new(sync.Mutex))
 		wmu.(*sync.Mutex).Lock()
 		defer wmu.(*sync.Mutex).Unlock()

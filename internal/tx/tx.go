@@ -1,4 +1,4 @@
-// Package tx implements the ACID transaction protocol of Section 3.2
+// Package tx implements the transaction protocol of Section 3.2
 // (Figure 8) over the paged document store:
 //
 //   - read-only queries run against an immutable per-version snapshot
@@ -15,7 +15,10 @@
 //     small update are both O(pages touched), never O(document). They
 //     acquire page-grained write locks for every logical page their
 //     structural updates touch (no-wait locking: a conflict aborts the
-//     younger request instead of risking deadlock);
+//     younger request instead of risking deadlock). Nothing locks or
+//     re-checks what they read, so they are snapshot-isolated, not
+//     serializable: two that each read what the other writes can both
+//     commit (write skew);
 //   - ancestor size maintenance is performed with commutative delta
 //     increments at commit, so concurrent writers under the same
 //     ancestors — in particular the document root — never contend on
@@ -346,7 +349,7 @@ type Stats struct {
 	LiveNodes       int    // live nodes
 	Tuples          int    // tuples including unused space
 	Pages, PageSize int    // logical pages, tuples per page
-	Names, Props    int    // shared dictionary entries (see CompactDictionaries)
+	Names           int    // shared name pool entries (see CompactDictionaries)
 }
 
 // Stats reads the counters and the base store's shape under the shared
@@ -355,16 +358,15 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	st := Stats{
+	return Stats{
 		Commits:   m.commits,
 		Aborts:    m.aborts,
 		LiveNodes: m.store.LiveNodes(),
 		Tuples:    int(m.store.Len()),
 		Pages:     m.store.Pages(),
 		PageSize:  m.store.PageSize(),
+		Names:     m.store.Names().Len(),
 	}
-	st.Names, st.Props = m.store.DictStats()
-	return st
 }
 
 // CheckInvariants validates the base store's storage invariants with
@@ -395,14 +397,13 @@ func (m *Manager) snapshot() *core.Store {
 	return m.store.Snapshot()
 }
 
-// CompactDictionaries rebuilds the shared qualified-name pool and
-// attribute-value dictionary of the base store, dropping entries leaked
-// by aborted transactions (see core.Store.CompactDictionaries). It runs
-// under the global write lock — like a commit — and returns the number
-// of dropped name and property entries. Live snapshots and in-flight
-// transactions keep their own references to the old pools and chunks,
-// so they are never disturbed.
-func (m *Manager) CompactDictionaries() (namesDropped, propsDropped int) {
+// CompactDictionaries rebuilds the shared qualified-name pool of the
+// base store, dropping names leaked by aborted transactions (see
+// core.Store.CompactDictionaries). It runs under the global write lock —
+// like a commit — and returns the number of dropped names. Live
+// snapshots and in-flight transactions keep their own references to the
+// old pool and chunks, so they are never disturbed.
+func (m *Manager) CompactDictionaries() (namesDropped int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.store.CompactDictionaries()

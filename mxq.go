@@ -126,17 +126,17 @@
 //
 // # Dictionary compaction
 //
-// The qualified-name pool and attribute-value dictionary are shared,
-// append-only structures; transactions intern new names and values
-// before committing, so an abort leaks entries nothing references.
+// The qualified-name pool is a shared, append-only structure;
+// transactions intern new names before committing, so an abort leaks
+// names nothing references. (Attribute values are stored inline with
+// their element, like text, so they cannot leak.)
 // Document.CompactDictionaries is the offline reclamation pass: it
-// rewrites both dictionaries to exactly the entries the live document
-// references (Stats.Names and Stats.Props expose the drift), blocking
-// like a single commit while never disturbing open snapshots or
-// in-flight transactions, which keep their own consistent dictionary
-// references until released. Document content, node identities and
-// storage layout are guaranteed unchanged; only internal dictionary
-// ids are remapped.
+// rewrites the pool to exactly the names the live document references
+// (Stats.Names exposes the drift), blocking like a single commit while
+// never disturbing open snapshots or in-flight transactions, which keep
+// their own consistent references until released. Document content,
+// node identities and storage layout are guaranteed unchanged; only
+// internal name ids are remapped.
 //
 // # Serving over the network
 //

@@ -425,6 +425,67 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestAttributeValuesSurviveRecovery: attribute values — empty, shared
+// by many elements, not ASCII, some from the image and some from WAL
+// records — recover from a crash state exactly, and a value shared
+// before the crash is not shared storage after it.
+func TestAttributeValuesSurviveRecovery(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, NoSync: true, PageSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.LoadXMLString("r", `<r><e a="" b="shared"/><e a="shared"/><e a="ünï ☃ 𝄞"/>`+
+		strings.Repeat("<f/>", 20)+`<e/><e/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mods := range []string{
+		`<xupdate:append select="/r/e[4]"><xupdate:attribute name="a">shared</xupdate:attribute></xupdate:append>`,
+		`<xupdate:append select="/r/e[5]"><xupdate:attribute name="a"></xupdate:attribute></xupdate:append>`,
+		`<xupdate:update select="/r/e[3]/@a">ü ☃ 𝄞 again</xupdate:update>`,
+	} {
+		if _, err := doc.Update(wrapMods(mods)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := doc.XML()
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(Options{Dir: crashed, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	doc2, err := db2.OpenDocument("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := doc2.XML(); got != want {
+		t.Fatalf("recovered document\n%s\nwant\n%s", got, want)
+	}
+	if _, err := doc2.Update(wrapMods(`<xupdate:update select="/r/e[2]/@a">changed</xupdate:update>`)); err != nil {
+		t.Fatal(err)
+	}
+	for sel, want := range map[string]string{"/r/e[1]/@b": "shared", "/r/e[2]/@a": "changed", "/r/e[4]/@a": "shared", "/r/e[5]/@a": "", "count(/r/e/@a)": "5"} {
+		if got, err := doc2.QueryValue(sel); err != nil || got != want {
+			t.Fatalf("%s = %q, %v after updating /r/e[2]/@a, want %q", sel, got, err, want)
+		}
+	}
+	if err := doc2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func ls(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, _ := os.ReadDir(dir)

@@ -154,10 +154,9 @@ func TestSnapshotHandleLifecycle(t *testing.T) {
 	}
 }
 
-// TestCompactDictionariesPublic: an aborted transaction leaks names and
-// attribute values into the shared dictionaries; CompactDictionaries
-// reclaims exactly those, visible through Stats, without changing the
-// document.
+// TestCompactDictionariesPublic: an aborted transaction leaks names into
+// the shared name pool; CompactDictionaries reclaims exactly those,
+// visible through Stats, without changing the document.
 func TestCompactDictionariesPublic(t *testing.T) {
 	doc := loadSnapDoc(t)
 	base := doc.Stats()
@@ -171,9 +170,8 @@ func TestCompactDictionariesPublic(t *testing.T) {
 	txn.Abort()
 
 	leaked := doc.Stats()
-	if leaked.Names <= base.Names || leaked.Props <= base.Props {
-		t.Fatalf("abort leaked nothing: names %d->%d, props %d->%d",
-			base.Names, leaked.Names, base.Props, leaked.Props)
+	if leaked.Names <= base.Names {
+		t.Fatalf("abort leaked nothing: names %d->%d", base.Names, leaked.Names)
 	}
 	if leaked.Aborts != 1 {
 		t.Fatalf("abort count %d, want 1", leaked.Aborts)
@@ -183,14 +181,11 @@ func TestCompactDictionariesPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, pd := doc.CompactDictionaries()
-	if nd == 0 || pd == 0 {
-		t.Fatalf("compaction dropped (%d names, %d props), want both > 0", nd, pd)
+	if nd := doc.CompactDictionaries(); nd != leaked.Names-base.Names {
+		t.Fatalf("compaction dropped %d names, want %d", nd, leaked.Names-base.Names)
 	}
-	after := doc.Stats()
-	if after.Names != base.Names || after.Props != base.Props {
-		t.Fatalf("post-compaction dict sizes (%d, %d), want (%d, %d)",
-			after.Names, after.Props, base.Names, base.Props)
+	if after := doc.Stats(); after.Names != base.Names {
+		t.Fatalf("post-compaction name pool size %d, want %d", after.Names, base.Names)
 	}
 	if got, _ := doc.XML(); got != before {
 		t.Fatalf("document changed across dictionary compaction:\nbefore: %s\nafter:  %s", before, got)
@@ -203,8 +198,8 @@ func TestCompactDictionariesPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing left to drop.
-	if nd, pd := doc.CompactDictionaries(); nd != 0 || pd != 0 {
-		t.Fatalf("second compaction dropped (%d, %d), want (0, 0)", nd, pd)
+	if nd := doc.CompactDictionaries(); nd != 0 {
+		t.Fatalf("second compaction dropped %d names, want 0", nd)
 	}
 }
 
