@@ -197,13 +197,16 @@ func TestInsertChildAt(t *testing.T) {
 	if got := liveNames(s); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("live names = %v, want %v", got, want)
 	}
-	// Past-the-end index appends.
-	if _, err := s.InsertChildAt(s.Root(), 99, mustFragment(t, `<z/>`)); err != nil {
-		t.Fatal(err)
-	}
-	got := liveNames(s)
-	if got[len(got)-1] != "z" {
-		t.Fatalf("child at 99 not appended: %v", got)
+	// A past-the-end or negative index appends (a WAL record can carry
+	// -1: its child index is read back as an int32).
+	for _, idx := range []int{99, -1} {
+		if _, err := s.InsertChildAt(s.Root(), idx, mustFragment(t, `<z/>`)); err != nil {
+			t.Fatal(err)
+		}
+		got := liveNames(s)
+		if got[len(got)-1] != "z" || got[1] != "a" {
+			t.Fatalf("child at %d not appended: %v", idx, got)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mxq/internal/shred"
+	"mxq/internal/staircase"
 	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
@@ -92,7 +93,7 @@ func (s *Store) InsertAfter(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, e
 	if parent == xenc.NoPre {
 		return nil, errIsRoot
 	}
-	return s.insertAt(s.regionEnd(target)+1, parent, frag)
+	return s.insertAt(s.RegionEnd(target)+1, parent, frag)
 }
 
 // AppendChild inserts the fragment as the last child(ren) of the element
@@ -104,7 +105,7 @@ func (s *Store) AppendChild(parent xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, e
 	if s.Kind(parent) != xenc.KindElem {
 		return nil, fmt.Errorf("core: append target at pre %d is a %v, not an element", parent, s.Kind(parent))
 	}
-	return s.insertAt(s.regionEnd(parent)+1, parent, frag)
+	return s.insertAt(s.RegionEnd(parent)+1, parent, frag)
 }
 
 // InsertChildAt inserts the fragment as child number idx (0-based) of the
@@ -117,9 +118,9 @@ func (s *Store) InsertChildAt(parent xenc.Pre, idx int, frag *shred.Tree) ([]xen
 	if s.Kind(parent) != xenc.KindElem {
 		return nil, fmt.Errorf("core: append target at pre %d is a %v, not an element", parent, s.Kind(parent))
 	}
-	c := s.childAt(parent, idx)
+	c := s.NthChild(parent, idx)
 	if c == xenc.NoPre {
-		return s.insertAt(s.regionEnd(parent)+1, parent, frag)
+		return s.insertAt(s.RegionEnd(parent)+1, parent, frag)
 	}
 	return s.insertAt(c, parent, frag)
 }
@@ -136,18 +137,9 @@ func (s *Store) Delete(target xenc.Pre) error {
 		return errIsRoot
 	}
 	k := s.Size(target) + 1
-	lvl := s.Level(target)
 	// Mark the whole region unused, release node ids and attributes.
 	touched := map[int32]bool{}
-	p := target
-	for p < s.Len() {
-		if s.Level(p) == xenc.LevelUnused {
-			p = xenc.SkipFree(s, p)
-			continue
-		}
-		if p != target && s.Level(p) <= lvl {
-			break
-		}
+	for p, end := target, s.RegionEnd(target); p <= end; p = xenc.SkipFree(s, p+1) {
 		pos := s.physOf(p)
 		wp := s.dirtyPage(pos >> s.pageBits)
 		o := pos & s.pageMask
@@ -160,7 +152,6 @@ func (s *Store) Delete(target xenc.Pre) error {
 		wp.node[o] = xenc.NoNode
 		wp.text[o] = ""
 		touched[pos>>s.pageBits] = true
-		p++
 	}
 	for pg := range touched {
 		s.recomputeFreeRuns(pg)
@@ -276,44 +267,34 @@ func (s *Store) ParentPre(p xenc.Pre) xenc.Pre {
 	return s.PreOf(id)
 }
 
-// regionEnd returns the view rank of the last tuple of p's region: the
-// position after which "directly after the subtree of p" content goes.
-// It scans forward counting live descendants, skipping free runs.
-func (s *Store) regionEnd(p xenc.Pre) xenc.Pre {
-	remaining := s.Size(p)
+// RegionEnd returns the view rank of the last used tuple of p's region
+// (p itself for a leaf): the position after which "directly after the
+// subtree of p" content goes. It is the last match of the staircase
+// descendant scan, not the first used tuple behind the region: free
+// tuples between the two are where an insert after p lands.
+func (s *Store) RegionEnd(p xenc.Pre) xenc.Pre {
 	last := p
-	q := p + 1
-	for remaining > 0 {
-		q = xenc.SkipFree(s, q)
+	staircase.Scan(s, p, staircase.AxisDescendant, staircase.AnyNode(), func(q xenc.Pre) bool {
 		last = q
-		remaining--
-		q++
-	}
+		return true
+	})
 	return last
 }
 
 // NthChild returns the view rank of the idx-th (0-based) child of the
-// node at parent, or NoPre. The transaction layer uses it to find the
-// pages an InsertChildAt will write.
+// node at parent, or NoPre for a negative or past-the-end idx. The
+// transaction layer uses it to find the pages an InsertChildAt will
+// write.
 func (s *Store) NthChild(parent xenc.Pre, idx int) xenc.Pre {
-	return s.childAt(parent, idx)
-}
-
-// childAt returns the view rank of the idx-th child of parent, or NoPre.
-func (s *Store) childAt(parent xenc.Pre, idx int) xenc.Pre {
-	lvl := s.Level(parent)
-	q := xenc.SkipFree(s, parent+1)
-	n := s.Len()
-	for q < n && s.Level(q) > lvl {
-		if s.Level(q) == lvl+1 {
-			if idx == 0 {
-				return q
-			}
-			idx--
+	c := xenc.NoPre
+	staircase.Scan(s, parent, staircase.AxisChild, staircase.AnyNode(), func(q xenc.Pre) bool {
+		if idx == 0 {
+			c = q
 		}
-		q = xenc.SkipFree(s, q+s.Size(q)+1)
-	}
-	return xenc.NoPre
+		idx--
+		return idx >= 0
+	})
+	return c
 }
 
 // addAncestorSizes walks the ancestor chain starting at node id and adds

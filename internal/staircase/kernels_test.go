@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"mxq/internal/core"
@@ -16,6 +17,7 @@ import (
 	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xmark"
+	"mxq/internal/xpath"
 )
 
 // perTuple hides everything but the DocView method set of a view, so the
@@ -221,6 +223,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKernels(t, "core/fresh", s, rng, spanContexts(t, "core/fresh", s, pageSize, false)...)
+	checkPast(t, "core/fresh", s)
 
 	// Every run packed and nothing free inside the document.
 	full, err := core.Build(tree, core.Options{PageSize: pageSize, FillFactor: 1})
@@ -228,6 +231,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKernels(t, "core/fill1.0", full, rng, spanContexts(t, "core/fill1.0", full, pageSize, false)...)
+	checkPast(t, "core/fill1.0", full)
 
 	// Churn, then empty a few whole pages: the first regions element has
 	// thousands of descendants.
@@ -373,9 +377,11 @@ func spanContexts(t *testing.T, label string, v xenc.DocView, pageSize xenc.Pre,
 
 // checkPast holds the kernels' subtree hop to the per-tuple region end
 // for every used tuple of v: exact where the hop leaves the tuple's run,
-// and never past the end where it stays inside.
+// and never past the end where it stays inside. On a paged store it
+// holds the store's own walks, which go through the kernels, there too.
 func checkPast(t *testing.T, label string, v xenc.ColumnView) {
 	t.Helper()
+	s, _ := v.(*core.Store)
 	crossed := 0
 	for p, end := range regionEnds(v) {
 		got, cross := staircase.Past(v, p)
@@ -385,9 +391,41 @@ func checkPast(t *testing.T, label string, v xenc.ColumnView) {
 		if cross && got != end || got <= p || got > end {
 			t.Fatalf("%s: past(%d) = %d (left its run: %v), region ends at %d", label, p, got, cross, end)
 		}
+		if s != nil {
+			checkStoreWalks(t, label, s, p, end)
+		}
 	}
 	if crossed == 0 {
 		t.Fatalf("%s: no region left its run", label)
+	}
+}
+
+// checkStoreWalks holds the update path's RegionEnd and NthChild and the
+// element string-value to the per-tuple reference at the used tuple p of
+// s, whose region ends just before end.
+func checkStoreWalks(t *testing.T, label string, s *core.Store, p, end xenc.Pre) {
+	t.Helper()
+	if got := s.RegionEnd(p); got != end-1 {
+		t.Fatalf("%s: RegionEnd(%d) = %d, region ends at %d", label, p, got, end)
+	}
+	kids := staircase.Reference(s, []xenc.Pre{p}, staircase.AxisChild, staircase.AnyNode())
+	for i, want := range append(kids, xenc.NoPre) {
+		if got := s.NthChild(p, i); got != want {
+			t.Fatalf("%s: NthChild(%d, %d) = %d, want %d", label, p, i, got, want)
+		}
+	}
+	if got := s.NthChild(p, -1); got != xenc.NoPre {
+		t.Fatalf("%s: NthChild(%d, -1) = %d, want NoPre", label, p, got)
+	}
+	if s.Kind(p) != xenc.KindElem {
+		return
+	}
+	var want strings.Builder
+	for _, q := range staircase.Reference(s, []xenc.Pre{p}, staircase.AxisDescendant, staircase.KindTest(xenc.KindText)) {
+		want.WriteString(s.Value(q))
+	}
+	if got := xpath.StringValue(s, xpath.ElemNode(p)); got != want.String() {
+		t.Fatalf("%s: string-value of %d = %q, want %q", label, p, got, want.String())
 	}
 }
 

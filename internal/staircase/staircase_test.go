@@ -1,4 +1,4 @@
-package staircase
+package staircase_test
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"mxq/internal/core"
 	"mxq/internal/rostore"
 	"mxq/internal/shred"
+	"mxq/internal/staircase"
 	"mxq/internal/xenc"
 )
 
@@ -112,18 +113,18 @@ func (o *oracle) axis(name string, ctx []xenc.Pre) []xenc.Pre {
 	return out
 }
 
-var axisIDs = map[string]Axis{
-	"self":               AxisSelf,
-	"child":              AxisChild,
-	"parent":             AxisParent,
-	"descendant":         AxisDescendant,
-	"descendant-or-self": AxisDescendantOrSelf,
-	"ancestor":           AxisAncestor,
-	"ancestor-or-self":   AxisAncestorOrSelf,
-	"following-sibling":  AxisFollowingSibling,
-	"preceding-sibling":  AxisPrecedingSibling,
-	"following":          AxisFollowing,
-	"preceding":          AxisPreceding,
+var axisIDs = map[string]staircase.Axis{
+	"self":               staircase.AxisSelf,
+	"child":              staircase.AxisChild,
+	"parent":             staircase.AxisParent,
+	"descendant":         staircase.AxisDescendant,
+	"descendant-or-self": staircase.AxisDescendantOrSelf,
+	"ancestor":           staircase.AxisAncestor,
+	"ancestor-or-self":   staircase.AxisAncestorOrSelf,
+	"following-sibling":  staircase.AxisFollowingSibling,
+	"preceding-sibling":  staircase.AxisPrecedingSibling,
+	"following":          staircase.AxisFollowing,
+	"preceding":          staircase.AxisPreceding,
 }
 
 // forwardScanAxes are the axes Scan supports.
@@ -156,7 +157,7 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 	}
 	for name, ax := range axisIDs {
 		for _, ctx := range ctxs {
-			got := EvalAxis(v, ctx, ax, AnyNode())
+			got := staircase.EvalAxis(v, ctx, ax, staircase.AnyNode())
 			want := o.axis(name, ctx)
 			if len(got) == 0 && len(want) == 0 {
 				continue
@@ -166,7 +167,7 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 			}
 			// The per-tuple reference the kernels are held to must agree
 			// with the tree semantics too.
-			if ref := reference(v, ctx, ax, AnyNode()); !reflect.DeepEqual(ref, want) {
+			if ref := staircase.Reference(v, ctx, ax, staircase.AnyNode()); !reflect.DeepEqual(ref, want) {
 				t.Fatalf("%s: reference %s(%v) = %v, want %v", label, name, ctx, ref, want)
 			}
 		}
@@ -178,7 +179,7 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 		for _, p := range o.pres {
 			full := o.axis(name, []xenc.Pre{p})
 			var scanned []xenc.Pre
-			Scan(v, p, ax, AnyNode(), func(q xenc.Pre) bool {
+			staircase.Scan(v, p, ax, staircase.AnyNode(), func(q xenc.Pre) bool {
 				scanned = append(scanned, q)
 				return true
 			})
@@ -186,7 +187,7 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 				t.Fatalf("%s: Scan(%s, %d) = %v, want %v", label, name, p, scanned, full)
 			}
 			var ref []xenc.Pre
-			refScan(v, p, ax, AnyNode(), func(q xenc.Pre) bool {
+			staircase.ReferenceScan(v, p, ax, staircase.AnyNode(), func(q xenc.Pre) bool {
 				ref = append(ref, q)
 				return true
 			})
@@ -195,7 +196,7 @@ func checkAllAxes(t *testing.T, v xenc.DocView, label string) {
 			}
 			for k := 1; k <= 2 && k <= len(full); k++ {
 				var prefix []xenc.Pre
-				Scan(v, p, ax, AnyNode(), func(q xenc.Pre) bool {
+				staircase.Scan(v, p, ax, staircase.AnyNode(), func(q xenc.Pre) bool {
 					prefix = append(prefix, q)
 					return len(prefix) < k
 				})
@@ -327,19 +328,19 @@ func TestNameAndKindTests(t *testing.T) {
 	}
 	pName, _ := s.Names().Lookup("p")
 	ctx := []xenc.Pre{s.Root()}
-	if got := EvalAxis(s, ctx, AxisChild, Element(pName)); len(got) != 2 {
+	if got := staircase.EvalAxis(s, ctx, staircase.AxisChild, staircase.Element(pName)); len(got) != 2 {
 		t.Fatalf("child::p = %v", got)
 	}
-	if got := EvalAxis(s, ctx, AxisChild, Element(xenc.NoName)); len(got) != 3 {
+	if got := staircase.EvalAxis(s, ctx, staircase.AxisChild, staircase.Element(xenc.NoName)); len(got) != 3 {
 		t.Fatalf("child::* = %v", got)
 	}
-	if got := EvalAxis(s, ctx, AxisDescendant, KindTest(xenc.KindText)); len(got) != 2 {
+	if got := staircase.EvalAxis(s, ctx, staircase.AxisDescendant, staircase.KindTest(xenc.KindText)); len(got) != 2 {
 		t.Fatalf("descendant::text() = %v", got)
 	}
-	if got := EvalAxis(s, ctx, AxisChild, KindTest(xenc.KindComment)); len(got) != 1 {
+	if got := staircase.EvalAxis(s, ctx, staircase.AxisChild, staircase.KindTest(xenc.KindComment)); len(got) != 1 {
 		t.Fatalf("child::comment() = %v", got)
 	}
-	if got := EvalAxis(s, ctx, AxisChild, AnyNode()); len(got) != 4 {
+	if got := staircase.EvalAxis(s, ctx, staircase.AxisChild, staircase.AnyNode()); len(got) != 4 {
 		t.Fatalf("child::node() = %v", got)
 	}
 }
@@ -348,7 +349,7 @@ func TestEmptyContext(t *testing.T) {
 	tr, _ := shred.Parse(strings.NewReader(paperDoc), shred.Options{})
 	s, _ := rostore.Build(tr)
 	for name, ax := range axisIDs {
-		if got := EvalAxis(s, nil, ax, AnyNode()); len(got) != 0 {
+		if got := staircase.EvalAxis(s, nil, ax, staircase.AnyNode()); len(got) != 0 {
 			t.Errorf("%s(nil) = %v", name, got)
 		}
 	}

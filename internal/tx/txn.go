@@ -167,19 +167,6 @@ func (t *Tx) withAncestors(pages []int32, anc xenc.Pre) []int32 {
 	return pages
 }
 
-// regionEnd is the last view rank of p's region in the tx image.
-func (t *Tx) regionEnd(p xenc.Pre) xenc.Pre {
-	remaining := t.clone.Size(p)
-	last := p
-	q := p
-	for remaining > 0 {
-		q = xenc.SkipFree(t.clone, q+1)
-		last = q
-		remaining--
-	}
-	return last
-}
-
 // Apply performs op on the transaction image and logs it for commit,
 // with the ids of the nodes it inserted: the logged op is the applied
 // op, and commit replays it onto the base with the same core.Store.Apply.
@@ -214,17 +201,17 @@ func (t *Tx) lock(op wal.Op, p xenc.Pre) error {
 	case wal.OpInsertBefore:
 		return t.lockPoint(p, t.clone.ParentPre(p))
 	case wal.OpInsertAfter:
-		return t.lockPoint(t.regionEnd(p)+1, t.clone.ParentPre(p))
+		return t.lockPoint(t.clone.RegionEnd(p)+1, t.clone.ParentPre(p))
 	case wal.OpAppendChild:
-		return t.lockPoint(t.regionEnd(p)+1, p)
+		return t.lockPoint(t.clone.RegionEnd(p)+1, p)
 	case wal.OpInsertChildAt:
 		at := t.clone.NthChild(p, int(op.Child))
 		if at == xenc.NoPre {
-			at = t.regionEnd(p) + 1
+			at = t.clone.RegionEnd(p) + 1
 		}
 		return t.lockPoint(at, p)
 	case wal.OpDelete:
-		return t.lockSpan(p, t.regionEnd(p), t.clone.ParentPre(p))
+		return t.lockSpan(p, t.clone.RegionEnd(p), t.clone.ParentPre(p))
 	}
 	return t.lockSpan(p, p, xenc.NoPre)
 }

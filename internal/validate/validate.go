@@ -6,13 +6,14 @@
 //
 // A Schema maps element names to rules: which child elements are allowed,
 // which attributes are required, and whether text content is permitted.
-// Validation walks the encoded tree once, directly on the
-// pre/size/level view, without materializing a DOM.
+// Validation walks the encoded tree once through the staircase
+// operators, without materializing a DOM.
 package validate
 
 import (
 	"fmt"
 
+	"mxq/internal/staircase"
 	"mxq/internal/xenc"
 )
 
@@ -59,15 +60,12 @@ func (e *Error) Error() string {
 
 // Check validates the whole document and returns the first violation.
 func (s *Schema) Check(v xenc.DocView) error {
-	for p := xenc.SkipFree(v, 0); p < v.Len(); p = xenc.SkipFree(v, p+1) {
-		if v.Kind(p) != xenc.KindElem {
-			continue
-		}
-		if err := s.checkElem(v, p); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	staircase.Scan(v, v.Root(), staircase.AxisDescendantOrSelf, staircase.Element(xenc.NoName), func(p xenc.Pre) bool {
+		err = s.checkElem(v, p)
+		return err == nil
+	})
+	return err
 }
 
 func (s *Schema) checkElem(v xenc.DocView, p xenc.Pre) error {
@@ -92,27 +90,21 @@ func (s *Schema) checkElem(v xenc.DocView, p xenc.Pre) error {
 	for _, c := range rule.Children {
 		allowed[c] = true
 	}
-	// Walk direct children.
-	lvl := v.Level(p)
-	q := xenc.SkipFree(v, p+1)
-	for q < v.Len() && v.Level(q) > lvl {
-		if v.Level(q) == lvl+1 {
-			switch v.Kind(q) {
-			case xenc.KindElem:
-				child := v.Names().Name(v.Name(q))
-				if rule.NoElements {
-					return &Error{Pre: p, Elem: name, Msg: fmt.Sprintf("child element <%s> not allowed (text-only element)", child)}
-				}
-				if len(rule.Children) > 0 && !allowed[child] {
-					return &Error{Pre: p, Elem: name, Msg: fmt.Sprintf("child element <%s> not allowed", child)}
-				}
-			case xenc.KindText:
-				if rule.NoText {
-					return &Error{Pre: p, Elem: name, Msg: "text content not allowed"}
-				}
+	for _, q := range staircase.EvalAxis(v, []xenc.Pre{p}, staircase.AxisChild, staircase.AnyNode()) {
+		switch v.Kind(q) {
+		case xenc.KindElem:
+			child := v.Names().Name(v.Name(q))
+			if rule.NoElements {
+				return &Error{Pre: p, Elem: name, Msg: fmt.Sprintf("child element <%s> not allowed (text-only element)", child)}
+			}
+			if len(rule.Children) > 0 && !allowed[child] {
+				return &Error{Pre: p, Elem: name, Msg: fmt.Sprintf("child element <%s> not allowed", child)}
+			}
+		case xenc.KindText:
+			if rule.NoText {
+				return &Error{Pre: p, Elem: name, Msg: "text content not allowed"}
 			}
 		}
-		q = xenc.SkipFree(v, q+v.Size(q)+1)
 	}
 	return nil
 }

@@ -83,17 +83,12 @@ func (d doc) children(p xenc.Pre, nameID int32) []xenc.Pre {
 
 // child returns the first element child named nameID, or NoPre.
 func (d doc) child(p xenc.Pre, nameID int32) xenc.Pre {
-	v := d.v
-	lvl := v.Level(p)
-	q := xenc.SkipFree(v, p+1)
-	n := v.Len()
-	for q < n && v.Level(q) > lvl {
-		if v.Level(q) == lvl+1 && v.Kind(q) == xenc.KindElem && v.Name(q) == nameID {
-			return q
-		}
-		q = xenc.SkipFree(v, q+v.Size(q)+1)
-	}
-	return xenc.NoPre
+	c := xenc.NoPre
+	staircase.Scan(d.v, p, staircase.AxisChild, staircase.Element(nameID), func(q xenc.Pre) bool {
+		c = q
+		return false
+	})
+	return c
 }
 
 // text returns the string-value of the node (concatenated descendant

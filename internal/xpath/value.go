@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mxq/internal/staircase"
 	"mxq/internal/xenc"
 )
 
@@ -105,23 +106,11 @@ func StringValue(v xenc.DocView, n Node) string {
 }
 
 func subtreeText(v xenc.DocView, p xenc.Pre) string {
-	remaining := v.Size(p)
-	if remaining == 0 {
-		return ""
-	}
 	var b strings.Builder
-	q := p
-	lvl := v.Level(p)
-	for remaining > 0 {
-		q = xenc.SkipFree(v, q+1)
-		if q >= v.Len() || v.Level(q) <= lvl {
-			break
-		}
-		if v.Kind(q) == xenc.KindText {
-			b.WriteString(v.Value(q))
-		}
-		remaining--
-	}
+	staircase.Scan(v, p, staircase.AxisDescendant, staircase.KindTest(xenc.KindText), func(q xenc.Pre) bool {
+		b.WriteString(v.Value(q))
+		return true
+	})
 	return b.String()
 }
 

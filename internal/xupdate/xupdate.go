@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"mxq/internal/shred"
+	"mxq/internal/staircase"
 	"mxq/internal/wal"
 	"mxq/internal/xenc"
 	"mxq/internal/xpath"
@@ -515,13 +516,8 @@ func updateContent(st Target, p xenc.Pre, id xenc.NodeID, text string) error {
 	// Pin the children by id, then delete them: a delete shifts nothing
 	// in the paged store, but ids are the stable handle.
 	var kids []xenc.NodeID
-	lvl := st.Level(p)
-	q := xenc.SkipFree(st, p+1)
-	for q < st.Len() && st.Level(q) > lvl {
-		if st.Level(q) == lvl+1 {
-			kids = append(kids, st.NodeOf(q))
-		}
-		q = xenc.SkipFree(st, q+st.Size(q)+1)
+	for _, q := range staircase.EvalAxis(st, []xenc.Pre{p}, staircase.AxisChild, staircase.AnyNode()) {
+		kids = append(kids, st.NodeOf(q))
 	}
 	for _, kid := range kids {
 		if _, err := st.Apply(wal.Op{Kind: wal.OpDelete, Target: kid}); err != nil {
