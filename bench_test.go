@@ -5,7 +5,6 @@
 //	BenchmarkInsertScaling   — naive O(N) vs paged O(update) inserts (Figure 3)
 //	BenchmarkInsertWithinPage— Figure 7(a), the in-page insert path
 //	BenchmarkInsertPageOverflow — Figure 7(b), the page-splice path
-//	BenchmarkCommutativeDeltas — delta commits vs root-locking (Figure 8 / §3.2)
 //	BenchmarkAttrLookup      — the node/pos indirection the paper charges to 'up'
 //	BenchmarkOrdpath         — related-work comparison (§4.2)
 //	BenchmarkFillFactor      — ablation AB1: unused-tuple share
@@ -17,7 +16,9 @@
 //	BenchmarkCheckpointIncremental — full vs O(churn) checkpoint bytes
 //	  and wall time over the content-addressed chunk store
 //
-// BenchmarkStaircaseSkipping (staircase_bench_test.go) covers claim C2.
+// BenchmarkStaircaseSkipping (staircase_bench_test.go) covers claim C2;
+// BenchmarkCommutativeDeltas (internal/tx/ablation_test.go) contrasts
+// delta commits with root locking (Figure 8 / §3.2).
 //
 // BenchmarkFigure9 runs SF 0.01 by default (the paper's 1.1 MB point);
 // set MXQ_BENCH_SF (e.g. "0.01,0.1") for more scales.
@@ -255,74 +256,6 @@ func BenchmarkInsertPageOverflow(b *testing.B) {
 			mid = xenc.SkipFree(s, xenc.Pre(s.Len()/2))
 			b.StartTimer()
 		}
-	}
-}
-
-// --- Figure 8 / §3.2: commutative deltas vs root locking --------------------------
-
-func deptStore(b *testing.B, depts, docsPerDept int) *core.Store {
-	b.Helper()
-	bld := shred.NewBuilder().Start("site")
-	for d := 0; d < depts; d++ {
-		bld.Start("department", shred.Attr{Name: "id", Value: fmt.Sprintf("d%d", d)})
-		for i := 0; i < docsPerDept; i++ {
-			bld.Elem("doc", "x")
-		}
-		bld.End()
-	}
-	s, err := core.Build(bld.End().Tree(), core.Options{PageSize: 128, FillFactor: 0.7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkCommutativeDeltas contrasts the paper's delta-increment
-// commit (writers under a shared root commit concurrently) with the
-// root-locking discipline absolute size updates would force (every
-// writer contends on the root's page and most attempts abort).
-func BenchmarkCommutativeDeltas(b *testing.B) {
-	for _, mode := range []string{"delta", "rootlock"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			s := deptStore(b, 16, 40)
-			m := tx.NewManager(s, nil)
-			m.SetLockAncestors(mode == "rootlock")
-			// Pin one target department per goroutine.
-			var deptIdx int32
-			var mu sync.Mutex
-			nextDept := func() string {
-				mu.Lock()
-				defer mu.Unlock()
-				deptIdx++
-				return fmt.Sprintf("d%d", int(deptIdx)%16)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				dept := nextDept()
-				sel := xpath.MustParse(fmt.Sprintf(`//department[@id=%q]`, dept))
-				for pb.Next() {
-					for {
-						txn := m.Begin()
-						ns, err := sel.Select(txn)
-						if err != nil || len(ns) == 0 {
-							txn.Abort()
-							continue
-						}
-						if _, err := txn.Apply(wal.Op{Kind: wal.OpAppendChild, Target: txn.NodeOf(ns[0].Pre), Frag: smallFrag}); err != nil {
-							txn.Abort()
-							continue
-						}
-						if err := txn.Commit(); err == nil {
-							break
-						}
-					}
-				}
-			})
-			b.StopTimer()
-			st := m.Stats()
-			b.ReportMetric(float64(st.Aborts)/float64(st.Commits+1), "aborts/commit")
-		})
 	}
 }
 
@@ -603,7 +536,7 @@ func BenchmarkConcurrentQueryDuringCommits(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return new(Database).newDocument("bench", s, nil)
+		return new(Database).newDocument("bench", s, nil, nil)
 	}
 	const query = `/site/regions//item/name/text()`
 

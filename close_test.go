@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,16 +13,41 @@ import (
 	"mxq/internal/ckpt"
 )
 
-// slowChunks throttles chunk Puts and signals once the first one starts.
+// slowChunks is an Options.ChunkStore factory over the default stores
+// in dir whose Puts, once armed, are throttled by delay each.
 type slowChunks struct {
-	chunkstore.Store
-	start func()
-	delay time.Duration
+	dir       string
+	delay     time.Duration
+	armed     atomic.Bool
+	once      sync.Once
+	streaming chan struct{}
 }
 
-func (s *slowChunks) Put(h chunkstore.Hash, data []byte) error {
-	s.start()
-	time.Sleep(s.delay)
+func newSlowChunks(dir string, delay time.Duration) *slowChunks {
+	return &slowChunks{dir: dir, delay: delay, streaming: make(chan struct{})}
+}
+
+func (s *slowChunks) open(doc string) ChunkStore {
+	return slowStore{ckpt.DefaultChunkStore(s.dir, doc), s}
+}
+
+// arm throttles every later Put; the channel it returns is closed once
+// the first of them starts.
+func (s *slowChunks) arm() <-chan struct{} {
+	s.armed.Store(true)
+	return s.streaming
+}
+
+type slowStore struct {
+	chunkstore.Store
+	slow *slowChunks
+}
+
+func (s slowStore) Put(h chunkstore.Hash, data []byte) error {
+	if s.slow.armed.Load() {
+		s.slow.once.Do(func() { close(s.slow.streaming) })
+		time.Sleep(s.slow.delay)
+	}
 	return s.Store.Put(h, data)
 }
 
@@ -33,9 +59,11 @@ func (s *slowChunks) Put(h chunkstore.Hash, data []byte) error {
 // Run under -race (make check does).
 func TestCloseRacesThrottledCheckpoint(t *testing.T) {
 	dir := t.TempDir()
+	slow := newSlowChunks(dir, 5*time.Millisecond)
 	db, err := Open(Options{
 		Dir: dir, NoSync: true,
 		CheckpointEvery: CheckpointPolicy{Records: 2},
+		ChunkStore:      slow.open,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,13 +73,7 @@ func TestCloseRacesThrottledCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Throttle the chunk stream so the close provably overlaps it.
-	streaming := make(chan struct{})
-	var once sync.Once
-	doc.ckpter.SetChunkStore(&slowChunks{
-		Store: ckpt.DefaultChunkStore(dir, "lib"),
-		start: func() { once.Do(func() { close(streaming) }) },
-		delay: 5 * time.Millisecond,
-	})
+	streaming := slow.arm()
 	for i := 0; i < 8; i++ {
 		if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>race</book></xupdate:append>`)); err != nil {
 			t.Fatal(err)
@@ -78,6 +100,46 @@ func TestCloseRacesThrottledCheckpoint(t *testing.T) {
 	}
 	if _, err := db.LoadXMLString("late", libDoc); !errors.Is(err, ErrDatabaseClosed) {
 		t.Fatalf("LoadXML after Close = %v, want ErrDatabaseClosed", err)
+	}
+}
+
+// TestChunkStoreOpensOncePerAttach: the Options.ChunkStore factory runs
+// once per attach — at the load, and again at the OpenDocument that
+// recovers the document — and the recovered document checkpoints
+// through the store it was recovered from.
+func TestChunkStoreOpensOncePerAttach(t *testing.T) {
+	dir := t.TempDir()
+	var opened []*chunkstore.Dir
+	db, err := Open(Options{Dir: dir, NoSync: true, ChunkStore: func(doc string) ChunkStore {
+		cs := ckpt.DefaultChunkStore(dir, doc)
+		opened = append(opened, cs)
+		return cs
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.LoadXMLString("lib", libDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseDocument("lib"); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(opened) != 2 {
+		t.Fatalf("factory ran %d times for a load and a recovery, want 2", len(opened))
+	}
+	if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>after</book></xupdate:append>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if opened[1].BytesStored() == 0 {
+		t.Fatal("the recovered document did not checkpoint through the store it recovered from")
 	}
 }
 
@@ -187,11 +249,12 @@ func TestOpenAttachesOnFirstUse(t *testing.T) {
 	}
 }
 
-// closeThrottled loads and checkpoints "lib", commits past the image,
-// throttles its chunk store and starts CloseDocument; it returns once
-// the final checkpoint is mid-stream, with the document's XML and last
-// LSN and a channel that yields CloseDocument's result.
-func closeThrottled(t *testing.T, db *Database, dir string) (doc *Document, want string, lsn uint64, closed <-chan error) {
+// closeThrottled loads and checkpoints "lib" in db, whose chunk stores
+// are slow's, commits past the image, arms slow and starts
+// CloseDocument; it returns once the final checkpoint is mid-stream,
+// with the document's XML and last LSN and a channel that yields
+// CloseDocument's result.
+func closeThrottled(t *testing.T, db *Database, slow *slowChunks) (doc *Document, want string, lsn uint64, closed <-chan error) {
 	t.Helper()
 	doc, err := db.LoadXMLString("lib", libDoc)
 	if err != nil {
@@ -206,13 +269,7 @@ func closeThrottled(t *testing.T, db *Database, dir string) (doc *Document, want
 		}
 	}
 	want, _ = doc.XML()
-	streaming := make(chan struct{})
-	var once sync.Once
-	doc.ckpter.SetChunkStore(&slowChunks{
-		Store: ckpt.DefaultChunkStore(dir, "lib"),
-		start: func() { once.Do(func() { close(streaming) }) },
-		delay: 20 * time.Millisecond,
-	})
+	streaming := slow.arm()
 	errc := make(chan error, 1)
 	go func() { errc <- db.CloseDocument("lib") }()
 	<-streaming
@@ -226,12 +283,13 @@ func closeThrottled(t *testing.T, db *Database, dir string) (doc *Document, want
 // closing one still holds.
 func TestOpenDocumentWaitsOutCloseDocument(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, NoSync: true})
+	slow := newSlowChunks(dir, 20*time.Millisecond)
+	db, err := Open(Options{Dir: dir, NoSync: true, ChunkStore: slow.open})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	doc, want, lsn, closed := closeThrottled(t, db, dir)
+	doc, want, lsn, closed := closeThrottled(t, db, slow)
 	doc2, err := db.OpenDocument("lib")
 	if err != nil {
 		t.Fatal(err)
@@ -256,12 +314,12 @@ func TestOpenDocumentWaitsOutCloseDocument(t *testing.T) {
 // TestCloseWakesFenceWaiters: a lookup waiting out a CloseDocument fails
 // with ErrDatabaseClosed when the database closes under it.
 func TestCloseWakesFenceWaiters(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, NoSync: true})
+	slow := newSlowChunks(t.TempDir(), 20*time.Millisecond)
+	db, err := Open(Options{Dir: slow.dir, NoSync: true, ChunkStore: slow.open})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, closed := closeThrottled(t, db, dir)
+	_, _, _, closed := closeThrottled(t, db, slow)
 	opened := make(chan error, 1)
 	go func() {
 		_, err := db.OpenDocument("lib")

@@ -261,8 +261,8 @@ func (sc *scratch) node(v xenc.DocView, n xpath.Node) Item {
 }
 
 // Update parses an XUpdate modification list and applies it in a single
-// transaction (parse → select → bulk structural updates → validate →
-// WAL → commit).
+// transaction (parse → select → bulk structural updates → WAL →
+// commit).
 func (d *Document) Update(xupdateXML string) (xupdate.Result, error) {
 	res, _, err := d.UpdateLSN(xupdateXML)
 	return res, err

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"testing"
+
+	"mxq/internal/vfs"
 )
 
 // TestPruneBarrierHoldsSegments: a checkpoint may only prune WAL
@@ -11,7 +13,7 @@ import (
 func TestPruneBarrierHoldsSegments(t *testing.T) {
 	e := newEnv(t, 256) // tiny segments: every few commits seals one
 	barrier := uint64(2)
-	e.ck.SetPruneBarrier(func() uint64 { return barrier })
+	e.ck = New(vfs.OS, e.dir, "d", e.log, e.m.PinCheckpoint, DefaultChunkStore(e.dir, "d"), func() uint64 { return barrier })
 
 	for i := 0; i < 30; i++ {
 		e.commitBook(t, "s1", "b")

@@ -95,8 +95,7 @@ func has(t testing.TB, cs chunkstore.Store, h chunkstore.Hash) bool {
 // the sweep must not run at all: what it names is unknowable.
 func TestChunkGCNeverOrphansRetainedImage(t *testing.T) {
 	e := newEnv(t, 160)
-	cs := DefaultChunkStore(e.dir, "d")
-	e.ck.SetChunkStore(cs)
+	cs := e.ck.cs.(*chunkstore.Dir)
 	ever := make(map[chunkstore.Hash]bool) // every chunk any image has named
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 3; i++ {
@@ -430,7 +429,7 @@ func TestStaleChunkTmpRemovedOnReopen(t *testing.T) {
 	// Reopen: a fresh checkpointer (and with it a fresh chunk store)
 	// over the same directory, then a checkpoint with something to write.
 	e.ck.Close()
-	e.ck = New(vfs.OS, e.dir, "d", e.log, e.m.PinCheckpoint)
+	e.ck = New(vfs.OS, e.dir, "d", e.log, e.m.PinCheckpoint, DefaultChunkStore(e.dir, "d"), nil)
 	e.commitBook(t, "s1", "after")
 	want := e.baseXML(t)
 	if _, err := e.ck.Run(); err != nil {

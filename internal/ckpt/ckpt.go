@@ -195,27 +195,28 @@ type Checkpointer struct {
 	// a plain store never regresses it), read without mu by LastLSN.
 	lastLSN atomic.Uint64
 
-	// cs is the chunk store images reference: the document's default
-	// local directory, over fs, unless SetChunkStore installed another
-	// backend.
+	// cs is the chunk store images reference.
 	cs chunkstore.Store
 
 	// Cumulative Stats counters.
 	statCkpts, statChunksW, statChunksR, statBytes, statStored, statCompacted atomic.Uint64
 
 	// pruneBarrier, when non-nil, returns the highest LSN the WAL may be
-	// pruned up to for reasons beyond checkpoint retention — the
-	// replication layer holds it at the lowest LSN a live follower has
-	// acked, so a checkpoint never deletes segments a follower still
-	// needs to catch up from (^uint64(0) means "no external constraint").
+	// pruned up to for reasons beyond checkpoint retention (see New).
 	pruneBarrier func() uint64
 }
 
 // New returns a checkpointer for document name in dir that changes the
-// disk through fsys. log may be nil.
-func New(fsys vfs.FS, dir, name string, log *wal.Log, pin Pin) *Checkpointer {
-	cs := chunkstore.NewDirFS(fsys, ChunkDir(dir, name))
-	c := &Checkpointer{fs: fsys, dir: dir, name: name, log: log, pin: pin, keep: 1, cs: cs}
+// disk through fsys and writes the chunks its images reference to cs.
+// log may be nil. pruneBarrier, when non-nil, is queried once per
+// checkpoint, under the checkpointer's lock, for the highest LSN the WAL
+// may be pruned up to beyond checkpoint retention: the replication layer
+// holds it at the lowest LSN a live follower has acked, so a checkpoint
+// never deletes segments a follower still needs to catch up from
+// (^uint64(0) means "no external constraint"). It must be safe for
+// concurrent use.
+func New(fsys vfs.FS, dir, name string, log *wal.Log, pin Pin, cs chunkstore.Store, pruneBarrier func() uint64) *Checkpointer {
+	c := &Checkpointer{fs: fsys, dir: dir, name: name, log: log, pin: pin, keep: 1, cs: cs, pruneBarrier: pruneBarrier}
 	c.lastLSN.Store(CurrentLSN(dir, name))
 	return c
 }
@@ -226,16 +227,6 @@ func New(fsys vfs.FS, dir, name string, log *wal.Log, pin Pin) *Checkpointer {
 // do not re-trigger checkpoint after checkpoint. It never waits behind a
 // running checkpoint.
 func (c *Checkpointer) LastLSN() uint64 { return c.lastLSN.Load() }
-
-// SetChunkStore installs the chunk store images reference (an
-// alternative backend, or a store shared with a bootstrap) in place of
-// the document's default local directory. Install it before the first
-// Run.
-func (c *Checkpointer) SetChunkStore(cs chunkstore.Store) {
-	c.mu.Lock()
-	c.cs = cs
-	c.mu.Unlock()
-}
 
 // Stats returns cumulative checkpoint I/O counters (safe concurrently
 // with a running checkpoint).
@@ -249,12 +240,6 @@ func (c *Checkpointer) Stats() Stats {
 		BytesCompacted: c.statCompacted.Load(),
 	}
 }
-
-// SetPruneBarrier installs an external prune constraint, queried once
-// per checkpoint while the checkpointer's own lock is held. Install it
-// before the first Run (or while no checkpoint can be racing); the
-// function itself must be safe for concurrent use.
-func (c *Checkpointer) SetPruneBarrier(fn func() uint64) { c.pruneBarrier = fn }
 
 // ckptFile names the image for a pin LSN.
 func ckptFile(name string, lsn uint64) string {

@@ -58,7 +58,7 @@ func newEnv(t testing.TB, segBytes int64) *env {
 	t.Cleanup(func() { log.Close() })
 	s := buildStore(t, docXML, 16)
 	m := tx.NewManager(s, log)
-	ck := New(vfs.OS, dir, "d", log, m.PinCheckpoint)
+	ck := New(vfs.OS, dir, "d", log, m.PinCheckpoint, DefaultChunkStore(dir, "d"), nil)
 	return &env{dir: dir, log: log, s: s, m: m, ck: ck}
 }
 
@@ -173,7 +173,7 @@ func TestOnlineCheckpointNonBlocking(t *testing.T) {
 	// The small test document yields only a handful of chunks; a per-Put
 	// pause keeps the streaming window wide enough to observe overlap.
 	const delay = 25 * time.Millisecond
-	e.ck.SetChunkStore(&slowStore{Store: DefaultChunkStore(e.dir, "d"), delay: delay})
+	e.ck = New(vfs.OS, e.dir, "d", e.log, e.m.PinCheckpoint, &slowStore{Store: DefaultChunkStore(e.dir, "d"), delay: delay}, nil)
 
 	stop := make(chan struct{})
 	var (
@@ -596,7 +596,7 @@ func TestRetentionCountsOnlyUsableImages(t *testing.T) {
 		t.Fatalf("recovery over the torn image: LSN %d, %v; want 2", lsn, err)
 	}
 	m := tx.NewManager(store, log)
-	e = &env{dir: e.dir, log: log, s: store, m: m, ck: New(vfs.OS, e.dir, "d", log, m.PinCheckpoint)}
+	e = &env{dir: e.dir, log: log, s: store, m: m, ck: New(vfs.OS, e.dir, "d", log, m.PinCheckpoint, DefaultChunkStore(e.dir, "d"), nil)}
 	e.commitBook(t, "s2", "three")
 	if _, err := e.ck.Run(); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func TestPackDiskTracksLiveBytes(t *testing.T) {
 	defer log.Close()
 	e := &env{dir: dir, log: log, s: buildStore(t, buf.String(), 128)}
 	e.m = tx.NewManager(e.s, log)
-	e.ck = New(vfs.OS, dir, "d", log, e.m.PinCheckpoint)
+	e.ck = New(vfs.OS, dir, "d", log, e.m.PinCheckpoint, DefaultChunkStore(dir, "d"), nil)
 
 	rng := rand.New(rand.NewSource(1))
 	texts := xpath.MustParse(`//text()`)

@@ -74,7 +74,7 @@ func newHistory(t *testing.T, cfg CrashConfig, disk *diskFS) *history {
 		t.Fatalf("seed %d: building paged store: %v", cfg.Seed, err)
 	}
 	h.log, h.m = log, tx.NewManager(paged, log)
-	h.ck = ckpt.New(disk, h.dir, "d", log, h.m.PinCheckpoint)
+	h.ck = ckpt.New(disk, h.dir, "d", log, h.m.PinCheckpoint, chunkstore.NewDirFS(disk, ckpt.ChunkDir(h.dir, "d")), nil)
 	return h
 }
 

@@ -79,8 +79,7 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 	}
 	m := tx.NewManager(paged, log)
 	tracker := repl.NewTracker()
-	ck := ckpt.New(vfs.OS, pdir, "d", log, m.PinCheckpoint)
-	ck.SetPruneBarrier(tracker.Barrier)
+	ck := ckpt.New(vfs.OS, pdir, "d", log, m.PinCheckpoint, ckpt.DefaultChunkStore(pdir, "d"), tracker.Barrier)
 	if _, err := ck.Run(); err != nil {
 		t.Fatalf("seed %d: initial checkpoint: %v", cfg.Seed, err)
 	}

@@ -17,7 +17,7 @@
 //     empty one — is sent a pinned checkpoint image and resumes
 //     streaming from its LSN, exactly the recovery path run over the
 //     network;
-//   - pruning is fenced by a barrier (ckpt.SetPruneBarrier →
+//   - pruning is fenced by a barrier (ckpt.New's pruneBarrier →
 //     Tracker.Barrier): no segment holding a record beyond a live
 //     follower's last durably-applied LSN is ever deleted, so a
 //     connected follower never falls into the snapshot path; a

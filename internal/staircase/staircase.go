@@ -34,8 +34,8 @@
 // EvalAxis dispatches a sequence over any of the eleven tree axes; Scan
 // enumerates a forward axis from a single context node with early exit
 // (the hook positional predicates fuse into). The two are also how the
-// store's update path, XUpdate, string-value, validation and the XMark
-// fixture navigate: no other package hops a subtree by its size. The
+// store's update path, XUpdate, string-value and the XMark fixture
+// navigate: no other package hops a subtree by its size. The
 // twelfth XPath axis (attribute) reads the side table, not the
 // pre/size/level plane, and lives in the xpath layer.
 package staircase
@@ -103,10 +103,10 @@ func EvalAxis(v xenc.DocView, ctx []xenc.Pre, ax Axis, t Test) []xenc.Pre {
 // returns false. It serves fused positional predicates ([1], [n]) — the
 // caller counts matches and stops the scan at the n-th, so a first-child
 // probe over a huge subtree inspects one tuple instead of the whole
-// region — and the store's RegionEnd and NthChild, string-value,
-// validation and the XMark fixture alike. Supported axes: self, child,
-// descendant, descendant-or-self, following-sibling, following; reverse
-// axes enumerate against document order and are not scannable this way.
+// region — and the store's RegionEnd and NthChild, string-value and the
+// XMark fixture alike. Supported axes: self, child, descendant,
+// descendant-or-self, following-sibling, following; reverse axes
+// enumerate against document order and are not scannable this way.
 func Scan(v xenc.DocView, c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
 	newCursor(v).scan(c, ax, t, fn)
 }

@@ -24,9 +24,9 @@
 //     ancestors — in particular the document root — never contend on
 //     ancestor pages ("delta operations are commutative, it does not
 //     matter in which order they are executed");
-//   - commit takes the global write lock briefly: validate, write one
-//     WAL record, replay the transaction's resolved operations onto the
-//     base store, release.
+//   - commit takes the global write lock briefly: write one WAL record,
+//     replay the transaction's resolved operations onto the base store,
+//     release.
 //
 // A write is one value from the XUpdate executor to replay: a wal.Op,
 // which names its target by immutable node id. Tx.Apply takes the op's
@@ -34,11 +34,6 @@
 // that same op with the ids of the nodes it inserted; ApplyOps replays
 // a log through core.Store.Apply again — at commit, in recovery and on a
 // follower — mapping those transaction-local ids to the base's.
-//
-// For the ablation of this design, a Manager can be put in
-// root-locking mode (LockAncestors), which additionally write-locks every
-// ancestor's page the way an absolute-value size update would require;
-// the CommutativeDeltas benchmark contrasts the two.
 package tx
 
 import (
@@ -71,16 +66,11 @@ var ErrNotDurable = errors.New("tx: commit applied but not durable")
 // ErrSnapshotClosed reports a read through a ReadView after Close.
 var ErrSnapshotClosed = errors.New("tx: snapshot is closed")
 
-// Validator checks document consistency before commit ("run XML document
-// validation (if there is a schema)"). A non-nil error aborts the commit.
-type Validator func(v xenc.DocView) error
-
 // Manager coordinates transactions over one base store.
 type Manager struct {
-	mu        sync.RWMutex // the paper's global read/write lock
-	store     *core.Store
-	log       *wal.Log
-	validator Validator
+	mu    sync.RWMutex // the paper's global read/write lock
+	store *core.Store
+	log   *wal.Log
 
 	// version counts committed write transactions. It is bumped inside
 	// the commit critical section (under mu) and read atomically by the
@@ -108,9 +98,6 @@ type Manager struct {
 
 	lockMu sync.Mutex
 	owners map[int32]*Tx // logical page -> holder
-
-	// LockAncestors switches to the root-locking discipline (ablation).
-	lockAncestors bool
 
 	commits  uint64
 	aborts   uint64
@@ -220,12 +207,6 @@ func NewManager(store *core.Store, log *wal.Log) *Manager {
 	}
 	return m
 }
-
-// SetValidator installs the pre-commit document validator.
-func (m *Manager) SetValidator(v Validator) { m.validator = v }
-
-// SetLockAncestors toggles the root-locking ablation mode.
-func (m *Manager) SetLockAncestors(on bool) { m.lockAncestors = on }
 
 // Version returns the number of committed write transactions.
 func (m *Manager) Version() uint64 { return m.version.Load() }

@@ -197,29 +197,6 @@ func mustSelect(t *testing.T, v xenc.DocView, q string) xenc.Pre {
 	return ns[0].Pre
 }
 
-// TestRootLockingAblation: with LockAncestors on, the same disjoint
-// writers conflict on the root's page — the bottleneck the paper's delta
-// scheme removes.
-func TestRootLockingAblation(t *testing.T) {
-	big := `<lib><shelf id="s1">` + strings.Repeat(`<book>A</book>`, 10) +
-		`</shelf><shelf id="s2">` + strings.Repeat(`<book>C</book>`, 10) + `</shelf></lib>`
-	s := buildStore(t, big, 16)
-	m := NewManager(s, nil)
-	m.SetLockAncestors(true)
-	t1 := m.Begin()
-	t2 := m.Begin()
-	s1 := mustSelect(t, t1, `//shelf[@id="s1"]`)
-	s2 := mustSelect(t, t2, `//shelf[@id="s2"]`)
-	if _, err := t1.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t1.NodeOf(s1), Frag: frag(t, `<book>X</book>`)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t2.Apply(wal.Op{Kind: wal.OpAppendChild, Target: t2.NodeOf(s2), Frag: frag(t, `<book>Y</book>`)}); !errors.Is(err, ErrConflict) {
-		t.Fatalf("root-locking mode did not conflict: %v", err)
-	}
-	t1.Commit()
-	t2.Abort()
-}
-
 func TestConcurrentWritersStress(t *testing.T) {
 	shelves := 8
 	var sb strings.Builder
@@ -273,32 +250,6 @@ func TestConcurrentWritersStress(t *testing.T) {
 	if committed == 0 {
 		t.Fatal("no transaction ever committed")
 	}
-}
-
-func TestValidatorBlocksCommit(t *testing.T) {
-	s := buildStore(t, doc, 16)
-	m := NewManager(s, nil)
-	m.SetValidator(func(v xenc.DocView) error {
-		ns, _ := xpath.MustParse(`//banned`).Select(v)
-		if len(ns) > 0 {
-			return fmt.Errorf("banned element present")
-		}
-		return nil
-	})
-	tx := m.Begin()
-	shelf := findElem(t, tx, "shelf")
-	if _, err := tx.Apply(wal.Op{Kind: wal.OpAppendChild, Target: tx.NodeOf(shelf), Frag: frag(t, `<banned/>`)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err == nil {
-		t.Fatal("validator did not block commit")
-	}
-	readCurrent(m, func(v xenc.DocView) error {
-		if n, _ := xpath.MustParse(`//banned`).Select(v); len(n) != 0 {
-			t.Fatal("invalid content leaked into the base store")
-		}
-		return nil
-	})
 }
 
 // image is a checkpoint held in memory: the manifest and chunks a

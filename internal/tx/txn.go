@@ -108,11 +108,10 @@ func (t *Tx) fail(err error) error {
 }
 
 // lockSpan write-locks the *physical* pages backing the view span
-// [from, to] plus, in the root-locking ablation mode, the pages of all
-// ancestors of anc. Physical page numbers are stable across page
-// splices, so two transactions always agree on what a lock name means
-// even after either of them has reshaped the logical order.
-func (t *Tx) lockSpan(from, to xenc.Pre, anc xenc.Pre) error {
+// [from, to]. Physical page numbers are stable across page splices, so
+// two transactions always agree on what a lock name means even after
+// either of them has reshaped the logical order.
+func (t *Tx) lockSpan(from, to xenc.Pre) error {
 	if from < 0 {
 		from = 0
 	}
@@ -131,7 +130,6 @@ func (t *Tx) lockSpan(from, to xenc.Pre, anc xenc.Pre) error {
 			break
 		}
 	}
-	pages = t.withAncestors(pages, anc)
 	return t.fail(t.m.lockPages(t, pages))
 }
 
@@ -144,7 +142,7 @@ func (t *Tx) lockSpan(from, to xenc.Pre, anc xenc.Pre) error {
 // lies inside the anchor's region (or is the anchor itself), so a
 // concurrent delete of the anchor's subtree — which locks the whole
 // region span — is always detected as a conflict.
-func (t *Tx) lockPoint(at xenc.Pre, anc xenc.Pre) error {
+func (t *Tx) lockPoint(at xenc.Pre) error {
 	var pages []int32
 	if at > 0 {
 		pages = append(pages, t.clone.PhysPage(at-1))
@@ -152,19 +150,7 @@ func (t *Tx) lockPoint(at xenc.Pre, anc xenc.Pre) error {
 	if at < t.clone.Len() {
 		pages = append(pages, t.clone.PhysPage(at))
 	}
-	pages = t.withAncestors(pages, anc)
 	return t.fail(t.m.lockPages(t, pages))
-}
-
-// withAncestors adds the ancestor chain's pages in the root-locking
-// ablation mode (the discipline absolute-value size updates would need).
-func (t *Tx) withAncestors(pages []int32, anc xenc.Pre) []int32 {
-	if t.m.lockAncestors && anc != xenc.NoPre {
-		for a := anc; a != xenc.NoPre; a = t.clone.ParentPre(a) {
-			pages = append(pages, t.clone.PhysPage(a))
-		}
-	}
-	return pages
 }
 
 // Apply performs op on the transaction image and logs it for commit,
@@ -193,34 +179,30 @@ func (t *Tx) Apply(op wal.Op) ([]xenc.NodeID, error) {
 
 // lock takes op's footprint, its target at view rank p: an insert locks
 // the point it lands at, a delete its target's region, a value op the
-// target's page. The anchor whose ancestors the ablation mode adds is
-// the new nodes' parent for an insert, the target's parent for a delete
-// and none for a value op, whose sizes do not change.
+// target's page.
 func (t *Tx) lock(op wal.Op, p xenc.Pre) error {
 	switch op.Kind {
 	case wal.OpInsertBefore:
-		return t.lockPoint(p, t.clone.ParentPre(p))
-	case wal.OpInsertAfter:
-		return t.lockPoint(t.clone.RegionEnd(p)+1, t.clone.ParentPre(p))
-	case wal.OpAppendChild:
-		return t.lockPoint(t.clone.RegionEnd(p)+1, p)
+		return t.lockPoint(p)
+	case wal.OpInsertAfter, wal.OpAppendChild:
+		return t.lockPoint(t.clone.RegionEnd(p) + 1)
 	case wal.OpInsertChildAt:
 		at := t.clone.NthChild(p, int(op.Child))
 		if at == xenc.NoPre {
 			at = t.clone.RegionEnd(p) + 1
 		}
-		return t.lockPoint(at, p)
+		return t.lockPoint(at)
 	case wal.OpDelete:
-		return t.lockSpan(p, t.clone.RegionEnd(p), t.clone.ParentPre(p))
+		return t.lockSpan(p, t.clone.RegionEnd(p))
 	}
-	return t.lockSpan(p, p, xenc.NoPre)
+	return t.lockSpan(p, p)
 }
 
 // --- commit / abort -----------------------------------------------------------
 
-// Commit validates the new document image, writes the WAL record and
-// replays the transaction's operations onto the base store under the
-// global write lock (Figure 8's commit sequence).
+// Commit writes the WAL record and replays the transaction's operations
+// onto the base store under the global write lock (Figure 8's commit
+// sequence).
 func (t *Tx) Commit() error {
 	if t.done {
 		return ErrDone
@@ -232,12 +214,6 @@ func (t *Tx) Commit() error {
 	if len(t.ops) == 0 {
 		t.Abort()
 		return nil
-	}
-	if v := t.m.validator; v != nil {
-		if err := v(t.clone); err != nil {
-			t.Abort()
-			return fmt.Errorf("tx: validation failed: %w", err)
-		}
 	}
 	m := t.m
 	lsn, err := t.publish()

@@ -193,7 +193,6 @@ import (
 	"mxq/internal/repl"
 	"mxq/internal/shred"
 	"mxq/internal/tx"
-	"mxq/internal/validate"
 	"mxq/internal/vfs"
 	"mxq/internal/wal"
 )
@@ -252,11 +251,16 @@ type Options struct {
 	CheckpointEvery CheckpointPolicy
 	// ChunkStore, when non-nil, supplies the content-addressed chunk
 	// store backing each document's checkpoint images in place of the
-	// default local directory (<doc>.chunks/ in Dir). It is called once
-	// per document — per-document scoping is what keeps chunk garbage
-	// collection sound, so the returned stores must not share a
-	// namespace. Note Drop only deletes the default directory; a custom
-	// backend's data is the caller's to reclaim.
+	// default local directory (<doc>.chunks/ in Dir). With Dir set it is
+	// called once each time a document attaches — LoadXML, and the
+	// OpenDocument that recovers it — for the store that attachment
+	// reads and checkpoints through; a follower's bootstrap calls it
+	// twice, once to find the chunks it must fetch and once for the
+	// store the bootstrapped document keeps. Per-document scoping is what
+	// keeps chunk garbage collection sound, so the stores returned for
+	// different documents must not share a namespace. Note Drop only
+	// deletes the default directory; a custom backend's data is the
+	// caller's to reclaim.
 	ChunkStore func(doc string) ChunkStore
 }
 
@@ -359,29 +363,29 @@ func (db *Database) recoverDoc(name string) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, _, err := ckpt.Recover(db.opts.Dir, name, log, db.chunkStore(name))
+	cs := db.chunkStore(name)
+	store, _, err := ckpt.Recover(db.opts.Dir, name, log, cs)
 	if err != nil {
 		log.Close()
 		return nil, err
 	}
-	return db.newDocument(name, store, log), nil
+	return db.newDocument(name, store, log, cs), nil
 }
 
 // newDocument assembles a document over a built, recovered or
-// bootstrapped store — the one place a Document is made. log is nil
-// without a durability directory; with one, the online checkpointer,
-// the follower tracker and (when the policy asks for it) the background
-// auto-checkpoint goroutine are wired here, and close tears them down.
-func (db *Database) newDocument(name string, store *core.Store, log *wal.Log) *Document {
+// bootstrapped store — the one place a Document is made. log and cs are
+// nil without a durability directory; with one, the online checkpointer
+// over the chunk store cs, the follower tracker and (when the policy
+// asks for it) the background auto-checkpoint goroutine are wired here,
+// and close tears them down.
+func (db *Database) newDocument(name string, store *core.Store, log *wal.Log, cs ChunkStore) *Document {
 	d := &Document{name: name, db: db, log: log, mgr: tx.NewManager(store, log)}
 	d.read = d.readCurrent
 	if log == nil {
 		return d
 	}
-	d.ckpter = ckpt.New(vfs.OS, db.opts.Dir, name, log, d.mgr.PinCheckpoint)
-	d.ckpter.SetChunkStore(db.chunkStore(name))
 	d.tracker = repl.NewTracker()
-	d.ckpter.SetPruneBarrier(d.tracker.Barrier)
+	d.ckpter = ckpt.New(vfs.OS, db.opts.Dir, name, log, d.mgr.PinCheckpoint, cs, d.tracker.Barrier)
 	if db.opts.CheckpointEvery.Records > 0 {
 		d.autoC = make(chan struct{}, 1)
 		d.stopC = make(chan struct{})
@@ -439,6 +443,7 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 		return nil, fmt.Errorf("mxq: document %q already exists", name)
 	}
 	var log *wal.Log
+	var cs ChunkStore
 	if db.opts.Dir != "" {
 		// Segments without an image are what a crash before the first
 		// checkpoint leaves: no document, and no log to continue.
@@ -448,8 +453,9 @@ func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
 		if log, err = db.openWAL(name); err != nil {
 			return nil, err
 		}
+		cs = db.chunkStore(name)
 	}
-	doc := db.newDocument(name, store, log)
+	doc := db.newDocument(name, store, log, cs)
 	db.docs[name] = doc
 	return doc, nil
 }
@@ -628,14 +634,4 @@ func (db *Database) Close() error {
 	}
 	db.docs = map[string]*Document{}
 	return first
-}
-
-// SetSchema installs a validation schema for a document; every commit is
-// validated against it (the consistency stage of the commit protocol).
-func (d *Document) SetSchema(s *validate.Schema) {
-	if s == nil {
-		d.mgr.SetValidator(nil)
-		return
-	}
-	d.mgr.SetValidator(s.Check)
 }

@@ -223,7 +223,7 @@ func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
 	// The local log must hand out exactly the LSNs the primary's stream
 	// carries next; records at or below lsn are inside the image.
 	log.EnsureLSN(lsn)
-	doc := db.newDocument(s.name, store, log)
+	doc := db.newDocument(s.name, store, log, cs)
 	if err := doc.Checkpoint(); err != nil {
 		doc.close(false)
 		return fmt.Errorf("mxq: writing bootstrap checkpoint: %w", err)

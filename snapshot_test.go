@@ -42,7 +42,7 @@ func loadOwnedSnapDoc(t *testing.T) (*Document, *core.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return new(Database).newDocument("lib", s, nil), s
+	return new(Database).newDocument("lib", s, nil, nil), s
 }
 
 // TestSnapshotFinalizerWarnsAndReleases: an unclosed handle that becomes

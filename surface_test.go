@@ -17,29 +17,27 @@ import (
 // methods of internal packages, that may go without a caller in the
 // module's non-test code, each with the reason it stays.
 var surfaceAllowlist = map[string]string{
-	"mxq/client.WithRYWTimeout":                "public client option: bounds how long a replica-routed read parks (Example_replication sets it)",
-	"mxq/internal/core.Store.DirtyPages":       "the root, tx and core tests observe copy-on-write through it, and O(touched) commit and read costs are counted with it",
-	"mxq/internal/core.Store.FreeListStats":    "the core and tx tests observe free-list copy-on-write through it, and O(touched) commit and read costs are counted with it",
-	"mxq/internal/difftest.ReplConfigs":        "oracle harness entry point: the difftest replication mode runs it",
-	"mxq/internal/difftest.RunConcurrent":      "oracle harness entry point: the difftest concurrent mode runs it",
-	"mxq/internal/difftest.RunRepl":            "oracle harness entry point: the difftest replication mode runs it",
-	"mxq/internal/ordpath.Between":             "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
-	"mxq/internal/ordpath.Decode":              "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
-	"mxq/internal/ordpath.IsAncestor":          "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
-	"mxq/internal/ordpath.Label.Depth":         "the Section 4.2 ORDPATH baseline's label algebra, which its tests check",
-	"mxq/internal/ordpath.Label.FirstChild":    "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
-	"mxq/internal/ordpath.Label.NextSibling":   "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
-	"mxq/internal/ordpath.Label.PrevSibling":   "the Section 4.2 ORDPATH baseline's label algebra, which its tests check",
-	"mxq/internal/ordpath.Root":                "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
-	"mxq/internal/rostore.Build":               "Figure 9's read-only baseline (BenchmarkFigure9)",
-	"mxq/internal/shred.ParseFragment":         "the shredder's fragment mode, which the update tests of core, tx, staircase, xpath and naive build insert content with",
-	"mxq/internal/tx.Manager.SetLockAncestors": "the paper's root-locking ablation (BenchmarkCommutativeDeltas)",
-	"mxq/internal/validate.NewSchema":          "builds the *validate.Schema the public Document.SetSchema takes",
-	"mxq/internal/wal.Log.Segments":            "the wal, ckpt, tx and difftest tests read each live segment's LSN range and size through it",
-	"mxq/internal/wal.Log.SyncCount":           "bench/layers.go reads it for wal.syncs_per_commit",
-	"mxq/internal/wal.Log.TailStats":           "bench/layers.go reads it for wal.bytes_per_commit",
-	"mxq/internal/xenc.PostOf":                 "the Figure 2 property post = pre + size - level, which the encoding tests check",
-	"mxq/internal/xmark.RunAll":                "the Figure 9 fixture: XMark Q1-Q20 over any DocView (BenchmarkFigure9)",
+	"mxq/client.WithRYWTimeout":              "public client option: bounds how long a replica-routed read parks (Example_replication sets it)",
+	"mxq/internal/core.Store.DirtyPages":     "the root, tx and core tests observe copy-on-write through it, and O(touched) commit and read costs are counted with it",
+	"mxq/internal/core.Store.FreeListStats":  "the core and tx tests observe free-list copy-on-write through it, and O(touched) commit and read costs are counted with it",
+	"mxq/internal/difftest.ReplConfigs":      "oracle harness entry point: the difftest replication mode runs it",
+	"mxq/internal/difftest.RunConcurrent":    "oracle harness entry point: the difftest concurrent mode runs it",
+	"mxq/internal/difftest.RunRepl":          "oracle harness entry point: the difftest replication mode runs it",
+	"mxq/internal/ordpath.Between":           "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
+	"mxq/internal/ordpath.Decode":            "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
+	"mxq/internal/ordpath.IsAncestor":        "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
+	"mxq/internal/ordpath.Label.Depth":       "the Section 4.2 ORDPATH baseline's label algebra, which its tests check",
+	"mxq/internal/ordpath.Label.FirstChild":  "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
+	"mxq/internal/ordpath.Label.NextSibling": "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
+	"mxq/internal/ordpath.Label.PrevSibling": "the Section 4.2 ORDPATH baseline's label algebra, which its tests check",
+	"mxq/internal/ordpath.Root":              "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
+	"mxq/internal/rostore.Build":             "Figure 9's read-only baseline (BenchmarkFigure9)",
+	"mxq/internal/shred.ParseFragment":       "the shredder's fragment mode, which the update tests of core, tx, staircase, xpath and naive build insert content with",
+	"mxq/internal/wal.Log.Segments":          "the wal, ckpt, tx and difftest tests read each live segment's LSN range and size through it",
+	"mxq/internal/wal.Log.SyncCount":         "bench/layers.go reads it for wal.syncs_per_commit",
+	"mxq/internal/wal.Log.TailStats":         "bench/layers.go reads it for wal.bytes_per_commit",
+	"mxq/internal/xenc.PostOf":               "the Figure 2 property post = pre + size - level, which the encoding tests check",
+	"mxq/internal/xmark.RunAll":              "the Figure 9 fixture: XMark Q1-Q20 over any DocView (BenchmarkFigure9)",
 }
 
 // TestEveryExportedFunctionHasACaller is the ratchet against production
