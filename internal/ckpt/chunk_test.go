@@ -351,10 +351,11 @@ func tornPackDegradesWholeImage(t *testing.T, rng *rand.Rand) {
 }
 
 // TestUnsupportedImageFormat: an image file that does not open with the
-// image magic is refused and treated like any other unreadable
-// candidate — recovery degrades to the previous retained image, or
-// reports ErrNoCheckpoint when it was the only one. A bare <name>.ckpt
-// is not an image at all: never a candidate, never retired.
+// image magic — a foreign file, or an MXQCKV2 image, whose manifest
+// names a recycled-NodeID stack — is refused and treated like any other
+// unreadable candidate — recovery degrades to the previous retained
+// image, or reports ErrNoCheckpoint when it was the only one. A bare
+// <name>.ckpt is not an image at all: never a candidate, never retired.
 func TestUnsupportedImageFormat(t *testing.T) {
 	e := newEnv(t, 192)
 	e.commitBook(t, "s1", "first")
@@ -379,22 +380,25 @@ func TestUnsupportedImageFormat(t *testing.T) {
 	if err != nil || len(imgs) != 2 {
 		t.Fatalf("images = %v, %v; want current + previous", imgs, err)
 	}
-	clobber := func(img Image) {
+	clobber := func(img Image, data string) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(e.dir, img.File), []byte("NOTMAGIC{\"lsn\":1}"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(e.dir, img.File), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	clobber(imgs[0])
-	if _, err := ImageChunks(filepath.Join(e.dir, imgs[0].File)); err == nil || !strings.Contains(err.Error(), "unsupported image format") {
-		t.Fatalf("ImageChunks on a magic-less file = %v", err)
+	v2 := "MXQCKV2\x00" + `{"lsn":1,"store":{"pageBits":6,"nodeLen":0,"freeLen":0,"liveNodes":0,"pages":[],"nodes":[],"free":[]}}`
+	for _, data := range []string{v2, "NOTMAGIC{\"lsn\":1}"} {
+		clobber(imgs[0], data)
+		if _, err := ImageChunks(filepath.Join(e.dir, imgs[0].File)); err == nil || !strings.Contains(err.Error(), "unsupported image format") {
+			t.Fatalf("ImageChunks on %.7q = %v", data, err)
+		}
 	}
 	store, _ := e.recover(t)
 	if got := viewXML(t, store); got != want {
 		t.Fatalf("recovery did not degrade to the previous image:\nwant %s\ngot  %s", want, got)
 	}
 
-	clobber(imgs[1])
+	clobber(imgs[1], v2)
 	log, err := wal.Open(filepath.Join(e.dir, "d.wal"), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)

@@ -108,9 +108,10 @@ var ErrClosed = errors.New("ckpt: checkpointer is closed")
 // implementation. The checkpointer releases the snapshot when done.
 type Pin func() (*core.Store, uint64)
 
-// imageMagic opens every checkpoint image; a file without it is refused
+// imageMagic opens every checkpoint image; a file without it — an
+// MXQCKV2 image, whose manifest names a free-id stack, too — is refused
 // with "unsupported image format".
-var imageMagic = [8]byte{'M', 'X', 'Q', 'C', 'K', 'V', '2', 0}
+var imageMagic = [8]byte{'M', 'X', 'Q', 'C', 'K', 'V', '3', 0}
 
 // image is the JSON body of a checkpoint image: the pin LSN plus the
 // store's chunk manifest.

@@ -16,8 +16,10 @@ import (
 //   - a page's cached live count, if any, is its count of used tuples;
 //   - free-run lengths count exactly the directly following unused
 //     tuples within their logical page;
-//   - node/pos and the node column are mutually consistent, and every
-//     live node has a valid node id;
+//   - node/pos and the node column are mutually consistent: every live
+//     node has a valid node id, and an id below nodeLen is free (pos -1)
+//     exactly when no tuple holds it;
+//   - nodeFree counts each node chunk's free ids;
 //   - size equals the number of live descendants (recomputed with a
 //     stack over the view);
 //   - levels form a valid pre-order (each node is at most one deeper
@@ -52,13 +54,8 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("node chunk %d has reference count %d", i, r)
 		}
 	}
-	for i, fc := range s.freeChunks {
-		if r := fc.refs.Load(); r < 1 {
-			return fmt.Errorf("free-list chunk %d has reference count %d", i, r)
-		}
-	}
-	if want := (s.freeLen + s.pageSize - 1) >> s.pageBits; int32(len(s.freeChunks)) < want {
-		return fmt.Errorf("free list holds %d ids but only %d chunks", s.freeLen, len(s.freeChunks))
+	if len(s.nodeFree) != len(s.nodes) {
+		return fmt.Errorf("nodeFree counts %d node chunks, store holds %d", len(s.nodeFree), len(s.nodes))
 	}
 	if maxIDs := int32(len(s.nodes)) << s.pageBits; s.nodeLen > maxIDs {
 		return fmt.Errorf("nodeLen %d exceeds chunk capacity %d", s.nodeLen, maxIDs)
@@ -168,19 +165,23 @@ func (s *Store) CheckInvariants() error {
 		}
 	}
 
-	// Free node ids must not be referenced; attribute owners must live.
-	var freeErr error
-	s.forEachFree(func(id int32) {
-		if freeErr == nil && s.posOf(id) != -1 {
-			freeErr = fmt.Errorf("free node id %d still mapped to pos %d", id, s.posOf(id))
-		}
-	})
-	if freeErr != nil {
-		return freeErr
-	}
+	// An id no tuple holds is free, and a free one owns no attributes;
+	// nodeFree counts them per chunk.
+	free := make([]int32, len(s.nodes))
 	for id := xenc.NodeID(0); id < s.nodeLen; id++ {
-		if len(s.attrRefs(id)) > 0 && s.posOf(id) < 0 {
-			return fmt.Errorf("attributes owned by dead node id %d", id)
+		pos := s.posOf(id)
+		switch {
+		case pos >= 0 && seen[id] == 0:
+			return fmt.Errorf("node/pos[%d] = %d, but no tuple holds the id", id, pos)
+		case pos < 0 && len(s.attrRefs(id)) > 0:
+			return fmt.Errorf("attributes owned by free node id %d", id)
+		case pos < 0:
+			free[id>>s.pageBits]++
+		}
+	}
+	for ch, n := range free {
+		if s.nodeFree[ch] != n {
+			return fmt.Errorf("nodeFree[%d] = %d, but node chunk %d holds %d free ids", ch, s.nodeFree[ch], ch, n)
 		}
 	}
 	return nil

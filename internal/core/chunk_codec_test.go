@@ -31,14 +31,6 @@ func reencodeChunk(data []byte, pageSize int32) ([]byte, error) {
 			return nil, err
 		}
 		return encodeNodeChunk(c), nil
-	case chunkKindFree:
-		ids, err := decodeFreeChunk(data, pageSize)
-		if err != nil {
-			return nil, err
-		}
-		c := newFreeChunk(int(pageSize))
-		copy(c.ids, ids)
-		return encodeFreeChunk(c, int32(len(ids))), nil
 	case chunkKindDict:
 		vals, err := decodeDictChunk(data)
 		if err != nil {
@@ -81,12 +73,12 @@ func buildTB(t testing.TB, doc string, opts Options) *Store {
 	return s
 }
 
-// churnedItems is an attribute-heavy store with holes in its pages, a
-// free list deeper than one chunk and a late attribute name.
+// churnedItems is an attribute-heavy store with holes in its pages, more
+// than a node chunk's worth of free ids and a late attribute name.
 func churnedItems(t testing.TB) *Store {
 	t.Helper()
 	s := buildTB(t, itemsDoc(120), Options{PageSize: 16, FillFactor: 0.75})
-	for ids, _, _ := s.FreeListStats(); ids < 40; ids, _, _ = s.FreeListStats() {
+	for len(freeIDs(s)) < 40 {
 		if err := s.Delete(s.NthChild(s.Root(), 2)); err != nil {
 			t.Fatal(err)
 		}
@@ -108,13 +100,20 @@ func FuzzChunkDecode(f *testing.F) {
 		f.Add(c, uint8(1)) // 8<<1 = 16
 	}
 	// Inline attribute values at their edges — empty, multi-byte, several
-	// on one node — and the same chunk under the retired tag 6.
-	inline := inlineAttrChunk()
-	if again, err := reencodeChunk(inline, 8); err != nil || !bytes.Equal(again, inline) {
-		f.Fatalf("inline-attribute seed does not round-trip: %v", err)
+	// on one node — and the same chunk under the retired tag 6; free ids
+	// (pos -1) between live ones, the same chunk under the retired tag 7,
+	// and a run of recycled ids as tag 7 chunks held them.
+	inline, holes := inlineAttrChunk(), freeIDsChunk()
+	for _, seed := range [][]byte{inline, holes} {
+		if again, err := reencodeChunk(seed, 8); err != nil || !bytes.Equal(again, seed) {
+			f.Fatalf("node chunk seed does not round-trip: %v", err)
+		}
 	}
 	f.Add(inline, uint8(0)) // 8<<0 = 8
 	f.Add(append([]byte{6}, inline[1:]...), uint8(0))
+	f.Add(holes, uint8(0))
+	f.Add(append([]byte{7}, holes[1:]...), uint8(0))
+	f.Add(chunkOf(7, 3, 6, 1, 4), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, sizeSel uint8) {
 		pageSize := int32(8) << (sizeSel % 8)
 		var before, after runtime.MemStats
@@ -143,6 +142,19 @@ func inlineAttrChunk() []byte {
 	}
 	c.attrs[1] = []attrRef{{name: 3, val: ""}}
 	c.attrs[4] = []attrRef{{name: 1, val: "größe"}, {name: 2, val: "x"}, {name: 7, val: "a b"}}
+	return encodeNodeChunk(c)
+}
+
+// freeIDsChunk is a node chunk of page size 8 whose ids 1, 2 and 5 are
+// free (pos -1) and whose ids 6 and 7 are unallocated headroom.
+func freeIDsChunk() []byte {
+	c := newNodeChunk(8)
+	for i, pos := range []int32{0, -1, -1, 3, 1, -1} {
+		c.pos[i] = pos
+		c.parent[i] = -1
+	}
+	c.parent[3], c.parent[4] = 0, 3
+	c.attrs[3] = []attrRef{{name: 2, val: "v"}}
 	return encodeNodeChunk(c)
 }
 
@@ -216,7 +228,7 @@ func TestChunkDecodeRejectsAdversarial(t *testing.T) {
 		{"non-minimal varint", chunkOf(chunkKindPage, ps, []byte{0x80, 0x00}, zeros[1:], zeros, zeros, zeros, zeros, zeros), ps},
 		{"varint over 32 bits", chunkOf(chunkKindPage, ps, []byte{0xff, 0xff, 0xff, 0xff, 0x1f}, zeros[1:], zeros, zeros, zeros, zeros, zeros), ps},
 		{"varint over 5 bytes", chunkOf(chunkKindPage, ps, overlong, zeros[1:], zeros, zeros, zeros, zeros, zeros), ps},
-		{"varint cut by end of input", chunkOf(chunkKindFree, 1, []byte{0x80}), ps},
+		{"varint cut by end of input", chunkOf(chunkKindDict, 1, []byte{0x80}), ps},
 		{"level delta over 16 bits", chunkOf(chunkKindPage, ps, zeros, 1<<16, zeros[1:], zeros, zeros, zeros, zeros), ps},
 		{"text lengths overrun the block", chunkOf(chunkKindPage, ps, zeros, zeros, zeros, zeros, zeros, 5, zeros[1:], "abc"), ps},
 		{"text lengths undershoot the block", chunkOf(chunkKindPage, ps, zeros, zeros, zeros, zeros, zeros, 1, zeros[1:], "abc"), ps},
@@ -225,19 +237,19 @@ func TestChunkDecodeRejectsAdversarial(t *testing.T) {
 		{"attr refs truncated", chunkOf(chunkKindNode, ps, zeros, zeros, 2, zeros[1:], 1, 1, 1), ps},
 		{"attr value lengths overrun", chunkOf(chunkKindNode, ps, zeros, zeros, 1, zeros[1:], 1, 5, "abc"), ps},
 		{"attr value lengths undershoot", chunkOf(chunkKindNode, ps, zeros, zeros, 1, zeros[1:], 1, 1, "abc"), ps},
-		{"free count above page size", chunkOf(chunkKindFree, ps+1, bytes.Repeat([]byte{2}, ps+1)), ps},
-		{"free count above input", chunkOf(chunkKindFree, ps, 2, 2), ps},
+		{"node count above page size", chunkOf(chunkKindNode, ps+1, bytes.Repeat([]byte{0}, 3*(ps+1))), ps},
+		{"node count above input", chunkOf(chunkKindNode, ps, 0, 0), ps},
+		{"retired free tag 7", chunkOf(7, 3, 6, 1, 4), ps},
 		{"dict count above group size", chunkOf(chunkKindDict, dictGroupSize+1, bytes.Repeat([]byte{0}, dictGroupSize+1)), ps},
 		{"dict lengths overrun", chunkOf(chunkKindDict, 2, 3, 3, "abc"), ps},
 	}
 	for _, tc := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		errs := []error{nil, nil, nil, nil}
+		errs := []error{nil, nil, nil}
 		_, errs[0] = decodePageChunk(tc.data, tc.pageSize)
 		_, errs[1] = decodeNodeChunk(tc.data, tc.pageSize)
-		_, errs[2] = decodeFreeChunk(tc.data, tc.pageSize)
-		_, errs[3] = decodeDictChunk(tc.data)
+		_, errs[2] = decodeDictChunk(tc.data)
 		runtime.ReadMemStats(&after)
 		for i, err := range errs {
 			if err == nil {
@@ -256,14 +268,18 @@ func TestChunkDecodeRejectsAdversarial(t *testing.T) {
 		t.Fatalf("a parent-commit chunk must be refused as an unsupported format, got: %v", err)
 	}
 	// Tag 6 is the node chunk whose attribute refs named values in a
-	// shared dictionary: refused by name, by every decoder.
-	for _, data := range [][]byte{append([]byte{6}, goodNode[1:]...), append([]byte{6}, goodPage[1:]...)} {
-		for i, err := range []error{
-			func() error { _, err := decodeNodeChunk(data, ps); return err }(),
-			func() error { _, err := decodePageChunk(data, ps); return err }(),
-		} {
-			if err == nil || !strings.Contains(err.Error(), "unsupported chunk format (kind tag 6)") {
-				t.Fatalf("decoder %d: a tag-6 chunk must be refused as an unsupported format, got: %v", i, err)
+	// shared dictionary, tag 7 a run of the recycled-NodeID stack: each
+	// refused by name, by every decoder.
+	for _, tag := range []byte{6, 7} {
+		for _, data := range [][]byte{append([]byte{tag}, goodNode[1:]...), append([]byte{tag}, goodPage[1:]...), chunkOf(int(tag), 3, 6, 1, 4)} {
+			for i, err := range []error{
+				func() error { _, err := decodeNodeChunk(data, ps); return err }(),
+				func() error { _, err := decodePageChunk(data, ps); return err }(),
+				func() error { _, err := decodeDictChunk(data); return err }(),
+			} {
+				if want := fmt.Sprintf("unsupported chunk format (kind tag %d)", tag); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("decoder %d: a tag-%d chunk must be refused as an unsupported format, got: %v", i, tag, err)
+				}
 			}
 		}
 	}

@@ -12,14 +12,14 @@ import (
 
 // This file is the content-addressed face of the store: the chunked
 // column layout (store.go) serialized chunk by chunk. Each page chunk,
-// node chunk and free-list chunk has a deterministic binary encoding
+// node chunk and name group has a deterministic binary encoding
 // whose SHA-256 names it in a chunkstore.Store; a checkpoint image is a
 // ChunkManifest — the list of those names in column order plus the
 // store's scalars.
 //
 // The encoding treats the columns as what the paper says they are —
 // narrow, locally dense integer columns: varints, and deltas where
-// neighbours are close (level, node, pos, parent, free ids), so a tuple
+// neighbours are close (level, node, pos, parent), so a tuple
 // of a freshly shredded document costs under 9 bytes of structure next
 // to its text (TestChunkBytesPerTuple). There is one codec and no
 // version switch: see the layout table below.
@@ -36,12 +36,10 @@ import (
 // Hash caching is safe under the COW protocol: a chunk shared with any
 // snapshot (refs > 1) is frozen — writers clone it (the clone starts
 // with no cached hash) — so a pinned checkpoint snapshot's chunks never
-// change under the save. The one exception the encoding must dodge is
-// the free-list stack: popFree shrinks freeLen without dirtying the
-// tail chunk (the paper's "the slot above freeLen is dead" trick), so a
-// partially-filled tail chunk's serialization — which depends on
-// freeLen — is never hash-cached; only full free chunks, whose encoding
-// is freeLen-independent, are.
+// change under the save. A chunk's bytes depend on its columns alone,
+// and every write to those goes through a dirty hook. Free node ids are
+// no exception: they are the NULL entries of node/pos, which the store
+// counts per chunk (nodeFree) but never encodes.
 
 // chunkHash caches a chunk's content address. The zero value is the
 // "unknown" state; dirty* hooks reset to it before any write.
@@ -60,13 +58,13 @@ func (c *chunkHash) set(h chunkstore.Hash) { c.p.Store(&h) }
 func (c *chunkHash) invalidate()           { c.p.Store(nil) }
 
 // Chunk encoding kind tags (first byte of every chunk). Tags 1–4 were
-// the fixed-width encodings this codec replaced, and tag 6 the node
-// chunk whose attribute refs named values in a shared dictionary;
+// the fixed-width encodings this codec replaced, tag 6 the node chunk
+// whose attribute refs named values in a shared dictionary, and tag 7 a
+// run of the recycled-NodeID stack that free ids are no longer kept in;
 // nothing was ever deployed with them, so they are rejected, not
 // migrated.
 const (
 	chunkKindPage = 5 // pos/size/level/kind/name/text/node columns of one page
-	chunkKindFree = 7 // a run of the recycled-NodeID stack
 	chunkKindDict = 8 // a group of qualified names
 	chunkKindNode = 9 // node/pos, parent and attribute columns of one chunk
 )
@@ -87,23 +85,21 @@ type ChunkManifest struct {
 	LogToPhys []int32  `json:"logToPhys"`
 	PhysToLog []int32  `json:"physToLog"`
 	NodeLen   int32    `json:"nodeLen"`
-	FreeLen   int32    `json:"freeLen"`
 	LiveNodes int      `json:"liveNodes"`
 	Pages     []string `json:"pages"`
 	Nodes     []string `json:"nodes"`
-	Free      []string `json:"free,omitempty"`
 	Names     []string `json:"names,omitempty"`
 }
 
 // TotalChunks returns the number of chunk references in the manifest.
 func (m *ChunkManifest) TotalChunks() int {
-	return len(m.Pages) + len(m.Nodes) + len(m.Free) + len(m.Names)
+	return len(m.Pages) + len(m.Nodes) + len(m.Names)
 }
 
 // ChunkHashes parses every chunk reference, in manifest order.
 func (m *ChunkManifest) ChunkHashes() ([]chunkstore.Hash, error) {
 	out := make([]chunkstore.Hash, 0, m.TotalChunks())
-	for _, list := range [][]string{m.Pages, m.Nodes, m.Free, m.Names} {
+	for _, list := range [][]string{m.Pages, m.Nodes, m.Names} {
 		for _, s := range list {
 			h, err := chunkstore.ParseHash(s)
 			if err != nil {
@@ -143,7 +139,6 @@ type ChunkSaveStats struct {
 //	      (index in chunk − parent) | attribute counts: n × uv |
 //	      attribute names: Σcounts × uv | value lengths: Σcounts × uv |
 //	      value bytes
-//	free  tag 7 | uv count | ids: count × zz-delta
 //	dict  tag 8 | uv count | lengths: count × uv | string bytes
 //
 // The text (attribute value, name) bytes are one block closing the
@@ -209,7 +204,7 @@ func (d *chunkDec) begin(kind byte, what string, limit int32, minBytes int) int 
 	}
 	if tag := d.b[0]; tag != kind {
 		switch tag {
-		case chunkKindPage, chunkKindFree, chunkKindDict, chunkKindNode:
+		case chunkKindPage, chunkKindDict, chunkKindNode:
 			d.fail("core: chunk kind %d, want %s (%d)", tag, what, kind)
 		default:
 			d.fail("core: unsupported chunk format (kind tag %d); no migration from older builds", tag)
@@ -452,33 +447,6 @@ func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
 	return c, nil
 }
 
-// encodeFreeChunk serializes the first count recycled ids of a chunk.
-// For a full chunk count equals the page size and the encoding is
-// independent of freeLen (hash-cacheable); the partial tail chunk is
-// re-encoded every save because popFree shrinks freeLen without a
-// dirty-hook call.
-func encodeFreeChunk(c *freeChunk, count int32) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 2*count+8)}
-	e.b = append(e.b, chunkKindFree)
-	e.uv(uint32(count))
-	e.deltas(c.ids[:count])
-	return e.b
-}
-
-func decodeFreeChunk(data []byte, pageSize int32) ([]int32, error) {
-	d := &chunkDec{b: data}
-	n := d.begin(chunkKindFree, "free", pageSize, 1)
-	if d.err != nil {
-		return nil, d.err
-	}
-	ids := make([]int32, n)
-	d.deltas(ids)
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
 func encodeDictChunk(vals []string) []byte {
 	e := &chunkEnc{b: make([]byte, 0, 2*len(vals)+strsLen(vals)+8)}
 	e.b = append(e.b, chunkKindDict)
@@ -532,10 +500,9 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 		LogToPhys: append([]int32(nil), s.logToPhys...),
 		PhysToLog: append([]int32(nil), s.physToLog...),
 		NodeLen:   s.nodeLen,
-		FreeLen:   s.freeLen,
 		LiveNodes: s.liveNodes,
 	}
-	refs := make([]chunkRef, 0, len(s.pages)+len(s.nodes)+len(s.freeChunks)+2)
+	refs := make([]chunkRef, 0, len(s.pages)+len(s.nodes)+2)
 
 	var lists []*[]string // the manifest list each ref is named in
 	add := func(cache *chunkHash, ser func() []byte, list *[]string) {
@@ -550,19 +517,6 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 	for _, c := range s.nodes {
 		c := c
 		add(&c.hash, func() []byte { return encodeNodeChunk(c) }, &m.Nodes)
-	}
-	nFree := int((s.freeLen + s.pageSize - 1) >> s.pageBits)
-	for i := 0; i < nFree; i++ {
-		c := s.freeChunks[i]
-		count := s.pageSize
-		cache := &c.hash
-		if int32(i+1)<<s.pageBits > s.freeLen {
-			// Partial tail: its encoding depends on freeLen, which popFree
-			// moves without dirtying — never trust or populate the cache.
-			count = s.freeLen & s.pageMask
-			cache = new(chunkHash)
-		}
-		add(cache, func() []byte { return encodeFreeChunk(c, count) }, &m.Free)
 	}
 	names := s.qn.NamesList()
 	for at := 0; at < len(names); at += dictGroupSize {
@@ -595,8 +549,8 @@ func (s *Store) collectChunks() (*ChunkManifest, []chunkRef) {
 // before returning, so a caller may durably publish the manifest
 // immediately.
 //
-// Like Save, SaveChunked requires the store to be free of concurrent
-// writes; a pinned checkpoint snapshot satisfies that by construction.
+// SaveChunked requires the store to be free of concurrent writes; a
+// pinned checkpoint snapshot satisfies that by construction.
 func (s *Store) SaveChunked(cs chunkstore.Store) (*ChunkManifest, ChunkSaveStats, error) {
 	m, refs := s.collectChunks()
 	stats := ChunkSaveStats{ChunksTotal: len(refs)}
@@ -704,52 +658,24 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 	if want := int((m.NodeLen + pageSize - 1) >> m.PageBits); len(m.Nodes) != want {
 		return nil, fmt.Errorf("core: manifest is corrupt: %d node chunks for %d ids (want %d)", len(m.Nodes), m.NodeLen, want)
 	}
-	s.nodes, err = loadChunks(cs, m.Nodes, func(_ int, h chunkstore.Hash, data []byte) (*nodeChunk, error) {
-		c, err := decodeNodeChunk(data, pageSize)
-		if err == nil {
-			c.hash.set(h)
-		}
-		return c, err
-	})
-	if err != nil {
-		return nil, err
-	}
 	s.nodeLen = m.NodeLen
-	if m.FreeLen < 0 {
-		return nil, fmt.Errorf("core: manifest is corrupt: negative free-list depth %d", m.FreeLen)
-	}
-	if want := int((m.FreeLen + pageSize - 1) >> m.PageBits); len(m.Free) != want {
-		return nil, fmt.Errorf("core: manifest is corrupt: %d free chunks for depth %d (want %d)", len(m.Free), m.FreeLen, want)
-	}
-	s.freeChunks, err = loadChunks(cs, m.Free, func(i int, h chunkstore.Hash, data []byte) (*freeChunk, error) {
-		ids, err := decodeFreeChunk(data, pageSize)
+	s.nodeFree = make([]int32, len(m.Nodes))
+	s.nodes, err = loadChunks(cs, m.Nodes, func(i int, h chunkstore.Hash, data []byte) (*nodeChunk, error) {
+		c, err := decodeNodeChunk(data, pageSize)
 		if err != nil {
 			return nil, err
 		}
-		wantCount := pageSize
-		full := int32(i+1)<<m.PageBits <= m.FreeLen
-		if !full {
-			wantCount = m.FreeLen & s.pageMask
-		}
-		if int32(len(ids)) != wantCount {
-			return nil, fmt.Errorf("free chunk holds %d ids, manifest implies %d", len(ids), wantCount)
-		}
-		for _, id := range ids {
-			if id < 0 || id >= s.nodeLen {
-				return nil, fmt.Errorf("free node id %d out of range [0,%d)", id, s.nodeLen)
+		c.hash.set(h)
+		for _, pos := range c.pos[:min32(pageSize, m.NodeLen-int32(i)<<m.PageBits)] {
+			if pos < 0 {
+				s.nodeFree[i]++
 			}
-		}
-		c := newFreeChunk(int(pageSize))
-		copy(c.ids, ids)
-		if full {
-			c.hash.set(h)
 		}
 		return c, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.freeLen = m.FreeLen
 	// Name ids are positions: decoded side by side, interned in order.
 	groups, err := loadChunks(cs, m.Names, func(_ int, _ chunkstore.Hash, data []byte) ([]string, error) {
 		return decodeDictChunk(data)

@@ -19,12 +19,12 @@ import (
 
 // stateBytes dumps a store's physical state — the page maps, every
 // column of every page in physical order, the NodeID-keyed tables with
-// their attribute values, the free list and the name pool — without
-// going through the chunk codec: the canonical state comparison for
-// chunked round trips.
+// their attribute values (a free id is one whose pos is -1), the per-chunk
+// free counts and the name pool — without going through the chunk codec:
+// the canonical state comparison for chunked round trips.
 func stateBytes(s *Store) []byte {
 	var b bytes.Buffer
-	fmt.Fprintln(&b, s.pageBits, s.logToPhys, s.physToLog, s.liveNodes, s.nodeLen)
+	fmt.Fprintln(&b, s.pageBits, s.logToPhys, s.physToLog, s.liveNodes, s.nodeLen, s.nodeFree)
 	for _, pg := range s.pages {
 		fmt.Fprintln(&b, pg.size, pg.level, pg.kind, pg.name, pg.node)
 		fmt.Fprintf(&b, "%q\n", pg.text)
@@ -36,13 +36,12 @@ func stateBytes(s *Store) []byte {
 		}
 		fmt.Fprintln(&b)
 	}
-	s.forEachFree(func(id int32) { fmt.Fprintln(&b, id) })
 	fmt.Fprintf(&b, "%q\n", s.qn.NamesList())
 	return b.Bytes()
 }
 
 // itemsDoc builds an n-item document with attributes and text so every
-// chunk kind (pages, nodes, free, names) is exercised.
+// chunk kind (pages, nodes, names) is exercised.
 func itemsDoc(n int) string {
 	var b strings.Builder
 	b.WriteString("<items>")
@@ -73,7 +72,7 @@ func mustLoadChunked(t *testing.T, m *ChunkManifest, cs chunkstore.Store) *Store
 
 func TestChunkedRoundTrip(t *testing.T) {
 	s := mustBuild(t, itemsDoc(200), Options{PageSize: 16, FillFactor: 0.75})
-	// Populate the free list and add a late name.
+	// Free some node ids and add a late name.
 	for i := 0; i < 5; i++ {
 		if err := s.Delete(s.NthChild(s.Root(), 3)); err != nil {
 			t.Fatal(err)
@@ -147,43 +146,50 @@ func TestChunkedIncrementalWritesOnlyChurn(t *testing.T) {
 	}
 }
 
-// TestChunkedFreeTailNotCached is the regression test for the one spot
-// where the COW dirty hooks under-report change: popFree shrinks
-// freeLen without dirtying the tail chunk, so a free chunk that was
-// full (hash cached) at one save and partial at the next must be
-// re-encoded, not served from the stale cache.
-func TestChunkedFreeTailNotCached(t *testing.T) {
-	s := mustBuild(t, itemsDoc(300), Options{PageSize: 16, FillFactor: 0.75})
-	// Delete enough subtrees to push the free stack past one chunk.
-	for ids, _, _ := s.FreeListStats(); ids < 20; ids, _, _ = s.FreeListStats() {
-		if err := s.Delete(s.NthChild(s.Root(), 1)); err != nil {
+// TestChunkedLoadedStoreAllocatesLikeLive: which ids a store hands out
+// is a function of node/pos alone, so a store loaded from an image taken
+// mid-churn hands out exactly the ids the live store does — the property
+// recovery's and a follower's WAL replay rely on, with nothing but the
+// chunks persisted.
+func TestChunkedLoadedStoreAllocatesLikeLive(t *testing.T) {
+	live := mustBuild(t, itemsDoc(300), Options{PageSize: 16, FillFactor: 0.75})
+	for len(freeIDs(live)) < 40 {
+		if err := live.Delete(live.NthChild(live.Root(), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reuse some of the freed ids, so the free ones sit in holes.
+	for i := 0; i < 5; i++ {
+		if _, err := live.AppendChild(live.NthChild(live.Root(), 2*i), mustFragment(t, "<early>e</early>")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cs := chunkstore.NewDir(t.TempDir())
-	mustSaveChunked(t, s, cs) // caches the full free chunks' hashes
+	m, _ := mustSaveChunked(t, live, cs)
+	loaded := mustLoadChunked(t, m, cs)
 
-	// Recycle ids: popFree shrinks freeLen below the cached chunk's
-	// boundary with no dirty-hook call.
-	before, _, _ := s.FreeListStats()
-	for i := 0; i < 10; i++ {
-		if _, err := s.AppendChild(s.Root(), mustFragment(t, "<recycled/>")); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 30; i++ {
+		frag := fmt.Sprintf(`<late n="%d"><x/>text %d</late>`, i, i)
+		var got [2][]xenc.NodeID
+		for j, s := range []*Store{live, loaded} {
+			ids, err := s.AppendChild(s.NthChild(s.Root(), i%7), mustFragment(t, frag))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[j] = ids
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("insert %d: live store took ids %v, loaded store %v", i, got[0], got[1])
 		}
 	}
-	after, _, _ := s.FreeListStats()
-	if after >= before {
-		t.Fatalf("free list did not shrink (%d -> %d); test builds no pops", before, after)
+	if len(freeIDs(live)) != 0 {
+		t.Fatalf("%d free ids left: the inserts never reached fresh ids", len(freeIDs(live)))
 	}
-
-	m, _ := mustSaveChunked(t, s, cs)
-	got := mustLoadChunked(t, m, cs)
-	if !bytes.Equal(stateBytes(got), stateBytes(s)) {
-		t.Fatal("free-list state diverged after pops (stale tail-chunk hash served)")
+	if !bytes.Equal(stateBytes(loaded), stateBytes(live)) {
+		t.Fatal("the loaded store diverged from the live one under the same inserts")
 	}
-	gotIDs, _, _ := got.FreeListStats()
-	if gotIDs != after {
-		t.Fatalf("loaded free depth %d, want %d", gotIDs, after)
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -313,7 +319,6 @@ func TestChunkedLoadRejectsCorruption(t *testing.T) {
 			return c
 		},
 		"node count": func(c ChunkManifest) ChunkManifest { c.NodeLen += 1000; return c },
-		"free depth": func(c ChunkManifest) ChunkManifest { c.FreeLen = -1; return c },
 		"kind confusion": func(c ChunkManifest) ChunkManifest {
 			c.Pages = append([]string(nil), c.Pages...)
 			c.Pages[0] = c.Nodes[0]
@@ -459,7 +464,7 @@ func packedAt(t *testing.T, root string, h chunkstore.Hash) (path string, off, n
 // it is collected.
 func TestChunkedParallelSaveLoad(t *testing.T) {
 	s := mustBuild(t, itemsDoc(1500), Options{PageSize: 16, FillFactor: 0.75})
-	for i := 0; i < 40; i++ { // more than a chunk of free ids
+	for i := 0; i < 40; i++ { // free ids in many node chunks
 		if err := s.Delete(s.NthChild(s.Root(), 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -498,8 +503,8 @@ func TestChunkedParallelSaveLoad(t *testing.T) {
 		}
 	}
 	m := mans[0]
-	if len(m.Pages) < 100 || len(m.Nodes) < 100 || len(m.Free) < 2 {
-		t.Fatalf("%d page, %d node, %d free chunks: too few to fan out", len(m.Pages), len(m.Nodes), len(m.Free))
+	if len(m.Pages) < 100 || len(m.Nodes) < 100 {
+		t.Fatalf("%d page and %d node chunks: too few to fan out", len(m.Pages), len(m.Nodes))
 	}
 
 	for name, cs := range map[string]chunkstore.Store{"dir": chunkstore.NewDir(dir.Root()), "per-put": perPut} {

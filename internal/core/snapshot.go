@@ -2,9 +2,10 @@ package core
 
 // Snapshot returns a page-granular copy-on-write snapshot of the store:
 // the paper's "temporary view backed by a copy-on-write memory-map on the
-// base table" (Section 3.2). The snapshot shares every page chunk, node
-// chunk and free-list chunk with the base by incrementing each chunk's
-// reference count, so taking it costs O(pages), not O(document).
+// base table" (Section 3.2). The snapshot shares every page chunk and
+// node chunk with the base by incrementing each chunk's reference count,
+// and copies the small tables kept per page beside them (the pageOffset
+// tables and nodeFree), so taking it costs O(pages), not O(document).
 // Whichever side writes a shared page first (the snapshot through a
 // transaction's updates, the base through a later commit) copies just
 // that page via the dirty* hooks — "the base table is never altered"
@@ -27,21 +28,17 @@ func (s *Store) Snapshot() *Store {
 	for _, c := range s.nodes {
 		c.refs.Add(1)
 	}
-	for _, c := range s.freeChunks {
-		c.refs.Add(1)
-	}
 	return &Store{
-		pageBits:   s.pageBits,
-		pageMask:   s.pageMask,
-		pageSize:   s.pageSize,
-		pages:      append([]*page(nil), s.pages...),
-		logToPhys:  append([]int32(nil), s.logToPhys...),
-		physToLog:  append([]int32(nil), s.physToLog...),
-		nodes:      append([]*nodeChunk(nil), s.nodes...),
-		nodeLen:    s.nodeLen,
-		freeChunks: append([]*freeChunk(nil), s.freeChunks...),
-		freeLen:    s.freeLen,
-		qn:         s.qn, // shared: append-only, synchronized
-		liveNodes:  s.liveNodes,
+		pageBits:  s.pageBits,
+		pageMask:  s.pageMask,
+		pageSize:  s.pageSize,
+		pages:     append([]*page(nil), s.pages...),
+		logToPhys: append([]int32(nil), s.logToPhys...),
+		physToLog: append([]int32(nil), s.physToLog...),
+		nodes:     append([]*nodeChunk(nil), s.nodes...),
+		nodeLen:   s.nodeLen,
+		nodeFree:  append([]int32(nil), s.nodeFree...),
+		qn:        s.qn, // shared: append-only, synchronized
+		liveNodes: s.liveNodes,
 	}
 }

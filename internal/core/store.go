@@ -26,19 +26,20 @@
 //
 // All columns are physically chunked per page: the pos/size/level table
 // is a slice of *page chunks, and the NodeID-keyed tables (node/pos,
-// parent, attributes) and the recycled-NodeID stack are chunks of the
-// same granularity. Snapshot reproduces Section 3.2's "temporary view
+// parent, attributes) are chunks of the same granularity. A free node id
+// is one whose node/pos entry is NULL (-1), as in Figure 6: there is no
+// second list of them. Snapshot reproduces Section 3.2's "temporary view
 // backed by a copy-on-write memory-map on the base table": it shares
 // every chunk between the base store and the snapshot by bumping each
 // chunk's reference count, so taking a snapshot is O(pages), not
 // O(document), and never mutates base-private state. Every write path
-// funnels through the dirtyPage / dirtyNodeChunk / dirtyFreeChunk hooks,
-// which privately copy a chunk the first time it is written while shared
-// (refs > 1) — "only those parts of the table that are actually updated
-// get copied"; the base table is never altered through a snapshot. A
-// transaction therefore materializes only the logical pages it touches,
-// and commit — which replays the transaction's operations onto the base
-// — likewise copies only the pages it writes, leaving the chunks shared
+// funnels through the dirtyPage / dirtyNodeChunk hooks, which privately
+// copy a chunk the first time it is written while shared (refs > 1) —
+// "only those parts of the table that are actually updated get copied";
+// the base table is never altered through a snapshot. A transaction
+// therefore materializes only the logical pages it touches, and commit —
+// which replays the transaction's operations onto the base — likewise
+// copies only the pages it writes, leaving the chunks shared
 // with live snapshots untouched. Releasing a snapshot (Store.Release)
 // decrements its chunks' reference counts; once a chunk's last sharer is
 // gone, the surviving owner writes it in place again, so a snapshot's
@@ -192,30 +193,6 @@ func (c *nodeChunk) clone() *nodeChunk {
 	return n
 }
 
-// freeChunk is one page-sized chunk of the recycled-NodeID stack, with
-// the same copy-on-write refcount discipline as page. Chunking the free
-// list bounds the cost of the first free-list mutation after a snapshot
-// to one chunk, where a flat slice was once copied wholesale — the cost
-// that used to make a 1-node transaction O(deleted nodes) after heavy
-// deletes.
-type freeChunk struct {
-	refs atomic.Int32
-	hash chunkHash
-	ids  []int32
-}
-
-func newFreeChunk(n int) *freeChunk {
-	c := &freeChunk{ids: make([]int32, n)}
-	c.refs.Store(1)
-	return c
-}
-
-func (c *freeChunk) clone() *freeChunk {
-	n := &freeChunk{ids: append([]int32(nil), c.ids...)}
-	n.refs.Store(1)
-	return n
-}
-
 // Store is the paged updatable document store.
 //
 // A Store is safe for concurrent readers. Writes require external
@@ -242,12 +219,11 @@ type Store struct {
 	nodes   []*nodeChunk
 	nodeLen int32
 
-	// The recycled-NodeID stack, chunked at page granularity. freeLen is
-	// the stack depth; popping only reads (the slot above freeLen is dead
-	// to this store), so it never copies, while pushing dirties exactly
-	// the tail chunk.
-	freeChunks []*freeChunk
-	freeLen    int32
+	// nodeFree counts, per node chunk, the free ids below nodeLen (pos
+	// -1), so newIDs skips the chunks that hold none. It is derived from
+	// node/pos — setPos keeps it, LoadChunked counts it — private per
+	// store like the pageOffset tables, and never encoded.
+	nodeFree []int32
 
 	// The qualified-name pool is shared between the base and every
 	// snapshot: it is append-only and internally synchronized.
@@ -298,7 +274,7 @@ func Build(t *shred.Tree, opts Options) (*Store, error) {
 		block, at := texts.String(), 0
 		for i := range chunk {
 			end := at + len(chunk[i].Value)
-			s.writeNode(base+int32(i), &chunk[i], block[at:end], s.newNodeID())
+			s.writeNode(base+int32(i), &chunk[i], block[at:end], s.appendNodeID())
 			at = end
 		}
 		s.markFreeRun(base+int32(len(chunk)), base+s.pageSize)
@@ -362,50 +338,6 @@ func (s *Store) dirtyNodeChunk(ch int32) *nodeChunk {
 	return c
 }
 
-// dirtyFreeChunk is dirtyPage for the recycled-NodeID stack.
-func (s *Store) dirtyFreeChunk(ch int32) *freeChunk {
-	c := s.freeChunks[ch]
-	if c.refs.Load() != 1 {
-		n := c.clone()
-		c.refs.Add(-1)
-		s.freeChunks[ch] = n
-		c = n
-	}
-	c.hash.invalidate()
-	return c
-}
-
-// pushFree records a recycled NodeID. Only the tail chunk is dirtied, so
-// the first free-list mutation after a snapshot costs one chunk copy no
-// matter how deep the stack is.
-func (s *Store) pushFree(id int32) {
-	ch := s.freeLen >> s.pageBits
-	if int(ch) == len(s.freeChunks) {
-		s.freeChunks = append(s.freeChunks, newFreeChunk(int(s.pageSize)))
-	}
-	s.dirtyFreeChunk(ch).ids[s.freeLen&s.pageMask] = id
-	s.freeLen++
-}
-
-// popFree takes the most recently recycled NodeID. Popping only reads:
-// the slot above the shrunk freeLen is dead to this store, and a later
-// push overwriting it goes through dirtyFreeChunk, so snapshots sharing
-// the chunk are never disturbed.
-func (s *Store) popFree() (int32, bool) {
-	if s.freeLen == 0 {
-		return 0, false
-	}
-	s.freeLen--
-	return s.freeChunks[s.freeLen>>s.pageBits].ids[s.freeLen&s.pageMask], true
-}
-
-// forEachFree visits the recycled NodeIDs (testing and invariant checks).
-func (s *Store) forEachFree(fn func(id int32)) {
-	for i := int32(0); i < s.freeLen; i++ {
-		fn(s.freeChunks[i>>s.pageBits].ids[i&s.pageMask])
-	}
-}
-
 // Release drops this store's references to every chunk it shares, so the
 // remaining owner (typically the base store) regains exclusive ownership
 // and writes those chunks in place again instead of copying them. It is
@@ -423,12 +355,9 @@ func (s *Store) Release() {
 	for _, c := range s.nodes {
 		c.refs.Add(-1)
 	}
-	for _, c := range s.freeChunks {
-		c.refs.Add(-1)
-	}
-	s.pages, s.nodes, s.freeChunks = nil, nil, nil
-	s.logToPhys, s.physToLog = nil, nil
-	s.nodeLen, s.freeLen, s.liveNodes = 0, 0, 0
+	s.pages, s.nodes = nil, nil
+	s.logToPhys, s.physToLog, s.nodeFree = nil, nil, nil
+	s.nodeLen, s.liveNodes = 0, 0
 }
 
 // --- raw column access ----------------------------------------------------
@@ -445,8 +374,17 @@ func (s *Store) posOf(id xenc.NodeID) int32 {
 	return s.nodes[id>>s.pageBits].pos[id&s.pageMask]
 }
 
+// setPos writes node/pos, counting the id in nodeFree while it is free.
 func (s *Store) setPos(id xenc.NodeID, pos int32) {
-	s.dirtyNodeChunk(id >> s.pageBits).pos[id&s.pageMask] = pos
+	ch := id >> s.pageBits
+	slot := &s.dirtyNodeChunk(ch).pos[id&s.pageMask]
+	switch {
+	case *slot >= 0 && pos < 0:
+		s.nodeFree[ch]++
+	case *slot < 0 && pos >= 0:
+		s.nodeFree[ch]--
+	}
+	*slot = pos
 }
 
 // parentOf returns the parent node id (NoNode for roots).
@@ -479,22 +417,49 @@ func (s *Store) appendPhysPage() int32 {
 	return pg
 }
 
-// newNodeID allocates a node id, recycling freed ids first (the paper
-// scans for NULL pos values before appending to node/pos).
-func (s *Store) newNodeID() xenc.NodeID {
-	if id, ok := s.popFree(); ok {
-		return id
+// newIDs allocates k node ids, the lowest free ones first: the paper
+// finds a free id by scanning node/pos for NULL, and nodeFree lets the
+// scan pass over every chunk without one. Taking a free id writes
+// nothing — placing its node does — so which ids a store hands out
+// depends on node/pos alone, and a primary, a store recovered from its
+// image and a follower all hand out the same ones. Fresh ids are
+// appended after those.
+func (s *Store) newIDs(k int32) []xenc.NodeID {
+	ids := make([]xenc.NodeID, 0, k)
+	for ch := 0; ch < len(s.nodeFree) && int32(len(ids)) < k; ch++ {
+		if s.nodeFree[ch] == 0 {
+			continue
+		}
+		base := int32(ch) << s.pageBits
+		for off, pos := range s.nodes[ch].pos[:min32(s.pageSize, s.nodeLen-base)] {
+			if pos < 0 {
+				if ids = append(ids, base+int32(off)); int32(len(ids)) == k {
+					break
+				}
+			}
+		}
 	}
+	for int32(len(ids)) < k {
+		ids = append(ids, s.appendNodeID())
+	}
+	return ids
+}
+
+// appendNodeID appends a fresh id to the NodeID-keyed tables, free until
+// its node is placed.
+func (s *Store) appendNodeID() xenc.NodeID {
 	id := s.nodeLen
 	ch := id >> s.pageBits
 	if int(ch) == len(s.nodes) {
 		s.nodes = append(s.nodes, newNodeChunk(int(s.pageSize)))
+		s.nodeFree = append(s.nodeFree, 0)
 	}
 	nc := s.dirtyNodeChunk(ch)
 	off := id & s.pageMask
 	nc.pos[off] = -1
 	nc.parent[off] = xenc.NoNode
 	nc.attrs[off] = nil
+	s.nodeFree[ch]++
 	s.nodeLen++
 	return id
 }
@@ -693,18 +658,6 @@ func (s *Store) DirtyPages() int {
 		}
 	}
 	return n
-}
-
-// FreeListStats reports the recycled-NodeID stack's depth, its chunk
-// count, and how many of those chunks this store owns exclusively — the
-// observable cost of free-list copy-on-write (testing hook).
-func (s *Store) FreeListStats() (ids, chunks, ownedChunks int) {
-	for _, c := range s.freeChunks {
-		if c.refs.Load() == 1 {
-			ownedChunks++
-		}
-	}
-	return int(s.freeLen), len(s.freeChunks), ownedChunks
 }
 
 // PhysPage returns the physical page number backing the logical page that

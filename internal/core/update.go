@@ -147,7 +147,6 @@ func (s *Store) Delete(target xenc.Pre) error {
 		s.setAttrs(id, nil)
 		s.setPos(id, -1)
 		s.setParent(id, xenc.NoNode)
-		s.pushFree(id)
 		wp.level[o] = xenc.LevelUnused
 		wp.node[o] = xenc.NoNode
 		wp.text[o] = ""
@@ -543,12 +542,4 @@ func (s *Store) spliceLogical(logIdx, phys int32) {
 		}
 	}
 	s.physToLog[phys] = logIdx
-}
-
-func (s *Store) newIDs(k int32) []xenc.NodeID {
-	ids := make([]xenc.NodeID, k)
-	for i := range ids {
-		ids[i] = s.newNodeID()
-	}
-	return ids
 }

@@ -25,18 +25,18 @@ type Sink interface {
 	// which the WAL does not contain — so the subscription must open
 	// with a bootstrap, never with record replay.
 	AppliedLSN() (lsn uint64, ok bool)
-	// ChunkStore returns the local store bootstrap chunks land in — the
+	// ChunkStore opens the local store bootstrap chunks land in — the
 	// same one the document's checkpoints use, so checkpointed chunks
 	// count as "already have" when the follower diffs the primary's
 	// manifest against it and requests only what is missing. A
 	// re-bootstrap after a crash-restart then transfers O(churn), not
-	// the whole document.
-	ChunkStore() (chunkstore.Store, error)
+	// the whole document. A bootstrap calls it once.
+	ChunkStore() chunkstore.Store
 	// BootstrapManifest replaces the follower's entire state from the
 	// manifest of an image pinned at lsn, whose chunks are all present in
-	// ChunkStore() by the time it is called. After it returns, AppliedLSN
-	// must report lsn.
-	BootstrapManifest(m *core.ChunkManifest, lsn uint64) error
+	// cs — the store ChunkStore opened for this bootstrap — by the time
+	// it is called. After it returns, AppliedLSN must report lsn.
+	BootstrapManifest(m *core.ChunkManifest, lsn uint64, cs chunkstore.Store) error
 	// Apply applies a record batch in order and makes it durable,
 	// returning the LSN to ack (normally the batch's last). An error
 	// ends the subscription — a follower that cannot apply must not ack.
@@ -271,10 +271,7 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 			uniq = append(uniq, h)
 		}
 	}
-	cs, err := f.Sink.ChunkStore()
-	if err != nil {
-		return err
-	}
+	cs := f.Sink.ChunkStore()
 	have, err := cs.HasMany(uniq)
 	if err != nil {
 		return err
@@ -352,7 +349,7 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 	if err := cs.Sync(); err != nil {
 		return err
 	}
-	return f.Sink.BootstrapManifest(&man, start)
+	return f.Sink.BootstrapManifest(&man, start, cs)
 }
 
 func (f *Follower) ack(conn net.Conn, lsn uint64) error {

@@ -254,13 +254,12 @@ type Options struct {
 	// default local directory (<doc>.chunks/ in Dir). With Dir set it is
 	// called once each time a document attaches — LoadXML, and the
 	// OpenDocument that recovers it — for the store that attachment
-	// reads and checkpoints through; a follower's bootstrap calls it
-	// twice, once to find the chunks it must fetch and once for the
-	// store the bootstrapped document keeps. Per-document scoping is what
-	// keeps chunk garbage collection sound, so the stores returned for
-	// different documents must not share a namespace. Note Drop only
-	// deletes the default directory; a custom backend's data is the
-	// caller's to reclaim.
+	// reads and checkpoints through, and once per follower bootstrap,
+	// for the store the fetched chunks land in and the bootstrapped
+	// document keeps. Per-document scoping is what keeps chunk garbage
+	// collection sound, so the stores returned for different documents
+	// must not share a namespace. Note Drop only deletes the default
+	// directory; a custom backend's data is the caller's to reclaim.
 	ChunkStore func(doc string) ChunkStore
 }
 

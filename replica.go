@@ -162,33 +162,31 @@ func (s *docSink) AppliedLSN() (uint64, bool) {
 	return d.mgr.AppliedLSN(), true
 }
 
-// ChunkStore exposes the document's chunk store to the bootstrap — the
+// ChunkStore opens the document's chunk store for a bootstrap — the
 // same store local checkpoints write, so everything a previous
 // incarnation of this follower checkpointed counts as already
 // transferred when the manifest is diffed.
-func (s *docSink) ChunkStore() (chunkstore.Store, error) {
-	return s.db.chunkStore(s.name), nil
+func (s *docSink) ChunkStore() chunkstore.Store {
+	return s.db.chunkStore(s.name)
 }
 
 // BootstrapManifest replaces the document wholesale from the manifest
 // of a checkpoint image pinned at lsn. Every chunk the manifest names
-// is already in ChunkStore(), so the store materializes locally with no
-// further transfer. The old instance (if any) is detached and its
-// artifacts wiped — its history is foreign to the image's LSN line —
-// then a fresh WAL is positioned at lsn and an initial local checkpoint
-// written, so a follower restart recovers locally and resumes by WAL
-// replay instead of a second bootstrap. The chunk directory deliberately
-// survives the wipe: chunks are named by content, not by LSN line, so
-// they are exactly as valid for the new incarnation, and the initial
-// local checkpoint re-references them instead of rewriting the
-// document. Readers holding the old instance's snapshots finish
-// undisturbed on them; OpenDocument waits for the bootstrapped document
-// to be published.
-func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64) error {
-	cs, err := s.ChunkStore()
-	if err != nil {
-		return err
-	}
+// is already in cs, the store the bootstrap fetched into, so the
+// store materializes locally with no further transfer, and the
+// bootstrapped document keeps cs for its checkpoints. The old
+// instance (if any) is detached and its artifacts wiped — its history
+// is foreign to the image's LSN line — then a fresh WAL is positioned
+// at lsn and an initial local checkpoint written, so a follower
+// restart recovers locally and resumes by WAL replay instead of a
+// second bootstrap. The chunk directory deliberately survives the
+// wipe: chunks are named by content, not by LSN line, so they are
+// exactly as valid for the new incarnation, and the initial local
+// checkpoint re-references them instead of rewriting the document.
+// Readers holding the old instance's snapshots finish undisturbed on
+// them; OpenDocument waits for the bootstrapped document to be
+// published.
+func (s *docSink) BootstrapManifest(m *core.ChunkManifest, lsn uint64, cs chunkstore.Store) error {
 	store, err := core.LoadChunked(m, cs)
 	if err != nil {
 		return fmt.Errorf("mxq: materializing bootstrap manifest: %w", err)

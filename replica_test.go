@@ -267,7 +267,10 @@ func TestFollowDocument(t *testing.T) {
 // artifacts gone but its content-addressed chunk store intact
 // re-bootstraps by diffing the primary's manifest against that store,
 // so the wire carries only the chunks the churn since then dirtied —
-// a small fraction of the first (cold) bootstrap's transfer.
+// a small fraction of the first (cold) bootstrap's transfer. Each
+// bootstrap opens the follower's chunk store once: the Options.ChunkStore
+// factory runs once per bootstrap, the store the chunks are fetched into
+// being the one the bootstrapped document keeps.
 func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	primaryDB, err := Open(Options{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
@@ -283,7 +286,12 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	// Cold bootstrap: the follower's chunk store is empty, every chunk
 	// ships. This transfer is the doc-size yardstick.
 	followerDir := t.TempDir()
-	followerDB, err := Open(Options{Dir: followerDir, NoSync: true})
+	var opens atomic.Int32
+	followerOpts := Options{Dir: followerDir, NoSync: true, ChunkStore: func(doc string) ChunkStore {
+		opens.Add(1)
+		return ckpt.DefaultChunkStore(followerDir, doc)
+	}}
+	followerDB, err := Open(followerOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +303,9 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	stop()
 	if err := followerDB.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := opens.Load(); n != 1 {
+		t.Fatalf("the chunk store factory ran %d times for a cold bootstrap, want 1", n)
 	}
 	cold := sent.Load()
 	if cold == 0 {
@@ -308,7 +319,7 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	ckpt.RemoveArtifacts(followerDir, "lib")
 	lsn := appendBook(t, doc, "churn")
 
-	followerDB, err = Open(Options{Dir: followerDir, NoSync: true})
+	followerDB, err = Open(followerOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +335,9 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	defer stop()
 	waitUntil(t, "re-bootstrap", func() bool { return appliedAt(followerDB, "lib", lsn) })
 	rebootstrap := sent.Load() - base
+	if n := opens.Load(); n != 2 {
+		t.Fatalf("the chunk store factory ran %d times for two bootstraps, want 2", n)
+	}
 
 	// The re-bootstrap is a full bootstrap on the wire protocol level
 	// (manifest + chunks + stream), but almost every chunk is
