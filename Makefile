@@ -67,7 +67,7 @@ lint:
 # extending the harness costs the product nothing. A change that needs
 # more lines raises the ceiling in its own diff, where a reviewer sees
 # it.
-LOC_CEILING = 17578
+LOC_CEILING = 17576
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"
@@ -110,7 +110,10 @@ server-smoke:
 # that checkpoints every REPL_CKPT_RECORDS commits, loads it and drives
 # it closed-loop, then restarts it over the same -dir (SIGTERM, clean
 # drain) — so the follower meets a primary whose document is on disk
-# but not yet attached — then starts a follower (mxqd -follow), and
+# but not yet attached — requires mxqshell over the running primary's
+# -dir to be refused (non-zero exit, the lock error on stderr: the one
+# check with two real processes over one directory), then starts a
+# follower (mxqd -follow), and
 # drives the pair open-loop with replica-routed read-your-writes reads
 # (-rate, queries to the follower carrying the session's last commit
 # LSN). Requires zero request errors, zero stale reads (every RYW read
@@ -124,6 +127,7 @@ REPL_CKPT_RECORDS ?= 100
 repl-smoke:
 	$(GO) build -o /tmp/mxqd-smoke ./cmd/mxqd
 	$(GO) build -o /tmp/mxqload-smoke ./cmd/mxqload
+	$(GO) build -o /tmp/mxqshell-smoke ./cmd/mxqshell
 	@set -e; \
 	tmp=$$(mktemp -d); \
 	primary="/tmp/mxqd-smoke -addr $(REPL_PRIMARY) -dir $$tmp/primary -nosync \
@@ -138,6 +142,10 @@ repl-smoke:
 	$$primary & \
 	ppid=$$!; \
 	sleep 1; \
+	if /tmp/mxqshell-smoke -dir $$tmp/primary </dev/null 2>$$tmp/shell.err; then \
+		echo "mxqshell opened the data directory of a running mxqd"; exit 1; \
+	fi; \
+	grep -q "data directory is in use" $$tmp/shell.err || { cat $$tmp/shell.err; exit 1; }; \
 	/tmp/mxqd-smoke -addr $(REPL_FOLLOWER) -dir $$tmp/follower -nosync -follow $(REPL_PRIMARY) \
 		-max-waiters 4096 & \
 	fpid=$$!; \

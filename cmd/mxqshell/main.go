@@ -34,7 +34,7 @@ import (
 func main() {
 	page := flag.Int("page", 0, "logical page size in tuples (power of two)")
 	fill := flag.Float64("fill", 0, "shredder fill factor (0,1]")
-	dir := flag.String("dir", "", "durability directory (segmented WAL + checkpoints)")
+	dir := flag.String("dir", "", "durability directory (segmented WAL + checkpoints); locked while the shell runs, so not one a running mxqd serves")
 	ckptRecords := flag.Int("ckpt-records", 0, "auto-checkpoint once the WAL tail exceeds this many records (0 = off)")
 	flag.Parse()
 

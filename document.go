@@ -19,7 +19,7 @@ import (
 )
 
 // Document is one stored XML document. Its read methods (Query,
-// QueryValue, Count, SerializeTo, XML) come from the embedded queries,
+// QueryValue, SerializeTo, XML) come from the embedded queries,
 // each call leasing the current committed version.
 type Document struct {
 	queries
@@ -29,9 +29,10 @@ type Document struct {
 	log  *wal.Log
 
 	// Online durability (nil without Options.Dir): the checkpointer
-	// streams LSN-pinned snapshots outside any lock; the auto goroutine
-	// (only with Options.CheckpointEvery) runs it when the WAL tail
-	// exceeds the policy.
+	// streams LSN-pinned snapshots outside any lock into the chunk store
+	// cs; the auto goroutine (only with Options.CheckpointEvery) runs it
+	// when the WAL tail exceeds the policy.
+	cs       ChunkStore
 	ckpter   *ckpt.Checkpointer
 	autoC    chan struct{}
 	stopC    chan struct{}
@@ -196,15 +197,6 @@ func (r *queries) QueryValue(q string) (string, error) {
 		return "", nil
 	}
 	return res[0].Value, nil
-}
-
-// Count returns the number of nodes a path selects.
-func (r *queries) Count(q string) (int, error) {
-	res, err := r.Query(q)
-	if err != nil {
-		return 0, err
-	}
-	return len(res), nil
 }
 
 func materialize(v xenc.DocView, expr *xpath.Expr, vars map[string]xpath.Value) (Result, error) {
@@ -402,20 +394,15 @@ func (d *Document) checkpointDue() bool {
 }
 
 // close shuts the document's durability machinery down in dependency
-// order: the auto-checkpoint goroutine is drained first (it may be
-// inside a Run; it is waited out without holding the checkpointer
-// mutex, so there is no deadlock, and afterwards no background
-// checkpoint can start), then the checkpointer is closed —
+// order: the auto-checkpoint goroutine is drained first, then the
+// checkpointer is closed —
 // which waits out any in-flight *manual* Run, including its WAL prune —
 // and only then is the WAL released. finalCkpt additionally writes one
 // last checkpoint before closing, so a reopen recovers from the image
 // alone (and a never-checkpointed document is not lost when its segments
 // are detached).
 func (d *Document) close(finalCkpt bool) error {
-	if d.stopC != nil {
-		d.stopOnce.Do(func() { close(d.stopC) })
-		d.wg.Wait()
-	}
+	d.drainAuto()
 	var first error
 	if d.ckpter != nil {
 		if finalCkpt {
@@ -431,6 +418,15 @@ func (d *Document) close(finalCkpt bool) error {
 		}
 	}
 	return first
+}
+
+// drainAuto stops the auto-checkpoint goroutine, waiting out a Run it is
+// inside: afterwards no background checkpoint can start.
+func (d *Document) drainAuto() {
+	if d.stopC != nil {
+		d.stopOnce.Do(func() { close(d.stopC) })
+		d.wg.Wait()
+	}
 }
 
 func (d *Document) autoCheckpointLoop() {

@@ -150,8 +150,8 @@ func TestFacadeEndToEndWorkflow(t *testing.T) {
 			}
 		}
 	}
-	if n, _ := doc.Count(`//unit`); n != 60 {
-		t.Fatalf("units = %d", n)
+	if n, _ := doc.QueryValue(`count(//unit)`); n != "60" {
+		t.Fatalf("units = %s", n)
 	}
 	if err := doc.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -178,8 +178,8 @@ func TestFacadeEndToEndWorkflow(t *testing.T) {
 	if got != want {
 		t.Fatalf("reopened document differs:\nwant %s\ngot  %s", want, got)
 	}
-	if n, _ := doc2.Count(`//unit`); n != 59 {
-		t.Fatalf("units after recovery = %d", n)
+	if n, _ := doc2.QueryValue(`count(//unit)`); n != "59" {
+		t.Fatalf("units after recovery = %s", n)
 	}
 }
 

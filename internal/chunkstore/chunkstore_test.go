@@ -36,7 +36,7 @@ type Usage struct {
 // this Dir's index still count until their pack is rewritten).
 func (d *Dir) Usage() (Usage, error) {
 	fresh := NewDirFS(d.fs, d.root)
-	if err := fresh.relist(); err != nil {
+	if err := fresh.list(); err != nil {
 		return Usage{}, err
 	}
 	u := Usage{Packs: len(fresh.packs), Chunks: len(fresh.index)}
@@ -155,8 +155,11 @@ func mustGetAll(t *testing.T, d *Dir, hs []Hash, datas [][]byte) {
 func locate(d *Dir, h Hash) (path string, off, n int64, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, err := d.lookup(h)
-	if err != nil || e == nil {
+	if err := d.list(); err != nil {
+		return "", 0, 0, false
+	}
+	e := d.index[h]
+	if e == nil {
 		return "", 0, 0, false
 	}
 	return d.path(e.p), e.off, int64(e.n), true
@@ -489,10 +492,12 @@ func TestDirPutManyFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestDirRemovesStaleTmps: tmp files a killed writer left behind go
-// with the first write through a freshly opened Dir; packs, alien files
-// and tmp files of this process (possibly in flight through another Dir
-// over the same root) stay.
+// TestDirRemovesStaleTmps: pack tmp files a killed writer left behind
+// go with the first write through a freshly opened Dir, whatever process
+// tag they carry — this one's too: a Dir is its root's one owner, so no
+// tmp file it did not write itself can be in flight — while alien files
+// stay. A read removes nothing, and a Dir that has written never looks
+// again.
 func TestDirRemovesStaleTmps(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
 	rec := &recFS{root: root}
@@ -501,16 +506,17 @@ func TestDirRemovesStaleTmps(t *testing.T) {
 	mustPutMany(t, d, hs, datas)
 	// This process's tmp suffix, as the publish just used it.
 	tmp := filepath.Base(rec.log[slices.IndexFunc(rec.log, func(e event) bool { return e.op == "open" })].name)
-	final, _, _ := vfs.SplitTmp(tmp)
+	final, _ := vfs.SplitTmp(tmp)
 	own := tmp[len(final) : strings.LastIndex(tmp, ".")+1]
 	name := strings.Repeat("ab", HashSize) + packSuffix
 	stale := []string{
 		filepath.Join(root, name+".tmp4242-17e0a5c3.9"), // another process's
 		filepath.Join(root, name+".tmp7"),
+		filepath.Join(root, name+own+"99"), // this process's
 	}
 	keep := []string{
-		filepath.Join(root, name+own+"99"),
 		filepath.Join(root, "junk.txt"),
+		filepath.Join(root, "junk.tmp7"),
 	}
 	for _, f := range append(append([]string(nil), stale...), keep...) {
 		if err := os.WriteFile(f, []byte("t"), 0o644); err != nil {
@@ -548,64 +554,58 @@ func TestDirRemovesStaleTmps(t *testing.T) {
 	mustGetAll(t, d2, hs, datas)
 }
 
-// TestDirsOverOneRootStayCoherent: what one Dir publishes another
-// finds, what one compacts away another finds again — and a Put through
-// a Dir never lists the root.
-func TestDirsOverOneRootStayCoherent(t *testing.T) {
+// TestCompactionTmpSurvivesFirstPut: a compaction can be a fresh Dir's
+// first write while a PutMany is about to make its own; the PutMany's
+// removal of stale tmp files must not take the compaction's in-flight
+// one, or its rename fails.
+func TestCompactionTmpSurvivesFirstPut(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "chunks")
-	a, b := NewDir(root), NewDir(root)
-	if ok, err := has(b, Sum(nil)); err != nil || ok { // b has listed the empty root
-		t.Fatalf("Has on an empty root = %v, %v", ok, err)
-	}
 	hs, datas := batch(0, 40)
-	mustPutMany(t, a, hs, datas)
-	have, err := b.HasMany(hs)
-	if err != nil || slices.Contains(have, false) {
-		t.Fatalf("B.HasMany after A.PutMany = %v, %v", have, err)
-	}
-	more, moreData := batch(100, 40)
-	mustPutMany(t, a, more, moreData)
-	mustGetAll(t, b, more, moreData) // each a miss in B's index first
-	if ok, err := has(b, Sum([]byte("absent"))); err != nil || ok {
-		t.Fatalf("Has of an absent chunk = %v, %v", ok, err)
-	}
+	mustPutMany(t, NewDir(root), hs, datas)
 
-	// A drops half of each pack: both are compacted into a new one and
-	// unlinked. B's index still points into the old packs.
-	live := append(append([]Hash(nil), hs[:20]...), more[:20]...)
-	liveData := append(append([][]byte(nil), datas[:20]...), moreData[:20]...)
-	if err := a.Sweep(keepSet(live)); err != nil {
-		t.Fatal(err)
-	}
-	if files := packFiles(t, a); len(files) != 1 {
-		t.Fatalf("compaction of 2 half-dead packs left %d files", len(files))
-	}
-	mustGetAll(t, b, live, liveData)
-	if _, err := b.Get(hs[30]); !errors.Is(err, ErrMissing) {
-		t.Fatalf("B.Get of a chunk A swept = %v, want ErrMissing", err)
-	}
-	have, err = b.HasMany(append([]Hash{hs[30]}, live...))
-	if err != nil || have[0] || slices.Contains(have[1:], false) {
-		t.Fatalf("B.HasMany after A's sweep = %v, %v", have, err)
-	}
-
-	// 200 Puts of chunks B does not hold: 200 packs, and B's index
-	// learns of them without B listing the root (A's are not seen).
-	extra, extraData := batch(500, 1)
-	mustPutMany(t, a, extra, extraData)
-	puts, putData := batch(1000, 200)
-	for i, h := range puts {
-		if err := b.Put(h, putData[i]); err != nil {
-			t.Fatal(err)
+	inMkdir, release, putOpened := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	g := &gateFS{FS: vfs.OS}
+	g.mkdir = func() { once.Do(func() { close(inMkdir); <-release }) }
+	d := NewDirFS(g, root)
+	more, moreData := batch(1000, 1)
+	putErr := make(chan error, 1)
+	go func() { putErr <- d.PutMany(more, moreData) }()
+	<-inMkdir // the PutMany waits ahead of its first write, holding no lock
+	opens := 0
+	g.open = func() {
+		if opens++; opens == 1 { // the compaction's tmp file: let the PutMany write
+			close(release)
+			<-putOpened
+		} else {
+			close(putOpened)
 		}
 	}
-	b.mu.Lock()
-	_, sawExtra := b.index[extra[0]]
-	b.mu.Unlock()
-	if sawExtra {
-		t.Fatal("a Put re-listed the root")
+	if err := d.Sweep(keepSet(hs[:20])); err != nil {
+		t.Fatalf("compaction beside a first PutMany: %v", err)
 	}
-	mustGetAll(t, a, puts, putData)
+	if err := <-putErr; err != nil {
+		t.Fatal(err)
+	}
+	mustGetAll(t, NewDir(root), append(hs[:20:20], more...), append(datas[:20:20], moreData...))
+}
+
+// gateFS is vfs.OS with a hook run before every MkdirAll and one after
+// every OpenFile.
+type gateFS struct {
+	vfs.FS
+	mkdir, open func()
+}
+
+func (g *gateFS) MkdirAll(path string, perm os.FileMode) error {
+	g.mkdir()
+	return g.FS.MkdirAll(path, perm)
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	g.open()
+	return f, err
 }
 
 // TestSweepIndexFollowsCompaction: after a compaction the Dir that ran
@@ -796,8 +796,8 @@ func TestDirDurabilityOrder(t *testing.T) {
 		return out
 	}
 	isTmp := func(e event) bool {
-		_, own, ok := vfs.SplitTmp(filepath.Base(e.name))
-		return e.op == "fsync" && own && ok
+		_, ok := vfs.SplitTmp(filepath.Base(e.name))
+		return e.op == "fsync" && ok
 	}
 
 	d := NewDirFS(rec, root)

@@ -28,15 +28,18 @@ import (
 // the directory images are published to, and the fsync that publishes the
 // first image naming a chunk makes the entry durable too. A crash can
 // leave the tmp file itself behind; the first write through a Dir
-// removes every tmp file not this process's own.
+// removes every pack tmp file in the root.
 //
-// Reads go through an in-memory index, hash → (pack, offset, stored and
-// raw length), built lazily by listing the root and reading each pack's
-// index only. Get is one pread, one inflate to exactly the raw length
-// and the content-against-name check on the result; a copy that fails
-// any of it is forgotten (so a later Put writes the chunk again), the
-// read falls through to another copy when the index knows one, and is
-// otherwise ErrMissing.
+// A Dir is its root's one owner: no other Dir, in this process or
+// another (mxq.Open locks the data directory), changes the root while it
+// is in use. So reads go through an in-memory index, hash → (pack,
+// offset, stored and raw length), built at first use by listing the root
+// once and reading each pack's index only, and kept up to date by the
+// Dir's own writes and sweeps. Get is one pread, one inflate to exactly
+// the raw length and the content-against-name check on the result; a
+// copy that fails any of it is forgotten (so a later Put writes the
+// chunk again), the read falls through to another copy when the index
+// knows one, and is otherwise ErrMissing.
 //
 // Sweep is the garbage collector. It drops the index entries of dead
 // chunks, unlinks packs left with no live chunk, and rewrites the live
@@ -47,12 +50,7 @@ import (
 // are dead is known in memory only; the next sweep — of this Dir or a
 // freshly opened one — derives it again from keep.
 //
-// Dir is safe for concurrent use, also by several Dirs over one root:
-// what one publishes another finds (a miss re-lists the root before it
-// answers "absent"; Put does not — writing a chunk twice is harmless,
-// and a checkpoint fed to a Put-wrapping store must not pay a ReadDir
-// per chunk), and what one compacts away another finds again (a pack
-// that has vanished re-lists and retries).
+// Dir is safe for concurrent use.
 type Dir struct {
 	fs        vfs.FS
 	root      string
@@ -61,7 +59,7 @@ type Dir struct {
 	compacted atomic.Uint64
 
 	mu     sync.Mutex
-	listed bool             // the root has been listed at least once
+	listed bool             // the root has been listed
 	dirty  bool             // a publish failed, maybe after its rename
 	packs  map[string]*pack // by file name
 	index  map[Hash]*entry  // the copy each held chunk is read from
@@ -100,11 +98,9 @@ func (d *Dir) PutMany(hs []Hash, datas [][]byte) error {
 		return errBatchShape(len(hs), len(datas))
 	}
 	d.mu.Lock()
-	if !d.listed {
-		if err := d.relist(); err != nil {
-			d.mu.Unlock()
-			return err
-		}
+	if err := d.list(); err != nil {
+		d.mu.Unlock()
+		return err
 	}
 	var at []int // where in the batch the chunks to store are: not held, the first of their name
 	batch := make(map[Hash]struct{}, len(hs))
@@ -151,13 +147,13 @@ func (d *Dir) PutMany(hs []Hash, datas [][]byte) error {
 }
 
 // removeStaleTmps deletes the tmp files of packs that writers killed
-// mid-write left behind; nothing else ever would. This process's own may
-// be in flight and are kept. Best effort: a leftover is only wasted
-// space, so errors are ignored.
+// mid-write left behind; nothing else ever would. Every write of this Dir
+// waits for it, so no pack tmp file in its root is in flight. Best
+// effort: a leftover is only wasted space, so errors are ignored.
 func (d *Dir) removeStaleTmps() {
 	files, _ := os.ReadDir(d.root)
 	for _, f := range files {
-		if final, own, ok := vfs.SplitTmp(f.Name()); ok && !own && strings.HasSuffix(final, packSuffix) {
+		if final, ok := vfs.SplitTmp(f.Name()); ok && strings.HasSuffix(final, packSuffix) {
 			d.fs.Remove(filepath.Join(d.root, f.Name()))
 		}
 	}
@@ -190,44 +186,26 @@ func (d *Dir) sortedPacks() []*pack {
 	return ps
 }
 
-// relist brings the index up to date with the root directory: packs
-// that have vanished (another Dir swept them) are dropped, packs not
-// seen before have their index read. A file that does not parse as a
-// pack is remembered as holding nothing, which leaves it to the next
-// sweep. Caller holds d.mu.
-func (d *Dir) relist() error {
+// list reads the root into the index, the first time it is called: a
+// pack's index is read, and a file that does not parse as a pack is
+// remembered as holding nothing, which leaves it to the next sweep.
+// After that the Dir's own writes and sweeps keep the index current.
+// Caller holds d.mu.
+func (d *Dir) list() error {
+	if d.listed {
+		return nil
+	}
 	files, err := os.ReadDir(d.root)
 	if err != nil && !os.IsNotExist(err) {
 		return err // a missing root is an empty store
 	}
-	onDisk := make(map[string]bool, len(files))
-	for _, f := range files {
-		if strings.HasSuffix(f.Name(), packSuffix) {
-			onDisk[f.Name()] = true
-		}
-	}
-	vanished := false
-	for name := range d.packs {
-		if !onDisk[name] {
-			delete(d.packs, name)
-			vanished = true
-		}
-	}
-	if vanished {
-		clear(d.index)
-		for _, p := range d.sortedPacks() {
-			d.adopt(p)
-		}
-	}
 	for _, f := range files { // in name order
 		name := f.Name()
-		if !onDisk[name] || d.packs[name] != nil {
+		if !strings.HasSuffix(name, packSuffix) {
 			continue
 		}
 		p, err := openPack(d.root, name)
 		switch {
-		case os.IsNotExist(err):
-			continue // swept between the listing and the open
 		case err != nil && !errors.Is(err, errNotPack):
 			return err
 		case err != nil:
@@ -237,18 +215,6 @@ func (d *Dir) relist() error {
 	}
 	d.listed = true
 	return nil
-}
-
-// lookup resolves h, re-listing the root once before reporting a miss.
-// Caller holds d.mu.
-func (d *Dir) lookup(h Hash) (*entry, error) {
-	if e := d.index[h]; e != nil {
-		return e, nil
-	}
-	if err := d.relist(); err != nil {
-		return nil, err
-	}
-	return d.index[h], nil
 }
 
 func (d *Dir) path(p *pack) string { return filepath.Join(d.root, p.name) }
@@ -269,7 +235,8 @@ func (d *Dir) Get(h Hash) ([]byte, error) {
 	corrupt := false
 	for { // every turn returns or forgets one copy
 		d.mu.Lock()
-		e, err := d.lookup(h)
+		err := d.list()
+		e := d.index[h]
 		d.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -292,18 +259,12 @@ func (d *Dir) Get(h Hash) ([]byte, error) {
 		}
 		// Forget the copy. It is corrupt — and while the index resolved
 		// the name to it, no Put would ever write good bytes — or its
-		// pack is gone: another Dir compacted it away, and the chunk, if
-		// live, is in a pack this one has not listed yet.
+		// pack is gone: a Sweep compacted it away after the lookup, and
+		// the index now resolves the chunk, if live, to its new pack.
 		corrupt = corrupt || err == nil
 		d.mu.Lock()
 		d.forget(e)
-		if err != nil {
-			err = d.relist()
-		}
 		d.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 	}
 }
 
@@ -326,13 +287,10 @@ func (d *Dir) forget(bad *entry) {
 	}
 }
 
-// HasMany re-lists the root once, so its answers are as of this call
-// also for packs another Dir has swept since — a checkpoint is about to
-// publish an image on the strength of them.
 func (d *Dir) HasMany(hs []Hash) ([]bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.relist(); err != nil {
+	if err := d.list(); err != nil {
 		return nil, err
 	}
 	out := make([]bool, len(hs))
@@ -361,7 +319,7 @@ func (d *Dir) BytesCompacted() uint64 { return d.compacted.Load() }
 func (d *Dir) Sweep(keep func(Hash) bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.relist(); err != nil {
+	if err := d.list(); err != nil {
 		return err
 	}
 	var victims []*pack
@@ -457,6 +415,7 @@ func (d *Dir) compact(victims []*pack) error {
 		}
 		return stored, err
 	}
+	d.sweepTmps.Do(d.removeStaleTmps) // a compaction may be the first write
 	var np *pack
 	for len(srcs) > 0 && np == nil {
 		es := make([]*entry, len(srcs))

@@ -291,7 +291,7 @@ func scan(dir, name string) (imgs []Image, tmps []string, err error) {
 		return nil, nil, err
 	}
 	for _, e := range entries {
-		file, _, tmp := vfs.SplitTmp(e.Name())
+		file, tmp := vfs.SplitTmp(e.Name())
 		if !tmp {
 			file = e.Name()
 		}

@@ -446,7 +446,7 @@ func replay(trace []call, durable []int, root string, i int, s crashState) (stat
 			state[path] = nil
 		default:
 			state[path] = content[n]
-			if _, _, tmp := vfs.SplitTmp(filepath.Base(path)); short[n] && !tmp && (artifact(path) == "pack" || artifact(path) == "image") {
+			if _, tmp := vfs.SplitTmp(filepath.Base(path)); short[n] && !tmp && (artifact(path) == "pack" || artifact(path) == "image") {
 				torn = path
 			}
 		}

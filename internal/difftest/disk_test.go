@@ -111,7 +111,7 @@ func (d *diskFS) trip(site string) error {
 // "pack" or "image" (a tmp file or the published file), or "".
 func artifact(path string) string {
 	name := filepath.Base(path)
-	if final, _, ok := vfs.SplitTmp(name); ok {
+	if final, ok := vfs.SplitTmp(name); ok {
 		name = final
 	}
 	switch {

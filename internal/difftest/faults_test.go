@@ -160,7 +160,7 @@ func checkpointFaults(t *testing.T, h *history, disk *diskFS, failedLSN *uint64)
 	for _, dir := range []string{h.dir, ckpt.ChunkDir(h.dir, "d")} {
 		entries, _ := os.ReadDir(dir)
 		for _, e := range entries {
-			if _, _, ok := vfs.SplitTmp(e.Name()); ok {
+			if _, ok := vfs.SplitTmp(e.Name()); ok {
 				t.Fatalf("seed %d: %s survived a checkpoint (%q)", seed, filepath.Join(dir, e.Name()), f.site)
 			}
 		}

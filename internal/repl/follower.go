@@ -25,7 +25,7 @@ type Sink interface {
 	// which the WAL does not contain — so the subscription must open
 	// with a bootstrap, never with record replay.
 	AppliedLSN() (lsn uint64, ok bool)
-	// ChunkStore opens the local store bootstrap chunks land in — the
+	// ChunkStore returns the local store bootstrap chunks land in — the
 	// same one the document's checkpoints use, so checkpointed chunks
 	// count as "already have" when the follower diffs the primary's
 	// manifest against it and requests only what is missing. A
@@ -34,7 +34,7 @@ type Sink interface {
 	ChunkStore() chunkstore.Store
 	// BootstrapManifest replaces the follower's entire state from the
 	// manifest of an image pinned at lsn, whose chunks are all present in
-	// cs — the store ChunkStore opened for this bootstrap — by the time
+	// cs — the store ChunkStore returned for this bootstrap — by the time
 	// it is called. After it returns, AppliedLSN must report lsn.
 	BootstrapManifest(m *core.ChunkManifest, lsn uint64, cs chunkstore.Store) error
 	// Apply applies a record batch in order and makes it durable,

@@ -62,8 +62,10 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// tmpTag marks this process's tmp files, which a sweep of stale ones must
-// spare; tmpSeq keeps them apart.
+// tmpTag marks this process's tmp files, and tmpSeq keeps them apart.
+// Publish creates a tmp file with O_EXCL, so a bare .tmp<seq> could meet
+// the leftover of a process killed mid-publish, and fail a checkpoint
+// re-published at the same LSN with EEXIST.
 var (
 	tmpTag = fmt.Sprintf(".tmp%d-%x.", os.Getpid(), time.Now().UnixNano())
 	tmpSeq atomic.Uint64
@@ -113,12 +115,12 @@ func RemoveFiles(fsys FS, dir string, names []string) error {
 }
 
 // SplitTmp reports whether the bare file name is a tmp file of a publish
-// of final — final plus ".tmp" and nothing but hex digits, dashes and
-// dots — and whether this process wrote it.
-func SplitTmp(file string) (final string, own, ok bool) {
+// of final: final plus ".tmp" and nothing but hex digits, dashes and
+// dots.
+func SplitTmp(file string) (final string, ok bool) {
 	i := strings.LastIndex(file, ".tmp")
 	if i < 0 || strings.Trim(file[i+len(".tmp"):], "0123456789abcdef-.") != "" {
-		return "", false, false
+		return "", false
 	}
-	return file[:i], strings.HasPrefix(file[i:], tmpTag), true
+	return file[:i], true
 }

@@ -17,7 +17,7 @@
 // # Versioned-snapshot reads
 //
 // Every query entry point (Query, QueryVars, Prepared.Run, QueryValue,
-// Count, SerializeTo, XML) evaluates against an immutable snapshot of
+// SerializeTo, XML) evaluates against an immutable snapshot of
 // the current committed version rather than under a lock, so reads fully
 // overlap commits and commits never wait for readers. The document keeps
 // a monotonic version counter (Document.Version), bumped on every
@@ -186,6 +186,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"syscall"
 
 	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
@@ -236,7 +237,9 @@ type Options struct {
 	// (<name>.chunks/) in Dir. Every document with an image there
 	// exists: Documents lists it, and its first OpenDocument recovers it
 	// (newest image first, degrading to older images over torn
-	// artifacts).
+	// artifacts). One Database owns Dir at a time: it holds a lock on
+	// the empty file Dir/LOCK, no document's artifact, and an Open of a
+	// Dir another Database holds, in any process, fails with ErrDirLocked.
 	Dir string
 	// NoSync skips fsync on WAL appends (faster, test-friendly).
 	NoSync bool
@@ -254,14 +257,19 @@ type Options struct {
 	// default local directory (<doc>.chunks/ in Dir). With Dir set it is
 	// called once each time a document attaches — LoadXML, and the
 	// OpenDocument that recovers it — for the store that attachment
-	// reads and checkpoints through, and once per follower bootstrap,
-	// for the store the fetched chunks land in and the bootstrapped
-	// document keeps. Per-document scoping is what keeps chunk garbage
-	// collection sound, so the stores returned for different documents
-	// must not share a namespace. Note Drop only deletes the default
-	// directory; a custom backend's data is the caller's to reclaim.
+	// reads and checkpoints through, and once per follower bootstrap of
+	// a document not attached (one that is hands over its own store),
+	// for the store the fetched chunks land in and the new instance keeps.
+	// Per-document scoping is what keeps chunk garbage collection sound,
+	// so the stores returned for different documents must not share a
+	// namespace. Note Drop only deletes the default directory; a custom
+	// backend's data is the caller's to reclaim.
 	ChunkStore func(doc string) ChunkStore
 }
+
+// ErrDirLocked reports an Open of an Options.Dir that another Database
+// holds (errors.Is; the error names the directory).
+var ErrDirLocked = errors.New("mxq: data directory is in use by another Database")
 
 // ErrDatabaseClosed reports an operation on a closed Database.
 var ErrDatabaseClosed = errors.New("mxq: database is closed")
@@ -286,21 +294,38 @@ type Database struct {
 	// Lookups, loads and drops of that name wait for it first (settle),
 	// so none decides from half-written artifacts or a dying instance.
 	fences map[string]chan struct{}
+	lock   *os.File // Dir/LOCK, flocked until Close (nil without Dir)
 }
 
 // Open creates a database; with Options.Dir set it creates the
-// directory. It recovers nothing: each document attaches on its first
-// OpenDocument.
+// directory and locks it, until Close — a process that dies releases
+// the lock with it. It recovers nothing: each document attaches on its
+// first OpenDocument.
 func Open(opts Options) (*Database, error) {
+	db := &Database{
+		docs: make(map[string]*Document), opts: opts,
+		closeC: make(chan struct{}), fences: make(map[string]chan struct{}),
+	}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("mxq: %w", err)
 		}
+		lock, err := os.OpenFile(filepath.Join(opts.Dir, "LOCK"), os.O_RDONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("mxq: %w", err)
+		}
+		// A flock belongs to the open file, so a second Open in this
+		// process is refused like one in another.
+		if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+			lock.Close()
+			if errors.Is(err, syscall.EWOULDBLOCK) {
+				return nil, fmt.Errorf("%w: %s", ErrDirLocked, opts.Dir)
+			}
+			return nil, fmt.Errorf("mxq: locking %s: %w", opts.Dir, err)
+		}
+		db.lock = lock
 	}
-	return &Database{
-		docs: make(map[string]*Document), opts: opts,
-		closeC: make(chan struct{}), fences: make(map[string]chan struct{}),
-	}, nil
+	return db, nil
 }
 
 // settle waits until no change to name's artifacts is in flight. The
@@ -384,6 +409,7 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log, cs
 		return d
 	}
 	d.tracker = repl.NewTracker()
+	d.cs = cs
 	d.ckpter = ckpt.New(vfs.OS, db.opts.Dir, name, log, d.mgr.PinCheckpoint, cs, d.tracker.Barrier)
 	if db.opts.CheckpointEvery.Records > 0 {
 		d.autoC = make(chan struct{}, 1)
@@ -614,7 +640,8 @@ func (db *Database) Drop(name string) error {
 // flight finishes; no new one starts), writes each attached document's
 // final checkpoint as CloseDocument does, and closes the WAL segments; a
 // call waiting out a change to some name's artifacts fails with
-// ErrDatabaseClosed. It is idempotent, and safe to race with manual
+// ErrDatabaseClosed. Last it releases Options.Dir's lock, also when a
+// document's close failed. It is idempotent, and safe to race with manual
 // Checkpoint calls: a checkpoint that loses the race fails with
 // ckpt.ErrClosed instead of writing through a closed log.
 func (db *Database) Close() error {
@@ -632,5 +659,8 @@ func (db *Database) Close() error {
 		}
 	}
 	db.docs = map[string]*Document{}
+	if db.lock != nil {
+		db.lock.Close() // nothing was written through it
+	}
 	return first
 }

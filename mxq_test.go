@@ -34,14 +34,14 @@ func TestLoadQueryUpdateRoundTrip(t *testing.T) {
 	if got, _ := doc.QueryValue(`/lib/shelf/book[1]/text()`); got != "Alpha" {
 		t.Fatalf("first book = %q", got)
 	}
-	if n, _ := doc.Count(`//book`); n != 2 {
-		t.Fatalf("books = %d", n)
+	if n, _ := doc.QueryValue(`count(//book)`); n != "2" {
+		t.Fatalf("books = %s", n)
 	}
 	if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book year="2020">Gamma</book></xupdate:append>`)); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := doc.Count(`//book`); n != 3 {
-		t.Fatalf("books after update = %d", n)
+	if n, _ := doc.QueryValue(`count(//book)`); n != "3" {
+		t.Fatalf("books after update = %s", n)
 	}
 	xml, err := doc.XML()
 	if err != nil {
@@ -194,8 +194,9 @@ func TestLoadOverUnattachedDocumentFails(t *testing.T) {
 }
 
 // TestDocumentsListsUnattached: after Close and Open, Documents lists a
-// checkpointed document before anything attaches it, and Drop removes
-// it — artifacts and all — without attaching it.
+// checkpointed document before anything attaches it — and not the
+// directory's LOCK — and Drop removes it — artifacts and all, LOCK
+// aside — without attaching it.
 func TestDocumentsListsUnattached(t *testing.T) {
 	dir := t.TempDir()
 	checkpointedLib(t, dir)
@@ -216,8 +217,62 @@ func TestDocumentsListsUnattached(t *testing.T) {
 	if _, err := db.OpenDocument("lib"); !errors.Is(err, ErrNoDocument) {
 		t.Fatalf("OpenDocument after Drop = %v, want ErrNoDocument", err)
 	}
-	if got := ls(t, dir); len(got) != 0 {
-		t.Fatalf("Drop left %v behind", got)
+	if got := ls(t, dir); !slices.Equal(got, []string{"LOCK"}) {
+		t.Fatalf("Drop left %v behind, want only LOCK", got)
+	}
+}
+
+// TestOpenLocksDir: one Database owns a data directory. A second Open
+// of a held Dir — in the same process, too — is refused with
+// ErrDirLocked naming the directory; Close releases the lock, also when
+// a document's final checkpoint fails, and the directory opens again.
+// Without a Dir no LOCK is made.
+func TestOpenLocksDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	db, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.LoadXMLString("lib", libDoc); err != nil {
+		t.Fatal(err)
+	}
+	if second, err := Open(Options{Dir: dir, NoSync: true}); !errors.Is(err, ErrDirLocked) || !strings.Contains(err.Error(), dir) {
+		if second != nil {
+			second.Close()
+		}
+		t.Fatalf("Open of a held Dir = %v, want ErrDirLocked naming %s", err, dir)
+	}
+	// Dir becomes a file: the final checkpoint of Close cannot publish.
+	if err := os.Rename(dir, dir+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err == nil {
+		t.Fatal("Close wrote its final checkpoint into a file")
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir+".away", dir); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := os.Stat("LOCK"); !os.IsNotExist(err) {
+		t.Fatalf("Open without a Dir made a LOCK (%v)", err)
 	}
 }
 
@@ -280,7 +335,7 @@ func TestBadInputs(t *testing.T) {
 		t.Fatal("root removal committed")
 	}
 	// The failed update must not have leaked partial state.
-	if n, _ := doc.Count(`/lib`); n != 1 {
+	if n, _ := doc.QueryValue(`count(/lib)`); n != "1" {
 		t.Fatal("document damaged by failed update")
 	}
 }
@@ -296,20 +351,20 @@ func TestExplicitTransaction(t *testing.T) {
 	if err != nil || res[0].Value != "3" {
 		t.Fatalf("tx sees %v (%v), want 3", res, err)
 	}
-	if n, _ := doc.Count(`//book`); n != 2 {
+	if n, _ := doc.QueryValue(`count(//book)`); n != "2" {
 		t.Fatal("uncommitted change visible outside tx")
 	}
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := doc.Count(`//book`); n != 3 {
+	if n, _ := doc.QueryValue(`count(//book)`); n != "3" {
 		t.Fatal("commit lost")
 	}
 
 	txn2 := doc.Begin()
 	txn2.Update(wrapMods(`<xupdate:remove select="//book"/>`))
 	txn2.Abort()
-	if n, _ := doc.Count(`//book`); n != 3 {
+	if n, _ := doc.QueryValue(`count(//book)`); n != "3" {
 		t.Fatal("aborted change applied")
 	}
 	if err := txn2.Commit(); !errors.Is(err, tx.ErrDone) {
@@ -331,8 +386,8 @@ func TestUpdateFailureReleasesPages(t *testing.T) {
 	if _, err := doc.Update(wrapMods(add)); err != nil {
 		t.Fatalf("update after the failed one = %v, want its pages unlocked", err)
 	}
-	if n, _ := doc.Count(`//book`); n != 3 {
-		t.Fatalf("books = %d, want 3: only the second update committed", n)
+	if n, _ := doc.QueryValue(`count(//book)`); n != "3" {
+		t.Fatalf("books = %s, want 3: only the second update committed", n)
 	}
 }
 
@@ -566,8 +621,8 @@ func TestAutoCheckpointPolicy(t *testing.T) {
 	if got, _ := doc2.XML(); got != want {
 		t.Fatalf("recovered state differs:\nwant %s\ngot  %s", want, got)
 	}
-	if n, _ := doc2.Count(`//book[text()="auto"]`); n != 12 {
-		t.Fatalf("auto-checkpointed commits lost: %d of 12", n)
+	if n, _ := doc2.QueryValue(`count(//book[text()="auto"])`); n != "12" {
+		t.Fatalf("auto-checkpointed commits lost: %s of 12", n)
 	}
 }
 
@@ -771,7 +826,7 @@ func TestDropReportsWhatItCouldNotRemove(t *testing.T) {
 // and <name>.chunks/ are a document's artifacts. A bare <name>.ckpt or
 // <name>.wal, or the <name>.manifest pointer an older build wrote, names
 // no document on open and survives another document's checkpoints and
-// its own namesake's Drop.
+// its own namesake's Drop, as does the directory's LOCK.
 func TestBareFilesAreForeign(t *testing.T) {
 	dir := t.TempDir()
 	bare := []string{"x.ckpt", "x.wal", "x.manifest", "lib.ckpt", "lib.manifest"}
@@ -808,6 +863,7 @@ func TestBareFilesAreForeign(t *testing.T) {
 	if err := db.Drop("lib"); err != nil {
 		t.Fatal(err)
 	}
+	bare = append(bare, "LOCK")
 	slices.Sort(bare)
 	if got := ls(t, dir); !slices.Equal(got, bare) {
 		t.Fatalf("after Drop the directory holds %v, want only the foreign files %v", got, bare)

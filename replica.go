@@ -162,12 +162,23 @@ func (s *docSink) AppliedLSN() (uint64, bool) {
 	return d.mgr.AppliedLSN(), true
 }
 
-// ChunkStore opens the document's chunk store for a bootstrap — the
-// same store local checkpoints write, so everything a previous
-// incarnation of this follower checkpointed counts as already
-// transferred when the manifest is diffed.
+// ChunkStore hands a bootstrap the document's chunk store — the one
+// local checkpoints write, so what a previous incarnation of this
+// follower checkpointed is not transferred again. An attached instance
+// hands over its own, its checkpoints stopped for good: they would sweep
+// the fetched chunks, which none of its images names. Should the
+// bootstrap fail, the retry bootstraps into the same store, as the
+// primary's WAL still does not reach the instance's LSN.
 func (s *docSink) ChunkStore() chunkstore.Store {
-	return s.db.chunkStore(s.name)
+	s.db.mu.RLock()
+	old := s.db.docs[s.name]
+	s.db.mu.RUnlock()
+	if old == nil {
+		return s.db.chunkStore(s.name)
+	}
+	old.drainAuto()
+	old.ckpter.Close() // waits out a Run in flight
+	return old.cs
 }
 
 // BootstrapManifest replaces the document wholesale from the manifest

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mxq/internal/chunkstore"
 	"mxq/internal/ckpt"
 	"mxq/internal/repl"
 	"mxq/internal/tx"
@@ -200,8 +201,8 @@ func TestFollowDocument(t *testing.T) {
 	if err := fdoc.WaitApplied(lsn, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := fdoc.Count(`//book[text()="C"]`); err != nil || n != 1 {
-		t.Fatalf("follower read after WaitApplied: n=%d err=%v", n, err)
+	if n, err := fdoc.QueryValue(`count(//book[text()="C"])`); err != nil || n != "1" {
+		t.Fatalf("follower read after WaitApplied: n=%s err=%v", n, err)
 	}
 	// A too-new LSN is a typed staleness failure, never a silent stale read.
 	if err := fdoc.WaitApplied(lsn+100, 20*time.Millisecond); !errors.Is(err, tx.ErrStale) {
@@ -268,9 +269,10 @@ func TestFollowDocument(t *testing.T) {
 // re-bootstraps by diffing the primary's manifest against that store,
 // so the wire carries only the chunks the churn since then dirtied —
 // a small fraction of the first (cold) bootstrap's transfer. Each
-// bootstrap opens the follower's chunk store once: the Options.ChunkStore
-// factory runs once per bootstrap, the store the chunks are fetched into
-// being the one the bootstrapped document keeps.
+// bootstrap of a document that is not attached opens the follower's
+// chunk store once: the Options.ChunkStore factory runs once per such
+// bootstrap, the store the chunks are fetched into being the one the
+// bootstrapped document keeps.
 func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	primaryDB, err := Open(Options{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
@@ -361,6 +363,129 @@ func TestFollowerRebootstrapShipsOnlyMissingChunks(t *testing.T) {
 	}
 	if got != want {
 		t.Fatal("follower diverged after re-bootstrap")
+	}
+}
+
+// putHookStore is a chunk store that runs the hook armed in onPut, once,
+// after the first PutMany that follows the arming.
+type putHookStore struct {
+	ChunkStore
+	onPut *atomic.Pointer[func()]
+}
+
+func (s *putHookStore) PutMany(hs []ChunkHash, datas [][]byte) error {
+	err := chunkstore.PutAll(s.ChunkStore, hs, datas)
+	if hook := s.onPut.Swap(nil); hook != nil {
+		(*hook)()
+	}
+	return err
+}
+
+// TestFollowerBootstrapOverAttachedInstance: a follower whose applied
+// LSN the primary's WAL no longer reaches re-bootstraps while its old
+// instance is still attached. The fetched chunks land in the old
+// instance's own chunk store, and no checkpoint of the old instance —
+// whose images name none of them — sweeps them before the new instance
+// names them: the first re-bootstrap succeeds, and the follower recovers
+// it after a restart.
+func TestFollowerBootstrapOverAttachedInstance(t *testing.T) {
+	primaryDB, err := Open(Options{Dir: t.TempDir(), NoSync: true, WALSegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primaryDB.Close()
+	doc, err := primaryDB.LoadXMLString("lib", books(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, _ := replListener(t, doc)
+
+	followerDir := t.TempDir()
+	var opens atomic.Int32
+	var onPut atomic.Pointer[func()]
+	followerOpts := Options{Dir: followerDir, NoSync: true, ChunkStore: func(doc string) ChunkStore {
+		opens.Add(1)
+		return &putHookStore{ChunkStore: ckpt.DefaultChunkStore(followerDir, doc), onPut: &onPut}
+	}}
+	followerDB, err := Open(followerOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err := followerDB.FollowDocument(ln.Addr().String(), "lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := doc.LastLSN()
+	waitUntil(t, "cold bootstrap", func() bool { return appliedAt(followerDB, "lib", applied) })
+	stop()
+	waitUntil(t, "unsubscribe", func() bool { return doc.Followers() == 0 })
+	if err := followerDB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Churn on the primary, checkpointed twice, prunes the WAL past the
+	// follower's applied LSN: the follower can only bootstrap.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 100; i++ {
+			appendBook(t, doc, fmt.Sprintf("churn-%d-%d", round, i))
+		}
+		if err := doc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if doc.log.CanStream(applied) {
+		t.Fatal("the primary's WAL still reaches the follower's applied LSN; the setup is broken")
+	}
+
+	followerDB, err = Open(followerOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := followerDB.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := opens.Load(); n != 2 {
+		t.Fatalf("the chunk store factory ran %d times for a cold bootstrap and an attach, want 2", n)
+	}
+	// The old instance checkpoints right after the bootstrap's first
+	// batch of chunks is stored, as an auto-checkpoint could.
+	hook := func() { old.Checkpoint() }
+	onPut.Store(&hook)
+	stop, err = followerDB.FollowDocument(ln.Addr().String(), "lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "re-bootstrap", func() bool { return appliedAt(followerDB, "lib", doc.LastLSN()) })
+	stop()
+	if onPut.Load() != nil {
+		t.Fatal("the re-bootstrap stored no chunks")
+	}
+	// A bootstrap over an attached instance fetches into that instance's
+	// store; one more factory call would be a retry's, after a first
+	// attempt whose fetched chunks were swept.
+	if n := opens.Load(); n != 2 {
+		t.Fatalf("the chunk store factory ran %d times by the end of the re-bootstrap, want 2", n)
+	}
+	if err := followerDB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	followerDB, err = Open(followerOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer followerDB.Close()
+	fdoc, err := followerDB.OpenDocument("lib")
+	if err != nil {
+		t.Fatalf("the follower did not recover its re-bootstrapped document: %v", err)
+	}
+	want, err := doc.XML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fdoc.XML(); err != nil || got != want {
+		t.Fatalf("follower diverged after re-bootstrap and restart (%v)", err)
 	}
 }
 

@@ -13,7 +13,7 @@ var ErrSnapshotClosed = tx.ErrSnapshotClosed
 
 // Snapshot is an immutable point-in-time view of a document, held open
 // until Close. Queries against it (the embedded Query, QueryValue,
-// Count, SerializeTo, XML — the methods a Document has) observe the
+// SerializeTo, XML — the methods a Document has) observe the
 // committed version current when it was taken, no matter how many
 // transactions commit afterwards — commits copy the pages they modify
 // instead of updating shared chunks in place (the page-granular

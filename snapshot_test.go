@@ -93,7 +93,7 @@ func TestStatsBuildsNoSnapshot(t *testing.T) {
 	}
 	// The contrast that keeps the check above honest: a query does fill
 	// the slot, and the base then shares every chunk with it.
-	if _, err := doc.Count(`//book`); err != nil {
+	if _, err := doc.QueryValue(`count(//book)`); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.DirtyPages(); got != 0 {
@@ -123,11 +123,11 @@ func TestSnapshotHandleLifecycle(t *testing.T) {
 	}
 
 	// The snapshot still sees 2 books; the document sees 3.
-	if n, err := snap.Count(`//book`); err != nil || n != 2 {
-		t.Fatalf("snapshot sees %d books (err %v), want 2", n, err)
+	if n, err := snap.QueryValue(`count(//book)`); err != nil || n != "2" {
+		t.Fatalf("snapshot sees %s books (err %v), want 2", n, err)
 	}
-	if n, err := doc.Count(`//book`); err != nil || n != 3 {
-		t.Fatalf("document sees %d books (err %v), want 3", n, err)
+	if n, err := doc.QueryValue(`count(//book)`); err != nil || n != "3" {
+		t.Fatalf("document sees %s books (err %v), want 3", n, err)
 	}
 	if got, _ := snap.XML(); got != before {
 		t.Fatalf("snapshot drifted across a commit:\nbefore: %s\nafter:  %s", before, got)
@@ -146,8 +146,8 @@ func TestSnapshotHandleLifecycle(t *testing.T) {
 	}
 
 	// The document is unaffected by the handle's lifecycle.
-	if n, _ := doc.Count(`//book`); n != 3 {
-		t.Fatalf("document sees %d books after snapshot close, want 3", n)
+	if n, _ := doc.QueryValue(`count(//book)`); n != "3" {
+		t.Fatalf("document sees %s books after snapshot close, want 3", n)
 	}
 	if err := doc.CheckInvariants(); err != nil {
 		t.Fatal(err)
