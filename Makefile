@@ -67,7 +67,7 @@ lint:
 # extending the harness costs the product nothing. A change that needs
 # more lines raises the ceiling in its own diff, where a reviewer sees
 # it.
-LOC_CEILING = 17576
+LOC_CEILING = 17536
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"
@@ -81,8 +81,11 @@ loc-check:
 # server-smoke: end-to-end daemon check. Starts mxqd, drives it with
 # mxqload (SMOKE_SESSIONS concurrent sessions, SMOKE_DURATION, XMark SF
 # 0.01, 5% updates), requires zero request errors and zero overload
-# rejections, then SIGTERMs the daemon and requires a clean drain. The
-# load report (qps, p50_ms, p99_ms, ...) is appended as one JSON line to
+# rejections, then pipes a short script (docs, q, stats, explain, quit)
+# into mxqshell -addr and requires exit 0, and exit 1 both from a script
+# holding one failing command and from an -addr with no listener (port
+# 1). Then it SIGTERMs the daemon and requires a clean drain. The load
+# report (qps, p50_ms, p99_ms, ...) is appended as one JSON line to
 # BENCH_ci.json so the CI artifact carries the served-path numbers next
 # to the library benchmarks.
 SMOKE_SESSIONS ?= 200
@@ -91,6 +94,7 @@ SMOKE_ADDR ?= 127.0.0.1:4479
 server-smoke:
 	$(GO) build -o /tmp/mxqd-smoke ./cmd/mxqd
 	$(GO) build -o /tmp/mxqload-smoke ./cmd/mxqload
+	$(GO) build -o /tmp/mxqshell-smoke ./cmd/mxqshell
 	@set -e; \
 	/tmp/mxqd-smoke -addr $(SMOKE_ADDR) -max-waiters 4096 & \
 	pid=$$!; \
@@ -101,6 +105,12 @@ server-smoke:
 		> /tmp/mxqload-smoke.json; then ok=1; else ok=0; fi; \
 	cat /tmp/mxqload-smoke.json; \
 	cat /tmp/mxqload-smoke.json >> BENCH_ci.json; \
+	printf 'docs\nq xmark count(//person)\nstats xmark\nexplain xmark //person\nquit\n' \
+		| /tmp/mxqshell-smoke -addr $(SMOKE_ADDR) || { echo "mxqshell script failed"; ok=0; }; \
+	st=0; printf 'q xmark //[bad\nquit\n' | /tmp/mxqshell-smoke -addr $(SMOKE_ADDR) || st=$$?; \
+	test $$st -eq 1 || { echo "mxqshell exited $$st after a failing command, want 1"; ok=0; }; \
+	st=0; /tmp/mxqshell-smoke -addr 127.0.0.1:1 </dev/null || st=$$?; \
+	test $$st -eq 1 || { echo "mxqshell exited $$st with no server, want 1"; ok=0; }; \
 	kill -TERM $$pid; \
 	wait $$pid; \
 	trap - EXIT; \
@@ -110,10 +120,11 @@ server-smoke:
 # that checkpoints every REPL_CKPT_RECORDS commits, loads it and drives
 # it closed-loop, then restarts it over the same -dir (SIGTERM, clean
 # drain) — so the follower meets a primary whose document is on disk
-# but not yet attached — requires mxqshell over the running primary's
-# -dir to be refused (non-zero exit, the lock error on stderr: the one
-# check with two real processes over one directory), then starts a
-# follower (mxqd -follow), and
+# but not yet attached — requires a second mxqd over the running
+# primary's -dir to be refused (non-zero exit, the lock error on stderr,
+# under a 10 s timeout in case it is not: the one check with two real
+# processes over one directory), then starts a follower (mxqd -follow),
+# and
 # drives the pair open-loop with replica-routed read-your-writes reads
 # (-rate, queries to the follower carrying the session's last commit
 # LSN). Requires zero request errors, zero stale reads (every RYW read
@@ -127,7 +138,6 @@ REPL_CKPT_RECORDS ?= 100
 repl-smoke:
 	$(GO) build -o /tmp/mxqd-smoke ./cmd/mxqd
 	$(GO) build -o /tmp/mxqload-smoke ./cmd/mxqload
-	$(GO) build -o /tmp/mxqshell-smoke ./cmd/mxqshell
 	@set -e; \
 	tmp=$$(mktemp -d); \
 	primary="/tmp/mxqd-smoke -addr $(REPL_PRIMARY) -dir $$tmp/primary -nosync \
@@ -142,10 +152,10 @@ repl-smoke:
 	$$primary & \
 	ppid=$$!; \
 	sleep 1; \
-	if /tmp/mxqshell-smoke -dir $$tmp/primary </dev/null 2>$$tmp/shell.err; then \
-		echo "mxqshell opened the data directory of a running mxqd"; exit 1; \
+	if timeout 10 /tmp/mxqd-smoke -addr $(REPL_FOLLOWER) -dir $$tmp/primary 2>$$tmp/second.err; then \
+		echo "a second mxqd opened the data directory of a running mxqd"; exit 1; \
 	fi; \
-	grep -q "data directory is in use" $$tmp/shell.err || { cat $$tmp/shell.err; exit 1; }; \
+	grep -q "data directory is in use" $$tmp/second.err || { cat $$tmp/second.err; exit 1; }; \
 	/tmp/mxqd-smoke -addr $(REPL_FOLLOWER) -dir $$tmp/follower -nosync -follow $(REPL_PRIMARY) \
 		-max-waiters 4096 & \
 	fpid=$$!; \

@@ -187,16 +187,22 @@ func (p *Prepared) Source() string { return p.expr.Source() }
 // one per line.
 func (p *Prepared) Explain() string { return p.expr.Explain() }
 
-// QueryValue runs a query and returns its single string value.
-func (r *queries) QueryValue(q string) (string, error) {
-	res, err := r.Query(q)
+// QueryValue runs a query and returns its XPath string() value: the
+// first item's string value, or "" for an empty result. Nothing else is
+// materialized.
+func (r *queries) QueryValue(q string) (s string, err error) {
+	expr, err := xpath.Parse(q)
 	if err != nil {
 		return "", err
 	}
-	if len(res) == 0 {
-		return "", nil
-	}
-	return res[0].Value, nil
+	err = r.read(func(v xenc.DocView) error {
+		val, err := expr.Eval(v)
+		if err == nil {
+			s = xpath.StringOf(v, val)
+		}
+		return err
+	})
+	return s, err
 }
 
 func materialize(v xenc.DocView, expr *xpath.Expr, vars map[string]xpath.Value) (Result, error) {

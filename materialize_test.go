@@ -2,6 +2,7 @@ package mxq
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -101,5 +102,63 @@ func TestElementItemAllocatesOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { prep.Run(nil) }); n > items+64 {
 		t.Errorf("a result of %d element items costs %.0f allocations", items, n)
+	}
+}
+
+// TestQueryValueIsFirstItem holds QueryValue to what it replaced: the
+// first materialized item's Value, or "" for an empty result, over every
+// kind of result. It evaluates without materializing, so it allocates
+// less than Query for the same node-set.
+func TestQueryValueIsFirstItem(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := xmark.NewGenerator(0.01, 42).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("x", buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"/",                               // the document node
+		"//person",                        // elements
+		"/site/people/person/@id",         // attributes
+		"/site/people/person/name/text()", // text nodes
+		"count(//person)",                 // a number
+		"concat(//person/name, '!')",      // a string
+		"count(//person) > 1",             // a boolean
+		"/site/people/person[@id='none']", // an empty node-set
+	} {
+		res, err := doc.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ""
+		if len(res) > 0 {
+			want = res[0].Value
+		}
+		if got, err := doc.QueryValue(q); err != nil || got != want {
+			t.Errorf("QueryValue(%q) = %.40q, %v; want %.40q", q, got, err, want)
+		}
+	}
+	if _, err := doc.QueryValue("//[bad"); err == nil {
+		t.Error("QueryValue of a malformed query returned no error")
+	}
+
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	value := allocated(func() { doc.QueryValue("//person") })
+	query := allocated(func() { doc.Query("//person") })
+	if value >= query {
+		t.Errorf(`QueryValue("//person") allocated %d bytes, Query %d`, value, query)
 	}
 }

@@ -121,8 +121,9 @@
 // shapes whose semantics need per-context numbering (last(), positions
 // on reverse axes) run through a numbering operator that drives the
 // same sequence operators one context node at a time. Prepared caches
-// the compiled plan across runs, and Prepared.Explain (or the
-// mxqshell explain command) renders the chosen operators.
+// the compiled plan across runs, and Prepared.Explain (over the wire,
+// mxqd's Explain request and mxqshell's explain) renders the chosen
+// operators.
 //
 // # Dictionary compaction
 //
