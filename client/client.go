@@ -85,16 +85,21 @@ type Error struct {
 	Op     string // "query", "update", "dial", ...
 	Doc    string // document name ("" for document-independent ops)
 	Status byte   // wire status code (0 for transport failures)
-	Msg    string // server-provided message, if any
+	Msg    string // server-provided message, or the stage that failed
 	Err    error  // wrapped sentinel or transport error, if any
 }
 
+// Error names the operation and document, then the server's message, or
+// for a failure on this side of the wire (status 0) the stage that
+// failed and its cause: `mxqd: load "big": recv: EOF`.
 func (e *Error) Error() string {
 	s := "mxqd: " + e.Op
 	if e.Doc != "" {
 		s += " " + fmt.Sprintf("%q", e.Doc)
 	}
 	switch {
+	case e.Msg != "" && e.Status == 0 && e.Err != nil:
+		s += ": " + e.Msg + ": " + e.Err.Error()
 	case e.Msg != "":
 		s += ": " + e.Msg
 	case e.Err != nil:

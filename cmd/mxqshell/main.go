@@ -27,7 +27,9 @@
 // storage figures, which have no wire field. xml prints the document
 // compact, without indentation. A load or a result larger than one wire
 // frame (64 MiB) is refused, as it is for every client; a refused load
-// ends the session.
+// ends the session. After a command whose connection failed, the shell
+// closes that session and dials -addr afresh before the next command,
+// so a refused load or a restarted mxqd costs one failed command.
 //
 // Any failed command prints one "error:" line to stderr and makes the
 // run exit 1, so scripted use (mxqshell < commands.txt) can rely on the
@@ -37,6 +39,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,12 +61,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	sh := &shell{c: c, out: os.Stdout, errw: os.Stderr}
+	sh := &shell{addr: *addr, c: c, out: os.Stdout, errw: os.Stderr}
 	for _, path := range flag.Args() {
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 		if err := sh.loadFile(name, path); err != nil {
 			fmt.Fprintln(os.Stderr, "mxqshell:", err)
-			c.Close()
+			sh.close()
 			os.Exit(1)
 		}
 		fmt.Printf("loaded %q from %s\n", name, path)
@@ -83,17 +86,25 @@ func main() {
 		}
 		fmt.Print("mxq> ")
 	}
-	c.Close()
+	sh.close()
 	if failed {
 		os.Exit(1)
 	}
 }
 
-// shell interprets command lines as requests to one mxqd session.
+// shell interprets command lines as requests to an mxqd session: one
+// session until a connection fails, then a fresh one.
 type shell struct {
-	c    *client.Client
-	out  io.Writer // command results
-	errw io.Writer // error messages ("error: ..." lines)
+	addr string
+	c    *client.Client // nil after a connection failed, until the next command
+	out  io.Writer      // command results
+	errw io.Writer      // error messages ("error: ..." lines)
+}
+
+func (s *shell) close() {
+	if s.c != nil {
+		s.c.Close()
+	}
 }
 
 // loadFile sends the XML file at path to the server as document name.
@@ -108,12 +119,30 @@ func (s *shell) loadFile(name, path string) error {
 // execute interprets one command line. quit reports whether the shell
 // should exit; err is non-nil when the command failed (after the error
 // message has already been printed to the error writer), so a driver
-// can turn any failure into a non-zero exit status.
+// can turn any failure into a non-zero exit status. A command that
+// failed on its connection (a client error without a server status)
+// leaves the session closed, and the next command dials a new one.
 func (s *shell) execute(line string) (quit bool, err error) {
 	line = strings.TrimSpace(line)
 	if line == "" {
 		return false, nil
 	}
+	if s.c == nil {
+		if s.c, err = client.Dial(context.Background(), s.addr); err != nil {
+			return false, s.errorf("%w", err)
+		}
+	}
+	quit, err = s.run(line)
+	var ce *client.Error
+	if errors.As(err, &ce) && ce.Status == 0 {
+		s.c.Close()
+		s.c = nil
+	}
+	return quit, err
+}
+
+// run is execute on the current session.
+func (s *shell) run(line string) (quit bool, err error) {
 	ctx := context.Background()
 	fields := strings.Fields(line)
 	arg := func(i int) string {
@@ -144,7 +173,7 @@ func (s *shell) execute(line string) (quit bool, err error) {
 	case "docs":
 		names, err := s.c.ListDocs(ctx)
 		if err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 		for _, n := range names {
 			fmt.Fprintln(s.out, " ", n)
@@ -154,12 +183,12 @@ func (s *shell) execute(line string) (quit bool, err error) {
 			return false, s.errorf("usage: load <name> <file>")
 		}
 		if err := s.loadFile(arg(1), arg(2)); err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 	case "q":
 		res, err := s.c.Query(ctx, arg(1), rest(2), nil)
 		if err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 		for i, item := range res {
 			if item.XML != "" {
@@ -173,23 +202,23 @@ func (s *shell) execute(line string) (quit bool, err error) {
 		// Render the compiled sequence-at-a-time plan without running it.
 		plan, err := s.c.Explain(ctx, arg(1), rest(2))
 		if err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 		fmt.Fprint(s.out, plan)
 	case "u":
 		data, err := os.ReadFile(arg(2))
 		if err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 		res, err := s.c.Update(ctx, arg(1), string(data))
 		if err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 		fmt.Fprintf(s.out, "ok: %d commands, %d nodes affected, lsn %d\n", res.Ops, res.Affected, res.LSN)
 	case "xml":
 		res, err := s.c.Query(ctx, arg(1), "/*", nil)
 		if err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 		for _, item := range res {
 			fmt.Fprintln(s.out, item.XML)
@@ -197,7 +226,7 @@ func (s *shell) execute(line string) (quit bool, err error) {
 	case "stats":
 		st, err := s.c.DocStatus(ctx, arg(1))
 		if err != nil {
-			return false, s.errorf("%v", err)
+			return false, s.errorf("%w", err)
 		}
 		fmt.Fprintf(s.out, "role:        %s\napplied lsn: %d\nwal tail:    lsn %d\nckpt io:     %d bytes in %d chunks written, %d reused\n",
 			st.Role, st.AppliedLSN, st.LastLSN, st.CkptBytesWritten, st.CkptChunksWritten, st.CkptChunksReused)

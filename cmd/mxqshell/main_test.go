@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -40,9 +41,10 @@ func newShell(t *testing.T, cfg server.Config) (*shell, *strings.Builder, *strin
 	// Cleanups run last-in first-out: the client, then the server, then
 	// the database.
 	t.Cleanup(func() { srv.Shutdown(5 * time.Second) })
-	t.Cleanup(func() { c.Close() })
 	var out, errw strings.Builder
-	return &shell{c: c, out: &out, errw: &errw}, &out, &errw
+	sh := &shell{addr: l.Addr().String(), c: c, out: &out, errw: &errw}
+	t.Cleanup(sh.close)
+	return sh, &out, &errw
 }
 
 // run executes a line that must succeed.
@@ -221,5 +223,27 @@ func TestQuitAndHelp(t *testing.T) {
 	run(t, sh, "help")
 	if !strings.Contains(out.String(), "commands:") {
 		t.Fatalf("help output: %q", out.String())
+	}
+}
+
+// TestRefusedLoadRedials: a load over the server's frame limit is
+// refused by closing the connection. The error line names the cause,
+// not only the stage it failed in, and the next command runs on a fresh
+// session instead of answering "client is closed".
+func TestRefusedLoadRedials(t *testing.T) {
+	sh, out, errw := newShell(t, server.Config{MaxFrame: 4096})
+	dir := t.TempDir()
+	run(t, sh, "load small "+writeFile(t, dir, "small.xml", `<small/>`))
+	big := writeFile(t, dir, "big.xml", "<big>"+strings.Repeat("<x>filler</x>", 8<<10/13)+"</big>")
+	if _, err := sh.execute("load big " + big); err == nil {
+		t.Fatal("an 8 KB load under a 4 KB frame limit succeeded")
+	}
+	if !regexp.MustCompile(`load "big": (send|recv): \S`).MatchString(errw.String()) {
+		t.Fatalf("error line %q does not name the cause", errw.String())
+	}
+	out.Reset()
+	run(t, sh, "docs")
+	if !strings.Contains(out.String(), "small") || strings.Contains(out.String(), "big") {
+		t.Fatalf("docs after the refused load: %q, want small and not big", out.String())
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -12,10 +13,11 @@ import (
 
 // The tokenizer hands out substrings of the text it parses; a store must
 // own every string it keeps, or one Load frame stays reachable for the
-// life of the document. After Build no page text, attribute value or
-// name points into the document, and a page's texts are one allocation
-// sliced per tuple; after an insert, none points into the fragment's
-// source either.
+// life of the document. After Build, and after BuildXML, which keeps the
+// document's substrings until its last pass, no page text, attribute
+// value or name points into the document, and a page's texts are one
+// allocation sliced per tuple, as a node chunk's attribute values are;
+// after an insert, none points into the fragment's source either.
 func TestStoreDoesNotAliasParsedText(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := xmark.NewGenerator(0.005, 3).WriteTo(&buf); err != nil {
@@ -35,23 +37,30 @@ func TestStoreDoesNotAliasParsedText(t *testing.T) {
 	if aliasing == 0 {
 		t.Fatal("no tree value is a substring of the document: nothing is being tested")
 	}
-	s, err := Build(tree, Options{PageSize: 64})
+	built, err := Build(tree, Options{PageSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pi, p := range s.pages {
-		var end *byte // where the previous non-empty text of the page ended
-		for _, text := range p.text {
-			if text == "" {
-				continue
-			}
-			if start := unsafe.StringData(text); end != nil && start != end {
-				t.Fatalf("page %d: text %q does not follow its predecessor in memory: not one allocation", pi, text)
-			}
-			end = (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(text)), len(text)))
-		}
+	streamed, err := BuildXML(doc, Options{PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertOwnsStrings(t, s, doc)
+	for _, s := range []*Store{built, streamed} {
+		for pi, p := range s.pages {
+			assertOneBlock(t, fmt.Sprintf("page %d", pi), p.text)
+		}
+		for ci, c := range s.nodes {
+			var vals []string
+			for _, refs := range c.attrs {
+				for _, r := range refs {
+					vals = append(vals, r.val)
+				}
+			}
+			assertOneBlock(t, fmt.Sprintf("node chunk %d", ci), vals)
+		}
+		assertOwnsStrings(t, s, doc)
+	}
+	s := streamed
 
 	frag := `<note lang="a fresh attribute value">a fresh text value</note>`
 	fragTree, err := shred.ParseFragment(frag, shred.Options{})
@@ -63,6 +72,22 @@ func TestStoreDoesNotAliasParsedText(t *testing.T) {
 	}
 	assertOwnsStrings(t, s, doc)
 	assertOwnsStrings(t, s, frag)
+}
+
+// assertOneBlock checks that the non-empty strings follow one another in
+// memory: one allocation, sliced.
+func assertOneBlock(t *testing.T, what string, strs []string) {
+	t.Helper()
+	var end *byte // where the previous non-empty string ended
+	for _, str := range strs {
+		if str == "" {
+			continue
+		}
+		if start := unsafe.StringData(str); end != nil && start != end {
+			t.Fatalf("%s: %q does not follow its predecessor in memory: not one allocation", what, str)
+		}
+		end = (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(str)), len(str)))
+	}
 }
 
 func assertOwnsStrings(t *testing.T, s *Store, src string) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"mxq/internal/xenc"
 )
@@ -13,7 +14,8 @@ import (
 //   - logToPhys and physToLog are inverse bijections over the pages;
 //   - the chunked columns hold exactly one page-sized chunk per physical
 //     page (and the copy-on-write ownership tables track every chunk);
-//   - a page's cached live count, if any, is its count of used tuples;
+//   - a page's cached live count and summary, if any, are what its
+//     tuples give, and so is the live index, if built;
 //   - free-run lengths count exactly the directly following unused
 //     tuples within their logical page;
 //   - node/pos and the node column are mutually consistent: every live
@@ -47,6 +49,19 @@ func (s *Store) CheckInvariants() error {
 		}
 		if c := pg.live.Load(); c != 0 && c-1 != pg.used() {
 			return fmt.Errorf("page chunk %d caches %d used tuples but holds %d (a write skipped dirtyPage)", i, c-1, pg.used())
+		}
+		if sum := pg.sum.Load(); sum != nil && !reflect.DeepEqual(sum, summarize(pg.level, pg.kind, pg.name)) {
+			return fmt.Errorf("page chunk %d caches a summary its tuples do not give (a write skipped dirtyPage)", i)
+		}
+	}
+	if cum := s.index.cum.Load(); cum != nil {
+		if len(*cum) != nPages+1 {
+			return fmt.Errorf("the live index has %d entries for %d pages", len(*cum), nPages)
+		}
+		for lg, ph := range s.logToPhys {
+			if (*cum)[lg+1]-(*cum)[lg] != s.pages[ph].used() {
+				return fmt.Errorf("the live index counts %d used tuples on logical page %d, which holds %d", (*cum)[lg+1]-(*cum)[lg], lg, s.pages[ph].used())
+			}
 		}
 	}
 	for i, nc := range s.nodes {

@@ -639,6 +639,7 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		logToPhys: append([]int32(nil), m.LogToPhys...),
 		physToLog: append([]int32(nil), m.PhysToLog...),
 		qn:        xenc.NewQNamePool(),
+		index:     new(liveIndex),
 		liveNodes: m.LiveNodes,
 	}
 	var err error

@@ -8,23 +8,29 @@ import (
 	"mxq/internal/xenc"
 )
 
-// warmLive asks for every page's live count, so that each one is cached.
+// warmLive asks for every page's live count and summary and for the live
+// index, so that each one is cached.
 func warmLive(t *testing.T, s *Store) {
 	t.Helper()
 	for p := xenc.Pre(0); p < s.Len(); p += s.pageSize {
 		s.Live(p)
+		s.Summary(p)
 	}
+	s.SeekUsed(0, 1)
 	for i, pg := range s.pages {
-		if pg.live.Load() == 0 {
-			t.Fatalf("page chunk %d has no cached count after Live", i)
+		if pg.live.Load() == 0 || pg.sum.Load() == nil {
+			t.Fatalf("page chunk %d has no cached count or summary after Live and Summary", i)
 		}
+	}
+	if s.index.cum.Load() == nil {
+		t.Fatal("no live index after SeekUsed")
 	}
 }
 
-// TestLiveCountsFollowWrites: with every page's count cached before it,
-// no mutating entry point leaves a count that disagrees with its page
-// (CheckInvariants recounts every cached one), and the check catches a
-// write that skips dirtyPage.
+// TestLiveCountsFollowWrites: with every page's count and summary and the
+// live index cached before it, no mutating entry point leaves one that
+// disagrees with the pages (CheckInvariants recomputes every cached one),
+// and the check catches a write that skips dirtyPage.
 func TestLiveCountsFollowWrites(t *testing.T) {
 	// "first" is interned before every other name but "items", so
 	// deleting it makes CompactDictionaries renumber the name column.
@@ -110,6 +116,45 @@ func TestSnapshotKeepsLiveCount(t *testing.T) {
 		t.Fatalf("base page holds %d used tuples after the delete, snapshot %d", got, n)
 	}
 	for _, st := range []*Store{s, snap} {
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestValueUpdateKeepsSummaries: the live count and summary read only the
+// level, kind and name columns, and the live index only the counts and
+// the page order, so a value update — the commit a seeding or writer
+// workload repeats — keeps all three, also on the copy a shared page is
+// written to; an insert or a delete drops them.
+func TestValueUpdateKeepsSummaries(t *testing.T) {
+	s := mustBuild(t, itemsDoc(60), Options{PageSize: 16, FillFactor: 0.75})
+	warmLive(t, s)
+	snap := s.Snapshot()
+	defer snap.Release()
+	text := s.NthChild(s.NthChild(s.Root(), 3), 0)
+	if s.Kind(text) != xenc.KindText {
+		t.Fatalf("fixture: %v at %d", s.Kind(text), text)
+	}
+	shared := s.pages[s.PhysPage(text)]
+	if err := s.SetValue(text, "changed"); err != nil {
+		t.Fatal(err)
+	}
+	pg := s.pages[s.PhysPage(text)]
+	if pg == shared {
+		t.Fatal("the base wrote the shared page in place")
+	}
+	if pg.live.Load() == 0 || pg.sum.Load() != shared.sum.Load() || s.index != snap.index || s.index.cum.Load() == nil {
+		t.Fatal("a value update dropped the page's count or summary, or the live index")
+	}
+	if err := s.Delete(text); err != nil {
+		t.Fatal(err)
+	}
+	if pg.live.Load() != 0 || pg.sum.Load() != nil || s.index == snap.index || s.index.cum.Load() != nil {
+		t.Fatal("a delete kept the page's count or summary, or the live index")
+	}
+	for _, st := range []*Store{s, snap} {
+		warmLive(t, st)
 		if err := st.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -39,6 +39,7 @@ func (s *Store) Snapshot() *Store {
 		nodeLen:   s.nodeLen,
 		nodeFree:  append([]int32(nil), s.nodeFree...),
 		qn:        s.qn, // shared: append-only, synchronized
+		index:     s.index,
 		liveNodes: s.liveNodes,
 	}
 }

@@ -60,10 +60,13 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
+	"sort"
 	"strings"
 	"sync/atomic"
 
+	"mxq/internal/par"
 	"mxq/internal/shred"
 	"mxq/internal/xenc"
 )
@@ -121,12 +124,18 @@ type attrRef struct {
 // remaining owner writes the chunk in place again — a cached snapshot
 // that survives many commits therefore costs O(pages dirtied while it
 // was live), never a permanent copy-on-every-write tax. live caches the
-// used tuples + 1 for Store.Live (0: unknown); like hash, dirtyPage resets
-// it, a new, cloned or decoded page starts without it, and it is never
-// encoded.
+// used tuples + 1 for Store.Live (0: unknown) and sum the page's
+// xenc.RunSummary for Store.Summary (nil: unknown). Both read only the
+// level, kind and name columns: like hash, dirtyPage resets them, but
+// dirtyText, for a write to the text column alone, keeps them. A new or
+// decoded page starts without them, a clone with its original's, and
+// they are never encoded. A shared page is read by concurrent snapshots,
+// so both are published atomically, and a summary is immutable once
+// published.
 type page struct {
 	refs  atomic.Int32
 	live  atomic.Int32
+	sum   atomic.Pointer[xenc.RunSummary]
 	hash  chunkHash // content address of the serialized chunk (see chunked.go)
 	size  []int32
 	level []int16
@@ -159,6 +168,8 @@ func (p *page) clone() *page {
 		node:  append([]int32(nil), p.node...),
 	}
 	c.refs.Store(1)
+	c.live.Store(p.live.Load())
+	c.sum.Store(p.sum.Load())
 	return c
 }
 
@@ -229,71 +240,191 @@ type Store struct {
 	// snapshot: it is append-only and internally synchronized.
 	qn *xenc.QNamePool
 
+	// index is the cumulative live count by logical page (SeekUsed),
+	// shared with snapshots; see liveIndex.
+	index *liveIndex
+
 	liveNodes int
 }
 
-// Build shreds a tree into a fresh paged store. Each page receives at
-// most FillFactor*PageSize nodes; the page tail is left as an unused run.
+// Build copies a shredded tree into a fresh paged store: the tree's nodes
+// fed to the builder BuildXML feeds from the shredder directly. Each page
+// receives at most FillFactor*PageSize nodes; the page tail is left as an
+// unused run.
 func Build(t *shred.Tree, opts Options) (*Store, error) {
-	opts, err := opts.withDefaults()
+	b, err := newBuilder(opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(t.Nodes) == 0 {
-		return nil, fmt.Errorf("core: cannot build a store from an empty tree")
+	for i := range t.Nodes {
+		b.Node(&t.Nodes[i])
+	}
+	return b.finish()
+}
+
+// BuildXML shreds a complete document straight into a fresh paged store,
+// by shred.Parse's acceptance rule and with its errors, but with no tree
+// between: the shredder's pass feeds the builder node by node. The store
+// keeps no reference to doc.
+func BuildXML(doc string, opts Options) (*Store, error) {
+	b, err := newBuilder(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := shred.Shred(doc, shred.Options{}, b); err != nil {
+		return nil, err
+	}
+	return b.finish()
+}
+
+// builder fills a fresh store in document order, as a shred.Sink: node
+// number i lands in slot i%perPage of page i/perPage, with node id i, its
+// parent the open element one level up. An element's size is patched in
+// at its end tag (Close), or arrives with the node from a tree. Texts and
+// attribute values are kept as they come — substrings of the input,
+// perhaps — until finish detaches every page and node chunk from it.
+type builder struct {
+	s       *Store
+	perPage int32
+	n       int32            // nodes placed
+	open    []xenc.NodeID    // the open elements, by level
+	names   map[string]int32 // s.qn's ids, without its lock
+}
+
+func newBuilder(opts Options) (*builder, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	s := &Store{
 		pageBits: uint(bits.TrailingZeros(uint(opts.PageSize))),
 		pageMask: int32(opts.PageSize - 1),
 		pageSize: int32(opts.PageSize),
 		qn:       xenc.NewQNamePool(),
+		index:    new(liveIndex),
 	}
-	perPage := int32(float64(opts.PageSize) * opts.FillFactor)
-	if perPage < 1 {
-		perPage = 1
+	return &builder{s: s, perPage: max(1, int32(float64(opts.PageSize)*opts.FillFactor)), names: map[string]int32{}}, nil
+}
+
+// intern is s.qn.Intern, in document order, through the builder's own
+// map: the store is not shared yet, so nothing else interns meanwhile.
+func (b *builder) intern(name string) int32 {
+	id, ok := b.names[name]
+	if !ok {
+		id = b.s.qn.Intern(name)
+		b.names[b.s.qn.Name(id)] = id
 	}
-	n := int32(len(t.Nodes))
-	for at := int32(0); at < n; at += perPage {
-		chunk := t.Nodes[at:min32(at+perPage, n)]
+	return id
+}
+
+// pos returns the physical (and logical) position of node number i.
+func (b *builder) pos(i int32) int32 { return i/b.perPage<<b.s.pageBits | i%b.perPage }
+
+// Node implements shred.Sink: it places the next node.
+func (b *builder) Node(n *shred.Node) {
+	s := b.s
+	if b.n%b.perPage == 0 {
 		pg := s.appendPhysPage()
 		s.logToPhys = append(s.logToPhys, pg)
-		s.physToLog = append(s.physToLog, int32(len(s.logToPhys)-1))
-		base := pg << s.pageBits
-		// The tree's values may alias the text it was parsed from; the
-		// page keeps one copy of its texts, sliced per tuple (the shape
-		// decodePage gives a recovered page).
-		var texts strings.Builder
-		size := 0
-		for i := range chunk {
-			size += len(chunk[i].Value)
-		}
-		texts.Grow(size)
-		for i := range chunk {
-			texts.WriteString(chunk[i].Value)
-		}
-		block, at := texts.String(), 0
-		for i := range chunk {
-			end := at + len(chunk[i].Value)
-			s.writeNode(base+int32(i), &chunk[i], block[at:end], s.appendNodeID())
-			at = end
-		}
-		s.markFreeRun(base+int32(len(chunk)), base+s.pageSize)
+		s.physToLog = append(s.physToLog, pg)
 	}
-	// Wire parent links from the shredded levels with a stack.
-	var stack []xenc.NodeID
-	for i := range t.Nodes {
-		lvl := int(t.Nodes[i].Level)
-		stack = stack[:lvl]
-		id := xenc.NodeID(i)
-		if lvl == 0 {
-			s.setParent(id, xenc.NoNode)
-		} else {
-			s.setParent(id, stack[lvl-1])
-		}
-		stack = append(stack, id)
+	// Node ids are numbered like the nodes; the chunks are fresh and
+	// private, so they are written without the copy-on-write hooks.
+	pos, id := b.pos(b.n), b.n
+	if id&s.pageMask == 0 {
+		s.nodes = append(s.nodes, newNodeChunk(int(s.pageSize)))
+		s.nodeFree = append(s.nodeFree, 0)
 	}
-	s.liveNodes = int(n)
+	s.nodeLen++
+	wp, o := s.pages[pos>>s.pageBits], pos&s.pageMask
+	wp.size[o] = n.Size
+	wp.level[o] = n.Level
+	wp.kind[o] = uint8(n.Kind)
+	wp.text[o] = n.Value
+	wp.node[o] = id
+	wp.name[o] = xenc.NoName
+	if n.Kind == xenc.KindElem || n.Kind == xenc.KindPI {
+		wp.name[o] = b.intern(n.Name)
+	}
+	nc, off := s.nodes[id>>s.pageBits], id&s.pageMask
+	nc.pos[off] = pos
+	nc.parent[off] = xenc.NoNode
+	if len(n.Attrs) > 0 {
+		refs := make([]attrRef, len(n.Attrs))
+		for i, a := range n.Attrs {
+			refs[i] = attrRef{name: b.intern(a.Name), val: a.Value}
+		}
+		nc.attrs[off] = refs
+	}
+	b.open = b.open[:n.Level]
+	if n.Level > 0 {
+		nc.parent[off] = b.open[n.Level-1]
+	}
+	b.open = append(b.open, id)
+	b.n++
+}
+
+// Close implements shred.Sink: it sets the size of node number i.
+func (b *builder) Close(i int, size int32) {
+	pos := b.pos(int32(i))
+	b.s.pages[pos>>b.s.pageBits].size[pos&b.s.pageMask] = size
+}
+
+// finish marks each page's unused tail as a free run and detaches the
+// store from its input on every core: a page's texts are copied into one
+// string sliced per tuple (the shape decodePageChunk gives a recovered
+// page) and a node chunk's attribute values likewise.
+func (b *builder) finish() (*Store, error) {
+	s := b.s
+	if b.n == 0 {
+		return nil, fmt.Errorf("core: cannot build a store from an empty tree")
+	}
+	for pg := range s.pages {
+		base := int32(pg) << s.pageBits
+		s.markFreeRun(base+min(b.perPage, b.n-int32(pg)*b.perPage), base+s.pageSize)
+	}
+	s.liveNodes = int(b.n)
+	par.Do(len(s.pages), func(i int) error {
+		texts := s.pages[i].text
+		detach(func(yield func(*string) bool) {
+			for j := range texts {
+				yield(&texts[j])
+			}
+		})
+		return nil
+	})
+	par.Do(len(s.nodes), func(i int) error {
+		detach(func(yield func(*string) bool) {
+			for _, refs := range s.nodes[i].attrs {
+				for j := range refs {
+					yield(&refs[j].val)
+				}
+			}
+		})
+		return nil
+	})
 	return s, nil
+}
+
+// detach copies the strings strs yields into one allocation and points
+// each at its copy.
+func detach(strs iter.Seq[*string]) {
+	n := 0
+	for str := range strs {
+		n += len(*str)
+	}
+	if n == 0 {
+		return
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for str := range strs {
+		sb.WriteString(*str)
+	}
+	block := sb.String()
+	for str := range strs {
+		*str, block = block[:len(*str)], block[len(*str):]
+	}
 }
 
 func min32(a, b int32) int32 {
@@ -308,8 +439,19 @@ func min32(a, b int32) int32 {
 // dirtyPage is the copy-on-write hook of every physical write path: it
 // returns a privately owned copy of physical page pg, copying the chunk
 // first if it is still shared with the base or a snapshot (refs > 1) and
-// dropping this store's reference to the shared original.
+// dropping this store's reference to the shared original. It drops the
+// chunk's cached hash, live count and summary, which the write to come
+// may change.
 func (s *Store) dirtyPage(pg int32) *page {
+	p := s.dirtyText(pg)
+	p.live.Store(0)
+	p.sum.Store(nil)
+	return p
+}
+
+// dirtyText is dirtyPage for a write to the text column alone (a value
+// update), which keeps the page's live count and summary.
+func (s *Store) dirtyText(pg int32) *page {
 	p := s.pages[pg]
 	if p.refs.Load() != 1 {
 		c := p.clone()
@@ -317,11 +459,10 @@ func (s *Store) dirtyPage(pg int32) *page {
 		s.pages[pg] = c
 		p = c
 	}
-	// The caller is about to write: whatever content hash and live count
-	// the chunk had cached no longer describe it. (A clone starts without
-	// them; the shared original keeps its — still valid — ones.)
+	// The caller is about to write: the content hash the chunk had cached
+	// no longer describes it. (The shared original keeps its — still
+	// valid — one.)
 	p.hash.invalidate()
-	p.live.Store(0)
 	return p
 }
 
@@ -355,7 +496,7 @@ func (s *Store) Release() {
 	for _, c := range s.nodes {
 		c.refs.Add(-1)
 	}
-	s.pages, s.nodes = nil, nil
+	s.pages, s.nodes, s.index = nil, nil, nil
 	s.logToPhys, s.physToLog, s.nodeFree = nil, nil, nil
 	s.nodeLen, s.liveNodes = 0, 0
 }
@@ -614,13 +755,16 @@ func (s *Store) Cols(p xenc.Pre) (xenc.Columns, int) {
 // Live implements xenc.ColumnView: the used tuples of p's logical page,
 // counted once and cached on the chunk until its next write.
 func (s *Store) Live(p xenc.Pre) (int, xenc.Pre) {
-	pg := s.pages[s.logToPhys[p>>s.pageBits]]
-	n := pg.live.Load() - 1
+	return int(s.pages[s.logToPhys[p>>s.pageBits]].liveCount()), (p>>s.pageBits + 1) << s.pageBits
+}
+
+func (p *page) liveCount() int32 {
+	n := p.live.Load() - 1
 	if n < 0 {
-		n = pg.used()
-		pg.live.Store(n + 1)
+		n = p.used()
+		p.live.Store(n + 1)
 	}
-	return int(n), (p>>s.pageBits + 1) << s.pageBits
+	return n
 }
 
 func (p *page) used() int32 {
@@ -633,8 +777,97 @@ func (p *page) used() int32 {
 	return n
 }
 
+// Summary implements xenc.IndexView: the summary of p's logical page,
+// built by one pass on first use and cached on the chunk until its next
+// write, as Live's count is.
+func (s *Store) Summary(p xenc.Pre) (*xenc.RunSummary, xenc.Pre) {
+	pg := s.pages[s.logToPhys[p>>s.pageBits]]
+	sum := pg.sum.Load()
+	if sum == nil {
+		sum = summarize(pg.level, pg.kind, pg.name)
+		pg.sum.Store(sum)
+	}
+	return sum, (p>>s.pageBits + 1) << s.pageBits
+}
+
+// summarize counts the used tuples of a page by level, kind and name.
+func summarize(level []xenc.Level, kind []uint8, name []int32) *xenc.RunSummary {
+	s := &xenc.RunSummary{MinLevel: xenc.MaxLevel + 1}
+	hi := xenc.LevelUnused
+	for _, l := range level {
+		if l != xenc.LevelUnused {
+			s.MinLevel, hi = min(s.MinLevel, l), max(hi, l)
+		}
+	}
+	if hi == xenc.LevelUnused {
+		return s
+	}
+	// One short list per level: a level holds few distinct names.
+	byLevel := make([][]xenc.LevelCount, hi-s.MinLevel+1)
+	n := 0
+	for i, l := range level {
+		if l == xenc.LevelUnused {
+			continue
+		}
+		b := byLevel[l-s.MinLevel]
+		j := len(b) - 1
+		for j >= 0 && (b[j].Kind != kind[i] || b[j].Name != name[i]) {
+			j--
+		}
+		if j >= 0 {
+			b[j].N++
+			continue
+		}
+		byLevel[l-s.MinLevel] = append(b, xenc.LevelCount{Level: l, Kind: kind[i], Name: name[i], N: 1})
+		n++
+	}
+	s.Counts = make([]xenc.LevelCount, 0, n)
+	for _, b := range byLevel {
+		s.Counts = append(s.Counts, b...)
+	}
+	return s
+}
+
+// liveIndex holds cum, the cumulative live count by logical page: cum[i]
+// is the used tuples ahead of logical page i, and the last entry all of
+// them. It is built on first use and shared by pointer between a store
+// and its snapshots until one of them inserts or deletes (which changes
+// a page's live count or the page order) and takes a fresh, empty one;
+// a value, name or attribute update keeps it, so back-to-back commits
+// of those reuse one table. Concurrent readers of a shared store may
+// build it at once: each publishes an equal table.
+type liveIndex struct{ cum atomic.Pointer[[]int32] }
+
+// SeekUsed implements xenc.IndexView by a binary search of the
+// cumulative live counts, O(log pages).
+func (s *Store) SeekUsed(q xenc.Pre, m int) (xenc.Pre, int) {
+	cum := s.cumLive()
+	lp := int(q >> s.pageBits)
+	want := cum[lp] + int32(m)
+	last := len(cum) - 1
+	// The first logical page from lp on whose end has passed want used
+	// tuples.
+	j := lp + sort.Search(last-lp, func(i int) bool { return cum[lp+i+1] >= want })
+	if j == last {
+		return s.Len(), int(want - cum[j])
+	}
+	return xenc.Pre(j) << s.pageBits, int(want - cum[j])
+}
+
+func (s *Store) cumLive() []int32 {
+	if cum := s.index.cum.Load(); cum != nil {
+		return *cum
+	}
+	cum := make([]int32, len(s.logToPhys)+1)
+	for i, ph := range s.logToPhys {
+		cum[i+1] = cum[i] + s.pages[ph].liveCount()
+	}
+	s.index.cum.Store(&cum)
+	return cum
+}
+
 var (
-	_ xenc.ColumnView = (*Store)(nil)
+	_ xenc.IndexView  = (*Store)(nil)
 	_ xenc.ParentView = (*Store)(nil)
 )
 

@@ -137,9 +137,11 @@ func (s *Store) Delete(target xenc.Pre) error {
 		return errIsRoot
 	}
 	k := s.Size(target) + 1
+	end := s.RegionEnd(target)
+	s.index = new(liveIndex) // live counts change
 	// Mark the whole region unused, release node ids and attributes.
 	touched := map[int32]bool{}
-	for p, end := target, s.RegionEnd(target); p <= end; p = xenc.SkipFree(s, p+1) {
+	for p := target; p <= end; p = xenc.SkipFree(s, p+1) {
 		pos := s.physOf(p)
 		wp := s.dirtyPage(pos >> s.pageBits)
 		o := pos & s.pageMask
@@ -170,7 +172,7 @@ func (s *Store) SetValue(p xenc.Pre, val string) error {
 		return fmt.Errorf("core: SetValue on an element (pre %d); update its text child instead", p)
 	}
 	pos := s.physOf(p)
-	s.dirtyPage(pos >> s.pageBits).text[pos&s.pageMask] = val
+	s.dirtyText(pos >> s.pageBits).text[pos&s.pageMask] = val
 	return nil
 }
 
@@ -285,15 +287,7 @@ func (s *Store) RegionEnd(p xenc.Pre) xenc.Pre {
 // transaction layer uses it to find the pages an InsertChildAt will
 // write.
 func (s *Store) NthChild(parent xenc.Pre, idx int) xenc.Pre {
-	c := xenc.NoPre
-	staircase.Scan(s, parent, staircase.AxisChild, staircase.AnyNode(), func(q xenc.Pre) bool {
-		if idx == 0 {
-			c = q
-		}
-		idx--
-		return idx >= 0
-	})
-	return c
+	return staircase.Nth(s, parent, staircase.AxisChild, staircase.AnyNode(), idx+1)
 }
 
 // addAncestorSizes walks the ancestor chain starting at node id and adds
@@ -327,6 +321,7 @@ func (s *Store) insertAt(at xenc.Pre, parent xenc.Pre, frag *shred.Tree) ([]xenc
 	parentID := s.NodeOf(parent)
 	k := int32(len(frag.Nodes))
 
+	s.index = new(liveIndex) // live counts and page order change
 	ids := s.placeTuples(at, frag, baseLevel)
 
 	// Wire parent links: fragment roots hang off parentID, inner nodes

@@ -116,7 +116,7 @@ func oracleDocument(doc string, opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	roots := t.Roots()
+	roots := treeRoots(t)
 	if len(roots) != 1 || t.Nodes[roots[0]].Kind != xenc.KindElem {
 		return nil, fmt.Errorf("shred: document must have exactly one root element, got %d roots", len(roots))
 	}

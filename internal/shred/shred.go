@@ -8,8 +8,10 @@
 // The pass runs on the package's own Tokenizer, a pull tokenizer over
 // the document held in memory; internal/xupdate reads XUpdate programs
 // with the same one, so a document, a fragment and a program are
-// well-formed by one rule. A Tree straight from a parse may hold
-// substrings of the parsed text; internal/core copies what it keeps.
+// well-formed by one rule. The pass hands its nodes to a Sink: Parse's
+// builds a Tree, and internal/core's builds a store's pages with no tree
+// between. A Tree straight from a parse may hold substrings of the
+// parsed text; internal/core copies what it keeps.
 package shred
 
 import (
@@ -41,15 +43,6 @@ type Node struct {
 // fragments may have several.
 type Tree struct {
 	Nodes []Node
-}
-
-// Roots returns the indices of the level-0 nodes.
-func (t *Tree) Roots() []int {
-	var out []int
-	for i := 0; i < len(t.Nodes); i += int(t.Nodes[i].Size) + 1 {
-		out = append(out, i)
-	}
-	return out
 }
 
 // Check reports whether t has a shape the shredder produces: levels
@@ -97,44 +90,107 @@ type Options struct {
 	PreserveWhitespace bool
 }
 
-// Parse shreds a complete XML document, which it reads into memory
-// whole. The document must have a single root element.
-func Parse(r io.Reader, opts Options) (*Tree, error) {
+// ReadAll reads a document into memory whole, pre-sized when r has a
+// Len, for Parse and for a caller that shreds it into its own Sink.
+func ReadAll(r io.Reader) (string, error) {
 	var sb strings.Builder
 	if sized, ok := r.(interface{ Len() int }); ok {
 		sb.Grow(sized.Len())
 	}
 	if _, err := io.Copy(&sb, r); err != nil {
-		return nil, fmt.Errorf("shred: %w", err)
+		return "", fmt.Errorf("shred: %w", err)
 	}
-	return ParseString(sb.String(), opts)
+	return sb.String(), nil
+}
+
+// Parse shreds a complete XML document, which it reads into memory
+// whole. The document must have a single root element.
+func Parse(r io.Reader, opts Options) (*Tree, error) {
+	doc, err := ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseString(doc, opts)
 }
 
 // ParseString is Parse over a string. The tree's names and values may
 // be substrings of doc (see Tokenizer); core.Build copies what it keeps.
 func ParseString(doc string, opts Options) (*Tree, error) {
-	t, err := parse(doc, opts, true)
-	if err != nil {
+	t := newTreeSink(doc)
+	if err := Shred(doc, opts, t); err != nil {
 		return nil, err
 	}
-	roots := t.Roots()
-	if len(roots) != 1 || t.Nodes[roots[0]].Kind != xenc.KindElem {
-		return nil, fmt.Errorf("shred: document must have exactly one root element, got %d roots", len(roots))
-	}
-	return t, nil
+	return &t.Tree, nil
 }
 
 // ParseFragment shreds a well-formed XML fragment: a sequence of elements,
 // text, comments and processing instructions. Used for XUpdate content.
 func ParseFragment(s string, opts Options) (*Tree, error) {
-	return parse(s, opts, false)
+	t := newTreeSink(s)
+	if _, err := parse(s, opts, false, t); err != nil {
+		return nil, err
+	}
+	return &t.Tree, nil
 }
+
+// A Sink takes the nodes of a shredded document in document order, as
+// the counting pass finds them: the table without the Tree.
+type Sink interface {
+	// Node takes the next node; the nodes are numbered from 0 in the
+	// order they arrive. An element's Size is not known yet (Close sets
+	// it). n and its Attrs are the pass's own and change with the next
+	// call; names and values may be substrings of the input.
+	Node(n *Node)
+	// Close sets the size of node i, an element whose end tag the pass
+	// has just read.
+	Close(i int, size int32)
+}
+
+// Shred runs the counting pass over a complete document into sink, by
+// Parse's rule: one root element, document-level comments and PIs
+// dropped. A refused document may have sent sink some of its nodes.
+func Shred(doc string, opts Options, sink Sink) error {
+	sh, err := parse(doc, opts, true, sink)
+	if err != nil {
+		return err
+	}
+	if sh.roots != 1 || sh.rootKind != xenc.KindElem {
+		return fmt.Errorf("shred: document must have exactly one root element, got %d roots", sh.roots)
+	}
+	return nil
+}
+
+// treeSink is the Sink behind Parse: it appends to a Tree.
+type treeSink struct{ Tree }
+
+func newTreeSink(src string) *treeSink {
+	// Data-centric XML comes to about one node per '<' (a leaf element
+	// is two tags and two nodes; XMark: 1.04); the eighth on top saves
+	// the table its one regrowth there.
+	tags := strings.Count(src, "<")
+	return &treeSink{Tree{Nodes: make([]Node, 0, tags+tags/8)}}
+}
+
+func (t *treeSink) Node(n *Node) {
+	t.Nodes = append(t.Nodes, *n)
+	if len(n.Attrs) > 0 {
+		t.Nodes[len(t.Nodes)-1].Attrs = append([]Attr(nil), n.Attrs...)
+	}
+}
+
+func (t *treeSink) Close(i int, size int32) { t.Nodes[i].Size = size }
 
 // shredder is the counting pass over the token stream.
 type shredder struct {
-	t     *Tree
+	sink  Sink
 	opts  Options
-	stack []int // indices of open elements; its length is the depth
+	n     int   // nodes sent to sink
+	stack []int // numbers of the open elements; its length is the depth
+	node  Node  // the node being sent
+	attrs []Attr
+	// roots counts the level-0 nodes, and rootKind is the first one's.
+	roots    int
+	rootKind xenc.Kind
 	// A run of adjacent character data and CDATA sections is one text
 	// node: text holds a run of one token, joined one of several.
 	text    string
@@ -143,15 +199,23 @@ type shredder struct {
 	names   map[Name]string // "{uri}local" for each namespaced name seen
 }
 
-// parse shreds tokens; document mode additionally drops document-level
-// comments and PIs (fragments keep theirs — they become real children).
-func parse(src string, opts Options, document bool) (*Tree, error) {
+// emit sends the node being built to the sink as node number sh.n.
+func (sh *shredder) emit() {
+	if sh.node.Level == 0 {
+		if sh.roots++; sh.roots == 1 {
+			sh.rootKind = sh.node.Kind
+		}
+	}
+	sh.sink.Node(&sh.node)
+	sh.n++
+}
+
+// parse shreds tokens into sink; document mode additionally drops
+// document-level comments and PIs (fragments keep theirs — they become
+// real children).
+func parse(src string, opts Options, document bool, sink Sink) (*shredder, error) {
 	z := NewTokenizer(src)
-	// Data-centric XML comes to about one node per '<' (a leaf element
-	// is two tags and two nodes; XMark: 1.04); the eighth on top saves
-	// the table its one regrowth there.
-	tags := strings.Count(src, "<")
-	sh := &shredder{t: &Tree{Nodes: make([]Node, 0, tags+tags/8)}, opts: opts}
+	sh := &shredder{sink: sink, opts: opts}
 	for {
 		tok, err := z.Next()
 		if err == io.EOF {
@@ -163,18 +227,19 @@ func parse(src string, opts Options, document bool) (*Tree, error) {
 		switch tok.Kind {
 		case TokStart:
 			sh.flushText()
-			sh.t.Nodes = append(sh.t.Nodes, Node{
+			sh.node = Node{
 				Kind:  xenc.KindElem,
 				Name:  sh.flatName(tok.Name, true),
 				Level: sh.level(),
-				Attrs: sh.attrs(tok.Attrs),
-			})
-			sh.stack = append(sh.stack, len(sh.t.Nodes)-1)
+				Attrs: sh.attrList(tok.Attrs),
+			}
+			sh.stack = append(sh.stack, sh.n)
+			sh.emit()
 		case TokEnd:
 			sh.flushText()
 			top := sh.stack[len(sh.stack)-1]
 			sh.stack = sh.stack[:len(sh.stack)-1]
-			sh.t.Nodes[top].Size = int32(len(sh.t.Nodes) - 1 - top)
+			sh.sink.Close(top, int32(sh.n-1-top))
 		case TokText:
 			switch sh.pending++; sh.pending {
 			case 1:
@@ -193,15 +258,15 @@ func parse(src string, opts Options, document bool) (*Tree, error) {
 				continue
 			}
 			sh.flushText()
-			n := Node{Kind: xenc.KindComment, Value: tok.Text, Level: sh.level()}
+			sh.node = Node{Kind: xenc.KindComment, Value: tok.Text, Level: sh.level()}
 			if tok.Kind == TokPI {
-				n.Kind, n.Name = xenc.KindPI, tok.Name.Local
+				sh.node.Kind, sh.node.Name = xenc.KindPI, tok.Name.Local
 			}
-			sh.t.Nodes = append(sh.t.Nodes, n)
+			sh.emit()
 		}
 	}
 	sh.flushText()
-	return sh.t, nil
+	return sh, nil
 }
 
 func (sh *shredder) level() int16 { return int16(len(sh.stack)) }
@@ -221,7 +286,8 @@ func (sh *shredder) flushText() {
 	if s == "" || !sh.opts.PreserveWhitespace && isSpace(s) {
 		return
 	}
-	sh.t.Nodes = append(sh.t.Nodes, Node{Kind: xenc.KindText, Value: s, Level: sh.level()})
+	sh.node = Node{Kind: xenc.KindText, Value: s, Level: sh.level()}
+	sh.emit()
 }
 
 func isSpace(s string) bool {
@@ -233,16 +299,17 @@ func isSpace(s string) bool {
 	return true
 }
 
-// attrs converts a start tag's attributes.
-func (sh *shredder) attrs(in []TokAttr) []Attr {
+// attrList converts a start tag's attributes into the pass's own list,
+// which the next start tag overwrites.
+func (sh *shredder) attrList(in []TokAttr) []Attr {
 	if len(in) == 0 {
 		return nil
 	}
-	out := make([]Attr, len(in))
-	for i, a := range in {
-		out[i] = Attr{Name: sh.flatName(a.Name, false), Value: a.Value}
+	sh.attrs = sh.attrs[:0]
+	for _, a := range in {
+		sh.attrs = append(sh.attrs, Attr{Name: sh.flatName(a.Name, false), Value: a.Value})
 	}
-	return out
+	return sh.attrs
 }
 
 // flatName flattens a resolved name. The reproduction works with local

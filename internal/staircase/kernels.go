@@ -10,11 +10,19 @@ package staircase
 // hopped by the size column, a name test is one integer compare, and the
 // next run is fetched only when a rank crosses a run boundary. A subtree
 // hop that leaves its run (past) subtracts whole runs by their live
-// counts (ColumnView.Live) without fetching their columns. The per-tuple
-// reference in reference_test.go, which reads the DocView accessors, is
-// what TestKernelsMatchReference holds them to, rank for rank.
+// counts (ColumnView.Live) without fetching their columns, or, on a view
+// with summaries (xenc.IndexView), finds the run where the subtree ends
+// by one SeekUsed. A positional child step (nth) on such a view passes
+// each run that lies inside its context's region by the run's count of
+// matching tuples at the child level. The per-tuple reference in
+// reference_test.go, which reads the DocView accessors, is what
+// TestKernelsMatchReference holds them to, rank for rank.
 
-import "mxq/internal/xenc"
+import (
+	"sort"
+
+	"mxq/internal/xenc"
+)
 
 // cursor is a position in a view's columns: the columns of the run
 // loaded last and the view ranks [base, end) they cover. It lives for one
@@ -22,16 +30,19 @@ import "mxq/internal/xenc"
 type cursor struct {
 	v         xenc.ColumnView
 	pv        xenc.ParentView // nil when the view has no parent table
+	iv        xenc.IndexView  // nil when the view keeps no run summaries
 	n         xenc.Pre        // v.Len()
 	base, end xenc.Pre
 	xenc.Columns
 }
 
 // newCursor reads v's columns, through xenc.Columnar's adapter if v has
-// none. The parent table is v's own: the adapter hides it.
+// none. The parent table and the run summaries are v's own: the adapter
+// hides them.
 func newCursor(v xenc.DocView) *cursor {
 	k := &cursor{v: xenc.Columnar(v), n: v.Len()}
 	k.pv, _ = v.(xenc.ParentView)
+	k.iv, _ = v.(xenc.IndexView)
 	return k
 }
 
@@ -56,8 +67,12 @@ func (k *cursor) levelAt(p xenc.Pre) xenc.Level { return k.Level[k.at(p)] }
 
 // matches reports whether the used tuple at index i of the loaded run
 // satisfies the test.
-func (k *cursor) matches(t Test, i int) bool {
-	return !t.kindSet || (t.name == xenc.NoName || k.Name[i] == t.name) && k.Kind[i] == uint8(t.kind)
+func (k *cursor) matches(t Test, i int) bool { return t.accepts(k.Kind[i], k.Name[i]) }
+
+// accepts reports whether a used tuple of the kind and name satisfies the
+// test.
+func (t Test) accepts(kind uint8, name int32) bool {
+	return !t.kindSet || (t.name == xenc.NoName || name == t.name) && kind == uint8(t.kind)
 }
 
 // sweep is the bulk scan under the descendant, following and preceding
@@ -130,9 +145,10 @@ func (k *cursor) hop(p, to xenc.Pre, lvl xenc.Level, t Test, fn func(xenc.Pre) b
 // the loaded run. Inside the run that is p+size+1, short of a subtree's
 // end by its free tuples (callers go on past such a landing). A subtree
 // that leaves the run ends exactly: cross counts the descendants left in
-// it, subtracts whole runs by their live counts and lands behind the last
-// descendant, O(1) a run if packed (used tuples first, then one free run
-// to its end), linear otherwise.
+// it, subtracts whole runs by their live counts (or seeks the run that
+// holds the last one, on a view with summaries) and lands behind the
+// last descendant, O(1) a run if packed (used tuples first, then one
+// free run to its end), linear otherwise.
 func (k *cursor) past(p xenc.Pre, i int) xenc.Pre {
 	if p += k.Size[i] + 1; p > k.end {
 		return k.cross(i) // out of line, so that past inlines
@@ -143,7 +159,11 @@ func (k *cursor) past(p xenc.Pre, i int) xenc.Pre {
 func (k *cursor) cross(i int) xenc.Pre {
 	live, _ := k.v.Live(k.base)
 	_, m := k.skip(i+1, int(k.Size[i]), live) // descendants behind the run
-	for q := k.end; q < k.n; {
+	q := k.end
+	if k.iv != nil {
+		q, m = k.iv.SeekUsed(q, m)
+	}
+	for q < k.n {
 		n, end := k.v.Live(q)
 		if n >= m {
 			k.load(q)
@@ -171,6 +191,63 @@ func (k *cursor) skip(j, m, live int) (int, int) {
 		}
 	}
 	return j, m
+}
+
+// nth returns the n-th (n >= 1) child of c that matches t, or NoPre: the
+// sibling hops of child, counted. Where a hop reaches the end of the run
+// (a sibling's subtree leaves it, or only free tuples are left in it), a
+// view with summaries passes every following run that lies inside c's
+// region — no used tuple at c's level or above — by its count of
+// matching tuples one level below c, without loading its columns. After
+// such runs, every tuple ahead of the first one at the child level
+// belongs to a sibling that straddles in, and the hops go on through
+// them. A view without summaries crosses as past does.
+func (k *cursor) nth(c xenc.Pre, t Test, n int) xenc.Pre {
+	top := k.levelAt(c)
+	lvl := top + 1
+	for p := c + 1; p < k.n; {
+		i := k.at(p)
+		if l := k.Level[i]; l != xenc.LevelUnused {
+			if l < lvl {
+				break
+			}
+			if l == lvl && k.matches(t, i) {
+				if n--; n == 0 {
+					return p
+				}
+			}
+		}
+		if k.iv == nil || p+k.Size[i]+1 < k.end {
+			p = k.past(p, i)
+			continue
+		}
+		// The rest of the run lies in the subtree or free run at p.
+		for p = k.end; p < k.n; {
+			sum, end := k.iv.Summary(p)
+			if sum.MinLevel <= top {
+				break // the region ends in this run
+			}
+			m := t.count(sum, lvl)
+			if m >= n {
+				break // the n-th lies in this run
+			}
+			n, p = n-m, end
+		}
+	}
+	return xenc.NoPre
+}
+
+// count returns the used tuples of a run summary at level lvl that match
+// the test.
+func (t Test) count(s *xenc.RunSummary, lvl xenc.Level) int {
+	c := s.Counts
+	n := 0
+	for j := sort.Search(len(c), func(j int) bool { return c[j].Level >= lvl }); j < len(c) && c[j].Level == lvl; j++ {
+		if t.accepts(c[j].Kind, c[j].Name) {
+			n += int(c[j].N)
+		}
+	}
+	return n
 }
 
 // parent returns the parent of the used tuple at c: from the view's

@@ -153,6 +153,7 @@ func checkKernels(t *testing.T, label string, v xenc.DocView, rng *rand.Rand, pi
 		ctxs = append(ctxs, ctx)
 	}
 	ctxs = append(ctxs, []xenc.Pre{v.Root()})
+	checkNth(t, label, v, append(append([]xenc.Pre{ctxs[0][0]}, pinned...), wideContexts(v, 192, 6)...))
 	for tname, test := range kernelTests(t, v) {
 		for _, a := range kernelAxes {
 			for _, ctx := range ctxs {
@@ -206,7 +207,9 @@ func firstDiff(a, b []xenc.Pre) int {
 // on: on every kind of view that offers columns, in every state of the
 // paged store a scan has to cope with, each operator's kernel returns
 // exactly what its per-tuple reference returns — over the view's own
-// columns and over xenc.Columnar's adapter alike.
+// columns and over xenc.Columnar's adapter alike — and so does the
+// positional child step, which passes whole pages by their summaries,
+// on sibling lists across many pages too.
 func TestKernelsMatchReference(t *testing.T) {
 	const pageSize = 64
 	tree := xmarkTree(t, 0.01)
@@ -298,6 +301,8 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 	checkKernels(t, "tx/delete", txn, rng, spanContexts(t, "tx/delete", txn, pageSize, true)...)
 	checkPast(t, "tx/delete", txn)
+
+	checkSiblingLists(t, rng)
 }
 
 // regionEnds maps every used tuple of v to the rank just past its last

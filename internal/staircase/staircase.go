@@ -111,6 +111,30 @@ func Scan(v xenc.DocView, c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
 	newCursor(v).scan(c, ax, t, fn)
 }
 
+// Nth returns the n-th (n >= 1) node that Scan enumerates from c on a
+// forward axis, or NoPre: a positional predicate fused into its step.
+// On the child axis, a view with run summaries (xenc.IndexView) passes
+// whole runs inside c's region by count instead of hopping their
+// siblings one at a time.
+func Nth(v xenc.DocView, c xenc.Pre, ax Axis, t Test, n int) xenc.Pre {
+	if n < 1 {
+		return xenc.NoPre
+	}
+	k := newCursor(v)
+	if ax == AxisChild {
+		return k.nth(c, t, n)
+	}
+	found := xenc.NoPre
+	k.scan(c, ax, t, func(p xenc.Pre) bool {
+		if n--; n > 0 {
+			return true
+		}
+		found = p
+		return false
+	})
+	return found
+}
+
 // Test is a node test: an optional kind filter and an optional name
 // filter (interned qname id).
 type Test struct {

@@ -85,8 +85,16 @@ func (t *Tx) Live(p xenc.Pre) (int, xenc.Pre) { return t.clone.Live(p) }
 // (xenc.ParentView).
 func (t *Tx) ParentPre(p xenc.Pre) xenc.Pre { return t.clone.ParentPre(p) }
 
+// Summary returns the run summary of p's page in the transaction image
+// (xenc.IndexView), so a positional select passes pages by count.
+func (t *Tx) Summary(p xenc.Pre) (*xenc.RunSummary, xenc.Pre) { return t.clone.Summary(p) }
+
+// SeekUsed finds the page holding the m-th used tuple from q in the
+// transaction image (xenc.IndexView).
+func (t *Tx) SeekUsed(q xenc.Pre, m int) (xenc.Pre, int) { return t.clone.SeekUsed(q, m) }
+
 var (
-	_ xenc.ColumnView = (*Tx)(nil)
+	_ xenc.IndexView  = (*Tx)(nil)
 	_ xenc.ParentView = (*Tx)(nil)
 )
 

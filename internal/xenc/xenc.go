@@ -3,11 +3,12 @@
 // (Grust's pre/post plane in its pre/size/level form, cf. Figure 2 of the
 // paper), node kinds, interned qualified names, and the DocView interface
 // that every document store (read-only, paged-updatable, naive) implements.
-// Two interfaces sit beside it. ColumnView hands the bulk operators the
+// Three interfaces sit beside it. ColumnView hands the bulk operators the
 // raw column slices one contiguous run at a time (and a run's used-tuple
 // count); every store implements it, and Columnar presents any other
 // DocView as one. ParentView answers parent lookups from a store's parent
-// table, where a store keeps one.
+// table, where a store keeps one. IndexView adds two summaries over the
+// runs, where a store keeps them, so a kernel can pass runs uncounted.
 //
 // Encoding invariants:
 //
@@ -175,6 +176,45 @@ type ColumnView interface {
 	// Live returns the used tuples of the run that holds view rank p and
 	// the rank just past that run, without the columns (0 <= p < Len()).
 	Live(p Pre) (n int, end Pre)
+}
+
+// IndexView is a ColumnView that keeps two summaries over its runs, so
+// the kernels pass whole runs they only cross without loading their
+// columns. A positional child step passes a run that lies inside its
+// context's region by the run's count of matching tuples at the child
+// level (Summary); a subtree hop that leaves its run finds the run where
+// the subtree ends by the used tuples ahead of each run (SeekUsed). A
+// view without them is walked run by run.
+type IndexView interface {
+	ColumnView
+	// Summary returns the summary of the run that holds view rank p and
+	// the rank just past that run (0 <= p < Len()). The summary is
+	// shared and must not be modified.
+	Summary(p Pre) (*RunSummary, Pre)
+	// SeekUsed returns the start of the run that holds the m-th used
+	// tuple (m >= 1) counted from q, the start of a run, and m less the
+	// used tuples of the runs between q and that run. When fewer than m
+	// used tuples remain it returns Len().
+	SeekUsed(q Pre, m int) (Pre, int)
+}
+
+// RunSummary counts the used tuples of one run by level, kind and name.
+type RunSummary struct {
+	// MinLevel is the smallest level of a used tuple in the run, or
+	// MaxLevel+1 when the run holds none.
+	MinLevel Level
+	// Counts holds one entry per distinct (level, kind, name) of the
+	// run's used tuples, ordered by level.
+	Counts []LevelCount
+}
+
+// LevelCount is the number of used tuples of a run at one level with
+// one kind and name.
+type LevelCount struct {
+	Level Level
+	Kind  uint8
+	Name  int32
+	N     int32
 }
 
 // ParentView is implemented by views that keep a parent table and can

@@ -83,12 +83,7 @@ func (d doc) children(p xenc.Pre, nameID int32) []xenc.Pre {
 
 // child returns the first element child named nameID, or NoPre.
 func (d doc) child(p xenc.Pre, nameID int32) xenc.Pre {
-	c := xenc.NoPre
-	staircase.Scan(d.v, p, staircase.AxisChild, staircase.Element(nameID), func(q xenc.Pre) bool {
-		c = q
-		return false
-	})
-	return c
+	return staircase.Nth(d.v, p, staircase.AxisChild, staircase.Element(nameID), 1)
 }
 
 // text returns the string-value of the node (concatenated descendant

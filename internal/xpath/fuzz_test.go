@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -129,6 +130,13 @@ func FuzzXPathEval(f *testing.F) {
 		`(/ | //@id | //item)/descendant-or-self::node()[$x]`,
 		`(/ | //@id | //item)/ancestor-or-self::node()[$x]`,
 		`$rev/name[last()]`, `$rev/preceding-sibling::*[1]`, `($rev)[$x]`,
+		// Positions over the long sibling list, which spans many pages:
+		// the child step passes whole pages by count.
+		`/site/catalog/entry[1]/n/text()`, `/site/catalog/entry[23]/n/text()`,
+		`/site/catalog/entry[40]`, `/site/catalog/entry[41]`, `//catalog/*[37]`,
+		`//catalog/node()[50]`, `//catalog/text()[5]`, `//catalog/comment()[2]`,
+		`//catalog/entry[12]/sub[1]/kw[3]`, `//catalog/entry[$x]/@id`,
+		`/site/catalog/entry[position() = 30]`, `//catalog/entry[last()]/n`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -179,8 +187,10 @@ func FuzzXPathEval(f *testing.F) {
 }
 
 // fuzzEvalDoc nests elements deeply (overlapping descendant regions, the
-// pruning's home turf) and carries every node kind.
-const fuzzEvalDoc = `<site><people>` +
+// pruning's home turf), carries every node kind, and has a catalog of 40
+// entries with subtrees of up to ten nodes: a sibling list across many
+// of the fuzz store's eight-tuple pages.
+var fuzzEvalDoc = `<site><people>` +
 	`<person id="p0"><name>ada</name><income>42</income>` +
 	`<watches><watch/><watch/><watch/></watches></person>` +
 	`<person id="p1"><name>bob gold</name></person>` +
@@ -193,7 +203,23 @@ const fuzzEvalDoc = `<site><people>` +
 	`<open_auctions><open_auction><bidder><increase>10</increase></bidder>` +
 	`<bidder><increase>25</increase></bidder></open_auction>` +
 	`<open_auction><bidder><increase>5</increase></bidder></open_auction>` +
-	`</open_auctions><e/><f/><!--c--><?tgt data?></site>`
+	`</open_auctions>` + fuzzCatalog() + `<e/><f/><!--c--><?tgt data?></site>`
+
+func fuzzCatalog() string {
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for i := 1; i <= 40; i++ {
+		fmt.Fprintf(&b, `<entry id="e%d"><n>%d</n>`, i, i)
+		if i%3 == 0 {
+			b.WriteString("<sub>" + strings.Repeat("<kw>k</kw>", i%7) + "</sub>")
+		}
+		b.WriteString("</entry>")
+		if i%4 == 0 {
+			fmt.Fprintf(&b, "t%d<!--c%d-->", i, i)
+		}
+	}
+	return b.String() + "</catalog>"
+}
 
 // fuzzFingerprint renders a result in a form independent of physical pre
 // ranks, so the paged store (with free tuples) and the dense oracle

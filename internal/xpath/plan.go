@@ -390,27 +390,24 @@ func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 
 // fusedPosScan evaluates axis::test[k] with the positional predicate
 // fused into the scan: every context node enumerates its axis in
-// document order, counts matches, keeps its k-th and stops there. No
-// context pruning applies (each context node numbers its own
+// document order, counts matches, keeps its k-th and stops there
+// (staircase.Nth, which on the child axis passes whole pages by count).
+// No context pruning applies (each context node numbers its own
 // candidates), but the early exit bounds each scan by k matches.
 func fusedPosScan(v xenc.DocView, ctx []xenc.Pre, ax Axis, t staircase.Test, k int) []xenc.Pre {
 	var out []xenc.Pre
 	sorted := true
 	last := xenc.Pre(-1)
 	for _, c := range ctx {
-		count := 0
-		staircase.Scan(v, c, staircase.Axis(ax), t, func(p xenc.Pre) bool {
-			count++
-			if count < k {
-				return true
-			}
-			if p <= last {
-				sorted = false
-			}
-			last = p
-			out = append(out, p)
-			return false
-		})
+		p := staircase.Nth(v, c, staircase.Axis(ax), t, k)
+		if p == xenc.NoPre {
+			continue
+		}
+		if p <= last {
+			sorted = false
+		}
+		last = p
+		out = append(out, p)
 	}
 	if !sorted {
 		out = sortDedupePres(out)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -111,4 +112,41 @@ func BenchmarkLoadXML(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestLoadAllocBound pins what a load allocates, a near-exact count: one
+// SF 0.01 document (0.9 MB, 34k nodes) loads in under 3.6 MB. Through
+// a parsed tree copied into pages it took 6.07 MB; the shredder's tokens
+// going straight into pages take 3.33 MB — the pages, node chunks and
+// one copy of the texts — so the bound is 40 % under the tree's figure.
+// The fewest bytes of three loads count, so that another goroutine's
+// allocation cannot fail it.
+func TestLoadAllocBound(t *testing.T) {
+	const bound = 3_600_000
+	var buf bytes.Buffer
+	if _, err := xmark.NewGenerator(0.01, 42).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	least := uint64(1 << 62)
+	for range 3 {
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := db.LoadXMLString("xmark", doc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if least > bound {
+		t.Fatalf("loading %d bytes allocated %d bytes, bound %d", len(doc), least, bound)
+	}
+	t.Logf("loading %d bytes allocated %d bytes", len(doc), least)
 }

@@ -427,25 +427,18 @@ func (db *Database) newDocument(name string, store *core.Store, log *wal.Log, cs
 // CloseDocument and Close write — and a crash before that loses it,
 // committed updates and all.
 func (db *Database) LoadXML(name string, r io.Reader) (*Document, error) {
-	tree, err := shred.Parse(r, shred.Options{})
+	xml, err := shred.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return db.loadTree(name, tree)
+	return db.LoadXMLString(name, xml)
 }
 
 // LoadXMLString is LoadXML over a string; the document keeps no
-// reference to it.
+// reference to it. The shredder's tokens go straight into the store's
+// pages (core.BuildXML), with no tree between.
 func (db *Database) LoadXMLString(name, xml string) (*Document, error) {
-	tree, err := shred.ParseString(xml, shred.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return db.loadTree(name, tree)
-}
-
-func (db *Database) loadTree(name string, tree *shred.Tree) (*Document, error) {
-	store, err := core.Build(tree, core.Options{
+	store, err := core.BuildXML(xml, core.Options{
 		PageSize:   db.opts.PageSize,
 		FillFactor: db.opts.FillFactor,
 	})

@@ -31,6 +31,7 @@ var surfaceAllowlist = map[string]string{
 	"mxq/internal/ordpath.Label.PrevSibling": "the Section 4.2 ORDPATH baseline's label algebra, which its tests check",
 	"mxq/internal/ordpath.Root":              "the Section 4.2 ORDPATH baseline (BenchmarkOrdpath)",
 	"mxq/internal/rostore.Build":             "Figure 9's read-only baseline (BenchmarkFigure9)",
+	"mxq/internal/shred.Parse":               "bench/layers.go shreds its raw copy with it, and the oracles, rostore's fixtures and the load differential parse through it",
 	"mxq/internal/shred.ParseFragment":       "the shredder's fragment mode, which the update tests of core, tx, staircase, xpath and naive build insert content with",
 	"mxq/internal/wal.Log.Segments":          "the wal, ckpt, tx and difftest tests read each live segment's LSN range and size through it",
 	"mxq/internal/wal.Log.SyncCount":         "bench/layers.go reads it for wal.syncs_per_commit",
