@@ -304,7 +304,7 @@ type Stats struct {
 	Pages     int     // logical pages
 	PageSize  int     // tuples per page
 	Fill      float64 // live / total
-	Names     int     // interned qualified names (see CompactDictionaries)
+	Names     int     // interned qualified names (only commits add one)
 	Commits   uint64  // committed write transactions
 	Aborts    uint64  // aborted write transactions
 
@@ -454,19 +454,6 @@ func (d *Document) autoCheckpointLoop() {
 			}
 		}
 	}
-}
-
-// CompactDictionaries rebuilds the document's shared qualified-name
-// pool, dropping names that only aborted transactions ever referenced
-// (aborts discard column data but the shared pool is append-only, so
-// their names leak). It is an offline maintenance pass in the spirit of
-// page compaction: run it when Stats shows Names drifting above what the
-// live document references. It blocks like a commit (exclusive lock) but
-// never disturbs open snapshots or in-flight transactions, which keep
-// their own references to the old pool. It returns the number of dropped
-// names.
-func (d *Document) CompactDictionaries() (namesDropped int) {
-	return d.mgr.CompactDictionaries()
 }
 
 // CheckInvariants validates the storage invariants (testing hook).

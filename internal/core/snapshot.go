@@ -10,6 +10,9 @@ package core
 // transaction's updates, the base through a later commit) copies just
 // that page via the dirty* hooks — "the base table is never altered"
 // through the snapshot, and only touched pages are ever materialized.
+// The qualified-name pool is the base's until the snapshot interns a
+// name the pool lacks; it then copies the pool (see intern), so names a
+// transaction adds reach the base only when its commit replays them.
 //
 // Snapshot never mutates base-private state (it only performs atomic
 // reference-count increments), so any number of snapshots may be taken
@@ -29,17 +32,18 @@ func (s *Store) Snapshot() *Store {
 		c.refs.Add(1)
 	}
 	return &Store{
-		pageBits:  s.pageBits,
-		pageMask:  s.pageMask,
-		pageSize:  s.pageSize,
-		pages:     append([]*page(nil), s.pages...),
-		logToPhys: append([]int32(nil), s.logToPhys...),
-		physToLog: append([]int32(nil), s.physToLog...),
-		nodes:     append([]*nodeChunk(nil), s.nodes...),
-		nodeLen:   s.nodeLen,
-		nodeFree:  append([]int32(nil), s.nodeFree...),
-		qn:        s.qn, // shared: append-only, synchronized
-		index:     s.index,
-		liveNodes: s.liveNodes,
+		pageBits:   s.pageBits,
+		pageMask:   s.pageMask,
+		pageSize:   s.pageSize,
+		pages:      append([]*page(nil), s.pages...),
+		logToPhys:  append([]int32(nil), s.logToPhys...),
+		physToLog:  append([]int32(nil), s.physToLog...),
+		nodes:      append([]*nodeChunk(nil), s.nodes...),
+		nodeLen:    s.nodeLen,
+		nodeFree:   append([]int32(nil), s.nodeFree...),
+		qn:         s.qn, // borrowed until the first new name (intern)
+		qnBorrowed: true,
+		index:      s.index,
+		liveNodes:  s.liveNodes,
 	}
 }

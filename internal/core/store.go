@@ -45,10 +45,11 @@
 // gone, the surviving owner writes it in place again, so a snapshot's
 // lifetime cost is bounded by the pages dirtied while it was live.
 //
-// The qualified-name pool is shared between the base and all snapshots
-// (it is append-only and internally synchronized); an aborted transaction
-// can leave unreferenced names behind, which CompactDictionaries reclaims
-// offline.
+// A snapshot borrows its base's qualified-name pool (it is append-only
+// and internally synchronized) until it interns its first new name; then
+// it copies the pool, keeping every id, and interns into the copy. Names
+// reach the base pool only when a commit replays its operations there,
+// so an aborted transaction leaves no name behind.
 //
 // Attribute values are stored inline, like text: a string in the owner's
 // attribute refs, carried by the node chunk as a page chunk carries its
@@ -236,9 +237,11 @@ type Store struct {
 	// store like the pageOffset tables, and never encoded.
 	nodeFree []int32
 
-	// The qualified-name pool is shared between the base and every
-	// snapshot: it is append-only and internally synchronized.
-	qn *xenc.QNamePool
+	// The qualified-name pool: append-only and internally synchronized.
+	// While qnBorrowed is set (a snapshot that has interned nothing new)
+	// it is the base's pool, which intern copies before adding a name.
+	qn         *xenc.QNamePool
+	qnBorrowed bool
 
 	// index is the cumulative live count by logical page (SeekUsed),
 	// shared with snapshots; see liveIndex.
@@ -619,14 +622,14 @@ func (s *Store) writeNode(pos int32, n *shred.Node, text string, id xenc.NodeID)
 	s.setPos(id, pos)
 	switch n.Kind {
 	case xenc.KindElem, xenc.KindPI:
-		wp.name[o] = s.qn.Intern(n.Name)
+		wp.name[o] = s.intern(n.Name)
 	default:
 		wp.name[o] = xenc.NoName
 	}
 	if len(n.Attrs) > 0 {
 		refs := make([]attrRef, len(n.Attrs))
 		for i, a := range n.Attrs {
-			refs[i] = attrRef{name: s.qn.Intern(a.Name), val: strings.Clone(a.Value)}
+			refs[i] = attrRef{name: s.intern(a.Name), val: strings.Clone(a.Value)}
 		}
 		s.setAttrs(id, refs)
 	}
@@ -741,6 +744,24 @@ func (s *Store) AttrValue(p xenc.Pre, name int32) (string, bool) {
 
 // Names exposes the document's interned names.
 func (s *Store) Names() *xenc.QNamePool { return s.qn }
+
+// intern returns name's id, adding it to s's pool if new. A snapshot
+// answers from the borrowed pool while it can; on its first new name it
+// copies what the pool holds now (ids keep their values, so its columns
+// and cached page summaries still read right) and interns into the copy.
+func (s *Store) intern(name string) int32 {
+	if s.qnBorrowed {
+		if id, ok := s.qn.Lookup(name); ok {
+			return id
+		}
+		own := xenc.NewQNamePool()
+		for _, n := range s.qn.Table() {
+			own.Intern(n)
+		}
+		s.qn, s.qnBorrowed = own, false
+	}
+	return s.qn.Intern(name)
+}
 
 // Cols implements xenc.ColumnView. A run is one logical page: the page
 // chunk behind p, whichever physical page the pageOffset table maps it

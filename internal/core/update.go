@@ -185,7 +185,7 @@ func (s *Store) Rename(p xenc.Pre, name string) error {
 		return fmt.Errorf("core: Rename on a %v node (pre %d)", k, p)
 	}
 	pos := s.physOf(p)
-	s.dirtyPage(pos >> s.pageBits).name[pos&s.pageMask] = s.qn.Intern(name)
+	s.dirtyPage(pos >> s.pageBits).name[pos&s.pageMask] = s.intern(name)
 	return nil
 }
 
@@ -201,7 +201,7 @@ func (s *Store) SetAttr(p xenc.Pre, name, val string) error {
 		return fmt.Errorf("core: SetAttr on a %v node (pre %d)", s.Kind(p), p)
 	}
 	id := s.NodeOf(p)
-	nameID := s.qn.Intern(name)
+	nameID := s.intern(name)
 	val = strings.Clone(val)
 	refs := s.attrRefs(id)
 	nrefs := make([]attrRef, len(refs), len(refs)+1)

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mxq/internal/core"
@@ -76,12 +77,6 @@ type Config struct {
 	// tx.Manager in batches of TxBatch ops; odd batches commit, even
 	// batches abort (the oracle only advances on commit).
 	TxBatch int
-	// CompactDictEvery, when > 0, runs CompactDictionaries every N steps
-	// (direct mode) or every N batches (tx mode) and re-verifies the
-	// stores agree: the dictionary rewrite must be invisible to the
-	// serialized document, and aborted batches' leaked entries must be
-	// reclaimable at any point in the workload.
-	CompactDictEvery int
 }
 
 var opNames = [...]string{
@@ -305,6 +300,9 @@ func checkAgree(t *testing.T, cfg Config, step int, paged *core.Store, oracle *n
 		t.Fatalf("seed %d step %d: live-node counts diverged: paged %d, oracle %d",
 			cfg.Seed, step, paged.LiveNodes(), oracle.LiveNodes())
 	}
+	if err := sameNames(paged, oracle); err != nil {
+		t.Fatalf("seed %d step %d: %v after %v", cfg.Seed, step, err, tail(history))
+	}
 	for _, e := range diffQueries {
 		got, err1 := queryFingerprint(paged, e)
 		want, err2 := queryFingerprint(oracle, e)
@@ -317,6 +315,18 @@ func checkAgree(t *testing.T, cfg Config, step int, paged *core.Store, oracle *n
 				cfg.Seed, step, e.Source(), tail(history), got, want)
 		}
 	}
+}
+
+// sameNames reports whether two views' name pools hold the same set of
+// names. The oracle only ever sees committed operations, so a name an
+// aborted transaction interned into the paged store's pool shows here.
+func sameNames(paged, oracle xenc.DocView) error {
+	got := slices.Sorted(slices.Values(paged.Names().Table()))
+	want := slices.Sorted(slices.Values(oracle.Names().Table()))
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("name pools diverged: paged holds %q, oracle %q", got, want)
+	}
+	return nil
 }
 
 func tail(history []op) []op {
@@ -360,9 +370,6 @@ func Run(t *testing.T, cfg Config) {
 		if err := o.applyNaive(oracle); err != nil {
 			t.Fatalf("seed %d step %d: oracle %v: %v", cfg.Seed, step, o, err)
 		}
-		if cfg.CompactDictEvery > 0 && (step+1)%cfg.CompactDictEvery == 0 {
-			paged.CompactDictionaries()
-		}
 		checkAgree(t, cfg, step, paged, oracle, history)
 	}
 }
@@ -397,9 +404,6 @@ func runTx(t *testing.T, cfg Config, rng *rand.Rand, paged *core.Store, oracle *
 			history = append(history, pending...)
 		} else {
 			txn.Abort()
-		}
-		if cfg.CompactDictEvery > 0 && batch%cfg.CompactDictEvery == 0 {
-			m.CompactDictionaries()
 		}
 		checkAgree(t, cfg, step, paged, oracle, history)
 	}

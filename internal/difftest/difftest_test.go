@@ -26,7 +26,7 @@ func TestDirectSmallPages(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			Run(t, Config{
 				Seed: seed, Steps: 120, DocSize: 60,
-				PageSize: 16, Fill: 0.75, CompactDictEvery: 40,
+				PageSize: 16, Fill: 0.75,
 			})
 		})
 	}
@@ -68,7 +68,6 @@ func TestTxCommitAbort(t *testing.T) {
 			Run(t, Config{
 				Seed: seed, Steps: 120, DocSize: 70,
 				PageSize: 16, Fill: 0.75, TxBatch: 5,
-				CompactDictEvery: 6,
 			})
 		})
 	}

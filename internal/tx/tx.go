@@ -330,7 +330,7 @@ type Stats struct {
 	LiveNodes       int    // live nodes
 	Tuples          int    // tuples including unused space
 	Pages, PageSize int    // logical pages, tuples per page
-	Names           int    // shared name pool entries (see CompactDictionaries)
+	Names           int    // base name pool entries (only commits add one)
 }
 
 // Stats reads the counters and the base store's shape under the shared
@@ -376,18 +376,6 @@ func (m *Manager) snapshot() *core.Store {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.store.Snapshot()
-}
-
-// CompactDictionaries rebuilds the shared qualified-name pool of the
-// base store, dropping names leaked by aborted transactions (see
-// core.Store.CompactDictionaries). It runs under the global write lock —
-// like a commit — and returns the number of dropped names. Live
-// snapshots and in-flight transactions keep their own references to the
-// old pool and chunks, so they are never disturbed.
-func (m *Manager) CompactDictionaries() (namesDropped int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.store.CompactDictionaries()
 }
 
 // PinCheckpoint captures a copy-on-write snapshot of the base store

@@ -10,12 +10,10 @@ import (
 // Elements and attributes reference names by dense integer id, which is
 // what makes name tests a single integer comparison during axis steps.
 //
-// The pool is append-only and safe for concurrent use: with page-grained
-// copy-on-write snapshots, the base store and all of its snapshots share
-// a single pool, so a writer may intern a new name while readers resolve
-// ids. Names interned by an aborted transaction stay in the pool
-// unreferenced, which is harmless (ids are only meaningful through the
-// column data that references them).
+// The pool is append-only and safe for concurrent use: a page-grained
+// copy-on-write snapshot reads its base's pool until it interns a new
+// name (then it interns into a copy of its own), so a writer may intern
+// a new name while readers resolve ids.
 //
 // The two directions are synchronized differently. id→string (Name, once
 // per serialized element and attribute) reads without locking: the table

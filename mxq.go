@@ -125,20 +125,6 @@
 // mxqd's Explain request and mxqshell's explain) renders the chosen
 // operators.
 //
-// # Dictionary compaction
-//
-// The qualified-name pool is a shared, append-only structure;
-// transactions intern new names before committing, so an abort leaks
-// names nothing references. (Attribute values are stored inline with
-// their element, like text, so they cannot leak.)
-// Document.CompactDictionaries is the offline reclamation pass: it
-// rewrites the pool to exactly the names the live document references
-// (Stats.Names exposes the drift), blocking like a single commit while
-// never disturbing open snapshots or in-flight transactions, which keep
-// their own consistent references until released. Document content,
-// node identities and storage layout are guaranteed unchanged; only
-// internal name ids are remapped.
-//
 // # Serving over the network
 //
 // The library also runs as a daemon: cmd/mxqd serves a Database over

@@ -1,6 +1,7 @@
 package mxq
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -154,52 +155,63 @@ func TestSnapshotHandleLifecycle(t *testing.T) {
 	}
 }
 
-// TestCompactDictionariesPublic: an aborted transaction leaks names into
-// the shared name pool; CompactDictionaries reclaims exactly those,
-// visible through Stats, without changing the document.
-func TestCompactDictionariesPublic(t *testing.T) {
-	doc := loadSnapDoc(t)
-	base := doc.Stats()
-
-	txn := doc.Begin()
-	if _, err := txn.Update(`<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">
-	  <xupdate:append select="/lib/shelf"><leaked-elem leaked-attr="leaked-val">x</leaked-elem></xupdate:append>
-	</xupdate:modifications>`); err != nil {
-		t.Fatal(err)
-	}
-	txn.Abort()
-
-	leaked := doc.Stats()
-	if leaked.Names <= base.Names {
-		t.Fatalf("abort leaked nothing: names %d->%d", base.Names, leaked.Names)
-	}
-	if leaked.Aborts != 1 {
-		t.Fatalf("abort count %d, want 1", leaked.Aborts)
-	}
-
-	before, err := doc.XML()
+// TestAbortedProgramsLeaveNoNames: an XUpdate program that appends new
+// element and attribute names and then fails is aborted, and its names
+// never reach the document's pool — not in Stats, not in the checkpoint
+// image, not after a reopen. Only a commit adds a name.
+func TestAbortedProgramsLeaveNoNames(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nd := doc.CompactDictionaries(); nd != leaked.Names-base.Names {
-		t.Fatalf("compaction dropped %d names, want %d", nd, leaked.Names-base.Names)
-	}
-	if after := doc.Stats(); after.Names != base.Names {
-		t.Fatalf("post-compaction name pool size %d, want %d", after.Names, base.Names)
-	}
-	if got, _ := doc.XML(); got != before {
-		t.Fatalf("document changed across dictionary compaction:\nbefore: %s\nafter:  %s", before, got)
-	}
-	// Attribute queries still resolve through the rewritten table.
-	if v, err := doc.QueryValue(`/lib/shelf/book[1]/@genre`); err != nil || v != "sf" {
-		t.Fatalf("attribute query after compaction = %q, %v, want \"sf\"", v, err)
-	}
-	if err := doc.CheckInvariants(); err != nil {
+	doc, err := db.LoadXMLString("lib", libDoc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing left to drop.
-	if nd := doc.CompactDictionaries(); nd != 0 {
-		t.Fatalf("second compaction dropped %d names, want 0", nd)
+	names := doc.Stats().Names
+	want, _ := doc.XML()
+	for i := range 1000 {
+		_, err := doc.Update(wrapMods(fmt.Sprintf(`<xupdate:append select="/lib/shelf"><leak%d a%d="v"/></xupdate:append>`, i, i) +
+			`<xupdate:update select="1+1">x</xupdate:update>`))
+		if err == nil {
+			t.Fatalf("program %d committed, want it to fail on its second op", i)
+		}
+	}
+	if st := doc.Stats(); st.Names != names || st.Aborts != 1000 {
+		t.Fatalf("after 1000 failed programs: %d names, %d aborts; want %d names, 1000 aborts", st.Names, st.Aborts, names)
+	}
+	if err := doc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := doc.Stats().Names; n != names {
+		t.Fatalf("after Checkpoint: %d names, want %d", n, names)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err = db.OpenDocument("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := doc.Stats().Names; n != names {
+		t.Fatalf("after reopen: %d names, want %d", n, names)
+	}
+	if got, _ := doc.XML(); got != want {
+		t.Fatalf("reopened document differs:\nwant %s\ngot  %s", want, got)
+	}
+	// A committed program still adds its names.
+	if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><kept k="v"/></xupdate:append>`)); err != nil {
+		t.Fatal(err)
+	}
+	if n := doc.Stats().Names; n != names+2 {
+		t.Fatalf("after a commit adding 2 names: %d names, want %d", n, names+2)
 	}
 }
 
