@@ -34,7 +34,8 @@ func setBook(t *testing.T, m *Manager, idx int, val string) {
 	t.Helper()
 	txn := m.Begin()
 	books := findBooks(t, txn)
-	if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: txn.NodeOf(books[idx] + 1), Value: val}); err != nil { // text child follows the element
+	text := xenc.SkipFree(txn, books[idx]+1) // the text child is the next used tuple
+	if _, err := txn.Apply(wal.Op{Kind: wal.OpSetValue, Target: txn.NodeOf(text), Value: val}); err != nil {
 		t.Fatal(err)
 	}
 	if err := txn.Commit(); err != nil {

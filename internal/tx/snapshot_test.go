@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"mxq/internal/serialize"
 	"mxq/internal/xenc"
@@ -178,78 +176,64 @@ func TestSnapshotOutlivesManager(t *testing.T) {
 	snap.Close()
 }
 
-// TestRacingFirstReadersBuildInParallel proves the epoch-based slow
-// path: two first-readers arriving after a commit must both be inside
-// snapshot construction at the same time — neither serialized behind a
-// manager-wide reader lock — and both must come away with a consistent
-// view of the current version. Run under -race.
-func TestRacingFirstReadersBuildInParallel(t *testing.T) {
-	s := buildStore(t, doc, 16)
+// TestFirstReadersAfterCommitShareOneBuild: first readers that race in
+// after a commit must all lease the new version through one shared
+// snapshot, and the manager must build that snapshot once, not once per
+// racer — the race allocates less than one and a half builds. Run under
+// -race.
+func TestFirstReadersAfterCommitShareOneBuild(t *testing.T) {
+	s := buildStore(t, "<lib>"+strings.Repeat("<book>t</book>", 4000)+"</lib>", 8)
 	m := NewManager(s, nil)
 	total := s.DirtyPages()
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var first *ReadView
+	oneBuild := allocated(func() { first = m.AcquireRead() }) // the cache slot is empty
+	first.Close()
 
-	const racers = 3
-	var entered atomic.Int32
-	var maxConcurrent atomic.Int32
-	proceed := make(chan struct{})
-	var once sync.Once
-	m.snapBuildHook = func() {
-		n := entered.Add(1)
-		for {
-			old := maxConcurrent.Load()
-			if n <= old || maxConcurrent.CompareAndSwap(old, n) {
-				break
+	const racers = 8
+	for round := 0; round < 20; round++ {
+		setBook(t, m, round, fmt.Sprintf("r%d", round)) // every racer finds the cache stale
+		want := m.Version()
+		views := make([]*ReadView, racers)
+		start := make(chan struct{})
+		var ready, done sync.WaitGroup
+		for i := range views {
+			ready.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-start
+				views[i] = m.AcquireRead()
+			}()
+		}
+		ready.Wait()
+		raced := allocated(func() {
+			close(start)
+			done.Wait()
+		})
+		if 2*raced >= 3*oneBuild {
+			t.Fatalf("round %d: %d racing first readers allocated %d B, one build allocates %d B", round, racers, raced, oneBuild)
+		}
+		for i, rv := range views {
+			if rv.Version() != want || rv.View() != views[0].View() {
+				t.Fatalf("round %d: racer %d leased version %d, want %d through one shared snapshot", round, i, rv.Version(), want)
 			}
 		}
-		if n >= 2 {
-			once.Do(func() { close(proceed) })
+		for _, rv := range views {
+			rv.Close()
 		}
-		// Block until a second builder is in flight, proving the builds
-		// overlap. The timeout keeps a regression (builders serialized
-		// again) from deadlocking the suite; it fails the test below
-		// via maxConcurrent instead.
-		select {
-		case <-proceed:
-		case <-time.After(10 * time.Second):
-		}
-		entered.Add(-1)
 	}
-
-	setBook(t, m, 0, "stale-the-cache") // every racer must take the slow path
-
-	want := m.Version()
-	views := make([]*ReadView, racers)
-	var wg sync.WaitGroup
-	for i := 0; i < racers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			views[i] = m.AcquireRead()
-		}(i)
-	}
-	wg.Wait()
-
-	if got := maxConcurrent.Load(); got < 2 {
-		t.Fatalf("at most %d snapshot build(s) ran concurrently; first readers are serialized again", got)
-	}
-	var xml string
-	for i, rv := range views {
-		if rv.Version() != want {
-			t.Fatalf("racer %d acquired version %d, want %d", i, rv.Version(), want)
-		}
-		got := viewXML(t, rv.View())
-		if xml == "" {
-			xml = got
-		} else if got != xml {
-			t.Fatalf("racer %d saw a different document at the same version", i)
-		}
-		rv.Close()
-	}
-	// Losing builds must have been released on the spot: after the cache
-	// moves on, the base owns every chunk again.
-	m.snapBuildHook = nil
-	setBook(t, m, 1, "drain")
+	// With every lease closed, the commit below drops the cache slot's
+	// reference too, and the base owns every chunk again.
+	setBook(t, m, 0, "drain")
 	if got := s.DirtyPages(); got != total {
-		t.Fatalf("base owns %d/%d chunks after the race; a losing build leaked its references", got, total)
+		t.Fatalf("base owns %d/%d chunks after the races; a build leaked its references", got, total)
 	}
 }

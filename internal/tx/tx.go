@@ -4,10 +4,12 @@
 //   - read-only queries run against an immutable per-version snapshot
 //     (AcquireRead): the manager keeps a monotonic version counter,
 //     bumped on every commit, and lazily caches one copy-on-write
-//     snapshot for the current committed version. Acquiring a read view
-//     at an unchanged version is a refcount bump — no per-query
-//     O(pages) snapshot, and no lock held during evaluation, so long
-//     scans never block commits and commits never block readers;
+//     snapshot for the current committed version, built once by the
+//     first reader after a commit while any others arriving meanwhile
+//     wait for it. Acquiring a read view at an unchanged version is a
+//     refcount bump — no per-query O(pages) snapshot, and no lock held
+//     during evaluation, so long scans never block commits and commits
+//     never block readers;
 //   - write transactions work in isolation on a *page-granular
 //     copy-on-write* image of the base store (core.Store.Snapshot): the
 //     image shares all pages with the base and privately copies only the
@@ -38,7 +40,6 @@ package tx
 
 import (
 	"errors"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -79,29 +80,20 @@ type Manager struct {
 
 	// cached is the snapshot for the current committed version, built
 	// lazily by the read path and replaced (never mutated) when a reader
-	// first arrives after a commit. Cache maintenance is epoch-based and
-	// entirely lock-free: racing first-readers after a commit each build
-	// a snapshot in parallel (Snapshot only bumps refcounts, so builds
-	// don't conflict), the newest version wins the CAS into the slot,
-	// and losers either adopt the winner or release their build
-	// immediately. Commit drops the cache-slot reference of a superseded
-	// snapshot (invalidateStale) so a write-only phase neither pins the
-	// old version in memory nor pays copy-on-write for chunks no reader
-	// will ever lease again.
-	cached atomic.Pointer[readSnap]
-
-	// snapBuildHook, when non-nil, runs between building a snapshot and
-	// trying to install it (testing hook: it lets tests prove that
-	// racing first-readers really do build in parallel). Set it before
-	// any reader runs; it must not be mutated afterwards.
-	snapBuildHook func()
+	// first arrives after a commit. buildMu admits one builder at a
+	// time, so each version is built once however many first readers
+	// race in; commits never take it. Commit drops the cache-slot
+	// reference of a superseded snapshot (invalidateStale) so a
+	// write-only phase neither pins the old version in memory nor pays
+	// copy-on-write for chunks no reader will ever lease again.
+	cached  atomic.Pointer[readSnap]
+	buildMu sync.Mutex
 
 	lockMu sync.Mutex
 	owners map[int32]*Tx // logical page -> holder
 
-	commits  uint64
-	aborts   uint64
-	pageBits uint
+	commits uint64        // under mu, bumped in the commit critical section
+	aborts  atomic.Uint64 // bumped by Abort without any manager lock
 
 	// applied is the read-your-writes watermark (see repl.go).
 	applied appliedLSN
@@ -193,10 +185,9 @@ func (rv *ReadView) Close() {
 // NewManager wraps a store; log may be nil for a volatile database.
 func NewManager(store *core.Store, log *wal.Log) *Manager {
 	m := &Manager{
-		store:    store,
-		log:      log,
-		owners:   make(map[int32]*Tx),
-		pageBits: uint(bits.TrailingZeros(uint(store.PageSize()))),
+		store:  store,
+		log:    log,
+		owners: make(map[int32]*Tx),
 	}
 	if log != nil {
 		// Everything recovered (or replicated) up to the log's tail is in
@@ -215,16 +206,13 @@ func (m *Manager) Version() uint64 { return m.version.Load() }
 // version. The fast path — the cached snapshot is still current — is an
 // atomic pointer load, a version check and a refcount bump: no lock is
 // held while the caller evaluates against the view, so readers fully
-// overlap commits. The slow path is epoch-based: every first-reader
-// racing in after a commit builds its own O(pages) snapshot in parallel
-// (snapshot construction only increments chunk refcounts under the
-// shared read lock, so builds never conflict with each other or with
-// other readers), and the builds are reconciled by compare-and-swap on
-// the cache slot — the newest version wins, racers that lose to an
-// equal-version build adopt the winner and release their own build
-// immediately, and a build overtaken by an even newer commit is served
-// to its own caller uncached. No reader ever waits for another reader's
-// build.
+// overlap commits. The slow path builds the version's O(pages) snapshot
+// once: the first reader after a commit builds it under the shared read
+// lock (snapshot construction only increments chunk refcounts, so it
+// runs beside other readers, Begins and checkpoints), and readers that
+// arrive meanwhile wait for that build and share it instead of
+// repeating it. A commit never waits for a build longer than for any
+// other holder of the shared lock.
 //
 // The caller must Close the returned view when done; the snapshot for a
 // superseded version is dropped when its last reader closes, returning
@@ -236,95 +224,53 @@ func (m *Manager) AcquireRead() *ReadView {
 // acquireSnap returns the current version's snapshot with one reference
 // taken for the caller.
 func (m *Manager) acquireSnap() *readSnap {
-	for {
-		if rs := m.cached.Load(); rs != nil && rs.version == m.version.Load() && rs.tryAcquire() {
-			return rs
-		}
-		if rs := m.buildSnap(); rs != nil {
-			return rs
-		}
+	if rs := m.cachedCurrent(); rs != nil {
+		return rs
 	}
+	m.buildMu.Lock()
+	defer m.buildMu.Unlock()
+	if rs := m.cachedCurrent(); rs != nil {
+		return rs // built by the reader this one waited for
+	}
+	// The snapshot and its version are captured together under the
+	// shared lock, so a commit cannot slip between them.
+	m.mu.RLock()
+	rs := &readSnap{store: m.store.Snapshot(), version: m.version.Load()}
+	m.mu.RUnlock()
+	rs.refs.Store(2) // the caller's lease and the cache slot's
+	if old := m.cached.Swap(rs); old != nil {
+		old.release()
+	}
+	// A commit that landed after the build ran its invalidateStale
+	// before rs was in the slot: evict rs now, as that call would have,
+	// so a write-only phase pins nothing.
+	m.invalidateStale()
+	return rs
 }
 
-// buildSnap is the epoch-based slow path: build a snapshot of the
-// current committed version without holding any manager-wide reader
-// lock, then reconcile with racing builders through the cache slot's
-// compare-and-swap. The snapshot and its version are captured together
-// under the shared read lock, so a commit cannot slip between them.
-// The returned snapshot carries one reference for the caller.
-func (m *Manager) buildSnap() *readSnap {
-	m.mu.RLock()
-	snap := m.store.Snapshot()
-	v := m.version.Load()
-	m.mu.RUnlock()
-	if h := m.snapBuildHook; h != nil {
-		h()
+// cachedCurrent takes a reference on the cached snapshot if it is of the
+// current version and still alive, and returns nil otherwise.
+func (m *Manager) cachedCurrent() *readSnap {
+	if rs := m.cached.Load(); rs != nil && rs.version == m.version.Load() && rs.tryAcquire() {
+		return rs
 	}
-	rs := &readSnap{store: snap, version: v}
-	rs.refs.Store(1) // the caller's lease
-	for {
-		old := m.cached.Load()
-		if old != nil {
-			if old.version > v {
-				// A racer installed a newer epoch while we built. Our
-				// snapshot is still a consistent view of a version that
-				// was current within this call, so serve it to our own
-				// caller uncached; it is released when that one lease
-				// closes.
-				return rs
-			}
-			if old.version == v {
-				// Lost the install race to an equal-version build:
-				// adopt the winner and release ours immediately.
-				if old.tryAcquire() {
-					rs.release()
-					return old
-				}
-				// The cached equal-version snapshot was already fully
-				// released (a commit invalidated it and its last reader
-				// left); the CAS below will fail against the changed
-				// slot and we reconcile again.
-			}
-		}
-		rs.refs.Add(1) // the cache slot's reference
-		if m.cached.CompareAndSwap(old, rs) {
-			if old != nil {
-				old.release()
-			}
-			// A commit may have landed between capturing the version
-			// and installing: its invalidateStale can have run before
-			// our install made rs visible, so re-check and self-evict
-			// rather than leave a stale snapshot pinned in the slot
-			// across a write-only phase.
-			if rs.version != m.version.Load() {
-				m.invalidateStale()
-			}
-			return rs
-		}
-		rs.refs.Add(-1)
-	}
+	return nil
 }
 
 // invalidateStale drops the cache-slot reference of a snapshot whose
 // version has been superseded, so open readers keep their leases but
 // the cache stops pinning the old version across a write-only phase.
-// Commit calls it after releasing the global lock; it is lock-free and
-// safe to race with readers installing fresh snapshots.
+// Commit calls it after releasing the global lock. One compare-and-swap
+// suffices: the only other slot writer, acquireSnap, calls it again
+// after each install.
 func (m *Manager) invalidateStale() {
-	for {
-		rs := m.cached.Load()
-		if rs == nil || rs.version == m.version.Load() {
-			return
-		}
-		if m.cached.CompareAndSwap(rs, nil) {
-			rs.release()
-			return
-		}
+	if rs := m.cached.Load(); rs != nil && rs.version != m.version.Load() && m.cached.CompareAndSwap(rs, nil) {
+		rs.release()
 	}
 }
 
 // Stats are the manager's counters and the base store's shape, read in
-// one critical section.
+// one critical section; Aborts, which no lock guards, is read beside it.
 type Stats struct {
 	Commits, Aborts uint64 // finished write transactions
 	LiveNodes       int    // live nodes
@@ -341,7 +287,7 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.RUnlock()
 	return Stats{
 		Commits:   m.commits,
-		Aborts:    m.aborts,
+		Aborts:    m.aborts.Load(),
 		LiveNodes: m.store.LiveNodes(),
 		Tuples:    int(m.store.Len()),
 		Pages:     m.store.Pages(),

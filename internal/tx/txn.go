@@ -322,9 +322,7 @@ func (t *Tx) Abort() {
 	if t.done {
 		return
 	}
-	t.m.mu.Lock()
-	t.m.aborts++
-	t.m.mu.Unlock()
+	t.m.aborts.Add(1)
 	t.m.unlockAll(t)
 	t.done = true
 	t.clone.Release()
