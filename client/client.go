@@ -354,17 +354,13 @@ func (c *Client) ListDocs(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.Count(1) // a name is at least its length byte
-	if err != nil {
-		return nil, err
+	n, _ := r.Count(1) // a name is at least its length byte
+	names := make([]string, n)
+	for i := range names {
+		names[i], _ = r.String()
 	}
-	names := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, s)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return names, nil
 }
@@ -421,25 +417,16 @@ func (c *Client) queryOn(ctx context.Context, doc, query string, vars map[string
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.Count(3) // an item is at least a kind byte and two length bytes
-	if err != nil {
-		return nil, err
+	n, _ := r.Count(3) // an item is at least a kind byte and two length bytes
+	items := make([]Item, n)
+	for i := range items {
+		kind, _ := r.Byte()
+		items[i].Kind = wire.KindName(kind)
+		items[i].Value, _ = r.String()
+		items[i].XML, _ = r.String()
 	}
-	items := make([]Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		kind, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		value, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		xml, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, Item{Kind: wire.KindName(kind), Value: value, XML: xml})
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return items, nil
 }
@@ -454,16 +441,10 @@ func (c *Client) Update(ctx context.Context, doc, mods string) (UpdateResult, er
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ops, err := r.Uvarint()
-	if err != nil {
-		return UpdateResult{}, err
-	}
-	affected, err := r.Uvarint()
-	if err != nil {
-		return UpdateResult{}, err
-	}
-	lsn, err := r.Uvarint()
-	if err != nil {
+	ops, _ := r.Uvarint()
+	affected, _ := r.Uvarint()
+	lsn, _ := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return UpdateResult{}, err
 	}
 	for {
@@ -536,29 +517,16 @@ func (c *Client) DocStatus(ctx context.Context, doc string) (DocStatus, error) {
 	if err != nil {
 		return DocStatus{}, err
 	}
-	role, err := r.Byte()
-	if err != nil {
-		return DocStatus{}, err
-	}
-	applied, err := r.Uvarint()
-	if err != nil {
-		return DocStatus{}, err
-	}
-	last, err := r.Uvarint()
-	if err != nil {
-		return DocStatus{}, err
-	}
-	st := DocStatus{AppliedLSN: applied, LastLSN: last, Role: "primary"}
-	if role == wire.RoleFollower {
+	st := DocStatus{Role: "primary"}
+	if role, _ := r.Byte(); role == wire.RoleFollower {
 		st.Role = "follower"
 	}
-	if st.CkptBytesWritten, err = r.Uvarint(); err != nil {
-		return DocStatus{}, err
-	}
-	if st.CkptChunksWritten, err = r.Uvarint(); err != nil {
-		return DocStatus{}, err
-	}
-	if st.CkptChunksReused, err = r.Uvarint(); err != nil {
+	st.AppliedLSN, _ = r.Uvarint()
+	st.LastLSN, _ = r.Uvarint()
+	st.CkptBytesWritten, _ = r.Uvarint()
+	st.CkptChunksWritten, _ = r.Uvarint()
+	st.CkptChunksReused, _ = r.Uvarint()
+	if err := r.Err(); err != nil {
 		return DocStatus{}, err
 	}
 	return st, nil

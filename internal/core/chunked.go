@@ -1,12 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"mxq/internal/chunkstore"
 	"mxq/internal/par"
+	"mxq/internal/wire"
 	"mxq/internal/xenc"
 )
 
@@ -145,30 +146,48 @@ type ChunkSaveStats struct {
 // chunk; the decoder converts it to one string and slices it per tuple,
 // so a page costs one text allocation, not one per text node, and a node
 // chunk one for all its values.
+//
+// A chunk is written with a wire.PayloadBuilder and read with a
+// wire.PayloadReader, whose first error sticks: a decoder reads a
+// whole chunk and checks the reader's error once, and a count read off
+// a failed reader is 0, so nothing is allocated for it.
 
-type chunkEnc struct{ b []byte }
+// zigzag maps d to a uv: small magnitudes of either sign stay short.
+func zigzag(d int32) uint64 { return uint64(uint32(d<<1) ^ uint32(d>>31)) }
 
-func (e *chunkEnc) uv(v uint32) { e.b = binary.AppendUvarint(e.b, uint64(v)) }
+// uv32 reads a uv, refusing a value wider than 32 bits.
+func uv32(r *wire.PayloadReader) uint32 { return uint32(r.UvarintMax(math.MaxUint32)) }
 
-// zz appends the zigzag of d: small magnitudes of either sign stay short.
-func (e *chunkEnc) zz(d int32) { e.uv(uint32(d<<1) ^ uint32(d>>31)) }
+// unzigzag reads a zigzag-coded uv.
+func unzigzag(r *wire.PayloadReader) int32 {
+	u := uv32(r)
+	return int32(u>>1) ^ -int32(u&1)
+}
 
-// deltas appends col zz-delta coded.
-func (e *chunkEnc) deltas(col []int32) {
+// appendDeltas appends col zz-delta coded.
+func appendDeltas(p *wire.PayloadBuilder, col []int32) {
 	prev := int32(0)
 	for _, v := range col {
-		e.zz(v - prev)
+		p.Uvarint(zigzag(v - prev))
 		prev = v
 	}
 }
 
-// strs appends a lengths column followed by the concatenated bytes.
-func (e *chunkEnc) strs(col []string) {
+func readDeltas(r *wire.PayloadReader, col []int32) {
+	prev := int32(0)
+	for i := range col {
+		prev += unzigzag(r)
+		col[i] = prev
+	}
+}
+
+// appendStrs appends a lengths column followed by the concatenated bytes.
+func appendStrs(p *wire.PayloadBuilder, col []string) {
 	for _, s := range col {
-		e.uv(uint32(len(s)))
+		p.Uvarint(uint64(len(s)))
 	}
 	for _, s := range col {
-		e.b = append(e.b, s...)
+		p.RawString(s)
 	}
 }
 
@@ -180,118 +199,24 @@ func strsLen(col []string) int {
 	return n
 }
 
-// chunkDec decodes with a sticky error; every getter returns the zero
-// value once the input is exhausted or malformed.
-type chunkDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *chunkDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-// begin checks the kind tag and reads the entry count, which may not
-// exceed limit nor what the chunk's length allows at minBytes per entry
-// — so whatever the decoder allocates next is bounded by the input.
-func (d *chunkDec) begin(kind byte, what string, limit int32, minBytes int) int {
-	if len(d.b) == 0 {
-		d.fail("core: empty chunk")
-		return 0
-	}
-	if tag := d.b[0]; tag != kind {
-		switch tag {
-		case chunkKindPage, chunkKindDict, chunkKindNode:
-			d.fail("core: chunk kind %d, want %s (%d)", tag, what, kind)
-		default:
-			d.fail("core: unsupported chunk format (kind tag %d); no migration from older builds", tag)
-		}
-		return 0
-	}
-	d.off = 1
-	n := d.uv()
-	switch {
-	case d.err != nil:
-	case uint64(n) > uint64(limit):
-		d.fail("core: %s chunk count %d exceeds limit %d", what, n, limit)
-	case uint64(n)*uint64(minBytes) > uint64(len(d.b)):
-		d.fail("core: %s chunk of %d bytes cannot hold %d entries", what, len(d.b), n)
-	default:
-		return int(n)
-	}
-	return 0
-}
-
-// uv reads one canonical uvarint of at most 32 bits.
-func (d *chunkDec) uv() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	var x uint32
-	for shift := uint(0); shift < 35; shift += 7 {
-		if d.off >= len(d.b) {
-			d.fail("core: chunk truncated at offset %d", d.off)
-			return 0
-		}
-		c := d.b[d.off]
-		d.off++
-		if c < 0x80 {
-			if (c == 0 && shift > 0) || (shift == 28 && c > 0x0f) {
-				break
-			}
-			return x | uint32(c)<<shift
-		}
-		x |= uint32(c&0x7f) << shift
-	}
-	d.fail("core: chunk has a malformed varint before offset %d", d.off)
-	return 0
-}
-
-func (d *chunkDec) zz() int32 {
-	u := d.uv()
-	return int32(u>>1) ^ -int32(u&1)
-}
-
-func (d *chunkDec) deltas(col []int32) {
-	prev := int32(0)
-	for i := range col {
-		prev += d.zz()
-		col[i] = prev
-	}
-}
-
-func (d *chunkDec) raw(col []byte) {
-	if d.err != nil {
-		return
-	}
-	if len(d.b)-d.off < len(col) {
-		d.fail("core: chunk truncated at offset %d", d.off)
-		return
-	}
-	d.off += copy(col, d.b[d.off:])
-}
-
-// strs reads a lengths column and slices the rest of the chunk — which
-// the lengths must cover exactly — into col, sharing one allocation.
-func (d *chunkDec) strs(col []string) {
+// readStrs reads a lengths column and slices the rest of the chunk —
+// which the lengths must cover exactly, so no byte trails a chunk —
+// into col, sharing one allocation.
+func readStrs(r *wire.PayloadReader, col []string) {
 	lens := make([]uint32, len(col))
 	total := uint64(0)
 	for i := range lens {
-		lens[i] = d.uv()
+		lens[i] = uv32(r)
 		total += uint64(lens[i])
 	}
-	if d.err != nil {
+	if r.Err() != nil {
 		return
 	}
-	if rest := uint64(len(d.b) - d.off); total != rest {
-		d.fail("core: chunk string lengths total %d, %d bytes follow", total, rest)
+	if rest := uint64(r.Remaining()); total != rest {
+		r.Fail(fmt.Errorf("core: chunk string lengths total %d, %d bytes follow", total, rest))
 		return
 	}
-	block := string(d.b[d.off:])
-	d.off = len(d.b)
+	block := string(r.Rest())
 	at := 0
 	for i, n := range lens {
 		col[i] = block[at : at+int(n)]
@@ -299,76 +224,84 @@ func (d *chunkDec) strs(col []string) {
 	}
 }
 
-// done fails on trailing garbage: a chunk's name covers every byte.
-func (d *chunkDec) done() error {
-	if d.err != nil {
-		return d.err
+// beginChunk checks the kind tag and reads the entry count, which may
+// not exceed limit nor what the rest of the chunk holds at minBytes per
+// entry — so whatever the decoder allocates next is bounded by the input.
+func beginChunk(r *wire.PayloadReader, kind byte, what string, limit int32, minBytes int) int {
+	switch tag, err := r.Byte(); {
+	case err != nil, tag == kind:
+	case tag == chunkKindPage, tag == chunkKindDict, tag == chunkKindNode:
+		r.Fail(fmt.Errorf("core: chunk kind %d, want %s (%d)", tag, what, kind))
+	default:
+		r.Fail(fmt.Errorf("core: unsupported chunk format (kind tag %d); no migration from older builds", tag))
 	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("core: chunk has %d trailing bytes", len(d.b)-d.off)
+	n, _ := r.Count(minBytes)
+	if n > uint64(limit) {
+		r.Fail(fmt.Errorf("core: %s chunk count %d exceeds limit %d", what, n, limit))
+		return 0
 	}
-	return nil
+	return int(n)
 }
 
-func encodePageChunk(p *page) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 8*len(p.size)+strsLen(p.text)+8)}
-	e.b = append(e.b, chunkKindPage)
-	e.uv(uint32(len(p.size)))
-	for _, v := range p.size {
-		e.uv(uint32(v))
+func encodePageChunk(pg *page) []byte {
+	var p wire.PayloadBuilder
+	p.Reset(8*len(pg.size) + strsLen(pg.text) + 8)
+	p.Byte(chunkKindPage).Uvarint(uint64(len(pg.size)))
+	for _, v := range pg.size {
+		p.Uvarint(uint64(uint32(v)))
 	}
 	prev := int32(0)
-	for _, v := range p.level {
-		e.zz(int32(v) - prev)
+	for _, v := range pg.level {
+		p.Uvarint(zigzag(int32(v) - prev))
 		prev = int32(v)
 	}
-	e.b = append(e.b, p.kind...)
-	for _, v := range p.name {
-		e.uv(uint32(v + 1))
+	p.Raw(pg.kind)
+	for _, v := range pg.name {
+		p.Uvarint(uint64(uint32(v + 1)))
 	}
-	e.deltas(p.node)
-	e.strs(p.text)
-	return e.b
+	appendDeltas(&p, pg.node)
+	appendStrs(&p, pg.text)
+	return p.Bytes()
 }
 
 func decodePageChunk(data []byte, pageSize int32) (*page, error) {
-	d := &chunkDec{b: data}
+	r := wire.NewPayloadReader(data)
 	// size, level, kind, name, node and text length: ≥ 6 bytes a tuple.
-	if n := d.begin(chunkKindPage, "page", pageSize, 6); d.err != nil {
-		return nil, d.err
+	if n := beginChunk(r, chunkKindPage, "page", pageSize, 6); r.Err() != nil {
+		return nil, r.Err()
 	} else if int32(n) != pageSize {
 		return nil, fmt.Errorf("core: page chunk holds %d tuples, store page size is %d", n, pageSize)
 	}
 	p := newPage(int(pageSize))
 	for i := range p.size {
-		p.size[i] = int32(d.uv())
+		p.size[i] = int32(uv32(r))
 	}
 	prev := int32(0)
 	for i := range p.level {
-		prev += d.zz()
+		prev += unzigzag(r)
 		if prev != int32(int16(prev)) {
-			d.fail("core: page chunk level %d overflows 16 bits", prev)
+			r.Fail(fmt.Errorf("core: page chunk level %d overflows 16 bits", prev))
 			break
 		}
 		p.level[i] = int16(prev)
 	}
-	d.raw(p.kind)
+	copy(p.kind, r.Next(len(p.kind)))
 	for i := range p.name {
-		p.name[i] = int32(d.uv()) - 1
+		p.name[i] = int32(uv32(r)) - 1
 	}
-	d.deltas(p.node)
-	d.strs(p.text)
-	if err := d.done(); err != nil {
+	readDeltas(r, p.node)
+	readStrs(r, p.text)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
 func encodeNodeChunk(c *nodeChunk) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 4*len(c.pos)+8)}
-	e.b = append(e.b, chunkKindNode)
-	e.uv(uint32(len(c.pos)))
-	e.deltas(c.pos)
+	var p wire.PayloadBuilder
+	p.Reset(4*len(c.pos) + 8)
+	p.Byte(chunkKindNode).Uvarint(uint64(len(c.pos)))
+	appendDeltas(&p, c.pos)
 	// A node's parent is almost always a recently allocated id, so the
 	// distance back to it is small where the id itself is not; as a
 	// delta column the chunk's base id cancels out of all but the first
@@ -376,11 +309,11 @@ func encodeNodeChunk(c *nodeChunk) []byte {
 	prev := int32(0)
 	for i, v := range c.parent {
 		back := int32(i) - v
-		e.zz(back - prev)
+		p.Uvarint(zigzag(back - prev))
 		prev = back
 	}
 	for _, refs := range c.attrs {
-		e.uv(uint32(len(refs)))
+		p.Uvarint(uint64(len(refs)))
 	}
 	eachRef := func(fn func(r attrRef)) {
 		for _, refs := range c.attrs {
@@ -389,46 +322,46 @@ func encodeNodeChunk(c *nodeChunk) []byte {
 			}
 		}
 	}
-	eachRef(func(r attrRef) { e.uv(uint32(r.name)) })
-	eachRef(func(r attrRef) { e.uv(uint32(len(r.val))) })
-	eachRef(func(r attrRef) { e.b = append(e.b, r.val...) })
-	return e.b
+	eachRef(func(r attrRef) { p.Uvarint(uint64(uint32(r.name))) })
+	eachRef(func(r attrRef) { p.Uvarint(uint64(len(r.val))) })
+	eachRef(func(r attrRef) { p.RawString(r.val) })
+	return p.Bytes()
 }
 
 func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
-	d := &chunkDec{b: data}
+	r := wire.NewPayloadReader(data)
 	// pos, parent and attribute count: ≥ 3 bytes an id.
-	if n := d.begin(chunkKindNode, "node", pageSize, 3); d.err != nil {
-		return nil, d.err
+	if n := beginChunk(r, chunkKindNode, "node", pageSize, 3); r.Err() != nil {
+		return nil, r.Err()
 	} else if int32(n) != pageSize {
 		return nil, fmt.Errorf("core: node chunk holds %d ids, store page size is %d", n, pageSize)
 	}
 	c := newNodeChunk(int(pageSize))
-	d.deltas(c.pos)
+	readDeltas(r, c.pos)
 	prev := int32(0)
 	for i := range c.parent {
-		prev += d.zz()
+		prev += unzigzag(r)
 		c.parent[i] = int32(i) - prev
 	}
 	counts := make([]uint32, pageSize)
 	total := uint64(0)
 	for i := range counts {
-		counts[i] = d.uv()
+		counts[i] = uv32(r)
 		total += uint64(counts[i])
 	}
 	// Each attribute ref costs ≥ 2 bytes of what is left (name, length).
-	if d.err == nil && total > uint64(len(d.b)-d.off)/2 {
-		d.fail("core: node chunk claims %d attribute refs in %d bytes", total, len(d.b)-d.off)
+	if total > uint64(r.Remaining())/2 {
+		r.Fail(fmt.Errorf("core: node chunk claims %d attribute refs in %d bytes", total, r.Remaining()))
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	refs := make([]attrRef, total)
 	for i := range refs {
-		refs[i].name = int32(d.uv())
+		refs[i].name = int32(uv32(r))
 	}
 	vals := make([]string, total)
-	d.strs(vals)
+	readStrs(r, vals)
 	for i := range refs {
 		refs[i].val = vals[i]
 	}
@@ -441,29 +374,25 @@ func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
 			at += int(n)
 		}
 	}
-	if err := d.done(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 func encodeDictChunk(vals []string) []byte {
-	e := &chunkEnc{b: make([]byte, 0, 2*len(vals)+strsLen(vals)+8)}
-	e.b = append(e.b, chunkKindDict)
-	e.uv(uint32(len(vals)))
-	e.strs(vals)
-	return e.b
+	var p wire.PayloadBuilder
+	p.Reset(2*len(vals) + strsLen(vals) + 8)
+	p.Byte(chunkKindDict).Uvarint(uint64(len(vals)))
+	appendStrs(&p, vals)
+	return p.Bytes()
 }
 
 func decodeDictChunk(data []byte) ([]string, error) {
-	d := &chunkDec{b: data}
-	n := d.begin(chunkKindDict, "dict", dictGroupSize, 1)
-	if d.err != nil {
-		return nil, d.err
-	}
-	vals := make([]string, n)
-	d.strs(vals)
-	if err := d.done(); err != nil {
+	r := wire.NewPayloadReader(data)
+	vals := make([]string, beginChunk(r, chunkKindDict, "dict", dictGroupSize, 1))
+	readStrs(r, vals)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return vals, nil

@@ -1,9 +1,7 @@
 package repl
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -189,6 +187,35 @@ func decodeBatch(payload []byte) ([]*wal.Record, error) {
 	return recs, nil
 }
 
+// decodeChunkBatch reverses encodeChunkBatch: the last flag, 0 or 1,
+// then the chunks, each its raw hash and its length-prefixed bytes,
+// which share the payload's memory. No byte may follow the last chunk.
+func decodeChunkBatch(payload []byte) (last bool, hs []chunkstore.Hash, bodies [][]byte, err error) {
+	r := wire.NewPayloadReader(payload)
+	flag, _ := r.Byte()
+	if flag > 1 {
+		r.Fail(fmt.Errorf("last flag %d", flag))
+	}
+	// A chunk is at least its hash and a length byte.
+	n, _ := r.Count(chunkstore.HashSize + 1)
+	hs, bodies = make([]chunkstore.Hash, n), make([][]byte, n)
+	for i := range hs {
+		copy(hs[i][:], r.Next(chunkstore.HashSize))
+		if size, _ := r.Uvarint(); size > uint64(r.Remaining()) {
+			r.Fail(fmt.Errorf("chunk %d claims %d bytes, %d left", i, size, r.Remaining()))
+		} else {
+			bodies[i] = r.Next(int(size))
+		}
+	}
+	if r.Remaining() != 0 {
+		r.Fail(fmt.Errorf("%d stray bytes after the batch", r.Remaining()))
+	}
+	if err := r.Err(); err != nil {
+		return false, nil, nil, fmt.Errorf("repl: decoding chunk batch: %w", err)
+	}
+	return flag == 1, hs, bodies, nil
+}
+
 // hello negotiates replication. A primary that answers with anything
 // but OK cannot serve this subscription.
 func (f *Follower) hello(conn net.Conn) error {
@@ -205,12 +232,9 @@ func (f *Follower) hello(conn net.Conn) error {
 		return fmt.Errorf("repl: primary rejected Hello for protocol %d (status %d)", wire.Version, fr.Op)
 	}
 	r := wire.NewPayloadReader(fr.Payload)
-	version, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	feats, err := r.Uvarint()
-	if err != nil {
+	version, _ := r.Uvarint()
+	feats, _ := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if version != wire.Version || feats&wire.FeatReplication == 0 {
@@ -233,13 +257,9 @@ func (f *Follower) subscribe(conn net.Conn, after uint64) (mode byte, start uint
 		return 0, 0, fmt.Errorf("repl: subscribe rejected (status %d): %s", fr.Op, fr.Payload)
 	}
 	r := wire.NewPayloadReader(fr.Payload)
-	if mode, err = r.Byte(); err != nil {
-		return 0, 0, err
-	}
-	if start, err = r.Uvarint(); err != nil {
-		return 0, 0, err
-	}
-	return mode, start, nil
+	mode, _ = r.Byte()
+	start, _ = r.Uvarint()
+	return mode, start, r.Err()
 }
 
 // bootstrap runs the follower side of ModeSnapshotChunked: read the
@@ -300,37 +320,17 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 		if fr.Op != wire.OpChunkData {
 			return fmt.Errorf("repl: op %d inside chunk stream", fr.Op)
 		}
-		r := wire.NewPayloadReader(fr.Payload)
-		lastB, err := r.Byte()
-		if err != nil {
-			return err
-		}
-		last = lastB == 1
-		n, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		b := r.Rest()
 		var hs []chunkstore.Hash
 		var bodies [][]byte
-		for i := uint64(0); i < n; i++ {
-			if len(b) < chunkstore.HashSize {
-				return errors.New("repl: truncated chunk hash")
-			}
-			var h chunkstore.Hash
-			copy(h[:], b)
-			b = b[chunkstore.HashSize:]
-			size, w := binary.Uvarint(b)
-			if w <= 0 || size > uint64(len(b)-w) {
-				return errors.New("repl: truncated chunk data")
-			}
-			body := b[w : w+int(size)]
-			b = b[w+int(size):]
+		last, hs, bodies, err = decodeChunkBatch(fr.Payload)
+		if err != nil {
+			return err
+		}
+		for _, h := range hs {
 			if !pending[h] {
 				return fmt.Errorf("repl: primary shipped chunk %s that was not requested", h)
 			}
 			delete(pending, h)
-			hs, bodies = append(hs, h), append(bodies, body)
 		}
 		// One batch per frame (one pack file in the local store, not a
 		// file per chunk). The store verifies content against the name,
@@ -338,9 +338,6 @@ func (f *Follower) bootstrap(conn net.Conn, start uint64) error {
 		// false name.
 		if err := chunkstore.PutAll(cs, hs, bodies); err != nil {
 			return err
-		}
-		if len(b) != 0 {
-			return fmt.Errorf("repl: %d stray bytes after chunk batch", len(b))
 		}
 	}
 	if len(pending) > 0 {

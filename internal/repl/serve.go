@@ -142,19 +142,16 @@ func readChunkNeed(conn net.Conn, maxFrame uint32) ([]chunkstore.Hash, error) {
 		return nil, fmt.Errorf("repl: op %d where ChunkNeed expected", fr.Op)
 	}
 	r := wire.NewPayloadReader(fr.Payload)
-	// Count bounds n by the bytes present, so the product cannot wrap and
-	// n cannot size an allocation the frame does not back.
-	n, err := r.Count(chunkstore.HashSize)
-	if err != nil {
-		return nil, err
-	}
-	if n*chunkstore.HashSize != uint64(r.Remaining()) {
-		return nil, fmt.Errorf("repl: ChunkNeed claims %d hashes, carries %d bytes", n, r.Remaining())
-	}
-	rest := r.Rest()
+	n, _ := r.Count(chunkstore.HashSize)
 	need := make([]chunkstore.Hash, n)
 	for i := range need {
-		copy(need[i][:], rest[i*chunkstore.HashSize:])
+		copy(need[i][:], r.Next(chunkstore.HashSize))
+	}
+	if r.Remaining() != 0 {
+		r.Fail(fmt.Errorf("repl: ChunkNeed claims %d hashes, %d bytes follow them", n, r.Remaining()))
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return need, nil
 }
@@ -163,20 +160,9 @@ func readChunkNeed(conn net.Conn, maxFrame uint32) ([]chunkstore.Hash, error) {
 // snapChunk bytes each; the final frame (sent even for an empty want
 // list) carries the last flag.
 func streamChunks(conn net.Conn, need []chunkstore.Hash, resolve func(chunkstore.Hash) ([]byte, bool)) error {
-	var p wire.PayloadBuilder
-	n, bytes := 0, 0
-	flush := func(last bool) error {
-		var hdr wire.PayloadBuilder
-		if last {
-			hdr.Byte(1)
-		} else {
-			hdr.Byte(0)
-		}
-		hdr.Uvarint(uint64(n)).Raw(p.Bytes())
-		err := wire.WriteFrame(conn, wire.Frame{Op: wire.OpChunkData, Payload: hdr.Bytes()})
-		p, n, bytes = wire.PayloadBuilder{}, 0, 0
-		return err
-	}
+	var hs []chunkstore.Hash
+	var datas [][]byte
+	bytes := 0
 	for _, h := range need {
 		data, ok := resolve(h)
 		if !ok {
@@ -184,15 +170,32 @@ func streamChunks(conn net.Conn, need []chunkstore.Hash, resolve func(chunkstore
 			// a protocol violation, not a retryable miss.
 			return fmt.Errorf("repl: follower requested unknown chunk %s", h)
 		}
-		p.Raw(h[:]).Uvarint(uint64(len(data))).Raw(data)
-		n++
+		hs, datas = append(hs, h), append(datas, data)
 		if bytes += len(data); bytes >= snapChunk {
-			if err := flush(false); err != nil {
+			if err := wire.WriteFrame(conn, wire.Frame{Op: wire.OpChunkData, Payload: encodeChunkBatch(false, hs, datas)}); err != nil {
 				return err
 			}
+			hs, datas, bytes = hs[:0], datas[:0], 0
 		}
 	}
-	return flush(true)
+	return wire.WriteFrame(conn, wire.Frame{Op: wire.OpChunkData, Payload: encodeChunkBatch(true, hs, datas)})
+}
+
+// encodeChunkBatch is one ChunkData payload: the last flag (1 on the
+// final frame, else 0), the chunk count, then per chunk its raw hash,
+// its length and its bytes.
+func encodeChunkBatch(last bool, hs []chunkstore.Hash, datas [][]byte) []byte {
+	var p wire.PayloadBuilder
+	if last {
+		p.Byte(1)
+	} else {
+		p.Byte(0)
+	}
+	p.Uvarint(uint64(len(hs)))
+	for i, h := range hs {
+		p.Raw(h[:]).Uvarint(uint64(len(datas[i]))).Raw(datas[i])
+	}
+	return p.Bytes()
 }
 
 // streamRecords ships durable WAL records past `after` in batches,

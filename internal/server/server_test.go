@@ -114,6 +114,77 @@ func TestClientErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedRequestsAreRefused: a request of any opcode that carries
+// a payload, cut short or empty, is answered CodeBadRequest and the
+// session goes on answering Pings; so is a Query with more than 1024
+// variables, while one with 1024 runs.
+func TestMalformedRequestsAreRefused(t *testing.T) {
+	addr := startServer(t, server.Config{}, nil)
+	if err := dial(t, addr).Load(bg, "lib", libDoc); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	id := uint64(0)
+	send := func(op byte, payload []byte) wire.Frame {
+		t.Helper()
+		id++
+		if err := wire.WriteFrame(conn, wire.Frame{ID: id, Op: op, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := wire.ReadFrame(conn, 0)
+		if err != nil || f.ID != id {
+			t.Fatalf("opcode %d: response %v (id %d, want %d)", op, err, f.ID, id)
+		}
+		return f
+	}
+	pb := func() *wire.PayloadBuilder { return new(wire.PayloadBuilder) }
+	// SubscribeWAL is parsed only on a session that negotiated replication.
+	if f := send(wire.OpHello, pb().Uvarint(wire.Version).Uvarint(wire.FeatReplication).Bytes()); f.Op != wire.StatusOK {
+		t.Fatalf("hello: status %d", f.Op)
+	}
+	for _, req := range []struct {
+		op      byte
+		payload []byte
+	}{
+		{wire.OpHello, pb().Uvarint(wire.Version).Uvarint(wire.FeatReplication).Bytes()},
+		{wire.OpLoad, pb().String("lib2").String("<lib/>").Bytes()},
+		{wire.OpQuery, pb().String("lib").String("//book").Uvarint(0).Bytes()},
+		{wire.OpQuery, pb().String("lib").String("//book").Uvarint(1).String("k").String("v").Uvarint(1).Uvarint(5000).Bytes()},
+		{wire.OpUpdate, pb().String("lib").String(wrapMods("")).Bytes()},
+		{wire.OpExplain, pb().String("lib").String("//book").Bytes()},
+		{wire.OpBeginRead, pb().String("lib").Bytes()},
+		{wire.OpEndRead, pb().String("lib").Bytes()},
+		{wire.OpDocStatus, pb().String("lib").Bytes()},
+		{wire.OpSubscribeWAL, pb().String("lib").Uvarint(wire.SubscribeNone).Bytes()},
+	} {
+		for _, cut := range [][]byte{req.payload[:len(req.payload)-1], nil} {
+			if f := send(req.op, cut); f.Op != wire.CodeBadRequest {
+				t.Errorf("opcode %d, payload %x: status %d, want CodeBadRequest", req.op, cut, f.Op)
+			}
+			if f := send(wire.OpPing, nil); f.Op != wire.StatusOK {
+				t.Fatalf("ping after a malformed opcode %d: status %d", req.op, f.Op)
+			}
+		}
+	}
+	query := func(nvars int) byte {
+		p := pb().String("lib").String("//book").Uvarint(uint64(nvars))
+		for i := 0; i < nvars; i++ {
+			p.String(fmt.Sprintf("k%d", i)).String("v")
+		}
+		return send(wire.OpQuery, p.Bytes()).Op
+	}
+	if st := query(1025); st != wire.CodeBadRequest {
+		t.Errorf("a query with 1025 variables: status %d, want CodeBadRequest", st)
+	}
+	if st := query(1024); st != wire.StatusOK {
+		t.Errorf("a query with 1024 variables: status %d, want OK", st)
+	}
+}
+
 // A result whose frame would pass the frame limit used to go out whole;
 // the client refused the frame and closed the connection. The server
 // now refuses the query with a message naming the size and the limit,

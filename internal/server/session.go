@@ -145,12 +145,9 @@ func (s *session) handle(f wire.Frame) bool {
 // at any point (idempotently renegotiating), but clients send it first.
 func (s *session) handleHello(f wire.Frame) bool {
 	r := wire.NewPayloadReader(f.Payload)
-	clientMax, err := r.Uvarint()
-	if err != nil {
-		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-	}
-	clientFeats, err := r.Uvarint()
-	if err != nil {
+	clientMax, _ := r.Uvarint()
+	clientFeats, _ := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	// Replication is always offered: any durable document can be subscribed.
@@ -185,15 +182,10 @@ func (s *session) handleSubscribeWAL(f wire.Frame) bool {
 		return true
 	}
 	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
-	if err != nil {
-		s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-		return true
-	}
-	after, err := r.Uvarint()
-	if err != nil {
-		s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-		return true
+	name, _ := r.String()
+	after, _ := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	doc, err := s.srv.cfg.DB.OpenDocument(name)
 	if err != nil {
@@ -216,8 +208,7 @@ func (s *session) handleSubscribeWAL(f wire.Frame) bool {
 // server's role, the applied (read-your-writes) watermark and the WAL
 // tail. A client uses it to measure follower lag and to pick replicas.
 func (s *session) handleDocStatus(f wire.Frame) bool {
-	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
+	name, err := wire.NewPayloadReader(f.Payload).String()
 	if err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
@@ -253,12 +244,9 @@ func (s *session) admit(id uint64, weight int64, run func() bool) bool {
 
 func (s *session) handleLoad(f wire.Frame) bool {
 	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
-	if err != nil {
-		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-	}
-	xml, err := r.String()
-	if err != nil {
+	name, _ := r.String()
+	xml, _ := r.String()
+	if err := r.Err(); err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	if s.srv.cfg.ReadOnly {
@@ -274,31 +262,18 @@ func (s *session) handleLoad(f wire.Frame) bool {
 
 func (s *session) handleQuery(f wire.Frame) bool {
 	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
-	if err != nil {
-		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-	}
-	query, err := r.String()
-	if err != nil {
-		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-	}
-	nvars, err := r.Uvarint()
-	if err != nil || nvars > 1024 {
-		return s.respondErr(f.ID, wire.CodeBadRequest, "bad variable count")
-	}
+	name, _ := r.String()
+	query, _ := r.String()
 	var vars map[string]string
-	if nvars > 0 {
+	// A variable is at least its name's and its value's length bytes.
+	switch nvars, _ := r.Count(2); {
+	case nvars > 1024:
+		r.Fail(fmt.Errorf("bad variable count %d (at most 1024)", nvars))
+	case nvars > 0:
 		vars = make(map[string]string, nvars)
-		for i := uint64(0); i < nvars; i++ {
-			k, err := r.String()
-			if err != nil {
-				return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-			}
-			v, err := r.String()
-			if err != nil {
-				return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-			}
-			vars[k] = v
+		for range nvars {
+			k, _ := r.String()
+			vars[k], _ = r.String()
 		}
 	}
 	// Read-your-writes trailer: a minimum LSN the document must have
@@ -306,12 +281,11 @@ func (s *session) handleQuery(f wire.Frame) bool {
 	// it. Absent means "read whatever is current".
 	var minLSN, timeoutMillis uint64
 	if r.Remaining() > 0 {
-		if minLSN, err = r.Uvarint(); err != nil {
-			return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-		}
-		if timeoutMillis, err = r.Uvarint(); err != nil {
-			return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-		}
+		minLSN, _ = r.Uvarint()
+		timeoutMillis, _ = r.Uvarint()
+	}
+	if err := r.Err(); err != nil {
+		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	return s.admit(f.ID, 1, func() bool {
 		rywDeadline := time.Now().Add(time.Duration(timeoutMillis) * time.Millisecond)
@@ -362,12 +336,9 @@ func (s *session) handleQuery(f wire.Frame) bool {
 
 func (s *session) handleUpdate(f wire.Frame) bool {
 	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
-	if err != nil {
-		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-	}
-	mods, err := r.String()
-	if err != nil {
+	name, _ := r.String()
+	mods, _ := r.String()
+	if err := r.Err(); err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	if s.srv.cfg.ReadOnly {
@@ -399,12 +370,9 @@ func (s *session) handleUpdate(f wire.Frame) bool {
 
 func (s *session) handleExplain(f wire.Frame) bool {
 	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
-	if err != nil {
-		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
-	}
-	query, err := r.String()
-	if err != nil {
+	name, _ := r.String()
+	query, _ := r.String()
+	if err := r.Err(); err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
 	return s.admit(f.ID, 1, func() bool {
@@ -423,8 +391,7 @@ func (s *session) handleExplain(f wire.Frame) bool {
 }
 
 func (s *session) handleBeginRead(f wire.Frame) bool {
-	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
+	name, err := wire.NewPayloadReader(f.Payload).String()
 	if err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}
@@ -443,8 +410,7 @@ func (s *session) handleBeginRead(f wire.Frame) bool {
 }
 
 func (s *session) handleEndRead(f wire.Frame) bool {
-	r := wire.NewPayloadReader(f.Payload)
-	name, err := r.String()
+	name, err := wire.NewPayloadReader(f.Payload).String()
 	if err != nil {
 		return s.respondErr(f.ID, wire.CodeBadRequest, err.Error())
 	}

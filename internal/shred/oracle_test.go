@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"mxq/internal/xenc"
 	"mxq/internal/xmark"
@@ -215,6 +216,26 @@ var differentialSeeds = []string{
 func TestShredMatchesStdlibSeeds(t *testing.T) {
 	for _, src := range differentialSeeds {
 		sameTrees(t, src)
+	}
+}
+
+// TestNameCharsMatchStdlib: a rune of the Basic Multilingual Plane
+// starts a name, or continues one, for the tokenizer exactly when it
+// does for encoding/xml: both follow Appendix B of XML 1.0.
+func TestNameCharsMatchStdlib(t *testing.T) {
+	stdlib := func(name string) bool {
+		tok, err := xml.NewDecoder(strings.NewReader("<" + name + "/>")).Token()
+		se, ok := tok.(xml.StartElement)
+		return err == nil && ok && se.Name.Local == name
+	}
+	for r := rune(utf8.RuneSelf); r <= 0xFFFF; r++ {
+		if utf8.ValidRune(r) {
+			for _, name := range []string{string(r), "a" + string(r)} {
+				if got, want := isName(name), stdlib(name); got != want {
+					t.Errorf("%U: isName(%q) = %v, encoding/xml %v", r, name, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -315,7 +315,8 @@ func (m *Manager) CheckInvariants() error {
 // exclude commits) and proceeds in parallel with read-only queries and
 // other Begins.
 func (m *Manager) Begin() *Tx {
-	return &Tx{m: m, clone: m.snapshot(), pages: make(map[int32]bool)}
+	clone := m.snapshot()
+	return &Tx{imageView: clone, m: m, clone: clone, pages: make(map[int32]bool)}
 }
 
 func (m *Manager) snapshot() *core.Store {

@@ -12,86 +12,32 @@ import (
 
 // Tx is a write transaction: a private copy-on-write image of the store
 // plus the log of resolved operations that commit will replay onto the
-// base. Tx implements xenc.DocView and xupdate.Target (Apply), so XPath
-// queries and XUpdate modification lists run against it directly with
-// read-your-writes semantics.
+// base. Tx reads as its image (xenc.IndexView, xenc.ParentView) and
+// implements xupdate.Target (Apply), so XPath queries and XUpdate
+// modification lists run against it directly with read-your-writes
+// semantics. The column slices Cols returns go stale with the
+// transaction's next mutation.
 type Tx struct {
-	m     *Manager
-	clone *core.Store
-	ops   []wal.Op
-	pages map[int32]bool
-	done  bool
-	err   error
-	lsn   uint64 // assigned at commit; 0 until then (or for no-op commits)
+	imageView // the clone's read surface; nil, as clone is, after Commit or Abort
+	m         *Manager
+	clone     *core.Store
+	ops       []wal.Op
+	pages     map[int32]bool
+	done      bool
+	err       error
+	lsn       uint64 // assigned at commit; 0 until then (or for no-op commits)
+}
+
+// imageView is what Tx reads through: the private image's view surface.
+type imageView interface {
+	xenc.IndexView
+	xenc.ParentView
 }
 
 // CommitLSN returns the WAL LSN Commit assigned, 0 before Commit or for
 // a commit that logged nothing (empty op list, or a volatile database).
 // It is the token a client carries to read its own write on a replica.
 func (t *Tx) CommitLSN() uint64 { return t.lsn }
-
-// --- DocView over the private image ----------------------------------------
-
-// Len returns the view length of the transaction image.
-func (t *Tx) Len() xenc.Pre { return t.clone.Len() }
-
-// LiveNodes returns the live node count of the transaction image.
-func (t *Tx) LiveNodes() int { return t.clone.LiveNodes() }
-
-// Size returns the size column value at p.
-func (t *Tx) Size(p xenc.Pre) xenc.Size { return t.clone.Size(p) }
-
-// Level returns the level column value at p.
-func (t *Tx) Level(p xenc.Pre) xenc.Level { return t.clone.Level(p) }
-
-// Kind returns the node kind at p.
-func (t *Tx) Kind(p xenc.Pre) xenc.Kind { return t.clone.Kind(p) }
-
-// Name returns the interned name id at p.
-func (t *Tx) Name(p xenc.Pre) int32 { return t.clone.Name(p) }
-
-// Value returns the text content at p.
-func (t *Tx) Value(p xenc.Pre) string { return t.clone.Value(p) }
-
-// NodeOf returns the immutable node id at p.
-func (t *Tx) NodeOf(p xenc.Pre) xenc.NodeID { return t.clone.NodeOf(p) }
-
-// PreOf resolves a node id in the transaction image.
-func (t *Tx) PreOf(n xenc.NodeID) xenc.Pre { return t.clone.PreOf(n) }
-
-// Attrs returns the attributes at p.
-func (t *Tx) Attrs(p xenc.Pre) []xenc.Attr { return t.clone.Attrs(p) }
-
-// AttrValue returns the named attribute value at p.
-func (t *Tx) AttrValue(p xenc.Pre, name int32) (string, bool) {
-	return t.clone.AttrValue(p, name)
-}
-
-// Names returns the name pool of the transaction image.
-func (t *Tx) Names() *xenc.QNamePool { return t.clone.Names() }
-
-// Root returns the root element of the transaction image.
-func (t *Tx) Root() xenc.Pre { return t.clone.Root() }
-
-// Cols exposes the columns of the transaction image (xenc.ColumnView), so
-// XUpdate select paths scan them like any query. The slices go stale with
-// the transaction's next mutation.
-func (t *Tx) Cols(p xenc.Pre) (xenc.Columns, int) { return t.clone.Cols(p) }
-
-// Live counts the used tuples of p's run in the transaction image.
-func (t *Tx) Live(p xenc.Pre) (int, xenc.Pre) { return t.clone.Live(p) }
-
-// ParentPre resolves p's parent through the image's parent table
-// (xenc.ParentView).
-func (t *Tx) ParentPre(p xenc.Pre) xenc.Pre { return t.clone.ParentPre(p) }
-
-// Summary returns the run summary of p's page in the transaction image
-// (xenc.IndexView), so a positional select passes pages by count.
-func (t *Tx) Summary(p xenc.Pre) (*xenc.RunSummary, xenc.Pre) { return t.clone.Summary(p) }
-
-// SeekUsed finds the page holding the m-th used tuple from q in the
-// transaction image (xenc.IndexView).
-func (t *Tx) SeekUsed(q xenc.Pre, m int) (xenc.Pre, int) { return t.clone.SeekUsed(q, m) }
 
 var (
 	_ xenc.IndexView  = (*Tx)(nil)
@@ -242,7 +188,7 @@ func (t *Tx) Commit() error {
 	// dirty go back to being base-owned (in-place writable) as soon as
 	// no snapshot shares them.
 	t.clone.Release()
-	t.clone = nil
+	t.imageView, t.clone = nil, nil
 	if m.log != nil {
 		// Group commit: the transaction is visible to new readers already
 		// (early lock release), but Commit only returns once its record is
@@ -326,7 +272,7 @@ func (t *Tx) Abort() {
 	t.m.unlockAll(t)
 	t.done = true
 	t.clone.Release()
-	t.clone = nil
+	t.imageView, t.clone = nil, nil
 }
 
 // ApplyOps replays resolved operations onto a store through

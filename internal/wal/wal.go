@@ -56,7 +56,6 @@
 package wal
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -151,58 +150,47 @@ func (rec *Record) Encode(p *wire.PayloadBuilder) {
 // (shred.Tree.Check) are refused too: the store trusts a fragment's
 // levels and sizes.
 func DecodeRecord(r *wire.PayloadReader) (*Record, error) {
-	if f, err := r.Byte(); err != nil || f != recordFormat {
-		return nil, cmp.Or(err, fmt.Errorf("wal: unsupported WAL record format %#02x", f))
+	if f, err := r.Byte(); err == nil && f != recordFormat {
+		r.Fail(fmt.Errorf("wal: unsupported WAL record format %#02x", f))
 	}
-	// The first error sticks: every read after it returns zero, so the
-	// decode runs to its end unchecked.
-	var err error
-	uv := func(max uint64) (v uint64) {
-		if err == nil {
-			if v, err = r.Uvarint(); err == nil && v > max {
-				v, err = 0, fmt.Errorf("wal: record field %d exceeds %d", v, max)
-			}
-		}
-		return v
-	}
-	count := func(min int) (n uint64) {
-		if err == nil {
-			n, err = r.Count(min)
-		}
-		return n
-	}
-	str := func() (s string) {
-		if err == nil {
-			s, err = r.String()
-		}
-		return s
-	}
-	// An op encodes to at least 7 bytes, a node 6, an attribute 2.
-	rec := &Record{LSN: uv(math.MaxUint64)}
-	rec.Ops = make([]Op, count(7))
+	// The reader's first error sticks: every read after it returns zero,
+	// so the decode runs to its end unchecked. An op encodes to at least
+	// 7 bytes, a node 6, an attribute 2.
+	rec := new(Record)
+	rec.LSN, _ = r.Uvarint()
+	nops, _ := r.Count(7)
+	rec.Ops = make([]Op, nops)
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		op.Kind, op.Target, op.Child = OpKind(uv(uint64(OpRemoveAttr))), int32(uv(math.MaxUint32)), int32(uv(math.MaxUint32))
-		op.Name, op.Value = str(), str()
-		op.Frag = &shred.Tree{Nodes: make([]shred.Node, count(6))}
+		op.Kind, op.Target, op.Child = OpKind(r.UvarintMax(uint64(OpRemoveAttr))), int32(r.UvarintMax(math.MaxUint32)), int32(r.UvarintMax(math.MaxUint32))
+		op.Name, _ = r.String()
+		op.Value, _ = r.String()
+		nnodes, _ := r.Count(6)
+		op.Frag = &shred.Tree{Nodes: make([]shred.Node, nnodes)}
 		for j := range op.Frag.Nodes {
 			n := &op.Frag.Nodes[j]
-			n.Kind, n.Level, n.Size = xenc.Kind(uv(math.MaxUint8)), int16(uv(math.MaxUint16)), int32(uv(math.MaxUint32))
-			n.Name, n.Value = str(), str()
-			n.Attrs = make([]shred.Attr, count(2))
+			n.Kind, n.Level, n.Size = xenc.Kind(r.UvarintMax(math.MaxUint8)), int16(r.UvarintMax(math.MaxUint16)), int32(r.UvarintMax(math.MaxUint32))
+			n.Name, _ = r.String()
+			n.Value, _ = r.String()
+			nattrs, _ := r.Count(2)
+			n.Attrs = make([]shred.Attr, nattrs)
 			for k := range n.Attrs {
-				n.Attrs[k] = shred.Attr{Name: str(), Value: str()}
+				n.Attrs[k].Name, _ = r.String()
+				n.Attrs[k].Value, _ = r.String()
 			}
 		}
-		if err == nil {
-			err = op.Frag.Check()
+		if r.Err() == nil {
+			if err := op.Frag.Check(); err != nil {
+				r.Fail(err)
+			}
 		}
-		op.NewIDs = make([]xenc.NodeID, count(1))
+		nids, _ := r.Count(1)
+		op.NewIDs = make([]xenc.NodeID, nids)
 		for j := range op.NewIDs {
-			op.NewIDs[j] = int32(uv(math.MaxUint32))
+			op.NewIDs[j] = int32(r.UvarintMax(math.MaxUint32))
 		}
 	}
-	if err != nil {
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return rec, nil

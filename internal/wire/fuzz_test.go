@@ -53,8 +53,8 @@ func seedFrames() []Frame {
 // limit, then every PayloadReader method in an order the input picks.
 // Nothing panics, ReadFrame allocates no more than the limit, a reader
 // never hands out more than the payload holds or accepts a count the
-// payload cannot back, and an accepted frame written back is the bytes
-// it was read from.
+// payload cannot back, its first error sticks, and an accepted frame
+// written back is the bytes it was read from.
 func FuzzFrameDecode(f *testing.F) {
 	for i, fr := range seedFrames() {
 		var buf bytes.Buffer
@@ -91,8 +91,8 @@ func FuzzFrameDecode(f *testing.F) {
 
 		r := NewPayloadReader(fr.Payload)
 		for _, sel := range order {
-			left := r.Remaining()
-			switch sel % 5 {
+			left, failed := r.Remaining(), r.Err()
+			switch sel % 6 {
 			case 0:
 				r.Uvarint()
 			case 1:
@@ -106,13 +106,22 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("Rest returned %d bytes of %d, %d left behind", len(rest), left, r.Remaining())
 				}
 			case 4:
-				min := 1 + int(sel/5)
+				min := 1 + int(sel/6)
 				if n, err := r.Count(min); err == nil && n > uint64(r.Remaining()/min) {
 					t.Fatalf("Count(%d) accepted %d with %d bytes behind it", min, n, r.Remaining())
+				}
+			case 5:
+				n := int(sel / 6)
+				b := r.Next(n)
+				if refuse := failed != nil || n > left; refuse && (b != nil || r.Err() == nil) || !refuse && (len(b) != n || r.Err() != nil) {
+					t.Fatalf("Next(%d) returned %d bytes of %d, error %v", n, len(b), left, r.Err())
 				}
 			}
 			if now := r.Remaining(); now < 0 || now > left {
 				t.Fatalf("Remaining went %d -> %d", left, now)
+			}
+			if failed != nil && (r.Err() != failed || r.Remaining() != 0) {
+				t.Fatalf("reader failed with %v, now %v with %d bytes left", failed, r.Err(), r.Remaining())
 			}
 		}
 	})

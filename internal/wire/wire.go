@@ -13,7 +13,13 @@
 //	byte    request: opcode; response: status (0 = OK, else error code)
 //	...     payload
 //
-// Strings inside payloads are uvarint-length-prefixed bytes.
+// Strings inside payloads are uvarint-length-prefixed bytes, and every
+// uvarint is in its shortest encoding. A PayloadBuilder writes a
+// payload; a PayloadReader reads one, and its first error sticks: a
+// decoder reads every field unchecked and asks Err once, so a malformed
+// request costs its peer one CodeBadRequest, however many fields are
+// wrong. The reader is also the decoder of the WAL record and
+// checkpoint chunk encodings, the bytes a process reads back from disk.
 //
 // # Version negotiation
 //
@@ -190,7 +196,12 @@ func (p *PayloadBuilder) Uvarint(v uint64) *PayloadBuilder {
 
 // String appends a length-prefixed string.
 func (p *PayloadBuilder) String(s string) *PayloadBuilder {
-	p.b = binary.AppendUvarint(p.b, uint64(len(s)))
+	return p.Uvarint(uint64(len(s))).RawString(s)
+}
+
+// RawString appends s with no length prefix (a block of strings whose
+// lengths went ahead of it).
+func (p *PayloadBuilder) RawString(s string) *PayloadBuilder {
 	p.b = append(p.b, s...)
 	return p
 }
@@ -217,62 +228,116 @@ func (p *PayloadBuilder) Reset(n int) { p.b = slices.Grow(p.b[:0], n) }
 // UvarintLen returns how many bytes Uvarint appends for v.
 func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// PayloadReader decodes a payload assembled by PayloadBuilder.
-type PayloadReader struct{ b []byte }
+// PayloadReader decodes a payload assembled by PayloadBuilder, and is
+// the one decoder for bytes the process did not just write: frames,
+// WAL records and checkpoint chunks all read through it. Its error is
+// sticky: the first malformed or missing field fails the reader, and
+// from then on every getter returns the zero value and that error, Next
+// and Rest return nil and Remaining is 0. A decoder can therefore read
+// a whole payload unchecked and ask Err once at the end; a count read
+// off a failed reader is 0, so nothing is allocated for it. A uvarint
+// is accepted only in its shortest encoding, the one Uvarint appends,
+// so that what a reader accepts re-encodes to the same bytes.
+type PayloadReader struct {
+	b   []byte
+	err error
+}
 
 // NewPayloadReader wraps a payload.
 func NewPayloadReader(b []byte) *PayloadReader { return &PayloadReader{b: b} }
 
-// Uvarint reads a uvarint in its shortest encoding, the one Uvarint
-// appends, so that what a reader accepts re-encodes to the same bytes.
+// Err returns the error that failed the reader, nil while it has not.
+func (p *PayloadReader) Err() error { return p.err }
+
+// Fail fails the reader with err unless it has failed already: a
+// decoder refuses a field that is well formed but out of range through
+// it, so its caller sees one error either way.
+func (p *PayloadReader) Fail(err error) {
+	if p.err == nil {
+		p.err, p.b = err, nil
+	}
+}
+
+// Uvarint reads a uvarint in its shortest encoding. A value below 0x80
+// is one byte and takes the short path.
 func (p *PayloadReader) Uvarint() (uint64, error) {
+	if b := p.b; len(b) > 0 && b[0] < 0x80 {
+		p.b = b[1:]
+		return uint64(b[0]), nil
+	}
+	return p.uvarint()
+}
+
+func (p *PayloadReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(p.b)
-	if n <= 0 {
-		return 0, errors.New("wire: truncated uvarint")
+	switch {
+	case p.err != nil:
+	case n <= 0:
+		p.Fail(errors.New("wire: truncated uvarint"))
+	case n != UvarintLen(v):
+		p.Fail(errors.New("wire: overlong uvarint"))
+	default:
+		p.b = p.b[n:]
+		return v, nil
 	}
-	if n != UvarintLen(v) {
-		return 0, errors.New("wire: overlong uvarint")
+	return 0, p.err
+}
+
+// UvarintMax reads a uvarint and fails the reader if it exceeds max,
+// the range of the field it fills, so that what a decoder accepts
+// re-encodes to the same bytes.
+func (p *PayloadReader) UvarintMax(max uint64) uint64 {
+	v, _ := p.Uvarint()
+	if v > max {
+		p.Fail(fmt.Errorf("wire: uvarint %d exceeds %d", v, max))
+		return 0
 	}
-	p.b = p.b[n:]
-	return v, nil
+	return v
 }
 
 // Count reads a uvarint element count and refuses one the unread bytes
 // cannot hold at min bytes an element, so a count off the wire never
 // sizes an allocation the payload could not fill.
 func (p *PayloadReader) Count(min int) (uint64, error) {
-	n, err := p.Uvarint()
-	if err != nil {
-		return 0, err
-	}
+	n, _ := p.Uvarint()
 	if n > uint64(len(p.b)/min) {
-		return 0, fmt.Errorf("wire: count %d exceeds the %d bytes present", n, len(p.b))
+		p.Fail(fmt.Errorf("wire: count %d exceeds the %d bytes present", n, len(p.b)))
+		return 0, p.err
 	}
-	return n, nil
+	return n, p.err
 }
 
 // String reads a length-prefixed string.
 func (p *PayloadReader) String() (string, error) {
-	n, err := p.Uvarint()
-	if err != nil {
-		return "", err
-	}
+	n, _ := p.Uvarint()
 	if n > uint64(len(p.b)) {
-		return "", errors.New("wire: truncated string")
+		p.Fail(errors.New("wire: truncated string"))
+		return "", p.err
 	}
-	s := string(p.b[:n])
-	p.b = p.b[n:]
-	return s, nil
+	return string(p.Next(int(n))), p.err
 }
 
 // Byte reads one raw byte.
 func (p *PayloadReader) Byte() (byte, error) {
 	if len(p.b) == 0 {
-		return 0, errors.New("wire: truncated byte")
+		p.Fail(errors.New("wire: truncated byte"))
+		return 0, p.err
 	}
 	c := p.b[0]
 	p.b = p.b[1:]
 	return c, nil
+}
+
+// Next returns the next n raw bytes, sharing the payload's memory, or
+// nil and fails the reader if fewer are left.
+func (p *PayloadReader) Next(n int) []byte {
+	if uint(n) > uint(len(p.b)) {
+		p.Fail(fmt.Errorf("wire: %d bytes wanted, %d left", n, len(p.b)))
+		return nil
+	}
+	b := p.b[:n:n]
+	p.b = p.b[n:]
+	return b
 }
 
 // Rest returns every unread byte (stream chunks).

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,44 @@ func TestTruncatedPayload(t *testing.T) {
 	}
 	if n, err := NewPayloadReader(c.Bytes()).Count(31); err != nil || n != 2 {
 		t.Fatalf("count the bytes can hold = %d, %v", n, err)
+	}
+}
+
+// TestReaderErrorSticks: the first error fails the reader for good.
+// Every getter after it returns the zero value and that error, Next and
+// Rest return nil, nothing is left to read, and a later Fail keeps the
+// first error.
+func TestReaderErrorSticks(t *testing.T) {
+	r := NewPayloadReader([]byte{1, 2, 3})
+	if b := r.Next(2); !bytes.Equal(b, []byte{1, 2}) || r.Err() != nil {
+		t.Fatalf("Next(2) = %x, %v", b, r.Err())
+	}
+	if b := r.Next(2); b != nil || r.Err() == nil {
+		t.Fatalf("Next(2) past the end = %x, %v", b, r.Err())
+	}
+	first := r.Err()
+	r.Fail(errors.New("second"))
+	if v, err := r.Uvarint(); v != 0 || err != first {
+		t.Errorf("Uvarint after failure = %d, %v", v, err)
+	}
+	if c, err := r.Byte(); c != 0 || err != first {
+		t.Errorf("Byte after failure = %d, %v", c, err)
+	}
+	if s, err := r.String(); s != "" || err != first {
+		t.Errorf("String after failure = %q, %v", s, err)
+	}
+	if n, err := r.Count(1); n != 0 || err != first {
+		t.Errorf("Count after failure = %d, %v", n, err)
+	}
+	if b := r.Rest(); b != nil || r.Remaining() != 0 || r.Err() != first {
+		t.Errorf("Rest after failure = %x, %d left, %v", b, r.Remaining(), r.Err())
+	}
+	// Fail on a healthy reader: a field well formed but out of range.
+	ok := NewPayloadReader([]byte{7, 8})
+	want := errors.New("out of range")
+	ok.Fail(want)
+	if v, err := ok.Uvarint(); v != 0 || err != want || ok.Remaining() != 0 {
+		t.Errorf("Uvarint after Fail = %d, %v, %d left", v, err, ok.Remaining())
 	}
 }
 

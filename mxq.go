@@ -90,11 +90,11 @@
 // background goroutine once the WAL tail *beyond the last checkpoint*
 // exceeds the policy — checked again when the goroutine picks the
 // nudge up, so a burst of commits yields one checkpoint, not one per
-// nudge — (bytes and/or records; Stats.WALBytes and Stats.WALRecords
-// expose that tail, Stats.Checkpoints the
-// completions, and Stats.CkptBytesWritten / CkptChunksWritten /
-// CkptChunksReused / CkptDedupeRatio the incremental win,
-// Stats.CkptBytesStored what the written chunks take on disk, and
+// nudge — (CheckpointPolicy.Records, a count of committed records;
+// Stats.WALRecords exposes that tail and Stats.WALBytes its size,
+// Stats.Checkpoints the completions, and Stats.CkptBytesWritten /
+// CkptChunksWritten / CkptChunksReused / CkptDedupeRatio the
+// incremental win, Stats.CkptBytesStored what the written chunks take on disk, and
 // Stats.CkptBytesCompacted what chunk GC rewrote to reclaim space);
 // Database.Close drains it. Recovery loads the newest image and
 // replays the segments above its LSN, degrading to the previous image
