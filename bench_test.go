@@ -513,20 +513,17 @@ func BenchmarkPageSize(b *testing.B) {
 // --- versioned-snapshot read path -------------------------------------------------
 
 // BenchmarkConcurrentQueryDuringCommits measures the property the
-// per-version snapshot cache exists for: query throughput while a
-// writer continuously commits 1-node transactions must stay within ~2x
-// of the writer-idle baseline. Before the versioned read path, every
-// query held the manager's global read lock for its whole evaluation,
-// so a committer serialized against every scan (and vice versa) and
-// throughput collapsed. Now a query leases the cached snapshot of the
-// current committed version — a refcount bump when the version is
-// unchanged, one O(pages) snapshot per commit otherwise — and holds no
-// lock during evaluation.
+// versioned read path exists for: query throughput while a writer
+// continuously commits 1-node transactions must stay within ~2x of the
+// writer-idle baseline. Before the versioned read path, every query
+// held the manager's global read lock for its whole evaluation, so a
+// committer serialized against every scan (and vice versa) and
+// throughput collapsed. Now a query reads the current committed
+// version — one atomic load — and holds no lock during evaluation.
 //
 // The writer paces itself: a small burst of commits per ~1ms wakeup,
-// so nearly every query sees at least one version change and pays the
-// read path's worst case (a version miss and a fresh snapshot) while
-// the writer stays below core saturation. An unpaced writer on a
+// so nearly every query sees at least one version change while the
+// writer stays below core saturation. An unpaced writer on a
 // single-core machine measures CPU fair-share (a hard 2x floor), not
 // lock interference.
 func BenchmarkConcurrentQueryDuringCommits(b *testing.B) {
@@ -726,7 +723,6 @@ func BenchmarkCheckpointIncremental(b *testing.B) {
 	var written, stored int64     // by the saves of the running sub-benchmark
 	save := func(b *testing.B, cs *chunkstore.Dir) {
 		img, _ := m.PinCheckpoint()
-		defer img.Release()
 		before := cs.BytesStored()
 		man, st, err := img.SaveChunked(cs)
 		if err != nil {

@@ -59,9 +59,8 @@ type queries struct {
 	read func(fn func(v xenc.DocView) error) error
 }
 
-// readCurrent is Document's read: a lease on the current committed
-// version for the length of the call. Repeated reads at an unchanged
-// version share the manager's cached snapshot.
+// readCurrent is Document's read: a view of the current committed
+// version for the length of the call.
 func (d *Document) readCurrent(fn func(v xenc.DocView) error) error {
 	rv := d.mgr.AcquireRead()
 	defer rv.Close()
@@ -277,7 +276,7 @@ func (d *Document) Begin() *Tx {
 
 // Version returns the document's committed version: the number of write
 // transactions committed so far. Every query observes exactly one
-// version; the counter is what keys the per-version snapshot cache.
+// version.
 func (d *Document) Version() uint64 { return d.mgr.Version() }
 
 // SerializeTo writes the document as XML. Serialization runs against
@@ -330,9 +329,8 @@ type Stats struct {
 	CkptDedupeRatio    float64 // reused / (written + reused)
 }
 
-// Stats returns storage statistics. The store figures are read from the
-// base under the manager's shared lock, not from a snapshot, so polling
-// Stats through a write-only phase builds none.
+// Stats returns storage statistics. The store figures and the commit
+// count are read from the current committed version.
 func (d *Document) Stats() Stats {
 	ms := d.mgr.Stats()
 	s := Stats{
@@ -363,14 +361,14 @@ func (d *Document) Stats() Stats {
 	return s
 }
 
-// Checkpoint writes an *online* checkpoint: a (snapshot, LSN) pair is
-// pinned inside the commit critical section (an O(pages) refcount
-// sweep), and the O(document) image streams from that immutable
-// snapshot outside any lock — commits keep landing at full speed while
-// it writes. Completion is the atomic publication of the LSN-stamped
-// image file, and only WAL segments wholly below the pinned LSN are
-// deleted, so a commit racing the checkpoint is never lost: its record
-// lives in a segment the prune keeps. Requires a durability directory.
+// Checkpoint writes an *online* checkpoint: the current committed
+// version, an immutable (store, LSN) pair, is pinned by one atomic
+// load, and the O(document) image streams from it outside any lock —
+// commits keep landing at full speed while it writes. Completion is the
+// atomic publication of the LSN-stamped image file, and only WAL
+// segments wholly below the pinned LSN are deleted, so a commit racing
+// the checkpoint is never lost: its record lives in a segment the prune
+// keeps. Requires a durability directory.
 func (d *Document) Checkpoint() error {
 	if d.ckpter == nil {
 		return fmt.Errorf("mxq: document %q has no durability directory", d.name)

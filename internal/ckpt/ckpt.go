@@ -6,9 +6,8 @@
 // The paper's transaction protocol (Section 3.2 / Figure 8) rests on two
 // legs: a single-I/O WAL commit and a checkpointed store image. This
 // package makes the checkpoint leg *online* and *O(churn)*. A checkpoint
-// pins a (snapshot, LSN) pair inside the commit critical section — an
-// O(pages) refcount sweep under the shared read lock
-// (tx.Manager.PinCheckpoint) — and then writes the snapshot in
+// pins the current committed version, an immutable (store, LSN) pair —
+// one atomic load (tx.Manager.PinCheckpoint) — and then writes the store in
 // content-addressed form (core.Store.SaveChunked) outside any lock:
 // every column chunk is named by its SHA-256, the ones the document's
 // chunk store is missing go into it as one batch (one pack file in the
@@ -102,10 +101,10 @@ var ErrNoCheckpoint = errors.New("ckpt: no usable checkpoint")
 // document close: the WAL and image directory are no longer writable).
 var ErrClosed = errors.New("ckpt: checkpointer is closed")
 
-// Pin captures a copy-on-write snapshot of the store together with the
-// LSN of the last WAL record the snapshot covers, atomically with
-// respect to commits. tx.Manager.PinCheckpoint is the canonical
-// implementation. The checkpointer releases the snapshot when done.
+// Pin returns a store no one writes any more together with the LSN of
+// the last WAL record it covers, atomically with respect to commits.
+// tx.Manager.PinCheckpoint, which returns the current committed
+// version, is the canonical implementation.
 type Pin func() (*core.Store, uint64)
 
 // imageMagic opens every checkpoint image; a file without it — an
@@ -342,10 +341,9 @@ func CurrentLSN(dir, name string) uint64 {
 
 // Run writes one checkpoint: pin, write missing chunks, publish,
 // retire, collect garbage chunks. It returns the LSN the new checkpoint
-// covers. The pin is the only step that shares a lock with committers
-// (a shared read lock held for an O(pages) refcount sweep); the chunk
-// writes — O(chunks dirtied since the previous checkpoint), thanks to
-// content-addressed dedupe — proceed from the pinned immutable snapshot
+// covers. The pin is one atomic load of the current version, and the
+// chunk writes — O(chunks dirtied since the previous checkpoint), thanks
+// to content-addressed dedupe — proceed from that immutable version
 // while commits continue.
 func (c *Checkpointer) Run() (uint64, error) {
 	c.mu.Lock()
@@ -355,7 +353,6 @@ func (c *Checkpointer) Run() (uint64, error) {
 	}
 
 	img, lsn := c.pin()
-	defer img.Release()
 	// An image carries only durable records: the pin may cover a commit
 	// whose fsync is in flight, or failed and poisoned the log.
 	if c.log != nil {

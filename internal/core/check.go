@@ -13,7 +13,7 @@ import (
 //
 //   - logToPhys and physToLog are inverse bijections over the pages;
 //   - the chunked columns hold exactly one page-sized chunk per physical
-//     page (and the copy-on-write ownership tables track every chunk);
+//     page;
 //   - a page's cached live count and summary, if any, are what its
 //     tuples give, and so is the live index, if built;
 //   - free-run lengths count exactly the directly following unused
@@ -39,9 +39,6 @@ func (s *Store) CheckInvariants() error {
 		return fmt.Errorf("store holds %d page chunks, want %d", len(s.pages), nPages)
 	}
 	for i, pg := range s.pages {
-		if r := pg.refs.Load(); r < 1 {
-			return fmt.Errorf("page chunk %d has reference count %d", i, r)
-		}
 		if int32(len(pg.size)) != s.pageSize || int32(len(pg.level)) != s.pageSize ||
 			int32(len(pg.kind)) != s.pageSize || int32(len(pg.name)) != s.pageSize ||
 			int32(len(pg.text)) != s.pageSize || int32(len(pg.node)) != s.pageSize {
@@ -62,11 +59,6 @@ func (s *Store) CheckInvariants() error {
 			if (*cum)[lg+1]-(*cum)[lg] != s.pages[ph].used() {
 				return fmt.Errorf("the live index counts %d used tuples on logical page %d, which holds %d", (*cum)[lg+1]-(*cum)[lg], lg, s.pages[ph].used())
 			}
-		}
-	}
-	for i, nc := range s.nodes {
-		if r := nc.refs.Load(); r < 1 {
-			return fmt.Errorf("node chunk %d has reference count %d", i, r)
 		}
 	}
 	if len(s.nodeFree) != len(s.nodes) {

@@ -35,9 +35,9 @@ import (
 // (a primary and its follower) dedupe chunk transfer the same way.
 //
 // Hash caching is safe under the COW protocol: a chunk shared with any
-// snapshot (refs > 1) is frozen — writers clone it (the clone starts
-// with no cached hash) — so a pinned checkpoint snapshot's chunks never
-// change under the save. A chunk's bytes depend on its columns alone,
+// other store is frozen — writers clone it (the clone starts with no
+// cached hash) — so a pinned checkpoint version's chunks never change
+// under the save. A chunk's bytes depend on its columns alone,
 // and every write to those goes through a dirty hook. Free node ids are
 // no exception: they are the NULL entries of node/pos, which the store
 // counts per chunk (nodeFree) but never encodes.
@@ -571,11 +571,14 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		index:     new(liveIndex),
 		liveNodes: m.LiveNodes,
 	}
+	stamp := newStamp()
+	s.stamp.Store(stamp)
 	var err error
 	s.pages, err = loadChunks(cs, m.Pages, func(_ int, h chunkstore.Hash, data []byte) (*page, error) {
 		p, err := decodePageChunk(data, pageSize)
 		if err == nil {
 			p.hash.set(h)
+			p.stamp = stamp
 		}
 		return p, err
 	})
@@ -596,6 +599,7 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 			return nil, err
 		}
 		c.hash.set(h)
+		c.stamp = stamp
 		for _, pos := range c.pos[:min32(pageSize, m.NodeLen-int32(i)<<m.PageBits)] {
 			if pos < 0 {
 				s.nodeFree[i]++

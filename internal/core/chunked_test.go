@@ -199,7 +199,6 @@ func TestChunkedLoadedStoreAllocatesLikeLive(t *testing.T) {
 func TestChunkedSnapshotIsolation(t *testing.T) {
 	base := mustBuild(t, itemsDoc(400), Options{PageSize: 32, FillFactor: 0.8})
 	snap := base.Snapshot()
-	defer snap.Release()
 	liveBefore := snap.LiveNodes()
 
 	// Base churns after the pin.
@@ -471,7 +470,6 @@ func TestChunkedParallelSaveLoad(t *testing.T) {
 	}
 	want := stateBytes(s)
 	snap := s.Snapshot()
-	defer snap.Release()
 
 	// Concurrent collection over one snapshot, no hash cached yet: every
 	// collector encodes and hashes, all agree.

@@ -8,12 +8,13 @@ import (
 	"mxq/internal/xenc"
 )
 
-// ownedPages lists the page chunks s holds exclusively (refs == 1): for
-// a fresh snapshot, the ones its writes have copied or appended.
+// ownedPages lists the page chunks s created since its last Snapshot
+// (they carry its stamp): for a fresh snapshot, the ones its writes have
+// copied or appended.
 func ownedPages(s *Store) []int32 {
 	var owned []int32
 	for pg, p := range s.pages {
-		if p.refs.Load() == 1 {
+		if p.stamp == s.stamp.Load() {
 			owned = append(owned, int32(pg))
 		}
 	}
@@ -86,7 +87,6 @@ func TestInsertCopiesOnlyTouchedChunks(t *testing.T) {
 				}
 				copied[sf] = len(pages) + len(nodes)
 				t.Logf("SF %g: %d pages, %d chunks copied (%d pages, %d node chunks)", sf, s.Pages(), copied[sf], len(pages), len(nodes))
-				snap.Release()
 			}
 			if copied[0.1] > copied[0.01] {
 				t.Fatalf("the insert copied %d chunks at SF 0.1, %d at SF 0.01", copied[0.1], copied[0.01])

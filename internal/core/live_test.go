@@ -84,7 +84,6 @@ func TestLiveCountsFollowWrites(t *testing.T) {
 func TestSnapshotKeepsLiveCount(t *testing.T) {
 	s := mustBuild(t, itemsDoc(60), Options{PageSize: 16, FillFactor: 0.75})
 	snap := s.Snapshot()
-	defer snap.Release()
 	target := s.NthChild(s.Root(), 3)
 	n, _ := snap.Live(target)
 	shared := snap.pages[snap.logToPhys[target>>snap.pageBits]]
@@ -119,7 +118,6 @@ func TestValueUpdateKeepsSummaries(t *testing.T) {
 	s := mustBuild(t, itemsDoc(60), Options{PageSize: 16, FillFactor: 0.75})
 	warmLive(t, s)
 	snap := s.Snapshot()
-	defer snap.Release()
 	text := s.NthChild(s.NthChild(s.Root(), 3), 0)
 	if s.Kind(text) != xenc.KindText {
 		t.Fatalf("fixture: %v at %d", s.Kind(text), text)

@@ -22,7 +22,6 @@ func TestSnapshotNamesStayPrivate(t *testing.T) {
 	names := base.Len()
 
 	snap := s.Snapshot()
-	defer snap.Release()
 	root := snap.Root()
 	// An already-pooled name borrows: nothing is copied yet.
 	if err := snap.Rename(root, "book"); err != nil {
@@ -73,7 +72,6 @@ func TestSnapshotCopiesPoolWhileBaseInterns(t *testing.T) {
 	s := mustBuild(t, itemsDoc(40), Options{PageSize: 16, FillFactor: 0.75})
 	shared := s.Names().Table()
 	snap := s.Snapshot()
-	defer snap.Release()
 	const n = 200
 	var wg sync.WaitGroup
 	for _, side := range []struct {

@@ -111,7 +111,7 @@ func TestSnapshotCopiesOnlyDirtyPagesProperty(t *testing.T) {
 			return false
 		}
 		c := s.Snapshot()
-		if c.DirtyPages() != 0 {
+		if len(ownedPages(c)) != 0 || len(ownedPages(s)) != 0 {
 			return false
 		}
 		// One value update dirties exactly one page.
@@ -127,10 +127,9 @@ func TestSnapshotCopiesOnlyDirtyPagesProperty(t *testing.T) {
 		if err := c.SetValue(texts[rng.Intn(len(texts))], "x"); err != nil {
 			return false
 		}
-		// The snapshot owns exactly the one page it copied; by dropping
-		// its reference to the shared original, that page's ownership
-		// returns to the base, which still shares every other chunk.
-		return c.DirtyPages() == 1 && s.DirtyPages() == 1
+		// The snapshot owns exactly the one page it copied; the base,
+		// stamped afresh by the Snapshot, owns none until it writes.
+		return len(ownedPages(c)) == 1 && len(ownedPages(s)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

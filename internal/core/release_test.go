@@ -44,12 +44,13 @@ func oneNodeFrag(name string) *shred.Tree {
 	return shred.NewBuilder().Start(name).End().Tree()
 }
 
-// ownedNodeChunks lists the node chunks s holds exclusively (refs == 1):
-// for a fresh snapshot, the ones its writes have copied.
+// ownedNodeChunks lists the node chunks s created since its last
+// Snapshot (they carry its stamp): for a fresh snapshot, the ones its
+// writes have copied.
 func ownedNodeChunks(s *Store) []int32 {
 	var owned []int32
 	for ch, c := range s.nodes {
-		if c.refs.Load() == 1 {
+		if c.stamp == s.stamp.Load() {
 			owned = append(owned, int32(ch))
 		}
 	}
@@ -102,7 +103,6 @@ func TestFreeIDsCopyOnlyTouchedNodeChunks(t *testing.T) {
 	}
 
 	c := s.Snapshot()
-	defer c.Release()
 	ids, err := c.AppendChild(c.Root(), oneNodeFrag("probe"))
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,6 @@ func TestFreeIDsCopyOnlyTouchedNodeChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := s.Snapshot()
-	defer c2.Release()
 	if err := c2.Delete(c2.PreOf(planted[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -175,64 +174,13 @@ func TestCheckInvariantsRecountsNodeFree(t *testing.T) {
 		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "nodeFree[0]") {
 			t.Fatalf("CheckInvariants with nodeFree[0] off by %d = %v", delta, err)
 		}
-		c.Release()
 	}
 }
 
-// TestReleaseReturnsOwnership verifies the snapshot-lifetime half of the
-// refcount protocol: while a snapshot is live every chunk is shared (a
-// base write would copy), and releasing the last snapshot hands
-// exclusive ownership back to the base so later writes go in place.
-func TestReleaseReturnsOwnership(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s, err := Build(randomDoc(rng, 300), Options{PageSize: 16, FillFactor: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := len(s.pages)
-	if s.DirtyPages() != total {
-		t.Fatalf("fresh store owns %d/%d pages", s.DirtyPages(), total)
-	}
-
-	c1 := s.Snapshot()
-	c2 := s.Snapshot()
-	if s.DirtyPages() != 0 || c1.DirtyPages() != 0 || c2.DirtyPages() != 0 {
-		t.Fatalf("shared chunks counted as owned: base %d, snaps %d/%d",
-			s.DirtyPages(), c1.DirtyPages(), c2.DirtyPages())
-	}
-
-	c1.Release()
-	if s.DirtyPages() != 0 {
-		t.Fatalf("base owns %d pages while a snapshot is still live", s.DirtyPages())
-	}
-	c2.Release()
-	if s.DirtyPages() != total {
-		t.Fatalf("base owns %d/%d pages after the last snapshot released", s.DirtyPages(), total)
-	}
-
-	// With ownership back, a write must not copy the chunk.
-	root := s.Root()
-	victim := xenc.SkipFree(s, root+1)
-	before := s.pages[s.physOf(victim)>>s.pageBits]
-	if s.Kind(victim) == xenc.KindElem {
-		if err := s.Rename(victim, "renamed"); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		if err := s.SetValue(victim, "renamed"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := s.pages[s.physOf(victim)>>s.pageBits]; after != before {
-		t.Fatal("write after release still copied the page chunk")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotIsolationAfterPeerRelease: releasing one snapshot must not
+// TestSnapshotIsolationAfterPeerRelease: dropping one snapshot must not
 // let the base write in place under a *different* still-live snapshot.
+// Nothing tracks the sharers: a chunk the base shared with any snapshot
+// it took is never written in place again.
 func TestSnapshotIsolationAfterPeerRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	s, err := Build(randomDoc(rng, 200), Options{PageSize: 16, FillFactor: 0.8})
@@ -240,17 +188,15 @@ func TestSnapshotIsolationAfterPeerRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := s.Snapshot()
-	dead := s.Snapshot()
 	want := fingerprint(live)
-	dead.Release()
+	s.Snapshot() // a peer, dropped at once
 	for i := 0; i < 25; i++ {
 		applyRandomOp(rng, s)
 	}
 	if got := fingerprint(live); got != want {
-		t.Fatal("live snapshot observed base writes after a peer snapshot released")
+		t.Fatal("live snapshot observed base writes after a peer snapshot was dropped")
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	live.Release()
 }

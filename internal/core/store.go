@@ -30,26 +30,28 @@
 // is one whose node/pos entry is NULL (-1), as in Figure 6: there is no
 // second list of them. Snapshot reproduces Section 3.2's "temporary view
 // backed by a copy-on-write memory-map on the base table": it shares
-// every chunk between the base store and the snapshot by bumping each
-// chunk's reference count, so taking a snapshot is O(pages), not
-// O(document), and never mutates base-private state. Every write path
-// funnels through the dirtyPage / dirtyNodeChunk hooks, which privately
-// copy a chunk the first time it is written while shared (refs > 1) —
-// "only those parts of the table that are actually updated get copied";
-// the base table is never altered through a snapshot. A transaction
-// therefore materializes only the logical pages it touches, and commit —
-// which replays the transaction's operations onto the base — likewise
-// copies only the pages it writes, leaving the chunks shared
-// with live snapshots untouched. Releasing a snapshot (Store.Release)
-// decrements its chunks' reference counts; once a chunk's last sharer is
-// gone, the surviving owner writes it in place again, so a snapshot's
-// lifetime cost is bounded by the pages dirtied while it was live.
+// every chunk between the base store and the snapshot and copies only
+// the per-page directories, so taking a snapshot is O(pages), not
+// O(document). Every chunk carries the birth stamp of the store that
+// created it, and Snapshot gives both sides fresh stamps, so a shared
+// chunk belongs to neither. Every write path funnels through the
+// dirtyPage / dirtyNodeChunk hooks, which privately copy a chunk the
+// first time a store writes one it did not create — "only those parts
+// of the table that are actually updated get copied"; the base table is
+// never altered through a snapshot. A transaction therefore
+// materializes only the logical pages it touches. Nothing counts
+// references: as in the paper's memory map, a copy is made on the first
+// write, and a chunk no store holds any more is the garbage collector's.
+// Rodeh's shadowing B-trees ("B-trees, Shadowing, and Clones", ACM TOS
+// 2008) free a shadowed block by the same rule: it is writable in place
+// only by the version that created it.
 //
 // A snapshot borrows its base's qualified-name pool (it is append-only
 // and internally synchronized) until it interns its first new name; then
 // it copies the pool, keeping every id, and interns into the copy. Names
-// reach the base pool only when a commit replays its operations there,
-// so an aborted transaction leaves no name behind.
+// reach the base only when a transaction's image becomes the next
+// version (or its operations are replayed onto one), so an aborted
+// transaction leaves no name behind.
 //
 // Attribute values are stored inline, like text: a string in the owner's
 // attribute refs, carried by the node chunk as a page chunk carries its
@@ -116,25 +118,21 @@ type attrRef struct {
 // page is one physical page's worth of the pos/size/level table (plus the
 // kind/name/text/node columns).
 //
-// refs counts the stores referencing the chunk (the base plus every live
-// snapshot sharing it). A chunk with refs == 1 is exclusively owned and
-// may be written in place; a shared chunk (refs > 1) is immutable, and
-// writers obtain a private copy through Store.dirtyPage, dropping their
-// reference to the shared original. Store.Release decrements the refs of
-// every chunk a snapshot holds, so once the last sharer is gone the
-// remaining owner writes the chunk in place again — a cached snapshot
-// that survives many commits therefore costs O(pages dirtied while it
-// was live), never a permanent copy-on-every-write tax. live caches the
-// used tuples + 1 for Store.Live (0: unknown) and sum the page's
-// xenc.RunSummary for Store.Summary (nil: unknown). Both read only the
-// level, kind and name columns: like hash, dirtyPage resets them, but
-// dirtyText, for a write to the text column alone, keeps them. A new or
-// decoded page starts without them, a clone with its original's, and
-// they are never encoded. A shared page is read by concurrent snapshots,
-// so both are published atomically, and a summary is immutable once
-// published.
+// stamp is the birth stamp of the store that created the chunk: only
+// that store may write it in place, and only while it still holds that
+// stamp (Snapshot gives both sides fresh ones). Any other writer takes a
+// private copy through Store.dirtyPage. So a chunk two stores share is
+// immutable, and nothing counts who shares it: the garbage collector
+// frees a chunk once no store holds it. live caches the used tuples + 1
+// for Store.Live (0: unknown) and sum the page's xenc.RunSummary for
+// Store.Summary (nil: unknown). Both read only the level, kind and name
+// columns: like hash, dirtyPage resets them, but dirtyText, for a write
+// to the text column alone, keeps them. A new or decoded page starts
+// without them, a clone with its original's, and they are never
+// encoded. A shared page is read by concurrent snapshots, so both are
+// published atomically, and a summary is immutable once published.
 type page struct {
-	refs  atomic.Int32
+	stamp uint64
 	live  atomic.Int32
 	sum   atomic.Pointer[xenc.RunSummary]
 	hash  chunkHash // content address of the serialized chunk (see chunked.go)
@@ -147,7 +145,7 @@ type page struct {
 }
 
 func newPage(n int) *page {
-	p := &page{
+	return &page{
 		size:  make([]int32, n),
 		level: make([]int16, n),
 		kind:  make([]uint8, n),
@@ -155,12 +153,11 @@ func newPage(n int) *page {
 		text:  make([]string, n),
 		node:  make([]int32, n),
 	}
-	p.refs.Store(1)
-	return p
 }
 
-func (p *page) clone() *page {
+func (p *page) clone(stamp uint64) *page {
 	c := &page{
+		stamp: stamp,
 		size:  append([]int32(nil), p.size...),
 		level: append([]int16(nil), p.level...),
 		kind:  append([]uint8(nil), p.kind...),
@@ -168,7 +165,6 @@ func (p *page) clone() *page {
 		text:  append([]string(nil), p.text...),
 		node:  append([]int32(nil), p.node...),
 	}
-	c.refs.Store(1)
 	c.live.Store(p.live.Load())
 	c.sum.Store(p.sum.Load())
 	return c
@@ -176,9 +172,9 @@ func (p *page) clone() *page {
 
 // nodeChunk holds one page-sized chunk of the NodeID-keyed tables:
 // node/pos, the parent column, and the attribute table (Figure 6). It is
-// copy-on-write with the same refcount discipline as page.
+// copy-on-write with the same stamp discipline as page.
 type nodeChunk struct {
-	refs   atomic.Int32
+	stamp  uint64
 	hash   chunkHash
 	pos    []int32     // NodeID -> Pos (-1 when the id is free)
 	parent []int32     // NodeID -> parent NodeID (NoNode for a root)
@@ -186,23 +182,20 @@ type nodeChunk struct {
 }
 
 func newNodeChunk(n int) *nodeChunk {
-	c := &nodeChunk{
+	return &nodeChunk{
 		pos:    make([]int32, n),
 		parent: make([]int32, n),
 		attrs:  make([][]attrRef, n),
 	}
-	c.refs.Store(1)
-	return c
 }
 
-func (c *nodeChunk) clone() *nodeChunk {
-	n := &nodeChunk{
+func (c *nodeChunk) clone(stamp uint64) *nodeChunk {
+	return &nodeChunk{
+		stamp:  stamp,
 		pos:    append([]int32(nil), c.pos...),
 		parent: append([]int32(nil), c.parent...),
 		attrs:  append([][]attrRef(nil), c.attrs...),
 	}
-	n.refs.Store(1)
-	return n
 }
 
 // Store is the paged updatable document store.
@@ -216,9 +209,14 @@ type Store struct {
 	pageMask int32
 	pageSize int32
 
-	// Physical pos/size/level table, chunked per physical page. A chunk
-	// with refs == 1 is private to this store; shared chunks (refs > 1)
-	// are frozen and must be copied via dirtyPage before the first write.
+	// stamp is the store's birth stamp: the chunks stamped with it are
+	// private to this store and written in place, every other chunk is
+	// copied via dirtyPage before its first write. Snapshot gives both
+	// sides a fresh one, so neither writes what the other still reads.
+	// It is an integer, not a *Store, so a shared chunk pins no store.
+	stamp atomic.Uint64
+
+	// Physical pos/size/level table, chunked per physical page.
 	pages []*page
 
 	// pageOffset tables: logical page order over physical pages.
@@ -306,6 +304,7 @@ func newBuilder(opts Options) (*builder, error) {
 		qn:       xenc.NewQNamePool(),
 		index:    new(liveIndex),
 	}
+	s.stamp.Store(newStamp())
 	return &builder{s: s, perPage: max(1, int32(float64(opts.PageSize)*opts.FillFactor)), names: map[string]int32{}}, nil
 }
 
@@ -335,8 +334,7 @@ func (b *builder) Node(n *shred.Node) {
 	// private, so they are written without the copy-on-write hooks.
 	pos, id := b.pos(b.n), b.n
 	if id&s.pageMask == 0 {
-		s.nodes = append(s.nodes, newNodeChunk(int(s.pageSize)))
-		s.nodeFree = append(s.nodeFree, 0)
+		s.appendNodeChunk()
 	}
 	s.nodeLen++
 	wp, o := s.pages[pos>>s.pageBits], pos&s.pageMask
@@ -439,12 +437,18 @@ func min32(a, b int32) int32 {
 
 // --- copy-on-write plumbing ----------------------------------------------
 
+// newStamp returns a birth stamp no store has held: stamps only grow,
+// and 0, the stamp of a decoded or fresh chunk before a store claims it,
+// is never handed out.
+func newStamp() uint64 { return stamps.Add(1) }
+
+var stamps atomic.Uint64
+
 // dirtyPage is the copy-on-write hook of every physical write path: it
-// returns a privately owned copy of physical page pg, copying the chunk
-// first if it is still shared with the base or a snapshot (refs > 1) and
-// dropping this store's reference to the shared original. It drops the
-// chunk's cached hash, live count and summary, which the write to come
-// may change.
+// returns a copy of physical page pg private to this store, copying the
+// chunk first unless this store created it since its last Snapshot. It
+// drops the chunk's cached hash, live count and summary, which the write
+// to come may change.
 func (s *Store) dirtyPage(pg int32) *page {
 	p := s.dirtyText(pg)
 	p.live.Store(0)
@@ -456,11 +460,9 @@ func (s *Store) dirtyPage(pg int32) *page {
 // update), which keeps the page's live count and summary.
 func (s *Store) dirtyText(pg int32) *page {
 	p := s.pages[pg]
-	if p.refs.Load() != 1 {
-		c := p.clone()
-		p.refs.Add(-1)
-		s.pages[pg] = c
-		p = c
+	if stamp := s.stamp.Load(); p.stamp != stamp {
+		p = p.clone(stamp)
+		s.pages[pg] = p
 	}
 	// The caller is about to write: the content hash the chunk had cached
 	// no longer describes it. (The shared original keeps its — still
@@ -472,36 +474,12 @@ func (s *Store) dirtyText(pg int32) *page {
 // dirtyNodeChunk is dirtyPage for the NodeID-keyed tables.
 func (s *Store) dirtyNodeChunk(ch int32) *nodeChunk {
 	c := s.nodes[ch]
-	if c.refs.Load() != 1 {
-		n := c.clone()
-		c.refs.Add(-1)
-		s.nodes[ch] = n
-		c = n
+	if stamp := s.stamp.Load(); c.stamp != stamp {
+		c = c.clone(stamp)
+		s.nodes[ch] = c
 	}
 	c.hash.invalidate()
 	return c
-}
-
-// Release drops this store's references to every chunk it shares, so the
-// remaining owner (typically the base store) regains exclusive ownership
-// and writes those chunks in place again instead of copying them. It is
-// how a dropped snapshot stops taxing later commits.
-//
-// Release must be called at most once, and only when no goroutine will
-// read the store again (the transaction manager's refcounted read views
-// guarantee this for cached snapshots). It is safe to call concurrently
-// with reads and writes of *other* stores sharing the same chunks. The
-// store is unusable afterwards.
-func (s *Store) Release() {
-	for _, p := range s.pages {
-		p.refs.Add(-1)
-	}
-	for _, c := range s.nodes {
-		c.refs.Add(-1)
-	}
-	s.pages, s.nodes, s.index = nil, nil, nil
-	s.logToPhys, s.physToLog, s.nodeFree = nil, nil, nil
-	s.nodeLen, s.liveNodes = 0, 0
 }
 
 // --- raw column access ----------------------------------------------------
@@ -557,8 +535,19 @@ func (s *Store) setAttrs(id xenc.NodeID, refs []attrRef) {
 // and returns the new physical page number.
 func (s *Store) appendPhysPage() int32 {
 	pg := int32(len(s.pages))
-	s.pages = append(s.pages, newPage(int(s.pageSize)))
+	p := newPage(int(s.pageSize))
+	p.stamp = s.stamp.Load()
+	s.pages = append(s.pages, p)
 	return pg
+}
+
+// appendNodeChunk grows the NodeID-keyed tables by one (privately owned)
+// chunk of free ids.
+func (s *Store) appendNodeChunk() {
+	c := newNodeChunk(int(s.pageSize))
+	c.stamp = s.stamp.Load()
+	s.nodes = append(s.nodes, c)
+	s.nodeFree = append(s.nodeFree, 0)
 }
 
 // newIDs allocates k node ids, the lowest free ones first: the paper
@@ -595,8 +584,7 @@ func (s *Store) appendNodeID() xenc.NodeID {
 	id := s.nodeLen
 	ch := id >> s.pageBits
 	if int(ch) == len(s.nodes) {
-		s.nodes = append(s.nodes, newNodeChunk(int(s.pageSize)))
-		s.nodeFree = append(s.nodeFree, 0)
+		s.appendNodeChunk()
 	}
 	nc := s.dirtyNodeChunk(ch)
 	off := id & s.pageMask
@@ -897,22 +885,6 @@ func (s *Store) Root() xenc.Pre { return xenc.SkipFree(s, 0) }
 
 // Pages returns the number of logical pages.
 func (s *Store) Pages() int { return len(s.logToPhys) }
-
-// DirtyPages returns the number of physical page chunks exclusively
-// owned by this store (refs == 1) — for a fresh snapshot, the pages its
-// writes have materialized so far. It is the observable cost of the
-// copy-on-write protocol. Note that ownership also returns when the
-// *other* sharers release their references: once every snapshot sharing
-// a chunk is dropped, the chunk counts as this store's again.
-func (s *Store) DirtyPages() int {
-	n := 0
-	for _, p := range s.pages {
-		if p.refs.Load() == 1 {
-			n++
-		}
-	}
-	return n
-}
 
 // PhysPage returns the physical page number backing the logical page that
 // contains view rank p. Physical page numbers are stable for the lifetime

@@ -376,12 +376,15 @@ func Run(t *testing.T, cfg Config) {
 
 // runTx drives the same differential comparison through the transaction
 // layer: ops are generated against (and applied to) a copy-on-write
-// transaction image; odd batches commit — replaying onto the base and
-// advancing the oracle — while even batches abort, after which the base
-// must still match the oracle exactly (the dropped private pages must
-// not have leaked into shared state).
+// transaction image; odd batches commit — installing the image as the
+// next version and advancing the oracle — while even batches abort,
+// after which the current version must still match the oracle exactly
+// (the dropped private pages must not have leaked into shared state).
+// The built store is version 0 and must still read as built at the end:
+// no commit writes a published version.
 func runTx(t *testing.T, cfg Config, rng *rand.Rand, paged *core.Store, oracle *naive.Store) {
 	t.Helper()
+	built := serializeView(t, paged)
 	m := tx.NewManager(paged, nil)
 	step := 0
 	batch := 0
@@ -405,6 +408,10 @@ func runTx(t *testing.T, cfg Config, rng *rand.Rand, paged *core.Store, oracle *
 		} else {
 			txn.Abort()
 		}
-		checkAgree(t, cfg, step, paged, oracle, history)
+		cur, _ := m.PinCheckpoint()
+		checkAgree(t, cfg, step, cur, oracle, history)
+	}
+	if got := serializeView(t, paged); got != built {
+		t.Fatalf("seed %d: version 0 was written\nbuilt: %.400s\nnow:   %.400s", cfg.Seed, built, got)
 	}
 }

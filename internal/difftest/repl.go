@@ -77,6 +77,7 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 	if err != nil {
 		t.Fatalf("seed %d: building paged store: %v", cfg.Seed, err)
 	}
+	built := serializeView(t, paged)
 	m := tx.NewManager(paged, log)
 	tracker := repl.NewTracker()
 	ck := ckpt.New(vfs.OS, pdir, "d", log, m.PinCheckpoint, ckpt.DefaultChunkStore(pdir, "d"), tracker.Barrier)
@@ -167,7 +168,7 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 		if final || rng.Intn(2) == 0 {
 			// Converged stop: wait for the follower to reach the primary's
 			// tail, then verify full agreement with both the oracle and
-			// the primary's live store.
+			// the primary's current version.
 			tail := log.LastLSN()
 			waitFor(t, func() (bool, string) {
 				var applied uint64
@@ -224,6 +225,10 @@ func RunRepl(t *testing.T, cfg ReplConfig) {
 	// be exactly one subscription.
 	stop()
 	shutdown()
+	// The built store is the primary's version 0: no commit wrote it.
+	if got := serializeView(t, paged); got != built {
+		t.Fatalf("seed %d: the primary's version 0 was written\nbuilt: %.400s\nnow:   %.400s", cfg.Seed, built, got)
+	}
 	if n := len(subs.subs); n != cfg.Rounds {
 		t.Fatalf("seed %d: %d subscriptions for %d FollowDocument calls: the follower failed and resubscribed",
 			cfg.Seed, n, cfg.Rounds)

@@ -68,7 +68,6 @@ func Serve(conn net.Conn, reqID uint64, after uint64, src Source, maxFrame uint3
 	if after == wire.SubscribeNone || !src.Log.CanStream(after) {
 		mode = wire.ModeSnapshotChunked
 		img, start = src.Pin()
-		defer img.Release()
 		// The follower will restart from the image's LSN; move its fence
 		// there so the records it still needs (start, tail] stay pinned.
 		src.Track.Ack(id, start)

@@ -14,7 +14,7 @@ import (
 
 // TestReadersNeverSeePartialCommits is the atomicity litmus test: every
 // write transaction inserts a *pair* of elements in one commit, and
-// concurrent readers (under the global read lock, like the paper's
+// concurrent readers (of one committed version each, like the paper's
 // read-only queries) must always observe an even number — a torn commit
 // would show up as an odd count.
 func TestReadersNeverSeePartialCommits(t *testing.T) {

@@ -160,10 +160,9 @@ func (f panickyFile) Write(p []byte) (int, error) {
 }
 
 // TestPanicInsideCommitIsFatal: a panic while the commit holds the
-// global write lock (here in the WAL append) may leave the record
-// logged and the store half-applied, so it ends the process even under
-// a recover, instead of leaving the lock held and every later commit
-// blocked. The test runs the commit in a child process.
+// publishers' mutex (here in the WAL append) may leave a record logged
+// that no version holds, so it ends the process even under a recover,
+// instead of serving on without it. The test runs the commit in a child process.
 func TestPanicInsideCommitIsFatal(t *testing.T) {
 	if os.Getenv("MXQ_TX_PANIC_CHILD") == "1" {
 		armed := false

@@ -97,32 +97,34 @@ func (m *Manager) WaitApplied(lsn uint64, timeout time.Duration) error {
 }
 
 // ApplyReplicated applies one replicated WAL record: the follower-side
-// twin of the commit critical section. It appends the record to the
-// local log verbatim — the follower's LSN numbering must reproduce the
-// primary's exactly, and wal.Log.AppendRecord refuses gaps — replays
-// the record's operations onto the base store through ApplyOps, as
-// commit and recovery do, bumps the committed version, and advances the
-// applied watermark so parked read-your-writes readers wake.
+// twin of a commit that must replay. It replays the record's operations
+// through ApplyOps onto a fresh image of the current version, as
+// recovery does, then appends the record to the local log verbatim —
+// the follower's LSN numbering must reproduce the primary's exactly, and
+// wal.Log.AppendRecord refuses gaps — installs the image as the next
+// version, and advances the applied watermark so parked
+// read-your-writes readers wake. A record that fails to replay or to
+// append is neither logged nor published.
 //
 // Durability is the caller's business: ApplyReplicated does not fsync,
 // so a batch of records costs one Sync at its end (before the LSN is
 // acked to the primary), not one per record.
 func (m *Manager) ApplyReplicated(rec *wal.Record) error {
-	m.mu.Lock()
-	if m.log != nil {
-		if err := m.log.AppendRecord(rec); err != nil {
-			m.mu.Unlock()
-			return err
-		}
-	}
-	if err := ApplyOps(m.store, rec.Ops); err != nil {
-		m.mu.Unlock()
+	m.pubMu.Lock()
+	defer m.pubMu.Unlock()
+	cur := m.cur.Load()
+	next := cur.store.Snapshot()
+	if err := ApplyOps(next, rec.Ops); err != nil {
 		return fmt.Errorf("tx: applying replicated LSN %d: %w", rec.LSN, err)
 	}
-	m.version.Add(1)
-	m.commits++
-	m.mu.Unlock()
-	m.invalidateStale()
+	var lsn uint64
+	if m.log != nil {
+		if err := m.log.AppendRecord(rec); err != nil {
+			return err
+		}
+		lsn = rec.LSN
+	}
+	m.cur.Store(&version{store: next, seq: cur.seq + 1, lsn: lsn})
 	m.applied.advance(rec.LSN)
 	return nil
 }

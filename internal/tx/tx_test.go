@@ -177,6 +177,7 @@ func TestDisjointPagesCommitConcurrently(t *testing.T) {
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	s = current(m)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +261,17 @@ type image struct {
 	lsn uint64
 }
 
-// checkpoint pins m and saves the snapshot into a fresh chunk store.
+// current returns m's current committed version: the store a handed-in
+// one stops being at the first commit.
+func current(m *Manager) *core.Store {
+	s, _ := m.PinCheckpoint()
+	return s
+}
+
+// checkpoint pins m and saves the version into a fresh chunk store.
 func checkpoint(t *testing.T, m *Manager) image {
 	t.Helper()
 	snap, lsn := m.PinCheckpoint()
-	defer snap.Release()
 	cs := chunkstore.NewDir(t.TempDir())
 	man, _, err := snap.SaveChunked(cs)
 	if err != nil {
@@ -309,6 +316,7 @@ func TestWALRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s = current(m)
 	want, err := serialize.String(s, s.Root(), serialize.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -505,6 +513,7 @@ func TestXUpdateThroughTransaction(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	s = current(m)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -532,6 +541,7 @@ func TestInsertBeforeAndChildAtThroughTx(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	s = current(m)
 	got, _ := serialize.String(s, s.Root(), serialize.Options{})
 	want := `<lib><shelf id="s1"><book>A0</book><book>A</book><book>A2</book><book>B</book></shelf><shelf id="s2"><book>C</book><book>D</book></shelf></lib>`
 	if got != want {

@@ -10,16 +10,19 @@ import (
 	"mxq/internal/xenc"
 )
 
-// Tx is a write transaction: a private copy-on-write image of the store
-// plus the log of resolved operations that commit will replay onto the
-// base. Tx reads as its image (xenc.IndexView, xenc.ParentView) and
-// implements xupdate.Target (Apply), so XPath queries and XUpdate
-// modification lists run against it directly with read-your-writes
-// semantics. The column slices Cols returns go stale with the
-// transaction's next mutation.
+// Tx is a write transaction: a private copy-on-write image of the
+// version it began on, plus the log of resolved operations it applied
+// there. Commit installs the image as the next version, or replays the
+// log onto the current one if a commit landed meanwhile. Tx reads as
+// its image (xenc.IndexView, xenc.ParentView) and implements
+// xupdate.Target (Apply), so XPath queries and XUpdate modification
+// lists run against it directly with read-your-writes semantics. The
+// column slices Cols returns go stale with the transaction's next
+// mutation.
 type Tx struct {
 	imageView // the clone's read surface; nil, as clone is, after Commit or Abort
 	m         *Manager
+	base      *version // the version clone was forked from
 	clone     *core.Store
 	ops       []wal.Op
 	pages     map[int32]bool
@@ -74,7 +77,7 @@ func (t *Tx) lockSpan(from, to xenc.Pre) error {
 		to = last
 	}
 	var pages []int32
-	step := xenc.Pre(t.m.store.PageSize())
+	step := xenc.Pre(t.clone.PageSize())
 	for p := from; ; p += step {
 		if p > to {
 			p = to
@@ -109,7 +112,8 @@ func (t *Tx) lockPoint(at xenc.Pre) error {
 
 // Apply performs op on the transaction image and logs it for commit,
 // with the ids of the nodes it inserted: the logged op is the applied
-// op, and commit replays it onto the base with the same core.Store.Apply.
+// op, and a commit that must replay it does so with the same
+// core.Store.Apply.
 // The pages op writes are write-locked first (lock).
 func (t *Tx) Apply(op wal.Op) ([]xenc.NodeID, error) {
 	if err := t.check(); err != nil {
@@ -154,9 +158,8 @@ func (t *Tx) lock(op wal.Op, p xenc.Pre) error {
 
 // --- commit / abort -----------------------------------------------------------
 
-// Commit writes the WAL record and replays the transaction's operations
-// onto the base store under the global write lock (Figure 8's commit
-// sequence).
+// Commit publishes the transaction as the next version and writes its
+// WAL record (Figure 8's commit sequence).
 func (t *Tx) Commit() error {
 	if t.done {
 		return ErrDone
@@ -175,20 +178,16 @@ func (t *Tx) Commit() error {
 		t.Abort()
 		return err
 	}
-	m.invalidateStale()
-	// Wake read-your-writes waiters: the ops are applied and any snapshot
-	// acquired from here on observes them. Durability is settled below —
-	// the watermark is about visibility, and a waiter on this replica
-	// already raced ahead of the fsync the moment the lock dropped.
+	// Wake read-your-writes waiters: the version is installed and any
+	// view acquired from here on observes it. Durability is settled
+	// below — the watermark is about visibility, and a waiter on this
+	// replica already raced ahead of the fsync the moment it was
+	// installed.
 	m.applied.advance(lsn)
 	t.lsn = lsn
 	m.unlockAll(t)
 	t.done = true
-	// Return the image's chunk references: pages the transaction did not
-	// dirty go back to being base-owned (in-place writable) as soon as
-	// no snapshot shares them.
-	t.clone.Release()
-	t.imageView, t.clone = nil, nil
+	t.imageView, t.clone, t.base = nil, nil, nil
 	if m.log != nil {
 		// Group commit: the transaction is visible to new readers already
 		// (early lock release), but Commit only returns once its record is
@@ -204,32 +203,34 @@ func (t *Tx) Commit() error {
 	return nil
 }
 
-// publish is Commit's critical section: under the global write lock it
-// checks the ops' targets, appends the WAL record and replays the ops
-// onto the base store. A panic in here may leave the record logged and
-// the store half-applied, which no caller can undo and serve on, so it
-// ends the process the way an unrecovered panic would (recovery replays
-// the log), even under a caller that recovers panics.
+// publish is Commit's critical section, under the publishers' mutex.
+// The next version is the transaction's image if no commit landed since
+// Begin — node ids are a function of node/pos and the image interned
+// into the name pool the next version should hold, so it is what a
+// replay would build. Otherwise publish replays the ops onto a fresh
+// image of the current version; a replay that fails (a concurrent
+// commit removed a target) drops it and reports ErrConflict. Only then
+// is the WAL record appended and the version installed, so a failure
+// logs and publishes nothing. A panic in here may leave a record
+// logged that no version holds, which no caller can undo and serve on,
+// so it ends the process the way an unrecovered panic would (recovery
+// replays the log), even under a caller that recovers panics.
 func (t *Tx) publish() (lsn uint64, err error) {
 	m := t.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.pubMu.Lock()
+	defer m.pubMu.Unlock()
 	defer func() {
 		if v := recover(); v != nil {
 			fmt.Fprintf(os.Stderr, "panic: %v [inside a commit]\n\n%s", v, debug.Stack())
 			os.Exit(2)
 		}
 	}()
-	// Commit-time check: every op target must still exist in the base
-	// (page locks make this unreachable for conflicting writers, but a
-	// cheap check keeps replay failures impossible).
-	for i := range t.ops {
-		op := &t.ops[i]
-		if op.Target == xenc.NoNode {
-			continue
-		}
-		if !knownNewID(t.ops[:i], op.Target) && m.store.PreOf(op.Target) == xenc.NoPre {
-			return 0, fmt.Errorf("tx: %w: op %d target %d vanished", ErrConflict, i, op.Target)
+	cur := m.cur.Load()
+	next := t.clone
+	if cur != t.base {
+		next = cur.store.Snapshot()
+		if err := ApplyOps(next, t.ops); err != nil {
+			return 0, fmt.Errorf("tx: %w: %w", ErrConflict, err)
 		}
 	}
 	if m.log != nil {
@@ -237,30 +238,13 @@ func (t *Tx) publish() (lsn uint64, err error) {
 		// orders this commit), but do NOT fsync here: durability is
 		// settled by the group-commit Sync in Commit, outside the lock, so
 		// concurrent committers share one fsync instead of queueing N of
-		// them behind the global mutex.
+		// them behind the mutex.
 		if lsn, err = m.log.Append(t.ops); err != nil {
 			return 0, err
 		}
 	}
-	if err := ApplyOps(m.store, t.ops); err != nil {
-		// The WAL record is already written; an apply failure here is an
-		// invariant violation, not a user error.
-		return 0, fmt.Errorf("tx: applying committed ops: %w", err)
-	}
-	m.version.Add(1)
-	m.commits++
+	m.cur.Store(&version{store: next, seq: cur.seq + 1, lsn: lsn})
 	return lsn, nil
-}
-
-func knownNewID(prior []wal.Op, id xenc.NodeID) bool {
-	for i := range prior {
-		for _, n := range prior[i].NewIDs {
-			if n == id {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Abort drops the transaction image and releases all locks.
@@ -271,19 +255,26 @@ func (t *Tx) Abort() {
 	t.m.aborts.Add(1)
 	t.m.unlockAll(t)
 	t.done = true
-	t.clone.Release()
-	t.imageView, t.clone = nil, nil
+	t.imageView, t.clone, t.base = nil, nil, nil
 }
 
 // ApplyOps replays resolved operations onto a store through
 // core.Store.Apply, mapping the transaction-local ids of inserted nodes
-// to the ids the store hands out. Commit, recovery and a follower all
-// replay through it, which keeps replay deterministic.
+// to the ids the store hands out. A commit that raced another, recovery
+// and a follower all replay through it, which keeps replay
+// deterministic. An op whose target is missing fails the replay, and so
+// does one whose target is an id this replay's own inserts took — a
+// node the transaction never saw, which a commit since its Begin had
+// freed. A failed replay leaves the store partly written: replay onto a
+// store nobody else reads yet.
 func ApplyOps(store *core.Store, ops []wal.Op) error {
 	idMap := make(map[xenc.NodeID]xenc.NodeID)
+	taken := make(map[xenc.NodeID]bool)
 	for i, op := range ops {
 		if id, ok := idMap[op.Target]; ok {
 			op.Target = id
+		} else if taken[op.Target] {
+			return fmt.Errorf("tx: op %d (%d): target node %d was freed by another commit", i, op.Kind, op.Target)
 		}
 		newIDs, err := store.Apply(op)
 		if err != nil {
@@ -292,6 +283,7 @@ func ApplyOps(store *core.Store, ops []wal.Op) error {
 		for j, id := range op.NewIDs {
 			if j < len(newIDs) {
 				idMap[id] = newIDs[j]
+				taken[newIDs[j]] = true
 			}
 		}
 	}

@@ -17,37 +17,26 @@
 // # Versioned-snapshot reads
 //
 // Every query entry point (Query, QueryVars, Prepared.Run, QueryValue,
-// SerializeTo, XML) evaluates against an immutable snapshot of
-// the current committed version rather than under a lock, so reads fully
-// overlap commits and commits never wait for readers. The document keeps
-// a monotonic version counter (Document.Version), bumped on every
-// commit, and caches one snapshot per committed version: the first read
-// after a commit materializes the snapshot once (O(pages) pointer
-// copies), and every further read at that version is a refcount bump.
-// Page chunks are shared between the base store and all live snapshots
-// with per-chunk reference counts — a snapshot that outlives many
-// commits costs only the pages those commits dirtied, and when a
-// superseded snapshot's last reader finishes, its chunk references are
-// handed back so the base writes those pages in place again.
+// SerializeTo, XML) evaluates against an immutable committed version
+// rather than under a lock, so reads fully overlap commits and commits
+// never wait for readers. A document's committed state is a sequence of
+// versions (Document.Version counts them): a commit installs the next
+// one and never writes a published one again. Reading the current
+// version is one atomic load. Page chunks are shared between versions —
+// a commit copies only the pages it writes into the next version — and
+// a version nobody reads any more is freed by the garbage collector,
+// with every chunk no later version shares.
 //
 // # Snapshot handles and the Close contract
 //
-// Document.Snapshot hands out the same lease a query takes for one
+// Document.Snapshot hands out the same view a query takes for one
 // call, held until Close: a *Snapshot whose queries (the read methods
 // above, one implementation under both types) observe one committed
-// version for as long as it is open, sharing that version's snapshot
-// with every other reader of it. The contract is Close-when-done: a
-// held snapshot keeps the chunks it shares with the base copy-on-write
-// (each overlapping commit pays one page copy per page it dirties), and
-// Close — idempotent, safe to race with commits — returns the handle's
-// chunk references so the base resumes in-place writes once the last
-// sharer of that version is gone. A snapshot's lifetime cost is
-// therefore bounded by the pages dirtied while it was open, never by
-// how long it stayed open after. Using a handle after Close returns
-// ErrSnapshotClosed. Handles that are garbage-collected unclosed are
-// released by a finalizer and reported on stderr, but the base pays the
-// copy-on-write tax until the collector runs — always pair Snapshot
-// with a deferred Close.
+// version for as long as it is open. Holding a snapshot keeps alive the
+// chunks replaced since its version, and costs the commits no copies:
+// they copy what they write whether or not anyone holds an older
+// version. Close is idempotent and safe to race with commits; using a
+// handle after Close returns ErrSnapshotClosed.
 //
 // # Durability: incremental checkpoints, segmented WAL, group commit
 //
@@ -59,10 +48,9 @@
 // the disk. A failed fsync leaves the document read-only until it is
 // reopened, which reads the page cache and so is no proof that the
 // record reached the disk. Checkpoints are *online* and *incremental*:
-// Document.Checkpoint pins a (snapshot, LSN) pair inside the commit
-// critical section — an O(pages) refcount sweep, the same
-// copy-on-write machinery the read path uses — then serializes the
-// snapshot in content-addressed form outside any lock: every column
+// Document.Checkpoint pins the current committed version, an immutable
+// (store, LSN) pair — one atomic load, as on the read path — then
+// serializes the store in content-addressed form outside any lock: every column
 // chunk is named by its SHA-256 and stored under that name in the
 // document's chunk store, and the LSN-stamped image is a small manifest
 // of chunk names. A

@@ -2,13 +2,8 @@ package mxq
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
-
-	"mxq/internal/core"
-	"mxq/internal/shred"
 )
 
 const snapDoc = `<lib><shelf id="s1"><book genre="sf">A</book><book genre="hist">B</book></shelf></lib>`
@@ -26,79 +21,22 @@ func loadSnapDoc(t *testing.T) *Document {
 	return doc
 }
 
-// loadOwnedSnapDoc loads a document keeping hold of its base store, whose
-// DirtyPages (chunks at refcount 1) says whether anything shares its
-// chunks: it equals the fresh store's count exactly when no snapshot —
-// leased, held or parked in the manager's cache slot — is alive.
-func loadOwnedSnapDoc(t *testing.T) (*Document, *core.Store) {
-	t.Helper()
-	// Several pages of books, so a commit dirties a strict subset of the
-	// chunks a snapshot pins.
-	xml := `<lib><shelf id="s1">` + strings.Repeat(`<book>A</book>`, 60) + `</shelf></lib>`
-	tree, err := shred.ParseString(xml, shred.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.Build(tree, core.Options{PageSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return new(Database).newDocument("lib", s, nil, nil), s
-}
-
-// TestSnapshotFinalizerWarnsAndReleases: an unclosed handle that becomes
-// garbage must be released by its finalizer (which also says so on
-// stderr), so even leaky callers don't tax the base forever — proved by
-// every chunk of the base returning to refcount 1 once the collector
-// has run.
-func TestSnapshotFinalizerWarnsAndReleases(t *testing.T) {
-	doc, s := loadOwnedSnapDoc(t)
-	total := s.DirtyPages()
-
-	func() {
-		leaked := doc.Snapshot() // never closed
-		_ = leaked.Version()
-	}()
-	// Supersede the leaked version: the cache slot moves on, so the
-	// leaked handle holds the only outstanding reference.
-	appendBook(t, doc, "C")
-	if got := s.DirtyPages(); got >= total {
-		t.Fatalf("base owns %d/%d chunks with a leaked handle outstanding — it pins nothing", got, total)
-	}
-	for deadline := time.Now().Add(10 * time.Second); s.DirtyPages() != total; {
-		if time.Now().After(deadline) {
-			t.Fatalf("base owns %d/%d chunks; the finalizer never released the leaked snapshot", s.DirtyPages(), total)
-		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStatsBuildsNoSnapshot: polling Stats through a write-only phase
-// reads the base under the manager's shared lock — it must not build a
-// snapshot into the cache slot, which every following commit would pay
-// copy-on-write for.
+// TestStatsBuildsNoSnapshot: Stats reads the current committed version
+// — its commit count and shape — and builds nothing: polling it through
+// a write-only phase allocates nothing.
 func TestStatsBuildsNoSnapshot(t *testing.T) {
-	doc, s := loadOwnedSnapDoc(t)
-	total := s.DirtyPages()
+	doc := loadSnapDoc(t)
 	nodes := doc.Stats().LiveNodes
 	for i := 1; i <= 3; i++ {
 		appendBook(t, doc, "C")
 		st := doc.Stats()
-		if st.Commits != uint64(i) || st.LiveNodes != nodes+2*i {
-			t.Fatalf("after commit %d: Stats = %d commits, %d live nodes; want %d and %d", i, st.Commits, st.LiveNodes, i, nodes+2*i)
-		}
-		if got := s.DirtyPages(); got < total {
-			t.Fatalf("after commit %d and Stats: base owns %d chunks, fewer than the %d it started with — a snapshot is alive", i, got, total)
+		if st.Commits != uint64(i) || st.Commits != doc.Version() || st.LiveNodes != nodes+2*i {
+			t.Fatalf("after commit %d: Stats = %d commits, %d live nodes, version %d; want %d, %d and %d",
+				i, st.Commits, st.LiveNodes, doc.Version(), i, nodes+2*i, i)
 		}
 	}
-	// The contrast that keeps the check above honest: a query does fill
-	// the slot, and the base then shares every chunk with it.
-	if _, err := doc.QueryValue(`count(//book)`); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.DirtyPages(); got != 0 {
-		t.Fatalf("base owns %d chunks after a query; the cached snapshot should share them all", got)
+	if allocs := testing.AllocsPerRun(100, func() { doc.Stats() }); allocs != 0 {
+		t.Fatalf("Stats allocated %.0f times a call, want 0", allocs)
 	}
 }
 
@@ -215,17 +153,17 @@ func TestAbortedProgramsLeaveNoNames(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharesQueryCache: handles taken at the same version share
-// the query path's cached snapshot, so open queries and snapshots pin
-// the base's chunks once, not per handle.
+// TestSnapshotSharesQueryCache: handles taken at the same version read
+// the one committed version the query path reads, not a copy per
+// handle.
 func TestSnapshotSharesQueryCache(t *testing.T) {
 	doc := loadSnapDoc(t)
 	a := doc.Snapshot()
 	b := doc.Snapshot()
 	defer a.Close()
 	defer b.Close()
-	if a.Version() != b.Version() {
-		t.Fatalf("versions diverged: %d vs %d", a.Version(), b.Version())
+	if a.Version() != b.Version() || a.rv.View() != b.rv.View() {
+		t.Fatalf("same-version handles read different versions: %d vs %d", a.Version(), b.Version())
 	}
 	ax, _ := a.XML()
 	bx, _ := b.XML()

@@ -18,7 +18,6 @@ import (
 // module's non-test code, each with the reason it stays.
 var surfaceAllowlist = map[string]string{
 	"mxq/client.WithRYWTimeout":              "public client option: bounds how long a replica-routed read parks (Example_replication sets it)",
-	"mxq/internal/core.Store.DirtyPages":     "the root, tx and core tests observe copy-on-write through it, and O(touched) commit and read costs are counted with it",
 	"mxq/internal/difftest.ReplConfigs":      "oracle harness entry point: the difftest replication mode runs it",
 	"mxq/internal/difftest.RunConcurrent":    "oracle harness entry point: the difftest concurrent mode runs it",
 	"mxq/internal/difftest.RunRepl":          "oracle harness entry point: the difftest replication mode runs it",

@@ -34,8 +34,8 @@ func setBothBooks(t *testing.T, doc *Document, val string, commit bool) {
 // after commits: each run must observe exactly one committed version —
 // the pre-commit run sees the old data, an open (uncommitted)
 // transaction stays invisible, the post-commit run sees the new data,
-// and repeated runs at an unchanged version return it unchanged (the
-// cached snapshot cannot go stale or serve a torn state).
+// and repeated runs at an unchanged version return it unchanged (a
+// published version cannot go stale or serve a torn state).
 func TestPreparedAcrossVersions(t *testing.T) {
 	db, err := Open(Options{PageSize: 16})
 	if err != nil {
@@ -87,7 +87,7 @@ func TestPreparedAcrossVersions(t *testing.T) {
 		}
 		want := fmt.Sprintf("v%d", i)
 		mustSee("first run after commit", want)
-		mustSee("second run at same version", want) // served by the cached snapshot
+		mustSee("second run at same version", want) // the same published version
 	}
 }
 
