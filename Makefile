@@ -178,7 +178,10 @@ repl-smoke:
 # node-at-a-time oracle in oracle_test.go vs the plan over the naive
 # dense store), the checkpoint chunk decoder (bytes from disk or from a
 # primary: no panic, bounded allocation, accepted input re-encodes to
-# itself), the pack reader under the chunk store (bytes from disk,
+# itself), the checkpoint load (one chunk of a small churned store's
+# manifest replaced: the load refuses it, or returns a store whose
+# invariants hold and that encodes afresh to the same chunks), the pack
+# reader under the chunk store (bytes from disk,
 # through the index and then through every entry it accepts: no panic,
 # allocation bounded by a fixed multiple of the file's size — a raw
 # length is only believed of stored bytes that could inflate to it —
@@ -207,6 +210,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzXUpdateParse -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/xupdate
 	$(GO) test -run xxx -fuzz FuzzShredMatchesStdlib -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/shred
 	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/core
+	$(GO) test -run xxx -fuzz FuzzLoadChunked -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run xxx -fuzz FuzzPackOpen -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/chunkstore
 	$(GO) test -run xxx -fuzz FuzzSerializeMatchesReference -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/serialize
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/wire

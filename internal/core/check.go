@@ -9,41 +9,13 @@ import (
 
 // CheckInvariants verifies the store's structural invariants in O(N).
 // Tests run it after every mutation; it is the executable form of the
-// encoding rules in Section 3:
-//
-//   - logToPhys and physToLog are inverse bijections over the pages;
-//   - the chunked columns hold exactly one page-sized chunk per physical
-//     page;
-//   - a page's cached live count and summary, if any, are what its
-//     tuples give, and so is the live index, if built;
-//   - free-run lengths count exactly the directly following unused
-//     tuples within their logical page;
-//   - node/pos and the node column are mutually consistent: every live
-//     node has a valid node id, and an id below nodeLen is free (pos -1)
-//     exactly when no tuple holds it;
-//   - nodeFree counts each node chunk's free ids;
-//   - size equals the number of live descendants (recomputed with a
-//     stack over the view);
-//   - levels form a valid pre-order (each node is at most one deeper
-//     than its predecessor);
-//   - parent links match the tree implied by the levels;
-//   - a used tuple's name id is NoName or in the name pool, and an
-//     attribute's name id is in the name pool;
-//   - the live-node count and attribute owners agree with the view.
+// encoding rules in Section 3: everything deriveTree refuses, the size,
+// parent and node/pos columns equal to what it derives (an id no tuple
+// holds is free, pos -1), nodeFree equal to the free ids it counts, and
+// a page's cached live count and summary, and the live index, if any,
+// what the tuples give.
 func (s *Store) CheckInvariants() error {
-	nPages := len(s.logToPhys)
-	if len(s.physToLog) != nPages {
-		return fmt.Errorf("pageOffset tables have different lengths: %d vs %d", nPages, len(s.physToLog))
-	}
-	if len(s.pages) != nPages {
-		return fmt.Errorf("store holds %d page chunks, want %d", len(s.pages), nPages)
-	}
 	for i, pg := range s.pages {
-		if int32(len(pg.size)) != s.pageSize || int32(len(pg.level)) != s.pageSize ||
-			int32(len(pg.kind)) != s.pageSize || int32(len(pg.name)) != s.pageSize ||
-			int32(len(pg.text)) != s.pageSize || int32(len(pg.node)) != s.pageSize {
-			return fmt.Errorf("page chunk %d has ragged columns", i)
-		}
 		if c := pg.live.Load(); c != 0 && c-1 != pg.used() {
 			return fmt.Errorf("page chunk %d caches %d used tuples but holds %d (a write skipped dirtyPage)", i, c-1, pg.used())
 		}
@@ -51,9 +23,34 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("page chunk %d caches a summary its tuples do not give (a write skipped dirtyPage)", i)
 		}
 	}
+	free, err := s.deriveTree(func(pos int32, id xenc.NodeID, size int32, parent xenc.NodeID) error {
+		switch p := s.preOfPos(pos); {
+		case s.sizeAt(pos) != size && id == xenc.NoNode:
+			return fmt.Errorf("free run at pre %d (pos %d): size %d, want %d", p, pos, s.sizeAt(pos), size)
+		case s.sizeAt(pos) != size:
+			return fmt.Errorf("size at pre %d = %d, want %d live descendants", p, s.sizeAt(pos), size)
+		case id == xenc.NoNode:
+		case s.posOf(id) != pos: // also an id two tuples hold: one of them is not where node/pos says
+			return fmt.Errorf("node/pos[%d] = %d, want %d (pre %d)", id, s.posOf(id), pos, p)
+		case s.parentOf(id) != parent:
+			return fmt.Errorf("parentOf[%d] (pre %d) = %d, want %d", id, p, s.parentOf(id), parent)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(s.nodeFree) != len(free) {
+		return fmt.Errorf("nodeFree counts %d node chunks, store holds %d", len(s.nodeFree), len(free))
+	}
+	for ch, n := range free {
+		if s.nodeFree[ch] != n {
+			return fmt.Errorf("nodeFree[%d] = %d, but node chunk %d holds %d free ids", ch, s.nodeFree[ch], ch, n)
+		}
+	}
 	if cum := s.index.cum.Load(); cum != nil {
-		if len(*cum) != nPages+1 {
-			return fmt.Errorf("the live index has %d entries for %d pages", len(*cum), nPages)
+		if len(*cum) != len(s.pages)+1 {
+			return fmt.Errorf("the live index has %d entries for %d pages", len(*cum), len(s.pages))
 		}
 		for lg, ph := range s.logToPhys {
 			if (*cum)[lg+1]-(*cum)[lg] != s.pages[ph].used() {
@@ -61,135 +58,114 @@ func (s *Store) CheckInvariants() error {
 			}
 		}
 	}
-	if len(s.nodeFree) != len(s.nodes) {
-		return fmt.Errorf("nodeFree counts %d node chunks, store holds %d", len(s.nodeFree), len(s.nodes))
-	}
-	if maxIDs := int32(len(s.nodes)) << s.pageBits; s.nodeLen > maxIDs {
-		return fmt.Errorf("nodeLen %d exceeds chunk capacity %d", s.nodeLen, maxIDs)
+	return nil
+}
+
+// deriveTree is the one pass that recovers the columns no chunk stores:
+// it walks the view in logical order with a stack of open nodes and
+// emits each tuple's position, id and what the levels imply — a free
+// tuple's (id NoNode) run length within its page, a used one's live-
+// descendant count and parent id. LoadChunked fills the columns from
+// it, CheckInvariants compares them. It refuses bad page tables, a level
+// jump (across pages too), a free tuple holding an id, a used one with
+// an id not below nodeLen or a bad kind or name, and a live count other
+// than liveNodes; then it returns the free ids per node chunk, refusing
+// a free id with attributes and a node/pos placing more ids than that.
+func (s *Store) deriveTree(emit func(pos int32, id xenc.NodeID, size int32, parent xenc.NodeID) error) ([]int32, error) {
+	nPages := len(s.logToPhys)
+	if len(s.physToLog) != nPages || len(s.pages) != nPages {
+		return nil, fmt.Errorf("pageOffset tables of %d and %d entries over %d page chunks", nPages, len(s.physToLog), len(s.pages))
 	}
 	for lg, ph := range s.logToPhys {
-		if ph < 0 || int(ph) >= nPages {
-			return fmt.Errorf("logToPhys[%d] = %d out of range", lg, ph)
+		if ph < 0 || int(ph) >= nPages || s.physToLog[ph] != int32(lg) {
+			return nil, fmt.Errorf("pageOffset not a bijection at logToPhys[%d] = %d", lg, ph)
 		}
-		if s.physToLog[ph] != int32(lg) {
-			return fmt.Errorf("pageOffset not a bijection: logToPhys[%d]=%d but physToLog[%d]=%d", lg, ph, ph, s.physToLog[ph])
+	}
+	for i, pg := range s.pages {
+		if n := s.pageSize; int32(len(pg.size)) != n || int32(len(pg.level)) != n || int32(len(pg.kind)) != n ||
+			int32(len(pg.name)) != n || int32(len(pg.text)) != n || int32(len(pg.node)) != n {
+			return nil, fmt.Errorf("page chunk %d has ragged columns", i)
 		}
+	}
+	if maxIDs := int32(len(s.nodes)) << s.pageBits; s.nodeLen < 0 || s.nodeLen > maxIDs {
+		return nil, fmt.Errorf("nodeLen %d outside the chunk capacity %d", s.nodeLen, maxIDs)
 	}
 
-	// Free runs, node map, level discipline, names, live count.
-	names := int32(s.qn.Len())
-	live := 0
-	prevLevel := xenc.Level(-1)
-	seen := make([]xenc.Pre, s.nodeLen) // by node id: 1 + the pre holding it
-	for p := xenc.Pre(0); p < s.Len(); p++ {
-		pos := s.physOf(p)
-		if s.levelAt(pos) == xenc.LevelUnused {
-			if s.nodeAt(pos) != xenc.NoNode {
-				return fmt.Errorf("unused tuple at pre %d has node id %d", p, s.nodeAt(pos))
-			}
-			// Count the following unused tuples within the page.
-			run := int32(0)
-			for q := pos + 1; q&s.pageMask != 0 && s.levelAt(q) == xenc.LevelUnused; q++ {
-				run++
-			}
-			if s.sizeAt(pos) != run {
-				return fmt.Errorf("free run at pre %d (pos %d): size %d, want %d", p, pos, s.sizeAt(pos), run)
-			}
-			continue
-		}
-		live++
-		id := s.nodeAt(pos)
-		if id < 0 || id >= s.nodeLen {
-			return fmt.Errorf("live tuple at pre %d has invalid node id %d", p, id)
-		}
-		if prev := seen[id]; prev != 0 {
-			return fmt.Errorf("node id %d appears at pre %d and %d", id, prev-1, p)
-		}
-		seen[id] = p + 1
-		if s.posOf(id) != pos {
-			return fmt.Errorf("node/pos[%d] = %d, want %d", id, s.posOf(id), pos)
-		}
-		lvl := s.levelAt(pos)
-		if lvl > prevLevel+1 {
-			return fmt.Errorf("level jump at pre %d: %d after %d", p, lvl, prevLevel)
-		}
-		prevLevel = lvl
-		if !xenc.Kind(s.kindAt(pos)).Valid() {
-			return fmt.Errorf("invalid kind %d at pre %d", s.kindAt(pos), p)
-		}
-		if n := s.nameAt(pos); n < xenc.NoName || n >= names {
-			return fmt.Errorf("tuple at pre %d has name id %d outside the name pool [0,%d)", p, n, names)
-		}
-		for _, r := range s.attrRefs(id) {
-			if r.name < 0 || r.name >= names {
-				return fmt.Errorf("attribute of the tuple at pre %d has name id %d outside the name pool [0,%d)", p, r.name, names)
-			}
-		}
-	}
-	if live != s.liveNodes {
-		return fmt.Errorf("liveNodes = %d, but the view holds %d live tuples", s.liveNodes, live)
-	}
-
-	// Sizes and parents via a stack over the live view.
 	type frame struct {
-		id    xenc.NodeID
-		pre   xenc.Pre
-		level xenc.Level
-		count int32
+		pos, id, count int32
+		level          xenc.Level
 	}
 	var stack []frame
 	pop := func() error {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if got := s.Size(top.pre); got != top.count {
-			return fmt.Errorf("size at pre %d = %d, want %d live descendants", top.pre, got, top.count)
-		}
-		if len(stack) > 0 {
+		top, parent := stack[len(stack)-1], xenc.NoNode
+		if stack = stack[:len(stack)-1]; len(stack) > 0 {
 			stack[len(stack)-1].count += top.count + 1
+			parent = stack[len(stack)-1].id
 		}
-		return nil
+		return emit(top.pos, top.id, top.count, parent)
 	}
-	for p := xenc.SkipFree(s, 0); p < s.Len(); p = xenc.SkipFree(s, p+1) {
-		lvl := s.Level(p)
-		for len(stack) > 0 && stack[len(stack)-1].level >= lvl {
-			if err := pop(); err != nil {
-				return err
+	names, live, prevLevel := int32(s.qn.Len()), 0, xenc.Level(-1)
+	for lg, ph := range s.logToPhys {
+		pg, base, end := s.pages[ph], ph<<s.pageBits, int32(0) // end: of the free run o is in
+		for o := int32(0); o < s.pageSize; o++ {
+			pre, id, lvl := int32(lg)<<s.pageBits|o, pg.node[o], pg.level[o]
+			if lvl == xenc.LevelUnused {
+				for end = max(end, o+1); end < s.pageSize && pg.level[end] == xenc.LevelUnused; end++ {
+				}
+				if id != xenc.NoNode {
+					return nil, fmt.Errorf("unused tuple at pre %d has node id %d", pre, id)
+				}
+				if err := emit(base|o, xenc.NoNode, end-o-1, xenc.NoNode); err != nil {
+					return nil, err
+				}
+				continue
 			}
+			switch {
+			case id < 0 || id >= s.nodeLen:
+				return nil, fmt.Errorf("live tuple at pre %d has node id %d outside [0,%d)", pre, id, s.nodeLen)
+			case lvl < 0 || lvl > prevLevel+1:
+				return nil, fmt.Errorf("level jump at pre %d: %d after %d", pre, lvl, prevLevel)
+			case !xenc.Kind(pg.kind[o]).Valid():
+				return nil, fmt.Errorf("invalid kind %d at pre %d", pg.kind[o], pre)
+			case pg.name[o] < xenc.NoName || pg.name[o] >= names:
+				return nil, fmt.Errorf("tuple at pre %d has name id %d outside the name pool [0,%d)", pre, pg.name[o], names)
+			}
+			for _, r := range s.attrRefs(id) {
+				if r.name < 0 || r.name >= names {
+					return nil, fmt.Errorf("attribute of the tuple at pre %d has name id %d outside the name pool [0,%d)", pre, r.name, names)
+				}
+			}
+			for len(stack) > 0 && stack[len(stack)-1].level >= lvl {
+				if err := pop(); err != nil {
+					return nil, err
+				}
+			}
+			stack = append(stack, frame{pos: base | o, id: id, level: lvl})
+			prevLevel = lvl
+			live++
 		}
-		id := s.NodeOf(p)
-		wantParent := xenc.NoNode
-		if len(stack) > 0 {
-			wantParent = stack[len(stack)-1].id
-		}
-		if s.parentOf(id) != wantParent {
-			return fmt.Errorf("parentOf[%d] (pre %d) = %d, want %d", id, p, s.parentOf(id), wantParent)
-		}
-		stack = append(stack, frame{id: id, pre: p, level: lvl})
 	}
 	for len(stack) > 0 {
 		if err := pop(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-
-	// An id no tuple holds is free, and a free one owns no attributes;
-	// nodeFree counts them per chunk.
-	free := make([]int32, len(s.nodes))
+	if live != s.liveNodes {
+		return nil, fmt.Errorf("liveNodes = %d, but the view holds %d live tuples", s.liveNodes, live)
+	}
+	free, held := make([]int32, len(s.nodes)), 0
 	for id := xenc.NodeID(0); id < s.nodeLen; id++ {
-		pos := s.posOf(id)
 		switch {
-		case pos >= 0 && seen[id] == 0:
-			return fmt.Errorf("node/pos[%d] = %d, but no tuple holds the id", id, pos)
-		case pos < 0 && len(s.attrRefs(id)) > 0:
-			return fmt.Errorf("attributes owned by free node id %d", id)
-		case pos < 0:
+		case s.posOf(id) >= 0:
+			held++
+		case len(s.attrRefs(id)) > 0:
+			return nil, fmt.Errorf("attributes owned by free node id %d", id)
+		default:
 			free[id>>s.pageBits]++
 		}
 	}
-	for ch, n := range free {
-		if s.nodeFree[ch] != n {
-			return fmt.Errorf("nodeFree[%d] = %d, but node chunk %d holds %d free ids", ch, s.nodeFree[ch], ch, n)
-		}
+	if held != live {
+		return nil, fmt.Errorf("node/pos places %d ids, but the view holds %d live tuples", held, live)
 	}
-	return nil
+	return free, nil
 }

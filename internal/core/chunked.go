@@ -18,12 +18,16 @@ import (
 // ChunkManifest — the list of those names in column order plus the
 // store's scalars.
 //
-// The encoding treats the columns as what the paper says they are —
-// narrow, locally dense integer columns: varints, and deltas where
-// neighbours are close (level, node, pos, parent), so a tuple
-// of a freshly shredded document costs under 9 bytes of structure next
-// to its text (TestChunkBytesPerTuple). There is one codec and no
-// version switch: see the layout table below.
+// A chunk stores only what cannot be derived. In pre order the level
+// column fixes the tree, so a tuple's size (its live-descendant count,
+// or a free tuple's run length), its parent and node/pos follow from
+// the levels and the pages' node column: LoadChunked rebuilds all three
+// in one pass (deriveTree), and no chunk encodes them. What is stored
+// is treated as what the paper says it is — narrow, locally dense
+// integer columns: varints, and deltas where neighbours are close
+// (level, node), so a tuple of a freshly shredded document costs about
+// 6 bytes of structure next to its text (TestChunkBytesPerTuple).
+// There is one codec and no version switch: see the layout table below.
 //
 // The payoff is the COW layer's own bookkeeping reused as a dirty map:
 // every write path funnels through the dirty* hooks, which invalidate
@@ -35,12 +39,10 @@ import (
 // (a primary and its follower) dedupe chunk transfer the same way.
 //
 // Hash caching is safe under the COW protocol: a chunk shared with any
-// other store is frozen — writers clone it (the clone starts with no
-// cached hash) — so a pinned checkpoint version's chunks never change
-// under the save. A chunk's bytes depend on its columns alone,
-// and every write to those goes through a dirty hook. Free node ids are
-// no exception: they are the NULL entries of node/pos, which the store
-// counts per chunk (nodeFree) but never encodes.
+// other store is frozen — writers clone it, hash and all — so a pinned
+// checkpoint version's chunks never change under the save. A chunk's
+// bytes depend on its stored columns alone, and every write to those
+// drops the hash; a write to size, node/pos or parent alone keeps it.
 
 // chunkHash caches a chunk's content address. The zero value is the
 // "unknown" state; dirty* hooks reset to it before any write.
@@ -60,14 +62,15 @@ func (c *chunkHash) invalidate()           { c.p.Store(nil) }
 
 // Chunk encoding kind tags (first byte of every chunk). Tags 1–4 were
 // the fixed-width encodings this codec replaced, tag 6 the node chunk
-// whose attribute refs named values in a shared dictionary, and tag 7 a
-// run of the recycled-NodeID stack that free ids are no longer kept in;
-// nothing was ever deployed with them, so they are rejected, not
-// migrated.
+// whose attribute refs named values in a shared dictionary, tag 7 a run
+// of the recycled-NodeID stack that free ids are no longer kept in, and
+// tags 5 and 9 the page chunk that stored size and the node chunk that
+// stored node/pos and parent; nothing was ever deployed with them, so
+// they are rejected, not migrated.
 const (
-	chunkKindPage = 5 // pos/size/level/kind/name/text/node columns of one page
-	chunkKindDict = 8 // a group of qualified names
-	chunkKindNode = 9 // node/pos, parent and attribute columns of one chunk
+	chunkKindDict = 8  // a group of qualified names
+	chunkKindPage = 10 // level/kind/name/node/text columns of one page
+	chunkKindNode = 11 // attribute columns of one node chunk
 )
 
 // dictGroupSize is the number of names per dict chunk. The name pool is
@@ -133,11 +136,10 @@ type ChunkSaveStats struct {
 // whatever its neighbours are (level is 16 bits wide: its deltas never
 // wrap, and a decoded level outside int16 is refused).
 //
-//	page  tag 5 | uv n | size: n × uv(uint32) | level: n × zz-delta |
-//	      kind: n raw bytes | name: n × uv(name+1) (NoName → 0) |
-//	      node: n × zz-delta | text lengths: n × uv | text bytes
-//	node  tag 9 | uv n | pos: n × zz-delta | parent: n × zz-delta of
-//	      (index in chunk − parent) | attribute counts: n × uv |
+//	page  tag 10 | uv n | level: n × zz-delta | kind: n raw bytes |
+//	      name: n × uv(name+1) (NoName → 0) | node: n × zz-delta |
+//	      text lengths: n × uv | text bytes
+//	node  tag 11 | uv n | attribute counts: n × uv |
 //	      attribute names: Σcounts × uv | value lengths: Σcounts × uv |
 //	      value bytes
 //	dict  tag 8 | uv count | lengths: count × uv | string bytes
@@ -165,19 +167,24 @@ func unzigzag(r *wire.PayloadReader) int32 {
 }
 
 // appendDeltas appends col zz-delta coded.
-func appendDeltas(p *wire.PayloadBuilder, col []int32) {
+func appendDeltas[T int16 | int32](p *wire.PayloadBuilder, col []T) {
 	prev := int32(0)
 	for _, v := range col {
-		p.Uvarint(zigzag(v - prev))
-		prev = v
+		p.Uvarint(zigzag(int32(v) - prev))
+		prev = int32(v)
 	}
 }
 
-func readDeltas(r *wire.PayloadReader, col []int32) {
+// readDeltas reads a zz-delta coded column, refusing a value T cannot
+// hold.
+func readDeltas[T int16 | int32](r *wire.PayloadReader, col []T) {
 	prev := int32(0)
 	for i := range col {
-		prev += unzigzag(r)
-		col[i] = prev
+		if prev += unzigzag(r); prev != int32(T(prev)) {
+			r.Fail(fmt.Errorf("core: chunk column value %d overflows %T", prev, col[i]))
+			return
+		}
+		col[i] = T(prev)
 	}
 }
 
@@ -245,16 +252,9 @@ func beginChunk(r *wire.PayloadReader, kind byte, what string, limit int32, minB
 
 func encodePageChunk(pg *page) []byte {
 	var p wire.PayloadBuilder
-	p.Reset(8*len(pg.size) + strsLen(pg.text) + 8)
-	p.Byte(chunkKindPage).Uvarint(uint64(len(pg.size)))
-	for _, v := range pg.size {
-		p.Uvarint(uint64(uint32(v)))
-	}
-	prev := int32(0)
-	for _, v := range pg.level {
-		p.Uvarint(zigzag(int32(v) - prev))
-		prev = int32(v)
-	}
+	p.Reset(6*len(pg.level) + strsLen(pg.text) + 8)
+	p.Byte(chunkKindPage).Uvarint(uint64(len(pg.level)))
+	appendDeltas(&p, pg.level)
 	p.Raw(pg.kind)
 	for _, v := range pg.name {
 		p.Uvarint(uint64(uint32(v + 1)))
@@ -264,27 +264,17 @@ func encodePageChunk(pg *page) []byte {
 	return p.Bytes()
 }
 
+// decodePageChunk leaves the size column for LoadChunked to derive.
 func decodePageChunk(data []byte, pageSize int32) (*page, error) {
 	r := wire.NewPayloadReader(data)
-	// size, level, kind, name, node and text length: ≥ 6 bytes a tuple.
-	if n := beginChunk(r, chunkKindPage, "page", pageSize, 6); r.Err() != nil {
+	// level, kind, name, node and text length: ≥ 5 bytes a tuple.
+	if n := beginChunk(r, chunkKindPage, "page", pageSize, 5); r.Err() != nil {
 		return nil, r.Err()
 	} else if int32(n) != pageSize {
 		return nil, fmt.Errorf("core: page chunk holds %d tuples, store page size is %d", n, pageSize)
 	}
 	p := newPage(int(pageSize))
-	for i := range p.size {
-		p.size[i] = int32(uv32(r))
-	}
-	prev := int32(0)
-	for i := range p.level {
-		prev += unzigzag(r)
-		if prev != int32(int16(prev)) {
-			r.Fail(fmt.Errorf("core: page chunk level %d overflows 16 bits", prev))
-			break
-		}
-		p.level[i] = int16(prev)
-	}
+	readDeltas(r, p.level)
 	copy(p.kind, r.Next(len(p.kind)))
 	for i := range p.name {
 		p.name[i] = int32(uv32(r)) - 1
@@ -299,19 +289,8 @@ func decodePageChunk(data []byte, pageSize int32) (*page, error) {
 
 func encodeNodeChunk(c *nodeChunk) []byte {
 	var p wire.PayloadBuilder
-	p.Reset(4*len(c.pos) + 8)
-	p.Byte(chunkKindNode).Uvarint(uint64(len(c.pos)))
-	appendDeltas(&p, c.pos)
-	// A node's parent is almost always a recently allocated id, so the
-	// distance back to it is small where the id itself is not; as a
-	// delta column the chunk's base id cancels out of all but the first
-	// entry, so the in-chunk index can stand in for the id.
-	prev := int32(0)
-	for i, v := range c.parent {
-		back := int32(i) - v
-		p.Uvarint(zigzag(back - prev))
-		prev = back
-	}
+	p.Reset(len(c.attrs) + 8)
+	p.Byte(chunkKindNode).Uvarint(uint64(len(c.attrs)))
 	for _, refs := range c.attrs {
 		p.Uvarint(uint64(len(refs)))
 	}
@@ -328,21 +307,16 @@ func encodeNodeChunk(c *nodeChunk) []byte {
 	return p.Bytes()
 }
 
+// decodeNodeChunk leaves node/pos and parent for LoadChunked to derive.
 func decodeNodeChunk(data []byte, pageSize int32) (*nodeChunk, error) {
 	r := wire.NewPayloadReader(data)
-	// pos, parent and attribute count: ≥ 3 bytes an id.
-	if n := beginChunk(r, chunkKindNode, "node", pageSize, 3); r.Err() != nil {
+	// An attribute count: ≥ 1 byte an id.
+	if n := beginChunk(r, chunkKindNode, "node", pageSize, 1); r.Err() != nil {
 		return nil, r.Err()
 	} else if int32(n) != pageSize {
 		return nil, fmt.Errorf("core: node chunk holds %d ids, store page size is %d", n, pageSize)
 	}
 	c := newNodeChunk(int(pageSize))
-	readDeltas(r, c.pos)
-	prev := int32(0)
-	for i := range c.parent {
-		prev += unzigzag(r)
-		c.parent[i] = int32(i) - prev
-	}
 	counts := make([]uint32, pageSize)
 	total := uint64(0)
 	for i := range counts {
@@ -547,10 +521,11 @@ func (s *Store) BuildManifest() (*ChunkManifest, func(chunkstore.Hash) ([]byte, 
 }
 
 // LoadChunked materializes a store from a manifest, fetching every
-// referenced chunk from cs. Validation is structural checks here and a
-// full CheckInvariants pass at the end, and chunk content is verified
-// against its name by the chunk store itself, so a torn chunk
-// surfaces as a load error — recovery then degrades to an older image.
+// referenced chunk from cs, and derives size, parent and node/pos in
+// one pass (deriveTree) that refuses a tree no store holds — and an id
+// two tuples hold. The chunk store verifies each chunk against its
+// name, so a torn chunk is a load error too: recovery then degrades to
+// an older image.
 //
 // Loaded chunks arrive with their content hashes already cached, so the
 // first SaveChunked after a load (a follower's post-bootstrap
@@ -561,12 +536,19 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		return nil, fmt.Errorf("core: manifest is corrupt: page bits %d out of range [3,30]", m.PageBits)
 	}
 	pageSize := int32(1) << m.PageBits
+	if m.NodeLen < 0 {
+		return nil, fmt.Errorf("core: manifest is corrupt: negative node count %d", m.NodeLen)
+	}
+	if want := int((m.NodeLen + pageSize - 1) >> m.PageBits); len(m.Nodes) != want {
+		return nil, fmt.Errorf("core: manifest is corrupt: %d node chunks for %d ids (want %d)", len(m.Nodes), m.NodeLen, want)
+	}
 	s := &Store{
 		pageBits:  m.PageBits,
 		pageMask:  pageSize - 1,
 		pageSize:  pageSize,
 		logToPhys: append([]int32(nil), m.LogToPhys...),
 		physToLog: append([]int32(nil), m.PhysToLog...),
+		nodeLen:   m.NodeLen,
 		qn:        xenc.NewQNamePool(),
 		index:     new(liveIndex),
 		liveNodes: m.LiveNodes,
@@ -585,14 +567,6 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.NodeLen < 0 {
-		return nil, fmt.Errorf("core: manifest is corrupt: negative node count %d", m.NodeLen)
-	}
-	if want := int((m.NodeLen + pageSize - 1) >> m.PageBits); len(m.Nodes) != want {
-		return nil, fmt.Errorf("core: manifest is corrupt: %d node chunks for %d ids (want %d)", len(m.Nodes), m.NodeLen, want)
-	}
-	s.nodeLen = m.NodeLen
-	s.nodeFree = make([]int32, len(m.Nodes))
 	s.nodes, err = loadChunks(cs, m.Nodes, func(i int, h chunkstore.Hash, data []byte) (*nodeChunk, error) {
 		c, err := decodeNodeChunk(data, pageSize)
 		if err != nil {
@@ -600,10 +574,9 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 		}
 		c.hash.set(h)
 		c.stamp = stamp
-		for _, pos := range c.pos[:min32(pageSize, m.NodeLen-int32(i)<<m.PageBits)] {
-			if pos < 0 {
-				s.nodeFree[i]++
-			}
+		// Every allocated id is free until deriveTree finds its tuple.
+		for off := range c.pos[:min(pageSize, m.NodeLen-int32(i)<<m.PageBits)] {
+			c.pos[off], c.parent[off] = -1, xenc.NoNode
 		}
 		return c, nil
 	})
@@ -619,10 +592,24 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 	}
 	for _, names := range groups {
 		for _, name := range names {
-			s.qn.Intern(name)
+			if id := s.qn.Intern(name); int(id) != s.qn.Len()-1 {
+				return nil, fmt.Errorf("core: manifest state is corrupt: name %q is in the pool twice", name)
+			}
 		}
 	}
-	if err := s.CheckInvariants(); err != nil {
+	s.nodeFree, err = s.deriveTree(func(pos int32, id xenc.NodeID, size int32, parent xenc.NodeID) error {
+		s.pages[pos>>s.pageBits].size[pos&s.pageMask] = size
+		if id == xenc.NoNode {
+			return nil
+		}
+		c, off := s.nodes[id>>s.pageBits], id&s.pageMask
+		if c.pos[off] >= 0 {
+			return fmt.Errorf("node id %d is held at pre %d and at pre %d", id, s.preOfPos(c.pos[off]), s.preOfPos(pos))
+		}
+		c.pos[off], c.parent[off] = pos, parent
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("core: manifest state is corrupt: %w", err)
 	}
 	return s, nil

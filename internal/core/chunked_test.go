@@ -665,3 +665,173 @@ func TestChunkedAttributeValuesRoundTrip(t *testing.T) {
 		t.Fatalf("the last element's value is %q after SetAttr on the second, want \"shared\"", last)
 	}
 }
+
+// TestLoadChunkedRefusesInconsistentTree: every chunk of these manifests
+// decodes on its own, but the tree they hold together is one no store
+// holds, and the pass that derives size, parent and node/pos refuses it.
+func TestLoadChunkedRefusesInconsistentTree(t *testing.T) {
+	// Full pages of <item> (level 1) and its text (level 2); the sixth
+	// item is deleted, so ids 11 and 12 are free and its tuples unused.
+	s := mustBuild(t, itemsDoc(12), Options{PageSize: 8, FillFactor: 1})
+	if err := s.Delete(s.NthChild(s.Root(), 5)); err != nil {
+		t.Fatal(err)
+	}
+	cs := chunkstore.NewDir(t.TempDir())
+	m, _ := mustSaveChunked(t, s, cs)
+	if got := mustLoadChunked(t, m, cs); !bytes.Equal(stateBytes(got), stateBytes(s)) {
+		t.Fatal("the unbroken manifest does not round-trip")
+	}
+	// with returns m with the chunk at list[i] decoded, changed by fn and
+	// put back under its new name.
+	with := func(list func(*ChunkManifest) *[]string, i int, fn func(p *page, c *nodeChunk)) *ChunkManifest {
+		bad := *m
+		names := list(&bad)
+		*names = append([]string(nil), *names...)
+		h, err := chunkstore.ParseHash((*names)[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := cs.Get(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[0] == chunkKindPage {
+			p, err := decodePageChunk(data, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(p, nil)
+			data = encodePageChunk(p)
+		} else {
+			c, err := decodeNodeChunk(data, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(nil, c)
+			data = encodeNodeChunk(c)
+		}
+		h = chunkstore.Sum(data)
+		if err := cs.Put(h, data); err != nil {
+			t.Fatal(err)
+		}
+		(*names)[i] = h.String()
+		return &bad
+	}
+	// A pool naming "item" twice would shift every later name id.
+	twice := *m
+	dict := encodeDictChunk(append([]string{"item"}, s.qn.NamesList()...))
+	if err := cs.Put(chunkstore.Sum(dict), dict); err != nil {
+		t.Fatal(err)
+	}
+	twice.Names = []string{chunkstore.Sum(dict).String()}
+	pages := func(m *ChunkManifest) *[]string { return &m.Pages }
+	nodes := func(m *ChunkManifest) *[]string { return &m.Nodes }
+	// Logical page 1 opens with the text of item 3 (level 2) after item
+	// 3 itself (level 1) closed page 0; it holds item 4 at slot 1 and the
+	// deleted item's unused tuples at slots 3 and 4.
+	second := int(m.LogToPhys[1])
+	for _, tc := range []struct {
+		name, want string
+		bad        *ChunkManifest
+	}{
+		{"level jump at a page boundary", "level jump at pre 8: 3 after 1",
+			with(pages, second, func(p *page, _ *nodeChunk) { p.level[0] = 3 })},
+		{"node id held by two tuples", "node id 1 is held at pre",
+			with(pages, second, func(p *page, _ *nodeChunk) { p.node[1] = 1 })},
+		{"id at nodeLen", fmt.Sprintf("node id %d outside [0,%d)", m.NodeLen, m.NodeLen),
+			with(pages, second, func(p *page, _ *nodeChunk) { p.node[1] = m.NodeLen })},
+		{"attribute refs on a free id", "attributes owned by free node id 11",
+			with(nodes, 1, func(_ *page, c *nodeChunk) { c.attrs[11-8] = []attrRef{{name: 0, val: "v"}} })},
+		{"tuple name outside the pool", "tuple at pre 9 has name id 999 outside the name pool",
+			with(pages, second, func(p *page, _ *nodeChunk) { p.name[1] = 999 })},
+		{"unused tuple holding an id", "unused tuple at pre 11 has node id 11",
+			with(pages, second, func(p *page, _ *nodeChunk) { p.node[3] = 11 })},
+		{"a name twice in the pool", `name "item" is in the pool twice`, &twice},
+	} {
+		got, err := LoadChunked(tc.bad, cs)
+		if err == nil {
+			t.Errorf("%s: LoadChunked accepted it:\n%s", tc.name, snapshotXML(t, got))
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadChunked = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// memChunks is a chunk store in a map.
+type memChunks map[chunkstore.Hash][]byte
+
+func (m memChunks) Put(h chunkstore.Hash, data []byte) error { m[h] = data; return nil }
+func (m memChunks) Sweep(func(chunkstore.Hash) bool) error   { return nil }
+func (m memChunks) Sync() error                              { return nil }
+
+func (m memChunks) Get(h chunkstore.Hash) ([]byte, error) {
+	if data, ok := m[h]; ok {
+		return data, nil
+	}
+	return nil, fmt.Errorf("chunk %s: %w", h, chunkstore.ErrMissing)
+}
+
+func (m memChunks) HasMany(hs []chunkstore.Hash) ([]bool, error) {
+	out := make([]bool, len(hs))
+	for i, h := range hs {
+		_, out[i] = m[h]
+	}
+	return out, nil
+}
+
+// FuzzLoadChunked replaces one chunk of a small churned store's manifest
+// with other bytes. LoadChunked either refuses the manifest or returns a
+// store whose invariants hold and that, encoded afresh, names the same
+// chunks: a load accepts only what a store could have saved.
+func FuzzLoadChunked(f *testing.F) {
+	s := churnedItems(f)
+	base := memChunks{}
+	m, _, err := s.SaveChunked(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lists := func(m *ChunkManifest) []*[]string { return []*[]string{&m.Pages, &m.Nodes, &m.Names} }
+	i := 0
+	for _, list := range lists(m) {
+		for _, name := range *list {
+			h, _ := chunkstore.ParseHash(name)
+			f.Add(uint16(i), base[h])
+			i++
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint16, data []byte) {
+		bad, at := *m, int(which)%m.TotalChunks()
+		for _, list := range lists(&bad) {
+			if *list = append([]string(nil), *list...); 0 <= at && at < len(*list) {
+				(*list)[at] = chunkstore.Sum(data).String()
+			}
+			at -= len(*list)
+		}
+		cs := memChunks{chunkstore.Sum(data): data}
+		for h, d := range base {
+			cs[h] = d
+		}
+		got, err := LoadChunked(&bad, cs)
+		if err != nil {
+			return
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("a loaded store fails its invariants: %v", err)
+		}
+		for _, p := range got.pages {
+			p.hash.invalidate()
+		}
+		for _, c := range got.nodes {
+			c.hash.invalidate()
+		}
+		again, _, err := got.SaveChunked(memChunks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, list := range lists(again) {
+			if want := *lists(&bad)[k]; !reflect.DeepEqual(*list, want) {
+				t.Fatalf("a loaded store encodes to other chunks (list %d):\n got  %v\n want %v", k, *list, want)
+			}
+		}
+	})
+}

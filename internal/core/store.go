@@ -22,6 +22,11 @@
 // *within the same logical page*, so scans skip free space in O(1) per
 // run and page splices can never corrupt a run.
 //
+// size, parent and node/pos are in-memory columns, derived and never
+// stored: in pre order the level column fixes the tree, so a checkpoint
+// stores level, kind, name, node, text and the attributes, and
+// LoadChunked derives the other three in one pass over the levels.
+//
 // # Copy-on-write snapshots
 //
 // All columns are physically chunked per page: the pos/size/level table
@@ -127,9 +132,10 @@ type attrRef struct {
 // for Store.Live (0: unknown) and sum the page's xenc.RunSummary for
 // Store.Summary (nil: unknown). Both read only the level, kind and name
 // columns: like hash, dirtyPage resets them, but dirtyText, for a write
-// to the text column alone, keeps them. A new or decoded page starts
-// without them, a clone with its original's, and they are never
-// encoded. A shared page is read by concurrent snapshots, so both are
+// to the text column alone, keeps them, and dirtySize, for one to the
+// size column (derived on load, never encoded), keeps all three. A new
+// or decoded page starts without them, a clone with its original's. A
+// shared page is read by concurrent snapshots, so all three are
 // published atomically, and a summary is immutable once published.
 type page struct {
 	stamp uint64
@@ -167,12 +173,14 @@ func (p *page) clone(stamp uint64) *page {
 	}
 	c.live.Store(p.live.Load())
 	c.sum.Store(p.sum.Load())
+	c.hash.p.Store(p.hash.p.Load())
 	return c
 }
 
 // nodeChunk holds one page-sized chunk of the NodeID-keyed tables:
 // node/pos, the parent column, and the attribute table (Figure 6). It is
-// copy-on-write with the same stamp discipline as page.
+// copy-on-write with the same stamp discipline as page. Only the
+// attributes are encoded; node/pos and parent are derived on load.
 type nodeChunk struct {
 	stamp  uint64
 	hash   chunkHash
@@ -190,12 +198,14 @@ func newNodeChunk(n int) *nodeChunk {
 }
 
 func (c *nodeChunk) clone(stamp uint64) *nodeChunk {
-	return &nodeChunk{
+	cl := &nodeChunk{
 		stamp:  stamp,
 		pos:    append([]int32(nil), c.pos...),
 		parent: append([]int32(nil), c.parent...),
 		attrs:  append([][]attrRef(nil), c.attrs...),
 	}
+	cl.hash.p.Store(c.hash.p.Load())
+	return cl
 }
 
 // Store is the paged updatable document store.
@@ -428,13 +438,6 @@ func detach(strs iter.Seq[*string]) {
 	}
 }
 
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // --- copy-on-write plumbing ----------------------------------------------
 
 // newStamp returns a birth stamp no store has held: stamps only grow,
@@ -459,11 +462,7 @@ func (s *Store) dirtyPage(pg int32) *page {
 // dirtyText is dirtyPage for a write to the text column alone (a value
 // update), which keeps the page's live count and summary.
 func (s *Store) dirtyText(pg int32) *page {
-	p := s.pages[pg]
-	if stamp := s.stamp.Load(); p.stamp != stamp {
-		p = p.clone(stamp)
-		s.pages[pg] = p
-	}
+	p := s.dirtySize(pg)
 	// The caller is about to write: the content hash the chunk had cached
 	// no longer describes it. (The shared original keeps its — still
 	// valid — one.)
@@ -471,14 +470,26 @@ func (s *Store) dirtyText(pg int32) *page {
 	return p
 }
 
-// dirtyNodeChunk is dirtyPage for the NodeID-keyed tables.
+// dirtySize is dirtyPage for a write to the size column alone (an
+// ancestor's count), which no chunk encodes and no cache reads: the
+// page keeps its hash, live count and summary.
+func (s *Store) dirtySize(pg int32) *page {
+	p := s.pages[pg]
+	if stamp := s.stamp.Load(); p.stamp != stamp {
+		p = p.clone(stamp)
+		s.pages[pg] = p
+	}
+	return p
+}
+
+// dirtyNodeChunk is dirtySize for the NodeID-keyed tables: of their
+// columns only the attributes are encoded, and setAttrs drops the hash.
 func (s *Store) dirtyNodeChunk(ch int32) *nodeChunk {
 	c := s.nodes[ch]
 	if stamp := s.stamp.Load(); c.stamp != stamp {
 		c = c.clone(stamp)
 		s.nodes[ch] = c
 	}
-	c.hash.invalidate()
 	return c
 }
 
@@ -528,7 +539,9 @@ func (s *Store) attrRefs(id xenc.NodeID) []attrRef {
 }
 
 func (s *Store) setAttrs(id xenc.NodeID, refs []attrRef) {
-	s.dirtyNodeChunk(id >> s.pageBits).attrs[id&s.pageMask] = refs
+	c := s.dirtyNodeChunk(id >> s.pageBits)
+	c.attrs[id&s.pageMask] = refs
+	c.hash.invalidate()
 }
 
 // appendPhysPage grows the physical table by one (privately owned) page
@@ -564,7 +577,7 @@ func (s *Store) newIDs(k int32) []xenc.NodeID {
 			continue
 		}
 		base := int32(ch) << s.pageBits
-		for off, pos := range s.nodes[ch].pos[:min32(s.pageSize, s.nodeLen-base)] {
+		for off, pos := range s.nodes[ch].pos[:min(s.pageSize, s.nodeLen-base)] {
 			if pos < 0 {
 				if ids = append(ids, base+int32(off)); int32(len(ids)) == k {
 					break

@@ -296,7 +296,7 @@ func (s *Store) NthChild(parent xenc.Pre, idx int) xenc.Pre {
 func (s *Store) addAncestorSizes(id xenc.NodeID, delta int32) {
 	for id != xenc.NoNode {
 		pos := s.posOf(id)
-		s.dirtyPage(pos >> s.pageBits).size[pos&s.pageMask] += delta
+		s.dirtySize(pos >> s.pageBits).size[pos&s.pageMask] += delta
 		id = s.parentOf(id)
 	}
 }
@@ -499,7 +499,7 @@ func (s *Store) insertOverflow(pg, physBase, off int32, frag *shred.Tree, baseLe
 		phys := s.appendPhysPage()
 		base := phys << s.pageBits
 		wp := s.pages[phys]
-		chunk := seq[p<<s.pageBits : min32((p+1)<<s.pageBits, int32(len(seq)))]
+		chunk := seq[p<<s.pageBits : min((p+1)<<s.pageBits, int32(len(seq)))]
 		for i := range chunk {
 			t := chunk[i]
 			if t.isNew >= 0 {

@@ -124,7 +124,7 @@ func (m *Manager) ApplyReplicated(rec *wal.Record) error {
 		}
 		lsn = rec.LSN
 	}
-	m.cur.Store(&version{store: next, seq: cur.seq + 1, lsn: lsn})
+	m.install(cur, next, rec.Ops, lsn)
 	m.applied.advance(rec.LSN)
 	return nil
 }

@@ -26,11 +26,13 @@
 //     ("delta operations are commutative, it does not matter in which
 //     order they are executed");
 //   - commit takes the publishers' mutex briefly. If no commit landed
-//     since the transaction began, its image *is* the next version;
-//     otherwise its resolved operations are replayed onto a fresh image
-//     of the current version, and a replay that fails publishes nothing
-//     (ErrConflict). Then it writes one WAL record and installs the
-//     version.
+//     since the transaction began, its image *is* the next version. If
+//     one deleted a node it names (or an ancestor of one), it fails with
+//     ErrConflict: node ids carry no generation, so a freed id may name
+//     another node by now. Otherwise its resolved operations are
+//     replayed onto a fresh image of the current version, and a replay
+//     that fails publishes nothing (ErrConflict). Then it writes one WAL
+//     record and installs the version.
 //
 // A write is one value from the XUpdate executor to replay: a wal.Op,
 // which names its target by immutable node id. Tx.Apply takes the op's
@@ -75,6 +77,10 @@ type Manager struct {
 	cur   atomic.Pointer[version] // the current committed version
 	pubMu sync.Mutex              // taken by publishers only: Commit, ApplyReplicated
 	log   *wal.Log
+
+	// deletedAt maps each committed delete's target id to the seq of the
+	// newest version that deleted it (under pubMu; one entry an id at most).
+	deletedAt map[xenc.NodeID]uint64
 
 	lockMu sync.Mutex
 	owners map[int32]*Tx // logical page -> holder
@@ -134,8 +140,9 @@ func (rv *ReadView) Close() { rv.closed.Store(true) }
 // installs a new version.
 func NewManager(store *core.Store, log *wal.Log) *Manager {
 	m := &Manager{
-		log:    log,
-		owners: make(map[int32]*Tx),
+		log:       log,
+		owners:    make(map[int32]*Tx),
+		deletedAt: make(map[xenc.NodeID]uint64),
 	}
 	v := &version{store: store}
 	if log != nil {
@@ -205,6 +212,17 @@ func (m *Manager) Begin() *Tx {
 	base := m.cur.Load()
 	clone := base.store.Snapshot()
 	return &Tx{imageView: clone, m: m, base: base, clone: clone, pages: make(map[int32]bool)}
+}
+
+// install makes store, whose record holds ops, the version after cur
+// (under pubMu), noting the targets of its deletes.
+func (m *Manager) install(cur *version, store *core.Store, ops []wal.Op, lsn uint64) {
+	for _, op := range ops {
+		if op.Kind == wal.OpDelete {
+			m.deletedAt[op.Target] = cur.seq + 1
+		}
+	}
+	m.cur.Store(&version{store: store, seq: cur.seq + 1, lsn: lsn})
 }
 
 // PinCheckpoint returns the current version's store together with the

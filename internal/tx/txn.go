@@ -207,9 +207,12 @@ func (t *Tx) Commit() error {
 // The next version is the transaction's image if no commit landed since
 // Begin — node ids are a function of node/pos and the image interned
 // into the name pool the next version should hold, so it is what a
-// replay would build. Otherwise publish replays the ops onto a fresh
-// image of the current version; a replay that fails (a concurrent
-// commit removed a target) drops it and reports ErrConflict. Only then
+// replay would build. If a commit since Begin deleted a node an op
+// names, or an ancestor of it, publish reports ErrConflict: node ids
+// carry no generation, so another node may have taken the freed id, and
+// a replay would write onto it. Otherwise it replays the ops onto a
+// fresh image of the current version; a replay that fails drops it and
+// reports ErrConflict. Only then
 // is the WAL record appended and the version installed, so a failure
 // logs and publishes nothing. A panic in here may leave a record
 // logged that no version holds, which no caller can undo and serve on,
@@ -228,6 +231,14 @@ func (t *Tx) publish() (lsn uint64, err error) {
 	cur := m.cur.Load()
 	next := t.clone
 	if cur != t.base {
+		base := t.base.store
+		for _, op := range t.ops {
+			for p := base.PreOf(op.Target); p != xenc.NoPre; p = base.ParentPre(p) {
+				if seq := m.deletedAt[base.NodeOf(p)]; seq > t.base.seq {
+					return 0, fmt.Errorf("tx: %w: version %d deleted node %d, which op target %d lies in", ErrConflict, seq, base.NodeOf(p), op.Target)
+				}
+			}
+		}
 		next = cur.store.Snapshot()
 		if err := ApplyOps(next, t.ops); err != nil {
 			return 0, fmt.Errorf("tx: %w: %w", ErrConflict, err)
@@ -243,7 +254,7 @@ func (t *Tx) publish() (lsn uint64, err error) {
 			return 0, err
 		}
 	}
-	m.cur.Store(&version{store: next, seq: cur.seq + 1, lsn: lsn})
+	m.install(cur, next, t.ops, lsn)
 	return lsn, nil
 }
 
@@ -262,19 +273,14 @@ func (t *Tx) Abort() {
 // core.Store.Apply, mapping the transaction-local ids of inserted nodes
 // to the ids the store hands out. A commit that raced another, recovery
 // and a follower all replay through it, which keeps replay
-// deterministic. An op whose target is missing fails the replay, and so
-// does one whose target is an id this replay's own inserts took — a
-// node the transaction never saw, which a commit since its Begin had
-// freed. A failed replay leaves the store partly written: replay onto a
-// store nobody else reads yet.
+// deterministic. An op whose target is missing fails the replay. A
+// failed replay leaves the store partly written: replay onto a store
+// nobody else reads yet.
 func ApplyOps(store *core.Store, ops []wal.Op) error {
 	idMap := make(map[xenc.NodeID]xenc.NodeID)
-	taken := make(map[xenc.NodeID]bool)
 	for i, op := range ops {
 		if id, ok := idMap[op.Target]; ok {
 			op.Target = id
-		} else if taken[op.Target] {
-			return fmt.Errorf("tx: op %d (%d): target node %d was freed by another commit", i, op.Kind, op.Target)
 		}
 		newIDs, err := store.Apply(op)
 		if err != nil {
@@ -283,7 +289,6 @@ func ApplyOps(store *core.Store, ops []wal.Op) error {
 		for j, id := range op.NewIDs {
 			if j < len(newIDs) {
 				idMap[id] = newIDs[j]
-				taken[newIDs[j]] = true
 			}
 		}
 	}

@@ -170,10 +170,10 @@ func TestFailedReplicatedRecordPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestRacedCommitFailsWhole: a commit whose replay onto a moved version
-// fails — a commit since its Begin deleted its target, whose freed ids
-// the replay's own append takes — reports ErrConflict, logs nothing and
-// publishes nothing.
+// TestRacedCommitFailsWhole: a commit that cannot be replayed onto a
+// moved version — a commit since its Begin deleted its target, whose
+// freed ids the replay's own append would take — reports ErrConflict,
+// logs nothing and publishes nothing.
 func TestRacedCommitFailsWhole(t *testing.T) {
 	log := openTestWAL(t)
 	m := NewManager(buildStore(t, doc, 16), log)
@@ -204,5 +204,42 @@ func TestRacedCommitFailsWhole(t *testing.T) {
 	}
 	if got := viewXML(t, current(m)); got != before {
 		t.Fatalf("a reader sees part of a failed commit:\n%s\nwas\n%s", got, before)
+	}
+}
+
+// TestRacedCommitOntoReusedIDFails: a commit that raced one which
+// deleted its target and, in the same commit, appended a node that took
+// the freed ids reports ErrConflict and writes nothing. Node ids carry
+// no generation, so a replay would find the old id live and write onto
+// the new node.
+func TestRacedCommitOntoReusedIDFails(t *testing.T) {
+	m := NewManager(buildStore(t, doc, 16), nil)
+	late := m.Begin()
+	early := m.Begin()
+	book := findElem(t, early, "book")
+	shelf := early.NodeOf(early.ParentPre(book))
+	text := late.NodeOf(book + 1)
+	if _, err := early.Apply(wal.Op{Kind: wal.OpDelete, Target: early.NodeOf(book)}); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := early.Apply(wal.Op{Kind: wal.OpAppendChild, Target: shelf, Frag: frag(t, "<book>new</book>")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ids, text) {
+		t.Fatalf("the new book took ids %v, not the freed text id %d: the race is not set up", ids, text)
+	}
+	if err := early.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before := viewXML(t, current(m))
+	if _, err := late.Apply(wal.Op{Kind: wal.OpSetValue, Target: text, Value: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit onto an id a raced commit freed and reused = %v, want ErrConflict", err)
+	}
+	if got := viewXML(t, current(m)); got != before || m.Version() != 1 {
+		t.Fatalf("a failed commit wrote the new book (version %d):\n%s\nwas\n%s", m.Version(), got, before)
 	}
 }

@@ -54,9 +54,10 @@
 // chunk is named by its SHA-256 and stored under that name in the
 // document's chunk store, and the LSN-stamped image is a small manifest
 // of chunk names. A
-// chunk stores its columns as varints and deltas — about 9 bytes of
-// structure per tuple next to the text itself, so an image is roughly
-// the size of the XML it holds — in one format with no version switch:
+// chunk stores only what cannot be derived (size, parent and node/pos
+// are rebuilt from the levels on load), as varints and deltas — about 6
+// bytes of structure per tuple next to the text itself, so an image is a
+// little smaller than the XML it holds — in one format with no version switch:
 // a chunk with another tag is refused ("unsupported chunk format"), as
 // is an image file that does not open with the image magic
 // ("unsupported image format"); neither is migrated. Chunks the store
