@@ -67,7 +67,7 @@ lint:
 # extending the harness costs the product nothing. A change that needs
 # more lines raises the ceiling in its own diff, where a reviewer sees
 # it.
-LOC_CEILING = 17487
+LOC_CEILING = 17392
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in the root module"

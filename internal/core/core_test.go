@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mxq/internal/shred"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
 
@@ -88,9 +89,11 @@ func TestBuildPaperExample(t *testing.T) {
 }
 
 // TestPaperFigure4Insert replays the paper's running update: append
-// <k><l/><m/></k> under g. The free tuple of g's page takes k, the rest
-// overflows to a spliced page, and the ancestor sizes of g, f and a grow
-// by 3 — the exact numbers printed in Figure 4.
+// <k><l/><m/></k> under g. It lands at pre 7, the one free tuple of g's
+// page, which cannot take all three, so the whole fragment moves to a
+// page spliced in after g's: k, l and m take pre 8-10 and pre 7 stays
+// free. The ancestor sizes of g, f and a grow by 3, the exact numbers
+// printed in Figure 4.
 func TestPaperFigure4Insert(t *testing.T) {
 	s := mustBuild(t, paperDoc, Options{PageSize: 8, FillFactor: 0.875})
 	// Find g.
@@ -128,6 +131,18 @@ func TestPaperFigure4Insert(t *testing.T) {
 	// One page was spliced in: three logical pages now.
 	if got := s.Pages(); got != 3 {
 		t.Fatalf("pages = %d, want 3", got)
+	}
+	if s.Level(7) != xenc.LevelUnused {
+		t.Errorf("pre 7 holds a node, want the free tuple left in g's page")
+	}
+	for i, name := range []string{"k", "l", "m"} {
+		p := xenc.Pre(8 + i)
+		if got := s.Names().Name(s.Name(p)); s.Level(p) == xenc.LevelUnused || got != name {
+			t.Errorf("pre %d holds %q, want %s", p, got, name)
+		}
+		if s.PhysPage(p) != 2 {
+			t.Errorf("%s is on physical page %d, want the spliced page 2", name, s.PhysPage(p))
+		}
 	}
 }
 
@@ -187,7 +202,11 @@ func TestInsertBeforeAndAfter(t *testing.T) {
 
 func TestInsertChildAt(t *testing.T) {
 	s := mustBuild(t, `<r><a/><b/><c/></r>`, Options{PageSize: 8, FillFactor: 0.5})
-	if _, err := s.InsertChildAt(s.Root(), 1, mustFragment(t, `<x/>`)); err != nil {
+	insertChildAt := func(idx int32, frag string) error {
+		_, err := s.Apply(wal.Op{Kind: wal.OpInsertChildAt, Target: s.NodeOf(s.Root()), Child: idx, Frag: mustFragment(t, frag)})
+		return err
+	}
+	if err := insertChildAt(1, `<x/>`); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -199,8 +218,8 @@ func TestInsertChildAt(t *testing.T) {
 	}
 	// A past-the-end or negative index appends (a WAL record can carry
 	// -1: its child index is read back as an int32).
-	for _, idx := range []int{99, -1} {
-		if _, err := s.InsertChildAt(s.Root(), idx, mustFragment(t, `<z/>`)); err != nil {
+	for _, idx := range []int32{99, -1} {
+		if err := insertChildAt(idx, `<z/>`); err != nil {
 			t.Fatal(err)
 		}
 		got := liveNames(s)
@@ -455,6 +474,14 @@ func TestOperationsOnUnusedTuples(t *testing.T) {
 	}
 	if err := s.SetValue(-1, "x"); err == nil {
 		t.Fatal("SetValue out of range succeeded")
+	}
+	// The inserts refuse a rank past the view before resolving it to a
+	// node id, which would panic.
+	if _, err := s.InsertBefore(s.Len(), mustFragment(t, `<x/>`)); err == nil {
+		t.Fatal("insert before a rank past the view succeeded")
+	}
+	if _, err := s.InsertAfter(-1, mustFragment(t, `<x/>`)); err == nil {
+		t.Fatal("insert after a negative rank succeeded")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mxq/internal/chunkstore"
+	"mxq/internal/wal"
 	"mxq/internal/xenc"
 )
 
@@ -61,7 +62,7 @@ func TestInsertCopiesOnlyTouchedChunks(t *testing.T) {
 				}
 
 				snap := s.Snapshot()
-				ids, err := snap.InsertChildAt(oa, 1, fragTree(t, bidder))
+				ids, err := snap.Apply(wal.Op{Kind: wal.OpInsertChildAt, Target: snap.NodeOf(oa), Child: 1, Frag: fragTree(t, bidder)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +132,7 @@ func TestInsertCheckpointWritesOnlyChangedChunks(t *testing.T) {
 				}
 
 				snap := s.Snapshot()
-				ids, err := snap.InsertChildAt(oa, 1, fragTree(t, bidder))
+				ids, err := snap.Apply(wal.Op{Kind: wal.OpInsertChildAt, Target: snap.NodeOf(oa), Child: 1, Frag: fragTree(t, bidder)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,23 +12,12 @@ import (
 
 // Structural update entry points. All positions are view ranks (pre).
 //
-// The two insert scenarios of Figure 7:
-//
-//	(a) "within page": the logical page holding the insert point has
-//	    enough unused tuples at or after it. The used tuples after the
-//	    insert point move towards the page end, their new positions are
-//	    written to node/pos, and the new nodes fill the gap. No other
-//	    page is touched.
-//	(b) "page overflow": the insert does not fit. The used tuples after
-//	    the insert point and the new nodes are written into freshly
-//	    appended physical pages, the old tail becomes an unused run, and
-//	    the new pages are spliced into the pageOffset order directly
-//	    after the insert page. All pre numbers after the splice shift
-//	    automatically because pre is a virtual column of the view.
-//
-// In both cases the only ancestor maintenance is size += k on the chain
-// of ancestors of the insert point, which the transaction layer turns
-// into commutative delta increments (Section 3.2).
+// Figure 7's insert is one move (placeTuples): the used tuples behind the
+// insert point move with the new nodes, into the same page when it has
+// room (7a) or into appended pages spliced in after it (7b). Either way
+// the only ancestor maintenance is size += k on the chain of ancestors
+// of the insert point, which the transaction layer turns into
+// commutative delta increments (Section 3.2).
 //
 // Every write funnels through the dirtyPage / dirtyNodeChunk hooks, so on
 // a copy-on-write snapshot each path materializes exactly the pages it
@@ -48,14 +37,12 @@ func (s *Store) Apply(op wal.Op) ([]xenc.NodeID, error) {
 		return nil, fmt.Errorf("core: target node %d not found", op.Target)
 	}
 	switch op.Kind {
-	case wal.OpInsertBefore:
-		return s.InsertBefore(p, op.Frag)
-	case wal.OpInsertAfter:
-		return s.InsertAfter(p, op.Frag)
-	case wal.OpAppendChild:
-		return s.AppendChild(p, op.Frag)
-	case wal.OpInsertChildAt:
-		return s.InsertChildAt(p, int(op.Child), op.Frag)
+	case wal.OpInsertBefore, wal.OpInsertAfter, wal.OpAppendChild, wal.OpInsertChildAt:
+		at, parent, err := s.landing(op, p)
+		if err != nil {
+			return nil, err
+		}
+		return s.insertAt(at, parent, op.Frag), nil
 	case wal.OpDelete:
 		return nil, s.Delete(p)
 	case wal.OpSetValue:
@@ -70,59 +57,98 @@ func (s *Store) Apply(op wal.Op) ([]xenc.NodeID, error) {
 	return nil, fmt.Errorf("core: unknown op kind %d", op.Kind)
 }
 
+// Footprint returns the view span [from, to] whose pages op writes,
+// resolved as Apply resolves op: for an insert the tuple before the point
+// where it lands and that point, for a delete its target's region, for
+// any other op its target. The span may reach one tuple past either end
+// of the view. An insert that Apply refuses has no span: Footprint
+// returns Apply's error. The transaction layer write-locks the pages
+// behind the span before it applies op.
+//
+// Ancestors are not in the span: their sizes move by commutative delta
+// increments, which is how the paper keeps the document root from
+// becoming a locking bottleneck. One end of an insert's span always
+// lies in its anchor's region (the anchor, the region's last used tuple
+// or a child), so an insert always shares a page with a concurrent
+// delete of that region, and the two conflict.
+func (s *Store) Footprint(op wal.Op) (from, to xenc.Pre, err error) {
+	p := s.PreOf(op.Target)
+	if p == xenc.NoPre {
+		return 0, 0, fmt.Errorf("core: target node %d not found", op.Target)
+	}
+	switch op.Kind {
+	case wal.OpInsertBefore, wal.OpInsertAfter, wal.OpAppendChild, wal.OpInsertChildAt:
+		at, _, err := s.landing(op, p)
+		return at - 1, at, err
+	case wal.OpDelete:
+		return p, s.RegionEnd(p), nil
+	}
+	return p, p, nil
+}
+
+// landing resolves where the insert op, whose target is at view rank p,
+// lands: the view rank at its first node takes and the element parent it
+// goes under. Before a node it lands on the node; after one, or as an
+// append, behind the region's last used tuple (RegionEnd); at a child
+// position on that child, or as an append if the position holds none.
+// It refuses an insert beside the root, under a node other than an
+// element and one that would nest deeper than xenc.MaxLevel.
+func (s *Store) landing(op wal.Op, p xenc.Pre) (at, parent xenc.Pre, err error) {
+	switch op.Kind {
+	case wal.OpInsertBefore, wal.OpInsertAfter:
+		if parent = s.ParentPre(p); parent == xenc.NoPre {
+			return 0, 0, errIsRoot
+		}
+		at = p
+		if op.Kind == wal.OpInsertAfter {
+			at = s.RegionEnd(p) + 1
+		}
+	default:
+		if s.Kind(p) != xenc.KindElem {
+			return 0, 0, fmt.Errorf("core: append target at pre %d is a %v, not an element", p, s.Kind(p))
+		}
+		parent, at = p, xenc.NoPre
+		if op.Kind == wal.OpInsertChildAt {
+			at = s.NthChild(p, int(op.Child))
+		}
+		if at == xenc.NoPre {
+			at = s.RegionEnd(p) + 1
+		}
+	}
+	base := int(s.Level(parent)) + 1
+	for i := range op.Frag.Nodes {
+		if base+int(op.Frag.Nodes[i].Level) > xenc.MaxLevel {
+			return 0, 0, fmt.Errorf("core: resulting tree too deep")
+		}
+	}
+	return at, parent, nil
+}
+
 // InsertBefore inserts the fragment as the directly preceding sibling(s)
 // of the node at target (XUpdate insert-before).
 func (s *Store) InsertBefore(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
-	if err := s.checkLive(target); err != nil {
-		return nil, err
-	}
-	parent := s.ParentPre(target)
-	if parent == xenc.NoPre {
-		return nil, errIsRoot
-	}
-	return s.insertAt(target, parent, frag)
+	return s.applyInsert(wal.OpInsertBefore, target, frag)
 }
 
 // InsertAfter inserts the fragment directly after the subtree of the node
 // at target (XUpdate insert-after).
 func (s *Store) InsertAfter(target xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
-	if err := s.checkLive(target); err != nil {
-		return nil, err
-	}
-	parent := s.ParentPre(target)
-	if parent == xenc.NoPre {
-		return nil, errIsRoot
-	}
-	return s.insertAt(s.RegionEnd(target)+1, parent, frag)
+	return s.applyInsert(wal.OpInsertAfter, target, frag)
 }
 
 // AppendChild inserts the fragment as the last child(ren) of the element
 // at parent (XUpdate append without a child position).
 func (s *Store) AppendChild(parent xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
-	if err := s.checkLive(parent); err != nil {
-		return nil, err
-	}
-	if s.Kind(parent) != xenc.KindElem {
-		return nil, fmt.Errorf("core: append target at pre %d is a %v, not an element", parent, s.Kind(parent))
-	}
-	return s.insertAt(s.RegionEnd(parent)+1, parent, frag)
+	return s.applyInsert(wal.OpAppendChild, parent, frag)
 }
 
-// InsertChildAt inserts the fragment as child number idx (0-based) of the
-// element at parent (XUpdate append with a child position). If idx is
-// past the last child the fragment is appended.
-func (s *Store) InsertChildAt(parent xenc.Pre, idx int, frag *shred.Tree) ([]xenc.NodeID, error) {
-	if err := s.checkLive(parent); err != nil {
+// applyInsert is Apply of an insert whose target is the node at view
+// rank p, which it first checks is one.
+func (s *Store) applyInsert(kind wal.OpKind, p xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
+	if err := s.checkLive(p); err != nil {
 		return nil, err
 	}
-	if s.Kind(parent) != xenc.KindElem {
-		return nil, fmt.Errorf("core: append target at pre %d is a %v, not an element", parent, s.Kind(parent))
-	}
-	c := s.NthChild(parent, idx)
-	if c == xenc.NoPre {
-		return s.insertAt(s.RegionEnd(parent)+1, parent, frag)
-	}
-	return s.insertAt(c, parent, frag)
+	return s.Apply(wal.Op{Kind: kind, Target: s.NodeOf(p), Frag: frag})
 }
 
 // Delete removes the subtree rooted at target: the tuples stay in place
@@ -283,9 +309,8 @@ func (s *Store) RegionEnd(p xenc.Pre) xenc.Pre {
 }
 
 // NthChild returns the view rank of the idx-th (0-based) child of the
-// node at parent, or NoPre for a negative or past-the-end idx. The
-// transaction layer uses it to find the pages an InsertChildAt will
-// write.
+// node at parent, or NoPre for a negative or past-the-end idx: an insert
+// at a child position lands on that child, or appends (landing).
 func (s *Store) NthChild(parent xenc.Pre, idx int) xenc.Pre {
 	return staircase.Nth(s, parent, staircase.AxisChild, staircase.AnyNode(), idx+1)
 }
@@ -304,25 +329,19 @@ func (s *Store) addAncestorSizes(id xenc.NodeID, delta int32) {
 // --- the insert engine ----------------------------------------------------
 
 // insertAt inserts the fragment so that its first node lands at view rank
-// at, as content under the element at parent. It returns the node ids of
-// all inserted nodes in fragment order (transactions record them so a
-// commit replay can map transaction-local ids to base-store ids).
-func (s *Store) insertAt(at xenc.Pre, parent xenc.Pre, frag *shred.Tree) ([]xenc.NodeID, error) {
+// at, as content under the element at parent, where landing put it. It
+// returns the node ids of all inserted nodes in fragment order
+// (transactions record them so a commit replay can map transaction-local
+// ids to base-store ids).
+func (s *Store) insertAt(at, parent xenc.Pre, frag *shred.Tree) []xenc.NodeID {
 	if len(frag.Nodes) == 0 {
-		return nil, nil
-	}
-	if err := s.checkLive(parent); err != nil {
-		return nil, err
-	}
-	baseLevel := s.Level(parent) + 1
-	if int(baseLevel)+maxFragLevel(frag) > xenc.MaxLevel {
-		return nil, fmt.Errorf("core: resulting tree too deep")
+		return nil
 	}
 	parentID := s.NodeOf(parent)
 	k := int32(len(frag.Nodes))
 
 	s.index = new(liveIndex) // live counts and page order change
-	ids := s.placeTuples(at, frag, baseLevel)
+	ids := s.placeTuples(at, frag, s.Level(parent)+1)
 
 	// Wire parent links: fragment roots hang off parentID, inner nodes
 	// follow the fragment's own structure.
@@ -339,185 +358,111 @@ func (s *Store) insertAt(at xenc.Pre, parent xenc.Pre, frag *shred.Tree) ([]xenc
 	}
 	s.liveNodes += int(k)
 	s.addAncestorSizes(parentID, k)
-	return ids, nil
+	return ids
 }
 
-// writeFragNode is writeNode for a node of an inserted fragment, which
-// lands baseLevel deep and whose text the store copies: a fragment
-// parsed out of an XUpdate program aliases the program's text.
-func (s *Store) writeFragNode(pos int32, n *shred.Node, baseLevel xenc.Level, id xenc.NodeID) {
-	placed := *n
-	placed.Level += baseLevel
-	s.writeNode(pos, &placed, strings.Clone(n.Value), id)
-}
-
-func maxFragLevel(frag *shred.Tree) int {
-	m := 0
-	for i := range frag.Nodes {
-		if l := int(frag.Nodes[i].Level); l > m {
-			m = l
-		}
-	}
-	return m
-}
-
-// placeTuples writes the fragment's tuples into the view starting at view
-// rank at, using the within-page path when the page has room and the
-// page-overflow path otherwise. It returns the allocated node ids in
-// fragment order.
+// placeTuples is Figure 7's one move. It writes the fragment's tuples at
+// view rank at, followed by the used tuples behind the point where they
+// land, and returns the node ids it allocated in fragment order.
+//
+// The landing point is, at a page boundary, the unused tail of the
+// previous logical page if the fragment fits there; otherwise at, in the
+// page that holds it; at the end of the view, no page (the end of the
+// last one). From the landing point on, the fragment and the used
+// tuples behind it are written into the landing page if they fit
+// (Figure 7a, "within page": the moved tuples' node/pos entries follow
+// them and no other page is touched); otherwise into freshly appended
+// physical pages, spliced into the logical order directly after the
+// landing page, which keeps its head while the rest of it becomes an
+// unused run (Figure 7b, "page overflow"). All pre numbers after the
+// splice shift at no cost, because pre is a virtual column of the view.
+// Either way only the landing page and appended pages are written, so a
+// transaction's writes stay inside its lock footprint (Footprint).
 func (s *Store) placeTuples(at xenc.Pre, frag *shred.Tree, baseLevel xenc.Level) []xenc.NodeID {
 	k := int32(len(frag.Nodes))
-
-	// At a page boundary, prefer the unused tail of the *previous*
-	// logical page (this is how the paper's example places node k on the
-	// free tuple of page 0).
-	if at&s.pageMask == 0 && at > 0 {
-		prevPg := (at - 1) >> s.pageBits
-		physBase := s.logToPhys[prevPg] << s.pageBits
-		tailStart := s.pageSize
-		for tailStart > 0 && s.levelAt(physBase+tailStart-1) == xenc.LevelUnused {
-			tailStart--
+	lg, off := at>>s.pageBits, at&s.pageMask // the landing point's logical page and offset
+	if off == 0 && at > 0 {
+		prev := s.pages[s.logToPhys[lg-1]]
+		tail := s.pageSize
+		for tail > 0 && prev.level[tail-1] == xenc.LevelUnused {
+			tail--
 		}
-		if s.pageSize-tailStart >= k {
-			ids := s.newIDs(k)
-			for i := range frag.Nodes {
-				s.writeFragNode(physBase+tailStart+int32(i), &frag.Nodes[i], baseLevel, ids[i])
-			}
-			s.markFreeRun(physBase+tailStart+k, physBase+s.pageSize)
-			return ids
+		if s.pageSize-tail >= k {
+			lg, off = lg-1, tail
 		}
 	}
-
-	pg := at >> s.pageBits
-	if pg < int32(len(s.logToPhys)) {
-		off := at & s.pageMask
-		physBase := s.logToPhys[pg] << s.pageBits
-		free := int32(0)
-		for i := off; i < s.pageSize; i++ {
-			if s.levelAt(physBase+i) == xenc.LevelUnused {
-				free++
-			}
-		}
-		if free >= k {
-			return s.insertWithinPage(physBase, off, frag, baseLevel)
-		}
-		return s.insertOverflow(pg, physBase, off, frag, baseLevel)
+	if lg == int32(len(s.logToPhys)) {
+		lg, off = lg-1, s.pageSize
 	}
-	// at == Len(): append fresh pages at the very end.
-	return s.insertOverflow(pg-1, -1, 0, frag, baseLevel)
-}
-
-// insertWithinPage is Figure 7(a): tuples after the insert point move
-// towards the page end (their node/pos entries are updated), the new
-// nodes fill the gap. Exactly one physical page is dirtied.
-func (s *Store) insertWithinPage(physBase, off int32, frag *shred.Tree, baseLevel xenc.Level) []xenc.NodeID {
-	k := int32(len(frag.Nodes))
-	wp := s.dirtyPage(physBase >> s.pageBits)
-	// Save the used tail in order.
-	type saved struct {
-		size  int32
-		level int16
-		kind  uint8
-		name  int32
-		text  string
-		node  int32
-	}
-	var tail []saved
-	for i := off; i < s.pageSize; i++ {
-		if wp.level[i] != xenc.LevelUnused {
-			tail = append(tail, saved{wp.size[i], wp.level[i], wp.kind[i], wp.name[i], wp.text[i], wp.node[i]})
+	phys := s.logToPhys[lg]
+	base := phys << s.pageBits
+	moved := s.pages[phys].usedFrom(off)
+	n := k + int32(len(moved.level))
+	start := base + off
+	if n > s.pageSize-off {
+		s.markFreeRun(start, base+s.pageSize)
+		start = int32(len(s.pages)) << s.pageBits
+		for i := int32(0); i<<s.pageBits < n; i++ {
+			s.spliceLogical(lg+1+i, s.appendPhysPage())
 		}
 	}
 	ids := s.newIDs(k)
-	// New nodes at [off, off+k).
-	for i := range frag.Nodes {
-		s.writeFragNode(physBase+off+int32(i), &frag.Nodes[i], baseLevel, ids[i])
+	var wp *page
+	for i := int32(0); i < n; i++ {
+		pos := start + i
+		if i < k {
+			// The store copies the text: a fragment parsed out of an
+			// XUpdate program aliases the program's.
+			node := frag.Nodes[i]
+			node.Level += baseLevel
+			s.writeNode(pos, &node, strings.Clone(node.Value), ids[i])
+			continue
+		}
+		o := pos & s.pageMask
+		if wp == nil || o == 0 {
+			wp = s.dirtyPage(pos >> s.pageBits) // once per page: it resets the page's caches
+		}
+		wp.copyTuple(o, moved, i-k)
+		s.setPos(wp.node[o], pos)
 	}
-	// Moved tail directly after them.
-	w := off + k
-	for _, t := range tail {
-		wp.size[w] = t.size
-		wp.level[w] = t.level
-		wp.kind[w] = t.kind
-		wp.name[w] = t.name
-		wp.text[w] = t.text
-		wp.node[w] = t.node
-		s.setPos(t.node, physBase+w)
-		w++
+	if end := start + n; end&s.pageMask != 0 {
+		s.markFreeRun(end, (end>>s.pageBits+1)<<s.pageBits)
 	}
-	s.markFreeRun(physBase+w, physBase+s.pageSize)
-	// An unused run that ended directly before off may have interior runs
-	// recorded before the compaction; rebuild the whole page's run lengths
-	// so no stale run length can jump over the freshly written tuples.
-	s.recomputeFreeRuns(physBase >> s.pageBits)
+	if off < s.pageSize {
+		// A run of unused tuples that ended directly before off may
+		// carry run lengths reaching past it; rebuild the page's.
+		s.recomputeFreeRuns(phys)
+	}
 	return ids
 }
 
-// insertOverflow is Figure 7(b): the new nodes plus the used tail of the
-// insert page are written into freshly appended physical pages, which are
-// then spliced into the logical page order directly after the insert
-// page. Only appended pages are written (bulk updates are "written only
-// in newly appended logical pages"), so a transaction can keep them
-// private until commit; besides the appended pages only the insert page
-// itself is dirtied (its tail becomes an unused run).
-//
-// physBase < 0 means "append at the very end of the document" (no tail to
-// move, splice after logical page pg).
-func (s *Store) insertOverflow(pg, physBase, off int32, frag *shred.Tree, baseLevel xenc.Level) []xenc.NodeID {
-	k := int32(len(frag.Nodes))
-	type saved struct {
-		size  int32
-		level int16
-		kind  uint8
-		name  int32
-		text  string
-		node  int32
-		isNew int32 // index into frag, or -1
-	}
-	seq := make([]saved, 0, k)
-	for i := range frag.Nodes {
-		seq = append(seq, saved{isNew: int32(i)})
-	}
-	if physBase >= 0 {
-		op := s.pages[physBase>>s.pageBits]
-		for i := off; i < s.pageSize; i++ {
-			if op.level[i] != xenc.LevelUnused {
-				seq = append(seq, saved{
-					size: op.size[i], level: op.level[i], kind: op.kind[i],
-					name: op.name[i], text: op.text[i], node: op.node[i], isNew: -1,
-				})
-			}
+// usedFrom returns the used tuples from offset off to the end of the
+// page, in order, as a page of their own.
+func (p *page) usedFrom(off int32) *page {
+	n := 0
+	for _, l := range p.level[off:] {
+		if l != xenc.LevelUnused {
+			n++
 		}
-		// The old tail becomes an unused run; rebuild the page's run
-		// lengths so a run that ended directly before off absorbs it.
-		s.markFreeRun(physBase+off, physBase+s.pageSize)
-		s.recomputeFreeRuns(physBase >> s.pageBits)
 	}
-	ids := s.newIDs(k)
-	nNew := (int32(len(seq)) + s.pageSize - 1) >> s.pageBits
-	for p := int32(0); p < nNew; p++ {
-		phys := s.appendPhysPage()
-		base := phys << s.pageBits
-		wp := s.pages[phys]
-		chunk := seq[p<<s.pageBits : min((p+1)<<s.pageBits, int32(len(seq)))]
-		for i := range chunk {
-			t := chunk[i]
-			if t.isNew >= 0 {
-				s.writeFragNode(base+int32(i), &frag.Nodes[t.isNew], baseLevel, ids[t.isNew])
-			} else {
-				wp.size[i] = t.size
-				wp.level[i] = t.level
-				wp.kind[i] = t.kind
-				wp.name[i] = t.name
-				wp.text[i] = t.text
-				wp.node[i] = t.node
-				s.setPos(t.node, base+int32(i))
-			}
+	u, i := newPage(n), int32(0)
+	for o := off; o < int32(len(p.level)); o++ {
+		if p.level[o] != xenc.LevelUnused {
+			u.copyTuple(i, p, o)
+			i++
 		}
-		s.markFreeRun(base+int32(len(chunk)), base+s.pageSize)
-		s.spliceLogical(pg+1+p, phys)
 	}
-	return ids
+	return u
+}
+
+// copyTuple copies the tuple at offset src of page from to offset dst.
+func (p *page) copyTuple(dst int32, from *page, src int32) {
+	p.size[dst] = from.size[src]
+	p.level[dst] = from.level[src]
+	p.kind[dst] = from.kind[src]
+	p.name[dst] = from.name[src]
+	p.text[dst] = from.text[src]
+	p.node[dst] = from.node[src]
 }
 
 // spliceLogical inserts physical page phys at logical index logIdx: the

@@ -17,8 +17,8 @@ import (
 // The root-locking ablation: the discipline an absolute-value size
 // update would force, where a writer also write-locks the page of every
 // ancestor of the node whose size it changes. The delta scheme locks
-// none of them (see lockPoint); these tests take the extra locks by hand
-// to show what that saves.
+// none of them (see core.Store.Footprint); these tests take the extra
+// locks by hand to show what that saves.
 
 // appendChild appends fr under the node at view rank parent; with
 // rootlock it first locks the pages of parent and all its ancestors.

@@ -14,9 +14,10 @@
 //     the image shares all pages with the version and privately copies
 //     only the pages its updates touch, so beginning a transaction and
 //     making a small update are both O(pages touched) in chunk copies,
-//     never O(document). They acquire page-grained write locks for every
-//     logical page their structural updates touch (no-wait locking: a
-//     conflict aborts the younger request instead of risking deadlock).
+//     never O(document). Before each op they write-lock the physical
+//     pages of its footprint (core.Store.Footprint); an insert the image
+//     refuses locks nothing. Locking is no-wait: a conflict aborts the
+//     younger request instead of risking deadlock.
 //     Nothing locks or re-checks what they read, so they are
 //     snapshot-isolated, not serializable: two that each read what the
 //     other writes can both commit (write skew);

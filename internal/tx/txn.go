@@ -65,9 +65,9 @@ func (t *Tx) fail(err error) error {
 }
 
 // lockSpan write-locks the *physical* pages backing the view span
-// [from, to]. Physical page numbers are stable across page splices, so
-// two transactions always agree on what a lock name means even after
-// either of them has reshaped the logical order.
+// [from, to], clamped to the view. Physical page numbers are stable
+// across page splices, so two transactions always agree on what a lock
+// name means even after either of them has reshaped the logical order.
 func (t *Tx) lockSpan(from, to xenc.Pre) error {
 	if from < 0 {
 		from = 0
@@ -90,40 +90,20 @@ func (t *Tx) lockSpan(from, to xenc.Pre) error {
 	return t.fail(t.m.lockPages(t, pages))
 }
 
-// lockPoint write-locks the pages an insert at view rank `at` writes to:
-// the page of the insert point and the page directly before it (whose
-// unused tail may absorb the insert). Ancestor pages are deliberately
-// NOT locked — their size maintenance happens through commutative delta
-// increments, which is how the paper keeps the document root from
-// becoming a locking bottleneck. The page before the insert point always
-// lies inside the anchor's region (or is the anchor itself), so a
-// concurrent delete of the anchor's subtree — which locks the whole
-// region span — is always detected as a conflict.
-func (t *Tx) lockPoint(at xenc.Pre) error {
-	var pages []int32
-	if at > 0 {
-		pages = append(pages, t.clone.PhysPage(at-1))
-	}
-	if at < t.clone.Len() {
-		pages = append(pages, t.clone.PhysPage(at))
-	}
-	return t.fail(t.m.lockPages(t, pages))
-}
-
 // Apply performs op on the transaction image and logs it for commit,
 // with the ids of the nodes it inserted: the logged op is the applied
 // op, and a commit that must replay it does so with the same
-// core.Store.Apply.
-// The pages op writes are write-locked first (lock).
+// core.Store.Apply. It first locks the pages of op's footprint
+// (core.Store.Footprint); an insert the image refuses locks none.
 func (t *Tx) Apply(op wal.Op) ([]xenc.NodeID, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	p := t.clone.PreOf(op.Target)
-	if p == xenc.NoPre {
-		return nil, fmt.Errorf("tx: target node %d not found", op.Target)
+	from, to, err := t.clone.Footprint(op)
+	if err != nil {
+		return nil, err
 	}
-	if err := t.lock(op, p); err != nil {
+	if err := t.lockSpan(from, to); err != nil {
 		return nil, err
 	}
 	ids, err := t.clone.Apply(op)
@@ -133,27 +113,6 @@ func (t *Tx) Apply(op wal.Op) ([]xenc.NodeID, error) {
 	op.NewIDs = ids
 	t.ops = append(t.ops, op)
 	return ids, nil
-}
-
-// lock takes op's footprint, its target at view rank p: an insert locks
-// the point it lands at, a delete its target's region, a value op the
-// target's page.
-func (t *Tx) lock(op wal.Op, p xenc.Pre) error {
-	switch op.Kind {
-	case wal.OpInsertBefore:
-		return t.lockPoint(p)
-	case wal.OpInsertAfter, wal.OpAppendChild:
-		return t.lockPoint(t.clone.RegionEnd(p) + 1)
-	case wal.OpInsertChildAt:
-		at := t.clone.NthChild(p, int(op.Child))
-		if at == xenc.NoPre {
-			at = t.clone.RegionEnd(p) + 1
-		}
-		return t.lockPoint(at)
-	case wal.OpDelete:
-		return t.lockSpan(p, t.clone.RegionEnd(p))
-	}
-	return t.lockSpan(p, p)
 }
 
 // --- commit / abort -----------------------------------------------------------
